@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint bench bench-assets bench-check bench-baseline bench-ratchet serve-demo serve-http explore-demo cluster-e2e loadtest cover check
+.PHONY: build test race vet fmt lint loc bench bench-assets bench-check bench-baseline bench-ratchet serve-demo serve-http explore-demo cluster-e2e loadtest cover check
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,16 @@ lint:
 	else \
 		echo "staticcheck not installed; skipping (CI enforces it at a pinned version)"; \
 	fi
+
+# loc prints the tracked size metric (ROADMAP aim 2): non-blank,
+# non-comment, non-test Go lines per package, largest first, with the
+# total. Informational — nothing gates on it; a PR quotes its
+# before/after.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read pkg dir; do \
+		n=$$(ls $$dir/*.go | grep -v _test.go | xargs cat | grep -v '^[[:space:]]*//' | grep -v '^[[:space:]]*$$' | wc -l); \
+		echo "$$n $$pkg"; \
+	done | sort -rn | awk '{ t += $$1; printf "%6d  %s\n", $$1, $$2 } END { printf "%6d  total\n", t }'
 
 # bench regenerates the paper artifacts and tracks the calibration
 # speedup pair (serial vs parallel) in the perf trajectory.

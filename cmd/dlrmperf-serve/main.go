@@ -524,7 +524,6 @@ func runCoordinator(cfg coordinatorConfig) error {
 		MaxRetryAfter: cfg.MaxRetryAfter,
 		Self:          self,
 		Peers:         cfg.Peers,
-		LeaseTTL:      cfg.Liveness,
 	})
 
 	fmt.Fprintf(os.Stderr, "dlrmperf-serve: coordinator listening on %s (%d static workers, liveness %s)\n",

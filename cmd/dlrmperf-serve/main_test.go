@@ -141,13 +141,13 @@ func TestServeReportInvariants(t *testing.T) {
 	// compute (a miss); the comm-on-width-1 request is rejected at
 	// validation and kept out of the hit/miss counters: every request
 	// dispatched is accounted, hits+misses+rejected == requests.
-	if rep.Cache.Hits != 1 || rep.Cache.Misses != 2 || rep.Cache.Rejected != 1 {
+	if rep.Cache.Hits != 1 || rep.Cache.Misses != 2 || rep.Rejected.Validation != 1 {
 		t.Errorf("cache = %d/%d/%d hit/miss/rejected, want 1/2/1",
-			rep.Cache.Hits, rep.Cache.Misses, rep.Cache.Rejected)
+			rep.Cache.Hits, rep.Cache.Misses, rep.Rejected.Validation)
 	}
-	if rep.Cache.Hits+rep.Cache.Misses+rep.Cache.Rejected != uint64(rep.Requests) {
+	if rep.Cache.Hits+rep.Cache.Misses+rep.Rejected.Validation != uint64(rep.Requests) {
 		t.Errorf("cache invariant broken: %d+%d+%d != %d requests",
-			rep.Cache.Hits, rep.Cache.Misses, rep.Cache.Rejected, rep.Requests)
+			rep.Cache.Hits, rep.Cache.Misses, rep.Rejected.Validation, rep.Requests)
 	}
 	// The rejected block separates the walls: a validation reject here,
 	// no queue-full or draining rejections in a blocking one-shot run.

@@ -38,11 +38,9 @@ var hotpathPackages = map[string]hotpathConfig{
 		},
 		stops: []string{
 			// Cold, once-per-scenario work reachable from PredictCtx:
-			// plan compilation and the uncompiled ablation path may
-			// use fmt.Errorf freely.
+			// plan compilation may use fmt.Errorf freely.
 			"Engine.compile",
 			"Engine.compileMulti",
-			"Engine.predictUncompiled",
 			"Engine.scenarioModel",
 			"group.Do",
 			"group.DoCtx",
@@ -64,10 +62,13 @@ var hotpathPackages = map[string]hotpathConfig{
 	"dlrmperf/internal/cluster": {
 		roots: []string{
 			// Per-request coordinator steady state: the lease check on
-			// every write, the adaptive Retry-After render on every
-			// shed, the hint EWMA fold on every worker 429, and the
-			// vault's hand-off decision probed on every routed request.
+			// every write and the liveness read under it (and under every
+			// routing decision's Registry.Live), the adaptive Retry-After
+			// render on every shed, the hint EWMA fold on every worker
+			// 429, and the vault's hand-off decision probed on every
+			// routed request.
 			"Lease.Leader",
+			"liveTable.lastSeen",
 			"Coordinator.retryAfter",
 			"Coordinator.observeWorkerHint",
 			"assetVault.needInstall",

@@ -40,13 +40,22 @@ import (
 // over large grids still fit.
 const defaultMaxBodyBytes = 64 << 20
 
-// defaultHTTPClient dials fast (dead-socket detection must be quick)
-// but never bounds the response wait — a cold worker legitimately
-// spends minutes calibrating a device. Callers needing a response
-// bound pass their own *http.Client or a request context deadline.
-var defaultHTTPClient = &http.Client{Transport: &http.Transport{
-	DialContext: (&net.Dialer{Timeout: 2 * time.Second}).DialContext,
-}}
+// NewHTTPClient builds the HTTP client every caller of the serving
+// surface shares (this package's default and the coordinator's worker
+// hops): it dials fast (dead-socket detection must be quick) but never
+// bounds the response wait — a cold worker legitimately spends minutes
+// calibrating a device; callers needing a response bound pass a request
+// context deadline. idlePerHost is how many idle connections are kept
+// per server — the caller's own concurrency toward one host, or every
+// call beyond it dials afresh; 0 keeps net/http's default of 2.
+func NewHTTPClient(idlePerHost int) *http.Client {
+	return &http.Client{Transport: &http.Transport{
+		DialContext:         (&net.Dialer{Timeout: 2 * time.Second}).DialContext,
+		MaxIdleConnsPerHost: idlePerHost,
+	}}
+}
+
+var defaultHTTPClient = NewHTTPClient(0)
 
 // Client talks to one server base URL.
 type Client struct {

@@ -9,22 +9,29 @@
 //
 // The coordinator re-exports the worker HTTP surface unchanged
 // (POST /v1/predict, POST /v1/predict/batch, POST /v1/explore,
-// GET /v1/scenarios, GET /healthz, GET /stats) plus
-// POST /v1/workers/register for self-registration, and its /stats merges the per-worker
-// cache/asset/stream counters into one attempt-accounted document
-// whose invariant — hits + misses + rejected == requests — holds
-// cluster-wide (see stats.go for the accounting model). A
-// pass-through result cache (the engine's fingerprint result cache
-// via dlrmperf.Engine.RemoteResult) answers repeats of identical
-// scenarios at the coordinator without a network round trip.
+// GET /v1/scenarios, GET /healthz, GET /stats), validating requests at
+// its own boundary exactly as a worker does, plus
+// POST /v1/workers/register and POST /v1/workers/assets for worker
+// heartbeats, and its /stats merges the per-worker cache/asset/stream
+// counters into one attempt-accounted document whose invariant — hits
+// + misses + rejected == requests — holds cluster-wide (see stats.go
+// for the accounting model). A pass-through result cache (the engine's
+// fingerprint result cache via dlrmperf.Engine.RemoteResult) answers
+// repeats of identical scenarios at the coordinator without a network
+// round trip.
+//
+// The control plane is four primitives: one liveness table (live.go)
+// under both the worker Registry and the peer Lease, one periodic loop
+// (every) under the worker heartbeat and the peer probes, one
+// replicated apply-only entry with one peer endpoint (lease.go), and
+// one detached-background helper (detach) under every replication
+// send and drain push.
 package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -56,10 +63,9 @@ type Config struct {
 	// request (the ablation, and the fault-injection tests' default so
 	// repeats actually route).
 	Cache ResultCache
-	// Client performs worker HTTP calls. The default dials with a 2s
-	// timeout (dead-socket failover must be fast) but never bounds the
-	// response wait — a cold worker legitimately spends minutes
-	// calibrating a device.
+	// Client performs worker HTTP calls. The default is
+	// client.NewHTTPClient keeping Fanout idle connections per worker,
+	// so a full batch fan-out reuses its connections instead of dialing.
 	Client *http.Client
 	// RetryAfter is the floor of the backpressure hint on coordinator
 	// 503s. Default 1s. The emitted hint adapts upward toward the
@@ -74,12 +80,10 @@ type Config struct {
 	Self string
 	// Peers lists the OTHER coordinators in a replicated control plane
 	// (base URLs). Non-empty enables the leader lease, registration
-	// forwarding, and result/asset gossip; empty (the default) keeps
-	// the single-coordinator behavior exactly.
+	// forwarding, and result/asset replication; empty (the default)
+	// keeps the single-coordinator behavior exactly. Peer liveness uses
+	// the Registry's window and clock.
 	Peers []string
-	// LeaseTTL is the peer-liveness window of the leader lease (default
-	// DefaultLiveness, same as worker liveness).
-	LeaseTTL time.Duration
 	// MaxBodyBytes bounds request bodies (default 16 MiB), MaxBatch the
 	// rows of one batch POST (default 4096), MaxGrid the expanded size
 	// of one explore POST (default 262144) — the same admission hygiene
@@ -95,11 +99,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Client == nil {
-		c.Client = &http.Client{Transport: &http.Transport{
-			DialContext: (&net.Dialer{Timeout: 2 * time.Second}).DialContext,
-		}}
-	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
@@ -120,6 +119,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Fanout <= 0 {
 		c.Fanout = 16
+	}
+	if c.Client == nil {
+		c.Client = client.NewHTTPClient(c.Fanout)
 	}
 	if c.StatsTimeout <= 0 {
 		c.StatsTimeout = 5 * time.Second
@@ -179,8 +181,8 @@ type Coordinator struct {
 	// vault replicates every worker's exported calibration assets so a
 	// device's new rendezvous home can be handed them on failover.
 	vault *assetVault
-	// repl tracks detached replication goroutines (gossip fans,
-	// registration forwards) so Drain can wait them out.
+	// repl tracks the goroutines detach started (replication sends,
+	// drain pushes) so Drain can wait them out.
 	repl sync.WaitGroup
 
 	// admitMu guards draining against inflight.Add, exactly like the
@@ -218,7 +220,7 @@ func New(cfg Config) *Coordinator {
 		if c.cfg.Self == "" {
 			panic("cluster: Config.Self is required with Peers")
 		}
-		c.lease = NewLease(c.cfg.Self, c.cfg.Peers, c.cfg.LeaseTTL)
+		c.lease = NewLease(c.cfg.Self, c.cfg.Peers, c.reg)
 	}
 	return c
 }
@@ -282,9 +284,12 @@ func (c *Coordinator) PredictOne(ctx context.Context, req serve.Request, blockin
 	if !hit && c.cfg.Cache != nil {
 		// This caller executed the fetch (hit covers both cache reads and
 		// flight joins), so it is the one copy of the result that peers
-		// don't have yet: replicate the RAW row, pre-re-stamp, so every
-		// coordinator caches the same value a repeat would fetch.
-		c.replicateResult(req, row)
+		// don't have yet. The fetch WAS the origin's apply — RemoteResult
+		// cached the row here — so only the replication is left: the RAW
+		// row, pre-re-stamp, so every coordinator caches the same value a
+		// repeat would fetch.
+		raw := row
+		c.replicate(entry{Request: &req, Row: &raw})
 	}
 	// The cached value carries the envelope of whichever request first
 	// fetched it; re-stamp this caller's own.
@@ -328,6 +333,15 @@ func (c *Coordinator) forward(ctx context.Context, req serve.Request, blocking b
 		var bp *BackpressureError
 		if errors.As(err, &bp) {
 			return serve.Result{}, err // healthy worker said slow down: no retry, no failure mark
+		}
+		var api *client.APIError
+		if errors.As(err, &api) && api.Status >= 400 && api.Status < 500 && api.Status != http.StatusTooManyRequests {
+			// The worker refused the REQUEST (a 4xx is a verdict on the
+			// input, and every other worker would return the same one):
+			// hand its status and code to the client. Quarantining healthy
+			// workers over a client's bad input would let one hostile
+			// request take the cluster's routing set down.
+			return serve.Result{}, fmt.Errorf("worker %s: %w", w.ID, err)
 		}
 		if ctx.Err() != nil {
 			// The CLIENT died (canceled or timed out mid-call), which
@@ -432,20 +446,10 @@ func (c *Coordinator) Run(ctx context.Context, reqs []serve.Request) *Report {
 		Requests:  len(results),
 		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
 	}
-	for _, row := range results {
-		if row.Error != "" {
-			rep.Failed++
-		}
-	}
+	rep.Failed, rep.Error = serve.BatchOutcome(results)
 	st := c.Stats(ctx)
 	rep.Calibrations = st.Calibrations
 	rep.Cache, rep.Rejected = st.Cache, st.Rejected
-	if rep.Failed == rep.Requests && rep.Requests > 0 {
-		rep.Error = &serve.ReportError{
-			Code:    "all_requests_failed",
-			Message: fmt.Sprintf("all %d requests failed; first error: %s", rep.Requests, results[0].Error),
-		}
-	}
 	return rep
 }
 
@@ -525,26 +529,33 @@ func (c *Coordinator) Drain(propagate bool) {
 	c.draining = true
 	c.admitMu.Unlock()
 	c.inflight.Wait()
-	c.repl.Wait() // outstanding gossip fans finish before shutdown
-	if !propagate {
-		return
-	}
-	workers := c.reg.Live()
-	var wg sync.WaitGroup
-	for _, w := range workers {
-		if w.Static {
-			continue
+	if propagate {
+		for _, w := range c.reg.Live() {
+			if w.Static {
+				continue
+			}
+			c.detach(func(ctx context.Context) {
+				_ = c.workerClient(w.URL).Drain(ctx) // best-effort push
+			})
 		}
-		wg.Add(1)
-		go func(w Worker) {
-			defer wg.Done()
-			//lint:allow ctxflow deliberately detached: drain pushes must outlive the dying caller's ctx, bounded by StatsTimeout
-			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.StatsTimeout)
-			defer cancel()
-			_ = c.workerClient(w.URL).Drain(ctx) // best-effort push
-		}(w)
 	}
-	wg.Wait()
+	c.repl.Wait() // outstanding replication sends and drain pushes finish before shutdown
+}
+
+// detach runs fn on its own goroutine under a background context
+// bounded by StatsTimeout, tracked so Drain waits it out. It is the one
+// place the coordinator starts work that must outlive the request (or
+// the dying caller) that caused it: replication sends, the
+// follower-to-leader registration forward, and drain pushes.
+func (c *Coordinator) detach(fn func(ctx context.Context)) {
+	c.repl.Add(1)
+	go func() {
+		defer c.repl.Done()
+		//lint:allow ctxflow deliberately detached: the work must outlive the originating request's ctx, bounded by StatsTimeout
+		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.StatsTimeout)
+		defer cancel()
+		fn(ctx)
+	}()
 }
 
 // Handler returns the coordinator's HTTP surface: the worker surface
@@ -557,11 +568,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/workers/register", c.handleRegister)
 	mux.HandleFunc("POST /v1/workers/assets", c.handleWorkerAssets)
 	if c.lease != nil {
-		// Peer gossip is apply-only: these handlers install state locally
-		// and never re-forward, so replication cannot loop.
-		mux.HandleFunc("POST /v1/peers/register", c.handlePeerRegister)
-		mux.HandleFunc("POST /v1/peers/result", c.handlePeerResult)
-		mux.HandleFunc("POST /v1/peers/assets", c.handlePeerAssets)
+		mux.HandleFunc("POST /v1/peers/apply", c.handlePeerApply)
 	}
 	mux.HandleFunc("GET /v1/scenarios", func(w http.ResponseWriter, _ *http.Request) {
 		serve.WriteJSON(w, http.StatusOK, dlrmperf.Scenarios())
@@ -618,14 +625,14 @@ func (c *Coordinator) retryAfter() string {
 }
 
 func (c *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req serve.Request
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)).Decode(&req); err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.HTTPError{Code: "bad_request", Message: err.Error()})
+	req, ok := serve.DecodeRequest(w, r, c.cfg.MaxBodyBytes)
+	if !ok {
 		return
 	}
 	res, err := c.PredictOne(r.Context(), req, false)
 	var bp *BackpressureError
 	var re *RouteError
+	var api *client.APIError
 	switch {
 	case err == nil:
 		serve.WriteJSON(w, http.StatusOK, res)
@@ -644,46 +651,25 @@ func (c *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(w, http.StatusTooManyRequests, serve.HTTPError{Code: "queue_full", Message: err.Error()})
 	case errors.As(err, &re):
 		serve.WriteJSON(w, http.StatusBadGateway, serve.HTTPError{Code: "worker_failed", Message: err.Error()})
+	case errors.As(err, &api) && api.Status < 500:
+		// The one APIError forward lets through: a worker's 4xx verdict.
+		serve.WriteJSON(w, api.Status, serve.HTTPError{Code: api.Code, Message: api.Message})
 	default:
 		serve.WriteJSON(w, http.StatusInternalServerError, serve.HTTPError{Code: "internal", Message: err.Error()})
 	}
 }
 
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var reqs []serve.Request
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)).Decode(&reqs); err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.HTTPError{Code: "bad_request", Message: err.Error()})
-		return
+	if reqs, ok := serve.DecodeBatch(w, r, c.cfg.MaxBodyBytes, c.cfg.MaxBatch); ok {
+		serve.WriteJSON(w, http.StatusOK, c.Run(r.Context(), reqs))
 	}
-	if len(reqs) == 0 {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.HTTPError{Code: "bad_request", Message: "empty request list"})
-		return
-	}
-	if len(reqs) > c.cfg.MaxBatch {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.HTTPError{
-			Code:    "batch_too_large",
-			Message: fmt.Sprintf("batch of %d exceeds the %d-row limit; split it", len(reqs), c.cfg.MaxBatch),
-		})
-		return
-	}
-	serve.WriteJSON(w, http.StatusOK, c.Run(r.Context(), reqs))
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var reg Registration
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)).Decode(&reg); err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.HTTPError{Code: "bad_request", Message: err.Error()})
+	if !serve.DecodeBody(w, r, c.cfg.MaxBodyBytes, &reg) || !c.share(w, entry{Registration: &reg}) {
 		return
 	}
-	if reg.URL == "" {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.HTTPError{Code: "bad_request", Message: "url is required"})
-		return
-	}
-	if reg.ID == "" {
-		reg.ID = reg.URL
-	}
-	c.reg.Register(reg.ID, reg.URL)
-	c.shareRegistration(reg)
 	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"ttl_ms":  c.reg.TTL().Milliseconds(),
 		"workers": len(c.reg.Live()),
@@ -701,47 +687,4 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, c.Stats(r.Context()))
-}
-
-// Heartbeat self-registers a worker with a coordinator immediately and
-// then every interval, keeping it inside the registry's liveness
-// window, until the returned stop function is called (idempotent,
-// waits for the loop to exit) or ctx is canceled. Registration
-// failures are retried on the next tick — a coordinator restart heals
-// itself. A nil hc uses a 5s-bounded default (a beat must never hang
-// past its own interval for long).
-func Heartbeat(ctx context.Context, hc *http.Client, coordinatorURL, id, selfURL string, interval time.Duration) (stop func()) {
-	if hc == nil {
-		hc = &http.Client{Timeout: 5 * time.Second}
-	}
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	cl := client.New(coordinatorURL, client.WithHTTPClient(hc))
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	beat := func() {
-		_ = cl.Register(ctx, id, selfURL) // best-effort; retried next tick
-	}
-	go func() {
-		defer close(exited)
-		beat()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				beat()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(done) })
-		<-exited
-	}
 }

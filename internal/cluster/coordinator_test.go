@@ -150,7 +150,7 @@ func (fw *fakeWorker) stats() serve.Stats {
 		Requests:     fw.received,
 		Served:       fw.hits + fw.misses,
 		Rejected:     serve.RejectedStats{Validation: fw.rejected},
-		Cache:        serve.CacheStats{Hits: fw.hits, Misses: fw.misses, Rejected: fw.rejected},
+		Cache:        serve.CacheStats{Hits: fw.hits, Misses: fw.misses},
 		Calibrations: cals,
 	}
 }
@@ -343,52 +343,6 @@ func TestAggregatedStatsMergesWorkers(t *testing.T) {
 			t.Fatalf("worker %s not live with stats: %+v", w.ID, w)
 		}
 	}
-}
-
-// TestRegisterAndHeartbeat drives the self-registration loop against
-// the coordinator's real HTTP handler: the worker becomes live within
-// a heartbeat, stays live while beating, and expires one liveness
-// window after the loop stops.
-func TestRegisterAndHeartbeat(t *testing.T) {
-	reg := NewRegistry(250 * time.Millisecond)
-	coord := New(Config{Registry: reg})
-	ts := httptest.NewServer(coord.Handler())
-	defer ts.Close()
-
-	fw := newFakeWorker(t)
-	stop := Heartbeat(context.Background(), nil, ts.URL, fw.id, fw.srv.URL, 50*time.Millisecond)
-	defer stop()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for len(reg.Live()) == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if live := reg.Live(); len(live) != 1 || live[0].ID != fw.id || live[0].Static {
-		t.Fatalf("live after heartbeat = %+v, want the registered worker", live)
-	}
-
-	// Registered workers serve traffic like static ones.
-	if row, err := coord.PredictOne(context.Background(), req("V100", "w", 512), false); err != nil || row.Error != "" {
-		t.Fatalf("predict via registered worker: %v / %q", err, row.Error)
-	}
-
-	// Stop beating: the worker must expire within one liveness window.
-	stop()
-	deadline = time.Now().Add(5 * time.Second)
-	for len(reg.Live()) != 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if live := reg.Live(); len(live) != 0 {
-		t.Fatalf("worker still live after heartbeats stopped: %+v", live)
-	}
-	if _, err := coord.PredictOne(context.Background(), req("V100", "w", 1024), false); !errors.Is(err, ErrNoWorkers) {
-		t.Fatalf("predict with expired worker: err = %v, want ErrNoWorkers", err)
-	}
-	st := coord.Stats(context.Background())
-	if st.Rejected.NoWorkers != 1 {
-		t.Fatalf("no-workers rejects = %d, want 1", st.Rejected.NoWorkers)
-	}
-	assertAggInvariant(t, st)
 }
 
 // TestDrainPropagation: draining rejects new admissions with 503,

@@ -2,53 +2,34 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
-	"time"
 
 	"dlrmperf/internal/explore"
 	"dlrmperf/internal/serve"
-	"dlrmperf/internal/xsync"
 )
 
 // RunExplore sweeps a grid across the cluster: the coordinator expands
-// and deduplicates once, then routes each unique unit through
-// PredictOne — blocking worker admission (sweep units must apply
-// backpressure, never shed), the pass-through result cache in front
-// (a warm repeat of a grid is answered locally without touching a
-// worker), and rendezvous routing behind it. The expansion's
-// device-major order means one device's configurations are in flight
-// together, all bound for the same affine worker, so that worker's
-// pinned calibration and compiled plans serve a contiguous run of
-// requests. Fan-out is bounded by Config.Fanout like the batch path.
+// and deduplicates once (serve.Sweep, the spine it shares with the
+// worker), then routes each unique unit through PredictOne — blocking
+// worker admission (sweep units must apply backpressure, never shed),
+// the pass-through result cache in front (a warm repeat of a grid is
+// answered locally without touching a worker), and rendezvous routing
+// behind it. The expansion's device-major order means one device's
+// configurations are in flight together, all bound for the same affine
+// worker, so that worker's pinned calibration and compiled plans serve
+// a contiguous run of requests. Fan-out is bounded by Config.Fanout
+// like the batch path.
 func (c *Coordinator) RunExplore(ctx context.Context, g explore.Grid) (*explore.Report, error) {
 	if c.Draining() {
 		return nil, ErrDraining
 	}
-	if size := g.Size(); size > c.cfg.MaxGrid {
-		return nil, &serve.GridTooLargeError{Size: size, Max: c.cfg.MaxGrid}
-	}
-	ex, err := explore.Expand(g)
+	rep, err := serve.Sweep(ctx, g, c.cfg.MaxGrid, c.cfg.Fanout, func(ctx context.Context, req serve.Request) (serve.Result, error) {
+		return c.PredictOne(ctx, req, true)
+	})
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	agg := explore.NewAggregator(ex)
-	xsync.ForEachN(len(ex.Unique), c.cfg.Fanout, func(i int) {
-		row, err := c.PredictOne(ctx, serve.WireRequest(ex.Unique[i].Point, g.TimeoutMs), true)
-		if err != nil {
-			agg.Add(i, explore.Outcome{Err: err.Error()})
-			return
-		}
-		agg.Add(i, explore.Outcome{
-			E2EUs:             row.E2EUs,
-			ScalingEfficiency: row.ScalingEfficiency,
-			CacheHit:          row.CacheHit,
-			Err:               row.Error,
-		})
-	})
-	rep := agg.Report(time.Since(start))
 	// The asset view of a cluster sweep is the merged worker stores
 	// (where the calibrations and compiled plans actually live).
 	st := c.Stats(ctx)
@@ -58,8 +39,7 @@ func (c *Coordinator) RunExplore(ctx context.Context, g explore.Grid) (*explore.
 
 func (c *Coordinator) handleExplore(w http.ResponseWriter, r *http.Request) {
 	var g explore.Grid
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)).Decode(&g); err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.HTTPError{Code: "bad_request", Message: err.Error()})
+	if !serve.DecodeBody(w, r, c.cfg.MaxBodyBytes, &g) {
 		return
 	}
 	rep, err := c.RunExplore(r.Context(), g)

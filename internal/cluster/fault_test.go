@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dlrmperf"
 	"dlrmperf/internal/client"
+	"dlrmperf/internal/serve"
 )
 
 // affineDevice returns a device name whose rendezvous rank-0 among the
@@ -178,7 +182,7 @@ func TestClientCancelDoesNotQuarantine(t *testing.T) {
 func TestHeartbeatExpiryStopsRouting(t *testing.T) {
 	reg := NewRegistry(5 * time.Second)
 	now := time.Unix(1000, 0)
-	reg.now = func() time.Time { return now }
+	reg.live.now = func() time.Time { return now }
 
 	a, b := newFakeWorker(t), newFakeWorker(t)
 	reg.Register(a.id, a.srv.URL)
@@ -230,7 +234,7 @@ func TestHeartbeatExpiryStopsRouting(t *testing.T) {
 func TestStaticWorkerQuarantineHeals(t *testing.T) {
 	reg := NewRegistry(5 * time.Second)
 	now := time.Unix(2000, 0)
-	reg.now = func() time.Time { return now }
+	reg.live.now = func() time.Time { return now }
 	reg.AddStatic("http://worker-a")
 	reg.AddStatic("http://worker-b")
 
@@ -296,7 +300,7 @@ func TestInvariantAcrossHandoffAndMigration(t *testing.T) {
 	// Phase 2: lease hand-off. The survivor ages the dead leader out of
 	// its window (injected clock — no sleeping) and takes the lease.
 	now := time.Now().Add(2 * DefaultLiveness)
-	survivor.lease.now = func() time.Time { return now }
+	survivor.lease.live.now = func() time.Time { return now }
 	if !survivor.Lease().IsLeader() {
 		t.Fatalf("survivor did not take the lease: %+v", survivor.Lease().Snapshot())
 	}
@@ -342,4 +346,113 @@ func TestInvariantAcrossHandoffAndMigration(t *testing.T) {
 		t.Fatalf("migrations = %d, want 1", st.Coordinator.Migrations)
 	}
 	assertAggInvariant(t, st)
+}
+
+// instantBackend is the smallest serve.Backend: every prediction is an
+// immediate miss. It puts REAL serve.New workers — real admission, real
+// request validation — behind a coordinator without calibrating.
+type instantBackend struct{ misses atomic.Uint64 }
+
+func (b *instantBackend) PredictContext(_ context.Context, req dlrmperf.PredictRequest) dlrmperf.PredictResult {
+	b.misses.Add(1)
+	return dlrmperf.PredictResult{Request: req, GPUs: 1}
+}
+func (b *instantBackend) CacheStats() (hits, misses uint64) { return 0, b.misses.Load() }
+func (b *instantBackend) RejectedRequests() uint64          { return 0 }
+func (b *instantBackend) AssetStats() dlrmperf.AssetStats   { return dlrmperf.AssetStats{} }
+func (b *instantBackend) StreamStats() dlrmperf.StreamStats { return dlrmperf.StreamStats{} }
+func (b *instantBackend) Devices() []string                 { return nil }
+func (b *instantBackend) CalibrationRuns(string) int        { return 0 }
+
+// TestBadClientInputDoesNotQuarantine: a client's malformed request is
+// a verdict on the request, never on the workers. Over HTTP the
+// coordinator refuses an unknown priority at its own boundary — 400
+// bad_priority, single and batch, before any counter moves — and past
+// the boundary a worker's 4xx is handed back with the worker's status
+// and code instead of being treated as a dead worker. Either way the
+// routing set keeps every worker, worker_failed stays 0, and the next
+// valid request is served. (Before the fix each such request
+// quarantined both workers: live 2 -> 0, then 503 no_workers for a
+// whole liveness window.)
+func TestBadClientInputDoesNotQuarantine(t *testing.T) {
+	reg := NewRegistry(0)
+	for i := 0; i < 2; i++ {
+		srv := serve.New(serve.Config{Backend: &instantBackend{}})
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(func() { ts.Close(); srv.Drain() })
+		reg.Register(ts.URL, ts.URL)
+	}
+	coord := New(Config{Registry: reg})
+	front := httptest.NewServer(coord.Handler())
+	defer front.Close()
+	cl := client.New(front.URL)
+	ctx := context.Background()
+	bogus := serve.Request{Workload: "w", Device: "V100", Batch: 512, Priority: "bogus"}
+
+	wantVerdict := func(what string, err error) {
+		t.Helper()
+		var api *client.APIError
+		if !errors.As(err, &api) || api.Status != http.StatusBadRequest || api.Code != "bad_priority" {
+			t.Fatalf("%s: err = %v, want 400 bad_priority", what, err)
+		}
+	}
+	_, err := cl.Predict(ctx, bogus)
+	wantVerdict("single over HTTP", err)
+	_, err = cl.PredictBatch(ctx, []serve.Request{bogus})
+	wantVerdict("batch over HTTP", err)
+	if st := coord.Stats(ctx); st.Coordinator.Received != 0 {
+		t.Fatalf("received = %d, want 0: the boundary rejects before any counter moves", st.Coordinator.Received)
+	}
+	// Past the boundary (in-process callers, or a worker stricter than
+	// this coordinator): the worker's own 400 passes through forward.
+	_, err = coord.PredictOne(ctx, bogus, false)
+	wantVerdict("single via forward", err)
+	_, err = coord.PredictOne(ctx, bogus, true)
+	wantVerdict("batch row via forward", err)
+
+	if live := reg.Live(); len(live) != 2 {
+		t.Fatalf("live after bad input = %d workers, want 2 (no quarantine)", len(live))
+	}
+	st := coord.Stats(ctx)
+	if st.Rejected.WorkerFailed != 0 {
+		t.Fatalf("worker_failed = %d, want 0 for a client's bad input", st.Rejected.WorkerFailed)
+	}
+	assertAggInvariant(t, st)
+	bogus.Priority = "high"
+	if row, err := cl.Predict(ctx, bogus); err != nil || row.Error != "" {
+		t.Fatalf("valid request after bad input: %v / %q", err, row.Error)
+	}
+}
+
+// TestOneClockExpiresWorkersAndPeers: the coordinator has a single
+// clock seam. Advancing the registry's injected clock past the window
+// expires a registered worker AND a peer's lease in the same
+// coordinator — the lease takes its clock and window from the registry
+// it is paired with.
+func TestOneClockExpiresWorkersAndPeers(t *testing.T) {
+	reg := NewRegistry(5 * time.Second)
+	now := time.Unix(6000, 0)
+	reg.live.now = func() time.Time { return now }
+	coord := New(Config{Registry: reg, Self: "http://b", Peers: []string{"http://a"}})
+
+	reg.Register("w1", "http://w1")
+	coord.Lease().MarkSeen("http://a")
+	if len(reg.Live()) != 1 || coord.Lease().Leader() != "http://a" {
+		t.Fatalf("before expiry: live = %+v, leader = %q; want w1 and http://a", reg.Live(), coord.Lease().Leader())
+	}
+	if coord.Lease().TTL() != reg.TTL() {
+		t.Fatalf("lease window %v != registry window %v", coord.Lease().TTL(), reg.TTL())
+	}
+
+	now = now.Add(5*time.Second + time.Millisecond)
+	if live := reg.Live(); len(live) != 0 {
+		t.Fatalf("worker still live one window later: %+v", live)
+	}
+	if got := coord.Lease().Leader(); got != "http://b" {
+		t.Fatalf("leader one window later = %q, want self (peer expired)", got)
+	}
+	st := coord.Stats(context.Background())
+	if st.Lease.Peers[0].Live || st.Workers[0].Live {
+		t.Fatalf("snapshot shows an expired member live: peer %+v, worker %+v", st.Lease.Peers[0], st.Workers[0].WorkerInfo)
+	}
 }

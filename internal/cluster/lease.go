@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"net/http"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"dlrmperf/internal/serve"
@@ -13,70 +13,65 @@ import (
 
 // Coordinator replication. A coordinator configured with a static peer
 // list (Config.Self + Config.Peers) joins a replication group built on
-// a leader lease that follows the worker registry's pattern exactly:
-// an injectable clock and a liveness window, no consensus protocol.
+// a leader lease that sits on the same liveness primitive as the
+// worker registry — one window, one injectable clock, no consensus
+// protocol.
 //
 // Leadership is deterministic: every coordinator ranks the candidate
 // set — itself plus every peer seen alive within the lease window — and
 // the lowest URL holds the lease. Proof of life is passive and active
-// at once: a successful probe (StartPeerProbes), an inbound gossip
-// message, and a successful outbound gossip delivery all refresh a
-// peer's lease entry. When the leader stops answering, its entry ages
-// out of every follower's window and the next-lowest live coordinator
-// is — by the shared rule, without an election round trip — the new
-// leader.
+// at once: a successful probe (StartPeerProbes), an inbound replicated
+// entry, and a delivered outbound one all refresh a peer's lease
+// entry. When the leader stops answering, its entry ages out of every
+// follower's window and the next-lowest live coordinator is — by the
+// shared rule, without an election round trip — the new leader.
 //
 // Writes and reads split the classic way: reads (routing, stats,
 // cache lookups) are answered locally on every coordinator, while
 // writes flow toward the leader. A worker registration landing on a
 // follower is applied locally (its own routing table must not lag its
-// own observations) and forwarded to the leader, which gossips it to
+// own observations) and forwarded to the leader, which replicates it to
 // every peer — so wherever a worker registers, the whole group routes
 // to it within one beat. Because the leader is always the lowest live
 // URL, forwarding chains strictly descend and can never cycle.
 //
-// Replicated state rides three apply-only peer endpoints (they never
-// re-forward, so gossip cannot loop):
+// Replicated state is one record shape, entry, carrying exactly one of
+// three payloads, delivered to one apply-only peer endpoint (it never
+// re-forwards, so replication cannot loop):
 //
-//	POST /v1/peers/register  worker registration         -> Registry.Register
-//	POST /v1/peers/result    fetched result row          -> ResultCache.InstallRemoteResult
-//	POST /v1/peers/assets    worker asset export (vault) -> assetVault.put
+//	POST /v1/peers/apply  {from, registration} -> Registry.Register
+//	                      {from, request, row} -> ResultCache.InstallRemoteResult
+//	                      {from, assets}       -> assetVault.put
 //
-// Result rows replicate from whichever coordinator fetched them
-// (commutative, idempotent — no leader needed), which is what makes a
-// repeat of any fingerprint a local cache hit on every coordinator:
-// killing the leader mid-run loses no cached results.
+// The coordinator where a change originates applies it through the
+// same apply and replicates it only if it changed local state. Result
+// rows replicate from whichever coordinator fetched them (commutative,
+// idempotent — no leader needed), which is what makes a repeat of any
+// fingerprint a local cache hit on every coordinator: killing the
+// leader mid-run loses no cached results.
 
 // Lease is the coordinator group's leader lease: the static peer set
-// with last-proof-of-life stamps. Like the worker registry, the clock
-// is injectable so expiry tests advance time instead of sleeping, and
-// liveness is recomputed on read — there is no background state to
-// tend.
+// with last-proof-of-life stamps in a liveTable. It takes its clock
+// and window from the worker registry it is paired with, so one
+// injected clock moves worker expiry and leadership together.
 type Lease struct {
-	self string
-	ttl  time.Duration
-	// now is the clock, injectable for deterministic expiry tests.
-	now func() time.Time
-
-	mu    sync.Mutex
-	peers map[string]time.Time // peer URL -> last proof of life (zero: never seen)
+	self  string
+	peers []string // static and sorted; never modified after NewLease
+	live  *liveTable
 }
 
-// NewLease returns a lease over the static peer set. self is this
-// coordinator's own advertised URL; it is excluded from peers if
-// listed there. ttl <= 0 selects DefaultLiveness.
-func NewLease(self string, peers []string, ttl time.Duration) *Lease {
-	if ttl <= 0 {
-		ttl = DefaultLiveness
-	}
-	self = strings.TrimRight(strings.TrimSpace(self), "/")
-	l := &Lease{self: self, ttl: ttl, now: time.Now, peers: map[string]time.Time{}}
+// NewLease returns a lease over the static peer set, on reg's clock
+// and liveness window. self is this coordinator's own advertised URL;
+// it is excluded from peers if listed there.
+func NewLease(self string, peers []string, reg *Registry) *Lease {
+	l := &Lease{self: strings.TrimRight(strings.TrimSpace(self), "/"), live: reg.live.sibling()}
 	for _, p := range peers {
-		p = strings.TrimRight(strings.TrimSpace(p), "/")
-		if p != "" && p != self {
-			l.peers[p] = time.Time{}
+		if p = strings.TrimRight(strings.TrimSpace(p), "/"); p != "" && p != l.self {
+			l.peers = append(l.peers, p)
 		}
 	}
+	slices.Sort(l.peers)
+	l.peers = slices.Compact(l.peers)
 	return l
 }
 
@@ -84,37 +79,20 @@ func NewLease(self string, peers []string, ttl time.Duration) *Lease {
 func (l *Lease) Self() string { return l.self }
 
 // TTL reports the lease liveness window.
-func (l *Lease) TTL() time.Duration { return l.ttl }
+func (l *Lease) TTL() time.Duration { return l.live.ttl }
 
-// Peers lists the configured peer URLs, sorted.
-func (l *Lease) Peers() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.peers))
-	for p := range l.peers {
-		out = append(out, p)
-	}
-	// Insertion sort: the peer set is tiny and this keeps the hot
-	// Leader/Peers pair free of package dependencies beyond the stdlib
-	// already imported.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
+// Peers lists the configured peer URLs, sorted. The slice is shared:
+// callers must not modify it.
+func (l *Lease) Peers() []string { return l.peers }
 
 // MarkSeen records proof of life for a peer (successful probe, inbound
-// gossip, or a delivered outbound gossip). Unknown URLs are ignored —
-// the peer set is static by design.
+// replicated entry, or a delivered outbound one). Unknown URLs are
+// ignored — the peer set is static by design.
 func (l *Lease) MarkSeen(peer string) {
 	peer = strings.TrimRight(peer, "/")
-	l.mu.Lock()
-	if _, ok := l.peers[peer]; ok {
-		l.peers[peer] = l.now()
+	if _, ok := slices.BinarySearch(l.peers, peer); ok {
+		l.live.touch(peer)
 	}
-	l.mu.Unlock()
 }
 
 // Leader returns the lease holder: the lowest URL among this
@@ -122,16 +100,16 @@ func (l *Lease) MarkSeen(peer string) {
 // peers (or no peers at all) that is self — a group of one leads
 // itself.
 func (l *Lease) Leader() string {
-	now := l.now()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	leader := l.self
-	for p, seen := range l.peers {
-		if !seen.IsZero() && now.Sub(seen) <= l.ttl && p < leader {
-			leader = p
+	now := l.live.now()
+	for _, p := range l.peers { // ascending: the first live peer below self is the minimum
+		if p >= l.self {
+			break
+		}
+		if _, live := l.live.lastSeen(p, now); live {
+			return p
 		}
 	}
-	return leader
+	return l.self
 }
 
 // IsLeader reports whether this coordinator currently holds the lease.
@@ -161,146 +139,122 @@ func (l *Lease) Snapshot() *LeaseStatus {
 		return nil
 	}
 	leader := l.Leader()
-	now := l.now()
-	st := &LeaseStatus{Self: l.self, Leader: leader, IsLeader: leader == l.self, TTLMs: l.ttl.Milliseconds()}
-	for _, p := range l.Peers() {
-		l.mu.Lock()
-		seen := l.peers[p]
-		l.mu.Unlock()
-		ps := PeerStatus{URL: p, LastSeenAgeMs: -1}
-		if !seen.IsZero() {
-			ps.Live = now.Sub(seen) <= l.ttl
-			ps.LastSeenAgeMs = now.Sub(seen).Milliseconds()
-		}
-		st.Peers = append(st.Peers, ps)
+	now := l.live.now()
+	st := &LeaseStatus{Self: l.self, Leader: leader, IsLeader: leader == l.self, TTLMs: l.live.ttl.Milliseconds()}
+	for _, p := range l.peers {
+		seen, live := l.live.lastSeen(p, now)
+		st.Peers = append(st.Peers, PeerStatus{URL: p, Live: live, LastSeenAgeMs: ageMs(seen, now)})
 	}
 	return st
 }
 
-// peerRegistration, peerResult, and peerAssets are the replication
-// wire bodies. From names the origin coordinator: a gossip receipt
-// doubles as its proof of life.
-type peerRegistration struct {
-	From string       `json:"from"`
-	Reg  Registration `json:"registration"`
+// entry is the one replicated, apply-only record of the control plane.
+// Exactly one payload is set: a worker registration, a fetched result
+// row with the request that keys it, or a worker asset export. From
+// names the origin coordinator — a receipt doubles as its proof of
+// life — and is empty while the origin applies its own change.
+type entry struct {
+	From         string         `json:"from,omitempty"`
+	Registration *Registration  `json:"registration,omitempty"`
+	Request      *serve.Request `json:"request,omitempty"`
+	Row          *serve.Result  `json:"row,omitempty"`
+	Assets       *AssetPush     `json:"assets,omitempty"`
 }
 
-type peerResult struct {
-	From    string        `json:"from"`
-	Request serve.Request `json:"request"`
-	Row     serve.Result  `json:"row"`
+// apply validates one entry and installs it into local state,
+// reporting whether that state changed — the origin's signal to
+// replicate it. It is the only writer of replicated state, shared by
+// the origin paths (handleRegister, handleWorkerAssets) and the peer
+// endpoint, so both reject a malformed payload the same way.
+func (c *Coordinator) apply(e entry) (changed bool, err error) {
+	switch {
+	case e.Registration != nil:
+		reg := e.Registration
+		if reg.URL == "" {
+			return false, errors.New("registration url is required")
+		}
+		if reg.ID == "" {
+			reg.ID = reg.URL
+		}
+		c.reg.Register(reg.ID, reg.URL)
+		return true, nil // a heartbeat always moves the liveness stamp
+	case e.Assets != nil:
+		p := e.Assets
+		if p.ID == "" || p.Device == "" || len(p.Assets) == 0 {
+			return false, errors.New("asset push id, device, and assets are required")
+		}
+		return c.vault.put(p.Device, p.ID, p.Epoch, p.Assets), nil
+	case e.Request != nil && e.Row != nil:
+		if c.cfg.Cache == nil || e.Row.Error != "" {
+			return false, nil // nowhere to keep it, or a failed row: never cached
+		}
+		c.cfg.Cache.InstallRemoteResult(e.Request.ToPredict(), *e.Row)
+		c.peerResultsInstalled.Add(1)
+		return true, nil
+	}
+	return false, errors.New("entry carries no registration, result, or assets")
 }
 
-type peerAssets struct {
-	From string    `json:"from"`
-	Push AssetPush `json:"push"`
+// share is the origin path of a client-facing control-plane write:
+// apply it here, replicate it if it changed anything, and answer a
+// malformed one with 400. ok is false once a response has been written.
+func (c *Coordinator) share(w http.ResponseWriter, e entry) (ok bool) {
+	changed, err := c.apply(e)
+	if err != nil {
+		serve.WriteJSON(w, http.StatusBadRequest, serve.HTTPError{Code: "bad_request", Message: err.Error()})
+		return false
+	}
+	if changed {
+		c.replicate(e)
+	}
+	return true
 }
 
-// gossip fans body out to every peer, asynchronously and best-effort:
-// replication is an optimization over re-fetching (results), the next
-// heartbeat (registrations), or the next push (assets), so a lost
-// message heals itself. A delivered message marks the peer alive.
-func (c *Coordinator) gossip(path string, body any) {
+// replicate shares an entry this coordinator originated with the
+// group, asynchronously and best-effort: replication is an
+// optimization over re-fetching (results), the next heartbeat
+// (registrations), or the next push (assets), so a lost message heals
+// itself. A delivered message marks the peer alive. Result rows and
+// asset exports fan out to every peer. A registration is a write: the
+// leader fans it out, while a follower forwards it to the leader's own
+// registration endpoint, which applies and fans it out — forwarding
+// targets are always strictly lower URLs, so chains descend and
+// terminate at the group minimum.
+func (c *Coordinator) replicate(e entry) {
 	if c.lease == nil {
 		return
 	}
+	if e.Registration != nil {
+		if leader := c.lease.Leader(); leader != c.lease.Self() {
+			c.detach(func(ctx context.Context) {
+				if c.workerClient(leader).Register(ctx, e.Registration.ID, e.Registration.URL) == nil {
+					c.lease.MarkSeen(leader)
+				}
+			})
+			return
+		}
+	}
+	e.From = c.lease.Self()
 	for _, peer := range c.lease.Peers() {
-		c.repl.Add(1)
-		go func(peer string) {
-			defer c.repl.Done()
-			//lint:allow ctxflow deliberately detached: replication must outlive the originating request, bounded by StatsTimeout
-			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.StatsTimeout)
-			defer cancel()
-			if err := c.workerClient(peer).PostJSON(ctx, path, body, nil); err == nil {
+		c.detach(func(ctx context.Context) {
+			if c.workerClient(peer).PostJSON(ctx, "/v1/peers/apply", e, nil) == nil {
 				c.lease.MarkSeen(peer)
 			}
-		}(peer)
+		})
 	}
 }
 
-// shareRegistration propagates a client-facing registration through
-// the group: the leader gossips it to every peer; a follower forwards
-// it to the leader (the write path), which applies and gossips it.
-// Forwarding targets are always strictly lower URLs, so chains descend
-// and terminate at the group minimum.
-func (c *Coordinator) shareRegistration(reg Registration) {
-	if c.lease == nil {
+// handlePeerApply is the peer endpoint. Apply-only: it installs the
+// entry locally and never re-forwards, so replication cannot loop.
+func (c *Coordinator) handlePeerApply(w http.ResponseWriter, r *http.Request) {
+	var e entry
+	if !serve.DecodeBody(w, r, c.cfg.MaxBodyBytes, &e) {
 		return
 	}
-	if c.lease.IsLeader() {
-		c.gossip("/v1/peers/register", peerRegistration{From: c.lease.Self(), Reg: reg})
-		return
-	}
-	leader := c.lease.Leader()
-	c.repl.Add(1)
-	go func() {
-		defer c.repl.Done()
-		//lint:allow ctxflow deliberately detached: the forwarded write must outlive the worker's heartbeat request, bounded by StatsTimeout
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.StatsTimeout)
-		defer cancel()
-		if err := c.workerClient(leader).Register(ctx, reg.ID, reg.URL); err == nil {
-			c.lease.MarkSeen(leader)
-		}
-	}()
-}
-
-// replicateResult shares a freshly fetched result row with every peer
-// by scenario fingerprint, so a repeat hitting ANY coordinator is a
-// local cache hit.
-func (c *Coordinator) replicateResult(req serve.Request, row serve.Result) {
-	if c.lease == nil || c.cfg.Cache == nil {
-		return
-	}
-	c.gossip("/v1/peers/result", peerResult{From: c.lease.Self(), Request: req, Row: row})
-}
-
-// handlePeerRegister applies a replicated worker registration.
-// Apply-only: peer endpoints never re-forward, so gossip cannot loop.
-func (c *Coordinator) handlePeerRegister(w http.ResponseWriter, r *http.Request) {
-	var p peerRegistration
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)).Decode(&p); err != nil {
+	c.lease.MarkSeen(e.From)
+	if _, err := c.apply(e); err != nil {
 		serve.WriteJSON(w, http.StatusBadRequest, serve.HTTPError{Code: "bad_request", Message: err.Error()})
 		return
-	}
-	if p.Reg.URL == "" {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.HTTPError{Code: "bad_request", Message: "registration url is required"})
-		return
-	}
-	c.lease.MarkSeen(p.From)
-	if p.Reg.ID == "" {
-		p.Reg.ID = p.Reg.URL
-	}
-	c.reg.Register(p.Reg.ID, p.Reg.URL)
-	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "applied"})
-}
-
-// handlePeerResult installs a replicated result row into the local
-// pass-through cache under its scenario fingerprint.
-func (c *Coordinator) handlePeerResult(w http.ResponseWriter, r *http.Request) {
-	var p peerResult
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)).Decode(&p); err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.HTTPError{Code: "bad_request", Message: err.Error()})
-		return
-	}
-	c.lease.MarkSeen(p.From)
-	if c.cfg.Cache != nil && p.Row.Error == "" {
-		c.cfg.Cache.InstallRemoteResult(p.Request.ToPredict(), p.Row)
-		c.peerResultsInstalled.Add(1)
-	}
-	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "applied"})
-}
-
-// handlePeerAssets applies a replicated worker asset export to the
-// local vault.
-func (c *Coordinator) handlePeerAssets(w http.ResponseWriter, r *http.Request) {
-	var p peerAssets
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)).Decode(&p); err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.HTTPError{Code: "bad_request", Message: err.Error()})
-		return
-	}
-	c.lease.MarkSeen(p.From)
-	if p.Push.Device != "" && len(p.Push.Assets) > 0 {
-		c.vault.put(p.Push.Device, p.Push.ID, p.Push.Epoch, p.Push.Assets)
 	}
 	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "applied"})
 }
@@ -308,19 +262,14 @@ func (c *Coordinator) handlePeerAssets(w http.ResponseWriter, r *http.Request) {
 // StartPeerProbes actively probes every peer's GET /healthz every
 // interval (default 2s), refreshing the lease on success, until the
 // returned stop function is called or ctx is canceled. Probing is the
-// liveness floor — an idle group with no gossip still converges on a
-// leader — and the heal path: a restarted peer is seen within one
-// probe interval.
+// liveness floor — an idle group with no replication traffic still
+// converges on a leader — and the heal path: a restarted peer is seen
+// within one probe interval.
 func (c *Coordinator) StartPeerProbes(ctx context.Context, interval time.Duration) (stop func()) {
 	if c.lease == nil {
 		return func() {}
 	}
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	probe := func() {
+	return every(ctx, interval, func() {
 		for _, peer := range c.lease.Peers() {
 			pctx, cancel := context.WithTimeout(ctx, c.cfg.StatsTimeout)
 			h, err := c.workerClient(peer).Healthz(pctx)
@@ -331,28 +280,7 @@ func (c *Coordinator) StartPeerProbes(ctx context.Context, interval time.Duratio
 				c.lease.MarkSeen(peer)
 			}
 		}
-	}
-	go func() {
-		defer close(exited)
-		probe()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				probe()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(done) })
-		<-exited
-	}
+	})
 }
 
 // Lease returns the coordinator's leader lease (nil outside a

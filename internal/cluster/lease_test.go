@@ -18,8 +18,8 @@ import (
 // no sleeping, no election round trips.
 func TestLeaseLeaderElection(t *testing.T) {
 	now := time.Unix(3000, 0)
-	l := NewLease("http://b", []string{"http://a", "http://c", "http://b"}, 5*time.Second)
-	l.now = func() time.Time { return now }
+	l := NewLease("http://b", []string{"http://a", "http://c", "http://b"}, NewRegistry(5*time.Second))
+	l.live.now = func() time.Time { return now }
 
 	// Self is excluded from its own peer set; never-seen peers are dead.
 	if peers := l.Peers(); len(peers) != 2 || peers[0] != "http://a" || peers[1] != "http://c" {
@@ -64,8 +64,8 @@ func TestLeaseLeaderElection(t *testing.T) {
 // coordinator) snapshots to nil so the stats field is omitted.
 func TestLeaseSnapshot(t *testing.T) {
 	now := time.Unix(4000, 0)
-	l := NewLease("http://b", []string{"http://a"}, 5*time.Second)
-	l.now = func() time.Time { return now }
+	l := NewLease("http://b", []string{"http://a"}, NewRegistry(5*time.Second))
+	l.live.now = func() time.Time { return now }
 	l.MarkSeen("http://a")
 	now = now.Add(2 * time.Second)
 
@@ -206,7 +206,7 @@ func TestDrainingPeerCannotLead(t *testing.T) {
 	}
 	// Pin clocks so liveness is under test control.
 	now := time.Unix(5000, 0)
-	higher.lease.now = func() time.Time { return now }
+	higher.lease.live.now = func() time.Time { return now }
 	higher.lease.MarkSeen(lower.lease.Self())
 	if higher.lease.IsLeader() {
 		t.Fatal("higher URL leads while the lower peer is live")

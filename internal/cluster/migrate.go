@@ -17,7 +17,7 @@ import (
 // coordinator keeps a replicated copy of every worker's exported
 // calibration assets in an assetVault — refreshed by the workers'
 // heartbeat-time pushes (POST /v1/workers/assets, see
-// HeartbeatAssets) and gossiped to peer coordinators — and when a
+// HeartbeatAssets) and replicated to peer coordinators — and when a
 // device's rendezvous home dies, the router streams the dead home's
 // assets to the device's NEW rendezvous owner (POST
 // /v1/assets/install on the worker) before the first request is
@@ -185,21 +185,13 @@ func (c *Coordinator) ensureWarm(ctx context.Context, device string, w Worker) {
 }
 
 // handleWorkerAssets ingests one worker asset export into the vault
-// and gossips it to peer coordinators (apply-only on their side).
+// and replicates it to peer coordinators (apply-only on their side)
+// when it changed the vault.
 func (c *Coordinator) handleWorkerAssets(w http.ResponseWriter, r *http.Request) {
 	var p AssetPush
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)).Decode(&p); err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.HTTPError{Code: "bad_request", Message: err.Error()})
-		return
+	if serve.DecodeBody(w, r, c.cfg.MaxBodyBytes, &p) && c.share(w, entry{Assets: &p}) {
+		serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "stored"})
 	}
-	if p.ID == "" || p.Device == "" || len(p.Assets) == 0 {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.HTTPError{Code: "bad_request", Message: "id, device, and assets are required"})
-		return
-	}
-	if c.vault.put(p.Device, p.ID, p.Epoch, p.Assets) && c.lease != nil {
-		c.gossip("/v1/peers/assets", peerAssets{From: c.lease.Self(), Push: p})
-	}
-	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "stored"})
 }
 
 // AssetExporter is the engine surface the worker-side asset sync
@@ -213,21 +205,21 @@ type AssetExporter interface {
 }
 
 // HeartbeatAssets self-registers a worker with EVERY coordinator in
-// coordinatorURLs immediately and then every interval — the
-// multi-coordinator generalization of Heartbeat — and, with a non-nil
-// exporter, pushes each calibrated device's exported assets to each
-// coordinator whenever the device's asset epoch has moved since the
-// last successful push there. The push is the replication source of
-// the coordinators' asset vaults: it is what makes a warm hand-off
-// possible after this worker dies. Registration and push failures are
-// retried on the next tick; a restarted coordinator re-learns both
-// within one beat.
+// coordinatorURLs immediately and then every interval (default 2s),
+// keeping it inside each registry's liveness window, until the
+// returned stop function is called (idempotent, waits for the loop to
+// exit) or ctx is canceled — and, with a non-nil exporter, pushes each
+// calibrated device's exported assets to each coordinator whenever the
+// device's asset epoch has moved since the last successful push there.
+// The push is the replication source of the coordinators' asset
+// vaults: it is what makes a warm hand-off possible after this worker
+// dies. Registration and push failures are retried on the next tick; a
+// restarted coordinator re-learns both within one beat. A nil hc uses
+// a 5s-bounded default (a beat must never hang past its own interval
+// for long).
 func HeartbeatAssets(ctx context.Context, hc *http.Client, coordinatorURLs []string, id, selfURL string, interval time.Duration, exp AssetExporter) (stop func()) {
 	if hc == nil {
 		hc = &http.Client{Timeout: 5 * time.Second}
-	}
-	if interval <= 0 {
-		interval = 2 * time.Second
 	}
 	clients := make([]*client.Client, len(coordinatorURLs))
 	pushed := make([]map[string]uint64, len(coordinatorURLs))
@@ -235,9 +227,7 @@ func HeartbeatAssets(ctx context.Context, hc *http.Client, coordinatorURLs []str
 		clients[i] = client.New(u, client.WithHTTPClient(hc))
 		pushed[i] = map[string]uint64{}
 	}
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	beat := func() {
+	return every(ctx, interval, func() {
 		for i, cl := range clients {
 			if err := cl.Register(ctx, id, selfURL); err != nil {
 				continue // coordinator unreachable; retried next tick
@@ -264,26 +254,5 @@ func HeartbeatAssets(ctx context.Context, hc *http.Client, coordinatorURLs []str
 				}
 			}
 		}
-	}
-	go func() {
-		defer close(exited)
-		beat()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				beat()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(done) })
-		<-exited
-	}
+	})
 }

@@ -3,7 +3,9 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -210,33 +212,117 @@ func TestWorkerAssetPushReplicates(t *testing.T) {
 	waitUntil(t, "newer epoch to gossip", func() bool { return cB.vault.snapshot()["gpu-7"].Epoch == 4 })
 }
 
-// TestHeartbeatAssetsPushes drives the worker-side loop against two
-// real coordinator handlers: registration reaches both, each
-// calibrated device's export lands in both vaults, and an epoch bump
-// re-pushes while an unchanged device does not.
+// TestHeartbeatAssetsPushes drives the worker-side loop against real
+// coordinator handlers, once per shape it is deployed in: a replicated
+// pair with an asset exporter, and a single coordinator with none (the
+// plain self-registration heartbeat). In both, registration reaches
+// every listed coordinator within a beat, the registered worker serves
+// traffic like a static one, and once the loop is stopped the worker
+// expires one liveness window later. With an exporter, each calibrated
+// device's export lands in every vault, and an epoch bump re-pushes
+// while an unchanged device does not.
 func TestHeartbeatAssetsPushes(t *testing.T) {
-	cA, cB, urlA, urlB := peerPair(t, nil, nil)
-	exp := &fakeExporter{epochs: map[string]uint64{"gpu-1": 1}}
+	for _, tc := range []struct {
+		name         string
+		coordinators int
+		exp          *fakeExporter
+	}{
+		{"replicated pair with exporter", 2, &fakeExporter{epochs: map[string]uint64{"gpu-1": 1}}},
+		{"single coordinator nil exporter", 1, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var coords []*Coordinator
+			var urls []string
+			if tc.coordinators == 2 {
+				cA, cB, urlA, urlB := peerPair(t, nil, nil)
+				coords, urls = []*Coordinator{cA, cB}, []string{urlA, urlB}
+			} else {
+				c := New(Config{Registry: NewRegistry(0)})
+				ts := httptest.NewServer(c.Handler())
+				defer ts.Close()
+				coords, urls = []*Coordinator{c}, []string{ts.URL}
+			}
+			var exp AssetExporter // a nil *fakeExporter must reach the loop as a nil interface
+			if tc.exp != nil {
+				exp = tc.exp
+			}
+			vaultEpoch := func(c *Coordinator) uint64 { return c.vault.snapshot()["gpu-1"].Epoch }
+			everywhere := func(cond func(*Coordinator) bool) bool {
+				for _, c := range coords {
+					if !cond(c) {
+						return false
+					}
+				}
+				return true
+			}
 
-	stop := HeartbeatAssets(context.Background(), nil, []string{urlA, urlB}, "w1", "http://w1", 20*time.Millisecond, exp)
-	defer stop()
+			fw := newFakeWorker(t)
+			stop := HeartbeatAssets(context.Background(), nil, urls, fw.id, fw.srv.URL, 20*time.Millisecond, exp)
+			defer stop()
 
-	waitUntil(t, "registration and pushes to land", func() bool {
-		return len(cA.Registry().Live()) == 1 && len(cB.Registry().Live()) == 1 &&
-			cA.vault.snapshot()["gpu-1"].Epoch == 1 && cB.vault.snapshot()["gpu-1"].Epoch == 1
-	})
-	if n := exp.saves.Load(); n < 2 {
-		t.Fatalf("exporter saved %d times, want >= 2 (once per coordinator)", n)
+			waitUntil(t, "registration to land", func() bool {
+				return everywhere(func(c *Coordinator) bool { return len(c.Registry().Live()) == 1 })
+			})
+			for _, c := range coords {
+				if live := c.Registry().Live(); live[0].ID != fw.id || live[0].Static {
+					t.Fatalf("live after heartbeat = %+v, want the registered worker", live)
+				}
+			}
+			// Registered workers serve traffic like static ones.
+			if row, err := coords[0].PredictOne(context.Background(), req("V100", "w", 512), false); err != nil || row.Error != "" {
+				t.Fatalf("predict via registered worker: %v / %q", err, row.Error)
+			}
+
+			if tc.exp == nil {
+				if st := coords[0].vault.snapshot(); len(st) != 0 {
+					t.Fatalf("vault = %+v, want empty without an exporter", st)
+				}
+			} else {
+				waitUntil(t, "pushes to land", func() bool {
+					return everywhere(func(c *Coordinator) bool { return vaultEpoch(c) == 1 })
+				})
+				if n := tc.exp.saves.Load(); n < 2 {
+					t.Fatalf("exporter saved %d times, want >= 2 (once per coordinator)", n)
+				}
+				// Unchanged epochs stop pushing; a bump re-pushes everywhere.
+				base := tc.exp.saves.Load()
+				time.Sleep(100 * time.Millisecond)
+				if n := tc.exp.saves.Load(); n != base {
+					t.Fatalf("exports kept flowing with unchanged epochs: %d -> %d", base, n)
+				}
+				tc.exp.bump("gpu-1")
+				waitUntil(t, "epoch bump to re-push", func() bool {
+					return everywhere(func(c *Coordinator) bool { return vaultEpoch(c) == 2 })
+				})
+			}
+
+			// Stop beating (twice: stop is idempotent). Once stop returns
+			// the loop has exited, so one liveness window later — on the
+			// injected clock, no sleeping — the worker must be gone.
+			stop()
+			stop()
+			// No replication send may read the clock while it is swapped. Two
+			// passes: a follower's forward makes the leader start one more
+			// (apply-only, so final) fan-out.
+			for pass := 0; pass < 2; pass++ {
+				for _, c := range coords {
+					c.repl.Wait()
+				}
+			}
+			for _, c := range coords {
+				c.reg.live.now = func() time.Time { return time.Now().Add(DefaultLiveness + time.Second) }
+				if live := c.Registry().Live(); len(live) != 0 {
+					t.Fatalf("worker still live after heartbeats stopped: %+v", live)
+				}
+			}
+			if _, err := coords[0].PredictOne(context.Background(), req("V100", "w", 1024), false); !errors.Is(err, ErrNoWorkers) {
+				t.Fatalf("predict with expired worker: err = %v, want ErrNoWorkers", err)
+			}
+			st := coords[0].Stats(context.Background())
+			if st.Rejected.NoWorkers != 1 {
+				t.Fatalf("no-workers rejects = %d, want 1", st.Rejected.NoWorkers)
+			}
+			assertAggInvariant(t, st)
+		})
 	}
-
-	// Unchanged epochs stop pushing; a bump re-pushes everywhere.
-	base := exp.saves.Load()
-	time.Sleep(100 * time.Millisecond)
-	if n := exp.saves.Load(); n != base {
-		t.Fatalf("exports kept flowing with unchanged epochs: %d -> %d", base, n)
-	}
-	exp.bump("gpu-1")
-	waitUntil(t, "epoch bump to re-push", func() bool {
-		return cA.vault.snapshot()["gpu-1"].Epoch == 2 && cB.vault.snapshot()["gpu-1"].Epoch == 2
-	})
 }

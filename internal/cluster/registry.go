@@ -21,12 +21,11 @@ type Worker struct {
 	Static bool `json:"static,omitempty"`
 }
 
-// workerState is the registry's record of one worker.
+// workerState is the registry's record of one worker; its heartbeat
+// stamps live in the registry's liveTable under the worker ID (static
+// workers, which do not heartbeat, have none).
 type workerState struct {
 	w Worker
-	// lastSeen is the most recent registration heartbeat (zero for
-	// static workers, which do not heartbeat).
-	lastSeen time.Time
 	// failedUntil quarantines the worker after a failed route until the
 	// given time; a heartbeat lifts it early (the worker proved it is
 	// back).
@@ -37,31 +36,24 @@ type workerState struct {
 // self-registered workers with heartbeat liveness. All methods are
 // safe for concurrent use.
 type Registry struct {
-	ttl time.Duration
-	// now is the clock, injectable so liveness-expiry tests advance
-	// time instead of sleeping.
-	now func() time.Time
+	// live holds the heartbeat stamps, the liveness window and the
+	// clock — injectable so liveness-expiry tests advance time instead of
+	// sleeping, and shared with the peer Lease a coordinator pairs with
+	// this registry.
+	live *liveTable
 
 	mu      sync.Mutex
 	workers map[string]*workerState
 }
 
-// DefaultLiveness is the registration TTL when none is configured: a
-// registered worker that misses heartbeats for this long stops being
-// routed to.
-const DefaultLiveness = 6 * time.Second
-
 // NewRegistry returns an empty registry with the given liveness window
 // (0 selects DefaultLiveness).
 func NewRegistry(ttl time.Duration) *Registry {
-	if ttl <= 0 {
-		ttl = DefaultLiveness
-	}
-	return &Registry{ttl: ttl, now: time.Now, workers: map[string]*workerState{}}
+	return &Registry{live: newLiveTable(ttl), workers: map[string]*workerState{}}
 }
 
 // TTL reports the liveness window.
-func (r *Registry) TTL() time.Duration { return r.ttl }
+func (r *Registry) TTL() time.Duration { return r.live.ttl }
 
 // AddStatic registers a permanent worker by URL (its ID). Static
 // workers need no heartbeat; a routing failure quarantines them for
@@ -85,7 +77,7 @@ func (r *Registry) Register(id, url string) (isNew bool) {
 		r.workers[id] = ws
 	}
 	ws.w.URL = url
-	ws.lastSeen = r.now()
+	r.live.touch(id)
 	ws.failedUntil = time.Time{}
 	return !ok
 }
@@ -99,31 +91,28 @@ func (r *Registry) MarkFailed(id string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if ws, ok := r.workers[id]; ok {
-		ws.failedUntil = r.now().Add(r.ttl)
+		ws.failedUntil = r.live.now().Add(r.live.ttl)
 	}
 }
 
-// live reports whether one worker is currently routable.
-func (ws *workerState) live(now time.Time, ttl time.Duration) bool {
-	if now.Before(ws.failedUntil) {
-		return false
-	}
-	if ws.w.Static {
-		return true
-	}
-	return now.Sub(ws.lastSeen) <= ttl
+// status reports one worker's newest heartbeat and whether it is
+// currently routable: outside its failure quarantine, and either
+// static or heard from within the liveness window.
+func (r *Registry) status(ws *workerState, now time.Time) (seen time.Time, routable bool) {
+	seen, live := r.live.lastSeen(ws.w.ID, now)
+	return seen, !now.Before(ws.failedUntil) && (ws.w.Static || live)
 }
 
 // Live returns the currently routable workers, sorted by ID: static
 // workers outside their failure quarantine, plus registered workers
 // whose last heartbeat is within the liveness window.
 func (r *Registry) Live() []Worker {
-	now := r.now()
+	now := r.live.now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Worker, 0, len(r.workers))
 	for _, ws := range r.workers {
-		if ws.live(now, r.ttl) {
+		if _, ok := r.status(ws, now); ok {
 			out = append(out, ws.w)
 		}
 	}
@@ -142,16 +131,13 @@ type WorkerInfo struct {
 
 // Snapshot returns every registry entry (live or not), sorted by ID.
 func (r *Registry) Snapshot() []WorkerInfo {
-	now := r.now()
+	now := r.live.now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]WorkerInfo, 0, len(r.workers))
 	for _, ws := range r.workers {
-		info := WorkerInfo{Worker: ws.w, Live: ws.live(now, r.ttl), LastSeenAgeMs: -1}
-		if !ws.lastSeen.IsZero() {
-			info.LastSeenAgeMs = now.Sub(ws.lastSeen).Milliseconds()
-		}
-		out = append(out, info)
+		seen, ok := r.status(ws, now)
+		out = append(out, WorkerInfo{Worker: ws.w, Live: ok, LastSeenAgeMs: ageMs(seen, now)})
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out

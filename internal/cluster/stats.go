@@ -137,7 +137,6 @@ func (s *Stats) mergeWorker(id string, ws serve.Stats) {
 	s.Requests += ws.Requests
 	s.Cache.Hits += ws.Cache.Hits
 	s.Cache.Misses += ws.Cache.Misses
-	s.Cache.Rejected += ws.Cache.Rejected
 	s.Rejected.Validation += ws.Rejected.Validation
 	s.Rejected.QueueFull += ws.Rejected.QueueFull
 	s.Rejected.TenantLimited += ws.Rejected.TenantLimited

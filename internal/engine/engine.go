@@ -75,10 +75,6 @@ type Options struct {
 	// unified store (runs, overhead DBs, graphs, compiled plans).
 	// Calibrations are pinned and never evict.
 	AssetCaps AssetCaps
-	// DisableCompiledPlans routes predictions through the historical
-	// resolve-everything-per-request path instead of the compiled-plan
-	// cache — the ablation the bit-identity tests compare against.
-	DisableCompiledPlans bool
 }
 
 // AssetCaps bounds the resident entry count of each evictable asset

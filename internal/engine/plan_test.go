@@ -20,8 +20,8 @@ func planOptions(seed uint64) Options {
 // for every scenario in the registry — single-device, 2- and 4-GPU
 // hybrid-parallel, custom table populations, CNN data-parallel — the
 // compiled-plan path must return bit-identical predictions, multi-GPU
-// breakdowns, and shard plans to the historical per-request resolution
-// path (the DisableCompiledPlans ablation).
+// breakdowns, and shard plans to resolving the request from scratch
+// (the reference: compile + execute, the plan never stored).
 func TestCompiledPlanBitIdentical(t *testing.T) {
 	names := scenario.Names()
 	if len(names) < 12 {
@@ -29,9 +29,21 @@ func TestCompiledPlanBitIdentical(t *testing.T) {
 	}
 
 	compiled := New(planOptions(7))
-	ablated := planOptions(7)
-	ablated.DisableCompiledPlans = true
-	uncompiled := New(ablated)
+	uncompiled := New(planOptions(7))
+	// predictUncompiled is the oracle: compile the request from scratch
+	// (graphs still memoize in the graphs class) and execute the
+	// transient plan without storing it.
+	predictUncompiled := func(req Request) Result {
+		pl, err := uncompiled.compile(req)
+		if err != nil {
+			return Result{Request: req, Err: err}
+		}
+		c, err := pl.execute()
+		if err != nil {
+			return Result{Request: req, Err: err}
+		}
+		return Result{Request: req}.fill(c, false)
+	}
 
 	for _, name := range names {
 		spec, err := scenario.Build(name, 0, 0)
@@ -40,7 +52,7 @@ func TestCompiledPlanBitIdentical(t *testing.T) {
 		}
 		req := Request{Device: hw.V100, Scenario: spec}
 		got := compiled.Predict(req)
-		want := uncompiled.Predict(req)
+		want := predictUncompiled(req)
 		if got.Err != nil || want.Err != nil {
 			t.Fatalf("%s errored: compiled=%v uncompiled=%v", name, got.Err, want.Err)
 		}
@@ -56,12 +68,12 @@ func TestCompiledPlanBitIdentical(t *testing.T) {
 	}
 
 	// The compiled engine actually exercised the plans class; the
-	// ablated engine never touched it.
+	// oracle engine never touched it.
 	if c := compiled.AssetStats().Class("plans"); c.Resident == 0 || c.Misses == 0 {
 		t.Errorf("compiled engine's plans class unused: %+v", c)
 	}
 	if c := uncompiled.AssetStats().Class("plans"); c.Resident != 0 || c.Misses != 0 {
-		t.Errorf("ablated engine stored plans: %+v", c)
+		t.Errorf("oracle engine stored plans: %+v", c)
 	}
 }
 

@@ -15,14 +15,10 @@ import (
 // memoized in the plans class under the request key — and executes it:
 // plan lookup + arithmetic, with zero graph reconstruction, zero shard
 // re-planning, and zero key formatting beyond one pooled-buffer
-// append. The DisableCompiledPlans ablation re-resolves everything per
-// request (the historical path the bit-identity tests compare
-// against); both paths end in identical predictor calls on identical
-// inputs, so their results are bit-identical.
+// append. A cached plan and a from-scratch compile end in identical
+// predictor calls on identical inputs, so their results are
+// bit-identical (plan_test.go compares them across the registry).
 func (e *Engine) predictScenario(req Request) (cached, error) {
-	if e.opts.DisableCompiledPlans {
-		return e.predictUncompiled(req)
-	}
 	cs := e.store.class(classPlan)
 	kb := keyBufPool.Get().(*[]byte)
 	buf := append((*kb)[:0], "plan/"...)
@@ -39,17 +35,6 @@ func (e *Engine) predictScenario(req Request) (cached, error) {
 	pl, err := memo(e, classPlan, key, func() (*CompiledPlan, error) {
 		return e.compile(req)
 	})
-	if err != nil {
-		return cached{}, err
-	}
-	return pl.execute()
-}
-
-// predictUncompiled is the per-request resolution path: compile the
-// request from scratch (graphs still memoize in the graphs class, as
-// they always did) and execute the transient plan without storing it.
-func (e *Engine) predictUncompiled(req Request) (cached, error) {
-	pl, err := e.compile(req)
 	if err != nil {
 		return cached{}, err
 	}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -20,32 +19,15 @@ func (e *GridTooLargeError) Error() string {
 	return fmt.Sprintf("serve: grid expands to %d points, above the %d-point limit; split the axes", e.Size, e.Max)
 }
 
-// WireRequest maps one explore grid point onto the serving wire shape,
-// carrying the grid's per-prediction timeout. Shared between the
-// worker's own explore path and the cluster coordinator's.
-func WireRequest(p explore.Point, timeoutMs int64) Request {
-	return Request{
-		Scenario: p.Scenario, Device: p.Device, Batch: p.Batch,
-		GPUs: p.GPUs, Comm: p.Comm, Shared: p.Shared, TimeoutMs: timeoutMs,
-	}
-}
-
-// RunExplore expands the grid and drives its unique units through the
-// server's admission pipeline — every unit rides Submit's blocking
-// admission exactly like a batch row, so the sweep is governed by the
-// same queue, counted by the same /stats buckets, and preserves
-// hits + misses + rejected == requests. Grid points scenario
-// validation rejects are counted explore-side and never admitted.
-// Submitters are bounded by the queue capacity plus the worker width:
-// enough to keep every worker busy with a full queue behind it, while
-// a million-point grid holds a bounded goroutine count, not one per
-// point.
-func (s *Server) RunExplore(ctx context.Context, g explore.Grid) (*explore.Report, error) {
-	if s.Draining() {
-		return nil, ErrDraining
-	}
-	if size := g.Size(); size > s.cfg.MaxGrid {
-		return nil, &GridTooLargeError{Size: size, Max: s.cfg.MaxGrid}
+// Sweep is the explore spine the worker and the cluster coordinator
+// share: bound the expanded size at maxGrid, expand and deduplicate the
+// grid once, drive each unique unit through submit (at most width at a
+// time, carrying the grid's per-prediction timeout), and aggregate the
+// outcomes. Grid points scenario validation rejects are counted
+// explore-side and never submitted.
+func Sweep(ctx context.Context, g explore.Grid, maxGrid, width int, submit func(context.Context, Request) (Result, error)) (*explore.Report, error) {
+	if size := g.Size(); size > maxGrid {
+		return nil, &GridTooLargeError{Size: size, Max: maxGrid}
 	}
 	ex, err := explore.Expand(g)
 	if err != nil {
@@ -53,9 +35,12 @@ func (s *Server) RunExplore(ctx context.Context, g explore.Grid) (*explore.Repor
 	}
 	start := time.Now()
 	agg := explore.NewAggregator(ex)
-	submitters := s.cfg.Workers + s.cfg.QueueDepth
-	xsync.ForEachN(len(ex.Unique), submitters, func(i int) {
-		res, err := s.Submit(ctx, WireRequest(ex.Unique[i].Point, g.TimeoutMs))
+	xsync.ForEachN(len(ex.Unique), width, func(i int) {
+		p := ex.Unique[i].Point
+		res, err := submit(ctx, Request{
+			Scenario: p.Scenario, Device: p.Device, Batch: p.Batch,
+			GPUs: p.GPUs, Comm: p.Comm, Shared: p.Shared, TimeoutMs: g.TimeoutMs,
+		})
 		if err != nil {
 			agg.Add(i, explore.Outcome{Err: err.Error()})
 			return
@@ -67,7 +52,25 @@ func (s *Server) RunExplore(ctx context.Context, g explore.Grid) (*explore.Repor
 			Err:               res.Error,
 		})
 	})
-	rep := agg.Report(time.Since(start))
+	return agg.Report(time.Since(start)), nil
+}
+
+// RunExplore drives a grid's unique units through the server's
+// admission pipeline — every unit rides Submit's blocking admission
+// exactly like a batch row, so the sweep is governed by the same
+// queue, counted by the same /stats buckets, and preserves
+// hits + misses + rejected == requests. Submitters are bounded by the
+// queue capacity plus the worker width: enough to keep every worker
+// busy with a full queue behind it, while a million-point grid holds a
+// bounded goroutine count, not one per point.
+func (s *Server) RunExplore(ctx context.Context, g explore.Grid) (*explore.Report, error) {
+	if s.Draining() {
+		return nil, ErrDraining
+	}
+	rep, err := Sweep(ctx, g, s.cfg.MaxGrid, s.cfg.Workers+s.cfg.QueueDepth, s.Submit)
+	if err != nil {
+		return nil, err
+	}
 	assets := s.cfg.Backend.AssetStats()
 	rep.Assets = &assets
 	return rep, nil
@@ -75,8 +78,7 @@ func (s *Server) RunExplore(ctx context.Context, g explore.Grid) (*explore.Repor
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	var g explore.Grid
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&g); err != nil {
-		WriteJSON(w, http.StatusBadRequest, HTTPError{Code: "bad_request", Message: err.Error()})
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &g) {
 		return
 	}
 	rep, err := s.RunExplore(r.Context(), g)

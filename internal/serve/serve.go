@@ -27,9 +27,7 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"runtime"
@@ -470,11 +468,7 @@ func (s *Server) Stats() Stats {
 			MaxUs:   ss.MaxUs,
 			TotalUs: ss.TotalUs,
 		},
-		Cache: CacheStats{
-			Hits:     hits,
-			Misses:   misses,
-			Rejected: validation,
-		},
+		Cache:         CacheStats{Hits: hits, Misses: misses},
 		Assets:        b.AssetStats(),
 		Calibrations:  cals,
 		Tenants:       tenants,
@@ -517,13 +511,8 @@ func (s *Server) retryAfterSeconds() string {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req Request
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&req); err != nil {
-		WriteJSON(w, http.StatusBadRequest, HTTPError{Code: "bad_request", Message: err.Error()})
-		return
-	}
-	if _, ok := priorityClass(req.Priority); !ok {
-		WriteJSON(w, http.StatusBadRequest, HTTPError{Code: "bad_priority", Message: "priority must be one of high, normal, low"})
+	req, ok := DecodeRequest(w, r, s.cfg.MaxBodyBytes)
+	if !ok {
 		return
 	}
 	res, err := s.TrySubmit(r.Context(), req)
@@ -548,32 +537,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var reqs []Request
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&reqs); err != nil {
-		WriteJSON(w, http.StatusBadRequest, HTTPError{Code: "bad_request", Message: err.Error()})
-		return
+	if reqs, ok := DecodeBatch(w, r, s.cfg.MaxBodyBytes, s.cfg.MaxBatch); ok {
+		WriteJSON(w, http.StatusOK, s.Run(r.Context(), reqs))
 	}
-	if len(reqs) == 0 {
-		WriteJSON(w, http.StatusBadRequest, HTTPError{Code: "bad_request", Message: "empty request list"})
-		return
-	}
-	if len(reqs) > s.cfg.MaxBatch {
-		WriteJSON(w, http.StatusBadRequest, HTTPError{
-			Code:    "batch_too_large",
-			Message: fmt.Sprintf("batch of %d exceeds the %d-row limit; split it", len(reqs), s.cfg.MaxBatch),
-		})
-		return
-	}
-	for i := range reqs {
-		if _, ok := priorityClass(reqs[i].Priority); !ok {
-			WriteJSON(w, http.StatusBadRequest, HTTPError{
-				Code:    "bad_priority",
-				Message: fmt.Sprintf("row %d: priority must be one of high, normal, low", i),
-			})
-			return
-		}
-	}
-	WriteJSON(w, http.StatusOK, s.Run(r.Context(), reqs))
 }
 
 // handleInstallAssets accepts a SaveAssets payload and installs it —

@@ -96,14 +96,11 @@ type ReportError struct {
 }
 
 // CacheStats mirrors the engine's prediction result cache counters.
-// Hits + Misses equals the requests the engine served; Rejected counts
-// requests the engine (or the facade's request resolution) refused at
-// validation — it duplicates RejectedStats.Validation for report
-// compatibility.
+// Hits + Misses equals the requests the engine served; requests refused
+// at validation are RejectedStats.Validation.
 type CacheStats struct {
-	Hits     uint64 `json:"hits"`
-	Misses   uint64 `json:"misses"`
-	Rejected uint64 `json:"rejected"`
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
 }
 
 // RejectedStats breaks out the requests that never reached a
@@ -261,6 +258,62 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// DecodeBody is the one request-body reader of the serving wire surface
+// (worker and coordinator alike): it bounds the body at maxBytes,
+// decodes the JSON into v, and answers a malformed or oversized body
+// with the 400 bad_request envelope itself — ok is false once a
+// response has been written. Prediction bodies go through
+// DecodeRequest/DecodeBatch, which add the checks the admission queue
+// relies on.
+func DecodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) (ok bool) {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes)).Decode(v); err != nil {
+		WriteJSON(w, http.StatusBadRequest, HTTPError{Code: "bad_request", Message: err.Error()})
+		return false
+	}
+	return true
+}
+
+// DecodeRequest reads a POST /v1/predict body and rejects an unknown
+// priority class with 400 bad_priority — before any request counter
+// moves, on the worker and the coordinator alike, so a request one
+// layer would refuse never travels to the next.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, maxBytes int64) (req Request, ok bool) {
+	if !DecodeBody(w, r, maxBytes, &req) {
+		return req, false
+	}
+	if _, known := priorityClass(req.Priority); !known {
+		WriteJSON(w, http.StatusBadRequest, HTTPError{Code: "bad_priority", Message: "priority must be one of high, normal, low"})
+		return req, false
+	}
+	return req, true
+}
+
+// DecodeBatch reads a POST /v1/predict/batch body: a non-empty list of
+// at most maxBatch rows (the batch path admits by blocking, so the row
+// count must be bounded for backpressure to bound anything), every row
+// in a known priority class.
+func DecodeBatch(w http.ResponseWriter, r *http.Request, maxBytes int64, maxBatch int) (reqs []Request, ok bool) {
+	if !DecodeBody(w, r, maxBytes, &reqs) {
+		return nil, false
+	}
+	bad := func(code, msg string) ([]Request, bool) {
+		WriteJSON(w, http.StatusBadRequest, HTTPError{Code: code, Message: msg})
+		return nil, false
+	}
+	if len(reqs) == 0 {
+		return bad("bad_request", "empty request list")
+	}
+	if len(reqs) > maxBatch {
+		return bad("batch_too_large", fmt.Sprintf("batch of %d exceeds the %d-row limit; split it", len(reqs), maxBatch))
+	}
+	for i := range reqs {
+		if _, known := priorityClass(reqs[i].Priority); !known {
+			return bad("bad_priority", fmt.Sprintf("row %d: priority must be one of high, normal, low", i))
+		}
+	}
+	return reqs, true
+}
+
 // RetryAfterSeconds renders a backpressure hint as whole seconds,
 // rounding UP with a 1s floor — the Retry-After header value on
 // 429/503 responses. Rounding up matters: truncation would render a
@@ -275,6 +328,25 @@ func RetryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
+// BatchOutcome is the tail every batch report shares (the worker's
+// Report here and the coordinator's): how many rows failed, and the
+// all_requests_failed entry when none survived — the signal the
+// one-shot driver turns into a non-zero exit.
+func BatchOutcome(results []Result) (failed int, allFailed *ReportError) {
+	for _, row := range results {
+		if row.Error != "" {
+			failed++
+		}
+	}
+	if failed == len(results) && failed > 0 {
+		allFailed = &ReportError{
+			Code:    "all_requests_failed",
+			Message: fmt.Sprintf("all %d requests failed; first error: %s", failed, results[0].Error),
+		}
+	}
+	return failed, allFailed
+}
+
 // Report assembles the batch report from finished rows plus the
 // server's live counters.
 func (s *Server) Report(results []Result, elapsed time.Duration) *Report {
@@ -284,11 +356,7 @@ func (s *Server) Report(results []Result, elapsed time.Duration) *Report {
 		ElapsedMs:    float64(elapsed.Microseconds()) / 1000,
 		Calibrations: map[string]int{},
 	}
-	for _, row := range results {
-		if row.Error != "" {
-			rep.Failed++
-		}
-	}
+	rep.Failed, rep.Error = BatchOutcome(results)
 	b := s.cfg.Backend
 	for _, d := range b.Devices() {
 		if n := b.CalibrationRuns(d); n > 0 {
@@ -299,11 +367,5 @@ func (s *Server) Report(results []Result, elapsed time.Duration) *Report {
 	rep.Cache, rep.Rejected = st.Cache, st.Rejected
 	rep.Stream, rep.Latency = st.Queue, st.Latency
 	rep.Assets = st.Assets
-	if rep.Failed == rep.Requests && rep.Requests > 0 {
-		rep.Error = &ReportError{
-			Code:    "all_requests_failed",
-			Message: fmt.Sprintf("all %d requests failed; first error: %s", rep.Requests, results[0].Error),
-		}
-	}
 	return rep
 }
