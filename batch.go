@@ -213,18 +213,12 @@ func (e *Engine) Predict(req PredictRequest) PredictResult {
 // work for the next identical request. This is the entry point of the
 // async serving layer (internal/serve), which threads per-request HTTP
 // deadlines through here.
-func (e *Engine) PredictContext(ctx context.Context, req PredictRequest) PredictResult {
-	if err := e.checkServes(req.Device); err != nil {
-		e.eng.RejectRequest()
-		return PredictResult{Request: req, Err: err}
-	}
-	ereq, err := toEngine(req)
+func (e *Engine) PredictContext(ctx context.Context, req PredictRequest) (res PredictResult) {
+	ereq, err := e.resolve(&req)
 	if err != nil {
-		e.eng.RejectRequest()
 		return PredictResult{Request: req, Err: err}
 	}
 	r := e.eng.PredictCtx(ctx, ereq)
-	var res PredictResult
 	fromEngine(&res, req, &r)
 	return res
 }
@@ -247,16 +241,10 @@ func (e *Engine) PredictBatchContext(ctx context.Context, reqs []PredictRequest)
 	out := make([]PredictResult, len(reqs))
 	ereqs := make([]engine.Request, 0, len(reqs))
 	idx := make([]int, 0, len(reqs))
-	for i, r := range reqs {
-		if err := e.checkServes(r.Device); err != nil {
-			e.eng.RejectRequest()
-			out[i] = PredictResult{Request: r, Err: err}
-			continue
-		}
-		ereq, err := toEngine(r)
+	for i := range reqs {
+		ereq, err := e.resolve(&reqs[i])
 		if err != nil {
-			e.eng.RejectRequest()
-			out[i] = PredictResult{Request: r, Err: err}
+			out[i] = PredictResult{Request: reqs[i], Err: err}
 			continue
 		}
 		ereqs = append(ereqs, ereq)
@@ -297,16 +285,10 @@ func (e *Engine) CachedResults() int { return e.eng.CachedResults() }
 // engine would execute: named scenarios go through the registry with
 // batch/width defaults applied, plain workload requests become
 // single-device (or width-overridden) ad-hoc scenarios, and the
-// request's Comm override is applied last. Two requests whose resolved
-// specs share a fingerprint (on the same device, with the same
-// SharedOverheads) predict identically — this is the identity the
-// explore layer deduplicates grid points by before any prediction
-// runs. The spec is deliberately NOT validated here: engine.Predict
-// validates first thing (before any asset work) and tallies failures
-// in RejectedRequests, so validating twice would keep rejects out of
-// the engine's counters and break hits+misses+rejected == dispatched.
-// Callers that want to reject invalid points without dispatching
-// (explore does) run Validate on the returned spec themselves.
+// request's Comm override is applied last. The spec is NOT validated
+// here (Build validates before the comm override, so the final spec
+// must be re-checked): Resolve is the step that validates and decides
+// identity.
 func (r PredictRequest) ResolveSpec() (scenario.Spec, error) {
 	var spec scenario.Spec
 	if r.Scenario != "" {
@@ -327,13 +309,39 @@ func (r PredictRequest) ResolveSpec() (scenario.Spec, error) {
 	return spec, nil
 }
 
-// toEngine resolves the public request into an engine request.
-func toEngine(req PredictRequest) (engine.Request, error) {
-	spec, err := req.ResolveSpec()
-	if err != nil {
-		return engine.Request{}, err
+// Resolve is the one place a public request becomes an engine request:
+// ResolveSpec, then Validate, then the (device, spec, overhead mode)
+// triple whose AppendKey is the request's identity from the wire to the
+// result store. Two requests that Resolve to equal keys predict
+// identically — the identity the explore layer deduplicates grid points
+// by, and the coordinator's pass-through cache keys rows by. Validation
+// is part of the step, not an afterthought: a single-device spec drops
+// its comm field from the fingerprint, so an unvalidated request can
+// alias a valid one's key. An error means the request has no identity
+// and must never be keyed.
+func (r PredictRequest) Resolve() (engine.Request, error) {
+	spec, err := r.ResolveSpec()
+	if err == nil {
+		err = spec.Validate()
 	}
-	return engine.Request{Device: req.Device, Scenario: spec, Shared: req.SharedOverheads}, nil
+	return engine.Request{Device: r.Device, Scenario: spec, Shared: r.SharedOverheads}, err
+}
+
+// resolve is Resolve for a request this engine is about to serve: the
+// device-set check first (an out-of-set request never triggers a
+// calibration it would then discard), and a refused request tallied in
+// RejectedRequests so hits + misses + rejected accounts for every
+// dispatched request.
+func (e *Engine) resolve(req *PredictRequest) (engine.Request, error) {
+	err := e.checkServes(req.Device)
+	var ereq engine.Request
+	if err == nil {
+		ereq, err = req.Resolve()
+	}
+	if err != nil {
+		e.eng.RejectRequest()
+	}
+	return ereq, err
 }
 
 // fromEngine flattens an engine result into *res in place — pointer in,

@@ -339,3 +339,48 @@ func TestPredictContextFacade(t *testing.T) {
 		t.Errorf("stream stats = %+v, want in-flight 0, served 3", ss)
 	}
 }
+
+// TestRemoteResultNeverAliasesInvalidRequest is the coordinator-cache
+// regression: a request whose resolved spec fails validation shares its
+// fingerprint with a valid twin (single-device identity drops the comm
+// field), so once the twin's row is resident the pass-through cache
+// must neither serve it that row nor let it overwrite the row. It takes
+// the unresolvable request's route instead — fetch runs uncached, so
+// the worker owns the verdict — cold and warm alike.
+func TestRemoteResultNeverAliasesInvalidRequest(t *testing.T) {
+	eng, err := NewEngineWith(EngineConfig{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	valid := PredictRequest{Workload: DLRMDefault, Batch: 512, Device: V100}
+	fetches := 0
+	fetch := func() (any, error) { fetches++; return "row", nil }
+	for i := 0; i < 2; i++ {
+		if v, hit, err := eng.RemoteResult(ctx, valid, fetch); err != nil || v != "row" || hit != (i == 1) {
+			t.Fatalf("valid call %d = (%v, hit=%v, %v)", i, v, hit, err)
+		}
+	}
+	hits, misses := eng.CacheStats()
+
+	verdict := errors.New("worker: rejected")
+	for _, comm := range []string{"pcie", "warp-drive"} { // comm on a single-device spec; unknown comm name
+		invalid := valid
+		invalid.Comm = comm
+		ran := false
+		v, hit, err := eng.RemoteResult(ctx, invalid, func() (any, error) { ran = true; return nil, verdict })
+		if hit || !ran || !errors.Is(err, verdict) {
+			t.Errorf("comm %q on a warm twin = (%v, hit=%v, ran=%v, %v), want the worker's verdict uncached", comm, v, hit, ran, err)
+		}
+		eng.InstallRemoteResult(invalid, "poison")
+	}
+	if v, hit, err := eng.RemoteResult(ctx, valid, fetch); err != nil || !hit || v != "row" {
+		t.Errorf("valid twin after the invalid traffic = (%v, hit=%v, %v), want its own resident row", v, hit, err)
+	}
+	if fetches != 1 {
+		t.Errorf("valid twin fetched %d times, want 1", fetches)
+	}
+	if h, m := eng.CacheStats(); h != hits+1 || m != misses {
+		t.Errorf("cache counters moved by invalid traffic: %d/%d -> %d/%d", hits, misses, h, m)
+	}
+}

@@ -38,7 +38,7 @@
 //
 // SIGTERM/SIGINT drain gracefully: in-flight requests finish, new
 // admissions are rejected, and -save-assets (if set) re-saves every
-// device that served before the process exits.
+// device holding a calibration before the process exits.
 //
 // The request schema is shared by the file fixture and both POST
 // bodies; each entry names a built-in workload or a registered
@@ -288,7 +288,7 @@ func serveOnce(cfg serveConfig, reqs []serve.Request) (*serve.Report, error) {
 	srv := newServer(cfg, eng)
 	rep := srv.Run(context.Background(), reqs)
 	srv.Drain()
-	if err := saveAssetsFor(eng, cfg.SaveAssets, srv.ServedDevices()); err != nil {
+	if err := saveAssetsFor(eng, cfg.SaveAssets); err != nil {
 		err = fmt.Errorf("saving assets: %w", err)
 		if rep.Error == nil {
 			rep.Error = &serve.ReportError{Code: "save_assets_failed", Message: err.Error()}
@@ -298,18 +298,19 @@ func serveOnce(cfg serveConfig, reqs []serve.Request) (*serve.Report, error) {
 	return rep, nil
 }
 
-// saveAssetsFor writes one asset file per served device into dir.
-// Warm-started devices are included: the served set, not calibration
-// counts, is the criterion, so overhead DBs collected this run are
-// never silently dropped.
-func saveAssetsFor(eng *dlrmperf.Engine, dir string, devices []string) error {
+// saveAssetsFor writes one asset file into dir per device holding a
+// resident calibration. Warm-started devices are included — residency,
+// not calibration counts, is the criterion — so overhead DBs collected
+// this run are never silently dropped, and a loaded device that saw no
+// traffic survives the warm-start -> serve -> re-save round trip.
+func saveAssetsFor(eng *dlrmperf.Engine, dir string) error {
 	if dir == "" {
 		return nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for _, d := range devices {
+	for _, d := range eng.CalibratedDevices() {
 		data, err := eng.SaveAssets(d)
 		if err != nil {
 			return err
@@ -410,7 +411,7 @@ func listenAndServe(cfg serveConfig, addr string) error {
 		fmt.Fprintf(os.Stderr, "dlrmperf-serve: http shutdown: %v\n", err)
 	}
 
-	if err := saveAssetsFor(eng, cfg.SaveAssets, srv.ServedDevices()); err != nil {
+	if err := saveAssetsFor(eng, cfg.SaveAssets); err != nil {
 		return fmt.Errorf("saving assets: %w", err)
 	}
 	st := srv.Stats()

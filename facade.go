@@ -27,12 +27,13 @@ func (e *Engine) StreamStats() StreamStats { return e.eng.StreamStats() }
 // without invoking fetch; otherwise fetch runs exactly once among
 // identical concurrent requests (the engine's singleflight) and its
 // value — opaque to the engine, e.g. a worker's wire result row — is
-// stored under the request's fingerprint. A request that cannot be
-// resolved to a cache identity (unknown scenario name, malformed
-// width) falls through: fetch runs uncached so the remote worker still
-// owns the validation verdict and its rejection accounting.
+// stored under the request's identity. A request with no identity
+// (Resolve fails: unknown scenario name, malformed width, a spec that
+// does not validate) is never cached or served from cache: fetch runs
+// uncached, so the remote worker owns the verdict and its rejection
+// accounting. No device-set check applies — the workers own that too.
 func (e *Engine) RemoteResult(ctx context.Context, req PredictRequest, fetch func() (any, error)) (v any, hit bool, err error) {
-	ereq, err := toEngine(req)
+	ereq, err := req.Resolve()
 	if err != nil {
 		v, err = fetch()
 		return v, false, err
@@ -45,15 +46,12 @@ func (e *Engine) RemoteResult(ctx context.Context, req PredictRequest, fetch fun
 // coordinator replication path, the write half of RemoteResult: a peer
 // coordinator that fetched a row from a worker shares it here so a
 // repeat hitting this coordinator is a cache hit. A request with no
-// cache identity is dropped (nothing to key it by), and no request
-// counters move — a replicated entry is an install, not a served
-// request.
+// identity is dropped (nothing to key it by), and no request counters
+// move — a replicated entry is an install, not a served request.
 func (e *Engine) InstallRemoteResult(req PredictRequest, v any) {
-	ereq, err := toEngine(req)
-	if err != nil {
-		return
+	if ereq, err := req.Resolve(); err == nil {
+		e.eng.InstallRemoteResult(ereq, v)
 	}
-	e.eng.InstallRemoteResult(ereq, v)
 }
 
 // fusedLookup builds the batched lookup op used by FuseEmbeddingBags.

@@ -13,7 +13,7 @@ import (
 // roots without crossing a stop, and forbids fmt calls and runtime
 // string concatenation in every function it reaches. Key building in
 // reached code must use the append-builder/pooled-buffer idiom
-// (Request.appendKey, xrand.AppendHex16, keyBufPool) that holds
+// (Request.AppendKey, xrand.AppendHex16, keyBufPool) that holds
 // PredictBatchCached at 4 allocs.
 type hotpathConfig struct {
 	roots []string // funcDisplayName spellings: "Fn" or "Type.Method"
@@ -25,24 +25,29 @@ type hotpathConfig struct {
 var hotpathPackages = map[string]hotpathConfig{
 	"dlrmperf/internal/engine": {
 		roots: []string{
-			// Steady-state prediction: cached single/batch entry, the
-			// fast cache-hit probe, remote result install, compiled
-			// plan execution, and the key builders themselves.
+			// Steady-state prediction: the one keyed lookup, the one
+			// request wrapper, its three entry points (single, batch,
+			// remote pass-through), the result-class builder (handed to
+			// the wrapper as a method expression, so no call edge
+			// reaches it), compiled plan execution, and the key
+			// builders themselves.
+			"Engine.lookup",
+			"Engine.request",
 			"Engine.PredictCtx",
 			"Engine.PredictBatchCtx",
-			"Engine.predictFast",
 			"Engine.RemoteResult",
+			"Engine.predictScenario",
 			"CompiledPlan.execute",
-			"Request.appendKey",
+			"Request.AppendKey",
 			"classStore.getBytes",
 		},
 		stops: []string{
-			// Cold, once-per-scenario work reachable from PredictCtx:
-			// plan compilation may use fmt.Errorf freely.
+			// Cold, once-per-scenario work reachable from the lookup's
+			// miss path: plan compilation and a panicking flight's
+			// error may use fmt.Errorf freely.
 			"Engine.compile",
 			"Engine.compileMulti",
 			"Engine.scenarioModel",
-			"group.Do",
 			"group.DoCtx",
 		},
 	},

@@ -348,17 +348,23 @@ func TestInvariantAcrossHandoffAndMigration(t *testing.T) {
 	assertAggInvariant(t, st)
 }
 
-// instantBackend is the smallest serve.Backend: every prediction is an
-// immediate miss. It puts REAL serve.New workers — real admission, real
-// request validation — behind a coordinator without calibrating.
-type instantBackend struct{ misses atomic.Uint64 }
+// instantBackend is the smallest serve.Backend: every prediction that
+// resolves (the facade's own PredictRequest.Resolve verdict) is an
+// immediate miss, every one that does not a validation reject. It puts
+// REAL serve.New workers — real admission, real request validation —
+// behind a coordinator without calibrating.
+type instantBackend struct{ misses, rejected atomic.Uint64 }
 
 func (b *instantBackend) PredictContext(_ context.Context, req dlrmperf.PredictRequest) dlrmperf.PredictResult {
+	if _, err := req.Resolve(); err != nil {
+		b.rejected.Add(1)
+		return dlrmperf.PredictResult{Request: req, Err: err}
+	}
 	b.misses.Add(1)
 	return dlrmperf.PredictResult{Request: req, GPUs: 1}
 }
 func (b *instantBackend) CacheStats() (hits, misses uint64) { return 0, b.misses.Load() }
-func (b *instantBackend) RejectedRequests() uint64          { return 0 }
+func (b *instantBackend) RejectedRequests() uint64          { return b.rejected.Load() }
 func (b *instantBackend) AssetStats() dlrmperf.AssetStats   { return dlrmperf.AssetStats{} }
 func (b *instantBackend) StreamStats() dlrmperf.StreamStats { return dlrmperf.StreamStats{} }
 func (b *instantBackend) Devices() []string                 { return nil }
@@ -421,6 +427,63 @@ func TestBadClientInputDoesNotQuarantine(t *testing.T) {
 	bogus.Priority = "high"
 	if row, err := cl.Predict(ctx, bogus); err != nil || row.Error != "" {
 		t.Fatalf("valid request after bad input: %v / %q", err, row.Error)
+	}
+}
+
+// TestCoordinatorCacheNeverAliasesInvalidRequest: a request every
+// worker rejects gets the same answer from the coordinator whether its
+// valid twin's row is cached or not. Single-device identity drops the
+// comm field, so {"comm":"pcie"} on a one-GPU request shares the twin's
+// fingerprint; the pass-through cache must route it to a worker both
+// times (the worker owns the verdict and the rejected.validation
+// tally) instead of answering the warm repeat with the twin's row.
+func TestCoordinatorCacheNeverAliasesInvalidRequest(t *testing.T) {
+	reg := NewRegistry(0)
+	for i := 0; i < 2; i++ {
+		srv := serve.New(serve.Config{Backend: &instantBackend{}})
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(func() { ts.Close(); srv.Drain() })
+		reg.Register(ts.URL, ts.URL)
+	}
+	cache, err := dlrmperf.NewEngineWith(dlrmperf.EngineConfig{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := New(Config{Registry: reg, Cache: cache})
+	ctx := context.Background()
+	valid := serve.Request{Workload: "DLRM_default", Batch: 512, Device: "V100"}
+	invalid := valid
+	invalid.Comm = "pcie"
+
+	rejected := func(what string) serve.Result {
+		t.Helper()
+		before := coord.Stats(ctx)
+		row, err := coord.PredictOne(ctx, invalid, false)
+		if err != nil || row.Error == "" || row.CacheHit {
+			t.Fatalf("%s: invalid request = %+v, %v; want the worker's error row", what, row, err)
+		}
+		after := coord.Stats(ctx)
+		if after.Rejected.Validation != before.Rejected.Validation+1 {
+			t.Fatalf("%s: worker rejected.validation %d -> %d, want +1", what, before.Rejected.Validation, after.Rejected.Validation)
+		}
+		if after.Coordinator.LocalCacheHits != before.Coordinator.LocalCacheHits {
+			t.Fatalf("%s: local_cache_hits moved %d -> %d", what, before.Coordinator.LocalCacheHits, after.Coordinator.LocalCacheHits)
+		}
+		assertAggInvariant(t, after)
+		return row
+	}
+
+	cold := rejected("cold")
+	for i := 0; i < 2; i++ { // warm the twin: a routed miss, then a local hit
+		if row, err := coord.PredictOne(ctx, valid, false); err != nil || row.Error != "" || row.CacheHit != (i == 1) {
+			t.Fatalf("valid twin call %d = %+v, %v", i, row, err)
+		}
+	}
+	if warm := rejected("warm"); warm.Error != cold.Error {
+		t.Fatalf("verdict changed with cache temperature: cold %q, warm %q", cold.Error, warm.Error)
+	}
+	if st := coord.Stats(ctx); st.Coordinator.LocalCacheHits != 1 {
+		t.Fatalf("local_cache_hits = %d, want 1 (the twin's repeat only)", st.Coordinator.LocalCacheHits)
 	}
 }
 

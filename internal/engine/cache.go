@@ -101,9 +101,13 @@ type classStore struct {
 	cap int
 	// pinned disables eviction entirely (calibrations).
 	pinned bool
-	ll     *list.List
-	items  map[string]*list.Element
-	bytes  int64
+	// off disables the class (the result cache under a negative
+	// ResultCacheSize): nothing is ever stored, so every lookup builds.
+	// Its counters still report.
+	off   bool
+	ll    *list.List
+	items map[string]*list.Element
+	bytes int64
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -124,8 +128,8 @@ func newClassStore(capacity int, pinned bool) *classStore {
 }
 
 // get returns the stored value and refreshes its recency. It does not
-// touch the hit/miss counters — the memo dance owns request-level
-// accounting so singleflight joins are counted exactly once.
+// touch the hit/miss counters — Engine.lookup owns the accounting so
+// singleflight joins are counted exactly once.
 func (c *classStore) get(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -156,6 +160,9 @@ func (c *classStore) getBytes(key []byte) (any, bool) {
 // evicts least-recently-used entries while over capacity. Pinned
 // classes never evict.
 func (c *classStore) put(key string, v any, bytes int64) {
+	if c.off {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -229,14 +236,8 @@ func newAssetStore(opts Options) *assetStore {
 	s.classes[classOverheads] = newClassStore(opts.AssetCaps.Overheads, false)
 	s.classes[classGraph] = newClassStore(opts.AssetCaps.Graphs, false)
 	s.classes[classPlan] = newClassStore(opts.AssetCaps.Plans, false)
-	// The result class is created even when the result cache is
-	// disabled (negative ResultCacheSize) so its counters still report;
-	// Predict just never stores into it.
-	resultCap := opts.ResultCacheSize
-	if resultCap < 0 {
-		resultCap = 0
-	}
-	s.classes[classResult] = newClassStore(resultCap, false)
+	s.classes[classResult] = newClassStore(opts.ResultCacheSize, false)
+	s.classes[classResult].off = opts.ResultCacheSize < 0
 	return s
 }
 

@@ -4,10 +4,20 @@
 // databases — behind a "calibrate once per device, predict anywhere"
 // API.
 //
-// Assets are built lazily on first use. Concurrent requests for the
-// same asset are deduplicated singleflight-style, so a burst of
-// predictions against an uncalibrated device triggers exactly one
-// calibration; everyone else blocks on it and shares the result.
+// Everything the engine remembers is reached through ONE keyed lookup
+// (Engine.lookup): a resident hit on a pooled byte key in the asset's
+// class of the metered store (cache.go), else one singleflight
+// execution (singleflight.go) that re-checks, builds, stores, and
+// tells its caller whether it executed or joined. Calibrations, runs,
+// overhead databases, graphs, compiled plans and finished predictions
+// differ only in class, key and builder, so a burst of predictions
+// against an uncalibrated device triggers exactly one calibration and
+// identical concurrent requests compute once. Requests reach the
+// lookup through ONE wrapper (Engine.request: validate, then key, then
+// lookup, with the stream and hit/miss/canceled accounting around it)
+// shared by Predict, PredictBatch and the coordinator's RemoteResult,
+// so the three cannot disagree about a request's identity or verdict.
+//
 // Calibration itself fans its per-kernel-family jobs out on a bounded
 // worker pool (perfmodel.CalibrateParallel), and PredictBatch fans
 // independent (workload, batch, device) requests out the same way.
@@ -18,6 +28,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sort"
 	"strconv"
@@ -155,17 +166,13 @@ type Engine struct {
 
 	// store is the unified metered asset store: every memoized artifact
 	// — calibrations (pinned), runs, overhead DBs, graphs, and finished
-	// predictions — lives in one of its size-bounded classes.
+	// predictions — lives in one of its size-bounded classes. The
+	// request-level hit/miss counters behind CacheStats are the result
+	// class's own.
 	store *assetStore
-	// results points at the store's result class; nil when the result
-	// cache is disabled (negative ResultCacheSize).
-	results *classStore
-	// cacheHits/cacheMisses are the request-level result counters behind
-	// CacheStats; rejected counts requests that failed validation before
-	// reaching the compute path.
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
-	rejected    atomic.Uint64
+	// rejected counts requests that failed validation before reaching
+	// the compute path.
+	rejected atomic.Uint64
 
 	// Stream counters behind StreamStats: requests concurrently inside
 	// Predict (and the high-water mark), requests completed, requests
@@ -219,16 +226,12 @@ func (e *Engine) StreamStats() StreamStats {
 // first requested.
 func New(opts Options) *Engine {
 	opts = opts.withDefaults()
-	e := &Engine{
+	return &Engine{
 		opts:        opts,
 		calibRuns:   map[string]int{},
 		assetEpochs: map[string]uint64{},
 		store:       newAssetStore(opts),
 	}
-	if opts.ResultCacheSize > 0 {
-		e.results = e.store.class(classResult)
-	}
-	return e
 }
 
 // Options returns the resolved options.
@@ -253,68 +256,128 @@ func (e *Engine) runSeed(device string, batch int64, profiled bool) uint64 {
 	return s
 }
 
-// memo runs the cache-then-singleflight-then-cache dance for one keyed
-// asset: hit the class's resident store, else share one execution of
-// build among concurrent callers and store (and meter) its result.
-// Eviction stays race-free because bounding lives inside the class
-// store's lock while build dedup lives in the singleflight: a key
-// evicted mid-burst is rebuilt exactly once, never torn.
+// buildFn computes the value behind a key the lookup missed. It takes
+// the engine and the request as arguments instead of closing over them
+// so the request path can pass a method expression: a static func value
+// costs a resident hit nothing, where a capturing closure is
+// heap-allocated before the lookup has even run. The string-keyed asset
+// classes get the same property from memo, which binds a typed builder
+// to its argument only after a resident-only probe has missed.
+type buildFn func(e *Engine, req *Request) (any, error)
+
+// errNotResident answers a lookup that was asked for a resident value
+// only (nil build) and found none.
+var errNotResident = errors.New("engine: not resident")
+
+// lookup is the engine's one keyed-lookup primitive. The key is prefix
+// followed by req's cache identity (req may be nil: prefix is then the
+// whole key), built in a pooled scratch buffer so a resident hit
+// allocates nothing. A miss shares one execution of build among
+// concurrent callers through the singleflight — the executing caller
+// re-checks the store, builds, and stores — and hit reports whether
+// this caller was served from memory (resident, or joined a flight
+// that succeeded). Eviction stays race-free because bounding lives
+// inside the class store's lock while build dedup lives in the
+// singleflight: a key evicted mid-burst is rebuilt exactly once, never
+// torn. ctx follows DoCtx: an expired caller abandons the wait while
+// the build completes into the store.
 //
-// Counters follow the result-cache convention: a miss is a caller that
-// actually built or joined a failed build; everything served from
-// resident memory or a successful in-flight build counts as a hit.
-func memo[T any](e *Engine, class assetClass, key string, build func() (T, error)) (T, error) {
+// The class counters move exactly once per call: a miss is a caller
+// that built or joined a failed build; everything served from memory
+// is a hit. Two callers opt out of the flight. A nil build asks for a
+// resident value only — a non-resident key returns errNotResident with
+// no counter moved and nothing started. A class that is off (the
+// disabled result cache) stores nothing, so there is nothing to share:
+// build runs inline on the caller and counts a miss.
+func (e *Engine) lookup(ctx context.Context, class assetClass, prefix string, req *Request, build buildFn) (v any, hit bool, err error) {
 	cs := e.store.class(class)
-	if v, ok := cs.get(key); ok {
-		cs.hits.Add(1)
-		return v.(T), nil
+	if cs.off && build != nil {
+		v, err = build(e, req.detach())
+		cs.misses.Add(1)
+		return v, false, err
 	}
-	executed := false
-	got, err := e.flight.Do(key, func() (any, error) {
+	kb := keyBufPool.Get().(*[]byte)
+	buf := append((*kb)[:0], prefix...)
+	if req != nil {
+		buf = req.AppendKey(buf)
+	}
+	v, hit = cs.getBytes(buf)
+	var key string
+	if !hit && build != nil {
+		key = string(buf) // materialized once, for the flight and the store
+	}
+	*kb = buf
+	keyBufPool.Put(kb)
+	if hit {
+		cs.hits.Add(1)
+		return v, true, nil
+	}
+	if build == nil {
+		return nil, false, errNotResident
+	}
+	executed, own := false, req.detach()
+	v, err = e.flight.DoCtx(ctx, key, func() (any, error) {
 		if v, ok := cs.get(key); ok {
 			return v, nil
 		}
 		executed = true
-		v, err := build()
+		v, err := build(e, own)
 		if err != nil {
 			return nil, err
 		}
 		cs.put(key, v, approxBytes(v))
 		return v, nil
 	})
-	if err != nil {
+	// executed is only read once the flight is known to have finished
+	// (err == nil): an abandoned wait leaves the closure running.
+	if hit = err == nil && !executed; hit {
+		cs.hits.Add(1)
+	} else {
 		cs.misses.Add(1)
+	}
+	return v, hit, err
+}
+
+// memo is lookup for the string-keyed asset classes, typed. The builder
+// and its argument travel separately (a method expression or plain
+// func, and a value) for the reason buildFn gives: a resident asset
+// costs no closure, because the adapter binding the two is only made
+// once a resident-only probe has missed.
+func memo[T, A any](e *Engine, class assetClass, key string, arg A, build func(*Engine, A) (T, error)) (T, error) {
+	ctx := context.Background()
+	v, _, err := e.lookup(ctx, class, key, nil, nil)
+	if err == errNotResident {
+		v, _, err = e.lookup(ctx, class, key, nil, func(e *Engine, _ *Request) (any, error) { return build(e, arg) })
+	}
+	if err != nil {
 		var zero T
 		return zero, err
 	}
-	if executed {
-		cs.misses.Add(1)
-	} else {
-		cs.hits.Add(1)
-	}
-	return got.(T), nil
+	return v.(T), nil
 }
 
 // Calibration returns the device's calibrated kernel models, running
 // the parallel calibration on first use. Concurrent first uses
 // calibrate once.
 func (e *Engine) Calibration(device string) (*perfmodel.Calibration, error) {
-	return memo(e, classCalibration, "cal/"+device, func() (*perfmodel.Calibration, error) {
-		p, err := hw.ByName(device)
-		if err != nil {
-			return nil, err
-		}
-		opt := e.opts.Calib
-		opt.Seed = e.seedFor(device)
-		e.calGate.Lock()
-		cal := perfmodel.CalibrateParallel(p.GPU, opt, e.opts.Workers)
-		e.calGate.Unlock()
-		e.mu.Lock()
-		e.calibRuns[device]++
-		e.assetEpochs[device]++
-		e.mu.Unlock()
-		return cal, nil
-	})
+	return memo(e, classCalibration, "cal/"+device, device, (*Engine).calibrate)
+}
+
+func (e *Engine) calibrate(device string) (*perfmodel.Calibration, error) {
+	p, err := hw.ByName(device)
+	if err != nil {
+		return nil, err
+	}
+	opt := e.opts.Calib
+	opt.Seed = e.seedFor(device)
+	e.calGate.Lock()
+	cal := perfmodel.CalibrateParallel(p.GPU, opt, e.opts.Workers)
+	e.calGate.Unlock()
+	e.mu.Lock()
+	e.calibRuns[device]++
+	e.assetEpochs[device]++
+	e.mu.Unlock()
+	return cal, nil
 }
 
 // bumpAssetEpoch advances a device's asset-mutation counter.
@@ -377,29 +440,39 @@ func (e *Engine) CalibrationRuns(device string) int {
 // Model returns the memoized built workload graph.
 func (e *Engine) Model(name string, batch int64) (*models.Model, error) {
 	key := "model/" + name + "/" + strconv.FormatInt(batch, 10)
-	return memo(e, classGraph, key, func() (*models.Model, error) {
-		return models.Build(name, batch)
+	return memo(e, classGraph, key, scenario.Single(name, batch), func(_ *Engine, s scenario.Spec) (*models.Model, error) {
+		return models.Build(s.Workload, s.Batch)
 	})
+}
+
+// runSpec names one simulated run — or, with batch and profiled unset,
+// the device × model pair an overhead database pools its runs over.
+type runSpec struct {
+	device, model string
+	batch         int64
+	profiled      bool
 }
 
 // Run returns the memoized measured (or profiled) simulated run of
 // model at batch on device.
 func (e *Engine) Run(device, model string, batch int64, profiled bool) (*sim.Result, error) {
 	key := "run/" + device + "/" + model + "/" + strconv.FormatInt(batch, 10) + "/" + strconv.FormatBool(profiled)
-	return memo(e, classRun, key, func() (*sim.Result, error) {
-		p, err := hw.ByName(device)
-		if err != nil {
-			return nil, err
-		}
-		m, err := e.Model(model, batch)
-		if err != nil {
-			return nil, err
-		}
-		return sim.Run(m.Graph, sim.Config{
-			Platform: p, Seed: e.runSeed(device, batch, profiled),
-			Warmup: 5, Iters: e.opts.Iters, Profile: profiled, Workload: model,
-		}), nil
-	})
+	return memo(e, classRun, key, runSpec{device, model, batch, profiled}, (*Engine).simulate)
+}
+
+func (e *Engine) simulate(r runSpec) (*sim.Result, error) {
+	p, err := hw.ByName(r.device)
+	if err != nil {
+		return nil, err
+	}
+	m, err := e.Model(r.model, r.batch)
+	if err != nil {
+		return nil, err
+	}
+	return sim.Run(m.Graph, sim.Config{
+		Platform: p, Seed: e.runSeed(r.device, r.batch, r.profiled),
+		Warmup: 5, Iters: e.opts.Iters, Profile: r.profiled, Workload: r.model,
+	}), nil
 }
 
 // BatchesFor returns the evaluation batch sizes of a model family.
@@ -417,37 +490,35 @@ func (e *Engine) BatchesFor(model string) []int64 {
 // model on one device, pooled over the family's evaluation batch sizes,
 // profiling lazily on first use.
 func (e *Engine) OverheadDB(device, model string) (*overhead.DB, error) {
-	return memo(e, classOverheads, "db/"+device+"/"+model, func() (*overhead.DB, error) {
-		c := overhead.NewCollector()
-		for _, b := range e.BatchesFor(model) {
-			r, err := e.Run(device, model, b, true)
-			if err != nil {
-				return nil, err
-			}
-			c.Add(r.Trace)
-		}
-		e.bumpAssetEpoch(device)
-		return c.Finish(), nil
-	})
+	return memo(e, classOverheads, "db/"+device+"/"+model, runSpec{device: device, model: model}, (*Engine).collectOverheads)
 }
 
 // SharedOverheadDB pools overhead samples across all DLRM workloads on
 // a device — the paper's shared database for large-scale prediction.
 func (e *Engine) SharedOverheadDB(device string) (*overhead.DB, error) {
-	return memo(e, classOverheads, "shared/"+device, func() (*overhead.DB, error) {
-		c := overhead.NewCollector()
-		for _, model := range models.DLRMNames() {
-			for _, b := range e.opts.DLRMBatches {
-				r, err := e.Run(device, model, b, true)
-				if err != nil {
-					return nil, err
-				}
-				c.Add(r.Trace)
+	return memo(e, classOverheads, "shared/"+device, runSpec{device: device}, (*Engine).collectOverheads)
+}
+
+// collectOverheads profiles r.model (every DLRM workload when unset —
+// the shared database) on r.device at the family's evaluation batch
+// sizes and pools the traces.
+func (e *Engine) collectOverheads(r runSpec) (*overhead.DB, error) {
+	names := []string{r.model}
+	if r.model == "" {
+		names = models.DLRMNames()
+	}
+	c := overhead.NewCollector()
+	for _, model := range names {
+		for _, b := range e.BatchesFor(model) {
+			run, err := e.Run(r.device, model, b, true)
+			if err != nil {
+				return nil, err
 			}
+			c.Add(run.Trace)
 		}
-		e.bumpAssetEpoch(device)
-		return c.Finish(), nil
-	})
+	}
+	e.bumpAssetEpoch(r.device)
+	return c.Finish(), nil
 }
 
 // Predictor builds the paper's predictor for a device with the given
@@ -479,14 +550,18 @@ func NewRequest(device, workloadName string, batch int64) Request {
 // Key is the request's cache identity: device, scenario fingerprint,
 // and overhead-database mode.
 func (r Request) Key() string {
-	return string(r.appendKey(nil))
+	return string(r.AppendKey(nil))
 }
 
-// appendKey appends the cache identity to b — the allocation-free Key
-// used with pooled scratch buffers on the hot lookup path. The layout
-// (device/fingerprint/shared=bool) is pinned: it keys resident results
-// across engine restarts via warm-started stores.
-func (r *Request) appendKey(b []byte) []byte {
+// AppendKey appends the cache identity to b — the allocation-free Key
+// used with pooled scratch buffers on the hot lookup path, and by the
+// explore layer to deduplicate grid points by the identity the result
+// cache keys on. The layout (device/fingerprint/shared=bool) is
+// pinned. Two requests with equal keys predict identically only if
+// both specs Validate: single-device identity drops the comm field, so
+// an invalid spec can alias a valid one and validation must come
+// first.
+func (r *Request) AppendKey(b []byte) []byte {
 	b = append(b, r.Device...)
 	b = append(b, '/')
 	b = r.Scenario.AppendFingerprint(b)
@@ -496,7 +571,21 @@ func (r *Request) appendKey(b []byte) []byte {
 	return append(b, "/shared=false"...)
 }
 
-// keyBufPool recycles the scratch buffers behind appendKey so a cache
+// detach copies the request for a builder. A build can outlive its
+// caller (a detached flight) and is reached through a func value, so
+// handing it the caller's own pointer would force every caller's
+// request onto the heap before the lookup has run; copying only once
+// the lookup has missed keeps a resident hit allocation-free. nil (a
+// string-keyed asset lookup) stays nil.
+func (r *Request) detach() *Request {
+	if r == nil {
+		return nil
+	}
+	c := *r
+	return &c
+}
+
+// keyBufPool recycles the scratch buffers behind AppendKey so a cache
 // hit builds its lookup key with zero heap allocations.
 var keyBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 128); return &b },
@@ -534,7 +623,8 @@ func (r Result) ScalingEfficiency() float64 {
 // hits + misses == requests served; requests rejected by validation are
 // counted separately (RejectedRequests) and appear in neither counter.
 func (e *Engine) CacheStats() (hits, misses uint64) {
-	return e.cacheHits.Load(), e.cacheMisses.Load()
+	cs := e.store.class(classResult)
+	return cs.hits.Load(), cs.misses.Load()
 }
 
 // RejectedRequests counts requests that failed scenario validation
@@ -542,34 +632,63 @@ func (e *Engine) CacheStats() (hits, misses uint64) {
 func (e *Engine) RejectedRequests() uint64 { return e.rejected.Load() }
 
 // RejectRequest tallies a request a front end refused before it could
-// become an engine request (the facade's device-set check and scenario
-// resolution). Counting those here keeps the serving-layer invariant —
-// hits + misses + rejected == requests dispatched — on every path.
+// become an engine request (the facade's device-set check, scenario
+// resolution and validation). Counting those here keeps the
+// serving-layer invariant — hits + misses + rejected == requests
+// dispatched — on every path.
 func (e *Engine) RejectRequest() { e.rejected.Add(1) }
 
 // CachedResults reports the resident result-cache entry count.
-func (e *Engine) CachedResults() int {
-	if e.results == nil {
-		return 0
-	}
-	return e.results.len()
-}
+func (e *Engine) CachedResults() int { return e.store.class(classResult).len() }
 
 // AssetStats reports the unified asset store's per-class counters:
 // resident entries against capacity, approximate resident bytes, and
-// hit/miss/eviction totals. The results class mirrors the
+// hit/miss/eviction totals. The results class's hits and misses are the
 // request-level CacheStats counters (so joins on in-flight requests are
-// included), while its resident/bytes/eviction fields come from the
-// store itself.
-func (e *Engine) AssetStats() AssetStats {
-	s := e.store.stats()
-	for i := range s.Classes {
-		if s.Classes[i].Class == classNames[classResult] {
-			s.Classes[i].Hits = e.cacheHits.Load()
-			s.Classes[i].Misses = e.cacheMisses.Load()
-		}
+// included).
+func (e *Engine) AssetStats() AssetStats { return e.store.stats() }
+
+// request is the one pipeline every request takes to the result class:
+// validate, then key, then lookup, with the stream and cache accounting
+// around it. Validation runs before the key exists because an invalid
+// spec can alias a valid one's identity (see AppendKey); a reject is
+// tallied and touches nothing else. Everything past validation is
+// accounted exactly once — in-flight while inside, served with its
+// latency on the way out, and a hit or a miss — so hits + misses ==
+// served on every path. A context already expired at entry, or one
+// that expires while waiting on a flight, is a miss plus Canceled; the
+// computation it started (or joined) keeps running detached and lands
+// in the cache, so a canceled request never poisons the singleflight
+// entry or wastes the work for the next identical request. The one
+// exception is a resident-only probe (nil build) that finds nothing:
+// it served nobody, moves no counter, and leaves the request to be
+// re-entered with a builder.
+func (e *Engine) request(ctx context.Context, prefix string, req *Request, build buildFn) (v any, hit bool, err error) {
+	if err = req.Scenario.Validate(); err != nil {
+		e.rejected.Add(1)
+		return nil, false, err
 	}
-	return s
+	start := time.Now() //lint:allow deterministic latency observability only; never feeds keys or fingerprints
+	xsync.AtomicMax(&e.peakInFlight, e.inFlight.Add(1))
+	defer func() {
+		e.inFlight.Add(-1)
+		if err == errNotResident {
+			return
+		}
+		us := time.Since(start).Microseconds()
+		e.latencyUs.Add(us)
+		xsync.AtomicMax(&e.maxLatencyUs, us)
+		e.served.Add(1)
+	}()
+	if err = ctx.Err(); err != nil {
+		e.store.class(classResult).misses.Add(1)
+	} else {
+		v, hit, err = e.lookup(ctx, classResult, prefix, req, build)
+	}
+	if err != nil && err == ctx.Err() {
+		e.canceled.Add(1)
+	}
+	return v, hit, err
 }
 
 // Predict serves one request, building any missing assets on the way.
@@ -580,162 +699,50 @@ func (e *Engine) Predict(req Request) Result {
 }
 
 // PredictCtx is Predict with a caller deadline: when ctx expires the
-// caller gets ctx.Err() immediately, but the computation it initiated
-// (or joined) keeps running detached and lands in the result cache, so
-// a canceled request never poisons the singleflight entry or wastes
-// the work for the next identical request. Canceled requests count as
-// cache misses (they reached the compute path without being served
-// from memory) plus the separate StreamStats.Canceled counter, keeping
-// hits + misses == requests served on every path. With the result
-// cache disabled (negative ResultCacheSize) there is no flight to
-// detach from: ctx is only observed at entry and the computation runs
-// inline on the caller — the historical cold-ablation behavior.
-func (e *Engine) PredictCtx(ctx context.Context, req Request) Result {
-	res := Result{Request: req}
-	if err := req.Scenario.Validate(); err != nil {
-		e.rejected.Add(1)
-		res.Err = err
-		return res
+// caller gets ctx.Err() immediately (see request for the accounting and
+// the detached computation). With the result cache disabled (negative
+// ResultCacheSize) there is no flight to detach from: ctx is only
+// observed at entry and the computation runs inline on the caller —
+// the historical cold-ablation behavior.
+func (e *Engine) PredictCtx(ctx context.Context, req Request) (res Result) {
+	e.predictInto(ctx, &req, &res, (*Engine).predictScenario)
+	return res
+}
+
+// predictInto runs one local prediction through request and fills *out.
+// Pointer in, pointer out: the request and result structs are large
+// enough that by-value passing shows up as copy traffic on warm
+// batches.
+func (e *Engine) predictInto(ctx context.Context, req *Request, out *Result, build buildFn) {
+	out.Request = *req
+	v, hit, err := e.request(ctx, "predict/", req, build)
+	if out.Err = err; err != nil {
+		return
 	}
-	start := time.Now() //lint:allow deterministic latency observability only; never feeds keys or fingerprints
-	xsync.AtomicMax(&e.peakInFlight, e.inFlight.Add(1))
-	defer func() {
-		e.inFlight.Add(-1)
-		us := time.Since(start).Microseconds()
-		e.latencyUs.Add(us)
-		xsync.AtomicMax(&e.maxLatencyUs, us)
-		e.served.Add(1)
-	}()
-	if err := ctx.Err(); err != nil {
-		e.cacheMisses.Add(1)
-		e.canceled.Add(1)
-		res.Err = err
-		return res
-	}
-	if e.results == nil {
-		c, err := e.predictScenario(req)
-		e.cacheMisses.Add(1)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		return res.fill(c, false)
-	}
-	kb := keyBufPool.Get().(*[]byte)
-	buf := req.appendKey((*kb)[:0])
-	if c, ok := e.results.getBytes(buf); ok {
-		*kb = buf
-		keyBufPool.Put(kb)
-		e.cacheHits.Add(1)
-		return res.fill(c.(cached), true)
-	}
-	// Miss: materialize the key once for the singleflight and the store.
-	key := string(buf)
-	*kb = buf
-	keyBufPool.Put(kb)
-	executed := false
-	//lint:allow hotpath miss-path only: predictFast already served cache hits alloc-free above
-	got, err := e.flight.DoCtx(ctx, "predict/"+key, func() (any, error) {
-		if c, ok := e.results.get(key); ok {
-			return c, nil
-		}
-		executed = true
-		c, err := e.predictScenario(req)
-		if err != nil {
-			return nil, err
-		}
-		e.results.put(key, c, approxBytes(c))
-		return c, nil
-	})
-	if err != nil {
-		// The executing caller and every joiner of the failed flight
-		// reached the compute path without being served from memory:
-		// count them all as misses so hits+misses keeps equaling the
-		// requests served even on error and cancellation paths.
-		e.cacheMisses.Add(1)
-		if ctx.Err() != nil && err == ctx.Err() {
-			e.canceled.Add(1)
-		}
-		res.Err = err
-		return res
-	}
-	if executed {
-		e.cacheMisses.Add(1)
-	} else {
-		e.cacheHits.Add(1)
-	}
-	return res.fill(got.(cached), !executed)
+	c := v.(cached)
+	out.Prediction, out.Multi, out.Plan, out.CacheHit = c.pred, c.multi, c.plan, hit
 }
 
 // RemoteResult serves a request whose computation happens OUTSIDE this
 // engine — the cluster coordinator's pass-through: workers compute,
 // but repeats of an identical scenario are answered from this engine's
-// fingerprint result cache without another network round trip. The
-// request's Key() addresses the same results class as local
-// predictions (under a "remote/" prefix, so locally computed entries
-// and opaque remote payloads never collide), identical concurrent
-// requests collapse through the same singleflight, and the counters
-// follow Predict's conventions exactly: a hit is anything served from
-// memory or a successful in-flight join, a miss anything that ran (or
-// joined a failed) fetch, so CacheStats/StreamStats invariants hold
-// unchanged for a cache-only engine that never calibrates. A fetch
+// fingerprint result cache without another network round trip. It is
+// Predict with fetch as the builder and a "remote/" key prefix (so
+// locally computed entries and opaque remote payloads never collide):
+// the same validation, singleflight collapse and counters, so
+// CacheStats/StreamStats invariants hold unchanged for a cache-only
+// engine that never calibrates. An invalid request is rejected without
+// running fetch — its key would alias a valid request's row. A fetch
 // error is returned to every joiner and nothing is stored, so a
-// transient worker failure never poisons the cache. ctx follows
-// DoCtx's detached-execution contract: an expired caller abandons the
-// wait while the fetch completes into the cache.
+// transient worker failure never poisons the cache.
 func (e *Engine) RemoteResult(ctx context.Context, req Request, fetch func() (any, error)) (v any, hit bool, err error) {
-	start := time.Now() //lint:allow deterministic latency observability only; never feeds keys or fingerprints
-	xsync.AtomicMax(&e.peakInFlight, e.inFlight.Add(1))
-	defer func() {
-		e.inFlight.Add(-1)
-		us := time.Since(start).Microseconds()
-		e.latencyUs.Add(us)
-		xsync.AtomicMax(&e.maxLatencyUs, us)
-		e.served.Add(1)
-	}()
-	if e.results == nil {
-		v, err = fetch()
-		e.cacheMisses.Add(1)
-		return v, false, err
+	// Resident-only first, as memo does: the adapter binding fetch is
+	// only made once that has missed, so a warm coordinator answers a
+	// repeat without allocating.
+	if v, hit, err = e.request(ctx, "remote/", &req, nil); err == errNotResident {
+		v, hit, err = e.request(ctx, "remote/", &req, func(*Engine, *Request) (any, error) { return fetch() })
 	}
-	kb := keyBufPool.Get().(*[]byte)
-	buf := append((*kb)[:0], "remote/"...)
-	buf = req.appendKey(buf)
-	if v, ok := e.results.getBytes(buf); ok {
-		*kb = buf
-		keyBufPool.Put(kb)
-		e.cacheHits.Add(1)
-		return v, true, nil
-	}
-	key := string(buf)
-	*kb = buf
-	keyBufPool.Put(kb)
-	executed := false
-	got, err := e.flight.DoCtx(ctx, key, func() (any, error) {
-		if v, ok := e.results.get(key); ok {
-			return v, nil
-		}
-		executed = true
-		v, err := fetch()
-		if err != nil {
-			return nil, err
-		}
-		e.results.put(key, v, approxBytes(v))
-		return v, nil
-	})
-	if err != nil {
-		e.cacheMisses.Add(1)
-		if ctx.Err() != nil && err == ctx.Err() {
-			e.canceled.Add(1)
-		}
-		return nil, false, err
-	}
-	if executed {
-		e.cacheMisses.Add(1)
-		return got, false, nil
-	}
-	e.cacheHits.Add(1)
-	return got, true, nil
+	return v, hit, err
 }
 
 // InstallRemoteResult seeds the fingerprint result cache with an
@@ -745,20 +752,9 @@ func (e *Engine) RemoteResult(ctx context.Context, req Request, fetch func() (an
 // hit without a worker round trip. No request counters move — a
 // replicated entry is an install, not a served request — which keeps
 // hits + misses + rejected == requests intact on every coordinator.
+// The caller vouches for req's validity, as the facade's Resolve does.
 func (e *Engine) InstallRemoteResult(req Request, v any) {
-	if e.results == nil {
-		return
-	}
-	e.results.put("remote/"+req.Key(), v, approxBytes(v))
-}
-
-// fill copies a cached computation into the per-call result envelope.
-func (r Result) fill(c cached, hit bool) Result {
-	r.Prediction = c.pred
-	r.Multi = c.multi
-	r.Plan = c.plan
-	r.CacheHit = hit
-	return r
+	e.store.class(classResult).put("remote/"+req.Key(), v, approxBytes(v))
 }
 
 // PredictBatch fans the requests out across the worker pool and returns
@@ -775,15 +771,18 @@ func (e *Engine) PredictBatch(reqs []Request) []Result {
 // context abandons the whole batch without poisoning any in-flight
 // computation.
 //
-// Warm requests — result-cache hits and validation rejections — are
-// served inline on the calling goroutine before any fan-out, so a
-// fully-warm batch never pays the worker pool's goroutine and channel
-// traffic; only the requests that need computation are fanned out.
+// Every request first runs inline on the calling goroutine as a
+// resident-only probe, which fully serves whatever needs no computation
+// — result-cache hits, validation rejections, an already-expired
+// context — so a fully-warm batch never pays the worker pool's
+// goroutine and channel traffic; only the requests the probe found
+// nothing for are fanned out (by value: a detached computation must not
+// keep reading the caller's slice).
 func (e *Engine) PredictBatchCtx(ctx context.Context, reqs []Request) []Result {
 	out := make([]Result, len(reqs))
 	var miss []int
 	for i := range reqs {
-		if !e.predictFast(ctx, &reqs[i], &out[i]) {
+		if e.predictInto(ctx, &reqs[i], &out[i], nil); out[i].Err == errNotResident {
 			miss = append(miss, i)
 		}
 	}
@@ -794,54 +793,4 @@ func (e *Engine) PredictBatchCtx(ctx context.Context, reqs []Request) []Result {
 		out[miss[j]] = e.PredictCtx(ctx, reqs[miss[j]])
 	})
 	return out
-}
-
-// predictFast serves a request into *out if — and only if — no
-// computation is needed: a validation rejection, or a result-cache
-// hit. Its accounting is exactly PredictCtx's for those two outcomes
-// (one rejection, or one hit + one served with latency recorded);
-// anything else returns false with *out untouched, for PredictCtx to
-// handle in full. Validation runs before the lookup because
-// single-device identity drops the comm field: an invalid spec can
-// alias a valid cached one. Pointer in, pointer out: the request and
-// result structs are large enough that by-value passing shows up as
-// copy traffic on warm batches.
-func (e *Engine) predictFast(ctx context.Context, req *Request, out *Result) bool {
-	if e.results == nil {
-		return false
-	}
-	if err := req.Scenario.Validate(); err != nil {
-		e.rejected.Add(1)
-		out.Request = *req
-		out.Err = err
-		return true
-	}
-	if ctx.Err() != nil {
-		// Cancellation accounting (miss + canceled) belongs to the slow
-		// path, which re-observes ctx at entry.
-		return false
-	}
-	start := time.Now() //lint:allow deterministic latency observability only; never feeds keys or fingerprints
-	kb := keyBufPool.Get().(*[]byte)
-	buf := req.appendKey((*kb)[:0])
-	c, ok := e.results.getBytes(buf)
-	*kb = buf
-	keyBufPool.Put(kb)
-	if !ok {
-		return false
-	}
-	xsync.AtomicMax(&e.peakInFlight, e.inFlight.Add(1))
-	e.cacheHits.Add(1)
-	cc := c.(cached)
-	out.Request = *req
-	out.Prediction = cc.pred
-	out.Multi = cc.multi
-	out.Plan = cc.plan
-	out.CacheHit = true
-	e.inFlight.Add(-1)
-	us := time.Since(start).Microseconds()
-	e.latencyUs.Add(us)
-	xsync.AtomicMax(&e.maxLatencyUs, us)
-	e.served.Add(1)
-	return true
 }

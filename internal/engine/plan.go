@@ -129,9 +129,7 @@ func (e *Engine) compileMulti(req Request) (*CompiledPlan, error) {
 			// Key per-device graphs by shard *content*, so identical
 			// shards (every uniform-table scenario) build one graph.
 			kb = shardGraphKey(kb[:0], spec.Workload, perDev, shard)
-			m, err := memo(e, classGraph, string(kb), func() (*models.Model, error) {
-				return models.BuildDLRM(specializeDLRM(cfg, perDev, shard))
-			})
+			m, err := memo(e, classGraph, string(kb), scenario.Spec{Workload: spec.Workload, Batch: perDev, Tables: shard}, buildDLRM)
 			if err != nil {
 				return nil, err
 			}

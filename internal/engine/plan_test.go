@@ -42,7 +42,7 @@ func TestCompiledPlanBitIdentical(t *testing.T) {
 		if err != nil {
 			return Result{Request: req, Err: err}
 		}
-		return Result{Request: req}.fill(c, false)
+		return Result{Request: req, Prediction: c.pred, Multi: c.multi, Plan: c.plan}
 	}
 
 	for _, name := range names {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 
 	"dlrmperf/internal/models"
@@ -10,35 +11,22 @@ import (
 	"dlrmperf/internal/workload"
 )
 
-// predictScenario computes one request that missed the result cache.
-// The steady-state path resolves the request to a CompiledPlan —
-// memoized in the plans class under the request key — and executes it:
-// plan lookup + arithmetic, with zero graph reconstruction, zero shard
-// re-planning, and zero key formatting beyond one pooled-buffer
-// append. A cached plan and a from-scratch compile end in identical
-// predictor calls on identical inputs, so their results are
-// bit-identical (plan_test.go compares them across the registry).
-func (e *Engine) predictScenario(req Request) (cached, error) {
-	cs := e.store.class(classPlan)
-	kb := keyBufPool.Get().(*[]byte)
-	buf := append((*kb)[:0], "plan/"...)
-	buf = req.appendKey(buf)
-	if v, ok := cs.getBytes(buf); ok {
-		*kb = buf
-		keyBufPool.Put(kb)
-		cs.hits.Add(1)
-		return v.(*CompiledPlan).execute()
-	}
-	key := string(buf)
-	*kb = buf
-	keyBufPool.Put(kb)
-	pl, err := memo(e, classPlan, key, func() (*CompiledPlan, error) {
-		return e.compile(req)
-	})
+// predictScenario computes one request that missed the result cache —
+// the result class's builder. The steady-state path resolves the
+// request to a CompiledPlan — a lookup in the plans class under the
+// request key — and executes it: plan lookup + arithmetic, with zero
+// graph reconstruction, zero shard re-planning, and zero key formatting
+// beyond one pooled-buffer append. A cached plan and a from-scratch
+// compile end in identical predictor calls on identical inputs, so
+// their results are bit-identical (plan_test.go compares them across
+// the registry).
+func (e *Engine) predictScenario(req *Request) (any, error) {
+	pl, _, err := e.lookup(context.Background(), classPlan, "plan/", req,
+		func(e *Engine, req *Request) (any, error) { return e.compile(*req) })
 	if err != nil {
-		return cached{}, err
+		return nil, err
 	}
-	return pl.execute()
+	return pl.(*CompiledPlan).execute()
 }
 
 // scenarioPredictor assembles the device's predictor for a request:
@@ -66,23 +54,21 @@ func (e *Engine) scenarioModel(spec scenario.Spec) (*models.Model, error) {
 	if len(spec.Tables) == 0 {
 		return e.Model(spec.Workload, spec.Batch)
 	}
-	key := "graph/" + spec.Fingerprint()
-	return memo(e, classGraph, key, func() (*models.Model, error) {
-		cfg, err := models.DLRMConfigFor(spec.Workload, spec.Batch)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: custom tables need a DLRM family: %w", err)
-		}
-		return models.BuildDLRM(specializeDLRM(cfg, spec.Batch, spec.Tables))
-	})
+	return memo(e, classGraph, "graph/"+spec.Fingerprint(), spec, buildDLRM)
 }
 
-// specializeDLRM overrides a family template with a table population —
-// the builder models one pooling factor and skew, so heterogeneous
-// populations contribute their means.
-func specializeDLRM(cfg models.DLRMConfig, batch int64, tables []workload.TableSpec) models.DLRMConfig {
-	cfg.Batch = batch
-	cfg.EmbRows = workload.Rows(tables)
-	cfg.Lookups = workload.MeanLookups(tables)
-	cfg.ZipfSkew = workload.MeanSkew(tables)
-	return cfg
+// buildDLRM builds the DLRM family spec.Workload at spec.Batch with the
+// family template's tables overridden by spec.Tables (possibly none: a
+// device the sharding planner left empty) — the builder models one
+// pooling factor and skew, so heterogeneous populations contribute
+// their means.
+func buildDLRM(_ *Engine, spec scenario.Spec) (*models.Model, error) {
+	cfg, err := models.DLRMConfigFor(spec.Workload, spec.Batch)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: custom tables need a DLRM family: %w", err)
+	}
+	cfg.EmbRows = workload.Rows(spec.Tables)
+	cfg.Lookups = workload.MeanLookups(spec.Tables)
+	cfg.ZipfSkew = workload.MeanSkew(spec.Tables)
+	return models.BuildDLRM(cfg)
 }

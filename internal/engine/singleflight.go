@@ -23,25 +23,65 @@ type group struct {
 	calls map[string]*call
 }
 
-// Do runs fn once per key among concurrent callers and hands every
-// caller the same result.
+// Do is DoCtx for callers with no deadline.
 func (g *group) Do(key string, fn func() (any, error)) (any, error) {
+	return g.DoCtx(context.Background(), key, fn)
+}
+
+// DoCtx runs fn once per key among concurrent callers and hands every
+// caller the same result. The first caller of a key registers the
+// flight and owns its execution; later callers join it.
+//
+// With a cancelable ctx, fn executes on its own goroutine, detached
+// from every caller, so a caller whose context expires can abandon the
+// wait without aborting (or poisoning) the shared computation — the
+// flight runs to completion, its result is stored by fn's own side
+// effects, and later requests for the same key hit it. When ctx wins
+// the race the returned error is ctx.Err() and val is nil; the flight
+// itself is unaffected. A detached fn that panics cannot re-panic on a
+// caller's goroutine (the caller may already be gone), so the panic
+// surfaces as an error to every waiter.
+//
+// A ctx that can never be canceled (ctx.Done() == nil, e.g.
+// context.Background) makes detachment pointless: the owner runs fn
+// inline — no goroutine spawn for the plain Predict/PredictBatch
+// callers — and a panic releases the waiters with an error, then
+// propagates on the owner's goroutine.
+//
+// Callers that need executed-vs-joined accounting observe it through a
+// flag set inside fn: only the owner's closure runs.
+func (g *group) DoCtx(ctx context.Context, key string, fn func() (any, error)) (any, error) {
 	g.mu.Lock()
 	if g.calls == nil {
 		g.calls = map[string]*call{}
 	}
-	if c, ok := g.calls[key]; ok {
-		g.mu.Unlock()
-		<-c.done
-		return c.val, c.err
+	c, joined := g.calls[key]
+	if !joined {
+		c = &call{done: make(chan struct{})}
+		g.calls[key] = c
 	}
-	c := &call{done: make(chan struct{})}
-	g.calls[key] = c
 	g.mu.Unlock()
 
-	// Clean up in a defer so a panicking fn still releases waiters and
-	// frees the key instead of wedging it forever; waiters see an error
-	// while the panic propagates on the executing goroutine.
+	if !joined {
+		if ctx.Done() == nil {
+			g.run(key, c, fn, true)
+			return c.val, c.err
+		}
+		go g.run(key, c, fn, false)
+	}
+	select {
+	case <-c.done:
+		return c.val, c.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// run executes fn as the owner of flight c. Cleanup is deferred so a
+// panicking fn still releases waiters and frees the key instead of
+// wedging it forever; waiters see an error, and an inline owner
+// (repanic) sees the panic itself.
+func (g *group) run(key string, c *call, fn func() (any, error), repanic bool) {
 	defer func() {
 		r := recover()
 		if r != nil {
@@ -51,67 +91,9 @@ func (g *group) Do(key string, fn func() (any, error)) (any, error) {
 		delete(g.calls, key)
 		g.mu.Unlock()
 		close(c.done)
-		if r != nil {
+		if r != nil && repanic {
 			panic(r)
 		}
 	}()
 	c.val, c.err = fn()
-	return c.val, c.err
-}
-
-// DoCtx is the async-stream variant of Do: fn executes on its own
-// goroutine, detached from every caller, so a caller whose context
-// expires can abandon the wait without aborting (or poisoning) the
-// shared computation — the flight runs to completion, its result is
-// stored by fn's own side effects, and later requests for the same key
-// hit it. When ctx wins the race the returned error is ctx.Err() and
-// val is nil; the flight itself is unaffected. Callers that need
-// executed-vs-joined accounting observe it through a flag set inside
-// fn (only the executing caller's closure runs), exactly as with Do.
-//
-// Unlike Do, a panicking fn cannot re-panic on a caller's goroutine
-// (the caller may already be gone), so panics surface as errors to
-// every waiter. Contexts that can never be canceled (ctx.Done() ==
-// nil, e.g. context.Background) take Do's inline path instead — no
-// detachment is possible, so the plain Predict/PredictBatch callers
-// pay no goroutine spawn and keep Do's re-panic behavior.
-func (g *group) DoCtx(ctx context.Context, key string, fn func() (any, error)) (any, error) {
-	if ctx.Done() == nil {
-		return g.Do(key, fn)
-	}
-	g.mu.Lock()
-	if g.calls == nil {
-		g.calls = map[string]*call{}
-	}
-	if c, ok := g.calls[key]; ok {
-		g.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.val, c.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	c := &call{done: make(chan struct{})}
-	g.calls[key] = c
-	g.mu.Unlock()
-
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				c.err = fmt.Errorf("engine: singleflight %q panicked: %v", key, r)
-			}
-			g.mu.Lock()
-			delete(g.calls, key)
-			g.mu.Unlock()
-			close(c.done)
-		}()
-		c.val, c.err = fn()
-	}()
-	select {
-	case <-c.done:
-		return c.val, c.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }

@@ -122,8 +122,9 @@ type Unit struct {
 	Point Point
 	// Spec is the resolved, validated scenario (defaults applied).
 	Spec scenario.Spec
-	// Key is the dedup identity: device | spec fingerprint | overhead
-	// mode — the same identity the engine's result cache keys on.
+	// Key is the dedup identity: the engine request's cache key (device,
+	// spec fingerprint, overhead mode) — literally the identity the
+	// engine's result cache keys on.
 	Key string
 	// Dups counts the other grid points that resolved to this unit.
 	Dups int
@@ -163,8 +164,9 @@ func (ex *Expansion) Duplicates() int {
 	return ex.Total - len(ex.Unique) - ex.Rejected
 }
 
-// Expand crosses the grid's axes, resolves each point to its scenario
-// spec, rejects validation failures, and deduplicates by fingerprint.
+// Expand crosses the grid's axes, resolves each point to its engine
+// request (PredictRequest.Resolve: spec resolution plus validation),
+// rejects the points that have none, and deduplicates by request key.
 // The device axis iterates outermost, so Unique is device-major by
 // construction. Only structurally empty grids error; per-point
 // failures (unknown scenario names included) land in Rejected.
@@ -188,13 +190,7 @@ func Expand(g Grid) (*Expansion, error) {
 							ex.Total++
 							p := Point{Scenario: sc, Device: dev, GPUs: width,
 								Comm: comm, Batch: batch, Shared: shared}
-							spec, err := p.Request().ResolveSpec()
-							if err == nil {
-								// Build validates before the comm override; the
-								// final spec must be re-checked (comm on a
-								// single-device point fails here).
-								err = spec.Validate()
-							}
+							ereq, err := p.Request().Resolve()
 							if err != nil {
 								ex.Rejected++
 								if len(ex.RejectedSamples) < rejectedSampleCap {
@@ -203,19 +199,14 @@ func Expand(g Grid) (*Expansion, error) {
 								}
 								continue
 							}
-							kb = append(kb[:0], dev...)
-							kb = append(kb, '|')
-							kb = spec.AppendFingerprint(kb)
-							if shared {
-								kb = append(kb, "|shared"...)
-							}
-							key := string(kb)
-							if i, dup := seen[key]; dup {
+							kb = ereq.AppendKey(kb[:0])
+							if i, dup := seen[string(kb)]; dup {
 								ex.Unique[i].Dups++
 								continue
 							}
+							key := string(kb)
 							seen[key] = len(ex.Unique)
-							ex.Unique = append(ex.Unique, Unit{Point: p, Spec: spec, Key: key})
+							ex.Unique = append(ex.Unique, Unit{Point: p, Spec: ereq.Scenario, Key: key})
 						}
 					}
 				}

@@ -31,12 +31,12 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dlrmperf"
+	"dlrmperf/internal/xsync"
 )
 
 // Backend is the engine surface the server drives — implemented by
@@ -92,9 +92,8 @@ type Config struct {
 	// control even runs.
 	MaxBodyBytes int64
 	// MaxBatch bounds the rows accepted by one POST /v1/predict/batch
-	// (default 4096): the batch path admits by blocking, one goroutine
-	// per row, so the row count must be bounded for backpressure to
-	// bound anything.
+	// (default 4096): the batch path admits by blocking, so the row
+	// count must be bounded for backpressure to bound anything.
 	MaxBatch int
 	// MaxGrid bounds the expanded cross-product size of one
 	// POST /v1/explore (default 262144 grid points). Unlike MaxBatch
@@ -209,20 +208,13 @@ type Server struct {
 	drainingRejects      atomic.Uint64
 	canceledAdmits       atomic.Uint64
 	assetInstalls        atomic.Uint64
-
-	servedMu   sync.Mutex
-	servedDevs map[string]bool
 }
 
 // New starts a server's worker pool over the backend. Callers must
 // Drain it when done.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{
-		cfg:        cfg,
-		q:          newFairQueue(cfg.QueueDepth, cfg.TenantQueueCap),
-		servedDevs: map[string]bool{},
-	}
+	s := &Server{cfg: cfg, q: newFairQueue(cfg.QueueDepth, cfg.TenantQueueCap)}
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers.Add(1)
 		go s.worker()
@@ -251,11 +243,6 @@ func (s *Server) worker() {
 func (s *Server) serveOne(j *job) Result {
 	res := resultFrom(j.req, s.cfg.Backend.PredictContext(j.ctx, j.req.ToPredict()))
 	res.QueueWaitUs = j.waitNs / 1e3
-	if res.Error == "" {
-		s.servedMu.Lock()
-		s.servedDevs[j.req.Device] = true
-		s.servedMu.Unlock()
-	}
 	return res
 }
 
@@ -342,22 +329,18 @@ func (s *Server) Submit(ctx context.Context, req Request) (Result, error) {
 
 // RunBatch drives a request list through the admission pipeline and
 // returns one row per request, in request order. Admission failures
-// (draining, caller expiry) surface in the failing row.
+// (draining, caller expiry) surface in the failing row. Submitters are
+// bounded the way RunExplore's are — enough to keep every worker busy
+// with a full queue behind it, not one goroutine per row.
 func (s *Server) RunBatch(ctx context.Context, reqs []Request) []Result {
 	out := make([]Result, len(reqs))
-	var wg sync.WaitGroup
-	for i := range reqs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := s.Submit(ctx, reqs[i])
-			if err != nil {
-				res = Result{Request: reqs[i], Error: err.Error()}
-			}
-			out[i] = res
-		}(i)
-	}
-	wg.Wait()
+	xsync.ForEachN(len(reqs), s.cfg.Workers+s.cfg.QueueDepth, func(i int) {
+		res, err := s.Submit(ctx, reqs[i])
+		if err != nil {
+			res = Result{Request: reqs[i], Error: err.Error()}
+		}
+		out[i] = res
+	})
 	return out
 }
 
@@ -387,20 +370,6 @@ func (s *Server) Draining() bool {
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
 	return s.draining
-}
-
-// ServedDevices lists the devices that served at least one successful
-// request — the set worth re-saving assets for (warm-started devices
-// included, calibration counts are not the criterion).
-func (s *Server) ServedDevices() []string {
-	s.servedMu.Lock()
-	defer s.servedMu.Unlock()
-	out := make([]string, 0, len(s.servedDevs))
-	for d := range s.servedDevs {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Stats assembles the live counters of the admission queue, the

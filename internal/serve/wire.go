@@ -350,22 +350,22 @@ func BatchOutcome(results []Result) (failed int, allFailed *ReportError) {
 // Report assembles the batch report from finished rows plus the
 // server's live counters.
 func (s *Server) Report(results []Result, elapsed time.Duration) *Report {
+	st := s.Stats()
 	rep := &Report{
 		Results:      results,
 		Requests:     len(results),
 		ElapsedMs:    float64(elapsed.Microseconds()) / 1000,
-		Calibrations: map[string]int{},
+		Calibrations: st.Calibrations,
+		Cache:        st.Cache,
+		Rejected:     st.Rejected,
+		Stream:       st.Queue,
+		Latency:      st.Latency,
+		Assets:       st.Assets,
+	}
+	if rep.Calibrations == nil {
+		// The report's field has no omitempty: keep it {} rather than null.
+		rep.Calibrations = map[string]int{}
 	}
 	rep.Failed, rep.Error = BatchOutcome(results)
-	b := s.cfg.Backend
-	for _, d := range b.Devices() {
-		if n := b.CalibrationRuns(d); n > 0 {
-			rep.Calibrations[d] = n
-		}
-	}
-	st := s.Stats()
-	rep.Cache, rep.Rejected = st.Cache, st.Rejected
-	rep.Stream, rep.Latency = st.Queue, st.Latency
-	rep.Assets = st.Assets
 	return rep
 }
