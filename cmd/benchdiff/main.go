@@ -39,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -307,6 +308,11 @@ func compare(base, cur Suite, maxTime, maxAllocs float64) (report string, regres
 		}
 		dt := ratio(cs.NsPerOp, bs.NsPerOp)
 		da := ratio(float64(cs.AllocsPerOp), float64(bs.AllocsPerOp))
+		if bs.Samples > 0 && bs.AllocsPerOp == 0 && cs.AllocsPerOp > 0 {
+			// A measured 0 allocs/op is a bound, not a missing
+			// measurement: any allocation is a regression.
+			da = math.Inf(1)
+		}
 		mark := ""
 		if dt > maxTime {
 			regressions = append(regressions,
@@ -328,7 +334,7 @@ func compare(base, cur Suite, maxTime, maxAllocs float64) (report string, regres
 }
 
 // ratio is cur/base - 1, tolerating a zero base (no measurement: any
-// current value passes).
+// current value passes — compare handles a MEASURED zero allocs/op).
 func ratio(cur, base float64) float64 {
 	if base <= 0 {
 		return 0

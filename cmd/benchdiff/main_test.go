@@ -220,3 +220,29 @@ func TestCompareMissingBenchmark(t *testing.T) {
 		t.Fatalf("missing benchmark not flagged: %v", regressions)
 	}
 }
+
+// TestCompareZeroAllocBaselineIsABound: a baseline that MEASURED 0
+// allocs/op (it has samples) fails on the first allocation — ratcheting
+// a hot path down to zero must not switch its tripwire off. A baseline
+// with no alloc measurement, and a benchmark the baseline does not
+// list, still pass.
+func TestCompareZeroAllocBaselineIsABound(t *testing.T) {
+	base := Suite{Benchmarks: map[string]Sample{
+		"Measured":   {NsPerOp: 400, AllocsPerOp: 0, Samples: 5},
+		"Unmeasured": {NsPerOp: 400, AllocsPerOp: -1, Samples: 5},
+		"HandEdited": {NsPerOp: 400},
+	}}
+	cur := Suite{Benchmarks: map[string]Sample{
+		"Measured":   {NsPerOp: 400, AllocsPerOp: 1, Samples: 5},
+		"Unmeasured": {NsPerOp: 400, AllocsPerOp: 1, Samples: 5},
+		"HandEdited": {NsPerOp: 400, AllocsPerOp: 1, Samples: 5},
+		"NotInBase":  {NsPerOp: 400, AllocsPerOp: 9, Samples: 5},
+	}}
+	report, regressions := compare(base, cur, 0.25, 0.10)
+	if len(regressions) != 1 || !strings.Contains(regressions[0], "Measured: allocs/op") {
+		t.Fatalf("0 -> 1 alloc: regressions = %v, want exactly Measured's allocs/op\n%s", regressions, report)
+	}
+	if report, regressions := compare(base, base, 0.25, 0.10); len(regressions) != 0 {
+		t.Fatalf("0 -> 0 allocs regressed: %v\n%s", regressions, report)
+	}
+}

@@ -41,6 +41,18 @@ func (e *Engine) RemoteResult(ctx context.Context, req PredictRequest, fetch fun
 	return e.eng.RemoteResult(ctx, ereq, fetch)
 }
 
+// ResidentResult is the resident-only read of RemoteResult: ok with the
+// stored value when req's row is in the result cache (a served hit,
+// counted like RemoteResult's), ok=false with no counter moved when it
+// is not, or when req has no identity — the coordinator's batch path
+// asks it for every row of a call before it sends any to a worker.
+func (e *Engine) ResidentResult(req PredictRequest) (v any, ok bool) {
+	if ereq, err := req.Resolve(); err == nil {
+		v, ok = e.eng.ResidentResult(ereq)
+	}
+	return v, ok
+}
+
 // InstallRemoteResult seeds the fingerprint result cache with an
 // externally computed value under the request's remote key — the
 // coordinator replication path, the write half of RemoteResult: a peer

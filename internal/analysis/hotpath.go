@@ -26,16 +26,18 @@ var hotpathPackages = map[string]hotpathConfig{
 	"dlrmperf/internal/engine": {
 		roots: []string{
 			// Steady-state prediction: the one keyed lookup, the one
-			// request wrapper, its three entry points (single, batch,
-			// remote pass-through), the result-class builder (handed to
-			// the wrapper as a method expression, so no call edge
-			// reaches it), compiled plan execution, and the key
-			// builders themselves.
+			// request wrapper, its entry points (single, batch, remote
+			// pass-through and its resident-only read, which is on the
+			// hit path of every coordinator batch row), the result-class
+			// builder (handed to the wrapper as a method expression, so
+			// no call edge reaches it), compiled plan execution, and the
+			// key builders themselves.
 			"Engine.lookup",
 			"Engine.request",
 			"Engine.PredictCtx",
 			"Engine.PredictBatchCtx",
 			"Engine.RemoteResult",
+			"Engine.ResidentResult",
 			"Engine.predictScenario",
 			"CompiledPlan.execute",
 			"Request.AppendKey",
@@ -70,14 +72,16 @@ var hotpathPackages = map[string]hotpathConfig{
 			// every write and the liveness read under it (and under every
 			// routing decision's Registry.Live), the adaptive Retry-After
 			// render on every shed, the hint EWMA fold on every worker
-			// 429, and the vault's hand-off decision probed on every
-			// routed request.
+			// 429, the vault's hand-off decision probed on every routed
+			// request, and the batch plan loop: every row of every batch
+			// call is read, and its hits answered, there.
 			"Lease.Leader",
 			"liveTable.lastSeen",
 			"Coordinator.retryAfter",
 			"Coordinator.observeWorkerHint",
 			"assetVault.needInstall",
 			"backpressureHint",
+			"Coordinator.plan",
 		},
 		stops: []string{},
 	},

@@ -15,10 +15,18 @@
 // heartbeats, and its /stats merges the per-worker cache/asset/stream
 // counters into one attempt-accounted document whose invariant — hits
 // + misses + rejected == requests — holds cluster-wide (see stats.go
-// for the accounting model). A pass-through result cache (the engine's
-// fingerprint result cache via dlrmperf.Engine.RemoteResult) answers
-// repeats of identical scenarios at the coordinator without a network
-// round trip.
+// for the accounting model). A pass-through result cache (ResultCache:
+// the engine's fingerprint result cache through dlrmperf.Engine's
+// RemoteResult, ResidentResult and InstallRemoteResult) answers repeats
+// of identical scenarios at the coordinator without a network round
+// trip.
+//
+// A batch call (and every chunk of an explore sweep) is planned once:
+// rows resident in the cache are answered at the coordinator, the rest
+// are grouped by their device's rendezvous owner and sent as one
+// blocking sub-batch per worker; each missed row then completes on the
+// single-request path, collecting from its owner's sub-batch on its
+// first attempt, so failover and accounting stay per row.
 //
 // The control plane is four primitives: one liveness table (live.go)
 // under both the worker Registry and the peer Lease, one periodic loop
@@ -44,14 +52,19 @@ import (
 )
 
 // ResultCache is the coordinator's pass-through cache surface —
-// implemented by *dlrmperf.Engine (RemoteResult +
-// InstallRemoteResult), narrowed to an interface so tests can
-// substitute or disable it. InstallRemoteResult seeds an entry
-// without executing a fetch — the replication ingest path, so a
-// result fetched through ANY peer coordinator is a local hit here on
-// the next repeat of the same scenario fingerprint.
+// implemented by *dlrmperf.Engine — narrowed to an interface so tests
+// can substitute or disable it. It has three methods. RemoteResult is
+// the read-through: a resident row, or one fetch shared by identical
+// concurrent requests and stored under the request's identity.
+// ResidentResult is its resident-only half — the batch path asks it for
+// every row of a call before any row is sent, and a row it does not
+// have moves no counter. InstallRemoteResult seeds an entry without
+// executing a fetch — the replication ingest path, so a result fetched
+// through ANY peer coordinator is a local hit here on the next repeat
+// of the same scenario fingerprint.
 type ResultCache interface {
 	RemoteResult(ctx context.Context, req dlrmperf.PredictRequest, fetch func() (any, error)) (v any, hit bool, err error)
+	ResidentResult(req dlrmperf.PredictRequest) (v any, ok bool)
 	InstallRemoteResult(req dlrmperf.PredictRequest, v any)
 }
 
@@ -235,6 +248,20 @@ func (c *Coordinator) Draining() bool {
 	return c.draining
 }
 
+// admit counts one client request and takes its in-flight slot (the
+// caller releases it), or tallies the reject of a draining coordinator.
+func (c *Coordinator) admit() error {
+	c.received.Add(1)
+	c.admitMu.Lock()
+	defer c.admitMu.Unlock()
+	if c.draining {
+		c.drainingRejects.Add(1)
+		return ErrDraining
+	}
+	c.inflight.Add(1)
+	return nil
+}
+
 // PredictOne serves one client request: local pass-through cache
 // first, then rendezvous routing with one retry. blocking selects the
 // worker admission mode — false forwards to the worker's non-blocking
@@ -242,19 +269,20 @@ func (c *Coordinator) Draining() bool {
 // blocking batch admission (the coordinator batch path, which must
 // not shed rows).
 func (c *Coordinator) PredictOne(ctx context.Context, req serve.Request, blocking bool) (serve.Result, error) {
-	c.received.Add(1)
-	c.admitMu.Lock()
-	if c.draining {
-		c.admitMu.Unlock()
-		c.drainingRejects.Add(1)
-		return serve.Result{}, ErrDraining
+	return c.predict(ctx, req, blocking, nil, 0)
+}
+
+// predict is PredictOne for a row that may already be on the wire: sb,
+// when set, is the sub-batch RunBatch's plan sent to the row's owner,
+// carrying the row in slot.
+func (c *Coordinator) predict(ctx context.Context, req serve.Request, blocking bool, sb *subBatch, slot int) (serve.Result, error) {
+	if err := c.admit(); err != nil {
+		return serve.Result{}, err
 	}
-	c.inflight.Add(1)
-	c.admitMu.Unlock()
 	defer c.inflight.Done()
 
 	fetch := func() (any, error) {
-		row, err := c.forward(ctx, req, blocking)
+		row, err := c.forward(ctx, req, blocking, sb, slot)
 		if err != nil {
 			return nil, err
 		}
@@ -306,27 +334,35 @@ func (c *Coordinator) PredictOne(ctx context.Context, req serve.Request, blockin
 // MarkFailed removes the failed worker from the live set, so the
 // re-rank of the survivors IS the next-ranked candidate list —
 // rendezvous hashing guarantees keys on surviving workers don't move.
-func (c *Coordinator) forward(ctx context.Context, req serve.Request, blocking bool) (serve.Result, error) {
+// A row the plan already sent (sb) spends its first attempt collecting
+// from that sub-batch — the plan ranked its device and warmed its owner
+// — and retries alone like any other row.
+func (c *Coordinator) forward(ctx context.Context, req serve.Request, blocking bool, sb *subBatch, slot int) (serve.Result, error) {
 	var lastErr error
 	const maxAttempts = 2
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		ranked := Rank(c.reg.Live(), req.Device)
-		if len(ranked) == 0 {
-			if lastErr != nil {
-				break // candidates exhausted mid-retry: a route failure, not "no workers"
+		var w Worker
+		if sb != nil {
+			w = sb.w
+		} else {
+			ranked := Rank(c.reg.Live(), req.Device)
+			if len(ranked) == 0 {
+				if lastErr != nil {
+					break // candidates exhausted mid-retry: a route failure, not "no workers"
+				}
+				c.noWorkers.Add(1)
+				return serve.Result{}, ErrNoWorkers
 			}
-			c.noWorkers.Add(1)
-			return serve.Result{}, ErrNoWorkers
+			w = ranked[0]
+			// Warm hand-off: if this worker is about to inherit a device whose
+			// calibration assets were exported by a (now dead or out-ranked)
+			// different home, install them before the first request lands.
+			c.ensureWarm(ctx, req.Device, w)
 		}
-		w := ranked[0]
-		// Warm hand-off: if this worker is about to inherit a device whose
-		// calibration assets were exported by a (now dead or out-ranked)
-		// different home, install them before the first request lands.
-		c.ensureWarm(ctx, req.Device, w)
 		c.routedMu.Lock()
 		c.routed[w.ID]++
 		c.routedMu.Unlock()
-		row, err := c.call(ctx, w, req, blocking)
+		row, err := c.call(ctx, w, req, blocking, sb, slot)
 		if err == nil {
 			return row, nil
 		}
@@ -355,6 +391,7 @@ func (c *Coordinator) forward(ctx context.Context, req serve.Request, blocking b
 		c.workerFailed.Add(1)
 		c.reg.MarkFailed(w.ID)
 		lastErr = fmt.Errorf("worker %s: %w", w.ID, err)
+		sb = nil // the retry ranks again and asks alone
 	}
 	return serve.Result{}, &RouteError{Attempts: maxAttempts, Err: lastErr}
 }
@@ -367,32 +404,59 @@ func (c *Coordinator) workerClient(url string) *client.Client {
 	return client.New(url, client.WithHTTPClient(c.cfg.Client))
 }
 
-// call performs one worker attempt through the typed client.
-func (c *Coordinator) call(ctx context.Context, w Worker, req serve.Request, blocking bool) (serve.Result, error) {
-	cl := c.workerClient(w.URL)
-	if blocking {
-		// A 1-row batch rides the worker's BLOCKING admission path:
-		// batch rows must apply backpressure by waiting, never shed.
-		out, err := cl.PredictBatch(ctx, []serve.Request{req})
-		if err != nil {
-			return serve.Result{}, err
-		}
-		if len(out.Results) != 1 {
-			return serve.Result{}, fmt.Errorf("worker batch report has %d rows, want 1", len(out.Results))
-		}
-		row := out.Results[0]
-		// A draining worker reports its admission rejection as a 200 row
-		// with the drain sentinel in Error. That is a routing failure,
-		// not a prediction verdict: surface it as an error so the
-		// forward loop fails over to the survivor — batch rows must
-		// never terminally fail just because their affine worker is
-		// shutting down.
-		if row.Error == serve.ErrDraining.Error() {
-			return serve.Result{}, fmt.Errorf("worker draining: %s", row.Error)
-		}
-		return row, nil
+// subBatch is one worker's share of a batch call: the rows bound for
+// it, sent in ONE blocking POST /v1/predict/batch (a 1-row sub-batch is
+// how a lone blocking row rides the worker's BLOCKING admission path:
+// batch rows must apply backpressure by waiting, never shed). rep and
+// err are final once done is closed.
+type subBatch struct {
+	w    Worker
+	reqs []serve.Request
+	done chan struct{}
+	rep  serve.Report
+	err  error
+}
+
+// send performs the sub-batch's POST under the call's context.
+func (c *Coordinator) send(ctx context.Context, sb *subBatch) {
+	defer close(sb.done)
+	sb.err = c.workerClient(sb.w.URL).PredictBatchInto(ctx, sb.reqs, &sb.rep)
+}
+
+// row waits for the POST and returns the row in slot. A failed POST
+// fails every row of the sub-batch the same way, each on its own
+// attempt.
+func (sb *subBatch) row(slot int) (serve.Result, error) {
+	<-sb.done
+	if sb.err != nil {
+		return serve.Result{}, sb.err
 	}
-	row, err := cl.Predict(ctx, req)
+	if len(sb.rep.Results) != len(sb.reqs) {
+		return serve.Result{}, fmt.Errorf("worker batch report has %d rows, want %d", len(sb.rep.Results), len(sb.reqs))
+	}
+	row := sb.rep.Results[slot]
+	// A draining worker reports its admission rejection as a 200 row
+	// with the drain sentinel in Error. That is a routing failure,
+	// not a prediction verdict: surface it as an error so the
+	// forward loop fails over to the survivor — batch rows must
+	// never terminally fail just because their affine worker is
+	// shutting down.
+	if row.Error == serve.ErrDraining.Error() {
+		return serve.Result{}, fmt.Errorf("worker draining: %s", row.Error)
+	}
+	return row, nil
+}
+
+// call performs one worker attempt through the typed client.
+func (c *Coordinator) call(ctx context.Context, w Worker, req serve.Request, blocking bool, sb *subBatch, slot int) (serve.Result, error) {
+	if blocking {
+		if sb == nil {
+			sb, slot = &subBatch{w: w, reqs: []serve.Request{req}, done: make(chan struct{})}, 0
+			c.send(ctx, sb)
+		}
+		return sb.row(slot)
+	}
+	row, err := c.workerClient(w.URL).Predict(ctx, req)
 	if err != nil {
 		var bp *client.ErrBackpressure
 		if errors.As(err, &bp) {
@@ -407,18 +471,91 @@ func (c *Coordinator) call(ctx context.Context, w Worker, req serve.Request, blo
 	return row, nil
 }
 
-// RunBatch routes a request list across the cluster (bounded fan-out,
-// blocking worker admission) and returns one row per request in
-// request order; routing failures surface in the failing row.
+// missed is one row the plan could not answer from the cache: its index
+// in the call and, when the plan sent it, the sub-batch and slot
+// carrying it.
+type missed struct {
+	i    int
+	sb   *subBatch
+	slot int
+}
+
+// plan reads a batch call once: rows resident in the pass-through cache
+// are answered into out on the spot (admitted and counted as local hits
+// one by one, as PredictOne would), each distinct device of the rest is
+// ranked once and its owner warmed, and the rest go out as ONE
+// sub-batch per owner. The sends wait for no row and no row waits for
+// another: a row that then joins another call's flight, or is resident
+// after all, leaves its slot unread. A draining coordinator plans
+// nothing, so each row is refused by its own admission.
+func (c *Coordinator) plan(ctx context.Context, reqs []serve.Request, out []serve.Result) (miss []missed, sends map[string]*subBatch) {
+	draining := c.Draining()
+	byDevice, sends := map[string]*subBatch{}, map[string]*subBatch{} // sends by worker ID
+	for i := range reqs {
+		req := &reqs[i]
+		if c.cfg.Cache != nil && !draining {
+			if v, ok := c.cfg.Cache.ResidentResult(req.ToPredict()); ok {
+				out[i] = c.localHit(v.(serve.Result), req)
+				continue
+			}
+		}
+		sb, ranked := byDevice[req.Device]
+		if !ranked && !draining {
+			if r := Rank(c.reg.Live(), req.Device); len(r) > 0 {
+				c.ensureWarm(ctx, req.Device, r[0])
+				if sb = sends[r[0].ID]; sb == nil {
+					sb = &subBatch{w: r[0], done: make(chan struct{})}
+					sends[r[0].ID] = sb
+				}
+			}
+			byDevice[req.Device] = sb // nil with no live worker: the row reports that itself
+		}
+		m := missed{i: i, sb: sb}
+		if sb != nil {
+			m.slot = len(sb.reqs)
+			sb.reqs = append(sb.reqs, *req)
+		}
+		miss = append(miss, m)
+	}
+	for _, sb := range sends {
+		go c.send(ctx, sb)
+	}
+	return miss, sends
+}
+
+// localHit answers one planned row from the cached value v: the row's
+// own admission, its own envelope, one local hit.
+func (c *Coordinator) localHit(row serve.Result, req *serve.Request) serve.Result {
+	if err := c.admit(); err != nil {
+		return serve.Result{Request: *req, Error: err.Error()}
+	}
+	c.inflight.Done() // nothing of a hit stays in flight
+	c.localHits.Add(1)
+	row.Request, row.CacheHit = *req, true
+	return row
+}
+
+// RunBatch routes a request list across the cluster and returns one
+// row per request in request order; routing failures surface in the
+// failing row. The call is planned once (plan); each row the plan could
+// not answer then completes through predict — validate-before-cache,
+// store-once, replication, per-row failover and accounting all live
+// there — with bounded fan-out, collecting from its owner's sub-batch
+// on its first attempt.
 func (c *Coordinator) RunBatch(ctx context.Context, reqs []serve.Request) []serve.Result {
 	out := make([]serve.Result, len(reqs))
-	xsync.ForEachN(len(reqs), c.cfg.Fanout, func(i int) {
-		res, err := c.PredictOne(ctx, reqs[i], true)
+	miss, sends := c.plan(ctx, reqs, out)
+	xsync.ForEachN(len(miss), c.cfg.Fanout, func(j int) {
+		m := miss[j]
+		res, err := c.predict(ctx, reqs[m.i], true, m.sb, m.slot)
 		if err != nil {
-			res = serve.Result{Request: reqs[i], Error: err.Error()}
+			res = serve.Result{Request: reqs[m.i], Error: err.Error()}
 		}
-		out[i] = res
+		out[m.i] = res
 	})
+	for _, sb := range sends {
+		<-sb.done // a sub-batch nobody read still ends before the call does
+	}
 	return out
 }
 

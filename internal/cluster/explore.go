@@ -11,22 +11,20 @@ import (
 
 // RunExplore sweeps a grid across the cluster: the coordinator expands
 // and deduplicates once (serve.Sweep, the spine it shares with the
-// worker), then routes each unique unit through PredictOne — blocking
-// worker admission (sweep units must apply backpressure, never shed),
-// the pass-through result cache in front (a warm repeat of a grid is
-// answered locally without touching a worker), and rendezvous routing
-// behind it. The expansion's device-major order means one device's
-// configurations are in flight together, all bound for the same affine
+// worker), then sends the unique units through RunBatch in chunks of
+// MaxBatch — a sweep travels as batches: the pass-through result cache
+// in front (a warm repeat of a grid is answered locally without
+// touching a worker), one blocking sub-batch per rendezvous owner per
+// chunk behind it (sweep units must apply backpressure, never shed),
+// per-row failover behind that. The expansion's device-major order
+// means one device's configurations travel together to the same affine
 // worker, so that worker's pinned calibration and compiled plans serve
-// a contiguous run of requests. Fan-out is bounded by Config.Fanout
-// like the batch path.
+// a contiguous run of requests.
 func (c *Coordinator) RunExplore(ctx context.Context, g explore.Grid) (*explore.Report, error) {
 	if c.Draining() {
 		return nil, ErrDraining
 	}
-	rep, err := serve.Sweep(ctx, g, c.cfg.MaxGrid, c.cfg.Fanout, func(ctx context.Context, req serve.Request) (serve.Result, error) {
-		return c.PredictOne(ctx, req, true)
-	})
+	rep, err := serve.Sweep(ctx, g, c.cfg.MaxGrid, c.cfg.MaxBatch, c.RunBatch)
 	if err != nil {
 		return nil, err
 	}

@@ -281,9 +281,11 @@ func TestHeartbeatAssetsPushes(t *testing.T) {
 				waitUntil(t, "pushes to land", func() bool {
 					return everywhere(func(c *Coordinator) bool { return vaultEpoch(c) == 1 })
 				})
-				if n := tc.exp.saves.Load(); n < 2 {
-					t.Fatalf("exporter saved %d times, want >= 2 (once per coordinator)", n)
-				}
+				// The first coordinator's push is gossiped to its peer, so the
+				// vaults can agree before the heartbeat has exported for the
+				// second coordinator: wait for that export too — the settled
+				// count the next check starts from.
+				waitUntil(t, "one export per coordinator", func() bool { return tc.exp.saves.Load() >= 2 })
 				// Unchanged epochs stop pushing; a bump re-pushes everywhere.
 				base := tc.exp.saves.Load()
 				time.Sleep(100 * time.Millisecond)

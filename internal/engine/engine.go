@@ -745,6 +745,16 @@ func (e *Engine) RemoteResult(ctx context.Context, req Request, fetch func() (an
 	return v, hit, err
 }
 
+// ResidentResult is RemoteResult's resident-only read, for a caller that
+// plans many rows before it fetches any (the coordinator's batch path).
+// A resident entry is a served hit and counted as one; a request with
+// nothing resident moves no counter and is left to RemoteResult. A
+// memory read waits on nothing, so it takes no context.
+func (e *Engine) ResidentResult(req Request) (v any, ok bool) {
+	v, _, err := e.request(context.Background(), "remote/", &req, nil)
+	return v, err == nil
+}
+
 // InstallRemoteResult seeds the fingerprint result cache with an
 // externally computed value under the same "remote/" key RemoteResult
 // would use — the coordinator replication path: a peer that fetched a

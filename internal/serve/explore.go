@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dlrmperf/internal/explore"
-	"dlrmperf/internal/xsync"
 )
 
 // GridTooLargeError rejects a grid whose expanded cross-product
@@ -21,11 +20,13 @@ func (e *GridTooLargeError) Error() string {
 
 // Sweep is the explore spine the worker and the cluster coordinator
 // share: bound the expanded size at maxGrid, expand and deduplicate the
-// grid once, drive each unique unit through submit (at most width at a
-// time, carrying the grid's per-prediction timeout), and aggregate the
-// outcomes. Grid points scenario validation rejects are counted
-// explore-side and never submitted.
-func Sweep(ctx context.Context, g explore.Grid, maxGrid, width int, submit func(context.Context, Request) (Result, error)) (*explore.Report, error) {
+// grid once, drive the unique units through run as batches of at most
+// chunk rows (each carrying the grid's per-prediction timeout), and
+// aggregate the outcomes. run is the caller's RunBatch — a sweep is
+// batch traffic, admitted, routed and counted as such. Grid points
+// scenario validation rejects are counted explore-side and never
+// submitted.
+func Sweep(ctx context.Context, g explore.Grid, maxGrid, chunk int, run func(context.Context, []Request) []Result) (*explore.Report, error) {
 	if size := g.Size(); size > maxGrid {
 		return nil, &GridTooLargeError{Size: size, Max: maxGrid}
 	}
@@ -35,39 +36,39 @@ func Sweep(ctx context.Context, g explore.Grid, maxGrid, width int, submit func(
 	}
 	start := time.Now()
 	agg := explore.NewAggregator(ex)
-	xsync.ForEachN(len(ex.Unique), width, func(i int) {
-		p := ex.Unique[i].Point
-		res, err := submit(ctx, Request{
-			Scenario: p.Scenario, Device: p.Device, Batch: p.Batch,
-			GPUs: p.GPUs, Comm: p.Comm, Shared: p.Shared, TimeoutMs: g.TimeoutMs,
-		})
-		if err != nil {
-			agg.Add(i, explore.Outcome{Err: err.Error()})
-			return
+	for lo := 0; lo < len(ex.Unique); lo += chunk {
+		reqs := make([]Request, min(chunk, len(ex.Unique)-lo))
+		for i := range reqs {
+			p := ex.Unique[lo+i].Point
+			reqs[i] = Request{
+				Scenario: p.Scenario, Device: p.Device, Batch: p.Batch,
+				GPUs: p.GPUs, Comm: p.Comm, Shared: p.Shared, TimeoutMs: g.TimeoutMs,
+			}
 		}
-		agg.Add(i, explore.Outcome{
-			E2EUs:             res.E2EUs,
-			ScalingEfficiency: res.ScalingEfficiency,
-			CacheHit:          res.CacheHit,
-			Err:               res.Error,
-		})
-	})
+		for i, res := range run(ctx, reqs) {
+			agg.Add(lo+i, explore.Outcome{
+				E2EUs:             res.E2EUs,
+				ScalingEfficiency: res.ScalingEfficiency,
+				CacheHit:          res.CacheHit,
+				Err:               res.Error,
+			})
+		}
+	}
 	return agg.Report(time.Since(start)), nil
 }
 
 // RunExplore drives a grid's unique units through the server's
-// admission pipeline — every unit rides Submit's blocking admission
-// exactly like a batch row, so the sweep is governed by the same
-// queue, counted by the same /stats buckets, and preserves
-// hits + misses + rejected == requests. Submitters are bounded by the
-// queue capacity plus the worker width: enough to keep every worker
-// busy with a full queue behind it, while a million-point grid holds a
-// bounded goroutine count, not one per point.
+// admission pipeline as batches of at most MaxBatch rows — every unit
+// rides Submit's blocking admission exactly like a batch row (it IS
+// one: RunBatch), so the sweep is governed by the same queue, counted
+// by the same /stats buckets, preserves hits + misses + rejected ==
+// requests, and a million-point grid holds RunBatch's bounded
+// goroutine count, not one per point.
 func (s *Server) RunExplore(ctx context.Context, g explore.Grid) (*explore.Report, error) {
 	if s.Draining() {
 		return nil, ErrDraining
 	}
-	rep, err := Sweep(ctx, g, s.cfg.MaxGrid, s.cfg.Workers+s.cfg.QueueDepth, s.Submit)
+	rep, err := Sweep(ctx, g, s.cfg.MaxGrid, s.cfg.MaxBatch, s.RunBatch)
 	if err != nil {
 		return nil, err
 	}
