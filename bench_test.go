@@ -283,6 +283,39 @@ func BenchmarkPredictSingleCached(b *testing.B) {
 	}
 }
 
+// BenchmarkPredictNovelBatch is the miss path a design-space sweep
+// lives on: the engine is warm — device calibrated, overhead database
+// collected, the family's graph structure resident — and every
+// iteration asks for a batch size no earlier one did. Each iteration
+// therefore binds the batch to the shared structure, compiles a plan
+// and walks Algorithm 1; none builds a node or an op. The 4-GPU case
+// shards DLRM_default's uniform tables into four identical shards. Its
+// allocs/op is the miss path's bound in CI.
+func BenchmarkPredictNovelBatch(b *testing.B) {
+	for _, gpus := range []int{1, 4} {
+		eng, err := NewEngineWith(fastEngineConfig(V100))
+		if err != nil {
+			b.Fatal(err)
+		}
+		// The benchmark function reruns with a growing b.N on the same
+		// engine; the batch counter lives outside it so no run repeats
+		// a batch an earlier run left in the result cache.
+		req := PredictRequest{Workload: DLRMDefault, Batch: 4096, Device: V100, GPUs: gpus}
+		b.Run(fmt.Sprintf("gpus=%d", gpus), func(b *testing.B) {
+			if res := eng.Predict(req); res.Err != nil { // warm assets and the structure
+				b.Fatal(res.Err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				req.Batch += 4
+				if res := eng.Predict(req); res.Err != nil || res.CacheHit {
+					b.Fatalf("batch %d: err %v, cache hit %v", req.Batch, res.Err, res.CacheHit)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPredictOnce measures the cost of a single Algorithm 1
 // prediction over DLRM_default's graph — the paper notes a full E2E
 // prediction completes in seconds; here it is microseconds because the

@@ -16,8 +16,12 @@
 // missing from the current run, slower than the time threshold
 // (-max-time, default +25% ns/op), or allocating over the allocation
 // threshold (-max-allocs, default +10% allocs/op). Allocation counts
-// are deterministic, so the tight bound is the real tripwire;
-// the generous time bound absorbs machine-to-machine variance.
+// are deterministic and portable, so the tight bound is the real
+// tripwire on every machine. A time is a property of the box that
+// measured it: -parse records GOMAXPROCS and the CPU model beside the
+// numbers, and when baseline and current run both say where they ran
+// and disagree, an ns/op excess is annotated in the report instead of
+// failing the gate (and -ratchet leaves the baseline's times alone).
 //
 // The ratchet mode (`make bench-ratchet`) makes performance wins
 // permanent:
@@ -54,10 +58,28 @@ type Sample struct {
 	Samples     int     `json:"samples"`
 }
 
+// Host is the shape of the box a suite was measured on, as `go test
+// -bench` prints it.
+type Host struct {
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPU        string `json:"cpu"`
+}
+
+func (h Host) String() string { return fmt.Sprintf("%s x%d", h.CPU, h.GOMAXPROCS) }
+
 // Suite maps normalized benchmark names (Benchmark prefix and
-// GOMAXPROCS suffix stripped) to their measurements.
+// GOMAXPROCS suffix stripped) to their measurements. Host is nil in
+// suites written before it was recorded.
 type Suite struct {
+	Host       *Host             `json:"host,omitempty"`
 	Benchmarks map[string]Sample `json:"benchmarks"`
+}
+
+// sameBox reports whether times in a and b may be compared: both ran on
+// the same box shape, or one of them never said where it ran (the gate
+// then behaves as it did before hosts were recorded).
+func sameBox(a, b Suite) bool {
+	return a.Host == nil || b.Host == nil || *a.Host == *b.Host
 }
 
 func fail(err error) {
@@ -146,9 +168,15 @@ func writeSuite(path string, s Suite) error {
 // the baseline survive unchanged; benchmarks only in the current run
 // are added. The merge is monotone: no metric in the returned suite is
 // ever larger than its baseline value, so a slower current run cannot
-// loosen the gate. notes describes each tightening for the log.
+// loosen the gate. Times only merge between suites measured on the
+// same box (sameBox). notes describes each tightening for the log.
 func ratchetSuite(base, cur Suite) (Suite, []string) {
-	merged := Suite{Benchmarks: make(map[string]Sample, len(base.Benchmarks))}
+	merged := Suite{Host: base.Host, Benchmarks: make(map[string]Sample, len(base.Benchmarks))}
+	if merged.Host == nil {
+		// The gate has been holding this box to the unlabelled times;
+		// the box that ratchets them puts its name on them.
+		merged.Host = cur.Host
+	}
 	for name, bs := range base.Benchmarks {
 		merged.Benchmarks[name] = bs
 	}
@@ -159,8 +187,15 @@ func ratchetSuite(base, cur Suite) (Suite, []string) {
 	sort.Strings(names)
 
 	var notes []string
+	times := sameBox(base, cur)
+	if !times {
+		notes = append(notes, fmt.Sprintf("ratchet: ns/op left alone: baseline measured on %s, this run on %s", base.Host, cur.Host))
+	}
 	for _, name := range names {
 		cs := cur.Benchmarks[name]
+		if !times {
+			cs.NsPerOp = 0 // another box's time bounds nothing here
+		}
 		bs, ok := merged.Benchmarks[name]
 		if !ok {
 			merged.Benchmarks[name] = cs
@@ -208,25 +243,30 @@ func loadSuite(path string) (Suite, error) {
 }
 
 // normalizeName strips the Benchmark prefix and the -GOMAXPROCS
-// suffix, so runs from machines with different core counts compare.
-func normalizeName(name string) string {
+// suffix, so runs from machines with different core counts compare. It
+// also returns the GOMAXPROCS the suffix states (1 when there is none:
+// `go test` omits it then).
+func normalizeName(name string) (string, int) {
 	name = strings.TrimPrefix(name, "Benchmark")
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if procs, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i], procs
 		}
 	}
-	return name
+	return name, 1
 }
 
 // parseBench reads `go test -bench -benchmem` output and keeps, per
 // benchmark, the minimum of each metric across repeated -count lines.
 func parseBench(r io.Reader) (Suite, error) {
-	suite := Suite{Benchmarks: map[string]Sample{}}
+	suite := Suite{Host: &Host{}, Benchmarks: map[string]Sample{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			suite.Host.CPU = cpu
+		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -262,7 +302,8 @@ func parseBench(r io.Reader) (Suite, error) {
 		if s.NsPerOp < 0 {
 			continue // a Benchmark-prefixed line without measurements
 		}
-		name := normalizeName(fields[0])
+		name, procs := normalizeName(fields[0])
+		suite.Host.GOMAXPROCS = max(suite.Host.GOMAXPROCS, procs)
 		if prev, ok := suite.Benchmarks[name]; ok {
 			s.Samples = prev.Samples + 1
 			if prev.NsPerOp < s.NsPerOp {
@@ -296,6 +337,11 @@ func compare(base, cur Suite, maxTime, maxAllocs float64) (report string, regres
 	sort.Strings(names)
 
 	var b strings.Builder
+	times := sameBox(base, cur)
+	if !times {
+		fmt.Fprintf(&b, "baseline measured on %s, this run on %s: ns/op is shown, not gated; allocs/op gates as always\n",
+			base.Host, cur.Host)
+	}
 	fmt.Fprintf(&b, "%-28s %14s %14s %8s   %14s %14s %8s\n",
 		"benchmark", "base ns/op", "cur ns/op", "Δtime", "base allocs", "cur allocs", "Δallocs")
 	for _, name := range names {
@@ -314,7 +360,9 @@ func compare(base, cur Suite, maxTime, maxAllocs float64) (report string, regres
 			da = math.Inf(1)
 		}
 		mark := ""
-		if dt > maxTime {
+		if dt > maxTime && !times {
+			mark = "  (time over limit on a different box: not gated)"
+		} else if dt > maxTime {
 			regressions = append(regressions,
 				fmt.Sprintf("%s: ns/op %+.1f%% (limit %+.0f%%)", name, dt*100, maxTime*100))
 			mark = "  << TIME REGRESSION"

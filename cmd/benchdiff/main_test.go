@@ -246,3 +246,93 @@ func TestCompareZeroAllocBaselineIsABound(t *testing.T) {
 		t.Fatalf("0 -> 0 allocs regressed: %v\n%s", regressions, report)
 	}
 }
+
+// onBox returns s with every time scaled and the given host recorded.
+func onBox(s Suite, h Host, timeScale float64) Suite {
+	out := Suite{Host: &h, Benchmarks: map[string]Sample{}}
+	for name, b := range s.Benchmarks {
+		b.NsPerOp *= timeScale
+		out.Benchmarks[name] = b
+	}
+	return out
+}
+
+// TestParseBenchRecordsHost: the parsed suite says where it ran — the
+// cpu: line and the -GOMAXPROCS suffix of the benchmark names.
+func TestParseBenchRecordsHost(t *testing.T) {
+	s := parsed(t)
+	want := Host{GOMAXPROCS: 8, CPU: "Intel(R) Xeon(R) Processor @ 2.10GHz"}
+	if s.Host == nil || *s.Host != want {
+		t.Fatalf("host = %+v, want %+v", s.Host, want)
+	}
+}
+
+// TestCompareTimeAcrossBoxes is the two halves of the cross-box rule.
+// A 3x ns/op excess fails the gate when both suites ran on the same box
+// (or the baseline never said where it ran), and is annotated, not
+// failed, when they say they ran on different ones. An allocs/op
+// excess fails either way: allocation counts are portable.
+func TestCompareTimeAcrossBoxes(t *testing.T) {
+	base := parsed(t)
+	small := Host{GOMAXPROCS: 2, CPU: "some smaller box"}
+
+	if _, regressions := compare(base, onBox(base, *base.Host, 3), 0.25, 0.10); len(regressions) != 2 {
+		t.Errorf("same box, 3x time: %d failures, want 2", len(regressions))
+	}
+	legacy := Suite{Benchmarks: base.Benchmarks}
+	if _, regressions := compare(legacy, onBox(base, small, 3), 0.25, 0.10); len(regressions) != 2 {
+		t.Errorf("baseline without a host, 3x time: %d failures, want 2", len(regressions))
+	}
+
+	report, regressions := compare(base, onBox(base, small, 3), 0.25, 0.10)
+	if len(regressions) != 0 {
+		t.Errorf("different box, 3x time failed the gate: %v", regressions)
+	}
+	if !strings.Contains(report, "not gated") || !strings.Contains(report, small.CPU) {
+		t.Errorf("report does not say the times were not gated, or why:\n%s", report)
+	}
+
+	leaky := onBox(base, small, 3)
+	for name, s := range leaky.Benchmarks {
+		s.AllocsPerOp *= 2
+		leaky.Benchmarks[name] = s
+	}
+	if _, regressions := compare(base, leaky, 0.25, 0.10); len(regressions) != 2 {
+		t.Errorf("different box, 2x allocs: %d failures, want 2", len(regressions))
+	}
+}
+
+// TestRatchetAcrossBoxesKeepsTimes: a run on another box tightens the
+// portable bounds and leaves the baseline's times, and its host, alone.
+func TestRatchetAcrossBoxesKeepsTimes(t *testing.T) {
+	base := parsed(t)
+	cur := onBox(base, Host{GOMAXPROCS: 64, CPU: "some faster box"}, 0.1)
+	for name, s := range cur.Benchmarks {
+		s.AllocsPerOp--
+		cur.Benchmarks[name] = s
+	}
+	cur.Benchmarks["New"] = Sample{NsPerOp: 5, BytesPerOp: 6, AllocsPerOp: 7, Samples: 1}
+	merged, _ := ratchetSuite(base, cur)
+	if *merged.Host != *base.Host {
+		t.Errorf("host moved to %+v", merged.Host)
+	}
+	for name, bs := range base.Benchmarks {
+		ms := merged.Benchmarks[name]
+		if ms.NsPerOp != bs.NsPerOp || ms.AllocsPerOp != bs.AllocsPerOp-1 {
+			t.Errorf("%s: %+v, want the baseline's time and the run's allocs (base %+v)", name, ms, bs)
+		}
+	}
+	if n := merged.Benchmarks["New"]; n.NsPerOp != 0 || n.AllocsPerOp != 7 {
+		t.Errorf("new benchmark from another box = %+v, want its allocs and no time bound", n)
+	}
+	// A baseline from before hosts were recorded is gated as if it were
+	// this box's, so this box's ratchet labels it and merges times.
+	legacy := Suite{Benchmarks: base.Benchmarks}
+	merged, _ = ratchetSuite(legacy, cur)
+	if merged.Host == nil || *merged.Host != *cur.Host {
+		t.Errorf("unlabelled baseline ratcheted to host %+v, want %+v", merged.Host, cur.Host)
+	}
+	if got, want := merged.Benchmarks["CalibrateParallel"].NsPerOp, cur.Benchmarks["CalibrateParallel"].NsPerOp; got != want {
+		t.Errorf("unlabelled baseline kept %v ns/op, want the faster %v", got, want)
+	}
+}

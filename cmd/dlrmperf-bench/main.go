@@ -113,8 +113,10 @@ func main() {
 }
 
 // assetstore drives the engine's graph class under eviction pressure:
-// `requests` Zipf-skewed accesses over a working set of distinct
-// (workload, batch) graphs, repeated for each capacity in the sweep.
+// `requests` Zipf-skewed accesses over a working set of (workload,
+// batch) graphs, repeated for each capacity in the sweep. The class
+// holds one structure per workload — a batch size is bound to it, not
+// keyed — so the capacities sweep up to the workload count.
 // The graph class exercises the full store machinery (LRU, byte
 // metering, singleflight rebuild) without paying any calibration, so
 // the run completes in seconds and the hit-rate curve isolates the
@@ -124,7 +126,8 @@ func assetstore(seed uint64, requests int) {
 		requests = 1000
 	}
 	// Working set: every built-in workload crossed with four batch
-	// sizes. Larger than every swept capacity except the last.
+	// sizes — one structure per workload, more than every swept
+	// capacity except the last.
 	type item struct {
 		workload string
 		batch    int64
@@ -143,7 +146,7 @@ func assetstore(seed uint64, requests int) {
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "capacity\trequests\thits\tmisses\tevictions\thit-rate\tresident\tbytes\n")
-	caps := []int{1, 2, 4, 8, 12, 16, len(set)}
+	caps := []int{1, 2, 3, 4, 5, len(workloads)}
 	for _, c := range caps {
 		eng := engine.New(engine.Options{
 			Seed:      seed,
@@ -161,8 +164,8 @@ func assetstore(seed uint64, requests int) {
 			g.Resident, fmtBytes(g.Bytes))
 	}
 	tw.Flush()
-	fmt.Printf("\nworking set: %d distinct graphs, zipf(s=1.1) stream of %d requests, seed %d\n",
-		len(set), requests, seed)
+	fmt.Printf("\nworking set: %d structures bound at %d (workload, batch) pairs, zipf(s=1.1) stream of %d requests, seed %d\n",
+		len(workloads), len(set), requests, seed)
 }
 
 // fmtBytes renders an approximate byte count human-readably.

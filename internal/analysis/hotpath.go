@@ -40,6 +40,9 @@ var hotpathPackages = map[string]hotpathConfig{
 			"Engine.ResidentResult",
 			"Engine.predictScenario",
 			"CompiledPlan.execute",
+			// The bind step: every miss takes it to its graphs (from
+			// inside the cold stops below, so it is rooted by name).
+			"Engine.graph",
 			"Request.AppendKey",
 			"classStore.getBytes",
 		},
@@ -52,6 +55,21 @@ var hotpathPackages = map[string]hotpathConfig{
 			"Engine.scenarioModel",
 			"group.DoCtx",
 		},
+	},
+	"dlrmperf/internal/graph": {
+		roots: []string{
+			// Binding a batch to a shared structure runs once per
+			// device graph of every result-cache miss.
+			"Graph.WithBatch",
+		},
+		stops: []string{
+			// Formats the structural error of a check that failed.
+			"nodeErrorf",
+		},
+	},
+	"dlrmperf/internal/models": {
+		roots: []string{"Model.WithBatch"},
+		stops: []string{"errBatch"},
 	},
 	"dlrmperf/internal/serve": {
 		roots: []string{

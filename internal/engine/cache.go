@@ -2,6 +2,7 @@ package engine
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -38,8 +39,9 @@ const (
 	classRun
 	// classOverheads holds per-workload and shared host-overhead DBs.
 	classOverheads
-	// classGraph holds built workload execution graphs (including
-	// per-shard scenario graphs).
+	// classGraph holds execution-graph structures — one per built-in
+	// workload or table population, whatever the batch size (see
+	// Engine.graph).
 	classGraph
 	// classPlan holds compiled scenario plans: a request resolved once
 	// into its per-shard graphs, LPT shard assignment, comm model, and
@@ -266,6 +268,7 @@ func approxBytes(v any) int64 {
 		statsBytes   = 32  // overhead.Stats + map key share
 		nodeBytes    = 200 // graph.Node + op + tensor metadata share
 		opTimeBytes  = 64  // predict.OpTime
+		tensorBytes  = 48  // tensor.Meta + its share of a shape array
 		fallbackSize = 1 << 10
 	)
 	switch t := v.(type) {
@@ -303,10 +306,15 @@ func approxBytes(v any) int64 {
 		}
 		return fallbackSize
 	case *CompiledPlan:
-		// Graphs are shared with (and metered by) the graphs class;
-		// charge the plan only its own references and resolved state so
-		// the store never double-counts a graph.
+		// Graph structure is shared with (and metered by) the graphs
+		// class; the plan owns the shape table of each view it bound,
+		// one per distinct shard, plus its references and resolved state.
 		n := int64(ptrOverhead) + 128 + 8*int64(len(t.graphs))
+		for d, g := range t.graphs {
+			if !slices.Contains(t.graphs[:d], g) {
+				n += int64(g.Tensors()) * tensorBytes
+			}
+		}
 		if t.plan != nil {
 			n += 64 + 8*int64(len(t.plan.Loads))
 			for _, a := range t.plan.Assignments {

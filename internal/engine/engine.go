@@ -12,7 +12,11 @@
 // overhead databases, graphs, compiled plans and finished predictions
 // differ only in class, key and builder, so a burst of predictions
 // against an uncalibrated device triggers exactly one calibration and
-// identical concurrent requests compute once. Requests reach the
+// identical concurrent requests compute once. A graph is remembered as
+// its structure only — nodes and ops, keyed by everything but the batch
+// size — and every request binds its batch to the shared structure by
+// one shape propagation (Engine.graph), so requests that differ in
+// batch alone build nothing. Requests reach the
 // lookup through ONE wrapper (Engine.request: validate, then key, then
 // lookup, with the stream and hit/miss/canceled accounting around it)
 // shared by Predict, PredictBatch and the coordinator's RemoteResult,
@@ -100,8 +104,9 @@ type AssetCaps struct {
 	// Overheads caps per-workload and shared host-overhead databases
 	// (default 128).
 	Overheads int
-	// Graphs caps built workload/scenario execution graphs, including
-	// per-shard multi-GPU graphs (default 512).
+	// Graphs caps built execution-graph structures: one per built-in
+	// workload and per distinct table population or shard, independent
+	// of batch size (default 512).
 	Graphs int
 	// Plans caps compiled scenario plans — requests resolved once into
 	// executable form (default 512). An evicted plan recompiles from the
@@ -437,12 +442,27 @@ func (e *Engine) CalibrationRuns(device string) int {
 	return e.calibRuns[device]
 }
 
-// Model returns the memoized built workload graph.
+// Model returns the built-in workload's execution graph at batch.
 func (e *Engine) Model(name string, batch int64) (*models.Model, error) {
-	key := "model/" + name + "/" + strconv.FormatInt(batch, 10)
-	return memo(e, classGraph, key, scenario.Single(name, batch), func(_ *Engine, s scenario.Spec) (*models.Model, error) {
+	return e.graph("model/"+name, scenario.Single(name, batch), func(_ *Engine, s scenario.Spec) (*models.Model, error) {
 		return models.Build(s.Workload, s.Batch)
 	})
+}
+
+// graph is the one step every family takes to an execution graph:
+// build once, then bind. The graphs class holds one structure per key —
+// the key names everything but the batch size, and whichever batch asks
+// first builds it — and the request's batch is bound to that structure
+// by one shape propagation (models.Model.WithBatch), so a batch size
+// never seen before constructs no nodes and no ops. The bound view is
+// equal to a from-scratch build at spec.Batch and belongs to the caller
+// (a plan, a run); structure and views are read-only.
+func (e *Engine) graph(key string, spec scenario.Spec, build func(*Engine, scenario.Spec) (*models.Model, error)) (*models.Model, error) {
+	m, err := memo(e, classGraph, key, spec, build)
+	if err != nil {
+		return nil, err
+	}
+	return m.WithBatch(spec.Batch)
 }
 
 // runSpec names one simulated run — or, with batch and profiled unset,

@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
 
 	"dlrmperf/internal/graph"
 	"dlrmperf/internal/models"
@@ -23,9 +23,11 @@ import (
 //
 // Plans are immutable once built and shared between callers, so an
 // evicted plan recompiles deterministically and predicts identically
-// (the graphs it references stay memoized in the graphs class).
+// (the structures its graphs were bound from stay in the graphs class).
 type CompiledPlan struct {
-	// graphs holds one execution graph per device (len 1 single-device).
+	// graphs holds one execution graph per device (len 1 single-device):
+	// views bound at the per-device batch, whose shape tables this plan
+	// owns; devices with identical shards hold the same view.
 	graphs []*graph.Graph
 	// plan is the embedding shard assignment (nil for single-device and
 	// pure data-parallel scenarios).
@@ -123,13 +125,20 @@ func (e *Engine) compileMulti(req Request) (*CompiledPlan, error) {
 		}
 		cp.plan = &pl
 		cp.graphs = make([]*graph.Graph, n)
+		keys := make([]string, n)
 		var kb []byte
 		for d := 0; d < n; d++ {
 			shard := pl.TablesFor(d, tables)
 			// Key per-device graphs by shard *content*, so identical
-			// shards (every uniform-table scenario) build one graph.
-			kb = shardGraphKey(kb[:0], spec.Workload, perDev, shard)
-			m, err := memo(e, classGraph, string(kb), scenario.Spec{Workload: spec.Workload, Batch: perDev, Tables: shard}, buildDLRM)
+			// shards (every uniform-table scenario) build one structure
+			// and bind one view.
+			kb = shardGraphKey(kb[:0], spec.Workload, shard)
+			if j := slices.IndexFunc(keys[:d], func(k string) bool { return k == string(kb) }); j >= 0 {
+				keys[d], cp.graphs[d] = keys[j], cp.graphs[j]
+				continue
+			}
+			keys[d] = string(kb)
+			m, err := e.graph(keys[d], scenario.Spec{Workload: spec.Workload, Batch: perDev, Tables: shard}, buildDLRM)
 			if err != nil {
 				return nil, err
 			}
@@ -149,15 +158,14 @@ func (e *Engine) compileMulti(req Request) (*CompiledPlan, error) {
 	return cp, nil
 }
 
-// shardGraphKey renders "graph/<workload>/b<perDev>/<hash16>" where
-// the hash folds the shard's canonical tables key — built with append
-// writers, hashing through b's spare capacity, so re-keying a shard
-// costs no fmt machinery and no intermediate strings.
-func shardGraphKey(b []byte, workloadName string, perDev int64, shard []workload.TableSpec) []byte {
+// shardGraphKey renders "graph/<workload>/<hash16>" — a structure's
+// identity: the batch size is not part of it — where the hash folds the
+// shard's canonical tables key — built with append writers, hashing
+// through b's spare capacity, so re-keying a shard costs no fmt
+// machinery and no intermediate strings.
+func shardGraphKey(b []byte, workloadName string, shard []workload.TableSpec) []byte {
 	b = append(b, "graph/"...)
 	b = append(b, workloadName...)
-	b = append(b, "/b"...)
-	b = strconv.AppendInt(b, perDev, 10)
 	b = append(b, '/')
 	mark := len(b)
 	b = scenario.AppendTablesKey(b, shard)

@@ -48,13 +48,14 @@ func (e *Engine) scenarioPredictor(req Request) (*predict.Predictor, error) {
 	return predict.New(cal.Registry, db), nil
 }
 
-// scenarioModel returns the single-device execution graph of a spec;
-// custom table populations are memoized under the scenario fingerprint.
+// scenarioModel returns the single-device execution graph of a spec; a
+// custom table population shares its structure with every shard of the
+// same content.
 func (e *Engine) scenarioModel(spec scenario.Spec) (*models.Model, error) {
 	if len(spec.Tables) == 0 {
 		return e.Model(spec.Workload, spec.Batch)
 	}
-	return memo(e, classGraph, "graph/"+spec.Fingerprint(), spec, buildDLRM)
+	return e.graph(string(shardGraphKey(nil, spec.Workload, spec.Tables)), spec, buildDLRM)
 }
 
 // buildDLRM builds the DLRM family spec.Workload at spec.Batch with the

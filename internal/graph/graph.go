@@ -9,17 +9,34 @@
 // mutable in exactly the ways Section V-A needs for model-system
 // co-design: batch resizing, op fusion, reordering, and multi-stream
 // parallelization, all without re-capturing the model.
+//
+// A Graph is two parts. The structure — the node list, the sources and
+// each tensor's producer — says which op consumes what and does not
+// depend on the batch size. The shape table — one tensor.Meta per
+// TensorID — is the only part that does. WithBatch binds a batch to a
+// structure: it returns a view that shares the structure and owns a
+// fresh shape table filled by one propagation pass, so a sweep over
+// batch sizes builds nodes and ops once.
+//
+// Sharing rule: a view and the graph it was bound from share their
+// nodes, so both are read-only from then on — any number of goroutines
+// may walk them or bind further views. The transforms (ReplaceNodes,
+// RemoveNode, MoveNode, AssignStreams, ResetStreams, and Apply) edit
+// structure in place: apply them to a Clone, which shares nothing but
+// the immutable ops.
 package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"dlrmperf/internal/kernels"
 	"dlrmperf/internal/ops"
 	"dlrmperf/internal/tensor"
 )
 
-// TensorID identifies a tensor value in the graph.
+// TensorID identifies a tensor value in the graph. IDs are dense: the
+// n-th tensor registered is n.
 type TensorID int
 
 // NodeID identifies an operator node in the graph.
@@ -40,41 +57,50 @@ type Node struct {
 // Graph is an execution graph. Nodes appear in captured execution order,
 // which is also the host issue order during simulation and prediction.
 type Graph struct {
-	Nodes   []*Node
-	tensors map[TensorID]tensor.Meta
+	// Structure, shared between a graph and the views bound from it.
+	Nodes []*Node
 	// sources are graph inputs (model inputs, labels): tensors not
 	// produced by any node.
-	sources    []TensorID
-	producers  map[TensorID]NodeID
-	nextTensor TensorID
-	nextNode   NodeID
+	sources []TensorID
+	// producers[id] is the node producing tensor id, -1 for sources and
+	// for tensors a transform removed.
+	producers []NodeID
+	nextNode  NodeID
+
+	// shapes is the shape table, indexed by TensorID; each view owns its
+	// own.
+	shapes []tensor.Meta
 }
 
 // New returns an empty graph.
-func New() *Graph {
-	return &Graph{
-		tensors:   make(map[TensorID]tensor.Meta),
-		producers: make(map[TensorID]NodeID),
-	}
+func New() *Graph { return &Graph{} }
+
+// newTensor registers a tensor and returns its ID.
+func (g *Graph) newTensor(m tensor.Meta, producer NodeID) TensorID {
+	g.shapes = append(g.shapes, m)
+	g.producers = append(g.producers, producer)
+	return TensorID(len(g.shapes) - 1)
+}
+
+// dropTensor forgets a tensor a transform left without a producer.
+func (g *Graph) dropTensor(id TensorID) {
+	g.shapes[id], g.producers[id] = tensor.Meta{}, -1
 }
 
 // Input registers a graph input tensor (e.g. the dense feature batch) and
 // returns its ID.
 func (g *Graph) Input(m tensor.Meta) TensorID {
-	id := g.nextTensor
-	g.nextTensor++
-	g.tensors[id] = m
+	id := g.newTensor(m, -1)
 	g.sources = append(g.sources, id)
 	return id
 }
 
 // Meta returns the metadata of tensor id.
 func (g *Graph) Meta(id TensorID) tensor.Meta {
-	m, ok := g.tensors[id]
-	if !ok {
+	if id < 0 || int(id) >= len(g.shapes) {
 		panic(fmt.Sprintf("graph: unknown tensor %d", id))
 	}
-	return m
+	return g.shapes[id]
 }
 
 // Sources returns the graph input tensor IDs.
@@ -83,8 +109,7 @@ func (g *Graph) Sources() []TensorID { return append([]TensorID(nil), g.sources.
 // Apply appends a node executing op on the given inputs and returns the
 // IDs of its output tensors.
 func (g *Graph) Apply(op ops.Op, inputs ...TensorID) []TensorID {
-	metas := g.inputMetas(inputs)
-	outMetas := op.Outputs(metas)
+	outMetas := op.Outputs(g.InputMetas(nil, inputs))
 	node := &Node{
 		ID:     g.nextNode,
 		Op:     op,
@@ -92,36 +117,35 @@ func (g *Graph) Apply(op ops.Op, inputs ...TensorID) []TensorID {
 	}
 	g.nextNode++
 	for _, m := range outMetas {
-		id := g.nextTensor
-		g.nextTensor++
-		g.tensors[id] = m
-		g.producers[id] = node.ID
-		node.Outputs = append(node.Outputs, id)
+		node.Outputs = append(node.Outputs, g.newTensor(m, node.ID))
 	}
 	g.Nodes = append(g.Nodes, node)
 	return node.Outputs
 }
 
-func (g *Graph) inputMetas(inputs []TensorID) []tensor.Meta {
-	metas := make([]tensor.Meta, len(inputs))
-	for i, id := range inputs {
-		metas[i] = g.Meta(id)
+// InputMetas appends the metadata of the given tensors to dst and
+// returns it. A walk over many nodes passes the previous result
+// re-sliced to [:0], so the whole walk holds one buffer; ops read the
+// slice during the call and keep nothing of it.
+func (g *Graph) InputMetas(dst []tensor.Meta, inputs []TensorID) []tensor.Meta {
+	for _, id := range inputs {
+		dst = append(dst, g.Meta(id))
 	}
-	return metas
+	return dst
 }
 
 // NodeKernels returns the kernels node n launches under the current
 // tensor shapes.
 func (g *Graph) NodeKernels(n *Node) []kernels.Kernel {
-	return n.Op.Kernels(g.inputMetas(n.Inputs))
+	return n.Op.Kernels(g.InputMetas(nil, n.Inputs))
 }
 
 // Producer returns the node producing tensor id, or -1 for graph inputs.
 func (g *Graph) Producer(id TensorID) NodeID {
-	if p, ok := g.producers[id]; ok {
-		return p
+	if id < 0 || int(id) >= len(g.producers) {
+		return -1
 	}
-	return -1
+	return g.producers[id]
 }
 
 // Node returns the node with the given ID, or nil.
@@ -134,13 +158,12 @@ func (g *Graph) Node(id NodeID) *Node {
 	return nil
 }
 
-// Deps returns the IDs of the nodes whose outputs node n consumes.
+// Deps returns the IDs of the nodes whose outputs node n consumes, in
+// first-use order.
 func (g *Graph) Deps(n *Node) []NodeID {
 	var deps []NodeID
-	seen := map[NodeID]bool{}
 	for _, in := range n.Inputs {
-		if p := g.Producer(in); p >= 0 && !seen[p] {
-			seen[p] = true
+		if p := g.Producer(in); p >= 0 && !slices.Contains(deps, p) {
 			deps = append(deps, p)
 		}
 	}
@@ -151,20 +174,19 @@ func (g *Graph) Deps(n *Node) []NodeID {
 // graph source or produced by an earlier node, and every node's declared
 // outputs exist.
 func (g *Graph) Validate() error {
-	produced := map[TensorID]bool{}
+	produced := make([]bool, len(g.shapes))
 	for _, s := range g.sources {
 		produced[s] = true
 	}
 	for i, n := range g.Nodes {
 		for _, in := range n.Inputs {
-			if !produced[in] {
-				return fmt.Errorf("graph: node %d (%s) at position %d consumes tensor %d before it is produced",
-					n.ID, n.Op.Name(), i, in)
+			if in < 0 || int(in) >= len(produced) || !produced[in] {
+				return nodeErrorf(n, "at position %d consumes tensor %d before it is produced", i, in)
 			}
 		}
 		for _, out := range n.Outputs {
-			if _, ok := g.tensors[out]; !ok {
-				return fmt.Errorf("graph: node %d (%s) declares unknown output tensor %d", n.ID, n.Op.Name(), out)
+			if g.Producer(out) != n.ID {
+				return nodeErrorf(n, "declares unknown output tensor %d", out)
 			}
 			produced[out] = true
 		}
@@ -172,45 +194,90 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
+// nodeErrorf reports a structural fault at node n. The checks that call
+// it run on every bind; the formatting is kept out of them (it is a stop
+// of the hotpath analyzer) and runs only when one fails.
+func nodeErrorf(n *Node, format string, args ...any) error {
+	return fmt.Errorf("graph: node %d (%s) "+format, append([]any{n.ID, n.Op.Name()}, args...)...)
+}
+
 // Propagate recomputes every tensor's metadata from the sources through
-// the node list, in order. It must be called after mutating source shapes
-// (e.g. ResizeBatch) or editing nodes.
+// the node list, in order. It must be called after editing nodes.
 func (g *Graph) Propagate() error {
 	if err := g.Validate(); err != nil {
 		return err
 	}
+	return g.propagate(g.shapes)
+}
+
+// propagate fills shapes, whose source entries are set, from the node
+// list in order — the one shape-inference pass behind Propagate and
+// WithBatch.
+func (g *Graph) propagate(shapes []tensor.Meta) error {
+	var in []tensor.Meta
 	for _, n := range g.Nodes {
-		outMetas := n.Op.Outputs(g.inputMetas(n.Inputs))
+		in = in[:0]
+		for _, id := range n.Inputs {
+			in = append(in, shapes[id])
+		}
+		outMetas := n.Op.Outputs(in)
 		if len(outMetas) != len(n.Outputs) {
-			return fmt.Errorf("graph: node %d (%s) output arity changed from %d to %d",
-				n.ID, n.Op.Name(), len(n.Outputs), len(outMetas))
+			return nodeErrorf(n, "output arity changed from %d to %d", len(n.Outputs), len(outMetas))
 		}
 		for i, m := range outMetas {
-			g.tensors[n.Outputs[i]] = m
+			shapes[n.Outputs[i]] = m
 		}
 	}
 	return nil
 }
 
-// ResizeBatch sets the leading dimension of every graph input to b and
-// re-propagates shapes — the paper's "change batch size and re-predict"
-// what-if, done without re-capturing the model.
-func (g *Graph) ResizeBatch(b int64) error {
-	for _, s := range g.sources {
-		g.tensors[s] = g.tensors[s].WithBatch(b)
+// WithBatch binds batch size b to g's structure: it returns a view whose
+// graph inputs have leading dimension b and whose every other shape
+// follows by propagation, equal to building the model at b from
+// scratch. The view shares g's structure (see the package doc for the
+// read-only rule that follows) and allocates only its shape table; a
+// graph already at b is its own view.
+func (g *Graph) WithBatch(b int64) (*Graph, error) {
+	if g.BatchSize() == b {
+		return g, nil
 	}
-	return g.Propagate()
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	v := *g
+	v.shapes = make([]tensor.Meta, len(g.shapes))
+	for _, s := range g.sources {
+		v.shapes[s] = g.shapes[s].WithBatch(b)
+	}
+	if err := v.propagate(v.shapes); err != nil {
+		return nil, err
+	}
+	return &v, nil
+}
+
+// ResizeBatch rebinds g itself to batch size b — the paper's "change
+// batch size and re-predict" what-if, done without re-capturing the
+// model. On error g is unchanged.
+func (g *Graph) ResizeBatch(b int64) error {
+	v, err := g.WithBatch(b)
+	if err == nil {
+		g.shapes = v.shapes
+	}
+	return err
 }
 
 // BatchSize returns the leading dimension of the first non-scalar source.
 func (g *Graph) BatchSize() int64 {
 	for _, s := range g.sources {
-		if m := g.tensors[s]; m.Rank() > 0 {
+		if m := g.shapes[s]; m.Rank() > 0 {
 			return m.Dim(0)
 		}
 	}
 	return 0
 }
+
+// Tensors returns the size of the shape table, dropped tensors included.
+func (g *Graph) Tensors() int { return len(g.shapes) }
 
 // TotalKernels counts the kernels launched by one execution of the graph.
 func (g *Graph) TotalKernels() int {
@@ -224,24 +291,21 @@ func (g *Graph) TotalKernels() int {
 // Clone returns a deep copy of the graph (ops are immutable values and
 // are shared).
 func (g *Graph) Clone() *Graph {
-	c := New()
-	c.nextTensor = g.nextTensor
-	c.nextNode = g.nextNode
-	c.sources = append([]TensorID(nil), g.sources...)
-	for id, m := range g.tensors {
-		c.tensors[id] = m
+	c := &Graph{
+		Nodes:     make([]*Node, len(g.Nodes)),
+		sources:   append([]TensorID(nil), g.sources...),
+		producers: append([]NodeID(nil), g.producers...),
+		nextNode:  g.nextNode,
+		shapes:    append([]tensor.Meta(nil), g.shapes...),
 	}
-	for id, p := range g.producers {
-		c.producers[id] = p
-	}
-	for _, n := range g.Nodes {
-		c.Nodes = append(c.Nodes, &Node{
+	for i, n := range g.Nodes {
+		c.Nodes[i] = &Node{
 			ID:      n.ID,
 			Op:      n.Op,
 			Inputs:  append([]TensorID(nil), n.Inputs...),
 			Outputs: append([]TensorID(nil), n.Outputs...),
 			Stream:  n.Stream,
-		})
+		}
 	}
 	return c
 }

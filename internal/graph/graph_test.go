@@ -67,6 +67,38 @@ func TestResizeBatchPropagates(t *testing.T) {
 	}
 }
 
+// TestWithBatchSharesStructureOwnsShapes: a bound view has the same
+// nodes as its origin and its own shape table; the origin's shapes do
+// not move, and a graph already at the batch is its own view.
+func TestWithBatchSharesStructureOwnsShapes(t *testing.T) {
+	g := tinyMLP(16)
+	v, err := g.WithBatch(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v == g || len(v.Nodes) != len(g.Nodes) || v.Nodes[0] != g.Nodes[0] {
+		t.Fatal("view does not share the origin's nodes")
+	}
+	if gm := v.NodeKernels(v.Nodes[0])[0].(kernels.GEMM); gm.M != 1024 {
+		t.Errorf("view GEMM M = %d, want 1024", gm.M)
+	}
+	if gm := g.NodeKernels(g.Nodes[0])[0].(kernels.GEMM); gm.M != 16 || g.BatchSize() != 16 {
+		t.Errorf("binding a view moved the origin: GEMM M = %d, batch %d", gm.M, g.BatchSize())
+	}
+	if v.Tensors() != g.Tensors() {
+		t.Errorf("view has %d tensors, origin %d", v.Tensors(), g.Tensors())
+	}
+	if same, err := v.WithBatch(1024); err != nil || same != v {
+		t.Errorf("WithBatch at the current batch = %p, %v; want the receiver", same, err)
+	}
+	// A view binds further views; a clone of one is free to change.
+	c := v.Clone()
+	c.Apply(ops.ReLU(), c.Nodes[2].Outputs[0])
+	if len(v.Nodes) != 3 || len(g.Nodes) != 3 || v.Tensors() != g.Tensors() {
+		t.Error("editing a clone reached the graphs it was cloned from")
+	}
+}
+
 func TestDeps(t *testing.T) {
 	g := New()
 	a := g.Input(tensor.New(4, 8))

@@ -82,7 +82,7 @@ func (g *Graph) ReplaceNodes(ids []NodeID, op ops.Op) (*Node, error) {
 		}
 	}
 
-	outMetas := op.Outputs(g.inputMetas(extInputs))
+	outMetas := op.Outputs(g.InputMetas(nil, extInputs))
 	if len(outMetas) < len(extOutputs) {
 		return nil, fmt.Errorf("graph: ReplaceNodes: op %s produces %d outputs but %d are consumed externally",
 			op.Name(), len(outMetas), len(extOutputs))
@@ -91,16 +91,13 @@ func (g *Graph) ReplaceNodes(ids []NodeID, op ops.Op) (*Node, error) {
 	fused := &Node{ID: g.nextNode, Op: op, Inputs: extInputs}
 	g.nextNode++
 	for i, m := range outMetas {
-		var id TensorID
 		if i < len(extOutputs) {
-			id = extOutputs[i] // reuse the consumed tensor IDs
+			id := extOutputs[i] // reuse the consumed tensor IDs
+			g.shapes[id], g.producers[id] = m, fused.ID
+			fused.Outputs = append(fused.Outputs, id)
 		} else {
-			id = g.nextTensor
-			g.nextTensor++
+			fused.Outputs = append(fused.Outputs, g.newTensor(m, fused.ID))
 		}
-		g.tensors[id] = m
-		g.producers[id] = fused.ID
-		fused.Outputs = append(fused.Outputs, id)
 	}
 
 	// Drop removed nodes, garbage-collect their unconsumed outputs, and
@@ -113,8 +110,7 @@ func (g *Graph) ReplaceNodes(ids []NodeID, op ops.Op) (*Node, error) {
 		if removed[n.ID] {
 			for _, out := range n.Outputs {
 				if !consumed[out] {
-					delete(g.tensors, out)
-					delete(g.producers, out)
+					g.dropTensor(out)
 				}
 			}
 			continue
@@ -159,8 +155,7 @@ func (g *Graph) RemoveNode(id NodeID) error {
 	}
 	g.Nodes = nodes
 	for o := range outs {
-		delete(g.tensors, o)
-		delete(g.producers, o)
+		g.dropTensor(o)
 	}
 	return nil
 }

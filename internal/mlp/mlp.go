@@ -12,6 +12,7 @@ package mlp
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"dlrmperf/internal/xrand"
 )
@@ -25,6 +26,10 @@ type Net struct {
 	sizes   []int
 	// Feature standardization parameters.
 	featMean, featStd []float64
+	// scratch recycles Predict's per-layer activation buffers
+	// (*[][]float64, shaped by newActs): a trained net is shared by
+	// every goroutine walking a graph and is asked once per kernel.
+	scratch sync.Pool
 }
 
 // NewNet builds an untrained network with the given layer sizes
@@ -142,8 +147,14 @@ func (n *Net) Predict(x []float64) float64 {
 	if len(x) != n.sizes[0] {
 		panic(fmt.Sprintf("mlp: input dim %d, want %d", len(x), n.sizes[0]))
 	}
-	acts := n.newActs()
-	return n.forward(x, acts)
+	acts, _ := n.scratch.Get().(*[][]float64)
+	if acts == nil {
+		a := n.newActs()
+		acts = &a
+	}
+	y := n.forward(x, *acts)
+	n.scratch.Put(acts)
+	return y
 }
 
 func (n *Net) newActs() [][]float64 {

@@ -85,13 +85,15 @@ func (b *cnnBuilder) classifierHead(feat graph.TensorID, classes int64) graph.Te
 	return gradFeat
 }
 
-// expandOp is aten::expand: metadata-only, no kernels.
+// expandOp is aten::expand: metadata-only, no kernels. shape[0] is a
+// placeholder: the batch dimension follows the input, so the op holds
+// under batch resizing.
 type expandOp struct{ shape []int64 }
 
 func (expandOp) Name() string { return "aten::expand" }
 
 func (e expandOp) Outputs(inputs []tensor.Meta) []tensor.Meta {
-	return []tensor.Meta{tensor.NewTyped(inputs[0].DType, e.shape...)}
+	return []tensor.Meta{tensor.NewTyped(inputs[0].DType, e.shape...).WithBatch(inputs[0].Dim(0))}
 }
 
 func (expandOp) Kernels([]tensor.Meta) []kernels.Kernel { return nil }
@@ -100,9 +102,5 @@ func (expandOp) Kernels([]tensor.Meta) []kernels.Kernel { return nil }
 func (b *cnnBuilder) finish(name string) *Model {
 	b.g.Apply(ops.OptimizerZeroGrad{ParamSizes: b.params})
 	b.g.Apply(ops.OptimizerStep{ParamSizes: b.params})
-	var total int64
-	for _, p := range b.params {
-		total += p
-	}
-	return &Model{Name: name, Graph: b.g, Params: total}
+	return &Model{Name: name, Graph: b.g, Params: sum(b.params)}
 }

@@ -255,11 +255,7 @@ func BuildDLRM(cfg DLRMConfig) (*Model, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	var total int64
-	for _, p := range params {
-		total += p
-	}
-	return &Model{Name: cfg.Name, Graph: g, Params: total}, nil
+	return &Model{Name: cfg.Name, Graph: g, Params: sum(params)}, nil
 }
 
 // dlrmParamSizes lists every dense parameter tensor (weights and biases

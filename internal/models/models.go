@@ -24,9 +24,28 @@ type Model struct {
 // ResizeBatch rebuilds the graph for a new batch size in place.
 func (m *Model) ResizeBatch(b int64) error {
 	if b <= 0 {
-		return fmt.Errorf("models: batch size %d must be positive", b)
+		return errBatch(b)
 	}
 	return m.Graph.ResizeBatch(b)
+}
+
+func errBatch(b int64) error { return fmt.Errorf("models: batch size %d must be positive", b) }
+
+// WithBatch returns the model bound to batch size b: equal to building
+// it at b, but sharing m's graph structure (graph.Graph.WithBatch), so
+// both are read-only from then on.
+func (m *Model) WithBatch(b int64) (*Model, error) {
+	if b <= 0 {
+		return nil, errBatch(b)
+	}
+	g, err := m.Graph.WithBatch(b)
+	if err != nil {
+		return nil, err
+	}
+	if g == m.Graph {
+		return m, nil
+	}
+	return &Model{Name: m.Name, Graph: g, Params: m.Params}, nil
 }
 
 // Clone deep-copies the model.
@@ -47,12 +66,6 @@ const (
 // Build constructs a named model at the given batch size.
 func Build(name string, batch int64) (*Model, error) {
 	switch name {
-	case NameDLRMDefault:
-		return BuildDLRM(DLRMDefaultConfig(batch))
-	case NameDLRMMLPerf:
-		return BuildDLRM(DLRMMLPerfConfig(batch))
-	case NameDLRMDDP:
-		return BuildDLRM(DLRMDDPConfig(batch))
 	case NameResNet50:
 		return BuildResNet50(batch), nil
 	case NameInceptionV3:
@@ -60,7 +73,11 @@ func Build(name string, batch int64) (*Model, error) {
 	case NameTransformer:
 		return BuildTransformer(batch), nil
 	}
-	return nil, fmt.Errorf("models: unknown model %q", name)
+	cfg, err := DLRMConfigFor(name, batch)
+	if err != nil {
+		return nil, fmt.Errorf("models: unknown model %q", name)
+	}
+	return BuildDLRM(cfg)
 }
 
 // DLRMNames returns the three DLRM workload names in the paper's order.
@@ -86,10 +103,11 @@ func DLRMConfigFor(name string, batch int64) (DLRMConfig, error) {
 // DenseParams returns the dense (MLP) trainable parameter count of the
 // configuration — the all-reduce payload of hybrid-parallel training,
 // identical on every device regardless of embedding sharding.
-func (c DLRMConfig) DenseParams() int64 {
-	var total int64
-	for _, p := range dlrmParamSizes(c) {
-		total += p
+func (c DLRMConfig) DenseParams() int64 { return sum(dlrmParamSizes(c)) }
+
+func sum(xs []int64) (total int64) {
+	for _, x := range xs {
+		total += x
 	}
 	return total
 }

@@ -45,9 +45,9 @@ func BuildTransformer(batch int64) *Model {
 	// Token embedding: one row gathered per position. The lookup op's
 	// batch dimension carries B*S so that every position fetches a row.
 	vocabRows := []int64{cfg.Vocab}
-	tokFlat := g.Apply(ops.View{NewShape: []int64{b * s, 1, 1}}, tok)[0]
+	tokFlat := g.Apply(ops.View{NewShape: []int64{-1, 1, 1}}, tok)[0]
 	emb := g.Apply(ops.EmbeddingLookup{Rows: vocabRows, L: 1, D: d}, tokFlat)[0] // (B*S, 1, D)
-	x := g.Apply(ops.View{NewShape: []int64{b * s, d}}, emb)[0]
+	x := g.Apply(ops.View{NewShape: []int64{-1, d}}, emb)[0]
 
 	type layerRec struct {
 		qkvIn, attnIn, ffnIn graph.TensorID
@@ -71,15 +71,15 @@ func BuildTransformer(batch int64) *Model {
 		k := linear(x, d)
 		v := linear(x, d)
 		rec.q, rec.k, rec.v = q, k, v
-		qh := g.Apply(ops.View{NewShape: []int64{b * h, s, dh}}, q)[0]
-		kh := g.Apply(ops.View{NewShape: []int64{b * h, s, dh}}, k)[0]
-		vh := g.Apply(ops.View{NewShape: []int64{b * h, s, dh}}, v)[0]
+		qh := g.Apply(ops.View{NewShape: []int64{-1, s, dh}}, q)[0]
+		kh := g.Apply(ops.View{NewShape: []int64{-1, s, dh}}, k)[0]
+		vh := g.Apply(ops.View{NewShape: []int64{-1, s, dh}}, v)[0]
 		khT := g.Apply(ops.TransposeOp{}, kh)[0] // (BH, dh, S)
 		scores := g.Apply(ops.BMM{}, qh, khT)[0] // (BH, S, S)
 		probs := g.Apply(ops.Softmax(), scores)[0]
 		rec.probs = probs
 		ctx := g.Apply(ops.BMM{}, probs, vh)[0] // (BH, S, dh)
-		ctxFlat := g.Apply(ops.View{NewShape: []int64{b * s, d}}, ctx)[0]
+		ctxFlat := g.Apply(ops.View{NewShape: []int64{-1, d}}, ctx)[0]
 		rec.attnIn = ctxFlat
 		proj := linear(ctxFlat, d)
 		res1 := g.Apply(ops.Add(), x, proj)[0]
@@ -122,10 +122,10 @@ func BuildTransformer(batch int64) *Model {
 		// Attention backward.
 		grad = g.Apply(ops.LayerNormBackward(), grad)[0]
 		gProj := linBwd(grad, rec.attnIn)
-		gCtx := g.Apply(ops.View{NewShape: []int64{b * h, s, dh}}, gProj)[0]
-		vh := g.Apply(ops.View{NewShape: []int64{b * h, s, dh}}, rec.v)[0]
-		qh := g.Apply(ops.View{NewShape: []int64{b * h, s, dh}}, rec.q)[0]
-		kh := g.Apply(ops.View{NewShape: []int64{b * h, s, dh}}, rec.k)[0]
+		gCtx := g.Apply(ops.View{NewShape: []int64{-1, s, dh}}, gProj)[0]
+		vh := g.Apply(ops.View{NewShape: []int64{-1, s, dh}}, rec.v)[0]
+		qh := g.Apply(ops.View{NewShape: []int64{-1, s, dh}}, rec.q)[0]
+		kh := g.Apply(ops.View{NewShape: []int64{-1, s, dh}}, rec.k)[0]
 		bmm2 := g.Apply(ops.BMMBackward{}, gCtx, rec.probs, vh)
 		gProbs := bmm2[0]
 		gV := bmm2[1]
@@ -134,9 +134,9 @@ func BuildTransformer(batch int64) *Model {
 		bmm1 := g.Apply(ops.BMMBackward{}, gScores, qh, khT)
 		gQ := bmm1[0]
 		gKT := g.Apply(ops.TBackward{}, bmm1[1])[0]
-		gQf := g.Apply(ops.View{NewShape: []int64{b * s, d}}, gQ)[0]
-		gKf := g.Apply(ops.View{NewShape: []int64{b * s, d}}, gKT)[0]
-		gVf := g.Apply(ops.View{NewShape: []int64{b * s, d}}, gV)[0]
+		gQf := g.Apply(ops.View{NewShape: []int64{-1, d}}, gQ)[0]
+		gKf := g.Apply(ops.View{NewShape: []int64{-1, d}}, gKT)[0]
+		gVf := g.Apply(ops.View{NewShape: []int64{-1, d}}, gV)[0]
 		gIn := linBwd(gQf, rec.qkvIn)
 		gIn = g.Apply(ops.Add(), gIn, linBwd(gKf, rec.qkvIn))[0]
 		gIn = g.Apply(ops.Add(), gIn, linBwd(gVf, rec.qkvIn))[0]
@@ -144,15 +144,10 @@ func BuildTransformer(batch int64) *Model {
 	}
 
 	// Embedding backward (sparse update).
-	gradEmb := g.Apply(ops.View{NewShape: []int64{b * s, 1, d}}, grad)[0]
+	gradEmb := g.Apply(ops.View{NewShape: []int64{-1, 1, d}}, grad)[0]
 	g.Apply(ops.EmbeddingLookup{Rows: vocabRows, L: 1, D: d, Backward: true}, tokFlat, gradEmb)
 
 	g.Apply(ops.OptimizerZeroGrad{ParamSizes: params})
 	g.Apply(ops.OptimizerStep{ParamSizes: params})
-
-	var total int64
-	for _, p := range params {
-		total += p
-	}
-	return &Model{Name: NameTransformer, Graph: g, Params: total}
+	return &Model{Name: NameTransformer, Graph: g, Params: sum(params)}
 }

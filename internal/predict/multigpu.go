@@ -149,10 +149,15 @@ func (p *Predictor) PredictSharded(graphs []*graph.Graph, denseParams, embActByt
 		return MultiGPUPrediction{}, fmt.Errorf("predict: sharded prediction needs at least one device graph")
 	}
 	out := MultiGPUPrediction{Devices: n, ScalingEfficiency: 1}
+	var pred Prediction
 	for d, g := range graphs {
-		pred, err := p.Predict(g)
-		if err != nil {
-			return MultiGPUPrediction{}, fmt.Errorf("device %d: %w", d, err)
+		// Devices holding identical shards share one graph; the walk is
+		// deterministic, so the previous device's answer is this one's.
+		if d == 0 || g != graphs[d-1] {
+			var err error
+			if pred, err = p.Predict(g); err != nil {
+				return MultiGPUPrediction{}, fmt.Errorf("device %d: %w", d, err)
+			}
 		}
 		out.PerDeviceE2E = append(out.PerDeviceE2E, pred.E2E)
 		if d == 0 || pred.E2E > out.Prediction.E2E {

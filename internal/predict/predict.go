@@ -12,6 +12,7 @@ import (
 	"dlrmperf/internal/kernels"
 	"dlrmperf/internal/overhead"
 	"dlrmperf/internal/perfmodel"
+	"dlrmperf/internal/tensor"
 )
 
 // Predictor bundles the calibrated kernel models and an overhead
@@ -73,8 +74,9 @@ const scheduleGranularity = 1.0
 
 // Predict runs Algorithm 1 over the execution graph.
 func (p *Predictor) Predict(g *graph.Graph) (Prediction, error) {
-	var pr Prediction
+	pr := Prediction{PerOp: make([]OpTime, 0, len(g.Nodes))}
 	cpu, gpu := 0.0, 0.0
+	var in []tensor.Meta // one input-metadata buffer for the whole walk
 	for _, node := range g.Nodes {
 		op := node.Op.Name()
 		t1 := p.Overheads.T1Mean()
@@ -86,7 +88,8 @@ func (p *Predictor) Predict(g *graph.Graph) (Prediction, error) {
 		hostCharged := t1
 		kernelSum := 0.0
 
-		ks := g.NodeKernels(node)
+		in = g.InputMetas(in[:0], node.Inputs)
+		ks := node.Op.Kernels(in)
 		if len(ks) > 0 {
 			cpu += t2
 			hostCharged += t2
