@@ -58,8 +58,8 @@ bench-assets:
 # on >10% allocs/op regressions on any box and on >25% ns/op
 # regressions on the box shape the baseline records (on another, the
 # time excess is printed, not failed).
-BENCH_PATTERN = PredictBatchCached$$|PredictSingleCached$$|PredictNovelBatch$$|CalibrateParallel$$|CompilePlan$$|ExploreWarm$$|ExploreCold$$
-BENCH_PKGS = . ./internal/engine ./internal/explore
+BENCH_PATTERN = PredictBatchCached$$|PredictSingleCached$$|PredictNovelBatch$$|CalibrateParallel$$|CompilePlan$$|ExploreWarm$$|ExploreCold$$|FirstTouch$$|SimRun$$
+BENCH_PKGS = . ./internal/engine ./internal/explore ./internal/sim
 bench-check:
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchmem -count 5 $(BENCH_PKGS) | tee BENCH_pr.txt
 	$(GO) run ./cmd/benchdiff -parse -in BENCH_pr.txt -o BENCH_pr.json

@@ -13,11 +13,15 @@ import (
 // their inputs. Wall-clock time, global math/rand, and map iteration
 // order are the three ambient nondeterminism sources this analyzer
 // bans; injected clocks and internal/xrand streams are the sanctioned
-// substitutes. The final entry is the analyzer's own test fixture.
+// substitutes. internal/overhead is here for its database: an exported,
+// gossiped asset whose Defaults pool every op's samples, so the pooled
+// order — and with it the floating-point mean — must not be a map's.
+// The final entry is the analyzer's own test fixture.
 var deterministicPackages = []string{
 	"dlrmperf/internal/scenario",
 	"dlrmperf/internal/engine",
 	"dlrmperf/internal/explore",
+	"dlrmperf/internal/overhead",
 	"deterministic",
 }
 

@@ -256,6 +256,11 @@ func (s *assetStore) stats() AssetStats {
 	return out
 }
 
+// eventBytes is the size of one trace.Event. The simulator allocates a
+// run's log at its exact length, so events × eventBytes is what the log
+// holds resident, with no append slack on top.
+const eventBytes = 88
+
 // approxBytes estimates the resident footprint of one asset. The
 // numbers are deliberately rough — they meter relative pressure, not
 // allocator truth — but scale with the dominant payload of each type:
@@ -264,7 +269,6 @@ func (s *assetStore) stats() AssetStats {
 func approxBytes(v any) int64 {
 	const (
 		ptrOverhead  = 48  // map/list bookkeeping per entry
-		eventBytes   = 96  // trace.Event struct
 		statsBytes   = 32  // overhead.Stats + map key share
 		nodeBytes    = 200 // graph.Node + op + tensor metadata share
 		opTimeBytes  = 64  // predict.OpTime
@@ -277,7 +281,8 @@ func approxBytes(v any) int64 {
 		if t.Trace != nil {
 			n += int64(len(t.Trace.Events)) * eventBytes
 			n += int64(len(t.Trace.IterSpans)) * 16
-			for _, ev := range t.Trace.Events {
+			for i := range t.Trace.Events {
+				ev := &t.Trace.Events[i]
 				n += int64(len(ev.Name) + len(ev.Op))
 			}
 		}

@@ -521,21 +521,31 @@ func (e *Engine) SharedOverheadDB(device string) (*overhead.DB, error) {
 
 // collectOverheads profiles r.model (every DLRM workload when unset —
 // the shared database) on r.device at the family's evaluation batch
-// sizes and pools the traces.
+// sizes and pools the traces. The runs are independent — each draws
+// from its own runSeed — so they simulate concurrently; their traces
+// are pooled in the listed order, which is what fixes the order of the
+// pooled samples and with it every mean.
 func (e *Engine) collectOverheads(r runSpec) (*overhead.DB, error) {
 	names := []string{r.model}
 	if r.model == "" {
 		names = models.DLRMNames()
 	}
-	c := overhead.NewCollector()
+	var specs []runSpec
 	for _, model := range names {
 		for _, b := range e.BatchesFor(model) {
-			run, err := e.Run(r.device, model, b, true)
-			if err != nil {
-				return nil, err
-			}
-			c.Add(run.Trace)
+			specs = append(specs, runSpec{r.device, model, b, true})
 		}
+	}
+	runs, errs := make([]*sim.Result, len(specs)), make([]error, len(specs))
+	xsync.ForEachN(len(specs), e.opts.Workers, func(i int) {
+		runs[i], errs[i] = e.Run(specs[i].device, specs[i].model, specs[i].batch, true)
+	})
+	c := overhead.NewCollector()
+	for i, run := range runs {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		c.Add(run.Trace)
 	}
 	e.bumpAssetEpoch(r.device)
 	return c.Finish(), nil

@@ -1,0 +1,34 @@
+package kernels
+
+import (
+	"testing"
+
+	"dlrmperf/internal/hw"
+)
+
+// TestRunAveragedEqualsMeanOfRuns: RunAveraged computes the noise-free
+// time once for all its repeats; it must still equal, bit for bit and
+// draw for draw, the mean of that many Run calls on a device with the
+// same seed.
+func TestRunAveragedEqualsMeanOfRuns(t *testing.T) {
+	ks := []Kernel{
+		GEMM{Batch: 1, M: 512, N: 300, K: 77},
+		Embedding{B: 512, E: 100000, T: 8, L: 20, D: 64},
+		Memcpy{NBytes: 1 << 20, Dir: H2D},
+		Elementwise{Name: "relu", NElems: 1 << 16, ReadsPerElem: 4, WritesPerElem: 4, FLOPsPerElem: 1},
+	}
+	for _, p := range hw.All() {
+		averaged, single := NewDevice(p.GPU, 99), NewDevice(p.GPU, 99)
+		for _, n := range []int{1, 5, 30} {
+			for _, k := range ks {
+				sum := 0.0
+				for i := 0; i < n; i++ {
+					sum += single.Run(k)
+				}
+				if got, want := averaged.RunAveraged(k, n), sum/float64(n); got != want {
+					t.Errorf("%s %s: RunAveraged(%d) = %v, mean of Run = %v", p.GPU.Name, k, n, got, want)
+				}
+			}
+		}
+	}
+}

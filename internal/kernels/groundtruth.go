@@ -75,12 +75,18 @@ func (d *Device) BaseTime(k Kernel) float64 {
 
 // Run returns one noisy "measured" execution of k, as a profiler would
 // report it.
-func (d *Device) Run(k Kernel) float64 {
-	t := d.BaseTime(k)
+func (d *Device) Run(k Kernel) float64 { return d.Noisy(d.BaseTime(k)) }
+
+// Noisy perturbs a noise-free time by one draw of measurement noise.
+// BaseTime is a pure function of (device, kernel) and the expensive
+// half of Run — the quirk renders and hashes the kernel's name — so a
+// caller that launches one kernel many times computes it once and
+// draws per launch.
+func (d *Device) Noisy(base float64) float64 {
 	if d.NoiseCV > 0 {
-		t *= d.rng.LogNormalMeanCV(1, d.NoiseCV)
+		base *= d.rng.LogNormalMeanCV(1, d.NoiseCV)
 	}
-	return t
+	return base
 }
 
 // RunAveraged runs k iters times and returns the mean, mirroring the
@@ -89,9 +95,10 @@ func (d *Device) RunAveraged(k Kernel, iters int) float64 {
 	if iters <= 0 {
 		iters = 1
 	}
+	base := d.BaseTime(k)
 	s := 0.0
 	for i := 0; i < iters; i++ {
-		s += d.Run(k)
+		s += d.Noisy(base)
 	}
 	return s / float64(iters)
 }

@@ -9,6 +9,8 @@ package overhead
 
 import (
 	"encoding/json"
+	"maps"
+	"slices"
 	"sort"
 
 	"dlrmperf/internal/sim"
@@ -45,15 +47,17 @@ type DB struct {
 	Defaults [3]Stats `json:"defaults"`
 }
 
-// samples accumulates raw per-key observations before trimming.
+// samples accumulates raw per-key observations before trimming. The
+// maps hold pointers so that an observation is one lookup and an append
+// in place, not a copy of the record out of the map and back.
 type samples struct {
 	t1    []float64
-	perOp map[string][3][]float64
-	t4    map[string][]float64
+	perOp map[string]*[3][]float64
+	t4    map[string]*[]float64
 }
 
 func newSamples() *samples {
-	return &samples{perOp: map[string][3][]float64{}, t4: map[string][]float64{}}
+	return &samples{perOp: map[string]*[3][]float64{}, t4: map[string]*[]float64{}}
 }
 
 // Collector extracts overhead samples from traces.
@@ -95,29 +99,33 @@ func clamp(v float64) float64 {
 
 func (c *Collector) addIteration(opsEvents []trace.OpEvents) {
 	for i, oe := range opsEvents {
-		op := oe.Span.Name
 		if i > 0 {
-			prev := opsEvents[i-1]
-			c.s.t1 = append(c.s.t1, clamp(oe.Span.Start-prev.Span.End))
+			c.s.t1 = append(c.s.t1, clamp(oe.Span.Start-opsEvents[i-1].Span.End))
 		}
-		rec := c.s.perOp[op]
+		rec := c.s.perOp[oe.Span.Name]
+		if rec == nil {
+			rec = new([3][]float64)
+			c.s.perOp[oe.Span.Name] = rec
+		}
 		if len(oe.Runtime) == 0 {
 			// Algorithm 1's else branch charges T5 for kernel-less ops;
 			// extract the op body accordingly.
-			rec[2] = append(rec[2], clamp(oe.Span.Duration()-c.CPUCorrection))
-			c.s.perOp[op] = rec
+			rec[idxT5] = append(rec[idxT5], clamp(oe.Span.Duration()-c.CPUCorrection))
 			continue
 		}
 		first, last := oe.Runtime[0], oe.Runtime[len(oe.Runtime)-1]
-		rec[0] = append(rec[0], clamp(first.Start-oe.Span.Start-c.CPUCorrection))
-		rec[1] = append(rec[1], clamp(oe.Span.End-last.End-c.GPUCorrection))
-		for j := 0; j+1 < len(oe.Runtime); j++ {
-			gap := oe.Runtime[j+1].Start - oe.Runtime[j].End
-			rec[2] = append(rec[2], clamp(gap-c.GPUCorrection))
-		}
-		c.s.perOp[op] = rec
-		for _, rt := range oe.Runtime {
-			c.s.t4[rt.Name] = append(c.s.t4[rt.Name], rt.Duration())
+		rec[idxT2] = append(rec[idxT2], clamp(first.Start-oe.Span.Start-c.CPUCorrection))
+		rec[idxT3] = append(rec[idxT3], clamp(oe.Span.End-last.End-c.GPUCorrection))
+		for j, rt := range oe.Runtime {
+			if j > 0 {
+				rec[idxT5] = append(rec[idxT5], clamp(rt.Start-oe.Runtime[j-1].End-c.GPUCorrection))
+			}
+			t4 := c.s.t4[rt.Name]
+			if t4 == nil {
+				t4 = new([]float64)
+				c.s.t4[rt.Name] = t4
+			}
+			*t4 = append(*t4, rt.Duration())
 		}
 	}
 }
@@ -134,12 +142,16 @@ func describeTrimmed(xs []float64, k float64) Stats {
 	return Stats{Mean: d.Mean, Std: d.Std, N: d.N}
 }
 
-// Finish trims outliers and produces the database.
+// Finish trims outliers and produces the database. Ops are visited in
+// name order: Defaults pools every op's samples, and a floating-point
+// mean depends on the order it sums in, so the pooled order must not be
+// a map's.
 func (c *Collector) Finish() *DB {
 	db := &DB{PerOp: map[string][3]Stats{}, T4: map[string]Stats{}}
 	db.T1 = describeTrimmed(c.s.t1, c.TrimK)
 	var all [3][]float64
-	for op, rec := range c.s.perOp {
+	for _, op := range slices.Sorted(maps.Keys(c.s.perOp)) {
+		rec := c.s.perOp[op]
 		var st [3]Stats
 		for t := 0; t < 3; t++ {
 			st[t] = describeTrimmed(rec[t], c.TrimK)
@@ -151,7 +163,7 @@ func (c *Collector) Finish() *DB {
 		db.Defaults[t] = describeTrimmed(all[t], c.TrimK)
 	}
 	for fn, xs := range c.s.t4 {
-		db.T4[fn] = describeTrimmed(xs, c.TrimK)
+		db.T4[fn] = describeTrimmed(*xs, c.TrimK)
 	}
 	return db
 }

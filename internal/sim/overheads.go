@@ -117,33 +117,49 @@ func (s *Sampler) T4Mean(fn string) float64 {
 	return m * s.host.OverheadScale
 }
 
-// sample draws from a lognormal with the host's CV around mean, with a
-// TailWeight chance of a 3-8x long-tail excursion.
-func (s *Sampler) sample(mean, tailBoost float64) float64 {
-	v := s.rng.LogNormalMeanCV(mean, s.host.OverheadCV)
-	if s.rng.Float64() < s.host.TailWeight*tailBoost {
+// dist is one overhead distribution resolved to what a draw needs: the
+// log-normal body around the mean with the host's CV, and the chance of
+// a 3-8x long-tail excursion.
+type dist struct {
+	body xrand.LogNormalDist
+	tail float64
+}
+
+func (s *Sampler) newDist(mean, tailBoost float64) dist {
+	return dist{xrand.LogNormalMeanCVDist(mean, s.host.OverheadCV), s.host.TailWeight * tailBoost}
+}
+
+// opDist resolves the distribution of one overhead type for op. It is
+// a function of (host, workload, type, op) only, so the simulator
+// derives it once per graph node, not once per draw.
+func (s *Sampler) opDist(typ int, op string) dist {
+	tail := 1.0
+	if typ == T1 {
+		tail = 1.6 // T1 has the heaviest tail (GC, allocator, Python)
+	}
+	return s.newDist(s.MeanFor(typ, op)*s.workloadBias(typ, op), tail)
+}
+
+// t4Dist resolves the duration distribution of the named runtime
+// function.
+func (s *Sampler) t4Dist(fn string) dist {
+	tail := 1.0
+	if fn == RTMemcpyAsync {
+		tail = 2.0
+	}
+	return s.newDist(s.T4Mean(fn), tail)
+}
+
+func (s *Sampler) draw(d dist) float64 {
+	v := s.rng.Draw(d.body)
+	if s.rng.Float64() < d.tail {
 		v *= 3 + 5*s.rng.Float64()
 	}
 	return v
 }
 
 // Sample draws one overhead of the given type for op.
-func (s *Sampler) Sample(typ int, op string) float64 {
-	tail := 1.0
-	if typ == T1 {
-		tail = 1.6 // T1 has the heaviest tail (GC, allocator, Python)
-	}
-	return s.sample(s.MeanFor(typ, op)*s.workloadBias(typ, op), tail)
-}
-
-// SampleT4 draws one runtime-call duration for the named function.
-func (s *Sampler) SampleT4(fn string) float64 {
-	tail := 1.0
-	if fn == RTMemcpyAsync {
-		tail = 2.0
-	}
-	return s.sample(s.T4Mean(fn), tail)
-}
+func (s *Sampler) Sample(typ int, op string) float64 { return s.draw(s.opDist(typ, op)) }
 
 // Profiler overhead reference constants (Section III-C): the values the
 // paper's analyzer subtracts per event. The simulator injects stochastic
@@ -154,12 +170,9 @@ const (
 	ProfilerCPUEventOverhead = 2.0
 )
 
-// SampleProfilerCPU draws the profiler cost added to each CPU op event.
-func (s *Sampler) SampleProfilerCPU() float64 {
-	return s.rng.LogNormalMeanCV(ProfilerCPUEventOverhead*s.host.OverheadScale, 0.25)
-}
-
-// SampleProfilerGPU draws the profiler cost added per GPU (kernel) event.
-func (s *Sampler) SampleProfilerGPU() float64 {
-	return s.rng.LogNormalMeanCV(ProfilerGPUEventOverhead*s.host.OverheadScale, 0.25)
+// profilerDists returns the cost the profiler adds to each CPU op event
+// and to each GPU (kernel) event.
+func (s *Sampler) profilerDists() (cpu, gpu xrand.LogNormalDist) {
+	return xrand.LogNormalMeanCVDist(ProfilerCPUEventOverhead*s.host.OverheadScale, 0.25),
+		xrand.LogNormalMeanCVDist(ProfilerGPUEventOverhead*s.host.OverheadScale, 0.25)
 }

@@ -57,7 +57,69 @@ type Result struct {
 // kernels on one stream (the "+1 µs" granularity Algorithm 1 models).
 const interKernelGap = 0.8
 
-// Run simulates cfg.Warmup+cfg.Iters training iterations of g.
+// nodePlan is everything about one graph node that does not change
+// between iterations, resolved once before the loop: names, producer
+// positions, each kernel's noise-free time, and the overhead
+// distributions with their log-normal parameters already derived. What
+// is left inside the loop is the draws and the timeline arithmetic.
+type nodePlan struct {
+	id, stream     int
+	streamSlot     int // index into the per-stream free-time table
+	op             string
+	deps           []int // positions of the producing nodes in the plan
+	kernels        []kernelPlan
+	t1, t2, t3, t5 dist
+}
+
+type kernelPlan struct {
+	base float64 // kernels.Device.BaseTime: carries the per-shape quirk hash
+	name string
+	fn   string // the CUDA runtime function that launches it
+	t4   dist
+}
+
+// planNodes resolves g's nodes against the device and the host, and
+// returns the plan with the number of streams it uses and the number of
+// events one recorded iteration emits.
+func planNodes(g *graph.Graph, dev *kernels.Device, ovh *Sampler) (plan []nodePlan, streams, events int) {
+	plan = make([]nodePlan, len(g.Nodes))
+	pos := make(map[graph.NodeID]int, len(g.Nodes))
+	slots := map[int]int{}
+	t4 := map[string]dist{RTLaunchKernel: ovh.t4Dist(RTLaunchKernel), RTMemcpyAsync: ovh.t4Dist(RTMemcpyAsync)}
+	for i, node := range g.Nodes {
+		op := node.Op.Name()
+		if _, ok := slots[node.Stream]; !ok {
+			slots[node.Stream] = len(slots)
+		}
+		n := nodePlan{
+			id: int(node.ID), stream: node.Stream, streamSlot: slots[node.Stream], op: op,
+			t1: ovh.opDist(T1, op), t2: ovh.opDist(T2, op), t3: ovh.opDist(T3, op), t5: ovh.opDist(T5, op),
+		}
+		for _, d := range g.Deps(node) {
+			// A producer the graph no longer holds never becomes ready
+			// later than time zero, which constrains nothing.
+			if p, ok := pos[d]; ok {
+				n.deps = append(n.deps, p)
+			}
+		}
+		for _, k := range g.NodeKernels(node) {
+			fn := RTLaunchKernel
+			switch k.Kind() {
+			case kernels.KindMemcpyH2D, kernels.KindMemcpyD2H, kernels.KindMemcpyD2D:
+				fn = RTMemcpyAsync
+			}
+			n.kernels = append(n.kernels, kernelPlan{base: dev.BaseTime(k), name: k.String(), fn: fn, t4: t4[fn]})
+		}
+		pos[node.ID] = i
+		plan[i] = n
+		events += 1 + 2*len(n.kernels)
+	}
+	return plan, len(slots), events
+}
+
+// Run simulates cfg.Warmup+cfg.Iters training iterations of g. Events
+// are emitted in iteration order, which is what lets trace.Trace hand
+// out an iteration's events as a sub-slice of the log.
 func Run(g *graph.Graph, cfg Config) *Result {
 	if cfg.Iters <= 0 {
 		cfg.Iters = 1
@@ -65,12 +127,18 @@ func Run(g *graph.Graph, cfg Config) *Result {
 	root := xrand.New(cfg.Seed)
 	dev := kernels.NewDevice(cfg.Platform.GPU, root.Split().Uint64())
 	ovh := NewSampler(cfg.Platform.Host, root.Split().Uint64(), cfg.Workload)
+	plan, streams, eventsPerIter := planNodes(g, dev, ovh)
+	profCPU, profGPU := ovh.profilerDists()
 
-	tr := &trace.Trace{Iters: cfg.Iters}
+	tr := &trace.Trace{
+		Iters:     cfg.Iters,
+		Events:    make([]trace.Event, 0, cfg.Iters*eventsPerIter),
+		IterSpans: make([][2]float64, 0, cfg.Iters),
+	}
 	host := 0.0
-	streamFree := map[int]float64{}
-	// deviceReady[node] is when the node's outputs exist on device.
-	deviceReady := map[graph.NodeID]float64{}
+	streamFree := make([]float64, streams)
+	// deviceReady[i] is when plan[i]'s outputs exist on device.
+	deviceReady := make([]float64, len(plan))
 
 	total := cfg.Warmup + cfg.Iters
 	for it := 0; it < total; it++ {
@@ -78,52 +146,45 @@ func Run(g *graph.Graph, cfg Config) *Result {
 		iterIdx := it - cfg.Warmup
 		iterStart := host
 
-		for _, node := range g.Nodes {
+		for ni := range plan {
+			n := &plan[ni]
 			// T1: gap before the op.
-			host += ovh.Sample(T1, node.Op.Name())
+			host += ovh.draw(n.t1)
 			opStart := host
-			opName := node.Op.Name()
 			if cfg.Profile {
-				host += ovh.SampleProfilerCPU()
+				host += ovh.rng.Draw(profCPU)
 			}
 
 			// Cross-dependency device readiness (matters across streams;
 			// same-stream ordering is enforced by streamFree).
 			depReady := 0.0
-			for _, d := range g.Deps(node) {
+			for _, d := range n.deps {
 				if r := deviceReady[d]; r > depReady {
 					depReady = r
 				}
 			}
 
-			ks := g.NodeKernels(node)
-			if len(ks) > 0 {
-				host += ovh.Sample(T2, opName)
+			if len(n.kernels) > 0 {
+				host += ovh.draw(n.t2)
 				lastEnd := depReady
-				for i, k := range ks {
-					fn := RTLaunchKernel
-					switch k.Kind() {
-					case kernels.KindMemcpyH2D, kernels.KindMemcpyD2H, kernels.KindMemcpyD2D:
-						fn = RTMemcpyAsync
-					}
-					t4 := ovh.SampleT4(fn)
+				for i := range n.kernels {
+					k := &n.kernels[i]
 					rtStart := host
-					host += t4
+					host += ovh.draw(k.t4)
 					rtEnd := host
 					if cfg.Profile {
-						host += ovh.SampleProfilerGPU()
+						host += ovh.rng.Draw(profGPU)
 					}
 
 					start := rtEnd + cfg.Platform.GPU.KernelLaunchLatency
-					if sf := streamFree[node.Stream] + interKernelGap; sf > start {
+					if sf := streamFree[n.streamSlot] + interKernelGap; sf > start {
 						start = sf
 					}
 					if depReady > start {
 						start = depReady
 					}
-					dur := dev.Run(k)
-					end := start + dur
-					streamFree[node.Stream] = end
+					end := start + dev.Noisy(k.base)
+					streamFree[n.streamSlot] = end
 					if end > lastEnd {
 						lastEnd = end
 					}
@@ -131,33 +192,33 @@ func Run(g *graph.Graph, cfg Config) *Result {
 					if rec {
 						tr.Events = append(tr.Events,
 							trace.Event{
-								Kind: trace.RuntimeCall, Name: fn, Op: opName,
+								Kind: trace.RuntimeCall, Name: k.fn, Op: n.op,
 								Start: rtStart, End: rtEnd, Iter: iterIdx,
-								Node: int(node.ID), Seq: i,
+								Node: n.id, Seq: i,
 							},
 							trace.Event{
-								Kind: trace.KernelSpan, Name: k.String(), Op: opName,
+								Kind: trace.KernelSpan, Name: k.name, Op: n.op,
 								Start: start, End: end, Iter: iterIdx,
-								Node: int(node.ID), Stream: node.Stream, Seq: i,
+								Node: n.id, Stream: n.stream, Seq: i,
 							})
 					}
-					if i < len(ks)-1 {
-						host += ovh.Sample(T5, opName)
+					if i < len(n.kernels)-1 {
+						host += ovh.draw(n.t5)
 					}
 				}
-				host += ovh.Sample(T3, opName)
-				deviceReady[node.ID] = lastEnd
+				host += ovh.draw(n.t3)
+				deviceReady[ni] = lastEnd
 			} else {
 				// Host-only op: the T5-style body of Algorithm 1's else
 				// branch.
-				host += ovh.Sample(T5, opName)
-				deviceReady[node.ID] = depReady
+				host += ovh.draw(n.t5)
+				deviceReady[ni] = depReady
 			}
 
 			if rec {
 				tr.Events = append(tr.Events, trace.Event{
-					Kind: trace.OpSpan, Name: opName, Op: opName,
-					Start: opStart, End: host, Iter: iterIdx, Node: int(node.ID),
+					Kind: trace.OpSpan, Name: n.op, Op: n.op,
+					Start: opStart, End: host, Iter: iterIdx, Node: n.id,
 				})
 			}
 		}

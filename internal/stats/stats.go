@@ -8,7 +8,7 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
 )
 
 // ErrEmpty is returned by functions that require at least one sample.
@@ -94,8 +94,13 @@ func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		panic(ErrEmpty)
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
+	return percentileSorted(sorted, p)
+}
+
+// percentileSorted is Percentile over a non-empty ascending slice.
+func percentileSorted(sorted []float64, p float64) float64 {
 	if p <= 0 {
 		return sorted[0]
 	}
@@ -118,14 +123,18 @@ func Percentile(xs []float64, p float64) float64 {
 // Inputs with fewer than 4 samples are returned unchanged.
 func TrimIQR(xs []float64, k float64) []float64 {
 	if len(xs) < 4 {
-		return append([]float64(nil), xs...)
+		return slices.Clone(xs)
 	}
-	q1 := Percentile(xs, 25)
-	q3 := Percentile(xs, 75)
+	// Both quartiles read one sorted copy, which then becomes the
+	// output buffer.
+	buf := slices.Clone(xs)
+	slices.Sort(buf)
+	q1 := percentileSorted(buf, 25)
+	q3 := percentileSorted(buf, 75)
 	iqr := q3 - q1
 	lo := q1 - k*iqr
 	hi := q3 + k*iqr
-	out := make([]float64, 0, len(xs))
+	out := buf[:0]
 	for _, x := range xs {
 		if x >= lo && x <= hi {
 			out = append(out, x)
@@ -133,7 +142,7 @@ func TrimIQR(xs []float64, k float64) []float64 {
 	}
 	if len(out) == 0 {
 		// Degenerate distributions (all mass at outliers) keep the data.
-		return append([]float64(nil), xs...)
+		return append(out, xs...)
 	}
 	return out
 }

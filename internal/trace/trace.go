@@ -11,8 +11,11 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // EventKind distinguishes trace event types.
@@ -60,6 +63,13 @@ type Event struct {
 func (e Event) Duration() float64 { return e.End - e.Start }
 
 // Trace is an ordered event log over a multi-iteration run.
+//
+// The per-iteration analyses (ActiveTime, EventTree) read an iteration
+// as one contiguous run of the log, found by binary search. An emitter
+// that writes its events in non-decreasing Iter order — the simulator
+// does — gets that for free; a log in any other order is regrouped
+// once, into a stable by-iteration copy, on the first analysis. Either
+// way Events must not change after the first analysis call.
 type Trace struct {
 	Events []Event
 	// Iters is the number of recorded (post-warmup) iterations.
@@ -67,6 +77,25 @@ type Trace struct {
 	// IterSpans records [start, end] per iteration, where end includes
 	// the device drain (the measured per-batch training time).
 	IterSpans [][2]float64
+
+	groupOnce sync.Once
+	grouped   []Event // Events itself when it is already in iteration order
+}
+
+// iteration returns the events of one iteration, in log order.
+func (t *Trace) iteration(iter int) []Event {
+	t.groupOnce.Do(func() {
+		t.grouped = t.Events
+		byIter := func(i, j int) bool { return t.grouped[i].Iter < t.grouped[j].Iter }
+		if !sort.SliceIsSorted(t.grouped, byIter) {
+			t.grouped = slices.Clone(t.Events)
+			sort.SliceStable(t.grouped, byIter)
+		}
+	})
+	ev := t.grouped
+	lo := sort.Search(len(ev), func(i int) bool { return ev[i].Iter >= iter })
+	n := sort.Search(len(ev)-lo, func(i int) bool { return ev[lo+i].Iter > iter })
+	return ev[lo : lo+n]
 }
 
 // IterationTimes returns the per-batch training time of each iteration.
@@ -94,9 +123,10 @@ func (t *Trace) MeanIterationTime() float64 {
 // ActiveTime returns the total device-active time (union of kernel spans
 // across streams) for one iteration.
 func (t *Trace) ActiveTime(iter int) float64 {
-	var spans [][2]float64
-	for _, e := range t.Events {
-		if e.Kind == KernelSpan && e.Iter == iter {
+	events := t.iteration(iter)
+	spans := make([][2]float64, 0, len(events)/2)
+	for i := range events {
+		if e := &events[i]; e.Kind == KernelSpan {
 			spans = append(spans, [2]float64{e.Start, e.End})
 		}
 	}
@@ -130,7 +160,8 @@ func unionLength(spans [][2]float64) float64 {
 	if len(spans) == 0 {
 		return 0
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i][0] < spans[j][0] })
+	// The union does not depend on how equal starts are ordered.
+	slices.SortFunc(spans, func(a, b [2]float64) int { return cmp.Compare(a[0], b[0]) })
 	total := 0.0
 	curStart, curEnd := spans[0][0], spans[0][1]
 	for _, s := range spans[1:] {
@@ -191,50 +222,68 @@ func (t *Trace) Breakdown(minShare float64) []BreakdownEntry {
 }
 
 // OpEvents groups one iteration's events by op occurrence, in host order:
-// each element holds the op span and its runtime calls. This is the
-// event-tree view the overhead extractor walks.
+// each element holds the op span and its runtime calls and kernels in
+// Seq order. This is the event-tree view the overhead extractor walks.
+// The events are pointers into the trace's log, not copies.
 type OpEvents struct {
-	Span    Event
-	Runtime []Event
-	Kernels []Event
+	Span    *Event
+	Runtime []*Event
+	Kernels []*Event
 }
 
-// EventTree returns per-iteration op groupings.
+// EventTree returns per-iteration op groupings: the iteration's op
+// spans by start time, each with the runtime calls and kernels that
+// carry its Node (the last such span, when several share a Node).
 func (t *Trace) EventTree(iter int) []OpEvents {
-	var spans []Event
-	byNode := map[int]*OpEvents{}
-	for _, e := range t.Events {
-		if e.Iter != iter {
-			continue
-		}
-		if e.Kind == OpSpan {
+	events := t.iteration(iter)
+	var spans []*Event
+	for i := range events {
+		if e := &events[i]; e.Kind == OpSpan {
 			spans = append(spans, e)
 		}
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
+	slices.SortStableFunc(spans, func(a, b *Event) int { return cmp.Compare(a.Start, b.Start) })
 	out := make([]OpEvents, len(spans))
+	byNode := make(map[int]int, len(spans))
 	for i, s := range spans {
-		out[i] = OpEvents{Span: s}
-		byNode[s.Node] = &out[i]
+		out[i].Span = s
+		byNode[s.Node] = i
 	}
-	for _, e := range t.Events {
-		if e.Iter != iter || e.Kind == OpSpan {
+
+	// Children are carved out of one flat array, a run per op and kind,
+	// instead of grown per op: find each child's op and count, carve
+	// the runs, fill them in log order.
+	owner := make([]int, len(events))
+	counts := make([][2]int, len(out))
+	children := 0
+	for i := range events {
+		e := &events[i]
+		owner[i] = -1
+		if op, ok := byNode[e.Node]; ok && (e.Kind == RuntimeCall || e.Kind == KernelSpan) {
+			owner[i] = op
+			counts[op][e.Kind-RuntimeCall]++
+			children++
+		}
+	}
+	flat := make([]*Event, children)
+	for op, n := range counts {
+		out[op].Runtime, flat = flat[:0:n[0]], flat[n[0]:]
+		out[op].Kernels, flat = flat[:0:n[1]], flat[n[1]:]
+	}
+	for i, op := range owner {
+		if op < 0 {
 			continue
 		}
-		grp, ok := byNode[e.Node]
-		if !ok {
-			continue
-		}
-		switch e.Kind {
-		case RuntimeCall:
-			grp.Runtime = append(grp.Runtime, e)
-		case KernelSpan:
-			grp.Kernels = append(grp.Kernels, e)
+		if e := &events[i]; e.Kind == RuntimeCall {
+			out[op].Runtime = append(out[op].Runtime, e)
+		} else {
+			out[op].Kernels = append(out[op].Kernels, e)
 		}
 	}
+	bySeq := func(a, b *Event) int { return cmp.Compare(a.Seq, b.Seq) }
 	for i := range out {
-		sort.Slice(out[i].Runtime, func(a, b int) bool { return out[i].Runtime[a].Seq < out[i].Runtime[b].Seq })
-		sort.Slice(out[i].Kernels, func(a, b int) bool { return out[i].Kernels[a].Seq < out[i].Kernels[b].Seq })
+		slices.SortStableFunc(out[i].Runtime, bySeq)
+		slices.SortStableFunc(out[i].Kernels, bySeq)
 	}
 	return out
 }

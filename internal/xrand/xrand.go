@@ -134,15 +134,40 @@ func (r *Rand) LogNormal(mu, sigma float64) float64 {
 // natural parameterization for host-overhead distributions, where we know
 // the target mean (e.g., "T1 averages 8 µs") and the relative spread.
 func (r *Rand) LogNormalMeanCV(mean, cv float64) float64 {
+	return r.Draw(LogNormalMeanCVDist(mean, cv))
+}
+
+// LogNormalDist is the distribution LogNormalMeanCV draws from, with
+// the two logarithms and the square root that turn (mean, cv) into
+// (mu, sigma) paid once at construction instead of once per variate.
+// The zero value always draws 0.
+type LogNormalDist struct {
+	// mu and sigma parameterize the variate's logarithm; a degenerate
+	// distribution (random unset) draws the constant mu and consumes
+	// nothing from the generator.
+	mu, sigma float64
+	random    bool
+}
+
+// LogNormalMeanCVDist derives the distribution of LogNormalMeanCV(mean,
+// cv): 0 for a non-positive mean, the mean itself for a non-positive cv.
+func LogNormalMeanCVDist(mean, cv float64) LogNormalDist {
 	if mean <= 0 {
-		return 0
+		return LogNormalDist{}
 	}
 	if cv <= 0 {
-		return mean
+		return LogNormalDist{mu: mean}
 	}
 	sigma2 := math.Log(1 + cv*cv)
-	mu := math.Log(mean) - sigma2/2
-	return r.LogNormal(mu, math.Sqrt(sigma2))
+	return LogNormalDist{mu: math.Log(mean) - sigma2/2, sigma: math.Sqrt(sigma2), random: true}
+}
+
+// Draw returns one variate of d.
+func (r *Rand) Draw(d LogNormalDist) float64 {
+	if !d.random {
+		return d.mu
+	}
+	return r.LogNormal(d.mu, d.sigma)
 }
 
 // Perm returns a random permutation of [0, n).
