@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint loc bench bench-assets bench-check bench-baseline bench-ratchet serve-demo serve-http explore-demo cluster-e2e loadtest cover check
+.PHONY: build test race vet fmt lint loc fuzz-smoke bench bench-assets bench-check bench-baseline bench-ratchet serve-demo serve-http explore-demo cluster-e2e loadtest cover check
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,15 @@ loc:
 		echo "$$n $$pkg"; \
 	done | sort -rn | awk '{ t += $$1; printf "%6d  %s\n", $$1, $$2 } END { printf "%6d  total\n", t }'
 
+# fuzz-smoke runs each native fuzz target for 10 s on top of its
+# checked-in corpus (internal/serve/testdata/fuzz): the row codec's
+# differential contract against encoding/json, decode and encode. go
+# test takes one -fuzz target per run. The CI test job runs this target.
+FUZZ_TIME = 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRowDecode$$' -fuzztime $(FUZZ_TIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzRowEncode$$' -fuzztime $(FUZZ_TIME) ./internal/serve
+
 # bench regenerates the paper artifacts and tracks the calibration
 # speedup pair (serial vs parallel) in the perf trajectory.
 bench:
@@ -58,8 +67,8 @@ bench-assets:
 # on >10% allocs/op regressions on any box and on >25% ns/op
 # regressions on the box shape the baseline records (on another, the
 # time excess is printed, not failed).
-BENCH_PATTERN = PredictBatchCached$$|PredictSingleCached$$|PredictNovelBatch$$|CalibrateParallel$$|CompilePlan$$|ExploreWarm$$|ExploreCold$$|FirstTouch$$|SimRun$$
-BENCH_PKGS = . ./internal/engine ./internal/explore ./internal/sim
+BENCH_PATTERN = PredictBatchCached$$|PredictSingleCached$$|PredictNovelBatch$$|CalibrateParallel$$|CompilePlan$$|ExploreWarm$$|ExploreCold$$|FirstTouch$$|SimRun$$|RowCodec$$|CoordinatorHit$$
+BENCH_PKGS = . ./internal/engine ./internal/explore ./internal/sim ./internal/serve ./internal/cluster
 bench-check:
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchmem -count 5 $(BENCH_PKGS) | tee BENCH_pr.txt
 	$(GO) run ./cmd/benchdiff -parse -in BENCH_pr.txt -o BENCH_pr.json

@@ -10,8 +10,10 @@ import (
 // hotpathConfig lists, for one package, the steady-state entry points
 // (roots) and the cold boundaries (stops) of the predict path. The
 // analyzer builds the package's static call graph, walks it from the
-// roots without crossing a stop, and forbids fmt calls and runtime
-// string concatenation in every function it reaches. Key building in
+// roots without crossing a stop, and forbids fmt calls, encoding/json
+// calls and runtime string concatenation in every function it reaches
+// (reflection over a row is what the serve package's codec exists to
+// keep off this path). Key building in
 // reached code must use the append-builder/pooled-buffer idiom
 // (Request.AppendKey, xrand.AppendHex16, keyBufPool) that holds
 // PredictBatchCached at 4 allocs.
@@ -78,11 +80,32 @@ var hotpathPackages = map[string]hotpathConfig{
 			"Server.admit",
 			"Server.serveOne",
 			"Server.handlePredict",
+			"Server.handleBatch",
 			"Server.retryAfterSeconds",
 			"RetryAfterSeconds",
 			"resultFrom",
+			// The row codec and the wire functions built on it: every
+			// prediction row that crosses a socket, in either direction,
+			// on a worker, a coordinator or a client.
+			"AppendRequest",
+			"AppendRequests",
+			"AppendResult",
+			"Rows.MarshalJSON",
+			"Rows.UnmarshalJSON",
+			"UnmarshalRequest",
+			"UnmarshalRequests",
+			"UnmarshalResult",
+			"WriteJSON",
+			"WriteResult",
+			"DecodeRequest",
+			"DecodeBatch",
 		},
-		stops: []string{},
+		stops: []string{
+			// Format the message of a refused batch body and of a batch
+			// with no surviving row.
+			"rejectBatch",
+			"allRequestsFailed",
+		},
 	},
 	"dlrmperf/internal/cluster": {
 		roots: []string{
@@ -100,8 +123,16 @@ var hotpathPackages = map[string]hotpathConfig{
 			"assetVault.needInstall",
 			"backpressureHint",
 			"Coordinator.plan",
+			// Both handlers, and so the whole routed path under them:
+			// a resident hit leaves handlePredict without touching a
+			// worker, a batch leaves handleBatch through plan.
+			"Coordinator.handlePredict",
+			"Coordinator.handleBatch",
 		},
-		stops: []string{},
+		stops: []string{
+			// Formats the error of a routing attempt that failed.
+			"routeErrorf",
+		},
 	},
 	"dlrmperf/internal/loadgen": {
 		roots: []string{
@@ -131,11 +162,12 @@ var hotpathPackages = map[string]hotpathConfig{
 	},
 }
 
-// Hotpath forbids fmt calls and runtime string concatenation in
-// functions reachable from the configured steady-state predict roots.
+// Hotpath forbids fmt calls, encoding/json calls and runtime string
+// concatenation in functions reachable from the configured steady-state
+// predict roots.
 var Hotpath = &Analyzer{
 	Name: "hotpath",
-	Doc:  "no fmt or +-concat key building in functions reachable from the steady-state predict path",
+	Doc:  "no fmt, encoding/json or +-concat key building in functions reachable from the steady-state predict path",
 	Run:  runHotpath,
 }
 
@@ -234,8 +266,8 @@ func runHotpath(pass *Pass) error {
 	return nil
 }
 
-// checkHotBody reports fmt calls and runtime string concatenation
-// inside one hot function body.
+// checkHotBody reports fmt calls, encoding/json calls and runtime
+// string concatenation inside one hot function body.
 func checkHotBody(pass *Pass, name string, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -243,6 +275,11 @@ func checkHotBody(pass *Pass, name string, body *ast.BlockStmt) {
 			if fname, ok := pkgCall(pass.TypesInfo, n, "fmt"); ok {
 				pass.Reportf(n.Pos(),
 					"fmt.%s in %s, which is reachable from the steady-state predict path; build keys/messages with the append-builder idiom or strconv",
+					fname, name)
+			}
+			if fname, ok := pkgCall(pass.TypesInfo, n, "encoding/json"); ok {
+				pass.Reportf(n.Pos(),
+					"json.%s in %s, which is reachable from the steady-state predict path; rows go through the serve codec",
 					fname, name)
 			}
 		case *ast.BinaryExpr:

@@ -3,7 +3,10 @@
 // configured stop, and the bad patterns carry want expectations.
 package hotpath
 
-import "fmt"
+import (
+	"encoding/json"
+	"fmt"
+)
 
 // Server mirrors the serve-layer shape so a method root exercises the
 // Type.Method config spelling.
@@ -16,16 +19,23 @@ func PredictHot(id int, name string) string {
 	}
 	const prefix = "k" + "/" // constant-folded concat is free: not flagged
 	_ = prefix
+	_ = describe[int](id)
 	return buildKey(id, name)
 }
 
-// buildKey is reachable from PredictHot, so all three allocating
+// describe is reached through an explicit instantiation, f[T](x).
+func describe[T any](v T) string {
+	return fmt.Sprint(v) // want `fmt\.Sprint in describe`
+}
+
+// buildKey is reachable from PredictHot, so all four allocating
 // idioms in it must be flagged.
 func buildKey(id int, name string) string {
 	s := fmt.Sprintf("k/%d", id) // want `fmt\.Sprintf in buildKey`
 	s += name                    // want `string \+= in buildKey`
 	s = s + grandfathered(name)  // want `string concatenation in buildKey`
-	return s
+	b, _ := json.Marshal(id)     // want `json\.Marshal in buildKey`
+	return s + string(b)         // want `string concatenation in buildKey`
 }
 
 // admit is a configured root via the "Server.admit" spelling.

@@ -38,10 +38,18 @@ func pkgCall(info *types.Info, call *ast.CallExpr, pkgPath string) (string, bool
 
 // calleeFunc resolves the *types.Func a call statically dispatches to,
 // or nil for builtins, conversions, and indirect calls through
-// function values.
+// function values. An explicitly instantiated generic function
+// (f[T](x)) resolves to its declaration.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	callee := unparen(call.Fun)
+	switch inst := callee.(type) {
+	case *ast.IndexExpr:
+		callee = unparen(inst.X)
+	case *ast.IndexListExpr:
+		callee = unparen(inst.X)
+	}
 	var obj types.Object
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := callee.(type) {
 	case *ast.Ident:
 		obj = info.Uses[fun]
 	case *ast.SelectorExpr:

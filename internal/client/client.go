@@ -23,10 +23,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -57,9 +59,18 @@ func NewHTTPClient(idlePerHost int) *http.Client {
 
 var defaultHTTPClient = NewHTTPClient(0)
 
+// ErrBodyTooLarge is what a response past the client's body cap (see
+// WithMaxBodyBytes) unwraps to, whatever its status was.
+var ErrBodyTooLarge = errors.New("client: response body too large")
+
 // Client talks to one server base URL.
 type Client struct {
-	base    string
+	base string
+	// url is base parsed once, so that a call fills in a path instead of
+	// parsing a URL; urlErr is what an unparsable base fails every call
+	// with.
+	url     *url.URL
+	urlErr  error
 	hc      *http.Client
 	maxBody int64
 }
@@ -93,6 +104,7 @@ func New(base string, opts ...Option) *Client {
 		hc:      defaultHTTPClient,
 		maxBody: defaultMaxBodyBytes,
 	}
+	c.url, c.urlErr = url.Parse(c.base)
 	for _, o := range opts {
 		o(c)
 	}
@@ -108,9 +120,15 @@ func (c *Client) Base() string { return c.base }
 // (validation, deadline) return with err == nil and Result.Error set —
 // an application-level verdict, not a transport failure.
 func (c *Client) Predict(ctx context.Context, req serve.Request) (serve.Result, error) {
-	var row serve.Result
-	if err := c.postJSON(ctx, "/v1/predict", req, &row); err != nil {
+	const path = "/v1/predict"
+	buf, err := c.exchange(ctx, http.MethodPost, path, serve.AppendRequest(make([]byte, 0, 128), &req))
+	if err != nil {
 		return serve.Result{}, err
+	}
+	defer buf.Release()
+	row, err := serve.UnmarshalResult(buf.Bytes())
+	if err != nil {
+		return serve.Result{}, parseError(path, err)
 	}
 	return row, nil
 }
@@ -173,15 +191,16 @@ type Health struct {
 // not a request failure; anything else is an error.
 func (c *Client) Healthz(ctx context.Context) (Health, error) {
 	var h Health
-	data, resp, err := c.do(ctx, http.MethodGet, "/healthz", nil)
+	buf, resp, err := c.do(ctx, http.MethodGet, "/healthz", nil)
 	if err != nil {
 		return Health{}, err
 	}
+	defer buf.Release()
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		return Health{}, decodeError(resp, data)
+		return Health{}, decodeError(resp, buf.Bytes())
 	}
-	if err := json.Unmarshal(data, &h); err != nil {
-		return Health{}, fmt.Errorf("client: parsing /healthz: %w", err)
+	if err := json.Unmarshal(buf.Bytes(), &h); err != nil {
+		return Health{}, parseError("/healthz", err)
 	}
 	return h, nil
 }
@@ -242,70 +261,110 @@ func (c *Client) PostJSON(ctx context.Context, path string, in, out any) error {
 	return c.postJSON(ctx, path, in, out)
 }
 
-// postJSON marshals in (nil means an empty body), POSTs it, and
-// decodes a 200 into out (nil discards the body). Non-200s decode into
-// typed errors.
+// postJSON marshals in (nil means an empty body; a request list goes
+// through the row codec), POSTs it, and decodes a 200 into out (nil
+// discards the body). Non-200s decode into typed errors.
 func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		data, err := json.Marshal(in)
-		if err != nil {
+	var body []byte
+	switch in := in.(type) {
+	case nil:
+	case []serve.Request:
+		body = serve.AppendRequests(make([]byte, 0, 2+96*len(in)), in)
+	default:
+		var err error
+		if body, err = json.Marshal(in); err != nil {
 			return err
 		}
-		body = bytes.NewReader(data)
 	}
-	data, resp, err := c.do(ctx, http.MethodPost, path, body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp, data)
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return fmt.Errorf("client: parsing %s response: %w", path, err)
-	}
-	return nil
+	return c.roundTrip(ctx, http.MethodPost, path, body, out)
 }
 
 func (c *Client) getJSON(ctx context.Context, path string, out any) error {
-	data, resp, err := c.do(ctx, http.MethodGet, path, nil)
+	return c.roundTrip(ctx, http.MethodGet, path, nil, out)
+}
+
+// roundTrip is one exchange decoded into out with encoding/json — which
+// hands a report's rows (serve.Rows) back to the row codec.
+func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte, out any) error {
+	buf, err := c.exchange(ctx, method, path, body)
 	if err != nil {
 		return err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp, data)
-	}
+	defer buf.Release()
 	if out == nil {
 		return nil
 	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return fmt.Errorf("client: parsing %s response: %w", path, err)
+	if err := json.Unmarshal(buf.Bytes(), out); err != nil {
+		return parseError(path, err)
 	}
 	return nil
 }
 
-// do performs one HTTP round trip and reads the (size-capped) body.
-func (c *Client) do(ctx context.Context, method, path string, body io.Reader) ([]byte, *http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+func parseError(path string, err error) error {
+	return fmt.Errorf("client: parsing %s response: %w", path, err)
+}
+
+// exchange performs one HTTP round trip and returns the body of a 200
+// in a pooled buffer the caller Releases; any other status comes back
+// as its typed error.
+func (c *Client) exchange(ctx context.Context, method, path string, body []byte) (*serve.Buffer, error) {
+	buf, resp, err := c.do(ctx, method, path, body)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer buf.Release()
+		return nil, decodeError(resp, buf.Bytes())
+	}
+	return buf, nil
+}
+
+// jsonContentType is shared by every request: the transport only reads
+// a request's header values.
+var jsonContentType = []string{"application/json"}
+
+// do performs one HTTP round trip and reads the (size-capped) body,
+// whatever the status, into a pooled buffer the caller Releases. The
+// request is assembled from the base URL parsed at New rather than
+// through http.NewRequest, which would parse it again on every call; it
+// carries GetBody, so the transport can still replay the body when it
+// finds that the idle connection it picked had been closed.
+func (c *Client) do(ctx context.Context, method, path string, body []byte) (*serve.Buffer, *http.Response, error) {
+	if c.urlErr != nil {
+		return nil, nil, c.urlErr
+	}
+	u := *c.url
+	u.Path += path
+	if u.RawPath != "" {
+		u.RawPath += path
+	}
+	req := &http.Request{
+		Method: method, URL: &u, Host: u.Host,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: make(http.Header, 1),
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header["Content-Type"] = jsonContentType
+		req.ContentLength = int64(len(body))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+		req.Body, _ = req.GetBody()
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.hc.Do(req.WithContext(ctx))
 	if err != nil {
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, c.maxBody))
-	if err != nil {
-		return nil, nil, err
+	buf := serve.GetBuffer()
+	tooLarge, err := buf.ReadBounded(resp.Body, c.maxBody, resp.ContentLength)
+	switch {
+	case err != nil:
+	case tooLarge:
+		err = fmt.Errorf("%w: %s %s answered %d with more than the %d-byte cap", ErrBodyTooLarge, method, path, resp.StatusCode, c.maxBody)
+	default:
+		return buf, resp, nil
 	}
-	return data, resp, nil
+	buf.Release()
+	return nil, nil, err
 }
 
 // parseRetryAfter reads a whole-seconds Retry-After header (the only

@@ -1,7 +1,9 @@
 package client
 
 import (
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -130,17 +132,50 @@ func TestHealthzBothStates(t *testing.T) {
 	}
 }
 
-// TestBodySizeLimit: a response past the configured cap is truncated at
-// the limit, so a misbehaving server yields a parse error instead of
-// unbounded memory growth.
+// TestBodySizeLimit: a response past the configured cap is an error
+// that names the cap and unwraps to ErrBodyTooLarge — on a 200 and on an
+// error status alike, with and without a Content-Length — instead of
+// whatever parsing the truncated body happened to yield. A body of
+// exactly the cap is read whole.
 func TestBodySizeLimit(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Write([]byte(`{"error":"` + strings.Repeat("x", 4096) + `"}`))
-	}))
-	t.Cleanup(ts.Close)
-	cl := New(ts.URL, WithMaxBodyBytes(64))
-	if _, err := cl.Stats(context.Background()); err == nil {
-		t.Fatal("oversized body parsed cleanly, want a truncation parse error")
+	const limit = 64
+	for _, tc := range []struct {
+		name     string
+		status   int
+		body     string
+		chunked  bool
+		tooLarge bool
+	}{
+		{name: "200 over the cap", status: http.StatusOK, body: `{"error":"` + strings.Repeat("x", 4096) + `"}`, tooLarge: true},
+		{name: "200 over the cap, no Content-Length", status: http.StatusOK, body: `{"error":"` + strings.Repeat("x", 4096) + `"}`, chunked: true, tooLarge: true},
+		{name: "200 one byte over", status: http.StatusOK, body: `{"requests":1}` + strings.Repeat(" ", limit+1-14), tooLarge: true},
+		{name: "200 at the cap", status: http.StatusOK, body: `{"requests":1}` + strings.Repeat(" ", limit-14)},
+		{name: "429 over the cap", status: http.StatusTooManyRequests, body: `{"code":"queue_full","message":"` + strings.Repeat("x", 4096) + `"}`, tooLarge: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				w.WriteHeader(tc.status)
+				if tc.chunked {
+					w.(http.Flusher).Flush()
+				}
+				w.Write([]byte(tc.body))
+			}))
+			t.Cleanup(ts.Close)
+			st, err := New(ts.URL, WithMaxBodyBytes(limit)).Stats(context.Background())
+			if !tc.tooLarge {
+				if err != nil || st.Requests != 1 {
+					t.Fatalf("body at the cap: %+v / %v, want it parsed", st, err)
+				}
+				return
+			}
+			if !errors.Is(err, ErrBodyTooLarge) || !strings.Contains(err.Error(), "64-byte cap") {
+				t.Fatalf("err = %v, want ErrBodyTooLarge naming the 64-byte cap", err)
+			}
+			var api *APIError
+			if errors.As(err, &api) {
+				t.Fatalf("an unread body was decoded as a server verdict: %v", err)
+			}
+		})
 	}
 }
 
@@ -209,3 +244,53 @@ func TestRegisterAndDrainPaths(t *testing.T) {
 		t.Fatalf("drain hit %s", gotPath)
 	}
 }
+
+// TestRequestAssembly: calls are assembled from the base URL parsed at
+// New, not through http.NewRequest. What the server sees must not have
+// changed — method, path under a base with a prefix, JSON content type
+// and length, a codec-encoded body — the request still carries GetBody
+// for the transport's replay, and an unparsable base fails the call.
+func TestRequestAssembly(t *testing.T) {
+	var got *http.Request
+	var gotBody string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		data, _ := io.ReadAll(r.Body)
+		got, gotBody = r, string(data)
+		serve.WriteJSON(w, http.StatusOK, serve.Result{Request: serve.Request{Device: "V100"}, E2EUs: 1.5})
+	}))
+	t.Cleanup(ts.Close)
+	var replay func() (io.ReadCloser, error)
+	hc := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		replay = r.GetBody
+		return http.DefaultTransport.RoundTrip(r)
+	})}
+	ctx := context.Background()
+
+	req := serve.Request{Workload: "DLRM_default", Batch: 512, Device: "V100"}
+	row, err := New(ts.URL+"/prefix/", WithHTTPClient(hc)).Predict(ctx, req)
+	if err != nil || row.E2EUs != 1.5 || row.Device != "V100" {
+		t.Fatalf("predict = %+v / %v", row, err)
+	}
+	want, _ := json.Marshal(req)
+	if got.Method != http.MethodPost || got.URL.Path != "/prefix/v1/predict" || got.Header.Get("Content-Type") != "application/json" ||
+		got.ContentLength != int64(len(want)) || gotBody != string(want) || got.Host != strings.TrimPrefix(ts.URL, "http://") {
+		t.Fatalf("server saw %s %s (%s, %d bytes, host %s) %s\nwant POST /prefix/v1/predict with %s", got.Method, got.URL.Path,
+			got.Header.Get("Content-Type"), got.ContentLength, got.Host, gotBody, want)
+	}
+	if body, err := replay(); err != nil {
+		t.Fatal(err)
+	} else if again, _ := io.ReadAll(body); string(again) != string(want) {
+		t.Fatalf("GetBody replays %q, want %q", again, want)
+	}
+
+	if _, err := New(ts.URL).Scenarios(ctx); err == nil || got.Method != http.MethodGet || got.URL.Path != "/v1/scenarios" || got.ContentLength != 0 {
+		t.Fatalf("scenarios: the stub's row is not a name list (err %v); server saw %s %s", err, got.Method, got.URL.Path)
+	}
+	if _, err := New("http://bad host").Predict(ctx, req); err == nil {
+		t.Fatal("a base URL that does not parse served a call")
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -328,4 +329,73 @@ func TestRunBatchNoWorkers(t *testing.T) {
 		t.Fatalf("no_workers = %d, want 2", st.Rejected.NoWorkers)
 	}
 	assertAggInvariant(t, st)
+}
+
+// TestBodyIsExactlyOneJSONValue: a predict or batch body is one JSON
+// value. Bytes after it used to be ignored (the decoder stopped at the
+// first value, so `{...}{...} garbage` was served as its first object);
+// now they are 400 bad_request on the worker and the coordinator alike,
+// before any request counter moves. Whitespace after the value is not
+// "bytes after it".
+func TestBodyIsExactlyOneJSONValue(t *testing.T) {
+	bc := newBatchCluster(t, true, false)
+	front := httptest.NewServer(bc.coord.Handler())
+	t.Cleanup(front.Close)
+
+	row := `{"device":"` + bc.devs[0] + `","workload":"DLRM_default","batch":512}`
+	handlers := []struct {
+		name, url string
+		batch     bool
+	}{
+		{"worker predict", bc.workers[0].ts.URL + "/v1/predict", false},
+		{"worker batch", bc.workers[0].ts.URL + "/v1/predict/batch", true},
+		{"coordinator predict", front.URL + "/v1/predict", false},
+		{"coordinator batch", front.URL + "/v1/predict/batch", true},
+	}
+	tails := []struct {
+		tail string
+		ok   bool
+	}{
+		{"", true},
+		{" \r\n\t", true},
+		{`{"device":"P100"} garbage`, false},
+		{" x", false},
+		{"]", false},
+		{",", false},
+		{"null", false},
+		{"\x00", false},
+	}
+	for _, h := range handlers {
+		for _, tc := range tails {
+			body := row
+			if h.batch {
+				body = "[" + row + "]"
+			}
+			resp, err := http.Post(h.url, "application/json", strings.NewReader(body+tc.tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var he serve.HTTPError
+			decodeErr := json.NewDecoder(resp.Body).Decode(&he)
+			resp.Body.Close()
+			if tc.ok {
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("%s, tail %q: status %d, want 200", h.name, tc.tail, resp.StatusCode)
+				}
+				continue
+			}
+			if resp.StatusCode != http.StatusBadRequest || decodeErr != nil || he.Code != "bad_request" {
+				t.Errorf("%s, tail %q: status %d code %q (%v), want 400 bad_request", h.name, tc.tail, resp.StatusCode, he.Code, decodeErr)
+			}
+		}
+	}
+	// Only the accepted bodies were counted: two per handler. The
+	// coordinator's two batch rows and second predict are local hits, so
+	// its own traffic put one row on the worker.
+	if got := bc.coord.Stats(context.Background()).Coordinator.Received; got != 4 {
+		t.Errorf("coordinator received %d requests, want the 4 well-formed ones", got)
+	}
+	if got := bc.workers[0].rows(); got != 4+1 {
+		t.Errorf("worker admitted %d rows, want 4 of its own and 1 routed", got)
+	}
 }

@@ -315,9 +315,11 @@ func (c *Coordinator) predict(ctx context.Context, req serve.Request, blocking b
 		// don't have yet. The fetch WAS the origin's apply — RemoteResult
 		// cached the row here — so only the replication is left: the RAW
 		// row, pre-re-stamp, so every coordinator caches the same value a
-		// repeat would fetch.
-		raw := row
-		c.replicate(entry{Request: &req, Row: &raw})
+		// repeat would fetch. Copies, because the entry's pointers escape:
+		// pointing at req itself would heap-allocate it on every call, hits
+		// included.
+		origin, raw := req, row
+		c.replicate(entry{Request: &origin, Row: &raw})
 	}
 	// The cached value carries the envelope of whichever request first
 	// fetched it; re-stamp this caller's own.
@@ -377,7 +379,7 @@ func (c *Coordinator) forward(ctx context.Context, req serve.Request, blocking b
 			// hand its status and code to the client. Quarantining healthy
 			// workers over a client's bad input would let one hostile
 			// request take the cluster's routing set down.
-			return serve.Result{}, fmt.Errorf("worker %s: %w", w.ID, err)
+			return serve.Result{}, routeErrorf("worker %s: %w", w.ID, err)
 		}
 		if ctx.Err() != nil {
 			// The CLIENT died (canceled or timed out mid-call), which
@@ -386,20 +388,28 @@ func (c *Coordinator) forward(ctx context.Context, req serve.Request, blocking b
 			// the next-ranked worker — and do not count a worker
 			// failure. If the request reached the worker, the worker's
 			// own canceled/miss accounting covers it.
-			return serve.Result{}, fmt.Errorf("worker %s: %w", w.ID, err)
+			return serve.Result{}, routeErrorf("worker %s: %w", w.ID, err)
 		}
 		c.workerFailed.Add(1)
 		c.reg.MarkFailed(w.ID)
-		lastErr = fmt.Errorf("worker %s: %w", w.ID, err)
+		lastErr = routeErrorf("worker %s: %w", w.ID, err)
 		sb = nil // the retry ranks again and asks alone
 	}
 	return serve.Result{}, &RouteError{Attempts: maxAttempts, Err: lastErr}
 }
 
+// routeErrorf formats the error of a routing attempt that failed. The
+// routed path is held to the steady-state rules (no fmt, see the hotpath
+// analyzer); a failed attempt has left it.
+func routeErrorf(format string, args ...any) error {
+	return fmt.Errorf(format, args...)
+}
+
 // workerClient wraps one worker URL in the typed client, sharing the
-// coordinator's transport. Construction is a tiny struct fill — the
-// network round trip it fronts dwarfs it — so per-call construction
-// beats a URL-keyed cache.
+// coordinator's transport. Construction is a struct fill and one parse
+// of the URL (the one the call itself used to pay) — the network round
+// trip it fronts dwarfs it — so per-call construction beats a URL-keyed
+// cache.
 func (c *Coordinator) workerClient(url string) *client.Client {
 	return client.New(url, client.WithHTTPClient(c.cfg.Client))
 }
@@ -432,7 +442,7 @@ func (sb *subBatch) row(slot int) (serve.Result, error) {
 		return serve.Result{}, sb.err
 	}
 	if len(sb.rep.Results) != len(sb.reqs) {
-		return serve.Result{}, fmt.Errorf("worker batch report has %d rows, want %d", len(sb.rep.Results), len(sb.reqs))
+		return serve.Result{}, routeErrorf("worker batch report has %d rows, want %d", len(sb.rep.Results), len(sb.reqs))
 	}
 	row := sb.rep.Results[slot]
 	// A draining worker reports its admission rejection as a 200 row
@@ -442,7 +452,7 @@ func (sb *subBatch) row(slot int) (serve.Result, error) {
 	// never terminally fail just because their affine worker is
 	// shutting down.
 	if row.Error == serve.ErrDraining.Error() {
-		return serve.Result{}, fmt.Errorf("worker draining: %s", row.Error)
+		return serve.Result{}, routeErrorf("worker draining: %s", row.Error)
 	}
 	return row, nil
 }
@@ -562,10 +572,10 @@ func (c *Coordinator) RunBatch(ctx context.Context, reqs []serve.Request) []serv
 // Report is the coordinator's batch response: per-row results plus
 // the aggregated cluster counters at report time.
 type Report struct {
-	Results   []serve.Result `json:"results"`
-	Requests  int            `json:"requests"`
-	Failed    int            `json:"failed"`
-	ElapsedMs float64        `json:"elapsed_ms"`
+	Results   serve.Rows `json:"results"`
+	Requests  int        `json:"requests"`
+	Failed    int        `json:"failed"`
+	ElapsedMs float64    `json:"elapsed_ms"`
 	// Calibrations is the device-affinity ledger: worker ID -> device
 	// -> executed calibration runs, merged from worker /stats.
 	Calibrations map[string]map[string]int `json:"calibrations"`
@@ -767,12 +777,21 @@ func (c *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := c.PredictOne(r.Context(), req, false)
+	if err != nil {
+		c.writeRouteError(w, err)
+		return
+	}
+	serve.WriteResult(w, &res)
+}
+
+// writeRouteError answers a request PredictOne could not serve. It is
+// its own function so that the errors.As targets — which escape — are
+// allocated here and not on every answered request.
+func (c *Coordinator) writeRouteError(w http.ResponseWriter, err error) {
 	var bp *BackpressureError
 	var re *RouteError
 	var api *client.APIError
 	switch {
-	case err == nil:
-		serve.WriteJSON(w, http.StatusOK, res)
 	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", c.retryAfter())
 		serve.WriteJSON(w, http.StatusServiceUnavailable, serve.HTTPError{Code: "draining", Message: err.Error()})

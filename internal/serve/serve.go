@@ -501,7 +501,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		// admit error cannot masquerade as a 200.
 		WriteJSON(w, http.StatusInternalServerError, HTTPError{Code: "internal", Message: err.Error()})
 	default:
-		WriteJSON(w, http.StatusOK, res)
+		WriteResult(w, &res)
 	}
 }
 

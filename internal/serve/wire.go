@@ -226,7 +226,7 @@ func (s Stats) Accounted() uint64 {
 // one-shot driver the engine serves exactly one batch, so the two
 // coincide (which is what its tests assert).
 type Report struct {
-	Results      []Result            `json:"results"`
+	Results      Rows                `json:"results"`
 	Requests     int                 `json:"requests"`
 	Failed       int                 `json:"failed"`
 	ElapsedMs    float64             `json:"elapsed_ms"`
@@ -247,27 +247,99 @@ type HTTPError struct {
 	Message string `json:"message"`
 }
 
-// WriteJSON renders v as an indented JSON response with the given
-// status. It is the single response writer of the serving wire surface
-// (worker and coordinator alike).
+// WriteJSON renders v as a compact, single-line JSON response with the
+// given status. It is the single response writer of the serving wire
+// surface (worker and coordinator alike). The body is encoded before the
+// status is written, so a value that cannot be encoded answers the 500
+// internal envelope instead of the status it came with and no body. A
+// Result and an HTTPError go through the row codec; every other document
+// (reports, stats) through encoding/json, whose output for their Rows is
+// the codec's again.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := GetBuffer()
+	defer buf.Release()
+	var err error
+	switch v := v.(type) {
+	case Result:
+		err = buf.appendResult(&v)
+	case HTTPError:
+		buf.appendHTTPError(&v)
+	default:
+		err = json.NewEncoder(buf).Encode(v) //lint:allow hotpath the envelope documents around the rows keep encoding/json; their rows come back through Rows.MarshalJSON
+	}
+	buf.respond(w, status, err)
+}
+
+// WriteResult answers 200 with one row. It is WriteJSON for the hot
+// case, typed so that the row is not boxed on its way out.
+func WriteResult(w http.ResponseWriter, row *Result) {
+	buf := GetBuffer()
+	defer buf.Release()
+	buf.respond(w, http.StatusOK, buf.appendResult(row))
+}
+
+func (b *Buffer) appendResult(row *Result) error {
+	line, err := AppendResult(b.AvailableBuffer(), row)
+	b.Write(append(line, '\n'))
+	return err
+}
+
+func (b *Buffer) appendHTTPError(e *HTTPError) {
+	b.Write(append(appendHTTPError(b.AvailableBuffer(), e), '\n'))
+}
+
+// respond writes the encoded body under status — or, when encoding
+// failed, the 500 internal envelope.
+func (b *Buffer) respond(w http.ResponseWriter, status int, encodeErr error) {
+	if encodeErr != nil {
+		b.Reset()
+		status = http.StatusInternalServerError
+		b.appendHTTPError(&HTTPError{Code: "internal", Message: encodeErr.Error()})
+	}
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(b.Bytes()) // a client that hung up gets no second answer
+}
+
+// jsonContentType is shared by every response: net/http copies header
+// values out when it writes them and Header.Set/Add replace or regrow a
+// value slice rather than write into it, so one read-only slice saves
+// the allocation per response.
+var jsonContentType = []string{"application/json"}
+
+// readBody reads a request body, bounded at maxBytes, into a pooled
+// buffer the caller Releases. An unreadable or oversized body is
+// answered with the 400 bad_request envelope and ok is false.
+func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) (buf *Buffer, ok bool) {
+	buf = GetBuffer()
+	if _, err := buf.ReadBounded(http.MaxBytesReader(w, r.Body, maxBytes), maxBytes, r.ContentLength); err != nil {
+		buf.Release()
+		badRequest(w, err)
+		return nil, false
+	}
+	return buf, true
+}
+
+func badRequest(w http.ResponseWriter, err error) {
+	WriteJSON(w, http.StatusBadRequest, HTTPError{Code: "bad_request", Message: err.Error()})
 }
 
 // DecodeBody is the one request-body reader of the serving wire surface
-// (worker and coordinator alike): it bounds the body at maxBytes,
-// decodes the JSON into v, and answers a malformed or oversized body
-// with the 400 bad_request envelope itself — ok is false once a
-// response has been written. Prediction bodies go through
-// DecodeRequest/DecodeBatch, which add the checks the admission queue
-// relies on.
+// (worker and coordinator alike): it reads the body, bounded at
+// maxBytes, decodes the JSON into v, and answers a malformed or
+// oversized body with the 400 bad_request envelope itself — ok is false
+// once a response has been written. A body is exactly one JSON value:
+// bytes after it are malformed input, not ignored. Prediction bodies go
+// through DecodeRequest/DecodeBatch, which parse with the row codec and
+// add the checks the admission queue relies on.
 func DecodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) (ok bool) {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes)).Decode(v); err != nil {
-		WriteJSON(w, http.StatusBadRequest, HTTPError{Code: "bad_request", Message: err.Error()})
+	buf, ok := readBody(w, r, maxBytes)
+	if !ok {
+		return false
+	}
+	defer buf.Release()
+	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
+		badRequest(w, err)
 		return false
 	}
 	return true
@@ -278,7 +350,14 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) (
 // moves, on the worker and the coordinator alike, so a request one
 // layer would refuse never travels to the next.
 func DecodeRequest(w http.ResponseWriter, r *http.Request, maxBytes int64) (req Request, ok bool) {
-	if !DecodeBody(w, r, maxBytes, &req) {
+	buf, ok := readBody(w, r, maxBytes)
+	if !ok {
+		return req, false
+	}
+	req, err := UnmarshalRequest(buf.Bytes())
+	buf.Release()
+	if err != nil {
+		badRequest(w, err)
 		return req, false
 	}
 	if _, known := priorityClass(req.Priority); !known {
@@ -293,25 +372,34 @@ func DecodeRequest(w http.ResponseWriter, r *http.Request, maxBytes int64) (req 
 // count must be bounded for backpressure to bound anything), every row
 // in a known priority class.
 func DecodeBatch(w http.ResponseWriter, r *http.Request, maxBytes int64, maxBatch int) (reqs []Request, ok bool) {
-	if !DecodeBody(w, r, maxBytes, &reqs) {
+	buf, ok := readBody(w, r, maxBytes)
+	if !ok {
 		return nil, false
 	}
-	bad := func(code, msg string) ([]Request, bool) {
-		WriteJSON(w, http.StatusBadRequest, HTTPError{Code: code, Message: msg})
+	reqs, err := UnmarshalRequests(buf.Bytes())
+	buf.Release()
+	switch {
+	case err != nil:
+		badRequest(w, err)
 		return nil, false
-	}
-	if len(reqs) == 0 {
-		return bad("bad_request", "empty request list")
-	}
-	if len(reqs) > maxBatch {
-		return bad("batch_too_large", fmt.Sprintf("batch of %d exceeds the %d-row limit; split it", len(reqs), maxBatch))
+	case len(reqs) == 0:
+		return nil, rejectBatch(w, "bad_request", "empty request list")
+	case len(reqs) > maxBatch:
+		return nil, rejectBatch(w, "batch_too_large", "batch of %d exceeds the %d-row limit; split it", len(reqs), maxBatch)
 	}
 	for i := range reqs {
 		if _, known := priorityClass(reqs[i].Priority); !known {
-			return bad("bad_priority", fmt.Sprintf("row %d: priority must be one of high, normal, low", i))
+			return nil, rejectBatch(w, "bad_priority", "row %d: priority must be one of high, normal, low", i)
 		}
 	}
 	return reqs, true
+}
+
+// rejectBatch answers a refused batch body with its 400 envelope. It
+// formats the message of a check that failed, off the steady-state path.
+func rejectBatch(w http.ResponseWriter, code, format string, args ...any) (ok bool) {
+	WriteJSON(w, http.StatusBadRequest, HTTPError{Code: code, Message: fmt.Sprintf(format, args...)})
+	return false
 }
 
 // RetryAfterSeconds renders a backpressure hint as whole seconds,
@@ -339,12 +427,18 @@ func BatchOutcome(results []Result) (failed int, allFailed *ReportError) {
 		}
 	}
 	if failed == len(results) && failed > 0 {
-		allFailed = &ReportError{
-			Code:    "all_requests_failed",
-			Message: fmt.Sprintf("all %d requests failed; first error: %s", failed, results[0].Error),
-		}
+		allFailed = allRequestsFailed(failed, results[0].Error)
 	}
 	return failed, allFailed
+}
+
+// allRequestsFailed formats the report error of a batch with no
+// surviving row, off the steady-state path.
+func allRequestsFailed(failed int, first string) *ReportError {
+	return &ReportError{
+		Code:    "all_requests_failed",
+		Message: fmt.Sprintf("all %d requests failed; first error: %s", failed, first),
+	}
 }
 
 // Report assembles the batch report from finished rows plus the
