@@ -51,7 +51,7 @@ type EngineConfig struct {
 }
 
 // AssetCaps bounds the resident entry count of each evictable asset
-// class in the engine's unified store.
+// class in the engine's unified store: runs, overheads, graphs.
 type AssetCaps = engine.AssetCaps
 
 // AssetStats is the engine's per-class asset store report: resident

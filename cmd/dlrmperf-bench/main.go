@@ -19,13 +19,6 @@
 //
 //	dlrmperf-bench -mode scenarios
 //
-// In "assetstore" mode it runs the engine's metered asset store under
-// eviction pressure: a Zipf-skewed stream of graph requests over a
-// working set larger than the cap, swept across capacities, printing
-// the hit-rate curve with eviction and resident-byte counters:
-//
-//	dlrmperf-bench -mode assetstore -n 2000
-//
 // Every mode accepts -cpuprofile and -memprofile, writing pprof
 // profiles of the run for the optimization workflow documented in the
 // README's Performance section:
@@ -50,7 +43,6 @@ import (
 	"dlrmperf/internal/models"
 	"dlrmperf/internal/perfmodel"
 	"dlrmperf/internal/scenario"
-	"dlrmperf/internal/xrand"
 )
 
 func fail(err error) {
@@ -61,7 +53,7 @@ func fail(err error) {
 func main() {
 	mode := flag.String("mode", "sweep", "sweep (one kernel family dataset) or calibrate (full engine calibration)")
 	kernel := flag.String("kernel", "GEMM", "sweep mode: kernel kind (GEMM, EL-F, EL-B, concat, memcpy, transpose, tril-F, tril-B, elementwise, conv, batchnorm)")
-	n := flag.Int("n", 1000, "sweep mode: number of shapes to sweep; assetstore mode: request-stream length")
+	n := flag.Int("n", 1000, "sweep mode: number of shapes to sweep")
 	device := flag.String("device", hw.V100, "device name")
 	seed := flag.Uint64("seed", 2022, "random seed")
 	workers := flag.Int("workers", 0, "calibrate mode: worker pool size (0 = GOMAXPROCS)")
@@ -105,78 +97,9 @@ func main() {
 		calibrate(*device, *seed, *workers, *save)
 	case "scenarios":
 		scenarios()
-	case "assetstore":
-		assetstore(*seed, *n)
 	default:
 		fail(fmt.Errorf("unknown mode %q", *mode))
 	}
-}
-
-// assetstore drives the engine's graph class under eviction pressure:
-// `requests` Zipf-skewed accesses over a working set of (workload,
-// batch) graphs, repeated for each capacity in the sweep. The class
-// holds one structure per workload — a batch size is bound to it, not
-// keyed — so the capacities sweep up to the workload count.
-// The graph class exercises the full store machinery (LRU, byte
-// metering, singleflight rebuild) without paying any calibration, so
-// the run completes in seconds and the hit-rate curve isolates the
-// store itself.
-func assetstore(seed uint64, requests int) {
-	if requests <= 0 {
-		requests = 1000
-	}
-	// Working set: every built-in workload crossed with four batch
-	// sizes — one structure per workload, more than every swept
-	// capacity except the last.
-	type item struct {
-		workload string
-		batch    int64
-	}
-	var set []item
-	workloads := append(models.DLRMNames(),
-		models.NameResNet50, models.NameInceptionV3, models.NameTransformer)
-	for _, w := range workloads {
-		for _, b := range []int64{256, 512, 1024, 2048} {
-			set = append(set, item{w, b})
-		}
-	}
-	// The Zipf stream is fixed across capacities so the sweep isolates
-	// the cap: same accesses, different eviction pressure.
-	stream := xrand.ZipfStream(xrand.New(seed), len(set), 1.1, requests)
-
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "capacity\trequests\thits\tmisses\tevictions\thit-rate\tresident\tbytes\n")
-	caps := []int{1, 2, 3, 4, 5, len(workloads)}
-	for _, c := range caps {
-		eng := engine.New(engine.Options{
-			Seed:      seed,
-			AssetCaps: engine.AssetCaps{Graphs: c},
-		})
-		for _, idx := range stream {
-			if _, err := eng.Model(set[idx].workload, set[idx].batch); err != nil {
-				fail(err)
-			}
-		}
-		g := eng.AssetStats().Class("graphs")
-		rate := float64(g.Hits) / float64(g.Hits+g.Misses)
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%.1f%%\t%d\t%s\n",
-			c, requests, g.Hits, g.Misses, g.Evictions, 100*rate,
-			g.Resident, fmtBytes(g.Bytes))
-	}
-	tw.Flush()
-	fmt.Printf("\nworking set: %d structures bound at %d (workload, batch) pairs, zipf(s=1.1) stream of %d requests, seed %d\n",
-		len(workloads), len(set), requests, seed)
-}
-
-// fmtBytes renders an approximate byte count human-readably.
-func fmtBytes(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
-	}
-	return fmt.Sprintf("%dB", n)
 }
 
 // scenarios lists the registry with resolved defaults; multi-GPU DLRM

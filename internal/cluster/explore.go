@@ -18,8 +18,8 @@ import (
 // chunk behind it (sweep units must apply backpressure, never shed),
 // per-row failover behind that. The expansion's device-major order
 // means one device's configurations travel together to the same affine
-// worker, so that worker's pinned calibration and compiled plans serve
-// a contiguous run of requests.
+// worker, so that worker's pinned calibration and graph structures
+// serve a contiguous run of requests.
 func (c *Coordinator) RunExplore(ctx context.Context, g explore.Grid) (*explore.Report, error) {
 	if c.Draining() {
 		return nil, ErrDraining
@@ -29,7 +29,7 @@ func (c *Coordinator) RunExplore(ctx context.Context, g explore.Grid) (*explore.
 		return nil, err
 	}
 	// The asset view of a cluster sweep is the merged worker stores
-	// (where the calibrations and compiled plans actually live).
+	// (where the calibrations and graphs actually live).
 	st := c.Stats(ctx)
 	rep.Assets = &st.Assets
 	return rep, nil

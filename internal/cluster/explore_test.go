@@ -26,7 +26,7 @@ func clusterGrid() explore.Grid {
 
 // TestClusterExploreDeviceAffinity: a coordinator sweep routes each
 // device's configurations to exactly one worker (rendezvous routing +
-// device-major expansion), so pinned calibrations and compiled plans
+// device-major expansion), so pinned calibrations and graph structures
 // are reused instead of duplicated across the cluster.
 func TestClusterExploreDeviceAffinity(t *testing.T) {
 	coord, workers := newTestCluster(t, 2, nil)

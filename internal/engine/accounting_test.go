@@ -36,14 +36,15 @@ type entryPoint struct {
 var errWorkerDown = errors.New("worker down")
 
 // entryPoints are Predict, PredictBatch (warm probe pass + fan-out) and
-// RemoteResult. The local builder's run count is read off the plans
-// class (predictScenario performs exactly one plan lookup per run); the
-// remote fetch counts itself, and fails for the device the local
+// RemoteResult. The local builder's run count is read off the
+// calibrations class (predictScenario asks for the device's calibration
+// exactly once per run, and nothing under it asks again); the remote
+// fetch counts itself, and fails for the device the local
 // builder cannot compile either, so "a build that fails" is one request
 // on every entry point.
 func entryPoints() []entryPoint {
-	planLookups := func(x *accountingRun) uint64 {
-		c := x.e.AssetStats().Class("plans")
+	localBuilds := func(x *accountingRun) uint64 {
+		c := x.e.AssetStats().Class("calibrations")
 		return c.Hits + c.Misses
 	}
 	return []entryPoint{
@@ -53,7 +54,7 @@ func entryPoints() []entryPoint {
 				r := x.e.PredictCtx(ctx, req)
 				return r.CacheHit, r.Err
 			},
-			builds: planLookups,
+			builds: localBuilds,
 		},
 		{
 			name: "PredictBatch", prefix: "predict/", value: cached{},
@@ -61,7 +62,7 @@ func entryPoints() []entryPoint {
 				r := x.e.PredictBatchCtx(ctx, []Request{req})[0]
 				return r.CacheHit, r.Err
 			},
-			builds: planLookups,
+			builds: localBuilds,
 		},
 		{
 			name: "RemoteResult", prefix: "remote/", value: "row",

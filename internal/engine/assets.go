@@ -93,7 +93,10 @@ func (e *Engine) SaveAssets(device string) ([]byte, error) {
 // skip calibration (and skip profiling for every included overhead DB).
 // A payload whose format version does not match AssetFormatVersion —
 // including pre-versioned files (version 0) and bytes that do not parse
-// — is rejected with *AssetFormatError before anything installs.
+// — is rejected with *AssetFormatError, and one whose registry or any
+// overhead database does not decode with a plain error; either way the
+// whole payload is decoded before anything installs, so a rejected
+// payload leaves the engine as it was.
 func (e *Engine) LoadAssets(data []byte) (string, error) {
 	var w wireAssets
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -109,20 +112,25 @@ func (e *Engine) LoadAssets(data []byte) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("engine: loading registry: %w", err)
 	}
-	e.Install(w.Device, &perfmodel.Calibration{Registry: reg})
+	dbs := make(map[string]*overhead.DB, len(w.Overheads))
 	for name, raw := range w.Overheads {
-		db, err := overhead.Load(raw)
-		if err != nil {
+		if dbs[name], err = overhead.Load(raw); err != nil {
 			return "", fmt.Errorf("engine: loading %s overheads: %w", name, err)
 		}
-		e.InstallOverheads(w.Device, name, db)
 	}
+	var shared *overhead.DB
 	if len(w.Shared) > 0 {
-		db, err := overhead.Load(w.Shared)
-		if err != nil {
+		if shared, err = overhead.Load(w.Shared); err != nil {
 			return "", fmt.Errorf("engine: loading shared overheads: %w", err)
 		}
-		e.store.class(classOverheads).put("shared/"+w.Device, db, approxBytes(db))
+	}
+
+	e.Install(w.Device, &perfmodel.Calibration{Registry: reg})
+	for name, db := range dbs {
+		e.InstallOverheads(w.Device, name, db)
+	}
+	if shared != nil {
+		e.store.class(classOverheads).put("shared/"+w.Device, shared, approxBytes(shared))
 		e.bumpAssetEpoch(w.Device)
 	}
 	return w.Device, nil

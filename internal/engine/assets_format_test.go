@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 
 	"dlrmperf/internal/hw"
@@ -82,6 +83,90 @@ func TestLoadAssetsCorruptedBlob(t *testing.T) {
 	}
 	if res := e.Predict(NewRequest(hw.V100, models.NameDLRMDefault, 256)); res.Err != nil {
 		t.Fatalf("engine unusable after rejected loads: %v", res.Err)
+	}
+}
+
+// TestLoadAssetsRejectedInstallsNothing: a payload whose envelope
+// parses but whose registry or any overhead database does not is
+// rejected whole — the engine holds exactly what it held before the
+// call (no calibration, no epoch movement, nothing resident), so a
+// corrupt blob POSTed to /v1/assets/install cannot leave a worker
+// serving from it, and the device still calibrates normally afterwards.
+func TestLoadAssetsRejectedInstallsNothing(t *testing.T) {
+	src := New(tinyOptions(7))
+	shared := NewRequest(hw.V100, models.NameDLRMDefault, 512)
+	shared.Shared = true
+	for _, req := range []Request{NewRequest(hw.V100, models.NameDLRMDefault, 512), shared} {
+		if res := src.Predict(req); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	data, err := src.SaveAssets(hw.V100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nope := json.RawMessage(`"nope"`)
+	corrupt := func(edit func(wire map[string]json.RawMessage)) []byte {
+		var wire map[string]json.RawMessage
+		if err := json.Unmarshal(data, &wire); err != nil {
+			t.Fatal(err)
+		}
+		edit(wire)
+		out, err := json.Marshal(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	type state struct {
+		devices  []string
+		epoch    uint64
+		calRuns  int
+		resident map[string]int
+	}
+	snapshot := func(e *Engine) state {
+		st := state{e.CalibratedDevices(), e.AssetsEpoch(hw.V100), e.CalibrationRuns(hw.V100), map[string]int{}}
+		for _, c := range e.AssetStats().Classes {
+			st.resident[c.Class] = c.Resident
+		}
+		return st
+	}
+
+	e := New(tinyOptions(7))
+	before := snapshot(e)
+	for _, tc := range []struct {
+		name string
+		edit func(wire map[string]json.RawMessage)
+	}{
+		{"one per-workload DB", func(wire map[string]json.RawMessage) {
+			var dbs map[string]json.RawMessage
+			if err := json.Unmarshal(wire["overheads"], &dbs); err != nil || len(dbs[models.NameDLRMDefault]) == 0 {
+				t.Fatalf("export holds no %s overheads (%v)", models.NameDLRMDefault, err)
+			}
+			dbs[models.NameDLRMDefault] = nope
+			wire["overheads"], _ = json.Marshal(dbs)
+		}},
+		{"the shared DB", func(wire map[string]json.RawMessage) {
+			if len(wire["shared"]) == 0 {
+				t.Fatal("export holds no shared overheads")
+			}
+			wire["shared"] = nope
+		}},
+		{"the registry", func(wire map[string]json.RawMessage) { wire["registry"] = nope }},
+	} {
+		if _, err := e.LoadAssets(corrupt(tc.edit)); err == nil {
+			t.Fatalf("payload with %s corrupted was accepted", tc.name)
+		}
+		if after := snapshot(e); !reflect.DeepEqual(after, before) {
+			t.Fatalf("rejected payload (%s corrupted) changed the engine: %+v -> %+v", tc.name, before, after)
+		}
+	}
+	if res := e.Predict(NewRequest(hw.V100, models.NameDLRMDefault, 512)); res.Err != nil {
+		t.Fatalf("engine unusable after rejected loads: %v", res.Err)
+	}
+	if got := e.CalibrationRuns(hw.V100); got != 1 {
+		t.Fatalf("calibration runs after rejected loads = %d, want 1", got)
 	}
 }
 

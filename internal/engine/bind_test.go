@@ -248,31 +248,3 @@ func TestTransformOnCloneLeavesStructureShared(t *testing.T) {
 		t.Error("the view predicts differently after a clone was transformed")
 	}
 }
-
-// TestPlanChargesItsShapeTables: a bound view's shape table lives with
-// the plan, so the plans class must meter it — once per distinct shard.
-func TestPlanChargesItsShapeTables(t *testing.T) {
-	e := New(tinyOptions(7))
-	price := func(name string) (plan, perShard int64) {
-		spec, err := scenario.Build(name, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec.Batch += 4 // not the batch that builds the structure below
-		if _, err := e.compile(Request{Device: hw.V100, Scenario: scenario.Single(spec.Workload, 64)}); err != nil {
-			t.Fatal(err)
-		}
-		pl, err := e.compile(Request{Device: hw.V100, Scenario: spec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return approxBytes(pl), 48 * int64(pl.graphs[0].Tensors())
-	}
-	uniform, shard := price("dlrm-uniform-4gpu")
-	if uniform < shard || uniform >= 2*shard {
-		t.Errorf("4 identical shards charged %d bytes, want one shape table (%d)", uniform, shard)
-	}
-	if criteo, shard := price("dlrm-criteo-4gpu"); criteo < 4*shard*9/10 {
-		t.Errorf("4 distinct shards charged %d bytes, want about four shape tables (%d each)", criteo, shard)
-	}
-}

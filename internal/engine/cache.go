@@ -2,7 +2,6 @@ package engine
 
 import (
 	"container/list"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -43,10 +42,6 @@ const (
 	// workload or table population, whatever the batch size (see
 	// Engine.graph).
 	classGraph
-	// classPlan holds compiled scenario plans: a request resolved once
-	// into its per-shard graphs, LPT shard assignment, comm model, and
-	// bound predictor, so steady-state prediction is lookup + arithmetic.
-	classPlan
 	// classResult holds finished predictions keyed by request identity.
 	classResult
 	numAssetClasses
@@ -54,7 +49,7 @@ const (
 
 // ClassName renders an asset class for stats and reports.
 var classNames = [numAssetClasses]string{
-	"calibrations", "runs", "overheads", "graphs", "plans", "results",
+	"calibrations", "runs", "overheads", "graphs", "results",
 }
 
 // ClassStats is the observable state of one asset class: resident
@@ -237,7 +232,6 @@ func newAssetStore(opts Options) *assetStore {
 	s.classes[classRun] = newClassStore(opts.AssetCaps.Runs, false)
 	s.classes[classOverheads] = newClassStore(opts.AssetCaps.Overheads, false)
 	s.classes[classGraph] = newClassStore(opts.AssetCaps.Graphs, false)
-	s.classes[classPlan] = newClassStore(opts.AssetCaps.Plans, false)
 	s.classes[classResult] = newClassStore(opts.ResultCacheSize, false)
 	s.classes[classResult].off = opts.ResultCacheSize < 0
 	return s
@@ -272,7 +266,6 @@ func approxBytes(v any) int64 {
 		statsBytes   = 32  // overhead.Stats + map key share
 		nodeBytes    = 200 // graph.Node + op + tensor metadata share
 		opTimeBytes  = 64  // predict.OpTime
-		tensorBytes  = 48  // tensor.Meta + its share of a shape array
 		fallbackSize = 1 << 10
 	)
 	switch t := v.(type) {
@@ -310,23 +303,6 @@ func approxBytes(v any) int64 {
 			return int64(ptrOverhead + len(raw) + 64*len(t.Evals))
 		}
 		return fallbackSize
-	case *CompiledPlan:
-		// Graph structure is shared with (and metered by) the graphs
-		// class; the plan owns the shape table of each view it bound,
-		// one per distinct shard, plus its references and resolved state.
-		n := int64(ptrOverhead) + 128 + 8*int64(len(t.graphs))
-		for d, g := range t.graphs {
-			if !slices.Contains(t.graphs[:d], g) {
-				n += int64(g.Tensors()) * tensorBytes
-			}
-		}
-		if t.plan != nil {
-			n += 64 + 8*int64(len(t.plan.Loads))
-			for _, a := range t.plan.Assignments {
-				n += 8 * int64(len(a))
-			}
-		}
-		return n
 	case cached:
 		n := int64(ptrOverhead) + 32 + int64(len(t.pred.PerOp))*opTimeBytes
 		if t.multi != nil {

@@ -9,18 +9,21 @@
 // class of the metered store (cache.go), else one singleflight
 // execution (singleflight.go) that re-checks, builds, stores, and
 // tells its caller whether it executed or joined. Calibrations, runs,
-// overhead databases, graphs, compiled plans and finished predictions
-// differ only in class, key and builder, so a burst of predictions
+// overhead databases, graphs and finished predictions differ only in
+// class, key and builder, so a burst of predictions
 // against an uncalibrated device triggers exactly one calibration and
 // identical concurrent requests compute once. A graph is remembered as
 // its structure only — nodes and ops, keyed by everything but the batch
 // size — and every request binds its batch to the shared structure by
 // one shape propagation (Engine.graph), so requests that differ in
-// batch alone build nothing. Requests reach the
-// lookup through ONE wrapper (Engine.request: validate, then key, then
-// lookup, with the stream and hit/miss/canceled accounting around it)
-// shared by Predict, PredictBatch and the coordinator's RemoteResult,
-// so the three cannot disagree about a request's identity or verdict.
+// batch alone build nothing. The plan a request compiles into (plan.go)
+// is not remembered at all: it shares its result's identity, so it
+// could only be re-read after that result was evicted. Requests reach
+// the lookup through ONE wrapper (Engine.request: validate, then key,
+// then lookup, with the stream and hit/miss/canceled accounting around
+// it) shared by Predict, PredictBatch and the coordinator's
+// RemoteResult, so the three cannot disagree about a request's identity
+// or verdict.
 //
 // Calibration itself fans its per-kernel-family jobs out on a bounded
 // worker pool (perfmodel.CalibrateParallel), and PredictBatch fans
@@ -87,7 +90,7 @@ type Options struct {
 	// the cold-path ablation).
 	ResultCacheSize int
 	// AssetCaps bounds the evictable asset classes of the engine's
-	// unified store (runs, overhead DBs, graphs, compiled plans).
+	// unified store (runs, overhead DBs, graphs).
 	// Calibrations are pinned and never evict.
 	AssetCaps AssetCaps
 }
@@ -108,10 +111,6 @@ type AssetCaps struct {
 	// workload and per distinct table population or shard, independent
 	// of batch size (default 512).
 	Graphs int
-	// Plans caps compiled scenario plans — requests resolved once into
-	// executable form (default 512). An evicted plan recompiles from the
-	// graph class on next use and predicts identically.
-	Plans int
 }
 
 func (c AssetCaps) withDefaults() AssetCaps {
@@ -123,9 +122,6 @@ func (c AssetCaps) withDefaults() AssetCaps {
 	}
 	if c.Graphs == 0 {
 		c.Graphs = 512
-	}
-	if c.Plans == 0 {
-		c.Plans = 512
 	}
 	return c
 }

@@ -16,14 +16,14 @@ import (
 // the per-shard execution graphs, the greedy-LPT shard assignment, the
 // resolved alpha-beta comm model, the collective payload sizes, and
 // the device's bound predictor (calibrated kernel models + overhead
-// database). Compiling happens once per (device, scenario fingerprint,
-// overhead mode) and is cached in the plans class of the asset store;
-// executing a plan is pure arithmetic — no graph construction, no
-// shard re-planning, no comm-model resolution, no key formatting.
+// database). Executing a plan is pure arithmetic — no graph
+// construction, no shard planning, no comm-model resolution.
 //
-// Plans are immutable once built and shared between callers, so an
-// evicted plan recompiles deterministically and predicts identically
-// (the structures its graphs were bound from stay in the graphs class).
+// A plan is transient: predictScenario compiles one per result-cache
+// miss and drops it after execute. Everything costly it refers to is
+// remembered by its own asset class, so compiling again is
+// deterministic and ends in the same predictor calls on the same
+// inputs.
 type CompiledPlan struct {
 	// graphs holds one execution graph per device (len 1 single-device):
 	// views bound at the per-device batch, whose shape tables this plan
@@ -45,9 +45,8 @@ type CompiledPlan struct {
 	multi bool
 }
 
-// execute prices the compiled scenario. It performs the same predictor
-// calls the uncompiled path ends in, on the same inputs, so results
-// are bit-identical to resolving the request from scratch.
+// execute prices the compiled scenario: the Algorithm-1 walk of its
+// graph, or the sharded walk plus collectives of a multi-device plan.
 func (p *CompiledPlan) execute() (cached, error) {
 	if !p.multi {
 		pred, err := p.pred.Predict(p.graphs[0])
@@ -63,10 +62,9 @@ func (p *CompiledPlan) execute() (cached, error) {
 	return cached{pred: mp.Prediction, multi: &mp, plan: p.plan}, nil
 }
 
-// compile resolves a request cold. Graphs and the shard plan are built
-// BEFORE the device's assets are touched — the same ordering the
-// historical per-request path used — so malformed scenarios (unknown
-// workloads, unplannable shardings, custom tables on non-DLRM
+// compile resolves a request. Graphs and the shard plan are built
+// BEFORE the device's assets are touched, so malformed scenarios
+// (unknown workloads, unplannable shardings, custom tables on non-DLRM
 // families) fail fast without ever triggering a calibration.
 func (e *Engine) compile(req Request) (*CompiledPlan, error) {
 	spec := req.Scenario

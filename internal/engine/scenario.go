@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 
 	"dlrmperf/internal/models"
@@ -12,21 +11,18 @@ import (
 )
 
 // predictScenario computes one request that missed the result cache —
-// the result class's builder. The steady-state path resolves the
-// request to a CompiledPlan — a lookup in the plans class under the
-// request key — and executes it: plan lookup + arithmetic, with zero
-// graph reconstruction, zero shard re-planning, and zero key formatting
-// beyond one pooled-buffer append. A cached plan and a from-scratch
-// compile end in identical predictor calls on identical inputs, so
-// their results are bit-identical (plan_test.go compares them across
-// the registry).
+// the result class's builder: compile the request, execute the plan,
+// forget it. A plan shares the request's identity with its result, so
+// it could only ever be re-read after that result was evicted; the
+// pieces worth remembering (the calibration, the overhead database, the
+// graph structures) sit in their own classes, and what is left of a
+// compile is one shape propagation per distinct shard and an LPT pass.
 func (e *Engine) predictScenario(req *Request) (any, error) {
-	pl, _, err := e.lookup(context.Background(), classPlan, "plan/", req,
-		func(e *Engine, req *Request) (any, error) { return e.compile(*req) })
+	pl, err := e.compile(*req)
 	if err != nil {
 		return nil, err
 	}
-	return pl.(*CompiledPlan).execute()
+	return pl.execute()
 }
 
 // scenarioPredictor assembles the device's predictor for a request:

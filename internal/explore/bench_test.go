@@ -26,11 +26,12 @@ func BenchmarkExploreWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkExploreCold measures the sweep with the result cache
-// disabled — every unique config re-walks its compiled plan — over a
-// Zipf-skewed batch axis (a realistic exploration has heavy repetition
-// of popular batch sizes). Assets (calibrations, plans) are warmed
-// before the timer so only per-prediction work is measured.
+// BenchmarkExploreCold measures the result-cache-off ablation of the
+// sweep — every unique config compiles a plan and walks it, on every
+// iteration — over a Zipf-skewed batch axis (a realistic exploration
+// has heavy repetition of popular batch sizes). Assets (calibrations,
+// overhead DBs, graph structures) are warmed before the timer so only
+// per-prediction work is measured.
 func BenchmarkExploreCold(b *testing.B) {
 	eng := benchEngine(b, -1)
 	candidates := []int64{256, 512, 768, 1024, 1536, 2048, 3072, 4096}

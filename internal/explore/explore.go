@@ -11,8 +11,8 @@
 // fingerprint — distinct grid points can canonicalize to the same spec
 // (comm "" and "nvlink" are one identity at width > 1), and a sweep
 // must never predict one spec twice. The unique list comes out
-// device-major, so pinned calibration assets and compiled plans are
-// touched in cache-friendly order. Sweep fans the unique requests
+// device-major, so a device's pinned calibration and its graph
+// structures are touched in cache-friendly order. Sweep fans the unique requests
 // through the engine's bounded worker pool (PredictBatchContext,
 // context-threaded: a canceled exploration abandons cleanly without
 // poisoning the singleflight) and streams every result into an
@@ -147,8 +147,8 @@ type Expansion struct {
 	Total int
 	// Unique holds one unit per distinct prediction, in device-major
 	// order: all of one device's work is contiguous, so calibrations and
-	// compiled plans are touched in cache-friendly runs (and the cluster
-	// path keeps one worker's requests together in flight).
+	// graph structures are touched in cache-friendly runs (and the
+	// cluster path keeps one worker's requests together in flight).
 	Unique []Unit
 	// Rejected counts grid points scenario validation refused — they
 	// are never dispatched, mirroring the engine's RejectedRequests
@@ -328,7 +328,7 @@ type Report struct {
 	// Top lists the Grid.Top highest-throughput configurations overall.
 	Top []Row `json:"top,omitempty"`
 	// Assets snapshots the engine's per-class asset store at report
-	// time (calibrations, compiled plans, cached results).
+	// time (calibrations, graphs, cached results).
 	Assets *dlrmperf.AssetStats `json:"assets,omitempty"`
 }
 
