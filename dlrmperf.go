@@ -19,6 +19,7 @@ package dlrmperf
 
 import (
 	"fmt"
+	"runtime"
 
 	"dlrmperf/internal/kernels"
 
@@ -31,6 +32,7 @@ import (
 	"dlrmperf/internal/perfmodel"
 	"dlrmperf/internal/predict"
 	"dlrmperf/internal/sim"
+	"dlrmperf/internal/trace"
 )
 
 // Supported device names.
@@ -291,17 +293,20 @@ func (p *Pipeline) CollectOverheads(w *Workload, seed uint64) (*OverheadDB, erro
 }
 
 // SharedOverheads pools the overhead samples of several workloads — the
-// shared database the paper proposes for large-scale prediction.
+// shared database the paper proposes for large-scale prediction. The
+// profiled runs simulate and are extracted concurrently; the database
+// is the one a serial pass would pool.
 func (p *Pipeline) SharedOverheads(ws []*Workload, seed uint64) (*OverheadDB, error) {
-	c := overhead.NewCollector()
-	for i, w := range ws {
-		r := sim.Run(w.model.Graph, sim.Config{
+	db, err := overhead.NewCollector().Pool(len(ws), runtime.GOMAXPROCS(0), func(i int) (*trace.Trace, error) {
+		return sim.Run(ws[i].model.Graph, sim.Config{
 			Platform: p.platform, Seed: seed + uint64(i)*13, Warmup: 5, Iters: 30,
-			Profile: true, Workload: w.model.Name,
-		})
-		c.Add(r.Trace)
+			Profile: true, Workload: ws[i].model.Name,
+		}).Trace, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &OverheadDB{db: c.Finish()}, nil
+	return &OverheadDB{db: db}, nil
 }
 
 // JSON serializes the overhead database.

@@ -252,32 +252,34 @@ func (s *assetStore) stats() AssetStats {
 
 // eventBytes is the size of one trace.Event. The simulator allocates a
 // run's log at its exact length, so events × eventBytes is what the log
-// holds resident, with no append slack on top.
+// holds resident, with no append slack on top. The events' name strings
+// are not charged: every iteration's events share one string per node.
 const eventBytes = 88
+
+// iterSpanBytes is the size of one trace.Trace.IterSpans entry.
+const iterSpanBytes = 16
 
 // approxBytes estimates the resident footprint of one asset. The
 // numbers are deliberately rough — they meter relative pressure, not
 // allocator truth — but scale with the dominant payload of each type:
 // trace events for runs, per-op stats for overhead DBs, nodes for
-// graphs, serialized registry size for calibrations.
+// graphs, fitted network parameters for calibrations. Each is read off
+// the asset's lengths, so metering a store costs no pass over its
+// payload.
 func approxBytes(v any) int64 {
 	const (
 		ptrOverhead  = 48  // map/list bookkeeping per entry
 		statsBytes   = 32  // overhead.Stats + map key share
 		nodeBytes    = 200 // graph.Node + op + tensor metadata share
 		opTimeBytes  = 64  // predict.OpTime
+		modelBytes   = 128 // a kernel model's own fields
 		fallbackSize = 1 << 10
 	)
 	switch t := v.(type) {
 	case *sim.Result:
 		n := int64(ptrOverhead)
 		if t.Trace != nil {
-			n += int64(len(t.Trace.Events)) * eventBytes
-			n += int64(len(t.Trace.IterSpans)) * 16
-			for i := range t.Trace.Events {
-				ev := &t.Trace.Events[i]
-				n += int64(len(ev.Name) + len(ev.Op))
-			}
+			n += int64(len(t.Trace.Events))*eventBytes + int64(len(t.Trace.IterSpans))*iterSpanBytes
 		}
 		return n
 	case *overhead.DB:
@@ -296,13 +298,19 @@ func approxBytes(v any) int64 {
 		}
 		return n
 	case *perfmodel.Calibration:
-		// The registry's fitted models (MLP ensembles per kernel family)
-		// dominate; serialized size is an honest proxy and is computed
-		// once per calibration, whose cost dwarfs the marshal.
-		if raw, err := perfmodel.SaveRegistry(t.Registry); err == nil {
-			return int64(ptrOverhead + len(raw) + 64*len(t.Evals))
+		// The fitted MLP ensembles dominate: 8 bytes per parameter.
+		n := int64(ptrOverhead + 64*len(t.Evals))
+		if t.Registry != nil {
+			for _, kind := range t.Registry.Kinds() {
+				n += modelBytes
+				if m, ok := t.Registry.Model(kind).(*perfmodel.MLPModel); ok {
+					for _, net := range m.Nets {
+						n += 8 * int64(net.NumParams())
+					}
+				}
+			}
 		}
-		return fallbackSize
+		return n
 	case cached:
 		n := int64(ptrOverhead) + 32 + int64(len(t.pred.PerOp))*opTimeBytes
 		if t.multi != nil {

@@ -51,6 +51,7 @@ import (
 	"dlrmperf/internal/predict"
 	"dlrmperf/internal/scenario"
 	"dlrmperf/internal/sim"
+	"dlrmperf/internal/trace"
 	"dlrmperf/internal/xrand"
 	"dlrmperf/internal/xsync"
 )
@@ -518,9 +519,10 @@ func (e *Engine) SharedOverheadDB(device string) (*overhead.DB, error) {
 // collectOverheads profiles r.model (every DLRM workload when unset —
 // the shared database) on r.device at the family's evaluation batch
 // sizes and pools the traces. The runs are independent — each draws
-// from its own runSeed — so they simulate concurrently; their traces
-// are pooled in the listed order, which is what fixes the order of the
-// pooled samples and with it every mean.
+// from its own runSeed — so they simulate concurrently, and each is
+// extracted on its worker as soon as it exists; the pool keeps the
+// listed order, which is what fixes the order of the pooled samples and
+// with it every mean.
 func (e *Engine) collectOverheads(r runSpec) (*overhead.DB, error) {
 	names := []string{r.model}
 	if r.model == "" {
@@ -532,19 +534,18 @@ func (e *Engine) collectOverheads(r runSpec) (*overhead.DB, error) {
 			specs = append(specs, runSpec{r.device, model, b, true})
 		}
 	}
-	runs, errs := make([]*sim.Result, len(specs)), make([]error, len(specs))
-	xsync.ForEachN(len(specs), e.opts.Workers, func(i int) {
-		runs[i], errs[i] = e.Run(specs[i].device, specs[i].model, specs[i].batch, true)
-	})
-	c := overhead.NewCollector()
-	for i, run := range runs {
-		if errs[i] != nil {
-			return nil, errs[i]
+	db, err := overhead.NewCollector().Pool(len(specs), e.opts.Workers, func(i int) (*trace.Trace, error) {
+		run, err := e.Run(specs[i].device, specs[i].model, specs[i].batch, true)
+		if err != nil {
+			return nil, err
 		}
-		c.Add(run.Trace)
+		return run.Trace, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	e.bumpAssetEpoch(r.device)
-	return c.Finish(), nil
+	return db, nil
 }
 
 // Predictor builds the paper's predictor for a device with the given

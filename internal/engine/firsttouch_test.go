@@ -7,6 +7,7 @@ import (
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/models"
 	"dlrmperf/internal/scenario"
+	"dlrmperf/internal/sim"
 	"dlrmperf/internal/trace"
 )
 
@@ -54,5 +55,29 @@ func BenchmarkFirstTouch(b *testing.B) {
 func TestEventBytesIsStructSize(t *testing.T) {
 	if got := unsafe.Sizeof(trace.Event{}); got != eventBytes {
 		t.Errorf("eventBytes = %d, but a trace.Event is %d bytes", eventBytes, got)
+	}
+	if got := unsafe.Sizeof([2]float64{}); got != iterSpanBytes {
+		t.Errorf("iterSpanBytes = %d, but an iteration span is %d bytes", iterSpanBytes, got)
+	}
+}
+
+// TestRunChargeIsItsLog: every iteration's events share one name string
+// per node, so a run is charged for its log alone, and doubling the
+// iterations adds exactly the added events and iteration spans.
+func TestRunChargeIsItsLog(t *testing.T) {
+	m, err := models.Build(models.NameDLRMDefault, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(iters int) *sim.Result {
+		return sim.Run(m.Graph, sim.Config{
+			Platform: hw.V100Platform(), Seed: 3, Warmup: 1, Iters: iters,
+			Profile: true, Workload: models.NameDLRMDefault,
+		})
+	}
+	short, long := run(5), run(10)
+	added := int64(len(long.Trace.Events)-len(short.Trace.Events))*eventBytes + 5*iterSpanBytes
+	if got := approxBytes(long) - approxBytes(short); got != added {
+		t.Errorf("doubling the iterations adds %d bytes to the charge, the log grows by %d", got, added)
 	}
 }

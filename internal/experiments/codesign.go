@@ -12,6 +12,7 @@ import (
 	"dlrmperf/internal/overhead"
 	"dlrmperf/internal/sim"
 	"dlrmperf/internal/stats"
+	"dlrmperf/internal/trace"
 )
 
 // --- Fig. 11 / Section V-A(b): op fusion ---------------------------------------
@@ -278,14 +279,17 @@ func (s *Suite) AblationOverheadPolicy() ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, b := range s.opts.DLRMBatches {
-			r, err := s.Run(dev, model, b, true)
+		batches := s.opts.DLRMBatches
+		rawDB, err := raw.Pool(len(batches), s.eng.Options().Workers, func(i int) (*trace.Trace, error) {
+			r, err := s.Run(dev, model, batches[i], true)
 			if err != nil {
 				return nil, err
 			}
-			raw.Add(r.Trace)
+			return r.Trace, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		rawDB := raw.Finish()
 
 		predTrim, err := s.Predictor(dev, trimmed)
 		if err != nil {

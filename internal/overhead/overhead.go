@@ -5,17 +5,26 @@
 // stores per-op per-type statistics in a JSON-serializable database used
 // by the E2E predictor. It also aggregates databases across workloads
 // into the "shared overheads" variant evaluated in Fig. 9.
+//
+// Every database is built by one path, Collector.Pool: each trace is
+// extracted into its own partial on whichever goroutine produced it,
+// the partials are merged in listed order into one array laid out
+// population by population, and the populations are trimmed
+// concurrently. The merge fixes every population's sample order to the
+// one a serial pass over the traces would give, so the database, means
+// included, does not depend on the number of goroutines.
 package overhead
 
 import (
 	"encoding/json"
-	"maps"
+	"runtime"
 	"slices"
 	"sort"
 
 	"dlrmperf/internal/sim"
 	"dlrmperf/internal/stats"
 	"dlrmperf/internal/trace"
+	"dlrmperf/internal/xsync"
 )
 
 // TypeNames renders overhead type indices (sim.T1..sim.T5).
@@ -47,28 +56,16 @@ type DB struct {
 	Defaults [3]Stats `json:"defaults"`
 }
 
-// samples accumulates raw per-key observations before trimming. The
-// maps hold pointers so that an observation is one lookup and an append
-// in place, not a copy of the record out of the map and back.
-type samples struct {
-	t1    []float64
-	perOp map[string]*[3][]float64
-	t4    map[string]*[]float64
-}
-
-func newSamples() *samples {
-	return &samples{perOp: map[string]*[3][]float64{}, t4: map[string]*[]float64{}}
-}
-
-// Collector extracts overhead samples from traces.
+// Collector holds the extraction and trimming settings; Pool builds a
+// database with them.
 type Collector struct {
-	s *samples
 	// CPUCorrection and GPUCorrection are the per-event profiler
 	// overheads subtracted during extraction.
 	CPUCorrection float64
 	GPUCorrection float64
-	// TrimK is the IQR whisker multiplier (1.5 in the paper); a negative
-	// value disables outlier removal (used by the trimming ablation).
+	// TrimK is the IQR whisker multiplier (1.5 in the paper); zero or a
+	// negative value disables outlier removal (used by the trimming
+	// ablation).
 	TrimK float64
 }
 
@@ -76,18 +73,93 @@ type Collector struct {
 // (2 µs per CPU event, 4 µs per GPU event) and 1.5-IQR trimming.
 func NewCollector() *Collector {
 	return &Collector{
-		s:             newSamples(),
 		CPUCorrection: sim.ProfilerCPUEventOverhead,
 		GPUCorrection: sim.ProfilerGPUEventOverhead,
 		TrimK:         1.5,
 	}
 }
 
-// Add extracts overhead samples from every iteration of tr.
-func (c *Collector) Add(tr *trace.Trace) {
-	for iter := 0; iter < tr.Iters; iter++ {
-		c.addIteration(tr.EventTree(iter))
+// Pool builds the database of n traces. traceAt(i) supplies the i-th,
+// on up to workers goroutines at once, and the goroutine that supplied a
+// trace extracts it, so a caller that simulates inside traceAt overlaps
+// each extraction with the other traces' simulation. The extracted
+// samples are pooled in index order and trimmed on up to workers
+// goroutines; the result does not depend on workers. The first error in
+// index order is returned.
+func (c *Collector) Pool(n, workers int, traceAt func(i int) (*trace.Trace, error)) (*DB, error) {
+	parts, errs := make([]*partial, n), make([]error, n)
+	xsync.ForEachN(n, workers, func(i int) {
+		tr, err := traceAt(i)
+		if errs[i] = err; err == nil {
+			parts[i] = c.extract(tr)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
+	return c.finish(merge(parts), workers), nil
+}
+
+// FromTrace builds a database from a single workload's trace.
+func FromTrace(tr *trace.Trace) *DB {
+	return Shared([]*trace.Trace{tr})
+}
+
+// Shared builds the shared-overheads database by pooling the raw samples
+// of several workloads' traces ("averaging the samples across the
+// workloads collected in overhead analysis").
+func Shared(trs []*trace.Trace) *DB {
+	// The traces are at hand, so Pool has no error to report.
+	db, _ := NewCollector().Pool(len(trs), runtime.GOMAXPROCS(0), func(i int) (*trace.Trace, error) {
+		return trs[i], nil
+	})
+	return db
+}
+
+// Sample kinds: T2, T3 and T5 are per op (idxT2..idxT5), T4 is per
+// runtime function, T1 is one population for the whole trace.
+const (
+	kindT1 = 3
+	kindT4 = 4
+)
+
+// Name tables of a partial.
+const (
+	opNames = 0
+	fnNames = 1
+)
+
+// sample is one observation and the population it joins: a kind, and
+// for the per-op and T4 kinds the name's index in its table.
+type sample struct {
+	v          float64
+	kind, name int32
+}
+
+// partial is one trace's samples in extraction order, with the op and
+// runtime-function names they refer to in first-seen order; merge fills
+// remap, each name's index among the pooled names.
+type partial struct {
+	samples []sample
+	names   [2][]string
+	ids     [2]map[string]int32
+	remap   [2][]int
+}
+
+// extract reads every iteration of tr into a partial.
+func (c *Collector) extract(tr *trace.Trace) *partial {
+	p := &partial{ids: [2]map[string]int32{{}, {}}}
+	for iter := 0; iter < tr.Iters; iter++ {
+		p.addIteration(c, tr.EventTree(iter))
+		if iter == 0 {
+			// Every iteration runs the same ops, so the first one sizes
+			// the rest.
+			p.samples = slices.Grow(p.samples, (tr.Iters-1)*len(p.samples))
+		}
+	}
+	return p
 }
 
 func clamp(v float64) float64 {
@@ -97,37 +169,104 @@ func clamp(v float64) float64 {
 	return v
 }
 
-func (c *Collector) addIteration(opsEvents []trace.OpEvents) {
+func (p *partial) add(kind, name int32, v float64) {
+	p.samples = append(p.samples, sample{v: v, kind: kind, name: name})
+}
+
+// id returns name's index in table, adding it on first sight.
+func (p *partial) id(table int, name string) int32 {
+	id, ok := p.ids[table][name]
+	if !ok {
+		id = int32(len(p.names[table]))
+		p.ids[table][name] = id
+		p.names[table] = append(p.names[table], name)
+	}
+	return id
+}
+
+func (p *partial) addIteration(c *Collector, opsEvents []trace.OpEvents) {
 	for i, oe := range opsEvents {
 		if i > 0 {
-			c.s.t1 = append(c.s.t1, clamp(oe.Span.Start-opsEvents[i-1].Span.End))
+			p.add(kindT1, 0, clamp(oe.Span.Start-opsEvents[i-1].Span.End))
 		}
-		rec := c.s.perOp[oe.Span.Name]
-		if rec == nil {
-			rec = new([3][]float64)
-			c.s.perOp[oe.Span.Name] = rec
-		}
+		op := p.id(opNames, oe.Span.Name)
 		if len(oe.Runtime) == 0 {
 			// Algorithm 1's else branch charges T5 for kernel-less ops;
 			// extract the op body accordingly.
-			rec[idxT5] = append(rec[idxT5], clamp(oe.Span.Duration()-c.CPUCorrection))
+			p.add(idxT5, op, clamp(oe.Span.Duration()-c.CPUCorrection))
 			continue
 		}
 		first, last := oe.Runtime[0], oe.Runtime[len(oe.Runtime)-1]
-		rec[idxT2] = append(rec[idxT2], clamp(first.Start-oe.Span.Start-c.CPUCorrection))
-		rec[idxT3] = append(rec[idxT3], clamp(oe.Span.End-last.End-c.GPUCorrection))
+		p.add(idxT2, op, clamp(first.Start-oe.Span.Start-c.CPUCorrection))
+		p.add(idxT3, op, clamp(oe.Span.End-last.End-c.GPUCorrection))
 		for j, rt := range oe.Runtime {
 			if j > 0 {
-				rec[idxT5] = append(rec[idxT5], clamp(rt.Start-oe.Runtime[j-1].End-c.GPUCorrection))
+				p.add(idxT5, op, clamp(rt.Start-oe.Runtime[j-1].End-c.GPUCorrection))
 			}
-			t4 := c.s.t4[rt.Name]
-			if t4 == nil {
-				t4 = new([]float64)
-				c.s.t4[rt.Name] = t4
-			}
-			*t4 = append(*t4, rt.Duration())
+			p.add(kindT4, p.id(fnNames, rt.Name), rt.Duration())
 		}
 	}
+}
+
+// pooled is the merged sample set: the op and runtime-function names in
+// sorted order, and every population's samples as one run of vals — T1,
+// then T2 of each op, T3 of each op, T5 of each op, then T4 of each
+// function — so that a kind's pool over all ops, which Defaults trims,
+// is one run as well.
+type pooled struct {
+	names [2][]string
+	vals  []float64
+	start []int // population j is vals[start[j]:start[j+1]]
+}
+
+// population indexes the population of p's sample s.
+func (m *pooled) population(p *partial, s sample) int {
+	switch s.kind {
+	case kindT1:
+		return 0
+	case kindT4:
+		return 1 + 3*len(m.names[opNames]) + p.remap[fnNames][s.name]
+	}
+	return 1 + int(s.kind)*len(m.names[opNames]) + p.remap[opNames][s.name]
+}
+
+// merge pools the partials in order: a counting pass sizes every
+// population, a second pass places each sample after those of earlier
+// partials and earlier samples of its own.
+func merge(parts []*partial) *pooled {
+	m := &pooled{}
+	for t := range m.names {
+		for _, p := range parts {
+			m.names[t] = append(m.names[t], p.names[t]...)
+		}
+		slices.Sort(m.names[t])
+		m.names[t] = slices.Compact(m.names[t])
+		for _, p := range parts {
+			p.remap[t] = make([]int, len(p.names[t]))
+			for j, name := range p.names[t] {
+				p.remap[t][j], _ = slices.BinarySearch(m.names[t], name)
+			}
+		}
+	}
+	m.start = make([]int, 2+3*len(m.names[opNames])+len(m.names[fnNames]))
+	for _, p := range parts {
+		for _, s := range p.samples {
+			m.start[m.population(p, s)+1]++
+		}
+	}
+	for j := 1; j < len(m.start); j++ {
+		m.start[j] += m.start[j-1]
+	}
+	m.vals = make([]float64, m.start[len(m.start)-1])
+	next := slices.Clone(m.start)
+	for _, p := range parts {
+		for _, s := range p.samples {
+			j := m.population(p, s)
+			m.vals[next[j]] = s.v
+			next[j]++
+		}
+	}
+	return m
 }
 
 // describeTrimmed applies the whisker trim and summarizes.
@@ -142,48 +281,34 @@ func describeTrimmed(xs []float64, k float64) Stats {
 	return Stats{Mean: d.Mean, Std: d.Std, N: d.N}
 }
 
-// Finish trims outliers and produces the database. Ops are visited in
-// name order: Defaults pools every op's samples, and a floating-point
-// mean depends on the order it sums in, so the pooled order must not be
-// a map's.
-func (c *Collector) Finish() *DB {
-	db := &DB{PerOp: map[string][3]Stats{}, T4: map[string]Stats{}}
-	db.T1 = describeTrimmed(c.s.t1, c.TrimK)
-	var all [3][]float64
-	for _, op := range slices.Sorted(maps.Keys(c.s.perOp)) {
-		rec := c.s.perOp[op]
-		var st [3]Stats
-		for t := 0; t < 3; t++ {
-			st[t] = describeTrimmed(rec[t], c.TrimK)
-			all[t] = append(all[t], rec[t]...)
+// finish trims every population of m, and each kind's pool over all
+// ops for Defaults, on up to workers goroutines, each into its own slot.
+func (c *Collector) finish(m *pooled, workers int) *DB {
+	nOps, pops := len(m.names[opNames]), len(m.start)-1
+	// Slots 0-2 are the Defaults pools, the largest, so they start
+	// first; slot 3+j is population j.
+	out := make([]Stats, 3+pops)
+	xsync.ForEachN(len(out), workers, func(j int) {
+		lo, hi := j-3, j-2
+		if j < 3 {
+			lo, hi = 1+j*nOps, 1+(j+1)*nOps
 		}
-		db.PerOp[op] = st
+		out[j] = describeTrimmed(m.vals[m.start[lo]:m.start[hi]], c.TrimK)
+	})
+	pop := out[3:]
+	db := &DB{
+		T1:    pop[0],
+		PerOp: make(map[string][3]Stats, nOps),
+		T4:    make(map[string]Stats, len(m.names[fnNames])),
 	}
-	for t := 0; t < 3; t++ {
-		db.Defaults[t] = describeTrimmed(all[t], c.TrimK)
+	copy(db.Defaults[:], out[:3])
+	for i, op := range m.names[opNames] {
+		db.PerOp[op] = [3]Stats{pop[1+i], pop[1+nOps+i], pop[1+2*nOps+i]}
 	}
-	for fn, xs := range c.s.t4 {
-		db.T4[fn] = describeTrimmed(*xs, c.TrimK)
+	for i, fn := range m.names[fnNames] {
+		db.T4[fn] = pop[1+3*nOps+i]
 	}
 	return db
-}
-
-// FromTrace builds a database from a single workload's trace.
-func FromTrace(tr *trace.Trace) *DB {
-	c := NewCollector()
-	c.Add(tr)
-	return c.Finish()
-}
-
-// Shared builds the shared-overheads database by pooling the raw samples
-// of several workloads' traces ("averaging the samples across the
-// workloads collected in overhead analysis").
-func Shared(trs []*trace.Trace) *DB {
-	c := NewCollector()
-	for _, tr := range trs {
-		c.Add(tr)
-	}
-	return c.Finish()
 }
 
 // lookup indices into PerOp entries.

@@ -1,7 +1,9 @@
 package overhead
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"dlrmperf/internal/hw"
@@ -123,6 +125,16 @@ func TestSharedPoolsWorkloads(t *testing.T) {
 	}
 }
 
+// poolWith builds tr's database with c.
+func poolWith(t *testing.T, c *Collector, tr *trace.Trace) *DB {
+	t.Helper()
+	db, err := c.Pool(1, 1, func(int) (*trace.Trace, error) { return tr, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 func TestTrimmingLowersT1Estimate(t *testing.T) {
 	// Long-tailed T1 samples mean the raw mean exceeds the trimmed mean —
 	// the paper's explanation for its systematic E2E underestimation.
@@ -130,10 +142,48 @@ func TestTrimmingLowersT1Estimate(t *testing.T) {
 	trimmed := FromTrace(r.Trace)
 	raw := NewCollector()
 	raw.TrimK = -1
-	raw.Add(r.Trace)
-	rawDB := raw.Finish()
+	rawDB := poolWith(t, raw, r.Trace)
 	if rawDB.T1.Mean <= trimmed.T1.Mean {
 		t.Errorf("raw T1 mean (%v) should exceed trimmed (%v)", rawDB.T1.Mean, trimmed.T1.Mean)
+	}
+	// TrimK = 0 disables trimming too: every sample is kept, where
+	// stats.TrimIQR(xs, 0) would cut the population to [Q1, Q3].
+	off := NewCollector()
+	off.TrimK = 0
+	if zeroDB := poolWith(t, off, r.Trace); !reflect.DeepEqual(zeroDB, rawDB) {
+		t.Errorf("TrimK 0 gives T1 %+v, untrimmed gives %+v", zeroDB.T1, rawDB.T1)
+	}
+}
+
+// TestPoolKeepsListedOrder: pooling does not depend on the worker
+// count, and a supplier's error comes back, the first in listed order.
+func TestPoolKeepsListedOrder(t *testing.T) {
+	trs := []*trace.Trace{
+		profiledTrace(t, models.NameDLRMDefault, 512, 11).Trace,
+		profiledTrace(t, models.NameDLRMMLPerf, 512, 12).Trace,
+		profiledTrace(t, models.NameDLRMDDP, 512, 13).Trace,
+	}
+	c := NewCollector()
+	pool := func(workers int, fail map[int]error) (*DB, error) {
+		return c.Pool(len(trs), workers, func(i int) (*trace.Trace, error) {
+			if err := fail[i]; err != nil {
+				return nil, err
+			}
+			return trs[i], nil
+		})
+	}
+	serial, err := pool(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 3, 8} {
+		if db, err := pool(workers, nil); err != nil || !reflect.DeepEqual(db, serial) {
+			t.Errorf("%d workers: database differs from one worker's (err %v)", workers, err)
+		}
+	}
+	first, second := errors.New("first"), errors.New("second")
+	if _, err := pool(3, map[int]error{2: second, 1: first}); err != first {
+		t.Errorf("Pool error = %v, want the first in listed order", err)
 	}
 }
 

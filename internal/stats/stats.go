@@ -3,11 +3,18 @@
 // (GMAE) for kernel models, geomean/min/max summaries for end-to-end
 // errors (Table V), and the IQR whisker trimming applied to host-overhead
 // samples before averaging (Section IV-B).
+//
+// Percentiles and the whisker quartiles read only the order statistics
+// at their interpolation ranks, so they are selected, not sorted: one
+// deterministic quickselect on the copy each function makes, linear in
+// the sample count on every input the pipeline produces, and giving the
+// value a full sort would.
 package stats
 
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -94,27 +101,91 @@ func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		panic(ErrEmpty)
 	}
-	sorted := slices.Clone(xs)
-	slices.Sort(sorted)
-	return percentileSorted(sorted, p)
+	v, _ := percentile(slices.Clone(xs), 0, p)
+	return v
 }
 
-// percentileSorted is Percentile over a non-empty ascending slice.
-func percentileSorted(sorted []float64, p float64) float64 {
-	if p <= 0 {
-		return sorted[0]
+// percentile is the p-th percentile of a non-empty buf: linear
+// interpolation between the values at the floor and ceiling ranks
+// buf would hold sorted. Those are found by selection, which reorders
+// buf and leaves the floor rank lo in place — nothing greater before
+// it, nothing smaller after — and lo is returned so that a second call
+// for a higher p can pass it as from and search only buf[from:]. Values
+// order as slices.Sort orders them.
+func percentile(buf []float64, from int, p float64) (v float64, lo int) {
+	hi, frac := 0, 0.0
+	switch {
+	case p <= 0:
+	case p >= 100:
+		lo, hi = len(buf)-1, len(buf)-1
+	default:
+		rank := p / 100 * float64(len(buf)-1)
+		lo, hi = int(math.Floor(rank)), int(math.Ceil(rank))
+		frac = rank - float64(lo)
 	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
+	selectRank(buf[from:], lo-from)
 	if lo == hi {
-		return sorted[lo]
+		return buf[lo], lo
 	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	// The ceiling rank holds the smallest value above the floor rank.
+	return buf[lo]*(1-frac) + slices.Min(buf[lo+1:])*frac, lo
+}
+
+// selectRank reorders xs so that xs[k] is the value a sort would put
+// there, everything before it is no greater and everything after it no
+// smaller. It is quickselect with a three-way partition around a
+// median-of-three pivot, so runs of equal values — a population of
+// clamped zeros — settle in one pass, and a range that fails to shrink
+// fast enough is sorted outright, which bounds the worst case at
+// n log n. Every step is deterministic.
+func selectRank(xs []float64, k int) {
+	nan := 0 // NaNs go first, as slices.Sort puts them; the rest compares with <
+	for i, x := range xs {
+		if x != x {
+			xs[nan], xs[i] = x, xs[nan]
+			nan++
+		}
+	}
+	if k < nan {
+		return
+	}
+	xs, k = xs[nan:], k-nan
+	for budget := 2 * bits.Len(uint(len(xs))); len(xs) > 1; budget-- {
+		if budget == 0 {
+			slices.Sort(xs)
+			return
+		}
+		a, pivot, c := xs[0], xs[len(xs)/2], xs[len(xs)-1]
+		if pivot < a {
+			a, pivot = pivot, a
+		}
+		if c < pivot {
+			pivot = max(a, c)
+		}
+		// xs[:lt] < pivot, xs[lt:i] == pivot, xs[gt:] > pivot.
+		lt, i, gt := 0, 0, len(xs)
+		for i < gt {
+			switch x := xs[i]; {
+			case x < pivot:
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case x > pivot:
+				gt--
+				xs[i], xs[gt] = xs[gt], x
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			xs = xs[:lt]
+		case k >= gt:
+			xs, k = xs[gt:], k-gt
+		default:
+			return
+		}
+	}
 }
 
 // TrimIQR removes samples outside the whiskers
@@ -125,12 +196,11 @@ func TrimIQR(xs []float64, k float64) []float64 {
 	if len(xs) < 4 {
 		return slices.Clone(xs)
 	}
-	// Both quartiles read one sorted copy, which then becomes the
-	// output buffer.
+	// Both quartiles are selected in one copy, Q3 above Q1's rank; the
+	// copy then becomes the output buffer.
 	buf := slices.Clone(xs)
-	slices.Sort(buf)
-	q1 := percentileSorted(buf, 25)
-	q3 := percentileSorted(buf, 75)
+	q1, r1 := percentile(buf, 0, 25)
+	q3, _ := percentile(buf, r1, 75)
 	iqr := q3 - q1
 	lo := q1 - k*iqr
 	hi := q3 + k*iqr

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -92,6 +94,57 @@ func TestPercentileInterpolates(t *testing.T) {
 	xs := []float64{0, 10}
 	if got := Percentile(xs, 50); !almost(got, 5, 1e-12) {
 		t.Errorf("Percentile(50) = %v, want 5", got)
+	}
+}
+
+// refPercentile is Percentile by sorting a copy and interpolating
+// between the closest ranks.
+func refPercentile(xs []float64, p float64) float64 {
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
+	if p <= 0 {
+		return sorted[0]
+	}
+	if p >= 100 {
+		return sorted[len(sorted)-1]
+	}
+	rank := p / 100 * float64(len(sorted)-1)
+	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := rank - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// TestPercentileMatchesSort holds the selection to the sort-based
+// reference, bit for bit, at random p over the shapes and lengths of
+// TestTrimIQRMatchesDefinition — a quarter of them with NaNs mixed in,
+// which both order first — and checks the input is not reordered.
+func TestPercentileMatchesSort(t *testing.T) {
+	property := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		xs := drawSamples(rng)
+		if len(xs) == 0 {
+			xs = append(xs, rng.ExpFloat64())
+		}
+		if rng.Intn(4) == 0 {
+			for range len(xs)/10 + 1 {
+				xs[rng.Intn(len(xs))] = math.NaN()
+			}
+		}
+		before := slices.Clone(xs)
+		for _, p := range []float64{rng.Float64() * 100, rng.Float64() * 100, 0, 25, 50, 75, 100} {
+			got, want := Percentile(xs, p), refPercentile(xs, p)
+			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Errorf("Percentile(%d samples, %v) = %v, sorting gives %v", len(xs), p, got, want)
+				return false
+			}
+		}
+		return slices.EqualFunc(xs, before, func(a, b float64) bool { return a == b || a != a && b != b })
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 
