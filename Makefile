@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint loc fuzz-smoke bench bench-check bench-baseline bench-ratchet serve-demo serve-http explore-demo cluster-e2e loadtest cover check
+.PHONY: build test race vet fmt lint loc fuzz-smoke bench bench-check bench-baseline bench-ratchet serve-demo serve-http explore-demo cluster-e2e cover check
 
 build:
 	$(GO) build ./...
@@ -111,35 +111,10 @@ explore-demo:
 # the aggregated /stats invariant — plus the replicated-control-plane
 # scenario (2 peered coordinators + 2 workers: SIGKILL the leader
 # mid-run without losing cached results, then SIGKILL a device's home
-# worker and require a warm asset hand-off). Same step CI runs.
+# worker and require a warm asset hand-off) and a two-tenant load that
+# gets shed while the invariant holds. Same step CI runs.
 cluster-e2e:
 	$(GO) test -race -count=1 -run 'TestE2ECluster' -v ./cmd/dlrmperf-serve
-
-# loadtest is the load-harness smoke CI runs: build dlrmperf-serve and
-# dlrmperf-loadgen, stand up 1 coordinator + 2 low-fidelity workers,
-# replay the checked-in trace with a hot high-priority tenant and a
-# background tenant through the typed client, and write
-# LOADTEST_report.json (plus LOADTEST_bench.json, a
-# benchdiff-compatible suite of the latency quantiles). The loadgen
-# binary itself fails the run on transport errors, a shed rate above
-# 0.9, or a broken cluster-wide /stats accounting invariant.
-LOADTEST_PORT = 19273
-loadtest:
-	@set -e; \
-	tmp=$$(mktemp -d); touch $$tmp/pids; \
-	trap 'kill $$(cat $$tmp/pids) 2>/dev/null || true; rm -rf $$tmp' EXIT; \
-	$(GO) build -o $$tmp/dlrmperf-serve ./cmd/dlrmperf-serve; \
-	$(GO) build -o $$tmp/dlrmperf-loadgen ./cmd/dlrmperf-loadgen; \
-	$$tmp/dlrmperf-serve -coordinator -listen 127.0.0.1:$(LOADTEST_PORT) -liveness 3s & echo $$! >> $$tmp/pids; \
-	$$tmp/dlrmperf-serve -listen 127.0.0.1:0 -fast-calib -queue 4 \
-		-register http://127.0.0.1:$(LOADTEST_PORT) -heartbeat 200ms & echo $$! >> $$tmp/pids; \
-	$$tmp/dlrmperf-serve -listen 127.0.0.1:0 -fast-calib -queue 4 \
-		-register http://127.0.0.1:$(LOADTEST_PORT) -heartbeat 200ms & echo $$! >> $$tmp/pids; \
-	$$tmp/dlrmperf-loadgen -target http://127.0.0.1:$(LOADTEST_PORT) -wait-workers 2 \
-		-trace cmd/dlrmperf-loadgen/testdata/trace.json \
-		-tenants hot:200:high,bg:20:low -n 60 -seed 11 -timeout 2m \
-		-assert-invariant -o LOADTEST_report.json -bench-out LOADTEST_bench.json; \
-	echo "report written to LOADTEST_report.json"
 
 # cover is the serving/cluster coverage gate CI enforces: the
 # coordinator (internal/cluster) and the admission pipeline

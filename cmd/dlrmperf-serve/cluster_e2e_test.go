@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -293,5 +294,110 @@ func TestClusterFlagValidation(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "-coordinator requires -listen") {
 		t.Fatalf("unexpected failure output: %s", out)
+	}
+}
+
+// TestE2EClusterLoad is the cross-process tenant-load smoke: 1
+// coordinator + 2 fast-calib workers with a 4-deep admission queue,
+// then 60 requests from tenant "hot" at priority high and 60 from
+// "bg" at low, fired concurrently over four rows with a bounded
+// number in flight. Every request must either serve or be shed with
+// a 429/503 rejection code — no transport errors, no other failures —
+// at least one must serve from a cache, no more than 90% may be shed,
+// and the aggregated /stats invariant must hold once all have
+// returned. Fairness and per-tenant caps are pinned in-process by
+// internal/serve's fair_test.go.
+func TestE2EClusterLoad(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "dlrmperf-serve")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Env = os.Environ()
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building binary: %v\n%s", err, out)
+	}
+
+	coord := startServeProc(t, "coordinator", bin,
+		"-coordinator", "-listen", "127.0.0.1:0", "-liveness", "3s")
+	for _, name := range []string{"worker1", "worker2"} {
+		startServeProc(t, name, bin,
+			"-listen", "127.0.0.1:0", "-fast-calib", "-queue", "4",
+			"-register", coord.base(), "-heartbeat", "200ms")
+	}
+	cl := client.New(coord.base())
+	waitForWorkers(t, cl, coord, 2)
+
+	rows := []serve.Request{
+		{Workload: "DLRM_DDP", Batch: 512, Device: "V100"},
+		{Workload: "DLRM_DDP", Batch: 1024, Device: "V100"},
+		{Workload: "DLRM_DDP", Batch: 512, Device: "P100"},
+		{Workload: "DLRM_DDP", Batch: 2048, Device: "P100"},
+	}
+	tenants := []struct{ name, priority string }{{"hot", "high"}, {"bg", "low"}}
+	const perTenant, maxInFlight = 60, 16
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	var (
+		mu             sync.Mutex
+		ok, hits, shed int
+		failures       []string
+		wg             sync.WaitGroup
+		slots          = make(chan struct{}, maxInFlight)
+	)
+	for i := 0; i < perTenant; i++ {
+		for _, tn := range tenants {
+			req := rows[i%len(rows)]
+			req.Tenant, req.Priority = tn.name, tn.priority
+			slots <- struct{}{}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { <-slots }()
+				res, err := cl.Predict(ctx, req)
+				mu.Lock()
+				defer mu.Unlock()
+				var api *client.APIError
+				switch {
+				case err == nil && res.Error == "":
+					ok++
+					if res.CacheHit {
+						hits++
+					}
+				case err == nil:
+					failures = append(failures, "row error: "+res.Error)
+				case !errors.As(err, &api):
+					failures = append(failures, "transport: "+err.Error())
+				case (api.Status == 429 || api.Status == 503) && api.Code != "" && api.Code != "unknown":
+					shed++
+				default:
+					failures = append(failures, err.Error())
+				}
+			}()
+		}
+	}
+	wg.Wait()
+
+	total := perTenant * len(tenants)
+	t.Logf("%d requests: %d ok (%d cache hits), %d shed", total, ok, hits, shed)
+	if len(failures) > 0 {
+		t.Fatalf("%d requests neither served nor shed with a rejection code; first: %s\ncoordinator tail:\n%s",
+			len(failures), failures[0], coord.tail())
+	}
+	if ok == 0 {
+		t.Fatalf("no request served under load; coordinator tail:\n%s", coord.tail())
+	}
+	if hits == 0 {
+		t.Errorf("no cache hit across %d served requests over %d rows", ok, len(rows))
+	}
+	if share := float64(shed) / float64(total); share > 0.9 {
+		t.Errorf("shed share %.2f > 0.9", share)
+	}
+
+	var st cluster.Stats
+	if err := cl.StatsInto(ctx, &st); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Accounted(); got != st.Requests {
+		t.Fatalf("cluster stats invariant broken under load: hits %d + misses %d + rejected %d = %d, requests %d",
+			st.Cache.Hits, st.Cache.Misses, st.Rejected.Total(), got, st.Requests)
 	}
 }

@@ -7,17 +7,16 @@ import (
 
 // ctxflowPackages are the layers where every request carries a
 // deadline from admission to backend: serve's bounded queue, the
-// cluster coordinator's forwarding/failover, explore sweeps, the
-// typed client (every call takes the caller's ctx), and the load
-// generator's dispatch path. Minting a fresh context here silently
-// detaches work from the caller's deadline and from SIGTERM drain.
+// cluster coordinator's forwarding/failover, explore sweeps, and the
+// typed client (every call takes the caller's ctx). Minting a fresh
+// context here silently detaches work from the caller's deadline and
+// from SIGTERM drain.
 // The final entry is the analyzer's own test fixture.
 var ctxflowPackages = []string{
 	"dlrmperf/internal/serve",
 	"dlrmperf/internal/cluster",
 	"dlrmperf/internal/explore",
 	"dlrmperf/internal/client",
-	"dlrmperf/internal/loadgen",
 	"ctxflow",
 }
 

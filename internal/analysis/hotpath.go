@@ -134,16 +134,6 @@ var hotpathPackages = map[string]hotpathConfig{
 			"routeErrorf",
 		},
 	},
-	"dlrmperf/internal/loadgen": {
-		roots: []string{
-			// Per-completion accounting: runs once for every dispatched
-			// request while the open-loop clocks keep firing; an
-			// allocation or fmt call here perturbs the very latencies
-			// being measured.
-			"collector.record",
-		},
-		stops: []string{},
-	},
 	"dlrmperf/internal/scenario": {
 		roots: []string{
 			// Fingerprint/key builders: run per request in the serve

@@ -111,9 +111,6 @@ func New(base string, opts ...Option) *Client {
 	return c
 }
 
-// Base returns the server base URL this client targets.
-func (c *Client) Base() string { return c.base }
-
 // Predict submits one request on the non-blocking admission path
 // (POST /v1/predict). A 429 surfaces as *ErrBackpressure with the
 // server's Retry-After hint. Rows the server computed but failed

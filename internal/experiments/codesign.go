@@ -10,9 +10,11 @@ import (
 	"dlrmperf/internal/models"
 	"dlrmperf/internal/ops"
 	"dlrmperf/internal/overhead"
+	"dlrmperf/internal/scenario"
 	"dlrmperf/internal/sim"
 	"dlrmperf/internal/stats"
 	"dlrmperf/internal/trace"
+	"dlrmperf/internal/workload"
 )
 
 // --- Fig. 11 / Section V-A(b): op fusion ---------------------------------------
@@ -152,21 +154,18 @@ func (s *Suite) Sharding(nDevices int) ([]ShardingScheme, error) {
 	// A skewed table population: a few huge, hot tables (large pooling
 	// factors), many small, cold ones — the shape of production models
 	// where naive sharding loses.
-	type table struct {
-		rows    int64
-		lookups int64
-	}
+	type table = workload.TableSpec
 	tables := []table{
-		{14_000_000, 64}, {11_000_000, 32}, {8_000_000, 32}, {4_000_000, 16},
-		{1_000_000, 16}, {1_000_000, 10}, {500_000, 10}, {500_000, 8},
-		{200_000, 8}, {200_000, 4}, {100_000, 4}, {100_000, 2},
-		{50_000, 2}, {50_000, 1}, {20_000, 1}, {20_000, 1},
+		{Rows: 14_000_000, Lookups: 64}, {Rows: 11_000_000, Lookups: 32}, {Rows: 8_000_000, Lookups: 32}, {Rows: 4_000_000, Lookups: 16},
+		{Rows: 1_000_000, Lookups: 16}, {Rows: 1_000_000, Lookups: 10}, {Rows: 500_000, Lookups: 10}, {Rows: 500_000, Lookups: 8},
+		{Rows: 200_000, Lookups: 8}, {Rows: 200_000, Lookups: 4}, {Rows: 100_000, Lookups: 4}, {Rows: 100_000, Lookups: 2},
+		{Rows: 50_000, Lookups: 2}, {Rows: 50_000, Lookups: 1}, {Rows: 20_000, Lookups: 1}, {Rows: 20_000, Lookups: 1},
 	}
 	const batch, dim = 2048, 64
 
 	cost := func(t table) float64 {
 		return elModel.Predict(kernels.Embedding{
-			B: batch, E: t.rows, T: 1, L: t.lookups, D: dim,
+			B: batch, E: t.Rows, T: 1, L: t.Lookups, D: dim,
 		})
 	}
 
@@ -181,7 +180,7 @@ func (s *Suite) Sharding(nDevices int) ([]ShardingScheme, error) {
 		// Contiguous chunks of the size-sorted list: the naive scheme
 		// that overloads whichever device gets the big tables.
 		sorted := append([]table(nil), tables...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].rows > sorted[j].rows })
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Rows > sorted[j].Rows })
 		out := make([][]table, nDevices)
 		per := (len(sorted) + nDevices - 1) / nDevices
 		for i, t := range sorted {
@@ -189,22 +188,16 @@ func (s *Suite) Sharding(nDevices int) ([]ShardingScheme, error) {
 		}
 		return out
 	}
+	// Greedy LPT over *predicted* per-table cost — the paper's
+	// co-design use, through the same planner the scenarios shard with.
+	plan, err := scenario.PlanShardsCost(tables, nDevices, cost)
+	if err != nil {
+		return nil, err
+	}
 	assignGreedyLPT := func() [][]table {
-		// Longest-processing-time-first onto the least-loaded device,
-		// using *predicted* per-table cost — the paper's co-design use.
-		sorted := append([]table(nil), tables...)
-		sort.Slice(sorted, func(i, j int) bool { return cost(sorted[i]) > cost(sorted[j]) })
 		out := make([][]table, nDevices)
-		load := make([]float64, nDevices)
-		for _, t := range sorted {
-			best := 0
-			for d := 1; d < nDevices; d++ {
-				if load[d] < load[best] {
-					best = d
-				}
-			}
-			out[best] = append(out[best], t)
-			load[best] += cost(t)
+		for d := range out {
+			out[d] = plan.TablesFor(d, tables)
 		}
 		return out
 	}

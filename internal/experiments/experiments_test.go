@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -251,6 +252,16 @@ func TestShardingGreedyWins(t *testing.T) {
 	chunked := byName["chunked-by-size"].Makespan
 	if greedy >= chunked {
 		t.Errorf("greedy LPT (%v) should beat chunked-by-size (%v)", greedy, chunked)
+	}
+	// Pinned from the planner-private LPT this scheme used before it
+	// moved onto scenario.PlanShardsCost: the loads must not move.
+	want := ShardingScheme{
+		Name:      "greedy-predicted-LPT",
+		PerDevice: []float64{71.04168729324844, 59.06975171854452, 59.18492025338186, 58.898741052933964},
+		Makespan:  71.04168729324844,
+	}
+	if got := byName[want.Name]; got.Makespan != want.Makespan || !slices.Equal(got.PerDevice, want.PerDevice) {
+		t.Errorf("greedy LPT = %+v, want %+v", got, want)
 	}
 }
 

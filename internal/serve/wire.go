@@ -62,8 +62,8 @@ type Result struct {
 	ShardImbalance    float64 `json:"shard_imbalance,omitempty"`
 	CacheHit          bool    `json:"cache_hit,omitempty"`
 	// QueueWaitUs is the time this request spent in the admission
-	// queue before a worker picked it up — the fairness signal the
-	// loadgen SLO report separates from service time.
+	// queue before a worker picked it up — the fairness signal that
+	// separates admission wait from service time.
 	QueueWaitUs int64  `json:"queue_wait_us,omitempty"`
 	Error       string `json:"error,omitempty"`
 }
