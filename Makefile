@@ -63,7 +63,7 @@ bench:
 # regressions on the box shape the baseline records (on another, the
 # time excess is printed, not failed). The compare table is kept in
 # BENCH_report.txt.
-BENCH_PATTERN = PredictBatchCached$$|PredictSingleCached$$|PredictNovelBatch$$|CalibrateParallel$$|CompilePlan$$|ExploreWarm$$|ExploreCold$$|FirstTouch$$|PoolShared$$|SimRun$$|RowCodec$$|CoordinatorHit$$
+BENCH_PATTERN = PredictBatchCached$$|PredictSingleCached$$|PredictNovelBatch$$|CalibrateParallel$$|CompilePlan$$|ExploreWarm$$|ExploreCold$$|FirstTouch$$|PoolShared$$|SimRun$$|RowCodec$$|CoordinatorHit$$|CoordinatorBatchHit$$
 BENCH_PKGS = . ./internal/engine ./internal/explore ./internal/overhead ./internal/sim ./internal/serve ./internal/cluster
 bench-check:
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchmem -count 5 $(BENCH_PKGS) | tee BENCH_pr.txt

@@ -44,15 +44,7 @@ type EngineConfig struct {
 	// ResultCacheSize caps the prediction result cache (default 512
 	// entries; negative disables caching).
 	ResultCacheSize int
-	// AssetCaps bounds the engine's evictable asset classes (runs,
-	// overhead DBs, graphs). Zero fields select the defaults; negative
-	// fields leave a class unbounded. Calibrations are always pinned.
-	AssetCaps AssetCaps
 }
-
-// AssetCaps bounds the resident entry count of each evictable asset
-// class in the engine's unified store: runs, overheads, graphs.
-type AssetCaps = engine.AssetCaps
 
 // AssetStats is the engine's per-class asset store report: resident
 // entries against capacity, approximate resident bytes, and lifetime
@@ -113,7 +105,6 @@ func NewEngineWith(cfg EngineConfig) (*Engine, error) {
 			Seed: cfg.Seed, SaltDeviceSeeds: true,
 			Calib: calib, Workers: cfg.Workers,
 			ResultCacheSize: cfg.ResultCacheSize,
-			AssetCaps:       cfg.AssetCaps,
 		}),
 		devices: append([]string(nil), cfg.Devices...),
 	}, nil

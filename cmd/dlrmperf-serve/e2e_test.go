@@ -116,8 +116,8 @@ func TestE2EHTTPServe(t *testing.T) {
 	if err := json.Unmarshal(fixture, &reqs); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := cl.PredictBatch(ctx, reqs)
-	if err != nil {
+	var rep serve.Report
+	if err := cl.PredictBatchInto(ctx, reqs, &rep); err != nil {
 		t.Fatalf("batch: %v\nstderr:\n%s", err, tail())
 	}
 	if rep.Requests != 3 || rep.Failed != 0 {

@@ -27,7 +27,7 @@
 // with backpressure. In HTTP mode the endpoints are:
 //
 //	POST /v1/predict        one request -> one result row; 429 + Retry-After when the queue is full
-//	POST /v1/predict/batch  request list -> full report (admission blocks instead of shedding)
+//	POST /v1/predict/batch  request list -> batch report (admission blocks instead of shedding)
 //	GET  /v1/scenarios      registered scenario names
 //	GET  /healthz           liveness (503 while draining)
 //	GET  /stats             admission/stream/cache/asset counters
@@ -192,7 +192,7 @@ func main() {
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "served %d requests (%d failed) in %.1f ms, calibrations: %v, cache %d/%d hit/miss\n",
-			rep.Requests, rep.Failed, rep.ElapsedMs, rep.Calibrations, rep.Cache.Hits, rep.Cache.Misses)
+			rep.Requests, rep.Failed, rep.ElapsedMs, rep.Stats.Calibrations, rep.Stats.Cache.Hits, rep.Stats.Cache.Misses)
 	}
 	if serveErr != nil {
 		fail(serveErr)
@@ -275,18 +275,28 @@ func newServer(cfg serveConfig, eng *dlrmperf.Engine) *serve.Server {
 	return serve.New(sc)
 }
 
+// oneShot is the one-shot document: the batch report, plus the
+// server's GET /stats document taken right after the batch — the
+// engine served exactly this batch, so its counters account for these
+// rows alone.
+type oneShot struct {
+	*serve.Report
+	Stats serve.Stats `json:"stats"`
+}
+
 // serveOnce runs the whole request batch through the serving pipeline
-// and assembles the report, optionally warm-starting from asset files
-// and re-saving assets afterwards. A re-save failure is reported in
-// the returned report's error block AND as a non-nil error, so the
-// driver exits non-zero instead of silently dropping the assets.
-func serveOnce(cfg serveConfig, reqs []serve.Request) (*serve.Report, error) {
+// and assembles the one-shot document, optionally warm-starting from
+// asset files and re-saving assets afterwards. A re-save failure is
+// reported in the returned report's error block AND as a non-nil error,
+// so the process exits non-zero instead of silently dropping the assets.
+func serveOnce(cfg serveConfig, reqs []serve.Request) (*oneShot, error) {
 	eng, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
 	srv := newServer(cfg, eng)
-	rep := srv.Run(context.Background(), reqs)
+	rep := &oneShot{Report: srv.Run(context.Background(), reqs)}
+	rep.Stats = srv.Stats()
 	srv.Drain()
 	if err := saveAssetsFor(eng, cfg.SaveAssets); err != nil {
 		err = fmt.Errorf("saving assets: %w", err)

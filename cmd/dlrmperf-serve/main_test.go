@@ -74,14 +74,14 @@ func TestWarmStartServeResaveRoundTrip(t *testing.T) {
 	if rep.Failed != 0 {
 		t.Fatalf("warm-started serve failed %d requests: %+v", rep.Failed, rep.Results)
 	}
-	if len(rep.Calibrations) != 0 {
-		t.Fatalf("warm-started serve calibrated: %v", rep.Calibrations)
+	if len(rep.Stats.Calibrations) != 0 {
+		t.Fatalf("warm-started serve calibrated: %v", rep.Stats.Calibrations)
 	}
-	if rep.Cache.Hits+rep.Cache.Misses != uint64(rep.Requests) {
+	if rep.Stats.Cache.Hits+rep.Stats.Cache.Misses != uint64(rep.Requests) {
 		t.Errorf("cache invariant broken: %d+%d != %d requests",
-			rep.Cache.Hits, rep.Cache.Misses, rep.Requests)
+			rep.Stats.Cache.Hits, rep.Stats.Cache.Misses, rep.Requests)
 	}
-	if got := rep.Assets.Class("calibrations").Resident; got != 1 {
+	if got := rep.Stats.Assets.Class("calibrations").Resident; got != 1 {
 		t.Errorf("assets report %d resident calibrations, want 1", got)
 	}
 
@@ -109,7 +109,7 @@ func TestWarmStartServeResaveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Failed != 0 || len(rep2.Calibrations) != 0 {
+	if rep2.Failed != 0 || len(rep2.Stats.Calibrations) != 0 {
 		t.Fatalf("second warm start recalibrated or failed: %+v", rep2)
 	}
 	if rep.Results[0].E2EUs != rep2.Results[0].E2EUs {
@@ -119,9 +119,10 @@ func TestWarmStartServeResaveRoundTrip(t *testing.T) {
 }
 
 // TestServeReportInvariants covers the cold path on a tiny engine: the
-// report's cache counters account for every request served, rejected
-// requests stay out of them, and the assets block carries all five
-// classes.
+// stats block's cache counters account for every request served,
+// rejected requests stay out of them, and its assets block carries all
+// five classes. The document is exactly the batch report plus that one
+// block.
 func TestServeReportInvariants(t *testing.T) {
 	reqs := []serve.Request{
 		{Workload: "DLRM_default", Batch: 512, Device: dlrmperf.V100},
@@ -141,28 +142,47 @@ func TestServeReportInvariants(t *testing.T) {
 	// compute (a miss); the comm-on-width-1 request is rejected at
 	// validation and kept out of the hit/miss counters: every request
 	// dispatched is accounted, hits+misses+rejected == requests.
-	if rep.Cache.Hits != 1 || rep.Cache.Misses != 2 || rep.Rejected.Validation != 1 {
+	st := rep.Stats
+	if st.Cache.Hits != 1 || st.Cache.Misses != 2 || st.Rejected.Validation != 1 {
 		t.Errorf("cache = %d/%d/%d hit/miss/rejected, want 1/2/1",
-			rep.Cache.Hits, rep.Cache.Misses, rep.Rejected.Validation)
+			st.Cache.Hits, st.Cache.Misses, st.Rejected.Validation)
 	}
-	if rep.Cache.Hits+rep.Cache.Misses+rep.Rejected.Validation != uint64(rep.Requests) {
-		t.Errorf("cache invariant broken: %d+%d+%d != %d requests",
-			rep.Cache.Hits, rep.Cache.Misses, rep.Rejected.Validation, rep.Requests)
+	if st.Accounted() != uint64(rep.Requests) || st.Requests != uint64(rep.Requests) {
+		t.Errorf("cache invariant broken: accounted %d, stats requests %d, batch requests %d",
+			st.Accounted(), st.Requests, rep.Requests)
 	}
 	// The rejected block separates the walls: a validation reject here,
 	// no queue-full or draining rejections in a blocking one-shot run.
-	if rep.Rejected.Validation != 1 || rep.Rejected.QueueFull != 0 || rep.Rejected.Draining != 0 {
-		t.Errorf("rejected = %+v, want validation 1, queue-full 0, draining 0", rep.Rejected)
+	if st.Rejected.Validation != 1 || st.Rejected.QueueFull != 0 || st.Rejected.Draining != 0 {
+		t.Errorf("rejected = %+v, want validation 1, queue-full 0, draining 0", st.Rejected)
 	}
 	want := map[string]bool{"calibrations": true, "runs": true, "overheads": true, "graphs": true, "results": true}
-	for _, c := range rep.Assets.Classes {
+	for _, c := range st.Assets.Classes {
 		delete(want, c.Class)
 	}
 	if len(want) != 0 {
 		t.Errorf("assets block missing classes: %v", want)
 	}
-	if rep.Assets.TotalBytes <= 0 {
-		t.Errorf("assets total bytes = %d, want > 0", rep.Assets.TotalBytes)
+	if st.Assets.TotalBytes <= 0 {
+		t.Errorf("assets total bytes = %d, want > 0", st.Assets.TotalBytes)
+	}
+	if st.Calibrations[dlrmperf.V100] != 1 {
+		t.Errorf("calibrations = %v, want V100 once", st.Calibrations)
+	}
+
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(data, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"results", "requests", "failed", "elapsed_ms", "stats"} {
+		delete(keys, k)
+	}
+	if len(keys) != 0 {
+		t.Errorf("one-shot document has keys beyond the batch report and stats: %v", keys)
 	}
 }
 

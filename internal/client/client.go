@@ -130,22 +130,10 @@ func (c *Client) Predict(ctx context.Context, req serve.Request) (serve.Result, 
 	return row, nil
 }
 
-// PredictBatch submits a request list on the blocking admission path
-// (POST /v1/predict/batch) and returns a WORKER's full report. Against
-// a coordinator use PredictBatchInto with the cluster report type — the
-// coordinator's calibration ledger is nested per-worker and does not
-// decode into serve.Report.
-func (c *Client) PredictBatch(ctx context.Context, reqs []serve.Request) (*serve.Report, error) {
-	var rep serve.Report
-	if err := c.postJSON(ctx, "/v1/predict/batch", reqs, &rep); err != nil {
-		return nil, err
-	}
-	return &rep, nil
-}
-
-// PredictBatchInto submits a request list and decodes the report into
-// v — the shape-agnostic variant for coordinator reports or partial
-// views.
+// PredictBatchInto submits a request list on the blocking admission
+// path (POST /v1/predict/batch) and decodes the response into v,
+// normally a *serve.Report: the one report shape of a worker and a
+// coordinator alike.
 func (c *Client) PredictBatchInto(ctx context.Context, reqs []serve.Request, v any) error {
 	return c.postJSON(ctx, "/v1/predict/batch", reqs, v)
 }

@@ -569,35 +569,17 @@ func (c *Coordinator) RunBatch(ctx context.Context, reqs []serve.Request) []serv
 	return out
 }
 
-// Report is the coordinator's batch response: per-row results plus
-// the aggregated cluster counters at report time.
-type Report struct {
-	Results   serve.Rows `json:"results"`
-	Requests  int        `json:"requests"`
-	Failed    int        `json:"failed"`
-	ElapsedMs float64    `json:"elapsed_ms"`
-	// Calibrations is the device-affinity ledger: worker ID -> device
-	// -> executed calibration runs, merged from worker /stats.
-	Calibrations map[string]map[string]int `json:"calibrations"`
-	Cache        serve.CacheStats          `json:"cache"`
-	Rejected     ClusterRejected           `json:"rejected_requests"`
-	Error        *serve.ReportError        `json:"error,omitempty"`
-}
+// Report is the coordinator's batch response: the worker's own report
+// shape.
+type Report = serve.Report
 
-// Run serves a whole request list and assembles the cluster report.
+// Run serves a whole request list and assembles its report. It asks the
+// workers for nothing but rows: the cluster's counters and the
+// device-affinity ledger are GET /stats.
 func (c *Coordinator) Run(ctx context.Context, reqs []serve.Request) *Report {
 	start := time.Now()
 	results := c.RunBatch(ctx, reqs)
-	rep := &Report{
-		Results:   results,
-		Requests:  len(results),
-		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
-	}
-	rep.Failed, rep.Error = serve.BatchOutcome(results)
-	st := c.Stats(ctx)
-	rep.Calibrations = st.Calibrations
-	rep.Cache, rep.Rejected = st.Cache, st.Rejected
-	return rep
+	return serve.NewReport(results, time.Since(start))
 }
 
 // Stats assembles the aggregated cluster document: the coordinator's

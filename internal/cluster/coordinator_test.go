@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,6 +33,8 @@ type fakeWorker struct {
 	killed   atomic.Bool
 	drained  atomic.Bool
 	draining atomic.Bool // report batch rows with the drain sentinel, like a worker mid-shutdown
+
+	statsCalls atomic.Uint64 // GET /stats requests answered
 
 	mu         sync.Mutex
 	received   uint64
@@ -90,6 +94,7 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, _ *http.Request) {
 		fw.maybeDie()
+		fw.statsCalls.Add(1)
 		serve.WriteJSON(w, http.StatusOK, fw.stats())
 	})
 	mux.HandleFunc("POST /v1/drain", func(w http.ResponseWriter, _ *http.Request) {
@@ -419,19 +424,20 @@ func TestBackpressurePassThrough(t *testing.T) {
 }
 
 // TestBatchFanOut: the coordinator batch endpoint splits rows across
-// workers by device, preserves request order, and its report carries
-// the aggregated counters and the calibration ledger.
+// workers by device, preserves request order, and the aggregated
+// GET /stats accounts for every row.
 func TestBatchFanOut(t *testing.T) {
 	coord, workers := newTestCluster(t, 2, nil)
 	ts := httptest.NewServer(coord.Handler())
 	defer ts.Close()
+	cl := client.New(ts.URL)
 
 	var reqs []serve.Request
 	for i := 0; i < 8; i++ {
 		reqs = append(reqs, req(fmt.Sprintf("dev-%d", i%4), "w", int64(512+i)))
 	}
 	var rep Report
-	if err := client.New(ts.URL).PredictBatchInto(context.Background(), reqs, &rep); err != nil {
+	if err := cl.PredictBatchInto(context.Background(), reqs, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Requests != 8 || rep.Failed != 0 {
@@ -447,7 +453,88 @@ func TestBatchFanOut(t *testing.T) {
 	if total := workers[0].receivedCount() + workers[1].receivedCount(); total != 8 {
 		t.Fatalf("workers saw %d rows, want 8", total)
 	}
-	if got := rep.Cache.Hits + rep.Cache.Misses + rep.Rejected.Total(); got != 8 {
-		t.Fatalf("report accounting = %d, want 8", got)
+	var st Stats
+	if err := cl.StatsInto(context.Background(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Accounted() != 8 || st.Requests != 8 {
+		t.Fatalf("aggregated accounting = %d of %d requests, want 8 of 8", st.Accounted(), st.Requests)
+	}
+}
+
+// TestBatchCallFetchesNoStats: a coordinator batch call asks its
+// workers for rows and nothing else — not when its rows are forwarded,
+// not when they are all resident — so no batch call costs a GET /stats
+// per live worker.
+func TestBatchCallFetchesNoStats(t *testing.T) {
+	eng, err := dlrmperf.NewEngineWith(dlrmperf.EngineConfig{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, workers := newTestCluster(t, 2, eng)
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+	cl := client.New(ts.URL)
+
+	reqs := []serve.Request{
+		req("V100", "DLRM_default", 512), req("P100", "DLRM_default", 512),
+		req("V100", "DLRM_DDP", 1024), req("P100", "DLRM_DDP", 1024),
+	}
+	for _, call := range []string{"forwarded", "resident"} {
+		var rep Report
+		if err := cl.PredictBatchInto(context.Background(), reqs, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Requests != len(reqs) || rep.Failed != 0 {
+			t.Fatalf("%s call: report %d/%d, want %d requests, 0 failed", call, rep.Requests, rep.Failed, len(reqs))
+		}
+		for i, row := range rep.Results {
+			if row.CacheHit != (call == "resident") {
+				t.Fatalf("%s call: row %d cache_hit = %v", call, i, row.CacheHit)
+			}
+		}
+		for _, fw := range workers {
+			if n := fw.statsCalls.Load(); n != 0 {
+				t.Fatalf("%s call: worker %s answered %d GET /stats, want 0", call, fw.id, n)
+			}
+		}
+	}
+	if total := workers[0].receivedCount() + workers[1].receivedCount(); total != uint64(len(reqs)) {
+		t.Fatalf("workers saw %d rows, want %d (the repeat is resident)", total, len(reqs))
+	}
+}
+
+// TestBatchBodyKeys: the coordinator's POST /v1/predict/batch body is
+// the worker's report shape — results, requests, failed, elapsed_ms —
+// plus error only when every row failed.
+func TestBatchBodyKeys(t *testing.T) {
+	coord, _ := newTestCluster(t, 2, nil)
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+	cl := client.New(ts.URL)
+	assertBatchKeys(t, cl, []serve.Request{req("dev-0", "w", 512), req("dev-1", "reject", 512)}, false)
+	assertBatchKeys(t, cl, []serve.Request{req("dev-0", "reject", 512), req("dev-1", "reject", 512)}, true)
+}
+
+// assertBatchKeys posts one batch and checks the top-level keys of the
+// response body.
+func assertBatchKeys(t *testing.T, cl *client.Client, reqs []serve.Request, allFailed bool) {
+	t.Helper()
+	var body map[string]json.RawMessage
+	if err := cl.PredictBatchInto(context.Background(), reqs, &body); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"elapsed_ms", "failed", "requests", "results"}
+	if allFailed {
+		want = append(want, "error")
+	}
+	var got []string
+	for k := range body {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("batch body keys %v, want %v", got, want)
 	}
 }

@@ -404,7 +404,7 @@ func TestBadClientInputDoesNotQuarantine(t *testing.T) {
 	}
 	_, err := cl.Predict(ctx, bogus)
 	wantVerdict("single over HTTP", err)
-	_, err = cl.PredictBatch(ctx, []serve.Request{bogus})
+	err = cl.PredictBatchInto(ctx, []serve.Request{bogus}, &serve.Report{})
 	wantVerdict("batch over HTTP", err)
 	if st := coord.Stats(ctx); st.Coordinator.Received != 0 {
 		t.Fatalf("received = %d, want 0: the boundary rejects before any counter moves", st.Coordinator.Received)

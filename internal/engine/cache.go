@@ -226,12 +226,18 @@ type assetStore struct {
 	classes [numAssetClasses]*classStore
 }
 
+// newAssetStore sizes the classes. Calibrations are pinned: warm-start
+// installs and the "calibrate once per device" contract must survive
+// arbitrary traffic. The other caps are fixed: 512 runs, 128 overhead
+// DBs (per-workload and shared), 512 graph structures (one per built-in
+// workload or table population, whatever the batch size), and
+// ResultCacheSize results.
 func newAssetStore(opts Options) *assetStore {
 	s := &assetStore{}
 	s.classes[classCalibration] = newClassStore(0, true)
-	s.classes[classRun] = newClassStore(opts.AssetCaps.Runs, false)
-	s.classes[classOverheads] = newClassStore(opts.AssetCaps.Overheads, false)
-	s.classes[classGraph] = newClassStore(opts.AssetCaps.Graphs, false)
+	s.classes[classRun] = newClassStore(512, false)
+	s.classes[classOverheads] = newClassStore(128, false)
+	s.classes[classGraph] = newClassStore(512, false)
 	s.classes[classResult] = newClassStore(opts.ResultCacheSize, false)
 	s.classes[classResult].off = opts.ResultCacheSize < 0
 	return s

@@ -90,41 +90,6 @@ type Options struct {
 	// result cache (default 512 entries; negative disables the cache —
 	// the cold-path ablation).
 	ResultCacheSize int
-	// AssetCaps bounds the evictable asset classes of the engine's
-	// unified store (runs, overhead DBs, graphs).
-	// Calibrations are pinned and never evict.
-	AssetCaps AssetCaps
-}
-
-// AssetCaps bounds the resident entry count of each evictable asset
-// class. Zero fields select the defaults; negative values leave the
-// class unbounded (the pre-bounded behavior, kept for ablations and
-// baselines). Calibrations take no cap: warm-start installs and the
-// "calibrate once per device" contract must survive arbitrary traffic,
-// so that class is pinned.
-type AssetCaps struct {
-	// Runs caps memoized measured/profiled simulated runs (default 512).
-	Runs int
-	// Overheads caps per-workload and shared host-overhead databases
-	// (default 128).
-	Overheads int
-	// Graphs caps built execution-graph structures: one per built-in
-	// workload and per distinct table population or shard, independent
-	// of batch size (default 512).
-	Graphs int
-}
-
-func (c AssetCaps) withDefaults() AssetCaps {
-	if c.Runs == 0 {
-		c.Runs = 512
-	}
-	if c.Overheads == 0 {
-		c.Overheads = 128
-	}
-	if c.Graphs == 0 {
-		c.Graphs = 512
-	}
-	return c
 }
 
 func (o Options) withDefaults() Options {
@@ -143,7 +108,6 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	o.AssetCaps = o.AssetCaps.withDefaults()
 	return o
 }
 

@@ -141,14 +141,23 @@ func TestClassStoreTable(t *testing.T) {
 	}
 }
 
+// withCaps resizes a fresh engine's evictable classes before first use
+// — the test seam in place of a capacity option. A negative cap leaves
+// a class unbounded.
+func withCaps(e *Engine, runs, overheads, graphs int) *Engine {
+	e.store.class(classRun).cap = runs
+	e.store.class(classOverheads).cap = overheads
+	e.store.class(classGraph).cap = graphs
+	return e
+}
+
 // TestGraphClassCapacityOneThrash runs the engine's graph class at
 // capacity 1 under an A/B/A access pattern: entries evict and rebuild
 // transparently, counters observe the thrash, and the rebuilt graph is
 // a fresh but equivalent build.
 func TestGraphClassCapacityOneThrash(t *testing.T) {
-	opts := tinyOptions(7)
-	opts.AssetCaps = AssetCaps{Graphs: 1}
-	e := New(opts)
+	e := New(tinyOptions(7))
+	e.store.class(classGraph).cap = 1
 
 	a1, err := e.Model(models.NameDLRMDefault, 256)
 	if err != nil {
@@ -188,9 +197,8 @@ func TestGraphClassCapacityOneThrash(t *testing.T) {
 // device's calibration is pinned and never rebuilds.
 func TestPinnedCalibrationSurvivesEviction(t *testing.T) {
 	opts := tinyOptions(7)
-	opts.AssetCaps = AssetCaps{Runs: 1, Overheads: 1, Graphs: 1}
 	opts.ResultCacheSize = -1 // every request recomputes
-	e := New(opts)
+	e := withCaps(New(opts), 1, 1, 1)
 
 	reqs := testRequests()
 	for round := 0; round < 2; round++ {
@@ -230,14 +238,11 @@ func TestPinnedCalibrationSurvivesEviction(t *testing.T) {
 func TestBoundedStoreBitIdentical(t *testing.T) {
 	reqs := testRequests()
 
-	unboundedOpts := tinyOptions(7)
-	unboundedOpts.AssetCaps = AssetCaps{Runs: -1, Overheads: -1, Graphs: -1}
-	want := New(unboundedOpts).PredictBatch(reqs)
+	want := withCaps(New(tinyOptions(7)), -1, -1, -1).PredictBatch(reqs)
 
 	boundedOpts := tinyOptions(7)
-	boundedOpts.AssetCaps = AssetCaps{Runs: 2, Overheads: 1, Graphs: 2}
 	boundedOpts.ResultCacheSize = 2
-	bounded := New(boundedOpts)
+	bounded := withCaps(New(boundedOpts), 2, 1, 2)
 	got := bounded.PredictBatch(reqs)
 
 	for i := range reqs {
@@ -271,7 +276,7 @@ func TestBoundedStoreBitIdentical(t *testing.T) {
 	}
 
 	// The unbounded baseline never evicts.
-	u := New(unboundedOpts)
+	u := withCaps(New(tinyOptions(7)), -1, -1, -1)
 	if res := u.PredictBatch(reqs); res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}

@@ -296,7 +296,7 @@ func TestCodecDecodeDifferential(t *testing.T) {
 // file reports call MarshalIndent themselves).
 func TestRowsInsideReport(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	rep := Report{Results: Rows{genResult(rng, true), genResult(rng, false)}, Requests: 2, Calibrations: map[string]int{}}
+	rep := Report{Results: Rows{genResult(rng, true), genResult(rng, false)}, Requests: 2}
 	want := mustMarshal(t, []Result(rep.Results))
 	for _, marshal := range []func(any) ([]byte, error){json.Marshal, func(v any) ([]byte, error) { return json.MarshalIndent(v, "", "  ") }} {
 		data, err := marshal(rep)
@@ -359,7 +359,7 @@ func TestWriteJSONUnencodableRow(t *testing.T) {
 // row through the codec and for a document through encoding/json alike.
 func TestWriteJSONIsCompact(t *testing.T) {
 	row := Result{Request: Request{Workload: "w", Device: "V100"}, E2EUs: 42, CacheHit: true}
-	for _, v := range []any{row, HTTPError{Code: "queue_full", Message: "busy"}, map[string]any{"status": "ok"}, &Report{Results: Rows{row}, Calibrations: map[string]int{}}} {
+	for _, v := range []any{row, HTTPError{Code: "queue_full", Message: "busy"}, map[string]any{"status": "ok"}, &Report{Results: Rows{row}}} {
 		rec := httptest.NewRecorder()
 		WriteJSON(rec, http.StatusOK, v)
 		want := append(mustMarshal(t, v), '\n')

@@ -7,9 +7,12 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -57,10 +60,11 @@ func TestHTTPSurface(t *testing.T) {
 		t.Fatalf("rejected workload = %+v / %v, want an error row with err == nil", row, err)
 	}
 
-	rep, err := cl.PredictBatch(ctx, []serve.Request{
+	var rep serve.Report
+	err = cl.PredictBatchInto(ctx, []serve.Request{
 		{Workload: "a", Device: "FakeGPU", Tenant: "acme"},
 		{Workload: "b", Device: "FakeGPU", Priority: "low"},
-	})
+	}, &rep)
 	if err != nil || rep.Requests != 2 || rep.Failed != 0 {
 		t.Fatalf("batch = %+v / %v, want 2 clean rows", rep, err)
 	}
@@ -88,6 +92,41 @@ func TestHTTPSurface(t *testing.T) {
 	}
 }
 
+// TestHTTPBatchBodyKeys: a worker's POST /v1/predict/batch body
+// describes its batch — results, requests, failed, elapsed_ms — plus
+// error only when every row failed; no lifetime counter rides along.
+func TestHTTPBatchBodyKeys(t *testing.T) {
+	fb := serve.NewTestBackend()
+	fb.Release()
+	_, cl := newHTTPServer(t, serve.Config{Backend: fb, QueueDepth: 4, Workers: 1})
+	for _, tc := range []struct {
+		workloads []string
+		allFailed bool
+	}{{[]string{"a", "reject"}, false}, {[]string{"reject", "reject"}, true}} {
+		var reqs []serve.Request
+		for _, w := range tc.workloads {
+			reqs = append(reqs, serve.Request{Workload: w, Device: "FakeGPU"})
+		}
+		var body map[string]json.RawMessage
+		if err := cl.PredictBatchInto(context.Background(), reqs, &body); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"elapsed_ms", "failed", "requests", "results"}
+		if tc.allFailed {
+			want = append(want, "error")
+		}
+		var got []string
+		for k := range body {
+			got = append(got, k)
+		}
+		sort.Strings(got)
+		sort.Strings(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: batch body keys %v, want %v", tc.workloads, got, want)
+		}
+	}
+}
+
 // TestHTTPBadPriority: an unknown priority string is rejected at the
 // boundary with 400 bad_priority — on both the single and the batch
 // path, before admission counts the request.
@@ -102,10 +141,10 @@ func TestHTTPBadPriority(t *testing.T) {
 		apiErr.Status != http.StatusBadRequest || apiErr.Code != "bad_priority" {
 		t.Fatalf("bad priority: err = %v, want 400 bad_priority", err)
 	}
-	if _, err := cl.PredictBatch(ctx, []serve.Request{
+	if err := cl.PredictBatchInto(ctx, []serve.Request{
 		{Workload: "w", Device: "FakeGPU"},
 		{Workload: "w", Device: "FakeGPU", Priority: "urgent"},
-	}); !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != "bad_priority" {
+	}, &serve.Report{}); !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != "bad_priority" {
 		t.Fatalf("bad batch-row priority: err = %v, want 400 bad_priority", err)
 	}
 	if st := s.Stats(); st.Requests != 0 {

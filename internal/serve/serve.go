@@ -18,7 +18,7 @@
 // Endpoints (see Handler):
 //
 //	POST /v1/predict        one request  -> one result row (429 when the queue is full)
-//	POST /v1/predict/batch  request list -> full report (admission blocks instead of 429ing)
+//	POST /v1/predict/batch  request list -> batch report (admission blocks instead of 429ing)
 //	POST /v1/explore        grid spec    -> design-space sweep report (frontier, coverage, throughput)
 //	GET  /v1/scenarios      registered scenario names
 //	GET  /healthz           liveness (503 while draining)
@@ -349,7 +349,7 @@ func (s *Server) RunBatch(ctx context.Context, reqs []Request) []Result {
 func (s *Server) Run(ctx context.Context, reqs []Request) *Report {
 	start := time.Now()
 	results := s.RunBatch(ctx, reqs)
-	return s.Report(results, time.Since(start))
+	return NewReport(results, time.Since(start))
 }
 
 // Drain gracefully stops the server: new admissions are rejected with

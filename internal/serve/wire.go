@@ -217,26 +217,18 @@ func (s Stats) Accounted() uint64 {
 	return s.Cache.Hits + s.Cache.Misses + s.Rejected.Total()
 }
 
-// Report is the full output document of a batch run (the one-shot
-// report and the POST /v1/predict/batch response). Results, Requests,
-// Failed, and ElapsedMs describe this batch; the Cache, Rejected,
-// Stream, Latency, and Assets blocks are engine-lifetime snapshots at
-// report time — the Stats invariant holds over them against the
-// server's lifetime request total, not this batch's Requests. In the
-// one-shot driver the engine serves exactly one batch, so the two
-// coincide (which is what its tests assert).
+// Report is the POST /v1/predict/batch response, of a worker and of a
+// coordinator alike, and the batch half of the one-shot document. It
+// describes its batch and nothing else: the rows in request order, how
+// many there were and failed, how long the batch took, and the
+// all_requests_failed entry when no row survived. A server's lifetime
+// counters are GET /stats. NewReport is its one constructor.
 type Report struct {
-	Results      Rows                `json:"results"`
-	Requests     int                 `json:"requests"`
-	Failed       int                 `json:"failed"`
-	ElapsedMs    float64             `json:"elapsed_ms"`
-	Calibrations map[string]int      `json:"calibrations"`
-	Cache        CacheStats          `json:"cache"`
-	Rejected     RejectedStats       `json:"rejected_requests"`
-	Stream       QueueStats          `json:"stream"`
-	Latency      LatencyStats        `json:"latency"`
-	Assets       dlrmperf.AssetStats `json:"assets"`
-	Error        *ReportError        `json:"error,omitempty"`
+	Results   Rows         `json:"results"`
+	Requests  int          `json:"requests"`
+	Failed    int          `json:"failed"`
+	ElapsedMs float64      `json:"elapsed_ms"`
+	Error     *ReportError `json:"error,omitempty"`
 }
 
 // HTTPError is the JSON error envelope of non-200 responses — shared
@@ -416,20 +408,21 @@ func RetryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-// BatchOutcome is the tail every batch report shares (the worker's
-// Report here and the coordinator's): how many rows failed, and the
-// all_requests_failed entry when none survived — the signal the
-// one-shot driver turns into a non-zero exit.
-func BatchOutcome(results []Result) (failed int, allFailed *ReportError) {
+// NewReport assembles the report of a finished batch: its rows, their
+// count, how many failed, the elapsed time, and — when every row
+// failed — the all_requests_failed entry the one-shot CLI turns into a
+// non-zero exit.
+func NewReport(results []Result, elapsed time.Duration) *Report {
+	rep := &Report{Results: results, Requests: len(results), ElapsedMs: float64(elapsed.Microseconds()) / 1000}
 	for _, row := range results {
 		if row.Error != "" {
-			failed++
+			rep.Failed++
 		}
 	}
-	if failed == len(results) && failed > 0 {
-		allFailed = allRequestsFailed(failed, results[0].Error)
+	if rep.Failed == len(results) && rep.Failed > 0 {
+		rep.Error = allRequestsFailed(rep.Failed, results[0].Error)
 	}
-	return failed, allFailed
+	return rep
 }
 
 // allRequestsFailed formats the report error of a batch with no
@@ -441,25 +434,8 @@ func allRequestsFailed(failed int, first string) *ReportError {
 	}
 }
 
-// Report assembles the batch report from finished rows plus the
-// server's live counters.
+// Report is NewReport, for callers that hold a server: it reads none of
+// the server's counters.
 func (s *Server) Report(results []Result, elapsed time.Duration) *Report {
-	st := s.Stats()
-	rep := &Report{
-		Results:      results,
-		Requests:     len(results),
-		ElapsedMs:    float64(elapsed.Microseconds()) / 1000,
-		Calibrations: st.Calibrations,
-		Cache:        st.Cache,
-		Rejected:     st.Rejected,
-		Stream:       st.Queue,
-		Latency:      st.Latency,
-		Assets:       st.Assets,
-	}
-	if rep.Calibrations == nil {
-		// The report's field has no omitempty: keep it {} rather than null.
-		rep.Calibrations = map[string]int{}
-	}
-	rep.Failed, rep.Error = BatchOutcome(results)
-	return rep
+	return NewReport(results, elapsed)
 }
