@@ -42,13 +42,18 @@ loc:
 	done | sort -rn | awk '{ t += $$1; printf "%6d  %s\n", $$1, $$2 } END { printf "%6d  total\n", t }'
 
 # fuzz-smoke runs each native fuzz target for 10 s on top of its
-# checked-in corpus (internal/serve/testdata/fuzz): the row codec's
-# differential contract against encoding/json, decode and encode. go
-# test takes one -fuzz target per run. The CI test job runs this target.
+# checked-in corpus (testdata/fuzz in the package): the row codec's
+# differential contract against encoding/json, decode and encode, and
+# the overhead database's decode-encode-decode fixed point. go test
+# takes one -fuzz target per run. The overhead corpus holds a whole
+# marshalled database, whose byte-by-byte minimization would eat the
+# smoke's time, so minimization is capped there. The CI test job runs
+# this target.
 FUZZ_TIME = 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowDecode$$' -fuzztime $(FUZZ_TIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzRowEncode$$' -fuzztime $(FUZZ_TIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzOverheadLoad$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/overhead
 
 # bench regenerates the paper artifacts and tracks the calibration
 # speedup pair (serial vs parallel) in the perf trajectory.
@@ -63,7 +68,7 @@ bench:
 # regressions on the box shape the baseline records (on another, the
 # time excess is printed, not failed). The compare table is kept in
 # BENCH_report.txt.
-BENCH_PATTERN = PredictBatchCached$$|PredictSingleCached$$|PredictNovelBatch$$|CalibrateParallel$$|CompilePlan$$|ExploreWarm$$|ExploreCold$$|FirstTouch$$|PoolShared$$|SimRun$$|RowCodec$$|CoordinatorHit$$|CoordinatorBatchHit$$
+BENCH_PATTERN = PredictBatchCached$$|PredictSingleCached$$|PredictNovelBatch$$|CalibrateParallel$$|CompilePlan$$|ExploreWarm$$|ExploreCold$$|FirstTouch$$|PoolShared$$|SimRun$$|SimProfile$$|RowCodec$$|CoordinatorHit$$|CoordinatorBatchHit$$
 BENCH_PKGS = . ./internal/engine ./internal/explore ./internal/overhead ./internal/sim ./internal/serve ./internal/cluster
 bench-check:
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchmem -count 5 $(BENCH_PKGS) | tee BENCH_pr.txt

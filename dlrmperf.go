@@ -32,7 +32,6 @@ import (
 	"dlrmperf/internal/perfmodel"
 	"dlrmperf/internal/predict"
 	"dlrmperf/internal/sim"
-	"dlrmperf/internal/trace"
 )
 
 // Supported device names.
@@ -285,27 +284,22 @@ type OverheadDB struct {
 // the T1..T5 overhead statistics (IQR-trimmed means), the second asset of
 // the prediction track.
 func (p *Pipeline) CollectOverheads(w *Workload, seed uint64) (*OverheadDB, error) {
-	r := sim.Run(w.model.Graph, sim.Config{
-		Platform: p.platform, Seed: seed, Warmup: 5, Iters: 30,
-		Profile: true, Workload: w.model.Name,
-	})
-	return &OverheadDB{db: overhead.FromTrace(r.Trace)}, nil
+	return p.SharedOverheads([]*Workload{w}, seed)
 }
 
 // SharedOverheads pools the overhead samples of several workloads — the
 // shared database the paper proposes for large-scale prediction. The
-// profiled runs simulate and are extracted concurrently; the database
-// is the one a serial pass would pool.
+// profiled runs simulate concurrently, each writing its samples as it
+// goes; the database is the one a serial pass would pool.
 func (p *Pipeline) SharedOverheads(ws []*Workload, seed uint64) (*OverheadDB, error) {
-	db, err := overhead.NewCollector().Pool(len(ws), runtime.GOMAXPROCS(0), func(i int) (*trace.Trace, error) {
-		return sim.Run(ws[i].model.Graph, sim.Config{
+	c := overhead.NewCollector()
+	// Every run is simulated on the spot, so Pool has no error to report.
+	db, _ := c.Pool(len(ws), runtime.GOMAXPROCS(0), func(i int) (*overhead.Samples, error) {
+		return c.Profile(ws[i].model.Graph, sim.Config{
 			Platform: p.platform, Seed: seed + uint64(i)*13, Warmup: 5, Iters: 30,
 			Profile: true, Workload: ws[i].model.Name,
-		}).Trace, nil
+		}), nil
 	})
-	if err != nil {
-		return nil, err
-	}
 	return &OverheadDB{db: db}, nil
 }
 

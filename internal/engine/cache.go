@@ -34,7 +34,8 @@ const (
 	// installs and the "calibrate once per device" contract must survive
 	// arbitrary traffic.
 	classCalibration assetClass = iota
-	// classRun holds measured/profiled simulated runs.
+	// classRun holds measured simulated runs and the overhead samples of
+	// profiled ones (a profiled run keeps no trace).
 	classRun
 	// classOverheads holds per-workload and shared host-overhead DBs.
 	classOverheads
@@ -265,11 +266,17 @@ const eventBytes = 88
 // iterSpanBytes is the size of one trace.Trace.IterSpans entry.
 const iterSpanBytes = 16
 
+// sampleBytes is the size of one overhead sample. A profiled run is
+// charged for its samples alone: the names they refer to are the
+// graph's own strings.
+const sampleBytes = 16
+
 // approxBytes estimates the resident footprint of one asset. The
 // numbers are deliberately rough — they meter relative pressure, not
 // allocator truth — but scale with the dominant payload of each type:
-// trace events for runs, per-op stats for overhead DBs, nodes for
-// graphs, fitted network parameters for calibrations. Each is read off
+// trace events for measured runs, samples for profiled ones, per-op
+// stats for overhead DBs, nodes for graphs, fitted network parameters
+// for calibrations. Each is read off
 // the asset's lengths, so metering a store costs no pass over its
 // payload.
 func approxBytes(v any) int64 {
@@ -288,6 +295,8 @@ func approxBytes(v any) int64 {
 			n += int64(len(t.Trace.Events))*eventBytes + int64(len(t.Trace.IterSpans))*iterSpanBytes
 		}
 		return n
+	case *overhead.Samples:
+		return ptrOverhead + int64(t.Len())*sampleBytes
 	case *overhead.DB:
 		n := int64(ptrOverhead) + 5*statsBytes // T1 + defaults
 		for op := range t.PerOp {

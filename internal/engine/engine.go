@@ -44,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dlrmperf/internal/graph"
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/models"
 	"dlrmperf/internal/overhead"
@@ -51,7 +52,6 @@ import (
 	"dlrmperf/internal/predict"
 	"dlrmperf/internal/scenario"
 	"dlrmperf/internal/sim"
-	"dlrmperf/internal/trace"
 	"dlrmperf/internal/xrand"
 	"dlrmperf/internal/xsync"
 )
@@ -434,26 +434,37 @@ type runSpec struct {
 	profiled      bool
 }
 
-// Run returns the memoized measured (or profiled) simulated run of
-// model at batch on device.
-func (e *Engine) Run(device, model string, batch int64, profiled bool) (*sim.Result, error) {
-	key := "run/" + device + "/" + model + "/" + strconv.FormatInt(batch, 10) + "/" + strconv.FormatBool(profiled)
-	return memo(e, classRun, key, runSpec{device, model, batch, profiled}, (*Engine).simulate)
+// memoRun memoizes one run of r in the runs class: what simulate keeps
+// of the simulation of r's graph under r's config.
+func memoRun[T any](e *Engine, r runSpec, simulate func(*graph.Graph, sim.Config) T) (T, error) {
+	key := "run/" + r.device + "/" + r.model + "/" + strconv.FormatInt(r.batch, 10) + "/" + strconv.FormatBool(r.profiled)
+	return memo(e, classRun, key, r, func(e *Engine, r runSpec) (T, error) {
+		p, err := hw.ByName(r.device)
+		if err != nil {
+			return *new(T), err
+		}
+		m, err := e.Model(r.model, r.batch)
+		if err != nil {
+			return *new(T), err
+		}
+		return simulate(m.Graph, sim.Config{
+			Platform: p, Seed: e.runSeed(r.device, r.batch, r.profiled),
+			Warmup: 5, Iters: e.opts.Iters, Profile: r.profiled, Workload: r.model,
+		}), nil
+	})
 }
 
-func (e *Engine) simulate(r runSpec) (*sim.Result, error) {
-	p, err := hw.ByName(r.device)
-	if err != nil {
-		return nil, err
-	}
-	m, err := e.Model(r.model, r.batch)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run(m.Graph, sim.Config{
-		Platform: p, Seed: e.runSeed(r.device, r.batch, r.profiled),
-		Warmup: 5, Iters: e.opts.Iters, Profile: r.profiled, Workload: r.model,
-	}), nil
+// Run returns the memoized measured simulated run of model at batch on
+// device.
+func (e *Engine) Run(device, model string, batch int64) (*sim.Result, error) {
+	return memoRun(e, runSpec{device, model, batch, false}, sim.Run)
+}
+
+// Samples returns the memoized overhead samples of the profiled run of
+// model at batch on device. The run leaves no trace: the simulator
+// writes the samples as it goes, and they are all the engine keeps.
+func (e *Engine) Samples(device, model string, batch int64) (*overhead.Samples, error) {
+	return memoRun(e, runSpec{device, model, batch, true}, overhead.NewCollector().Profile)
 }
 
 // BatchesFor returns the evaluation batch sizes of a model family.
@@ -482,11 +493,11 @@ func (e *Engine) SharedOverheadDB(device string) (*overhead.DB, error) {
 
 // collectOverheads profiles r.model (every DLRM workload when unset —
 // the shared database) on r.device at the family's evaluation batch
-// sizes and pools the traces. The runs are independent — each draws
-// from its own runSeed — so they simulate concurrently, and each is
-// extracted on its worker as soon as it exists; the pool keeps the
-// listed order, which is what fixes the order of the pooled samples and
-// with it every mean.
+// sizes and pools the runs' samples. The runs are independent — each
+// draws from its own runSeed — so they simulate concurrently; the pool
+// keeps the listed order, which is what fixes the order of the pooled
+// samples and with it every mean. The shared database pools the same
+// memoized samples as the per-workload ones.
 func (e *Engine) collectOverheads(r runSpec) (*overhead.DB, error) {
 	names := []string{r.model}
 	if r.model == "" {
@@ -498,12 +509,8 @@ func (e *Engine) collectOverheads(r runSpec) (*overhead.DB, error) {
 			specs = append(specs, runSpec{r.device, model, b, true})
 		}
 	}
-	db, err := overhead.NewCollector().Pool(len(specs), e.opts.Workers, func(i int) (*trace.Trace, error) {
-		run, err := e.Run(specs[i].device, specs[i].model, specs[i].batch, true)
-		if err != nil {
-			return nil, err
-		}
-		return run.Trace, nil
+	db, err := overhead.NewCollector().Pool(len(specs), e.opts.Workers, func(i int) (*overhead.Samples, error) {
+		return e.Samples(specs[i].device, specs[i].model, specs[i].batch)
 	})
 	if err != nil {
 		return nil, err

@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"unsafe"
 
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/models"
+	"dlrmperf/internal/overhead"
 	"dlrmperf/internal/scenario"
 	"dlrmperf/internal/sim"
 	"dlrmperf/internal/trace"
@@ -15,7 +18,8 @@ import (
 // time it sees a workload family on a device: the profiled simulated
 // runs at the family's evaluation batch sizes (the serving defaults: 30
 // iterations, four DLRM / three CNN / three Transformer batch sizes),
-// the overhead extraction over their traces, and one prediction. The
+// each writing its overhead samples as it goes, the pooled database, and
+// one prediction. The
 // calibration arrives through LoadAssets outside the timer; the runs
 // and overheads classes are cold on every iteration.
 func BenchmarkFirstTouch(b *testing.B) {
@@ -79,5 +83,87 @@ func TestRunChargeIsItsLog(t *testing.T) {
 	added := int64(len(long.Trace.Events)-len(short.Trace.Events))*eventBytes + 5*iterSpanBytes
 	if got := approxBytes(long) - approxBytes(short); got != added {
 		t.Errorf("doubling the iterations adds %d bytes to the charge, the log grows by %d", got, added)
+	}
+}
+
+// TestSampleBytesIsStructSize pins the runs class's per-sample charge to
+// the element of the slice a Samples holds its samples in.
+func TestSampleBytesIsStructSize(t *testing.T) {
+	f, ok := reflect.TypeOf(overhead.Samples{}).FieldByName("samples")
+	if !ok {
+		t.Fatal("overhead.Samples has no samples field")
+	}
+	if got := f.Type.Elem().Size(); got != sampleBytes {
+		t.Errorf("sampleBytes = %d, but a sample is %d bytes", sampleBytes, got)
+	}
+}
+
+// TestSamplesChargeIsTheirLength: a profiled run is charged for its
+// samples alone, so doubling the iterations adds exactly the added
+// samples.
+func TestSamplesChargeIsTheirLength(t *testing.T) {
+	m, err := models.Build(models.NameDLRMDefault, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile := func(iters int) *overhead.Samples {
+		return overhead.NewCollector().Profile(m.Graph, sim.Config{
+			Platform: hw.V100Platform(), Seed: 3, Warmup: 1, Iters: iters,
+			Profile: true, Workload: models.NameDLRMDefault,
+		})
+	}
+	short, long := profile(5), profile(10)
+	if long.Len() != 2*short.Len() {
+		t.Fatalf("%d samples over 10 iterations, %d over 5", long.Len(), short.Len())
+	}
+	if got, want := approxBytes(long)-approxBytes(short), int64(long.Len()-short.Len())*sampleBytes; got != want {
+		t.Errorf("doubling the iterations adds %d bytes to the charge, the samples grow by %d", got, want)
+	}
+}
+
+// TestConcurrentPoolsShareSamples: the per-workload and shared databases
+// of a device pool the same memoized samples. Built at once on one
+// engine whose samples are already resident, each equals the database a
+// fresh engine builds alone; under -race this also checks that pooling
+// only reads the samples.
+func TestConcurrentPoolsShareSamples(t *testing.T) {
+	opts := Options{Seed: 5, SaltDeviceSeeds: true, Iters: 5, DLRMBatches: []int64{256, 512}, Workers: 2}
+	keys := append(models.DLRMNames(), "")
+	build := func(e *Engine, model string) *overhead.DB {
+		get := e.SharedOverheadDB
+		if model != "" {
+			get = func(device string) (*overhead.DB, error) { return e.OverheadDB(device, model) }
+		}
+		db, err := get(hw.V100)
+		if err != nil {
+			t.Error(err)
+		}
+		return db
+	}
+	e := New(opts)
+	for _, model := range models.DLRMNames() {
+		for _, b := range opts.DLRMBatches {
+			if _, err := e.Samples(hw.V100, model, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got := make([]*overhead.DB, len(keys))
+	var wg sync.WaitGroup
+	for i, model := range keys {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = build(e, model)
+		}()
+	}
+	wg.Wait()
+	for i, model := range keys {
+		if want := build(New(opts), model); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("%q: concurrent build differs from a serial one", model)
+		}
+	}
+	if runs := e.AssetStats().Class("runs"); runs.Misses != uint64(len(models.DLRMNames())*len(opts.DLRMBatches)) {
+		t.Errorf("runs class: %d misses, want one per profiled run", runs.Misses)
 	}
 }

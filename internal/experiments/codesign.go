@@ -13,7 +13,6 @@ import (
 	"dlrmperf/internal/scenario"
 	"dlrmperf/internal/sim"
 	"dlrmperf/internal/stats"
-	"dlrmperf/internal/trace"
 	"dlrmperf/internal/workload"
 )
 
@@ -54,11 +53,13 @@ func (s *Suite) Fig11() ([]Fig11Row, error) {
 			Platform: p, Seed: s.opts.Seed + 301 + uint64(b), Warmup: 5,
 			Iters: s.opts.Iters, Workload: unfused.Name,
 		})
-		prof := sim.Run(unfused.Graph, sim.Config{
-			Platform: p, Seed: s.opts.Seed + 303 + uint64(b), Warmup: 5,
-			Iters: s.opts.Iters, Profile: true, Workload: unfused.Name,
+		c := overhead.NewCollector()
+		db, _ := c.Pool(1, 1, func(int) (*overhead.Samples, error) {
+			return c.Profile(unfused.Graph, sim.Config{
+				Platform: p, Seed: s.opts.Seed + 303 + uint64(b), Warmup: 5,
+				Iters: s.opts.Iters, Profile: true, Workload: unfused.Name,
+			}), nil
 		})
-		db := overhead.FromTrace(prof.Trace)
 		pred, err := s.Predictor(hw.V100, db)
 		if err != nil {
 			return nil, err
@@ -273,12 +274,8 @@ func (s *Suite) AblationOverheadPolicy() ([]AblationRow, error) {
 			return nil, err
 		}
 		batches := s.opts.DLRMBatches
-		rawDB, err := raw.Pool(len(batches), s.eng.Options().Workers, func(i int) (*trace.Trace, error) {
-			r, err := s.Run(dev, model, batches[i], true)
-			if err != nil {
-				return nil, err
-			}
-			return r.Trace, nil
+		rawDB, err := raw.Pool(len(batches), s.eng.Options().Workers, func(i int) (*overhead.Samples, error) {
+			return s.eng.Samples(dev, model, batches[i])
 		})
 		if err != nil {
 			return nil, err
@@ -299,7 +296,7 @@ func (s *Suite) AblationOverheadPolicy() ([]AblationRow, error) {
 		predT4.UseMeasuredT4 = true
 
 		for _, b := range s.opts.DLRMBatches {
-			meas, err := s.Run(dev, model, b, false)
+			meas, err := s.Run(dev, model, b)
 			if err != nil {
 				return nil, err
 			}

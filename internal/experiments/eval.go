@@ -104,7 +104,7 @@ func (s *Suite) Fig09() ([]Fig09Row, error) {
 				return nil, err
 			}
 			for _, b := range s.opts.DLRMBatches {
-				meas, err := s.Run(dev, model, b, false)
+				meas, err := s.Run(dev, model, b)
 				if err != nil {
 					return nil, err
 				}
@@ -263,7 +263,7 @@ func (s *Suite) Fig10() ([]Fig10Row, error) {
 				return nil, err
 			}
 			for _, b := range s.opts.CNNBatches {
-				meas, err := s.Run(dev, model, b, false)
+				meas, err := s.Run(dev, model, b)
 				if err != nil {
 					return nil, err
 				}

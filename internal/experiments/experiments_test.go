@@ -307,11 +307,11 @@ func TestSuiteMemoization(t *testing.T) {
 	if a != b {
 		t.Error("calibration not memoized")
 	}
-	r1, err := s.Run("V100", models.NameDLRMDefault, 512, false)
+	r1, err := s.Run("V100", models.NameDLRMDefault, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.Run("V100", models.NameDLRMDefault, 512, false)
+	r2, err := s.Run("V100", models.NameDLRMDefault, 512)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func (s *Suite) Fig01() ([]Fig01Row, error) {
 	var rows []Fig01Row
 	for _, c := range cfgs {
 		for _, b := range c.batches {
-			r, err := s.Run("V100", c.model, b, false)
+			r, err := s.Run("V100", c.model, b)
 			if err != nil {
 				return nil, err
 			}
@@ -75,7 +75,7 @@ type Fig05Result struct {
 func (s *Suite) Fig05() ([]Fig05Result, error) {
 	var out []Fig05Result
 	for _, model := range models.DLRMNames() {
-		r, err := s.Run("V100", model, 2048, false)
+		r, err := s.Run("V100", model, 2048)
 		if err != nil {
 			return nil, err
 		}
@@ -117,11 +117,12 @@ func (s *Suite) Fig07() ([]Fig07Row, error) {
 	var rows []Fig07Row
 	for _, model := range models.DLRMNames() {
 		for _, b := range s.opts.DLRMBatches {
-			r, err := s.Run("V100", model, b, true)
+			db, err := overhead.NewCollector().Pool(1, 1, func(int) (*overhead.Samples, error) {
+				return s.eng.Samples("V100", model, b)
+			})
 			if err != nil {
 				return nil, err
 			}
-			db := overhead.FromTrace(r.Trace)
 			rows = append(rows, Fig07Row{Model: model, Batch: b, Mean: db.T1.Mean, Std: db.T1.Std})
 		}
 	}
@@ -155,7 +156,7 @@ func (s *Suite) Fig08() ([]Fig08Row, error) {
 	var rows []Fig08Row
 	for _, model := range models.DLRMNames() {
 		// Determine the ten most dominating ops from the breakdown.
-		meas, err := s.Run("V100", model, 2048, false)
+		meas, err := s.Run("V100", model, 2048)
 		if err != nil {
 			return nil, err
 		}

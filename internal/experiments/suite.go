@@ -106,10 +106,9 @@ func (s *Suite) Calibration(device string) (*perfmodel.Calibration, error) {
 	return s.eng.Calibration(device)
 }
 
-// Run returns the memoized measured (or profiled) run of model at batch
-// on device.
-func (s *Suite) Run(device, model string, batch int64, profiled bool) (*sim.Result, error) {
-	return s.eng.Run(device, model, batch, profiled)
+// Run returns the memoized measured run of model at batch on device.
+func (s *Suite) Run(device, model string, batch int64) (*sim.Result, error) {
+	return s.eng.Run(device, model, batch)
 }
 
 // OverheadDB returns the individual-workload overhead database for one

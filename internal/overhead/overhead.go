@@ -6,13 +6,15 @@
 // by the E2E predictor. It also aggregates databases across workloads
 // into the "shared overheads" variant evaluated in Fig. 9.
 //
-// Every database is built by one path, Collector.Pool: each trace is
-// extracted into its own partial on whichever goroutine produced it,
-// the partials are merged in listed order into one array laid out
-// population by population, and the populations are trimmed
-// concurrently. The merge fixes every population's sample order to the
-// one a serial pass over the traces would give, so the database, means
-// included, does not depend on the number of goroutines.
+// Every database is built by one path, Collector.Pool, from Samples:
+// one profiled run's observations, written by the simulator as it runs
+// (Collector.Profile) or replayed from a recorded trace (FromTrace,
+// Shared). Each run's Samples are taken on whichever goroutine produced
+// them, merged in listed order into one array laid out population by
+// population, and the populations are trimmed concurrently. The merge
+// fixes every population's sample order to the one a serial pass over
+// the runs would give, so the database, means included, does not depend
+// on the number of goroutines.
 package overhead
 
 import (
@@ -21,6 +23,7 @@ import (
 	"slices"
 	"sort"
 
+	"dlrmperf/internal/graph"
 	"dlrmperf/internal/sim"
 	"dlrmperf/internal/stats"
 	"dlrmperf/internal/trace"
@@ -56,8 +59,8 @@ type DB struct {
 	Defaults [3]Stats `json:"defaults"`
 }
 
-// Collector holds the extraction and trimming settings; Pool builds a
-// database with them.
+// Collector holds the extraction and trimming settings: Profile and
+// FromTrace/Shared take samples with its corrections, Pool trims them.
 type Collector struct {
 	// CPUCorrection and GPUCorrection are the per-event profiler
 	// overheads subtracted during extraction.
@@ -79,25 +82,27 @@ func NewCollector() *Collector {
 	}
 }
 
-// Pool builds the database of n traces. traceAt(i) supplies the i-th,
-// on up to workers goroutines at once, and the goroutine that supplied a
-// trace extracts it, so a caller that simulates inside traceAt overlaps
-// each extraction with the other traces' simulation. The extracted
-// samples are pooled in index order and trimmed on up to workers
-// goroutines; the result does not depend on workers. The first error in
-// index order is returned.
-func (c *Collector) Pool(n, workers int, traceAt func(i int) (*trace.Trace, error)) (*DB, error) {
-	parts, errs := make([]*partial, n), make([]error, n)
-	xsync.ForEachN(n, workers, func(i int) {
-		tr, err := traceAt(i)
-		if errs[i] = err; err == nil {
-			parts[i] = c.extract(tr)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+// Profile simulates g under cfg and returns the run's samples. The
+// simulator hands each op to the samples as it computes it, so no trace
+// is recorded; set cfg.Profile for the profiler's own overheads.
+func (c *Collector) Profile(g *graph.Graph, cfg sim.Config) *Samples {
+	s := c.newSamples(max(cfg.Iters, 1))
+	cfg.Observer = s
+	sim.Run(g, cfg)
+	return s
+}
+
+// Pool builds the database of n runs' samples. at(i) supplies the i-th,
+// on up to workers goroutines at once, so a caller that simulates
+// inside at overlaps the runs. The samples are pooled in index order and
+// trimmed on up to workers goroutines; the result does not depend on
+// workers. The first error in index order is returned. Pool only reads
+// the samples, so concurrent pools may share them.
+func (c *Collector) Pool(n, workers int, at func(i int) (*Samples, error)) (*DB, error) {
+	parts, errs := make([]*Samples, n), make([]error, n)
+	xsync.ForEachN(n, workers, func(i int) { parts[i], errs[i] = at(i) })
+	if i := slices.IndexFunc(errs, func(err error) bool { return err != nil }); i >= 0 {
+		return nil, errs[i]
 	}
 	return c.finish(merge(parts), workers), nil
 }
@@ -111,21 +116,22 @@ func FromTrace(tr *trace.Trace) *DB {
 // of several workloads' traces ("averaging the samples across the
 // workloads collected in overhead analysis").
 func Shared(trs []*trace.Trace) *DB {
+	c := NewCollector()
 	// The traces are at hand, so Pool has no error to report.
-	db, _ := NewCollector().Pool(len(trs), runtime.GOMAXPROCS(0), func(i int) (*trace.Trace, error) {
-		return trs[i], nil
+	db, _ := c.Pool(len(trs), runtime.GOMAXPROCS(0), func(i int) (*Samples, error) {
+		return c.extract(trs[i]), nil
 	})
 	return db
 }
 
 // Sample kinds: T2, T3 and T5 are per op (idxT2..idxT5), T4 is per
-// runtime function, T1 is one population for the whole trace.
+// runtime function, T1 is one population for the whole run.
 const (
 	kindT1 = 3
 	kindT4 = 4
 )
 
-// Name tables of a partial.
+// Name tables of Samples.
 const (
 	opNames = 0
 	fnNames = 1
@@ -138,73 +144,85 @@ type sample struct {
 	kind, name int32
 }
 
-// partial is one trace's samples in extraction order, with the op and
-// runtime-function names they refer to in first-seen order; merge fills
-// remap, each name's index among the pooled names.
-type partial struct {
+// Samples is one run's overhead samples in observation order, with the
+// op and runtime-function names they refer to in first-seen order. It is
+// the one sample writer: it implements sim.Observer, and a trace is
+// replayed into the same Op. Once written it is only read.
+type Samples struct {
 	samples []sample
 	names   [2][]string
 	ids     [2]map[string]int32
-	remap   [2][]int
+	// cpu and gpu are the collector's corrections; iters, the recorded
+	// iterations, sizes the samples; iter and lastEnd are the last op's
+	// iteration (-1 before the first) and end.
+	cpu, gpu, lastEnd float64
+	iters, iter       int
 }
 
-// extract reads every iteration of tr into a partial.
-func (c *Collector) extract(tr *trace.Trace) *partial {
-	p := &partial{ids: [2]map[string]int32{{}, {}}}
+func (c *Collector) newSamples(iters int) *Samples {
+	return &Samples{ids: [2]map[string]int32{{}, {}}, cpu: c.CPUCorrection, gpu: c.GPUCorrection, iters: iters, iter: -1}
+}
+
+// extract replays every iteration of tr into Samples, op by op in host
+// order.
+func (c *Collector) extract(tr *trace.Trace) *Samples {
+	s := c.newSamples(tr.Iters)
+	var calls []sim.Call
 	for iter := 0; iter < tr.Iters; iter++ {
-		p.addIteration(c, tr.EventTree(iter))
-		if iter == 0 {
-			// Every iteration runs the same ops, so the first one sizes
-			// the rest.
-			p.samples = slices.Grow(p.samples, (tr.Iters-1)*len(p.samples))
+		for _, oe := range tr.EventTree(iter) {
+			calls = calls[:0]
+			for _, rt := range oe.Runtime {
+				calls = append(calls, sim.Call{Fn: rt.Name, Start: rt.Start, End: rt.End})
+			}
+			s.Op(iter, oe.Span.Name, oe.Span.Start, oe.Span.End, calls)
 		}
 	}
-	return p
+	return s
 }
 
-func clamp(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	return v
-}
+// Len reports the number of samples.
+func (s *Samples) Len() int { return len(s.samples) }
 
-func (p *partial) add(kind, name int32, v float64) {
-	p.samples = append(p.samples, sample{v: v, kind: kind, name: name})
+func (s *Samples) add(kind, name int32, v float64) {
+	s.samples = append(s.samples, sample{v: v, kind: kind, name: name})
 }
 
 // id returns name's index in table, adding it on first sight.
-func (p *partial) id(table int, name string) int32 {
-	id, ok := p.ids[table][name]
+func (s *Samples) id(table int, name string) int32 {
+	id, ok := s.ids[table][name]
 	if !ok {
-		id = int32(len(p.names[table]))
-		p.ids[table][name] = id
-		p.names[table] = append(p.names[table], name)
+		id = int32(len(s.names[table]))
+		s.ids[table][name] = id
+		s.names[table] = append(s.names[table], name)
 	}
 	return id
 }
 
-func (p *partial) addIteration(c *Collector, opsEvents []trace.OpEvents) {
-	for i, oe := range opsEvents {
-		if i > 0 {
-			p.add(kindT1, 0, clamp(oe.Span.Start-opsEvents[i-1].Span.End))
+// Op implements sim.Observer: the T1 gap from the iteration's previous
+// op, then the op's T2, T3 and T5, and each runtime call's T4.
+func (s *Samples) Op(iter int, op string, start, end float64, calls []sim.Call) {
+	if iter == s.iter {
+		s.add(kindT1, 0, max(start-s.lastEnd, 0))
+	} else if s.iter == 0 {
+		// Every iteration runs the same ops, so the first one sizes the
+		// rest.
+		s.samples = slices.Grow(s.samples, (s.iters-1)*len(s.samples))
+	}
+	s.iter, s.lastEnd = iter, end
+	id := s.id(opNames, op)
+	if len(calls) == 0 {
+		// Algorithm 1's else branch charges T5 for kernel-less ops;
+		// extract the op body accordingly.
+		s.add(idxT5, id, max(end-start-s.cpu, 0))
+		return
+	}
+	s.add(idxT2, id, max(calls[0].Start-start-s.cpu, 0))
+	s.add(idxT3, id, max(end-calls[len(calls)-1].End-s.gpu, 0))
+	for j, c := range calls {
+		if j > 0 {
+			s.add(idxT5, id, max(c.Start-calls[j-1].End-s.gpu, 0))
 		}
-		op := p.id(opNames, oe.Span.Name)
-		if len(oe.Runtime) == 0 {
-			// Algorithm 1's else branch charges T5 for kernel-less ops;
-			// extract the op body accordingly.
-			p.add(idxT5, op, clamp(oe.Span.Duration()-c.CPUCorrection))
-			continue
-		}
-		first, last := oe.Runtime[0], oe.Runtime[len(oe.Runtime)-1]
-		p.add(idxT2, op, clamp(first.Start-oe.Span.Start-c.CPUCorrection))
-		p.add(idxT3, op, clamp(oe.Span.End-last.End-c.GPUCorrection))
-		for j, rt := range oe.Runtime {
-			if j > 0 {
-				p.add(idxT5, op, clamp(rt.Start-oe.Runtime[j-1].End-c.GPUCorrection))
-			}
-			p.add(kindT4, p.id(fnNames, rt.Name), rt.Duration())
-		}
+		s.add(kindT4, s.id(fnNames, c.Fn), c.End-c.Start)
 	}
 }
 
@@ -219,39 +237,41 @@ type pooled struct {
 	start []int // population j is vals[start[j]:start[j+1]]
 }
 
-// population indexes the population of p's sample s.
-func (m *pooled) population(p *partial, s sample) int {
-	switch s.kind {
+// population indexes the population of sample x, whose names remap
+// maps to the pooled ones.
+func (m *pooled) population(remap *[2][]int, x sample) int {
+	switch x.kind {
 	case kindT1:
 		return 0
 	case kindT4:
-		return 1 + 3*len(m.names[opNames]) + p.remap[fnNames][s.name]
+		return 1 + 3*len(m.names[opNames]) + remap[fnNames][x.name]
 	}
-	return 1 + int(s.kind)*len(m.names[opNames]) + p.remap[opNames][s.name]
+	return 1 + int(x.kind)*len(m.names[opNames]) + remap[opNames][x.name]
 }
 
-// merge pools the partials in order: a counting pass sizes every
+// merge pools the samples in order: a counting pass sizes every
 // population, a second pass places each sample after those of earlier
-// partials and earlier samples of its own.
-func merge(parts []*partial) *pooled {
+// runs and earlier samples of its own. It writes nothing into parts.
+func merge(parts []*Samples) *pooled {
 	m := &pooled{}
+	remap := make([][2][]int, len(parts))
 	for t := range m.names {
 		for _, p := range parts {
 			m.names[t] = append(m.names[t], p.names[t]...)
 		}
 		slices.Sort(m.names[t])
 		m.names[t] = slices.Compact(m.names[t])
-		for _, p := range parts {
-			p.remap[t] = make([]int, len(p.names[t]))
+		for i, p := range parts {
+			remap[i][t] = make([]int, len(p.names[t]))
 			for j, name := range p.names[t] {
-				p.remap[t][j], _ = slices.BinarySearch(m.names[t], name)
+				remap[i][t][j], _ = slices.BinarySearch(m.names[t], name)
 			}
 		}
 	}
 	m.start = make([]int, 2+3*len(m.names[opNames])+len(m.names[fnNames]))
-	for _, p := range parts {
-		for _, s := range p.samples {
-			m.start[m.population(p, s)+1]++
+	for i, p := range parts {
+		for _, x := range p.samples {
+			m.start[m.population(&remap[i], x)+1]++
 		}
 	}
 	for j := 1; j < len(m.start); j++ {
@@ -259,10 +279,10 @@ func merge(parts []*partial) *pooled {
 	}
 	m.vals = make([]float64, m.start[len(m.start)-1])
 	next := slices.Clone(m.start)
-	for _, p := range parts {
-		for _, s := range p.samples {
-			j := m.population(p, s)
-			m.vals[next[j]] = s.v
+	for i, p := range parts {
+		for _, x := range p.samples {
+			j := m.population(&remap[i], x)
+			m.vals[next[j]] = x.v
 			next[j]++
 		}
 	}

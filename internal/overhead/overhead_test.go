@@ -128,7 +128,7 @@ func TestSharedPoolsWorkloads(t *testing.T) {
 // poolWith builds tr's database with c.
 func poolWith(t *testing.T, c *Collector, tr *trace.Trace) *DB {
 	t.Helper()
-	db, err := c.Pool(1, 1, func(int) (*trace.Trace, error) { return tr, nil })
+	db, err := c.Pool(1, 1, func(int) (*Samples, error) { return c.extract(tr), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +165,11 @@ func TestPoolKeepsListedOrder(t *testing.T) {
 	}
 	c := NewCollector()
 	pool := func(workers int, fail map[int]error) (*DB, error) {
-		return c.Pool(len(trs), workers, func(i int) (*trace.Trace, error) {
+		return c.Pool(len(trs), workers, func(i int) (*Samples, error) {
 			if err := fail[i]; err != nil {
 				return nil, err
 			}
-			return trs[i], nil
+			return c.extract(trs[i]), nil
 		})
 	}
 	serial, err := pool(1, nil)

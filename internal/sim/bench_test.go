@@ -21,3 +21,19 @@ func BenchmarkSimRun(b *testing.B) {
 		Run(m.Graph, cfg)
 	}
 }
+
+// BenchmarkSimProfile is BenchmarkSimRun in observer mode: the same run
+// handed op by op to an observer that keeps nothing, so what is left is
+// the simulator itself, with no event log.
+func BenchmarkSimProfile(b *testing.B) {
+	m, err := models.Build(models.NameInceptionV3, 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Platform: v100(), Seed: 1, Warmup: 5, Iters: 30, Profile: true, Workload: m.Name, Observer: &tally{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Run(m.Graph, cfg)
+	}
+}

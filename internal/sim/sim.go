@@ -37,6 +37,23 @@ type Config struct {
 	// overhead bias that breaks exact model-independence (see
 	// NewSampler).
 	Workload string
+	// Observer, when set, receives every recorded op as it is computed
+	// in place of the event log: the run emits no trace.Event and skips
+	// the active-time union, with the same draws in the same order.
+	Observer Observer
+}
+
+// Observer receives each recorded op of a run in host order: its
+// iteration, name and host span, and its runtime calls in launch order.
+// calls is a buffer the simulator reuses for the next op.
+type Observer interface {
+	Op(iter int, op string, start, end float64, calls []Call)
+}
+
+// Call is one CUDA runtime call: the function and its host span.
+type Call struct {
+	Fn         string
+	Start, End float64
 }
 
 // DefaultConfig returns a 5-warmup, 30-iteration unprofiled run.
@@ -119,7 +136,9 @@ func planNodes(g *graph.Graph, dev *kernels.Device, ovh *Sampler) (plan []nodePl
 
 // Run simulates cfg.Warmup+cfg.Iters training iterations of g. Events
 // are emitted in iteration order, which is what lets trace.Trace hand
-// out an iteration's events as a sub-slice of the log.
+// out an iteration's events as a sub-slice of the log. With an
+// Observer the result holds the iteration spans alone, and no active
+// time.
 func Run(g *graph.Graph, cfg Config) *Result {
 	if cfg.Iters <= 0 {
 		cfg.Iters = 1
@@ -130,11 +149,12 @@ func Run(g *graph.Graph, cfg Config) *Result {
 	plan, streams, eventsPerIter := planNodes(g, dev, ovh)
 	profCPU, profGPU := ovh.profilerDists()
 
-	tr := &trace.Trace{
-		Iters:     cfg.Iters,
-		Events:    make([]trace.Event, 0, cfg.Iters*eventsPerIter),
-		IterSpans: make([][2]float64, 0, cfg.Iters),
+	obs := cfg.Observer
+	tr := &trace.Trace{Iters: cfg.Iters, IterSpans: make([][2]float64, 0, cfg.Iters)}
+	if obs == nil {
+		tr.Events = make([]trace.Event, 0, cfg.Iters*eventsPerIter)
 	}
+	var calls []Call
 	host := 0.0
 	streamFree := make([]float64, streams)
 	// deviceReady[i] is when plan[i]'s outputs exist on device.
@@ -148,6 +168,7 @@ func Run(g *graph.Graph, cfg Config) *Result {
 
 		for ni := range plan {
 			n := &plan[ni]
+			calls = calls[:0]
 			// T1: gap before the op.
 			host += ovh.draw(n.t1)
 			opStart := host
@@ -189,7 +210,9 @@ func Run(g *graph.Graph, cfg Config) *Result {
 						lastEnd = end
 					}
 
-					if rec {
+					if rec && obs != nil {
+						calls = append(calls, Call{k.fn, rtStart, rtEnd})
+					} else if rec {
 						tr.Events = append(tr.Events,
 							trace.Event{
 								Kind: trace.RuntimeCall, Name: k.fn, Op: n.op,
@@ -215,7 +238,9 @@ func Run(g *graph.Graph, cfg Config) *Result {
 				deviceReady[ni] = depReady
 			}
 
-			if rec {
+			if rec && obs != nil {
+				obs.Op(iterIdx, n.op, opStart, host, calls)
+			} else if rec {
 				tr.Events = append(tr.Events, trace.Event{
 					Kind: trace.OpSpan, Name: n.op, Op: n.op,
 					Start: opStart, End: host, Iter: iterIdx, Node: n.id,
@@ -241,9 +266,9 @@ func Run(g *graph.Graph, cfg Config) *Result {
 		host = iterEnd
 	}
 
-	return &Result{
-		Trace:          tr,
-		MeanIterTime:   tr.MeanIterationTime(),
-		MeanActiveTime: tr.MeanActiveTime(),
+	res := &Result{Trace: tr, MeanIterTime: tr.MeanIterationTime()}
+	if obs == nil {
+		res.MeanActiveTime = tr.MeanActiveTime()
 	}
+	return res
 }

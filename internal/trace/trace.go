@@ -13,6 +13,7 @@ package trace
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -185,8 +186,9 @@ type BreakdownEntry struct {
 }
 
 // Breakdown attributes device-active time to ops (averaged per
-// iteration), appends an "Idle" entry, and sorts descending — the Fig. 5
-// analysis. Ops below minShare are folded into "others".
+// iteration), appends an "Idle" entry, and sorts by time descending, then
+// by op — the Fig. 5 analysis. Ops below minShare are folded into
+// "others", summed in op order, so the result is the same on every call.
 func (t *Trace) Breakdown(minShare float64) []BreakdownEntry {
 	if t.Iters == 0 {
 		return nil
@@ -201,22 +203,19 @@ func (t *Trace) Breakdown(minShare float64) []BreakdownEntry {
 	active := t.MeanActiveTime()
 	var entries []BreakdownEntry
 	others := 0.0
-	for op, tt := range perOp {
-		mean := tt / float64(t.Iters)
+	for _, op := range slices.Sorted(maps.Keys(perOp)) {
+		mean := perOp[op] / float64(t.Iters)
 		if iterTime > 0 && mean/iterTime < minShare {
 			others += mean
 			continue
 		}
 		entries = append(entries, BreakdownEntry{Op: op, Time: mean, Share: mean / iterTime})
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Time > entries[j].Time })
+	slices.SortFunc(entries, func(a, b BreakdownEntry) int { return cmp.Or(cmp.Compare(b.Time, a.Time), cmp.Compare(a.Op, b.Op)) })
 	if others > 0 {
 		entries = append(entries, BreakdownEntry{Op: "others", Time: others, Share: others / iterTime})
 	}
-	idle := iterTime - active
-	if idle < 0 {
-		idle = 0
-	}
+	idle := max(iterTime-active, 0)
 	entries = append(entries, BreakdownEntry{Op: "Idle", Time: idle, Share: idle / iterTime})
 	return entries
 }

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -143,5 +145,29 @@ func TestEmptyTrace(t *testing.T) {
 func TestEventKindString(t *testing.T) {
 	if OpSpan.String() != "op" || RuntimeCall.String() != "runtime" || KernelSpan.String() != "kernel" {
 		t.Error("EventKind strings wrong")
+	}
+}
+
+// TestBreakdownDeterministic: the same trace gives the same breakdown on
+// every call. "others" used to be summed in map order, whose float sum
+// moves in the last bits, and ops of equal time kept map order.
+func TestBreakdownDeterministic(t *testing.T) {
+	tr := &Trace{Iters: 1, IterSpans: [][2]float64{{0, 1000}}}
+	add := func(op string, d float64) {
+		tr.Events = append(tr.Events, Event{Kind: KernelSpan, Name: op, Op: op, Start: 0, End: d})
+	}
+	add("big_a", 100)
+	add("big_b", 100)
+	for i := 0; i < 40; i++ {
+		add(fmt.Sprintf("small_%02d", i), 1/float64(i+3))
+	}
+	want := tr.Breakdown(0.005)
+	if want[0].Op != "big_a" || want[1].Op != "big_b" || want[2].Op != "others" {
+		t.Fatalf("breakdown order %+v, want big_a, big_b, others", want[:3])
+	}
+	for i := 0; i < 200; i++ {
+		if got := tr.Breakdown(0.005); !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: %+v, first call %+v", i, got, want)
+		}
 	}
 }
