@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint loc fuzz-smoke bench bench-check bench-baseline bench-ratchet serve-demo serve-http explore-demo cluster-e2e cover check
+.PHONY: build test race vet fmt lint loc fuzz-smoke bench bench-check bench-baseline bench-ratchet serve-demo serve-http cluster-e2e cover check
 
 build:
 	$(GO) build ./...
@@ -102,14 +102,6 @@ serve-demo:
 serve-http:
 	$(GO) run ./cmd/dlrmperf-serve -listen :8080 -fast-calib
 
-# explore-demo sweeps the checked-in design-space grid twice through
-# one low-fidelity engine and self-asserts the headline claim: the
-# warm repeat is served from the result cache at a >= 90% hit rate
-# (the CI explore smoke runs this exact target).
-explore-demo:
-	$(GO) run ./cmd/dlrmperf-explore -grid internal/explore/testdata/grid.json \
-		-fast-calib -repeat 2 -min-warm-hit-rate 0.9 -o /dev/null
-
 # cluster-e2e runs the cross-process sharded-serving suite under the
 # race detector: 1 coordinator + 2 self-registering workers, device-
 # affine routing, a mid-run worker kill with transparent failover, and
@@ -117,7 +109,8 @@ explore-demo:
 # scenario (2 peered coordinators + 2 workers: SIGKILL the leader
 # mid-run without losing cached results, then SIGKILL a device's home
 # worker and require a warm asset hand-off) and a two-tenant load that
-# gets shed while the invariant holds. Same step CI runs.
+# gets shed while the invariant holds. CI runs the same tests inside
+# its race-tested go test ./...; this target is for local, verbose use.
 cluster-e2e:
 	$(GO) test -race -count=1 -run 'TestE2ECluster' -v ./cmd/dlrmperf-serve
 

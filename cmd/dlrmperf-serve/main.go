@@ -2,12 +2,19 @@
 // three modes over the same serving pipeline (internal/serve +
 // internal/cluster): a long-lived async HTTP server (optionally
 // self-registering as a cluster worker), a cluster coordinator that
-// shards traffic across such workers, and a one-shot batch runner.
+// shards traffic across such workers, and a one-shot runner.
 //
 //	dlrmperf-serve -listen :8080                   # HTTP service
 //	dlrmperf-serve -in requests.json -o report.json # one-shot batch
 //	dlrmperf-serve -in requests.json -assets v100.json,p100.json
 //	dlrmperf-serve -gen 24 | dlrmperf-serve -save-assets assets/
+//	dlrmperf-serve -in grid.json -fast-calib       # one-shot explore
+//
+// The one-shot job is chosen by the shape of the -in document: a JSON
+// array is a request batch, written as the batch report plus a stats
+// block; a JSON object is an explore grid, swept in-process through the
+// same engine and written as the report POST /v1/explore returns
+// (coverage, Pareto frontier, best configuration per workload).
 //
 //	dlrmperf-serve -coordinator -listen :9000       # cluster coordinator
 //	dlrmperf-serve -listen :8081 -register http://host:9000  # worker
@@ -28,6 +35,7 @@
 //
 //	POST /v1/predict        one request -> one result row; 429 + Retry-After when the queue is full
 //	POST /v1/predict/batch  request list -> batch report (admission blocks instead of shedding)
+//	POST /v1/explore        grid -> design-space sweep report
 //	GET  /v1/scenarios      registered scenario names
 //	GET  /healthz           liveness (503 while draining)
 //	GET  /stats             admission/stream/cache/asset counters
@@ -61,6 +69,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -75,10 +84,13 @@ import (
 	"path/filepath"
 	"strings"
 	"syscall"
+	"text/tabwriter"
 	"time"
 
 	"dlrmperf"
 	"dlrmperf/internal/cluster"
+	"dlrmperf/internal/explore"
+	"dlrmperf/internal/scenario"
 	"dlrmperf/internal/serve"
 )
 
@@ -88,15 +100,15 @@ func fail(err error) {
 }
 
 func main() {
-	in := flag.String("in", "-", "request JSON path (- for stdin)")
+	in := flag.String("in", "-", "one-shot input path (- for stdin): a request array, or an explore grid object")
 	out := flag.String("o", "-", "report JSON path (- for stdout)")
 	seed := flag.Uint64("seed", 2022, "engine seed")
 	workers := flag.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
 	assets := flag.String("assets", "", "comma-separated warm-start asset files from a previous -save-assets run")
 	saveAssets := flag.String("save-assets", "", "directory to write per-device asset files after serving")
 	gen := flag.Int("gen", 0, "instead of serving, emit N round-robin requests covering every workload and device")
-	listScenarios := flag.Bool("scenarios", false, "list the registered scenario names and exit")
-	listen := flag.String("listen", "", "serve HTTP on this address (e.g. :8080) instead of running a one-shot batch")
+	listScenarios := flag.Bool("scenarios", false, "list the registered scenarios with their descriptions and exit")
+	listen := flag.String("listen", "", "serve HTTP on this address (e.g. :8080) instead of running a one-shot job")
 	queueDepth := flag.Int("queue", 64, "admission queue depth; a full queue rejects POST /v1/predict with 429")
 	streamWorkers := flag.Int("stream-workers", 0, "concurrent request executions (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "default per-request deadline (0 = none); a request's timeout_ms can only tighten it")
@@ -116,9 +128,12 @@ func main() {
 	flag.Parse()
 
 	if *listScenarios {
-		for _, name := range dlrmperf.Scenarios() {
-			fmt.Println(name)
+		tw := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
+		for _, name := range scenario.Names() {
+			g, _ := scenario.Lookup(name)
+			fmt.Fprintf(tw, "%s\t%s\n", name, g.Description)
 		}
+		tw.Flush()
 		return
 	}
 	if *gen > 0 {
@@ -175,30 +190,22 @@ func main() {
 		return
 	}
 
-	reqs, err := readRequests(*in)
-	if err != nil {
-		fail(err)
-	}
-	rep, serveErr := serveOnce(cfg, reqs)
-	// The report is written even when post-serve work failed, so the
+	doc, runErr := runOneShot(cfg, *in)
+	// The document is written even when post-serve work failed, so the
 	// rows that did serve are never lost; the failure still reaches the
 	// exit code below.
-	if rep != nil {
-		data, err := json.MarshalIndent(rep, "", "  ")
+	if doc != nil {
+		data, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
 			fail(err)
 		}
 		if err := writeOut(*out, append(data, '\n')); err != nil {
 			fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "served %d requests (%d failed) in %.1f ms, calibrations: %v, cache %d/%d hit/miss\n",
-			rep.Requests, rep.Failed, rep.ElapsedMs, rep.Stats.Calibrations, rep.Stats.Cache.Hits, rep.Stats.Cache.Misses)
+		fmt.Fprintln(os.Stderr, doc.summary())
 	}
-	if serveErr != nil {
-		fail(serveErr)
-	}
-	if rep.Error != nil {
-		fail(fmt.Errorf("%s: %s", rep.Error.Code, rep.Error.Message))
+	if runErr != nil {
+		fail(runErr)
 	}
 }
 
@@ -275,13 +282,91 @@ func newServer(cfg serveConfig, eng *dlrmperf.Engine) *serve.Server {
 	return serve.New(sc)
 }
 
-// oneShot is the one-shot document: the batch report, plus the
+// document is what a one-shot run writes: a batch's oneShot or a
+// sweep's exploreShot, each with its one-line stderr summary.
+type document interface{ summary() string }
+
+// runOneShot reads the -in document and runs the job its shape names: a
+// JSON array is a request batch (serveOnce), a JSON object an
+// explore.Grid (exploreOnce). A batch in which every request failed
+// returns its document and an error, so the process exits non-zero.
+func runOneShot(cfg serveConfig, path string) (document, error) {
+	var data []byte
+	var err error
+	if path == "-" {
+		data, err = io.ReadAll(os.Stdin)
+	} else {
+		data, err = os.ReadFile(path)
+	}
+	if err != nil {
+		return nil, err
+	}
+	switch trimmed := bytes.TrimSpace(data); {
+	case bytes.HasPrefix(trimmed, []byte("[")):
+		var reqs []serve.Request
+		if err := json.Unmarshal(data, &reqs); err != nil {
+			return nil, fmt.Errorf("parsing requests: %w", err)
+		}
+		if len(reqs) == 0 {
+			return nil, fmt.Errorf("no requests in %s", path)
+		}
+		rep, err := serveOnce(cfg, reqs)
+		if rep == nil {
+			return nil, err
+		}
+		if err == nil && rep.Error != nil {
+			err = fmt.Errorf("%s: %s", rep.Error.Code, rep.Error.Message)
+		}
+		return rep, err
+	case bytes.HasPrefix(trimmed, []byte("{")):
+		var g explore.Grid
+		if err := json.Unmarshal(data, &g); err != nil {
+			return nil, fmt.Errorf("parsing grid: %w", err)
+		}
+		return exploreOnce(cfg, g)
+	}
+	return nil, fmt.Errorf("-in %s: neither a request array nor a grid object", path)
+}
+
+// oneShot is the one-shot batch document: the batch report, plus the
 // server's GET /stats document taken right after the batch — the
 // engine served exactly this batch, so its counters account for these
 // rows alone.
 type oneShot struct {
 	*serve.Report
 	Stats serve.Stats `json:"stats"`
+}
+
+func (r *oneShot) summary() string {
+	return fmt.Sprintf("served %d requests (%d failed) in %.1f ms, calibrations: %v, cache %d/%d hit/miss",
+		r.Requests, r.Failed, r.ElapsedMs, r.Stats.Calibrations, r.Stats.Cache.Hits, r.Stats.Cache.Misses)
+}
+
+// exploreShot is the one-shot explore document: exactly the
+// explore.Report POST /v1/explore returns.
+type exploreShot struct{ *explore.Report }
+
+func (r *exploreShot) summary() string {
+	return fmt.Sprintf("explored %d grid points (%d unique + %d duplicates + %d rejected): %d predicted, %d failed in %.1f ms",
+		r.GridPoints, r.Unique, r.Duplicates, r.Rejected, r.Predicted, r.Failed, r.ElapsedMs)
+}
+
+// exploreOnce sweeps one grid in-process (explore.Sweep) on the engine a
+// batch would be served by, warm-started and re-saved the same way. A
+// re-save failure returns the report and the error, as in serveOnce.
+func exploreOnce(cfg serveConfig, g explore.Grid) (document, error) {
+	eng, err := newEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := explore.Sweep(context.Background(), eng, g)
+	if err != nil {
+		return nil, err
+	}
+	if err := saveAssetsFor(eng, cfg.SaveAssets); err != nil {
+		return &exploreShot{rep}, fmt.Errorf("saving assets: %w", err)
+	}
+	return &exploreShot{rep}, nil
 }
 
 // serveOnce runs the whole request batch through the serving pipeline
@@ -383,7 +468,7 @@ func listenAndServe(cfg serveConfig, addr string) error {
 		// asset pushes: each calibrated device's exported assets land in
 		// the coordinators' replicated vaults, so if this worker dies its
 		// devices' new homes are handed them instead of recalibrating.
-		stopHeartbeat = cluster.HeartbeatAssets(hbCtx, nil, cfg.Register, advertise, advertise, cfg.Heartbeat, eng)
+		stopHeartbeat = cluster.HeartbeatAssets(hbCtx, cfg.Register, advertise, advertise, cfg.Heartbeat, eng)
 		defer stopHeartbeat()
 		fmt.Fprintf(os.Stderr, "dlrmperf-serve: registering with %s as %s\n", strings.Join(cfg.Register, ","), advertise)
 	}
@@ -606,27 +691,6 @@ func generate(n int, out string) {
 	if err := writeOut(out, append(data, '\n')); err != nil {
 		fail(err)
 	}
-}
-
-func readRequests(path string) ([]serve.Request, error) {
-	var data []byte
-	var err error
-	if path == "-" {
-		data, err = io.ReadAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(path)
-	}
-	if err != nil {
-		return nil, err
-	}
-	var reqs []serve.Request
-	if err := json.Unmarshal(data, &reqs); err != nil {
-		return nil, fmt.Errorf("parsing requests: %w", err)
-	}
-	if len(reqs) == 0 {
-		return nil, fmt.Errorf("no requests in %s", path)
-	}
-	return reqs, nil
 }
 
 func writeOut(path string, data []byte) error {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -170,7 +171,14 @@ func TestServeReportInvariants(t *testing.T) {
 		t.Errorf("calibrations = %v, want V100 once", st.Calibrations)
 	}
 
-	data, err := json.Marshal(rep)
+	assertBatchDocument(t, rep)
+}
+
+// assertBatchDocument checks a one-shot batch document has exactly the
+// batch report's keys plus the stats block.
+func assertBatchDocument(t *testing.T, doc *oneShot) {
+	t.Helper()
+	data, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,6 +191,88 @@ func TestServeReportInvariants(t *testing.T) {
 	}
 	if len(keys) != 0 {
 		t.Errorf("one-shot document has keys beyond the batch report and stats: %v", keys)
+	}
+}
+
+// TestOneShotRequestArray: a JSON array on -in is a request batch,
+// served exactly as serveOnce serves it and written as the same
+// document.
+func TestOneShotRequestArray(t *testing.T) {
+	doc, err := runOneShot(serveConfig{Engine: tinyEngineConfig()}, "testdata/requests.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, ok := doc.(*oneShot)
+	if !ok {
+		t.Fatalf("request array produced a %T, want *oneShot", doc)
+	}
+	if rep.Requests != 3 || rep.Failed != 0 || rep.Stats.Cache.Hits != 1 {
+		t.Errorf("batch = %d requests, %d failed, %d hits; want 3, 0, 1 (the fixture repeats a row)",
+			rep.Requests, rep.Failed, rep.Stats.Cache.Hits)
+	}
+	assertBatchDocument(t, rep)
+}
+
+// TestOneShotExploreGrid: a JSON object on -in is an explore grid,
+// swept in-process and written as the explore.Report POST /v1/explore
+// returns. The checked-in fixture's coverage is pinned: 16 points = 8
+// unique + 4 duplicates + 4 rejected.
+func TestOneShotExploreGrid(t *testing.T) {
+	doc, err := runOneShot(serveConfig{Engine: tinyEngineConfig()}, "../../internal/explore/testdata/grid.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, ok := doc.(*exploreShot)
+	if !ok {
+		t.Fatalf("grid produced a %T, want *exploreShot", doc)
+	}
+	if rep.GridPoints != 16 || rep.Unique != 8 || rep.Duplicates != 4 || rep.Rejected != 4 {
+		t.Fatalf("coverage = %d/%d/%d/%d, want 16/8/4/4", rep.GridPoints, rep.Unique, rep.Duplicates, rep.Rejected)
+	}
+	if rep.Failed != 0 || rep.Predicted != 8 {
+		t.Fatalf("predicted/failed = %d/%d: %+v", rep.Predicted, rep.Failed, rep.FailedSamples)
+	}
+	if len(rep.Frontier) == 0 || len(rep.Best) == 0 {
+		t.Errorf("report missing frontier or best-per-workload table")
+	}
+	got, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(rep.Report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("one-shot explore document is not the explore.Report:\n%s\n%s", got, want)
+	}
+}
+
+// TestOneShotBadInput: a missing file, a structurally empty grid, and a
+// document that is neither an array nor an object each fail without a
+// document.
+func TestOneShotBadInput(t *testing.T) {
+	dir := t.TempDir()
+	cases := map[string]string{
+		"missing": filepath.Join(dir, "no-such-file.json"),
+	}
+	for name, body := range map[string]string{
+		"empty-grid": `{"devices": ["V100"]}`,
+		"no-axes":    `{}`,
+		"string":     `"requests.json"`,
+		"number":     `42`,
+		"blank":      "  \n",
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cases[name] = path
+	}
+	for name, path := range cases {
+		if doc, err := runOneShot(serveConfig{Engine: tinyEngineConfig()}, path); err == nil || doc != nil {
+			t.Errorf("%s: doc %v, err %v; want no document and an error", name, doc, err)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@
 //	pipe, _ := dlrmperf.NewPipeline(dlrmperf.V100)
 //	w, _ := dlrmperf.NewModel(dlrmperf.DLRMDefault, 2048)
 //	meas := pipe.Measure(w, 1)                   // simulated "hardware" run
-//	db, _ := pipe.CollectOverheads(w, 2)         // trace -> overhead stats
+//	db, _ := pipe.CollectOverheads(w, 2)         // profiled run -> overhead stats
 //	pred, _ := pipe.Predict(w, db)               // Algorithm 1
 //	fmt.Printf("measured %.2fms predicted %.2fms\n",
 //	    meas.IterTimeUs/1000, pred.E2EUs/1000)
@@ -18,16 +18,12 @@
 package dlrmperf
 
 import (
-	"fmt"
 	"runtime"
 
-	"dlrmperf/internal/kernels"
-
 	"dlrmperf/internal/engine"
-	"dlrmperf/internal/graph"
 	"dlrmperf/internal/hw"
+	"dlrmperf/internal/kernels"
 	"dlrmperf/internal/models"
-	"dlrmperf/internal/ops"
 	"dlrmperf/internal/overhead"
 	"dlrmperf/internal/perfmodel"
 	"dlrmperf/internal/predict"
@@ -61,10 +57,8 @@ func Workloads() []string {
 
 // config holds pipeline construction options.
 type config struct {
-	seed       uint64
-	gridSearch bool
-	workers    int
-	calib      perfmodel.CalibOptions
+	seed  uint64
+	calib perfmodel.CalibOptions
 }
 
 // Option customizes NewPipeline.
@@ -75,22 +69,11 @@ func WithSeed(seed uint64) Option {
 	return func(c *config) { c.seed = seed }
 }
 
-// WithGridSearch enables the Table II hyperparameter search when training
-// the ML-based kernel models (slower, slightly more accurate).
-func WithGridSearch() Option {
-	return func(c *config) { c.gridSearch = true }
-}
-
 // WithCalibration overrides the full calibration options for advanced
-// use (sweep sizes, ensemble counts, custom grids).
+// use (sweep sizes, ensemble counts, the Table II hyperparameter search
+// via UseGridSearch).
 func WithCalibration(opts perfmodel.CalibOptions) Option {
 	return func(c *config) { c.calib = opts }
-}
-
-// WithWorkers bounds the calibration worker pool (default:
-// runtime.GOMAXPROCS). Any worker count yields bit-identical models.
-func WithWorkers(n int) Option {
-	return func(c *config) { c.workers = n }
 }
 
 // Pipeline owns the calibrated kernel performance models for one device —
@@ -121,9 +104,8 @@ func NewPipeline(device string, opts ...Option) (*Pipeline, error) {
 	if calOpts.Seed == 0 {
 		calOpts.Seed = cfg.seed
 	}
-	calOpts.UseGridSearch = calOpts.UseGridSearch || cfg.gridSearch
 	calOpts.IncludeCNN = true
-	eng := engine.New(engine.Options{Seed: calOpts.Seed, Calib: calOpts, Workers: cfg.workers})
+	eng := engine.New(engine.Options{Seed: calOpts.Seed, Calib: calOpts})
 	cal, err := eng.Calibration(device)
 	if err != nil {
 		return nil, err
@@ -211,39 +193,9 @@ func (w *Workload) ResizeBatch(b int64) error { return w.model.ResizeBatch(b) }
 
 // FuseEmbeddingBags replaces per-table embedding_bag ops (and their
 // concat, and the per-table backward ops) with batched lookups — the
-// Fig. 11 co-design transform. It is a no-op error if the workload has no
-// unfused embedding ops.
-func (w *Workload) FuseEmbeddingBags() error {
-	ids := models.EmbeddingBagNodes(w.model)
-	if ids == nil {
-		return fmt.Errorf("dlrmperf: workload has no unfused embedding_bag ops")
-	}
-	var rows []int64
-	var l, d int64
-	var skew float64
-	for _, n := range w.model.Graph.Nodes {
-		if bag, ok := n.Op.(ops.EmbeddingBag); ok && !bag.Backward {
-			rows = append(rows, bag.Rows)
-			l, d, skew = bag.L, bag.D, bag.ZipfSkew
-		}
-	}
-	fwd := fusedLookup(rows, l, d, skew, false)
-	if _, err := w.model.Graph.ReplaceNodes(ids, fwd); err != nil {
-		return err
-	}
-	var bwdIDs []graph.NodeID
-	for _, n := range w.model.Graph.Nodes {
-		if n.Op.Name() == "EmbeddingBagBackward0" {
-			bwdIDs = append(bwdIDs, n.ID)
-		}
-	}
-	if len(bwdIDs) > 0 {
-		if _, err := w.model.Graph.ReplaceNodes(bwdIDs, fusedLookup(rows, l, d, skew, true)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Fig. 11 co-design transform. It errors if the workload has no unfused
+// embedding ops.
+func (w *Workload) FuseEmbeddingBags() error { return models.FuseEmbeddingBags(w.model) }
 
 // ExportGraph serializes the execution graph (ops, kernels, data
 // dependencies) as JSON — the observer artifact of the paper's pipeline.

@@ -5,7 +5,6 @@ import (
 
 	"dlrmperf/internal/engine"
 	"dlrmperf/internal/kernels"
-	"dlrmperf/internal/ops"
 )
 
 // StreamStats is the engine's async-stream observability block:
@@ -64,11 +63,6 @@ func (e *Engine) InstallRemoteResult(req PredictRequest, v any) {
 	if ereq, err := req.Resolve(); err == nil {
 		e.eng.InstallRemoteResult(ereq, v)
 	}
-}
-
-// fusedLookup builds the batched lookup op used by FuseEmbeddingBags.
-func fusedLookup(rows []int64, l, d int64, skew float64, backward bool) ops.EmbeddingLookup {
-	return ops.EmbeddingLookup{Rows: rows, L: l, D: d, ZipfSkew: skew, Backward: backward}
 }
 
 // embeddingKernel builds a single-table lookup kernel for PredictKernelUs.

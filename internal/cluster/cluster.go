@@ -77,7 +77,7 @@ type Config struct {
 	// repeats actually route).
 	Cache ResultCache
 	// Client performs worker HTTP calls. The default is
-	// client.NewHTTPClient keeping Fanout idle connections per worker,
+	// client.NewHTTPClient keeping fanout idle connections per worker,
 	// so a full batch fan-out reuses its connections instead of dialing.
 	Client *http.Client
 	// RetryAfter is the floor of the backpressure hint on coordinator
@@ -97,19 +97,17 @@ type Config struct {
 	// keeps the single-coordinator behavior exactly. Peer liveness uses
 	// the Registry's window and clock.
 	Peers []string
-	// MaxBodyBytes bounds request bodies (default 16 MiB), MaxBatch the
-	// rows of one batch POST (default 4096), MaxGrid the expanded size
-	// of one explore POST (default 262144) — the same admission hygiene
-	// as the worker surface.
-	MaxBodyBytes int64
-	MaxBatch     int
-	MaxGrid      int
-	// Fanout bounds concurrently routed batch rows (default 16).
-	Fanout int
-	// StatsTimeout bounds each worker's /stats fetch during
-	// aggregation (default 5s).
-	StatsTimeout time.Duration
 }
+
+// The coordinator's own bounds; its body, batch and grid limits are the
+// worker's (serve.MaxBodyBytes, serve.MaxBatch, serve.MaxGrid).
+const (
+	// fanout bounds concurrently routed batch rows.
+	fanout = 16
+	// statsTimeout bounds each worker's /stats fetch during aggregation,
+	// and every detached background send.
+	statsTimeout = 5 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
@@ -121,23 +119,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxRetryAfter < c.RetryAfter {
 		c.MaxRetryAfter = c.RetryAfter
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 16 << 20
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 4096
-	}
-	if c.MaxGrid <= 0 {
-		c.MaxGrid = 1 << 18
-	}
-	if c.Fanout <= 0 {
-		c.Fanout = 16
-	}
 	if c.Client == nil {
-		c.Client = client.NewHTTPClient(c.Fanout)
-	}
-	if c.StatsTimeout <= 0 {
-		c.StatsTimeout = 5 * time.Second
+		c.Client = client.NewHTTPClient(fanout)
 	}
 	return c
 }
@@ -555,7 +538,7 @@ func (c *Coordinator) localHit(row serve.Result, req *serve.Request) serve.Resul
 func (c *Coordinator) RunBatch(ctx context.Context, reqs []serve.Request) []serve.Result {
 	out := make([]serve.Result, len(reqs))
 	miss, sends := c.plan(ctx, reqs, out)
-	xsync.ForEachN(len(miss), c.cfg.Fanout, func(j int) {
+	xsync.ForEachN(len(miss), fanout, func(j int) {
 		m := miss[j]
 		res, err := c.predict(ctx, reqs[m.i], true, m.sb, m.slot)
 		if err != nil {
@@ -636,7 +619,7 @@ func (c *Coordinator) workerStatus(ctx context.Context, info WorkerInfo) WorkerS
 	if !info.Live {
 		return ws
 	}
-	sctx, cancel := context.WithTimeout(ctx, c.cfg.StatsTimeout)
+	sctx, cancel := context.WithTimeout(ctx, statsTimeout)
 	defer cancel()
 	st, err := c.workerClient(info.URL).Stats(sctx)
 	if err != nil {
@@ -672,7 +655,7 @@ func (c *Coordinator) Drain(propagate bool) {
 }
 
 // detach runs fn on its own goroutine under a background context
-// bounded by StatsTimeout, tracked so Drain waits it out. It is the one
+// bounded by statsTimeout, tracked so Drain waits it out. It is the one
 // place the coordinator starts work that must outlive the request (or
 // the dying caller) that caused it: replication sends, the
 // follower-to-leader registration forward, and drain pushes.
@@ -680,8 +663,8 @@ func (c *Coordinator) detach(fn func(ctx context.Context)) {
 	c.repl.Add(1)
 	go func() {
 		defer c.repl.Done()
-		//lint:allow ctxflow deliberately detached: the work must outlive the originating request's ctx, bounded by StatsTimeout
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.StatsTimeout)
+		//lint:allow ctxflow deliberately detached: the work must outlive the originating request's ctx, bounded by statsTimeout
+		ctx, cancel := context.WithTimeout(context.Background(), statsTimeout)
 		defer cancel()
 		fn(ctx)
 	}()
@@ -754,7 +737,7 @@ func (c *Coordinator) retryAfter() string {
 }
 
 func (c *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
-	req, ok := serve.DecodeRequest(w, r, c.cfg.MaxBodyBytes)
+	req, ok := serve.DecodeRequest(w, r)
 	if !ok {
 		return
 	}
@@ -798,14 +781,14 @@ func (c *Coordinator) writeRouteError(w http.ResponseWriter, err error) {
 }
 
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if reqs, ok := serve.DecodeBatch(w, r, c.cfg.MaxBodyBytes, c.cfg.MaxBatch); ok {
+	if reqs, ok := serve.DecodeBatch(w, r); ok {
 		serve.WriteJSON(w, http.StatusOK, c.Run(r.Context(), reqs))
 	}
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var reg Registration
-	if !serve.DecodeBody(w, r, c.cfg.MaxBodyBytes, &reg) || !c.share(w, entry{Registration: &reg}) {
+	if !serve.DecodeBody(w, r, &reg) || !c.share(w, entry{Registration: &reg}) {
 		return
 	}
 	serve.WriteJSON(w, http.StatusOK, map[string]any{

@@ -516,6 +516,34 @@ func TestBatchBodyKeys(t *testing.T) {
 	assertBatchKeys(t, cl, []serve.Request{req("dev-0", "reject", 512), req("dev-1", "reject", 512)}, true)
 }
 
+// TestBatchTooLarge: a batch of serve.MaxBatch+1 rows is refused at the
+// coordinator's boundary with 400 batch_too_large, before any counter —
+// the coordinator's or a worker's — moves.
+func TestBatchTooLarge(t *testing.T) {
+	coord, workers := newTestCluster(t, 2, nil)
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+	reqs := make([]serve.Request, serve.MaxBatch+1)
+	for i := range reqs {
+		reqs[i] = req("V100", "w", 512)
+	}
+	var apiErr *client.APIError
+	if err := client.New(ts.URL).PredictBatchInto(context.Background(), reqs, &Report{}); !errors.As(err, &apiErr) ||
+		apiErr.Status != http.StatusBadRequest || apiErr.Code != "batch_too_large" {
+		t.Fatalf("%d-row batch: err = %v, want 400 batch_too_large", len(reqs), err)
+	}
+	st := coord.Stats(context.Background())
+	if st.Coordinator.Received != 0 || st.Requests != 0 || st.Accounted() != 0 {
+		t.Fatalf("refused batch moved counters: coordinator %+v, cluster %d requests / %d accounted",
+			st.Coordinator, st.Requests, st.Accounted())
+	}
+	for _, fw := range workers {
+		if n := fw.receivedCount(); n != 0 {
+			t.Fatalf("worker %s received %d rows of a refused batch", fw.id, n)
+		}
+	}
+}
+
 // assertBatchKeys posts one batch and checks the top-level keys of the
 // response body.
 func assertBatchKeys(t *testing.T, cl *client.Client, reqs []serve.Request, allFailed bool) {

@@ -12,7 +12,7 @@ import (
 // RunExplore sweeps a grid across the cluster: the coordinator expands
 // and deduplicates once (serve.Sweep, the spine it shares with the
 // worker), then sends the unique units through RunBatch in chunks of
-// MaxBatch — a sweep travels as batches: the pass-through result cache
+// serve.MaxBatch — a sweep travels as batches: the pass-through result cache
 // in front (a warm repeat of a grid is answered locally without
 // touching a worker), one blocking sub-batch per rendezvous owner per
 // chunk behind it (sweep units must apply backpressure, never shed),
@@ -24,7 +24,7 @@ func (c *Coordinator) RunExplore(ctx context.Context, g explore.Grid) (*explore.
 	if c.Draining() {
 		return nil, ErrDraining
 	}
-	rep, err := serve.Sweep(ctx, g, c.cfg.MaxGrid, c.cfg.MaxBatch, c.RunBatch)
+	rep, err := serve.Sweep(ctx, g, c.RunBatch)
 	if err != nil {
 		return nil, err
 	}
@@ -37,7 +37,7 @@ func (c *Coordinator) RunExplore(ctx context.Context, g explore.Grid) (*explore.
 
 func (c *Coordinator) handleExplore(w http.ResponseWriter, r *http.Request) {
 	var g explore.Grid
-	if !serve.DecodeBody(w, r, c.cfg.MaxBodyBytes, &g) {
+	if !serve.DecodeBody(w, r, &g) {
 		return
 	}
 	rep, err := c.RunExplore(r.Context(), g)

@@ -10,6 +10,7 @@ import (
 	"dlrmperf"
 	"dlrmperf/internal/client"
 	"dlrmperf/internal/explore"
+	"dlrmperf/internal/serve"
 )
 
 // clusterGrid is the coordinator sweep fixture: one workload over two
@@ -123,10 +124,9 @@ func TestClusterExploreHTTP(t *testing.T) {
 		t.Errorf("empty grid: err = %v, want 400 bad_grid", err)
 	}
 
-	small := New(Config{Registry: coord.cfg.Registry, MaxGrid: 2})
-	tsSmall := httptest.NewServer(small.Handler())
-	defer tsSmall.Close()
-	if _, err := client.New(tsSmall.URL).Explore(ctx, clusterGrid()); !errors.As(err, &apiErr) ||
+	// MaxGrid+1 points: the size is checked before anything expands.
+	oversize := explore.Grid{Scenarios: []string{"dlrm-default"}, Devices: []string{"V100"}, Batches: make([]int64, serve.MaxGrid+1)}
+	if _, err := cl.Explore(ctx, oversize); !errors.As(err, &apiErr) ||
 		apiErr.Status != http.StatusBadRequest || apiErr.Code != "grid_too_large" {
 		t.Errorf("over-budget grid: err = %v, want 400 grid_too_large", err)
 	}

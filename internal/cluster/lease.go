@@ -248,7 +248,7 @@ func (c *Coordinator) replicate(e entry) {
 // entry locally and never re-forwards, so replication cannot loop.
 func (c *Coordinator) handlePeerApply(w http.ResponseWriter, r *http.Request) {
 	var e entry
-	if !serve.DecodeBody(w, r, c.cfg.MaxBodyBytes, &e) {
+	if !serve.DecodeBody(w, r, &e) {
 		return
 	}
 	c.lease.MarkSeen(e.From)
@@ -271,7 +271,7 @@ func (c *Coordinator) StartPeerProbes(ctx context.Context, interval time.Duratio
 	}
 	return every(ctx, interval, func() {
 		for _, peer := range c.lease.Peers() {
-			pctx, cancel := context.WithTimeout(ctx, c.cfg.StatsTimeout)
+			pctx, cancel := context.WithTimeout(ctx, statsTimeout)
 			h, err := c.workerClient(peer).Healthz(pctx)
 			cancel()
 			// A draining peer answers but is leaving the group: it must

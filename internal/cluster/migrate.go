@@ -189,7 +189,7 @@ func (c *Coordinator) ensureWarm(ctx context.Context, device string, w Worker) {
 // when it changed the vault.
 func (c *Coordinator) handleWorkerAssets(w http.ResponseWriter, r *http.Request) {
 	var p AssetPush
-	if serve.DecodeBody(w, r, c.cfg.MaxBodyBytes, &p) && c.share(w, entry{Assets: &p}) {
+	if serve.DecodeBody(w, r, &p) && c.share(w, entry{Assets: &p}) {
 		serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "stored"})
 	}
 }
@@ -214,13 +214,10 @@ type AssetExporter interface {
 // The push is the replication source of the coordinators' asset
 // vaults: it is what makes a warm hand-off possible after this worker
 // dies. Registration and push failures are retried on the next tick; a
-// restarted coordinator re-learns both within one beat. A nil hc uses
-// a 5s-bounded default (a beat must never hang past its own interval
-// for long).
-func HeartbeatAssets(ctx context.Context, hc *http.Client, coordinatorURLs []string, id, selfURL string, interval time.Duration, exp AssetExporter) (stop func()) {
-	if hc == nil {
-		hc = &http.Client{Timeout: 5 * time.Second}
-	}
+// restarted coordinator re-learns both within one beat. Each call is
+// bounded at 5s: a beat must never hang past its own interval for long.
+func HeartbeatAssets(ctx context.Context, coordinatorURLs []string, id, selfURL string, interval time.Duration, exp AssetExporter) (stop func()) {
+	hc := &http.Client{Timeout: 5 * time.Second}
 	clients := make([]*client.Client, len(coordinatorURLs))
 	pushed := make([]map[string]uint64, len(coordinatorURLs))
 	for i, u := range coordinatorURLs {

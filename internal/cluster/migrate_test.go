@@ -257,7 +257,7 @@ func TestHeartbeatAssetsPushes(t *testing.T) {
 			}
 
 			fw := newFakeWorker(t)
-			stop := HeartbeatAssets(context.Background(), nil, urls, fw.id, fw.srv.URL, 20*time.Millisecond, exp)
+			stop := HeartbeatAssets(context.Background(), urls, fw.id, fw.srv.URL, 20*time.Millisecond, exp)
 			defer stop()
 
 			waitUntil(t, "registration to land", func() bool {

@@ -4,11 +4,9 @@ import (
 	"sort"
 
 	"dlrmperf/internal/export"
-	"dlrmperf/internal/graph"
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/kernels"
 	"dlrmperf/internal/models"
-	"dlrmperf/internal/ops"
 	"dlrmperf/internal/overhead"
 	"dlrmperf/internal/scenario"
 	"dlrmperf/internal/sim"
@@ -73,23 +71,8 @@ func (s *Suite) Fig11() ([]Fig11Row, error) {
 		// concat collapse into one batched lookup (the forward pass; the
 		// backward bags fuse symmetrically).
 		fusedModel := unfused.Clone()
-		ids := models.EmbeddingBagNodes(fusedModel)
-		fusedFwd := ops.EmbeddingLookup{Rows: cfg.EmbRows, L: cfg.Lookups, D: cfg.EmbDim, ZipfSkew: cfg.ZipfSkew}
-		if _, err := fusedModel.Graph.ReplaceNodes(ids, fusedFwd); err != nil {
+		if err := models.FuseEmbeddingBags(fusedModel); err != nil {
 			return nil, err
-		}
-		var bwdIDs []graph.NodeID
-		for _, n := range fusedModel.Graph.Nodes {
-			if n.Op.Name() == "EmbeddingBagBackward0" {
-				bwdIDs = append(bwdIDs, n.ID)
-			}
-		}
-		if len(bwdIDs) > 0 {
-			fusedBwd := fusedFwd
-			fusedBwd.Backward = true
-			if _, err := fusedModel.Graph.ReplaceNodes(bwdIDs, fusedBwd); err != nil {
-				return nil, err
-			}
 		}
 		prFused, err := pred.Predict(fusedModel.Graph)
 		if err != nil {
@@ -274,8 +257,8 @@ func (s *Suite) AblationOverheadPolicy() ([]AblationRow, error) {
 			return nil, err
 		}
 		batches := s.opts.DLRMBatches
-		rawDB, err := raw.Pool(len(batches), s.eng.Options().Workers, func(i int) (*overhead.Samples, error) {
-			return s.eng.Samples(dev, model, batches[i])
+		rawDB, err := raw.Pool(len(batches), s.Engine.Options().Workers, func(i int) (*overhead.Samples, error) {
+			return s.Samples(dev, model, batches[i])
 		})
 		if err != nil {
 			return nil, err
@@ -300,7 +283,7 @@ func (s *Suite) AblationOverheadPolicy() ([]AblationRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			m, err := s.model(model, b)
+			m, err := s.Model(model, b)
 			if err != nil {
 				return nil, err
 			}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"dlrmperf/internal/baselines"
+	"dlrmperf/internal/engine"
 	"dlrmperf/internal/export"
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/models"
@@ -108,7 +109,7 @@ func (s *Suite) Fig09() ([]Fig09Row, error) {
 				if err != nil {
 					return nil, err
 				}
-				m, err := s.model(model, b)
+				m, err := s.Model(model, b)
 				if err != nil {
 					return nil, err
 				}
@@ -250,7 +251,7 @@ func (s *Suite) Fig10() ([]Fig10Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		mlpred := baselines.TrainMLPredict(p, s.opts.Seed+devSalt(dev)+5)
+		mlpred := baselines.TrainMLPredict(p, s.opts.Seed+engine.DeviceSalt(dev)+5)
 
 		for _, model := range cnnModels {
 			// Individual CNN overheads for our predictor.
@@ -267,7 +268,7 @@ func (s *Suite) Fig10() ([]Fig10Row, error) {
 				if err != nil {
 					return nil, err
 				}
-				m, err := s.model(model, b)
+				m, err := s.Model(model, b)
 				if err != nil {
 					return nil, err
 				}

@@ -118,7 +118,7 @@ func (s *Suite) Fig07() ([]Fig07Row, error) {
 	for _, model := range models.DLRMNames() {
 		for _, b := range s.opts.DLRMBatches {
 			db, err := overhead.NewCollector().Pool(1, 1, func(int) (*overhead.Samples, error) {
-				return s.eng.Samples("V100", model, b)
+				return s.Samples("V100", model, b)
 			})
 			if err != nil {
 				return nil, err

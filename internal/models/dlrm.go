@@ -311,3 +311,38 @@ func EmbeddingBagNodes(m *Model) []graph.NodeID {
 	}
 	return ids
 }
+
+// FuseEmbeddingBags is the Fig. 11 co-design transform, applied in
+// place: the per-table embedding_bag ops and their concat collapse into
+// one batched EmbeddingLookup over the same tables, and the per-table
+// backward bags into its backward twin. It errors on a model with no
+// unfused embedding_bag ops. Transform a Clone, never a shared
+// structure.
+func FuseEmbeddingBags(m *Model) error {
+	ids := EmbeddingBagNodes(m)
+	if ids == nil {
+		return fmt.Errorf("models: %s has no unfused embedding_bag ops", m.Name)
+	}
+	var fused ops.EmbeddingLookup
+	for _, n := range m.Graph.Nodes {
+		if bag, ok := n.Op.(ops.EmbeddingBag); ok && !bag.Backward {
+			fused.Rows = append(fused.Rows, bag.Rows)
+			fused.L, fused.D, fused.ZipfSkew = bag.L, bag.D, bag.ZipfSkew
+		}
+	}
+	if _, err := m.Graph.ReplaceNodes(ids, fused); err != nil {
+		return err
+	}
+	var bwdIDs []graph.NodeID
+	for _, n := range m.Graph.Nodes {
+		if n.Op.Name() == "EmbeddingBagBackward0" {
+			bwdIDs = append(bwdIDs, n.ID)
+		}
+	}
+	if len(bwdIDs) == 0 {
+		return nil
+	}
+	fused.Backward = true
+	_, err := m.Graph.ReplaceNodes(bwdIDs, fused)
+	return err
+}

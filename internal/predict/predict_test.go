@@ -10,7 +10,6 @@ import (
 	"dlrmperf/internal/microbench"
 	"dlrmperf/internal/mlp"
 	"dlrmperf/internal/models"
-	"dlrmperf/internal/ops"
 	"dlrmperf/internal/overhead"
 	"dlrmperf/internal/perfmodel"
 	"dlrmperf/internal/sim"
@@ -244,17 +243,7 @@ func TestFusionWhatIfPredictsSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	fusedModel := unfused.Clone()
-	ids := models.EmbeddingBagNodes(fusedModel)
-	if _, err := fusedModel.Graph.ReplaceNodes(ids, fusedOp(cfg, false)); err != nil {
-		t.Fatal(err)
-	}
-	var bwd []graph.NodeID
-	for _, n := range fusedModel.Graph.Nodes {
-		if n.Op.Name() == "EmbeddingBagBackward0" {
-			bwd = append(bwd, n.ID)
-		}
-	}
-	if _, err := fusedModel.Graph.ReplaceNodes(bwd, fusedOp(cfg, true)); err != nil {
+	if err := models.FuseEmbeddingBags(fusedModel); err != nil {
 		t.Fatal(err)
 	}
 	after, err := pred.Predict(fusedModel.Graph)
@@ -263,11 +252,5 @@ func TestFusionWhatIfPredictsSpeedup(t *testing.T) {
 	}
 	if after.E2E >= before.E2E {
 		t.Errorf("fusion predicted no speedup: %v >= %v", after.E2E, before.E2E)
-	}
-}
-
-func fusedOp(cfg models.DLRMConfig, backward bool) ops.EmbeddingLookup {
-	return ops.EmbeddingLookup{
-		Rows: cfg.EmbRows, L: cfg.Lookups, D: cfg.EmbDim, Backward: backward,
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // GridTooLargeError rejects a grid whose expanded cross-product
-// exceeds Config.MaxGrid — the HTTP 400 grid_too_large surface.
+// exceeds MaxGrid — the HTTP 400 grid_too_large surface.
 type GridTooLargeError struct{ Size, Max int }
 
 func (e *GridTooLargeError) Error() string {
@@ -19,16 +19,16 @@ func (e *GridTooLargeError) Error() string {
 }
 
 // Sweep is the explore spine the worker and the cluster coordinator
-// share: bound the expanded size at maxGrid, expand and deduplicate the
+// share: bound the expanded size at MaxGrid, expand and deduplicate the
 // grid once, drive the unique units through run as batches of at most
-// chunk rows (each carrying the grid's per-prediction timeout), and
+// MaxBatch rows (each carrying the grid's per-prediction timeout), and
 // aggregate the outcomes. run is the caller's RunBatch — a sweep is
 // batch traffic, admitted, routed and counted as such. Grid points
 // scenario validation rejects are counted explore-side and never
 // submitted.
-func Sweep(ctx context.Context, g explore.Grid, maxGrid, chunk int, run func(context.Context, []Request) []Result) (*explore.Report, error) {
-	if size := g.Size(); size > maxGrid {
-		return nil, &GridTooLargeError{Size: size, Max: maxGrid}
+func Sweep(ctx context.Context, g explore.Grid, run func(context.Context, []Request) []Result) (*explore.Report, error) {
+	if size := g.Size(); size > MaxGrid {
+		return nil, &GridTooLargeError{Size: size, Max: MaxGrid}
 	}
 	ex, err := explore.Expand(g)
 	if err != nil {
@@ -36,8 +36,8 @@ func Sweep(ctx context.Context, g explore.Grid, maxGrid, chunk int, run func(con
 	}
 	start := time.Now()
 	agg := explore.NewAggregator(ex)
-	for lo := 0; lo < len(ex.Unique); lo += chunk {
-		reqs := make([]Request, min(chunk, len(ex.Unique)-lo))
+	for lo := 0; lo < len(ex.Unique); lo += MaxBatch {
+		reqs := make([]Request, min(MaxBatch, len(ex.Unique)-lo))
 		for i := range reqs {
 			p := ex.Unique[lo+i].Point
 			reqs[i] = Request{
@@ -68,7 +68,7 @@ func (s *Server) RunExplore(ctx context.Context, g explore.Grid) (*explore.Repor
 	if s.Draining() {
 		return nil, ErrDraining
 	}
-	rep, err := Sweep(ctx, g, s.cfg.MaxGrid, s.cfg.MaxBatch, s.RunBatch)
+	rep, err := Sweep(ctx, g, s.RunBatch)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +79,7 @@ func (s *Server) RunExplore(ctx context.Context, g explore.Grid) (*explore.Repor
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	var g explore.Grid
-	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &g) {
+	if !DecodeBody(w, r, &g) {
 		return
 	}
 	rep, err := s.RunExplore(r.Context(), g)

@@ -27,6 +27,16 @@ func exploreGrid() explore.Grid {
 	}
 }
 
+// oversizeGrid expands to exactly MaxGrid+1 points. Sweep checks the
+// size before it expands anything, so refusing it costs nothing.
+func oversizeGrid() explore.Grid {
+	return explore.Grid{
+		Scenarios: []string{"dlrm-default"},
+		Devices:   []string{"FakeGPU"},
+		Batches:   make([]int64, MaxGrid+1),
+	}
+}
+
 // TestRunExploreAccounting: the sweep rides the admission pipeline —
 // every unique unit becomes exactly one /stats-counted request — while
 // scenario-level rejections stay explore-side, and a repeat sweep is
@@ -72,12 +82,12 @@ func TestRunExploreAccounting(t *testing.T) {
 // draining server.
 func TestRunExploreLimits(t *testing.T) {
 	fb := newFakeBackend()
-	s := New(Config{Backend: fb, QueueDepth: 4, Workers: 2, MaxGrid: 8})
+	s := New(Config{Backend: fb, QueueDepth: 4, Workers: 2})
 	var tooLarge *GridTooLargeError
-	if _, err := s.RunExplore(context.Background(), exploreGrid()); !errors.As(err, &tooLarge) {
-		t.Fatalf("16-point grid over MaxGrid 8: err = %v, want GridTooLargeError", err)
-	} else if tooLarge.Size != 16 {
-		t.Errorf("reported size = %d, want 16", tooLarge.Size)
+	if _, err := s.RunExplore(context.Background(), oversizeGrid()); !errors.As(err, &tooLarge) {
+		t.Fatalf("grid over MaxGrid: err = %v, want GridTooLargeError", err)
+	} else if tooLarge.Size != MaxGrid+1 || tooLarge.Max != MaxGrid {
+		t.Errorf("reported size/max = %d/%d, want %d/%d", tooLarge.Size, tooLarge.Max, MaxGrid+1, MaxGrid)
 	}
 	s.Drain()
 	if _, err := s.RunExplore(context.Background(), exploreGrid()); !errors.Is(err, ErrDraining) {
@@ -140,20 +150,21 @@ func TestHTTPExplore(t *testing.T) {
 		t.Errorf("malformed batch axis: status %d code %q, want 400 bad_request", resp.StatusCode, httpErr.Code)
 	}
 
-	small := New(Config{Backend: fb, QueueDepth: 4, Workers: 2, MaxGrid: 4})
-	defer small.Drain()
-	tsSmall := httptest.NewServer(small.Handler())
-	defer tsSmall.Close()
-	resp2, err := http.Post(tsSmall.URL+"/v1/explore", "application/json", bytes.NewReader(gridJSON))
+	before := s.Stats().Requests
+	oversize, err := json.Marshal(oversizeGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp2.Body.Close()
 	httpErr = HTTPError{}
-	if json.NewDecoder(resp2.Body).Decode(&httpErr); resp2.StatusCode != http.StatusBadRequest || httpErr.Code != "grid_too_large" {
-		t.Errorf("over-budget grid: status %d code %q, want 400 grid_too_large", resp2.StatusCode, httpErr.Code)
+	resp, body = post(string(oversize))
+	if json.Unmarshal(body, &httpErr); resp.StatusCode != http.StatusBadRequest || httpErr.Code != "grid_too_large" {
+		t.Errorf("over-budget grid: status %d code %q, want 400 grid_too_large", resp.StatusCode, httpErr.Code)
 	}
-	assertInvariant(t, s.Stats())
+	st := s.Stats()
+	assertInvariant(t, st)
+	if st.Requests != before {
+		t.Errorf("refused grid moved requests %d -> %d", before, st.Requests)
+	}
 }
 
 // TestHTTPExploreDraining: a draining server turns explores away with

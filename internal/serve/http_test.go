@@ -152,6 +152,26 @@ func TestHTTPBadPriority(t *testing.T) {
 	}
 }
 
+// TestHTTPBatchTooLarge: a batch of MaxBatch+1 rows is refused at the
+// boundary with 400 batch_too_large, before any counter moves.
+func TestHTTPBatchTooLarge(t *testing.T) {
+	fb := serve.NewTestBackend()
+	fb.Release()
+	s, cl := newHTTPServer(t, serve.Config{Backend: fb, QueueDepth: 4, Workers: 1})
+	reqs := make([]serve.Request, serve.MaxBatch+1)
+	for i := range reqs {
+		reqs[i] = serve.Request{Workload: "w", Device: "FakeGPU"}
+	}
+	var apiErr *client.APIError
+	if err := cl.PredictBatchInto(context.Background(), reqs, &serve.Report{}); !errors.As(err, &apiErr) ||
+		apiErr.Status != http.StatusBadRequest || apiErr.Code != "batch_too_large" {
+		t.Fatalf("%d-row batch: err = %v, want 400 batch_too_large", len(reqs), err)
+	}
+	if st := s.Stats(); st.Requests != 0 || st.Served != 0 || st.Accounted() != 0 || len(st.Tenants) != 0 {
+		t.Fatalf("refused batch moved counters: %+v", st)
+	}
+}
+
 // TestHTTP429RetryAfter drives the queue to capacity behind a parked
 // worker and checks the typed backpressure error: 429 queue_full with
 // the configured floor as the Retry-After hint (no request has

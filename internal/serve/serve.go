@@ -87,19 +87,6 @@ type Config struct {
 	RetryAfter time.Duration
 	// MaxRetryAfter caps the adaptive hint. Default 30s.
 	MaxRetryAfter time.Duration
-	// MaxBodyBytes bounds HTTP request bodies (default 16 MiB) so a
-	// single oversized POST cannot balloon memory before admission
-	// control even runs.
-	MaxBodyBytes int64
-	// MaxBatch bounds the rows accepted by one POST /v1/predict/batch
-	// (default 4096): the batch path admits by blocking, so the row
-	// count must be bounded for backpressure to bound anything.
-	MaxBatch int
-	// MaxGrid bounds the expanded cross-product size of one
-	// POST /v1/explore (default 262144 grid points). Unlike MaxBatch
-	// this caps the *expanded* size: a few-line grid spec can name
-	// millions of points, so the wire size bounds nothing.
-	MaxGrid int
 }
 
 func (c Config) withDefaults() Config {
@@ -126,15 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRetryAfter < c.RetryAfter {
 		c.MaxRetryAfter = c.RetryAfter
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 16 << 20
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 4096
-	}
-	if c.MaxGrid <= 0 {
-		c.MaxGrid = 1 << 18
 	}
 	return c
 }
@@ -480,7 +458,7 @@ func (s *Server) retryAfterSeconds() string {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	req, ok := DecodeRequest(w, r, s.cfg.MaxBodyBytes)
+	req, ok := DecodeRequest(w, r)
 	if !ok {
 		return
 	}
@@ -506,7 +484,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if reqs, ok := DecodeBatch(w, r, s.cfg.MaxBodyBytes, s.cfg.MaxBatch); ok {
+	if reqs, ok := DecodeBatch(w, r); ok {
 		WriteJSON(w, http.StatusOK, s.Run(r.Context(), reqs))
 	}
 }
@@ -527,7 +505,7 @@ func (s *Server) handleInstallAssets(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusServiceUnavailable, HTTPError{Code: "draining", Message: ErrDraining.Error()})
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
 		WriteJSON(w, http.StatusBadRequest, HTTPError{Code: "bad_request", Message: err.Error()})
 		return

@@ -299,12 +299,30 @@ func (b *Buffer) respond(w http.ResponseWriter, status int, encodeErr error) {
 // the allocation per response.
 var jsonContentType = []string{"application/json"}
 
-// readBody reads a request body, bounded at maxBytes, into a pooled
+// The admission limits of the serving wire surface, one set for the
+// worker and the coordinator alike.
+const (
+	// MaxBodyBytes bounds HTTP request bodies, so a single oversized POST
+	// cannot balloon memory before admission control even runs.
+	MaxBodyBytes = 16 << 20
+	// MaxBatch bounds the rows of one POST /v1/predict/batch: the batch
+	// path admits by blocking, so the row count must be bounded for
+	// backpressure to bound anything. It is also the chunk size a sweep
+	// travels in.
+	MaxBatch = 4096
+	// MaxGrid bounds the expanded cross-product size of one
+	// POST /v1/explore. Unlike MaxBatch it caps the *expanded* size: a
+	// few-line grid spec can name millions of points, so the wire size
+	// bounds nothing.
+	MaxGrid = 1 << 18
+)
+
+// readBody reads a request body, bounded at MaxBodyBytes, into a pooled
 // buffer the caller Releases. An unreadable or oversized body is
 // answered with the 400 bad_request envelope and ok is false.
-func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) (buf *Buffer, ok bool) {
+func readBody(w http.ResponseWriter, r *http.Request) (buf *Buffer, ok bool) {
 	buf = GetBuffer()
-	if _, err := buf.ReadBounded(http.MaxBytesReader(w, r.Body, maxBytes), maxBytes, r.ContentLength); err != nil {
+	if _, err := buf.ReadBounded(http.MaxBytesReader(w, r.Body, MaxBodyBytes), MaxBodyBytes, r.ContentLength); err != nil {
 		buf.Release()
 		badRequest(w, err)
 		return nil, false
@@ -318,14 +336,14 @@ func badRequest(w http.ResponseWriter, err error) {
 
 // DecodeBody is the one request-body reader of the serving wire surface
 // (worker and coordinator alike): it reads the body, bounded at
-// maxBytes, decodes the JSON into v, and answers a malformed or
+// MaxBodyBytes, decodes the JSON into v, and answers a malformed or
 // oversized body with the 400 bad_request envelope itself — ok is false
 // once a response has been written. A body is exactly one JSON value:
 // bytes after it are malformed input, not ignored. Prediction bodies go
 // through DecodeRequest/DecodeBatch, which parse with the row codec and
 // add the checks the admission queue relies on.
-func DecodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) (ok bool) {
-	buf, ok := readBody(w, r, maxBytes)
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
+	buf, ok := readBody(w, r)
 	if !ok {
 		return false
 	}
@@ -341,8 +359,8 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) (
 // priority class with 400 bad_priority — before any request counter
 // moves, on the worker and the coordinator alike, so a request one
 // layer would refuse never travels to the next.
-func DecodeRequest(w http.ResponseWriter, r *http.Request, maxBytes int64) (req Request, ok bool) {
-	buf, ok := readBody(w, r, maxBytes)
+func DecodeRequest(w http.ResponseWriter, r *http.Request) (req Request, ok bool) {
+	buf, ok := readBody(w, r)
 	if !ok {
 		return req, false
 	}
@@ -360,11 +378,9 @@ func DecodeRequest(w http.ResponseWriter, r *http.Request, maxBytes int64) (req 
 }
 
 // DecodeBatch reads a POST /v1/predict/batch body: a non-empty list of
-// at most maxBatch rows (the batch path admits by blocking, so the row
-// count must be bounded for backpressure to bound anything), every row
-// in a known priority class.
-func DecodeBatch(w http.ResponseWriter, r *http.Request, maxBytes int64, maxBatch int) (reqs []Request, ok bool) {
-	buf, ok := readBody(w, r, maxBytes)
+// at most MaxBatch rows, every row in a known priority class.
+func DecodeBatch(w http.ResponseWriter, r *http.Request) (reqs []Request, ok bool) {
+	buf, ok := readBody(w, r)
 	if !ok {
 		return nil, false
 	}
@@ -376,8 +392,8 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request, maxBytes int64, maxBatc
 		return nil, false
 	case len(reqs) == 0:
 		return nil, rejectBatch(w, "bad_request", "empty request list")
-	case len(reqs) > maxBatch:
-		return nil, rejectBatch(w, "batch_too_large", "batch of %d exceeds the %d-row limit; split it", len(reqs), maxBatch)
+	case len(reqs) > MaxBatch:
+		return nil, rejectBatch(w, "batch_too_large", "batch of %d exceeds the %d-row limit; split it", len(reqs), MaxBatch)
 	}
 	for i := range reqs {
 		if _, known := priorityClass(reqs[i].Priority); !known {

@@ -56,11 +56,6 @@ type Call struct {
 	Start, End float64
 }
 
-// DefaultConfig returns a 5-warmup, 30-iteration unprofiled run.
-func DefaultConfig(p hw.Platform, seed uint64) Config {
-	return Config{Platform: p, Seed: seed, Warmup: 5, Iters: 30}
-}
-
 // Result bundles the trace of a run.
 type Result struct {
 	Trace *trace.Trace
