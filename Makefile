@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint loc fuzz-smoke bench bench-check bench-baseline bench-ratchet serve-demo serve-http cluster-e2e cover check
+.PHONY: build test race vet fmt lint loc linked fuzz-smoke bench bench-check bench-baseline bench-ratchet serve-demo serve-http cluster-e2e cover check
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,23 @@ loc:
 		n=$$(ls $$dir/*.go | grep -v _test.go | xargs cat | grep -v '^[[:space:]]*//' | grep -v '^[[:space:]]*$$' | wc -l); \
 		echo "$$n $$pkg"; \
 	done | sort -rn | awk '{ t += $$1; printf "%6d  %s\n", $$1, $$2 } END { printf "%6d  total\n", t }'
+
+# linked prints, one "program symbol" pair a line and sorted, the
+# module's function symbols the linker keeps in every package main
+# (cmd/*, examples/*, bench). Inlining is off so that a function called
+# only at inlined sites still shows. A declaration absent from every
+# line is linked by no program; diff the output across two commits to
+# check that a deletion took no function from any program.
+linked:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	pkgs=$$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); \
+	for pkg in $$pkgs; do \
+		$(GO) build -gcflags=all=-l -o "$$tmp/$$(echo $$pkg | tr / _)" $$pkg; \
+	done; \
+	for pkg in $$pkgs; do \
+		$(GO) tool nm "$$tmp/$$(echo $$pkg | tr / _)" | \
+			awk -v p=$$pkg '$$2 ~ /^[Tt]$$/ && $$3 ~ /^dlrmperf[.\/]/ { print p, $$3 }'; \
+	done | sort -u
 
 # fuzz-smoke runs each native fuzz target for 10 s on top of its
 # checked-in corpus (testdata/fuzz in the package): the row codec's

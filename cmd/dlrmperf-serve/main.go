@@ -112,8 +112,6 @@ func main() {
 	queueDepth := flag.Int("queue", 64, "admission queue depth; a full queue rejects POST /v1/predict with 429")
 	streamWorkers := flag.Int("stream-workers", 0, "concurrent request executions (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "default per-request deadline (0 = none); a request's timeout_ms can only tighten it")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After floor on 429/503 responses; the served hint adapts to the observed drain rate")
-	maxRetryAfter := flag.Duration("max-retry-after", 30*time.Second, "ceiling on the adaptive Retry-After hint")
 	tenantQueueCap := flag.Int("tenant-queue-cap", 0, "per-tenant share of the admission queue; a tenant over its cap is rejected tenant_limited (0 = half of -queue)")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "HTTP shutdown grace period after SIGTERM")
 	fastCalib := flag.Bool("fast-calib", false, "low-fidelity calibration (eighth-size sweeps, tiny networks) for smoke tests and CI")
@@ -151,8 +149,6 @@ func main() {
 			Peers:         splitPaths(*peers),
 			Advertise:     *advertise,
 			Liveness:      *liveness,
-			RetryAfter:    *retryAfter,
-			MaxRetryAfter: *maxRetryAfter,
 			Heartbeat:     *heartbeat,
 			DrainGrace:    *drainGrace,
 			Seed:          *seed,
@@ -173,8 +169,6 @@ func main() {
 			TenantQueueCap: *tenantQueueCap,
 			Workers:        *streamWorkers,
 			RequestTimeout: *timeout,
-			RetryAfter:     *retryAfter,
-			MaxRetryAfter:  *maxRetryAfter,
 		},
 		DrainGrace: *drainGrace,
 		Register:   splitPaths(*register),
@@ -570,11 +564,9 @@ type coordinatorConfig struct {
 	// Peers lists the other coordinators of a replicated control plane;
 	// Advertise is the base URL peers reach this coordinator at
 	// (default derived from the bound listener).
-	Peers         []string
-	Advertise     string
-	Liveness      time.Duration
-	RetryAfter    time.Duration
-	MaxRetryAfter time.Duration
+	Peers     []string
+	Advertise string
+	Liveness  time.Duration
 	// Heartbeat is the peer-probe interval under Peers.
 	Heartbeat  time.Duration
 	DrainGrace time.Duration
@@ -614,12 +606,10 @@ func runCoordinator(cfg coordinatorConfig) error {
 		self = "http://" + advertiseHostPort(ln, cfg.Peers[0])
 	}
 	coord := cluster.New(cluster.Config{
-		Registry:      reg,
-		Cache:         cacheEng,
-		RetryAfter:    cfg.RetryAfter,
-		MaxRetryAfter: cfg.MaxRetryAfter,
-		Self:          self,
-		Peers:         cfg.Peers,
+		Registry: reg,
+		Cache:    cacheEng,
+		Self:     self,
+		Peers:    cfg.Peers,
 	})
 
 	fmt.Fprintf(os.Stderr, "dlrmperf-serve: coordinator listening on %s (%d static workers, liveness %s)\n",

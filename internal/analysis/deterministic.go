@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -16,12 +17,15 @@ import (
 // substitutes. internal/overhead is here for its database: an exported,
 // gossiped asset whose Defaults pool every op's samples, so the pooled
 // order — and with it the floating-point mean — must not be a map's.
+// internal/baselines is here for Fig. 10: its predictions are compared
+// run against run, so their float sums must not take a map's order.
 // The final entry is the analyzer's own test fixture.
 var deterministicPackages = []string{
 	"dlrmperf/internal/scenario",
 	"dlrmperf/internal/engine",
 	"dlrmperf/internal/explore",
 	"dlrmperf/internal/overhead",
+	"dlrmperf/internal/baselines",
 	"deterministic",
 }
 
@@ -98,12 +102,14 @@ func functionSorts(pass *Pass, fd *ast.FuncDecl) bool {
 	return found
 }
 
-// checkMapRange flags ranges over maps whose bodies append the
-// iteration key or value to a slice without a sort in the enclosing
-// function: that slice's order is randomized per run, so any output
-// derived from it (fingerprints, canonical listings, reports) is
-// nondeterministic. Writes into other maps, counters, and
-// collect-then-sort all pass.
+// checkMapRange flags ranges over maps, in a function without a sort,
+// whose bodies append the iteration key or value to a slice, or add
+// into (+=, -=) a float variable declared outside the body. The
+// slice's order is randomized per run, so any output derived from it
+// (fingerprints, canonical listings, reports) is nondeterministic; and
+// float addition is not associative, so a sum taken in map order
+// differs in its last bits from run to run. Writes into other maps,
+// integer counters, and collect-then-sort all pass.
 func checkMapRange(pass *Pass, rng *ast.RangeStmt, sorts bool) {
 	if sorts {
 		return
@@ -125,6 +131,11 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt, sorts bool) {
 	}
 	if len(iterVars) == 0 {
 		return
+	}
+	if floatSumInBody(pass.TypesInfo, rng, iterVars) {
+		pass.Reportf(rng.Pos(),
+			"map iteration order sets the order of a float sum in identity package %s; iterate in a fixed order (a slice, or sorted keys) so the sum is reproducible",
+			pass.Pkg.Name())
 	}
 	reported := false
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
@@ -153,6 +164,32 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt, sorts bool) {
 		}
 		return true
 	})
+}
+
+// floatSumInBody reports whether rng's body adds into (+= or -=) a
+// float variable declared outside the body, other than the iteration
+// variables themselves.
+func floatSumInBody(info *types.Info, rng *ast.RangeStmt, iterVars map[types.Object]bool) bool {
+	found := false
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || (as.Tok != token.ADD_ASSIGN && as.Tok != token.SUB_ASSIGN) {
+			return !found
+		}
+		id, ok := unparen(as.Lhs[0]).(*ast.Ident)
+		if !ok {
+			return true
+		}
+		v, ok := info.Uses[id].(*types.Var)
+		if !ok || iterVars[v] || (v.Pos() >= rng.Body.Pos() && v.Pos() < rng.Body.End()) {
+			return true
+		}
+		if b, ok := v.Type().Underlying().(*types.Basic); ok && b.Info()&types.IsFloat != 0 {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // exprUsesAny reports whether e references any of the given objects.

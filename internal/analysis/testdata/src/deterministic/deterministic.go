@@ -38,6 +38,30 @@ func Counts(parts map[string]int) map[string]int {
 	return c
 }
 
+// Total adds map values into a float in iteration order: the sum's
+// last bits change from run to run, flagged.
+func Total(parts map[string]float64) float64 {
+	total := 0.0
+	for _, v := range parts { // want `map iteration order sets the order of a float sum`
+		total += v
+	}
+	return total
+}
+
+// Tally adds into an integer, and into a float declared in the loop
+// body: both order-independent, quiet.
+func Tally(parts map[string]float64) int {
+	n := 0
+	for _, v := range parts {
+		scaled := 0.0
+		scaled += 2 * v
+		if scaled > 1 {
+			n += 1
+		}
+	}
+	return n
+}
+
 // Stamp reads the wall clock: flagged.
 func Stamp() int64 {
 	return time.Now().UnixNano() // want `time\.Now in identity package`

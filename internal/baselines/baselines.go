@@ -67,25 +67,26 @@ func (h *Habitat) Predict(g *graph.Graph, workload string) float64 {
 		Platform: h.Base, Seed: h.Seed, Warmup: 3, Iters: 10, Workload: workload,
 	})
 	tr := res.Trace
-	// Average per-op host span and device time across iterations.
-	type acc struct{ host, dev float64 }
-	perNode := map[int]*acc{}
-	kernelOf := map[int][]kernels.Kernel{}
-	for _, n := range g.Nodes {
-		kernelOf[int(n.ID)] = g.NodeKernels(n)
+	// Average per-op host span and device time across iterations. One
+	// accumulator per node position, so the total sums in g.Nodes order
+	// and the prediction is reproducible bit for bit.
+	type acc struct {
+		host, dev float64
+		ks        []kernels.Kernel
+	}
+	accs := make([]acc, len(g.Nodes))
+	at := make(map[int]int, len(g.Nodes)) // node ID -> position
+	for i, n := range g.Nodes {
+		accs[i].ks = g.NodeKernels(n)
+		at[int(n.ID)] = i
 	}
 	for iter := 0; iter < tr.Iters; iter++ {
 		for _, oe := range tr.EventTree(iter) {
-			a := perNode[oe.Span.Node]
-			if a == nil {
-				a = &acc{}
-				perNode[oe.Span.Node] = a
-			}
+			a := &accs[at[oe.Span.Node]]
 			a.host += oe.Span.Duration()
 			for i, kev := range oe.Kernels {
-				ks := kernelOf[oe.Span.Node]
-				if i < len(ks) {
-					a.dev += kev.Duration() * h.scale(ks[i])
+				if i < len(a.ks) {
+					a.dev += kev.Duration() * h.scale(a.ks[i])
 				} else {
 					a.dev += kev.Duration()
 				}
@@ -93,7 +94,7 @@ func (h *Habitat) Predict(g *graph.Graph, workload string) float64 {
 		}
 	}
 	total := 0.0
-	for _, a := range perNode {
+	for _, a := range accs {
 		host := a.host / float64(tr.Iters)
 		dev := a.dev / float64(tr.Iters)
 		if dev > host {

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"math"
 	"testing"
 
 	"dlrmperf/internal/hw"
@@ -53,6 +54,23 @@ func TestHabitatPredictReasonableOnCNN(t *testing.T) {
 	meas := sim.Run(m.Graph, sim.Config{Platform: target, Seed: 9, Warmup: 1, Iters: 3, Workload: m.Name})
 	if e := stats.AbsRelErr(pred, meas.MeanIterTime); e > 0.35 {
 		t.Errorf("habitat resnet error = %.1f%%, want < 35%%", 100*e)
+	}
+}
+
+// TestHabitatPredictRepeatable pins that a prediction is a function of
+// its inputs: the per-op times are summed in graph order, not in the
+// order a map happens to iterate.
+func TestHabitatPredictRepeatable(t *testing.T) {
+	m, err := models.Build(models.NameResNet50, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &Habitat{Base: hw.V100Platform(), Target: hw.P100Platform(), Seed: 5}
+	first := h.Predict(m.Graph, m.Name)
+	for i := 1; i < 10; i++ {
+		if got := h.Predict(m.Graph, m.Name); math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("call %d predicted %v, first call %v", i+1, got, first)
+		}
 	}
 }
 

@@ -80,14 +80,6 @@ type Config struct {
 	// client.NewHTTPClient keeping fanout idle connections per worker,
 	// so a full batch fan-out reuses its connections instead of dialing.
 	Client *http.Client
-	// RetryAfter is the floor of the backpressure hint on coordinator
-	// 503s. Default 1s. The emitted hint adapts upward toward the
-	// workers' own observed 429 hints (see retryAfter), clamped to
-	// MaxRetryAfter.
-	RetryAfter time.Duration
-	// MaxRetryAfter caps the adaptive 503 hint. Default 30s (floored at
-	// RetryAfter).
-	MaxRetryAfter time.Duration
 	// Self is this coordinator's own base URL as peers reach it —
 	// required when Peers is non-empty, ignored otherwise.
 	Self string
@@ -99,8 +91,9 @@ type Config struct {
 	Peers []string
 }
 
-// The coordinator's own bounds; its body, batch and grid limits are the
-// worker's (serve.MaxBodyBytes, serve.MaxBatch, serve.MaxGrid).
+// The coordinator's own bounds; its body, batch and grid limits and its
+// Retry-After range are the worker's (serve.MaxBodyBytes, serve.MaxBatch,
+// serve.MaxGrid, serve.MinRetryAfter, serve.MaxRetryAfter).
 const (
 	// fanout bounds concurrently routed batch rows.
 	fanout = 16
@@ -110,15 +103,6 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxRetryAfter <= 0 {
-		c.MaxRetryAfter = 30 * time.Second
-	}
-	if c.MaxRetryAfter < c.RetryAfter {
-		c.MaxRetryAfter = c.RetryAfter
-	}
 	if c.Client == nil {
 		c.Client = client.NewHTTPClient(fanout)
 	}
@@ -721,19 +705,14 @@ func (c *Coordinator) observeWorkerHint(d time.Duration) {
 }
 
 // retryAfter is the hint on coordinator-origin 503s (draining,
-// no_workers). It starts at the configured floor and adapts upward
-// toward the workers' own observed 429 hints — a coordinator fronting
-// saturated workers should not invite clients back sooner than the
-// workers themselves would — clamped to [RetryAfter, MaxRetryAfter].
+// no_workers). It starts at the floor and adapts upward toward the
+// workers' own observed 429 hints — a coordinator fronting saturated
+// workers should not invite clients back sooner than the workers
+// themselves would — clamped to [serve.MinRetryAfter,
+// serve.MaxRetryAfter].
 func (c *Coordinator) retryAfter() string {
-	d := c.cfg.RetryAfter
-	if hint := time.Duration(c.hintUs.Load()) * time.Microsecond; hint > d {
-		d = hint
-	}
-	if d > c.cfg.MaxRetryAfter {
-		d = c.cfg.MaxRetryAfter
-	}
-	return serve.RetryAfterSeconds(d)
+	hint := time.Duration(c.hintUs.Load()) * time.Microsecond
+	return serve.RetryAfterSeconds(min(max(hint, serve.MinRetryAfter), serve.MaxRetryAfter))
 }
 
 func (c *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {

@@ -41,13 +41,13 @@ func TestBackpressureHintRoundsUp(t *testing.T) {
 }
 
 // TestAdaptiveRetryAfterTracksWorkerHints pins the coordinator-origin
-// 503 hint: it starts at the configured floor, climbs toward observed
-// worker 429 hints (a coordinator fronting saturated workers must not
-// invite clients back sooner than the workers themselves would), and
-// clamps at MaxRetryAfter.
+// 503 hint: it starts at the serve.MinRetryAfter floor, climbs toward
+// observed worker 429 hints (a coordinator fronting saturated workers
+// must not invite clients back sooner than the workers themselves
+// would), and clamps at serve.MaxRetryAfter.
 func TestAdaptiveRetryAfterTracksWorkerHints(t *testing.T) {
 	reg := NewRegistry(0)
-	coord := New(Config{Registry: reg, RetryAfter: time.Second, MaxRetryAfter: 10 * time.Second})
+	coord := New(Config{Registry: reg})
 
 	if got := coord.retryAfter(); got != "1" {
 		t.Fatalf("hint before any observation = %q, want the 1s floor", got)
@@ -63,12 +63,12 @@ func TestAdaptiveRetryAfterTracksWorkerHints(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		coord.observeWorkerHint(time.Minute)
 	}
-	if got := coord.retryAfter(); got != "10" {
-		t.Fatalf("hint after 60s worker hints = %q, want the 10s ceiling", got)
+	if got := coord.retryAfter(); got != "30" {
+		t.Fatalf("hint after 60s worker hints = %q, want the 30s ceiling", got)
 	}
 	// Non-positive observations are ignored, not folded in as zeros.
 	coord.observeWorkerHint(0)
-	if got := coord.retryAfter(); got != "10" {
+	if got := coord.retryAfter(); got != "30" {
 		t.Fatalf("hint after a zero observation = %q, want unchanged", got)
 	}
 }
@@ -85,7 +85,7 @@ func TestDraining503CarriesObservedHint(t *testing.T) {
 	}))
 	defer busy.Close()
 	reg.AddStatic(busy.URL)
-	coord := New(Config{Registry: reg, RetryAfter: time.Second})
+	coord := New(Config{Registry: reg})
 
 	for i := 0; i < 32; i++ {
 		var bp *BackpressureError

@@ -7,9 +7,9 @@ import (
 )
 
 // Export is the serialized execution graph: what the paper's observer
-// writes out and what the prediction track consumes. It freezes the
-// shape-derived kernels, so a consumer needs neither the op registry nor
-// tensor shapes to predict performance.
+// writes out. It freezes the shape-derived kernels, so a reader needs
+// neither the op registry nor tensor shapes to see what each op
+// launches.
 type Export struct {
 	Nodes []ExportNode `json:"nodes"`
 }
@@ -62,34 +62,4 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 		return nil, err
 	}
 	return json.MarshalIndent(e, "", "  ")
-}
-
-// DecodedNode is an ExportNode with kernels materialized.
-type DecodedNode struct {
-	ID      int
-	Name    string
-	Stream  int
-	Kernels []kernels.Kernel
-	Deps    []int
-}
-
-// Decode parses serialized graph JSON into prediction-ready nodes.
-func Decode(data []byte) ([]DecodedNode, error) {
-	var e Export
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, err
-	}
-	out := make([]DecodedNode, 0, len(e.Nodes))
-	for _, en := range e.Nodes {
-		dn := DecodedNode{ID: en.ID, Name: en.Name, Stream: en.Stream, Deps: en.Deps}
-		for _, raw := range en.Kernels {
-			k, err := kernels.UnmarshalKernel(raw)
-			if err != nil {
-				return nil, err
-			}
-			dn.Kernels = append(dn.Kernels, k)
-		}
-		out = append(out, dn)
-	}
-	return out, nil
 }

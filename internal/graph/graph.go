@@ -7,7 +7,7 @@
 //
 // Because ops derive their kernels from tensor metadata, the graph is
 // mutable in exactly the ways Section V-A needs for model-system
-// co-design: batch resizing, op fusion, reordering, and multi-stream
+// co-design: batch resizing, op fusion, node removal and multi-stream
 // parallelization, all without re-capturing the model.
 //
 // A Graph is two parts. The structure — the node list, the sources and
@@ -21,7 +21,7 @@
 // Sharing rule: a view and the graph it was bound from share their
 // nodes, so both are read-only from then on — any number of goroutines
 // may walk them or bind further views. The transforms (ReplaceNodes,
-// RemoveNode, MoveNode, AssignStreams, ResetStreams, and Apply) edit
+// RemoveNode, AssignStreams and Apply) edit
 // structure in place: apply them to a Clone, which shares nothing but
 // the immutable ops.
 package graph
@@ -102,9 +102,6 @@ func (g *Graph) Meta(id TensorID) tensor.Meta {
 	}
 	return g.shapes[id]
 }
-
-// Sources returns the graph input tensor IDs.
-func (g *Graph) Sources() []TensorID { return append([]TensorID(nil), g.sources...) }
 
 // Apply appends a node executing op on the given inputs and returns the
 // IDs of its output tensors.

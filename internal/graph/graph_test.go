@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"dlrmperf/internal/kernels"
@@ -231,29 +233,6 @@ func TestRemoveNode(t *testing.T) {
 	}
 }
 
-func TestMoveNodeRespectsDeps(t *testing.T) {
-	g := New()
-	a := g.Input(tensor.New(4, 8))
-	g.Apply(ops.ReLU(), a)          // node 0
-	g.Apply(ops.Sigmoid(), a)       // node 1 — independent of node 0
-	relu2 := g.Apply(ops.ReLU(), a) // node 2
-	g.Apply(ops.Sigmoid(), relu2[0])
-
-	// Moving the independent sigmoid to front is legal.
-	if err := g.MoveNode(g.Nodes[1].ID, 0); err != nil {
-		t.Fatalf("legal move rejected: %v", err)
-	}
-	// Moving the dependent final sigmoid before its producer is illegal.
-	lastID := g.Nodes[3].ID
-	if err := g.MoveNode(lastID, 0); err == nil {
-		t.Fatal("illegal move accepted")
-	}
-	// Graph must be unchanged after the failed move.
-	if err := g.Validate(); err != nil {
-		t.Fatalf("graph corrupted after rejected move: %v", err)
-	}
-}
-
 func TestAssignStreams(t *testing.T) {
 	g := New()
 	a := g.Input(tensor.New(4, 8))
@@ -272,44 +251,57 @@ func TestAssignStreams(t *testing.T) {
 	if join.Stream != g.Nodes[0].Stream && join.Stream != g.Nodes[1].Stream {
 		t.Error("join node on unrelated stream")
 	}
-	g.ResetStreams()
-	for _, node := range g.Nodes {
-		if node.Stream != 0 {
-			t.Error("ResetStreams left a node off stream 0")
-		}
-	}
 }
 
+// TestExportDecodeRoundTrip decodes the export form (the bytes
+// Workload.ExportGraph writes) back into an Export and checks it
+// against the graph: each node's identity, kernels and deps.
 func TestExportDecodeRoundTrip(t *testing.T) {
 	g := tinyMLP(32)
-	data, err := json.Marshal(g)
+	data, err := g.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, err := Decode(data)
-	if err != nil {
+	var e Export
+	if err := json.Unmarshal(data, &e); err != nil {
 		t.Fatal(err)
 	}
-	if len(nodes) != len(g.Nodes) {
-		t.Fatalf("decoded %d nodes, want %d", len(nodes), len(g.Nodes))
+	if len(e.Nodes) != len(g.Nodes) {
+		t.Fatalf("exported %d nodes, want %d", len(e.Nodes), len(g.Nodes))
 	}
-	for i, n := range nodes {
-		if n.Name != g.Nodes[i].Op.Name() {
-			t.Errorf("node %d name %q != %q", i, n.Name, g.Nodes[i].Op.Name())
+	for i, en := range e.Nodes {
+		n := g.Nodes[i]
+		if en.ID != int(n.ID) || en.Name != n.Op.Name() {
+			t.Errorf("node %d exported as %d %q, want %d %q", i, en.ID, en.Name, n.ID, n.Op.Name())
 		}
-		want := g.NodeKernels(g.Nodes[i])
-		if len(n.Kernels) != len(want) {
-			t.Errorf("node %d kernels %d != %d", i, len(n.Kernels), len(want))
+		want := g.NodeKernels(n)
+		if len(en.Kernels) != len(want) {
+			t.Errorf("node %d kernels %d != %d", i, len(en.Kernels), len(want))
 			continue
 		}
-		for j := range want {
-			if n.Kernels[j].String() != want[j].String() {
-				t.Errorf("node %d kernel %d: %s != %s", i, j, n.Kernels[j], want[j])
+		for j, k := range want {
+			raw, err := kernels.MarshalKernel(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := json.Compact(&got, en.Kernels[j]); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), raw) {
+				t.Errorf("node %d kernel %d: %s != %s", i, j, got.Bytes(), raw)
 			}
 		}
+		var deps []int
+		for _, d := range g.Deps(n) {
+			deps = append(deps, int(d))
+		}
+		if !slices.Equal(en.Deps, deps) {
+			t.Errorf("node %d deps %v, want %v", i, en.Deps, deps)
+		}
 	}
-	// Dependency edges survive.
-	if len(nodes[1].Deps) != 1 || nodes[1].Deps[0] != int(g.Nodes[0].ID) {
-		t.Errorf("decoded deps = %v", nodes[1].Deps)
+	// The chain's second node depends on the first.
+	if len(e.Nodes[1].Deps) != 1 || e.Nodes[1].Deps[0] != int(g.Nodes[0].ID) {
+		t.Errorf("exported deps = %v", e.Nodes[1].Deps)
 	}
 }

@@ -8,8 +8,7 @@ import (
 
 // This file implements the execution-graph transforms of Section V-A:
 // op fusion (Fig. 11), node removal/replacement for iterative model
-// tuning, dependency-respecting reordering, and multi-stream
-// parallelization.
+// tuning, and multi-stream parallelization.
 
 // ReplaceNodes removes the nodes with the given IDs and splices a single
 // fused node executing op in their place. The fused node consumes the
@@ -160,37 +159,6 @@ func (g *Graph) RemoveNode(id NodeID) error {
 	return nil
 }
 
-// MoveNode reorders node id to execute at position pos in the node list,
-// provided data dependencies still hold; otherwise it returns an error.
-// Reordering changes how host overheads overlap device work, which is
-// one of the optimization questions the performance model answers.
-func (g *Graph) MoveNode(id NodeID, pos int) error {
-	from := -1
-	for i, n := range g.Nodes {
-		if n.ID == id {
-			from = i
-			break
-		}
-	}
-	if from < 0 {
-		return fmt.Errorf("graph: MoveNode: unknown node %d", id)
-	}
-	if pos < 0 || pos >= len(g.Nodes) {
-		return fmt.Errorf("graph: MoveNode: position %d out of range", pos)
-	}
-	n := g.Nodes[from]
-	nodes := append([]*Node(nil), g.Nodes[:from]...)
-	nodes = append(nodes, g.Nodes[from+1:]...)
-	nodes = append(nodes[:pos], append([]*Node{n}, nodes[pos:]...)...)
-	old := g.Nodes
-	g.Nodes = nodes
-	if err := g.Validate(); err != nil {
-		g.Nodes = old
-		return fmt.Errorf("graph: MoveNode would violate dependencies: %w", err)
-	}
-	return nil
-}
-
 // AssignStreams places independent branches on distinct GPU streams. Two
 // nodes are independent when neither transitively consumes the other's
 // outputs. The transform greedily colors each node: the first consumer
@@ -238,11 +206,4 @@ func (g *Graph) AssignStreams() int {
 		next = 1
 	}
 	return next
-}
-
-// ResetStreams places every node back on stream 0 (the capture default).
-func (g *Graph) ResetStreams() {
-	for _, n := range g.Nodes {
-		n.Stream = 0
-	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // wireKernel is the tagged-union JSON form of a Kernel, used when
-// exporting execution graphs and microbenchmark datasets.
+// exporting execution graphs.
 type wireKernel struct {
 	Type string          `json:"type"`
 	Args json.RawMessage `json:"args"`
@@ -45,43 +45,4 @@ func MarshalKernel(k Kernel) ([]byte, error) {
 		return nil, err
 	}
 	return json.Marshal(wireKernel{Type: typ, Args: args})
-}
-
-// UnmarshalKernel decodes a kernel previously encoded by MarshalKernel.
-func UnmarshalKernel(data []byte) (Kernel, error) {
-	var w wireKernel
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, err
-	}
-	decode := func(dst any) error { return json.Unmarshal(w.Args, dst) }
-	switch w.Type {
-	case "gemm":
-		var k GEMM
-		return k, decode(&k)
-	case "embedding":
-		var k Embedding
-		return k, decode(&k)
-	case "concat":
-		var k Concat
-		return k, decode(&k)
-	case "memcpy":
-		var k Memcpy
-		return k, decode(&k)
-	case "transpose":
-		var k Transpose
-		return k, decode(&k)
-	case "tril":
-		var k Tril
-		return k, decode(&k)
-	case "elementwise":
-		var k Elementwise
-		return k, decode(&k)
-	case "conv":
-		var k Conv
-		return k, decode(&k)
-	case "batchnorm":
-		var k BatchNorm
-		return k, decode(&k)
-	}
-	return nil, fmt.Errorf("kernels: unknown kernel type %q", w.Type)
 }

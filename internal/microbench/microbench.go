@@ -10,10 +10,6 @@
 package microbench
 
 import (
-	"encoding/json"
-	"fmt"
-	"math"
-
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/kernels"
 	"dlrmperf/internal/xrand"
@@ -36,23 +32,6 @@ type Dataset struct {
 // BenchIters is the paper's per-shape measurement count (30 iterations
 // after warm-up).
 const BenchIters = 30
-
-// Features returns the ML-model training matrix: per-sample feature
-// vectors and natural-log times.
-func (d *Dataset) Features() (X [][]float64, Y []float64) {
-	for _, s := range d.Samples {
-		X = append(X, s.Kernel.Features())
-		Y = append(Y, logTime(s.Time))
-	}
-	return X, Y
-}
-
-func logTime(t float64) float64 {
-	if t <= 0 {
-		t = 1e-6
-	}
-	return math.Log(t)
-}
 
 // Split partitions the dataset into train/test by a seeded permutation.
 func (d *Dataset) Split(trainFrac float64, seed uint64) (train, test *Dataset) {
@@ -96,62 +75,4 @@ func CollectKind(gpu hw.GPU, kind kernels.Kind, n int, seed uint64) *Dataset {
 	rng := xrand.New(seed)
 	dev := kernels.NewDevice(gpu, rng.Split().Uint64())
 	return Collect(dev, kind, GenerateKernels(kind, n, rng))
-}
-
-// --- serialization --------------------------------------------------------
-
-type wireSample struct {
-	Kernel json.RawMessage `json:"kernel"`
-	Time   float64         `json:"time_us"`
-}
-
-type wireDataset struct {
-	Device  string       `json:"device"`
-	Kind    string       `json:"kind"`
-	Samples []wireSample `json:"samples"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (d *Dataset) MarshalJSON() ([]byte, error) {
-	w := wireDataset{Device: d.Device, Kind: d.Kind.String()}
-	for _, s := range d.Samples {
-		raw, err := kernels.MarshalKernel(s.Kernel)
-		if err != nil {
-			return nil, err
-		}
-		w.Samples = append(w.Samples, wireSample{Kernel: raw, Time: s.Time})
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (d *Dataset) UnmarshalJSON(data []byte) error {
-	var w wireDataset
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	d.Device = w.Device
-	kind, err := kindFromString(w.Kind)
-	if err != nil {
-		return err
-	}
-	d.Kind = kind
-	d.Samples = nil
-	for _, s := range w.Samples {
-		k, err := kernels.UnmarshalKernel(s.Kernel)
-		if err != nil {
-			return err
-		}
-		d.Samples = append(d.Samples, Sample{Kernel: k, Time: s.Time})
-	}
-	return nil
-}
-
-func kindFromString(s string) (kernels.Kind, error) {
-	for _, k := range kernels.Kinds() {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("microbench: unknown kind %q", s)
 }

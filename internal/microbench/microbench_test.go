@@ -1,7 +1,6 @@
 package microbench
 
 import (
-	"encoding/json"
 	"testing"
 
 	"dlrmperf/internal/hw"
@@ -99,45 +98,6 @@ func TestFilter(t *testing.T) {
 	})
 	if len(big.Samples) == 0 || len(big.Samples) == len(ds.Samples) {
 		t.Errorf("filter kept %d of %d", len(big.Samples), len(ds.Samples))
-	}
-}
-
-func TestFeaturesShape(t *testing.T) {
-	ds := CollectKind(hw.V100Platform().GPU, kernels.KindGEMM, 30, 13)
-	X, Y := ds.Features()
-	if len(X) != 30 || len(Y) != 30 {
-		t.Fatalf("features: %d/%d", len(X), len(Y))
-	}
-	for i := range X {
-		if len(X[i]) != 4 {
-			t.Fatalf("GEMM feature width = %d", len(X[i]))
-		}
-		if Y[i] == 0 {
-			t.Error("log time exactly zero is suspicious")
-		}
-	}
-}
-
-func TestDatasetJSONRoundTrip(t *testing.T) {
-	ds := CollectKind(hw.V100Platform().GPU, kernels.KindTranspose, 25, 17)
-	data, err := json.Marshal(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Dataset
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Kind != ds.Kind || got.Device != ds.Device || len(got.Samples) != len(ds.Samples) {
-		t.Fatal("round trip changed dataset identity")
-	}
-	for i := range ds.Samples {
-		if got.Samples[i].Time != ds.Samples[i].Time {
-			t.Fatal("round trip changed sample time")
-		}
-		if got.Samples[i].Kernel.String() != ds.Samples[i].Kernel.String() {
-			t.Fatal("round trip changed kernel")
-		}
 	}
 }
 

@@ -154,12 +154,3 @@ func backwardMLP(g *graph.Graph, grad graph.TensorID, layers []mlpLayer) graph.T
 	}
 	return grad
 }
-
-// mlpParams sums weight+bias parameters of an MLP described by dims.
-func mlpParams(dims []int64) int64 {
-	var p int64
-	for i := 1; i < len(dims); i++ {
-		p += dims[i-1]*dims[i] + dims[i]
-	}
-	return p
-}

@@ -140,12 +140,6 @@ func AccumulateGrad() Op {
 	return Elementwise{OpName: "AccumulateGrad", ReadsPerElem: 8, WritesPerElem: 4, FLOPsPerElem: 1}
 }
 
-// Sum returns aten::sum over the input.
-func Sum() Op {
-	return Elementwise{OpName: "aten::sum", ReadsPerElem: 4, WritesPerElem: 0.05,
-		FLOPsPerElem: 1, ScalarOutput: true}
-}
-
 // Softmax returns aten::softmax (read twice: max+exp pass, normalize pass).
 func Softmax() Op {
 	return Elementwise{OpName: "aten::softmax", ReadsPerElem: 8, WritesPerElem: 4, FLOPsPerElem: 6}
@@ -164,11 +158,6 @@ func LayerNorm() Op {
 // LayerNormBackward returns NativeLayerNormBackward0.
 func LayerNormBackward() Op {
 	return Elementwise{OpName: "NativeLayerNormBackward0", ReadsPerElem: 16, WritesPerElem: 8, FLOPsPerElem: 8}
-}
-
-// Dropout returns aten::dropout.
-func Dropout() Op {
-	return Elementwise{OpName: "aten::dropout", ReadsPerElem: 5, WritesPerElem: 8, FLOPsPerElem: 2}
 }
 
 // SliceBackward is the autograd node of one aten::cat input
@@ -227,26 +216,6 @@ func (v View) Outputs(inputs []tensor.Meta) []tensor.Meta {
 
 // Kernels implements Op.
 func (v View) Kernels([]tensor.Meta) []kernels.Kernel { return nil }
-
-// Zeros allocates a zero tensor on device (aten::zeros): one tiny fill
-// kernel.
-type Zeros struct{ Shape []int64 }
-
-// Name implements Op.
-func (z Zeros) Name() string { return "aten::zeros" }
-
-// Outputs implements Op.
-func (z Zeros) Outputs(inputs []tensor.Meta) []tensor.Meta {
-	return []tensor.Meta{tensor.New(z.Shape...)}
-}
-
-// Kernels implements Op.
-func (z Zeros) Kernels([]tensor.Meta) []kernels.Kernel {
-	m := tensor.New(z.Shape...)
-	return []kernels.Kernel{kernels.Elementwise{
-		Name: "fill", NElems: m.Numel(), WritesPerElem: 4,
-	}}
-}
 
 // --- Data movement ---------------------------------------------------------
 

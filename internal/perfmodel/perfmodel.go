@@ -216,15 +216,11 @@ func trainEnsemble(X [][]float64, Y []float64, cfg mlp.Config, familySeed uint64
 	return nets
 }
 
-// TrainMLP fits an MLPModel ensemble on a dataset with a fixed
-// configuration. basePeak/baseBW parameterize the roofline the residual
-// targets are relative to.
-func TrainMLP(name string, ds *microbench.Dataset, basePeak, baseBW float64, cfg mlp.Config, ensemble int, seed uint64) *MLPModel {
-	return TrainMLPParallel(name, ds, basePeak, baseBW, cfg, ensemble, seed, 1)
-}
-
-// TrainMLPParallel is TrainMLP with up to workers ensemble members
-// training concurrently; the fitted model is bit-identical to TrainMLP.
+// TrainMLPParallel fits an MLPModel ensemble on a dataset with a fixed
+// configuration, up to workers ensemble members training concurrently.
+// basePeak/baseBW parameterize the roofline the residual targets are
+// relative to. Members slot in by index, so the fitted model is
+// bit-identical for any workers.
 func TrainMLPParallel(name string, ds *microbench.Dataset, basePeak, baseBW float64, cfg mlp.Config, ensemble int, seed uint64, workers int) *MLPModel {
 	if ensemble < 1 {
 		ensemble = 1
@@ -235,15 +231,10 @@ func TrainMLPParallel(name string, ds *microbench.Dataset, basePeak, baseBW floa
 	return m
 }
 
-// SearchMLP fits an MLPModel with a hyperparameter grid search
-// (Table II), then trains an ensemble of the winning configuration.
-func SearchMLP(name string, ds *microbench.Dataset, basePeak, baseBW float64, space mlp.SearchSpace, ensemble int, seed uint64) *MLPModel {
-	return SearchMLPParallel(name, ds, basePeak, baseBW, space, ensemble, seed, 1)
-}
-
-// SearchMLPParallel is SearchMLP with up to workers ensemble members
-// training concurrently after the grid search picks the winning
-// configuration; the fitted model is bit-identical to SearchMLP.
+// SearchMLPParallel fits an MLPModel with a hyperparameter grid search
+// (Table II), then trains an ensemble of the winning configuration with
+// up to workers members training concurrently; the fitted model is
+// bit-identical for any workers.
 func SearchMLPParallel(name string, ds *microbench.Dataset, basePeak, baseBW float64, space mlp.SearchSpace, ensemble int, seed uint64, workers int) *MLPModel {
 	if ensemble < 1 {
 		ensemble = 1

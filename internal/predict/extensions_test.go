@@ -1,13 +1,9 @@
 package predict
 
 import (
-	"encoding/json"
-	"strings"
 	"testing"
 
-	"dlrmperf/internal/hw"
 	"dlrmperf/internal/models"
-	"dlrmperf/internal/sim"
 )
 
 func TestEstimateMemoryComponents(t *testing.T) {
@@ -64,33 +60,6 @@ func TestFitsInMemory(t *testing.T) {
 	}
 	if est.FitsInMemory(10<<30, 0.1) != false {
 		t.Error("10GB must not fit 9GB usable")
-	}
-}
-
-func TestChromeTraceExport(t *testing.T) {
-	m, err := models.Build(models.NameDLRMDefault, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := sim.Run(m.Graph, sim.Config{Platform: hw.V100Platform(), Seed: 1, Warmup: 1, Iters: 2})
-	data, err := r.Trace.ToChromeTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parsed struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &parsed); err != nil {
-		t.Fatal(err)
-	}
-	if len(parsed.TraceEvents) != len(r.Trace.Events) {
-		t.Fatalf("chrome events = %d, trace events = %d", len(parsed.TraceEvents), len(r.Trace.Events))
-	}
-	s := string(data)
-	for _, want := range []string{`"cat": "op"`, `"cat": "kernel"`, `"cat": "cuda_runtime"`, `"ph": "X"`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("chrome trace missing %s", want)
-		}
 	}
 }
 

@@ -146,139 +146,3 @@ func (p *Predictor) KernelOnly(g *graph.Graph) (float64, error) {
 	}
 	return total, nil
 }
-
-// PredictStreams extends Algorithm 1 to multi-stream execution graphs
-// (the parallelization what-if of Section V-A): per-stream GPU clocks,
-// with cross-stream data dependencies enforced via the producing node's
-// device completion time.
-func (p *Predictor) PredictStreams(g *graph.Graph) (Prediction, error) {
-	var pr Prediction
-	cpu := 0.0
-	gpuOf := map[int]float64{}
-	nodeDone := map[graph.NodeID]float64{}
-	for _, node := range g.Nodes {
-		op := node.Op.Name()
-		t1 := p.Overheads.T1Mean()
-		t2 := p.Overheads.T2Mean(op)
-		t3 := p.Overheads.T3Mean(op)
-		t5 := p.Overheads.T5Mean(op)
-
-		cpu += t1
-		hostCharged := t1
-		kernelSum := 0.0
-
-		depReady := 0.0
-		for _, d := range g.Deps(node) {
-			if r := nodeDone[d]; r > depReady {
-				depReady = r
-			}
-		}
-
-		ks := g.NodeKernels(node)
-		if len(ks) > 0 {
-			cpu += t2
-			hostCharged += t2
-			gpu := gpuOf[node.Stream]
-			last := depReady
-			for i, k := range ks {
-				t4 := p.t4For(k)
-				tk, err := p.Models.Predict(k)
-				if err != nil {
-					return Prediction{}, fmt.Errorf("predict: op %s: %w", op, err)
-				}
-				start := gpu + scheduleGranularity
-				if s := cpu + t4/2; s > start {
-					start = s
-				}
-				if depReady > start {
-					start = depReady
-				}
-				gpu = start + tk
-				kernelSum += tk
-				cpu += t4
-				hostCharged += t4
-				if i < len(ks)-1 {
-					cpu += t5
-					hostCharged += t5
-				}
-			}
-			gpuOf[node.Stream] = gpu
-			if gpu > last {
-				last = gpu
-			}
-			nodeDone[node.ID] = last
-			cpu += t3
-			hostCharged += t3
-		} else {
-			cpu += t5
-			hostCharged += t5
-			nodeDone[node.ID] = depReady
-		}
-		pr.Active += kernelSum
-		pr.PerOp = append(pr.PerOp, OpTime{Op: op, Kernel: kernelSum, Host: hostCharged})
-	}
-	pr.CPUTime = cpu
-	pr.E2E = cpu
-	for _, gpu := range gpuOf {
-		if gpu > pr.E2E {
-			pr.E2E = gpu
-		}
-	}
-	return pr, nil
-}
-
-// PredictDecoded runs Algorithm 1 over a decoded (serialized) execution
-// graph — the form exchanged between the observer and the predictor in a
-// large-scale prediction service.
-func (p *Predictor) PredictDecoded(nodes []graph.DecodedNode) (Prediction, error) {
-	var pr Prediction
-	cpu, gpu := 0.0, 0.0
-	for _, node := range nodes {
-		op := node.Name
-		cpu += p.Overheads.T1Mean()
-		if len(node.Kernels) > 0 {
-			cpu += p.Overheads.T2Mean(op)
-			for i, k := range node.Kernels {
-				tk, err := p.Models.Predict(k)
-				if err != nil {
-					return Prediction{}, err
-				}
-				start := gpu + scheduleGranularity
-				if s := cpu + overhead.T4Approx/2; s > start {
-					start = s
-				}
-				gpu = start + tk
-				pr.Active += tk
-				cpu += overhead.T4Approx
-				if i < len(node.Kernels)-1 {
-					cpu += p.Overheads.T5Mean(op)
-				}
-			}
-			cpu += p.Overheads.T3Mean(op)
-		} else {
-			cpu += p.Overheads.T5Mean(op)
-		}
-	}
-	pr.CPUTime = cpu
-	pr.E2E = cpu
-	if gpu > pr.E2E {
-		pr.E2E = gpu
-	}
-	return pr, nil
-}
-
-// KernelCensus aggregates predicted kernel time by kernel kind — handy
-// for bottleneck analysis in the co-design workflows.
-func (p *Predictor) KernelCensus(g *graph.Graph) (map[kernels.Kind]float64, error) {
-	out := map[kernels.Kind]float64{}
-	for _, node := range g.Nodes {
-		for _, k := range g.NodeKernels(node) {
-			tk, err := p.Models.Predict(k)
-			if err != nil {
-				return nil, err
-			}
-			out[k.Kind()] += tk
-		}
-	}
-	return out, nil
-}

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"dlrmperf/internal/graph"
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/kernels"
 	"dlrmperf/internal/microbench"
@@ -155,47 +154,6 @@ func TestPerOpBreakdownSumsToActive(t *testing.T) {
 	}
 }
 
-func TestPredictDecodedMatchesDirect(t *testing.T) {
-	pred, m, _ := assets(t, models.NameDLRMDDP, 1024)
-	direct, err := pred.Predict(m.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := m.Graph.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes, err := graph.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := pred.PredictDecoded(nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := stats.AbsRelErr(decoded.E2E, direct.E2E); diff > 1e-9 {
-		t.Errorf("decoded prediction differs: %v vs %v", decoded.E2E, direct.E2E)
-	}
-}
-
-func TestPredictStreamsNotSlower(t *testing.T) {
-	pred, m, _ := assets(t, models.NameDLRMDefault, 2048)
-	single, err := pred.Predict(m.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi := m.Clone()
-	multi.Graph.AssignStreams()
-	parallel, err := pred.PredictStreams(multi.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Multi-stream execution can only help (or tie) the predicted E2E.
-	if parallel.E2E > single.E2E*1.02 {
-		t.Errorf("multi-stream prediction slower: %v > %v", parallel.E2E, single.E2E)
-	}
-}
-
 func TestUseMeasuredT4ChangesPrediction(t *testing.T) {
 	pred, m, _ := assets(t, models.NameDLRMDefault, 512)
 	a, err := pred.Predict(m.Graph)
@@ -209,20 +167,6 @@ func TestUseMeasuredT4ChangesPrediction(t *testing.T) {
 	}
 	if a.E2E == b.E2E {
 		t.Error("measured-T4 variant should differ from the 10µs constant")
-	}
-}
-
-func TestKernelCensus(t *testing.T) {
-	pred, m, _ := assets(t, models.NameDLRMDefault, 2048)
-	census, err := pred.KernelCensus(m.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if census[kernels.KindGEMM] <= 0 {
-		t.Error("census missing GEMM time")
-	}
-	if census[kernels.KindEmbeddingBwd] <= census[kernels.KindEmbeddingFwd]/10 {
-		t.Error("census embedding backward implausibly small")
 	}
 }
 

@@ -150,16 +150,11 @@ func appendLowerASCII(b []byte, s string) []byte {
 	return b
 }
 
-// TablesKey renders a table population canonically — the identity
-// under which equal populations (and equal per-device shards) share
-// fingerprints and memoized graphs.
-func TablesKey(tables []workload.TableSpec) string {
-	return string(AppendTablesKey(nil, tables))
-}
-
-// AppendTablesKey is the allocation-free form of TablesKey. The skew
-// renders with strconv's shortest 'g' formatting, byte-identical to the
-// fmt %g verb the key historically used.
+// AppendTablesKey renders a table population canonically — the
+// identity under which equal populations (and equal per-device shards)
+// share fingerprints and memoized graphs. The skew renders with
+// strconv's shortest 'g' formatting, byte-identical to the fmt %g verb
+// the key historically used.
 func AppendTablesKey(b []byte, tables []workload.TableSpec) []byte {
 	for i, t := range tables {
 		if i > 0 {

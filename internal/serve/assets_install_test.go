@@ -5,7 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"dlrmperf/internal/client"
 	"dlrmperf/internal/serve"
@@ -87,7 +86,7 @@ func TestHTTPInstallAssetsUnsupported(t *testing.T) {
 func TestHTTPInstallAssetsDraining(t *testing.T) {
 	lb := &loaderBackend{TestBackend: serve.NewTestBackend()}
 	lb.Release()
-	s, cl := newHTTPServer(t, serve.Config{Backend: lb, QueueDepth: 4, Workers: 1, RetryAfter: 2 * time.Second})
+	s, cl := newHTTPServer(t, serve.Config{Backend: lb, QueueDepth: 4, Workers: 1})
 	s.Drain()
 
 	var dr *client.ErrDraining
@@ -95,8 +94,8 @@ func TestHTTPInstallAssetsDraining(t *testing.T) {
 	if !errors.As(err, &dr) {
 		t.Fatalf("install on draining worker = %v, want ErrDraining", err)
 	}
-	if dr.RetryAfter < time.Second {
-		t.Fatalf("draining install Retry-After = %v, want a >= 1s hint", dr.RetryAfter)
+	if dr.RetryAfter < serve.MinRetryAfter {
+		t.Fatalf("draining install Retry-After = %v, want at least the %v floor", dr.RetryAfter, serve.MinRetryAfter)
 	}
 	if len(lb.installed) != 0 {
 		t.Fatal("draining worker accepted an asset install")

@@ -313,8 +313,8 @@ func (q *fairQueue) observeService(d time.Duration) {
 
 // drainEstimate predicts how long the current backlog needs to clear
 // across the worker pool — the adaptive Retry-After signal. Zero means
-// no observation (or no backlog) yet; the caller applies the
-// configured floor and ceiling.
+// no observation (or no backlog) yet; the caller clamps it to
+// [MinRetryAfter, MaxRetryAfter].
 func (q *fairQueue) drainEstimate(workers int) time.Duration {
 	if workers < 1 {
 		workers = 1

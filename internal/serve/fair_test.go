@@ -136,9 +136,9 @@ func TestFairQueueTenantOverflowFolds(t *testing.T) {
 }
 
 // TestAdaptiveRetryAfterHint: the backpressure hint tracks backlog ×
-// smoothed service time across the worker pool, clamped between the
-// configured floor and ceiling, and falls back to the floor before any
-// request has completed.
+// smoothed service time across the worker pool, clamped to
+// [MinRetryAfter, MaxRetryAfter], and falls back to the floor before
+// any request has completed.
 func TestAdaptiveRetryAfterHint(t *testing.T) {
 	q := newFairQueue(8, 8)
 	if got := q.drainEstimate(1); got != 0 {
@@ -158,15 +158,15 @@ func TestAdaptiveRetryAfterHint(t *testing.T) {
 		t.Fatalf("estimate(2 workers) = %v, want 200ms", got)
 	}
 
-	s := &Server{cfg: Config{Workers: 1, RetryAfter: time.Second, MaxRetryAfter: 2 * time.Second}, q: q}
+	s := &Server{cfg: Config{Workers: 1}, q: q}
 	// 4 × 100ms backlog is under the floor.
-	if got := s.retryAfterHint(); got != time.Second {
-		t.Fatalf("hint under floor = %v, want 1s", got)
+	if got := s.retryAfterHint(); got != MinRetryAfter {
+		t.Fatalf("hint under floor = %v, want the %v floor", got, MinRetryAfter)
 	}
 	// A slow service observation pushes the estimate past the ceiling.
-	q.observeService(10 * time.Second)
-	if got := s.retryAfterHint(); got != 2*time.Second {
-		t.Fatalf("hint over ceiling = %v, want the 2s cap", got)
+	q.observeService(time.Hour)
+	if got := s.retryAfterHint(); got != MaxRetryAfter {
+		t.Fatalf("hint over ceiling = %v, want the %v cap", got, MaxRetryAfter)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"dlrmperf/internal/client"
 	"dlrmperf/internal/serve"
@@ -174,11 +173,11 @@ func TestHTTPBatchTooLarge(t *testing.T) {
 
 // TestHTTP429RetryAfter drives the queue to capacity behind a parked
 // worker and checks the typed backpressure error: 429 queue_full with
-// the configured floor as the Retry-After hint (no request has
+// the floor as the Retry-After hint (no request has
 // completed, so there is no drain-rate observation to adapt from).
 func TestHTTP429RetryAfter(t *testing.T) {
 	fb := serve.NewTestBackend()
-	s, cl := newHTTPServer(t, serve.Config{Backend: fb, QueueDepth: 2, Workers: 1, TenantQueueCap: 2, RetryAfter: 3 * time.Second})
+	s, cl := newHTTPServer(t, serve.Config{Backend: fb, QueueDepth: 2, Workers: 1, TenantQueueCap: 2})
 	ctx := context.Background()
 
 	blockReq := serve.Request{Workload: "block", Device: "FakeGPU"}
@@ -200,8 +199,8 @@ func TestHTTP429RetryAfter(t *testing.T) {
 
 	_, err := cl.Predict(ctx, serve.Request{Workload: "x", Device: "FakeGPU"})
 	var bp *client.ErrBackpressure
-	if !errors.As(err, &bp) || bp.Code != "queue_full" || bp.RetryAfter != 3*time.Second {
-		t.Fatalf("over capacity: err = %v, want queue_full backpressure with the 3s floor hint", err)
+	if !errors.As(err, &bp) || bp.Code != "queue_full" || bp.RetryAfter != serve.MinRetryAfter {
+		t.Fatalf("over capacity: err = %v, want queue_full backpressure with the %v floor hint", err, serve.MinRetryAfter)
 	}
 	// The taxonomy is layered: the same error matches the generic class.
 	var apiErr *client.APIError

@@ -80,13 +80,6 @@ type Config struct {
 	// always leaves room for others to be admitted. Values above
 	// QueueDepth are clamped to it.
 	TenantQueueCap int
-	// RetryAfter is the FLOOR of the backpressure hint returned with
-	// 429/503 responses; the hint itself adapts upward to the
-	// estimated backlog drain time (queued requests x smoothed service
-	// time / workers). Default 1s.
-	RetryAfter time.Duration
-	// MaxRetryAfter caps the adaptive hint. Default 30s.
-	MaxRetryAfter time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -104,15 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TenantQueueCap > c.QueueDepth {
 		c.TenantQueueCap = c.QueueDepth
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxRetryAfter <= 0 {
-		c.MaxRetryAfter = 30 * time.Second
-	}
-	if c.MaxRetryAfter < c.RetryAfter {
-		c.MaxRetryAfter = c.RetryAfter
 	}
 	return c
 }
@@ -438,18 +422,12 @@ func (s *Server) Handler() http.Handler {
 }
 
 // retryAfterHint is the adaptive backpressure hint: the estimated
-// backlog drain time, clamped between the configured floor
-// (cfg.RetryAfter) and ceiling (cfg.MaxRetryAfter). With no completed
-// request yet (no drain-rate observation) it falls back to the floor.
+// backlog drain time (queued requests x smoothed service time /
+// workers), clamped to [MinRetryAfter, MaxRetryAfter]. With no
+// completed request yet (no drain-rate observation) it falls back to
+// the floor.
 func (s *Server) retryAfterHint() time.Duration {
-	d := s.q.drainEstimate(s.cfg.Workers)
-	if d < s.cfg.RetryAfter {
-		d = s.cfg.RetryAfter
-	}
-	if d > s.cfg.MaxRetryAfter {
-		d = s.cfg.MaxRetryAfter
-	}
-	return d
+	return min(max(s.q.drainEstimate(s.cfg.Workers), MinRetryAfter), MaxRetryAfter)
 }
 
 // retryAfterSeconds renders the adaptive backpressure hint, at least 1s.

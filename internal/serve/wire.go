@@ -410,6 +410,15 @@ func rejectBatch(w http.ResponseWriter, code, format string, args ...any) (ok bo
 	return false
 }
 
+// The bounds of the adaptive Retry-After hint on 429/503 responses, one
+// pair for the worker and the coordinator alike. Each adapts its hint to
+// what it observes — a worker to its backlog's drain time, a coordinator
+// to the workers' own 429 hints — and clamps it into this range.
+const (
+	MinRetryAfter = time.Second
+	MaxRetryAfter = 30 * time.Second
+)
+
 // RetryAfterSeconds renders a backpressure hint as whole seconds,
 // rounding UP with a 1s floor — the Retry-After header value on
 // 429/503 responses. Rounding up matters: truncation would render a

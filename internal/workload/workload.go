@@ -1,22 +1,10 @@
-// Package workload generates the synthetic sparse-input streams that
-// drive DLRM training: per-table categorical index sequences with
-// configurable cardinality, pooling factor, and popularity skew. It
-// stands in for the Criteo Kaggle dataset the paper trains DLRM_MLPerf
-// on — for performance modeling only the index *distribution* matters,
-// and these generators exercise the same cache-locality code paths.
-//
-// The package also provides the empirical locality analyses (working-set
-// size, stack-distance-free reuse fractions) used to validate the
-// ground-truth cache model and to estimate a ZipfSkew knob from a stream.
+// Package workload describes the sparse inputs that drive DLRM
+// training as table populations: per-table cardinality, pooling factor
+// and popularity skew. It stands in for the Criteo Kaggle dataset the
+// paper trains DLRM_MLPerf on — for performance modeling only the index
+// *distribution* matters, and the ground truth's analytic cache model
+// reads it from these three numbers rather than from index streams.
 package workload
-
-import (
-	"fmt"
-	"math"
-	"sort"
-
-	"dlrmperf/internal/xrand"
-)
 
 // TableSpec describes one sparse feature (one embedding table).
 type TableSpec struct {
@@ -26,76 +14,6 @@ type TableSpec struct {
 	Lookups int64
 	// Skew is the Zipf exponent of index popularity (0 = uniform).
 	Skew float64
-}
-
-// Batch is one batch of sparse inputs: Indices[t][i] is the i-th lookup
-// index of table t, flattened over the batch (B*L entries per table).
-type Batch struct {
-	B       int64
-	Tables  []TableSpec
-	Indices [][]int64
-}
-
-// Generator produces index batches for a fixed table population.
-type Generator struct {
-	tables   []TableSpec
-	samplers []*xrand.Zipf
-	rng      *xrand.Rand
-}
-
-// NewGenerator builds a generator for the given tables, seeded.
-// Zipf samplers precompute CDFs, so construction cost is O(sum rows) for
-// skewed tables; uniform tables are sampled directly.
-func NewGenerator(tables []TableSpec, seed uint64) (*Generator, error) {
-	g := &Generator{rng: xrand.New(seed)}
-	for i, t := range tables {
-		if t.Rows <= 0 || t.Lookups <= 0 {
-			return nil, fmt.Errorf("workload: table %d has invalid spec %+v", i, t)
-		}
-		g.tables = append(g.tables, t)
-		if t.Skew > 0 {
-			// Cap CDF construction for enormous tables: sampling the hot
-			// head exactly and the tail uniformly preserves the locality
-			// profile while bounding memory.
-			n := t.Rows
-			if n > 2_000_000 {
-				n = 2_000_000
-			}
-			g.samplers = append(g.samplers, xrand.NewZipf(g.rng.Split(), int(n), t.Skew))
-		} else {
-			g.samplers = append(g.samplers, nil)
-		}
-	}
-	return g, nil
-}
-
-// Tables returns the generator's table population.
-func (g *Generator) Tables() []TableSpec { return append([]TableSpec(nil), g.tables...) }
-
-// Next generates one batch of size b.
-func (g *Generator) Next(b int64) *Batch {
-	out := &Batch{B: b, Tables: g.Tables()}
-	for ti, t := range g.tables {
-		idx := make([]int64, 0, b*t.Lookups)
-		z := g.samplers[ti]
-		for i := int64(0); i < b*t.Lookups; i++ {
-			if z == nil {
-				idx = append(idx, g.rng.Int63n(t.Rows))
-				continue
-			}
-			v := int64(z.Next())
-			if int64(z.N()) < t.Rows {
-				// Head sampled by Zipf; spill a fraction into the tail so
-				// the full cardinality is exercised.
-				if g.rng.Float64() < 0.05 {
-					v = int64(z.N()) + g.rng.Int63n(t.Rows-int64(z.N()))
-				}
-			}
-			idx = append(idx, v)
-		}
-		out.Indices = append(out.Indices, idx)
-	}
-	return out
 }
 
 // CriteoLikeTables returns a 26-table population with the Criteo Kaggle
@@ -163,111 +81,4 @@ func MeanSkew(tables []TableSpec) float64 {
 		sum += t.Skew
 	}
 	return sum / float64(len(tables))
-}
-
-// Locality summarizes the empirical reuse behavior of one table's stream.
-type Locality struct {
-	// Accesses is the number of index samples analyzed.
-	Accesses int
-	// Distinct is the number of distinct rows touched.
-	Distinct int
-	// Top1PctMass is the fraction of accesses landing on the most popular
-	// 1% of touched rows — near 0.01 for uniform, large under skew.
-	Top1PctMass float64
-	// HitRateAt estimates the hit rate of an LRU-less resident cache of
-	// the given row capacity: the probability mass of the `capacity` most
-	// popular rows.
-	hist []int
-}
-
-// AnalyzeLocality computes the locality profile of a table's stream.
-func AnalyzeLocality(indices []int64) Locality {
-	counts := map[int64]int{}
-	for _, v := range indices {
-		counts[v]++
-	}
-	hist := make([]int, 0, len(counts))
-	for _, c := range counts {
-		hist = append(hist, c)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(hist)))
-	loc := Locality{Accesses: len(indices), Distinct: len(hist), hist: hist}
-	if len(hist) == 0 {
-		return loc
-	}
-	top := len(hist) / 100
-	if top < 1 {
-		top = 1
-	}
-	mass := 0
-	for _, c := range hist[:top] {
-		mass += c
-	}
-	if len(indices) > 0 {
-		loc.Top1PctMass = float64(mass) / float64(len(indices))
-	}
-	return loc
-}
-
-// HitRateAt returns the best-case hit rate of a cache holding `capacity`
-// rows of this stream (mass of the capacity most popular rows).
-func (l Locality) HitRateAt(capacity int) float64 {
-	if l.Accesses == 0 || capacity <= 0 {
-		return 0
-	}
-	if capacity > len(l.hist) {
-		capacity = len(l.hist)
-	}
-	hits := 0
-	for _, c := range l.hist[:capacity] {
-		hits += c
-	}
-	return float64(hits) / float64(l.Accesses)
-}
-
-// EstimateSkew fits a Zipf exponent to the stream's popularity profile by
-// matching the top-1% access mass, invertible via a small search. It
-// returns 0 for effectively uniform streams.
-func EstimateSkew(indices []int64, rows int64) float64 {
-	loc := AnalyzeLocality(indices)
-	if loc.Accesses == 0 || rows <= 1 {
-		return 0
-	}
-	uniformMass := math.Max(0.01, float64(loc.Accesses/100)/float64(loc.Accesses))
-	if loc.Top1PctMass <= uniformMass*1.5 {
-		return 0
-	}
-	// Binary search the skew whose theoretical top-1% mass matches.
-	lo, hi := 0.0, 2.5
-	n := int(rows)
-	if n > 100_000 {
-		n = 100_000 // the head shape saturates well before this
-	}
-	for iter := 0; iter < 30; iter++ {
-		mid := (lo + hi) / 2
-		if zipfTopMass(n, mid, 0.01) < loc.Top1PctMass {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// zipfTopMass computes the probability mass of the top frac of a Zipf(s)
-// distribution over n items.
-func zipfTopMass(n int, s, frac float64) float64 {
-	top := int(float64(n) * frac)
-	if top < 1 {
-		top = 1
-	}
-	var head, total float64
-	for i := 1; i <= n; i++ {
-		p := 1 / math.Pow(float64(i), s)
-		total += p
-		if i <= top {
-			head += p
-		}
-	}
-	return head / total
 }

@@ -1,165 +1,26 @@
 package workload
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-func TestGeneratorShapes(t *testing.T) {
-	tables := UniformTables(4, 10_000, 8)
-	g, err := NewGenerator(tables, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := g.Next(256)
-	if len(b.Indices) != 4 {
-		t.Fatalf("tables = %d", len(b.Indices))
-	}
-	for ti, idx := range b.Indices {
-		if int64(len(idx)) != 256*8 {
-			t.Fatalf("table %d has %d indices, want %d", ti, len(idx), 256*8)
-		}
-		for _, v := range idx {
-			if v < 0 || v >= 10_000 {
-				t.Fatalf("index %d out of range", v)
-			}
-		}
-	}
-}
-
-func TestGeneratorRejectsInvalidSpec(t *testing.T) {
-	if _, err := NewGenerator([]TableSpec{{Rows: 0, Lookups: 1}}, 1); err == nil {
-		t.Fatal("zero-row table accepted")
-	}
-	if _, err := NewGenerator([]TableSpec{{Rows: 10, Lookups: 0}}, 1); err == nil {
-		t.Fatal("zero-lookup table accepted")
-	}
-}
-
-func TestGeneratorDeterministic(t *testing.T) {
-	mk := func() []int64 {
-		g, err := NewGenerator(UniformTables(1, 1000, 4), 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g.Next(64).Indices[0]
-	}
-	a, b := mk(), mk()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same-seed streams diverged")
-		}
-	}
-}
-
-func TestSkewConcentratesAccesses(t *testing.T) {
-	uni, err := NewGenerator([]TableSpec{{Rows: 100_000, Lookups: 4}}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	skew, err := NewGenerator([]TableSpec{{Rows: 100_000, Lookups: 4, Skew: 1.1}}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lu := AnalyzeLocality(uni.Next(4096).Indices[0])
-	ls := AnalyzeLocality(skew.Next(4096).Indices[0])
-	if ls.Top1PctMass <= lu.Top1PctMass*2 {
-		t.Errorf("skewed top-1%% mass %v not above uniform %v", ls.Top1PctMass, lu.Top1PctMass)
-	}
-	if ls.Distinct >= lu.Distinct {
-		t.Error("skewed stream should touch fewer distinct rows")
-	}
-}
+import "testing"
 
 func TestCriteoLikeTables(t *testing.T) {
+	want := []int64{
+		14_000_000, 39_060, 17_295, 7_424, 20_265, 3, 7_122, 1_543, 63,
+		11_700_000, 3_067_956, 405_282, 10, 2_209, 11_938, 155, 4, 976,
+		14, 12_900_000, 7_800_000, 11_400_000, 590_152, 12_973, 108, 36,
+	}
 	tables := CriteoLikeTables()
 	if len(tables) != 26 {
 		t.Fatalf("tables = %d, want 26", len(tables))
 	}
-	var maxRows int64
-	for _, tb := range tables {
+	for i, tb := range tables {
+		if tb.Rows != want[i] {
+			t.Errorf("table %d rows = %d, want %d", i, tb.Rows, want[i])
+		}
 		if tb.Lookups != 1 {
-			t.Error("Criteo features are one-hot: L must be 1")
+			t.Errorf("table %d lookups = %d: Criteo features are one-hot, L must be 1", i, tb.Lookups)
 		}
-		if tb.Rows > maxRows {
-			maxRows = tb.Rows
+		if tb.Skew != 1.05 {
+			t.Errorf("table %d skew = %v, want 1.05", i, tb.Skew)
 		}
-	}
-	if maxRows != 14_000_000 {
-		t.Errorf("max table = %d", maxRows)
-	}
-	g, err := NewGenerator(tables, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := g.Next(128)
-	if len(b.Indices) != 26 {
-		t.Fatal("batch table count wrong")
-	}
-}
-
-func TestHitRateAtMonotone(t *testing.T) {
-	g, err := NewGenerator([]TableSpec{{Rows: 5000, Lookups: 2, Skew: 0.9}}, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loc := AnalyzeLocality(g.Next(2048).Indices[0])
-	prev := 0.0
-	for _, c := range []int{1, 10, 100, 1000, 10_000} {
-		h := loc.HitRateAt(c)
-		if h < prev {
-			t.Fatalf("hit rate decreased at capacity %d: %v < %v", c, h, prev)
-		}
-		if h < 0 || h > 1 {
-			t.Fatalf("hit rate %v out of range", h)
-		}
-		prev = h
-	}
-	if loc.HitRateAt(10_000) < 0.999 {
-		t.Error("full-capacity hit rate should approach 1")
-	}
-}
-
-func TestHitRateProperties(t *testing.T) {
-	f := func(seed uint16) bool {
-		g, err := NewGenerator([]TableSpec{{Rows: 2000, Lookups: 1, Skew: 0.5}}, uint64(seed)+1)
-		if err != nil {
-			return false
-		}
-		loc := AnalyzeLocality(g.Next(512).Indices[0])
-		// Capacity 0 gives 0; full capacity gives 1; in between bounded.
-		return loc.HitRateAt(0) == 0 &&
-			loc.HitRateAt(loc.Distinct) > 0.999 &&
-			loc.HitRateAt(50) >= 0 && loc.HitRateAt(50) <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEstimateSkewRecovers(t *testing.T) {
-	for _, want := range []float64{0, 0.8, 1.2} {
-		g, err := NewGenerator([]TableSpec{{Rows: 50_000, Lookups: 1, Skew: want}}, 13)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stream := g.Next(16384).Indices[0]
-		got := EstimateSkew(stream, 50_000)
-		if want == 0 {
-			if got > 0.3 {
-				t.Errorf("uniform stream estimated skew %v", got)
-			}
-			continue
-		}
-		if got < want-0.4 || got > want+0.4 {
-			t.Errorf("skew %v estimated as %v", want, got)
-		}
-	}
-}
-
-func TestAnalyzeLocalityEmpty(t *testing.T) {
-	loc := AnalyzeLocality(nil)
-	if loc.Accesses != 0 || loc.Top1PctMass != 0 || loc.HitRateAt(10) != 0 {
-		t.Error("empty stream should report zeros")
 	}
 }

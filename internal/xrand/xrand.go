@@ -1,6 +1,7 @@
 // Package xrand provides a small, fully deterministic random number
-// generator and the samplers used across the simulator and workload
-// generators. Every stochastic component in this repository draws from an
+// generator and the samplers used across the simulator and the
+// benchmark's request streams. Every stochastic component in this
+// repository draws from an
 // explicitly seeded *Rand so that all experiments are reproducible.
 //
 // The core generator is splitmix64, which is tiny, fast, passes BigCrush,
@@ -88,14 +89,6 @@ func (r *Rand) Intn(n int) int {
 		panic("xrand: Intn with non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))
-}
-
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (r *Rand) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("xrand: Int63n with non-positive n")
-	}
-	return int64(r.Uint64() % uint64(n))
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -221,12 +214,9 @@ func NewZipf(rng *Rand, n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf, rng: rng}
 }
 
-// N returns the support size of the sampler.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // ZipfStream draws length indices in [0, n) from a fresh Zipf(s)
-// sampler over rng — the skewed access stream the asset-store
-// benchmark and the explore benchmark workloads share. It is exactly
+// sampler over rng — the skewed access stream of the explore
+// benchmark workloads. It is exactly
 // NewZipf(rng, n, s) followed by length Next calls, so a caller that
 // previously inlined that loop sees bit-identical draws.
 func ZipfStream(rng *Rand, n int, s float64, length int) []int {
@@ -238,7 +228,7 @@ func ZipfStream(rng *Rand, n int, s float64, length int) []int {
 	return stream
 }
 
-// Next samples one value in [0, N()).
+// Next samples one value in [0, n).
 func (z *Zipf) Next() int {
 	u := z.rng.Float64()
 	// Binary search for the first CDF entry >= u.
