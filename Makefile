@@ -18,13 +18,16 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # lint is the invariant gate: the in-repo analyzer suite
-# (cmd/dlrmperf-lint: hotpath, atomicfield, deterministic, ctxflow —
-# see internal/analysis and the README "Static analysis" section),
-# plus staticcheck when it is installed. The analyzer suite builds
-# from this module with no network; CI additionally installs and
-# enforces staticcheck at a pinned version (see staticcheck.conf).
+# (cmd/dlrmperf-lint: hotpath, atomicfield, deterministic, ctxflow,
+# and unlinked over the `make linked` listing — see internal/analysis
+# and the README "Static analysis" section), plus staticcheck when it
+# is installed. The analyzer suite builds from this module with no
+# network; CI additionally installs and enforces staticcheck at a
+# pinned version (see staticcheck.conf).
 lint:
-	$(GO) run ./cmd/dlrmperf-lint ./...
+	@set -e; linked=$$(mktemp); trap 'rm -f "$$linked"' EXIT; \
+	$(MAKE) -s --no-print-directory linked > "$$linked"; \
+	$(GO) run ./cmd/dlrmperf-lint -linked "$$linked" ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -77,13 +77,6 @@ func FastCalibConfig(seed uint64, workers int) EngineConfig {
 	}
 }
 
-// NewEngine returns a lazy prediction engine over the given devices
-// (default: all supported devices) with default options. No calibration
-// runs until the first request needs it.
-func NewEngine(devices ...string) (*Engine, error) {
-	return NewEngineWith(EngineConfig{Devices: devices})
-}
-
 // NewEngineWith returns a lazy prediction engine with full control over
 // seed, worker pool, and calibration options.
 func NewEngineWith(cfg EngineConfig) (*Engine, error) {
@@ -160,12 +153,6 @@ type PredictRequest struct {
 	Comm string
 }
 
-// ScenarioRequest builds a request from a registered scenario name.
-// batch 0 and gpus 0 keep the scenario's defaults.
-func ScenarioRequest(device, scenarioName string, batch int64, gpus int) PredictRequest {
-	return PredictRequest{Device: device, Scenario: scenarioName, Batch: batch, GPUs: gpus}
-}
-
 // Scenarios lists the registered scenario generator names.
 func Scenarios() []string { return scenario.Names() }
 
@@ -214,20 +201,15 @@ func (e *Engine) PredictContext(ctx context.Context, req PredictRequest) (res Pr
 	return res
 }
 
-// PredictBatch fans the requests out across the engine's worker pool
-// and returns one result per request, in request order. Results are
-// bit-identical to sequential Predict calls; every device calibrates at
-// most once regardless of how many requests land on it concurrently.
-// Per-request failures (unknown workload, device outside the engine's
-// set) are reported in the failing slot and do not disturb the rest of
-// the batch.
-func (e *Engine) PredictBatch(reqs []PredictRequest) []PredictResult {
-	return e.PredictBatchContext(context.Background(), reqs)
-}
-
-// PredictBatchContext is PredictBatch under a shared caller deadline:
-// canceling ctx abandons the whole batch (each slot reports ctx.Err())
-// without aborting or poisoning any in-flight computation.
+// PredictBatchContext fans the requests out across the engine's worker
+// pool and returns one result per request, in request order. Results
+// are bit-identical to sequential Predict calls; every device
+// calibrates at most once regardless of how many requests land on it
+// concurrently. Per-request failures (unknown workload, device outside
+// the engine's set) are reported in the failing slot and do not disturb
+// the rest of the batch. Canceling ctx abandons the whole batch (each
+// slot reports ctx.Err()) without aborting or poisoning any in-flight
+// computation.
 func (e *Engine) PredictBatchContext(ctx context.Context, reqs []PredictRequest) []PredictResult {
 	out := make([]PredictResult, len(reqs))
 	ereqs := make([]engine.Request, 0, len(reqs))
@@ -268,9 +250,6 @@ func (e *Engine) RejectedRequests() uint64 { return e.eng.RejectedRequests() }
 // resident counts, capacities, approximate bytes, and
 // hit/miss/eviction counters.
 func (e *Engine) AssetStats() AssetStats { return e.eng.AssetStats() }
-
-// CachedResults reports the resident prediction result cache entries.
-func (e *Engine) CachedResults() int { return e.eng.CachedResults() }
 
 // ResolveSpec resolves the request into the exact scenario spec the
 // engine would execute: named scenarios go through the registry with

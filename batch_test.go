@@ -28,8 +28,8 @@ func batchRequests() []PredictRequest {
 	return reqs
 }
 
-// TestPredictBatchAcceptance is the PR's facade-level contract:
-// PredictBatch over >= 12 (workload x device) requests returns exactly
+// TestPredictBatchAcceptance is the facade-level batch contract:
+// PredictBatchContext over >= 12 (workload x device) requests returns exactly
 // the same results as sequential Predict calls, with calibration
 // performed at most once per device.
 func TestPredictBatchAcceptance(t *testing.T) {
@@ -42,7 +42,7 @@ func TestPredictBatchAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := eng.PredictBatch(reqs)
+	batch := eng.PredictBatchContext(context.Background(), reqs)
 
 	seq, err := NewEngineWith(fastEngineConfig(V100, P100))
 	if err != nil {
@@ -89,7 +89,7 @@ func TestScenarioRequestFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := ScenarioRequest(V100, "dlrm-uniform-2gpu", 512, 0)
+	req := PredictRequest{Device: V100, Scenario: "dlrm-uniform-2gpu", Batch: 512}
 	r1 := eng.Predict(req)
 	if r1.Err != nil {
 		t.Fatal(r1.Err)
@@ -137,7 +137,7 @@ func TestScenarioRequestFacade(t *testing.T) {
 		t.Errorf("scenario mix calibrated %d times, want 1", got)
 	}
 
-	if r := eng.Predict(ScenarioRequest(V100, "no-such-scenario", 0, 0)); r.Err == nil {
+	if r := eng.Predict(PredictRequest{Device: V100, Scenario: "no-such-scenario"}); r.Err == nil {
 		t.Error("unknown scenario accepted")
 	}
 
@@ -170,7 +170,7 @@ func TestBoundedAssetStoreFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := unbounded.PredictBatch(reqs)
+	want := unbounded.PredictBatchContext(context.Background(), reqs)
 
 	cfg := fastEngineConfig(V100, P100)
 	cfg.ResultCacheSize = 4
@@ -178,7 +178,7 @@ func TestBoundedAssetStoreFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := bounded.PredictBatch(reqs)
+	got := bounded.PredictBatchContext(context.Background(), reqs)
 
 	for i := range reqs {
 		if want[i].Err != nil || got[i].Err != nil {
@@ -202,8 +202,8 @@ func TestBoundedAssetStoreFacade(t *testing.T) {
 	if evictions == 0 {
 		t.Error("bounded engine saw no evictions under a 12-request working set")
 	}
-	if n := bounded.CachedResults(); n > 4 {
-		t.Errorf("CachedResults = %d above result cap 4", n)
+	if n := s.Class("results").Resident; n > 4 {
+		t.Errorf("%d results resident above result cap 4", n)
 	}
 	if hits, misses := bounded.CacheStats(); hits+misses != uint64(len(reqs)) {
 		t.Errorf("cache invariant broken: %d+%d != %d requests", hits, misses, len(reqs))
@@ -228,7 +228,7 @@ func TestEngineDeviceSetEnforced(t *testing.T) {
 	if res.Err == nil {
 		t.Fatal("out-of-set device accepted")
 	}
-	if _, err := NewEngine("A100"); err == nil {
+	if _, err := NewEngineWith(EngineConfig{Devices: []string{"A100"}}); err == nil {
 		t.Fatal("unknown device accepted at construction")
 	}
 }

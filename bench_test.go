@@ -12,6 +12,7 @@ package dlrmperf
 // rest reuse it. All results are deterministic in the suite seed.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -218,12 +219,12 @@ func BenchmarkPredictBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	reqs := batchRequests()
-	if res := eng.PredictBatch(reqs); res[0].Err != nil { // warm the caches
+	if res := eng.PredictBatchContext(context.Background(), reqs); res[0].Err != nil { // warm the caches
 		b.Fatal(res[0].Err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, r := range eng.PredictBatch(reqs) {
+		for _, r := range eng.PredictBatchContext(context.Background(), reqs) {
 			if r.Err != nil {
 				b.Fatal(r.Err)
 			}
@@ -236,7 +237,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 // engine whose assets are already warm, but the cold variant disables
 // the result cache so every request re-walks its execution graph. The
 // ratio of the two numbers is the cache's speedup on repeat traffic
-// (identical requests inside a batch, or repeated PredictBatch calls).
+// (identical requests inside a batch, or repeated batch calls).
 func benchmarkPredictBatch(b *testing.B, cacheSize int) {
 	cfg := fastEngineConfig(V100, P100)
 	cfg.ResultCacheSize = cacheSize
@@ -245,12 +246,12 @@ func benchmarkPredictBatch(b *testing.B, cacheSize int) {
 		b.Fatal(err)
 	}
 	reqs := batchRequests()
-	if res := eng.PredictBatch(reqs); res[0].Err != nil { // warm assets (and cache, if any)
+	if res := eng.PredictBatchContext(context.Background(), reqs); res[0].Err != nil { // warm assets (and cache, if any)
 		b.Fatal(res[0].Err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, r := range eng.PredictBatch(reqs) {
+		for _, r := range eng.PredictBatchContext(context.Background(), reqs) {
 			if r.Err != nil {
 				b.Fatal(r.Err)
 			}

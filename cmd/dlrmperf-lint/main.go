@@ -1,10 +1,11 @@
 // Command dlrmperf-lint runs the repository's invariant lint suite
-// (internal/analysis: hotpath, atomicfield, deterministic, ctxflow)
-// over the given package patterns and exits non-zero on any finding.
+// (internal/analysis: hotpath, atomicfield, deterministic, ctxflow,
+// and unlinked when -linked names a `make linked` listing) over the
+// given package patterns and exits non-zero on any finding.
 //
 // Usage:
 //
-//	dlrmperf-lint [packages]   # defaults to ./...
+//	dlrmperf-lint [-linked FILE] [packages]   # defaults to ./...
 //
 // Suppress a finding with a justified escape-hatch comment on the
 // offending line or the line above:
@@ -22,10 +23,11 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
+	linkedPath := flag.String("linked", "", "`make linked` output; enables the unlinked analyzer")
 	flag.Parse()
 
 	if *list {
-		for _, a := range analysis.All() {
+		for _, a := range analysis.All(map[string]bool{}) {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return
@@ -36,6 +38,20 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
+	var linked map[string]bool
+	if *linkedPath != "" {
+		f, err := os.Open(*linkedPath)
+		if err == nil {
+			linked, err = analysis.ParseLinked(f)
+			f.Close()
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dlrmperf-lint: %v\n", err)
+			os.Exit(2)
+		}
+	}
+	analyzers := analysis.All(linked)
+
 	pkgs, err := analysis.Load(patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dlrmperf-lint: %v\n", err)
@@ -44,7 +60,7 @@ func main() {
 
 	failed := false
 	for _, pkg := range pkgs {
-		findings, err := analysis.RunPackage(pkg, analysis.All())
+		findings, err := analysis.RunPackage(pkg, analyzers)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dlrmperf-lint: %v\n", err)
 			os.Exit(2)

@@ -22,7 +22,6 @@ import (
 
 	"dlrmperf/internal/engine"
 	"dlrmperf/internal/hw"
-	"dlrmperf/internal/kernels"
 	"dlrmperf/internal/models"
 	"dlrmperf/internal/overhead"
 	"dlrmperf/internal/perfmodel"
@@ -113,9 +112,6 @@ func NewPipeline(device string, opts ...Option) (*Pipeline, error) {
 	return &Pipeline{platform: p, cal: cal}, nil
 }
 
-// Device returns the pipeline's device name.
-func (p *Pipeline) Device() string { return p.platform.GPU.Name }
-
 // KernelModelErrors returns the held-out Table IV evaluation of every
 // calibrated kernel model: row name -> (GMAE, mean, std).
 func (p *Pipeline) KernelModelErrors() map[string][3]float64 {
@@ -175,9 +171,6 @@ func NewDLRM(cfg DLRMConfig) (*Workload, error) {
 // Name returns the workload name.
 func (w *Workload) Name() string { return w.model.Name }
 
-// BatchSize returns the current batch size.
-func (w *Workload) BatchSize() int64 { return w.model.Graph.BatchSize() }
-
 // Ops returns the operator count of one training iteration.
 func (w *Workload) Ops() int { return len(w.model.Graph.Nodes) }
 
@@ -196,12 +189,6 @@ func (w *Workload) ResizeBatch(b int64) error { return w.model.ResizeBatch(b) }
 // Fig. 11 co-design transform. It errors if the workload has no unfused
 // embedding ops.
 func (w *Workload) FuseEmbeddingBags() error { return models.FuseEmbeddingBags(w.model) }
-
-// ExportGraph serializes the execution graph (ops, kernels, data
-// dependencies) as JSON — the observer artifact of the paper's pipeline.
-func (w *Workload) ExportGraph() ([]byte, error) {
-	return w.model.Graph.MarshalJSON()
-}
 
 // Measurement is what a (simulated) hardware run reports.
 type Measurement struct {
@@ -255,18 +242,6 @@ func (p *Pipeline) SharedOverheads(ws []*Workload, seed uint64) (*OverheadDB, er
 	return &OverheadDB{db: db}, nil
 }
 
-// JSON serializes the overhead database.
-func (o *OverheadDB) JSON() ([]byte, error) { return o.db.Marshal() }
-
-// LoadOverheads parses a previously serialized overhead database.
-func LoadOverheads(data []byte) (*OverheadDB, error) {
-	db, err := overhead.Load(data)
-	if err != nil {
-		return nil, err
-	}
-	return &OverheadDB{db: db}, nil
-}
-
 // Prediction is the output of the E2E performance model.
 type Prediction struct {
 	// E2EUs is Algorithm 1's per-batch training time prediction in µs.
@@ -297,56 +272,4 @@ func (p *Pipeline) KernelOnly(w *Workload) (float64, error) {
 // the paper's (E, L, D) parameterization.
 func (p *Pipeline) PredictKernelUs(batch, rows, lookups, dim int64) (float64, error) {
 	return p.cal.Registry.Predict(embeddingKernel(batch, rows, lookups, dim))
-}
-
-// SaveModels serializes the pipeline's calibrated kernel models. Together
-// with an overhead database this is the complete, portable asset set for
-// large-scale prediction: calibrate once per device, predict anywhere.
-func (p *Pipeline) SaveModels() ([]byte, error) {
-	return perfmodel.SaveRegistry(p.cal.Registry)
-}
-
-// LoadPipeline restores a pipeline from models serialized by SaveModels,
-// skipping calibration entirely.
-func LoadPipeline(device string, modelData []byte) (*Pipeline, error) {
-	plat, err := hw.ByName(device)
-	if err != nil {
-		return nil, err
-	}
-	reg, err := perfmodel.LoadRegistry(modelData)
-	if err != nil {
-		return nil, err
-	}
-	return &Pipeline{platform: plat, cal: &perfmodel.Calibration{Registry: reg}}, nil
-}
-
-// MemoryEstimate re-exports the training memory footprint breakdown.
-type MemoryEstimate = predict.MemoryEstimate
-
-// EstimateMemory sizes the workload's training memory footprint for the
-// given optimizer ("sgd", "momentum", or "adam") — the paper's
-// batch-size-vs-memory-constraint what-if.
-func (w *Workload) EstimateMemory(optimizer string) MemoryEstimate {
-	return predict.EstimateMemory(w.model.Graph, w.model.Params, optimizer)
-}
-
-// MultiGPUPrediction re-exports the hybrid-parallel prediction result.
-type MultiGPUPrediction = predict.MultiGPUPrediction
-
-// PredictMultiGPU predicts hybrid-parallel DLRM training across n
-// identical devices connected by NVLink-class links (the paper's §VI
-// future-work extension): per-device Algorithm 1 plus ring all-reduce of
-// the dense gradients and all-to-all embedding exchanges. The workload's
-// graph must be built at the per-device batch size.
-func (p *Pipeline) PredictMultiGPU(w *Workload, db *OverheadDB, n int) (MultiGPUPrediction, error) {
-	embActBytes := int64(0)
-	for _, node := range w.model.Graph.Nodes {
-		for _, k := range w.model.Graph.NodeKernels(node) {
-			if e, ok := k.(kernels.Embedding); ok && !e.Backward {
-				embActBytes += e.B * e.T * e.D * 4
-			}
-		}
-	}
-	pred := predict.New(p.cal.Registry, db.db)
-	return pred.PredictDataParallel(w.model.Graph, n, w.model.Params, embActBytes, predict.NVLinkCommModel())
 }

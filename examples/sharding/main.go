@@ -78,5 +78,5 @@ func main() {
 	fmt.Println("\nthe LPT scheme balances devices using only model predictions —")
 	fmt.Println("the evaluation the paper describes for multi-GPU embedding sharding.")
 	fmt.Println("the same planner shards tables inside every multi-GPU scenario",
-		"(see dlrmperf.ScenarioRequest and cmd/dlrmperf-serve).")
+		"(a dlrmperf.PredictRequest with GPUs > 1, or cmd/dlrmperf-serve).")
 }

@@ -1,7 +1,7 @@
 // Package analysis is the repository's invariant lint suite: a small
 // go/ast + go/types analyzer framework (stdlib-only — the build
 // environment has no network, so golang.org/x/tools/go/analysis is
-// deliberately not a dependency) plus the four analyzers that
+// deliberately not a dependency) plus the five analyzers that
 // mechanically enforce the load-bearing conventions the ROADMAP
 // "Architecture anchors" section used to state only in prose:
 //
@@ -16,14 +16,17 @@
 //   - ctxflow:       context.Background/TODO banned outside main and
 //     tests in the serving layers, and a received ctx must actually be
 //     propagated downstream.
+//   - unlinked:      every function a non-main package declares is
+//     linked by some program; runs when given the `make linked` set.
 //
 // The suite runs as `dlrmperf-lint ./...` (cmd/dlrmperf-lint, wired
 // into `make lint` and CI). The escape hatch is a line comment
 //
 //	//lint:allow <analyzer> <reason>
 //
-// on the offending line or the line above it; the reason is required
-// by convention and review, not by the machine.
+// on the offending line or the line above it. A directive without a
+// reason suppresses nothing, and one that suppresses nothing is itself
+// reported, so no exemption outlives its finding.
 package analysis
 
 import (
@@ -75,9 +78,15 @@ func (p *Pass) Inspect(fn func(ast.Node) bool) {
 	}
 }
 
-// All returns the full analyzer suite in reporting order.
-func All() []*Analyzer {
-	return []*Analyzer{Hotpath, Atomicfield, Deterministic, Ctxflow}
+// All returns the analyzer suite in reporting order. The unlinked
+// analyzer joins it when linked, the symbol set ParseLinked reads, is
+// non-nil.
+func All(linked map[string]bool) []*Analyzer {
+	as := []*Analyzer{Hotpath, Atomicfield, Deterministic, Ctxflow}
+	if linked != nil {
+		as = append(as, Unlinked(linked))
+	}
+	return as
 }
 
 // Finding is one suppressed-and-positioned finding, ready to print.
@@ -98,10 +107,18 @@ func (f Finding) String() string {
 // (so it can sit on the offending line or immediately above).
 const allowDirective = "lint:allow"
 
-// allowSet maps file -> line -> analyzer names allowed on that line.
-type allowSet map[string]map[int]map[string]bool
+// allow is one escape-hatch directive and whether it suppressed a
+// finding.
+type allow struct {
+	pos  token.Position
+	used bool
+}
 
-// collectAllows scans every comment of the files for allow directives.
+// allowSet maps file -> line -> analyzer name -> the directive there.
+type allowSet map[string]map[int]map[string]*allow
+
+// collectAllows scans every comment of the files for allow directives
+// that name an analyzer and give a reason.
 func collectAllows(fset *token.FileSet, files []*ast.File) allowSet {
 	out := allowSet{}
 	for _, f := range files {
@@ -113,39 +130,57 @@ func collectAllows(fset *token.FileSet, files []*ast.File) allowSet {
 					continue
 				}
 				fields := strings.Fields(strings.TrimPrefix(text, allowDirective))
-				if len(fields) == 0 {
+				if len(fields) < 2 {
 					continue
 				}
 				pos := fset.Position(c.Pos())
 				byLine := out[pos.Filename]
 				if byLine == nil {
-					byLine = map[int]map[string]bool{}
+					byLine = map[int]map[string]*allow{}
 					out[pos.Filename] = byLine
 				}
-				names := byLine[pos.Line]
-				if names == nil {
-					names = map[string]bool{}
-					byLine[pos.Line] = names
+				if byLine[pos.Line] == nil {
+					byLine[pos.Line] = map[string]*allow{}
 				}
-				names[fields[0]] = true
+				byLine[pos.Line][fields[0]] = &allow{pos: pos}
 			}
 		}
 	}
 	return out
 }
 
-// allowed reports whether a finding by analyzer at pos is suppressed:
-// an allow directive for it sits on the same line or the line above.
+// allowed reports whether a finding by analyzer at pos is suppressed
+// (an allow directive for it sits on the same line or the line above)
+// and marks that directive used.
 func (a allowSet) allowed(analyzer string, pos token.Position) bool {
 	byLine := a[pos.Filename]
-	if byLine == nil {
-		return false
+	for _, line := range []int{pos.Line, pos.Line - 1} {
+		if d := byLine[line][analyzer]; d != nil {
+			d.used = true
+			return true
+		}
 	}
-	return byLine[pos.Line][analyzer] || byLine[pos.Line-1][analyzer]
+	return false
+}
+
+// stale returns a finding for every directive naming analyzer that
+// suppressed nothing.
+func (a allowSet) stale(analyzer string) []Finding {
+	var out []Finding
+	for _, byLine := range a {
+		for _, names := range byLine {
+			if d := names[analyzer]; d != nil && !d.used {
+				out = append(out, Finding{Analyzer: analyzer, Pos: d.pos,
+					Message: "lint:allow " + analyzer + " suppresses nothing; delete it"})
+			}
+		}
+	}
+	return out
 }
 
 // RunPackage runs the analyzers over one loaded package, applies
-// allow-comment suppression, and returns position-sorted findings.
+// allow-comment suppression, reports the directives of those analyzers
+// that suppressed nothing, and returns position-sorted findings.
 func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 	allows := collectAllows(pkg.Fset, pkg.Files)
 	var out []Finding
@@ -167,6 +202,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 			}
 			out = append(out, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
 		}
+		out = append(out, allows.stale(a.Name)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -108,6 +108,11 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) wantSet 
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+				// A want may trail another line comment, such as an
+				// allow directive that is itself expected to be reported.
+				if i := strings.Index(text, "// want "); i >= 0 {
+					text = text[i+len("// "):]
+				}
 				if !strings.HasPrefix(text, "want ") {
 					continue
 				}

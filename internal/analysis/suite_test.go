@@ -25,7 +25,7 @@ func TestTreeIsClean(t *testing.T) {
 	}
 	var msgs []string
 	for _, pkg := range pkgs {
-		findings, err := RunPackage(pkg, All())
+		findings, err := RunPackage(pkg, All(nil))
 		if err != nil {
 			t.Fatalf("run %s: %v", pkg.Path, err)
 		}
@@ -39,10 +39,14 @@ func TestTreeIsClean(t *testing.T) {
 }
 
 // TestAllAnalyzersRegistered pins the suite roster: adding an analyzer
-// without wiring it into All() (and thus the CLI) fails here.
+// without wiring it into All() (and thus the CLI) fails here. unlinked
+// joins only when given a linked set.
 func TestAllAnalyzersRegistered(t *testing.T) {
-	want := map[string]bool{"hotpath": true, "atomicfield": true, "deterministic": true, "ctxflow": true}
-	got := All()
+	want := map[string]bool{"hotpath": true, "atomicfield": true, "deterministic": true, "ctxflow": true, "unlinked": true}
+	if n := len(All(nil)); n != len(want)-1 {
+		t.Fatalf("All(nil) has %d analyzers, want %d", n, len(want)-1)
+	}
+	got := All(map[string]bool{})
 	if len(got) != len(want) {
 		t.Fatalf("All() has %d analyzers, want %d", len(got), len(want))
 	}

@@ -161,7 +161,9 @@ func TestBodySizeLimit(t *testing.T) {
 				w.Write([]byte(tc.body))
 			}))
 			t.Cleanup(ts.Close)
-			st, err := New(ts.URL, WithMaxBodyBytes(limit)).Stats(context.Background())
+			cl := New(ts.URL)
+			cl.maxBody = limit
+			st, err := cl.Stats(context.Background())
 			if !tc.tooLarge {
 				if err != nil || st.Requests != 1 {
 					t.Fatalf("body at the cap: %+v / %v, want it parsed", st, err)

@@ -275,10 +275,10 @@ func TestInvariantAcrossHandoffAndMigration(t *testing.T) {
 		c.Registry().AddStatic(w2.srv.URL)
 	}
 	// Both leases live: the lower URL holds the lease.
-	cA.Lease().MarkSeen(urlB)
-	cB.Lease().MarkSeen(urlA)
-	if !leader.Lease().IsLeader() || survivor.Lease().IsLeader() {
-		t.Fatalf("lease split: leader=%v survivor=%v", leader.Lease().Snapshot(), survivor.Lease().Snapshot())
+	cA.lease.MarkSeen(urlB)
+	cB.lease.MarkSeen(urlA)
+	if !isLeader(leader.lease) || isLeader(survivor.lease) {
+		t.Fatalf("lease split: leader=%v survivor=%v", leader.lease.Snapshot(), survivor.lease.Snapshot())
 	}
 	ctx := context.Background()
 
@@ -291,7 +291,7 @@ func TestInvariantAcrossHandoffAndMigration(t *testing.T) {
 		}
 	}
 	// The home's heartbeat pushed its calibration assets group-wide.
-	if err := (client.New(leader.Lease().Self())).PushAssets(ctx, w1.id, dev, 1, fakeAssets(dev)); err != nil {
+	if err := (client.New(leader.lease.Self())).PushAssets(ctx, w1.id, dev, 1, fakeAssets(dev)); err != nil {
 		t.Fatal(err)
 	}
 	leader.Drain(false) // quiesce the replication fan, then "kill" the leader
@@ -301,8 +301,8 @@ func TestInvariantAcrossHandoffAndMigration(t *testing.T) {
 	// its window (injected clock — no sleeping) and takes the lease.
 	now := time.Now().Add(2 * DefaultLiveness)
 	survivor.lease.live.now = func() time.Time { return now }
-	if !survivor.Lease().IsLeader() {
-		t.Fatalf("survivor did not take the lease: %+v", survivor.Lease().Snapshot())
+	if !isLeader(survivor.lease) {
+		t.Fatalf("survivor did not take the lease: %+v", survivor.lease.Snapshot())
 	}
 	// No cached result was lost: the fingerprints fetched through the
 	// dead leader are local hits on the survivor — the workers see no
@@ -499,19 +499,19 @@ func TestOneClockExpiresWorkersAndPeers(t *testing.T) {
 	coord := New(Config{Registry: reg, Self: "http://b", Peers: []string{"http://a"}})
 
 	reg.Register("w1", "http://w1")
-	coord.Lease().MarkSeen("http://a")
-	if len(reg.Live()) != 1 || coord.Lease().Leader() != "http://a" {
-		t.Fatalf("before expiry: live = %+v, leader = %q; want w1 and http://a", reg.Live(), coord.Lease().Leader())
+	coord.lease.MarkSeen("http://a")
+	if len(reg.Live()) != 1 || coord.lease.Leader() != "http://a" {
+		t.Fatalf("before expiry: live = %+v, leader = %q; want w1 and http://a", reg.Live(), coord.lease.Leader())
 	}
-	if coord.Lease().TTL() != reg.TTL() {
-		t.Fatalf("lease window %v != registry window %v", coord.Lease().TTL(), reg.TTL())
+	if coord.lease.live.ttl != reg.TTL() {
+		t.Fatalf("lease window %v != registry window %v", coord.lease.live.ttl, reg.TTL())
 	}
 
 	now = now.Add(5*time.Second + time.Millisecond)
 	if live := reg.Live(); len(live) != 0 {
 		t.Fatalf("worker still live one window later: %+v", live)
 	}
-	if got := coord.Lease().Leader(); got != "http://b" {
+	if got := coord.lease.Leader(); got != "http://b" {
 		t.Fatalf("leader one window later = %q, want self (peer expired)", got)
 	}
 	st := coord.Stats(context.Background())

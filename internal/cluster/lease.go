@@ -78,9 +78,6 @@ func NewLease(self string, peers []string, reg *Registry) *Lease {
 // Self reports this coordinator's own URL.
 func (l *Lease) Self() string { return l.self }
 
-// TTL reports the lease liveness window.
-func (l *Lease) TTL() time.Duration { return l.live.ttl }
-
 // Peers lists the configured peer URLs, sorted. The slice is shared:
 // callers must not modify it.
 func (l *Lease) Peers() []string { return l.peers }
@@ -111,9 +108,6 @@ func (l *Lease) Leader() string {
 	}
 	return l.self
 }
-
-// IsLeader reports whether this coordinator currently holds the lease.
-func (l *Lease) IsLeader() bool { return l.Leader() == l.self }
 
 // PeerStatus is one peer's row in the lease snapshot.
 type PeerStatus struct {
@@ -282,7 +276,3 @@ func (c *Coordinator) StartPeerProbes(ctx context.Context, interval time.Duratio
 		}
 	})
 }
-
-// Lease returns the coordinator's leader lease (nil outside a
-// replication group).
-func (c *Coordinator) Lease() *Lease { return c.lease }

@@ -25,7 +25,7 @@ func TestLeaseLeaderElection(t *testing.T) {
 	if peers := l.Peers(); len(peers) != 2 || peers[0] != "http://a" || peers[1] != "http://c" {
 		t.Fatalf("peers = %v, want [http://a http://c]", peers)
 	}
-	if got := l.Leader(); got != "http://b" || !l.IsLeader() {
+	if got := l.Leader(); got != "http://b" || !isLeader(l) {
 		t.Fatalf("leader with no live peers = %q, want self", got)
 	}
 
@@ -35,14 +35,14 @@ func TestLeaseLeaderElection(t *testing.T) {
 		t.Fatalf("leader with live higher peer = %q, want self", got)
 	}
 	l.MarkSeen("http://a")
-	if got := l.Leader(); got != "http://a" || l.IsLeader() {
+	if got := l.Leader(); got != "http://a" || isLeader(l) {
 		t.Fatalf("leader with live lower peer = %q, want http://a", got)
 	}
 
 	// One window later with no proof of life, the lease hands over to
 	// the next-lowest live URL — here, self again.
 	now = now.Add(5*time.Second + time.Millisecond)
-	if got := l.Leader(); got != "http://b" || !l.IsLeader() {
+	if got := l.Leader(); got != "http://b" || !isLeader(l) {
 		t.Fatalf("leader after expiry = %q, want self", got)
 	}
 
@@ -146,8 +146,8 @@ func TestRegistrationReplicates(t *testing.T) {
 	waitUntil(t, "second registration to reach peer", func() bool { return len(cA.Registry().Live()) == 2 })
 
 	// Gossip receipts are proof of life: each lease has seen its peer.
-	if cA.Lease().Leader() != cB.Lease().Leader() {
-		t.Fatalf("split brain: A elects %q, B elects %q", cA.Lease().Leader(), cB.Lease().Leader())
+	if cA.lease.Leader() != cB.lease.Leader() {
+		t.Fatalf("split brain: A elects %q, B elects %q", cA.lease.Leader(), cB.lease.Leader())
 	}
 }
 
@@ -208,7 +208,7 @@ func TestDrainingPeerCannotLead(t *testing.T) {
 	now := time.Unix(5000, 0)
 	higher.lease.live.now = func() time.Time { return now }
 	higher.lease.MarkSeen(lower.lease.Self())
-	if higher.lease.IsLeader() {
+	if isLeader(higher.lease) {
 		t.Fatal("higher URL leads while the lower peer is live")
 	}
 
@@ -219,7 +219,10 @@ func TestDrainingPeerCannotLead(t *testing.T) {
 	defer stop()
 	now = now.Add(DefaultLiveness + time.Millisecond)
 	time.Sleep(100 * time.Millisecond) // several probe rounds against the draining peer
-	if !higher.lease.IsLeader() {
+	if !isLeader(higher.lease) {
 		t.Fatalf("lease still held by draining peer: %+v", higher.lease.Snapshot())
 	}
 }
+
+// isLeader reports whether l's coordinator currently holds the lease.
+func isLeader(l *Lease) bool { return l.Leader() == l.Self() }

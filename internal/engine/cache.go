@@ -185,13 +185,6 @@ func (c *classStore) put(key string, v any, bytes int64) {
 	}
 }
 
-// len reports the resident entry count.
-func (c *classStore) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // snapshot copies the resident key->value mapping (SaveAssets walks it).
 func (c *classStore) snapshot() map[string]any {
 	c.mu.Lock()

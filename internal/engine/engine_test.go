@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -90,7 +91,7 @@ func testRequests() []Request {
 func TestPredictBatchMatchesSequential(t *testing.T) {
 	reqs := testRequests()
 
-	batch := New(tinyOptions(7)).PredictBatch(reqs)
+	batch := New(tinyOptions(7)).PredictBatchCtx(context.Background(), reqs)
 	seq := make([]Result, len(reqs))
 	serial := New(tinyOptions(7))
 	for i, r := range reqs {
@@ -113,8 +114,8 @@ func TestPredictBatchMatchesSequential(t *testing.T) {
 func TestPredictBatchDeterministicRepeat(t *testing.T) {
 	e := New(tinyOptions(7))
 	reqs := testRequests()
-	a := e.PredictBatch(reqs)
-	b := e.PredictBatch(reqs)
+	a := e.PredictBatchCtx(context.Background(), reqs)
+	b := e.PredictBatchCtx(context.Background(), reqs)
 	for i := range reqs {
 		if !reflect.DeepEqual(a[i].Prediction, b[i].Prediction) {
 			t.Fatalf("request %v: repeat changed prediction", reqs[i])
@@ -163,7 +164,7 @@ func TestWarmStartAssets(t *testing.T) {
 // slot without failing the rest of the batch.
 func TestPredictErrorsAreLocal(t *testing.T) {
 	e := New(tinyOptions(7))
-	res := e.PredictBatch([]Request{
+	res := e.PredictBatchCtx(context.Background(), []Request{
 		NewRequest("H100", models.NameDLRMDefault, 256),
 		NewRequest(hw.V100, "no_such_model", 256),
 		NewRequest(hw.V100, models.NameDLRMDefault, 256),
@@ -214,7 +215,7 @@ func TestResultCacheMissThenHit(t *testing.T) {
 	// Duplicates inside one batch compute at most once; a distinct
 	// request adds exactly one miss.
 	other := NewRequest(hw.V100, models.NameDLRMDefault, 256)
-	batch := e.PredictBatch([]Request{req, req, other, req})
+	batch := e.PredictBatchCtx(context.Background(), []Request{req, req, other, req})
 	for i, r := range batch {
 		if r.Err != nil {
 			t.Fatalf("batch slot %d: %v", i, r.Err)
@@ -282,7 +283,7 @@ func TestScenarioMultiGPU(t *testing.T) {
 
 	// A mixed single+multi batch serves through the same engine with one
 	// calibration, and the repeated multi-GPU request hits the cache.
-	mixed := e.PredictBatch([]Request{
+	mixed := e.PredictBatchCtx(context.Background(), []Request{
 		NewRequest(hw.V100, models.NameDLRMDefault, 512),
 		{Device: hw.V100, Scenario: spec},
 	})

@@ -24,6 +24,8 @@ type group struct {
 }
 
 // Do is DoCtx for callers with no deadline.
+//
+//lint:allow unlinked contract-test helper: accounting_test.go holds a flight open through it
 func (g *group) Do(key string, fn func() (any, error)) (any, error) {
 	return g.DoCtx(context.Background(), key, fn)
 }
@@ -44,7 +46,7 @@ func (g *group) Do(key string, fn func() (any, error)) (any, error) {
 //
 // A ctx that can never be canceled (ctx.Done() == nil, e.g.
 // context.Background) makes detachment pointless: the owner runs fn
-// inline — no goroutine spawn for the plain Predict/PredictBatch
+// inline — no goroutine spawn for the plain Predict/PredictBatchCtx
 // callers — and a panic releases the waiters with an error, then
 // propagates on the owner's goroutine.
 //

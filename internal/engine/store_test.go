@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -238,12 +239,12 @@ func TestPinnedCalibrationSurvivesEviction(t *testing.T) {
 func TestBoundedStoreBitIdentical(t *testing.T) {
 	reqs := testRequests()
 
-	want := withCaps(New(tinyOptions(7)), -1, -1, -1).PredictBatch(reqs)
+	want := withCaps(New(tinyOptions(7)), -1, -1, -1).PredictBatchCtx(context.Background(), reqs)
 
 	boundedOpts := tinyOptions(7)
 	boundedOpts.ResultCacheSize = 2
 	bounded := withCaps(New(boundedOpts), 2, 1, 2)
-	got := bounded.PredictBatch(reqs)
+	got := bounded.PredictBatchCtx(context.Background(), reqs)
 
 	for i := range reqs {
 		if want[i].Err != nil || got[i].Err != nil {
@@ -277,7 +278,7 @@ func TestBoundedStoreBitIdentical(t *testing.T) {
 
 	// The unbounded baseline never evicts.
 	u := withCaps(New(tinyOptions(7)), -1, -1, -1)
-	if res := u.PredictBatch(reqs); res[0].Err != nil {
+	if res := u.PredictBatchCtx(context.Background(), reqs); res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
 	for _, c := range u.AssetStats().Classes {
@@ -370,7 +371,7 @@ func TestCacheStatsInvariant(t *testing.T) {
 	// requests miss; the invariant holds regardless of interleaving.
 	ok := NewRequest(hw.V100, models.NameDLRMDefault, 256)
 	other := NewRequest(hw.V100, models.NameDLRMDDP, 256)
-	batch := e.PredictBatch([]Request{ok, ok, other, ok, bad, other})
+	batch := e.PredictBatchCtx(context.Background(), []Request{ok, ok, other, ok, bad, other})
 	for i, r := range batch {
 		if i == 4 {
 			if r.Err == nil {

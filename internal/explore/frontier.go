@@ -62,9 +62,6 @@ func (f *Frontier) Add(r Row) {
 	}
 }
 
-// Len returns the current frontier size.
-func (f *Frontier) Len() int { return len(f.pts) }
-
 // Points returns the frontier in ascending device order.
 func (f *Frontier) Points() []Row {
 	return append([]Row(nil), f.pts...)

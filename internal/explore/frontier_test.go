@@ -130,7 +130,7 @@ func TestFrontierReplaceAndSweep(t *testing.T) {
 	f.Add(row(2, 100, "a"))
 	f.Add(row(4, 80, "b"))
 	f.Add(row(8, 60, "c"))
-	if f.Len() != 3 {
+	if len(f.pts) != 3 {
 		t.Fatalf("frontier = %+v", f.Points())
 	}
 	// Same width, faster: replaces in place.

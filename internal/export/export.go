@@ -75,19 +75,6 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// CSV returns the comma-separated form (no quoting; cells must not
-// contain commas).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Headers, ","))
-	b.WriteString("\n")
-	for _, row := range t.Rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
 // Pct formats a fraction as a signed percentage string.
 func Pct(v float64) string { return fmt.Sprintf("%+.2f%%", 100*v) }
 

@@ -26,16 +26,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	tb := NewTable("", "x", "y")
-	tb.AddRow(1, 2)
-	got := tb.CSV()
-	want := "x,y\n1,2\n"
-	if got != want {
-		t.Errorf("CSV = %q, want %q", got, want)
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	if Pct(0.0796) != "+7.96%" {
 		t.Errorf("Pct = %q", Pct(0.0796))

@@ -273,9 +273,6 @@ func (g *Graph) BatchSize() int64 {
 	return 0
 }
 
-// Tensors returns the size of the shape table, dropped tensors included.
-func (g *Graph) Tensors() int { return len(g.shapes) }
-
 // TotalKernels counts the kernels launched by one execution of the graph.
 func (g *Graph) TotalKernels() int {
 	n := 0

@@ -172,6 +172,8 @@ func ByName(name string) (Platform, error) {
 }
 
 // All returns the three evaluation platforms in the paper's order.
+//
+//lint:allow unlinked golden reference: the golden and equivalence suites walk every platform
 func All() []Platform {
 	return []Platform{V100Platform(), TITANXpPlatform(), P100Platform()}
 }

@@ -23,10 +23,10 @@ func TestRunAveragedEqualsMeanOfRuns(t *testing.T) {
 			for _, k := range ks {
 				sum := 0.0
 				for i := 0; i < n; i++ {
-					sum += single.Run(k)
+					sum += single.Noisy(single.BaseTime(k))
 				}
 				if got, want := averaged.RunAveraged(k, n), sum/float64(n); got != want {
-					t.Errorf("%s %s: RunAveraged(%d) = %v, mean of Run = %v", p.GPU.Name, k, n, got, want)
+					t.Errorf("%s %s: RunAveraged(%d) = %v, mean of single runs = %v", p.GPU.Name, k, n, got, want)
 				}
 			}
 		}

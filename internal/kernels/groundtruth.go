@@ -73,14 +73,11 @@ func (d *Device) BaseTime(k Kernel) float64 {
 	return t * d.quirk(k)
 }
 
-// Run returns one noisy "measured" execution of k, as a profiler would
-// report it.
-func (d *Device) Run(k Kernel) float64 { return d.Noisy(d.BaseTime(k)) }
-
-// Noisy perturbs a noise-free time by one draw of measurement noise.
-// BaseTime is a pure function of (device, kernel) and the expensive
-// half of Run — the quirk renders and hashes the kernel's name — so a
-// caller that launches one kernel many times computes it once and
+// Noisy perturbs a noise-free time by one draw of measurement noise:
+// Noisy(BaseTime(k)) is one "measured" execution of k, as a profiler
+// would report it. BaseTime is a pure function of (device, kernel) and
+// the expensive half — the quirk renders and hashes the kernel's name —
+// so a caller that launches one kernel many times computes it once and
 // draws per launch.
 func (d *Device) Noisy(base float64) float64 {
 	if d.NoiseCV > 0 {

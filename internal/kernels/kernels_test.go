@@ -221,7 +221,7 @@ func TestRunNoiseAveragesOut(t *testing.T) {
 func TestRunIsNoisy(t *testing.T) {
 	d := newV100()
 	k := GEMM{Batch: 1, M: 512, N: 512, K: 512}
-	a, b := d.Run(k), d.Run(k)
+	a, b := d.Noisy(d.BaseTime(k)), d.Noisy(d.BaseTime(k))
 	if a == b {
 		t.Error("two runs returned identical noisy times")
 	}

@@ -52,6 +52,8 @@ var ignoredStacks = []string{
 // Main runs the package's tests and then verifies no test-spawned
 // goroutines are left behind, giving asynchronous teardown a grace
 // period to finish before declaring a leak.
+//
+//lint:allow unlinked test infrastructure: the TestMain goroutine-leak guard
 func Main(m *testing.M) {
 	code := m.Run()
 	if code == 0 {
@@ -66,6 +68,8 @@ func Main(m *testing.M) {
 
 // wait polls the goroutine dump until it is clean or the deadline
 // passes, returning the stacks still alive at the end.
+//
+//lint:allow unlinked test infrastructure: the TestMain goroutine-leak guard
 func wait(grace time.Duration) []string {
 	deadline := time.Now().Add(grace)
 	delay := 1 * time.Millisecond
@@ -83,6 +87,8 @@ func wait(grace time.Duration) []string {
 
 // snapshot returns the stacks of all live goroutines except the
 // calling one and the ignore list.
+//
+//lint:allow unlinked test infrastructure: the TestMain goroutine-leak guard
 func snapshot() []string {
 	buf := make([]byte, 1<<20)
 	for {
@@ -107,6 +113,7 @@ func snapshot() []string {
 	return leaked
 }
 
+//lint:allow unlinked test infrastructure: the TestMain goroutine-leak guard
 func ignored(stack string) bool {
 	for _, pat := range ignoredStacks {
 		if strings.Contains(stack, pat) {

@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"runtime"
 	"slices"
-	"sort"
 
 	"dlrmperf/internal/graph"
 	"dlrmperf/internal/sim"
@@ -108,6 +107,8 @@ func (c *Collector) Pool(n, workers int, at func(i int) (*Samples, error)) (*DB,
 }
 
 // FromTrace builds a database from a single workload's trace.
+//
+//lint:allow unlinked golden reference: the trace-mode path the overhead golden digests hash
 func FromTrace(tr *trace.Trace) *DB {
 	return Shared([]*trace.Trace{tr})
 }
@@ -115,6 +116,8 @@ func FromTrace(tr *trace.Trace) *DB {
 // Shared builds the shared-overheads database by pooling the raw samples
 // of several workloads' traces ("averaging the samples across the
 // workloads collected in overhead analysis").
+//
+//lint:allow unlinked golden reference: the trace-mode path the overhead golden digests hash
 func Shared(trs []*trace.Trace) *DB {
 	c := NewCollector()
 	// The traces are at hand, so Pool has no error to report.
@@ -165,6 +168,8 @@ func (c *Collector) newSamples(iters int) *Samples {
 
 // extract replays every iteration of tr into Samples, op by op in host
 // order.
+//
+//lint:allow unlinked golden reference: the trace-mode path the overhead golden digests hash
 func (c *Collector) extract(tr *trace.Trace) *Samples {
 	s := c.newSamples(tr.Iters)
 	var calls []sim.Call
@@ -357,16 +362,6 @@ func (db *DB) T3Mean(op string) float64 { return db.opStat(op, idxT3) }
 // T5Mean returns the op's mean inter-launch overhead (also the host body
 // charge for kernel-less ops).
 func (db *DB) T5Mean(op string) float64 { return db.opStat(op, idxT5) }
-
-// Ops returns the op names present, sorted.
-func (db *DB) Ops() []string {
-	out := make([]string, 0, len(db.PerOp))
-	for op := range db.PerOp {
-		out = append(out, op)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Marshal renders the DB as indented JSON.
 func (db *DB) Marshal() ([]byte, error) {

@@ -204,8 +204,8 @@ func TestDBJSONRoundTrip(t *testing.T) {
 	if got.T2Mean("aten::linear") != db.T2Mean("aten::linear") {
 		t.Error("per-op T2 changed in round trip")
 	}
-	if len(got.Ops()) != len(db.Ops()) {
-		t.Errorf("op census changed: %d vs %d", len(got.Ops()), len(db.Ops()))
+	if len(got.PerOp) != len(db.PerOp) {
+		t.Errorf("op census changed: %d vs %d", len(got.PerOp), len(db.PerOp))
 	}
 }
 

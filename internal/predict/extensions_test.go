@@ -6,63 +6,6 @@ import (
 	"dlrmperf/internal/models"
 )
 
-func TestEstimateMemoryComponents(t *testing.T) {
-	m, err := models.Build(models.NameDLRMDefault, 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := EstimateMemory(m.Graph, m.Params, "sgd")
-	if est.Parameters != m.Params*4 {
-		t.Errorf("params bytes = %d", est.Parameters)
-	}
-	if est.Gradients != est.Parameters {
-		t.Error("gradient bytes should mirror parameters")
-	}
-	if est.OptimizerState != 0 {
-		t.Error("SGD has no optimizer state")
-	}
-	// 8 tables x 1M rows x 64 floats.
-	wantEmb := int64(8) * 1_000_000 * 64 * 4
-	if est.EmbeddingTables != wantEmb {
-		t.Errorf("embedding bytes = %d, want %d", est.EmbeddingTables, wantEmb)
-	}
-	if est.Activations <= 0 || est.Total <= est.EmbeddingTables {
-		t.Errorf("estimate incomplete: %+v", est)
-	}
-}
-
-func TestEstimateMemoryScalesWithBatch(t *testing.T) {
-	m, err := models.Build(models.NameDLRMDDP, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := EstimateMemory(m.Graph, m.Params, "adam")
-	if err := m.ResizeBatch(4096); err != nil {
-		t.Fatal(err)
-	}
-	big := EstimateMemory(m.Graph, m.Params, "adam")
-	// Activations scale ~linearly with batch; weights don't.
-	if big.Activations < small.Activations*6 {
-		t.Errorf("activations did not scale: %d -> %d", small.Activations, big.Activations)
-	}
-	if big.Parameters != small.Parameters || big.EmbeddingTables != small.EmbeddingTables {
-		t.Error("weight memory should not depend on batch")
-	}
-	if big.OptimizerState != 2*big.Parameters {
-		t.Error("adam state should be 2x parameters")
-	}
-}
-
-func TestFitsInMemory(t *testing.T) {
-	est := MemoryEstimate{Total: 10 << 30}
-	if est.FitsInMemory(16<<30, 0.1) != true {
-		t.Error("10GB should fit a 16GB device with 10% headroom")
-	}
-	if est.FitsInMemory(10<<30, 0.1) != false {
-		t.Error("10GB must not fit 9GB usable")
-	}
-}
-
 func TestCommModelScaling(t *testing.T) {
 	c := NVLinkCommModel()
 	if c.AllReduce(1<<20, 1) != 0 || c.AllToAll(1<<20, 1) != 0 {
@@ -87,7 +30,7 @@ func TestPredictDataParallel(t *testing.T) {
 	pred, m, _ := assets(t, models.NameDLRMDefault, 2048)
 	embActBytes := int64(2048) * 8 * 64 * 4 // B*T*D*4
 
-	single, err := pred.PredictDataParallel(m.Graph, 1, m.Params, embActBytes, NVLinkCommModel())
+	single, err := pred.PredictSharded(replicas(m.Graph, 1), m.Params, embActBytes, NVLinkCommModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +38,7 @@ func TestPredictDataParallel(t *testing.T) {
 		t.Errorf("single-device prediction has comm: %+v", single)
 	}
 
-	multi, err := pred.PredictDataParallel(m.Graph, 8, m.Params, embActBytes, NVLinkCommModel())
+	multi, err := pred.PredictSharded(replicas(m.Graph, 8), m.Params, embActBytes, NVLinkCommModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,14 +49,14 @@ func TestPredictDataParallel(t *testing.T) {
 		t.Errorf("scaling efficiency = %v, implausible", multi.ScalingEfficiency)
 	}
 	// Slower interconnect, lower efficiency.
-	pcie, err := pred.PredictDataParallel(m.Graph, 8, m.Params, embActBytes, PCIeCommModel())
+	pcie, err := pred.PredictSharded(replicas(m.Graph, 8), m.Params, embActBytes, PCIeCommModel())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pcie.ScalingEfficiency >= multi.ScalingEfficiency {
 		t.Error("PCIe should scale worse than NVLink")
 	}
-	if _, err := pred.PredictDataParallel(m.Graph, 0, m.Params, embActBytes, NVLinkCommModel()); err == nil {
+	if _, err := pred.PredictSharded(replicas(m.Graph, 0), m.Params, embActBytes, NVLinkCommModel()); err == nil {
 		t.Error("zero devices accepted")
 	}
 }

@@ -88,36 +88,8 @@ type MultiGPUPrediction struct {
 	// linear weak-scaling throughput retained.
 	ScalingEfficiency float64
 	// PerDeviceE2E lists each device's compute-only E2E time (before
-	// collectives). Only populated by PredictSharded, where devices run
-	// heterogeneous shards.
+	// collectives).
 	PerDeviceE2E []float64 `json:",omitempty"`
-}
-
-// PredictDataParallel predicts the per-batch time of hybrid-parallel
-// DLRM training on n identical devices: each device runs the (per-device
-// batch) execution graph g, dense gradients are all-reduced (overlapped
-// with nothing, the conservative schedule), and embedding activations
-// are exchanged all-to-all in forward and backward.
-//
-// g must already be built at the *per-device* batch size. denseParams is
-// the dense parameter count; embActBytes the per-device embedding
-// activation payload per direction (B_device * T * D * 4 for DLRM).
-func (p *Predictor) PredictDataParallel(g *graph.Graph, n int, denseParams, embActBytes int64, comm CommModel) (MultiGPUPrediction, error) {
-	if n < 1 {
-		return MultiGPUPrediction{}, fmt.Errorf("predict: device count %d must be >= 1", n)
-	}
-	single, err := p.Predict(g)
-	if err != nil {
-		return MultiGPUPrediction{}, err
-	}
-	out := MultiGPUPrediction{Prediction: single, Devices: n, ScalingEfficiency: 1}
-	if n == 1 {
-		return out, nil
-	}
-	out.AllReduceUs, out.AllToAllUs = collectives(denseParams, embActBytes, n, comm)
-	out.E2E = single.E2E + out.AllReduceUs + out.AllToAllUs
-	out.ScalingEfficiency = single.E2E / out.E2E
-	return out, nil
 }
 
 // collectives prices one training step's communication. A zero payload
@@ -142,7 +114,8 @@ func collectives(denseParams, embActBytes int64, n int, comm CommModel) (allRedu
 // all-reduce and the two embedding all-to-alls; the embedded Prediction
 // carries the bottleneck device's breakdown with E2E lifted to the
 // full-step time. ScalingEfficiency is makespan/step: the fraction of
-// the step not lost to collectives (1 for a single device).
+// the step not lost to collectives (1 for a single device). Plain data
+// parallelism is n copies of one graph.
 func (p *Predictor) PredictSharded(graphs []*graph.Graph, denseParams, embActBytes int64, comm CommModel) (MultiGPUPrediction, error) {
 	n := len(graphs)
 	if n < 1 {

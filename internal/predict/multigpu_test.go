@@ -90,7 +90,16 @@ func dlrmGraph(t *testing.T, batch int64) *graph.Graph {
 	return builtGraph(t, models.NameDLRMDefault, batch)
 }
 
-// TestPredictDataParallelInvariants: for a fixed per-device graph and
+// replicas is data parallelism over n devices: every device runs g.
+func replicas(g *graph.Graph, n int) []*graph.Graph {
+	gs := make([]*graph.Graph, n)
+	for i := range gs {
+		gs[i] = g
+	}
+	return gs
+}
+
+// TestPredictDataParallelInvariants: for one graph on every device and
 // fixed payloads, scaling efficiency lies in (0, 1] and never improves
 // as the device count grows — more devices mean strictly more
 // communication against the same compute.
@@ -102,7 +111,7 @@ func TestPredictDataParallelInvariants(t *testing.T) {
 	prev := 2.0
 	var singleE2E float64
 	for _, n := range []int{1, 2, 4, 8, 16} {
-		mp, err := p.PredictDataParallel(g, n, denseParams, embActBytes, NVLinkCommModel())
+		mp, err := p.PredictSharded(replicas(g, n), denseParams, embActBytes, NVLinkCommModel())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +145,7 @@ func TestPredictDataParallelInvariants(t *testing.T) {
 		}
 	}
 
-	if _, err := p.PredictDataParallel(g, 0, denseParams, embActBytes, NVLinkCommModel()); err == nil {
+	if _, err := p.PredictSharded(replicas(g, 0), denseParams, embActBytes, NVLinkCommModel()); err == nil {
 		t.Error("device count 0 accepted")
 	}
 }
@@ -201,7 +210,7 @@ func TestZeroPayloadCollectivesNotLaunched(t *testing.T) {
 	if mp.AllReduceUs <= 0 {
 		t.Errorf("dense all-reduce missing: %v", mp.AllReduceUs)
 	}
-	dp, err := p.PredictDataParallel(g, 2, 0, 0, NVLinkCommModel())
+	dp, err := p.PredictSharded(replicas(g, 2), 0, 0, NVLinkCommModel())
 	if err != nil {
 		t.Fatal(err)
 	}

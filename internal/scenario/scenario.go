@@ -101,17 +101,11 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Canonical renders the identity-bearing fields in a normalized order.
-// Two specs with equal Canonical strings predict identically; Name is
-// deliberately excluded.
-func (s Spec) Canonical() string {
-	return string(s.AppendCanonical(nil))
-}
-
-// AppendCanonical appends the canonical encoding to b and returns the
-// extended slice — the allocation-free form of Canonical for hot
-// cache-key builders. The encoding is pinned: it keys every memoized
-// graph and result, so changing a byte invalidates warm-started caches.
+// AppendCanonical appends the identity-bearing fields, in a normalized
+// order, to b and returns the extended slice. Two specs with equal
+// encodings predict identically; Name is deliberately excluded. The
+// encoding is pinned: it keys every memoized graph and result, so
+// changing a byte invalidates warm-started caches.
 func (s *Spec) AppendCanonical(b []byte) []byte {
 	b = append(b, "w="...)
 	b = append(b, s.Workload...)

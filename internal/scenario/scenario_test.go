@@ -40,13 +40,13 @@ func TestFingerprintIdentity(t *testing.T) {
 		{Workload: models.NameDLRMDefault, Batch: 2048,
 			Tables: workload.UniformTables(4, 1000, 8)},
 	}
-	seen := map[string]string{a.Fingerprint(): a.Canonical()}
+	seen := map[string]string{a.Fingerprint(): string(a.AppendCanonical(nil))}
 	for _, s := range distinct {
-		fp := s.Fingerprint()
+		fp, canon := s.Fingerprint(), string(s.AppendCanonical(nil))
 		if prev, dup := seen[fp]; dup {
-			t.Errorf("fingerprint collision: %q and %q -> %s", prev, s.Canonical(), fp)
+			t.Errorf("fingerprint collision: %q and %q -> %s", prev, canon, fp)
 		}
-		seen[fp] = s.Canonical()
+		seen[fp] = canon
 	}
 }
 

@@ -158,9 +158,6 @@ func (s *Sampler) draw(d dist) float64 {
 	return v
 }
 
-// Sample draws one overhead of the given type for op.
-func (s *Sampler) Sample(typ int, op string) float64 { return s.draw(s.opDist(typ, op)) }
-
 // Profiler overhead reference constants (Section III-C): the values the
 // paper's analyzer subtracts per event. The simulator injects stochastic
 // overheads *around* these means, so subtraction leaves a small residual,

@@ -207,7 +207,7 @@ func TestOverheadSamplerProperties(t *testing.T) {
 	sum := 0.0
 	const n = 50000
 	for i := 0; i < n; i++ {
-		sum += s2.Sample(T1, "x")
+		sum += s2.draw(s2.opDist(T1, "x"))
 	}
 	if got := sum / n; math.Abs(got-T1Mean)/T1Mean > 0.05 {
 		t.Errorf("empirical T1 mean = %v, want ~%v", got, T1Mean)

@@ -108,19 +108,6 @@ func (m Meta) WithBatch(b int64) Meta {
 	return Meta{Shape: shape, DType: m.DType}
 }
 
-// Equal reports whether two tensors have identical shape and dtype.
-func (m Meta) Equal(o Meta) bool {
-	if m.DType != o.DType || len(m.Shape) != len(o.Shape) {
-		return false
-	}
-	for i := range m.Shape {
-		if m.Shape[i] != o.Shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders like "float32[2048, 64]".
 func (m Meta) String() string {
 	parts := make([]string, len(m.Shape))

@@ -219,6 +219,8 @@ func NewZipf(rng *Rand, n int, s float64) *Zipf {
 // benchmark workloads. It is exactly
 // NewZipf(rng, n, s) followed by length Next calls, so a caller that
 // previously inlined that loop sees bit-identical draws.
+//
+//lint:allow unlinked gated benchmark: BenchmarkExploreCold draws its request stream here
 func ZipfStream(rng *Rand, n int, s float64, length int) []int {
 	z := NewZipf(rng, n, s)
 	stream := make([]int, length)
