@@ -209,7 +209,7 @@ func (p *Pipeline) Measure(w *Workload, seed uint64) Measurement {
 	return Measurement{
 		IterTimeUs:   r.MeanIterTime,
 		ActiveTimeUs: r.MeanActiveTime,
-		Utilization:  r.Trace.Utilization(),
+		Utilization:  r.Utilization(),
 	}
 }
 

@@ -1,3 +1,6 @@
+// A package allow where the package has linked functions is stale.
+//
+//lint:allow unlinked fixture: the package is linked // want `lint:allow unlinked suppresses nothing`
 package unlinked
 
 // linked.txt, beside this file, lists what a program links of this

@@ -3,6 +3,7 @@ package analysis
 import (
 	"bufio"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"io"
 	"strings"
@@ -17,7 +18,10 @@ import (
 //
 //	//lint:allow unlinked <reason>
 //
-// which the suite reports in turn once the declaration is linked.
+// which the suite reports in turn once the declaration is linked. A
+// package none of whose functions is linked is one finding, on the
+// package clause of each file that declares a function, and one
+// directive there keeps the whole package.
 func Unlinked(linked map[string]bool) *Analyzer {
 	return &Analyzer{
 		Name: "unlinked",
@@ -33,7 +37,12 @@ func runUnlinked(pass *Pass, linked map[string]bool) {
 	if pass.Pkg.Name() == "main" {
 		return // a program's own functions are the roots, not the tail
 	}
+	var missing []token.Pos
+	var names []string
+	var clauses []token.Pos // package clauses of the files that declare functions
+	declared := 0
 	for _, f := range pass.Files {
+		before := declared
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Name.Name == "init" || fd.Name.Name == "_" {
@@ -43,11 +52,23 @@ func runUnlinked(pass *Pass, linked map[string]bool) {
 			if !ok {
 				continue
 			}
-			name, wrapper := symbolNames(pass.Pkg.Path(), fn)
-			if !linked[name] && !linked[wrapper] {
-				pass.Reportf(fd.Pos(), "%s is linked by no program; delete it or state why it stays with //lint:allow unlinked <reason>", name)
+			declared++
+			if name, wrapper := symbolNames(pass.Pkg.Path(), fn); !linked[name] && !linked[wrapper] {
+				missing, names = append(missing, fd.Pos()), append(names, name)
 			}
 		}
+		if declared > before {
+			clauses = append(clauses, f.Package)
+		}
+	}
+	if len(missing) == declared {
+		for _, pos := range clauses {
+			pass.Reportf(pos, "package %s is linked by no program; delete it or state why it stays with //lint:allow unlinked <reason>", pass.Pkg.Path())
+		}
+		return
+	}
+	for i, pos := range missing {
+		pass.Reportf(pos, "%s is linked by no program; delete it or state why it stays with //lint:allow unlinked <reason>", names[i])
 	}
 }
 

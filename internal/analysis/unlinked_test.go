@@ -7,16 +7,18 @@ import (
 )
 
 func TestUnlinkedFixture(t *testing.T) {
-	f, err := os.Open(filepath.Join("testdata", "src", "unlinked", "linked.txt"))
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"unlinked", "unlinkedpkg"} {
+		f, err := os.Open(filepath.Join("testdata", "src", name, "linked.txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		linked, err := ParseLinked(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		RunFixture(t, name, Unlinked(linked))
 	}
-	defer f.Close()
-	linked, err := ParseLinked(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	RunFixture(t, "unlinked", Unlinked(linked))
 }
 
 func TestStripTypeArgs(t *testing.T) {

@@ -63,40 +63,18 @@ func (h *Habitat) scale(k kernels.Kernel) float64 {
 // prediction for the target platform: the sum over ops of
 // max(host latency, scaled device time), Habitat's op-serial composition.
 func (h *Habitat) Predict(g *graph.Graph, workload string) float64 {
-	res := sim.Run(g, sim.Config{
-		Platform: h.Base, Seed: h.Seed, Warmup: 3, Iters: 10, Workload: workload,
-	})
-	tr := res.Trace
-	// Average per-op host span and device time across iterations. One
-	// accumulator per node position, so the total sums in g.Nodes order
-	// and the prediction is reproducible bit for bit.
-	type acc struct {
-		host, dev float64
-		ks        []kernels.Kernel
-	}
-	accs := make([]acc, len(g.Nodes))
-	at := make(map[int]int, len(g.Nodes)) // node ID -> position
+	run := &habitatRun{h: h, accs: make([]hostDevice, len(g.Nodes)), at: make(map[int]int, len(g.Nodes))}
 	for i, n := range g.Nodes {
-		accs[i].ks = g.NodeKernels(n)
-		at[int(n.ID)] = i
+		run.at[int(n.ID)] = i
 	}
-	for iter := 0; iter < tr.Iters; iter++ {
-		for _, oe := range tr.EventTree(iter) {
-			a := &accs[at[oe.Span.Node]]
-			a.host += oe.Span.Duration()
-			for i, kev := range oe.Kernels {
-				if i < len(a.ks) {
-					a.dev += kev.Duration() * h.scale(a.ks[i])
-				} else {
-					a.dev += kev.Duration()
-				}
-			}
-		}
-	}
+	const iters = 10
+	sim.Run(g, sim.Config{
+		Platform: h.Base, Seed: h.Seed, Warmup: 3, Iters: iters, Workload: workload, Observer: run,
+	})
 	total := 0.0
-	for _, a := range accs {
-		host := a.host / float64(tr.Iters)
-		dev := a.dev / float64(tr.Iters)
+	for _, a := range run.accs {
+		host := a.host / iters
+		dev := a.dev / iters
 		if dev > host {
 			total += dev
 		} else {
@@ -104,6 +82,25 @@ func (h *Habitat) Predict(g *graph.Graph, workload string) float64 {
 		}
 	}
 	return total
+}
+
+// habitatRun is the Observer of Habitat's base-device run: per node, in
+// g.Nodes order so that the total sums reproducibly bit for bit, the
+// host span and the scaled kernel time summed over the iterations.
+type habitatRun struct {
+	h    *Habitat
+	accs []hostDevice
+	at   map[int]int // node ID -> position
+}
+
+type hostDevice struct{ host, dev float64 }
+
+func (r *habitatRun) Op(o *sim.Op) {
+	a := &r.accs[r.at[o.Node]]
+	a.host += o.End - o.Start
+	for _, c := range o.Calls {
+		a.dev += (c.KernelEnd - c.KernelStart) * r.h.scale(c.Kernel)
+	}
 }
 
 // MLPredict is the per-op ML predictor with limited shape coverage.

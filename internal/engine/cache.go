@@ -250,13 +250,7 @@ func (s *assetStore) stats() AssetStats {
 	return out
 }
 
-// eventBytes is the size of one trace.Event. The simulator allocates a
-// run's log at its exact length, so events × eventBytes is what the log
-// holds resident, with no append slack on top. The events' name strings
-// are not charged: every iteration's events share one string per node.
-const eventBytes = 88
-
-// iterSpanBytes is the size of one trace.Trace.IterSpans entry.
+// iterSpanBytes is the size of one sim.Result.IterSpans entry.
 const iterSpanBytes = 16
 
 // sampleBytes is the size of one overhead sample. A profiled run is
@@ -267,27 +261,23 @@ const sampleBytes = 16
 // approxBytes estimates the resident footprint of one asset. The
 // numbers are deliberately rough — they meter relative pressure, not
 // allocator truth — but scale with the dominant payload of each type:
-// trace events for measured runs, samples for profiled ones, per-op
-// stats for overhead DBs, nodes for graphs, fitted network parameters
-// for calibrations. Each is read off
-// the asset's lengths, so metering a store costs no pass over its
-// payload.
+// iteration spans and per-op device times for measured runs, samples
+// for profiled ones, per-op stats for overhead DBs, nodes for graphs,
+// fitted network parameters for calibrations. Each is read off the
+// asset's lengths, so metering a store costs no pass over its payload.
 func approxBytes(v any) int64 {
 	const (
-		ptrOverhead  = 48  // map/list bookkeeping per entry
-		statsBytes   = 32  // overhead.Stats + map key share
-		nodeBytes    = 200 // graph.Node + op + tensor metadata share
-		opTimeBytes  = 64  // predict.OpTime
-		modelBytes   = 128 // a kernel model's own fields
-		fallbackSize = 1 << 10
+		ptrOverhead     = 48  // map/list bookkeeping per entry
+		statsBytes      = 32  // overhead.Stats + map key share
+		nodeBytes       = 200 // graph.Node + op + tensor metadata share
+		opTimeBytes     = 64  // predict.OpTime
+		deviceTimeBytes = 24  // a sim.Result.DeviceTime entry: name header + µs
+		modelBytes      = 128 // a kernel model's own fields
+		fallbackSize    = 1 << 10
 	)
 	switch t := v.(type) {
 	case *sim.Result:
-		n := int64(ptrOverhead)
-		if t.Trace != nil {
-			n += int64(len(t.Trace.Events))*eventBytes + int64(len(t.Trace.IterSpans))*iterSpanBytes
-		}
-		return n
+		return ptrOverhead + int64(len(t.IterSpans))*iterSpanBytes + int64(len(t.DeviceTime))*deviceTimeBytes
 	case *overhead.Samples:
 		return ptrOverhead + int64(t.Len())*sampleBytes
 	case *overhead.DB:

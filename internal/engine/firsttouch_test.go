@@ -4,14 +4,12 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/models"
 	"dlrmperf/internal/overhead"
 	"dlrmperf/internal/scenario"
 	"dlrmperf/internal/sim"
-	"dlrmperf/internal/trace"
 )
 
 // BenchmarkFirstTouch measures what a calibrated engine pays the first
@@ -53,22 +51,22 @@ func BenchmarkFirstTouch(b *testing.B) {
 	}
 }
 
-// TestEventBytesIsStructSize pins the runs class's per-event charge to
-// the struct the log is made of, so the resident-byte figure follows
-// any change to trace.Event.
-func TestEventBytesIsStructSize(t *testing.T) {
-	if got := unsafe.Sizeof(trace.Event{}); got != eventBytes {
-		t.Errorf("eventBytes = %d, but a trace.Event is %d bytes", eventBytes, got)
+// TestIterSpanBytesIsStructSize pins the runs class's per-iteration
+// charge to the element a measured run keeps its iteration spans in.
+func TestIterSpanBytesIsStructSize(t *testing.T) {
+	f, ok := reflect.TypeOf(sim.Result{}).FieldByName("IterSpans")
+	if !ok {
+		t.Fatal("sim.Result has no IterSpans field")
 	}
-	if got := unsafe.Sizeof([2]float64{}); got != iterSpanBytes {
+	if got := f.Type.Elem().Size(); got != iterSpanBytes {
 		t.Errorf("iterSpanBytes = %d, but an iteration span is %d bytes", iterSpanBytes, got)
 	}
 }
 
-// TestRunChargeIsItsLog: every iteration's events share one name string
-// per node, so a run is charged for its log alone, and doubling the
-// iterations adds exactly the added events and iteration spans.
-func TestRunChargeIsItsLog(t *testing.T) {
+// TestRunChargeIsItsNumbers: a measured run keeps its numbers, not an
+// event log, so doubling the iterations adds exactly the added iteration
+// spans to its charge, and it holds one device time per op.
+func TestRunChargeIsItsNumbers(t *testing.T) {
 	m, err := models.Build(models.NameDLRMDefault, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -80,9 +78,11 @@ func TestRunChargeIsItsLog(t *testing.T) {
 		})
 	}
 	short, long := run(5), run(10)
-	added := int64(len(long.Trace.Events)-len(short.Trace.Events))*eventBytes + 5*iterSpanBytes
-	if got := approxBytes(long) - approxBytes(short); got != added {
-		t.Errorf("doubling the iterations adds %d bytes to the charge, the log grows by %d", got, added)
+	if got := approxBytes(long) - approxBytes(short); got != 5*iterSpanBytes {
+		t.Errorf("doubling the iterations adds %d bytes to the charge, the spans grow by %d", got, 5*iterSpanBytes)
+	}
+	if len(long.DeviceTime) == 0 || len(long.DeviceTime) != len(short.DeviceTime) {
+		t.Errorf("device time of %d ops over 10 iterations, %d over 5", len(long.DeviceTime), len(short.DeviceTime))
 	}
 }
 

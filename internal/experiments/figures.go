@@ -6,7 +6,7 @@ import (
 	"dlrmperf/internal/export"
 	"dlrmperf/internal/models"
 	"dlrmperf/internal/overhead"
-	"dlrmperf/internal/trace"
+	"dlrmperf/internal/sim"
 )
 
 // --- Fig. 1: GPU utilization of six models ---------------------------------
@@ -43,7 +43,7 @@ func (s *Suite) Fig01() ([]Fig01Row, error) {
 			}
 			rows = append(rows, Fig01Row{
 				Model: c.model, Batch: b,
-				Utilization: r.Trace.Utilization(),
+				Utilization: r.Utilization(),
 				IterTime:    r.MeanIterTime,
 			})
 		}
@@ -67,7 +67,7 @@ func RenderFig01(rows []Fig01Row) string {
 type Fig05Result struct {
 	Model   string
 	Batch   int64
-	Entries []trace.BreakdownEntry
+	Entries []sim.BreakdownEntry
 }
 
 // Fig05 computes the device-time breakdown of the three DLRM models at
@@ -81,7 +81,7 @@ func (s *Suite) Fig05() ([]Fig05Result, error) {
 		}
 		out = append(out, Fig05Result{
 			Model: model, Batch: 2048,
-			Entries: r.Trace.Breakdown(0.005),
+			Entries: r.Breakdown(0.005),
 		})
 	}
 	return out, nil
@@ -161,7 +161,7 @@ func (s *Suite) Fig08() ([]Fig08Row, error) {
 			return nil, err
 		}
 		var topOps []string
-		for _, e := range meas.Trace.Breakdown(0) {
+		for _, e := range meas.Breakdown(0) {
 			if e.Op == "Idle" || e.Op == "others" {
 				continue
 			}

@@ -11,6 +11,8 @@
 // The serving layers (internal/serve, internal/cluster,
 // internal/explore) run under this guard so a drain or cancel path
 // that strands a worker goroutine fails the race job, not production.
+//
+//lint:allow unlinked test infrastructure: the TestMain goroutine-leak guard
 package leakcheck
 
 import (
@@ -52,8 +54,6 @@ var ignoredStacks = []string{
 // Main runs the package's tests and then verifies no test-spawned
 // goroutines are left behind, giving asynchronous teardown a grace
 // period to finish before declaring a leak.
-//
-//lint:allow unlinked test infrastructure: the TestMain goroutine-leak guard
 func Main(m *testing.M) {
 	code := m.Run()
 	if code == 0 {
@@ -68,8 +68,6 @@ func Main(m *testing.M) {
 
 // wait polls the goroutine dump until it is clean or the deadline
 // passes, returning the stacks still alive at the end.
-//
-//lint:allow unlinked test infrastructure: the TestMain goroutine-leak guard
 func wait(grace time.Duration) []string {
 	deadline := time.Now().Add(grace)
 	delay := 1 * time.Millisecond
@@ -87,8 +85,6 @@ func wait(grace time.Duration) []string {
 
 // snapshot returns the stacks of all live goroutines except the
 // calling one and the ignore list.
-//
-//lint:allow unlinked test infrastructure: the TestMain goroutine-leak guard
 func snapshot() []string {
 	buf := make([]byte, 1<<20)
 	for {
@@ -113,7 +109,6 @@ func snapshot() []string {
 	return leaked
 }
 
-//lint:allow unlinked test infrastructure: the TestMain goroutine-leak guard
 func ignored(stack string) bool {
 	for _, pat := range ignoredStacks {
 		if strings.Contains(stack, pat) {

@@ -23,16 +23,17 @@ var goldenWorkloads = []string{
 	models.NameResNet50, models.NameInceptionV3, models.NameTransformer,
 }
 
-func goldenTrace(t testing.TB, p hw.Platform, workload string, profiled bool) *sim.Result {
+func goldenTrace(t testing.TB, p hw.Platform, workload string, profiled bool) *trace.Trace {
 	t.Helper()
 	m, err := models.Build(workload, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim.Run(m.Graph, sim.Config{
+	tr, _ := trace.Record(m.Graph, sim.Config{
 		Platform: p, Seed: 20240601, Warmup: 2, Iters: 6,
 		Profile: profiled, Workload: workload,
 	})
+	return tr
 }
 
 var goldenDigests = map[string]uint64{
@@ -79,7 +80,7 @@ func TestGoldenDatabases(t *testing.T) {
 		for _, w := range goldenWorkloads {
 			for _, profiled := range []bool{false, true} {
 				key := fmt.Sprintf("%s/%s/profiled=%t", p.GPU.Name, w, profiled)
-				db := FromTrace(goldenTrace(t, p, w, profiled).Trace)
+				db := FromTrace(goldenTrace(t, p, w, profiled))
 				db.Defaults = [3]Stats{}
 				raw, err := db.Marshal()
 				if err != nil {
@@ -100,8 +101,8 @@ func TestGoldenDatabases(t *testing.T) {
 // its mean and std changed in the last bits from one rebuild to the
 // next. Rebuilding from the same traces must now give == databases.
 func TestFinishDeterministic(t *testing.T) {
-	a := goldenTrace(t, hw.V100Platform(), models.NameDLRMDefault, true).Trace
-	b := goldenTrace(t, hw.V100Platform(), models.NameDLRMDDP, true).Trace
+	a := goldenTrace(t, hw.V100Platform(), models.NameDLRMDefault, true)
+	b := goldenTrace(t, hw.V100Platform(), models.NameDLRMDDP, true)
 	for name, build := range map[string]func() *DB{
 		"FromTrace": func() *DB { return FromTrace(a) },
 		"Shared":    func() *DB { return Shared([]*trace.Trace{a, b}) },

@@ -1,31 +1,28 @@
 // Package overhead implements the paper's host-overhead analysis
-// (Section III-C): it classifies trace events into the five overhead
-// types T1-T5, subtracts profiler-overhead constants from each event,
-// removes outliers outside the (Q1-1.5IQR, Q3+1.5IQR) whiskers, and
-// stores per-op per-type statistics in a JSON-serializable database used
-// by the E2E predictor. It also aggregates databases across workloads
-// into the "shared overheads" variant evaluated in Fig. 9.
+// (Section III-C): it classifies a profiled run's events into the five
+// overhead types T1-T5, subtracts profiler-overhead constants from each
+// event, removes outliers outside the (Q1-1.5IQR, Q3+1.5IQR) whiskers,
+// and stores per-op per-type statistics in a JSON-serializable database
+// used by the E2E predictor. It also aggregates databases across
+// workloads into the "shared overheads" variant evaluated in Fig. 9.
 //
 // Every database is built by one path, Collector.Pool, from Samples:
 // one profiled run's observations, written by the simulator as it runs
-// (Collector.Profile) or replayed from a recorded trace (FromTrace,
-// Shared). Each run's Samples are taken on whichever goroutine produced
-// them, merged in listed order into one array laid out population by
-// population, and the populations are trimmed concurrently. The merge
-// fixes every population's sample order to the one a serial pass over
-// the runs would give, so the database, means included, does not depend
-// on the number of goroutines.
+// (Collector.Profile). Each run's Samples are taken on whichever
+// goroutine produced them, merged in listed order into one array laid
+// out population by population, and the populations are trimmed
+// concurrently. The merge fixes every population's sample order to the
+// one a serial pass over the runs would give, so the database, means
+// included, does not depend on the number of goroutines.
 package overhead
 
 import (
 	"encoding/json"
-	"runtime"
 	"slices"
 
 	"dlrmperf/internal/graph"
 	"dlrmperf/internal/sim"
 	"dlrmperf/internal/stats"
-	"dlrmperf/internal/trace"
 	"dlrmperf/internal/xsync"
 )
 
@@ -58,8 +55,8 @@ type DB struct {
 	Defaults [3]Stats `json:"defaults"`
 }
 
-// Collector holds the extraction and trimming settings: Profile and
-// FromTrace/Shared take samples with its corrections, Pool trims them.
+// Collector holds the extraction and trimming settings: Profile takes
+// samples with its corrections, Pool trims them.
 type Collector struct {
 	// CPUCorrection and GPUCorrection are the per-event profiler
 	// overheads subtracted during extraction.
@@ -106,27 +103,6 @@ func (c *Collector) Pool(n, workers int, at func(i int) (*Samples, error)) (*DB,
 	return c.finish(merge(parts), workers), nil
 }
 
-// FromTrace builds a database from a single workload's trace.
-//
-//lint:allow unlinked golden reference: the trace-mode path the overhead golden digests hash
-func FromTrace(tr *trace.Trace) *DB {
-	return Shared([]*trace.Trace{tr})
-}
-
-// Shared builds the shared-overheads database by pooling the raw samples
-// of several workloads' traces ("averaging the samples across the
-// workloads collected in overhead analysis").
-//
-//lint:allow unlinked golden reference: the trace-mode path the overhead golden digests hash
-func Shared(trs []*trace.Trace) *DB {
-	c := NewCollector()
-	// The traces are at hand, so Pool has no error to report.
-	db, _ := c.Pool(len(trs), runtime.GOMAXPROCS(0), func(i int) (*Samples, error) {
-		return c.extract(trs[i]), nil
-	})
-	return db
-}
-
 // Sample kinds: T2, T3 and T5 are per op (idxT2..idxT5), T4 is per
 // runtime function, T1 is one population for the whole run.
 const (
@@ -149,8 +125,8 @@ type sample struct {
 
 // Samples is one run's overhead samples in observation order, with the
 // op and runtime-function names they refer to in first-seen order. It is
-// the one sample writer: it implements sim.Observer, and a trace is
-// replayed into the same Op. Once written it is only read.
+// the one sample writer: it implements sim.Observer. Once written it is
+// only read.
 type Samples struct {
 	samples []sample
 	names   [2][]string
@@ -164,25 +140,6 @@ type Samples struct {
 
 func (c *Collector) newSamples(iters int) *Samples {
 	return &Samples{ids: [2]map[string]int32{{}, {}}, cpu: c.CPUCorrection, gpu: c.GPUCorrection, iters: iters, iter: -1}
-}
-
-// extract replays every iteration of tr into Samples, op by op in host
-// order.
-//
-//lint:allow unlinked golden reference: the trace-mode path the overhead golden digests hash
-func (c *Collector) extract(tr *trace.Trace) *Samples {
-	s := c.newSamples(tr.Iters)
-	var calls []sim.Call
-	for iter := 0; iter < tr.Iters; iter++ {
-		for _, oe := range tr.EventTree(iter) {
-			calls = calls[:0]
-			for _, rt := range oe.Runtime {
-				calls = append(calls, sim.Call{Fn: rt.Name, Start: rt.Start, End: rt.End})
-			}
-			s.Op(iter, oe.Span.Name, oe.Span.Start, oe.Span.End, calls)
-		}
-	}
-	return s
 }
 
 // Len reports the number of samples.
@@ -205,24 +162,25 @@ func (s *Samples) id(table int, name string) int32 {
 
 // Op implements sim.Observer: the T1 gap from the iteration's previous
 // op, then the op's T2, T3 and T5, and each runtime call's T4.
-func (s *Samples) Op(iter int, op string, start, end float64, calls []sim.Call) {
-	if iter == s.iter {
-		s.add(kindT1, 0, max(start-s.lastEnd, 0))
+func (s *Samples) Op(o *sim.Op) {
+	if o.Iter == s.iter {
+		s.add(kindT1, 0, max(o.Start-s.lastEnd, 0))
 	} else if s.iter == 0 {
 		// Every iteration runs the same ops, so the first one sizes the
 		// rest.
 		s.samples = slices.Grow(s.samples, (s.iters-1)*len(s.samples))
 	}
-	s.iter, s.lastEnd = iter, end
-	id := s.id(opNames, op)
+	s.iter, s.lastEnd = o.Iter, o.End
+	id := s.id(opNames, o.Name)
+	calls := o.Calls
 	if len(calls) == 0 {
 		// Algorithm 1's else branch charges T5 for kernel-less ops;
 		// extract the op body accordingly.
-		s.add(idxT5, id, max(end-start-s.cpu, 0))
+		s.add(idxT5, id, max(o.End-o.Start-s.cpu, 0))
 		return
 	}
-	s.add(idxT2, id, max(calls[0].Start-start-s.cpu, 0))
-	s.add(idxT3, id, max(end-calls[len(calls)-1].End-s.gpu, 0))
+	s.add(idxT2, id, max(calls[0].Start-o.Start-s.cpu, 0))
+	s.add(idxT3, id, max(o.End-calls[len(calls)-1].End-s.gpu, 0))
 	for j, c := range calls {
 		if j > 0 {
 			s.add(idxT5, id, max(c.Start-calls[j-1].End-s.gpu, 0))

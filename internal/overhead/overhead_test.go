@@ -12,21 +12,22 @@ import (
 	"dlrmperf/internal/trace"
 )
 
-func profiledTrace(t *testing.T, model string, batch int64, seed uint64) *sim.Result {
+func profiledTrace(t *testing.T, model string, batch int64, seed uint64) *trace.Trace {
 	t.Helper()
 	m, err := models.Build(model, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim.Run(m.Graph, sim.Config{
+	tr, _ := trace.Record(m.Graph, sim.Config{
 		Platform: hw.V100Platform(), Seed: seed, Warmup: 2, Iters: 25,
 		Profile: true, Workload: model,
 	})
+	return tr
 }
 
 func TestExtractionRecoversT1Mean(t *testing.T) {
 	r := profiledTrace(t, models.NameDLRMDefault, 1024, 1)
-	db := FromTrace(r.Trace)
+	db := FromTrace(r)
 	want := sim.T1Mean * hw.V100Platform().Host.OverheadScale
 	// Trimming removes the long tail, so the estimate sits at or slightly
 	// below the distribution mean.
@@ -40,7 +41,7 @@ func TestExtractionRecoversT1Mean(t *testing.T) {
 
 func TestExtractionRecoversPerOpT2(t *testing.T) {
 	r := profiledTrace(t, models.NameDLRMDefault, 1024, 2)
-	db := FromTrace(r.Trace)
+	db := FromTrace(r)
 	host := hw.V100Platform().Host
 	s := sim.NewSampler(host, 0, models.NameDLRMDefault)
 	for _, op := range []string{"aten::linear", "AddmmBackward0", "aten::relu"} {
@@ -59,8 +60,8 @@ func TestExtractionRecoversPerOpT2(t *testing.T) {
 }
 
 func TestSizeIndependenceAcrossBatches(t *testing.T) {
-	a := FromTrace(profiledTrace(t, models.NameDLRMDefault, 512, 3).Trace)
-	b := FromTrace(profiledTrace(t, models.NameDLRMDefault, 4096, 4).Trace)
+	a := FromTrace(profiledTrace(t, models.NameDLRMDefault, 512, 3))
+	b := FromTrace(profiledTrace(t, models.NameDLRMDefault, 4096, 4))
 	// The paper's size-independence: per-op T2 means agree across batch
 	// sizes up to sampling noise.
 	for _, op := range []string{"aten::linear", "aten::relu"} {
@@ -74,7 +75,7 @@ func TestSizeIndependenceAcrossBatches(t *testing.T) {
 
 func TestKernellessOpsGetT5(t *testing.T) {
 	r := profiledTrace(t, models.NameDLRMDefault, 512, 5)
-	db := FromTrace(r.Trace)
+	db := FromTrace(r)
 	st, ok := db.PerOp["aten::view"]
 	if !ok {
 		t.Fatal("no stats for aten::view")
@@ -89,7 +90,7 @@ func TestKernellessOpsGetT5(t *testing.T) {
 
 func TestT4PerFunction(t *testing.T) {
 	r := profiledTrace(t, models.NameDLRMDefault, 1024, 6)
-	db := FromTrace(r.Trace)
+	db := FromTrace(r)
 	launch, okL := db.T4["cudaLaunchKernel"]
 	memcpy, okM := db.T4["cudaMemcpyAsync"]
 	if !okL || !okM {
@@ -103,8 +104,8 @@ func TestT4PerFunction(t *testing.T) {
 func TestSharedPoolsWorkloads(t *testing.T) {
 	a := profiledTrace(t, models.NameDLRMDefault, 1024, 7)
 	b := profiledTrace(t, models.NameDLRMMLPerf, 1024, 8)
-	shared := Shared([]*trace.Trace{a.Trace, b.Trace})
-	ind := FromTrace(a.Trace)
+	shared := Shared([]*trace.Trace{a, b})
+	ind := FromTrace(a)
 	// The shared DB must cover the union of ops, including BCE (MLPerf
 	// only) which the default-model DB lacks.
 	if _, ok := shared.PerOp["aten::binary_cross_entropy"]; !ok {
@@ -139,10 +140,10 @@ func TestTrimmingLowersT1Estimate(t *testing.T) {
 	// Long-tailed T1 samples mean the raw mean exceeds the trimmed mean —
 	// the paper's explanation for its systematic E2E underestimation.
 	r := profiledTrace(t, models.NameDLRMDefault, 1024, 9)
-	trimmed := FromTrace(r.Trace)
+	trimmed := FromTrace(r)
 	raw := NewCollector()
 	raw.TrimK = -1
-	rawDB := poolWith(t, raw, r.Trace)
+	rawDB := poolWith(t, raw, r)
 	if rawDB.T1.Mean <= trimmed.T1.Mean {
 		t.Errorf("raw T1 mean (%v) should exceed trimmed (%v)", rawDB.T1.Mean, trimmed.T1.Mean)
 	}
@@ -150,7 +151,7 @@ func TestTrimmingLowersT1Estimate(t *testing.T) {
 	// stats.TrimIQR(xs, 0) would cut the population to [Q1, Q3].
 	off := NewCollector()
 	off.TrimK = 0
-	if zeroDB := poolWith(t, off, r.Trace); !reflect.DeepEqual(zeroDB, rawDB) {
+	if zeroDB := poolWith(t, off, r); !reflect.DeepEqual(zeroDB, rawDB) {
 		t.Errorf("TrimK 0 gives T1 %+v, untrimmed gives %+v", zeroDB.T1, rawDB.T1)
 	}
 }
@@ -159,9 +160,9 @@ func TestTrimmingLowersT1Estimate(t *testing.T) {
 // count, and a supplier's error comes back, the first in listed order.
 func TestPoolKeepsListedOrder(t *testing.T) {
 	trs := []*trace.Trace{
-		profiledTrace(t, models.NameDLRMDefault, 512, 11).Trace,
-		profiledTrace(t, models.NameDLRMMLPerf, 512, 12).Trace,
-		profiledTrace(t, models.NameDLRMDDP, 512, 13).Trace,
+		profiledTrace(t, models.NameDLRMDefault, 512, 11),
+		profiledTrace(t, models.NameDLRMMLPerf, 512, 12),
+		profiledTrace(t, models.NameDLRMDDP, 512, 13),
 	}
 	c := NewCollector()
 	pool := func(workers int, fail map[int]error) (*DB, error) {
@@ -189,7 +190,7 @@ func TestPoolKeepsListedOrder(t *testing.T) {
 
 func TestDBJSONRoundTrip(t *testing.T) {
 	r := profiledTrace(t, models.NameDLRMDefault, 512, 10)
-	db := FromTrace(r.Trace)
+	db := FromTrace(r)
 	data, err := db.Marshal()
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/models"
 	"dlrmperf/internal/sim"
+	"dlrmperf/internal/trace"
 )
 
 // TestProfileMatchesGoldenDatabases: Collector.Profile, which takes a
@@ -29,7 +30,7 @@ func TestProfileMatchesGoldenDatabases(t *testing.T) {
 				key := fmt.Sprintf("%s/%s/profiled=%t", p.GPU.Name, w, profiled)
 				cfg := sim.Config{Platform: p, Seed: 20240601, Warmup: 2, Iters: 6, Profile: profiled, Workload: w}
 				s := c.Profile(m.Graph, cfg)
-				if want := c.extract(sim.Run(m.Graph, cfg).Trace); !reflect.DeepEqual(s, want) {
+				if tr, _ := trace.Record(m.Graph, cfg); !reflect.DeepEqual(s, c.extract(tr)) {
 					t.Errorf("%s: observed samples differ from the trace's", key)
 				}
 				db, err := c.Pool(1, 1, func(int) (*Samples, error) { return s, nil })
@@ -55,8 +56,8 @@ func TestProfileMatchesGoldenDatabases(t *testing.T) {
 // same samples pooled twice, alone and beside others, are unchanged and
 // give the same database.
 func TestPoolLeavesSamplesUntouched(t *testing.T) {
-	a := NewCollector().extract(profiledTrace(t, models.NameDLRMDefault, 512, 14).Trace)
-	b := NewCollector().extract(profiledTrace(t, models.NameDLRMMLPerf, 512, 15).Trace)
+	a := NewCollector().extract(profiledTrace(t, models.NameDLRMDefault, 512, 14))
+	b := NewCollector().extract(profiledTrace(t, models.NameDLRMMLPerf, 512, 15))
 	before := [2]Samples{*a, *b}
 	c := NewCollector()
 	alone := func() *DB {

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"dlrmperf/internal/graph"
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/kernels"
 	"dlrmperf/internal/microbench"
@@ -50,9 +51,20 @@ func assets(t *testing.T, name string, batch int64) (*Predictor, *models.Model, 
 		t.Fatal(err)
 	}
 	p := hw.V100Platform()
-	prof := sim.Run(m.Graph, sim.Config{Platform: p, Seed: 11, Warmup: 3, Iters: 25, Profile: true, Workload: name})
+	db := profiledDB(t, m.Graph, sim.Config{Platform: p, Seed: 11, Warmup: 3, Iters: 25, Profile: true, Workload: name})
 	meas := sim.Run(m.Graph, sim.Config{Platform: p, Seed: 12, Warmup: 3, Iters: 25, Workload: name})
-	return New(cal.Registry, overhead.FromTrace(prof.Trace)), m, meas
+	return New(cal.Registry, db), m, meas
+}
+
+// profiledDB is the overhead database of one profiled run of g.
+func profiledDB(t *testing.T, g *graph.Graph, cfg sim.Config) *overhead.DB {
+	t.Helper()
+	c := overhead.NewCollector()
+	db, err := c.Pool(1, 1, func(int) (*overhead.Samples, error) { return c.Profile(g, cfg), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
 }
 
 func TestE2EPredictionAccuracy(t *testing.T) {
@@ -179,8 +191,7 @@ func TestFusionWhatIfPredictsSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := hw.V100Platform()
-	prof := sim.Run(unfused.Graph, sim.Config{Platform: p, Seed: 31, Warmup: 3, Iters: 25, Profile: true, Workload: unfused.Name})
-	pred := New(cal.Registry, overhead.FromTrace(prof.Trace))
+	pred := New(cal.Registry, profiledDB(t, unfused.Graph, sim.Config{Platform: p, Seed: 31, Warmup: 3, Iters: 25, Profile: true, Workload: unfused.Name}))
 
 	before, err := pred.Predict(unfused.Graph)
 	if err != nil {

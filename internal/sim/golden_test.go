@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"encoding/binary"
@@ -10,15 +10,17 @@ import (
 
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/models"
+	"dlrmperf/internal/sim"
+	"dlrmperf/internal/trace"
 )
 
 // The golden oracle: every bit the simulator emits — each event's
-// times and attribution, the iteration spans and the two summary means
-// — folded into one FNV-64a digest per device × workload × profiled
-// run at a fixed seed. The constants were recorded from the tree
-// before the first-touch pipeline was made single-pass; any change to
-// the order or count of RNG draws, or to the floating-point arithmetic
-// around them, moves a digest.
+// times and attribution, as trace.Record writes them, the iteration
+// spans and the two summary means — folded into one FNV-64a digest per
+// device × workload × profiled run at a fixed seed. The constants were
+// recorded from the tree before the first-touch pipeline was made
+// single-pass; any change to the order or count of RNG draws, or to the
+// floating-point arithmetic around them, moves a digest.
 
 const (
 	goldenSeed   = 20240601
@@ -32,16 +34,11 @@ var goldenWorkloads = []string{
 	models.NameResNet50, models.NameInceptionV3, models.NameTransformer,
 }
 
-func goldenRun(t testing.TB, p hw.Platform, workload string, profiled bool) *Result {
-	t.Helper()
-	m, err := models.Build(workload, goldenBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Run(m.Graph, Config{
+func goldenConfig(p hw.Platform, workload string, profiled bool) sim.Config {
+	return sim.Config{
 		Platform: p, Seed: goldenSeed, Warmup: goldenWarmup, Iters: goldenIters,
 		Profile: profiled, Workload: workload,
-	})
+	}
 }
 
 type digest struct{ h hash.Hash64 }
@@ -50,9 +47,8 @@ func (d digest) u64(v uint64)  { d.h.Write(binary.LittleEndian.AppendUint64(nil,
 func (d digest) f64(v float64) { d.u64(math.Float64bits(v)) }
 func (d digest) str(s string)  { d.u64(uint64(len(s))); d.h.Write([]byte(s)) }
 
-func digestResult(r *Result) uint64 {
+func digestResult(tr *trace.Trace, r *sim.Result) uint64 {
 	d := digest{fnv.New64a()}
-	tr := r.Trace
 	d.u64(uint64(tr.Iters))
 	d.u64(uint64(len(tr.Events)))
 	for i := range tr.Events {
@@ -67,7 +63,7 @@ func digestResult(r *Result) uint64 {
 		d.u64(uint64(e.Stream))
 		d.u64(uint64(e.Seq))
 	}
-	for _, s := range tr.IterSpans {
+	for _, s := range r.IterSpans {
 		d.f64(s[0])
 		d.f64(s[1])
 	}
@@ -118,9 +114,13 @@ var goldenDigests = map[string]uint64{
 func TestGoldenTraces(t *testing.T) {
 	for _, p := range hw.All() {
 		for _, w := range goldenWorkloads {
+			m, err := models.Build(w, goldenBatch)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, profiled := range []bool{false, true} {
 				key := fmt.Sprintf("%s/%s/profiled=%t", p.GPU.Name, w, profiled)
-				got := digestResult(goldenRun(t, p, w, profiled))
+				got := digestResult(trace.Record(m.Graph, goldenConfig(p, w, profiled)))
 				if want := goldenDigests[key]; got != want {
 					t.Errorf("%q: %#016x, // golden is %#016x", key, got, want)
 				}

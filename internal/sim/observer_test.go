@@ -1,26 +1,29 @@
-package sim
+package sim_test
 
 import (
 	"fmt"
-	"math"
+	"reflect"
 	"testing"
 
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/models"
+	"dlrmperf/internal/sim"
+	"dlrmperf/internal/trace"
 )
 
 // tally is an Observer that counts what it is shown.
 type tally struct{ ops, calls int }
 
-func (o *tally) Op(_ int, _ string, _, _ float64, calls []Call) {
+func (o *tally) Op(op *sim.Op) {
 	o.ops++
-	o.calls += len(calls)
+	o.calls += len(op.Calls)
 }
 
-// TestObserverMatchesTrace: an observed run makes the draws a traced run
-// makes, so its iteration spans are bit-equal to the traced run's; it
-// records no event, and is shown every op and runtime call the log
-// would hold (each call's kernel is the log's third event kind).
+// TestObserverMatchesTrace: an observer changes nothing about a run, so
+// an observed, a recorded and an unobserved run give equal results; the
+// observer is shown every op and runtime call the recorded log holds
+// (each call's kernel is the log's third event kind); and the numbers a
+// run measures itself are, bit for bit, the analyses of its log.
 func TestObserverMatchesTrace(t *testing.T) {
 	for _, p := range hw.All() {
 		for _, w := range goldenWorkloads {
@@ -30,26 +33,23 @@ func TestObserverMatchesTrace(t *testing.T) {
 			}
 			for _, profiled := range []bool{false, true} {
 				key := fmt.Sprintf("%s/%s/profiled=%t", p.GPU.Name, w, profiled)
-				cfg := Config{Platform: p, Seed: goldenSeed, Warmup: goldenWarmup, Iters: goldenIters, Profile: profiled, Workload: w}
-				traced := Run(m.Graph, cfg)
+				cfg := goldenConfig(p, w, profiled)
+				plain := sim.Run(m.Graph, cfg)
+				tr, recorded := trace.Record(m.Graph, cfg)
 				obs := &tally{}
 				cfg.Observer = obs
-				got := Run(m.Graph, cfg)
-				if len(got.Trace.IterSpans) != len(traced.Trace.IterSpans) {
-					t.Fatalf("%s: %d iteration spans, traced %d", key, len(got.Trace.IterSpans), len(traced.Trace.IterSpans))
+				if observed := sim.Run(m.Graph, cfg); !reflect.DeepEqual(observed, plain) || !reflect.DeepEqual(recorded, plain) {
+					t.Errorf("%s: an observer changed the result", key)
 				}
-				for i, s := range got.Trace.IterSpans {
-					for j := range s {
-						if math.Float64bits(s[j]) != math.Float64bits(traced.Trace.IterSpans[i][j]) {
-							t.Errorf("%s: span %d is %v, traced %v", key, i, s, traced.Trace.IterSpans[i])
-						}
-					}
+				if n := obs.ops + 2*obs.calls; n != len(tr.Events) {
+					t.Errorf("%s: observer saw %d ops and %d calls, the log holds %d events", key, obs.ops, obs.calls, len(tr.Events))
 				}
-				if got.MeanIterTime != traced.MeanIterTime || got.MeanActiveTime != 0 || len(got.Trace.Events) != 0 {
-					t.Errorf("%s: mean %v (traced %v), active %v, %d events", key, got.MeanIterTime, traced.MeanIterTime, got.MeanActiveTime, len(got.Trace.Events))
+				if plain.MeanIterTime != tr.MeanIterationTime() || plain.MeanActiveTime != tr.MeanActiveTime() || plain.Utilization() != tr.Utilization() {
+					t.Errorf("%s: iteration %v, active %v, utilization %v; the log gives %v, %v, %v", key,
+						plain.MeanIterTime, plain.MeanActiveTime, plain.Utilization(), tr.MeanIterationTime(), tr.MeanActiveTime(), tr.Utilization())
 				}
-				if n := obs.ops + 2*obs.calls; n != len(traced.Trace.Events) {
-					t.Errorf("%s: observer saw %d ops and %d calls, the log holds %d events", key, obs.ops, obs.calls, len(traced.Trace.Events))
+				if got, want := plain.Breakdown(0), tr.Breakdown(0); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: breakdown %+v, the log gives %+v", key, got, want)
 				}
 			}
 		}

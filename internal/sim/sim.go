@@ -3,7 +3,7 @@
 // PyTorch + CUDA stack does — a host thread issuing operators with
 // stochastic per-type overheads (T1..T5), kernels launched asynchronously
 // onto device streams, the device draining them in stream order — and
-// records profiler-style traces.
+// shows every recorded op to an Observer, the way a profiler sees it.
 //
 // Everything the paper *measures* (per-batch training time, GPU active
 // time, utilization, breakdowns, overhead samples) is produced here;
@@ -12,10 +12,13 @@
 package sim
 
 import (
+	"cmp"
+	"maps"
+	"slices"
+
 	"dlrmperf/internal/graph"
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/kernels"
-	"dlrmperf/internal/trace"
 	"dlrmperf/internal/xrand"
 )
 
@@ -37,32 +40,94 @@ type Config struct {
 	// overhead bias that breaks exact model-independence (see
 	// NewSampler).
 	Workload string
-	// Observer, when set, receives every recorded op as it is computed
-	// in place of the event log: the run emits no trace.Event and skips
-	// the active-time union, with the same draws in the same order.
+	// Observer, when set, is shown every recorded op as it is computed.
+	// It changes nothing about the run: the draws and the Result are the
+	// same with or without one.
 	Observer Observer
 }
 
-// Observer receives each recorded op of a run in host order: its
-// iteration, name and host span, and its runtime calls in launch order.
-// calls is a buffer the simulator reuses for the next op.
+// Observer is shown each recorded op of a run in host order. The Op and
+// its Calls are a buffer the simulator reuses for the next op.
 type Observer interface {
-	Op(iter int, op string, start, end float64, calls []Call)
+	Op(o *Op)
 }
 
-// Call is one CUDA runtime call: the function and its host span.
+// Op is one recorded op: its iteration, graph node ID and device stream,
+// its host span, and its runtime calls in launch order.
+type Op struct {
+	Iter, Node, Stream int
+	Name               string
+	Start, End         float64
+	Calls              []Call
+}
+
+// Call is one CUDA runtime call, the function and its host span, with
+// the kernel it launched and that kernel's device span.
 type Call struct {
-	Fn         string
-	Start, End float64
+	Fn                     string
+	Start, End             float64
+	Kernel                 kernels.Kernel
+	KernelStart, KernelEnd float64
 }
 
-// Result bundles the trace of a run.
+// Result is what a run measures. It keeps the numbers, not the events:
+// an Observer is shown those as they happen.
 type Result struct {
-	Trace *trace.Trace
+	// IterSpans records [start, end] per recorded iteration, where end
+	// includes the device drain.
+	IterSpans [][2]float64
 	// MeanIterTime is the measured per-batch training time in µs.
 	MeanIterTime float64
-	// MeanActiveTime is the measured device active time per batch in µs.
+	// MeanActiveTime is the measured device active time per batch in µs:
+	// the union of the iteration's kernel spans across streams.
 	MeanActiveTime float64
+	// DeviceTime is each op's kernel time in µs over all recorded
+	// iterations, summed in launch order.
+	DeviceTime map[string]float64
+}
+
+// Utilization returns mean active time over mean iteration time — the
+// paper's "GPU utilization" metric of Fig. 1.
+func (r *Result) Utilization() float64 {
+	if r.MeanIterTime == 0 {
+		return 0
+	}
+	return r.MeanActiveTime / r.MeanIterTime
+}
+
+// BreakdownEntry is one row of the device-time breakdown.
+type BreakdownEntry struct {
+	Op    string
+	Time  float64 // mean device time per iteration, µs
+	Share float64 // fraction of mean iteration time
+}
+
+// Breakdown attributes device-active time to ops (averaged per
+// iteration), appends an "Idle" entry, and sorts by time descending, then
+// by op — the Fig. 5 analysis. Ops below minShare are folded into
+// "others", summed in op order, so the result is the same on every call.
+func (r *Result) Breakdown(minShare float64) []BreakdownEntry {
+	iters := len(r.IterSpans)
+	if iters == 0 {
+		return nil
+	}
+	iterTime := r.MeanIterTime
+	var entries []BreakdownEntry
+	others := 0.0
+	for _, op := range slices.Sorted(maps.Keys(r.DeviceTime)) {
+		mean := r.DeviceTime[op] / float64(iters)
+		if iterTime > 0 && mean/iterTime < minShare {
+			others += mean
+			continue
+		}
+		entries = append(entries, BreakdownEntry{Op: op, Time: mean, Share: mean / iterTime})
+	}
+	slices.SortFunc(entries, func(a, b BreakdownEntry) int { return cmp.Or(cmp.Compare(b.Time, a.Time), cmp.Compare(a.Op, b.Op)) })
+	if others > 0 {
+		entries = append(entries, BreakdownEntry{Op: "others", Time: others, Share: others / iterTime})
+	}
+	idle := max(iterTime-r.MeanActiveTime, 0)
+	return append(entries, BreakdownEntry{Op: "Idle", Time: idle, Share: idle / iterTime})
 }
 
 // interKernelGap is the device-side scheduling gap between back-to-back
@@ -77,6 +142,7 @@ const interKernelGap = 0.8
 type nodePlan struct {
 	id, stream     int
 	streamSlot     int // index into the per-stream free-time table
+	opSlot         int // index into the per-op device-time table
 	op             string
 	deps           []int // positions of the producing nodes in the plan
 	kernels        []kernelPlan
@@ -85,18 +151,19 @@ type nodePlan struct {
 
 type kernelPlan struct {
 	base float64 // kernels.Device.BaseTime: carries the per-shape quirk hash
-	name string
+	k    kernels.Kernel
 	fn   string // the CUDA runtime function that launches it
 	t4   dist
 }
 
 // planNodes resolves g's nodes against the device and the host, and
-// returns the plan with the number of streams it uses and the number of
-// events one recorded iteration emits.
-func planNodes(g *graph.Graph, dev *kernels.Device, ovh *Sampler) (plan []nodePlan, streams, events int) {
+// returns the plan with the number of streams it uses, the number of
+// kernels one iteration launches, and the names of the ops that launch
+// them, in first-seen order.
+func planNodes(g *graph.Graph, dev *kernels.Device, ovh *Sampler) (plan []nodePlan, streams, launches int, ops []string) {
 	plan = make([]nodePlan, len(g.Nodes))
 	pos := make(map[graph.NodeID]int, len(g.Nodes))
-	slots := map[int]int{}
+	slots, opSlots := map[int]int{}, map[string]int{}
 	t4 := map[string]dist{RTLaunchKernel: ovh.t4Dist(RTLaunchKernel), RTMemcpyAsync: ovh.t4Dist(RTMemcpyAsync)}
 	for i, node := range g.Nodes {
 		op := node.Op.Name()
@@ -120,20 +187,24 @@ func planNodes(g *graph.Graph, dev *kernels.Device, ovh *Sampler) (plan []nodePl
 			case kernels.KindMemcpyH2D, kernels.KindMemcpyD2H, kernels.KindMemcpyD2D:
 				fn = RTMemcpyAsync
 			}
-			n.kernels = append(n.kernels, kernelPlan{base: dev.BaseTime(k), name: k.String(), fn: fn, t4: t4[fn]})
+			n.kernels = append(n.kernels, kernelPlan{base: dev.BaseTime(k), k: k, fn: fn, t4: t4[fn]})
+		}
+		if len(n.kernels) > 0 {
+			if _, ok := opSlots[op]; !ok {
+				opSlots[op] = len(ops)
+				ops = append(ops, op)
+			}
+			n.opSlot = opSlots[op]
 		}
 		pos[node.ID] = i
 		plan[i] = n
-		events += 1 + 2*len(n.kernels)
+		launches += len(n.kernels)
 	}
-	return plan, len(slots), events
+	return plan, len(slots), launches, ops
 }
 
-// Run simulates cfg.Warmup+cfg.Iters training iterations of g. Events
-// are emitted in iteration order, which is what lets trace.Trace hand
-// out an iteration's events as a sub-slice of the log. With an
-// Observer the result holds the iteration spans alone, and no active
-// time.
+// Run simulates cfg.Warmup+cfg.Iters training iterations of g, shows
+// each recorded op to cfg.Observer, and returns what the run measured.
 func Run(g *graph.Graph, cfg Config) *Result {
 	if cfg.Iters <= 0 {
 		cfg.Iters = 1
@@ -141,15 +212,16 @@ func Run(g *graph.Graph, cfg Config) *Result {
 	root := xrand.New(cfg.Seed)
 	dev := kernels.NewDevice(cfg.Platform.GPU, root.Split().Uint64())
 	ovh := NewSampler(cfg.Platform.Host, root.Split().Uint64(), cfg.Workload)
-	plan, streams, eventsPerIter := planNodes(g, dev, ovh)
+	plan, streams, launches, ops := planNodes(g, dev, ovh)
 	profCPU, profGPU := ovh.profilerDists()
 
-	obs := cfg.Observer
-	tr := &trace.Trace{Iters: cfg.Iters, IterSpans: make([][2]float64, 0, cfg.Iters)}
-	if obs == nil {
-		tr.Events = make([]trace.Event, 0, cfg.Iters*eventsPerIter)
-	}
-	var calls []Call
+	res := &Result{IterSpans: make([][2]float64, 0, cfg.Iters)}
+	o := &Op{}
+	deviceTime := make([]float64, len(ops))
+	// spans holds the recorded iteration's kernel spans, whose union over
+	// streams is its active time; the sums run over the iterations.
+	spans := make([][2]float64, 0, launches)
+	iterTime, active := 0.0, 0.0
 	host := 0.0
 	streamFree := make([]float64, streams)
 	// deviceReady[i] is when plan[i]'s outputs exist on device.
@@ -158,12 +230,11 @@ func Run(g *graph.Graph, cfg Config) *Result {
 	total := cfg.Warmup + cfg.Iters
 	for it := 0; it < total; it++ {
 		rec := it >= cfg.Warmup
-		iterIdx := it - cfg.Warmup
 		iterStart := host
 
 		for ni := range plan {
 			n := &plan[ni]
-			calls = calls[:0]
+			o.Calls = o.Calls[:0]
 			// T1: gap before the op.
 			host += ovh.draw(n.t1)
 			opStart := host
@@ -205,20 +276,8 @@ func Run(g *graph.Graph, cfg Config) *Result {
 						lastEnd = end
 					}
 
-					if rec && obs != nil {
-						calls = append(calls, Call{k.fn, rtStart, rtEnd})
-					} else if rec {
-						tr.Events = append(tr.Events,
-							trace.Event{
-								Kind: trace.RuntimeCall, Name: k.fn, Op: n.op,
-								Start: rtStart, End: rtEnd, Iter: iterIdx,
-								Node: n.id, Seq: i,
-							},
-							trace.Event{
-								Kind: trace.KernelSpan, Name: k.name, Op: n.op,
-								Start: start, End: end, Iter: iterIdx,
-								Node: n.id, Stream: n.stream, Seq: i,
-							})
+					if rec {
+						o.Calls = append(o.Calls, Call{k.fn, rtStart, rtEnd, k.k, start, end})
 					}
 					if i < len(n.kernels)-1 {
 						host += ovh.draw(n.t5)
@@ -233,13 +292,16 @@ func Run(g *graph.Graph, cfg Config) *Result {
 				deviceReady[ni] = depReady
 			}
 
-			if rec && obs != nil {
-				obs.Op(iterIdx, n.op, opStart, host, calls)
-			} else if rec {
-				tr.Events = append(tr.Events, trace.Event{
-					Kind: trace.OpSpan, Name: n.op, Op: n.op,
-					Start: opStart, End: host, Iter: iterIdx, Node: n.id,
-				})
+			if !rec {
+				continue
+			}
+			for _, c := range o.Calls {
+				spans = append(spans, [2]float64{c.KernelStart, c.KernelEnd})
+				deviceTime[n.opSlot] += c.KernelEnd - c.KernelStart
+			}
+			if cfg.Observer != nil {
+				o.Iter, o.Node, o.Stream, o.Name, o.Start, o.End = it-cfg.Warmup, n.id, n.stream, n.op, opStart, host
+				cfg.Observer.Op(o)
 			}
 		}
 
@@ -256,14 +318,41 @@ func Run(g *graph.Graph, cfg Config) *Result {
 			iterEnd = devEnd
 		}
 		if rec {
-			tr.IterSpans = append(tr.IterSpans, [2]float64{iterStart, iterEnd})
+			res.IterSpans = append(res.IterSpans, [2]float64{iterStart, iterEnd})
+			iterTime += iterEnd - iterStart
+			active += UnionLength(spans)
+			spans = spans[:0]
 		}
 		host = iterEnd
 	}
 
-	res := &Result{Trace: tr, MeanIterTime: tr.MeanIterationTime()}
-	if obs == nil {
-		res.MeanActiveTime = tr.MeanActiveTime()
+	res.MeanIterTime = iterTime / float64(cfg.Iters)
+	res.MeanActiveTime = active / float64(cfg.Iters)
+	res.DeviceTime = make(map[string]float64, len(ops))
+	for i, op := range ops {
+		res.DeviceTime[op] = deviceTime[i]
 	}
 	return res
+}
+
+// UnionLength returns the length of the union of spans, which it sorts.
+func UnionLength(spans [][2]float64) float64 {
+	if len(spans) == 0 {
+		return 0
+	}
+	// The union does not depend on how equal starts are ordered.
+	slices.SortFunc(spans, func(a, b [2]float64) int { return cmp.Compare(a[0], b[0]) })
+	total := 0.0
+	curStart, curEnd := spans[0][0], spans[0][1]
+	for _, s := range spans[1:] {
+		if s[0] > curEnd {
+			total += curEnd - curStart
+			curStart, curEnd = s[0], s[1]
+			continue
+		}
+		if s[1] > curEnd {
+			curEnd = s[1]
+		}
+	}
+	return total + (curEnd - curStart)
 }

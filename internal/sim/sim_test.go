@@ -1,13 +1,13 @@
-package sim
+package sim_test
 
 import (
-	"math"
 	"testing"
 
 	"dlrmperf/internal/graph"
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/models"
 	"dlrmperf/internal/ops"
+	"dlrmperf/internal/sim"
 	"dlrmperf/internal/tensor"
 	"dlrmperf/internal/trace"
 )
@@ -25,8 +25,7 @@ func smallGraph() *graph.Graph {
 func v100() hw.Platform { return hw.V100Platform() }
 
 func TestRunProducesConsistentTrace(t *testing.T) {
-	r := Run(smallGraph(), Config{Platform: v100(), Seed: 1, Warmup: 2, Iters: 5})
-	tr := r.Trace
+	tr, _ := trace.Record(smallGraph(), sim.Config{Platform: v100(), Seed: 1, Warmup: 2, Iters: 5})
 	if tr.Iters != 5 || len(tr.IterSpans) != 5 {
 		t.Fatalf("iters = %d spans = %d", tr.Iters, len(tr.IterSpans))
 	}
@@ -51,21 +50,21 @@ func TestRunProducesConsistentTrace(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a := Run(smallGraph(), Config{Platform: v100(), Seed: 42, Warmup: 1, Iters: 5})
-	b := Run(smallGraph(), Config{Platform: v100(), Seed: 42, Warmup: 1, Iters: 5})
+	a := sim.Run(smallGraph(), sim.Config{Platform: v100(), Seed: 42, Warmup: 1, Iters: 5})
+	b := sim.Run(smallGraph(), sim.Config{Platform: v100(), Seed: 42, Warmup: 1, Iters: 5})
 	if a.MeanIterTime != b.MeanIterTime {
 		t.Errorf("same seed, different iter time: %v vs %v", a.MeanIterTime, b.MeanIterTime)
 	}
-	c := Run(smallGraph(), Config{Platform: v100(), Seed: 43, Warmup: 1, Iters: 5})
+	c := sim.Run(smallGraph(), sim.Config{Platform: v100(), Seed: 43, Warmup: 1, Iters: 5})
 	if a.MeanIterTime == c.MeanIterTime {
 		t.Error("different seeds gave identical results")
 	}
 }
 
 func TestEventOrderingInvariants(t *testing.T) {
-	r := Run(smallGraph(), Config{Platform: v100(), Seed: 3, Warmup: 0, Iters: 3})
+	tr, _ := trace.Record(smallGraph(), sim.Config{Platform: v100(), Seed: 3, Warmup: 0, Iters: 3})
 	for iter := 0; iter < 3; iter++ {
-		tree := r.Trace.EventTree(iter)
+		tree := tr.EventTree(iter)
 		for _, oe := range tree {
 			if oe.Span.End < oe.Span.Start {
 				t.Fatal("op span ends before it starts")
@@ -90,9 +89,9 @@ func TestKernelsSerializeOnStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Run(m.Graph, Config{Platform: v100(), Seed: 5, Warmup: 1, Iters: 2})
+	tr, _ := trace.Record(m.Graph, sim.Config{Platform: v100(), Seed: 5, Warmup: 1, Iters: 2})
 	var spans [][2]float64
-	for _, e := range r.Trace.Events {
+	for _, e := range tr.Events {
 		if e.Kind == trace.KernelSpan && e.Iter == 0 && e.Stream == 0 {
 			spans = append(spans, [2]float64{e.Start, e.End})
 		}
@@ -105,9 +104,9 @@ func TestKernelsSerializeOnStream(t *testing.T) {
 }
 
 func TestIterationIncludesDeviceDrain(t *testing.T) {
-	r := Run(smallGraph(), Config{Platform: v100(), Seed: 9, Warmup: 0, Iters: 4})
-	for i, span := range r.Trace.IterSpans {
-		for _, e := range r.Trace.Events {
+	tr, _ := trace.Record(smallGraph(), sim.Config{Platform: v100(), Seed: 9, Warmup: 0, Iters: 4})
+	for i, span := range tr.IterSpans {
+		for _, e := range tr.Events {
 			if e.Iter == i && e.End > span[1]+1e-9 {
 				t.Fatalf("iter %d event ends after iteration end", i)
 			}
@@ -118,8 +117,8 @@ func TestIterationIncludesDeviceDrain(t *testing.T) {
 func TestProfiledRunIsSlower(t *testing.T) {
 	// Profiling adds ~20 µs per ~300 µs iteration; use enough iterations
 	// for the sampling noise of two independent runs to average out.
-	plain := Run(smallGraph(), Config{Platform: v100(), Seed: 11, Warmup: 2, Iters: 400})
-	prof := Run(smallGraph(), Config{Platform: v100(), Seed: 11, Warmup: 2, Iters: 400, Profile: true})
+	plain := sim.Run(smallGraph(), sim.Config{Platform: v100(), Seed: 11, Warmup: 2, Iters: 400})
+	prof := sim.Run(smallGraph(), sim.Config{Platform: v100(), Seed: 11, Warmup: 2, Iters: 400, Profile: true})
 	if prof.MeanIterTime <= plain.MeanIterTime {
 		t.Errorf("profiling did not add overhead: %v <= %v", prof.MeanIterTime, plain.MeanIterTime)
 	}
@@ -134,8 +133,8 @@ func TestUtilizationRisesWithBatch(t *testing.T) {
 		if err := m.ResizeBatch(b); err != nil {
 			t.Fatal(err)
 		}
-		r := Run(m.Graph, Config{Platform: v100(), Seed: 7, Warmup: 2, Iters: 8, Workload: m.Name})
-		return r.Trace.Utilization()
+		r := sim.Run(m.Graph, sim.Config{Platform: v100(), Seed: 7, Warmup: 2, Iters: 8, Workload: m.Name})
+		return r.Utilization()
 	}
 	low := utilAt(512)
 	high := utilAt(4096)
@@ -158,8 +157,8 @@ func TestCNNUtilizationHigh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Run(m.Graph, Config{Platform: v100(), Seed: 7, Warmup: 1, Iters: 3, Workload: m.Name})
-	if u := r.Trace.Utilization(); u < 0.9 {
+	r := sim.Run(m.Graph, sim.Config{Platform: v100(), Seed: 7, Warmup: 1, Iters: 3, Workload: m.Name})
+	if u := r.Utilization(); u < 0.9 {
 		t.Errorf("resnet50 utilization = %v, want > 0.9 (Fig 1)", u)
 	}
 }
@@ -179,63 +178,9 @@ func TestMultiStreamOverlap(t *testing.T) {
 	serial := build()
 	parallel := build()
 	parallel.AssignStreams()
-	rs := Run(serial, Config{Platform: v100(), Seed: 21, Warmup: 2, Iters: 10})
-	rp := Run(parallel, Config{Platform: v100(), Seed: 21, Warmup: 2, Iters: 10})
+	rs := sim.Run(serial, sim.Config{Platform: v100(), Seed: 21, Warmup: 2, Iters: 10})
+	rp := sim.Run(parallel, sim.Config{Platform: v100(), Seed: 21, Warmup: 2, Iters: 10})
 	if rp.MeanIterTime >= rs.MeanIterTime {
 		t.Errorf("multi-stream not faster: %v >= %v", rp.MeanIterTime, rs.MeanIterTime)
-	}
-}
-
-func TestOverheadSamplerProperties(t *testing.T) {
-	host := v100().Host
-	s := NewSampler(host, 1, "")
-	// Size-independence by construction: means don't take tensor sizes.
-	// Model-independence: empty workload means no bias.
-	if m := s.MeanFor(T1, "any"); m != T1Mean*host.OverheadScale {
-		t.Errorf("T1 mean = %v", m)
-	}
-	// Per-op variation exists for T2.
-	if s.MeanFor(T2, "aten::relu") == s.MeanFor(T2, "AddmmBackward0") {
-		t.Error("T2 means should vary across ops")
-	}
-	// Same op, stable mean.
-	if s.MeanFor(T2, "aten::relu") != s.MeanFor(T2, "aten::relu") {
-		t.Error("T2 mean not stable")
-	}
-	// Empirical mean of samples approaches the configured mean.
-	s2 := NewSampler(hw.Host{OverheadScale: 1, OverheadCV: 0.3}, 7, "")
-	sum := 0.0
-	const n = 50000
-	for i := 0; i < n; i++ {
-		sum += s2.draw(s2.opDist(T1, "x"))
-	}
-	if got := sum / n; math.Abs(got-T1Mean)/T1Mean > 0.05 {
-		t.Errorf("empirical T1 mean = %v, want ~%v", got, T1Mean)
-	}
-}
-
-func TestWorkloadBiasIsStableAndBounded(t *testing.T) {
-	host := v100().Host
-	a := NewSampler(host, 1, "DLRM_default")
-	b := NewSampler(host, 2, "DLRM_default")
-	if a.workloadBias(T2, "aten::relu") != b.workloadBias(T2, "aten::relu") {
-		t.Error("workload bias must not depend on the seed")
-	}
-	c := NewSampler(host, 1, "DLRM_MLPerf")
-	if a.workloadBias(T2, "aten::relu") == c.workloadBias(T2, "aten::relu") {
-		t.Error("different workloads should have different biases")
-	}
-	for _, op := range []string{"a", "b", "c", "aten::linear"} {
-		v := a.workloadBias(T2, op)
-		if v < 0.7 || v > 1.3 {
-			t.Errorf("bias %v out of bounds", v)
-		}
-	}
-}
-
-func TestT4MemcpySlower(t *testing.T) {
-	s := NewSampler(v100().Host, 1, "")
-	if s.T4Mean(RTMemcpyAsync) <= s.T4Mean(RTLaunchKernel) {
-		t.Error("cudaMemcpyAsync should be slower than cudaLaunchKernel")
 	}
 }

@@ -11,8 +11,7 @@ import (
 )
 
 // The naive references: one full scan of the log per iteration and per
-// question, as the analyses were written before the log was read as
-// one contiguous run per iteration. They define the answers.
+// question, written apart from the analyses. They define the answers.
 
 func refActiveTime(t *Trace, iter int) float64 {
 	var spans [][2]float64
@@ -150,9 +149,9 @@ func checkAgainstReference(t *testing.T, tr *Trace) bool {
 }
 
 // TestAnalysesMatchNaiveReference: on a hand-built log shuffled across
-// iterations (the regrouped path) and on the same log shuffled only
-// within iterations (the in-place path), every per-iteration analysis
-// answers what the full-scan reference answers, bit for bit.
+// iterations and on the same log shuffled only within iterations, every
+// per-iteration analysis answers what the full-scan reference answers,
+// bit for bit.
 func TestAnalysesMatchNaiveReference(t *testing.T) {
 	property := func(seed uint64) bool {
 		rng := xrand.New(seed)
@@ -170,10 +169,9 @@ func TestAnalysesMatchNaiveReference(t *testing.T) {
 	}
 }
 
-// TestConcurrentAnalyses: the first analysis regroups an out-of-order
-// log exactly once even when several goroutines ask at the same time
-// (a simulated run's trace is shared by every overhead collection that
-// pools it).
+// TestConcurrentAnalyses: the analyses only read the log, so several
+// goroutines may ask at the same time (a recorded trace is shared by
+// every overhead extraction that pools it).
 func TestConcurrentAnalyses(t *testing.T) {
 	rng := xrand.New(5)
 	events, iters := randomEvents(rng)

@@ -1,22 +1,28 @@
-// Package trace defines the profiler trace format the simulator emits and
-// the analyses the paper's "Analysis Track" performs on it: per-batch
-// iteration times, device active/idle breakdowns (Fig. 5), GPU
-// utilization (Fig. 1), and the per-op event structure the overhead
-// extractor consumes.
+// Package trace is the reference event log of a simulated run. Record
+// runs the simulator with a Trace as its Observer, which writes each op
+// as profiler-style events, and the analyses the paper's "Analysis
+// Track" performs on a trace — per-batch iteration times, device
+// active/idle breakdowns (Fig. 5), GPU utilization (Fig. 1), and the
+// per-op event tree the overhead extractor walks — read them back. No
+// program links this package: the simulator measures those numbers
+// itself (sim.Result), and the golden and equivalence suites check them
+// against this log.
 //
 // A trace mirrors what PyTorch's profiler (Kineto) records: host-side op
 // spans, host-side CUDA runtime calls (cudaLaunchKernel /
 // cudaMemcpyAsync), and device-side kernel spans, each attributed to an
 // op and an iteration. All times are in microseconds.
+//
+//lint:allow unlinked golden reference: the event log the sim and overhead golden digests hash
 package trace
 
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
-	"sort"
-	"sync"
+
+	"dlrmperf/internal/graph"
+	"dlrmperf/internal/sim"
 )
 
 // EventKind distinguishes trace event types.
@@ -63,14 +69,9 @@ type Event struct {
 // Duration returns End-Start.
 func (e Event) Duration() float64 { return e.End - e.Start }
 
-// Trace is an ordered event log over a multi-iteration run.
-//
-// The per-iteration analyses (ActiveTime, EventTree) read an iteration
-// as one contiguous run of the log, found by binary search. An emitter
-// that writes its events in non-decreasing Iter order — the simulator
-// does — gets that for free; a log in any other order is regrouped
-// once, into a stable by-iteration copy, on the first analysis. Either
-// way Events must not change after the first analysis call.
+// Trace is an event log over a multi-iteration run. The analyses scan
+// the whole log for each iteration they read, so the events may come in
+// any order.
 type Trace struct {
 	Events []Event
 	// Iters is the number of recorded (post-warmup) iterations.
@@ -78,25 +79,27 @@ type Trace struct {
 	// IterSpans records [start, end] per iteration, where end includes
 	// the device drain (the measured per-batch training time).
 	IterSpans [][2]float64
-
-	groupOnce sync.Once
-	grouped   []Event // Events itself when it is already in iteration order
 }
 
-// iteration returns the events of one iteration, in log order.
-func (t *Trace) iteration(iter int) []Event {
-	t.groupOnce.Do(func() {
-		t.grouped = t.Events
-		byIter := func(i, j int) bool { return t.grouped[i].Iter < t.grouped[j].Iter }
-		if !sort.SliceIsSorted(t.grouped, byIter) {
-			t.grouped = slices.Clone(t.Events)
-			sort.SliceStable(t.grouped, byIter)
-		}
-	})
-	ev := t.grouped
-	lo := sort.Search(len(ev), func(i int) bool { return ev[i].Iter >= iter })
-	n := sort.Search(len(ev)-lo, func(i int) bool { return ev[lo+i].Iter > iter })
-	return ev[lo : lo+n]
+// Record simulates g under cfg with the trace as its Observer and
+// returns the run's event log beside its result.
+func Record(g *graph.Graph, cfg sim.Config) (*Trace, *sim.Result) {
+	t := &Trace{}
+	cfg.Observer = t
+	res := sim.Run(g, cfg)
+	t.Iters, t.IterSpans = len(res.IterSpans), res.IterSpans
+	return t, res
+}
+
+// Op implements sim.Observer: it appends the op's runtime calls, each
+// followed by the kernel it launched, then the op span.
+func (t *Trace) Op(o *sim.Op) {
+	for i, c := range o.Calls {
+		t.Events = append(t.Events,
+			Event{Kind: RuntimeCall, Name: c.Fn, Op: o.Name, Start: c.Start, End: c.End, Iter: o.Iter, Node: o.Node, Seq: i},
+			Event{Kind: KernelSpan, Name: c.Kernel.String(), Op: o.Name, Start: c.KernelStart, End: c.KernelEnd, Iter: o.Iter, Node: o.Node, Stream: o.Stream, Seq: i})
+	}
+	t.Events = append(t.Events, Event{Kind: OpSpan, Name: o.Name, Op: o.Name, Start: o.Start, End: o.End, Iter: o.Iter, Node: o.Node})
 }
 
 // IterationTimes returns the per-batch training time of each iteration.
@@ -124,14 +127,13 @@ func (t *Trace) MeanIterationTime() float64 {
 // ActiveTime returns the total device-active time (union of kernel spans
 // across streams) for one iteration.
 func (t *Trace) ActiveTime(iter int) float64 {
-	events := t.iteration(iter)
-	spans := make([][2]float64, 0, len(events)/2)
-	for i := range events {
-		if e := &events[i]; e.Kind == KernelSpan {
+	var spans [][2]float64
+	for _, e := range t.Events {
+		if e.Kind == KernelSpan && e.Iter == iter {
 			spans = append(spans, [2]float64{e.Start, e.End})
 		}
 	}
-	return unionLength(spans)
+	return sim.UnionLength(spans)
 }
 
 // MeanActiveTime averages ActiveTime over all iterations.
@@ -156,68 +158,17 @@ func (t *Trace) Utilization() float64 {
 	return t.MeanActiveTime() / it
 }
 
-// unionLength sums the length of the union of intervals.
-func unionLength(spans [][2]float64) float64 {
-	if len(spans) == 0 {
-		return 0
-	}
-	// The union does not depend on how equal starts are ordered.
-	slices.SortFunc(spans, func(a, b [2]float64) int { return cmp.Compare(a[0], b[0]) })
-	total := 0.0
-	curStart, curEnd := spans[0][0], spans[0][1]
-	for _, s := range spans[1:] {
-		if s[0] > curEnd {
-			total += curEnd - curStart
-			curStart, curEnd = s[0], s[1]
-			continue
-		}
-		if s[1] > curEnd {
-			curEnd = s[1]
-		}
-	}
-	return total + (curEnd - curStart)
-}
-
-// BreakdownEntry is one row of the device-time breakdown.
-type BreakdownEntry struct {
-	Op    string
-	Time  float64 // mean device time per iteration, µs
-	Share float64 // fraction of mean iteration time
-}
-
-// Breakdown attributes device-active time to ops (averaged per
-// iteration), appends an "Idle" entry, and sorts by time descending, then
-// by op — the Fig. 5 analysis. Ops below minShare are folded into
-// "others", summed in op order, so the result is the same on every call.
-func (t *Trace) Breakdown(minShare float64) []BreakdownEntry {
-	if t.Iters == 0 {
-		return nil
-	}
-	perOp := map[string]float64{}
+// Breakdown is sim.Result.Breakdown over the log's kernel spans: device
+// time per op, averaged per iteration, with "others" and "Idle" — the
+// Fig. 5 analysis.
+func (t *Trace) Breakdown(minShare float64) []sim.BreakdownEntry {
+	r := &sim.Result{IterSpans: t.IterSpans, MeanIterTime: t.MeanIterationTime(), MeanActiveTime: t.MeanActiveTime(), DeviceTime: map[string]float64{}}
 	for _, e := range t.Events {
 		if e.Kind == KernelSpan {
-			perOp[e.Op] += e.Duration()
+			r.DeviceTime[e.Op] += e.Duration()
 		}
 	}
-	iterTime := t.MeanIterationTime()
-	active := t.MeanActiveTime()
-	var entries []BreakdownEntry
-	others := 0.0
-	for _, op := range slices.Sorted(maps.Keys(perOp)) {
-		mean := perOp[op] / float64(t.Iters)
-		if iterTime > 0 && mean/iterTime < minShare {
-			others += mean
-			continue
-		}
-		entries = append(entries, BreakdownEntry{Op: op, Time: mean, Share: mean / iterTime})
-	}
-	slices.SortFunc(entries, func(a, b BreakdownEntry) int { return cmp.Or(cmp.Compare(b.Time, a.Time), cmp.Compare(a.Op, b.Op)) })
-	if others > 0 {
-		entries = append(entries, BreakdownEntry{Op: "others", Time: others, Share: others / iterTime})
-	}
-	idle := max(iterTime-active, 0)
-	entries = append(entries, BreakdownEntry{Op: "Idle", Time: idle, Share: idle / iterTime})
-	return entries
+	return r.Breakdown(minShare)
 }
 
 // OpEvents groups one iteration's events by op occurrence, in host order:
@@ -234,49 +185,26 @@ type OpEvents struct {
 // spans by start time, each with the runtime calls and kernels that
 // carry its Node (the last such span, when several share a Node).
 func (t *Trace) EventTree(iter int) []OpEvents {
-	events := t.iteration(iter)
-	var spans []*Event
-	for i := range events {
-		if e := &events[i]; e.Kind == OpSpan {
-			spans = append(spans, e)
+	var out []OpEvents
+	for i := range t.Events {
+		if e := &t.Events[i]; e.Kind == OpSpan && e.Iter == iter {
+			out = append(out, OpEvents{Span: e})
 		}
 	}
-	slices.SortStableFunc(spans, func(a, b *Event) int { return cmp.Compare(a.Start, b.Start) })
-	out := make([]OpEvents, len(spans))
-	byNode := make(map[int]int, len(spans))
-	for i, s := range spans {
-		out[i].Span = s
-		byNode[s.Node] = i
+	slices.SortStableFunc(out, func(a, b OpEvents) int { return cmp.Compare(a.Span.Start, b.Span.Start) })
+	byNode := make(map[int]int, len(out))
+	for i, oe := range out {
+		byNode[oe.Span.Node] = i
 	}
-
-	// Children are carved out of one flat array, a run per op and kind,
-	// instead of grown per op: find each child's op and count, carve
-	// the runs, fill them in log order.
-	owner := make([]int, len(events))
-	counts := make([][2]int, len(out))
-	children := 0
-	for i := range events {
-		e := &events[i]
-		owner[i] = -1
-		if op, ok := byNode[e.Node]; ok && (e.Kind == RuntimeCall || e.Kind == KernelSpan) {
-			owner[i] = op
-			counts[op][e.Kind-RuntimeCall]++
-			children++
-		}
-	}
-	flat := make([]*Event, children)
-	for op, n := range counts {
-		out[op].Runtime, flat = flat[:0:n[0]], flat[n[0]:]
-		out[op].Kernels, flat = flat[:0:n[1]], flat[n[1]:]
-	}
-	for i, op := range owner {
-		if op < 0 {
-			continue
-		}
-		if e := &events[i]; e.Kind == RuntimeCall {
-			out[op].Runtime = append(out[op].Runtime, e)
-		} else {
-			out[op].Kernels = append(out[op].Kernels, e)
+	for i := range t.Events {
+		e := &t.Events[i]
+		if op, ok := byNode[e.Node]; ok && e.Iter == iter {
+			switch e.Kind {
+			case RuntimeCall:
+				out[op].Runtime = append(out[op].Runtime, e)
+			case KernelSpan:
+				out[op].Kernels = append(out[op].Kernels, e)
+			}
 		}
 	}
 	bySeq := func(a, b *Event) int { return cmp.Compare(a.Seq, b.Seq) }
