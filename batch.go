@@ -36,8 +36,10 @@ type EngineConfig struct {
 	// (default 2022). Each device mixes its name into the seed, so
 	// devices are decorrelated but individually reproducible.
 	Seed uint64
-	// Workers bounds concurrent calibration jobs and in-flight batch
-	// predictions (default runtime.GOMAXPROCS).
+	// Workers bounds concurrent calibration jobs and the profiled runs
+	// pooled into one overhead database (default runtime.GOMAXPROCS).
+	// How many predictions run at once is the caller's choice: the
+	// serving layer bounds it with its own worker pool.
 	Workers int
 	// Calib overrides calibration options (Seed is derived per device).
 	Calib perfmodel.CalibOptions
@@ -199,35 +201,6 @@ func (e *Engine) PredictContext(ctx context.Context, req PredictRequest) (res Pr
 	r := e.eng.PredictCtx(ctx, ereq)
 	fromEngine(&res, req, &r)
 	return res
-}
-
-// PredictBatchContext fans the requests out across the engine's worker
-// pool and returns one result per request, in request order. Results
-// are bit-identical to sequential Predict calls; every device
-// calibrates at most once regardless of how many requests land on it
-// concurrently. Per-request failures (unknown workload, device outside
-// the engine's set) are reported in the failing slot and do not disturb
-// the rest of the batch. Canceling ctx abandons the whole batch (each
-// slot reports ctx.Err()) without aborting or poisoning any in-flight
-// computation.
-func (e *Engine) PredictBatchContext(ctx context.Context, reqs []PredictRequest) []PredictResult {
-	out := make([]PredictResult, len(reqs))
-	ereqs := make([]engine.Request, 0, len(reqs))
-	idx := make([]int, 0, len(reqs))
-	for i := range reqs {
-		ereq, err := e.resolve(&reqs[i])
-		if err != nil {
-			out[i] = PredictResult{Request: reqs[i], Err: err}
-			continue
-		}
-		ereqs = append(ereqs, ereq)
-		idx = append(idx, i)
-	}
-	res := e.eng.PredictBatchCtx(ctx, ereqs)
-	for j := range res {
-		fromEngine(&out[idx[j]], reqs[idx[j]], &res[j])
-	}
-	return out
 }
 
 // CacheStats returns the engine's prediction result cache counters: a

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"dlrmperf/internal/xsync"
 )
 
 // fastEngineConfig keeps multi-device engine tests quick via the
@@ -28,10 +30,21 @@ func batchRequests() []PredictRequest {
 	return reqs
 }
 
+// predictAll serves reqs with concurrent PredictContext calls, four in
+// flight (the way a serving pool drives the engine), and returns the
+// results in request order.
+func predictAll(eng *Engine, reqs []PredictRequest) []PredictResult {
+	out := make([]PredictResult, len(reqs))
+	xsync.ForEachN(len(reqs), 4, func(i int) {
+		out[i] = eng.PredictContext(context.Background(), reqs[i])
+	})
+	return out
+}
+
 // TestPredictBatchAcceptance is the facade-level batch contract:
-// PredictBatchContext over >= 12 (workload x device) requests returns exactly
-// the same results as sequential Predict calls, with calibration
-// performed at most once per device.
+// concurrent predictions of >= 12 (workload x device) requests return
+// exactly the same results as sequential Predict calls, with
+// calibration performed at most once per device.
 func TestPredictBatchAcceptance(t *testing.T) {
 	reqs := batchRequests()
 	if len(reqs) < 12 {
@@ -42,7 +55,7 @@ func TestPredictBatchAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := eng.PredictBatchContext(context.Background(), reqs)
+	batch := predictAll(eng, reqs)
 
 	seq, err := NewEngineWith(fastEngineConfig(V100, P100))
 	if err != nil {
@@ -67,7 +80,7 @@ func TestPredictBatchAcceptance(t *testing.T) {
 
 	for _, d := range []string{V100, P100} {
 		if runs := eng.CalibrationRuns(d); runs != 1 {
-			t.Errorf("%s calibrated %d times under PredictBatch, want 1", d, runs)
+			t.Errorf("%s calibrated %d times under concurrent predictions, want 1", d, runs)
 		}
 	}
 	// Larger batches on the same device and workload never predict
@@ -170,7 +183,7 @@ func TestBoundedAssetStoreFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := unbounded.PredictBatchContext(context.Background(), reqs)
+	want := predictAll(unbounded, reqs)
 
 	cfg := fastEngineConfig(V100, P100)
 	cfg.ResultCacheSize = 4
@@ -178,7 +191,7 @@ func TestBoundedAssetStoreFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := bounded.PredictBatchContext(context.Background(), reqs)
+	got := predictAll(bounded, reqs)
 
 	for i := range reqs {
 		if want[i].Err != nil || got[i].Err != nil {
@@ -312,7 +325,7 @@ func TestPredictContextFacade(t *testing.T) {
 		t.Fatalf("expired request calibrated the device (%d runs)", got)
 	}
 
-	batch := eng.PredictBatchContext(context.Background(), []PredictRequest{
+	batch := predictAll(eng, []PredictRequest{
 		{Workload: DLRMDefault, Batch: 512, Device: V100},
 		{Workload: DLRMDefault, Batch: 512, Device: V100},
 	})

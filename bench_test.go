@@ -12,7 +12,6 @@ package dlrmperf
 // rest reuse it. All results are deterministic in the suite seed.
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -209,59 +208,6 @@ func BenchmarkCalibrateParallel(b *testing.B) {
 		perfmodel.CalibrateParallel(p.GPU, opt, 0)
 	}
 }
-
-// BenchmarkPredictBatch measures steady-state batched prediction
-// throughput over a warm engine — the serve loop of
-// cmd/dlrmperf-serve after calibration has been paid once.
-func BenchmarkPredictBatch(b *testing.B) {
-	eng, err := NewEngineWith(fastEngineConfig(V100, P100))
-	if err != nil {
-		b.Fatal(err)
-	}
-	reqs := batchRequests()
-	if res := eng.PredictBatchContext(context.Background(), reqs); res[0].Err != nil { // warm the caches
-		b.Fatal(res[0].Err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range eng.PredictBatchContext(context.Background(), reqs) {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-		}
-	}
-}
-
-// BenchmarkPredictBatchCached and BenchmarkPredictBatchCold isolate the
-// prediction result cache: both run the same 12-request batch on an
-// engine whose assets are already warm, but the cold variant disables
-// the result cache so every request re-walks its execution graph. The
-// ratio of the two numbers is the cache's speedup on repeat traffic
-// (identical requests inside a batch, or repeated batch calls).
-func benchmarkPredictBatch(b *testing.B, cacheSize int) {
-	cfg := fastEngineConfig(V100, P100)
-	cfg.ResultCacheSize = cacheSize
-	eng, err := NewEngineWith(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reqs := batchRequests()
-	if res := eng.PredictBatchContext(context.Background(), reqs); res[0].Err != nil { // warm assets (and cache, if any)
-		b.Fatal(res[0].Err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range eng.PredictBatchContext(context.Background(), reqs) {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-		}
-	}
-}
-
-func BenchmarkPredictBatchCached(b *testing.B) { benchmarkPredictBatch(b, 0) }
-
-func BenchmarkPredictBatchCold(b *testing.B) { benchmarkPredictBatch(b, -1) }
 
 // BenchmarkPredictSingleCached is the per-request floor of the warm
 // serve path: one facade Predict whose result is already resident, so

@@ -2,7 +2,7 @@
 // bench-check` and the CI bench job. It has two modes sharing one JSON
 // schema:
 //
-//	go test -run xxx -bench 'PredictBatchCached$|CalibrateParallel$' -benchmem -count 5 . \
+//	go test -run xxx -bench 'PredictSingleCached$|CalibrateParallel$' -benchmem -count 5 . \
 //	  | benchdiff -parse -o BENCH_pr.json
 //	benchdiff -baseline BENCH_baseline.json -current BENCH_pr.json
 //

@@ -12,9 +12,11 @@
 //
 // The one-shot job is chosen by the shape of the -in document: a JSON
 // array is a request batch, written as the batch report plus a stats
-// block; a JSON object is an explore grid, swept in-process through the
-// same engine and written as the report POST /v1/explore returns
-// (coverage, Pareto frontier, best configuration per workload).
+// block; a JSON object is an explore grid, swept through the same
+// admission pipeline POST /v1/explore uses (serve.Sweep: the MaxGrid
+// bound, the grid's timeout_ms on every unit) and written as the report
+// that endpoint returns (coverage, Pareto frontier, best configuration
+// per workload).
 //
 //	dlrmperf-serve -coordinator -listen :9000       # cluster coordinator
 //	dlrmperf-serve -listen :8081 -register http://host:9000  # worker
@@ -280,10 +282,11 @@ func newServer(cfg serveConfig, eng *dlrmperf.Engine) *serve.Server {
 // sweep's exploreShot, each with its one-line stderr summary.
 type document interface{ summary() string }
 
-// runOneShot reads the -in document and runs the job its shape names: a
-// JSON array is a request batch (serveOnce), a JSON object an
-// explore.Grid (exploreOnce). A batch in which every request failed
-// returns its document and an error, so the process exits non-zero.
+// runOneShot reads the -in document and runs the job its shape names,
+// both through oneShotRun: a JSON array is a request batch (serveOnce),
+// a JSON object an explore.Grid (exploreOnce). A batch in which every
+// request failed returns its document and an error, so the process
+// exits non-zero.
 func runOneShot(cfg serveConfig, path string) (document, error) {
 	var data []byte
 	var err error
@@ -317,7 +320,11 @@ func runOneShot(cfg serveConfig, path string) (document, error) {
 		if err := json.Unmarshal(data, &g); err != nil {
 			return nil, fmt.Errorf("parsing grid: %w", err)
 		}
-		return exploreOnce(cfg, g)
+		rep, err := exploreOnce(cfg, g)
+		if rep == nil {
+			return nil, err
+		}
+		return rep, err
 	}
 	return nil, fmt.Errorf("-in %s: neither a request array nor a grid object", path)
 }
@@ -345,46 +352,56 @@ func (r *exploreShot) summary() string {
 		r.GridPoints, r.Unique, r.Duplicates, r.Rejected, r.Predicted, r.Failed, r.ElapsedMs)
 }
 
-// exploreOnce sweeps one grid in-process (explore.Sweep) on the engine a
-// batch would be served by, warm-started and re-saved the same way. A
-// re-save failure returns the report and the error, as in serveOnce.
-func exploreOnce(cfg serveConfig, g explore.Grid) (document, error) {
+// oneShotRun is the one-shot sequence every -in shape shares: build the
+// engine (warm-started from cfg.AssetPaths), put a server in front of
+// it, run job through that server's admission pipeline, drain, and
+// re-save assets. A job error returns no document. A re-save failure
+// returns the document and the error, so the rows that did serve are
+// never lost and the process still exits non-zero.
+func oneShotRun[D document](cfg serveConfig, job func(*serve.Server) (D, error)) (D, error) {
+	var none D
 	eng, err := newEngine(cfg)
 	if err != nil {
-		return nil, err
-	}
-	rep, err := explore.Sweep(context.Background(), eng, g)
-	if err != nil {
-		return nil, err
-	}
-	if err := saveAssetsFor(eng, cfg.SaveAssets); err != nil {
-		return &exploreShot{rep}, fmt.Errorf("saving assets: %w", err)
-	}
-	return &exploreShot{rep}, nil
-}
-
-// serveOnce runs the whole request batch through the serving pipeline
-// and assembles the one-shot document, optionally warm-starting from
-// asset files and re-saving assets afterwards. A re-save failure is
-// reported in the returned report's error block AND as a non-nil error,
-// so the process exits non-zero instead of silently dropping the assets.
-func serveOnce(cfg serveConfig, reqs []serve.Request) (*oneShot, error) {
-	eng, err := newEngine(cfg)
-	if err != nil {
-		return nil, err
+		return none, err
 	}
 	srv := newServer(cfg, eng)
-	rep := &oneShot{Report: srv.Run(context.Background(), reqs)}
-	rep.Stats = srv.Stats()
+	doc, err := job(srv)
 	srv.Drain()
-	if err := saveAssetsFor(eng, cfg.SaveAssets); err != nil {
-		err = fmt.Errorf("saving assets: %w", err)
-		if rep.Error == nil {
-			rep.Error = &serve.ReportError{Code: "save_assets_failed", Message: err.Error()}
-		}
-		return rep, err
+	if err != nil {
+		return none, err
 	}
-	return rep, nil
+	if err := saveAssetsFor(eng, cfg.SaveAssets); err != nil {
+		return doc, fmt.Errorf("saving assets: %w", err)
+	}
+	return doc, nil
+}
+
+// serveOnce serves the request batch (Server.Run) and takes the stats
+// block right after it. A re-save failure also lands in the report's
+// error block.
+func serveOnce(cfg serveConfig, reqs []serve.Request) (*oneShot, error) {
+	rep, err := oneShotRun(cfg, func(srv *serve.Server) (*oneShot, error) {
+		rep := &oneShot{Report: srv.Run(context.Background(), reqs)}
+		rep.Stats = srv.Stats()
+		return rep, nil
+	})
+	if err != nil && rep != nil && rep.Error == nil {
+		rep.Error = &serve.ReportError{Code: "save_assets_failed", Message: err.Error()}
+	}
+	return rep, err
+}
+
+// exploreOnce sweeps the grid (Server.RunExplore: the MaxGrid bound,
+// then every unique unit as a batch row carrying the grid's
+// timeout_ms), exactly as POST /v1/explore does.
+func exploreOnce(cfg serveConfig, g explore.Grid) (*exploreShot, error) {
+	return oneShotRun(cfg, func(srv *serve.Server) (*exploreShot, error) {
+		rep, err := srv.RunExplore(context.Background(), g)
+		if err != nil {
+			return nil, err
+		}
+		return &exploreShot{rep}, nil
+	})
 }
 
 // saveAssetsFor writes one asset file into dir per device holding a

@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"dlrmperf"
+	"dlrmperf/internal/explore"
 	"dlrmperf/internal/serve"
 )
 
@@ -214,11 +217,12 @@ func TestOneShotRequestArray(t *testing.T) {
 }
 
 // TestOneShotExploreGrid: a JSON object on -in is an explore grid,
-// swept in-process and written as the explore.Report POST /v1/explore
-// returns. The checked-in fixture's coverage is pinned: 16 points = 8
+// swept through the server's admission pipeline and written as the
+// explore.Report POST /v1/explore returns. The checked-in fixture's coverage is pinned: 16 points = 8
 // unique + 4 duplicates + 4 rejected.
 func TestOneShotExploreGrid(t *testing.T) {
-	doc, err := runOneShot(serveConfig{Engine: tinyEngineConfig()}, "../../internal/explore/testdata/grid.json")
+	const fixture = "../../internal/explore/testdata/grid.json"
+	doc, err := runOneShot(serveConfig{Engine: tinyEngineConfig()}, fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,6 +249,119 @@ func TestOneShotExploreGrid(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("one-shot explore document is not the explore.Report:\n%s\n%s", got, want)
+	}
+
+	// The one-shot is POST /v1/explore's executor: Server.RunExplore on
+	// a fresh engine with the same config reports the same document,
+	// timing aside.
+	data, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g explore.Grid
+	if err := json.Unmarshal(data, &g); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := dlrmperf.NewEngineWith(tinyEngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(serveConfig{}, eng)
+	direct, err := srv.RunExplore(context.Background(), g)
+	srv.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := untimed(t, rep.Report), untimed(t, direct); a != b {
+		t.Errorf("one-shot report differs from Server.RunExplore:\n%s\n%s", a, b)
+	}
+}
+
+// untimed renders an explore report without its three wall-clock
+// fields (elapsed_ms, configs_per_sec, predictions_per_sec).
+func untimed(t *testing.T, rep *explore.Report) string {
+	t.Helper()
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	delete(fields, "elapsed_ms")
+	delete(fields, "configs_per_sec")
+	delete(fields, "predictions_per_sec")
+	out, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// gridFile writes g as a one-shot -in document.
+func gridFile(t *testing.T, g explore.Grid) string {
+	t.Helper()
+	data, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "grid.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestOneShotExploreTimeout: the grid's timeout_ms bounds every unit the
+// one-shot dispatches, as it does on POST /v1/explore. A cold device
+// calibrates for far longer than 1 ms, so every unit fails with the
+// deadline error.
+func TestOneShotExploreTimeout(t *testing.T) {
+	path := gridFile(t, explore.Grid{
+		Scenarios: []string{"dlrm-default"},
+		Devices:   []string{dlrmperf.V100},
+		Batches:   []int64{512, 1024},
+		TimeoutMs: 1,
+	})
+	doc, err := runOneShot(serveConfig{Engine: tinyEngineConfig()}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := doc.(*exploreShot)
+	if rep.Unique != 2 || rep.Predicted != 2 || rep.Failed != 2 {
+		t.Fatalf("unique/predicted/failed = %d/%d/%d, want 2/2/2", rep.Unique, rep.Predicted, rep.Failed)
+	}
+	for _, f := range rep.FailedSamples {
+		if !strings.Contains(f.Error, context.DeadlineExceeded.Error()) {
+			t.Errorf("unit %+v failed with %q, want a deadline error", f.Point, f.Error)
+		}
+	}
+}
+
+// TestOneShotExploreGridTooLarge: a grid over serve.MaxGrid is refused
+// by its size, as POST /v1/explore refuses it — a GridTooLargeError and
+// no document, and nothing re-saved.
+func TestOneShotExploreGridTooLarge(t *testing.T) {
+	path := gridFile(t, explore.Grid{
+		Scenarios: []string{"dlrm-default"},
+		Devices:   []string{dlrmperf.V100},
+		Batches:   make([]int64, serve.MaxGrid+1),
+	})
+	saveDir := filepath.Join(t.TempDir(), "assets")
+	doc, err := runOneShot(serveConfig{Engine: tinyEngineConfig(), SaveAssets: saveDir}, path)
+	var tooLarge *serve.GridTooLargeError
+	if !errors.As(err, &tooLarge) {
+		t.Fatalf("err = %v, want *serve.GridTooLargeError", err)
+	}
+	if tooLarge.Size != serve.MaxGrid+1 || tooLarge.Max != serve.MaxGrid {
+		t.Errorf("reported size/max = %d/%d, want %d/%d", tooLarge.Size, tooLarge.Max, serve.MaxGrid+1, serve.MaxGrid)
+	}
+	if doc != nil {
+		t.Errorf("refused grid produced a document: %+v", doc)
+	}
+	if _, err := os.Stat(saveDir); !os.IsNotExist(err) {
+		t.Errorf("refused grid re-saved assets (stat: %v)", err)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // keep off this path). Key building in
 // reached code must use the append-builder/pooled-buffer idiom
 // (Request.AppendKey, xrand.AppendHex16, keyBufPool) that holds
-// PredictBatchCached at 4 allocs.
+// PredictSingleCached at 0 allocs.
 type hotpathConfig struct {
 	roots []string // funcDisplayName spellings: "Fn" or "Type.Method"
 	stops []string // reachable-but-cold functions the walk must not enter
@@ -28,16 +28,15 @@ var hotpathPackages = map[string]hotpathConfig{
 	"dlrmperf/internal/engine": {
 		roots: []string{
 			// Steady-state prediction: the one keyed lookup, the one
-			// request wrapper, its entry points (single, batch, remote
-			// pass-through and its resident-only read, which is on the
-			// hit path of every coordinator batch row), the result-class
-			// builder (handed to the wrapper as a method expression, so
-			// no call edge reaches it), compiled plan execution, and the
-			// key builders themselves.
+			// request wrapper, its entry points (local prediction, the
+			// remote pass-through and its resident-only read, which is
+			// on the hit path of every coordinator batch row), the
+			// result-class builder (handed to the wrapper as a method
+			// expression, so no call edge reaches it), compiled plan
+			// execution, and the key builders themselves.
 			"Engine.lookup",
 			"Engine.request",
 			"Engine.PredictCtx",
-			"Engine.PredictBatchCtx",
 			"Engine.RemoteResult",
 			"Engine.ResidentResult",
 			"Engine.predictScenario",

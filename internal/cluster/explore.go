@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"net/http"
 
 	"dlrmperf/internal/explore"
@@ -41,16 +40,5 @@ func (c *Coordinator) handleExplore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rep, err := c.RunExplore(r.Context(), g)
-	var tooLarge *serve.GridTooLargeError
-	switch {
-	case err == nil:
-		serve.WriteJSON(w, http.StatusOK, rep)
-	case errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", c.retryAfter())
-		serve.WriteJSON(w, http.StatusServiceUnavailable, serve.HTTPError{Code: "draining", Message: err.Error()})
-	case errors.As(err, &tooLarge):
-		serve.WriteJSON(w, http.StatusBadRequest, serve.HTTPError{Code: "grid_too_large", Message: err.Error()})
-	default:
-		serve.WriteJSON(w, http.StatusBadRequest, serve.HTTPError{Code: "bad_grid", Message: err.Error()})
-	}
+	serve.WriteExplore(w, rep, err, ErrDraining, c.retryAfter())
 }

@@ -35,8 +35,7 @@ type entryPoint struct {
 
 var errWorkerDown = errors.New("worker down")
 
-// entryPoints are Predict, PredictBatch (warm probe pass + fan-out) and
-// RemoteResult. The local builder's run count is read off the
+// entryPoints are Predict and RemoteResult. The local builder's run count is read off the
 // calibrations class (predictScenario asks for the device's calibration
 // exactly once per run, and nothing under it asks again); the remote
 // fetch counts itself, and fails for the device the local
@@ -52,14 +51,6 @@ func entryPoints() []entryPoint {
 			name: "Predict", prefix: "predict/", value: cached{},
 			call: func(x *accountingRun, ctx context.Context, req Request) (bool, error) {
 				r := x.e.PredictCtx(ctx, req)
-				return r.CacheHit, r.Err
-			},
-			builds: localBuilds,
-		},
-		{
-			name: "PredictBatch", prefix: "predict/", value: cached{},
-			call: func(x *accountingRun, ctx context.Context, req Request) (bool, error) {
-				r := x.e.PredictBatchCtx(ctx, []Request{req})[0]
 				return r.CacheHit, r.Err
 			},
 			builds: localBuilds,
@@ -157,7 +148,7 @@ func (x *accountingRun) whileWaiting(ctx context.Context, req Request, during fu
 
 // TestRequestAccountingContract is the property the engine's five
 // cache-then-flight copies each re-implemented, now stated once: every
-// way into the request path — Predict, PredictBatch, RemoteResult —
+// way into the request path — Predict and RemoteResult —
 // moves the SAME counters for the same outcome. One validated request
 // is exactly one hit or one miss and exactly one served; a reject is a
 // reject and nothing else; cancellation is a miss plus Canceled; the

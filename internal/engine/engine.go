@@ -21,16 +21,16 @@
 // could only be re-read after that result was evicted. Requests reach
 // the lookup through ONE wrapper (Engine.request: validate, then key,
 // then lookup, with the stream and hit/miss/canceled accounting around
-// it) shared by PredictCtx, PredictBatchCtx and the coordinator's
-// RemoteResult, so the three cannot disagree about a request's identity
-// or verdict.
+// it) shared by PredictCtx and the coordinator's RemoteResult, so the
+// two cannot disagree about a request's identity or verdict.
 //
 // Calibration itself fans its per-kernel-family jobs out on a bounded
-// worker pool (perfmodel.CalibrateParallel), and PredictBatchCtx fans
-// independent (workload, batch, device) requests out the same way.
-// Everything stays bit-deterministic in the engine seed: per-device
-// streams are derived as Seed + xrand.HashString(device), so no result
-// depends on arrival order or scheduling.
+// worker pool (perfmodel.CalibrateParallel), and overhead collection
+// pools its profiled runs on the same bound; concurrent requests come
+// from the caller (the serving layer's admission pipeline). Everything
+// stays bit-deterministic in the engine seed: per-device streams are
+// derived as Seed + xrand.HashString(device), so no result depends on
+// arrival order or scheduling.
 package engine
 
 import (
@@ -83,8 +83,8 @@ type Options struct {
 	CNNBatches []int64
 	// Iters is the measured-run iteration count (default 30).
 	Iters int
-	// Workers bounds concurrent calibration jobs and batched
-	// predictions (default runtime.GOMAXPROCS).
+	// Workers bounds concurrent calibration jobs and the profiled runs
+	// pooled into one overhead database (default runtime.GOMAXPROCS).
 	Workers int
 	// ResultCacheSize caps the scenario-fingerprint-keyed prediction
 	// result cache (default 512 entries; negative disables the cache —
@@ -709,17 +709,17 @@ func (e *Engine) Predict(req Request) Result {
 // observed at entry and the computation runs inline on the caller —
 // the historical cold-ablation behavior.
 func (e *Engine) PredictCtx(ctx context.Context, req Request) (res Result) {
-	e.predictInto(ctx, &req, &res, (*Engine).predictScenario)
+	e.predictInto(ctx, &req, &res)
 	return res
 }
 
 // predictInto runs one local prediction through request and fills *out.
 // Pointer in, pointer out: the request and result structs are large
-// enough that by-value passing shows up as copy traffic on warm
-// batches.
-func (e *Engine) predictInto(ctx context.Context, req *Request, out *Result, build buildFn) {
+// enough that by-value passing shows up as copy traffic on the hit
+// path.
+func (e *Engine) predictInto(ctx context.Context, req *Request, out *Result) {
 	out.Request = *req
-	v, hit, err := e.request(ctx, "predict/", req, build)
+	v, hit, err := e.request(ctx, "predict/", req, (*Engine).predictScenario)
 	if out.Err = err; err != nil {
 		return
 	}
@@ -769,37 +769,4 @@ func (e *Engine) ResidentResult(req Request) (v any, ok bool) {
 // The caller vouches for req's validity, as the facade's Resolve does.
 func (e *Engine) InstallRemoteResult(req Request, v any) {
 	e.store.class(classResult).put("remote/"+req.Key(), v, approxBytes(v))
-}
-
-// PredictBatchCtx fans the requests out across the worker pool and
-// returns one result per request, in request order. Results are
-// identical to calling Predict sequentially; each device still
-// calibrates at most once, and duplicate scenarios compute at most once,
-// no matter how many requests land concurrently. ctx is a shared caller
-// deadline: every request observes it the way PredictCtx does, so
-// canceling the context abandons the whole batch without poisoning any
-// in-flight computation.
-//
-// Every request first runs inline on the calling goroutine as a
-// resident-only probe, which fully serves whatever needs no computation
-// — result-cache hits, validation rejections, an already-expired
-// context — so a fully-warm batch never pays the worker pool's
-// goroutine and channel traffic; only the requests the probe found
-// nothing for are fanned out (by value: a detached computation must not
-// keep reading the caller's slice).
-func (e *Engine) PredictBatchCtx(ctx context.Context, reqs []Request) []Result {
-	out := make([]Result, len(reqs))
-	var miss []int
-	for i := range reqs {
-		if e.predictInto(ctx, &reqs[i], &out[i], nil); out[i].Err == errNotResident {
-			miss = append(miss, i)
-		}
-	}
-	if len(miss) == 0 {
-		return out
-	}
-	xsync.ForEachN(len(miss), e.opts.Workers, func(j int) {
-		out[miss[j]] = e.PredictCtx(ctx, reqs[miss[j]])
-	})
-	return out
 }

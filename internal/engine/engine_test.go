@@ -13,6 +13,7 @@ import (
 	"dlrmperf/internal/models"
 	"dlrmperf/internal/perfmodel"
 	"dlrmperf/internal/scenario"
+	"dlrmperf/internal/xsync"
 )
 
 // tinyOptions keeps engine tests fast: eighth-size sweeps, a single
@@ -85,13 +86,24 @@ func testRequests() []Request {
 	return reqs
 }
 
-// TestPredictBatchMatchesSequential: fanning requests across the pool
-// must not change a single bit of any prediction relative to serving
-// them one at a time on a fresh engine.
+// predictAll serves reqs with concurrent PredictCtx calls — as many in
+// flight as the engine has workers, the way a serving pool drives it —
+// and returns the results in request order.
+func predictAll(e *Engine, reqs []Request) []Result {
+	out := make([]Result, len(reqs))
+	xsync.ForEachN(len(reqs), e.opts.Workers, func(i int) {
+		out[i] = e.PredictCtx(context.Background(), reqs[i])
+	})
+	return out
+}
+
+// TestPredictBatchMatchesSequential: serving requests concurrently must
+// not change a single bit of any prediction relative to serving them
+// one at a time on a fresh engine.
 func TestPredictBatchMatchesSequential(t *testing.T) {
 	reqs := testRequests()
 
-	batch := New(tinyOptions(7)).PredictBatchCtx(context.Background(), reqs)
+	batch := predictAll(New(tinyOptions(7)), reqs)
 	seq := make([]Result, len(reqs))
 	serial := New(tinyOptions(7))
 	for i, r := range reqs {
@@ -109,13 +121,13 @@ func TestPredictBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPredictBatchDeterministicRepeat: repeated batches over a warm
-// cache return identical results.
+// TestPredictBatchDeterministicRepeat: repeated concurrent batches over
+// a warm cache return identical results.
 func TestPredictBatchDeterministicRepeat(t *testing.T) {
 	e := New(tinyOptions(7))
 	reqs := testRequests()
-	a := e.PredictBatchCtx(context.Background(), reqs)
-	b := e.PredictBatchCtx(context.Background(), reqs)
+	a := predictAll(e, reqs)
+	b := predictAll(e, reqs)
 	for i := range reqs {
 		if !reflect.DeepEqual(a[i].Prediction, b[i].Prediction) {
 			t.Fatalf("request %v: repeat changed prediction", reqs[i])
@@ -161,10 +173,10 @@ func TestWarmStartAssets(t *testing.T) {
 }
 
 // TestPredictErrorsAreLocal: a bad request reports its error in its
-// slot without failing the rest of the batch.
+// slot without failing the concurrent requests beside it.
 func TestPredictErrorsAreLocal(t *testing.T) {
 	e := New(tinyOptions(7))
-	res := e.PredictBatchCtx(context.Background(), []Request{
+	res := predictAll(e, []Request{
 		NewRequest("H100", models.NameDLRMDefault, 256),
 		NewRequest(hw.V100, "no_such_model", 256),
 		NewRequest(hw.V100, models.NameDLRMDefault, 256),
@@ -181,8 +193,8 @@ func TestPredictErrorsAreLocal(t *testing.T) {
 }
 
 // TestResultCacheMissThenHit is the PR's cache contract: the first
-// request computes (one miss), every repeat — sequential or inside one
-// PredictBatch — is served from memory with a bit-identical prediction.
+// request computes (one miss), every repeat — sequential or concurrent
+// — is served from memory with a bit-identical prediction.
 func TestResultCacheMissThenHit(t *testing.T) {
 	e := New(tinyOptions(7))
 	req := NewRequest(hw.V100, models.NameDLRMDefault, 512)
@@ -212,10 +224,10 @@ func TestResultCacheMissThenHit(t *testing.T) {
 		t.Fatalf("cached prediction differs: %+v vs %+v", r1.Prediction, r2.Prediction)
 	}
 
-	// Duplicates inside one batch compute at most once; a distinct
-	// request adds exactly one miss.
+	// Concurrent duplicates compute at most once; a distinct request
+	// adds exactly one miss.
 	other := NewRequest(hw.V100, models.NameDLRMDefault, 256)
-	batch := e.PredictBatchCtx(context.Background(), []Request{req, req, other, req})
+	batch := predictAll(e, []Request{req, req, other, req})
 	for i, r := range batch {
 		if r.Err != nil {
 			t.Fatalf("batch slot %d: %v", i, r.Err)
@@ -283,7 +295,7 @@ func TestScenarioMultiGPU(t *testing.T) {
 
 	// A mixed single+multi batch serves through the same engine with one
 	// calibration, and the repeated multi-GPU request hits the cache.
-	mixed := e.PredictBatchCtx(context.Background(), []Request{
+	mixed := predictAll(e, []Request{
 		NewRequest(hw.V100, models.NameDLRMDefault, 512),
 		{Device: hw.V100, Scenario: spec},
 	})

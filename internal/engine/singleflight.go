@@ -46,8 +46,8 @@ func (g *group) Do(key string, fn func() (any, error)) (any, error) {
 //
 // A ctx that can never be canceled (ctx.Done() == nil, e.g.
 // context.Background) makes detachment pointless: the owner runs fn
-// inline — no goroutine spawn for the plain Predict/PredictBatchCtx
-// callers — and a panic releases the waiters with an error, then
+// inline — no goroutine spawn for a plain Predict or an asset memo —
+// and a panic releases the waiters with an error, then
 // propagates on the owner's goroutine.
 //
 // Callers that need executed-vs-joined accounting observe it through a

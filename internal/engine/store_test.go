@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -232,19 +231,19 @@ func TestPinnedCalibrationSurvivesEviction(t *testing.T) {
 }
 
 // TestBoundedStoreBitIdentical is the tentpole's correctness contract:
-// a concurrent PredictBatch against a store far smaller than the
+// concurrent predictions against a store far smaller than the
 // working set stays race-clean (the suite runs under -race in CI),
 // keeps every class at or under its cap, evicts, and returns
 // bit-identical predictions to an unbounded engine.
 func TestBoundedStoreBitIdentical(t *testing.T) {
 	reqs := testRequests()
 
-	want := withCaps(New(tinyOptions(7)), -1, -1, -1).PredictBatchCtx(context.Background(), reqs)
+	want := predictAll(withCaps(New(tinyOptions(7)), -1, -1, -1), reqs)
 
 	boundedOpts := tinyOptions(7)
 	boundedOpts.ResultCacheSize = 2
 	bounded := withCaps(New(boundedOpts), 2, 1, 2)
-	got := bounded.PredictBatchCtx(context.Background(), reqs)
+	got := predictAll(bounded, reqs)
 
 	for i := range reqs {
 		if want[i].Err != nil || got[i].Err != nil {
@@ -278,7 +277,7 @@ func TestBoundedStoreBitIdentical(t *testing.T) {
 
 	// The unbounded baseline never evicts.
 	u := withCaps(New(tinyOptions(7)), -1, -1, -1)
-	if res := u.PredictBatchCtx(context.Background(), reqs); res[0].Err != nil {
+	if res := predictAll(u, reqs); res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
 	for _, c := range u.AssetStats().Classes {
@@ -371,7 +370,7 @@ func TestCacheStatsInvariant(t *testing.T) {
 	// requests miss; the invariant holds regardless of interleaving.
 	ok := NewRequest(hw.V100, models.NameDLRMDefault, 256)
 	other := NewRequest(hw.V100, models.NameDLRMDDP, 256)
-	batch := e.PredictBatchCtx(context.Background(), []Request{ok, ok, other, ok, bad, other})
+	batch := predictAll(e, []Request{ok, ok, other, ok, bad, other})
 	for i, r := range batch {
 		if i == 4 {
 			if r.Err == nil {

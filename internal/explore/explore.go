@@ -12,11 +12,11 @@
 // (comm "" and "nvlink" are one identity at width > 1), and a sweep
 // must never predict one spec twice. The unique list comes out
 // device-major, so a device's pinned calibration and its graph
-// structures are touched in cache-friendly order. Sweep fans the unique requests
-// through the engine's bounded worker pool (PredictBatchContext,
-// context-threaded: a canceled exploration abandons cleanly without
-// poisoning the singleflight) and streams every result into an
-// incremental Pareto frontier — no O(n²) post-pass, memory
+// structures are touched in cache-friendly order. The serving layer's
+// serve.Sweep is the one executor: it drives the unique units through
+// a server's or a coordinator's batch admission (the one-shot CLI and
+// POST /v1/explore alike) and streams every Outcome into an Aggregator
+// — an incremental Pareto frontier, no O(n²) post-pass, memory
 // proportional to the frontier and the top-N table, not the grid.
 package explore
 
@@ -55,9 +55,9 @@ type Grid struct {
 	// Top bounds the best-configurations table in the report (default
 	// 16, capped at 64 — the report stays small however large the grid).
 	Top int `json:"top,omitempty"`
-	// TimeoutMs optionally bounds each dispatched prediction on the
-	// serving paths (ignored by the in-process Sweep, which is bounded
-	// by the caller's context).
+	// TimeoutMs optionally bounds each dispatched prediction: every
+	// unit carries it as its request's timeout_ms, so it can only
+	// tighten the server's own per-request deadline.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 }
 
@@ -216,18 +216,8 @@ func Expand(g Grid) (*Expansion, error) {
 	return ex, nil
 }
 
-// Requests materializes the facade request per unique unit, in unit
-// order.
-func (ex *Expansion) Requests() []dlrmperf.PredictRequest {
-	reqs := make([]dlrmperf.PredictRequest, len(ex.Unique))
-	for i := range ex.Unique {
-		reqs[i] = ex.Unique[i].Point.Request()
-	}
-	return reqs
-}
-
-// Outcome is the prediction verdict of one unit, normalized across the
-// in-process, HTTP, and cluster paths.
+// Outcome is the prediction verdict of one unit, normalized from a
+// served result row (a worker's or a coordinator's).
 type Outcome struct {
 	// E2EUs is the predicted per-step end-to-end time.
 	E2EUs float64
@@ -239,20 +229,6 @@ type Outcome struct {
 	// Err is the failure message ("" on success): dispatch errors,
 	// deadline expiries, engine-side rejects.
 	Err string
-}
-
-// OutcomeOf normalizes a facade result.
-func OutcomeOf(res dlrmperf.PredictResult) Outcome {
-	o := Outcome{
-		ScalingEfficiency: res.ScalingEfficiency,
-		CacheHit:          res.CacheHit,
-	}
-	if res.Err != nil {
-		o.Err = res.Err.Error()
-		return o
-	}
-	o.E2EUs = res.Prediction.E2EUs
-	return o
 }
 
 // Row is one explored configuration in the report: the resolved

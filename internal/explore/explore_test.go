@@ -1,18 +1,15 @@
 package explore
 
 import (
-	"context"
 	"encoding/json"
 	"os"
 	"strings"
 	"testing"
-	"testing/quick"
-
-	"dlrmperf"
 )
 
-// loadGrid reads the checked-in demo grid fixture.
-func loadGrid(t testing.TB) Grid {
+// LoadGrid reads the checked-in demo grid fixture. It is exported for
+// the external sweep tests (package explore_test).
+func LoadGrid(t testing.TB) Grid {
 	t.Helper()
 	data, err := os.ReadFile("testdata/grid.json")
 	if err != nil {
@@ -25,20 +22,9 @@ func loadGrid(t testing.TB) Grid {
 	return g
 }
 
-// fastEngine builds a low-fidelity engine over the given devices.
-func fastEngine(t testing.TB, devices ...string) *dlrmperf.Engine {
-	t.Helper()
-	cfg := dlrmperf.FastCalibConfig(17, 4)
-	cfg.Devices = devices
-	eng, err := dlrmperf.NewEngineWith(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
-}
-
-// assertCoverage checks the exact-coverage identity on a report.
-func assertCoverage(t *testing.T, rep *Report) {
+// AssertCoverage checks the exact-coverage identity on a report
+// (exported, like LoadGrid, for the sweep tests).
+func AssertCoverage(t *testing.T, rep *Report) {
 	t.Helper()
 	if got := rep.Unique + rep.Duplicates + rep.Rejected; got != rep.GridPoints {
 		t.Errorf("coverage identity broken: %d unique + %d dup + %d rejected = %d, grid %d",
@@ -51,7 +37,7 @@ func assertCoverage(t *testing.T, rep *Report) {
 // duplicates, 4 rejected (comm on a single-device point), device-major
 // unit order, and exact coverage.
 func TestExpandFixtureCoverage(t *testing.T) {
-	ex, err := Expand(loadGrid(t))
+	ex, err := Expand(LoadGrid(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +109,7 @@ func TestAggregatorAccounting(t *testing.T) {
 	agg.Add(1, Outcome{E2EUs: 1000, CacheHit: true, ScalingEfficiency: 1})
 	agg.Add(2, Outcome{E2EUs: 1500, ScalingEfficiency: 1})
 	rep := agg.Report(0)
-	assertCoverage(t, rep)
+	AssertCoverage(t, rep)
 	if rep.Predicted != 3 || rep.Failed != 1 || rep.CacheHits != 1 {
 		t.Errorf("predicted/failed/hits = %d/%d/%d, want 3/1/1", rep.Predicted, rep.Failed, rep.CacheHits)
 	}
@@ -140,147 +126,5 @@ func TestAggregatorAccounting(t *testing.T) {
 	}
 	if best := rep.Best["DLRM_default"]; best.Batch != 2048 {
 		t.Errorf("best = %+v, want the batch-2048 row", best)
-	}
-}
-
-// TestSweepFixture runs the demo grid against a real low-fidelity
-// engine twice: the first pass predicts every unique unit, the second
-// is served entirely from the result cache — zero new predictions,
-// cache hit rate 1.0 — and both passes report identical coverage and
-// frontiers.
-func TestSweepFixture(t *testing.T) {
-	eng := fastEngine(t, dlrmperf.V100)
-	g := loadGrid(t)
-	cold, err := Sweep(context.Background(), eng, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertCoverage(t, cold)
-	if cold.Failed != 0 || cold.Predicted != cold.Unique {
-		t.Fatalf("cold pass: %d predicted, %d failed (samples %+v)", cold.Predicted, cold.Failed, cold.FailedSamples)
-	}
-	hits0, misses0 := eng.CacheStats()
-	warm, err := Sweep(context.Background(), eng, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertCoverage(t, warm)
-	hits1, misses1 := eng.CacheStats()
-	if misses1 != misses0 {
-		t.Errorf("warm pass computed %d new predictions, want 0", misses1-misses0)
-	}
-	if int(hits1-hits0) != warm.Unique {
-		t.Errorf("warm pass hits = %d, want %d", hits1-hits0, warm.Unique)
-	}
-	if warm.CacheHitRate != 1 {
-		t.Errorf("warm hit rate = %v, want 1", warm.CacheHitRate)
-	}
-	if len(warm.Frontier) == 0 || len(warm.Frontier) != len(cold.Frontier) {
-		t.Errorf("frontiers differ: cold %d rows, warm %d", len(cold.Frontier), len(warm.Frontier))
-	}
-	for i := range warm.Frontier {
-		if warm.Frontier[i].Fingerprint != cold.Frontier[i].Fingerprint {
-			t.Errorf("frontier[%d] differs: %s vs %s", i, cold.Frontier[i].Fingerprint, warm.Frontier[i].Fingerprint)
-		}
-	}
-	if warm.Assets == nil || warm.Assets.Class("results").Resident == 0 {
-		t.Errorf("asset stats missing or empty: %+v", warm.Assets)
-	}
-}
-
-// TestSweepUnknownDeviceFails: a device outside the engine's set is
-// dispatched (explore does not know engine device sets) and lands in
-// Failed with the facade's rejection, leaving the valid device's units
-// untouched.
-func TestSweepUnknownDeviceFails(t *testing.T) {
-	eng := fastEngine(t, dlrmperf.V100)
-	rep, err := Sweep(context.Background(), eng, Grid{
-		Scenarios: []string{"dlrm-default"},
-		Devices:   []string{"V100", "P100"}, // engine serves only V100
-		Batches:   []int64{512},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertCoverage(t, rep)
-	if rep.Failed != 1 || rep.Predicted != 2 {
-		t.Fatalf("predicted/failed = %d/%d, want 2/1: %+v", rep.Predicted, rep.Failed, rep.FailedSamples)
-	}
-	if !strings.Contains(rep.FailedSamples[0].Error, "not in engine device set") {
-		t.Errorf("failure = %+v", rep.FailedSamples[0])
-	}
-}
-
-// TestSweepIdempotentAcrossRegistry (testing/quick, mirroring
-// sharding_property_test.go) pins the tentpole's dedup contract over
-// random grids drawn from the whole scenario registry: a second
-// identical sweep performs ZERO new predictions — the engine's miss
-// counter is unchanged and its hit delta equals the unique fingerprint
-// count — and coverage stays exact. One shared warm engine keeps the
-// property cheap enough to sample.
-func TestSweepIdempotentAcrossRegistry(t *testing.T) {
-	if testing.Short() {
-		t.Skip("registry-wide sweeps are slow under -short")
-	}
-	eng := fastEngine(t, dlrmperf.V100)
-	names := dlrmperf.Scenarios()
-	gpuAxes := [][]int{{0}, {1, 2}, {0, 2}}
-	batchAxes := [][]int64{{0}, {0, 1024}}
-
-	f := func(pick uint32, gpuSel, batchSel uint8) bool {
-		// Derive a non-empty scenario subset from the pick bits.
-		var subset []string
-		for i, name := range names {
-			if pick&(1<<(uint(i)%32)) != 0 {
-				subset = append(subset, name)
-			}
-		}
-		if len(subset) == 0 {
-			subset = []string{names[int(pick)%len(names)]}
-		}
-		if len(subset) > 4 {
-			subset = subset[:4]
-		}
-		g := Grid{
-			Scenarios: subset,
-			Devices:   []string{dlrmperf.V100},
-			GPUs:      gpuAxes[int(gpuSel)%len(gpuAxes)],
-			Batches:   batchAxes[int(batchSel)%len(batchAxes)],
-		}
-		first, err := Sweep(context.Background(), eng, g)
-		if err != nil {
-			t.Logf("first sweep: %v", err)
-			return false
-		}
-		hits0, misses0 := eng.CacheStats()
-		second, err := Sweep(context.Background(), eng, g)
-		if err != nil {
-			t.Logf("second sweep: %v", err)
-			return false
-		}
-		hits1, misses1 := eng.CacheStats()
-		ok := true
-		if misses1 != misses0 {
-			t.Logf("repeat sweep of %v computed %d new predictions", g, misses1-misses0)
-			ok = false
-		}
-		if int(hits1-hits0) != second.Unique {
-			t.Logf("repeat sweep hits %d != unique %d", hits1-hits0, second.Unique)
-			ok = false
-		}
-		if second.CacheHitRate != 1 || second.Failed != 0 {
-			t.Logf("repeat sweep hit rate %v, failed %d", second.CacheHitRate, second.Failed)
-			ok = false
-		}
-		for _, rep := range []*Report{first, second} {
-			if got := rep.Unique + rep.Duplicates + rep.Rejected; got != rep.GridPoints {
-				t.Logf("coverage identity broken: %+v", rep)
-				ok = false
-			}
-		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Error(err)
 	}
 }

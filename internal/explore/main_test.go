@@ -7,7 +7,7 @@ import (
 )
 
 // TestMain guards the package against leaked goroutines: a sweep whose
-// cancellation strands engine fan-out workers fails the suite.
+// server drain strands a queue worker fails the suite.
 func TestMain(m *testing.M) {
 	leakcheck.Main(m)
 }

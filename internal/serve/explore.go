@@ -83,17 +83,25 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rep, err := s.RunExplore(r.Context(), g)
+	WriteExplore(w, rep, err, ErrDraining, s.retryAfterSeconds())
+}
+
+// WriteExplore answers POST /v1/explore from a sweep's outcome, on a
+// worker and on a coordinator alike: 200 with the report; 503 draining
+// with the caller's Retry-After when err is the caller's draining
+// sentinel; 400 grid_too_large past MaxGrid; 400 bad_grid for a grid
+// Expand refuses (a structurally empty one).
+func WriteExplore(w http.ResponseWriter, rep *explore.Report, err, draining error, retryAfter string) {
 	var tooLarge *GridTooLargeError
 	switch {
 	case err == nil:
 		WriteJSON(w, http.StatusOK, rep)
-	case errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
+	case errors.Is(err, draining):
+		w.Header().Set("Retry-After", retryAfter)
 		WriteJSON(w, http.StatusServiceUnavailable, HTTPError{Code: "draining", Message: err.Error()})
 	case errors.As(err, &tooLarge):
 		WriteJSON(w, http.StatusBadRequest, HTTPError{Code: "grid_too_large", Message: err.Error()})
 	default:
-		// Expansion errors: structurally empty grids.
 		WriteJSON(w, http.StatusBadRequest, HTTPError{Code: "bad_grid", Message: err.Error()})
 	}
 }

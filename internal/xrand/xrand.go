@@ -220,7 +220,7 @@ func NewZipf(rng *Rand, n int, s float64) *Zipf {
 // NewZipf(rng, n, s) followed by length Next calls, so a caller that
 // previously inlined that loop sees bit-identical draws.
 //
-//lint:allow unlinked gated benchmark: BenchmarkExploreCold draws its request stream here
+//lint:allow unlinked gated benchmark: BenchmarkSweepCold (internal/serve) draws its batch axis here
 func ZipfStream(rng *Rand, n int, s float64, length int) []int {
 	z := NewZipf(rng, n, s)
 	stream := make([]int, length)
