@@ -23,6 +23,7 @@ import (
 	"dlrmperf/internal/kernels"
 	"dlrmperf/internal/mlp"
 	"dlrmperf/internal/sim"
+	"dlrmperf/internal/tensor"
 	"dlrmperf/internal/xrand"
 )
 
@@ -225,8 +226,12 @@ func logf(t float64) float64 {
 // as their square counterparts.
 func (m *MLPredict) Predict(g *graph.Graph) float64 {
 	total := 0.0
+	var in []tensor.Meta
+	var ks []kernels.Kernel
 	for _, n := range g.Nodes {
-		for _, k := range g.NodeKernels(n) {
+		in = g.InputMetas(in[:0], n.Inputs)
+		ks = n.Op.AppendKernels(ks[:0], in)
+		for _, k := range ks {
 			total += m.PredictKernel(k)
 		}
 	}

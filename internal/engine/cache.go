@@ -270,7 +270,6 @@ func approxBytes(v any) int64 {
 		ptrOverhead     = 48  // map/list bookkeeping per entry
 		statsBytes      = 32  // overhead.Stats + map key share
 		nodeBytes       = 200 // graph.Node + op + tensor metadata share
-		opTimeBytes     = 64  // predict.OpTime
 		deviceTimeBytes = 24  // a sim.Result.DeviceTime entry: name header + µs
 		modelBytes      = 128 // a kernel model's own fields
 		fallbackSize    = 1 << 10
@@ -310,7 +309,7 @@ func approxBytes(v any) int64 {
 		}
 		return n
 	case cached:
-		n := int64(ptrOverhead) + 32 + int64(len(t.pred.PerOp))*opTimeBytes
+		n := int64(ptrOverhead) + 32
 		if t.multi != nil {
 			n += 64 + int64(len(t.multi.PerDeviceE2E))*8
 		}

@@ -106,7 +106,7 @@ func (g *Graph) Meta(id TensorID) tensor.Meta {
 // Apply appends a node executing op on the given inputs and returns the
 // IDs of its output tensors.
 func (g *Graph) Apply(op ops.Op, inputs ...TensorID) []TensorID {
-	outMetas := op.Outputs(g.InputMetas(nil, inputs))
+	outMetas := op.AppendOutputs(nil, g.InputMetas(nil, inputs))
 	node := &Node{
 		ID:     g.nextNode,
 		Op:     op,
@@ -121,9 +121,11 @@ func (g *Graph) Apply(op ops.Op, inputs ...TensorID) []TensorID {
 }
 
 // InputMetas appends the metadata of the given tensors to dst and
-// returns it. A walk over many nodes passes the previous result
-// re-sliced to [:0], so the whole walk holds one buffer; ops read the
-// slice during the call and keep nothing of it.
+// returns it, the input half of the ops package's append contract. A
+// walk over many nodes passes the previous result re-sliced to [:0] and
+// hands it to the node's AppendKernels or AppendOutputs, which read it
+// during the call and keep nothing of it, so the whole walk holds one
+// buffer.
 func (g *Graph) InputMetas(dst []tensor.Meta, inputs []TensorID) []tensor.Meta {
 	for _, id := range inputs {
 		dst = append(dst, g.Meta(id))
@@ -132,9 +134,13 @@ func (g *Graph) InputMetas(dst []tensor.Meta, inputs []TensorID) []tensor.Meta {
 }
 
 // NodeKernels returns the kernels node n launches under the current
-// tensor shapes.
+// tensor shapes, in a slice of their own. It allocates two slices per
+// call: a walk over many nodes calls InputMetas and the op's
+// AppendKernels itself, with one buffer of each for the whole walk.
+//
+//lint:allow unlinked contract-test helper: the graph, models and bind suites compare a node's kernels through it
 func (g *Graph) NodeKernels(n *Node) []kernels.Kernel {
-	return n.Op.Kernels(g.InputMetas(nil, n.Inputs))
+	return n.Op.AppendKernels(nil, g.InputMetas(nil, n.Inputs))
 }
 
 // Producer returns the node producing tensor id, or -1 for graph inputs.
@@ -211,13 +217,13 @@ func (g *Graph) Propagate() error {
 // list in order — the one shape-inference pass behind Propagate and
 // WithBatch.
 func (g *Graph) propagate(shapes []tensor.Meta) error {
-	var in []tensor.Meta
+	var in, outMetas []tensor.Meta
 	for _, n := range g.Nodes {
 		in = in[:0]
 		for _, id := range n.Inputs {
 			in = append(in, shapes[id])
 		}
-		outMetas := n.Op.Outputs(in)
+		outMetas = n.Op.AppendOutputs(outMetas[:0], in)
 		if len(outMetas) != len(n.Outputs) {
 			return nodeErrorf(n, "output arity changed from %d to %d", len(n.Outputs), len(outMetas))
 		}
@@ -276,8 +282,12 @@ func (g *Graph) BatchSize() int64 {
 // TotalKernels counts the kernels launched by one execution of the graph.
 func (g *Graph) TotalKernels() int {
 	n := 0
+	var in []tensor.Meta
+	var ks []kernels.Kernel
 	for _, node := range g.Nodes {
-		n += len(g.NodeKernels(node))
+		in = g.InputMetas(in[:0], node.Inputs)
+		ks = node.Op.AppendKernels(ks[:0], in)
+		n += len(ks)
 	}
 	return n
 }

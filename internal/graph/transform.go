@@ -81,7 +81,7 @@ func (g *Graph) ReplaceNodes(ids []NodeID, op ops.Op) (*Node, error) {
 		}
 	}
 
-	outMetas := op.Outputs(g.InputMetas(nil, extInputs))
+	outMetas := op.AppendOutputs(nil, g.InputMetas(nil, extInputs))
 	if len(outMetas) < len(extOutputs) {
 		return nil, fmt.Errorf("graph: ReplaceNodes: op %s produces %d outputs but %d are consumed externally",
 			op.Name(), len(outMetas), len(extOutputs))

@@ -95,12 +95,40 @@ type Kernel interface {
 	FLOPs() float64
 	// Bytes returns the logical bytes read and written by the kernel.
 	Bytes() (read, write float64)
-	// Features returns the log2-scaled input features used by ML-based
-	// performance models (paper Section III-B2: sizes are benchmarked on
-	// an exponential scale and log-transformed before training).
-	Features() []float64
 	// String renders a compact human-readable description.
 	String() string
+}
+
+// AppendFeatures appends the log2-scaled input features ML-based
+// performance models read for k (paper Section III-B2: sizes are
+// benchmarked on an exponential scale and log-transformed before
+// training) to dst and returns the extended slice. It is a switch over
+// the closed set of kernel types, not a Kernel method: a dst passed
+// through an interface method escapes, so a caller's stack buffer would
+// move to the heap on every call.
+func AppendFeatures(dst []float64, k Kernel) []float64 {
+	switch k := k.(type) {
+	case GEMM:
+		return append(dst, lg(k.Batch), lg(k.M), lg(k.N), lg(k.K))
+	case Embedding:
+		return append(dst, lg(k.B), lg(k.E), lg(k.T), lg(k.L), lg(k.D))
+	case Concat:
+		return append(dst, lg(k.OutBytes), lg(int64(k.NInputs)))
+	case Memcpy:
+		return append(dst, lg(k.NBytes), float64(k.Dir))
+	case Transpose:
+		return append(dst, lg(k.B), lg(k.M), lg(k.N))
+	case Tril:
+		return append(dst, lg(k.B), lg(k.F))
+	case Elementwise:
+		return append(dst, lg(k.NElems), k.ReadsPerElem, k.WritesPerElem)
+	case Conv:
+		p, q := k.OutHW()
+		return append(dst, lg(k.N), lg(k.C), lg(k.H), lg(k.K), lg(k.R), lg(k.S), lg(k.Stride), lg(p*q))
+	case BatchNorm:
+		return append(dst, lg(k.N), lg(k.C), lg(k.H*k.W))
+	}
+	panic(fmt.Sprintf("kernels: no features for %T", k))
 }
 
 func lg(x int64) float64 {
@@ -130,11 +158,6 @@ func (g GEMM) Bytes() (read, write float64) {
 	read = 4 * b * (float64(g.M)*float64(g.K) + float64(g.K)*float64(g.N))
 	write = 4 * b * float64(g.M) * float64(g.N)
 	return read, write
-}
-
-// Features implements Kernel.
-func (g GEMM) Features() []float64 {
-	return []float64{lg(g.Batch), lg(g.M), lg(g.N), lg(g.K)}
 }
 
 // String implements Kernel.
@@ -201,11 +224,6 @@ func (e Embedding) Bytes() (read, write float64) {
 	return rows*rowBytes + idxBytes, outBytes
 }
 
-// Features implements Kernel.
-func (e Embedding) Features() []float64 {
-	return []float64{lg(e.B), lg(e.E), lg(e.T), lg(e.L), lg(e.D)}
-}
-
 // String implements Kernel.
 func (e Embedding) String() string {
 	dir := "fwd"
@@ -231,11 +249,6 @@ func (c Concat) FLOPs() float64 { return 0 }
 // Bytes implements Kernel.
 func (c Concat) Bytes() (read, write float64) {
 	return float64(c.OutBytes), float64(c.OutBytes)
-}
-
-// Features implements Kernel.
-func (c Concat) Features() []float64 {
-	return []float64{lg(c.OutBytes), lg(int64(c.NInputs))}
 }
 
 // String implements Kernel.
@@ -278,11 +291,6 @@ func (m Memcpy) Bytes() (read, write float64) {
 	return float64(m.NBytes), float64(m.NBytes)
 }
 
-// Features implements Kernel.
-func (m Memcpy) Features() []float64 {
-	return []float64{lg(m.NBytes), float64(m.Dir)}
-}
-
 // String implements Kernel.
 func (m Memcpy) String() string {
 	dir := [...]string{"h2d", "d2h", "d2d"}[m.Dir]
@@ -306,11 +314,6 @@ func (t Transpose) FLOPs() float64 { return 0 }
 func (t Transpose) Bytes() (read, write float64) {
 	n := 4 * float64(t.B) * float64(t.M) * float64(t.N)
 	return n, n
-}
-
-// Features implements Kernel.
-func (t Transpose) Features() []float64 {
-	return []float64{lg(t.B), lg(t.M), lg(t.N)}
 }
 
 // String implements Kernel.
@@ -353,11 +356,6 @@ func (t Tril) Bytes() (read, write float64) {
 	return full, tri
 }
 
-// Features implements Kernel.
-func (t Tril) Features() []float64 {
-	return []float64{lg(t.B), lg(t.F)}
-}
-
 // String implements Kernel.
 func (t Tril) String() string {
 	dir := "fwd"
@@ -390,11 +388,6 @@ func (e Elementwise) FLOPs() float64 { return float64(e.NElems) * e.FLOPsPerElem
 // Bytes implements Kernel.
 func (e Elementwise) Bytes() (read, write float64) {
 	return float64(e.NElems) * e.ReadsPerElem, float64(e.NElems) * e.WritesPerElem
-}
-
-// Features implements Kernel.
-func (e Elementwise) Features() []float64 {
-	return []float64{lg(e.NElems), e.ReadsPerElem, e.WritesPerElem}
 }
 
 // String implements Kernel.
@@ -447,12 +440,6 @@ func (c Conv) Bytes() (read, write float64) {
 	return read, write
 }
 
-// Features implements Kernel.
-func (c Conv) Features() []float64 {
-	p, q := c.OutHW()
-	return []float64{lg(c.N), lg(c.C), lg(c.H), lg(c.K), lg(c.R), lg(c.S), lg(c.Stride), lg(p * q)}
-}
-
 // String implements Kernel.
 func (c Conv) String() string {
 	return fmt.Sprintf("conv(n=%d,c=%d,hw=%dx%d,k=%d,rs=%dx%d,s=%d)",
@@ -478,11 +465,6 @@ func (b BatchNorm) FLOPs() float64 {
 func (b BatchNorm) Bytes() (read, write float64) {
 	n := 4 * float64(b.N) * float64(b.C) * float64(b.H) * float64(b.W)
 	return 2 * n, n
-}
-
-// Features implements Kernel.
-func (b BatchNorm) Features() []float64 {
-	return []float64{lg(b.N), lg(b.C), lg(b.H * b.W)}
 }
 
 // String implements Kernel.

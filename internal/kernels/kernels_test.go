@@ -17,8 +17,8 @@ func TestGEMMAccounting(t *testing.T) {
 	if r != 4*(128*32+32*64) || w != 4*128*64 {
 		t.Errorf("Bytes = %v, %v", r, w)
 	}
-	if len(g.Features()) != 4 {
-		t.Errorf("Features len = %d", len(g.Features()))
+	if len(AppendFeatures(nil, g)) != 4 {
+		t.Errorf("Features len = %d", len(AppendFeatures(nil, g)))
 	}
 }
 

@@ -92,11 +92,11 @@ type expandOp struct{ shape []int64 }
 
 func (expandOp) Name() string { return "aten::expand" }
 
-func (e expandOp) Outputs(inputs []tensor.Meta) []tensor.Meta {
-	return []tensor.Meta{tensor.NewTyped(inputs[0].DType, e.shape...).WithBatch(inputs[0].Dim(0))}
+func (e expandOp) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
+	return append(dst, tensor.NewTyped(inputs[0].DType, e.shape...).WithBatch(inputs[0].Dim(0)))
 }
 
-func (expandOp) Kernels([]tensor.Meta) []kernels.Kernel { return nil }
+func (expandOp) AppendKernels(dst []kernels.Kernel, _ []tensor.Meta) []kernels.Kernel { return dst }
 
 // finish appends the optimizer ops and wraps the graph into a Model.
 func (b *cnnBuilder) finish(name string) *Model {

@@ -68,22 +68,22 @@ func (e EmbeddingLookup) Name() string {
 	return "LookupFunction"
 }
 
-// Outputs implements Op.
-func (e EmbeddingLookup) Outputs(inputs []tensor.Meta) []tensor.Meta {
+// AppendOutputs implements Op.
+func (e EmbeddingLookup) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 	if e.Backward {
 		// Inputs: saved indices, upstream gradient. Updates are applied
 		// in place (fused SGD); emit a token scalar output so downstream
 		// dependency edges exist.
 		assertInputs(e.Name(), inputs, 2)
-		return []tensor.Meta{tensor.New()}
+		return append(dst, tensor.New())
 	}
 	assertInputs(e.Name(), inputs, 1)
 	b := inputs[0].Dim(0)
-	return []tensor.Meta{tensor.New(b, e.T(), e.D)}
+	return append(dst, tensor.New(b, e.T(), e.D))
 }
 
-// Kernels implements Op.
-func (e EmbeddingLookup) Kernels(inputs []tensor.Meta) []kernels.Kernel {
+// AppendKernels implements Op.
+func (e EmbeddingLookup) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
 	b := inputs[0].Dim(0)
 	k := kernels.Embedding{
 		B: b, E: e.AvgRows(), T: e.T(), L: e.L, D: e.D,
@@ -99,7 +99,7 @@ func (e EmbeddingLookup) Kernels(inputs []tensor.Meta) []kernels.Kernel {
 			k.ZipfSkew = -0.2
 		}
 	}
-	return []kernels.Kernel{k}
+	return append(dst, k)
 }
 
 // EmbeddingBag is a single-table lookup (aten::embedding_bag), the
@@ -121,25 +121,25 @@ func (e EmbeddingBag) Name() string {
 	return "aten::embedding_bag"
 }
 
-// Outputs implements Op.
-func (e EmbeddingBag) Outputs(inputs []tensor.Meta) []tensor.Meta {
+// AppendOutputs implements Op.
+func (e EmbeddingBag) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 	if e.Backward {
 		assertInputs(e.Name(), inputs, 2)
-		return []tensor.Meta{tensor.New()}
+		return append(dst, tensor.New())
 	}
 	assertInputs(e.Name(), inputs, 1)
 	b := inputs[0].Dim(0)
-	return []tensor.Meta{tensor.New(b, int64(1), e.D)}
+	return append(dst, tensor.New(b, int64(1), e.D))
 }
 
-// Kernels implements Op.
-func (e EmbeddingBag) Kernels(inputs []tensor.Meta) []kernels.Kernel {
+// AppendKernels implements Op.
+func (e EmbeddingBag) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
 	b := inputs[0].Dim(0)
-	return []kernels.Kernel{kernels.Embedding{
+	return append(dst, kernels.Embedding{
 		B: b, E: e.Rows, T: 1, L: e.L, D: e.D,
 		Backward: e.Backward,
 		ZipfSkew: e.ZipfSkew,
-	}}
+	})
 }
 
 // TrilIndex extracts the strictly-lower-triangular entries of the feature
@@ -150,18 +150,18 @@ type TrilIndex struct{}
 // Name implements Op.
 func (TrilIndex) Name() string { return "aten::index" }
 
-// Outputs implements Op.
-func (TrilIndex) Outputs(inputs []tensor.Meta) []tensor.Meta {
+// AppendOutputs implements Op.
+func (TrilIndex) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 	assertInputs("aten::index", inputs, 1)
 	in := inputs[0]
 	f := in.Dim(1)
-	return []tensor.Meta{tensor.New(in.Dim(0), f*(f-1)/2)}
+	return append(dst, tensor.New(in.Dim(0), f*(f-1)/2))
 }
 
-// Kernels implements Op.
-func (TrilIndex) Kernels(inputs []tensor.Meta) []kernels.Kernel {
+// AppendKernels implements Op.
+func (TrilIndex) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
 	in := inputs[0]
-	return []kernels.Kernel{kernels.Tril{B: in.Dim(0), F: in.Dim(1)}}
+	return append(dst, kernels.Tril{B: in.Dim(0), F: in.Dim(1)})
 }
 
 // TrilIndexBackward is IndexBackward0: scatter the flattened gradient
@@ -172,13 +172,13 @@ type TrilIndexBackward struct{ F int64 }
 // Name implements Op.
 func (TrilIndexBackward) Name() string { return "IndexBackward0" }
 
-// Outputs implements Op.
-func (t TrilIndexBackward) Outputs(inputs []tensor.Meta) []tensor.Meta {
+// AppendOutputs implements Op.
+func (t TrilIndexBackward) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 	assertInputs("IndexBackward0", inputs, 1)
-	return []tensor.Meta{tensor.New(inputs[0].Dim(0), t.F, t.F)}
+	return append(dst, tensor.New(inputs[0].Dim(0), t.F, t.F))
 }
 
-// Kernels implements Op.
-func (t TrilIndexBackward) Kernels(inputs []tensor.Meta) []kernels.Kernel {
-	return []kernels.Kernel{kernels.Tril{B: inputs[0].Dim(0), F: t.F, Backward: true}}
+// AppendKernels implements Op.
+func (t TrilIndexBackward) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
+	return append(dst, kernels.Tril{B: inputs[0].Dim(0), F: t.F, Backward: true})
 }

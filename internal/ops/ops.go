@@ -8,6 +8,12 @@
 // Keeping kernels derived (rather than stored) is what makes the
 // execution-graph transforms of Section V-A possible: resizing a batch or
 // fusing a subgraph re-propagates shapes and the kernel calls follow.
+//
+// Both derivations follow the append contract: an op appends what it
+// derives to dst and returns the extended slice, leaving dst's existing
+// elements as they were, and keeps neither dst nor the inputs after it
+// returns. A walk over many nodes passes the previous result re-sliced
+// to [:0], so the whole walk holds one buffer of each kind.
 package ops
 
 import (
@@ -21,11 +27,13 @@ import (
 type Op interface {
 	// Name returns the trace name (used to key overhead statistics).
 	Name() string
-	// Outputs derives output tensor metadata from the inputs.
-	Outputs(inputs []tensor.Meta) []tensor.Meta
-	// Kernels derives the device kernel calls for the given inputs.
-	// Host-only ops (aten::view ...) return nil.
-	Kernels(inputs []tensor.Meta) []kernels.Kernel
+	// AppendOutputs appends the output tensor metadata derived from the
+	// inputs to dst and returns the extended slice.
+	AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta
+	// AppendKernels appends the device kernel calls for the given inputs
+	// to dst and returns the extended slice. Host-only ops (aten::view
+	// ...) return dst unchanged.
+	AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel
 }
 
 func assertInputs(op string, inputs []tensor.Meta, want int) {
@@ -51,28 +59,28 @@ type Elementwise struct {
 // Name implements Op.
 func (e Elementwise) Name() string { return e.OpName }
 
-// Outputs implements Op.
-func (e Elementwise) Outputs(inputs []tensor.Meta) []tensor.Meta {
+// AppendOutputs implements Op.
+func (e Elementwise) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 	n := e.NInputs
 	if n == 0 {
 		n = 1
 	}
 	assertInputs(e.OpName, inputs, n)
 	if e.ScalarOutput {
-		return []tensor.Meta{tensor.New()}
+		return append(dst, tensor.New())
 	}
-	return []tensor.Meta{inputs[0]}
+	return append(dst, inputs[0])
 }
 
-// Kernels implements Op.
-func (e Elementwise) Kernels(inputs []tensor.Meta) []kernels.Kernel {
-	return []kernels.Kernel{kernels.Elementwise{
+// AppendKernels implements Op.
+func (e Elementwise) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
+	return append(dst, kernels.Elementwise{
 		Name:          shortName(e.OpName),
 		NElems:        inputs[0].Numel(),
 		ReadsPerElem:  e.ReadsPerElem,
 		WritesPerElem: e.WritesPerElem,
 		FLOPsPerElem:  e.FLOPsPerElem,
-	}}
+	})
 }
 
 func shortName(opName string) string {
@@ -168,18 +176,18 @@ type SliceBackward struct{ Cols int64 }
 // Name implements Op.
 func (SliceBackward) Name() string { return "SliceBackward0" }
 
-// Outputs implements Op.
-func (s SliceBackward) Outputs(inputs []tensor.Meta) []tensor.Meta {
+// AppendOutputs implements Op.
+func (s SliceBackward) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 	assertInputs("SliceBackward0", inputs, 1)
-	return []tensor.Meta{tensor.New(inputs[0].Dim(0), s.Cols)}
+	return append(dst, tensor.New(inputs[0].Dim(0), s.Cols))
 }
 
-// Kernels implements Op.
-func (s SliceBackward) Kernels(inputs []tensor.Meta) []kernels.Kernel {
-	return []kernels.Kernel{kernels.Elementwise{
+// AppendKernels implements Op.
+func (s SliceBackward) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
+	return append(dst, kernels.Elementwise{
 		Name: "slice_backward", NElems: inputs[0].Dim(0) * s.Cols,
 		ReadsPerElem: 4, WritesPerElem: 4,
-	}}
+	})
 }
 
 // View returns aten::view — a host-only metadata op with no kernels, the
@@ -189,13 +197,13 @@ type View struct{ NewShape []int64 }
 // Name implements Op.
 func (v View) Name() string { return "aten::view" }
 
-// Outputs implements Op.
-func (v View) Outputs(inputs []tensor.Meta) []tensor.Meta {
+// AppendOutputs implements Op.
+func (v View) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 	assertInputs("aten::view", inputs, 1)
 	if len(v.NewShape) == 0 {
 		// Flatten keeping dim 0.
 		b := inputs[0].Dim(0)
-		return []tensor.Meta{tensor.NewTyped(inputs[0].DType, b, inputs[0].Numel()/b)}
+		return append(dst, tensor.NewTyped(inputs[0].DType, b, inputs[0].Numel()/b))
 	}
 	shape := append([]int64(nil), v.NewShape...)
 	n := inputs[0].Numel()
@@ -211,11 +219,11 @@ func (v View) Outputs(inputs []tensor.Meta) []tensor.Meta {
 	if infer >= 0 && known > 0 {
 		shape[infer] = n / known
 	}
-	return []tensor.Meta{tensor.NewTyped(inputs[0].DType, shape...)}
+	return append(dst, tensor.NewTyped(inputs[0].DType, shape...))
 }
 
-// Kernels implements Op.
-func (v View) Kernels([]tensor.Meta) []kernels.Kernel { return nil }
+// AppendKernels implements Op.
+func (View) AppendKernels(dst []kernels.Kernel, _ []tensor.Meta) []kernels.Kernel { return dst }
 
 // --- Data movement ---------------------------------------------------------
 
@@ -225,15 +233,15 @@ type ToDevice struct{}
 // Name implements Op.
 func (ToDevice) Name() string { return "aten::to" }
 
-// Outputs implements Op.
-func (ToDevice) Outputs(inputs []tensor.Meta) []tensor.Meta {
+// AppendOutputs implements Op.
+func (ToDevice) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 	assertInputs("aten::to", inputs, 1)
-	return []tensor.Meta{inputs[0]}
+	return append(dst, inputs[0])
 }
 
-// Kernels implements Op.
-func (ToDevice) Kernels(inputs []tensor.Meta) []kernels.Kernel {
-	return []kernels.Kernel{kernels.Memcpy{NBytes: inputs[0].Bytes(), Dir: kernels.H2D}}
+// AppendKernels implements Op.
+func (ToDevice) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
+	return append(dst, kernels.Memcpy{NBytes: inputs[0].Bytes(), Dir: kernels.H2D})
 }
 
 // Concat concatenates its inputs along Dim (aten::cat).
@@ -242,28 +250,42 @@ type Concat struct{ Dim int }
 // Name implements Op.
 func (Concat) Name() string { return "aten::cat" }
 
-// Outputs implements Op.
-func (c Concat) Outputs(inputs []tensor.Meta) []tensor.Meta {
+// AppendOutputs implements Op.
+func (c Concat) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
+	d, total := c.axis(inputs)
+	out := append([]int64(nil), inputs[0].Shape...)
+	out[d] = total
+	return append(dst, tensor.NewTyped(inputs[0].DType, out...))
+}
+
+// AppendKernels implements Op. It sizes the output without building its
+// shape.
+func (c Concat) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
+	d, total := c.axis(inputs)
+	bytes := inputs[0].DType.Size()
+	for i, n := range inputs[0].Shape {
+		if i == d {
+			n = total
+		}
+		bytes *= n
+	}
+	return append(dst, kernels.Concat{OutBytes: bytes, NInputs: len(inputs)})
+}
+
+// axis returns the concatenation axis, made non-negative, and the
+// output's extent along it.
+func (c Concat) axis(inputs []tensor.Meta) (d int, total int64) {
 	if len(inputs) == 0 {
 		panic("ops: aten::cat with no inputs")
 	}
-	out := append([]int64(nil), inputs[0].Shape...)
-	total := int64(0)
 	for _, in := range inputs {
 		total += in.Dim(c.Dim)
 	}
-	d := c.Dim
+	d = c.Dim
 	if d < 0 {
-		d += len(out)
+		d += inputs[0].Rank()
 	}
-	out[d] = total
-	return []tensor.Meta{tensor.NewTyped(inputs[0].DType, out...)}
-}
-
-// Kernels implements Op.
-func (c Concat) Kernels(inputs []tensor.Meta) []kernels.Kernel {
-	out := c.Outputs(inputs)[0]
-	return []kernels.Kernel{kernels.Concat{OutBytes: out.Bytes(), NInputs: len(inputs)}}
+	return d, total
 }
 
 // TransposeOp permutes the last two axes of a 3D tensor (aten::transpose
@@ -273,20 +295,20 @@ type TransposeOp struct{}
 // Name implements Op.
 func (TransposeOp) Name() string { return "aten::transpose" }
 
-// Outputs implements Op.
-func (TransposeOp) Outputs(inputs []tensor.Meta) []tensor.Meta {
+// AppendOutputs implements Op.
+func (TransposeOp) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 	assertInputs("aten::transpose", inputs, 1)
 	in := inputs[0]
 	if in.Rank() != 3 {
 		panic("ops: aten::transpose models batched 2<->3 axis permutation only")
 	}
-	return []tensor.Meta{tensor.NewTyped(in.DType, in.Dim(0), in.Dim(2), in.Dim(1))}
+	return append(dst, tensor.NewTyped(in.DType, in.Dim(0), in.Dim(2), in.Dim(1)))
 }
 
-// Kernels implements Op.
-func (TransposeOp) Kernels(inputs []tensor.Meta) []kernels.Kernel {
+// AppendKernels implements Op.
+func (TransposeOp) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
 	in := inputs[0]
-	return []kernels.Kernel{kernels.Transpose{B: in.Dim(0), M: in.Dim(1), N: in.Dim(2)}}
+	return append(dst, kernels.Transpose{B: in.Dim(0), M: in.Dim(1), N: in.Dim(2)})
 }
 
 // TBackward is the autograd node of a transpose (TBackward0).
@@ -295,14 +317,14 @@ type TBackward struct{}
 // Name implements Op.
 func (TBackward) Name() string { return "TBackward0" }
 
-// Outputs implements Op.
-func (TBackward) Outputs(inputs []tensor.Meta) []tensor.Meta {
-	return TransposeOp{}.Outputs(inputs)
+// AppendOutputs implements Op.
+func (TBackward) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
+	return TransposeOp{}.AppendOutputs(dst, inputs)
 }
 
-// Kernels implements Op.
-func (TBackward) Kernels(inputs []tensor.Meta) []kernels.Kernel {
-	return TransposeOp{}.Kernels(inputs)
+// AppendKernels implements Op.
+func (TBackward) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
+	return TransposeOp{}.AppendKernels(dst, inputs)
 }
 
 // --- GEMM family -------------------------------------------------------------
@@ -313,16 +335,16 @@ type Linear struct{ Out int64 }
 // Name implements Op.
 func (Linear) Name() string { return "aten::linear" }
 
-// Outputs implements Op.
-func (l Linear) Outputs(inputs []tensor.Meta) []tensor.Meta {
+// AppendOutputs implements Op.
+func (l Linear) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 	assertInputs("aten::linear", inputs, 1)
-	return []tensor.Meta{tensor.New(inputs[0].Dim(0), l.Out)}
+	return append(dst, tensor.New(inputs[0].Dim(0), l.Out))
 }
 
-// Kernels implements Op.
-func (l Linear) Kernels(inputs []tensor.Meta) []kernels.Kernel {
+// AppendKernels implements Op.
+func (l Linear) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
 	in := inputs[0]
-	return []kernels.Kernel{kernels.GEMM{Batch: 1, M: in.Dim(0), N: l.Out, K: in.Dim(1)}}
+	return append(dst, kernels.GEMM{Batch: 1, M: in.Dim(0), N: l.Out, K: in.Dim(1)})
 }
 
 // LinearBackward is AddmmBackward0: two GEMMs, dgrad (B,out)x(out,in) and
@@ -333,22 +355,22 @@ type LinearBackward struct{}
 // Name implements Op.
 func (LinearBackward) Name() string { return "AddmmBackward0" }
 
-// Outputs implements Op.
-func (LinearBackward) Outputs(inputs []tensor.Meta) []tensor.Meta {
+// AppendOutputs implements Op.
+func (LinearBackward) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 	assertInputs("AddmmBackward0", inputs, 2)
 	// grad wrt input, grad wrt weight.
 	gradOut, x := inputs[0], inputs[1]
-	return []tensor.Meta{x, tensor.New(x.Dim(1), gradOut.Dim(1))}
+	return append(dst, x, tensor.New(x.Dim(1), gradOut.Dim(1)))
 }
 
-// Kernels implements Op.
-func (LinearBackward) Kernels(inputs []tensor.Meta) []kernels.Kernel {
+// AppendKernels implements Op.
+func (LinearBackward) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
 	gradOut, x := inputs[0], inputs[1]
 	b, out, in := gradOut.Dim(0), gradOut.Dim(1), x.Dim(1)
-	return []kernels.Kernel{
+	return append(dst,
 		kernels.GEMM{Batch: 1, M: b, N: in, K: out}, // dX = dY @ W^T
 		kernels.GEMM{Batch: 1, M: in, N: out, K: b}, // dW = X^T @ dY
-	}
+	)
 }
 
 // BMM is aten::bmm over (B,M,K) x (B,K,N).
@@ -357,17 +379,17 @@ type BMM struct{}
 // Name implements Op.
 func (BMM) Name() string { return "aten::bmm" }
 
-// Outputs implements Op.
-func (BMM) Outputs(inputs []tensor.Meta) []tensor.Meta {
+// AppendOutputs implements Op.
+func (BMM) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 	assertInputs("aten::bmm", inputs, 2)
 	a, b := inputs[0], inputs[1]
-	return []tensor.Meta{tensor.New(a.Dim(0), a.Dim(1), b.Dim(2))}
+	return append(dst, tensor.New(a.Dim(0), a.Dim(1), b.Dim(2)))
 }
 
-// Kernels implements Op.
-func (BMM) Kernels(inputs []tensor.Meta) []kernels.Kernel {
+// AppendKernels implements Op.
+func (BMM) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
 	a, b := inputs[0], inputs[1]
-	return []kernels.Kernel{kernels.GEMM{Batch: a.Dim(0), M: a.Dim(1), N: b.Dim(2), K: a.Dim(2)}}
+	return append(dst, kernels.GEMM{Batch: a.Dim(0), M: a.Dim(1), N: b.Dim(2), K: a.Dim(2)})
 }
 
 // BMMBackward is BmmBackward0: two batched GEMMs. Inputs: grad_out
@@ -377,19 +399,19 @@ type BMMBackward struct{}
 // Name implements Op.
 func (BMMBackward) Name() string { return "BmmBackward0" }
 
-// Outputs implements Op.
-func (BMMBackward) Outputs(inputs []tensor.Meta) []tensor.Meta {
+// AppendOutputs implements Op.
+func (BMMBackward) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 	assertInputs("BmmBackward0", inputs, 3)
-	return []tensor.Meta{inputs[1], inputs[2]}
+	return append(dst, inputs[1], inputs[2])
 }
 
-// Kernels implements Op.
-func (BMMBackward) Kernels(inputs []tensor.Meta) []kernels.Kernel {
+// AppendKernels implements Op.
+func (BMMBackward) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
 	g, a, b := inputs[0], inputs[1], inputs[2]
-	return []kernels.Kernel{
+	return append(dst,
 		kernels.GEMM{Batch: g.Dim(0), M: a.Dim(1), N: a.Dim(2), K: g.Dim(2)}, // dA = dC @ B^T
 		kernels.GEMM{Batch: g.Dim(0), M: b.Dim(1), N: b.Dim(2), K: g.Dim(1)}, // dB = A^T @ dC
-	}
+	)
 }
 
 // --- Optimizer -----------------------------------------------------------------
@@ -405,18 +427,17 @@ type OptimizerStep struct {
 // Name implements Op.
 func (OptimizerStep) Name() string { return "Optimizer.step" }
 
-// Outputs implements Op.
-func (o OptimizerStep) Outputs(inputs []tensor.Meta) []tensor.Meta { return nil }
+// AppendOutputs implements Op.
+func (OptimizerStep) AppendOutputs(dst, _ []tensor.Meta) []tensor.Meta { return dst }
 
-// Kernels implements Op.
-func (o OptimizerStep) Kernels([]tensor.Meta) []kernels.Kernel {
-	ks := make([]kernels.Kernel, 0, len(o.ParamSizes))
+// AppendKernels implements Op.
+func (o OptimizerStep) AppendKernels(dst []kernels.Kernel, _ []tensor.Meta) []kernels.Kernel {
 	for _, n := range o.ParamSizes {
-		ks = append(ks, kernels.Elementwise{
+		dst = append(dst, kernels.Elementwise{
 			Name: "sgd_step", NElems: n, ReadsPerElem: 8, WritesPerElem: 4, FLOPsPerElem: 2,
 		})
 	}
-	return ks
+	return dst
 }
 
 // OptimizerZeroGrad is Optimizer.zero_grad: one fill kernel per parameter
@@ -428,16 +449,15 @@ type OptimizerZeroGrad struct {
 // Name implements Op.
 func (OptimizerZeroGrad) Name() string { return "Optimizer.zero_grad" }
 
-// Outputs implements Op.
-func (o OptimizerZeroGrad) Outputs(inputs []tensor.Meta) []tensor.Meta { return nil }
+// AppendOutputs implements Op.
+func (OptimizerZeroGrad) AppendOutputs(dst, _ []tensor.Meta) []tensor.Meta { return dst }
 
-// Kernels implements Op.
-func (o OptimizerZeroGrad) Kernels([]tensor.Meta) []kernels.Kernel {
-	ks := make([]kernels.Kernel, 0, len(o.ParamSizes))
+// AppendKernels implements Op.
+func (o OptimizerZeroGrad) AppendKernels(dst []kernels.Kernel, _ []tensor.Meta) []kernels.Kernel {
 	for _, n := range o.ParamSizes {
-		ks = append(ks, kernels.Elementwise{
+		dst = append(dst, kernels.Elementwise{
 			Name: "zero_", NElems: n, WritesPerElem: 4,
 		})
 	}
-	return ks
+	return dst
 }

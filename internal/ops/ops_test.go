@@ -10,11 +10,11 @@ import (
 func TestLinearShapesAndKernel(t *testing.T) {
 	l := Linear{Out: 256}
 	in := []tensor.Meta{tensor.New(128, 512)}
-	out := l.Outputs(in)
+	out := l.AppendOutputs(nil, in)
 	if out[0].Dim(0) != 128 || out[0].Dim(1) != 256 {
 		t.Errorf("linear out = %v", out[0])
 	}
-	g := l.Kernels(in)[0].(kernels.GEMM)
+	g := l.AppendKernels(nil, in)[0].(kernels.GEMM)
 	if g.M != 128 || g.N != 256 || g.K != 512 {
 		t.Errorf("gemm = %+v", g)
 	}
@@ -23,14 +23,14 @@ func TestLinearShapesAndKernel(t *testing.T) {
 func TestLinearBackwardTwoGEMMs(t *testing.T) {
 	lb := LinearBackward{}
 	in := []tensor.Meta{tensor.New(128, 256), tensor.New(128, 512)}
-	outs := lb.Outputs(in)
+	outs := lb.AppendOutputs(nil, in)
 	if outs[0].String() != tensor.New(128, 512).String() {
 		t.Errorf("dX meta = %v", outs[0])
 	}
 	if outs[1].String() != tensor.New(512, 256).String() {
 		t.Errorf("dW meta = %v", outs[1])
 	}
-	ks := lb.Kernels(in)
+	ks := lb.AppendKernels(nil, in)
 	if len(ks) != 2 {
 		t.Fatalf("AddmmBackward0 kernels = %d, want 2", len(ks))
 	}
@@ -51,15 +51,15 @@ func TestLinearBackwardTwoGEMMs(t *testing.T) {
 
 func TestBMMShapes(t *testing.T) {
 	in := []tensor.Meta{tensor.New(64, 9, 32), tensor.New(64, 32, 9)}
-	out := BMM{}.Outputs(in)[0]
+	out := BMM{}.AppendOutputs(nil, in)[0]
 	if out.String() != tensor.New(64, 9, 9).String() {
 		t.Errorf("bmm out = %v", out)
 	}
-	g := BMM{}.Kernels(in)[0].(kernels.GEMM)
+	g := BMM{}.AppendKernels(nil, in)[0].(kernels.GEMM)
 	if g.Batch != 64 || g.M != 9 || g.N != 9 || g.K != 32 {
 		t.Errorf("bmm gemm = %+v", g)
 	}
-	bk := BMMBackward{}.Kernels([]tensor.Meta{out, in[0], in[1]})
+	bk := BMMBackward{}.AppendKernels(nil, []tensor.Meta{out, in[0], in[1]})
 	if len(bk) != 2 {
 		t.Fatalf("BmmBackward0 kernels = %d", len(bk))
 	}
@@ -67,11 +67,11 @@ func TestBMMShapes(t *testing.T) {
 
 func TestConcatOutputs(t *testing.T) {
 	in := []tensor.Meta{tensor.New(8, 1, 16), tensor.New(8, 4, 16)}
-	out := Concat{Dim: 1}.Outputs(in)[0]
+	out := Concat{Dim: 1}.AppendOutputs(nil, in)[0]
 	if out.String() != tensor.New(8, 5, 16).String() {
 		t.Errorf("cat out = %v", out)
 	}
-	k := Concat{Dim: 1}.Kernels(in)[0].(kernels.Concat)
+	k := Concat{Dim: 1}.AppendKernels(nil, in)[0].(kernels.Concat)
 	if k.OutBytes != out.Bytes() || k.NInputs != 2 {
 		t.Errorf("cat kernel = %+v", k)
 	}
@@ -86,11 +86,11 @@ func TestEmbeddingLookupAvgRows(t *testing.T) {
 		t.Errorf("T = %d", e.T())
 	}
 	in := []tensor.Meta{tensor.NewTyped(tensor.Int64, 64, 3, 4)}
-	out := e.Outputs(in)[0]
+	out := e.AppendOutputs(nil, in)[0]
 	if out.String() != tensor.New(64, 3, 8).String() {
 		t.Errorf("lookup out = %v", out)
 	}
-	k := e.Kernels(in)[0].(kernels.Embedding)
+	k := e.AppendKernels(nil, in)[0].(kernels.Embedding)
 	if k.B != 64 || k.E != 200 || k.T != 3 || k.L != 4 || k.D != 8 {
 		t.Errorf("kernel = %+v", k)
 	}
@@ -100,8 +100,8 @@ func TestEmbeddingVaryingTablesPerturbGroundTruth(t *testing.T) {
 	uniform := EmbeddingLookup{Rows: []int64{1000, 1000}, L: 2, D: 8}
 	mixed := EmbeddingLookup{Rows: []int64{10, 1990}, L: 2, D: 8}
 	in := []tensor.Meta{tensor.NewTyped(tensor.Int64, 64, 2, 2)}
-	ku := uniform.Kernels(in)[0].(kernels.Embedding)
-	km := mixed.Kernels(in)[0].(kernels.Embedding)
+	ku := uniform.AppendKernels(nil, in)[0].(kernels.Embedding)
+	km := mixed.AppendKernels(nil, in)[0].(kernels.Embedding)
 	if ku.E != km.E {
 		t.Fatal("test requires equal average rows")
 	}
@@ -112,16 +112,16 @@ func TestEmbeddingVaryingTablesPerturbGroundTruth(t *testing.T) {
 
 func TestTrilShapes(t *testing.T) {
 	in := []tensor.Meta{tensor.New(32, 9, 9)}
-	out := TrilIndex{}.Outputs(in)[0]
+	out := TrilIndex{}.AppendOutputs(nil, in)[0]
 	if out.String() != tensor.New(32, 36).String() {
 		t.Errorf("tril out = %v", out)
 	}
 	b := TrilIndexBackward{F: 9}
-	back := b.Outputs([]tensor.Meta{out})[0]
+	back := b.AppendOutputs(nil, []tensor.Meta{out})[0]
 	if back.String() != tensor.New(32, 9, 9).String() {
 		t.Errorf("tril backward out = %v", back)
 	}
-	k := b.Kernels([]tensor.Meta{out})[0].(kernels.Tril)
+	k := b.AppendKernels(nil, []tensor.Meta{out})[0].(kernels.Tril)
 	if !k.Backward || k.F != 9 {
 		t.Errorf("tril bwd kernel = %+v", k)
 	}
@@ -129,14 +129,14 @@ func TestTrilShapes(t *testing.T) {
 
 func TestViewInference(t *testing.T) {
 	v := View{NewShape: []int64{-1, 4, 8}}
-	out := v.Outputs([]tensor.Meta{tensor.New(16, 32)})[0]
+	out := v.AppendOutputs(nil, []tensor.Meta{tensor.New(16, 32)})[0]
 	if out.String() != tensor.New(16, 4, 8).String() {
 		t.Errorf("view out = %v", out)
 	}
-	if v.Kernels(nil) != nil {
+	if len(v.AppendKernels(nil, nil)) != 0 {
 		t.Error("view must be host-only")
 	}
-	flat := View{}.Outputs([]tensor.Meta{tensor.New(8, 2, 3)})[0]
+	flat := View{}.AppendOutputs(nil, []tensor.Meta{tensor.New(8, 2, 3)})[0]
 	if flat.String() != tensor.New(8, 6).String() {
 		t.Errorf("default flatten = %v", flat)
 	}
@@ -144,18 +144,18 @@ func TestViewInference(t *testing.T) {
 
 func TestOptimizerKernelsPerParam(t *testing.T) {
 	o := OptimizerStep{ParamSizes: []int64{100, 200, 300}}
-	ks := o.Kernels(nil)
+	ks := o.AppendKernels(nil, nil)
 	if len(ks) != 3 {
 		t.Fatalf("step kernels = %d", len(ks))
 	}
 	z := OptimizerZeroGrad{ParamSizes: []int64{100, 200}}
-	if len(z.Kernels(nil)) != 2 {
+	if len(z.AppendKernels(nil, nil)) != 2 {
 		t.Fatal("zero_grad kernel count wrong")
 	}
 }
 
 func TestToDeviceIsH2D(t *testing.T) {
-	k := ToDevice{}.Kernels([]tensor.Meta{tensor.New(2048, 512)})[0].(kernels.Memcpy)
+	k := ToDevice{}.AppendKernels(nil, []tensor.Meta{tensor.New(2048, 512)})[0].(kernels.Memcpy)
 	if k.Dir != kernels.H2D {
 		t.Error("aten::to should be H2D")
 	}
@@ -166,12 +166,12 @@ func TestToDeviceIsH2D(t *testing.T) {
 
 func TestConv2dShapes(t *testing.T) {
 	c := Conv2d{K: 64, R: 7, S: 7, Stride: 2, Pad: 3}
-	out := c.Outputs([]tensor.Meta{tensor.New(32, 3, 224, 224)})[0]
+	out := c.AppendOutputs(nil, []tensor.Meta{tensor.New(32, 3, 224, 224)})[0]
 	if out.String() != tensor.New(32, 64, 112, 112).String() {
 		t.Errorf("conv out = %v", out)
 	}
 	bk := Conv2dBackward{K: 64, R: 7, S: 7, Stride: 2, Pad: 3}
-	ks := bk.Kernels([]tensor.Meta{out, tensor.New(32, 3, 224, 224)})
+	ks := bk.AppendKernels(nil, []tensor.Meta{out, tensor.New(32, 3, 224, 224)})
 	if len(ks) != 2 {
 		t.Errorf("conv backward kernels = %d, want 2", len(ks))
 	}
@@ -179,7 +179,7 @@ func TestConv2dShapes(t *testing.T) {
 
 func TestElementwiseScalarOutput(t *testing.T) {
 	loss := MSELoss()
-	out := loss.Outputs([]tensor.Meta{tensor.New(128, 1), tensor.New(128, 1)})[0]
+	out := loss.AppendOutputs(nil, []tensor.Meta{tensor.New(128, 1), tensor.New(128, 1)})[0]
 	if out.Rank() != 0 {
 		t.Errorf("loss output rank = %d", out.Rank())
 	}
@@ -219,5 +219,5 @@ func TestAssertInputsPanics(t *testing.T) {
 			t.Fatal("wrong arity did not panic")
 		}
 	}()
-	Linear{Out: 4}.Outputs([]tensor.Meta{tensor.New(2, 2), tensor.New(2, 2)})
+	Linear{Out: 4}.AppendOutputs(nil, []tensor.Meta{tensor.New(2, 2), tensor.New(2, 2)})
 }

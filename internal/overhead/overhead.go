@@ -301,25 +301,24 @@ const (
 	idxT5 = 2
 )
 
-func (db *DB) opStat(op string, idx int) float64 {
-	if st, ok := db.PerOp[op]; ok && st[idx].N > 0 {
-		return st[idx].Mean
-	}
-	return db.Defaults[idx].Mean
-}
-
 // T1Mean returns the mean between-ops gap.
 func (db *DB) T1Mean() float64 { return db.T1.Mean }
 
-// T2Mean returns the op's mean pre-launch overhead.
-func (db *DB) T2Mean(op string) float64 { return db.opStat(op, idxT2) }
-
-// T3Mean returns the op's mean post-launch overhead.
-func (db *DB) T3Mean(op string) float64 { return db.opStat(op, idxT3) }
-
-// T5Mean returns the op's mean inter-launch overhead (also the host body
-// charge for kernel-less ops).
-func (db *DB) T5Mean(op string) float64 { return db.opStat(op, idxT5) }
+// OpMeans returns the op's mean pre-launch (T2), post-launch (T3) and
+// inter-launch (T5) overheads, from one lookup. Each falls back to the
+// database default when the op has no sample of its type. T5 is also
+// the host body charge of a kernel-less op.
+func (db *DB) OpMeans(op string) (t2, t3, t5 float64) {
+	st := db.PerOp[op]
+	var m [3]float64
+	for i := range m {
+		m[i] = db.Defaults[i].Mean
+		if st[i].N > 0 {
+			m[i] = st[i].Mean
+		}
+	}
+	return m[idxT2], m[idxT3], m[idxT5]
+}
 
 // Marshal renders the DB as indented JSON.
 func (db *DB) Marshal() ([]byte, error) {

@@ -65,8 +65,8 @@ func TestSizeIndependenceAcrossBatches(t *testing.T) {
 	// The paper's size-independence: per-op T2 means agree across batch
 	// sizes up to sampling noise.
 	for _, op := range []string{"aten::linear", "aten::relu"} {
-		ma := a.T2Mean(op)
-		mb := b.T2Mean(op)
+		ma, _, _ := a.OpMeans(op)
+		mb, _, _ := b.OpMeans(op)
 		if math.Abs(ma-mb)/ma > 0.25 {
 			t.Errorf("%s T2 varies with batch: %v vs %v", op, ma, mb)
 		}
@@ -85,6 +85,11 @@ func TestKernellessOpsGetT5(t *testing.T) {
 	}
 	if st[0].N != 0 {
 		t.Error("host-only op should have no T2 samples")
+	}
+	// Each mean falls back to the default on its own: the view has a T5
+	// of its own and the default T2.
+	if t2, _, t5 := db.OpMeans("aten::view"); t2 != db.Defaults[0].Mean || t5 != st[2].Mean {
+		t.Errorf("view means = (%v, %v), want (%v, %v)", t2, t5, db.Defaults[0].Mean, st[2].Mean)
 	}
 }
 
@@ -116,8 +121,8 @@ func TestSharedPoolsWorkloads(t *testing.T) {
 	}
 	// Pooling across workloads shifts per-op means (the workload bias),
 	// but not wildly.
-	si := ind.T2Mean("aten::linear")
-	ss := shared.T2Mean("aten::linear")
+	si, _, _ := ind.OpMeans("aten::linear")
+	ss, _, _ := shared.OpMeans("aten::linear")
 	if si == ss {
 		t.Error("shared and individual T2 identical; expected workload-bias shift")
 	}
@@ -202,8 +207,10 @@ func TestDBJSONRoundTrip(t *testing.T) {
 	if got.T1.Mean != db.T1.Mean {
 		t.Errorf("T1 mean changed in round trip: %v vs %v", got.T1.Mean, db.T1.Mean)
 	}
-	if got.T2Mean("aten::linear") != db.T2Mean("aten::linear") {
-		t.Error("per-op T2 changed in round trip")
+	g2, g3, g5 := got.OpMeans("aten::linear")
+	d2, d3, d5 := db.OpMeans("aten::linear")
+	if g2 != d2 || g3 != d3 || g5 != d5 {
+		t.Error("per-op means changed in round trip")
 	}
 	if len(got.PerOp) != len(db.PerOp) {
 		t.Errorf("op census changed: %d vs %d", len(got.PerOp), len(db.PerOp))
@@ -219,7 +226,7 @@ func TestLoadEmpty(t *testing.T) {
 		t.Error("Load should initialize maps")
 	}
 	// Unknown op falls back to defaults (zero here).
-	if db.T2Mean("nope") != 0 {
+	if t2, t3, t5 := db.OpMeans("nope"); t2 != 0 || t3 != 0 || t5 != 0 {
 		t.Error("empty DB default should be 0")
 	}
 }

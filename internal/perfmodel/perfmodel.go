@@ -168,7 +168,8 @@ func (m *MLPModel) base(k kernels.Kernel) float64 {
 
 // Predict implements KernelModel.
 func (m *MLPModel) Predict(k kernels.Kernel) float64 {
-	x := k.Features()
+	var buf [8]float64 // the widest feature vector, Conv's
+	x := kernels.AppendFeatures(buf[:0], k)
 	s := 0.0
 	for _, n := range m.Nets {
 		s += n.Predict(x)
@@ -185,7 +186,7 @@ func residualTargets(ds *microbench.Dataset, base Baseline) ([][]float64, []floa
 		if t <= 0 {
 			t = 1e-6
 		}
-		X = append(X, s.Kernel.Features())
+		X = append(X, kernels.AppendFeatures(nil, s.Kernel))
 		Y = append(Y, math.Log(t/base(s.Kernel)))
 	}
 	return X, Y

@@ -46,16 +46,9 @@ func (p *Predictor) t4For(k kernels.Kernel) float64 {
 	return overhead.T4Approx
 }
 
-// OpTime is the per-op prediction detail.
-type OpTime struct {
-	Op string
-	// Kernel is the summed predicted kernel time of the op.
-	Kernel float64
-	// Host is the op's charged host overhead (T1+T2+T3+T4s+T5s).
-	Host float64
-}
-
-// Prediction is the result of one E2E prediction.
+// Prediction is the result of one E2E prediction: Algorithm 1's three
+// totals. The walk keeps no per-op record, so a prediction is a fixed
+// size whatever the graph.
 type Prediction struct {
 	// E2E is Algorithm 1's per-batch training time in µs.
 	E2E float64
@@ -64,63 +57,53 @@ type Prediction struct {
 	Active float64
 	// CPUTime is the accumulated host time of the traversal.
 	CPUTime float64
-	// PerOp holds the per-op breakdown in execution order.
-	PerOp []OpTime
 }
 
 // scheduleGranularity is Algorithm 1's "+1" term: the device cannot start
 // a queued kernel sooner than 1 µs after the previous one finishes.
 const scheduleGranularity = 1.0
 
-// Predict runs Algorithm 1 over the execution graph.
+// Predict runs Algorithm 1 over the execution graph. The walk holds one
+// input-metadata buffer and one kernel buffer, so it allocates per walk
+// and per launched kernel, never per op.
 func (p *Predictor) Predict(g *graph.Graph) (Prediction, error) {
-	pr := Prediction{PerOp: make([]OpTime, 0, len(g.Nodes))}
+	var pr Prediction
 	cpu, gpu := 0.0, 0.0
-	var in []tensor.Meta // one input-metadata buffer for the whole walk
+	t1 := p.Overheads.T1Mean()
+	var in []tensor.Meta
+	var ks []kernels.Kernel
 	for _, node := range g.Nodes {
 		op := node.Op.Name()
-		t1 := p.Overheads.T1Mean()
-		t2 := p.Overheads.T2Mean(op)
-		t3 := p.Overheads.T3Mean(op)
-		t5 := p.Overheads.T5Mean(op)
-
+		t2, t3, t5 := p.Overheads.OpMeans(op)
 		cpu += t1
-		hostCharged := t1
-		kernelSum := 0.0
-
 		in = g.InputMetas(in[:0], node.Inputs)
-		ks := node.Op.Kernels(in)
-		if len(ks) > 0 {
-			cpu += t2
-			hostCharged += t2
-			for i, k := range ks {
-				t4 := p.t4For(k)
-				tk, err := p.Models.Predict(k)
-				if err != nil {
-					return Prediction{}, fmt.Errorf("predict: op %s: %w", op, err)
-				}
-				// gpu_time = max(gpu_time + 1, cpu_time + T4/2) + Tk
-				start := gpu + scheduleGranularity
-				if s := cpu + t4/2; s > start {
-					start = s
-				}
-				gpu = start + tk
-				kernelSum += tk
-				cpu += t4
-				hostCharged += t4
-				if i < len(ks)-1 {
-					cpu += t5
-					hostCharged += t5
-				}
-			}
-			cpu += t3
-			hostCharged += t3
-		} else {
+		ks = node.Op.AppendKernels(ks[:0], in)
+		if len(ks) == 0 {
 			cpu += t5
-			hostCharged += t5
+			continue
 		}
+		cpu += t2
+		kernelSum := 0.0
+		for i, k := range ks {
+			t4 := p.t4For(k)
+			tk, err := p.Models.Predict(k)
+			if err != nil {
+				return Prediction{}, fmt.Errorf("predict: op %s: %w", op, err)
+			}
+			// gpu_time = max(gpu_time + 1, cpu_time + T4/2) + Tk
+			start := gpu + scheduleGranularity
+			if s := cpu + t4/2; s > start {
+				start = s
+			}
+			gpu = start + tk
+			kernelSum += tk
+			cpu += t4
+			if i < len(ks)-1 {
+				cpu += t5
+			}
+		}
+		cpu += t3
 		pr.Active += kernelSum
-		pr.PerOp = append(pr.PerOp, OpTime{Op: op, Kernel: kernelSum, Host: hostCharged})
 	}
 	pr.CPUTime = cpu
 	pr.E2E = cpu
@@ -135,8 +118,12 @@ func (p *Predictor) Predict(g *graph.Graph) (Prediction, error) {
 // shows failing at low GPU utilization.
 func (p *Predictor) KernelOnly(g *graph.Graph) (float64, error) {
 	total := 0.0
+	var in []tensor.Meta
+	var ks []kernels.Kernel
 	for _, node := range g.Nodes {
-		for _, k := range g.NodeKernels(node) {
+		in = g.InputMetas(in[:0], node.Inputs)
+		ks = node.Op.AppendKernels(ks[:0], in)
+		for _, k := range ks {
 			tk, err := p.Models.Predict(k)
 			if err != nil {
 				return 0, err

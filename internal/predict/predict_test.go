@@ -145,24 +145,83 @@ func TestPredictionIsSystematicallyLowAtSmallBatch(t *testing.T) {
 	}
 }
 
-func TestPerOpBreakdownSumsToActive(t *testing.T) {
+// TestActiveEqualsKernelOnly checks, on every family, that the walk's
+// GPU active time is the kernel-only sum, and that its E2E time is never
+// below the device's or the host's total. Accuracy is not at stake, so a
+// small calibration that covers the CNN kernels serves.
+func TestActiveEqualsKernelOnly(t *testing.T) {
+	sizes := map[kernels.Kind]int{}
+	for k := range microbench.DefaultSweepSizes() {
+		sizes[k] = 100
+	}
+	p := hw.V100Platform()
+	cal := perfmodel.Calibrate(p.GPU, perfmodel.CalibOptions{
+		Seed: 5, SweepSizes: sizes, Ensemble: 1, IncludeCNN: true,
+		MLPConfig: mlp.Config{HiddenLayers: 1, Width: 16, Optimizer: mlp.Adam, LR: 3e-3, Epochs: 5, BatchSize: 32},
+	})
+	for _, tc := range []struct {
+		name  string
+		batch int64
+	}{
+		{models.NameDLRMDefault, 1024},
+		{models.NameDLRMMLPerf, 1024},
+		{models.NameDLRMDDP, 1024},
+		{models.NameResNet50, 32},
+		{models.NameInceptionV3, 32},
+		{models.NameTransformer, 32},
+	} {
+		m, err := models.Build(tc.name, tc.batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred := New(cal.Registry, profiledDB(t, m.Graph, sim.Config{Platform: p, Seed: 13, Warmup: 1, Iters: 3, Profile: true, Workload: tc.name}))
+		pr, err := pred.Predict(m.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ko, err := pred.KernelOnly(m.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := ko - pr.Active; diff > 1e-6 || diff < -1e-6 {
+			t.Errorf("%s: kernel-only sum %v != active %v", tc.name, ko, pr.Active)
+		}
+		if pr.E2E < pr.Active || pr.E2E < pr.CPUTime {
+			t.Errorf("%s: E2E %v below max(active %v, CPU time %v)", tc.name, pr.E2E, pr.Active, pr.CPUTime)
+		}
+	}
+}
+
+// walkAllocSlack bounds what a walk allocates beyond one boxed kernel
+// per launch: the growth of its input-metadata and kernel buffers. On
+// DLRM_default at batch 1500 (63 nodes, 90 kernels) a walk allocates
+// 101 times, 11 beyond its kernels.
+const walkAllocSlack = 16
+
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool
+
+// TestWalkAllocatesPerKernelNotPerOp bounds one Algorithm-1 walk over a
+// bound view by the kernels it launches plus a constant: no op costs a
+// fresh slice, no kernel a fresh feature vector.
+func TestWalkAllocatesPerKernelNotPerOp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
 	pred, m, _ := assets(t, models.NameDLRMDefault, 1024)
-	pr, err := pred.Predict(m.Graph)
+	v, err := m.Graph.WithBatch(1500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pr.PerOp) != len(m.Graph.Nodes) {
-		t.Fatalf("per-op rows = %d, nodes = %d", len(pr.PerOp), len(m.Graph.Nodes))
-	}
-	sum := 0.0
-	for _, op := range pr.PerOp {
-		sum += op.Kernel
-	}
-	if diff := sum - pr.Active; diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("per-op kernel sum %v != active %v", sum, pr.Active)
-	}
-	if pr.E2E < pr.Active || pr.E2E < pr.CPUTime {
-		t.Error("E2E must be >= max(active-ish GPU time, CPU time)")
+	launches := v.TotalKernels()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := pred.Predict(v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d nodes, %d kernels: %.0f allocs per walk", len(v.Nodes), launches, allocs)
+	if allocs > float64(launches+walkAllocSlack) {
+		t.Errorf("walk allocates %.0f times, want <= %d kernels + %d", allocs, launches, walkAllocSlack)
 	}
 }
 

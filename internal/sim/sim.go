@@ -19,6 +19,7 @@ import (
 	"dlrmperf/internal/graph"
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/kernels"
+	"dlrmperf/internal/tensor"
 	"dlrmperf/internal/xrand"
 )
 
@@ -165,6 +166,8 @@ func planNodes(g *graph.Graph, dev *kernels.Device, ovh *Sampler) (plan []nodePl
 	pos := make(map[graph.NodeID]int, len(g.Nodes))
 	slots, opSlots := map[int]int{}, map[string]int{}
 	t4 := map[string]dist{RTLaunchKernel: ovh.t4Dist(RTLaunchKernel), RTMemcpyAsync: ovh.t4Dist(RTMemcpyAsync)}
+	var in []tensor.Meta
+	var ks []kernels.Kernel
 	for i, node := range g.Nodes {
 		op := node.Op.Name()
 		if _, ok := slots[node.Stream]; !ok {
@@ -181,7 +184,12 @@ func planNodes(g *graph.Graph, dev *kernels.Device, ovh *Sampler) (plan []nodePl
 				n.deps = append(n.deps, p)
 			}
 		}
-		for _, k := range g.NodeKernels(node) {
+		in = g.InputMetas(in[:0], node.Inputs)
+		ks = node.Op.AppendKernels(ks[:0], in)
+		if len(ks) > 0 {
+			n.kernels = make([]kernelPlan, 0, len(ks))
+		}
+		for _, k := range ks {
 			fn := RTLaunchKernel
 			switch k.Kind() {
 			case kernels.KindMemcpyH2D, kernels.KindMemcpyD2H, kernels.KindMemcpyD2D:
