@@ -41,7 +41,9 @@ type EngineConfig struct {
 	// How many predictions run at once is the caller's choice: the
 	// serving layer bounds it with its own worker pool.
 	Workers int
-	// Calib overrides calibration options (Seed is derived per device).
+	// Calib is how every device calibrates (sweep sizes, MLP config,
+	// ensemble size, hyperparameter search); each device calibrates it
+	// from its own salted Seed.
 	Calib perfmodel.CalibOptions
 	// ResultCacheSize caps the prediction result cache (default 512
 	// entries; negative disables caching).
@@ -93,12 +95,10 @@ func NewEngineWith(cfg EngineConfig) (*Engine, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 2022
 	}
-	calib := cfg.Calib
-	calib.IncludeCNN = true
 	return &Engine{
 		eng: engine.New(engine.Options{
 			Seed: cfg.Seed, SaltDeviceSeeds: true,
-			Calib: calib, Workers: cfg.Workers,
+			Calib: cfg.Calib, Workers: cfg.Workers,
 			ResultCacheSize: cfg.ResultCacheSize,
 		}),
 		devices: append([]string(nil), cfg.Devices...),

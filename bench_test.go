@@ -175,7 +175,7 @@ func benchCalibOptions() perfmodel.CalibOptions {
 		sizes[k] = n / 4
 	}
 	return perfmodel.CalibOptions{
-		Seed: 2022, SweepSizes: sizes, Ensemble: 2, IncludeCNN: true,
+		SweepSizes: sizes, Ensemble: 2,
 		MLPConfig: mlp.Config{HiddenLayers: 2, Width: 48, Optimizer: mlp.Adam, LR: 3e-3, Epochs: 45, BatchSize: 64},
 	}
 }
@@ -193,7 +193,7 @@ func BenchmarkCalibrateSerial(b *testing.B) {
 	opt := benchCalibOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		perfmodel.Calibrate(p.GPU, opt)
+		perfmodel.Calibrate(p.GPU, 2022, opt, 1)
 	}
 }
 
@@ -205,7 +205,7 @@ func BenchmarkCalibrateParallel(b *testing.B) {
 	opt := benchCalibOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		perfmodel.CalibrateParallel(p.GPU, opt, 0)
+		perfmodel.Calibrate(p.GPU, 2022, opt, 0)
 	}
 }
 

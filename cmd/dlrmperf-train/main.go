@@ -1,11 +1,15 @@
 // Command dlrmperf-train calibrates the full kernel performance model
-// registry for a device and prints the Table IV evaluation rows. With
-// -paper-grid it runs the full 280-point Table II hyperparameter search
-// per ML model, as the paper does (hours instead of seconds).
+// registry for a device — every kernel family the predictor needs, the
+// CNN ones (conv, batch-norm) included — on a worker pool of
+// GOMAXPROCS, and prints the Table IV evaluation rows. The fitted
+// models are bit-identical to a serial calibration of the same seed.
+// With -grid each ML model is picked by the fast hyperparameter grid;
+// with -paper-grid by the full 280-point Table II search, as the paper
+// does (hours instead of seconds).
 //
 // Usage:
 //
-//	dlrmperf-train -device V100 [-grid|-paper-grid] [-seed N]
+//	dlrmperf-train [-device V100] [-grid|-paper-grid] [-seed N] [-o registry.json]
 package main
 
 import (
@@ -24,7 +28,6 @@ func main() {
 	seed := flag.Uint64("seed", 2022, "random seed")
 	grid := flag.Bool("grid", false, "use the fast hyperparameter grid")
 	paperGrid := flag.Bool("paper-grid", false, "use the full Table II grid (280 configs per model)")
-	cnn := flag.Bool("cnn", true, "also calibrate conv/batch-norm models")
 	out := flag.String("o", "", "write the calibrated model registry as JSON to this path")
 	flag.Parse()
 
@@ -33,15 +36,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	opts := perfmodel.CalibOptions{Seed: *seed, IncludeCNN: *cnn}
+	var opts perfmodel.CalibOptions
 	if *paperGrid {
-		opts.UseGridSearch = true
-		opts.Space = mlp.PaperSearchSpace()
+		opts.Search = mlp.PaperSearchSpace()
 	} else if *grid {
-		opts.UseGridSearch = true
+		opts.Search = mlp.FastSearchSpace()
 	}
 
-	cal := perfmodel.Calibrate(p.GPU, opts)
+	cal := perfmodel.Calibrate(p.GPU, *seed, opts, 0)
 	t := export.NewTable(fmt.Sprintf("Kernel performance models on %s (held-out evaluation)", p.GPU.Name),
 		"kernel", "GMAE", "mean", "std", "n")
 	for _, e := range cal.Evals {

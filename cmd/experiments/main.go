@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"dlrmperf/internal/experiments"
+	"dlrmperf/internal/mlp"
 	"dlrmperf/internal/perfmodel"
 )
 
@@ -31,7 +32,7 @@ func main() {
 		opts.Devices = strings.Split(*devices, ",")
 	}
 	if *grid {
-		opts.Calib = perfmodel.CalibOptions{UseGridSearch: true}
+		opts.Calib = perfmodel.CalibOptions{Search: mlp.FastSearchSpace()}
 	}
 	s := experiments.NewSuite(opts)
 

@@ -68,9 +68,9 @@ func WithSeed(seed uint64) Option {
 	return func(c *config) { c.seed = seed }
 }
 
-// WithCalibration overrides the full calibration options for advanced
-// use (sweep sizes, ensemble counts, the Table II hyperparameter search
-// via UseGridSearch).
+// WithCalibration sets how the device calibrates, for advanced use
+// (sweep sizes, ensemble counts, the Table II hyperparameter search via
+// Search). The seed is WithSeed's.
 func WithCalibration(opts perfmodel.CalibOptions) Option {
 	return func(c *config) { c.calib = opts }
 }
@@ -99,12 +99,7 @@ func NewPipeline(device string, opts ...Option) (*Pipeline, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	calOpts := cfg.calib
-	if calOpts.Seed == 0 {
-		calOpts.Seed = cfg.seed
-	}
-	calOpts.IncludeCNN = true
-	eng := engine.New(engine.Options{Seed: calOpts.Seed, Calib: calOpts})
+	eng := engine.New(engine.Options{Seed: cfg.seed, Calib: cfg.calib})
 	cal, err := eng.Calibration(device)
 	if err != nil {
 		return nil, err

@@ -31,7 +31,7 @@ func pipeline(t *testing.T) *Pipeline {
 			}
 		}
 		pipeV100, pipeErr = NewPipeline(V100, WithSeed(5), WithCalibration(perfmodel.CalibOptions{
-			Seed: 5, SweepSizes: sizes, Ensemble: 2,
+			SweepSizes: sizes, Ensemble: 2,
 			MLPConfig: mlp.Config{HiddenLayers: 2, Width: 48, Optimizer: mlp.Adam, LR: 3e-3, Epochs: 45, BatchSize: 64},
 		}))
 	})

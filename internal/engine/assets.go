@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dlrmperf/internal/hw"
 	"dlrmperf/internal/overhead"
 	"dlrmperf/internal/perfmodel"
 )
@@ -93,10 +94,12 @@ func (e *Engine) SaveAssets(device string) ([]byte, error) {
 // skip calibration (and skip profiling for every included overhead DB).
 // A payload whose format version does not match AssetFormatVersion —
 // including pre-versioned files (version 0) and bytes that do not parse
-// — is rejected with *AssetFormatError, and one whose registry or any
-// overhead database does not decode with a plain error; either way the
-// whole payload is decoded before anything installs, so a rejected
-// payload leaves the engine as it was.
+// — is rejected with *AssetFormatError; one that names a device
+// hw.ByName does not know, carries another device's registry or a
+// registry missing any kind a calibration registers, or whose registry
+// or any overhead database does not decode, with a plain error. Either
+// way the whole payload is checked before anything installs, so a
+// rejected payload leaves the engine as it was.
 func (e *Engine) LoadAssets(data []byte) (string, error) {
 	var w wireAssets
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -105,12 +108,18 @@ func (e *Engine) LoadAssets(data []byte) (string, error) {
 	if w.Version != AssetFormatVersion {
 		return "", &AssetFormatError{Got: w.Version, Want: AssetFormatVersion}
 	}
-	if w.Device == "" {
-		return "", fmt.Errorf("engine: assets missing device name")
+	if _, err := hw.ByName(w.Device); err != nil {
+		return "", fmt.Errorf("engine: assets: %w", err)
 	}
 	reg, err := perfmodel.LoadRegistry(w.Registry)
 	if err != nil {
 		return "", fmt.Errorf("engine: loading registry: %w", err)
+	}
+	if reg.Device != w.Device {
+		return "", fmt.Errorf("engine: %s assets carry a %q registry", w.Device, reg.Device)
+	}
+	if missing := reg.Missing(); len(missing) > 0 {
+		return "", fmt.Errorf("engine: %s registry has no model for %v", w.Device, missing)
 	}
 	dbs := make(map[string]*overhead.DB, len(w.Overheads))
 	for name, raw := range w.Overheads {

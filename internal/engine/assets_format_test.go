@@ -86,12 +86,46 @@ func TestLoadAssetsCorruptedBlob(t *testing.T) {
 	}
 }
 
+// assetState is what an asset install can change in an engine: the
+// calibrated devices, every device's asset epoch and calibration count,
+// and each store class's resident entries.
+type assetState struct {
+	devices  []string
+	epochs   map[string]uint64
+	calRuns  map[string]int
+	resident map[string]int
+}
+
+func snapshot(e *Engine) assetState {
+	st := assetState{e.CalibratedDevices(), map[string]uint64{}, map[string]int{}, map[string]int{}}
+	for _, d := range hw.Names() {
+		st.epochs[d], st.calRuns[d] = e.AssetsEpoch(d), e.CalibrationRuns(d)
+	}
+	for _, c := range e.AssetStats().Classes {
+		st.resident[c.Class] = c.Resident
+	}
+	return st
+}
+
+// setRegistryDevice rewrites the device name inside an export's registry.
+func setRegistryDevice(t *testing.T, wire map[string]json.RawMessage, device string) {
+	t.Helper()
+	var reg map[string]json.RawMessage
+	if err := json.Unmarshal(wire["registry"], &reg); err != nil {
+		t.Fatal(err)
+	}
+	reg["device"], _ = json.Marshal(device)
+	wire["registry"], _ = json.Marshal(reg)
+}
+
 // TestLoadAssetsRejectedInstallsNothing: a payload whose envelope
-// parses but whose registry or any overhead database does not is
-// rejected whole — the engine holds exactly what it held before the
-// call (no calibration, no epoch movement, nothing resident), so a
-// corrupt blob POSTed to /v1/assets/install cannot leave a worker
-// serving from it, and the device still calibrates normally afterwards.
+// parses but whose registry or any overhead database does not, or that
+// names an unknown device, another device's registry or a registry
+// missing a calibrated kind, is rejected whole — the engine holds
+// exactly what it held before the call (no calibration, no epoch
+// movement, nothing resident), so a corrupt blob POSTed to
+// /v1/assets/install cannot leave a worker serving from it, and the
+// device still calibrates normally afterwards.
 func TestLoadAssetsRejectedInstallsNothing(t *testing.T) {
 	src := New(tinyOptions(7))
 	shared := NewRequest(hw.V100, models.NameDLRMDefault, 512)
@@ -119,20 +153,6 @@ func TestLoadAssetsRejectedInstallsNothing(t *testing.T) {
 		return out
 	}
 
-	type state struct {
-		devices  []string
-		epoch    uint64
-		calRuns  int
-		resident map[string]int
-	}
-	snapshot := func(e *Engine) state {
-		st := state{e.CalibratedDevices(), e.AssetsEpoch(hw.V100), e.CalibrationRuns(hw.V100), map[string]int{}}
-		for _, c := range e.AssetStats().Classes {
-			st.resident[c.Class] = c.Resident
-		}
-		return st
-	}
-
 	e := New(tinyOptions(7))
 	before := snapshot(e)
 	for _, tc := range []struct {
@@ -154,12 +174,20 @@ func TestLoadAssetsRejectedInstallsNothing(t *testing.T) {
 			wire["shared"] = nope
 		}},
 		{"the registry", func(wire map[string]json.RawMessage) { wire["registry"] = nope }},
+		{"an unknown device", func(wire map[string]json.RawMessage) {
+			wire["device"] = json.RawMessage(`"no-such-gpu"`)
+			setRegistryDevice(t, wire, "no-such-gpu")
+		}},
+		{"another device's registry", func(wire map[string]json.RawMessage) { setRegistryDevice(t, wire, hw.P100) }},
+		{"a hollow registry", func(wire map[string]json.RawMessage) {
+			wire["registry"] = json.RawMessage(`{"device":"` + hw.V100 + `","models":{}}`)
+		}},
 	} {
 		if _, err := e.LoadAssets(corrupt(tc.edit)); err == nil {
-			t.Fatalf("payload with %s corrupted was accepted", tc.name)
+			t.Fatalf("payload with %s was accepted", tc.name)
 		}
 		if after := snapshot(e); !reflect.DeepEqual(after, before) {
-			t.Fatalf("rejected payload (%s corrupted) changed the engine: %+v -> %+v", tc.name, before, after)
+			t.Fatalf("rejected payload (%s) changed the engine: %+v -> %+v", tc.name, before, after)
 		}
 	}
 	if res := e.Predict(NewRequest(hw.V100, models.NameDLRMDefault, 512)); res.Err != nil {

@@ -25,7 +25,7 @@
 // two cannot disagree about a request's identity or verdict.
 //
 // Calibration itself fans its per-kernel-family jobs out on a bounded
-// worker pool (perfmodel.CalibrateParallel), and overhead collection
+// worker pool (perfmodel.Calibrate), and overhead collection
 // pools its profiled runs on the same bound; concurrent requests come
 // from the caller (the serving layer's admission pipeline). Everything
 // stays bit-deterministic in the engine seed: per-device streams are
@@ -73,8 +73,8 @@ type Options struct {
 	// Leave false to calibrate a device with the raw Seed (the
 	// single-device facade pipeline's historical behavior).
 	SaltDeviceSeeds bool
-	// Calib is the per-device calibration template; its Seed field is
-	// overridden per device.
+	// Calib is how every device calibrates; each device calibrates it
+	// from its own seed (see SaltDeviceSeeds).
 	Calib perfmodel.CalibOptions
 	// DLRMBatches are the batch sizes pooled into DLRM overhead
 	// databases (default 512..4096).
@@ -334,10 +334,8 @@ func (e *Engine) calibrate(device string) (*perfmodel.Calibration, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt := e.opts.Calib
-	opt.Seed = e.seedFor(device)
 	e.calGate.Lock()
-	cal := perfmodel.CalibrateParallel(p.GPU, opt, e.opts.Workers)
+	cal := perfmodel.Calibrate(p.GPU, e.seedFor(device), e.opts.Calib, e.opts.Workers)
 	e.calGate.Unlock()
 	e.mu.Lock()
 	e.calibRuns[device]++

@@ -23,7 +23,6 @@ import (
 func BenchmarkFirstTouch(b *testing.B) {
 	opts := tinyOptions(7)
 	opts.Iters, opts.DLRMBatches = 0, nil
-	opts.Calib.IncludeCNN = true
 	assets, err := New(opts).SaveAssets(hw.V100)
 	if err != nil {
 		b.Fatal(err)

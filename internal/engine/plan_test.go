@@ -12,7 +12,6 @@ import (
 // serve every registered scenario family, including the conv models.
 func planOptions(seed uint64) Options {
 	opts := tinyOptions(seed)
-	opts.Calib.IncludeCNN = true
 	return opts
 }
 

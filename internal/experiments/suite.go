@@ -32,8 +32,8 @@ type Options struct {
 	// Iters is the measured-run iteration count (default: the engine's,
 	// 30).
 	Iters int
-	// Calib overrides calibration options (Seed is always taken from
-	// Options.Seed).
+	// Calib is how every device calibrates; each device calibrates it
+	// from Seed salted with the device name.
 	Calib perfmodel.CalibOptions
 }
 
@@ -53,13 +53,10 @@ func NewSuite(opts Options) *Suite {
 	if len(opts.Devices) == 0 {
 		opts.Devices = hw.Names()
 	}
-	calib := opts.Calib
-	// Always include the CNN extension so Fig. 10 composes.
-	calib.IncludeCNN = true
 	eng := engine.New(engine.Options{
 		Seed:            opts.Seed,
 		SaltDeviceSeeds: true,
-		Calib:           calib,
+		Calib:           opts.Calib,
 		DLRMBatches:     opts.DLRMBatches,
 		CNNBatches:      opts.CNNBatches,
 		Iters:           opts.Iters,

@@ -170,9 +170,9 @@ func PaperSearchSpace() SearchSpace {
 	}
 }
 
-// FastSearchSpace is the pruned grid used by tests and default
-// calibration runs so that the pipeline stays fast; cmd/dlrmperf-train
-// exposes the full grid behind a flag.
+// FastSearchSpace is the pruned grid behind `experiments -grid` and
+// `dlrmperf-train -grid`. Default calibration runs search nothing: they
+// train DefaultConfig (or the caller's fixed configuration).
 func FastSearchSpace() SearchSpace {
 	return SearchSpace{
 		HiddenLayers: []int{2, 3},

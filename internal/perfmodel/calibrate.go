@@ -11,33 +11,30 @@ import (
 	"dlrmperf/internal/xsync"
 )
 
-// CalibOptions controls the Analysis-Track calibration pipeline of
-// Fig. 3: microbenchmark sweep sizes, ML-model training strategy, and
-// which optional kernel families to cover.
+// CalibOptions is how a device calibrates in the Analysis Track of
+// Fig. 3: microbenchmark sweep sizes and the ML-model training
+// strategy. The seed is Calibrate's argument, the train split is the
+// constant trainFrac, and every family of the plan (the CNN ones
+// included) is always calibrated.
 type CalibOptions struct {
-	// Seed drives sweeps, splits, and training.
-	Seed uint64
 	// SweepSizes overrides per-kind shape counts (default:
 	// microbench.DefaultSweepSizes).
 	SweepSizes map[kernels.Kind]int
-	// UseGridSearch selects Table II hyperparameter search; otherwise a
-	// single fixed configuration is trained.
-	UseGridSearch bool
-	// Space is the grid used when UseGridSearch is set (default:
-	// mlp.FastSearchSpace).
-	Space mlp.SearchSpace
-	// MLPConfig is the fixed configuration otherwise (default:
-	// mlp.DefaultConfig).
+	// MLPConfig is the configuration every ML-based model trains when
+	// Search is empty (default: mlp.DefaultConfig).
 	MLPConfig mlp.Config
-	// IncludeCNN additionally calibrates conv and batch-norm models (the
-	// Fig. 10 extension).
-	IncludeCNN bool
 	// Ensemble is the number of independently seeded networks averaged
 	// per ML-based model (default 3).
 	Ensemble int
-	// TrainFrac is the train split fraction (default 0.8).
-	TrainFrac float64
+	// Search, when it enumerates any configuration, replaces MLPConfig
+	// with the Table II hyperparameter search over it
+	// (mlp.FastSearchSpace, or mlp.PaperSearchSpace for the full grid).
+	Search mlp.SearchSpace
 }
+
+// trainFrac is the share of each microbenchmark sweep the models are
+// fitted on; the rest is held out for the Table IV evaluation.
+const trainFrac = 0.8
 
 func (o CalibOptions) withDefaults() CalibOptions {
 	if o.SweepSizes == nil {
@@ -46,13 +43,7 @@ func (o CalibOptions) withDefaults() CalibOptions {
 	if o.MLPConfig.Width == 0 {
 		o.MLPConfig = mlp.DefaultConfig()
 	}
-	if len(o.Space.Widths) == 0 {
-		o.Space = mlp.FastSearchSpace()
-	}
-	if o.TrainFrac == 0 {
-		o.TrainFrac = 0.8
-	}
-	if o.Ensemble == 0 {
+	if o.Ensemble <= 0 {
 		o.Ensemble = 3
 	}
 	return o
@@ -82,29 +73,17 @@ func (c *Calibration) Eval(row string) stats.ErrorSummary {
 	return stats.ErrorSummary{}
 }
 
-// regEntry is one model a calibration job wants installed.
-type regEntry struct {
-	kind  kernels.Kind
-	model KernelModel
-}
-
-// jobResult is the output of one calibration job: the models to register
-// and the Table IV rows the job evaluated, in the paper's order.
-type jobResult struct {
-	regs  []regEntry
-	evals []KernelEval
-}
-
 // calibJob is one independent unit of the calibration plan: sweep one
-// kernel family, split, fit its model(s), and evaluate them. Every job
-// carries a precomputed seed, so jobs are pure functions of (gpu, opt,
-// seed) and can run in any order — serially or on a worker pool — with
-// bit-identical results. memberWorkers bounds the ensemble-member
-// concurrency inside the job.
+// kernel family, split, fit the model registered for kind, and evaluate
+// it (and, for the embedding families, the plain variant beside it).
+// Every job carries a precomputed seed, so jobs are pure functions of
+// (gpu, opt, seed) and can run in any order — serially or on a worker
+// pool — with bit-identical results. memberWorkers bounds the
+// ensemble-member concurrency inside the job.
 type calibJob struct {
-	row  string
+	kind kernels.Kind
 	seed uint64
-	run  func(seed uint64, memberWorkers int) jobResult
+	run  func(seed uint64, memberWorkers int) (KernelModel, []KernelEval)
 }
 
 // seedStride is the per-family seed increment of the calibration plan.
@@ -115,14 +94,13 @@ const seedStride = 101
 
 // calibrationPlan lays out the per-family jobs in the paper's Table IV
 // order and assigns each its seed up front. Family job i draws from
-// stream opt.Seed + seedStride*(i+1); ensemble member m within a family
+// stream seed + seedStride*(i+1); ensemble member m within a family
 // draws from memberSeed(familySeed, m).
-func calibrationPlan(gpu hw.GPU, opt CalibOptions) []calibJob {
+func calibrationPlan(gpu hw.GPU, seed uint64, opt CalibOptions) []calibJob {
 	var jobs []calibJob
-	seed := opt.Seed
-	add := func(row string, run func(seed uint64, memberWorkers int) jobResult) {
+	add := func(kind kernels.Kind, run func(seed uint64, memberWorkers int) (KernelModel, []KernelEval)) {
 		seed += seedStride
-		jobs = append(jobs, calibJob{row: row, seed: seed, run: run})
+		jobs = append(jobs, calibJob{kind: kind, seed: seed, run: run})
 	}
 
 	collect := func(kind kernels.Kind, seed uint64) (train, test *microbench.Dataset) {
@@ -131,38 +109,32 @@ func calibrationPlan(gpu hw.GPU, opt CalibOptions) []calibJob {
 			n = 400
 		}
 		ds := microbench.CollectKind(gpu, kind, n, seed)
-		return ds.Split(opt.TrainFrac, seed*31+7)
+		return ds.Split(trainFrac, seed*31+7)
 	}
 
 	// --- Embedding lookup: plain vs enhanced, all vs large tables -----
 	elJob := func(kind kernels.Kind, tag string) {
-		add(tag, func(seed uint64, _ int) jobResult {
+		add(kind, func(seed uint64, _ int) (KernelModel, []KernelEval) {
 			train, test := collect(kind, seed)
 			large := test.Filter(IsLargeTable)
 			plain := CalibrateEL(tag, gpu, train, false)
 			enhanced := CalibrateEL(tag+"H", gpu, train, true)
-			return jobResult{
-				// The paper adopts the enhanced model for E2E prediction.
-				regs: []regEntry{{kind, enhanced}},
-				evals: []KernelEval{
-					{Row: tag, Summary: Evaluate(plain, test)},
-					{Row: tag + "L", Summary: Evaluate(plain, large)},
-					{Row: tag + "H", Summary: Evaluate(enhanced, test)},
-					{Row: tag + "HL", Summary: Evaluate(enhanced, large)},
-				},
+			// The paper adopts the enhanced model for E2E prediction.
+			return enhanced, []KernelEval{
+				{Row: tag, Summary: Evaluate(plain, test)},
+				{Row: tag + "L", Summary: Evaluate(plain, large)},
+				{Row: tag + "H", Summary: Evaluate(enhanced, test)},
+				{Row: tag + "HL", Summary: Evaluate(enhanced, large)},
 			}
 		})
 	}
 
 	// --- Memory-bound kernels: roofline with corrected bandwidth -------
 	rooflineJob := func(row string, kind kernels.Kind, peak float64) {
-		add(row, func(seed uint64, _ int) jobResult {
+		add(kind, func(seed uint64, _ int) (KernelModel, []KernelEval) {
 			train, test := collect(kind, seed)
 			m := CalibrateRoofline(row, train, peak)
-			return jobResult{
-				regs:  []regEntry{{kind, m}},
-				evals: []KernelEval{{Row: row, Summary: Evaluate(m, test)}},
-			}
+			return m, []KernelEval{{Row: row, Summary: Evaluate(m, test)}}
 		})
 	}
 
@@ -170,18 +142,10 @@ func calibrationPlan(gpu hw.GPU, opt CalibOptions) []calibJob {
 	// built from the public spec numbers; the corrected efficiencies live
 	// in what the network learns. -------------------------------------
 	mlpJob := func(name string, kind kernels.Kind) {
-		add(name, func(seed uint64, memberWorkers int) jobResult {
+		add(kind, func(seed uint64, memberWorkers int) (KernelModel, []KernelEval) {
 			train, test := collect(kind, seed)
-			var m *MLPModel
-			if opt.UseGridSearch {
-				m = SearchMLPParallel(name, train, gpu.PeakFP32, gpu.DRAMBandwidth, opt.Space, opt.Ensemble, seed, memberWorkers)
-			} else {
-				m = TrainMLPParallel(name, train, gpu.PeakFP32, gpu.DRAMBandwidth, opt.MLPConfig, opt.Ensemble, seed, memberWorkers)
-			}
-			return jobResult{
-				regs:  []regEntry{{kind, m}},
-				evals: []KernelEval{{Row: name, Summary: Evaluate(m, test)}},
-			}
+			m := FitMLP(name, train, gpu.PeakFP32, gpu.DRAMBandwidth, opt, seed, memberWorkers)
+			return m, []KernelEval{{Row: name, Summary: Evaluate(m, test)}}
 		})
 	}
 
@@ -196,40 +160,41 @@ func calibrationPlan(gpu hw.GPU, opt CalibOptions) []calibJob {
 	// Element-wise is not a Table IV row, but is required by the E2E
 	// predictor for relu/losses/optimizer kernels.
 	rooflineJob("elementwise", kernels.KindElementwise, gpu.PeakFP32*0.5)
-	if opt.IncludeCNN {
-		mlpJob("conv", kernels.KindConv)
-		rooflineJob("batchnorm", kernels.KindBatchNorm, 0)
-	}
+	// The CNN families (the Fig. 10 extension) come last, so covering
+	// them shifts no other family's seed.
+	mlpJob("conv", kernels.KindConv)
+	rooflineJob("batchnorm", kernels.KindBatchNorm, 0)
 	return jobs
 }
 
-// Calibrate runs the full analysis track for one GPU on the calling
-// goroutine: sweep, fit, and evaluate every dominating kernel model,
-// returning the prediction-ready registry (with the enhanced embedding
-// model installed, as the paper adopts) and the Table IV rows. It is the
-// reference serial path; CalibrateParallel produces bit-identical output
-// on a worker pool.
-func Calibrate(gpu hw.GPU, opt CalibOptions) *Calibration {
-	return calibrate(gpu, opt, 1)
+// calibratedKinds lists, in plan order, the kernel kinds a calibration
+// registers: a registry is complete when it covers every one of them.
+func calibratedKinds() []kernels.Kind {
+	jobs := calibrationPlan(hw.GPU{}, 0, CalibOptions{})
+	kinds := make([]kernels.Kind, len(jobs))
+	for i, j := range jobs {
+		kinds[i] = j.kind
+	}
+	return kinds
 }
 
-// CalibrateParallel runs the same calibration plan as Calibrate with up
-// to workers per-family jobs in flight (and ensemble members within a
-// family training concurrently). workers <= 0 selects
-// runtime.GOMAXPROCS(0). Because every job owns a precomputed RNG
-// stream, the result is bit-identical to Calibrate regardless of
-// scheduling.
-func CalibrateParallel(gpu hw.GPU, opt CalibOptions, workers int) *Calibration {
+// Calibrate runs the full analysis track for one GPU from seed: sweep,
+// fit, and evaluate every kernel family of the plan, returning the
+// prediction-ready registry (with the enhanced embedding model
+// installed, as the paper adopts) and the Table IV rows. Up to workers
+// family jobs run at once, and ensemble members within a family train
+// concurrently with what is left of the budget; workers 1 is the serial
+// reference order and workers <= 0 selects runtime.GOMAXPROCS(0).
+// Because every job owns a precomputed RNG stream, the result is
+// bit-identical for any workers.
+func Calibrate(gpu hw.GPU, seed uint64, opt CalibOptions, workers int) *Calibration {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return calibrate(gpu, opt, workers)
-}
-
-func calibrate(gpu hw.GPU, opt CalibOptions, workers int) *Calibration {
 	opt = opt.withDefaults()
-	jobs := calibrationPlan(gpu, opt)
-	results := make([]jobResult, len(jobs))
+	jobs := calibrationPlan(gpu, seed, opt)
+	models := make([]KernelModel, len(jobs))
+	evals := make([][]KernelEval, len(jobs))
 	// Split the budget between the two levels: family jobs fill the
 	// pool first, and ensemble members only fan out with whatever
 	// multiple of the job count is left (total in-flight work stays
@@ -239,18 +204,16 @@ func calibrate(gpu hw.GPU, opt CalibOptions, workers int) *Calibration {
 		memberWorkers = 1
 	}
 	xsync.ForEachN(len(jobs), workers, func(i int) {
-		results[i] = jobs[i].run(jobs[i].seed, memberWorkers)
+		models[i], evals[i] = jobs[i].run(jobs[i].seed, memberWorkers)
 	})
 
 	// Merge in plan order so registries and Table IV rows are identical
 	// to the serial path no matter which worker finished first.
 	reg := NewRegistry(gpu.Name)
 	cal := &Calibration{Registry: reg}
-	for _, r := range results {
-		for _, e := range r.regs {
-			reg.Register(e.kind, e.model)
-		}
-		cal.Evals = append(cal.Evals, r.evals...)
+	for i, j := range jobs {
+		reg.Register(j.kind, models[i])
+		cal.Evals = append(cal.Evals, evals[i]...)
 	}
 	return cal
 }

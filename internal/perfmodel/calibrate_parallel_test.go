@@ -13,17 +13,15 @@ import (
 
 // fastCalibOptions keeps the equivalence tests quick: small sweeps, a
 // tiny network, two ensemble members (so member-level parallelism is
-// exercised), CNN kinds included (so every plan job exists).
-func fastCalibOptions(seed uint64) CalibOptions {
+// exercised).
+func fastCalibOptions() CalibOptions {
 	sizes := map[kernels.Kind]int{}
 	for k, n := range microbench.DefaultSweepSizes() {
 		sizes[k] = n / 8
 	}
 	return CalibOptions{
-		Seed:       seed,
 		SweepSizes: sizes,
 		Ensemble:   2,
-		IncludeCNN: true,
 		MLPConfig:  mlp.Config{HiddenLayers: 1, Width: 16, Optimizer: mlp.Adam, LR: 3e-3, Epochs: 10, BatchSize: 64},
 	}
 }
@@ -37,9 +35,9 @@ func TestCalibrateSerialParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := fastCalibOptions(11)
-	serial := Calibrate(p.GPU, opt)
-	parallel := CalibrateParallel(p.GPU, opt, 8)
+	opt := fastCalibOptions()
+	serial := Calibrate(p.GPU, 11, opt, 1)
+	parallel := Calibrate(p.GPU, 11, opt, 8)
 
 	if !reflect.DeepEqual(serial.Evals, parallel.Evals) {
 		for i := range serial.Evals {
@@ -75,17 +73,23 @@ func TestCalibrateSerialParallelEquivalence(t *testing.T) {
 }
 
 // TestCalibrateParallelWorkerCountInvariance pins the scheduling-freedom
-// half of the contract: any pool size gives the same calibration.
+// half of the contract: any pool size gives the same calibration, with
+// the fixed configuration and with a (tiny) grid search alike.
 func TestCalibrateParallelWorkerCountInvariance(t *testing.T) {
 	p, err := hw.ByName(hw.P100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := fastCalibOptions(23)
-	opt.IncludeCNN = false
-	two := CalibrateParallel(p.GPU, opt, 2)
-	many := CalibrateParallel(p.GPU, opt, 16)
-	if !reflect.DeepEqual(two.Evals, many.Evals) {
-		t.Fatal("worker count changed the Table IV rows")
+	search := fastCalibOptions()
+	search.Search = mlp.SearchSpace{
+		HiddenLayers: []int{1}, Widths: []int{8, 16}, Optimizers: []string{mlp.Adam},
+		LRs: []float64{3e-3}, Epochs: 4, BatchSize: 64,
+	}
+	for name, opt := range map[string]CalibOptions{"fixed": fastCalibOptions(), "search": search} {
+		two := Calibrate(p.GPU, 23, opt, 2)
+		many := Calibrate(p.GPU, 23, opt, 16)
+		if !reflect.DeepEqual(two.Evals, many.Evals) {
+			t.Fatalf("%s: worker count changed the Table IV rows", name)
+		}
 	}
 }

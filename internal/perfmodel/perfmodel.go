@@ -202,48 +202,29 @@ func memberSeed(familySeed uint64, member int) uint64 {
 	return familySeed + uint64(member)*memberStride
 }
 
-// trainEnsemble trains members [from, to) of an ensemble, each with its
-// own derived seed, with at most workers trainings in flight. Members
-// slot into the result by index, so the output is bit-identical
-// regardless of workers.
-func trainEnsemble(X [][]float64, Y []float64, cfg mlp.Config, familySeed uint64, from, to, workers int) []*mlp.Net {
-	if to < from {
-		to = from
+// FitMLP fits an ensemble of opt.Ensemble networks on a dataset, up to
+// workers members training concurrently. basePeak/baseBW parameterize
+// the roofline the residual targets are relative to. With an empty
+// opt.Search every member trains opt.MLPConfig; otherwise the Table II
+// grid search over opt.Search picks the configuration, its winning
+// network is member 0, and the remaining members train the winner.
+// Members slot in by index, so the fitted model is bit-identical for
+// any workers.
+func FitMLP(name string, ds *microbench.Dataset, basePeak, baseBW float64, opt CalibOptions, seed uint64, workers int) *MLPModel {
+	opt = opt.withDefaults()
+	X, Y := residualTargets(ds, RooflineBaseline(basePeak, baseBW))
+	m := &MLPModel{ModelName: name, Config: opt.MLPConfig, BasePeak: basePeak, BaseBW: baseBW}
+	if len(opt.Search.Configs()) > 0 {
+		var net *mlp.Net
+		net, m.Config, _ = mlp.GridSearch(X, Y, opt.Search, seed)
+		m.Nets = []*mlp.Net{net}
 	}
-	nets := make([]*mlp.Net, to-from)
-	xsync.ForEachN(len(nets), workers, func(i int) {
-		nets[i] = mlp.Train(X, Y, cfg, memberSeed(familySeed, from+i))
+	from := len(m.Nets)
+	members := make([]*mlp.Net, opt.Ensemble-from)
+	xsync.ForEachN(len(members), workers, func(i int) {
+		members[i] = mlp.Train(X, Y, m.Config, memberSeed(seed, from+i))
 	})
-	return nets
-}
-
-// TrainMLPParallel fits an MLPModel ensemble on a dataset with a fixed
-// configuration, up to workers ensemble members training concurrently.
-// basePeak/baseBW parameterize the roofline the residual targets are
-// relative to. Members slot in by index, so the fitted model is
-// bit-identical for any workers.
-func TrainMLPParallel(name string, ds *microbench.Dataset, basePeak, baseBW float64, cfg mlp.Config, ensemble int, seed uint64, workers int) *MLPModel {
-	if ensemble < 1 {
-		ensemble = 1
-	}
-	X, Y := residualTargets(ds, RooflineBaseline(basePeak, baseBW))
-	m := &MLPModel{ModelName: name, Config: cfg, BasePeak: basePeak, BaseBW: baseBW}
-	m.Nets = trainEnsemble(X, Y, cfg, seed, 0, ensemble, workers)
-	return m
-}
-
-// SearchMLPParallel fits an MLPModel with a hyperparameter grid search
-// (Table II), then trains an ensemble of the winning configuration with
-// up to workers members training concurrently; the fitted model is
-// bit-identical for any workers.
-func SearchMLPParallel(name string, ds *microbench.Dataset, basePeak, baseBW float64, space mlp.SearchSpace, ensemble int, seed uint64, workers int) *MLPModel {
-	if ensemble < 1 {
-		ensemble = 1
-	}
-	X, Y := residualTargets(ds, RooflineBaseline(basePeak, baseBW))
-	net, cfg, _ := mlp.GridSearch(X, Y, space, seed)
-	m := &MLPModel{ModelName: name, Config: cfg, BasePeak: basePeak, BaseBW: baseBW, Nets: []*mlp.Net{net}}
-	m.Nets = append(m.Nets, trainEnsemble(X, Y, cfg, seed, 1, ensemble, workers)...)
+	m.Nets = append(m.Nets, members...)
 	return m
 }
 
@@ -290,6 +271,18 @@ func (r *Registry) Predict(k kernels.Kernel) (float64, error) {
 		return 0, fmt.Errorf("%w %s", ErrNoModel, k.Kind())
 	}
 	return m.Predict(k), nil
+}
+
+// Missing lists the kinds a calibration registers that r holds no model
+// for, in plan order; a registry is complete when it is empty.
+func (r *Registry) Missing() []kernels.Kind {
+	var out []kernels.Kind
+	for _, k := range calibratedKinds() {
+		if _, ok := r.models[k]; !ok {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 // Kinds lists the covered kernel kinds.

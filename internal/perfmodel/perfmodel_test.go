@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -22,7 +23,6 @@ func fastOptions() CalibOptions {
 		}
 	}
 	return CalibOptions{
-		Seed:       1,
 		SweepSizes: sizes,
 		MLPConfig:  mlp.Config{HiddenLayers: 2, Width: 48, Optimizer: mlp.Adam, LR: 3e-3, Epochs: 45, BatchSize: 64},
 		Ensemble:   2,
@@ -37,7 +37,7 @@ var (
 func v100Calibration(t *testing.T) *Calibration {
 	t.Helper()
 	calOnce.Do(func() {
-		calV100 = Calibrate(hw.V100Platform().GPU, fastOptions())
+		calV100 = Calibrate(hw.V100Platform().GPU, 1, fastOptions(), 1)
 	})
 	return calV100
 }
@@ -200,24 +200,35 @@ func TestRegistryUnknownKind(t *testing.T) {
 	}
 }
 
+// TestRegistryKinds pins the one definition of a complete registry: a
+// fresh calibration registers exactly the kinds its plan lists — every
+// family the predictor needs, the CNN ones included — so Missing is
+// empty for it and names a kind dropped from it.
 func TestRegistryKinds(t *testing.T) {
 	cal := v100Calibration(t)
-	kinds := cal.Registry.Kinds()
 	want := map[kernels.Kind]bool{
 		kernels.KindGEMM: true, kernels.KindEmbeddingFwd: true,
 		kernels.KindEmbeddingBwd: true, kernels.KindConcat: true,
 		kernels.KindMemcpyH2D: true, kernels.KindTranspose: true,
 		kernels.KindTrilFwd: true, kernels.KindTrilBwd: true,
-		kernels.KindElementwise: true,
+		kernels.KindElementwise: true, kernels.KindConv: true,
+		kernels.KindBatchNorm: true,
 	}
-	have := map[kernels.Kind]bool{}
-	for _, k := range kinds {
-		have[k] = true
+	kinds, plan := cal.Registry.Kinds(), calibratedKinds()
+	if missing := cal.Registry.Missing(); len(missing) != 0 || len(kinds) != len(want) || len(plan) != len(want) {
+		t.Fatalf("calibration covers %v, plan lists %v (missing %v), want %d kinds", kinds, plan, missing, len(want))
 	}
-	for k := range want {
-		if !have[k] {
-			t.Errorf("registry missing kind %s", k)
+	for _, k := range plan {
+		if !want[k] {
+			t.Errorf("plan registers unexpected kind %s", k)
 		}
+	}
+	hollow := NewRegistry(hw.V100)
+	for _, k := range kinds[1:] {
+		hollow.Register(k, cal.Registry.Model(k))
+	}
+	if missing := hollow.Missing(); !reflect.DeepEqual(missing, kinds[:1]) {
+		t.Fatalf("registry without %s reports missing %v", kinds[0], missing)
 	}
 }
 
@@ -229,8 +240,8 @@ func TestCalibrationDeterministic(t *testing.T) {
 	}
 	opts.SweepSizes = sizes
 	opts.MLPConfig.Epochs = 5
-	a := Calibrate(hw.V100Platform().GPU, opts)
-	b := Calibrate(hw.V100Platform().GPU, opts)
+	a := Calibrate(hw.V100Platform().GPU, 1, opts, 1)
+	b := Calibrate(hw.V100Platform().GPU, 1, opts, 1)
 	ka := kernels.GEMM{Batch: 1, M: 333, N: 222, K: 111}
 	pa, _ := a.Registry.Predict(ka)
 	pb, _ := b.Registry.Predict(ka)

@@ -34,10 +34,10 @@ func calibration(t *testing.T) *perfmodel.Calibration {
 				sizes[k] = n
 			}
 		}
-		assetCal = perfmodel.Calibrate(hw.V100Platform().GPU, perfmodel.CalibOptions{
-			Seed: 3, SweepSizes: sizes, Ensemble: 2,
+		assetCal = perfmodel.Calibrate(hw.V100Platform().GPU, 3, perfmodel.CalibOptions{
+			SweepSizes: sizes, Ensemble: 2,
 			MLPConfig: mlp.Config{HiddenLayers: 2, Width: 48, Optimizer: mlp.Adam, LR: 3e-3, Epochs: 45, BatchSize: 64},
-		})
+		}, 1)
 	})
 	return assetCal
 }
@@ -155,10 +155,10 @@ func TestActiveEqualsKernelOnly(t *testing.T) {
 		sizes[k] = 100
 	}
 	p := hw.V100Platform()
-	cal := perfmodel.Calibrate(p.GPU, perfmodel.CalibOptions{
-		Seed: 5, SweepSizes: sizes, Ensemble: 1, IncludeCNN: true,
+	cal := perfmodel.Calibrate(p.GPU, 5, perfmodel.CalibOptions{
+		SweepSizes: sizes, Ensemble: 1,
 		MLPConfig: mlp.Config{HiddenLayers: 1, Width: 16, Optimizer: mlp.Adam, LR: 3e-3, Epochs: 5, BatchSize: 32},
-	})
+	}, 1)
 	for _, tc := range []struct {
 		name  string
 		batch int64
