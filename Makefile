@@ -63,18 +63,20 @@ linked:
 
 # fuzz-smoke runs each native fuzz target for 10 s on top of its
 # checked-in corpus (testdata/fuzz in the package): the row codec's
-# differential contract against encoding/json, decode and encode, the
-# overhead database's decode-encode-decode fixed point, and the engine's
-# asset install (a rejected payload installs nothing, an accepted one
-# covers every kernel). go test takes one -fuzz target per run. The
-# overhead corpus holds a whole marshalled database and the asset seeds
-# a whole export, whose byte-by-byte minimization would eat the smoke's
-# time, so minimization is capped there. The CI test job runs this
-# target.
+# differential contract against encoding/json, decode and encode, and
+# the batch report envelope's decode; the overhead database's
+# decode-encode-decode fixed point; and the engine's asset install (a
+# rejected payload installs nothing, an accepted one prices every kind
+# it holds and covers every kernel). go test takes one -fuzz target per
+# run. The overhead corpus holds a whole marshalled database and the
+# asset seeds a whole export, whose byte-by-byte minimization would eat
+# the smoke's time, so minimization is capped there. The CI test job
+# runs this target.
 FUZZ_TIME = 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowDecode$$' -fuzztime $(FUZZ_TIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzRowEncode$$' -fuzztime $(FUZZ_TIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzReportDecode$$' -fuzztime $(FUZZ_TIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzOverheadLoad$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/overhead
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadAssets$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/engine
 

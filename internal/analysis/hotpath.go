@@ -89,11 +89,13 @@ var hotpathPackages = map[string]hotpathConfig{
 			"AppendRequest",
 			"AppendRequests",
 			"AppendResult",
+			"AppendReport",
 			"Rows.MarshalJSON",
 			"Rows.UnmarshalJSON",
 			"UnmarshalRequest",
 			"UnmarshalRequests",
 			"UnmarshalResult",
+			"UnmarshalReport",
 			"WriteJSON",
 			"WriteResult",
 			"DecodeRequest",
@@ -131,6 +133,25 @@ var hotpathPackages = map[string]hotpathConfig{
 		stops: []string{
 			// Formats the error of a routing attempt that failed.
 			"routeErrorf",
+		},
+	},
+	"dlrmperf/internal/client": {
+		roots: []string{
+			// The client's two prediction calls: every row a bench
+			// client or a coordinator hop sends and reads back.
+			"Client.Predict",
+			"Client.PredictBatchInto",
+		},
+		stops: []string{
+			// Build the error of an exchange that failed: a non-200
+			// envelope, an unparsable body, an oversized body.
+			"decodeError",
+			"parseError",
+			"bodyTooLarge",
+			// The encoding/json fallback for a batch decoded into
+			// anything but a *serve.Report (the wire-inspection tests'
+			// raw maps).
+			"Client.postJSON",
 		},
 	},
 	"dlrmperf/internal/scenario": {

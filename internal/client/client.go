@@ -124,10 +124,28 @@ func (c *Client) Predict(ctx context.Context, req serve.Request) (serve.Result, 
 // PredictBatchInto submits a request list on the blocking admission
 // path (POST /v1/predict/batch) and decodes the response into v,
 // normally a *serve.Report: the one report shape of a worker and a
-// coordinator alike.
+// coordinator alike, parsed by the row codec. A *serve.Report is
+// replaced, not merged into: nothing it held before the call survives.
+// Any other v is decoded by encoding/json.
 func (c *Client) PredictBatchInto(ctx context.Context, reqs []serve.Request, v any) error {
-	return c.postJSON(ctx, "/v1/predict/batch", reqs, v)
+	const path = "/v1/predict/batch"
+	rep, ok := v.(*serve.Report)
+	if !ok {
+		return c.postJSON(ctx, path, reqs, v)
+	}
+	buf, err := c.exchange(ctx, http.MethodPost, path, serve.AppendRequests(make([]byte, 0, requestsSizeHint(len(reqs))), reqs))
+	if err != nil {
+		return err
+	}
+	defer buf.Release()
+	if *rep, err = serve.UnmarshalReport(buf.Bytes()); err != nil {
+		return parseError(path, err)
+	}
+	return nil
 }
+
+// requestsSizeHint is the encoded size of n typical requests.
+func requestsSizeHint(n int) int { return 2 + 96*n }
 
 // Explore runs a design-space sweep (POST /v1/explore).
 //
@@ -249,7 +267,7 @@ func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
 	switch in := in.(type) {
 	case nil:
 	case []serve.Request:
-		body = serve.AppendRequests(make([]byte, 0, 2+96*len(in)), in)
+		body = serve.AppendRequests(make([]byte, 0, requestsSizeHint(len(in))), in)
 	default:
 		var err error
 		if body, err = json.Marshal(in); err != nil {
@@ -263,8 +281,7 @@ func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 	return c.roundTrip(ctx, http.MethodGet, path, nil, out)
 }
 
-// roundTrip is one exchange decoded into out with encoding/json — which
-// hands a report's rows (serve.Rows) back to the row codec.
+// roundTrip is one exchange decoded into out with encoding/json.
 func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte, out any) error {
 	buf, err := c.exchange(ctx, method, path, body)
 	if err != nil {
@@ -280,8 +297,14 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 	return nil
 }
 
+// parseError and bodyTooLarge build the error of an exchange that
+// failed, off the steady-state path.
 func parseError(path string, err error) error {
 	return fmt.Errorf("client: parsing %s response: %w", path, err)
+}
+
+func bodyTooLarge(method, path string, status int, limit int64) error {
+	return fmt.Errorf("%w: %s %s answered %d with more than the %d-byte cap", ErrBodyTooLarge, method, path, status, limit)
 }
 
 // exchange performs one HTTP round trip and returns the body of a 200
@@ -314,9 +337,9 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) (*ser
 		return nil, nil, c.urlErr
 	}
 	u := *c.url
-	u.Path += path
+	u.Path += path //lint:allow hotpath a base URL mounted at the root has an empty Path, and joining onto "" allocates nothing
 	if u.RawPath != "" {
-		u.RawPath += path
+		u.RawPath += path //lint:allow hotpath set only for a base path that needs escaping, which no server of this module has
 	}
 	req := &http.Request{
 		Method: method, URL: &u, Host: u.Host,
@@ -339,7 +362,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) (*ser
 	switch {
 	case err != nil:
 	case tooLarge:
-		err = fmt.Errorf("%w: %s %s answered %d with more than the %d-byte cap", ErrBodyTooLarge, method, path, resp.StatusCode, c.maxBody)
+		err = bodyTooLarge(method, path, resp.StatusCode, c.maxBody)
 	default:
 		return buf, resp, nil
 	}

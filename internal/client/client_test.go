@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -27,6 +28,25 @@ func stub(t *testing.T, status int, retryAfter string, body any) *Client {
 	}))
 	t.Cleanup(ts.Close)
 	return New(ts.URL)
+}
+
+// TestPredictBatchIntoReplacesReport: a *serve.Report target comes back
+// holding exactly the server's report, whether the codec's fast path or
+// its encoding/json fallback (an escaped string) parsed it — nothing the
+// caller's value held before the call survives, an error entry least of
+// all.
+func TestPredictBatchIntoReplacesReport(t *testing.T) {
+	for _, msg := range []string{"", `unknown workload "x"`} {
+		want := serve.NewReport([]serve.Result{{Request: serve.Request{Device: "P100"}, E2EUs: 1.5, Error: msg}, {Request: serve.Request{Device: "V100"}, E2EUs: 2}}, 2*time.Millisecond)
+		cl := stub(t, http.StatusOK, "", want)
+		got := serve.Report{Results: serve.Rows{{}, {}, {}}, Requests: 9, Failed: 9, ElapsedMs: 7, Error: &serve.ReportError{Code: "stale"}}
+		if err := cl.PredictBatchInto(context.Background(), []serve.Request{{Device: "P100"}, {Device: "V100"}}, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&got, want) {
+			t.Fatalf("error %q: decoded report %+v, want %+v", msg, got, *want)
+		}
+	}
 }
 
 // TestErrorTaxonomy pins the status+code -> typed error mapping, and

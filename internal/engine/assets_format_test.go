@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"dlrmperf/internal/hw"
+	"dlrmperf/internal/mlp"
 	"dlrmperf/internal/models"
+	"dlrmperf/internal/xrand"
 )
 
 // TestAssetFormatVersionGuard pins the export format contract:
@@ -118,10 +120,38 @@ func setRegistryDevice(t *testing.T, wire map[string]json.RawMessage, device str
 	wire["registry"], _ = json.Marshal(reg)
 }
 
+// setRegistryModel files model under kind inside an export's registry.
+func setRegistryModel(t testing.TB, wire map[string]json.RawMessage, kind, model string) {
+	t.Helper()
+	var reg map[string]json.RawMessage
+	var byKind map[string]json.RawMessage
+	if err := json.Unmarshal(wire["registry"], &reg); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(reg["models"], &byKind); err != nil {
+		t.Fatal(err)
+	}
+	byKind[kind] = json.RawMessage(model)
+	reg["models"], _ = json.Marshal(byKind)
+	wire["registry"], _ = json.Marshal(reg)
+}
+
+// mlpModel is the registry entry of a one-net MLP model of the given
+// layer sizes.
+func mlpModel(t testing.TB, sizes ...int) string {
+	t.Helper()
+	net, err := json.Marshal(mlp.NewNet(sizes, xrand.New(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return `{"type":"mlp","data":{"name":"M","config":{},"base_peak":1e13,"base_bw":9e11,"nets":[` + string(net) + `]}}`
+}
+
 // TestLoadAssetsRejectedInstallsNothing: a payload whose envelope
 // parses but whose registry or any overhead database does not, or that
-// names an unknown device, another device's registry or a registry
-// missing a calibrated kind, is rejected whole — the engine holds
+// names an unknown device, another device's registry, a registry
+// missing a calibrated kind or one holding a model that cannot price
+// its kind, is rejected whole — the engine holds
 // exactly what it held before the call (no calibration, no epoch
 // movement, nothing resident), so a corrupt blob POSTed to
 // /v1/assets/install cannot leave a worker serving from it, and the
@@ -181,6 +211,15 @@ func TestLoadAssetsRejectedInstallsNothing(t *testing.T) {
 		{"another device's registry", func(wire map[string]json.RawMessage) { setRegistryDevice(t, wire, hw.P100) }},
 		{"a hollow registry", func(wire map[string]json.RawMessage) {
 			wire["registry"] = json.RawMessage(`{"device":"` + hw.V100 + `","models":{}}`)
+		}},
+		{"an embedding heuristic filed under GEMM", func(wire map[string]json.RawMessage) {
+			setRegistryModel(t, wire, "GEMM", `{"type":"el","data":{"name":"EL","gpu":"V100","dram_bw":9e11,"l2_bw":2e12,"enhanced":true}}`)
+		}},
+		{"a GEMM network of conv's input width", func(wire map[string]json.RawMessage) {
+			setRegistryModel(t, wire, "GEMM", mlpModel(t, 8, 16, 1))
+		}},
+		{"a GEMM network with two outputs", func(wire map[string]json.RawMessage) {
+			setRegistryModel(t, wire, "GEMM", mlpModel(t, 4, 16, 2))
 		}},
 	} {
 		if _, err := e.LoadAssets(corrupt(tc.edit)); err == nil {

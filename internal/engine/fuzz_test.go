@@ -1,23 +1,28 @@
 package engine
 
 import (
+	"encoding/json"
 	"errors"
 	"reflect"
 	"slices"
 	"testing"
 
 	"dlrmperf/internal/hw"
+	"dlrmperf/internal/microbench"
 	"dlrmperf/internal/models"
 	"dlrmperf/internal/perfmodel"
+	"dlrmperf/internal/xrand"
 )
 
 // FuzzLoadAssets fuzzes the asset install, which reads bytes any client
 // can POST to /v1/assets/install and the coordinator's migration
 // replays. Its oracles: a rejected payload leaves the engine exactly as
-// it was, and an accepted one names a known device whose DLRM_default
-// prediction finds a model for every kernel. The seeds are a tiny
+// it was, and an accepted one names a known device whose registry
+// prices a kernel of every kind it holds without panicking and whose
+// DLRM_default prediction finds a model for every kernel. The seeds are a tiny
 // engine's real export (its registry and DLRM_default overheads), that
-// export truncated, and a hollow registry.
+// export truncated, that export with an embedding heuristic filed under
+// GEMM, and a hollow registry.
 func FuzzLoadAssets(f *testing.F) {
 	opts := tinyOptions(7)
 	src := New(opts)
@@ -31,6 +36,16 @@ func FuzzLoadAssets(f *testing.F) {
 	}
 	f.Add(data)
 	f.Add(data[:len(data)/2])
+	var wire map[string]json.RawMessage
+	if err := json.Unmarshal(data, &wire); err != nil {
+		f.Fatal(err)
+	}
+	setRegistryModel(f, wire, "GEMM", `{"type":"el","data":{"name":"EL","gpu":"V100","dram_bw":9e11,"l2_bw":2e12,"enhanced":true}}`)
+	misfit, err := json.Marshal(wire)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(misfit)
 	f.Add([]byte(`{"version":1,"device":"V100","registry":{"device":"V100","models":{}}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := New(opts)
@@ -44,6 +59,16 @@ func FuzzLoadAssets(f *testing.F) {
 		}
 		if !slices.Contains(hw.Names(), device) {
 			t.Fatalf("accepted assets for unknown device %q", device)
+		}
+		cal, err := e.Calibration(device)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range cal.Registry.Kinds() {
+			k := microbench.GenerateKernels(kind, 1, xrand.New(1))[0]
+			if _, err := cal.Registry.Predict(k); err != nil { // a model that cannot price its kind panics here
+				t.Fatalf("accepted %s assets cannot price %s: %v", device, k, err)
+			}
 		}
 		if res := e.Predict(NewRequest(device, models.NameDLRMDefault, 256)); errors.Is(res.Err, perfmodel.ErrNoModel) {
 			t.Fatalf("accepted %s assets predict %s with a kernel uncovered: %v", device, models.NameDLRMDefault, res.Err)

@@ -131,6 +131,27 @@ func AppendFeatures(dst []float64, k Kernel) []float64 {
 	panic(fmt.Sprintf("kernels: no features for %T", k))
 }
 
+// FeatureWidth is the length of the feature vector AppendFeatures
+// appends for a kernel of kind k: the input width an ML-based model of
+// that kind must have.
+func FeatureWidth(k Kind) int { return featureWidths[k] }
+
+var featureWidths = [numKinds]int{
+	KindGEMM:         4,
+	KindEmbeddingFwd: 5,
+	KindEmbeddingBwd: 5,
+	KindConcat:       2,
+	KindMemcpyH2D:    2,
+	KindMemcpyD2H:    2,
+	KindMemcpyD2D:    2,
+	KindTranspose:    3,
+	KindTrilFwd:      2,
+	KindTrilBwd:      2,
+	KindElementwise:  3,
+	KindConv:         8,
+	KindBatchNorm:    3,
+}
+
 func lg(x int64) float64 {
 	if x <= 0 {
 		return 0

@@ -78,6 +78,38 @@ func TestConvOutHWAndGEMM(t *testing.T) {
 	}
 }
 
+// TestFeatureWidthMatchesAppendFeatures pins the width table to the
+// feature builder: a kernel of every type, in every kind it can take,
+// appends exactly FeatureWidth of its kind, and every kind is covered.
+func TestFeatureWidthMatchesAppendFeatures(t *testing.T) {
+	covered := map[Kind]bool{}
+	for _, k := range []Kernel{
+		GEMM{Batch: 1, M: 128, N: 64, K: 32},
+		Embedding{B: 128, E: 1000, T: 4, L: 8, D: 64},
+		Embedding{B: 128, E: 1000, T: 4, L: 8, D: 64, Backward: true},
+		Concat{OutBytes: 4096, NInputs: 3},
+		Memcpy{NBytes: 1 << 20, Dir: H2D},
+		Memcpy{NBytes: 1 << 20, Dir: D2H},
+		Memcpy{NBytes: 1 << 20, Dir: D2D},
+		Transpose{B: 8, M: 64, N: 32},
+		Tril{B: 128, F: 27},
+		Tril{B: 128, F: 27, Backward: true},
+		Elementwise{NElems: 1 << 16, ReadsPerElem: 2, WritesPerElem: 1},
+		Conv{N: 32, C: 64, H: 56, W: 56, K: 64, R: 3, S: 3, Stride: 1},
+		BatchNorm{N: 32, C: 64, H: 56, W: 56},
+	} {
+		if got, want := len(AppendFeatures(nil, k)), FeatureWidth(k.Kind()); got != want {
+			t.Errorf("%s (%s): AppendFeatures has %d features, FeatureWidth says %d", k, k.Kind(), got, want)
+		}
+		covered[k.Kind()] = true
+	}
+	for _, k := range Kinds() {
+		if !covered[k] {
+			t.Errorf("kind %s has no kernel in the table", k)
+		}
+	}
+}
+
 func TestKindStringsUnique(t *testing.T) {
 	seen := map[string]bool{}
 	for _, k := range Kinds() {

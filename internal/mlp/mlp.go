@@ -142,6 +142,9 @@ func dotAcc(s float64, a, b []float64) float64 {
 	return s
 }
 
+// Dims returns the network's input width and output width.
+func (n *Net) Dims() (in, out int) { return n.sizes[0], n.sizes[len(n.sizes)-1] }
+
 // Predict returns the network output for one input vector.
 func (n *Net) Predict(x []float64) float64 {
 	if len(x) != n.sizes[0] {

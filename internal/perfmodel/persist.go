@@ -80,7 +80,11 @@ func SaveRegistry(r *Registry) ([]byte, error) {
 	return json.MarshalIndent(out, "", " ")
 }
 
-// LoadRegistry restores a registry serialized by SaveRegistry.
+// LoadRegistry restores a registry serialized by SaveRegistry. A model
+// that cannot price every kernel of the kind it is filed under is
+// rejected with the rest: an embedding heuristic under another kind, or
+// a network whose input is not the kind's feature width or whose output
+// is not one value.
 func LoadRegistry(data []byte) (*Registry, error) {
 	var w wireRegistry
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -104,6 +108,9 @@ func LoadRegistry(data []byte) (*Registry, error) {
 			if err := json.Unmarshal(wm.Data, &e); err != nil {
 				return nil, err
 			}
+			if kind != kernels.KindEmbeddingFwd && kind != kernels.KindEmbeddingBwd {
+				return nil, fmt.Errorf("perfmodel: embedding model %s filed under %s", e.Name, kind)
+			}
 			p, err := hw.ByName(e.GPU)
 			if err != nil {
 				return nil, fmt.Errorf("perfmodel: embedding model references %w", err)
@@ -122,6 +129,9 @@ func LoadRegistry(data []byte) (*Registry, error) {
 				var n mlp.Net
 				if err := json.Unmarshal(raw, &n); err != nil {
 					return nil, err
+				}
+				if in, out := n.Dims(); in != kernels.FeatureWidth(kind) || out != 1 {
+					return nil, fmt.Errorf("perfmodel: mlp model %s for %s has a %d-in, %d-out network, want %d-in, 1-out", mw.Name, kind, in, out, kernels.FeatureWidth(kind))
 				}
 				m.Nets = append(m.Nets, &n)
 			}

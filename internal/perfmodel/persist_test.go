@@ -1,9 +1,12 @@
 package perfmodel
 
 import (
+	"encoding/json"
 	"testing"
 
 	"dlrmperf/internal/kernels"
+	"dlrmperf/internal/mlp"
+	"dlrmperf/internal/xrand"
 )
 
 func TestRegistryRoundTrip(t *testing.T) {
@@ -61,5 +64,54 @@ func TestLoadRegistryRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadRegistry([]byte(`{"device":"V100","models":{"warp9":{"type":"roofline","data":{}}}}`)); err == nil {
 		t.Error("unknown kernel kind accepted")
+	}
+}
+
+// TestLoadRegistryRejectsMisfitModels: a model that would panic on its
+// first prediction is refused at load — an embedding heuristic filed
+// under another kind, and a network whose input is not the kind's
+// feature width or whose output is not one value. The same models filed
+// where they fit load and predict.
+func TestLoadRegistryRejectsMisfitModels(t *testing.T) {
+	el := `{"type":"el","data":{"name":"EL","gpu":"V100","dram_bw":9e11,"l2_bw":2e12,"enhanced":true}}`
+	net := func(sizes ...int) string {
+		n, err := json.Marshal(mlp.NewNet(sizes, xrand.New(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return `{"type":"mlp","data":{"name":"M","config":{},"base_peak":1e13,"base_bw":9e11,"nets":[` + string(n) + `]}}`
+	}
+	registry := func(kind, model string) []byte {
+		return []byte(`{"device":"V100","models":{"` + kind + `":` + model + `}}`)
+	}
+	for _, tc := range []struct{ name, kind, model string }{
+		{"embedding heuristic", "GEMM", el},
+		{"embedding heuristic", "memcpy", el},
+		{"5-in network", "GEMM", net(5, 8, 1)},
+		{"4-in network", "conv", net(4, 8, 1)},
+		{"2-out network", "GEMM", net(4, 8, 2)},
+		{"0-out network", "GEMM", net(4, 0)},
+	} {
+		if _, err := LoadRegistry(registry(tc.kind, tc.model)); err == nil {
+			t.Errorf("%s filed under %s accepted", tc.name, tc.kind)
+		}
+	}
+	for _, tc := range []struct {
+		kind  string
+		model string
+		probe kernels.Kernel
+	}{
+		{"EL-F", el, kernels.Embedding{B: 1024, E: 500_000, T: 8, L: 16, D: 64}},
+		{"EL-B", el, kernels.Embedding{B: 1024, E: 500_000, T: 8, L: 16, D: 64, Backward: true}},
+		{"GEMM", net(4, 8, 1), kernels.GEMM{Batch: 1, M: 2048, N: 1024, K: 512}},
+		{"conv", net(8, 1), kernels.Conv{N: 32, C: 64, H: 56, W: 56, K: 64, R: 3, S: 3, Stride: 1}},
+	} {
+		reg, err := LoadRegistry(registry(tc.kind, tc.model))
+		if err != nil {
+			t.Fatalf("%s model rejected: %v", tc.kind, err)
+		}
+		if _, err := reg.Predict(tc.probe); err != nil {
+			t.Fatalf("%s: %v", tc.kind, err)
+		}
 	}
 }

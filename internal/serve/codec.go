@@ -13,13 +13,13 @@ import (
 
 // The row codec. Request and Result are the two flat structs that cross
 // a socket on every prediction — client to coordinator, coordinator to
-// worker, and back — so they are rendered and parsed here by hand, with
-// no reflection, wherever that happens: WriteJSON/WriteResult,
-// DecodeRequest/DecodeBatch, internal/client, and the Rows slice inside
-// the worker's and the coordinator's batch reports.
+// worker, and back — and Report is the envelope a batch of them travels
+// in, so all three are rendered and parsed here by hand, with no
+// reflection, wherever that happens: WriteJSON/WriteResult,
+// DecodeRequest/DecodeBatch, and internal/client.
 //
 // The contract is differential, against encoding/json, which stays the
-// reference (codec_test.go and the two fuzz targets pin it):
+// reference (codec_test.go and the three fuzz targets pin it):
 //
 //   - the encoders emit byte for byte what json.Marshal emits for the
 //     plain structs: field order is struct order, omitempty as tagged,
@@ -31,21 +31,22 @@ import (
 //     bool fields, JSON whitespace between tokens — and then yields
 //     exactly what json.Unmarshal yields (of a repeated key the last
 //     occurrence wins, there as here). Anything else (an escape, an
-//     unknown or case-folded key, null, 1e3 in an integer field, a
-//     syntax error, bytes after the value) it declines, and the exported
-//     Unmarshal functions hand the same bytes to json.Unmarshal, whose
-//     value or error is the answer.
+//     unknown or case-folded key, null outside a report's results and
+//     error, 1e3 in an integer field, a syntax error, bytes after the
+//     value) it declines, and the exported Unmarshal functions hand the
+//     same bytes to json.Unmarshal, whose value or error is the answer.
 //
 // Which path runs is decided by the bytes alone; there is no switch.
 
 // Rows is the row list of a batch report. It is a []Result whose JSON
-// form goes through the codec, so a Report — itself rendered by
-// encoding/json — carries its rows at codec cost.
+// form goes through the codec even where encoding/json renders or
+// parses the report around it: the CLIs' indented file reports, and
+// the fallback for a report the fast path declined.
 type Rows []Result
 
-// ErrUnsupportedValue is the encoders' refusal of a row holding a NaN
-// or an infinite float, which JSON cannot carry (encoding/json refuses
-// the same rows with an UnsupportedValueError).
+// ErrUnsupportedValue is the encoders' refusal of a row or a report
+// holding a NaN or an infinite float, which JSON cannot carry
+// (encoding/json refuses the same values with an UnsupportedValueError).
 var ErrUnsupportedValue = errors.New("serve: a NaN or infinite float cannot be encoded as JSON")
 
 // AppendRequest appends r as json.Marshal renders it.
@@ -96,23 +97,52 @@ func AppendResult(dst []byte, r *Result) ([]byte, error) {
 
 // MarshalJSON renders the rows through AppendResult.
 func (rs Rows) MarshalJSON() ([]byte, error) {
-	if rs == nil {
-		return []byte("null"), nil
+	return appendRows(make([]byte, 0, rowsSizeHint(len(rs))), rs)
+}
+
+// AppendReport appends rep as json.Marshal renders it: every field but
+// error is written, zero or not.
+func AppendReport(dst []byte, rep *Report) ([]byte, error) {
+	if math.IsNaN(rep.ElapsedMs) || math.IsInf(rep.ElapsedMs, 0) {
+		return dst, ErrUnsupportedValue
 	}
-	dst := append(make([]byte, 0, 2+320*len(rs)), '[')
+	dst = append(dst, `{"results":`...)
+	dst, err := appendRows(dst, rep.Results)
+	if err != nil {
+		return dst, err
+	}
+	dst = strconv.AppendInt(append(dst, `,"requests":`...), int64(rep.Requests), 10)
+	dst = strconv.AppendInt(append(dst, `,"failed":`...), int64(rep.Failed), 10)
+	dst = appendFloatValue(append(dst, `,"elapsed_ms":`...), rep.ElapsedMs)
+	if rep.Error != nil {
+		dst = appendHTTPError(append(dst, `,"error":`...), (*HTTPError)(rep.Error))
+	}
+	return append(dst, '}'), nil
+}
+
+// rowsSizeHint is the encoded size of n typical rows, for sizing a
+// buffer before they are appended.
+func rowsSizeHint(n int) int { return 2 + 320*n }
+
+func appendRows(dst []byte, rs Rows) ([]byte, error) {
+	if rs == nil {
+		return append(dst, "null"...), nil
+	}
+	dst = append(dst, '[')
 	for i := range rs {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		var err error
 		if dst, err = AppendResult(dst, &rs[i]); err != nil {
-			return nil, err
+			return dst, err
 		}
 	}
 	return append(dst, ']'), nil
 }
 
-// appendHTTPError appends the error envelope of a non-200 response.
+// appendHTTPError appends the error envelope of a non-200 response, and
+// a report's error entry, which has the same two fields.
 func appendHTTPError(dst []byte, e *HTTPError) []byte {
 	dst = appendString(append(dst, `{"code":`...), e.Code)
 	dst = appendString(append(dst, `,"message":`...), e.Message)
@@ -165,16 +195,20 @@ func appendBool(dst []byte, key string, v bool) []byte {
 	return append(appendKey(dst, key), "true"...)
 }
 
-// appendFloat writes encoding/json's float64 form: the shortest digits
-// that round-trip, %f unless the exponent is below -6 or at least 21,
-// and a two-digit negative exponent trimmed to one (1e-07 -> 1e-7).
 func appendFloat(dst []byte, key string, f float64) []byte {
 	if f == 0 {
 		return dst
 	}
-	dst = appendKey(dst, key)
+	return appendFloatValue(appendKey(dst, key), f)
+}
+
+// appendFloatValue writes encoding/json's float64 form: the shortest
+// digits that round-trip, %f unless the exponent is below -6 or at
+// least 21, and a two-digit negative exponent trimmed to one
+// (1e-07 -> 1e-7).
+func appendFloatValue(dst []byte, f float64) []byte {
 	format := byte('f')
-	if abs := math.Abs(f); abs < 1e-6 || abs >= 1e21 {
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
 	dst = strconv.AppendFloat(dst, f, format, -1, 64)
@@ -274,7 +308,17 @@ func (rs *Rows) UnmarshalJSON(data []byte) error {
 	return err
 }
 
-// The four fast paths: ok is false when the input is declined.
+// UnmarshalReport parses a batch report. The report is built afresh:
+// nothing of a value the caller held before survives, whichever path
+// parsed it.
+func UnmarshalReport(data []byte) (Report, error) {
+	if rep, ok := parseReport(data); ok {
+		return rep, nil
+	}
+	return unmarshalSlow[Report](data)
+}
+
+// The five fast paths: ok is false when the input is declined.
 
 func parseRequest(data []byte) (r Request, ok bool) {
 	s := scanner{data: data}
@@ -304,6 +348,13 @@ func parseRows(data []byte) (rows Rows, ok bool) {
 	s.space()
 	ok = s.list(nil, &rows) && s.end()
 	return rows, ok
+}
+
+func parseReport(data []byte) (rep Report, ok bool) {
+	s := scanner{data: data}
+	s.space()
+	ok = s.report(&rep) && s.end()
+	return rep, ok
 }
 
 // unmarshalSlow is the accepting reference behind the fast path.
@@ -381,10 +432,9 @@ func (s *scanner) list(reqs *[]Request, rows *Rows) bool {
 	}
 }
 
-// object parses one row object into req and, for a result row, res;
-// with res nil the result's keys are unknown keys. A repeated key
-// overwrites, which is encoding/json's answer too: the last one wins.
-func (s *scanner) object(req *Request, res *Result) bool {
+// fields parses an object, handing each key to field with the cursor
+// on its value; field parses the value, or reports false to decline.
+func (s *scanner) fields(field func(key []byte) bool) bool {
 	if !s.eat('{') {
 		return false
 	}
@@ -399,60 +449,7 @@ func (s *scanner) object(req *Request, res *Result) bool {
 		if s.space(); !s.eat(':') {
 			return false
 		}
-		s.space()
-		switch string(key) {
-		case "workload":
-			ok = s.strInto(&req.Workload)
-		case "scenario":
-			ok = s.strInto(&req.Scenario)
-		case "batch":
-			ok = s.intInto(&req.Batch)
-		case "device":
-			ok = s.strInto(&req.Device)
-		case "gpus":
-			ok = s.nativeIntInto(&req.GPUs)
-		case "comm":
-			ok = s.strInto(&req.Comm)
-		case "shared":
-			ok = s.boolInto(&req.Shared)
-		case "timeout_ms":
-			ok = s.intInto(&req.TimeoutMs)
-		case "tenant":
-			ok = s.strInto(&req.Tenant)
-		case "priority":
-			ok = s.strInto(&req.Priority)
-		default:
-			if res == nil {
-				return false
-			}
-			switch string(key) {
-			case "e2e_us":
-				ok = s.floatInto(&res.E2EUs)
-			case "active_us":
-				ok = s.floatInto(&res.ActiveUs)
-			case "cpu_us":
-				ok = s.floatInto(&res.CPUUs)
-			case "gpus_used":
-				ok = s.nativeIntInto(&res.GPUsUsed)
-			case "scaling_efficiency":
-				ok = s.floatInto(&res.ScalingEfficiency)
-			case "allreduce_us":
-				ok = s.floatInto(&res.AllReduceUs)
-			case "alltoall_us":
-				ok = s.floatInto(&res.AllToAllUs)
-			case "shard_imbalance":
-				ok = s.floatInto(&res.ShardImbalance)
-			case "cache_hit":
-				ok = s.boolInto(&res.CacheHit)
-			case "queue_wait_us":
-				ok = s.intInto(&res.QueueWaitUs)
-			case "error":
-				ok = s.strInto(&res.Error)
-			default:
-				return false
-			}
-		}
-		if !ok {
+		if s.space(); !field(key) {
 			return false
 		}
 		if s.space(); !s.eat(',') {
@@ -460,6 +457,115 @@ func (s *scanner) object(req *Request, res *Result) bool {
 		}
 		s.space()
 	}
+}
+
+// object parses one row object into req and, for a result row, res;
+// with res nil the result's keys are unknown keys. A repeated key
+// overwrites, which is encoding/json's answer too: the last one wins.
+func (s *scanner) object(req *Request, res *Result) bool {
+	return s.fields(func(key []byte) bool {
+		switch string(key) {
+		case "workload":
+			return s.strInto(&req.Workload)
+		case "scenario":
+			return s.strInto(&req.Scenario)
+		case "batch":
+			return s.intInto(&req.Batch)
+		case "device":
+			return s.strInto(&req.Device)
+		case "gpus":
+			return s.nativeIntInto(&req.GPUs)
+		case "comm":
+			return s.strInto(&req.Comm)
+		case "shared":
+			return s.boolInto(&req.Shared)
+		case "timeout_ms":
+			return s.intInto(&req.TimeoutMs)
+		case "tenant":
+			return s.strInto(&req.Tenant)
+		case "priority":
+			return s.strInto(&req.Priority)
+		}
+		if res == nil {
+			return false
+		}
+		switch string(key) {
+		case "e2e_us":
+			return s.floatInto(&res.E2EUs)
+		case "active_us":
+			return s.floatInto(&res.ActiveUs)
+		case "cpu_us":
+			return s.floatInto(&res.CPUUs)
+		case "gpus_used":
+			return s.nativeIntInto(&res.GPUsUsed)
+		case "scaling_efficiency":
+			return s.floatInto(&res.ScalingEfficiency)
+		case "allreduce_us":
+			return s.floatInto(&res.AllReduceUs)
+		case "alltoall_us":
+			return s.floatInto(&res.AllToAllUs)
+		case "shard_imbalance":
+			return s.floatInto(&res.ShardImbalance)
+		case "cache_hit":
+			return s.boolInto(&res.CacheHit)
+		case "queue_wait_us":
+			return s.intInto(&res.QueueWaitUs)
+		case "error":
+			return s.strInto(&res.Error)
+		}
+		return false
+	})
+}
+
+// report parses a report object. Its results and its error may be null,
+// which leaves them nil as encoding/json leaves them. A repeated error
+// object is merged into the first, field by field, as encoding/json
+// decodes into the pointer it already holds.
+func (s *scanner) report(rep *Report) bool {
+	return s.fields(func(key []byte) bool {
+		switch string(key) {
+		case "results":
+			if rep.Results = nil; s.null() {
+				return true
+			}
+			rep.Results = make(Rows, 0, rowsHint(s.data[s.i:]))
+			return s.list(nil, &rep.Results)
+		case "requests":
+			return s.nativeIntInto(&rep.Requests)
+		case "failed":
+			return s.nativeIntInto(&rep.Failed)
+		case "elapsed_ms":
+			return s.floatInto(&rep.ElapsedMs)
+		case "error":
+			if s.null() {
+				rep.Error = nil
+				return true
+			}
+			if rep.Error == nil {
+				rep.Error = new(ReportError)
+			}
+			e := rep.Error
+			return s.fields(func(key []byte) bool {
+				switch string(key) {
+				case "code":
+					return s.strInto(&e.Code)
+				case "message":
+					return s.strInto(&e.Message)
+				}
+				return false
+			})
+		}
+		return false
+	})
+}
+
+// null consumes a null literal.
+func (s *scanner) null() bool {
+	if bytes.HasPrefix(s.data[s.i:], []byte("null")) {
+		s.i += 4
+		return true
+	}
+	return false
 }
 
 // str scans a string literal with nothing to unescape or repair: no

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The codec's contract is differential: encoding/json over the plain
@@ -291,6 +292,130 @@ func TestCodecDecodeDifferential(t *testing.T) {
 	}
 }
 
+// genReport draws a report around n generated rows; plain keeps every
+// string escape-free.
+func genReport(rng *rand.Rand, n int, plain bool) Report {
+	var rep Report
+	if n >= 0 {
+		rep.Results = make(Rows, n)
+		for i := range rep.Results {
+			rep.Results[i] = genResult(rng, plain)
+		}
+	}
+	rep.Requests, rep.Failed = int(pick(rng, genInts)), rng.Intn(n+2)
+	rep.ElapsedMs = pick(rng, genFloats)
+	if rng.Intn(2) == 0 {
+		rep.Error = &ReportError{Code: "all_requests_failed", Message: "all 2 requests failed; first error: deadline exceeded"}
+		if !plain {
+			rep.Error.Code, rep.Error.Message = pick(rng, genStrings), pick(rng, genStrings)
+		}
+	}
+	return rep
+}
+
+// checkReportEncode holds AppendReport to json.Marshal's bytes for one
+// report, and the fast path to accepting what it emitted when no string
+// needed an escape.
+func checkReportEncode(t testing.TB, rep Report, plain bool) {
+	t.Helper()
+	got, err := AppendReport(nil, &rep)
+	if want := mustMarshal(t, rep); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("AppendReport(%+v)\n got %s / %v\nwant %s", rep, got, err, want)
+	}
+	if back, ok := parseReport(got); plain && (!ok || !reflect.DeepEqual(back, rep)) {
+		t.Fatalf("fast path on its own encoder's %s = %+v / accepted %v, want %+v", got, back, ok, rep)
+	}
+}
+
+// TestReportEncodeMatchesJSON: reports with nil, empty and 64-row
+// results, with no error and with one in HTML-sensitive and non-ASCII
+// text, and with every special elapsed time encode byte for byte as
+// json.Marshal encodes them; a NaN or infinite elapsed time is refused
+// as json.Marshal refuses it.
+func TestReportEncodeMatchesJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, plain := range []bool{false, true} {
+		for _, n := range []int{-1, 0, 1, 3, 64} {
+			for i := 0; i < 50; i++ {
+				checkReportEncode(t, genReport(rng, n, plain), plain)
+			}
+		}
+	}
+	for _, elapsed := range []float64{0, math.Copysign(0, -1), 1e-7, 1e21, -3.25, 12.5} {
+		for _, e := range []*ReportError{nil, {}, {Code: "<all>&", Message: "café 世界 \U0001F600 \u2028"}} {
+			for _, rows := range []Rows{nil, {}, {{Request: Request{Device: "V100"}, E2EUs: 1}}} {
+				checkReportEncode(t, Report{Results: rows, Requests: len(rows), ElapsedMs: elapsed, Error: e}, false)
+			}
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := AppendReport(nil, &Report{ElapsedMs: bad}); !errors.Is(err, ErrUnsupportedValue) {
+			t.Fatalf("AppendReport with elapsed_ms=%v: err = %v, want ErrUnsupportedValue", bad, err)
+		}
+		if _, err := json.Marshal(Report{ElapsedMs: bad}); err == nil {
+			t.Fatalf("json.Marshal accepted elapsed_ms=%v", bad)
+		}
+	}
+}
+
+// checkReportDecode holds UnmarshalReport to json.Unmarshal on one
+// input, as checkDecode does the row decoders.
+func checkReportDecode(t testing.TB, data []byte) {
+	t.Helper()
+	var want Report
+	wantErr := json.Unmarshal(data, &want)
+	if fast, ok := parseReport(data); ok && (wantErr != nil || !reflect.DeepEqual(fast, want)) {
+		t.Fatalf("report fast path accepted %q as %+v; json.Unmarshal: %+v / %v", data, fast, want, wantErr)
+	}
+	got, err := UnmarshalReport(data)
+	if !reflect.DeepEqual(got, want) || (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("UnmarshalReport(%q) = %+v / %v; json.Unmarshal: %+v / %v", data, got, err, want, wantErr)
+	}
+}
+
+// reportCases are the report envelope's own strictness inputs; the row
+// table above runs through the report decoder too. The fuzz corpus
+// under testdata/fuzz/FuzzReportDecode holds the same classes.
+var reportCases = []string{
+	`{"results":[{"device":"V100","e2e_us":1.5}],"requests":1,"failed":0,"elapsed_ms":0.25}`,
+	`{"results":null,"requests":0,"failed":0,"elapsed_ms":0}`,
+	`{"results":[],"requests":0,"failed":0,"elapsed_ms":0,"error":null}`,
+	`{"results":[{"device":"V100","error":"boom"}],"requests":1,"failed":1,"elapsed_ms":3,"error":{"code":"all_requests_failed","message":"all 1 requests failed"}}`,
+	` { "results" : [ { "device" : "V100" } , {} ] , "requests" : 2 ,` + "\n\t" + `"failed" : 0 , "elapsed_ms" : 1e-7 }` + "\r\n",
+	`{"error":{},"requests":1}`, `{"error":{"code":"a"}}`, `{"error":{"message":"m","code":"c"}}`,
+	`{"error":{"code":"a","message":"m"},"error":{"code":"b"}}`, `{"error":{"code":"a"},"error":null}`, `{"error":null,"error":{"message":"m"}}`,
+	`{"error":{"code":null}}`, `{"error":{"code":"a","extra":1}}`, `{"error":"all_requests_failed"}`, `{"error":[]}`, `{"error":{"code":"a"}`, `{"error":{"code":"a",}}`, `{"error":{"Code":"a"}}`, `{"error":{"code":"\u0041"}}`,
+	`{"results":[{"device":"A"}],"results":[{"device":"B"},{}]}`, `{"results":[{}],"results":null}`, `{"requests":1,"requests":2}`, `{"elapsed_ms":1,"elapsed_ms":-2.5}`,
+	`{"results":[],"unknown":1}`, `{"unknown":{"results":[]},"requests":3}`, `{"Results":[{"device":"V100"}]}`, `{"REQUESTS":4}`, `{"elapsed_MS":1}`,
+	`{"results":[null]}`, `{"results":[1]}`, `{"results":{}}`, `{"results":"x"}`, `{"results":nul}`, `{"results":nullx}`, `{"results":[{"device":"V100","bogus":1}]}`,
+	`{"requests":null}`, `{"failed":null}`, `{"elapsed_ms":null}`, `{"requests":1.5}`, `{"requests":1e2}`, `{"failed":-1}`, `{"requests":99999999999999999999}`, `{"requests":"1"}`,
+	`{"elapsed_ms":1e999}`, `{"elapsed_ms":-0}`, `{"elapsed_ms":NaN}`, `{"elapsed_ms":"1"}`, `{"elapsed_ms":.5}`,
+	`{"results":[],"requests":0,"failed":0,"elapsed_ms":0} x`, `{"results":[]}{"requests":1}`, `{"results":[]},`, `{"results":[]`, `{"results":[`, `{"results"`, `{"results":[{"device":"V100"}]]}`,
+	`{"results":[{"device":"say \"hi\""}],"requests":1}`, `{"error":{"code":"a","message":"<b>\u0026"}}`,
+	`{}`, `[]`, `null`, `{,}`, `{"requests":1,}`,
+}
+
+// TestReportDecodeDifferential runs the row strictness table, the
+// report cases and generated reports (canonical and indented) through
+// the report decoder.
+func TestReportDecodeDifferential(t *testing.T) {
+	for _, c := range append(append([]string(nil), decodeCases...), reportCases...) {
+		checkReportDecode(t, []byte(c))
+	}
+	for _, c := range reportCases[:11] { // null results and error, whitespace, repeated error objects
+		if _, ok := parseReport([]byte(c)); !ok {
+			t.Fatalf("report fast path declined %s", c)
+		}
+	}
+	rng := rand.New(rand.NewSource(41))
+	for n := 0; n < 300; n++ {
+		rep := genReport(rng, n%5-1, n%2 == 0)
+		checkReportDecode(t, mustMarshal(t, rep))
+		indented, _ := json.MarshalIndent(rep, "", "  ")
+		checkReportDecode(t, indented)
+	}
+}
+
 // TestRowsInsideReport: the rows of a report survive the trip through
 // encoding/json in both directions, compact and indented (the CLIs'
 // file reports call MarshalIndent themselves).
@@ -411,6 +536,16 @@ func FuzzRowDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkDecode(t, data) })
 }
 
+// FuzzReportDecode is the differential decode contract of the report
+// envelope over arbitrary bytes: the batch response a client and a
+// coordinator read from every worker and coordinator they call.
+func FuzzReportDecode(f *testing.F) {
+	for _, c := range reportCases {
+		f.Add([]byte(c))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkReportDecode(t, data) })
+}
+
 // FuzzRowEncode is the differential encode contract over arbitrary
 // field values, with the round trip back through the decoders.
 func FuzzRowEncode(f *testing.F) {
@@ -436,9 +571,11 @@ func FuzzRowEncode(f *testing.F) {
 }
 
 // BenchmarkRowCodec is the codec's cost on the row a resident hit
-// carries, gated by benchdiff: encoding a Result and a Request allocates
-// nothing; parsing them allocates their string fields (workload and
-// device, twice) and nothing else.
+// carries, and on a 64-row batch report of such rows, gated by
+// benchdiff: encoding a Result, a Request or a report allocates
+// nothing; parsing a row and a request allocates their string fields
+// (workload and device, twice) and nothing else, and parsing the
+// report its row list and the rows' strings.
 func BenchmarkRowCodec(b *testing.B) {
 	row := Result{
 		Request: Request{Workload: "DLRM_default", Batch: 512, Device: "V100"},
@@ -447,6 +584,12 @@ func BenchmarkRowCodec(b *testing.B) {
 	}
 	rowJSON, _ := AppendResult(nil, &row)
 	reqJSON := AppendRequest(nil, &row.Request)
+	rows := make([]Result, 64)
+	for i := range rows {
+		rows[i] = row
+	}
+	rep := NewReport(rows, 4321*time.Microsecond)
+	repJSON, _ := AppendReport(nil, rep)
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
 		buf := make([]byte, 0, 512)
@@ -465,21 +608,47 @@ func BenchmarkRowCodec(b *testing.B) {
 			}
 		}
 	})
+	b.Run("report/encode", func(b *testing.B) {
+		b.ReportAllocs()
+		buf := make([]byte, 0, 2*len(repJSON))
+		for i := 0; i < b.N; i++ {
+			buf, _ = AppendReport(buf[:0], rep)
+		}
+	})
+	b.Run("report/parse", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			got, err := UnmarshalReport(repJSON)
+			if err != nil || len(got.Results) != len(rows) || got.ElapsedMs != rep.ElapsedMs {
+				b.Fatalf("parse: %d rows / %v", len(got.Results), err)
+			}
+		}
+	})
 }
 
 // TestCodecCoversEveryField guards the field list the codec spells out
-// by hand: a row with every field of the structs set, whatever fields
-// they have by then, must still encode as json.Marshal encodes it and
-// come back through the fast path. A field added to Request or Result
-// and not to the codec fails here.
+// by hand: a row, and a report holding it, with every field of the
+// structs set (Request, Result, Report and ReportError, whatever fields
+// they have by then) must still encode as json.Marshal encodes them and
+// come back through the fast path. A field added to any of them and not
+// to the codec fails here.
 func TestCodecCoversEveryField(t *testing.T) {
 	var row Result
+	var rep Report
 	var fill func(v reflect.Value)
 	fill = func(v reflect.Value) {
 		for i := 0; i < v.NumField(); i++ {
 			switch f := v.Field(i); f.Kind() {
 			case reflect.Struct:
 				fill(f)
+			case reflect.Pointer:
+				f.Set(reflect.New(f.Type().Elem()))
+				fill(f.Elem())
+			case reflect.Slice:
+				if f.Type() != reflect.TypeOf(Rows(nil)) {
+					t.Fatalf("field %s has type %s, which the codec has no case for", v.Type().Field(i).Name, f.Type())
+				}
+				f.Set(reflect.ValueOf(Rows{row, row}))
 			case reflect.String:
 				f.SetString("x")
 			case reflect.Int, reflect.Int64:
@@ -495,4 +664,6 @@ func TestCodecCoversEveryField(t *testing.T) {
 	}
 	fill(reflect.ValueOf(&row).Elem())
 	checkEncode(t, []Result{row}, true)
+	fill(reflect.ValueOf(&rep).Elem())
+	checkReportEncode(t, rep, true)
 }

@@ -244,9 +244,9 @@ type HTTPError struct {
 // surface (worker and coordinator alike). The body is encoded before the
 // status is written, so a value that cannot be encoded answers the 500
 // internal envelope instead of the status it came with and no body. A
-// Result and an HTTPError go through the row codec; every other document
-// (reports, stats) through encoding/json, whose output for their Rows is
-// the codec's again.
+// Result, a *Report and an HTTPError go through the row codec; every
+// other document (stats, health, scenario lists, explore reports,
+// acknowledgements) through encoding/json.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	buf := GetBuffer()
 	defer buf.Release()
@@ -254,10 +254,12 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	switch v := v.(type) {
 	case Result:
 		err = buf.appendResult(&v)
+	case *Report:
+		err = buf.appendReport(v)
 	case HTTPError:
 		buf.appendHTTPError(&v)
 	default:
-		err = json.NewEncoder(buf).Encode(v) //lint:allow hotpath the envelope documents around the rows keep encoding/json; their rows come back through Rows.MarshalJSON
+		err = json.NewEncoder(buf).Encode(v) //lint:allow hotpath only documents that carry no prediction row take this branch: stats, health, scenario lists, explore reports and the register, install and drain acknowledgements
 	}
 	buf.respond(w, status, err)
 }
@@ -273,6 +275,13 @@ func WriteResult(w http.ResponseWriter, row *Result) {
 func (b *Buffer) appendResult(row *Result) error {
 	line, err := AppendResult(b.AvailableBuffer(), row)
 	b.Write(append(line, '\n'))
+	return err
+}
+
+func (b *Buffer) appendReport(rep *Report) error {
+	b.Grow(64 + rowsSizeHint(len(rep.Results)))
+	body, err := AppendReport(b.AvailableBuffer(), rep)
+	b.Write(append(body, '\n'))
 	return err
 }
 
