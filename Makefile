@@ -64,19 +64,22 @@ linked:
 # fuzz-smoke runs each native fuzz target for 10 s on top of its
 # checked-in corpus (testdata/fuzz in the package): the row codec's
 # differential contract against encoding/json, decode and encode, and
-# the batch report envelope's decode; the overhead database's
+# the batch report envelope's decode; the explore grid body (a sweep
+# refuses it as too large or visits exactly its size, and decode-
+# encode-decode is a fixed point); the overhead database's
 # decode-encode-decode fixed point; and the engine's asset install (a
 # rejected payload installs nothing, an accepted one prices every kind
 # it holds and covers every kernel). go test takes one -fuzz target per
-# run. The overhead corpus holds a whole marshalled database and the
-# asset seeds a whole export, whose byte-by-byte minimization would eat
-# the smoke's time, so minimization is capped there. The CI test job
-# runs this target.
+# run. The grid corpus holds a 40 KB grid, the overhead corpus a whole
+# marshalled database and the asset seeds a whole export, whose
+# byte-by-byte minimization would eat the smoke's time, so minimization
+# is capped there. The CI test job runs this target.
 FUZZ_TIME = 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowDecode$$' -fuzztime $(FUZZ_TIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzRowEncode$$' -fuzztime $(FUZZ_TIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzReportDecode$$' -fuzztime $(FUZZ_TIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzGridDecode$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzOverheadLoad$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/overhead
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadAssets$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/engine
 
@@ -93,8 +96,8 @@ bench:
 # regressions on the box shape the baseline records (on another, the
 # time excess is printed, not failed). The compare table is kept in
 # BENCH_report.txt.
-BENCH_PATTERN = PredictSingleCached$$|PredictNovelBatch$$|CalibrateParallel$$|CompilePlan$$|SweepWarm$$|SweepCold$$|FirstTouch$$|PoolShared$$|SimRun$$|SimProfile$$|RowCodec$$|CoordinatorHit$$|CoordinatorBatchHit$$
-BENCH_PKGS = . ./internal/engine ./internal/overhead ./internal/sim ./internal/serve ./internal/cluster
+BENCH_PATTERN = PredictSingleCached$$|PredictNovelBatch$$|CalibrateParallel$$|CompilePlan$$|SweepWarm$$|SweepCold$$|FirstTouch$$|PoolShared$$|TrimmedSeries$$|SimRun$$|SimProfile$$|RowCodec$$|CoordinatorHit$$|CoordinatorBatchHit$$
+BENCH_PKGS = . ./internal/engine ./internal/overhead ./internal/stats ./internal/sim ./internal/serve ./internal/cluster
 bench-check:
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchmem -count 5 $(BENCH_PKGS) | tee BENCH_pr.txt
 	$(GO) run ./cmd/benchdiff -parse -in BENCH_pr.txt -o BENCH_pr.json

@@ -131,6 +131,23 @@ func TestClusterExploreHTTP(t *testing.T) {
 		t.Errorf("over-budget grid: err = %v, want 400 grid_too_large", err)
 	}
 
+	// 2^66 points in a 40 KB body: the size saturates rather than
+	// wrap to 0, so it is refused unexpanded and counted nowhere.
+	before := coord.Stats(ctx)
+	const n = 2048
+	overflow := explore.Grid{
+		Scenarios: make([]string, n), Devices: make([]string, n), GPUs: make([]int, n),
+		Comms: make([]string, n), Batches: make([]int64, n), Shared: make([]bool, n),
+	}
+	if _, err := cl.Explore(ctx, overflow); !errors.As(err, &apiErr) ||
+		apiErr.Status != http.StatusBadRequest || apiErr.Code != "grid_too_large" {
+		t.Errorf("grid of 2^66 points: err = %v, want 400 grid_too_large", err)
+	}
+	if after := coord.Stats(ctx); after.Requests != before.Requests || after.Coordinator.Received != before.Coordinator.Received {
+		t.Errorf("refused grid moved requests %d -> %d, received %d -> %d",
+			before.Requests, after.Requests, before.Coordinator.Received, after.Coordinator.Received)
+	}
+
 	coord.Drain(false)
 	var dr *client.ErrDraining
 	if _, err := cl.Explore(ctx, clusterGrid()); !errors.As(err, &dr) || dr.RetryAfter <= 0 {

@@ -22,6 +22,8 @@ package explore
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -90,11 +92,21 @@ func (g Grid) withDefaults() Grid {
 }
 
 // Size returns the cross-product cardinality of the grid after
-// defaulting — the number of points Expand will visit.
+// defaulting — the number of points Expand will visit. It saturates at
+// math.MaxInt rather than wrap: six axes of 2,048 values fit in a
+// 40 KB body, and their product, 2^66, would wrap to 0 and pass any
+// bound on it. A saturated product times an empty axis is still 0.
 func (g Grid) Size() int {
 	g = g.withDefaults()
-	return len(g.Scenarios) * len(g.Devices) * len(g.GPUs) *
-		len(g.Comms) * len(g.Batches) * len(g.Shared)
+	size := 1
+	for _, n := range [...]int{len(g.Scenarios), len(g.Devices), len(g.GPUs), len(g.Comms), len(g.Batches), len(g.Shared)} {
+		hi, lo := bits.Mul64(uint64(size), uint64(n))
+		size = math.MaxInt
+		if hi == 0 && lo <= math.MaxInt {
+			size = int(lo)
+		}
+	}
+	return size
 }
 
 // Point is one concrete grid coordinate.

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -85,6 +86,37 @@ func TestExpandErrors(t *testing.T) {
 	}
 	if ex.Rejected != 1 || len(ex.Unique) != 0 {
 		t.Errorf("unknown scenario: %d rejected / %d unique, want 1/0", ex.Rejected, len(ex.Unique))
+	}
+}
+
+// overflowGrid has six axes of 2,048 values: about 40 KB of JSON,
+// whose cross product, 2^66, wraps a 64-bit int to 0.
+func overflowGrid() Grid {
+	const n = 2048
+	return Grid{
+		Scenarios: make([]string, n), Devices: make([]string, n), GPUs: make([]int, n),
+		Comms: make([]string, n), Batches: make([]int64, n), Shared: make([]bool, n),
+	}
+}
+
+// TestGridSizeSaturates: the size of a grid too large to count is
+// math.MaxInt, never a wrapped product; a product that fits is exact,
+// and an empty required axis is 0 however long the others are.
+func TestGridSizeSaturates(t *testing.T) {
+	g := overflowGrid()
+	if got := g.Size(); got != math.MaxInt {
+		t.Errorf("Size of a 2^66-point grid = %d, want math.MaxInt", got)
+	}
+	g.Shared = g.Shared[:2]
+	if got, want := g.Size(), 1<<56; got != want {
+		t.Errorf("Size of a 2^56-point grid = %d, want %d", got, want)
+	}
+	g.Devices = nil
+	if got := g.Size(); got != 0 {
+		t.Errorf("Size with no device = %d, want 0", got)
+	}
+	if got := LoadGrid(t).Size(); got != 16 {
+		t.Errorf("Size of the fixture = %d, want 16", got)
 	}
 }
 

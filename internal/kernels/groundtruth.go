@@ -31,17 +31,19 @@ import (
 type Device struct {
 	GPU hw.GPU
 
-	// NoiseCV is the per-invocation lognormal measurement noise
-	// (coefficient of variation). Zero disables noise.
-	NoiseCV float64
-
-	rng *xrand.Rand
+	// noise is the per-invocation measurement noise: a unit-mean
+	// log-normal factor, derived once from noiseCV.
+	noise xrand.LogNormalDist
+	rng   *xrand.Rand
 }
 
-// NewDevice returns a ground-truth executor for the given GPU with the
-// default measurement noise, drawing randomness from seed.
+// noiseCV is the coefficient of variation of the measurement noise.
+const noiseCV = 0.025
+
+// NewDevice returns a ground-truth executor for the given GPU,
+// drawing its measurement noise from seed.
 func NewDevice(gpu hw.GPU, seed uint64) *Device {
-	return &Device{GPU: gpu, NoiseCV: 0.025, rng: xrand.New(seed)}
+	return &Device{GPU: gpu, noise: xrand.LogNormalMeanCVDist(1, noiseCV), rng: xrand.New(seed)}
 }
 
 // BaseTime returns the noise-free execution time of k in microseconds
@@ -80,10 +82,7 @@ func (d *Device) BaseTime(k Kernel) float64 {
 // so a caller that launches one kernel many times computes it once and
 // draws per launch.
 func (d *Device) Noisy(base float64) float64 {
-	if d.NoiseCV > 0 {
-		base *= d.rng.LogNormalMeanCV(1, d.NoiseCV)
-	}
-	return base
+	return base * d.rng.Draw(d.noise)
 }
 
 // RunAveraged runs k iters times and returns the mean, mirroring the

@@ -252,31 +252,36 @@ func merge(parts []*Samples) *pooled {
 	return m
 }
 
-// describeTrimmed applies the whisker trim and summarizes.
-func describeTrimmed(xs []float64, k float64) Stats {
-	if len(xs) == 0 {
-		return Stats{}
-	}
+// describeTrimmed summarizes xs, trimmed at the whiskers when k > 0,
+// selecting the quartiles in s.
+func describeTrimmed(xs []float64, k float64, s *stats.Scratch) Stats {
 	if k > 0 {
-		xs = stats.TrimIQR(xs, k)
+		return Stats(stats.TrimmedSeries(xs, k, s))
 	}
-	d := stats.Describe(xs)
-	return Stats{Mean: d.Mean, Std: d.Std, N: d.N}
+	return Stats(stats.Describe(xs))
 }
 
 // finish trims every population of m, and each kind's pool over all
 // ops for Defaults, on up to workers goroutines, each into its own slot.
+// A population takes a selection scratch from a free list of one per
+// goroutine and gives it back, so the trims allocate only the scratches.
 func (c *Collector) finish(m *pooled, workers int) *DB {
 	nOps, pops := len(m.names[opNames]), len(m.start)-1
 	// Slots 0-2 are the Defaults pools, the largest, so they start
 	// first; slot 3+j is population j.
 	out := make([]Stats, 3+pops)
+	free := make(chan *stats.Scratch, max(workers, 1))
+	for range cap(free) {
+		free <- new(stats.Scratch)
+	}
 	xsync.ForEachN(len(out), workers, func(j int) {
 		lo, hi := j-3, j-2
 		if j < 3 {
 			lo, hi = 1+j*nOps, 1+(j+1)*nOps
 		}
-		out[j] = describeTrimmed(m.vals[m.start[lo]:m.start[hi]], c.TrimK)
+		s := <-free
+		out[j] = describeTrimmed(m.vals[m.start[lo]:m.start[hi]], c.TrimK, s)
+		free <- s
 	})
 	pop := out[3:]
 	db := &DB{

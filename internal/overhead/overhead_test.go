@@ -153,7 +153,7 @@ func TestTrimmingLowersT1Estimate(t *testing.T) {
 		t.Errorf("raw T1 mean (%v) should exceed trimmed (%v)", rawDB.T1.Mean, trimmed.T1.Mean)
 	}
 	// TrimK = 0 disables trimming too: every sample is kept, where
-	// stats.TrimIQR(xs, 0) would cut the population to [Q1, Q3].
+	// stats.TrimmedSeries(xs, 0, s) would cut the population to [Q1, Q3].
 	off := NewCollector()
 	off.TrimK = 0
 	if zeroDB := poolWith(t, off, r); !reflect.DeepEqual(zeroDB, rawDB) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -34,6 +35,18 @@ func oversizeGrid() explore.Grid {
 		Scenarios: []string{"dlrm-default"},
 		Devices:   []string{"FakeGPU"},
 		Batches:   make([]int64, MaxGrid+1),
+	}
+}
+
+// overflowGrid has six axes of 2,048 values: a 40 KB body whose cross
+// product, 2^66, wraps a 64-bit int to 0. Its size saturates instead,
+// so the MaxGrid bound refuses it before Expand starts a loop that
+// would never end.
+func overflowGrid() explore.Grid {
+	const n = 2048
+	return explore.Grid{
+		Scenarios: make([]string, n), Devices: make([]string, n), GPUs: make([]int, n),
+		Comms: make([]string, n), Batches: make([]int64, n), Shared: make([]bool, n),
 	}
 }
 
@@ -88,6 +101,9 @@ func TestRunExploreLimits(t *testing.T) {
 		t.Fatalf("grid over MaxGrid: err = %v, want GridTooLargeError", err)
 	} else if tooLarge.Size != MaxGrid+1 || tooLarge.Max != MaxGrid {
 		t.Errorf("reported size/max = %d/%d, want %d/%d", tooLarge.Size, tooLarge.Max, MaxGrid+1, MaxGrid)
+	}
+	if _, err := s.RunExplore(context.Background(), overflowGrid()); !errors.As(err, &tooLarge) || tooLarge.Size != math.MaxInt {
+		t.Fatalf("grid of 2^66 points: err = %v, want GridTooLargeError of size math.MaxInt", err)
 	}
 	s.Drain()
 	if _, err := s.RunExplore(context.Background(), exploreGrid()); !errors.Is(err, ErrDraining) {
@@ -160,10 +176,19 @@ func TestHTTPExplore(t *testing.T) {
 	if json.Unmarshal(body, &httpErr); resp.StatusCode != http.StatusBadRequest || httpErr.Code != "grid_too_large" {
 		t.Errorf("over-budget grid: status %d code %q, want 400 grid_too_large", resp.StatusCode, httpErr.Code)
 	}
+	overflow, err := json.Marshal(overflowGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpErr = HTTPError{}
+	resp, body = post(string(overflow))
+	if json.Unmarshal(body, &httpErr); resp.StatusCode != http.StatusBadRequest || httpErr.Code != "grid_too_large" {
+		t.Errorf("grid of 2^66 points (%d bytes): status %d code %q, want 400 grid_too_large", len(overflow), resp.StatusCode, httpErr.Code)
+	}
 	st := s.Stats()
 	assertInvariant(t, st)
-	if st.Requests != before {
-		t.Errorf("refused grid moved requests %d -> %d", before, st.Requests)
+	if st.Requests != before || st.Accounted() != before {
+		t.Errorf("refused grids moved requests %d -> %d, accounted -> %d", before, st.Requests, st.Accounted())
 	}
 }
 
@@ -188,4 +213,68 @@ func TestHTTPExploreDraining(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("503 response missing Retry-After")
 	}
+}
+
+// FuzzGridDecode fuzzes the POST /v1/explore body, decoded as the
+// handler decodes it, with two oracles. Sweep either refuses the grid
+// with a GridTooLargeError naming its size, or visits exactly Size()
+// points, no more than MaxGrid, with exact coverage; it refuses
+// nothing else but a grid of size 0. And decode, encode, decode is a
+// fixed point that keeps the grid's size. The checked-in corpus
+// (testdata/fuzz/FuzzGridDecode) holds a grid whose size overflows an
+// int, one of MaxGrid+1 points, one of empty axes and one of duplicate
+// points.
+func FuzzGridDecode(f *testing.F) {
+	fixture, err := json.Marshal(exploreGrid())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
+	run := func(_ context.Context, reqs []Request) []Result {
+		out := make([]Result, len(reqs))
+		for i, r := range reqs {
+			out[i] = Result{Request: r, E2EUs: float64(1 + i%7)}
+		}
+		return out
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var g explore.Grid
+		if json.Unmarshal(data, &g) != nil {
+			return
+		}
+		size := g.Size()
+		rep, err := Sweep(context.Background(), g, run)
+		var tooLarge *GridTooLargeError
+		switch {
+		case errors.As(err, &tooLarge):
+			if size <= MaxGrid || tooLarge.Size != size {
+				t.Fatalf("refused as %v, size %d", err, size)
+			}
+		case err != nil:
+			if size != 0 {
+				t.Fatalf("grid of %d points refused: %v", size, err)
+			}
+		case rep.GridPoints != size || size > MaxGrid:
+			t.Fatalf("sweep visited %d points of a %d-point grid", rep.GridPoints, size)
+		case rep.Unique+rep.Duplicates+rep.Rejected != size || rep.Predicted != rep.Unique:
+			t.Fatalf("coverage %d unique + %d duplicates + %d rejected, %d predicted, of %d points",
+				rep.Unique, rep.Duplicates, rep.Rejected, rep.Predicted, size)
+		}
+
+		raw, err := json.Marshal(g)
+		if err != nil {
+			t.Fatalf("decoded %+v, Marshal refused it: %v", g, err)
+		}
+		var again explore.Grid
+		if err := json.Unmarshal(raw, &again); err != nil {
+			t.Fatalf("Marshal wrote %s, which does not decode: %v", raw, err)
+		}
+		raw2, err := json.Marshal(again)
+		if err != nil || !bytes.Equal(raw2, raw) {
+			t.Fatalf("second Marshal %s (err %v), first %s", raw2, err, raw)
+		}
+		if again.Size() != size {
+			t.Fatalf("size %d after a round trip, %d before", again.Size(), size)
+		}
+	})
 }

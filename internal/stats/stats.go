@@ -6,16 +6,14 @@
 //
 // Percentiles and the whisker quartiles read only the order statistics
 // at their interpolation ranks, so they are selected, not sorted: one
-// deterministic quickselect on the copy each function makes, linear in
-// the sample count on every input the pipeline produces, and giving the
-// value a full sort would.
+// exact radix selection over order-preserving integer keys (select.go)
+// finds every rank a caller asks for in one descent, in time linear in
+// the sample count, and gives the value a full sort would.
 package stats
 
 import (
 	"errors"
 	"math"
-	"math/bits"
-	"slices"
 )
 
 // ErrEmpty is returned by functions that require at least one sample.
@@ -101,120 +99,81 @@ func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		panic(ErrEmpty)
 	}
-	v, _ := percentile(slices.Clone(xs), 0, p)
-	return v
+	lo, hi, frac := percentileRanks(len(xs), p)
+	var v [2]float64
+	new(Scratch).orderStats(xs, []int{lo, hi}, v[:])
+	return interpolate(v[0], v[1], frac)
 }
 
-// percentile is the p-th percentile of a non-empty buf: linear
-// interpolation between the values at the floor and ceiling ranks
-// buf would hold sorted. Those are found by selection, which reorders
-// buf and leaves the floor rank lo in place — nothing greater before
-// it, nothing smaller after — and lo is returned so that a second call
-// for a higher p can pass it as from and search only buf[from:]. Values
-// order as slices.Sort orders them.
-func percentile(buf []float64, from int, p float64) (v float64, lo int) {
-	hi, frac := 0, 0.0
+// percentileRanks returns the floor and ceiling ranks the p-th
+// percentile of n values interpolates between, and the ceiling's
+// weight, which is 0 exactly when the ranks coincide.
+func percentileRanks(n int, p float64) (lo, hi int, frac float64) {
 	switch {
 	case p <= 0:
 	case p >= 100:
-		lo, hi = len(buf)-1, len(buf)-1
+		lo, hi = n-1, n-1
 	default:
-		rank := p / 100 * float64(len(buf)-1)
+		rank := p / 100 * float64(n-1)
 		lo, hi = int(math.Floor(rank)), int(math.Ceil(rank))
 		frac = rank - float64(lo)
 	}
-	selectRank(buf[from:], lo-from)
-	if lo == hi {
-		return buf[lo], lo
-	}
-	// The ceiling rank holds the smallest value above the floor rank.
-	return buf[lo]*(1-frac) + slices.Min(buf[lo+1:])*frac, lo
+	return lo, hi, frac
 }
 
-// selectRank reorders xs so that xs[k] is the value a sort would put
-// there, everything before it is no greater and everything after it no
-// smaller. It is quickselect with a three-way partition around a
-// median-of-three pivot, so runs of equal values — a population of
-// clamped zeros — settle in one pass, and a range that fails to shrink
-// fast enough is sorted outright, which bounds the worst case at
-// n log n. Every step is deterministic.
-func selectRank(xs []float64, k int) {
-	nan := 0 // NaNs go first, as slices.Sort puts them; the rest compares with <
-	for i, x := range xs {
-		if x != x {
-			xs[nan], xs[i] = x, xs[nan]
-			nan++
-		}
+// interpolate is the value frac of the way from the floor rank's value
+// a to the ceiling rank's b.
+func interpolate(a, b, frac float64) float64 {
+	if frac == 0 {
+		return a
 	}
-	if k < nan {
-		return
-	}
-	xs, k = xs[nan:], k-nan
-	for budget := 2 * bits.Len(uint(len(xs))); len(xs) > 1; budget-- {
-		if budget == 0 {
-			slices.Sort(xs)
-			return
-		}
-		a, pivot, c := xs[0], xs[len(xs)/2], xs[len(xs)-1]
-		if pivot < a {
-			a, pivot = pivot, a
-		}
-		if c < pivot {
-			pivot = max(a, c)
-		}
-		// xs[:lt] < pivot, xs[lt:i] == pivot, xs[gt:] > pivot.
-		lt, i, gt := 0, 0, len(xs)
-		for i < gt {
-			switch x := xs[i]; {
-			case x < pivot:
-				xs[lt], xs[i] = x, xs[lt]
-				lt++
-				i++
-			case x > pivot:
-				gt--
-				xs[i], xs[gt] = xs[gt], x
-			default:
-				i++
-			}
-		}
-		switch {
-		case k < lt:
-			xs = xs[:lt]
-		case k >= gt:
-			xs, k = xs[gt:], k-gt
-		default:
-			return
-		}
-	}
+	return a*(1-frac) + b*frac
 }
 
-// TrimIQR removes samples outside the whiskers
-// [Q1 - k*IQR, Q3 + k*IQR] and returns the surviving samples in their
-// original order. The paper uses k = 1.5 when cleaning overhead samples.
-// Inputs with fewer than 4 samples are returned unchanged.
-func TrimIQR(xs []float64, k float64) []float64 {
+// TrimmedSeries describes the samples of xs inside the whiskers
+// [Q1 - k*IQR, Q3 + k*IQR]; the paper uses k = 1.5 when cleaning
+// overhead samples. Inputs with fewer than 4 samples are kept whole,
+// and so is one with no sample inside (all mass at outliers, a NaN
+// quartile, inverted whiskers at k < 0). The quartiles come from the
+// four order statistics they interpolate between, selected in s, and
+// the kept samples are never copied: one pass over xs in input order
+// sums them, a second their squared deviations, so the result is bit
+// for bit Describe of the kept samples in their original order. s is
+// reused across calls and grows to the largest input it has seen.
+func TrimmedSeries(xs []float64, k float64, s *Scratch) Series {
 	if len(xs) < 4 {
-		return slices.Clone(xs)
+		return Describe(xs)
 	}
-	// Both quartiles are selected in one copy, Q3 above Q1's rank; the
-	// copy then becomes the output buffer.
-	buf := slices.Clone(xs)
-	q1, r1 := percentile(buf, 0, 25)
-	q3, _ := percentile(buf, r1, 75)
+	lo1, hi1, f1 := percentileRanks(len(xs), 25)
+	lo3, hi3, f3 := percentileRanks(len(xs), 75)
+	var v [4]float64
+	s.orderStats(xs, []int{lo1, hi1, lo3, hi3}, v[:])
+	q1, q3 := interpolate(v[0], v[1], f1), interpolate(v[2], v[3], f3)
 	iqr := q3 - q1
 	lo := q1 - k*iqr
 	hi := q3 + k*iqr
-	out := buf[:0]
+	n, sum := 0, 0.0
 	for _, x := range xs {
 		if x >= lo && x <= hi {
-			out = append(out, x)
+			sum += x
+			n++
 		}
 	}
-	if len(out) == 0 {
+	if n == 0 {
 		// Degenerate distributions (all mass at outliers) keep the data.
-		return append(out, xs...)
+		return Describe(xs)
 	}
-	return out
+	mean, ss := sum/float64(n), 0.0
+	if n < 2 {
+		return Series{Mean: mean, N: n}
+	}
+	for _, x := range xs {
+		if x >= lo && x <= hi {
+			d := x - mean
+			ss += d * d
+		}
+	}
+	return Series{Mean: mean, Std: math.Sqrt(ss / float64(n)), N: n}
 }
 
 // RelErr returns the signed relative error (pred-actual)/actual.

@@ -100,21 +100,7 @@ func TestPercentileInterpolates(t *testing.T) {
 // refPercentile is Percentile by sorting a copy and interpolating
 // between the closest ranks.
 func refPercentile(xs []float64, p float64) float64 {
-	sorted := slices.Clone(xs)
-	slices.Sort(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return sortedPercentile(sortedCopy(xs), p)
 }
 
 // TestPercentileMatchesSort holds the selection to the sort-based
@@ -150,33 +136,28 @@ func TestPercentileMatchesSort(t *testing.T) {
 
 func TestTrimIQRRemovesOutliers(t *testing.T) {
 	xs := []float64{5, 6, 5, 7, 6, 5, 6, 7, 500}
-	out := TrimIQR(xs, 1.5)
-	for _, v := range out {
-		if v > 100 {
-			t.Fatalf("outlier %v survived trimming", v)
-		}
-	}
-	if len(out) != len(xs)-1 {
-		t.Fatalf("trimmed %d values, want 1", len(xs)-len(out))
+	got := TrimmedSeries(xs, 1.5, new(Scratch))
+	if want := Describe(xs[:8]); got != want {
+		t.Fatalf("TrimmedSeries = %+v, want the outlier dropped: %+v", got, want)
 	}
 }
 
 func TestTrimIQRSmallInputsUnchanged(t *testing.T) {
 	xs := []float64{1, 1000, 2}
-	out := TrimIQR(xs, 1.5)
-	if len(out) != 3 {
-		t.Fatalf("small input was trimmed: %v", out)
+	if got, want := TrimmedSeries(xs, 1.5, new(Scratch)), Describe(xs); got != want {
+		t.Fatalf("small input was trimmed: %+v, want %+v", got, want)
 	}
 }
 
+// TestTrimIQRPreservesOrder: with k = 3 nothing is removed, and the
+// sums run in input order, so the result is Describe of the input
+// itself — not of a sorted copy, whose mean of these values rounds to
+// 5.325000000000001.
 func TestTrimIQRPreservesOrder(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	out := TrimIQR(xs, 3)
-	for i := 1; i < len(out); i++ {
-		// With k=3 nothing is removed, so order must be the original.
-		if out[i] != xs[i] {
-			t.Fatalf("order not preserved: %v vs %v", out, xs)
-		}
+	xs := []float64{4.2, 8.8, 4.8, 3, 3.2, 7.9, 2.6, 8.1}
+	got := TrimmedSeries(xs, 3, new(Scratch))
+	if want := Describe(xs); !sameSeries(got, want) {
+		t.Fatalf("TrimmedSeries = %+v, want Describe of the input in order %+v", got, want)
 	}
 }
 

@@ -122,17 +122,12 @@ func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.NormFloat64())
 }
 
-// LogNormalMeanCV returns a log-normal variate parameterized by its
-// arithmetic mean and coefficient of variation (std/mean). This is the
-// natural parameterization for host-overhead distributions, where we know
-// the target mean (e.g., "T1 averages 8 µs") and the relative spread.
-func (r *Rand) LogNormalMeanCV(mean, cv float64) float64 {
-	return r.Draw(LogNormalMeanCVDist(mean, cv))
-}
-
-// LogNormalDist is the distribution LogNormalMeanCV draws from, with
-// the two logarithms and the square root that turn (mean, cv) into
-// (mu, sigma) paid once at construction instead of once per variate.
+// LogNormalDist is a log-normal distribution parameterized by its
+// arithmetic mean and coefficient of variation (std/mean), the natural
+// parameterization for host-overhead distributions, where we know the
+// target mean (e.g., "T1 averages 8 µs") and the relative spread. The
+// two logarithms and the square root that turn (mean, cv) into (mu,
+// sigma) are paid once at construction instead of once per variate.
 // The zero value always draws 0.
 type LogNormalDist struct {
 	// mu and sigma parameterize the variate's logarithm; a degenerate
@@ -142,8 +137,8 @@ type LogNormalDist struct {
 	random    bool
 }
 
-// LogNormalMeanCVDist derives the distribution of LogNormalMeanCV(mean,
-// cv): 0 for a non-positive mean, the mean itself for a non-positive cv.
+// LogNormalMeanCVDist derives the distribution of mean and cv: it draws
+// 0 for a non-positive mean, the mean itself for a non-positive cv.
 func LogNormalMeanCVDist(mean, cv float64) LogNormalDist {
 	if mean <= 0 {
 		return LogNormalDist{}

@@ -120,7 +120,7 @@ func TestLogNormalMeanCV(t *testing.T) {
 	wantMean, cv := 8.0, 0.4
 	sum, sumSq := 0.0, 0.0
 	for i := 0; i < n; i++ {
-		v := r.LogNormalMeanCV(wantMean, cv)
+		v := r.Draw(LogNormalMeanCVDist(wantMean, cv))
 		if v <= 0 {
 			t.Fatalf("lognormal produced non-positive value %v", v)
 		}
@@ -139,10 +139,10 @@ func TestLogNormalMeanCV(t *testing.T) {
 
 func TestLogNormalMeanCVDegenerate(t *testing.T) {
 	r := New(19)
-	if got := r.LogNormalMeanCV(0, 0.5); got != 0 {
+	if got := r.Draw(LogNormalMeanCVDist(0, 0.5)); got != 0 {
 		t.Errorf("mean 0 should return 0, got %v", got)
 	}
-	if got := r.LogNormalMeanCV(5, 0); got != 5 {
+	if got := r.Draw(LogNormalMeanCVDist(5, 0)); got != 5 {
 		t.Errorf("cv 0 should return mean, got %v", got)
 	}
 }
