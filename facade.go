@@ -66,6 +66,6 @@ func (e *Engine) InstallRemoteResult(req PredictRequest, v any) {
 }
 
 // embeddingKernel builds a single-table lookup kernel for PredictKernelUs.
-func embeddingKernel(batch, rows, lookups, dim int64) kernels.Kernel {
-	return kernels.Embedding{B: batch, E: rows, T: 1, L: lookups, D: dim}
+func embeddingKernel(batch, rows, lookups, dim int64) *kernels.Kernel {
+	return &kernels.Kernel{Kind: kernels.KindEmbeddingFwd, B: batch, E: rows, T: 1, L: lookups, D: dim}
 }

@@ -44,7 +44,7 @@ func (h *Habitat) scale(k kernels.Kernel) float64 {
 	read, write := k.Bytes()
 	bytes := read + write
 	flops := k.FLOPs()
-	switch k.Kind() {
+	switch k.Kind {
 	case kernels.KindMemcpyH2D, kernels.KindMemcpyD2H:
 		return h.Base.GPU.PCIeBandwidth / h.Target.GPU.PCIeBandwidth
 	}
@@ -100,7 +100,7 @@ func (r *habitatRun) Op(o *sim.Op) {
 	a := &r.accs[r.at[o.Node]]
 	a.host += o.End - o.Start
 	for _, c := range o.Calls {
-		a.dev += (c.KernelEnd - c.KernelStart) * r.h.scale(c.Kernel)
+		a.dev += (c.KernelEnd - c.KernelStart) * r.h.scale(*c.Kernel)
 	}
 }
 
@@ -128,12 +128,12 @@ var mlpredictCoveredBatches = []int64{4, 8, 16, 32}
 // failure mode the paper attributes to MLPredict's limited shape
 // coverage.
 func mlpredictFeatures(k kernels.Kernel) []float64 {
-	switch kk := k.(type) {
-	case kernels.Conv:
-		return []float64{lg(kk.N), lg(kk.C), lg(kk.H), lg(kk.K),
-			float64(kk.R), float64(kk.S), float64(kk.Stride)}
-	case kernels.GEMM:
-		return []float64{lg(kk.Batch * kk.M), lg(kk.N), lg(kk.K), 0, -1, -1, 0}
+	switch k.Kind {
+	case kernels.KindConv:
+		return []float64{lg(k.N), lg(k.C), lg(k.H), lg(k.K),
+			float64(k.R), float64(k.S), float64(k.Stride)}
+	case kernels.KindGEMM:
+		return []float64{lg(k.B * k.M), lg(k.N), lg(k.K), 0, -1, -1, 0}
 	default:
 		read, write := k.Bytes()
 		return []float64{lgf(read + write), 0, 0, 0, -2, -2, 1}
@@ -180,7 +180,7 @@ func TrainMLPredict(p hw.Platform, seed uint64) *MLPredict {
 				for _, f := range []int64{1, 3, 5, 7} {
 					for _, k := range []int64{32, 128, 512, 2048} {
 						for _, stride := range []int64{1, 2} {
-							add(kernels.Conv{N: n, C: c, H: hwDim, W: hwDim, K: k,
+							add(kernels.Kernel{Kind: kernels.KindConv, N: n, C: c, H: hwDim, W: hwDim, K: k,
 								R: f, S: f, Stride: stride, PadH: f / 2, PadW: f / 2})
 						}
 					}
@@ -192,7 +192,7 @@ func TrainMLPredict(p hw.Platform, seed uint64) *MLPredict {
 	for _, n := range mlpredictCoveredBatches {
 		for _, in := range []int64{256, 1024, 4096} {
 			for _, out := range []int64{256, 1024, 4096} {
-				add(kernels.GEMM{Batch: 1, M: n, N: out, K: in})
+				add(kernels.Kernel{Kind: kernels.KindGEMM, B: 1, M: n, N: out, K: in})
 			}
 		}
 	}
@@ -241,7 +241,7 @@ func (m *MLPredict) Predict(g *graph.Graph) float64 {
 // PredictKernel exposes the per-kernel prediction for debugging and
 // tests.
 func (m *MLPredict) PredictKernel(k kernels.Kernel) float64 {
-	switch k.Kind() {
+	switch k.Kind {
 	case kernels.KindConv, kernels.KindGEMM:
 		y := m.net.Predict(mlpredictFeatures(k))
 		if y < m.minLog {

@@ -14,8 +14,8 @@ import (
 func TestHabitatScaleDirections(t *testing.T) {
 	h := &Habitat{Base: hw.V100Platform(), Target: hw.P100Platform()}
 	// Moving from V100 to the slower P100 must scale every kernel up.
-	compute := kernels.GEMM{Batch: 1, M: 2048, N: 2048, K: 2048}
-	memory := kernels.Concat{OutBytes: 1 << 24, NInputs: 2}
+	compute := kernels.Kernel{Kind: kernels.KindGEMM, B: 1, M: 2048, N: 2048, K: 2048}
+	memory := kernels.Kernel{Kind: kernels.KindConcat, NBytes: 1 << 24, NInputs: 2}
 	if h.scale(compute) <= 1 {
 		t.Errorf("compute scale to slower GPU = %v, want > 1", h.scale(compute))
 	}
@@ -36,7 +36,7 @@ func TestHabitatScaleDirections(t *testing.T) {
 
 func TestHabitatMemcpyUsesPCIe(t *testing.T) {
 	h := &Habitat{Base: hw.V100Platform(), Target: hw.TITANXpPlatform()}
-	cp := kernels.Memcpy{NBytes: 1 << 24, Dir: kernels.H2D}
+	cp := kernels.Kernel{Kind: kernels.KindMemcpyH2D, NBytes: 1 << 24}
 	want := h.Base.GPU.PCIeBandwidth / h.Target.GPU.PCIeBandwidth
 	if got := h.scale(cp); got != want {
 		t.Errorf("memcpy scale = %v, want %v", got, want)
@@ -112,12 +112,12 @@ func TestMLPredictKernelClamp(t *testing.T) {
 	p := hw.V100Platform()
 	ml := TrainMLPredict(p, 11)
 	// An absurd extrapolation target must stay within the clamped range.
-	monster := kernels.Conv{N: 1024, C: 4096, H: 512, W: 512, K: 4096, R: 7, S: 7, Stride: 1, PadH: 3, PadW: 3}
+	monster := kernels.Kernel{Kind: kernels.KindConv, N: 1024, C: 4096, H: 512, W: 512, K: 4096, R: 7, S: 7, Stride: 1, PadH: 3, PadW: 3}
 	if got := ml.PredictKernel(monster); got > 3e6 {
 		t.Errorf("clamp failed: %v µs", got)
 	}
 	// Non-layer kernels get the token charge.
-	ew := kernels.Elementwise{Name: "relu", NElems: 1 << 20, ReadsPerElem: 4, WritesPerElem: 4}
+	ew := kernels.Kernel{Kind: kernels.KindElementwise, Name: "relu", NElems: 1 << 20, ReadsPerElem: 4, WritesPerElem: 4}
 	if got := ml.PredictKernel(ew); got > 100 {
 		t.Errorf("non-layer op charge = %v, want small constant", got)
 	}

@@ -66,7 +66,7 @@ func FuzzLoadAssets(f *testing.F) {
 		}
 		for _, kind := range cal.Registry.Kinds() {
 			k := microbench.GenerateKernels(kind, 1, xrand.New(1))[0]
-			if _, err := cal.Registry.Predict(k); err != nil { // a model that cannot price its kind panics here
+			if _, err := cal.Registry.Predict(&k); err != nil { // a model that cannot price its kind panics here
 				t.Fatalf("accepted %s assets cannot price %s: %v", device, k, err)
 			}
 		}

@@ -148,8 +148,8 @@ func (s *Suite) Sharding(nDevices int) ([]ShardingScheme, error) {
 	const batch, dim = 2048, 64
 
 	cost := func(t table) float64 {
-		return elModel.Predict(kernels.Embedding{
-			B: batch, E: t.Rows, T: 1, L: t.Lookups, D: dim,
+		return elModel.Predict(&kernels.Kernel{
+			Kind: kernels.KindEmbeddingFwd, B: batch, E: t.Rows, T: 1, L: t.Lookups, D: dim,
 		})
 	}
 

@@ -121,10 +121,6 @@ func (s *Suite) Fig09() ([]Fig09Row, error) {
 				if err != nil {
 					return nil, err
 				}
-				ko, err := pred.KernelOnly(m.Graph)
-				if err != nil {
-					return nil, err
-				}
 				rows = append(rows, Fig09Row{
 					Device: dev, Model: model, Batch: b,
 					MeasuredIter:   meas.MeanIterTime,
@@ -132,7 +128,7 @@ func (s *Suite) Fig09() ([]Fig09Row, error) {
 					ActiveErr:      stats.RelErr(pr.Active, meas.MeanActiveTime),
 					E2EErr:         stats.RelErr(pr.E2E, meas.MeanIterTime),
 					SharedErr:      stats.RelErr(prShared.E2E, meas.MeanIterTime),
-					KernelOnlyErr:  stats.RelErr(ko, meas.MeanIterTime),
+					KernelOnlyErr:  stats.RelErr(pr.Active, meas.MeanIterTime),
 				})
 			}
 		}

@@ -39,9 +39,9 @@ func TestNodeKernels(t *testing.T) {
 	if len(ks) != 1 {
 		t.Fatalf("linear emitted %d kernels", len(ks))
 	}
-	gm, ok := ks[0].(kernels.GEMM)
-	if !ok {
-		t.Fatalf("linear kernel is %T", ks[0])
+	gm := ks[0]
+	if gm.Kind != kernels.KindGEMM {
+		t.Fatalf("linear kernel is %s", gm.Kind)
 	}
 	if gm.M != 16 || gm.N != 32 || gm.K != 64 {
 		t.Errorf("GEMM dims = %+v", gm)
@@ -53,8 +53,8 @@ func TestResizeBatchPropagates(t *testing.T) {
 	if err := g.ResizeBatch(1024); err != nil {
 		t.Fatal(err)
 	}
-	gm := g.NodeKernels(g.Nodes[0])[0].(kernels.GEMM)
-	if gm.M != 1024 {
+	gm := g.NodeKernels(g.Nodes[0])[0]
+	if gm.Kind != kernels.KindGEMM || gm.M != 1024 {
 		t.Errorf("after resize GEMM M = %d, want 1024", gm.M)
 	}
 	out := g.Meta(g.Nodes[2].Outputs[0])
@@ -78,10 +78,10 @@ func TestWithBatchSharesStructureOwnsShapes(t *testing.T) {
 	if v == g || len(v.Nodes) != len(g.Nodes) || v.Nodes[0] != g.Nodes[0] {
 		t.Fatal("view does not share the origin's nodes")
 	}
-	if gm := v.NodeKernels(v.Nodes[0])[0].(kernels.GEMM); gm.M != 1024 {
+	if gm := v.NodeKernels(v.Nodes[0])[0]; gm.Kind != kernels.KindGEMM || gm.M != 1024 {
 		t.Errorf("view GEMM M = %d, want 1024", gm.M)
 	}
-	if gm := g.NodeKernels(g.Nodes[0])[0].(kernels.GEMM); gm.M != 16 || g.BatchSize() != 16 {
+	if gm := g.NodeKernels(g.Nodes[0])[0]; gm.Kind != kernels.KindGEMM || gm.M != 16 || g.BatchSize() != 16 {
 		t.Errorf("binding a view moved the origin: GEMM M = %d, batch %d", gm.M, g.BatchSize())
 	}
 	if len(v.shapes) != len(g.shapes) {

@@ -12,10 +12,10 @@ import (
 // same seed.
 func TestRunAveragedEqualsMeanOfRuns(t *testing.T) {
 	ks := []Kernel{
-		GEMM{Batch: 1, M: 512, N: 300, K: 77},
-		Embedding{B: 512, E: 100000, T: 8, L: 20, D: 64},
-		Memcpy{NBytes: 1 << 20, Dir: H2D},
-		Elementwise{Name: "relu", NElems: 1 << 16, ReadsPerElem: 4, WritesPerElem: 4, FLOPsPerElem: 1},
+		{Kind: KindGEMM, B: 1, M: 512, N: 300, K: 77},
+		{Kind: KindEmbeddingFwd, B: 512, E: 100000, T: 8, L: 20, D: 64},
+		{Kind: KindMemcpyH2D, NBytes: 1 << 20},
+		{Kind: KindElementwise, Name: "relu", NElems: 1 << 16, ReadsPerElem: 4, WritesPerElem: 4, FLOPsPerElem: 1},
 	}
 	for _, p := range hw.All() {
 		averaged, single := NewDevice(p.GPU, 99), NewDevice(p.GPU, 99)

@@ -50,27 +50,27 @@ func NewDevice(gpu hw.GPU, seed uint64) *Device {
 // (still including the deterministic per-shape silicon quirk).
 func (d *Device) BaseTime(k Kernel) float64 {
 	var t float64
-	switch kk := k.(type) {
-	case GEMM:
-		t = d.gemmTime(kk)
-	case Embedding:
-		t = d.embeddingTime(kk.WithDefaults())
-	case Concat:
-		t = d.concatTime(kk)
-	case Memcpy:
-		t = d.memcpyTime(kk)
-	case Transpose:
-		t = d.transposeTime(kk)
-	case Tril:
-		t = d.trilTime(kk)
-	case Elementwise:
-		t = d.elementwiseTime(kk)
-	case Conv:
-		t = d.convTime(kk)
-	case BatchNorm:
-		t = d.batchNormTime(kk)
+	switch k.Kind {
+	case KindGEMM:
+		t = d.gemmTime(k)
+	case KindEmbeddingFwd, KindEmbeddingBwd:
+		t = d.embeddingTime(k.WithDefaults())
+	case KindConcat:
+		t = d.concatTime(k)
+	case KindMemcpyH2D, KindMemcpyD2H, KindMemcpyD2D:
+		t = d.memcpyTime(k)
+	case KindTranspose:
+		t = d.transposeTime(k)
+	case KindTrilFwd, KindTrilBwd:
+		t = d.trilTime(k)
+	case KindElementwise:
+		t = d.elementwiseTime(k)
+	case KindConv:
+		t = d.convTime(k)
+	case KindBatchNorm:
+		t = d.batchNormTime(k)
 	default:
-		panic("kernels: unknown kernel type")
+		panic(unknown(k.Kind))
 	}
 	return t * d.quirk(k)
 }
@@ -105,7 +105,7 @@ func (d *Device) RunAveraged(k Kernel, iters int) float64 {
 // simple copies.
 func (d *Device) quirk(k Kernel) float64 {
 	var amp float64
-	switch k.Kind() {
+	switch k.Kind {
 	case KindGEMM, KindConv:
 		amp = 0.09
 	case KindTranspose:
@@ -164,8 +164,8 @@ var gemmTiles = []tileConfig{
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
-func (d *Device) gemmTime(g GEMM) float64 {
-	if g.Batch <= 0 || g.M <= 0 || g.N <= 0 || g.K <= 0 {
+func (d *Device) gemmTime(g Kernel) float64 {
+	if g.B <= 0 || g.M <= 0 || g.N <= 0 || g.K <= 0 {
 		return d.GPU.MinKernelTime
 	}
 	sms := int64(d.GPU.NumSMs)
@@ -178,7 +178,7 @@ func (d *Device) gemmTime(g GEMM) float64 {
 	for _, tile := range gemmTiles {
 		tilesM := ceilDiv(g.M, tile.tm)
 		tilesN := ceilDiv(g.N, tile.tn)
-		ctas := g.Batch * tilesM * tilesN
+		ctas := g.B * tilesM * tilesN
 		perCTAFlops := 2 * float64(tile.tm) * float64(tile.tn) * float64(kPadded)
 		// Wave quantization: an SM processes its CTAs serially; the grid
 		// takes ceil(ctas/SMs) CTA-rounds regardless of how empty the
@@ -209,7 +209,7 @@ func (d *Device) gemmTime(g GEMM) float64 {
 
 // elTraffic returns the per-WARP L2 and DRAM byte traffic of a batched
 // embedding lookup under the ground-truth cache model.
-func (d *Device) elTraffic(e Embedding) (l2P, dramP float64) {
+func (d *Device) elTraffic(e Kernel) (l2P, dramP float64) {
 	rowBytes := float64(ceilDiv(4*e.D, 32) * 32)
 	trIdx := float64(ceilDiv(4*e.L, 32) * 32)
 	const trFixed = 32 + 64 // table_offsets + offsets
@@ -217,7 +217,7 @@ func (d *Device) elTraffic(e Embedding) (l2P, dramP float64) {
 	out := rowBytes
 
 	p := d.elHitRate(e)
-	if e.Backward {
+	if e.Backward() {
 		// Gradient rows are read, updated, and written through; writes
 		// cannot be served by L2 in the long run.
 		weights = 2 * weights
@@ -233,7 +233,7 @@ func (d *Device) elTraffic(e Embedding) (l2P, dramP float64) {
 // paper's enhanced model but with different structure: 128-byte line
 // granularity, steady-state per-access (not per-pooled-group) hits, a
 // conflict-miss ceiling, and Zipf-locality amplification.
-func (d *Device) elHitRate(e Embedding) float64 {
+func (d *Device) elHitRate(e Kernel) float64 {
 	if e.E <= 0 {
 		return 0
 	}
@@ -260,7 +260,7 @@ func (d *Device) elHitRate(e Embedding) float64 {
 	return p
 }
 
-func (d *Device) embeddingTime(e Embedding) float64 {
+func (d *Device) embeddingTime(e Kernel) float64 {
 	if e.B <= 0 || e.T <= 0 || e.L <= 0 || e.D <= 0 {
 		return d.GPU.MinKernelTime
 	}
@@ -283,7 +283,7 @@ func (d *Device) embeddingTime(e Embedding) float64 {
 
 // --- Memory kernels -----------------------------------------------------
 
-func (d *Device) concatTime(c Concat) float64 {
+func (d *Device) concatTime(c Kernel) float64 {
 	read, write := c.Bytes()
 	bytes := read + write
 	t := bytes / (d.GPU.DRAMBandwidth * 0.85 * ramp(bytes, 768<<10))
@@ -292,13 +292,13 @@ func (d *Device) concatTime(c Concat) float64 {
 	return t + d.GPU.MinKernelTime
 }
 
-func (d *Device) memcpyTime(m Memcpy) float64 {
+func (d *Device) memcpyTime(m Kernel) float64 {
 	bytes := float64(m.NBytes)
 	var bw float64
-	switch m.Dir {
-	case D2D:
+	switch m.Kind {
+	case KindMemcpyD2D:
 		bw = d.GPU.DRAMBandwidth * 0.80
-	case D2H:
+	case KindMemcpyD2H:
 		bw = d.GPU.PCIeBandwidth * 0.92
 	default:
 		bw = d.GPU.PCIeBandwidth
@@ -308,7 +308,7 @@ func (d *Device) memcpyTime(m Memcpy) float64 {
 	return t + 4.5 + d.GPU.MinKernelTime
 }
 
-func (d *Device) transposeTime(t Transpose) float64 {
+func (d *Device) transposeTime(t Kernel) float64 {
 	read, write := t.Bytes()
 	bytes := read + write
 	penalty := 1.0
@@ -325,11 +325,11 @@ func (d *Device) transposeTime(t Transpose) float64 {
 	return tt + d.GPU.MinKernelTime
 }
 
-func (d *Device) trilTime(t Tril) float64 {
+func (d *Device) trilTime(t Kernel) float64 {
 	read, write := t.Bytes()
 	bytes := read + write
 	penalty := 1.6 // gather indexing through an int64 index tensor
-	if t.Backward {
+	if t.Backward() {
 		// IndexBackward scatters through index_put_ with accumulation:
 		// atomic adds at element granularity, an order of magnitude off
 		// streaming bandwidth.
@@ -343,7 +343,7 @@ func (d *Device) trilTime(t Tril) float64 {
 	return tt + d.GPU.MinKernelTime
 }
 
-func (d *Device) elementwiseTime(e Elementwise) float64 {
+func (d *Device) elementwiseTime(e Kernel) float64 {
 	read, write := e.Bytes()
 	bytes := read + write
 	tMem := bytes / (d.GPU.DRAMBandwidth * 0.88 * ramp(bytes, 1<<20))
@@ -357,7 +357,7 @@ func (d *Device) elementwiseTime(e Elementwise) float64 {
 
 // --- CNN kernels ----------------------------------------------------------
 
-func (d *Device) convTime(c Conv) float64 {
+func (d *Device) convTime(c Kernel) float64 {
 	g := c.AsGEMM()
 	// Implicit GEMM pays an efficiency tax over plain GEMM, worse for
 	// asymmetric (1x7 / 7x1) and pointwise filters.
@@ -374,7 +374,7 @@ func (d *Device) convTime(c Conv) float64 {
 	return t
 }
 
-func (d *Device) batchNormTime(b BatchNorm) float64 {
+func (d *Device) batchNormTime(b Kernel) float64 {
 	read, write := b.Bytes()
 	bytes := read + write
 	t := bytes / (d.GPU.DRAMBandwidth * 0.82 * ramp(bytes, 1<<20))

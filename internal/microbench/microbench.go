@@ -38,8 +38,8 @@ func (d *Dataset) Split(trainFrac float64, seed uint64) (train, test *Dataset) {
 	rng := xrand.New(seed)
 	perm := rng.Perm(len(d.Samples))
 	cut := int(float64(len(d.Samples)) * trainFrac)
-	train = &Dataset{Device: d.Device, Kind: d.Kind}
-	test = &Dataset{Device: d.Device, Kind: d.Kind}
+	train = &Dataset{Device: d.Device, Kind: d.Kind, Samples: make([]Sample, 0, cut)}
+	test = &Dataset{Device: d.Device, Kind: d.Kind, Samples: make([]Sample, 0, len(perm)-cut)}
 	for i, p := range perm {
 		if i < cut {
 			train.Samples = append(train.Samples, d.Samples[p])
@@ -63,7 +63,7 @@ func (d *Dataset) Filter(keep func(kernels.Kernel) bool) *Dataset {
 
 // Collect measures every kernel in ks on dev.
 func Collect(dev *kernels.Device, kind kernels.Kind, ks []kernels.Kernel) *Dataset {
-	d := &Dataset{Device: dev.GPU.Name, Kind: kind}
+	d := &Dataset{Device: dev.GPU.Name, Kind: kind, Samples: make([]Sample, 0, len(ks))}
 	for _, k := range ks {
 		d.Samples = append(d.Samples, Sample{Kernel: k, Time: dev.RunAveraged(k, BenchIters)})
 	}

@@ -21,8 +21,8 @@ func TestGenerateKernelsKindAndCount(t *testing.T) {
 			t.Fatalf("%s: %d kernels", kind, len(ks))
 		}
 		for _, k := range ks {
-			if k.Kind() != kind {
-				t.Fatalf("%s sweep produced %s kernel", kind, k.Kind())
+			if k.Kind != kind {
+				t.Fatalf("%s sweep produced %s kernel", kind, k.Kind)
 			}
 		}
 	}
@@ -32,8 +32,10 @@ func TestSweepCoversSmallAndLargeTables(t *testing.T) {
 	rng := xrand.New(2)
 	ks := GenerateKernels(kernels.KindEmbeddingFwd, 400, rng)
 	small, large := 0, 0
-	for _, k := range ks {
-		e := k.(kernels.Embedding)
+	for _, e := range ks {
+		if e.Kind != kernels.KindEmbeddingFwd {
+			t.Fatalf("embedding sweep produced %s kernel", e.Kind)
+		}
 		if e.E < 10_000 {
 			small++
 		}
@@ -50,8 +52,10 @@ func TestSweepCoversAsymmetricConvs(t *testing.T) {
 	rng := xrand.New(3)
 	ks := GenerateKernels(kernels.KindConv, 400, rng)
 	asym := 0
-	for _, k := range ks {
-		c := k.(kernels.Conv)
+	for _, c := range ks {
+		if c.Kind != kernels.KindConv {
+			t.Fatalf("conv sweep produced %s kernel", c.Kind)
+		}
 		if c.R != c.S {
 			asym++
 		}
@@ -94,7 +98,7 @@ func TestSplitPartitions(t *testing.T) {
 func TestFilter(t *testing.T) {
 	ds := CollectKind(hw.V100Platform().GPU, kernels.KindEmbeddingFwd, 100, 11)
 	big := ds.Filter(func(k kernels.Kernel) bool {
-		return k.(kernels.Embedding).E > 100_000
+		return k.Kind == kernels.KindEmbeddingFwd && k.E > 100_000
 	})
 	if len(big.Samples) == 0 || len(big.Samples) == len(ds.Samples) {
 		t.Errorf("filter kept %d of %d", len(big.Samples), len(ds.Samples))

@@ -45,51 +45,51 @@ func generateOne(kind kernels.Kind, rng *xrand.Rand) kernels.Kernel {
 		if rng.Float64() < 0.35 {
 			batch = expChoice(rng, 3, 13) // 8..8192
 		}
-		return kernels.GEMM{
-			Batch: batch,
-			M:     jitter(rng, expChoice(rng, 0, 13), 0.2), // 1..8192
-			N:     jitter(rng, expChoice(rng, 0, 13), 0.2),
-			K:     jitter(rng, expChoice(rng, 0, 13), 0.2),
+		return kernels.Kernel{
+			Kind: kernels.KindGEMM,
+			B:    batch,
+			M:    jitter(rng, expChoice(rng, 0, 13), 0.2), // 1..8192
+			N:    jitter(rng, expChoice(rng, 0, 13), 0.2),
+			K:    jitter(rng, expChoice(rng, 0, 13), 0.2),
 		}
 	case kernels.KindEmbeddingFwd, kernels.KindEmbeddingBwd:
 		// E spans small (fully cached) to industrial-scale tables.
 		e := int64(float64(expChoice(rng, 9, 24)) * (0.75 + 0.5*rng.Float64())) // ~512..16M
-		return kernels.Embedding{
-			B:        expChoice(rng, 8, 13), // 256..8192 (training batch range)
-			E:        e,
-			T:        []int64{1, 2, 4, 8, 16, 26, 32}[rng.Intn(7)],
-			L:        []int64{1, 2, 4, 8, 10, 16, 32, 64, 100}[rng.Intn(9)],
-			D:        []int64{16, 32, 64, 128, 256}[rng.Intn(5)],
-			Backward: kind == kernels.KindEmbeddingBwd,
+		return kernels.Kernel{
+			Kind: kind,
+			B:    expChoice(rng, 8, 13), // 256..8192 (training batch range)
+			E:    e,
+			T:    []int64{1, 2, 4, 8, 16, 26, 32}[rng.Intn(7)],
+			L:    []int64{1, 2, 4, 8, 10, 16, 32, 64, 100}[rng.Intn(9)],
+			D:    []int64{16, 32, 64, 128, 256}[rng.Intn(5)],
 		}
 	case kernels.KindConcat:
-		return kernels.Concat{
-			OutBytes: jitter(rng, expChoice(rng, 10, 27), 0.3), // 1KB..128MB
-			NInputs:  2 + rng.Intn(26),
+		return kernels.Kernel{
+			Kind:    kernels.KindConcat,
+			NBytes:  jitter(rng, expChoice(rng, 10, 27), 0.3), // 1KB..128MB
+			NInputs: 2 + rng.Intn(26),
 		}
-	case kernels.KindMemcpyH2D:
-		return kernels.Memcpy{NBytes: jitter(rng, expChoice(rng, 10, 27), 0.3), Dir: kernels.H2D}
-	case kernels.KindMemcpyD2H:
-		return kernels.Memcpy{NBytes: jitter(rng, expChoice(rng, 10, 27), 0.3), Dir: kernels.D2H}
-	case kernels.KindMemcpyD2D:
-		return kernels.Memcpy{NBytes: jitter(rng, expChoice(rng, 10, 27), 0.3), Dir: kernels.D2D}
+	case kernels.KindMemcpyH2D, kernels.KindMemcpyD2H, kernels.KindMemcpyD2D:
+		return kernels.Kernel{Kind: kind, NBytes: jitter(rng, expChoice(rng, 10, 27), 0.3)}
 	case kernels.KindTranspose:
 		// Include non-multiples of 32 so alignment penalties are sampled,
 		// and very small M/N: DLRM's interaction transposes are (B, F, D)
 		// with F around 10.
-		return kernels.Transpose{
-			B: expChoice(rng, 0, 12),
-			M: jitter(rng, expChoice(rng, 2, 11), 0.3),
-			N: jitter(rng, expChoice(rng, 2, 11), 0.3),
+		return kernels.Kernel{
+			Kind: kernels.KindTranspose,
+			B:    expChoice(rng, 0, 12),
+			M:    jitter(rng, expChoice(rng, 2, 11), 0.3),
+			N:    jitter(rng, expChoice(rng, 2, 11), 0.3),
 		}
 	case kernels.KindTrilFwd, kernels.KindTrilBwd:
-		return kernels.Tril{
-			B:        expChoice(rng, 6, 13),
-			F:        4 + int64(rng.Intn(60)), // interaction features 4..63
-			Backward: kind == kernels.KindTrilBwd,
+		return kernels.Kernel{
+			Kind: kind,
+			B:    expChoice(rng, 6, 13),
+			F:    4 + int64(rng.Intn(60)), // interaction features 4..63
 		}
 	case kernels.KindElementwise:
-		return kernels.Elementwise{
+		return kernels.Kernel{
+			Kind:          kernels.KindElementwise,
 			Name:          "bench",
 			NElems:        jitter(rng, expChoice(rng, 10, 26), 0.3),
 			ReadsPerElem:  4 * float64(1+rng.Intn(2)),
@@ -123,7 +123,8 @@ func generateOne(kind kernels.Kind, rng *xrand.Rand) kernels.Kernel {
 		if m := (f[1] - 1) / 2; padW > m {
 			padW = m
 		}
-		return kernels.Conv{
+		return kernels.Kernel{
+			Kind: kernels.KindConv,
 			// Channel counts are jittered off the power-of-two grid: real
 			// networks use 48/80/192/768-style widths.
 			N: expChoice(rng, 2, 7),                    // 4..128
@@ -137,10 +138,11 @@ func generateOne(kind kernels.Kind, rng *xrand.Rand) kernels.Kernel {
 	case kernels.KindBatchNorm:
 		hws := []int64{7, 14, 28, 56, 112}
 		hw := hws[rng.Intn(len(hws))]
-		return kernels.BatchNorm{
-			N: expChoice(rng, 2, 7),
-			C: expChoice(rng, 4, 10),
-			H: hw, W: hw,
+		return kernels.Kernel{
+			Kind: kernels.KindBatchNorm,
+			N:    expChoice(rng, 2, 7),
+			C:    expChoice(rng, 4, 10),
+			H:    hw, W: hw,
 		}
 	}
 	panic(fmt.Sprintf("microbench: no sweep for kind %v", kind))

@@ -63,7 +63,7 @@ func TestDLRMKernelCensus(t *testing.T) {
 	counts := map[kernels.Kind]int{}
 	for _, n := range m.Graph.Nodes {
 		for _, k := range m.Graph.NodeKernels(n) {
-			counts[k.Kind()]++
+			counts[k.Kind]++
 		}
 	}
 	// The six dominating kernel families of Section III-A must all appear.
@@ -95,8 +95,8 @@ func TestDLRMResize(t *testing.T) {
 		if n.Op.Name() != "LookupFunction" {
 			continue
 		}
-		k := m.Graph.NodeKernels(n)[0].(kernels.Embedding)
-		if k.B != 4096 {
+		k := m.Graph.NodeKernels(n)[0]
+		if k.Kind != kernels.KindEmbeddingFwd || k.B != 4096 {
 			t.Errorf("embedding batch after resize = %d", k.B)
 		}
 		found = true
@@ -207,7 +207,7 @@ func TestResNetDominatedByConvFLOPs(t *testing.T) {
 	for _, n := range m.Graph.Nodes {
 		for _, k := range m.Graph.NodeKernels(n) {
 			totalFLOPs += k.FLOPs()
-			if k.Kind() == kernels.KindConv {
+			if k.Kind == kernels.KindConv {
 				convFLOPs += k.FLOPs()
 			}
 		}
@@ -230,7 +230,7 @@ func TestInceptionHasAsymmetricConvs(t *testing.T) {
 	asym := 0
 	for _, n := range m.Graph.Nodes {
 		for _, k := range m.Graph.NodeKernels(n) {
-			if c, ok := k.(kernels.Conv); ok && c.R != c.S {
+			if k.Kind == kernels.KindConv && k.R != k.S {
 				asym++
 			}
 		}
@@ -249,7 +249,7 @@ func TestTransformerDominatedByGEMM(t *testing.T) {
 	for _, n := range m.Graph.Nodes {
 		for _, k := range m.Graph.NodeKernels(n) {
 			total += k.FLOPs()
-			if k.Kind() == kernels.KindGEMM {
+			if k.Kind == kernels.KindGEMM {
 				gemm += k.FLOPs()
 			}
 		}

@@ -14,11 +14,11 @@ type Conv2d struct {
 // Name implements Op.
 func (Conv2d) Name() string { return "aten::conv2d" }
 
-func (c Conv2d) kernel(in tensor.Meta) kernels.Conv {
+func (c Conv2d) kernel(in tensor.Meta) kernels.Kernel {
 	// "Same"-style padding never exceeds half the filter extent on each
 	// axis, so asymmetric filters are padded only along their long axis.
-	return kernels.Conv{
-		N: in.Dim(0), C: in.Dim(1), H: in.Dim(2), W: in.Dim(3),
+	return kernels.Kernel{
+		Kind: kernels.KindConv, N: in.Dim(0), C: in.Dim(1), H: in.Dim(2), W: in.Dim(3),
 		K: c.K, R: c.R, S: c.S, Stride: c.Stride,
 		PadH: capPad(c.Pad, c.R), PadW: capPad(c.Pad, c.S),
 	}
@@ -64,12 +64,7 @@ func (c Conv2dBackward) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 
 // AppendKernels implements Op.
 func (c Conv2dBackward) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
-	x := inputs[1]
-	fwd := kernels.Conv{
-		N: x.Dim(0), C: x.Dim(1), H: x.Dim(2), W: x.Dim(3),
-		K: c.K, R: c.R, S: c.S, Stride: c.Stride,
-		PadH: capPad(c.Pad, c.R), PadW: capPad(c.Pad, c.S),
-	}
+	fwd := Conv2d(c).kernel(inputs[1])
 	// dgrad and wgrad each move roughly the forward conv's work; model
 	// them as two convolutions of the same shape (the standard 3x
 	// training-cost rule of thumb).
@@ -91,7 +86,7 @@ func (BatchNorm2d) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 // AppendKernels implements Op.
 func (BatchNorm2d) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
 	in := inputs[0]
-	return append(dst, kernels.BatchNorm{N: in.Dim(0), C: in.Dim(1), H: in.Dim(2), W: in.Dim(3)})
+	return append(dst, kernels.Kernel{Kind: kernels.KindBatchNorm, N: in.Dim(0), C: in.Dim(1), H: in.Dim(2), W: in.Dim(3)})
 }
 
 // BatchNorm2dBackward is NativeBatchNormBackward0.
@@ -109,7 +104,7 @@ func (BatchNorm2dBackward) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Met
 // AppendKernels implements Op.
 func (BatchNorm2dBackward) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
 	in := inputs[0]
-	k := kernels.BatchNorm{N: in.Dim(0), C: in.Dim(1), H: in.Dim(2), W: in.Dim(3)}
+	k := kernels.Kernel{Kind: kernels.KindBatchNorm, N: in.Dim(0), C: in.Dim(1), H: in.Dim(2), W: in.Dim(3)}
 	// Backward needs the same two-pass structure twice (dgamma/dbeta
 	// reduction, then dx).
 	return append(dst, k, k)
@@ -131,8 +126,8 @@ func (m MaxPool2d) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 func (m MaxPool2d) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
 	p, q := m.outHW(inputs)
 	w := float64(m.Window * m.Window)
-	return append(dst, kernels.Elementwise{
-		Name: "max_pool2d", NElems: inputs[0].Dim(0) * inputs[0].Dim(1) * p * q,
+	return append(dst, kernels.Kernel{
+		Kind: kernels.KindElementwise, Name: "max_pool2d", NElems: inputs[0].Dim(0) * inputs[0].Dim(1) * p * q,
 		ReadsPerElem: 4 * w, WritesPerElem: 4, FLOPsPerElem: w,
 	})
 }
@@ -161,8 +156,8 @@ func (AdaptiveAvgPool2d) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta 
 func (AdaptiveAvgPool2d) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
 	in := inputs[0]
 	hw := float64(in.Dim(2) * in.Dim(3))
-	return append(dst, kernels.Elementwise{
-		Name: "avg_pool", NElems: in.Dim(0) * in.Dim(1),
+	return append(dst, kernels.Kernel{
+		Kind: kernels.KindElementwise, Name: "avg_pool", NElems: in.Dim(0) * in.Dim(1),
 		ReadsPerElem: 4 * hw, WritesPerElem: 4, FLOPsPerElem: hw,
 	})
 }
@@ -181,8 +176,8 @@ func (CrossEntropyLoss) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 
 // AppendKernels implements Op.
 func (CrossEntropyLoss) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
-	return append(dst, kernels.Elementwise{
-		Name: "cross_entropy", NElems: inputs[0].Numel(),
+	return append(dst, kernels.Kernel{
+		Kind: kernels.KindElementwise, Name: "cross_entropy", NElems: inputs[0].Numel(),
 		ReadsPerElem: 8, WritesPerElem: 0.1, FLOPsPerElem: 8,
 	})
 }
@@ -201,8 +196,8 @@ func (CrossEntropyBackward) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Me
 
 // AppendKernels implements Op.
 func (CrossEntropyBackward) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
-	return append(dst, kernels.Elementwise{
-		Name: "nll_backward", NElems: inputs[0].Numel(),
+	return append(dst, kernels.Kernel{
+		Kind: kernels.KindElementwise, Name: "nll_backward", NElems: inputs[0].Numel(),
 		ReadsPerElem: 8, WritesPerElem: 4, FLOPsPerElem: 4,
 	})
 }

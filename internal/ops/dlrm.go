@@ -85,9 +85,8 @@ func (e EmbeddingLookup) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta 
 // AppendKernels implements Op.
 func (e EmbeddingLookup) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
 	b := inputs[0].Dim(0)
-	k := kernels.Embedding{
-		B: b, E: e.AvgRows(), T: e.T(), L: e.L, D: e.D,
-		Backward: e.Backward,
+	k := kernels.Kernel{
+		Kind: embeddingKind(e.Backward), B: b, E: e.AvgRows(), T: e.T(), L: e.L, D: e.D,
 		ZipfSkew: e.ZipfSkew,
 	}
 	// Mixed table sizes cache worse than their average suggests; fold the
@@ -135,11 +134,18 @@ func (e EmbeddingBag) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 // AppendKernels implements Op.
 func (e EmbeddingBag) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
 	b := inputs[0].Dim(0)
-	return append(dst, kernels.Embedding{
-		B: b, E: e.Rows, T: 1, L: e.L, D: e.D,
-		Backward: e.Backward,
+	return append(dst, kernels.Kernel{
+		Kind: embeddingKind(e.Backward), B: b, E: e.Rows, T: 1, L: e.L, D: e.D,
 		ZipfSkew: e.ZipfSkew,
 	})
+}
+
+// embeddingKind is the lookup kernel's kind in the given direction.
+func embeddingKind(backward bool) kernels.Kind {
+	if backward {
+		return kernels.KindEmbeddingBwd
+	}
+	return kernels.KindEmbeddingFwd
 }
 
 // TrilIndex extracts the strictly-lower-triangular entries of the feature
@@ -161,7 +167,7 @@ func (TrilIndex) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 // AppendKernels implements Op.
 func (TrilIndex) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
 	in := inputs[0]
-	return append(dst, kernels.Tril{B: in.Dim(0), F: in.Dim(1)})
+	return append(dst, kernels.Kernel{Kind: kernels.KindTrilFwd, B: in.Dim(0), F: in.Dim(1)})
 }
 
 // TrilIndexBackward is IndexBackward0: scatter the flattened gradient
@@ -180,5 +186,5 @@ func (t TrilIndexBackward) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Met
 
 // AppendKernels implements Op.
 func (t TrilIndexBackward) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
-	return append(dst, kernels.Tril{B: inputs[0].Dim(0), F: t.F, Backward: true})
+	return append(dst, kernels.Kernel{Kind: kernels.KindTrilBwd, B: inputs[0].Dim(0), F: t.F})
 }

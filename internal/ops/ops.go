@@ -74,12 +74,9 @@ func (e Elementwise) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 
 // AppendKernels implements Op.
 func (e Elementwise) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
-	return append(dst, kernels.Elementwise{
-		Name:          shortName(e.OpName),
-		NElems:        inputs[0].Numel(),
-		ReadsPerElem:  e.ReadsPerElem,
-		WritesPerElem: e.WritesPerElem,
-		FLOPsPerElem:  e.FLOPsPerElem,
+	return append(dst, kernels.Kernel{
+		Kind: kernels.KindElementwise, Name: shortName(e.OpName), NElems: inputs[0].Numel(),
+		ReadsPerElem: e.ReadsPerElem, WritesPerElem: e.WritesPerElem, FLOPsPerElem: e.FLOPsPerElem,
 	})
 }
 
@@ -184,8 +181,8 @@ func (s SliceBackward) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 
 // AppendKernels implements Op.
 func (s SliceBackward) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
-	return append(dst, kernels.Elementwise{
-		Name: "slice_backward", NElems: inputs[0].Dim(0) * s.Cols,
+	return append(dst, kernels.Kernel{
+		Kind: kernels.KindElementwise, Name: "slice_backward", NElems: inputs[0].Dim(0) * s.Cols,
 		ReadsPerElem: 4, WritesPerElem: 4,
 	})
 }
@@ -241,7 +238,7 @@ func (ToDevice) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 
 // AppendKernels implements Op.
 func (ToDevice) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
-	return append(dst, kernels.Memcpy{NBytes: inputs[0].Bytes(), Dir: kernels.H2D})
+	return append(dst, kernels.Kernel{Kind: kernels.KindMemcpyH2D, NBytes: inputs[0].Bytes()})
 }
 
 // Concat concatenates its inputs along Dim (aten::cat).
@@ -269,7 +266,7 @@ func (c Concat) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kern
 		}
 		bytes *= n
 	}
-	return append(dst, kernels.Concat{OutBytes: bytes, NInputs: len(inputs)})
+	return append(dst, kernels.Kernel{Kind: kernels.KindConcat, NBytes: bytes, NInputs: len(inputs)})
 }
 
 // axis returns the concatenation axis, made non-negative, and the
@@ -308,7 +305,7 @@ func (TransposeOp) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 // AppendKernels implements Op.
 func (TransposeOp) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
 	in := inputs[0]
-	return append(dst, kernels.Transpose{B: in.Dim(0), M: in.Dim(1), N: in.Dim(2)})
+	return append(dst, kernels.Kernel{Kind: kernels.KindTranspose, B: in.Dim(0), M: in.Dim(1), N: in.Dim(2)})
 }
 
 // TBackward is the autograd node of a transpose (TBackward0).
@@ -344,7 +341,7 @@ func (l Linear) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 // AppendKernels implements Op.
 func (l Linear) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
 	in := inputs[0]
-	return append(dst, kernels.GEMM{Batch: 1, M: in.Dim(0), N: l.Out, K: in.Dim(1)})
+	return append(dst, kernels.Kernel{Kind: kernels.KindGEMM, B: 1, M: in.Dim(0), N: l.Out, K: in.Dim(1)})
 }
 
 // LinearBackward is AddmmBackward0: two GEMMs, dgrad (B,out)x(out,in) and
@@ -368,8 +365,8 @@ func (LinearBackward) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) 
 	gradOut, x := inputs[0], inputs[1]
 	b, out, in := gradOut.Dim(0), gradOut.Dim(1), x.Dim(1)
 	return append(dst,
-		kernels.GEMM{Batch: 1, M: b, N: in, K: out}, // dX = dY @ W^T
-		kernels.GEMM{Batch: 1, M: in, N: out, K: b}, // dW = X^T @ dY
+		kernels.Kernel{Kind: kernels.KindGEMM, B: 1, M: b, N: in, K: out}, // dX = dY @ W^T
+		kernels.Kernel{Kind: kernels.KindGEMM, B: 1, M: in, N: out, K: b}, // dW = X^T @ dY
 	)
 }
 
@@ -389,7 +386,7 @@ func (BMM) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 // AppendKernels implements Op.
 func (BMM) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
 	a, b := inputs[0], inputs[1]
-	return append(dst, kernels.GEMM{Batch: a.Dim(0), M: a.Dim(1), N: b.Dim(2), K: a.Dim(2)})
+	return append(dst, kernels.Kernel{Kind: kernels.KindGEMM, B: a.Dim(0), M: a.Dim(1), N: b.Dim(2), K: a.Dim(2)})
 }
 
 // BMMBackward is BmmBackward0: two batched GEMMs. Inputs: grad_out
@@ -409,8 +406,8 @@ func (BMMBackward) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 func (BMMBackward) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
 	g, a, b := inputs[0], inputs[1], inputs[2]
 	return append(dst,
-		kernels.GEMM{Batch: g.Dim(0), M: a.Dim(1), N: a.Dim(2), K: g.Dim(2)}, // dA = dC @ B^T
-		kernels.GEMM{Batch: g.Dim(0), M: b.Dim(1), N: b.Dim(2), K: g.Dim(1)}, // dB = A^T @ dC
+		kernels.Kernel{Kind: kernels.KindGEMM, B: g.Dim(0), M: a.Dim(1), N: a.Dim(2), K: g.Dim(2)}, // dA = dC @ B^T
+		kernels.Kernel{Kind: kernels.KindGEMM, B: g.Dim(0), M: b.Dim(1), N: b.Dim(2), K: g.Dim(1)}, // dB = A^T @ dC
 	)
 }
 
@@ -433,8 +430,9 @@ func (OptimizerStep) AppendOutputs(dst, _ []tensor.Meta) []tensor.Meta { return 
 // AppendKernels implements Op.
 func (o OptimizerStep) AppendKernels(dst []kernels.Kernel, _ []tensor.Meta) []kernels.Kernel {
 	for _, n := range o.ParamSizes {
-		dst = append(dst, kernels.Elementwise{
-			Name: "sgd_step", NElems: n, ReadsPerElem: 8, WritesPerElem: 4, FLOPsPerElem: 2,
+		dst = append(dst, kernels.Kernel{
+			Kind: kernels.KindElementwise, Name: "sgd_step", NElems: n,
+			ReadsPerElem: 8, WritesPerElem: 4, FLOPsPerElem: 2,
 		})
 	}
 	return dst
@@ -455,8 +453,8 @@ func (OptimizerZeroGrad) AppendOutputs(dst, _ []tensor.Meta) []tensor.Meta { ret
 // AppendKernels implements Op.
 func (o OptimizerZeroGrad) AppendKernels(dst []kernels.Kernel, _ []tensor.Meta) []kernels.Kernel {
 	for _, n := range o.ParamSizes {
-		dst = append(dst, kernels.Elementwise{
-			Name: "zero_", NElems: n, WritesPerElem: 4,
+		dst = append(dst, kernels.Kernel{
+			Kind: kernels.KindElementwise, Name: "zero_", NElems: n, WritesPerElem: 4,
 		})
 	}
 	return dst

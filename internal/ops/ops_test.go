@@ -14,8 +14,8 @@ func TestLinearShapesAndKernel(t *testing.T) {
 	if out[0].Dim(0) != 128 || out[0].Dim(1) != 256 {
 		t.Errorf("linear out = %v", out[0])
 	}
-	g := l.AppendKernels(nil, in)[0].(kernels.GEMM)
-	if g.M != 128 || g.N != 256 || g.K != 512 {
+	g := l.AppendKernels(nil, in)[0]
+	if g.Kind != kernels.KindGEMM || g.M != 128 || g.N != 256 || g.K != 512 {
 		t.Errorf("gemm = %+v", g)
 	}
 }
@@ -34,8 +34,7 @@ func TestLinearBackwardTwoGEMMs(t *testing.T) {
 	if len(ks) != 2 {
 		t.Fatalf("AddmmBackward0 kernels = %d, want 2", len(ks))
 	}
-	dgrad := ks[0].(kernels.GEMM)
-	wgrad := ks[1].(kernels.GEMM)
+	dgrad, wgrad := ks[0], ks[1]
 	if dgrad.M != 128 || dgrad.N != 512 || dgrad.K != 256 {
 		t.Errorf("dgrad = %+v", dgrad)
 	}
@@ -44,7 +43,7 @@ func TestLinearBackwardTwoGEMMs(t *testing.T) {
 	}
 	// Forward and backward GEMMs share one kernel kind — the sharing the
 	// paper exploits to reuse one performance model.
-	if dgrad.Kind() != (kernels.GEMM{}).Kind() {
+	if dgrad.Kind != kernels.KindGEMM || wgrad.Kind != kernels.KindGEMM {
 		t.Error("backward GEMM has different kind")
 	}
 }
@@ -55,8 +54,8 @@ func TestBMMShapes(t *testing.T) {
 	if out.String() != tensor.New(64, 9, 9).String() {
 		t.Errorf("bmm out = %v", out)
 	}
-	g := BMM{}.AppendKernels(nil, in)[0].(kernels.GEMM)
-	if g.Batch != 64 || g.M != 9 || g.N != 9 || g.K != 32 {
+	g := BMM{}.AppendKernels(nil, in)[0]
+	if g.Kind != kernels.KindGEMM || g.B != 64 || g.M != 9 || g.N != 9 || g.K != 32 {
 		t.Errorf("bmm gemm = %+v", g)
 	}
 	bk := BMMBackward{}.AppendKernels(nil, []tensor.Meta{out, in[0], in[1]})
@@ -71,8 +70,8 @@ func TestConcatOutputs(t *testing.T) {
 	if out.String() != tensor.New(8, 5, 16).String() {
 		t.Errorf("cat out = %v", out)
 	}
-	k := Concat{Dim: 1}.AppendKernels(nil, in)[0].(kernels.Concat)
-	if k.OutBytes != out.Bytes() || k.NInputs != 2 {
+	k := Concat{Dim: 1}.AppendKernels(nil, in)[0]
+	if k.Kind != kernels.KindConcat || k.NBytes != out.Bytes() || k.NInputs != 2 {
 		t.Errorf("cat kernel = %+v", k)
 	}
 }
@@ -90,8 +89,8 @@ func TestEmbeddingLookupAvgRows(t *testing.T) {
 	if out.String() != tensor.New(64, 3, 8).String() {
 		t.Errorf("lookup out = %v", out)
 	}
-	k := e.AppendKernels(nil, in)[0].(kernels.Embedding)
-	if k.B != 64 || k.E != 200 || k.T != 3 || k.L != 4 || k.D != 8 {
+	k := e.AppendKernels(nil, in)[0]
+	if k.Kind != kernels.KindEmbeddingFwd || k.B != 64 || k.E != 200 || k.T != 3 || k.L != 4 || k.D != 8 {
 		t.Errorf("kernel = %+v", k)
 	}
 }
@@ -100,9 +99,9 @@ func TestEmbeddingVaryingTablesPerturbGroundTruth(t *testing.T) {
 	uniform := EmbeddingLookup{Rows: []int64{1000, 1000}, L: 2, D: 8}
 	mixed := EmbeddingLookup{Rows: []int64{10, 1990}, L: 2, D: 8}
 	in := []tensor.Meta{tensor.NewTyped(tensor.Int64, 64, 2, 2)}
-	ku := uniform.AppendKernels(nil, in)[0].(kernels.Embedding)
-	km := mixed.AppendKernels(nil, in)[0].(kernels.Embedding)
-	if ku.E != km.E {
+	ku := uniform.AppendKernels(nil, in)[0]
+	km := mixed.AppendKernels(nil, in)[0]
+	if ku.Kind != kernels.KindEmbeddingFwd || km.Kind != kernels.KindEmbeddingFwd || ku.E != km.E {
 		t.Fatal("test requires equal average rows")
 	}
 	if ku.ZipfSkew == km.ZipfSkew {
@@ -121,8 +120,8 @@ func TestTrilShapes(t *testing.T) {
 	if back.String() != tensor.New(32, 9, 9).String() {
 		t.Errorf("tril backward out = %v", back)
 	}
-	k := b.AppendKernels(nil, []tensor.Meta{out})[0].(kernels.Tril)
-	if !k.Backward || k.F != 9 {
+	k := b.AppendKernels(nil, []tensor.Meta{out})[0]
+	if k.Kind != kernels.KindTrilBwd || k.F != 9 {
 		t.Errorf("tril bwd kernel = %+v", k)
 	}
 }
@@ -155,8 +154,8 @@ func TestOptimizerKernelsPerParam(t *testing.T) {
 }
 
 func TestToDeviceIsH2D(t *testing.T) {
-	k := ToDevice{}.AppendKernels(nil, []tensor.Meta{tensor.New(2048, 512)})[0].(kernels.Memcpy)
-	if k.Dir != kernels.H2D {
+	k := ToDevice{}.AppendKernels(nil, []tensor.Meta{tensor.New(2048, 512)})[0]
+	if k.Kind != kernels.KindMemcpyH2D {
 		t.Error("aten::to should be H2D")
 	}
 	if k.NBytes != 2048*512*4 {

@@ -55,34 +55,23 @@ type DB struct {
 	Defaults [3]Stats `json:"defaults"`
 }
 
-// Collector holds the extraction and trimming settings: Profile takes
-// samples with its corrections, Pool trims them.
+// Collector holds the trimming setting: Profile takes samples, Pool
+// trims them.
 type Collector struct {
-	// CPUCorrection and GPUCorrection are the per-event profiler
-	// overheads subtracted during extraction.
-	CPUCorrection float64
-	GPUCorrection float64
 	// TrimK is the IQR whisker multiplier (1.5 in the paper); zero or a
 	// negative value disables outlier removal (used by the trimming
 	// ablation).
 	TrimK float64
 }
 
-// NewCollector returns a Collector with the paper's correction constants
-// (2 µs per CPU event, 4 µs per GPU event) and 1.5-IQR trimming.
-func NewCollector() *Collector {
-	return &Collector{
-		CPUCorrection: sim.ProfilerCPUEventOverhead,
-		GPUCorrection: sim.ProfilerGPUEventOverhead,
-		TrimK:         1.5,
-	}
-}
+// NewCollector returns a Collector with the paper's 1.5-IQR trimming.
+func NewCollector() *Collector { return &Collector{TrimK: 1.5} }
 
 // Profile simulates g under cfg and returns the run's samples. The
 // simulator hands each op to the samples as it computes it, so no trace
 // is recorded; set cfg.Profile for the profiler's own overheads.
 func (c *Collector) Profile(g *graph.Graph, cfg sim.Config) *Samples {
-	s := c.newSamples(max(cfg.Iters, 1))
+	s := newSamples(max(cfg.Iters, 1))
 	cfg.Observer = s
 	sim.Run(g, cfg)
 	return s
@@ -125,21 +114,22 @@ type sample struct {
 
 // Samples is one run's overhead samples in observation order, with the
 // op and runtime-function names they refer to in first-seen order. It is
-// the one sample writer: it implements sim.Observer. Once written it is
-// only read.
+// the one sample writer: it implements sim.Observer, subtracting the
+// paper's per-event profiler overheads (sim.ProfilerCPUEventOverhead,
+// 2 µs, and sim.ProfilerGPUEventOverhead, 4 µs) as it extracts. Once
+// written it is only read.
 type Samples struct {
 	samples []sample
 	names   [2][]string
 	ids     [2]map[string]int32
-	// cpu and gpu are the collector's corrections; iters, the recorded
-	// iterations, sizes the samples; iter and lastEnd are the last op's
-	// iteration (-1 before the first) and end.
-	cpu, gpu, lastEnd float64
-	iters, iter       int
+	// iters, the recorded iterations, sizes the samples; iter and
+	// lastEnd are the last op's iteration (-1 before the first) and end.
+	lastEnd     float64
+	iters, iter int
 }
 
-func (c *Collector) newSamples(iters int) *Samples {
-	return &Samples{ids: [2]map[string]int32{{}, {}}, cpu: c.CPUCorrection, gpu: c.GPUCorrection, iters: iters, iter: -1}
+func newSamples(iters int) *Samples {
+	return &Samples{ids: [2]map[string]int32{{}, {}}, iters: iters, iter: -1}
 }
 
 // Len reports the number of samples.
@@ -176,14 +166,14 @@ func (s *Samples) Op(o *sim.Op) {
 	if len(calls) == 0 {
 		// Algorithm 1's else branch charges T5 for kernel-less ops;
 		// extract the op body accordingly.
-		s.add(idxT5, id, max(o.End-o.Start-s.cpu, 0))
+		s.add(idxT5, id, max(o.End-o.Start-sim.ProfilerCPUEventOverhead, 0))
 		return
 	}
-	s.add(idxT2, id, max(calls[0].Start-o.Start-s.cpu, 0))
-	s.add(idxT3, id, max(o.End-calls[len(calls)-1].End-s.gpu, 0))
+	s.add(idxT2, id, max(calls[0].Start-o.Start-sim.ProfilerCPUEventOverhead, 0))
+	s.add(idxT3, id, max(o.End-calls[len(calls)-1].End-sim.ProfilerGPUEventOverhead, 0))
 	for j, c := range calls {
 		if j > 0 {
-			s.add(idxT5, id, max(c.Start-calls[j-1].End-s.gpu, 0))
+			s.add(idxT5, id, max(c.Start-calls[j-1].End-sim.ProfilerGPUEventOverhead, 0))
 		}
 		s.add(kindT4, s.id(fnNames, c.Fn), c.End-c.Start)
 	}

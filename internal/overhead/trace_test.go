@@ -31,7 +31,7 @@ func Shared(trs []*trace.Trace) *DB {
 // extract replays every iteration of tr into Samples, op by op in host
 // order.
 func (c *Collector) extract(tr *trace.Trace) *Samples {
-	s := c.newSamples(tr.Iters)
+	s := newSamples(tr.Iters)
 	o := &sim.Op{}
 	for iter := 0; iter < tr.Iters; iter++ {
 		for _, oe := range tr.EventTree(iter) {

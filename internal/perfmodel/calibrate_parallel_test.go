@@ -57,11 +57,11 @@ func TestCalibrateSerialParallelEquivalence(t *testing.T) {
 	rng := xrand.New(99)
 	for _, kind := range sk {
 		for _, k := range microbench.GenerateKernels(kind, 8, rng) {
-			a, err := serial.Registry.Predict(k)
+			a, err := serial.Registry.Predict(&k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := parallel.Registry.Predict(k)
+			b, err := parallel.Registry.Predict(&k)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -37,11 +37,11 @@ type ELHeuristic struct {
 func (m *ELHeuristic) Name() string { return m.ModelName }
 
 // traffic returns the per-WARP traffic terms of the paper's formulas.
-func elTerms(e kernels.Embedding) (fixed, idx, weights, out float64) {
+func elTerms(e kernels.Kernel) (fixed, idx, weights, out float64) {
 	rowBytes := float64((4*e.D + 31) / 32 * 32)
 	fixed = 32 + 64
 	idx = float64((4*e.L + 31) / 32 * 32)
-	if e.Backward {
+	if e.Backward() {
 		weights = float64((2*4*e.L*e.D + 31) / 32 * 32)
 	} else {
 		weights = float64(e.L) * rowBytes
@@ -53,7 +53,7 @@ func elTerms(e kernels.Embedding) (fixed, idx, weights, out float64) {
 // HitRate returns the enhanced model's estimate of p: the probability
 // that all L row accesses of one pooled lookup are L2-resident,
 // p = C(cached, L) / C(E, L).
-func (m *ELHeuristic) HitRate(e kernels.Embedding) float64 {
+func (m *ELHeuristic) HitRate(e kernels.Kernel) float64 {
 	if e.E <= 0 {
 		return 0
 	}
@@ -81,12 +81,11 @@ func (m *ELHeuristic) HitRate(e kernels.Embedding) float64 {
 }
 
 // Predict implements KernelModel.
-func (m *ELHeuristic) Predict(k kernels.Kernel) float64 {
-	e, ok := k.(kernels.Embedding)
-	if !ok {
+func (m *ELHeuristic) Predict(k *kernels.Kernel) float64 {
+	if !isEmbedding(k.Kind) {
 		panic("perfmodel: ELHeuristic got non-embedding kernel")
 	}
-	e = e.WithDefaults()
+	e := k.WithDefaults()
 	fixed, idx, weights, out := elTerms(e)
 	warps := float64(e.B) * float64(e.T)
 	if !m.Enhanced {
@@ -105,8 +104,11 @@ const LargeTableThreshold = 100_000
 // IsLargeTable reports whether a benchmark sample belongs to the
 // large-table subset.
 func IsLargeTable(k kernels.Kernel) bool {
-	e, ok := k.(kernels.Embedding)
-	return ok && e.E > LargeTableThreshold
+	return isEmbedding(k.Kind) && k.E > LargeTableThreshold
+}
+
+func isEmbedding(k kernels.Kind) bool {
+	return k == kernels.KindEmbeddingFwd || k == kernels.KindEmbeddingBwd
 }
 
 // CalibrateEL fits the corrected bandwidths of the embedding model from a
@@ -121,7 +123,7 @@ func CalibrateEL(name string, gpu hw.GPU, ds *microbench.Dataset, enhanced bool)
 
 	var dramBWs []float64
 	for _, s := range ds.Filter(IsLargeTable).Samples {
-		e := s.Kernel.(kernels.Embedding).WithDefaults()
+		e := s.Kernel.WithDefaults()
 		fixed, idx, weights, out := elTerms(e)
 		warps := float64(e.B) * float64(e.T)
 		if s.Time > 0 {
@@ -143,11 +145,10 @@ func CalibrateEL(name string, gpu hw.GPU, ds *microbench.Dataset, enhanced bool)
 
 	var l2BWs []float64
 	for _, s := range ds.Samples {
-		e, ok := s.Kernel.(kernels.Embedding)
-		if !ok {
+		if !isEmbedding(s.Kernel.Kind) {
 			continue
 		}
-		e = e.WithDefaults()
+		e := s.Kernel.WithDefaults()
 		p := m.HitRate(e)
 		if p < 0.9 { // only confidently cached samples identify the L2 term
 			continue

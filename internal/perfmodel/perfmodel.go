@@ -27,7 +27,7 @@ type KernelModel interface {
 	// Name identifies the model (for reports).
 	Name() string
 	// Predict returns the predicted kernel time in µs.
-	Predict(k kernels.Kernel) float64
+	Predict(k *kernels.Kernel) float64
 }
 
 // --- Roofline ----------------------------------------------------------------
@@ -52,7 +52,7 @@ type Roofline struct {
 func (r Roofline) Name() string { return r.ModelName }
 
 // Predict implements KernelModel.
-func (r Roofline) Predict(k kernels.Kernel) float64 {
+func (r Roofline) Predict(k *kernels.Kernel) float64 {
 	read, write := k.Bytes()
 	t := r.Lat + (read+write)/r.BW
 	if r.Peak > 0 {
@@ -122,12 +122,12 @@ func CalibrateRoofline(name string, ds *microbench.Dataset, peakFLOPs float64) R
 // network only has to learn the bounded efficiency surface (tile and
 // wave quantization, alignment penalties, shape quirks). This keeps the
 // model unbiased across the size range and extrapolation-safe.
-type Baseline func(k kernels.Kernel) float64
+type Baseline func(k *kernels.Kernel) float64
 
 // RooflineBaseline returns the spec-sheet roofline baseline for a GPU
 // with the given peak FLOP/µs and bandwidth B/µs.
 func RooflineBaseline(peak, bw float64) Baseline {
-	return func(k kernels.Kernel) float64 {
+	return func(k *kernels.Kernel) float64 {
 		read, write := k.Bytes()
 		t := (read + write) / bw
 		if peak > 0 {
@@ -162,12 +162,12 @@ type MLPModel struct {
 func (m *MLPModel) Name() string { return m.ModelName }
 
 // base returns the analytic baseline time of k.
-func (m *MLPModel) base(k kernels.Kernel) float64 {
+func (m *MLPModel) base(k *kernels.Kernel) float64 {
 	return RooflineBaseline(m.BasePeak, m.BaseBW)(k)
 }
 
 // Predict implements KernelModel.
-func (m *MLPModel) Predict(k kernels.Kernel) float64 {
+func (m *MLPModel) Predict(k *kernels.Kernel) float64 {
 	var buf [8]float64 // the widest feature vector, Conv's
 	x := kernels.AppendFeatures(buf[:0], k)
 	s := 0.0
@@ -181,13 +181,14 @@ func (m *MLPModel) Predict(k kernels.Kernel) float64 {
 func residualTargets(ds *microbench.Dataset, base Baseline) ([][]float64, []float64) {
 	var X [][]float64
 	var Y []float64
-	for _, s := range ds.Samples {
+	for i := range ds.Samples {
+		s := &ds.Samples[i]
 		t := s.Time
 		if t <= 0 {
 			t = 1e-6
 		}
-		X = append(X, kernels.AppendFeatures(nil, s.Kernel))
-		Y = append(Y, math.Log(t/base(s.Kernel)))
+		X = append(X, kernels.AppendFeatures(nil, &s.Kernel))
+		Y = append(Y, math.Log(t/base(&s.Kernel)))
 	}
 	return X, Y
 }
@@ -233,8 +234,9 @@ func FitMLP(name string, ds *microbench.Dataset, basePeak, baseBW float64, opt C
 // Evaluate computes the Table IV error statistics of model on a dataset.
 func Evaluate(model KernelModel, ds *microbench.Dataset) stats.ErrorSummary {
 	var pred, actual []float64
-	for _, s := range ds.Samples {
-		pred = append(pred, model.Predict(s.Kernel))
+	for i := range ds.Samples {
+		s := &ds.Samples[i]
+		pred = append(pred, model.Predict(&s.Kernel))
 		actual = append(actual, s.Time)
 	}
 	return stats.Summarize(pred, actual)
@@ -265,10 +267,10 @@ func (r *Registry) Model(kind kernels.Kind) KernelModel { return r.models[kind] 
 
 // Predict returns the predicted time of k. It returns ErrNoModel if the
 // kind is not covered.
-func (r *Registry) Predict(k kernels.Kernel) (float64, error) {
-	m, ok := r.models[k.Kind()]
+func (r *Registry) Predict(k *kernels.Kernel) (float64, error) {
+	m, ok := r.models[k.Kind]
 	if !ok {
-		return 0, fmt.Errorf("%w %s", ErrNoModel, k.Kind())
+		return 0, fmt.Errorf("%w %s", ErrNoModel, k.Kind)
 	}
 	return m.Predict(k), nil
 }

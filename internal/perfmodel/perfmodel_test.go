@@ -90,8 +90,8 @@ func TestPlainELOverpredictsSmallTables(t *testing.T) {
 	ds := microbench.CollectKind(gpu, kernels.KindEmbeddingFwd, 300, 11)
 	plain := CalibrateEL("EL-F", gpu, ds, false)
 	dev := kernels.NewDevice(gpu, 5)
-	small := kernels.Embedding{B: 1024, E: 2000, T: 4, L: 16, D: 64}
-	pred := plain.Predict(small)
+	small := kernels.Kernel{Kind: kernels.KindEmbeddingFwd, B: 1024, E: 2000, T: 4, L: 16, D: 64}
+	pred := plain.Predict(&small)
 	actual := dev.BaseTime(small)
 	if pred < actual*1.3 {
 		t.Errorf("plain model should grossly overpredict L2-resident lookups: pred=%v actual=%v", pred, actual)
@@ -101,8 +101,8 @@ func TestPlainELOverpredictsSmallTables(t *testing.T) {
 func TestELHitRateProperties(t *testing.T) {
 	gpu := hw.V100Platform().GPU
 	m := &ELHeuristic{GPU: gpu, DRAMBW: gpu.DRAMBandwidth, L2BW: gpu.L2Bandwidth, Enhanced: true}
-	tiny := kernels.Embedding{B: 256, E: 1000, T: 1, L: 4, D: 64}.WithDefaults()
-	huge := kernels.Embedding{B: 256, E: 50_000_000, T: 1, L: 4, D: 64}.WithDefaults()
+	tiny := kernels.Kernel{Kind: kernels.KindEmbeddingFwd, B: 256, E: 1000, T: 1, L: 4, D: 64}.WithDefaults()
+	huge := kernels.Kernel{Kind: kernels.KindEmbeddingFwd, B: 256, E: 50_000_000, T: 1, L: 4, D: 64}.WithDefaults()
 	pTiny := m.HitRate(tiny)
 	pHuge := m.HitRate(huge)
 	if pTiny < 0.99 {
@@ -114,7 +114,7 @@ func TestELHitRateProperties(t *testing.T) {
 	// Hit probability decreases with table size.
 	last := 1.1
 	for _, e := range []int64{1000, 10_000, 100_000, 1_000_000, 10_000_000} {
-		p := m.HitRate(kernels.Embedding{B: 256, E: e, T: 1, L: 4, D: 64}.WithDefaults())
+		p := m.HitRate(kernels.Kernel{Kind: kernels.KindEmbeddingFwd, B: 256, E: e, T: 1, L: 4, D: 64}.WithDefaults())
 		if p > last {
 			t.Errorf("hit rate not monotone at E=%d: %v > %v", e, p, last)
 		}
@@ -127,8 +127,8 @@ func TestELForwardFormulaIncludesL(t *testing.T) {
 	// forward prediction (the documented paper-typo fix).
 	gpu := hw.V100Platform().GPU
 	m := &ELHeuristic{GPU: gpu, DRAMBW: gpu.DRAMBandwidth}
-	a := m.Predict(kernels.Embedding{B: 512, E: 1_000_000, T: 8, L: 16, D: 64})
-	b := m.Predict(kernels.Embedding{B: 512, E: 1_000_000, T: 8, L: 32, D: 64})
+	a := m.Predict(&kernels.Kernel{Kind: kernels.KindEmbeddingFwd, B: 512, E: 1_000_000, T: 8, L: 16, D: 64})
+	b := m.Predict(&kernels.Kernel{Kind: kernels.KindEmbeddingFwd, B: 512, E: 1_000_000, T: 8, L: 32, D: 64})
 	if b < a*1.7 {
 		t.Errorf("doubling L scaled prediction by %vx; weights traffic must include L", b/a)
 	}
@@ -138,7 +138,7 @@ func TestRooflineFitRecoversAffineLaw(t *testing.T) {
 	// Synthesize samples from t = 5 + bytes/1000 and check the fit.
 	ds := &microbench.Dataset{Kind: kernels.KindConcat}
 	for _, b := range []int64{1 << 10, 1 << 14, 1 << 18, 1 << 22, 1 << 26} {
-		k := kernels.Concat{OutBytes: b / 2, NInputs: 2} // read+write = b
+		k := kernels.Kernel{Kind: kernels.KindConcat, NBytes: b / 2, NInputs: 2} // read+write = b
 		ds.Samples = append(ds.Samples, microbench.Sample{Kernel: k, Time: 5 + float64(b)/1000})
 	}
 	r := CalibrateRoofline("test", ds, 0)
@@ -160,11 +160,11 @@ func TestMLPModelResidualForm(t *testing.T) {
 		t.Errorf("ensemble size = %d, want 2", len(m.Nets))
 	}
 	// Prediction must be positive and finite for extreme shapes.
-	for _, g := range []kernels.GEMM{
-		{Batch: 1, M: 1, N: 1, K: 1},
-		{Batch: 1, M: 16384, N: 16384, K: 16384},
+	for _, g := range []kernels.Kernel{
+		{Kind: kernels.KindGEMM, B: 1, M: 1, N: 1, K: 1},
+		{Kind: kernels.KindGEMM, B: 1, M: 16384, N: 16384, K: 16384},
 	} {
-		p := m.Predict(g)
+		p := m.Predict(&g)
 		if p <= 0 {
 			t.Errorf("prediction for %v = %v", g, p)
 		}
@@ -175,27 +175,27 @@ func TestRegistrySharedAcrossOps(t *testing.T) {
 	cal := v100Calibration(t)
 	// Forward and backward GEMMs must hit the same model instance — the
 	// sharing that saves microbenchmark cost (Section III).
-	fwd := kernels.GEMM{Batch: 1, M: 128, N: 64, K: 32}
-	bwd := kernels.GEMM{Batch: 1, M: 64, N: 32, K: 128}
-	a, err := cal.Registry.Predict(fwd)
+	fwd := kernels.Kernel{Kind: kernels.KindGEMM, B: 1, M: 128, N: 64, K: 32}
+	bwd := kernels.Kernel{Kind: kernels.KindGEMM, B: 1, M: 64, N: 32, K: 128}
+	a, err := cal.Registry.Predict(&fwd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cal.Registry.Predict(bwd)
+	b, err := cal.Registry.Predict(&bwd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a <= 0 || b <= 0 {
 		t.Error("registry predictions must be positive")
 	}
-	if cal.Registry.Model(fwd.Kind()) != cal.Registry.Model(bwd.Kind()) {
+	if cal.Registry.Model(fwd.Kind) != cal.Registry.Model(bwd.Kind) {
 		t.Error("GEMM model not shared")
 	}
 }
 
 func TestRegistryUnknownKind(t *testing.T) {
 	reg := NewRegistry("V100")
-	if _, err := reg.Predict(kernels.GEMM{Batch: 1, M: 1, N: 1, K: 1}); err == nil {
+	if _, err := reg.Predict(&kernels.Kernel{Kind: kernels.KindGEMM, B: 1, M: 1, N: 1, K: 1}); err == nil {
 		t.Fatal("empty registry should error")
 	}
 }
@@ -242,9 +242,9 @@ func TestCalibrationDeterministic(t *testing.T) {
 	opts.MLPConfig.Epochs = 5
 	a := Calibrate(hw.V100Platform().GPU, 1, opts, 1)
 	b := Calibrate(hw.V100Platform().GPU, 1, opts, 1)
-	ka := kernels.GEMM{Batch: 1, M: 333, N: 222, K: 111}
-	pa, _ := a.Registry.Predict(ka)
-	pb, _ := b.Registry.Predict(ka)
+	ka := kernels.Kernel{Kind: kernels.KindGEMM, B: 1, M: 333, N: 222, K: 111}
+	pa, _ := a.Registry.Predict(&ka)
+	pb, _ := b.Registry.Predict(&ka)
 	if pa != pb {
 		t.Errorf("same-seed calibrations differ: %v vs %v", pa, pb)
 	}

@@ -29,23 +29,23 @@ func TestRegistryRoundTrip(t *testing.T) {
 	// trip: heuristic (embedding), roofline (concat, memcpy), ML (GEMM,
 	// transpose, tril).
 	probes := []kernels.Kernel{
-		kernels.Embedding{B: 1024, E: 500_000, T: 8, L: 16, D: 64},
-		kernels.Embedding{B: 2048, E: 2000, T: 4, L: 4, D: 128, Backward: true},
-		kernels.Concat{OutBytes: 1 << 20, NInputs: 9},
-		kernels.Memcpy{NBytes: 4 << 20, Dir: kernels.H2D},
-		kernels.GEMM{Batch: 1, M: 2048, N: 1024, K: 512},
-		kernels.GEMM{Batch: 64, M: 9, N: 9, K: 64},
-		kernels.Transpose{B: 2048, M: 9, N: 64},
-		kernels.Tril{B: 2048, F: 27},
-		kernels.Tril{B: 2048, F: 27, Backward: true},
-		kernels.Elementwise{Name: "relu", NElems: 1 << 20, ReadsPerElem: 4, WritesPerElem: 4},
+		{Kind: kernels.KindEmbeddingFwd, B: 1024, E: 500_000, T: 8, L: 16, D: 64},
+		{Kind: kernels.KindEmbeddingBwd, B: 2048, E: 2000, T: 4, L: 4, D: 128},
+		{Kind: kernels.KindConcat, NBytes: 1 << 20, NInputs: 9},
+		{Kind: kernels.KindMemcpyH2D, NBytes: 4 << 20},
+		{Kind: kernels.KindGEMM, B: 1, M: 2048, N: 1024, K: 512},
+		{Kind: kernels.KindGEMM, B: 64, M: 9, N: 9, K: 64},
+		{Kind: kernels.KindTranspose, B: 2048, M: 9, N: 64},
+		{Kind: kernels.KindTrilFwd, B: 2048, F: 27},
+		{Kind: kernels.KindTrilBwd, B: 2048, F: 27},
+		{Kind: kernels.KindElementwise, Name: "relu", NElems: 1 << 20, ReadsPerElem: 4, WritesPerElem: 4},
 	}
 	for _, k := range probes {
-		want, err := cal.Registry.Predict(k)
+		want, err := cal.Registry.Predict(&k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		have, err := got.Predict(k)
+		have, err := got.Predict(&k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,16 +101,16 @@ func TestLoadRegistryRejectsMisfitModels(t *testing.T) {
 		model string
 		probe kernels.Kernel
 	}{
-		{"EL-F", el, kernels.Embedding{B: 1024, E: 500_000, T: 8, L: 16, D: 64}},
-		{"EL-B", el, kernels.Embedding{B: 1024, E: 500_000, T: 8, L: 16, D: 64, Backward: true}},
-		{"GEMM", net(4, 8, 1), kernels.GEMM{Batch: 1, M: 2048, N: 1024, K: 512}},
-		{"conv", net(8, 1), kernels.Conv{N: 32, C: 64, H: 56, W: 56, K: 64, R: 3, S: 3, Stride: 1}},
+		{"EL-F", el, kernels.Kernel{Kind: kernels.KindEmbeddingFwd, B: 1024, E: 500_000, T: 8, L: 16, D: 64}},
+		{"EL-B", el, kernels.Kernel{Kind: kernels.KindEmbeddingBwd, B: 1024, E: 500_000, T: 8, L: 16, D: 64}},
+		{"GEMM", net(4, 8, 1), kernels.Kernel{Kind: kernels.KindGEMM, B: 1, M: 2048, N: 1024, K: 512}},
+		{"conv", net(8, 1), kernels.Kernel{Kind: kernels.KindConv, N: 32, C: 64, H: 56, W: 56, K: 64, R: 3, S: 3, Stride: 1}},
 	} {
 		reg, err := LoadRegistry(registry(tc.kind, tc.model))
 		if err != nil {
 			t.Fatalf("%s model rejected: %v", tc.kind, err)
 		}
-		if _, err := reg.Predict(tc.probe); err != nil {
+		if _, err := reg.Predict(&tc.probe); err != nil {
 			t.Fatalf("%s: %v", tc.kind, err)
 		}
 	}

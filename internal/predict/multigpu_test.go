@@ -64,8 +64,8 @@ func TestCommByName(t *testing.T) {
 // multi-GPU composition logic needs from the kernel-model layer.
 type flatModel float64
 
-func (f flatModel) Name() string                     { return "flat" }
-func (f flatModel) Predict(k kernels.Kernel) float64 { return float64(f) }
+func (f flatModel) Name() string                      { return "flat" }
+func (f flatModel) Predict(k *kernels.Kernel) float64 { return float64(f) }
 
 // flatPredictor builds a Predictor whose kernels all take `us`
 // microseconds and whose overheads are the database defaults.

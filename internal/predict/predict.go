@@ -7,6 +7,7 @@ package predict
 
 import (
 	"fmt"
+	"sync"
 
 	"dlrmperf/internal/graph"
 	"dlrmperf/internal/kernels"
@@ -30,13 +31,13 @@ func New(models *perfmodel.Registry, ov *overhead.DB) *Predictor {
 	return &Predictor{Models: models, Overheads: ov}
 }
 
-// t4For returns the runtime-call charge for a kernel.
-func (p *Predictor) t4For(k kernels.Kernel) float64 {
+// t4For returns the runtime-call charge for a kernel of kind k.
+func (p *Predictor) t4For(k kernels.Kind) float64 {
 	if !p.UseMeasuredT4 {
 		return overhead.T4Approx
 	}
 	fn := "cudaLaunchKernel"
-	switch k.Kind() {
+	switch k {
 	case kernels.KindMemcpyH2D, kernels.KindMemcpyD2H, kernels.KindMemcpyD2D:
 		fn = "cudaMemcpyAsync"
 	}
@@ -63,30 +64,38 @@ type Prediction struct {
 // a queued kernel sooner than 1 µs after the previous one finishes.
 const scheduleGranularity = 1.0
 
+// kernelBufs recycles the walk's kernel buffer. It grows to the busiest
+// node's launch count (an optimizer op launches one kernel per
+// parameter) and a Kernel is 224 bytes, so a fresh buffer per walk
+// would cost more bytes than the rest of the walk.
+var kernelBufs = sync.Pool{New: func() any { return new([]kernels.Kernel) }}
+
 // Predict runs Algorithm 1 over the execution graph. The walk holds one
-// input-metadata buffer and one kernel buffer, so it allocates per walk
-// and per launched kernel, never per op.
+// input-metadata buffer and one pooled kernel buffer, so it allocates
+// per walk, never per op or per launched kernel.
 func (p *Predictor) Predict(g *graph.Graph) (Prediction, error) {
 	var pr Prediction
 	cpu, gpu := 0.0, 0.0
 	t1 := p.Overheads.T1Mean()
 	var in []tensor.Meta
-	var ks []kernels.Kernel
+	kb := kernelBufs.Get().(*[]kernels.Kernel)
+	defer kernelBufs.Put(kb)
 	for _, node := range g.Nodes {
 		op := node.Op.Name()
 		t2, t3, t5 := p.Overheads.OpMeans(op)
 		cpu += t1
 		in = g.InputMetas(in[:0], node.Inputs)
-		ks = node.Op.AppendKernels(ks[:0], in)
+		*kb = node.Op.AppendKernels((*kb)[:0], in)
+		ks := *kb
 		if len(ks) == 0 {
 			cpu += t5
 			continue
 		}
 		cpu += t2
 		kernelSum := 0.0
-		for i, k := range ks {
-			t4 := p.t4For(k)
-			tk, err := p.Models.Predict(k)
+		for i := range ks {
+			t4 := p.t4For(ks[i].Kind)
+			tk, err := p.Models.Predict(&ks[i])
 			if err != nil {
 				return Prediction{}, fmt.Errorf("predict: op %s: %w", op, err)
 			}
@@ -115,21 +124,8 @@ func (p *Predictor) Predict(g *graph.Graph) (Prediction, error) {
 
 // KernelOnly returns the sum of predicted kernel times — the baseline
 // that previous CNN-focused work uses as the E2E estimate and that Fig. 9
-// shows failing at low GPU utilization.
+// shows failing at low GPU utilization. It is the walk's Active time.
 func (p *Predictor) KernelOnly(g *graph.Graph) (float64, error) {
-	total := 0.0
-	var in []tensor.Meta
-	var ks []kernels.Kernel
-	for _, node := range g.Nodes {
-		in = g.InputMetas(in[:0], node.Inputs)
-		ks = node.Op.AppendKernels(ks[:0], in)
-		for _, k := range ks {
-			tk, err := p.Models.Predict(k)
-			if err != nil {
-				return 0, err
-			}
-			total += tk
-		}
-	}
-	return total, nil
+	pr, err := p.Predict(g)
+	return pr.Active, err
 }

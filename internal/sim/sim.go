@@ -63,11 +63,12 @@ type Op struct {
 }
 
 // Call is one CUDA runtime call, the function and its host span, with
-// the kernel it launched and that kernel's device span.
+// the kernel it launched and that kernel's device span. Kernel points
+// into the run's plan, so a call is small to copy.
 type Call struct {
 	Fn                     string
 	Start, End             float64
-	Kernel                 kernels.Kernel
+	Kernel                 *kernels.Kernel
 	KernelStart, KernelEnd float64
 }
 
@@ -191,7 +192,7 @@ func planNodes(g *graph.Graph, dev *kernels.Device, ovh *Sampler) (plan []nodePl
 		}
 		for _, k := range ks {
 			fn := RTLaunchKernel
-			switch k.Kind() {
+			switch k.Kind {
 			case kernels.KindMemcpyH2D, kernels.KindMemcpyD2H, kernels.KindMemcpyD2D:
 				fn = RTMemcpyAsync
 			}
@@ -285,7 +286,7 @@ func Run(g *graph.Graph, cfg Config) *Result {
 					}
 
 					if rec {
-						o.Calls = append(o.Calls, Call{k.fn, rtStart, rtEnd, k.k, start, end})
+						o.Calls = append(o.Calls, Call{k.fn, rtStart, rtEnd, &k.k, start, end})
 					}
 					if i < len(n.kernels)-1 {
 						host += ovh.draw(n.t5)
