@@ -48,9 +48,10 @@ type wireAssets struct {
 	Shared    json.RawMessage            `json:"shared,omitempty"`
 }
 
-// SaveAssets serializes the device's portable assets, calibrating first
-// if the device has not been calibrated yet. Overhead databases are
-// included as collected so far; they rebuild lazily on load if absent.
+// SaveAssets serializes the device's portable assets as compact JSON,
+// calibrating first if the device has not been calibrated yet. Overhead
+// databases are included as collected so far; they rebuild lazily on
+// load if absent.
 func (e *Engine) SaveAssets(device string) ([]byte, error) {
 	cal, err := e.Calibration(device)
 	if err != nil {
@@ -86,7 +87,7 @@ func (e *Engine) SaveAssets(device string) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return json.MarshalIndent(w, "", " ")
+	return json.Marshal(w)
 }
 
 // LoadAssets warm-starts the engine from a SaveAssets payload and

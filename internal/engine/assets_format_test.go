@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -33,10 +34,19 @@ func TestAssetFormatVersionGuard(t *testing.T) {
 		t.Fatalf("export version = %d (%v), want %d", envelope.Version, err, AssetFormatVersion)
 	}
 
-	// Clean round trip at the current version.
-	b := New(tinyOptions(7))
-	if device, err := b.LoadAssets(data); err != nil || device != hw.V100 {
-		t.Fatalf("round trip = %q, %v", device, err)
+	// Clean round trip at the current version. The export is compact,
+	// and an indented one, as exports were written before, loads too.
+	if !json.Valid(data) || bytes.ContainsRune(data, '\n') {
+		t.Fatal("export is not one line of JSON")
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, data, "", " "); err != nil {
+		t.Fatal(err)
+	}
+	for _, blob := range [][]byte{data, indented.Bytes()} {
+		if device, err := New(tinyOptions(7)).LoadAssets(blob); err != nil || device != hw.V100 {
+			t.Fatalf("round trip = %q, %v", device, err)
+		}
 	}
 
 	// A future (or past) version is refused with the typed error.

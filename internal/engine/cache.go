@@ -256,7 +256,7 @@ const iterSpanBytes = 16
 // sampleBytes is the size of one overhead sample. A profiled run is
 // charged for its samples alone: the names they refer to are the
 // graph's own strings.
-const sampleBytes = 16
+const sampleBytes = 8
 
 // approxBytes estimates the resident footprint of one asset. The
 // numbers are deliberately rough — they meter relative pressure, not

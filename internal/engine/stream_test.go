@@ -35,6 +35,19 @@ func TestDoCtxDetachedCompletion(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("detached flight never completed")
 	}
+	// fn returning is not the flight completing: run frees the key after
+	// fn returns, so wait for the key to go.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		g.mu.Lock()
+		_, inFlight := g.calls["k"]
+		g.mu.Unlock()
+		if !inFlight {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("detached flight never freed its key")
+		}
+	}
 	// The key is free again: a fresh call executes a fresh fn.
 	executed := false
 	v, err := g.DoCtx(context.Background(), "k", func() (any, error) {

@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"hash/fnv"
 	"math"
 
 	"dlrmperf/internal/hw"
@@ -125,10 +124,13 @@ func (d *Device) quirk(k Kernel) float64 {
 	default:
 		amp = 0.03
 	}
-	h := fnv.New64a()
-	h.Write([]byte(d.GPU.Name))
-	h.Write([]byte(k.String()))
-	u := float64(h.Sum64()>>11) / (1 << 53) // uniform [0,1)
+	// FNV-1a over the device name and the kernel's rendering.
+	var buf [128]byte
+	h := uint64(14695981039346656037)
+	for _, c := range k.AppendString(append(buf[:0], d.GPU.Name...)) {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	u := float64(h>>11) / (1 << 53) // uniform [0,1)
 	return 1 + amp*(2*u-1)
 }
 

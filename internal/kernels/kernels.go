@@ -38,6 +38,8 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // Kind identifies a kernel family. Kernels of the same kind share one
@@ -209,37 +211,54 @@ func (k *Kernel) Bytes() (read, write float64) {
 
 // String renders a compact human-readable description.
 func (k Kernel) String() string {
+	var buf [96]byte
+	return string(k.AppendString(buf[:0]))
+}
+
+// AppendString appends String's rendering of k to dst.
+func (k *Kernel) AppendString(dst []byte) []byte {
 	switch k.Kind {
 	case KindGEMM:
-		return fmt.Sprintf("gemm(b=%d,m=%d,n=%d,k=%d)", k.B, k.M, k.N, k.K)
+		return appendf(dst, "gemm(b=%,m=%,n=%,k=%)", k.B, k.M, k.N, k.K)
 	case KindEmbeddingFwd, KindEmbeddingBwd:
-		dir := "fwd"
-		if k.Backward() {
-			dir = "bwd"
-		}
-		return fmt.Sprintf("embedding_%s(B=%d,E=%d,T=%d,L=%d,D=%d)", dir, k.B, k.E, k.T, k.L, k.D)
+		dst = append(append(dst, "embedding_"...), direction(k.Backward())...)
+		return appendf(dst, "(B=%,E=%,T=%,L=%,D=%)", k.B, k.E, k.T, k.L, k.D)
 	case KindConcat:
-		return fmt.Sprintf("concat(bytes=%d,inputs=%d)", k.NBytes, k.NInputs)
+		return appendf(dst, "concat(bytes=%,inputs=%)", k.NBytes, int64(k.NInputs))
 	case KindMemcpyH2D, KindMemcpyD2H, KindMemcpyD2D:
-		dir := [...]string{"h2d", "d2h", "d2d"}[k.Kind-KindMemcpyH2D]
-		return fmt.Sprintf("memcpy_%s(bytes=%d)", dir, k.NBytes)
+		dst = append(append(dst, "memcpy_"...), [...]string{"h2d", "d2h", "d2d"}[k.Kind-KindMemcpyH2D]...)
+		return appendf(dst, "(bytes=%)", k.NBytes)
 	case KindTranspose:
-		return fmt.Sprintf("transpose(b=%d,m=%d,n=%d)", k.B, k.M, k.N)
+		return appendf(dst, "transpose(b=%,m=%,n=%)", k.B, k.M, k.N)
 	case KindTrilFwd, KindTrilBwd:
-		dir := "fwd"
-		if k.Backward() {
-			dir = "bwd"
-		}
-		return fmt.Sprintf("tril_%s(b=%d,f=%d)", dir, k.B, k.F)
+		dst = append(append(dst, "tril_"...), direction(k.Backward())...)
+		return appendf(dst, "(b=%,f=%)", k.B, k.F)
 	case KindElementwise:
-		return fmt.Sprintf("ew_%s(n=%d)", k.Name, k.NElems)
+		return appendf(append(append(dst, "ew_"...), k.Name...), "(n=%)", k.NElems)
 	case KindConv:
-		return fmt.Sprintf("conv(n=%d,c=%d,hw=%dx%d,k=%d,rs=%dx%d,s=%d)",
-			k.N, k.C, k.H, k.W, k.K, k.R, k.S, k.Stride)
+		return appendf(dst, "conv(n=%,c=%,hw=%x%,k=%,rs=%x%,s=%)", k.N, k.C, k.H, k.W, k.K, k.R, k.S, k.Stride)
 	case KindBatchNorm:
-		return fmt.Sprintf("batchnorm(n=%d,c=%d,hw=%dx%d)", k.N, k.C, k.H, k.W)
+		return appendf(dst, "batchnorm(n=%,c=%,hw=%x%)", k.N, k.C, k.H, k.W)
 	}
 	panic(unknown(k.Kind))
+}
+
+func direction(backward bool) string {
+	if backward {
+		return "bwd"
+	}
+	return "fwd"
+}
+
+// appendf appends format to dst with each % replaced by the next of
+// vals in decimal.
+func appendf(dst []byte, format string, vals ...int64) []byte {
+	for _, v := range vals {
+		i := strings.IndexByte(format, '%')
+		dst = strconv.AppendInt(append(dst, format[:i]...), v, 10)
+		format = format[i+1:]
+	}
+	return append(dst, format...)
 }
 
 func unknown(k Kind) string { return fmt.Sprintf("kernels: unknown kernel kind %v", k) }

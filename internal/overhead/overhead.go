@@ -8,9 +8,11 @@
 //
 // Every database is built by one path, Collector.Pool, from Samples:
 // one profiled run's observations, written by the simulator as it runs
-// (Collector.Profile). Each run's Samples are taken on whichever
-// goroutine produced them, merged in listed order into one array laid
-// out population by population, and the populations are trimmed
+// (Collector.Profile) into one 8-byte value per sample, population by
+// population, in a layout its first iteration fixes. Each run's Samples
+// are taken on whichever goroutine produced them, merged in listed
+// order into one array laid out the same way, each run's population
+// copied after those of earlier runs, and the populations are trimmed
 // concurrently. The merge fixes every population's sample order to the
 // one a serial pass over the runs would give, so the database, means
 // included, does not depend on the number of goroutines.
@@ -18,6 +20,7 @@ package overhead
 
 import (
 	"encoding/json"
+	"fmt"
 	"slices"
 
 	"dlrmperf/internal/graph"
@@ -74,6 +77,7 @@ func (c *Collector) Profile(g *graph.Graph, cfg sim.Config) *Samples {
 	s := newSamples(max(cfg.Iters, 1))
 	cfg.Observer = s
 	sim.Run(g, cfg)
+	s.seal()
 	return s
 }
 
@@ -105,64 +109,152 @@ const (
 	fnNames = 1
 )
 
-// sample is one observation and the population it joins: a kind, and
-// for the per-op and T4 kinds the name's index in its table.
-type sample struct {
-	v          float64
-	kind, name int32
+// population indexes the population of kind and name among nOps op
+// names, in population order: T1, then T2 of each op, T3 of each op, T5
+// of each op, then T4 of each function. T1 has no name.
+func population(nOps int, kind int32, name int) int {
+	switch kind {
+	case kindT1:
+		return 0
+	case kindT4:
+		return 1 + 3*nOps + name
+	}
+	return 1 + int(kind)*nOps + name
 }
 
-// Samples is one run's overhead samples in observation order, with the
-// op and runtime-function names they refer to in first-seen order. It is
-// the one sample writer: it implements sim.Observer, subtracting the
-// paper's per-event profiler overheads (sim.ProfilerCPUEventOverhead,
-// 2 µs, and sim.ProfilerGPUEventOverhead, 4 µs) as it extracts. Once
-// written it is only read.
+// Samples is one run's overhead samples, laid out population by
+// population in population order over the op and runtime-function
+// names, which are in first-seen order. It is the one sample writer: it
+// implements sim.Observer, subtracting the paper's per-event profiler
+// overheads (sim.ProfilerCPUEventOverhead, 2 µs, and
+// sim.ProfilerGPUEventOverhead, 4 µs) as it extracts. Once Profile
+// returns it is only read.
 type Samples struct {
-	samples []sample
+	samples []float64
+	start   []int32 // population j is samples[start[j]:start[j+1]]
 	names   [2][]string
-	ids     [2]map[string]int32
-	// iters, the recorded iterations, sizes the samples; iter and
-	// lastEnd are the last op's iteration (-1 before the first) and end.
-	lastEnd     float64
-	iters, iter int
+	*recorder
 }
+
+// recorder is what Samples writes with, dropped when the run ends. The
+// first iteration's samples are recorded in observation order, each with
+// its population's kind and name; the run is laid out when it ends, and
+// from then on sample k of an iteration goes to slot k's at +
+// iter*stride, with no name looked up.
+type recorder struct {
+	first [][2]int32 // kind, name
+	calls []int32    // the first iteration's call count per op
+	slots []slot
+	// iters, the recorded iterations, sizes the samples; iter is the
+	// last op's iteration (-1 before the first), op and k count the
+	// iteration's ops and samples so far, and lastEnd is the last op's
+	// end.
+	iters, iter, op, k int
+	lastEnd            float64
+}
+
+type slot struct{ at, stride int32 }
 
 func newSamples(iters int) *Samples {
-	return &Samples{ids: [2]map[string]int32{{}, {}}, iters: iters, iter: -1}
+	return &Samples{recorder: &recorder{iters: iters, iter: -1}}
 }
 
 // Len reports the number of samples.
 func (s *Samples) Len() int { return len(s.samples) }
 
 func (s *Samples) add(kind, name int32, v float64) {
-	s.samples = append(s.samples, sample{v: v, kind: kind, name: name})
+	if s.iter == 0 {
+		s.samples = append(s.samples, v)
+		s.first = append(s.first, [2]int32{kind, name})
+		return
+	}
+	s.samples[int(s.slots[s.k].at)+s.iter*int(s.slots[s.k].stride)] = v
+	s.k++
 }
 
-// id returns name's index in table, adding it on first sight.
+// id returns name's index in table, adding it on first sight. Past the
+// first iteration a sample's slot stands for its population, so id
+// looks nothing up.
 func (s *Samples) id(table int, name string) int32 {
-	id, ok := s.ids[table][name]
-	if !ok {
-		id = int32(len(s.names[table]))
-		s.ids[table][name] = id
+	if s.iter > 0 {
+		return 0
+	}
+	id := slices.Index(s.names[table], name)
+	if id < 0 {
+		id = len(s.names[table])
 		s.names[table] = append(s.names[table], name)
 	}
-	return id
+	return int32(id)
+}
+
+// begin starts iteration it, or ends the run at it == iters, where
+// seal checks that no iteration was left out or added. Every iteration
+// must follow the last in full, and the first one's end lays the run
+// out.
+func (s *Samples) begin(it int) {
+	if it != s.iter+1 || s.op != len(s.calls) {
+		panic(fmt.Sprintf("overhead: iteration %d of %d follows op %d of %d of iteration %d", it, s.iters, s.op, len(s.calls), s.iter))
+	}
+	if it == 1 {
+		s.layOut()
+	}
+	s.iter, s.op, s.k = it, 0, 0
+}
+
+// layOut gives each population iters times its count in the first
+// iteration, and each sample position of an iteration its slot in the
+// first and its population's count there as its stride.
+func (s *Samples) layOut() {
+	nOps := len(s.names[opNames])
+	s.start = make([]int32, 2+3*nOps+len(s.names[fnNames]))
+	s.slots = make([]slot, len(s.first))
+	for k, x := range s.first {
+		// The rank in its population for now, and the population.
+		j := population(nOps, x[0], int(x[1]))
+		s.slots[k] = slot{at: s.start[j+1], stride: int32(j)}
+		s.start[j+1]++
+	}
+	for j := 1; j < len(s.start); j++ {
+		s.start[j] = s.start[j-1] + int32(s.iters)*s.start[j]
+	}
+	first := s.samples
+	s.samples = make([]float64, s.start[len(s.start)-1])
+	for k, v := range first {
+		j := s.slots[k].stride
+		s.slots[k] = slot{at: s.start[j] + s.slots[k].at, stride: (s.start[j+1] - s.start[j]) / int32(s.iters)}
+		s.samples[s.slots[k].at] = v
+	}
+	s.first = nil
+}
+
+// seal ends the recording, which must have run every iteration in full,
+// and drops the recorder.
+func (s *Samples) seal() {
+	if s.iter >= 0 {
+		s.begin(s.iters)
+	}
+	s.recorder = nil
 }
 
 // Op implements sim.Observer: the T1 gap from the iteration's previous
 // op, then the op's T2, T3 and T5, and each runtime call's T4.
 func (s *Samples) Op(o *sim.Op) {
-	if o.Iter == s.iter {
+	if o.Iter != s.iter {
+		s.begin(o.Iter)
+	} else {
 		s.add(kindT1, 0, max(o.Start-s.lastEnd, 0))
-	} else if s.iter == 0 {
-		// Every iteration runs the same ops, so the first one sizes the
-		// rest.
-		s.samples = slices.Grow(s.samples, (s.iters-1)*len(s.samples))
 	}
-	s.iter, s.lastEnd = o.Iter, o.End
-	id := s.id(opNames, o.Name)
+	s.lastEnd = o.End
+	// A later iteration must run the first one's ops, each making as
+	// many calls.
 	calls := o.Calls
+	if s.iter == 0 {
+		s.calls = append(s.calls, int32(len(calls)))
+	} else if s.op >= len(s.calls) || int(s.calls[s.op]) != len(calls) {
+		panic(fmt.Sprintf("overhead: op %d (%s) of iteration %d makes %d calls, unlike the first iteration's", s.op, o.Name, s.iter, len(calls)))
+	}
+	s.op++
+	id := s.id(opNames, o.Name)
 	if len(calls) == 0 {
 		// Algorithm 1's else branch charges T5 for kernel-less ops;
 		// extract the op body accordingly.
@@ -180,51 +272,44 @@ func (s *Samples) Op(o *sim.Op) {
 }
 
 // pooled is the merged sample set: the op and runtime-function names in
-// sorted order, and every population's samples as one run of vals — T1,
-// then T2 of each op, T3 of each op, T5 of each op, then T4 of each
-// function — so that a kind's pool over all ops, which Defaults trims,
-// is one run as well.
+// sorted order, and every population's samples as one run of vals, in
+// population order, so that a kind's pool over all ops, which Defaults
+// trims, is one run as well.
 type pooled struct {
 	names [2][]string
 	vals  []float64
 	start []int // population j is vals[start[j]:start[j+1]]
 }
 
-// population indexes the population of sample x, whose names remap
-// maps to the pooled ones.
-func (m *pooled) population(remap *[2][]int, x sample) int {
-	switch x.kind {
-	case kindT1:
-		return 0
-	case kindT4:
-		return 1 + 3*len(m.names[opNames]) + remap[fnNames][x.name]
-	}
-	return 1 + int(x.kind)*len(m.names[opNames]) + remap[opNames][x.name]
-}
-
-// merge pools the samples in order: a counting pass sizes every
-// population, a second pass places each sample after those of earlier
-// runs and earlier samples of its own. It writes nothing into parts.
+// merge pools the runs in order: each run's population is copied after
+// the same population of earlier runs. It writes nothing into parts.
 func merge(parts []*Samples) *pooled {
 	m := &pooled{}
-	remap := make([][2][]int, len(parts))
 	for t := range m.names {
 		for _, p := range parts {
 			m.names[t] = append(m.names[t], p.names[t]...)
 		}
 		slices.Sort(m.names[t])
 		m.names[t] = slices.Compact(m.names[t])
-		for i, p := range parts {
-			remap[i][t] = make([]int, len(p.names[t]))
-			for j, name := range p.names[t] {
-				remap[i][t][j], _ = slices.BinarySearch(m.names[t], name)
+	}
+	nOps := len(m.names[opNames])
+	m.start = make([]int, 2+3*nOps+len(m.names[fnNames]))
+	// to maps every run's populations, run after run, to the pooled ones;
+	// a run has at most as many as the pool.
+	to := make([]int, 0, len(parts)*len(m.start))
+	for _, p := range parts {
+		at, n := len(to), len(p.names[opNames])
+		to = append(to, make([]int, max(len(p.start)-1, 0))...) // T1 is 0
+		for t, kinds := range [2][]int32{opNames: {idxT2, idxT3, idxT5}, fnNames: {kindT4}} {
+			for x, name := range p.names[t] {
+				i, _ := slices.BinarySearch(m.names[t], name)
+				for _, kind := range kinds {
+					to[at+population(n, kind, x)] = population(nOps, kind, i)
+				}
 			}
 		}
-	}
-	m.start = make([]int, 2+3*len(m.names[opNames])+len(m.names[fnNames]))
-	for i, p := range parts {
-		for _, x := range p.samples {
-			m.start[m.population(&remap[i], x)+1]++
+		for j, k := range to[at:] {
+			m.start[k+1] += int(p.start[j+1] - p.start[j])
 		}
 	}
 	for j := 1; j < len(m.start); j++ {
@@ -232,11 +317,11 @@ func merge(parts []*Samples) *pooled {
 	}
 	m.vals = make([]float64, m.start[len(m.start)-1])
 	next := slices.Clone(m.start)
-	for i, p := range parts {
-		for _, x := range p.samples {
-			j := m.population(&remap[i], x)
-			m.vals[next[j]] = x.v
-			next[j]++
+	for _, p := range parts {
+		for j := range len(p.start) - 1 {
+			k := &next[to[0]]
+			*k += copy(m.vals[*k:], p.samples[p.start[j]:p.start[j+1]])
+			to = to[1:]
 		}
 	}
 	return m

@@ -28,10 +28,17 @@ func Shared(trs []*trace.Trace) *DB {
 	return db
 }
 
-// extract replays every iteration of tr into Samples, op by op in host
-// order.
+// extract replays tr into Samples and ends the recording as Profile
+// does.
 func (c *Collector) extract(tr *trace.Trace) *Samples {
 	s := newSamples(tr.Iters)
+	replay(tr, s)
+	s.seal()
+	return s
+}
+
+// replay shows every iteration of tr to obs, op by op in host order.
+func replay(tr *trace.Trace, obs sim.Observer) {
 	o := &sim.Op{}
 	for iter := 0; iter < tr.Iters; iter++ {
 		for _, oe := range tr.EventTree(iter) {
@@ -39,8 +46,7 @@ func (c *Collector) extract(tr *trace.Trace) *Samples {
 			for _, rt := range oe.Runtime {
 				o.Calls = append(o.Calls, sim.Call{Fn: rt.Name, Start: rt.Start, End: rt.End})
 			}
-			s.Op(o)
+			obs.Op(o)
 		}
 	}
-	return s
 }

@@ -41,7 +41,7 @@ type wireRegistry struct {
 	Models map[string]wireModel `json:"models"` // kernel kind string -> model
 }
 
-// SaveRegistry serializes a calibrated registry to JSON.
+// SaveRegistry serializes a calibrated registry to compact JSON.
 func SaveRegistry(r *Registry) ([]byte, error) {
 	out := wireRegistry{Device: r.Device, Models: map[string]wireModel{}}
 	for _, kind := range r.Kinds() {
@@ -77,7 +77,7 @@ func SaveRegistry(r *Registry) ([]byte, error) {
 		}
 		out.Models[kind.String()] = wireModel{Type: typ, Data: data}
 	}
-	return json.MarshalIndent(out, "", " ")
+	return json.Marshal(out)
 }
 
 // LoadRegistry restores a registry serialized by SaveRegistry. A model

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"hash/fnv"
-
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/xrand"
 )
@@ -65,18 +63,23 @@ func (s *Sampler) workloadBias(typ int, op string) float64 {
 	if s.workload == "" {
 		return 1
 	}
-	global := 1 + 0.18*(opHash(s.workload, 77)-0.5)
-	perOp := 1 + 0.22*(opHash(s.workload+"\x00"+op, byte(16+typ))-0.5)
+	global := 1 + 0.18*(opHash(77, s.workload)-0.5)
+	perOp := 1 + 0.22*(opHash(byte(16+typ), s.workload, "\x00", op)-0.5)
 	return global * perOp
 }
 
-// opHash returns a stable uniform value in [0,1) for (op, salt),
-// implementing "every op has its own characteristic overhead".
-func opHash(op string, salt byte) float64 {
-	h := fnv.New64a()
-	h.Write([]byte(op))
-	h.Write([]byte{salt})
-	return float64(h.Sum64()>>11) / (1 << 53)
+// opHash returns a stable uniform value in [0,1) for the bytes of parts
+// and then salt, from their 64-bit FNV-1a hash, implementing "every op
+// has its own characteristic overhead".
+func opHash(salt byte, parts ...string) float64 {
+	h := uint64(14695981039346656037)
+	for _, p := range parts {
+		for i := 0; i < len(p); i++ {
+			h = (h ^ uint64(p[i])) * 1099511628211
+		}
+	}
+	h = (h ^ uint64(salt)) * 1099511628211
+	return float64(h>>11) / (1 << 53)
 }
 
 // T1Mean is the reference mean of the between-ops gap on the V100 host
@@ -93,12 +96,12 @@ func (s *Sampler) MeanFor(typ int, op string) float64 {
 		m = T1Mean
 	case T2:
 		// Skewed: most ops dispatch quickly, autograd-heavy ops slowly.
-		u := opHash(op, 2)
+		u := opHash(2, op)
 		m = 8 + 52*u*u
 	case T3:
-		m = 3 + 14*opHash(op, 3)
+		m = 3 + 14*opHash(3, op)
 	case T5:
-		m = 4 + 22*opHash(op, 5)
+		m = 4 + 22*opHash(5, op)
 	case T4:
 		m = 9.5
 	default:
@@ -131,7 +134,7 @@ func (s *Sampler) newDist(mean, tailBoost float64) dist {
 
 // opDist resolves the distribution of one overhead type for op. It is
 // a function of (host, workload, type, op) only, so the simulator
-// derives it once per graph node, not once per draw.
+// derives it once per op name of a run, not once per draw.
 func (s *Sampler) opDist(typ int, op string) dist {
 	tail := 1.0
 	if typ == T1 {

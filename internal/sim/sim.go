@@ -166,6 +166,8 @@ func planNodes(g *graph.Graph, dev *kernels.Device, ovh *Sampler) (plan []nodePl
 	plan = make([]nodePlan, len(g.Nodes))
 	pos := make(map[graph.NodeID]int, len(g.Nodes))
 	slots, opSlots := map[int]int{}, map[string]int{}
+	// dists holds each op name's T1, T2, T3 and T5 distributions.
+	dists := map[string][4]dist{}
 	t4 := map[string]dist{RTLaunchKernel: ovh.t4Dist(RTLaunchKernel), RTMemcpyAsync: ovh.t4Dist(RTMemcpyAsync)}
 	var in []tensor.Meta
 	var ks []kernels.Kernel
@@ -174,9 +176,14 @@ func planNodes(g *graph.Graph, dev *kernels.Device, ovh *Sampler) (plan []nodePl
 		if _, ok := slots[node.Stream]; !ok {
 			slots[node.Stream] = len(slots)
 		}
+		d, ok := dists[op]
+		if !ok {
+			d = [4]dist{ovh.opDist(T1, op), ovh.opDist(T2, op), ovh.opDist(T3, op), ovh.opDist(T5, op)}
+			dists[op] = d
+		}
 		n := nodePlan{
 			id: int(node.ID), stream: node.Stream, streamSlot: slots[node.Stream], op: op,
-			t1: ovh.opDist(T1, op), t2: ovh.opDist(T2, op), t3: ovh.opDist(T3, op), t5: ovh.opDist(T5, op),
+			t1: d[0], t2: d[1], t3: d[2], t5: d[3],
 		}
 		for _, d := range g.Deps(node) {
 			// A producer the graph no longer holds never becomes ready
