@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint loc linked fuzz-smoke bench bench-check bench-baseline bench-ratchet serve-demo serve-http cluster-e2e cover check
+.PHONY: build test race vet fmt lint loc linked examples fuzz-smoke bench bench-check bench-baseline bench-ratchet serve-demo serve-http cluster-e2e cover check
 
 build:
 	$(GO) build ./...
@@ -45,14 +45,16 @@ loc:
 	done | sort -rn | awk '{ t += $$1; printf "%6d  %s\n", $$1, $$2 } END { printf "%6d  total\n", t }'
 
 # linked prints, one "program symbol" pair a line and sorted, the
-# module's function symbols the linker keeps in every package main
-# (cmd/*, examples/*, bench). Inlining is off so that a function called
-# only at inlined sites still shows. A declaration absent from every
-# line is linked by no program; diff the output across two commits to
-# check that a deletion took no function from any program.
+# module's function symbols the linker keeps in every program (cmd/*
+# and bench). Examples are documentation, not programs: they are not
+# roots, so a facade function only an example reaches is unlinked and
+# fails lint. Inlining is off so that a function called only at inlined
+# sites still shows. A declaration absent from every line is linked by
+# no program; diff the output across two commits to check that a
+# deletion took no function from any program.
 linked:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	pkgs=$$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); \
+	pkgs=$$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./cmd/... ./bench); \
 	for pkg in $$pkgs; do \
 		$(GO) build -gcflags=all=-l -o "$$tmp/$$(echo $$pkg | tr / _)" $$pkg; \
 	done; \
@@ -60,6 +62,14 @@ linked:
 		$(GO) tool nm "$$tmp/$$(echo $$pkg | tr / _)" | \
 			awk -v p=$$pkg '$$2 ~ /^[Tt]$$/ && $$3 ~ /^dlrmperf[.\/]/ { print p, $$3 }'; \
 	done | sort -u
+
+# examples runs the facade's two example programs end to end. Each
+# calibrates at the serving default (about 50 s per device on one
+# core): quickstart one device, newgpu all three. The CI examples job
+# runs this target; no test runs an example.
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/newgpu
 
 # fuzz-smoke runs each native fuzz target for 10 s on top of its
 # checked-in corpus (testdata/fuzz in the package): the row codec's

@@ -122,7 +122,8 @@ type Workload struct {
 	model *models.Model
 }
 
-// NewModel builds a named workload at the given batch size.
+// NewModel builds a named workload at the given batch size. It errors
+// on an unknown name or a batch size below 1.
 func NewModel(name string, batch int64) (*Workload, error) {
 	m, err := models.Build(name, batch)
 	if err != nil {
@@ -130,60 +131,6 @@ func NewModel(name string, batch int64) (*Workload, error) {
 	}
 	return &Workload{model: m}, nil
 }
-
-// DLRMConfig mirrors the Table III configuration surface for custom DLRM
-// instances.
-type DLRMConfig struct {
-	Batch          int64
-	BottomMLP      []int64 // BottomMLP[0] is the dense-feature width
-	TopMLP         []int64 // must end in 1
-	TableRows      []int64
-	EmbeddingDim   int64
-	LookupsPerItem int64
-	Loss           string // "mse" or "bce"
-	FuseEmbedding  bool
-}
-
-// NewDLRM builds a custom DLRM workload.
-func NewDLRM(cfg DLRMConfig) (*Workload, error) {
-	m, err := models.BuildDLRM(models.DLRMConfig{
-		Name:           "DLRM_custom",
-		Batch:          cfg.Batch,
-		BotMLP:         cfg.BottomMLP,
-		TopMLP:         cfg.TopMLP,
-		EmbRows:        cfg.TableRows,
-		EmbDim:         cfg.EmbeddingDim,
-		Lookups:        cfg.LookupsPerItem,
-		Loss:           cfg.Loss,
-		FusedEmbedding: cfg.FuseEmbedding,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Workload{model: m}, nil
-}
-
-// Name returns the workload name.
-func (w *Workload) Name() string { return w.model.Name }
-
-// Ops returns the operator count of one training iteration.
-func (w *Workload) Ops() int { return len(w.model.Graph.Nodes) }
-
-// Kernels returns the kernel-launch count of one training iteration.
-func (w *Workload) Kernels() int { return w.model.Graph.TotalKernels() }
-
-// Clone deep-copies the workload so transforms don't alias.
-func (w *Workload) Clone() *Workload { return &Workload{model: w.model.Clone()} }
-
-// ResizeBatch re-propagates the graph for a new batch size — the
-// "change batch size and re-predict" what-if, no re-capture needed.
-func (w *Workload) ResizeBatch(b int64) error { return w.model.ResizeBatch(b) }
-
-// FuseEmbeddingBags replaces per-table embedding_bag ops (and their
-// concat, and the per-table backward ops) with batched lookups — the
-// Fig. 11 co-design transform. It errors if the workload has no unfused
-// embedding ops.
-func (w *Workload) FuseEmbeddingBags() error { return models.FuseEmbeddingBags(w.model) }
 
 // Measurement is what a (simulated) hardware run reports.
 type Measurement struct {
@@ -255,16 +202,4 @@ func (p *Pipeline) Predict(w *Workload, db *OverheadDB) (Prediction, error) {
 		return Prediction{}, err
 	}
 	return Prediction{E2EUs: pr.E2E, ActiveUs: pr.Active, CPUUs: pr.CPUTime}, nil
-}
-
-// KernelOnly returns the sum-of-kernel-times baseline prediction in µs.
-func (p *Pipeline) KernelOnly(w *Workload) (float64, error) {
-	return predict.New(p.cal.Registry, &overhead.DB{}).KernelOnly(w.model.Graph)
-}
-
-// PredictKernelUs predicts one embedding-lookup kernel's time in µs — the
-// primitive behind sharding load-balance studies. rows/lookups/dim follow
-// the paper's (E, L, D) parameterization.
-func (p *Pipeline) PredictKernelUs(batch, rows, lookups, dim int64) (float64, error) {
-	return p.cal.Registry.Predict(embeddingKernel(batch, rows, lookups, dim))
 }

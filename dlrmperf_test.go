@@ -56,14 +56,24 @@ func TestDevicesAndWorkloads(t *testing.T) {
 	}
 }
 
+func TestNewModelRejectsNonPositiveBatch(t *testing.T) {
+	for _, name := range Workloads() {
+		for _, b := range []int64{0, -64} {
+			if _, err := NewModel(name, b); err == nil {
+				t.Errorf("NewModel(%s, %d) accepted", name, b)
+			}
+		}
+	}
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	pipe := pipeline(t)
 	w, err := NewModel(DLRMDefault, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Ops() == 0 || w.Kernels() == 0 {
-		t.Fatalf("workload identity: ops=%d kernels=%d", w.Ops(), w.Kernels())
+	if len(w.model.Graph.Nodes) == 0 {
+		t.Fatal("workload has no ops")
 	}
 	meas := pipe.Measure(w, 1)
 	if meas.IterTimeUs <= 0 || meas.Utilization <= 0 || meas.Utilization > 1 {
@@ -80,35 +90,11 @@ func TestQuickstartFlow(t *testing.T) {
 	if e := math.Abs(pred.E2EUs-meas.IterTimeUs) / meas.IterTimeUs; e > 0.25 {
 		t.Errorf("E2E prediction error %.1f%%", 100*e)
 	}
-	ko, err := pipe.KernelOnly(w)
-	if err != nil {
-		t.Fatal(err)
+	if pred.ActiveUs <= 0 {
+		t.Fatalf("kernel-only (active) prediction %v: the workload launches no kernels", pred.ActiveUs)
 	}
-	if ko >= pred.E2EUs {
+	if pred.ActiveUs >= pred.E2EUs {
 		t.Error("kernel-only must be below the full E2E prediction")
-	}
-}
-
-func TestCustomDLRM(t *testing.T) {
-	w, err := NewDLRM(DLRMConfig{
-		Batch:          256,
-		BottomMLP:      []int64{256, 128, 32},
-		TopMLP:         []int64{256, 1},
-		TableRows:      []int64{10000, 10000, 50000},
-		EmbeddingDim:   32,
-		LookupsPerItem: 4,
-		Loss:           "mse",
-		FuseEmbedding:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Name() != "DLRM_custom" {
-		t.Errorf("name = %s", w.Name())
-	}
-	// Invalid config propagates the validation error.
-	if _, err := NewDLRM(DLRMConfig{Batch: 0}); err == nil {
-		t.Error("invalid config accepted")
 	}
 }
 
@@ -126,58 +112,16 @@ func TestResizeWhatIf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.ResizeBatch(4096); err != nil {
+	m, err := w.model.WithBatch(4096)
+	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := pipe.Predict(w, db)
+	big, err := pipe.Predict(&Workload{model: m}, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if big.E2EUs <= small.E2EUs {
 		t.Errorf("8x batch should predict slower: %v <= %v", big.E2EUs, small.E2EUs)
-	}
-}
-
-func TestFuseEmbeddingBagsWhatIf(t *testing.T) {
-	pipe := pipeline(t)
-	w, err := NewDLRM(DLRMConfig{
-		Batch:          512,
-		BottomMLP:      []int64{512, 512, 64},
-		TopMLP:         []int64{1024, 1024, 1024, 1},
-		TableRows:      []int64{1e6, 1e6, 1e6, 1e6, 1e6, 1e6, 1e6, 1e6},
-		EmbeddingDim:   64,
-		LookupsPerItem: 10,
-		Loss:           "mse",
-		FuseEmbedding:  false,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := pipe.CollectOverheads(w, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := pipe.Predict(w, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fused := w.Clone()
-	if err := fused.FuseEmbeddingBags(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := pipe.Predict(fused, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.E2EUs >= before.E2EUs {
-		t.Errorf("fusion predicted no gain: %v >= %v", after.E2EUs, before.E2EUs)
-	}
-	// The original is untouched; fusing an already-fused model errors.
-	if err := fused.FuseEmbeddingBags(); err == nil {
-		t.Error("double fusion should error")
-	}
-	if w.Ops() <= fused.Ops() {
-		t.Error("fusion should reduce op count")
 	}
 }
 
@@ -212,21 +156,6 @@ func TestKernelModelErrorsExposed(t *testing.T) {
 	}
 	if errs["GEMM"][0] <= 0 || errs["GEMM"][0] > 0.2 {
 		t.Errorf("GEMM GMAE = %v", errs["GEMM"][0])
-	}
-}
-
-func TestPredictKernelUs(t *testing.T) {
-	pipe := pipeline(t)
-	small, err := pipe.PredictKernelUs(2048, 10_000, 4, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := pipe.PredictKernelUs(2048, 10_000_000, 64, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small <= 0 || big <= small {
-		t.Errorf("kernel predictions implausible: small=%v big=%v", small, big)
 	}
 }
 

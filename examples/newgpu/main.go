@@ -37,7 +37,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s on %s: measured %0.f us/batch, predicted %0.f us/batch\n\n",
-		w.Name(), current, baseMeas.IterTimeUs, basePred.E2EUs)
+		dlrmperf.DLRMMLPerf, current, baseMeas.IterTimeUs, basePred.E2EUs)
 
 	fmt.Println("what-if: same workload, same host, different GPU:")
 	fmt.Println("  device     predicted us/batch   speedup vs P100")

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"dlrmperf/internal/engine"
-	"dlrmperf/internal/kernels"
 )
 
 // StreamStats is the engine's async-stream observability block:
@@ -63,9 +62,4 @@ func (e *Engine) InstallRemoteResult(req PredictRequest, v any) {
 	if ereq, err := req.Resolve(); err == nil {
 		e.eng.InstallRemoteResult(ereq, v)
 	}
-}
-
-// embeddingKernel builds a single-table lookup kernel for PredictKernelUs.
-func embeddingKernel(batch, rows, lookups, dim int64) *kernels.Kernel {
-	return &kernels.Kernel{Kind: kernels.KindEmbeddingFwd, B: batch, E: rows, T: 1, L: lookups, D: dim}
 }

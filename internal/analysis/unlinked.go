@@ -11,9 +11,9 @@ import (
 
 // Unlinked returns the analyzer that reports every function declaration
 // of a non-main package that no program links. linked is the symbol set
-// ParseLinked reads from `make linked`, which builds every package main
-// of the module (cmd/*, examples/*, bench) and lists the functions the
-// linker kept. A declaration missing from it is reachable from tests
+// ParseLinked reads from `make linked`, which builds every program of
+// the module (cmd/* and bench; examples are documentation, not roots)
+// and lists the functions the linker kept. A declaration missing from it is reachable from tests
 // alone: delete it, or keep it with a reason on the declaration,
 //
 //	//lint:allow unlinked <reason>

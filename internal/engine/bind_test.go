@@ -223,8 +223,10 @@ func TestTransformOnCloneLeavesStructureShared(t *testing.T) {
 	if streams := whatIf.AssignStreams(); streams < 2 {
 		t.Fatalf("AssignStreams used %d streams on DLRM", streams)
 	}
-	if err := whatIf.ResizeBatch(64); err != nil {
+	if v, err := whatIf.WithBatch(64); err != nil {
 		t.Fatal(err)
+	} else if v.BatchSize() != 64 {
+		t.Fatalf("the transformed clone bound at batch %d, want 64", v.BatchSize())
 	}
 
 	for _, m := range []*models.Model{structure, view} {

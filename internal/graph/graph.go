@@ -5,10 +5,10 @@
 // (which "runs" it to produce measured traces) and the end-to-end
 // performance model (Algorithm 1).
 //
-// Because ops derive their kernels from tensor metadata, the graph is
-// mutable in exactly the ways Section V-A needs for model-system
-// co-design: batch resizing, op fusion, node removal and multi-stream
-// parallelization, all without re-capturing the model.
+// Because ops derive their kernels from tensor metadata, the graph
+// supports exactly the what-ifs Section V-A needs for model-system
+// co-design: batch resizing (WithBatch), op fusion, node removal and
+// multi-stream parallelization, all without re-capturing the model.
 //
 // A Graph is two parts. The structure — the node list, the sources and
 // each tensor's producer — says which op consumes what and does not
@@ -258,17 +258,6 @@ func (g *Graph) WithBatch(b int64) (*Graph, error) {
 	return &v, nil
 }
 
-// ResizeBatch rebinds g itself to batch size b — the paper's "change
-// batch size and re-predict" what-if, done without re-capturing the
-// model. On error g is unchanged.
-func (g *Graph) ResizeBatch(b int64) error {
-	v, err := g.WithBatch(b)
-	if err == nil {
-		g.shapes = v.shapes
-	}
-	return err
-}
-
 // BatchSize returns the leading dimension of the first non-scalar source.
 func (g *Graph) BatchSize() int64 {
 	for _, s := range g.sources {
@@ -277,19 +266,6 @@ func (g *Graph) BatchSize() int64 {
 		}
 	}
 	return 0
-}
-
-// TotalKernels counts the kernels launched by one execution of the graph.
-func (g *Graph) TotalKernels() int {
-	n := 0
-	var in []tensor.Meta
-	var ks []kernels.Kernel
-	for _, node := range g.Nodes {
-		in = g.InputMetas(in[:0], node.Inputs)
-		ks = node.Op.AppendKernels(ks[:0], in)
-		n += len(ks)
-	}
-	return n
 }
 
 // Clone returns a deep copy of the graph (ops are immutable values and

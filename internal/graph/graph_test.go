@@ -18,6 +18,15 @@ func tinyMLP(b int64) *Graph {
 	return g
 }
 
+// kernelCount counts the kernels one execution of g launches.
+func kernelCount(g *Graph) int {
+	n := 0
+	for _, node := range g.Nodes {
+		n += len(g.NodeKernels(node))
+	}
+	return n
+}
+
 func TestApplyAndMeta(t *testing.T) {
 	g := tinyMLP(16)
 	if err := g.Validate(); err != nil {
@@ -49,20 +58,20 @@ func TestNodeKernels(t *testing.T) {
 }
 
 func TestResizeBatchPropagates(t *testing.T) {
-	g := tinyMLP(16)
-	if err := g.ResizeBatch(1024); err != nil {
+	v, err := tinyMLP(16).WithBatch(1024)
+	if err != nil {
 		t.Fatal(err)
 	}
-	gm := g.NodeKernels(g.Nodes[0])[0]
+	gm := v.NodeKernels(v.Nodes[0])[0]
 	if gm.Kind != kernels.KindGEMM || gm.M != 1024 {
 		t.Errorf("after resize GEMM M = %d, want 1024", gm.M)
 	}
-	out := g.Meta(g.Nodes[2].Outputs[0])
+	out := v.Meta(v.Nodes[2].Outputs[0])
 	if out.Dim(0) != 1024 {
 		t.Errorf("final output batch = %d", out.Dim(0))
 	}
-	if g.BatchSize() != 1024 {
-		t.Errorf("BatchSize = %d", g.BatchSize())
+	if v.BatchSize() != 1024 {
+		t.Errorf("BatchSize = %d", v.BatchSize())
 	}
 }
 
@@ -129,21 +138,19 @@ func TestValidateCatchesUseBeforeDef(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	g := tinyMLP(8)
 	c := g.Clone()
-	if err := c.ResizeBatch(256); err != nil {
-		t.Fatal(err)
+	out := c.Apply(ops.Linear{Out: 4}, c.Nodes[2].Outputs[0])
+	if len(g.Nodes) != 3 || len(g.shapes) != len(c.shapes)-1 {
+		t.Errorf("transforming clone mutated original (%d nodes, %d tensors)", len(g.Nodes), len(g.shapes))
 	}
-	if g.BatchSize() != 8 {
-		t.Errorf("resizing clone mutated original (batch=%d)", g.BatchSize())
-	}
-	if c.BatchSize() != 256 {
-		t.Errorf("clone batch = %d", c.BatchSize())
+	if m := c.Meta(out[0]); len(c.Nodes) != 4 || m.Dim(0) != 8 || m.Dim(1) != 4 {
+		t.Errorf("clone has %d nodes, output %v", len(c.Nodes), m)
 	}
 }
 
 func TestTotalKernels(t *testing.T) {
 	g := tinyMLP(8)
-	if got := g.TotalKernels(); got != 3 {
-		t.Errorf("TotalKernels = %d, want 3", got)
+	if got := kernelCount(g); got != 3 {
+		t.Errorf("kernel count = %d, want 3", got)
 	}
 }
 

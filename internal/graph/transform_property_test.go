@@ -31,7 +31,7 @@ func TestFusionPreservesValidityProperty(t *testing.T) {
 		cat := g.Apply(ops.Concat{Dim: 1}, outs...)
 		relu := g.Apply(ops.ReLU(), cat[0])
 
-		before := g.TotalKernels()
+		before := kernelCount(g)
 		ids = append(ids, g.Producer(cat[0]))
 		fused, err := g.ReplaceNodes(ids, ops.EmbeddingLookup{Rows: rows, L: 4, D: 16})
 		if err != nil {
@@ -41,7 +41,7 @@ func TestFusionPreservesValidityProperty(t *testing.T) {
 			return false
 		}
 		// The fused graph launches fewer kernels than n bags + a concat.
-		if g.TotalKernels() >= before {
+		if kernelCount(g) >= before {
 			return false
 		}
 		// Downstream relu depends on the fused node, and its shape holds.
@@ -69,18 +69,19 @@ func TestResizePropagationProperty(t *testing.T) {
 		h := g.Apply(ops.Linear{Out: 32}, x)
 		r := g.Apply(ops.ReLU(), h[0])
 		g.Apply(ops.Linear{Out: 8}, r[0])
-		if g.ResizeBatch(b2) != nil {
+		v, err := g.WithBatch(b2)
+		if err != nil {
 			return false
 		}
-		for _, n := range g.Nodes {
+		for _, n := range v.Nodes {
 			for _, out := range n.Outputs {
-				m := g.Meta(out)
+				m := v.Meta(out)
 				if m.Rank() > 0 && m.Dim(0) != b2 {
 					return false
 				}
 			}
 		}
-		return g.BatchSize() == b2
+		return v.BatchSize() == b2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -151,17 +151,18 @@ func TestBindEqualsBuildRandomTables(t *testing.T) {
 	}
 }
 
-// TestResizeBatchEqualsBuild pins the public what-if on the three
+// TestResizeBatchEqualsBuild pins the batch-size what-if on the three
 // families it used to get wrong: ops that baked the build batch into a
 // shape (aten::expand in the CNNs, fourteen aten::view in the
 // Transformer) kept launching build-batch kernels after a resize.
 func TestResizeBatchEqualsBuild(t *testing.T) {
 	for _, name := range []string{NameResNet50, NameInceptionV3, NameTransformer} {
-		m, err := Build(name, 512)
+		built, err := Build(name, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.ResizeBatch(64); err != nil {
+		m, err := built.WithBatch(64)
+		if err != nil {
 			t.Fatal(err)
 		}
 		want, err := Build(name, 64)

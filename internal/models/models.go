@@ -21,14 +21,6 @@ type Model struct {
 	Params int64
 }
 
-// ResizeBatch rebuilds the graph for a new batch size in place.
-func (m *Model) ResizeBatch(b int64) error {
-	if b <= 0 {
-		return errBatch(b)
-	}
-	return m.Graph.ResizeBatch(b)
-}
-
 func errBatch(b int64) error { return fmt.Errorf("models: batch size %d must be positive", b) }
 
 // WithBatch returns the model bound to batch size b: equal to building
@@ -65,6 +57,9 @@ const (
 
 // Build constructs a named model at the given batch size.
 func Build(name string, batch int64) (*Model, error) {
+	if batch <= 0 {
+		return nil, errBatch(batch)
+	}
 	switch name {
 	case NameResNet50:
 		return BuildResNet50(batch), nil

@@ -27,6 +27,18 @@ func TestBuildAllModels(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsNonPositiveBatch: every family refuses a batch size
+// below 1 with an error, before any shape is computed.
+func TestBuildRejectsNonPositiveBatch(t *testing.T) {
+	for _, name := range allFamilies {
+		for _, b := range []int64{0, -64} {
+			if m, err := Build(name, b); err == nil {
+				t.Errorf("Build(%s, %d) = %d nodes, want an error", name, b, len(m.Graph.Nodes))
+			}
+		}
+	}
+}
+
 func TestBuildUnknownModel(t *testing.T) {
 	if _, err := Build("alexnet", 32); err == nil {
 		t.Fatal("unknown model accepted")
@@ -83,11 +95,12 @@ func TestDLRMKernelCensus(t *testing.T) {
 }
 
 func TestDLRMResize(t *testing.T) {
-	m, err := Build(NameDLRMDDP, 512)
+	built, err := Build(NameDLRMDDP, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ResizeBatch(4096); err != nil {
+	m, err := built.WithBatch(4096)
+	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -104,7 +117,7 @@ func TestDLRMResize(t *testing.T) {
 	if !found {
 		t.Fatal("no LookupFunction node found")
 	}
-	if err := m.ResizeBatch(-1); err == nil {
+	if _, err := m.WithBatch(-1); err == nil {
 		t.Error("negative batch accepted")
 	}
 }
@@ -260,15 +273,24 @@ func TestTransformerDominatedByGEMM(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	m, err := Build(NameDLRMDefault, 512)
+	cfg := DLRMDefaultConfig(512)
+	cfg.FusedEmbedding = false
+	m, err := BuildDLRM(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	nodes := len(m.Graph.Nodes)
 	c := m.Clone()
-	if err := c.ResizeBatch(2048); err != nil {
+	if err := FuseEmbeddingBags(c); err != nil {
 		t.Fatal(err)
 	}
-	if m.Graph.BatchSize() != 512 {
-		t.Error("clone resize affected original")
+	if len(m.Graph.Nodes) != nodes || EmbeddingBagNodes(m) == nil {
+		t.Error("fusing the clone affected the original")
+	}
+	if len(c.Graph.Nodes) >= nodes {
+		t.Error("fusion should reduce op count")
+	}
+	if err := FuseEmbeddingBags(c); err == nil {
+		t.Error("double fusion should error")
 	}
 }

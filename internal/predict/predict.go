@@ -121,11 +121,3 @@ func (p *Predictor) Predict(g *graph.Graph) (Prediction, error) {
 	}
 	return pr, nil
 }
-
-// KernelOnly returns the sum of predicted kernel times — the baseline
-// that previous CNN-focused work uses as the E2E estimate and that Fig. 9
-// shows failing at low GPU utilization. It is the walk's Active time.
-func (p *Predictor) KernelOnly(g *graph.Graph) (float64, error) {
-	pr, err := p.Predict(g)
-	return pr.Active, err
-}

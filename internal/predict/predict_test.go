@@ -96,31 +96,27 @@ func TestE2EPredictionAccuracy(t *testing.T) {
 
 func TestKernelOnlyUnderestimatesAtLowBatch(t *testing.T) {
 	pred, m, meas := assets(t, models.NameDLRMDefault, 512)
-	ko, err := pred.KernelOnly(m.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := stats.RelErr(ko, meas.MeanIterTime)
-	// Fig 9: kernel-only errors around -50% at B=512.
-	if rel > -0.3 {
-		t.Errorf("kernel-only error at B=512 = %+.1f%%, expected strong underestimation", 100*rel)
-	}
 	pr, err := pred.Predict(m.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.AbsRelErr(pr.E2E, meas.MeanIterTime) >= stats.AbsRelErr(ko, meas.MeanIterTime) {
+	rel := stats.RelErr(pr.Active, meas.MeanIterTime)
+	// Fig 9: kernel-only errors around -50% at B=512.
+	if rel > -0.3 {
+		t.Errorf("kernel-only error at B=512 = %+.1f%%, expected strong underestimation", 100*rel)
+	}
+	if stats.AbsRelErr(pr.E2E, meas.MeanIterTime) >= stats.AbsRelErr(pr.Active, meas.MeanIterTime) {
 		t.Error("Algorithm 1 should beat kernel-only at low utilization")
 	}
 }
 
 func TestKernelOnlyGapShrinksWithBatch(t *testing.T) {
 	predS, mS, measS := assets(t, models.NameDLRMDefault, 512)
-	koS, _ := predS.KernelOnly(mS.Graph)
+	prS, _ := predS.Predict(mS.Graph)
 	predL, mL, measL := assets(t, models.NameDLRMDefault, 4096)
-	koL, _ := predL.KernelOnly(mL.Graph)
-	gapS := -stats.RelErr(koS, measS.MeanIterTime)
-	gapL := -stats.RelErr(koL, measL.MeanIterTime)
+	prL, _ := predL.Predict(mL.Graph)
+	gapS := -stats.RelErr(prS.Active, measS.MeanIterTime)
+	gapL := -stats.RelErr(prL.Active, measL.MeanIterTime)
 	if gapL >= gapS {
 		t.Errorf("kernel-only gap did not shrink with batch: %.1f%% -> %.1f%%", 100*gapS, 100*gapL)
 	}
@@ -145,10 +141,30 @@ func TestPredictionIsSystematicallyLowAtSmallBatch(t *testing.T) {
 	}
 }
 
+// kernelOnly is the kernel-only baseline computed apart from the walk:
+// the summed predicted times of the kernels g launches, and their count.
+func kernelOnly(t *testing.T, reg *perfmodel.Registry, g *graph.Graph) (us float64, n int) {
+	t.Helper()
+	for _, node := range g.Nodes {
+		sum := 0.0
+		for _, k := range g.NodeKernels(node) {
+			tk, err := reg.Predict(&k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += tk
+			n++
+		}
+		us += sum
+	}
+	return us, n
+}
+
 // TestActiveEqualsKernelOnly checks, on every family, that the walk's
-// GPU active time is the kernel-only sum, and that its E2E time is never
-// below the device's or the host's total. Accuracy is not at stake, so a
-// small calibration that covers the CNN kernels serves.
+// GPU active time is the kernel-only sum, that it reads no overhead
+// database (an empty one gives a bit-equal Active), and that its E2E
+// time is never below the device's or the host's total. Accuracy is not
+// at stake, so a small calibration that covers the CNN kernels serves.
 func TestActiveEqualsKernelOnly(t *testing.T) {
 	sizes := map[kernels.Kind]int{}
 	for k := range microbench.DefaultSweepSizes() {
@@ -179,12 +195,17 @@ func TestActiveEqualsKernelOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ko, err := pred.KernelOnly(m.Graph)
+		ko, _ := kernelOnly(t, cal.Registry, m.Graph)
+		if ko != pr.Active {
+			t.Errorf("%s: kernel-only sum %v != active %v", tc.name, ko, pr.Active)
+		}
+		empty, err := New(cal.Registry, &overhead.DB{}).Predict(m.Graph)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if diff := ko - pr.Active; diff > 1e-6 || diff < -1e-6 {
-			t.Errorf("%s: kernel-only sum %v != active %v", tc.name, ko, pr.Active)
+		if empty.Active != pr.Active || empty.E2E == pr.E2E {
+			t.Errorf("%s: an empty overhead database gives active %v, E2E %v; the collected one %v, %v",
+				tc.name, empty.Active, empty.E2E, pr.Active, pr.E2E)
 		}
 		if pr.E2E < pr.Active || pr.E2E < pr.CPUTime {
 			t.Errorf("%s: E2E %v below max(active %v, CPU time %v)", tc.name, pr.E2E, pr.Active, pr.CPUTime)
@@ -233,7 +254,8 @@ func TestWalkAllocatesPerWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s: %d nodes, %d kernels: %.0f allocs per walk", tc.name, len(v.Nodes), v.TotalKernels(), allocs)
+		_, launches := kernelOnly(t, cal.Registry, v)
+		t.Logf("%s: %d nodes, %d kernels: %.0f allocs per walk", tc.name, len(v.Nodes), launches, allocs)
 		if allocs > walkAllocSlack {
 			t.Errorf("%s: walk allocates %.0f times, want <= %d", tc.name, allocs, walkAllocSlack)
 		}

@@ -7,9 +7,9 @@ import (
 	"dlrmperf/internal/workload"
 )
 
-// Plan is a device assignment of embedding tables — the promoted form
-// of the examples/sharding load-balancing study, usable by the engine's
-// multi-device prediction path and by co-design callers alike.
+// Plan is a device assignment of embedding tables — the load-balancing
+// study of §V-A(c), used by the engine's multi-device prediction path
+// and by the experiments' sharding study alike.
 type Plan struct {
 	// Devices is the shard count.
 	Devices int

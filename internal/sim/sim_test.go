@@ -130,10 +130,11 @@ func TestUtilizationRisesWithBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	utilAt := func(b int64) float64 {
-		if err := m.ResizeBatch(b); err != nil {
+		v, err := m.WithBatch(b)
+		if err != nil {
 			t.Fatal(err)
 		}
-		r := sim.Run(m.Graph, sim.Config{Platform: v100(), Seed: 7, Warmup: 2, Iters: 8, Workload: m.Name})
+		r := sim.Run(v.Graph, sim.Config{Platform: v100(), Seed: 7, Warmup: 2, Iters: 8, Workload: m.Name})
 		return r.Utilization()
 	}
 	low := utilAt(512)
