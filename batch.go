@@ -97,7 +97,7 @@ func NewEngineWith(cfg EngineConfig) (*Engine, error) {
 	}
 	return &Engine{
 		eng: engine.New(engine.Options{
-			Seed: cfg.Seed, SaltDeviceSeeds: true,
+			Seed:  cfg.Seed,
 			Calib: cfg.Calib, Workers: cfg.Workers,
 			ResultCacheSize: cfg.ResultCacheSize,
 		}),

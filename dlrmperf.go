@@ -20,7 +20,6 @@ package dlrmperf
 import (
 	"runtime"
 
-	"dlrmperf/internal/engine"
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/models"
 	"dlrmperf/internal/overhead"
@@ -76,9 +75,7 @@ func WithCalibration(opts perfmodel.CalibOptions) Option {
 }
 
 // Pipeline owns the calibrated kernel performance models for one device —
-// the reusable "assets" of the paper's prediction track. Calibration
-// goes through the concurrent engine; the pipeline itself only keeps
-// the resulting assets.
+// the reusable "assets" of the paper's prediction track.
 type Pipeline struct {
 	platform hw.Platform
 	cal      *perfmodel.Calibration
@@ -87,9 +84,10 @@ type Pipeline struct {
 // NewPipeline calibrates kernel performance models for the named device
 // by sweeping microbenchmarks on the simulated hardware and fitting the
 // paper's heuristic and ML-based models. The per-kernel-family
-// calibration jobs run concurrently on the engine's worker pool; the
-// fitted models are bit-identical to a serial calibration of the same
-// seed.
+// calibration jobs run concurrently, one per core at most; the fitted
+// models are bit-identical to a serial calibration of the same seed.
+// Unlike an Engine's devices, a pipeline calibrates from the seed
+// itself, with no per-device salt.
 func NewPipeline(device string, opts ...Option) (*Pipeline, error) {
 	p, err := hw.ByName(device)
 	if err != nil {
@@ -99,12 +97,7 @@ func NewPipeline(device string, opts ...Option) (*Pipeline, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	eng := engine.New(engine.Options{Seed: cfg.seed, Calib: cfg.calib})
-	cal, err := eng.Calibration(device)
-	if err != nil {
-		return nil, err
-	}
-	return &Pipeline{platform: p, cal: cal}, nil
+	return &Pipeline{platform: p, cal: perfmodel.Calibrate(p.GPU, cfg.seed, cfg.calib, 0)}, nil
 }
 
 // KernelModelErrors returns the held-out Table IV evaluation of every

@@ -68,6 +68,19 @@ var hotpathPackages = map[string]hotpathConfig{
 			"nodeErrorf",
 		},
 	},
+	"dlrmperf/internal/perfmodel": {
+		roots: []string{
+			// Kernel pricing: every kernel of every result-cache miss
+			// (Model.Predict is reached through the KernelModel
+			// interface, so it is rooted by name).
+			"Registry.Predict",
+			"Model.Predict",
+		},
+		stops: []string{
+			// Wraps ErrNoModel for a kind the registry cannot price.
+			"noModel",
+		},
+	},
 	"dlrmperf/internal/models": {
 		roots: []string{"Model.WithBatch"},
 		stops: []string{"errBatch"},

@@ -14,8 +14,10 @@ import (
 // whenever the serialized layout changes incompatibly; LoadAssets
 // rejects any other version with *AssetFormatError, so a stale file or
 // a truncated blob arriving over the wire (cluster asset migration)
-// fails typed instead of installing silently-wrong calibration.
-const AssetFormatVersion = 1
+// fails typed instead of installing silently-wrong calibration. Version
+// 2 files each kernel model as one perfmodel.Model object; version 1
+// wrapped it in a {type, data} union.
+const AssetFormatVersion = 2
 
 // AssetFormatError reports an asset payload this engine cannot load:
 // either its version header names a different format (Got >= 0), or

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"dlrmperf/internal/hw"
@@ -49,20 +51,23 @@ func TestAssetFormatVersionGuard(t *testing.T) {
 		}
 	}
 
-	// A future (or past) version is refused with the typed error.
+	// A past or future version is refused with the typed error: version
+	// 1, whose models were a {type, data} union, as well as 99.
 	var wire map[string]json.RawMessage
 	if err := json.Unmarshal(data, &wire); err != nil {
 		t.Fatal(err)
 	}
-	wire["version"] = json.RawMessage("99")
-	bumped, err := json.Marshal(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = New(tinyOptions(7)).LoadAssets(bumped)
 	var fe *AssetFormatError
-	if !errors.As(err, &fe) || fe.Got != 99 || fe.Want != AssetFormatVersion {
-		t.Fatalf("version-mismatch err = %v, want AssetFormatError{Got:99, Want:%d}", err, AssetFormatVersion)
+	for _, v := range []int{1, 99} {
+		wire["version"] = json.RawMessage(strconv.Itoa(v))
+		bumped, err := json.Marshal(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = New(tinyOptions(7)).LoadAssets(bumped)
+		if !errors.As(err, &fe) || fe.Got != v || fe.Want != AssetFormatVersion {
+			t.Fatalf("version-mismatch err = %v, want AssetFormatError{Got:%d, Want:%d}", err, v, AssetFormatVersion)
+		}
 	}
 
 	// Pre-versioning blobs carry no version field and decode it as 0 —
@@ -146,6 +151,10 @@ func setRegistryModel(t testing.TB, wire map[string]json.RawMessage, kind, model
 	wire["registry"], _ = json.Marshal(reg)
 }
 
+// elModel is the registry entry of an enhanced embedding heuristic
+// with V100's SM count and L2 size.
+const elModel = `{"form":"el","name":"EL","dram_bw":9e5,"l2_bw":2e6,"enhanced":true,"num_sms":80,"l2_size":6291456}`
+
 // mlpModel is the registry entry of a one-net MLP model of the given
 // layer sizes.
 func mlpModel(t testing.TB, sizes ...int) string {
@@ -154,7 +163,7 @@ func mlpModel(t testing.TB, sizes ...int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return `{"type":"mlp","data":{"name":"M","config":{},"base_peak":1e13,"base_bw":9e11,"nets":[` + string(net) + `]}}`
+	return `{"form":"mlp","name":"M","base_peak":1e7,"base_bw":9e5,"nets":[` + string(net) + `]}`
 }
 
 // TestLoadAssetsRejectedInstallsNothing: a payload whose envelope
@@ -223,7 +232,25 @@ func TestLoadAssetsRejectedInstallsNothing(t *testing.T) {
 			wire["registry"] = json.RawMessage(`{"device":"` + hw.V100 + `","models":{}}`)
 		}},
 		{"an embedding heuristic filed under GEMM", func(wire map[string]json.RawMessage) {
-			setRegistryModel(t, wire, "GEMM", `{"type":"el","data":{"name":"EL","gpu":"V100","dram_bw":9e11,"l2_bw":2e12,"enhanced":true}}`)
+			setRegistryModel(t, wire, "GEMM", elModel)
+		}},
+		{"a concat roofline with no fields", func(wire map[string]json.RawMessage) {
+			setRegistryModel(t, wire, "concat", `{"form":"roofline","name":"concat"}`)
+		}},
+		{"a memcpy roofline with a negative latency", func(wire map[string]json.RawMessage) {
+			setRegistryModel(t, wire, "memcpy", `{"form":"roofline","name":"memcpy","bw":1e4,"lat":-1}`)
+		}},
+		{"an embedding heuristic with no SM count", func(wire map[string]json.RawMessage) {
+			setRegistryModel(t, wire, "EL-F", `{"form":"el","name":"EL-FH","dram_bw":9e5,"l2_bw":2e6,"enhanced":true,"l2_size":6291456}`)
+		}},
+		{"an enhanced embedding heuristic with no L2 bandwidth", func(wire map[string]json.RawMessage) {
+			setRegistryModel(t, wire, "EL-B", `{"form":"el","name":"EL-BH","dram_bw":9e5,"enhanced":true,"num_sms":80,"l2_size":6291456}`)
+		}},
+		{"a GEMM network with no baseline bandwidth", func(wire map[string]json.RawMessage) {
+			setRegistryModel(t, wire, "GEMM", strings.Replace(mlpModel(t, 4, 16, 1), `"base_bw":9e5`, `"base_bw":0`, 1))
+		}},
+		{"a version-1 model entry", func(wire map[string]json.RawMessage) {
+			setRegistryModel(t, wire, "concat", `{"type":"roofline","data":{"ModelName":"concat","BW":1e4,"Lat":5,"Peak":0}}`)
 		}},
 		{"a GEMM network of conv's input width", func(wire map[string]json.RawMessage) {
 			setRegistryModel(t, wire, "GEMM", mlpModel(t, 8, 16, 1))

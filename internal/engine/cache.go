@@ -300,7 +300,7 @@ func approxBytes(v any) int64 {
 		if t.Registry != nil {
 			for _, kind := range t.Registry.Kinds() {
 				n += modelBytes
-				if m, ok := t.Registry.Model(kind).(*perfmodel.MLPModel); ok {
+				if m, ok := t.Registry.Model(kind).(*perfmodel.Model); ok {
 					for _, net := range m.Nets {
 						n += 8 * int64(net.NumParams())
 					}

@@ -68,13 +68,8 @@ type Options struct {
 	// seed and is passed through untouched — callers wanting a default
 	// (the facade uses 2022) apply it themselves.
 	Seed uint64
-	// SaltDeviceSeeds mixes xrand.HashString(device) into each device's
-	// calibration seed, giving every device its own decorrelated stream.
-	// Leave false to calibrate a device with the raw Seed (the
-	// single-device facade pipeline's historical behavior).
-	SaltDeviceSeeds bool
 	// Calib is how every device calibrates; each device calibrates it
-	// from its own seed (see SaltDeviceSeeds).
+	// from its own seed, Seed + DeviceSalt(device).
 	Calib perfmodel.CalibOptions
 	// DLRMBatches are the batch sizes pooled into DLRM overhead
 	// databases (default 512..4096).
@@ -205,10 +200,7 @@ func (e *Engine) Options() Options { return e.opts }
 
 // seedFor derives the calibration seed of one device.
 func (e *Engine) seedFor(device string) uint64 {
-	if e.opts.SaltDeviceSeeds {
-		return e.opts.Seed + DeviceSalt(device)
-	}
-	return e.opts.Seed
+	return e.opts.Seed + DeviceSalt(device)
 }
 
 // runSeed derives the measured-run seed of one (device, batch, profiled)

@@ -24,11 +24,10 @@ func tinyOptions(seed uint64) Options {
 		sizes[k] = n / 8
 	}
 	return Options{
-		Seed:            seed,
-		SaltDeviceSeeds: true,
-		Iters:           10,
-		DLRMBatches:     []int64{256, 512},
-		Workers:         4,
+		Seed:        seed,
+		Iters:       10,
+		DLRMBatches: []int64{256, 512},
+		Workers:     4,
 		Calib: perfmodel.CalibOptions{
 			SweepSizes: sizes, Ensemble: 1,
 			MLPConfig: mlp.Config{HiddenLayers: 1, Width: 16, Optimizer: mlp.Adam, LR: 3e-3, Epochs: 10, BatchSize: 64},

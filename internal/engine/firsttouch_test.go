@@ -126,7 +126,7 @@ func TestSamplesChargeIsTheirLength(t *testing.T) {
 // fresh engine builds alone; under -race this also checks that pooling
 // only reads the samples.
 func TestConcurrentPoolsShareSamples(t *testing.T) {
-	opts := Options{Seed: 5, SaltDeviceSeeds: true, Iters: 5, DLRMBatches: []int64{256, 512}, Workers: 2}
+	opts := Options{Seed: 5, Iters: 5, DLRMBatches: []int64{256, 512}, Workers: 2}
 	keys := append(models.DLRMNames(), "")
 	build := func(e *Engine, model string) *overhead.DB {
 		get := e.SharedOverheadDB

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -18,11 +19,11 @@ import (
 // can POST to /v1/assets/install and the coordinator's migration
 // replays. Its oracles: a rejected payload leaves the engine exactly as
 // it was, and an accepted one names a known device whose registry
-// prices a kernel of every kind it holds without panicking and whose
-// DLRM_default prediction finds a model for every kernel. The seeds are a tiny
-// engine's real export (its registry and DLRM_default overheads), that
-// export truncated, that export with an embedding heuristic filed under
-// GEMM, and a hollow registry.
+// prices a kernel of every kind it holds to a finite, positive time
+// and whose DLRM_default prediction finds a model for every kernel. The
+// seeds are a tiny engine's real export (its registry and DLRM_default
+// overheads), that export truncated, that export with an embedding
+// heuristic filed under GEMM, and a hollow registry.
 func FuzzLoadAssets(f *testing.F) {
 	opts := tinyOptions(7)
 	src := New(opts)
@@ -40,13 +41,13 @@ func FuzzLoadAssets(f *testing.F) {
 	if err := json.Unmarshal(data, &wire); err != nil {
 		f.Fatal(err)
 	}
-	setRegistryModel(f, wire, "GEMM", `{"type":"el","data":{"name":"EL","gpu":"V100","dram_bw":9e11,"l2_bw":2e12,"enhanced":true}}`)
+	setRegistryModel(f, wire, "GEMM", elModel)
 	misfit, err := json.Marshal(wire)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(misfit)
-	f.Add([]byte(`{"version":1,"device":"V100","registry":{"device":"V100","models":{}}}`))
+	f.Add([]byte(`{"version":2,"device":"V100","registry":{"device":"V100","models":{}}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := New(opts)
 		before := snapshot(e)
@@ -66,8 +67,9 @@ func FuzzLoadAssets(f *testing.F) {
 		}
 		for _, kind := range cal.Registry.Kinds() {
 			k := microbench.GenerateKernels(kind, 1, xrand.New(1))[0]
-			if _, err := cal.Registry.Predict(&k); err != nil { // a model that cannot price its kind panics here
-				t.Fatalf("accepted %s assets cannot price %s: %v", device, k, err)
+			us, err := cal.Registry.Predict(&k) // a model that cannot price its kind panics here
+			if err != nil || !(us > 0) || math.IsInf(us, 1) {
+				t.Fatalf("accepted %s assets price %s at %v µs (%v)", device, k, us, err)
 			}
 		}
 		if res := e.Predict(NewRequest(device, models.NameDLRMDefault, 256)); errors.Is(res.Err, perfmodel.ErrNoModel) {

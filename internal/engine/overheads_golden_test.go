@@ -50,7 +50,7 @@ var servedWorkloads = []string{
 // device/workload (device/shared for the shared one).
 func servedDatabases(t *testing.T, workers int) map[string]*overhead.DB {
 	t.Helper()
-	e := New(Options{Seed: 11, SaltDeviceSeeds: true, Workers: workers})
+	e := New(Options{Seed: 11, Workers: workers})
 	out := map[string]*overhead.DB{}
 	for _, device := range hw.Names() {
 		for _, w := range servedWorkloads {

@@ -54,12 +54,11 @@ func NewSuite(opts Options) *Suite {
 		opts.Devices = hw.Names()
 	}
 	eng := engine.New(engine.Options{
-		Seed:            opts.Seed,
-		SaltDeviceSeeds: true,
-		Calib:           opts.Calib,
-		DLRMBatches:     opts.DLRMBatches,
-		CNNBatches:      opts.CNNBatches,
-		Iters:           opts.Iters,
+		Seed:        opts.Seed,
+		Calib:       opts.Calib,
+		DLRMBatches: opts.DLRMBatches,
+		CNNBatches:  opts.CNNBatches,
+		Iters:       opts.Iters,
 	})
 	resolved := eng.Options()
 	opts.DLRMBatches, opts.CNNBatches, opts.Iters = resolved.DLRMBatches, resolved.CNNBatches, resolved.Iters

@@ -83,7 +83,7 @@ func (c *Calibration) Eval(row string) stats.ErrorSummary {
 type calibJob struct {
 	kind kernels.Kind
 	seed uint64
-	run  func(seed uint64, memberWorkers int) (KernelModel, []KernelEval)
+	run  func(seed uint64, memberWorkers int) (*Model, []KernelEval)
 }
 
 // seedStride is the per-family seed increment of the calibration plan.
@@ -98,7 +98,7 @@ const seedStride = 101
 // draws from memberSeed(familySeed, m).
 func calibrationPlan(gpu hw.GPU, seed uint64, opt CalibOptions) []calibJob {
 	var jobs []calibJob
-	add := func(kind kernels.Kind, run func(seed uint64, memberWorkers int) (KernelModel, []KernelEval)) {
+	add := func(kind kernels.Kind, run func(seed uint64, memberWorkers int) (*Model, []KernelEval)) {
 		seed += seedStride
 		jobs = append(jobs, calibJob{kind: kind, seed: seed, run: run})
 	}
@@ -114,7 +114,7 @@ func calibrationPlan(gpu hw.GPU, seed uint64, opt CalibOptions) []calibJob {
 
 	// --- Embedding lookup: plain vs enhanced, all vs large tables -----
 	elJob := func(kind kernels.Kind, tag string) {
-		add(kind, func(seed uint64, _ int) (KernelModel, []KernelEval) {
+		add(kind, func(seed uint64, _ int) (*Model, []KernelEval) {
 			train, test := collect(kind, seed)
 			large := test.Filter(IsLargeTable)
 			plain := CalibrateEL(tag, gpu, train, false)
@@ -131,7 +131,7 @@ func calibrationPlan(gpu hw.GPU, seed uint64, opt CalibOptions) []calibJob {
 
 	// --- Memory-bound kernels: roofline with corrected bandwidth -------
 	rooflineJob := func(row string, kind kernels.Kind, peak float64) {
-		add(kind, func(seed uint64, _ int) (KernelModel, []KernelEval) {
+		add(kind, func(seed uint64, _ int) (*Model, []KernelEval) {
 			train, test := collect(kind, seed)
 			m := CalibrateRoofline(row, train, peak)
 			return m, []KernelEval{{Row: row, Summary: Evaluate(m, test)}}
@@ -142,7 +142,7 @@ func calibrationPlan(gpu hw.GPU, seed uint64, opt CalibOptions) []calibJob {
 	// built from the public spec numbers; the corrected efficiencies live
 	// in what the network learns. -------------------------------------
 	mlpJob := func(name string, kind kernels.Kind) {
-		add(kind, func(seed uint64, memberWorkers int) (KernelModel, []KernelEval) {
+		add(kind, func(seed uint64, memberWorkers int) (*Model, []KernelEval) {
 			train, test := collect(kind, seed)
 			m := FitMLP(name, train, gpu.PeakFP32, gpu.DRAMBandwidth, opt, seed, memberWorkers)
 			return m, []KernelEval{{Row: name, Summary: Evaluate(m, test)}}
@@ -193,7 +193,7 @@ func Calibrate(gpu hw.GPU, seed uint64, opt CalibOptions, workers int) *Calibrat
 	}
 	opt = opt.withDefaults()
 	jobs := calibrationPlan(gpu, seed, opt)
-	models := make([]KernelModel, len(jobs))
+	models := make([]*Model, len(jobs))
 	evals := make([][]KernelEval, len(jobs))
 	// Split the budget between the two levels: family jobs fill the
 	// pool first, and ensemble members only fan out with whatever

@@ -9,7 +9,7 @@ import (
 	"dlrmperf/internal/stats"
 )
 
-// ELHeuristic is the paper's analytic model for the batched embedding
+// The EL form is the paper's analytic model for the batched embedding
 // lookup kernel (Section III-B1a). The plain variant assumes every
 // embedding-row access misses in L2 and charges DRAM traffic only; the
 // enhanced variant estimates the L2 hit probability from cache residency
@@ -21,22 +21,8 @@ import (
 // reads L embedding rows, so we implement L*ceil(4D/32)*32 and treat the
 // printed formula as a typo (see DESIGN.md); with the literal formula the
 // model could not approach the paper's ~11% GMAE.
-type ELHeuristic struct {
-	ModelName string
-	// GPU supplies SM count and L2 size (public spec values, as the
-	// paper's model uses).
-	GPU hw.GPU
-	// DRAMBW and L2BW are the corrected bandwidths in B/µs, calibrated
-	// from microbenchmark data.
-	DRAMBW, L2BW float64
-	// Enhanced enables the L2 hit-rate estimation.
-	Enhanced bool
-}
 
-// Name implements KernelModel.
-func (m *ELHeuristic) Name() string { return m.ModelName }
-
-// traffic returns the per-WARP traffic terms of the paper's formulas.
+// elTerms returns the per-WARP traffic terms of the paper's formulas.
 func elTerms(e kernels.Kernel) (fixed, idx, weights, out float64) {
 	rowBytes := float64((4*e.D + 31) / 32 * 32)
 	fixed = 32 + 64
@@ -53,11 +39,11 @@ func elTerms(e kernels.Kernel) (fixed, idx, weights, out float64) {
 // HitRate returns the enhanced model's estimate of p: the probability
 // that all L row accesses of one pooled lookup are L2-resident,
 // p = C(cached, L) / C(E, L).
-func (m *ELHeuristic) HitRate(e kernels.Kernel) float64 {
+func (m *Model) HitRate(e kernels.Kernel) float64 {
 	if e.E <= 0 {
 		return 0
 	}
-	numTables := float64(e.RowsPerBlock) * float64(m.GPU.NumSMs) / float64(e.B)
+	numTables := float64(e.RowsPerBlock) * float64(m.NumSMs) / float64(e.B)
 	if numTables < 1 {
 		numTables = 1
 	}
@@ -65,7 +51,7 @@ func (m *ELHeuristic) HitRate(e kernels.Kernel) float64 {
 		numTables = t
 	}
 	rowBytes := 4 * float64(e.D)
-	cached := float64(m.GPU.L2Size) / (numTables * rowBytes)
+	cached := float64(m.L2Size) / (numTables * rowBytes)
 	if cached > float64(e.E) {
 		cached = float64(e.E)
 	}
@@ -80,10 +66,10 @@ func (m *ELHeuristic) HitRate(e kernels.Kernel) float64 {
 	return math.Exp(logp)
 }
 
-// Predict implements KernelModel.
-func (m *ELHeuristic) Predict(k *kernels.Kernel) float64 {
+// predictEL is Predict for the EL form.
+func (m *Model) predictEL(k *kernels.Kernel) float64 {
 	if !isEmbedding(k.Kind) {
-		panic("perfmodel: ELHeuristic got non-embedding kernel")
+		panic("perfmodel: embedding model got non-embedding kernel")
 	}
 	e := k.WithDefaults()
 	fixed, idx, weights, out := elTerms(e)
@@ -118,8 +104,8 @@ func isEmbedding(k kernels.Kind) bool {
 //     assumption holds, as the maximum achieved plain-model bandwidth;
 //   - L2 bandwidth (enhanced model only) from small, fully cached tables
 //     by solving the enhanced equation for the residual L2 term.
-func CalibrateEL(name string, gpu hw.GPU, ds *microbench.Dataset, enhanced bool) *ELHeuristic {
-	m := &ELHeuristic{ModelName: name, GPU: gpu, Enhanced: enhanced}
+func CalibrateEL(name string, gpu hw.GPU, ds *microbench.Dataset, enhanced bool) *Model {
+	m := &Model{Form: FormEL, Name: name, Enhanced: enhanced, NumSMs: gpu.NumSMs, L2Size: gpu.L2Size}
 
 	var dramBWs []float64
 	for _, s := range ds.Filter(IsLargeTable).Samples {

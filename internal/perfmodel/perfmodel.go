@@ -22,41 +22,87 @@ import (
 	"dlrmperf/internal/xsync"
 )
 
-// KernelModel predicts the execution time in µs of kernels of one family.
+// KernelModel predicts the execution time in µs of kernels of one
+// family. A calibration registers *Model values; the interface is the
+// seam a registry takes any other pricing through (test fakes, oracle
+// kernel times).
 type KernelModel interface {
-	// Name identifies the model (for reports).
-	Name() string
-	// Predict returns the predicted kernel time in µs.
 	Predict(k *kernels.Kernel) float64
 }
 
-// --- Roofline ----------------------------------------------------------------
+// Form names the shape of a kernel model.
+type Form string
 
-// Roofline is the classic model t = max(FLOP/peak, lat + bytes/bw) with
-// the corrected (measured) bandwidth, used for element-wise, concat,
-// memcpy, and batch-norm kernels. Following the paper's protocol of
-// correcting the peak bandwidth to the maximum measured bandwidth, the
-// calibration additionally measures the fixed launch/DMA latency that
-// dominates small transfers.
-type Roofline struct {
-	ModelName string
-	// BW is the corrected peak bandwidth in B/µs.
-	BW float64
-	// Lat is the measured fixed per-kernel latency in µs.
-	Lat float64
-	// Peak is the corrected peak compute throughput in FLOP/µs.
-	Peak float64
+// The three forms of the paper's kernel models.
+const (
+	// FormRoofline is t = max(FLOP/Peak, Lat + bytes/BW).
+	FormRoofline Form = "roofline"
+	// FormEL is the embedding-lookup heuristic (embedding.go).
+	FormEL Form = "el"
+	// FormMLP is an ensemble of networks predicting the log residual
+	// to a spec-sheet roofline baseline.
+	FormMLP Form = "mlp"
+)
+
+// Model is one calibrated kernel model: a form and the fields that form
+// reads. A registry serializes its models as they are, so a new form is
+// a tag, its fields, and one case in Predict and in check.
+type Model struct {
+	Form Form   `json:"form"`
+	Name string `json:"name"`
+
+	// Roofline: the classic model with the corrected (measured)
+	// bandwidth BW in B/µs, used for element-wise, concat, memcpy and
+	// batch-norm kernels. Following the paper's protocol of correcting
+	// the peak bandwidth to the maximum measured bandwidth, calibration
+	// also measures the fixed launch/DMA latency Lat in µs that
+	// dominates small transfers. Peak is the corrected compute
+	// throughput in FLOP/µs (0: memory-bound only).
+	BW   float64 `json:"bw,omitempty"`
+	Lat  float64 `json:"lat,omitempty"`
+	Peak float64 `json:"peak,omitempty"`
+
+	// EL: the corrected DRAM and L2 bandwidths in B/µs, whether the L2
+	// hit-rate estimation is on, and the public spec values HitRate
+	// reads (SM count, L2 bytes), as the paper's model uses.
+	DRAMBW   float64 `json:"dram_bw,omitempty"`
+	L2BW     float64 `json:"l2_bw,omitempty"`
+	Enhanced bool    `json:"enhanced,omitempty"`
+	NumSMs   int     `json:"num_sms,omitempty"`
+	L2Size   int64   `json:"l2_size,omitempty"`
+
+	// MLP: the ensemble, the configuration its members trained, and
+	// the (peak FLOP/µs, bandwidth B/µs) of the roofline baseline their
+	// residuals are relative to.
+	Nets     []*mlp.Net `json:"nets,omitempty"`
+	Config   mlp.Config `json:"config,omitzero"`
+	BasePeak float64    `json:"base_peak,omitempty"`
+	BaseBW   float64    `json:"base_bw,omitempty"`
 }
 
-// Name implements KernelModel.
-func (r Roofline) Name() string { return r.ModelName }
-
-// Predict implements KernelModel.
-func (r Roofline) Predict(k *kernels.Kernel) float64 {
+// Predict returns the predicted time of k in µs.
+func (m *Model) Predict(k *kernels.Kernel) float64 {
+	switch m.Form {
+	case FormEL:
+		return m.predictEL(k)
+	case FormMLP:
+		// Averaging the log-residual predictions of independently
+		// seeded networks reduces the fit variance on the
+		// quantization-heavy efficiency surfaces (GEMM wave boundaries,
+		// transpose alignment cliffs).
+		var buf [8]float64 // the widest feature vector, Conv's
+		x := kernels.AppendFeatures(buf[:0], k)
+		s := 0.0
+		for _, n := range m.Nets {
+			s += n.Predict(x)
+		}
+		return m.base(k) * math.Exp(s/float64(len(m.Nets)))
+	}
+	// FormRoofline.
 	read, write := k.Bytes()
-	t := r.Lat + (read+write)/r.BW
-	if r.Peak > 0 {
-		if tc := k.FLOPs() / r.Peak; tc > t {
+	t := m.Lat + (read+write)/m.BW
+	if m.Peak > 0 {
+		if tc := k.FLOPs() / m.Peak; tc > t {
 			t = tc
 		}
 	}
@@ -67,7 +113,7 @@ func (r Roofline) Predict(k *kernels.Kernel) float64 {
 // least squares (weights 1/t^2, i.e. minimizing relative error), which
 // simultaneously recovers the corrected peak bandwidth from the large
 // transfers and the fixed latency from the small ones.
-func CalibrateRoofline(name string, ds *microbench.Dataset, peakFLOPs float64) Roofline {
+func CalibrateRoofline(name string, ds *microbench.Dataset, peakFLOPs float64) *Model {
 	// Weighted least squares for t = a + b*x with w = 1/t^2.
 	var sw, swx, swxx, swt, swxt float64
 	for _, s := range ds.Samples {
@@ -84,7 +130,7 @@ func CalibrateRoofline(name string, ds *microbench.Dataset, peakFLOPs float64) R
 		swxt += w * x * s.Time
 	}
 	det := sw*swxx - swx*swx
-	r := Roofline{ModelName: name, Peak: peakFLOPs}
+	r := &Model{Form: FormRoofline, Name: name, Peak: peakFLOPs}
 	if det == 0 || sw == 0 {
 		r.BW = 1
 		return r
@@ -116,69 +162,30 @@ func CalibrateRoofline(name string, ds *microbench.Dataset, peakFLOPs float64) R
 
 // --- ML-based ------------------------------------------------------------------
 
-// Baseline maps a kernel to an analytic time scale (µs). ML-based models
-// are trained on the *residual* log(measured/baseline): the roofline
-// baseline carries the many-orders-of-magnitude size dependence, and the
-// network only has to learn the bounded efficiency surface (tile and
-// wave quantization, alignment penalties, shape quirks). This keeps the
-// model unbiased across the size range and extrapolation-safe.
-type Baseline func(k *kernels.Kernel) float64
-
-// RooflineBaseline returns the spec-sheet roofline baseline for a GPU
-// with the given peak FLOP/µs and bandwidth B/µs.
-func RooflineBaseline(peak, bw float64) Baseline {
-	return func(k *kernels.Kernel) float64 {
-		read, write := k.Bytes()
-		t := (read + write) / bw
-		if peak > 0 {
-			if tc := k.FLOPs() / peak; tc > t {
-				t = tc
-			}
+// base returns the MLP form's analytic time scale of k (µs): the
+// spec-sheet roofline of (BasePeak, BaseBW). ML-based models are trained
+// on the *residual* log(measured/base): the baseline carries the
+// many-orders-of-magnitude size dependence, and the network only has to
+// learn the bounded efficiency surface (tile and wave quantization,
+// alignment penalties, shape quirks). This keeps the model unbiased
+// across the size range and extrapolation-safe.
+func (m *Model) base(k *kernels.Kernel) float64 {
+	read, write := k.Bytes()
+	t := (read + write) / m.BaseBW
+	if m.BasePeak > 0 {
+		if tc := k.FLOPs() / m.BasePeak; tc > t {
+			t = tc
 		}
-		if t < 0.5 {
-			t = 0.5 // launch floor keeps the residual bounded for tiny kernels
-		}
-		return t
 	}
-}
-
-// MLPModel wraps an ensemble of MLP regressors over log-shape features
-// predicting the log residual to an analytic baseline. Averaging the
-// log-residual predictions of independently seeded networks reduces the
-// fit variance on the quantization-heavy efficiency surfaces (GEMM wave
-// boundaries, transpose alignment cliffs). The baseline is parameterized
-// by (BasePeak, BaseBW) rather than a closure so trained models
-// serialize into a shared asset database.
-type MLPModel struct {
-	ModelName string
-	Nets      []*mlp.Net
-	Config    mlp.Config
-	// BasePeak and BaseBW parameterize the roofline baseline the
-	// networks' residuals are relative to.
-	BasePeak, BaseBW float64
-}
-
-// Name implements KernelModel.
-func (m *MLPModel) Name() string { return m.ModelName }
-
-// base returns the analytic baseline time of k.
-func (m *MLPModel) base(k *kernels.Kernel) float64 {
-	return RooflineBaseline(m.BasePeak, m.BaseBW)(k)
-}
-
-// Predict implements KernelModel.
-func (m *MLPModel) Predict(k *kernels.Kernel) float64 {
-	var buf [8]float64 // the widest feature vector, Conv's
-	x := kernels.AppendFeatures(buf[:0], k)
-	s := 0.0
-	for _, n := range m.Nets {
-		s += n.Predict(x)
+	if t < 0.5 {
+		t = 0.5 // launch floor keeps the residual bounded for tiny kernels
 	}
-	return m.base(k) * math.Exp(s/float64(len(m.Nets)))
+	return t
 }
 
-// residualTargets converts a dataset into (features, log residual) pairs.
-func residualTargets(ds *microbench.Dataset, base Baseline) ([][]float64, []float64) {
+// residualTargets converts a dataset into (features, log residual to
+// m's baseline) pairs.
+func (m *Model) residualTargets(ds *microbench.Dataset) ([][]float64, []float64) {
 	var X [][]float64
 	var Y []float64
 	for i := range ds.Samples {
@@ -188,7 +195,7 @@ func residualTargets(ds *microbench.Dataset, base Baseline) ([][]float64, []floa
 			t = 1e-6
 		}
 		X = append(X, kernels.AppendFeatures(nil, &s.Kernel))
-		Y = append(Y, math.Log(t/base(&s.Kernel)))
+		Y = append(Y, math.Log(t/m.base(&s.Kernel)))
 	}
 	return X, Y
 }
@@ -211,10 +218,10 @@ func memberSeed(familySeed uint64, member int) uint64 {
 // network is member 0, and the remaining members train the winner.
 // Members slot in by index, so the fitted model is bit-identical for
 // any workers.
-func FitMLP(name string, ds *microbench.Dataset, basePeak, baseBW float64, opt CalibOptions, seed uint64, workers int) *MLPModel {
+func FitMLP(name string, ds *microbench.Dataset, basePeak, baseBW float64, opt CalibOptions, seed uint64, workers int) *Model {
 	opt = opt.withDefaults()
-	X, Y := residualTargets(ds, RooflineBaseline(basePeak, baseBW))
-	m := &MLPModel{ModelName: name, Config: opt.MLPConfig, BasePeak: basePeak, BaseBW: baseBW}
+	m := &Model{Form: FormMLP, Name: name, Config: opt.MLPConfig, BasePeak: basePeak, BaseBW: baseBW}
+	X, Y := m.residualTargets(ds)
 	if len(opt.Search.Configs()) > 0 {
 		var net *mlp.Net
 		net, m.Config, _ = mlp.GridSearch(X, Y, opt.Search, seed)
@@ -270,10 +277,14 @@ func (r *Registry) Model(kind kernels.Kind) KernelModel { return r.models[kind] 
 func (r *Registry) Predict(k *kernels.Kernel) (float64, error) {
 	m, ok := r.models[k.Kind]
 	if !ok {
-		return 0, fmt.Errorf("%w %s", ErrNoModel, k.Kind)
+		return 0, noModel(k.Kind)
 	}
 	return m.Predict(k), nil
 }
+
+// noModel wraps ErrNoModel with the uncovered kind; it is off the
+// pricing path, which only reaches it for a kernel it cannot price.
+func noModel(kind kernels.Kind) error { return fmt.Errorf("%w %s", ErrNoModel, kind) }
 
 // Missing lists the kinds a calibration registers that r holds no model
 // for, in plan order; a registry is complete when it is empty.

@@ -100,7 +100,7 @@ func TestPlainELOverpredictsSmallTables(t *testing.T) {
 
 func TestELHitRateProperties(t *testing.T) {
 	gpu := hw.V100Platform().GPU
-	m := &ELHeuristic{GPU: gpu, DRAMBW: gpu.DRAMBandwidth, L2BW: gpu.L2Bandwidth, Enhanced: true}
+	m := &Model{Form: FormEL, NumSMs: gpu.NumSMs, L2Size: gpu.L2Size, DRAMBW: gpu.DRAMBandwidth, L2BW: gpu.L2Bandwidth, Enhanced: true}
 	tiny := kernels.Kernel{Kind: kernels.KindEmbeddingFwd, B: 256, E: 1000, T: 1, L: 4, D: 64}.WithDefaults()
 	huge := kernels.Kernel{Kind: kernels.KindEmbeddingFwd, B: 256, E: 50_000_000, T: 1, L: 4, D: 64}.WithDefaults()
 	pTiny := m.HitRate(tiny)
@@ -126,7 +126,7 @@ func TestELForwardFormulaIncludesL(t *testing.T) {
 	// Doubling the pooling factor must roughly double the plain-model
 	// forward prediction (the documented paper-typo fix).
 	gpu := hw.V100Platform().GPU
-	m := &ELHeuristic{GPU: gpu, DRAMBW: gpu.DRAMBandwidth}
+	m := &Model{Form: FormEL, NumSMs: gpu.NumSMs, L2Size: gpu.L2Size, DRAMBW: gpu.DRAMBandwidth}
 	a := m.Predict(&kernels.Kernel{Kind: kernels.KindEmbeddingFwd, B: 512, E: 1_000_000, T: 8, L: 16, D: 64})
 	b := m.Predict(&kernels.Kernel{Kind: kernels.KindEmbeddingFwd, B: 512, E: 1_000_000, T: 8, L: 32, D: 64})
 	if b < a*1.7 {
@@ -152,9 +152,9 @@ func TestRooflineFitRecoversAffineLaw(t *testing.T) {
 
 func TestMLPModelResidualForm(t *testing.T) {
 	cal := v100Calibration(t)
-	m, ok := cal.Registry.Model(kernels.KindGEMM).(*MLPModel)
-	if !ok {
-		t.Fatal("GEMM model is not an MLPModel")
+	m, ok := cal.Registry.Model(kernels.KindGEMM).(*Model)
+	if !ok || m.Form != FormMLP {
+		t.Fatal("GEMM model is not an MLP model")
 	}
 	if len(m.Nets) != 2 {
 		t.Errorf("ensemble size = %d, want 2", len(m.Nets))

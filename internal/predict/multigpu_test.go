@@ -64,7 +64,6 @@ func TestCommByName(t *testing.T) {
 // multi-GPU composition logic needs from the kernel-model layer.
 type flatModel float64
 
-func (f flatModel) Name() string                      { return "flat" }
 func (f flatModel) Predict(k *kernels.Kernel) float64 { return float64(f) }
 
 // flatPredictor builds a Predictor whose kernels all take `us`
