@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint loc linked examples fuzz-smoke bench bench-check bench-baseline bench-ratchet serve-demo serve-http cluster-e2e cover check
+.PHONY: build test race race-soak vet fmt lint loc linked examples fuzz-smoke bench bench-check bench-baseline bench-ratchet serve-demo serve-http cluster-e2e cover check
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# race-soak repeats the race-detected suites of the packages whose locks
+# every request takes — the engine's asset store, the admission
+# pipeline and the coordinator — SOAK times, so a race or an ordering
+# flake that one run misses fails here. The CI test job runs it.
+SOAK = 5
+race-soak:
+	$(GO) test -race -count=$(SOAK) ./internal/engine ./internal/serve ./internal/cluster
 
 vet:
 	$(GO) vet ./...
@@ -77,13 +85,15 @@ examples:
 # the batch report envelope's decode; the explore grid body (a sweep
 # refuses it as too large or visits exactly its size, and decode-
 # encode-decode is a fixed point); the overhead database's
-# decode-encode-decode fixed point; and the engine's asset install (a
+# decode-encode-decode fixed point; the engine's asset install (a
 # rejected payload installs nothing, an accepted one prices every kind
-# it holds and covers every kernel). go test takes one -fuzz target per
-# run. The grid corpus holds a 40 KB grid, the overhead corpus a whole
-# marshalled database and the asset seeds a whole export, whose
-# byte-by-byte minimization would eat the smoke's time, so minimization
-# is capped there. The CI test job runs this target.
+# it holds and covers every kernel); and the coordinator's peer-apply
+# body (a refused one changes no replicated state, an accepted result
+# row is a local hit for a request that validates). go test takes one
+# -fuzz target per run. The grid corpus holds a 40 KB grid, the
+# overhead corpus a whole marshalled database and the asset seeds a
+# whole export, whose byte-by-byte minimization would eat the smoke's
+# time, so minimization is capped there. The CI test job runs this target.
 FUZZ_TIME = 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowDecode$$' -fuzztime $(FUZZ_TIME) ./internal/serve
@@ -92,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGridDecode$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzOverheadLoad$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/overhead
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadAssets$$' -fuzztime $(FUZZ_TIME) -fuzzminimizetime 100x ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzPeerApply$$' -fuzztime $(FUZZ_TIME) ./internal/cluster
 
 # bench regenerates the paper artifacts and tracks the calibration
 # speedup pair (serial vs parallel) in the perf trajectory.

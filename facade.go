@@ -2,6 +2,7 @@ package dlrmperf
 
 import (
 	"context"
+	"slices"
 
 	"dlrmperf/internal/engine"
 )
@@ -55,11 +56,16 @@ func (e *Engine) ResidentResult(req PredictRequest) (v any, ok bool) {
 // externally computed value under the request's remote key — the
 // coordinator replication path, the write half of RemoteResult: a peer
 // coordinator that fetched a row from a worker shares it here so a
-// repeat hitting this coordinator is a cache hit. A request with no
-// identity is dropped (nothing to key it by), and no request counters
-// move — a replicated entry is an install, not a served request.
-func (e *Engine) InstallRemoteResult(req PredictRequest, v any) {
-	if ereq, err := req.Resolve(); err == nil {
-		e.eng.InstallRemoteResult(ereq, v)
+// repeat hitting this coordinator is a cache hit. It installs only a
+// row a worker could have produced — a device in the engine's set, a
+// known workload or scenario, and a spec that validates — and reports
+// whether it did. No request counters move either way: a replicated
+// entry is an install, not a served request.
+func (e *Engine) InstallRemoteResult(req PredictRequest, v any) bool {
+	ereq, err := req.Resolve()
+	if err != nil || e.checkServes(req.Device) != nil || !slices.Contains(Workloads(), ereq.Scenario.Workload) {
+		return false
 	}
+	e.eng.InstallRemoteResult(ereq, v)
+	return true
 }

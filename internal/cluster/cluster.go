@@ -61,11 +61,12 @@ import (
 // have moves no counter. InstallRemoteResult seeds an entry without
 // executing a fetch — the replication ingest path, so a result fetched
 // through ANY peer coordinator is a local hit here on the next repeat
-// of the same scenario fingerprint.
+// of the same scenario fingerprint — and reports whether it installed:
+// a row for a request no worker would serve is refused.
 type ResultCache interface {
 	RemoteResult(ctx context.Context, req dlrmperf.PredictRequest, fetch func() (any, error)) (v any, hit bool, err error)
 	ResidentResult(req dlrmperf.PredictRequest) (v any, ok bool)
-	InstallRemoteResult(req dlrmperf.PredictRequest, v any)
+	InstallRemoteResult(req dlrmperf.PredictRequest, v any) bool
 }
 
 // Config parameterizes a Coordinator.

@@ -282,11 +282,18 @@ func TestInvariantAcrossHandoffAndMigration(t *testing.T) {
 	}
 	ctx := context.Background()
 
+	// A device the coordinators' engines serve, so its rows replicate:
+	// a peer installs no row for a device or workload no worker would
+	// serve. w1 names the device's rendezvous home.
+	dev := "V100"
+	if Rank(leader.Registry().Live(), dev)[0].ID != w1.id {
+		w1, w2 = w2, w1
+	}
+
 	// Phase 1: traffic through the leader — misses fetch from workers
 	// and replicate to the survivor.
-	dev := affineDevice(t, leader.Registry().Live(), w1.id)
 	for i := 0; i < 4; i++ {
-		if row, err := leader.PredictOne(ctx, req(dev, "w", int64(512+i%2)), false); err != nil || row.Error != "" {
+		if row, err := leader.PredictOne(ctx, req(dev, "DLRM_default", int64(512+i%2)), false); err != nil || row.Error != "" {
 			t.Fatalf("phase 1 request %d: %v / %q", i, err, row.Error)
 		}
 	}
@@ -309,7 +316,7 @@ func TestInvariantAcrossHandoffAndMigration(t *testing.T) {
 	// re-fetch.
 	routed := w1.receivedCount() + w2.receivedCount()
 	for i := 0; i < 2; i++ {
-		row, err := survivor.PredictOne(ctx, req(dev, "w", int64(512+i)), false)
+		row, err := survivor.PredictOne(ctx, req(dev, "DLRM_default", int64(512+i)), false)
 		if err != nil || row.Error != "" || !row.CacheHit {
 			t.Fatalf("replicated re-query %d = %+v, %v; want a local hit", i, row, err)
 		}
@@ -328,7 +335,7 @@ func TestInvariantAcrossHandoffAndMigration(t *testing.T) {
 	// the broken attempt and the served retry are both accounted, the
 	// install is not.
 	w1.killed.Store(true)
-	row, err := survivor.PredictOne(ctx, req(dev, "w", 4096), false)
+	row, err := survivor.PredictOne(ctx, req(dev, "DLRM_default", 4096), false)
 	if err != nil || row.Error != "" || row.CacheHit {
 		t.Fatalf("migration request = %+v, %v; want a routed miss via w2", row, err)
 	}

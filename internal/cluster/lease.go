@@ -182,7 +182,9 @@ func (c *Coordinator) apply(e entry) (changed bool, err error) {
 		if c.cfg.Cache == nil || e.Row.Error != "" {
 			return false, nil // nowhere to keep it, or a failed row: never cached
 		}
-		c.cfg.Cache.InstallRemoteResult(e.Request.ToPredict(), *e.Row)
+		if !c.cfg.Cache.InstallRemoteResult(e.Request.ToPredict(), *e.Row) {
+			return false, errors.New("result row for a request no worker would serve")
+		}
 		c.peerResultsInstalled.Add(1)
 		return true, nil
 	}

@@ -89,10 +89,19 @@ func (s AssetStats) Class(name string) ClassStats {
 }
 
 // classStore is one class's shard of the asset store: a mutex-guarded
-// LRU (the generalization of the PR-2 result LRU) with approximate byte
-// accounting and lock-free counters. Values are immutable once stored,
-// so a reader holding an evicted value stays correct; eviction only
-// bounds residency.
+// segmented LRU with approximate byte accounting and lock-free
+// counters. A new entry enters a probation segment; a hit there
+// promotes it to a protected segment of at most cap*4/5 entries, whose
+// least recent entry drops back to the head of probation when it
+// overflows. Eviction takes the tail of probation, and the tail of
+// protected only once probation is empty, so a stream of one-off keys
+// cycles through probation without flushing the entries that earned a
+// second use. Probation may fill whatever protected leaves unused. Both
+// segments share one recency list, protected in front: the boundary is
+// the first probationary element, so promotion and demotion move no
+// element and allocate nothing. Values are immutable once stored, so a
+// reader holding an evicted value stays correct; eviction only bounds
+// residency.
 type classStore struct {
 	mu sync.Mutex
 	// cap bounds resident entries; <= 0 means unbounded.
@@ -106,6 +115,10 @@ type classStore struct {
 	ll    *list.List
 	items map[string]*list.Element
 	bytes int64
+	// probation is the first probationary element of ll (nil when the
+	// segment is empty); protected counts the elements before it.
+	probation *list.Element
+	protected int
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -113,9 +126,10 @@ type classStore struct {
 }
 
 type storeEntry struct {
-	key   string
-	val   any
-	bytes int64
+	key       string
+	val       any
+	bytes     int64
+	protected bool
 }
 
 func newClassStore(capacity int, pinned bool) *classStore {
@@ -125,7 +139,7 @@ func newClassStore(capacity int, pinned bool) *classStore {
 	}
 }
 
-// get returns the stored value and refreshes its recency. It does not
+// get returns the stored value and records the use (touch). It does not
 // touch the hit/miss counters — Engine.lookup owns the accounting so
 // singleflight joins are counted exactly once.
 func (c *classStore) get(key string) (any, bool) {
@@ -135,8 +149,7 @@ func (c *classStore) get(key string) (any, bool) {
 	if !ok {
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*storeEntry).val, true
+	return c.touch(el), true
 }
 
 // getBytes is get keyed by a scratch byte buffer. The map index uses
@@ -150,13 +163,41 @@ func (c *classStore) getBytes(key []byte) (any, bool) {
 	if !ok {
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*storeEntry).val, true
+	return c.touch(el), true
 }
 
-// put inserts (or refreshes) a value with its approximate size, then
-// evicts least-recently-used entries while over capacity. Pinned
-// classes never evict.
+// touch records a hit on el and returns its value: a probationary entry
+// is promoted, a protected one refreshed, and when a promotion puts
+// protected over its cap*4/5 share its least recent entry (the one just
+// before the boundary) becomes the head of probation where it stands.
+func (c *classStore) touch(el *list.Element) any {
+	e := el.Value.(*storeEntry)
+	if !e.protected {
+		if el == c.probation {
+			c.probation = el.Next()
+		}
+		e.protected = true
+		c.protected++
+	}
+	c.ll.MoveToFront(el)
+	if c.protected > c.cap*4/5 {
+		last := c.ll.Back()
+		if c.probation != nil {
+			last = c.probation.Prev()
+		}
+		last.Value.(*storeEntry).protected = false
+		c.protected--
+		c.probation = last
+	}
+	return e.val
+}
+
+// put inserts a value with its approximate size at the head of
+// probation, then evicts from the list's tail — probation's, or
+// protected's once probation is empty — while over capacity. Pinned
+// classes never evict. Updating a resident key replaces its value and
+// size in place: the entry keeps its segment and position, because an
+// install is not a use.
 func (c *classStore) put(key string, v any, bytes int64) {
 	if c.off {
 		return
@@ -167,10 +208,15 @@ func (c *classStore) put(key string, v any, bytes int64) {
 		e := el.Value.(*storeEntry)
 		c.bytes += bytes - e.bytes
 		e.val, e.bytes = v, bytes
-		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&storeEntry{key: key, val: v, bytes: bytes})
+	e := &storeEntry{key: key, val: v, bytes: bytes}
+	if c.probation != nil {
+		c.probation = c.ll.InsertBefore(e, c.probation)
+	} else {
+		c.probation = c.ll.PushBack(e)
+	}
+	c.items[key] = c.probation
 	c.bytes += bytes
 	if c.pinned || c.cap <= 0 {
 		return
@@ -178,6 +224,12 @@ func (c *classStore) put(key string, v any, bytes int64) {
 	for c.ll.Len() > c.cap {
 		last := c.ll.Back()
 		e := last.Value.(*storeEntry)
+		if last == c.probation {
+			c.probation = nil
+		}
+		if e.protected {
+			c.protected--
+		}
 		c.ll.Remove(last)
 		delete(c.items, e.key)
 		c.bytes -= e.bytes
@@ -225,7 +277,9 @@ type assetStore struct {
 // arbitrary traffic. The other caps are fixed: 512 runs, 128 overhead
 // DBs (per-workload and shared), 512 graph structures (one per built-in
 // workload or table population, whatever the batch size), and
-// ResultCacheSize results.
+// ResultCacheSize results. Every bounded class evicts by the same
+// segmented LRU (classStore): no class has a policy of its own, and
+// the protected share is a constant 4/5 of each cap.
 func newAssetStore(opts Options) *assetStore {
 	s := &assetStore{}
 	s.classes[classCalibration] = newClassStore(0, true)

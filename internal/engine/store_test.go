@@ -1,18 +1,23 @@
 package engine
 
 import (
+	"container/list"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/models"
+	"dlrmperf/internal/xrand"
 )
 
-// TestClassStoreTable drives the shared LRU shard through its
+// TestClassStoreTable drives the shared segmented-LRU shard through its
 // contract: insertion order eviction, recency refresh on get, byte
-// accounting across updates and evictions, and pinned classes never
-// evicting no matter the configured capacity.
+// accounting across updates and evictions, pinned classes never
+// evicting no matter the configured capacity, promotion out of
+// probation, demotion order, scan resistance, and a re-put that is not
+// a use.
 func TestClassStoreTable(t *testing.T) {
 	type op struct {
 		kind  string // put, get
@@ -110,6 +115,73 @@ func TestClassStoreTable(t *testing.T) {
 			},
 			wantLen: 3, wantBytes: 3, wantEvictions: 0,
 		},
+		{
+			name: "a hit promotes past newer one-off entries",
+			cap:  3,
+			ops: []op{
+				{kind: "put", key: "a", bytes: 1},
+				{kind: "get", key: "a", found: true}, // a is protected
+				{kind: "put", key: "b", bytes: 2},
+				{kind: "put", key: "c", bytes: 4},
+				{kind: "put", key: "d", bytes: 8}, // evicts b: plain LRU would take a
+				{kind: "get", key: "b", found: false},
+				{kind: "get", key: "a", found: true},
+			},
+			wantLen: 3, wantBytes: 13, wantEvictions: 1,
+		},
+		{
+			name: "protected overflow demotes its least recent to probation's head",
+			cap:  6, // protected holds at most 4
+			ops: []op{
+				{kind: "put", key: "a", bytes: 1},
+				{kind: "put", key: "b", bytes: 1},
+				{kind: "put", key: "c", bytes: 1},
+				{kind: "put", key: "d", bytes: 1},
+				{kind: "put", key: "e", bytes: 1},
+				{kind: "put", key: "f", bytes: 1},
+				{kind: "get", key: "a", found: true},
+				{kind: "get", key: "b", found: true},
+				{kind: "get", key: "c", found: true},
+				{kind: "get", key: "d", found: true}, // protected d c b a, probation f e
+				{kind: "get", key: "e", found: true}, // demotes a: probation a f
+				{kind: "put", key: "g", bytes: 1},    // evicts f, the older probationer
+				{kind: "get", key: "f", found: false},
+				{kind: "put", key: "h", bytes: 1}, // evicts the demoted a
+				{kind: "get", key: "a", found: false},
+				{kind: "get", key: "b", found: true},
+				{kind: "get", key: "e", found: true},
+			},
+			wantLen: 6, wantBytes: 6, wantEvictions: 2,
+		},
+		{
+			name: "a re-read key survives cap one-hit puts",
+			cap:  4,
+			ops: []op{
+				{kind: "put", key: "hot", bytes: 1},
+				{kind: "get", key: "hot", found: true},
+				{kind: "put", key: "s1", bytes: 1},
+				{kind: "put", key: "s2", bytes: 1},
+				{kind: "put", key: "s3", bytes: 1},
+				{kind: "put", key: "s4", bytes: 1}, // evicts s1
+				{kind: "get", key: "hot", found: true},
+				{kind: "get", key: "s1", found: false},
+			},
+			wantLen: 4, wantBytes: 4, wantEvictions: 1,
+		},
+		{
+			name: "a re-put updates in place and is not a use",
+			cap:  3,
+			ops: []op{
+				{kind: "put", key: "a", bytes: 1},
+				{kind: "put", key: "b", bytes: 1},
+				{kind: "put", key: "c", bytes: 1},
+				{kind: "put", key: "a", bytes: 5}, // a stays probation's tail
+				{kind: "put", key: "d", bytes: 1}, // evicts a: plain LRU would take b
+				{kind: "get", key: "a", found: false},
+				{kind: "get", key: "b", found: true},
+			},
+			wantLen: 3, wantBytes: 3, wantEvictions: 1,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,6 +210,147 @@ func TestClassStoreTable(t *testing.T) {
 				t.Errorf("pinned = %v, want %v", st.Pinned, tc.pinned)
 			}
 		})
+	}
+}
+
+// TestClassStoreHitAllocatesNothing: every kind of hit — a
+// probationary entry promoted, a protected one refreshed, and a
+// promotion that overflows protected and demotes its tail — moves list
+// elements it already has and allocates nothing. Each run hits a store
+// prepared beforehand, so a promotion is measured as itself and not as
+// the steady state of a store that has promoted already.
+func TestClassStoreHitAllocatesNothing(t *testing.T) {
+	const runs = 100
+	cases := []struct {
+		name    string
+		cap     int
+		prepare func(c *classStore) // leaves "k" resident
+		want    func(c *classStore) bool
+	}{
+		{
+			name:    "probation hit promotes",
+			cap:     5,
+			prepare: func(c *classStore) { c.put("k", 1, 1) },
+			want:    func(c *classStore) bool { return c.protected == 1 && c.probation == nil },
+		},
+		{
+			name:    "protected hit",
+			cap:     5,
+			prepare: func(c *classStore) { c.put("k", 1, 1); c.get("k") },
+			want:    func(c *classStore) bool { return c.protected == 1 },
+		},
+		{
+			name: "hit that demotes",
+			cap:  5, // protected holds at most 4
+			prepare: func(c *classStore) {
+				for _, k := range []string{"p1", "p2", "p3", "p4"} {
+					c.put(k, 1, 1)
+					c.get(k)
+				}
+				c.put("k", 1, 1)
+			},
+			want: func(c *classStore) bool {
+				return c.protected == 4 && c.probation != nil && c.probation.Value.(*storeEntry).key == "p1"
+			},
+		},
+	}
+	key := []byte("k")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			stores := make([]*classStore, runs+1) // AllocsPerRun adds a warm-up run
+			for i := range stores {
+				stores[i] = newClassStore(tc.cap, false)
+				tc.prepare(stores[i])
+			}
+			next := 0
+			allocs := testing.AllocsPerRun(runs, func() {
+				if _, ok := stores[next].getBytes(key); !ok {
+					t.Fatal("prepared key not resident")
+				}
+				next++
+			})
+			if allocs != 0 {
+				t.Errorf("hit allocates %.1f per op, want 0", allocs)
+			}
+			for i, c := range stores {
+				if !tc.want(c) {
+					t.Fatalf("store %d: hit left protected=%d, not the segment state under test", i, c.protected)
+				}
+			}
+		})
+	}
+}
+
+// lruStore is plain LRU as classStore implemented it before it was
+// segmented: every hit and every insert goes to the front, eviction
+// takes the back. It is the property test's reference.
+type lruStore struct {
+	cap   int
+	ll    *list.List
+	items map[string]*list.Element
+}
+
+func (c *lruStore) access(key string) (hit bool) {
+	if el, ok := c.items[key]; ok {
+		c.ll.MoveToFront(el)
+		return true
+	}
+	c.items[key] = c.ll.PushFront(key)
+	if c.ll.Len() > c.cap {
+		delete(c.items, c.ll.Remove(c.ll.Back()).(string))
+	}
+	return false
+}
+
+// TestSegmentedBeatsLRU replays seeded key streams over a key space 8×
+// the cap, the shape of bench/'s batch-mixed workload, through the
+// segmented store and the plain-LRU reference, filling on every miss
+// as Engine.lookup does. Under Zipf(1.0) traffic the segmented store
+// must hit at least 4 points more often; under uniform traffic, where
+// no key earns its place, it may lose at most 1 point.
+func TestSegmentedBeatsLRU(t *testing.T) {
+	const (
+		capacity = 512
+		keySpace = 8 * capacity
+		accesses = 200_000
+	)
+	keys := make([]string, keySpace)
+	for i := range keys {
+		keys[i] = "k" + strconv.Itoa(i)
+	}
+	share := func(draw func() int) (segmented, lru float64) {
+		seg := newClassStore(capacity, false)
+		ref := &lruStore{cap: capacity, ll: list.New(), items: map[string]*list.Element{}}
+		var segHits, lruHits int
+		for i := 0; i < accesses; i++ {
+			k := keys[draw()]
+			if _, ok := seg.get(k); ok {
+				segHits++
+			} else {
+				seg.put(k, k, 1)
+			}
+			if ref.access(k) {
+				lruHits++
+			}
+		}
+		if st := seg.stats(""); st.Resident != capacity {
+			t.Errorf("segmented store holds %d entries, want its cap %d", st.Resident, capacity)
+		}
+		return float64(segHits) / accesses, float64(lruHits) / accesses
+	}
+	for _, seed := range []uint64{1, 7919} {
+		zipf := xrand.NewZipf(xrand.New(seed), keySpace, 1.0)
+		seg, lru := share(zipf.Next)
+		t.Logf("seed %d zipf(1.0): segmented %.3f, lru %.3f", seed, seg, lru)
+		if seg < lru+0.04 {
+			t.Errorf("seed %d zipf: segmented hit share %.3f, want >= lru %.3f + 0.04", seed, seg, lru)
+		}
+		rng := xrand.New(seed)
+		seg, lru = share(func() int { return rng.Intn(keySpace) })
+		t.Logf("seed %d uniform: segmented %.3f, lru %.3f", seed, seg, lru)
+		if seg < lru-0.01 {
+			t.Errorf("seed %d uniform: segmented hit share %.3f, want >= lru %.3f - 0.01", seed, seg, lru)
+		}
 	}
 }
 
