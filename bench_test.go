@@ -182,9 +182,10 @@ func benchCalibOptions() perfmodel.CalibOptions {
 
 // BenchmarkCalibrateSerial and BenchmarkCalibrateParallel track the
 // perf trajectory of the concurrent calibration engine: the parallel
-// path fans the per-kernel-family jobs (and ensemble members) out over
-// GOMAXPROCS workers and must produce bit-identical models, so the
-// ratio of these two numbers is the engine's wall-clock speedup.
+// path runs the plan's units (a kernel family each, an ensemble member
+// each for the MLP families) longest first on GOMAXPROCS workers and
+// must produce bit-identical models, so the ratio of these two numbers
+// is the engine's wall-clock speedup.
 func BenchmarkCalibrateSerial(b *testing.B) {
 	p, err := hw.ByName(hw.V100)
 	if err != nil {

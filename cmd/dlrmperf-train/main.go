@@ -13,6 +13,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -53,7 +54,12 @@ func main() {
 	fmt.Println(t.Render())
 
 	if *out != "" {
-		data, err := perfmodel.SaveRegistry(cal.Registry)
+		w, err := cal.Registry.Wire()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		data, err := json.Marshal(w)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

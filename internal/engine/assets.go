@@ -21,12 +21,12 @@ const AssetFormatVersion = 2
 
 // AssetFormatError reports an asset payload this engine cannot load:
 // either its version header names a different format (Got >= 0), or
-// the bytes did not parse as an asset envelope at all (Got == -1, with
-// the decode failure in Err).
+// the bytes did not decode as an asset envelope of any version (Got ==
+// -1, with the decode failure in Err).
 type AssetFormatError struct {
-	Got  int // version found in the blob; -1 when it did not parse
+	Got  int // version found in the blob; -1 when it did not decode
 	Want int
-	Err  error // underlying decode error, when parsing failed
+	Err  error // underlying decode error, when decoding failed
 }
 
 func (e *AssetFormatError) Error() string {
@@ -41,13 +41,15 @@ func (e *AssetFormatError) Unwrap() error { return e.Err }
 // wireAssets is the serialized per-device asset set: the calibrated
 // kernel-model registry plus whatever overhead databases were collected
 // — everything the paper's prediction track needs, so a fleet of
-// prediction servers can warm-start from one calibration run.
+// prediction servers can warm-start from one calibration run. It holds
+// the registry's wire form and the databases themselves, so a payload
+// is encoded, and decoded, in one pass of encoding/json.
 type wireAssets struct {
-	Version   int                        `json:"version"`
-	Device    string                     `json:"device"`
-	Registry  json.RawMessage            `json:"registry"`
-	Overheads map[string]json.RawMessage `json:"overheads,omitempty"` // workload -> DB
-	Shared    json.RawMessage            `json:"shared,omitempty"`
+	Version   int                     `json:"version"`
+	Device    string                  `json:"device"`
+	Registry  perfmodel.WireRegistry  `json:"registry"`
+	Overheads map[string]*overhead.DB `json:"overheads,omitempty"` // workload -> DB
+	Shared    *overhead.DB            `json:"shared,omitempty"`
 }
 
 // SaveAssets serializes the device's portable assets as compact JSON,
@@ -59,34 +61,18 @@ func (e *Engine) SaveAssets(device string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg, err := perfmodel.SaveRegistry(cal.Registry)
+	reg, err := cal.Registry.Wire()
 	if err != nil {
 		return nil, err
 	}
-	w := wireAssets{Version: AssetFormatVersion, Device: device, Registry: reg, Overheads: map[string]json.RawMessage{}}
-
-	dbs := map[string]*overhead.DB{}
-	var sharedDB *overhead.DB
+	w := wireAssets{Version: AssetFormatVersion, Device: device, Registry: reg, Overheads: map[string]*overhead.DB{}}
 	prefix := "db/" + device + "/"
 	for k, v := range e.store.class(classOverheads).snapshot() {
 		if strings.HasPrefix(k, prefix) {
-			dbs[strings.TrimPrefix(k, prefix)] = v.(*overhead.DB)
+			w.Overheads[strings.TrimPrefix(k, prefix)] = v.(*overhead.DB)
 		}
 		if k == "shared/"+device {
-			sharedDB = v.(*overhead.DB)
-		}
-	}
-
-	for name, db := range dbs {
-		raw, err := db.Marshal()
-		if err != nil {
-			return nil, err
-		}
-		w.Overheads[name] = raw
-	}
-	if sharedDB != nil {
-		if w.Shared, err = sharedDB.Marshal(); err != nil {
-			return nil, err
+			w.Shared = v.(*overhead.DB)
 		}
 	}
 	return json.Marshal(w)
@@ -95,26 +81,37 @@ func (e *Engine) SaveAssets(device string) ([]byte, error) {
 // LoadAssets warm-starts the engine from a SaveAssets payload and
 // returns the device it covers: subsequent predictions for that device
 // skip calibration (and skip profiling for every included overhead DB).
-// A payload whose format version does not match AssetFormatVersion —
-// including pre-versioned files (version 0) and bytes that do not parse
-// — is rejected with *AssetFormatError; one that names a device
+// A payload that does not carry format version AssetFormatVersion —
+// including pre-versioned files (version 0) and bytes that do not
+// decode — is rejected with *AssetFormatError; one that names a device
 // hw.ByName does not know, carries another device's registry or a
 // registry missing any kind a calibration registers, or whose registry
-// or any overhead database does not decode, with a plain error. Either
-// way the whole payload is checked before anything installs, so a
-// rejected payload leaves the engine as it was.
+// or any overhead database does not decode or fails its check (a
+// model that cannot price its kind, a null database, one whose T1 gap
+// has no sample or with a negative mean, std or count), with a plain
+// error. Either way the whole payload is checked before anything
+// installs, so a rejected payload leaves the engine as it was.
 func (e *Engine) LoadAssets(data []byte) (string, error) {
-	var w wireAssets
-	if err := json.Unmarshal(data, &w); err != nil {
-		return "", &AssetFormatError{Got: -1, Want: AssetFormatVersion, Err: err}
+	// The shared database is read raw, so that a null one is told from
+	// none.
+	var w struct {
+		wireAssets
+		Shared json.RawMessage `json:"shared"`
 	}
+	err := json.Unmarshal(data, &w)
 	if w.Version != AssetFormatVersion {
+		if err != nil {
+			return "", &AssetFormatError{Got: -1, Want: AssetFormatVersion, Err: err}
+		}
 		return "", &AssetFormatError{Got: w.Version, Want: AssetFormatVersion}
+	}
+	if err != nil {
+		return "", fmt.Errorf("engine: decoding %s assets: %w", w.Device, err)
 	}
 	if _, err := hw.ByName(w.Device); err != nil {
 		return "", fmt.Errorf("engine: assets: %w", err)
 	}
-	reg, err := perfmodel.LoadRegistry(w.Registry)
+	reg, err := w.Registry.Registry()
 	if err != nil {
 		return "", fmt.Errorf("engine: loading registry: %w", err)
 	}
@@ -124,21 +121,23 @@ func (e *Engine) LoadAssets(data []byte) (string, error) {
 	if missing := reg.Missing(); len(missing) > 0 {
 		return "", fmt.Errorf("engine: %s registry has no model for %v", w.Device, missing)
 	}
-	dbs := make(map[string]*overhead.DB, len(w.Overheads))
-	for name, raw := range w.Overheads {
-		if dbs[name], err = overhead.Load(raw); err != nil {
+	for name, db := range w.Overheads {
+		if err := db.Check(); err != nil {
 			return "", fmt.Errorf("engine: loading %s overheads: %w", name, err)
 		}
 	}
 	var shared *overhead.DB
-	if len(w.Shared) > 0 {
-		if shared, err = overhead.Load(w.Shared); err != nil {
+	if w.Shared != nil {
+		if err := json.Unmarshal(w.Shared, &shared); err != nil {
+			return "", fmt.Errorf("engine: loading shared overheads: %w", err)
+		}
+		if err := shared.Check(); err != nil {
 			return "", fmt.Errorf("engine: loading shared overheads: %w", err)
 		}
 	}
 
 	e.Install(w.Device, &perfmodel.Calibration{Registry: reg})
-	for name, db := range dbs {
+	for name, db := range w.Overheads {
 		e.InstallOverheads(w.Device, name, db)
 	}
 	if shared != nil {

@@ -110,12 +110,35 @@ func (n *Net) forward(x []float64, acts [][]float64) float64 {
 		nout := n.sizes[l+1]
 		src := acts[l]
 		relu := l < len(n.weights)-1
-		for o := 0; o < nout; o++ {
-			s := dotAcc(b[o], w[o*nin:(o+1)*nin], src)
-			if relu && s < 0 {
-				s = 0 // ReLU on hidden layers
+		o := 0
+		// Four output neurons at a time: each input is loaded once for
+		// four rows of w. Every sum still starts at its bias and adds
+		// its terms left to right in one accumulator, the addition
+		// sequence of dotAcc, so the outputs are bit-identical to the
+		// one-neuron loop below, which takes the remainder.
+		for ; o+3 < nout; o += 4 {
+			w0 := w[o*nin : (o+1)*nin][:len(src)]
+			w1 := w[(o+1)*nin : (o+2)*nin][:len(src)]
+			w2 := w[(o+2)*nin : (o+3)*nin][:len(src)]
+			w3 := w[(o+3)*nin : (o+4)*nin][:len(src)]
+			s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
+			for i, x := range src {
+				s0 += w0[i] * x
+				s1 += w1[i] * x
+				s2 += w2[i] * x
+				s3 += w3[i] * x
 			}
-			out[o] = s
+			out[o], out[o+1], out[o+2], out[o+3] = s0, s1, s2, s3
+		}
+		for ; o < nout; o++ {
+			out[o] = dotAcc(b[o], w[o*nin:(o+1)*nin], src)
+		}
+		if relu {
+			for o, s := range out {
+				if s < 0 {
+					out[o] = 0 // ReLU on hidden layers
+				}
+			}
 		}
 	}
 	return acts[len(acts)-1][0]
@@ -125,8 +148,8 @@ func (n *Net) forward(x []float64, acts [][]float64) float64 {
 // strictly left to right into a single accumulator: the 4-way unroll
 // performs the exact addition sequence of the rolled loop, so results
 // stay bit-identical to the historical code while the loop drops most
-// of its bounds checks and branch overhead (this inner product is
-// where calibration training spends its time).
+// of its bounds checks and branch overhead. forward sums the neurons
+// its four-wide blocks leave over, and the output layer's one, with it.
 func dotAcc(s float64, a, b []float64) float64 {
 	a = a[:len(b)] // hoist the bounds check out of the loop
 	i := 0
@@ -192,7 +215,7 @@ func (g *grads) zero() {
 
 // backward accumulates gradients of 0.5*(out-y)^2 into g, given acts
 // populated by forward. Returns the squared error.
-func (n *Net) backward(y float64, acts [][]float64, g *grads, deltas [][]float64) float64 {
+func (n *Net) backward(y float64, acts [][]float64, g *grads, deltas [][]float64, live []int) float64 {
 	L := len(n.weights)
 	out := acts[L][0]
 	diff := out - y
@@ -205,29 +228,38 @@ func (n *Net) backward(y float64, acts [][]float64, g *grads, deltas [][]float64
 		w := n.weights[l]
 		d := deltas[l]
 		dn := deltas[l+1]
-		a := acts[l]
-		for i := 0; i < nin; i++ {
-			if a[i] <= 0 { // ReLU derivative
+		a := acts[l][:nin]
+		// An input the ReLU cut gets delta 0 and no sum. The live ones
+		// go four at a time: one pass over the rows of the (nout x nin)
+		// weight matrix feeds four column sums. Each sum adds its terms
+		// in row order in one accumulator, as the one-input loop below
+		// does for the remainder, so every delta is bit-identical to
+		// summing its column alone.
+		live = live[:0]
+		for i, ai := range a {
+			if ai > 0 {
+				live = append(live, i)
+			} else {
 				d[i] = 0
-				continue
 			}
-			// Column i of the (nout x nin) weight matrix, walked with an
-			// incremented index instead of o*nin+i multiplies; the 4-way
-			// unroll keeps the single left-to-right accumulator, so the
-			// sum is bit-identical to the rolled loop.
+		}
+		k := 0
+		for ; k+3 < len(live); k += 4 {
+			i0, i1, i2, i3 := live[k], live[k+1], live[k+2], live[k+3]
+			var s0, s1, s2, s3 float64
+			for o, dno := range dn[:nout] {
+				r := w[o*nin : (o+1)*nin]
+				s0 += r[i0] * dno
+				s1 += r[i1] * dno
+				s2 += r[i2] * dno
+				s3 += r[i3] * dno
+			}
+			d[i0], d[i1], d[i2], d[i3] = s0, s1, s2, s3
+		}
+		for _, i := range live[k:] {
 			s := 0.0
-			j := i
-			o := 0
-			for ; o+3 < nout; o += 4 {
-				s += w[j] * dn[o]
-				s += w[j+nin] * dn[o+1]
-				s += w[j+2*nin] * dn[o+2]
-				s += w[j+3*nin] * dn[o+3]
-				j += 4 * nin
-			}
-			for ; o < nout; o++ {
-				s += w[j] * dn[o]
-				j += nin
+			for o, dno := range dn[:nout] {
+				s += w[o*nin+i] * dno
 			}
 			d[i] = s
 		}

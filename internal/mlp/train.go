@@ -35,6 +35,24 @@ func (c Config) String() string {
 	return fmt.Sprintf("%dx%d %s lr=%g", c.HiddenLayers, c.Width, c.Optimizer, c.LR)
 }
 
+// Params returns the trainable parameter count of a network of this
+// configuration over in input features.
+func (c Config) Params(in int) int {
+	p := 0
+	for range c.HiddenLayers {
+		p += (in + 1) * c.Width
+		in = c.Width
+	}
+	return p + in + 1
+}
+
+// Work estimates what Train of this configuration costs on rows samples
+// of in features: rows × epochs × parameters, in multiply-adds up to a
+// constant factor.
+func (c Config) Work(rows, in int) float64 {
+	return float64(rows) * float64(c.Epochs) * float64(c.Params(in))
+}
+
 // DefaultConfig is the fast configuration used when a full grid search is
 // not requested.
 func DefaultConfig() Config {
@@ -69,10 +87,8 @@ func Train(X [][]float64, Y []float64, cfg Config, seed uint64) *Net {
 
 	g := n.newGrads()
 	acts := n.newActs()
-	deltas := make([][]float64, len(n.sizes))
-	for i, s := range n.sizes {
-		deltas[i] = make([]float64, s)
-	}
+	deltas := n.newActs()
+	live := make([]int, 0, cfg.Width)
 
 	// Adam state.
 	var mW, vW, mB, vB [][]float64
@@ -98,7 +114,7 @@ func Train(X [][]float64, Y []float64, cfg Config, seed uint64) *Net {
 			g.zero()
 			for _, i := range idx[start:end] {
 				n.forward(X[i], acts)
-				n.backward(Y[i], acts, g, deltas)
+				n.backward(Y[i], acts, g, deltas, live)
 			}
 			scale := 1 / float64(end-start)
 			step++
@@ -200,6 +216,17 @@ func (s SearchSpace) Configs() []Config {
 		}
 	}
 	return out
+}
+
+// Work estimates what GridSearch over the space costs on rows samples
+// of in features, in the unit of Config.Work: every configuration
+// trains on four fifths of the rows.
+func (s SearchSpace) Work(rows, in int) float64 {
+	w := 0.0
+	for _, c := range s.Configs() {
+		w += c.Work(rows*4/5, in)
+	}
+	return w
 }
 
 // GridSearch trains one network per configuration on the train split and

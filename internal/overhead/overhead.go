@@ -20,6 +20,7 @@ package overhead
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -400,12 +401,57 @@ func (db *DB) OpMeans(op string) (t2, t3, t5 float64) {
 	return m[idxT2], m[idxT3], m[idxT5]
 }
 
-// Marshal renders the DB as indented JSON.
+// Check reports why db cannot price host overheads, or nil: it is
+// null, its T1 gap has no sample, or a statistic has a negative (or
+// NaN) mean or standard deviation, or a negative count.
+func (db *DB) Check() error {
+	if db == nil {
+		return errors.New("overhead: null database")
+	}
+	if db.T1.N < 1 {
+		return fmt.Errorf("overhead: T1 has %d samples, want at least 1", db.T1.N)
+	}
+	ok := func(s Stats) bool { return s.Mean >= 0 && s.Std >= 0 && s.N >= 0 }
+	bad := func(what string, s Stats) error {
+		return fmt.Errorf("overhead: %s has mean %v, std %v, count %d", what, s.Mean, s.Std, s.N)
+	}
+	types := [3]string{"T2", "T3", "T5"}
+	if !ok(db.T1) {
+		return bad("T1", db.T1)
+	}
+	for i, s := range db.Defaults {
+		if !ok(s) {
+			return bad("default "+types[i], s)
+		}
+	}
+	for op, st := range db.PerOp {
+		for i, s := range st {
+			if !ok(s) {
+				return bad(types[i]+" of "+op, s)
+			}
+		}
+	}
+	for fn, s := range db.T4 {
+		if !ok(s) {
+			return bad("T4 of "+fn, s)
+		}
+	}
+	return nil
+}
+
+// Marshal renders the DB as indented JSON, its form as a file of its
+// own; an asset payload holds the DB as encoding/json renders it, and
+// its install runs Check.
+//
+//lint:allow unlinked golden reference: the overhead and engine golden digests hash this rendering
 func (db *DB) Marshal() ([]byte, error) {
 	return json.MarshalIndent(db, "", "  ")
 }
 
-// Load parses a DB from JSON.
+// Load parses a DB from JSON, giving it empty tables where the document
+// has none. It checks nothing: Check says whether the DB can price.
+//
+//lint:allow unlinked contract-test helper: FuzzOverheadLoad and the round-trip suites decode through it
 func Load(data []byte) (*DB, error) {
 	var db DB
 	if err := json.Unmarshal(data, &db); err != nil {

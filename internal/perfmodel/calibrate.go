@@ -1,7 +1,11 @@
 package perfmodel
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/kernels"
@@ -73,17 +77,23 @@ func (c *Calibration) Eval(row string) stats.ErrorSummary {
 	return stats.ErrorSummary{}
 }
 
-// calibJob is one independent unit of the calibration plan: sweep one
-// kernel family, split, fit the model registered for kind, and evaluate
-// it (and, for the embedding families, the plain variant beside it).
-// Every job carries a precomputed seed, so jobs are pure functions of
-// (gpu, opt, seed) and can run in any order — serially or on a worker
-// pool — with bit-identical results. memberWorkers bounds the
-// ensemble-member concurrency inside the job.
-type calibJob struct {
-	kind kernels.Kind
-	seed uint64
-	run  func(seed uint64, memberWorkers int) (*Model, []KernelEval)
+// calibFamily is one kernel family of the calibration plan: its units
+// sweep it, split, fit the model registered for kind, and evaluate it
+// (and, for the embedding families, the plain variant beside it).
+type calibFamily struct {
+	kind  kernels.Kind
+	model *Model
+	evals []KernelEval
+}
+
+// calibUnit is one piece of the plan's work: a whole family, or one
+// ensemble member of an MLP family. Every unit draws from seeds fixed
+// by the plan, so units run in any order, serially or on a pool, with
+// bit-identical results. cost estimates the unit's work: train rows ×
+// epochs × parameters for an MLP member, the sweep size otherwise.
+type calibUnit struct {
+	cost float64
+	run  func()
 }
 
 // seedStride is the per-family seed increment of the calibration plan.
@@ -92,60 +102,82 @@ type calibJob struct {
 // historical calibrations reproduce bit-for-bit.
 const seedStride = 101
 
-// calibrationPlan lays out the per-family jobs in the paper's Table IV
-// order and assigns each its seed up front. Family job i draws from
-// stream seed + seedStride*(i+1); ensemble member m within a family
-// draws from memberSeed(familySeed, m).
-func calibrationPlan(gpu hw.GPU, seed uint64, opt CalibOptions) []calibJob {
-	var jobs []calibJob
-	add := func(kind kernels.Kind, run func(seed uint64, memberWorkers int) (*Model, []KernelEval)) {
-		seed += seedStride
-		jobs = append(jobs, calibJob{kind: kind, seed: seed, run: run})
-	}
-
-	collect := func(kind kernels.Kind, seed uint64) (train, test *microbench.Dataset) {
-		n := opt.SweepSizes[kind]
-		if n <= 0 {
-			n = 400
+// calibrationPlan lays out the families in the paper's Table IV order,
+// each with its seed fixed up front, and returns them with their units,
+// costliest first. Family i draws from stream seed + seedStride*(i+1);
+// ensemble member m within a family draws from memberSeed(familySeed,
+// m).
+func calibrationPlan(gpu hw.GPU, seed uint64, opt CalibOptions) ([]*calibFamily, []calibUnit) {
+	var fams []*calibFamily
+	var units []calibUnit
+	add := func(kind kernels.Kind, costs []float64, run func(f *calibFamily, seed uint64, member int)) {
+		f, seed := &calibFamily{kind: kind}, seed+seedStride*uint64(len(fams)+1)
+		fams = append(fams, f)
+		for member, cost := range costs {
+			units = append(units, calibUnit{cost: cost, run: func() { run(f, seed, member) }})
 		}
-		ds := microbench.CollectKind(gpu, kind, n, seed)
+	}
+	// A kind's sweep size, or 400 where opt gives it none.
+	size := func(kind kernels.Kind) int { return cmp.Or(max(opt.SweepSizes[kind], 0), 400) }
+	collect := func(kind kernels.Kind, seed uint64) (train, test *microbench.Dataset) {
+		ds := microbench.CollectKind(gpu, kind, size(kind), seed)
 		return ds.Split(trainFrac, seed*31+7)
 	}
 
 	// --- Embedding lookup: plain vs enhanced, all vs large tables -----
 	elJob := func(kind kernels.Kind, tag string) {
-		add(kind, func(seed uint64, _ int) (*Model, []KernelEval) {
+		add(kind, []float64{float64(size(kind))}, func(f *calibFamily, seed uint64, _ int) {
 			train, test := collect(kind, seed)
 			large := test.Filter(IsLargeTable)
 			plain := CalibrateEL(tag, gpu, train, false)
-			enhanced := CalibrateEL(tag+"H", gpu, train, true)
 			// The paper adopts the enhanced model for E2E prediction.
-			return enhanced, []KernelEval{
+			f.model = CalibrateEL(tag+"H", gpu, train, true)
+			f.evals = []KernelEval{
 				{Row: tag, Summary: Evaluate(plain, test)},
 				{Row: tag + "L", Summary: Evaluate(plain, large)},
-				{Row: tag + "H", Summary: Evaluate(enhanced, test)},
-				{Row: tag + "HL", Summary: Evaluate(enhanced, large)},
+				{Row: tag + "H", Summary: Evaluate(f.model, test)},
+				{Row: tag + "HL", Summary: Evaluate(f.model, large)},
 			}
 		})
 	}
 
 	// --- Memory-bound kernels: roofline with corrected bandwidth -------
 	rooflineJob := func(row string, kind kernels.Kind, peak float64) {
-		add(kind, func(seed uint64, _ int) (*Model, []KernelEval) {
+		add(kind, []float64{float64(size(kind))}, func(f *calibFamily, seed uint64, _ int) {
 			train, test := collect(kind, seed)
-			m := CalibrateRoofline(row, train, peak)
-			return m, []KernelEval{{Row: row, Summary: Evaluate(m, test)}}
+			f.model = CalibrateRoofline(row, train, peak)
+			f.evals = []KernelEval{{Row: row, Summary: Evaluate(f.model, test)}}
 		})
 	}
 
 	// --- ML-based models: trained on roofline-normalized residuals
 	// built from the public spec numbers; the corrected efficiencies live
-	// in what the network learns. -------------------------------------
+	// in what the network learns. One unit per ensemble member: the
+	// first to start sweeps and sets the fit up, the last to finish
+	// evaluates the ensemble. With a search, member 0 is the grid, and
+	// the others are priced at opt.MLPConfig: the winner is not known
+	// up front. -------------------------------------------------------
 	mlpJob := func(name string, kind kernels.Kind) {
-		add(kind, func(seed uint64, memberWorkers int) (*Model, []KernelEval) {
-			train, test := collect(kind, seed)
-			m := FitMLP(name, train, gpu.PeakFP32, gpu.DRAMBandwidth, opt, seed, memberWorkers)
-			return m, []KernelEval{{Row: name, Summary: Evaluate(m, test)}}
+		var prep sync.Once
+		var test *microbench.Dataset
+		var m *Model
+		var train func(member int)
+		var done atomic.Int64
+		rows, in := int(float64(size(kind))*trainFrac), kernels.FeatureWidth(kind)
+		costs := slices.Repeat([]float64{opt.MLPConfig.Work(rows, in)}, opt.Ensemble)
+		if w := opt.Search.Work(rows, in); w > 0 {
+			costs[0] = w
+		}
+		add(kind, costs, func(f *calibFamily, seed uint64, member int) {
+			prep.Do(func() {
+				var ds *microbench.Dataset
+				ds, test = collect(kind, seed)
+				m, train = FitMLP(name, ds, gpu.PeakFP32, gpu.DRAMBandwidth, opt, seed)
+			})
+			train(member)
+			if done.Add(1) == int64(len(costs)) {
+				f.model, f.evals = m, []KernelEval{{Row: name, Summary: Evaluate(m, test)}}
+			}
 		})
 	}
 
@@ -164,56 +196,41 @@ func calibrationPlan(gpu hw.GPU, seed uint64, opt CalibOptions) []calibJob {
 	// them shifts no other family's seed.
 	mlpJob("conv", kernels.KindConv)
 	rooflineJob("batchnorm", kernels.KindBatchNorm, 0)
-	return jobs
+	slices.SortStableFunc(units, func(a, b calibUnit) int { return cmp.Compare(b.cost, a.cost) })
+	return fams, units
 }
 
 // calibratedKinds lists, in plan order, the kernel kinds a calibration
 // registers: a registry is complete when it covers every one of them.
-func calibratedKinds() []kernels.Kind {
-	jobs := calibrationPlan(hw.GPU{}, 0, CalibOptions{})
-	kinds := make([]kernels.Kind, len(jobs))
-	for i, j := range jobs {
-		kinds[i] = j.kind
+// Every asset install asks, so the plan is laid out once.
+var calibratedKinds = sync.OnceValue(func() []kernels.Kind {
+	fams, _ := calibrationPlan(hw.GPU{}, 0, CalibOptions{})
+	kinds := make([]kernels.Kind, len(fams))
+	for i, f := range fams {
+		kinds[i] = f.kind
 	}
 	return kinds
-}
+})
 
 // Calibrate runs the full analysis track for one GPU from seed: sweep,
 // fit, and evaluate every kernel family of the plan, returning the
 // prediction-ready registry (with the enhanced embedding model
-// installed, as the paper adopts) and the Table IV rows. Up to workers
-// family jobs run at once, and ensemble members within a family train
-// concurrently with what is left of the budget; workers 1 is the serial
-// reference order and workers <= 0 selects runtime.GOMAXPROCS(0).
-// Because every job owns a precomputed RNG stream, the result is
-// bit-identical for any workers.
+// installed, as the paper adopts) and the Table IV rows. The plan's
+// units (a family each, or an ensemble member each for the MLP
+// families) start costliest first on up to workers goroutines; workers
+// 1 runs them serially and workers <= 0 selects runtime.GOMAXPROCS(0).
+// Because every unit owns a precomputed RNG stream and the families
+// merge in plan order, the result is bit-identical for any workers.
 func Calibrate(gpu hw.GPU, seed uint64, opt CalibOptions, workers int) *Calibration {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	opt = opt.withDefaults()
-	jobs := calibrationPlan(gpu, seed, opt)
-	models := make([]*Model, len(jobs))
-	evals := make([][]KernelEval, len(jobs))
-	// Split the budget between the two levels: family jobs fill the
-	// pool first, and ensemble members only fan out with whatever
-	// multiple of the job count is left (total in-flight work stays
-	// ~bounded by workers instead of workers^2).
-	memberWorkers := workers / len(jobs)
-	if memberWorkers < 1 {
-		memberWorkers = 1
-	}
-	xsync.ForEachN(len(jobs), workers, func(i int) {
-		models[i], evals[i] = jobs[i].run(jobs[i].seed, memberWorkers)
-	})
-
-	// Merge in plan order so registries and Table IV rows are identical
-	// to the serial path no matter which worker finished first.
-	reg := NewRegistry(gpu.Name)
-	cal := &Calibration{Registry: reg}
-	for i, j := range jobs {
-		reg.Register(j.kind, models[i])
-		cal.Evals = append(cal.Evals, evals[i]...)
+	fams, units := calibrationPlan(gpu, seed, opt.withDefaults())
+	xsync.ForEachN(len(units), workers, func(i int) { units[i].run() })
+	cal := &Calibration{Registry: NewRegistry(gpu.Name)}
+	for _, f := range fams {
+		cal.Registry.Register(f.kind, f.model)
+		cal.Evals = append(cal.Evals, f.evals...)
 	}
 	return cal
 }

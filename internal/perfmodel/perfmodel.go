@@ -19,7 +19,6 @@ import (
 	"dlrmperf/internal/microbench"
 	"dlrmperf/internal/mlp"
 	"dlrmperf/internal/stats"
-	"dlrmperf/internal/xsync"
 )
 
 // KernelModel predicts the execution time in µs of kernels of one
@@ -210,30 +209,28 @@ func memberSeed(familySeed uint64, member int) uint64 {
 	return familySeed + uint64(member)*memberStride
 }
 
-// FitMLP fits an ensemble of opt.Ensemble networks on a dataset, up to
-// workers members training concurrently. basePeak/baseBW parameterize
-// the roofline the residual targets are relative to. With an empty
-// opt.Search every member trains opt.MLPConfig; otherwise the Table II
-// grid search over opt.Search picks the configuration, its winning
-// network is member 0, and the remaining members train the winner.
-// Members slot in by index, so the fitted model is bit-identical for
-// any workers.
-func FitMLP(name string, ds *microbench.Dataset, basePeak, baseBW float64, opt CalibOptions, seed uint64, workers int) *Model {
+// FitMLP sets up an ensemble of opt.Ensemble networks on a dataset. It
+// returns the model, whose networks are nil until trained, and train,
+// which fits member i into its slot. basePeak/baseBW parameterize the
+// roofline the residual targets are relative to. With an empty
+// opt.Search every member trains opt.MLPConfig; otherwise FitMLP runs
+// the Table II grid search over opt.Search, its winning network is
+// member 0 (train(0) does nothing), and the other members train the
+// winner. Member i draws from memberSeed(seed, i), so the model is
+// bit-identical whatever order the members train in, concurrently or
+// not.
+func FitMLP(name string, ds *microbench.Dataset, basePeak, baseBW float64, opt CalibOptions, seed uint64) (*Model, func(member int)) {
 	opt = opt.withDefaults()
-	m := &Model{Form: FormMLP, Name: name, Config: opt.MLPConfig, BasePeak: basePeak, BaseBW: baseBW}
+	m := &Model{Form: FormMLP, Name: name, Config: opt.MLPConfig, BasePeak: basePeak, BaseBW: baseBW, Nets: make([]*mlp.Net, opt.Ensemble)}
 	X, Y := m.residualTargets(ds)
 	if len(opt.Search.Configs()) > 0 {
-		var net *mlp.Net
-		net, m.Config, _ = mlp.GridSearch(X, Y, opt.Search, seed)
-		m.Nets = []*mlp.Net{net}
+		m.Nets[0], m.Config, _ = mlp.GridSearch(X, Y, opt.Search, seed)
 	}
-	from := len(m.Nets)
-	members := make([]*mlp.Net, opt.Ensemble-from)
-	xsync.ForEachN(len(members), workers, func(i int) {
-		members[i] = mlp.Train(X, Y, m.Config, memberSeed(seed, from+i))
-	})
-	m.Nets = append(m.Nets, members...)
-	return m
+	return m, func(i int) {
+		if m.Nets[i] == nil {
+			m.Nets[i] = mlp.Train(X, Y, m.Config, memberSeed(seed, i))
+		}
+	}
 }
 
 // --- Evaluation ------------------------------------------------------------------
@@ -288,21 +285,17 @@ func noModel(kind kernels.Kind) error { return fmt.Errorf("%w %s", ErrNoModel, k
 
 // Missing lists the kinds a calibration registers that r holds no model
 // for, in plan order; a registry is complete when it is empty.
-func (r *Registry) Missing() []kernels.Kind {
-	var out []kernels.Kind
-	for _, k := range calibratedKinds() {
-		if _, ok := r.models[k]; !ok {
-			out = append(out, k)
-		}
-	}
-	return out
-}
+func (r *Registry) Missing() []kernels.Kind { return r.filter(calibratedKinds(), false) }
 
 // Kinds lists the covered kernel kinds.
-func (r *Registry) Kinds() []kernels.Kind {
+func (r *Registry) Kinds() []kernels.Kind { return r.filter(kernels.Kinds(), true) }
+
+// filter lists, in order, the kinds of ks that r covers, or with
+// covered false the ones it does not.
+func (r *Registry) filter(ks []kernels.Kind, covered bool) []kernels.Kind {
 	var out []kernels.Kind
-	for _, k := range kernels.Kinds() {
-		if _, ok := r.models[k]; ok {
+	for _, k := range ks {
+		if _, ok := r.models[k]; ok == covered {
 			out = append(out, k)
 		}
 	}

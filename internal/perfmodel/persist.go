@@ -1,7 +1,6 @@
 package perfmodel
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"dlrmperf/internal/kernels"
@@ -12,40 +11,36 @@ import (
 // of Fig. 3's prediction track: calibrate once, predict everywhere — the
 // paper's "shared database for large-scale prediction".
 
-// wireRegistry is a registry as it serializes: its device and each
-// kind's Model, keyed by the kind's name.
-type wireRegistry struct {
+// WireRegistry is a registry as it serializes: its device and each
+// kind's Model, keyed by the kind's name. It is what `dlrmperf-train -o`
+// writes, and an asset payload holds it as it is.
+type WireRegistry struct {
 	Device string            `json:"device"`
 	Models map[string]*Model `json:"models"`
 }
 
-// SaveRegistry serializes a calibrated registry to compact JSON. Only
-// *Model values serialize; a registry holding any other KernelModel is
-// refused.
-func SaveRegistry(r *Registry) ([]byte, error) {
-	w := wireRegistry{Device: r.Device, Models: make(map[string]*Model, len(r.models))}
+// Wire returns r as it serializes. Only *Model values serialize; a
+// registry holding any other KernelModel is refused.
+func (r *Registry) Wire() (WireRegistry, error) {
+	w := WireRegistry{Device: r.Device, Models: make(map[string]*Model, len(r.models))}
 	for _, kind := range r.Kinds() {
 		m, ok := r.Model(kind).(*Model)
 		if !ok {
-			return nil, fmt.Errorf("perfmodel: cannot serialize model type %T", r.Model(kind))
+			return WireRegistry{}, fmt.Errorf("perfmodel: cannot serialize model type %T", r.Model(kind))
 		}
 		w.Models[kind.String()] = m
 	}
-	return json.Marshal(w)
+	return w, nil
 }
 
-// LoadRegistry restores a registry serialized by SaveRegistry. A model
-// that would panic on, or price at +Inf, a kernel of the kind it is
-// filed under is rejected with the rest: an unknown form, a bandwidth
-// that is not positive, a negative latency or peak, an embedding
-// heuristic under another kind or without its SM count and L2 size, or
-// a network whose input is not the kind's feature width or whose output
-// is not one value.
-func LoadRegistry(data []byte) (*Registry, error) {
-	var w wireRegistry
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, err
-	}
+// Registry restores the registry w describes. A model that would panic
+// on, or price at +Inf, a kernel of the kind it is filed under is
+// rejected with the rest: an unknown form, a bandwidth that is not
+// positive, a negative latency or peak, an embedding heuristic under
+// another kind or without its SM count and L2 size, or a network whose
+// input is not the kind's feature width or whose output is not one
+// value.
+func (w WireRegistry) Registry() (*Registry, error) {
 	reg := NewRegistry(w.Device)
 	for kindName, m := range w.Models {
 		kind, err := kindFromString(kindName)
