@@ -15,9 +15,12 @@ race:
 # every request takes — the engine's asset store, the admission
 # pipeline and the coordinator — SOAK times, so a race or an ordering
 # flake that one run misses fails here. The CI test job runs it.
+# internal/xsync is soaked with them: its runner (xsync.Go) starts the
+# engine's detached flights, the coordinator's sub-batch sends and every
+# ForEachN fan-out of those suites, so its hand-off is soaked here too.
 SOAK = 5
 race-soak:
-	$(GO) test -race -count=$(SOAK) ./internal/engine ./internal/serve ./internal/cluster
+	$(GO) test -race -count=$(SOAK) ./internal/xsync ./internal/engine ./internal/serve ./internal/cluster
 
 vet:
 	$(GO) vet ./...

@@ -498,7 +498,7 @@ func (c *Coordinator) plan(ctx context.Context, reqs []serve.Request, out []serv
 		miss = append(miss, m)
 	}
 	for _, sb := range sends {
-		go c.send(ctx, sb)
+		xsync.Go(func() { c.send(ctx, sb) })
 	}
 	return miss, sends
 }

@@ -1,6 +1,10 @@
 package cluster
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"strings"
+)
 
 // Rendezvous (highest-random-weight) hashing is the coordinator's
 // device→worker routing function. Every (worker, key) pair gets a
@@ -50,13 +54,23 @@ func rendezvousScore(workerID, key string) uint64 {
 // (only possible with duplicate IDs) break toward the lower ID so the
 // ranking is a total order. The input slice is not modified.
 func Rank(workers []Worker, key string) []Worker {
-	out := append([]Worker(nil), workers...)
-	sort.SliceStable(out, func(a, b int) bool {
-		sa, sb := rendezvousScore(out[a].ID, key), rendezvousScore(out[b].ID, key)
-		if sa != sb {
-			return sa > sb
+	type scored struct {
+		w Worker
+		s uint64
+	}
+	ranked := make([]scored, len(workers))
+	for i, w := range workers {
+		ranked[i] = scored{w, rendezvousScore(w.ID, key)}
+	}
+	slices.SortStableFunc(ranked, func(a, b scored) int {
+		if c := cmp.Compare(b.s, a.s); c != 0 {
+			return c
 		}
-		return out[a].ID < out[b].ID
+		return strings.Compare(a.w.ID, b.w.ID)
 	})
+	out := make([]Worker, len(ranked))
+	for i, r := range ranked {
+		out[i] = r.w
+	}
 	return out
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/models"
@@ -124,9 +123,9 @@ func (x *accountingRun) occupy(req Request) (finish func(err error)) {
 	}
 }
 
-// whileWaiting starts the call under test, lets it get inside the
-// request path (in-flight gauge up, then a beat to reach the flight),
-// runs during, and returns the call's verdict.
+// whileWaiting starts the call under test, waits until it has joined
+// the flight occupy registered for req, runs during, and returns the
+// call's verdict.
 func (x *accountingRun) whileWaiting(ctx context.Context, req Request, during func()) (bool, error) {
 	type verdict struct {
 		hit bool
@@ -137,10 +136,7 @@ func (x *accountingRun) whileWaiting(ctx context.Context, req Request, during fu
 		hit, err := x.call(ctx, req)
 		ch <- verdict{hit, err}
 	}()
-	for deadline := time.Now().Add(5 * time.Second); x.e.StreamStats().InFlight == 0 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(10 * time.Millisecond)
+	awaitJoiners(x.t, &x.e.flight, x.ep.prefix+req.Key(), 1)
 	during()
 	v := <-ch
 	return v.hit, v.err

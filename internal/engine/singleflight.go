@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
+
+	"dlrmperf/internal/xsync"
 )
 
 // call is one in-flight execution of a keyed function.
@@ -11,6 +13,9 @@ type call struct {
 	done chan struct{}
 	val  any
 	err  error
+	// joiners counts the callers that joined the flight instead of
+	// registering it, under group.mu.
+	joiners int
 }
 
 // group is a minimal singleflight: concurrent Do calls with the same key
@@ -34,8 +39,9 @@ func (g *group) Do(key string, fn func() (any, error)) (any, error) {
 // caller the same result. The first caller of a key registers the
 // flight and owns its execution; later callers join it.
 //
-// With a cancelable ctx, fn executes on its own goroutine, detached
-// from every caller, so a caller whose context expires can abandon the
+// With a cancelable ctx, fn executes on its own goroutine (through
+// xsync.Go, on a warm stack when a runner is parked), detached from
+// every caller, so a caller whose context expires can abandon the
 // wait without aborting (or poisoning) the shared computation — the
 // flight runs to completion, its result is stored by fn's own side
 // effects, and later requests for the same key hit it. When ctx wins
@@ -58,7 +64,9 @@ func (g *group) DoCtx(ctx context.Context, key string, fn func() (any, error)) (
 		g.calls = map[string]*call{}
 	}
 	c, joined := g.calls[key]
-	if !joined {
+	if joined {
+		c.joiners++
+	} else {
 		c = &call{done: make(chan struct{})}
 		g.calls[key] = c
 	}
@@ -69,7 +77,7 @@ func (g *group) DoCtx(ctx context.Context, key string, fn func() (any, error)) (
 			g.run(key, c, fn, true)
 			return c.val, c.err
 		}
-		go g.run(key, c, fn, false)
+		xsync.Go(func() { g.run(key, c, fn, false) })
 	}
 	select {
 	case <-c.done:

@@ -11,6 +11,27 @@ import (
 	"dlrmperf/internal/models"
 )
 
+// awaitJoiners polls until at least n callers have joined key's
+// flight, so a test orders its next step after an observable join
+// instead of a sleep.
+func awaitJoiners(t testing.TB, g *group, key string, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		g.mu.Lock()
+		got := 0
+		if c := g.calls[key]; c != nil {
+			got = c.joiners
+		}
+		g.mu.Unlock()
+		if got >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("flight %q has %d joiners after 5s, want %d", key, got, n)
+		}
+	}
+}
+
 // TestDoCtxDetachedCompletion is the no-poison contract of the
 // context-aware singleflight: a caller that abandons the wait leaves
 // the flight running to completion, exactly once, and the key is
@@ -88,7 +109,7 @@ func TestPredictCtxCancelDoesNotPoison(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	resCh := make(chan Result, 1)
 	go func() { resCh <- e.PredictCtx(ctx, req) }()
-	time.Sleep(10 * time.Millisecond)
+	awaitJoiners(t, &e.flight, key, 1)
 	cancel()
 	res := <-resCh
 	if !errors.Is(res.Err, context.Canceled) {

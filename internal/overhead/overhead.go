@@ -19,6 +19,7 @@
 package overhead
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -339,24 +340,35 @@ func describeTrimmed(xs []float64, k float64, s *stats.Scratch) Stats {
 
 // finish trims every population of m, and each kind's pool over all
 // ops for Defaults, on up to workers goroutines, each into its own slot.
-// A population takes a selection scratch from a free list of one per
-// goroutine and gives it back, so the trims allocate only the scratches.
+// The slots start largest first, so no goroutine is left trimming a
+// big population alone at the end. A population takes a selection
+// scratch from a free list of one per goroutine and gives it back, so
+// the trims allocate only the scratches and the order.
 func (c *Collector) finish(m *pooled, workers int) *DB {
 	nOps, pops := len(m.names[opNames]), len(m.start)-1
-	// Slots 0-2 are the Defaults pools, the largest, so they start
-	// first; slot 3+j is population j.
+	// Slots 0-2 are the Defaults pools; slot 3+j is population j.
+	span := func(j int) (lo, hi int) {
+		if j < 3 {
+			return m.start[1+j*nOps], m.start[1+(j+1)*nOps]
+		}
+		return m.start[j-3], m.start[j-2]
+	}
+	size := func(j int) int { lo, hi := span(j); return hi - lo }
 	out := make([]Stats, 3+pops)
+	order := make([]int, len(out))
+	for j := range order {
+		order[j] = j
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(size(b), size(a)) })
 	free := make(chan *stats.Scratch, max(workers, 1))
 	for range cap(free) {
 		free <- new(stats.Scratch)
 	}
-	xsync.ForEachN(len(out), workers, func(j int) {
-		lo, hi := j-3, j-2
-		if j < 3 {
-			lo, hi = 1+j*nOps, 1+(j+1)*nOps
-		}
+	xsync.ForEachN(len(out), workers, func(k int) {
+		j := order[k]
+		lo, hi := span(j)
 		s := <-free
-		out[j] = describeTrimmed(m.vals[m.start[lo]:m.start[hi]], c.TrimK, s)
+		out[j] = describeTrimmed(m.vals[lo:hi], c.TrimK, s)
 		free <- s
 	})
 	pop := out[3:]

@@ -2,7 +2,7 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dlrmperf/internal/workload"
 )
@@ -70,7 +70,17 @@ func PlanShardsCost(tables []workload.TableSpec, n int, cost func(workload.Table
 		costs[i] = cost(t)
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return costs[order[a]] > costs[order[b]] })
+	// Descending by cost, with the ">" of the old less function rather
+	// than cmp.Compare, so a NaN cost keeps its place as before.
+	slices.SortStableFunc(order, func(a, b int) int {
+		switch {
+		case costs[a] > costs[b]:
+			return -1
+		case costs[b] > costs[a]:
+			return 1
+		}
+		return 0
+	})
 
 	p := Plan{
 		Devices:     n,
@@ -98,7 +108,7 @@ func PlanShardsCost(tables []workload.TableSpec, n int, cost func(workload.Table
 	}
 	total := 0.0
 	for d := range p.Assignments {
-		sort.Ints(p.Assignments[d])
+		slices.Sort(p.Assignments[d])
 		total += p.Loads[d]
 		if p.Loads[d] > p.MaxLoad {
 			p.MaxLoad = p.Loads[d]
