@@ -70,14 +70,31 @@ func TestCollectKindMeasures(t *testing.T) {
 	if len(ds.Samples) != 40 {
 		t.Fatalf("samples = %d", len(ds.Samples))
 	}
-	if ds.Kind != kernels.KindTrilFwd || ds.Device != hw.V100 {
-		t.Errorf("dataset identity wrong: %s %s", ds.Device, ds.Kind)
+	if ds.Kind != kernels.KindTrilFwd {
+		t.Errorf("dataset kind wrong: %s", ds.Kind)
 	}
 	for _, s := range ds.Samples {
 		if s.Time <= 0 {
 			t.Fatalf("non-positive measured time for %s", s.Kernel)
 		}
 	}
+	// Collect keeps the caller's kernels: sample i points at ks[i].
+	ks := GenerateKernels(kernels.KindTrilFwd, 40, xrand.New(7))
+	ds = Collect(kernels.NewDevice(hw.V100Platform().GPU, 7), kernels.KindTrilFwd, ks)
+	for i, s := range ds.Samples {
+		if s.Kernel != &ks[i] {
+			t.Fatalf("sample %d holds %p, not &ks[%d] = %p", i, s.Kernel, i, &ks[i])
+		}
+	}
+}
+
+// kernelsOf returns the set of kernels ds's samples point at.
+func kernelsOf(ds *Dataset) map[*kernels.Kernel]int {
+	set := map[*kernels.Kernel]int{}
+	for _, s := range ds.Samples {
+		set[s.Kernel]++
+	}
+	return set
 }
 
 func TestSplitPartitions(t *testing.T) {
@@ -85,6 +102,20 @@ func TestSplitPartitions(t *testing.T) {
 	train, test := ds.Split(0.8, 3)
 	if len(train.Samples) != 80 || len(test.Samples) != 20 {
 		t.Fatalf("split sizes: %d/%d", len(train.Samples), len(test.Samples))
+	}
+	// Every sample of the split points into the parent's kernels, and
+	// each parent kernel lands in exactly one half.
+	parent, halves := kernelsOf(ds), kernelsOf(train)
+	for k, n := range kernelsOf(test) {
+		halves[k] += n
+	}
+	if len(halves) != len(parent) {
+		t.Fatalf("split holds %d distinct kernels, parent %d", len(halves), len(parent))
+	}
+	for k, n := range halves {
+		if n != 1 || parent[k] != 1 {
+			t.Fatalf("kernel %s held %d times by the split, %d by the parent", k, n, parent[k])
+		}
 	}
 	// Same seed -> same split.
 	train2, _ := ds.Split(0.8, 3)
@@ -97,11 +128,17 @@ func TestSplitPartitions(t *testing.T) {
 
 func TestFilter(t *testing.T) {
 	ds := CollectKind(hw.V100Platform().GPU, kernels.KindEmbeddingFwd, 100, 11)
-	big := ds.Filter(func(k kernels.Kernel) bool {
+	big := ds.Filter(func(k *kernels.Kernel) bool {
 		return k.Kind == kernels.KindEmbeddingFwd && k.E > 100_000
 	})
 	if len(big.Samples) == 0 || len(big.Samples) == len(ds.Samples) {
 		t.Errorf("filter kept %d of %d", len(big.Samples), len(ds.Samples))
+	}
+	parent := kernelsOf(ds)
+	for _, s := range big.Samples {
+		if parent[s.Kernel] == 0 {
+			t.Fatalf("filtered sample %s does not point into the parent's kernels", s.Kernel)
+		}
 	}
 }
 

@@ -89,7 +89,7 @@ const LargeTableThreshold = 100_000
 
 // IsLargeTable reports whether a benchmark sample belongs to the
 // large-table subset.
-func IsLargeTable(k kernels.Kernel) bool {
+func IsLargeTable(k *kernels.Kernel) bool {
 	return isEmbedding(k.Kind) && k.E > LargeTableThreshold
 }
 

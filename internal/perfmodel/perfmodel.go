@@ -183,18 +183,18 @@ func (m *Model) base(k *kernels.Kernel) float64 {
 }
 
 // residualTargets converts a dataset into (features, log residual to
-// m's baseline) pairs.
+// m's baseline) pairs. The feature rows are sub-slices of one block.
 func (m *Model) residualTargets(ds *microbench.Dataset) ([][]float64, []float64) {
-	var X [][]float64
-	var Y []float64
-	for i := range ds.Samples {
-		s := &ds.Samples[i]
+	X, Y := make([][]float64, len(ds.Samples)), make([]float64, len(ds.Samples))
+	feats := make([]float64, 0, kernels.FeatureWidth(ds.Kind)*len(ds.Samples))
+	for i, s := range ds.Samples {
 		t := s.Time
 		if t <= 0 {
 			t = 1e-6
 		}
-		X = append(X, kernels.AppendFeatures(nil, &s.Kernel))
-		Y = append(Y, math.Log(t/m.base(&s.Kernel)))
+		row := len(feats)
+		feats = kernels.AppendFeatures(feats, s.Kernel)
+		X[i], Y[i] = feats[row:len(feats):len(feats)], math.Log(t/m.base(s.Kernel))
 	}
 	return X, Y
 }
@@ -237,11 +237,9 @@ func FitMLP(name string, ds *microbench.Dataset, basePeak, baseBW float64, opt C
 
 // Evaluate computes the Table IV error statistics of model on a dataset.
 func Evaluate(model KernelModel, ds *microbench.Dataset) stats.ErrorSummary {
-	var pred, actual []float64
-	for i := range ds.Samples {
-		s := &ds.Samples[i]
-		pred = append(pred, model.Predict(&s.Kernel))
-		actual = append(actual, s.Time)
+	pred, actual := make([]float64, len(ds.Samples)), make([]float64, len(ds.Samples))
+	for i, s := range ds.Samples {
+		pred[i], actual[i] = model.Predict(s.Kernel), s.Time
 	}
 	return stats.Summarize(pred, actual)
 }

@@ -139,7 +139,7 @@ func TestRooflineFitRecoversAffineLaw(t *testing.T) {
 	ds := &microbench.Dataset{Kind: kernels.KindConcat}
 	for _, b := range []int64{1 << 10, 1 << 14, 1 << 18, 1 << 22, 1 << 26} {
 		k := kernels.Kernel{Kind: kernels.KindConcat, NBytes: b / 2, NInputs: 2} // read+write = b
-		ds.Samples = append(ds.Samples, microbench.Sample{Kernel: k, Time: 5 + float64(b)/1000})
+		ds.Samples = append(ds.Samples, microbench.Sample{Kernel: &k, Time: 5 + float64(b)/1000})
 	}
 	r := CalibrateRoofline("test", ds, 0)
 	if r.Lat < 4 || r.Lat > 6 {
