@@ -166,6 +166,32 @@ func mlpModel(t testing.TB, sizes ...int) string {
 	return `{"form":"mlp","name":"M","base_peak":1e7,"base_bw":9e5,"nets":[` + string(net) + `]}`
 }
 
+// zeroFeatStd sets every feature std of the first GEMM network in an
+// export's registry to zero, so that network divides by zero on every
+// input.
+func zeroFeatStd(t testing.TB, wire map[string]json.RawMessage) {
+	t.Helper()
+	var reg, byKind, model, net map[string]json.RawMessage
+	var nets []json.RawMessage
+	var std []float64
+	decode := func(data []byte, into any) {
+		if err := json.Unmarshal(data, into); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode(wire["registry"], &reg)
+	decode(reg["models"], &byKind)
+	decode(byKind["GEMM"], &model)
+	decode(model["nets"], &nets)
+	decode(nets[0], &net)
+	decode(net["feat_std"], &std)
+	net["feat_std"], _ = json.Marshal(make([]float64, len(std)))
+	nets[0], _ = json.Marshal(net)
+	model["nets"], _ = json.Marshal(nets)
+	gemm, _ := json.Marshal(model)
+	setRegistryModel(t, wire, "GEMM", string(gemm))
+}
+
 // TestLoadAssetsRejectedInstallsNothing: a payload whose envelope
 // parses but whose registry or any overhead database does not, or that
 // names an unknown device, another device's registry, a registry
@@ -258,6 +284,10 @@ func TestLoadAssetsRejectedInstallsNothing(t *testing.T) {
 		{"a GEMM network with two outputs", func(wire map[string]json.RawMessage) {
 			setRegistryModel(t, wire, "GEMM", mlpModel(t, 4, 16, 2))
 		}},
+		{"a GEMM network whose weights do not fit its sizes", func(wire map[string]json.RawMessage) {
+			setRegistryModel(t, wire, "GEMM", `{"form":"mlp","name":"M","base_peak":1e7,"base_bw":9e5,"nets":[{"sizes":[4,1],"weights":[[1,2,3]],"biases":[[0]],"feat_mean":[0,0,0,0],"feat_std":[1,1,1,1]}]}`)
+		}},
+		{"a GEMM network with a zero feature std", func(wire map[string]json.RawMessage) { zeroFeatStd(t, wire) }},
 	} {
 		if _, err := e.LoadAssets(corrupt(tc.edit)); err == nil {
 			t.Fatalf("payload with %s was accepted", tc.name)

@@ -26,8 +26,9 @@ import (
 // mean, standard deviation or count. The seeds are a tiny engine's real
 // export (its registry and DLRM_default overheads), that export
 // truncated, that export with an embedding heuristic filed under GEMM,
-// a hollow registry, and the export with a null shared and a null
-// per-workload database.
+// that export with a GEMM network whose feature std is zero, a hollow
+// registry, and the export with a null shared and a null per-workload
+// database.
 func FuzzLoadAssets(f *testing.F) {
 	opts := tinyOptions(7)
 	src := New(opts)
@@ -51,6 +52,16 @@ func FuzzLoadAssets(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(misfit)
+	wire = nil
+	if err := json.Unmarshal(data, &wire); err != nil {
+		f.Fatal(err)
+	}
+	zeroFeatStd(f, wire)
+	divides, err := json.Marshal(wire)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(divides)
 	f.Add([]byte(`{"version":2,"device":"V100","registry":{"device":"V100","models":{}}}`))
 	for _, null := range [][2]string{{"shared", `null`}, {"overheads", `{"` + models.NameDLRMDefault + `":null}`}} {
 		var wire map[string]json.RawMessage

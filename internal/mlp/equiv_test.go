@@ -14,16 +14,16 @@ import (
 func refForward(n *Net, x []float64, acts [][]float64) float64 {
 	in := acts[0]
 	for i := range in {
-		in[i] = (x[i] - n.featMean[i]) / n.featStd[i]
+		in[i] = (x[i] - n.FeatMean[i]) / n.FeatStd[i]
 	}
-	for l := range n.weights {
+	for l := range n.Weights {
 		out := acts[l+1]
-		w := n.weights[l]
-		b := n.biases[l]
-		nin := n.sizes[l]
-		nout := n.sizes[l+1]
+		w := n.Weights[l]
+		b := n.Biases[l]
+		nin := n.Sizes[l]
+		nout := n.Sizes[l+1]
 		src := acts[l]
-		relu := l < len(n.weights)-1
+		relu := l < len(n.Weights)-1
 		for o := 0; o < nout; o++ {
 			s := dotAcc(b[o], w[o*nin:(o+1)*nin], src)
 			if relu && s < 0 {
@@ -39,13 +39,13 @@ func refForward(n *Net, x []float64, acts [][]float64) float64 {
 // blocked: each hidden delta sums one column of the weight matrix,
 // skipping inputs the ReLU cut.
 func refBackward(n *Net, y float64, acts [][]float64, g *grads, deltas [][]float64) float64 {
-	L := len(n.weights)
+	L := len(n.Weights)
 	diff := acts[L][0] - y
 	deltas[L][0] = diff
 	for l := L - 1; l >= 1; l-- {
-		nout := n.sizes[l+1]
-		nin := n.sizes[l]
-		w := n.weights[l]
+		nout := n.Sizes[l+1]
+		nin := n.Sizes[l]
+		w := n.Weights[l]
 		d := deltas[l]
 		dn := deltas[l+1]
 		a := acts[l]
@@ -72,8 +72,8 @@ func refBackward(n *Net, y float64, acts [][]float64, g *grads, deltas [][]float
 		}
 	}
 	for l := 0; l < L; l++ {
-		nin := n.sizes[l]
-		nout := n.sizes[l+1]
+		nin := n.Sizes[l]
+		nout := n.Sizes[l+1]
 		for o := 0; o < nout; o++ {
 			d := deltas[l+1][o]
 			if d == 0 {
@@ -102,11 +102,11 @@ func refTrain(X [][]float64, Y []float64, cfg Config, seed uint64) *Net {
 	g, acts, deltas := n.newGrads(), n.newActs(), n.newActs()
 	var mW, vW, mB, vB [][]float64
 	if cfg.Optimizer == Adam {
-		for l := range n.weights {
-			mW = append(mW, make([]float64, len(n.weights[l])))
-			vW = append(vW, make([]float64, len(n.weights[l])))
-			mB = append(mB, make([]float64, len(n.biases[l])))
-			vB = append(vB, make([]float64, len(n.biases[l])))
+		for l := range n.Weights {
+			mW = append(mW, make([]float64, len(n.Weights[l])))
+			vW = append(vW, make([]float64, len(n.Weights[l])))
+			mB = append(mB, make([]float64, len(n.Biases[l])))
+			vB = append(vB, make([]float64, len(n.Biases[l])))
 		}
 	}
 	const beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -125,9 +125,9 @@ func refTrain(X [][]float64, Y []float64, cfg Config, seed uint64) *Net {
 			step++
 			bc1 := 1 - math.Pow(beta1, float64(step))
 			bc2 := 1 - math.Pow(beta2, float64(step))
-			for l := range n.weights {
-				applyUpdate(n.weights[l], g.w[l], scale, lr, cfg.Optimizer, mW, vW, l, bc1, bc2, beta1, beta2, eps)
-				applyUpdate(n.biases[l], g.b[l], scale, lr, cfg.Optimizer, mB, vB, l, bc1, bc2, beta1, beta2, eps)
+			for l := range n.Weights {
+				applyUpdate(n.Weights[l], g.w[l], scale, lr, cfg.Optimizer, mW, vW, l, bc1, bc2, beta1, beta2, eps)
+				applyUpdate(n.Biases[l], g.b[l], scale, lr, cfg.Optimizer, mB, vB, l, bc1, bc2, beta1, beta2, eps)
 			}
 		}
 	}
@@ -160,9 +160,9 @@ func TestBlockedKernelsMatchReference(t *testing.T) {
 			X, Y := synth(24, in, uint64(in*100+width))
 			n := NewNet([]int{in, width, width, 1}, xrand.New(uint64(width)))
 			n.setStandardization(X)
-			for l := range n.biases { // non-zero biases, some negative
-				for o := range n.biases[l] {
-					n.biases[l][o] = 0.1 * float64(o%5-2)
+			for l := range n.Biases { // non-zero biases, some negative
+				for o := range n.Biases[l] {
+					n.Biases[l][o] = 0.1 * float64(o%5-2)
 				}
 			}
 			acts, refActs := n.newActs(), n.newActs()
@@ -212,11 +212,11 @@ func TestBlockedTrainMatchesReference(t *testing.T) {
 			X, Y := synth(150, tc.in, uint64(tc.in+tc.width))
 			cfg := Config{HiddenLayers: tc.layers, Width: tc.width, Optimizer: opt, LR: 3e-3, Epochs: 4, BatchSize: 32}
 			got, want := Train(X, Y, cfg, 17), refTrain(X, Y, cfg, 17)
-			for l := range want.weights {
-				if i := sameBits(got.weights[l], want.weights[l]); i >= 0 {
-					t.Fatalf("%s %+v: layer %d weight %d is %v, reference %v", opt, tc, l, i, got.weights[l][i], want.weights[l][i])
+			for l := range want.Weights {
+				if i := sameBits(got.Weights[l], want.Weights[l]); i >= 0 {
+					t.Fatalf("%s %+v: layer %d weight %d is %v, reference %v", opt, tc, l, i, got.Weights[l][i], want.Weights[l][i])
 				}
-				if i := sameBits(got.biases[l], want.biases[l]); i >= 0 {
+				if i := sameBits(got.Biases[l], want.Biases[l]); i >= 0 {
 					t.Fatalf("%s %+v: layer %d bias %d differs", opt, tc, l, i)
 				}
 			}

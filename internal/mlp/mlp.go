@@ -18,14 +18,20 @@ import (
 )
 
 // Net is a trained feed-forward network with ReLU hidden activations and
-// a linear scalar output.
+// a linear scalar output. Its exported fields are its serialized form:
+// architecture, weights and input standardization, so a calibrated
+// performance model can live in a shared asset database. A net is
+// read-only once trained or decoded; Check reports whether a decoded
+// one is well formed.
 type Net struct {
-	// weights[l] is a flattened (out x in) matrix; biases[l] has length out.
-	weights [][]float64
-	biases  [][]float64
-	sizes   []int
+	// Sizes[0] is the input width and the last size the output width.
+	Sizes []int `json:"sizes"`
+	// Weights[l] is a flattened (out x in) matrix; Biases[l] has length out.
+	Weights [][]float64 `json:"weights"`
+	Biases  [][]float64 `json:"biases"`
 	// Feature standardization parameters.
-	featMean, featStd []float64
+	FeatMean []float64 `json:"feat_mean"`
+	FeatStd  []float64 `json:"feat_std"`
 	// scratch recycles Predict's per-layer activation buffers
 	// (*[][]float64, shaped by newActs): a trained net is shared by
 	// every goroutine walking a graph and is asked once per kernel.
@@ -39,7 +45,7 @@ func NewNet(sizes []int, rng *xrand.Rand) *Net {
 	if len(sizes) < 2 {
 		panic("mlp: need at least input and output sizes")
 	}
-	n := &Net{sizes: append([]int(nil), sizes...)}
+	n := &Net{Sizes: append([]int(nil), sizes...)}
 	for l := 0; l+1 < len(sizes); l++ {
 		in, out := sizes[l], sizes[l+1]
 		w := make([]float64, in*out)
@@ -47,13 +53,13 @@ func NewNet(sizes []int, rng *xrand.Rand) *Net {
 		for i := range w {
 			w[i] = rng.NormFloat64() * scale
 		}
-		n.weights = append(n.weights, w)
-		n.biases = append(n.biases, make([]float64, out))
+		n.Weights = append(n.Weights, w)
+		n.Biases = append(n.Biases, make([]float64, out))
 	}
-	n.featMean = make([]float64, sizes[0])
-	n.featStd = make([]float64, sizes[0])
-	for i := range n.featStd {
-		n.featStd[i] = 1
+	n.FeatMean = make([]float64, sizes[0])
+	n.FeatStd = make([]float64, sizes[0])
+	for i := range n.FeatStd {
+		n.FeatStd[i] = 1
 	}
 	return n
 }
@@ -61,15 +67,43 @@ func NewNet(sizes []int, rng *xrand.Rand) *Net {
 // NumParams returns the trainable parameter count.
 func (n *Net) NumParams() int {
 	total := 0
-	for l := range n.weights {
-		total += len(n.weights[l]) + len(n.biases[l])
+	for l := range n.Weights {
+		total += len(n.Weights[l]) + len(n.Biases[l])
 	}
 	return total
 }
 
+// Check reports why n is not a well-formed network, or nil: it needs an
+// input and an output layer, weights and biases that fit its sizes, and
+// a standardization of its input width whose every std is positive. A
+// trained net always passes; a decoded one must be checked before it
+// predicts.
+func (n *Net) Check() error {
+	if len(n.Sizes) < 2 {
+		return fmt.Errorf("mlp: serialized net has %d layer sizes", len(n.Sizes))
+	}
+	if len(n.Weights) != len(n.Sizes)-1 || len(n.Biases) != len(n.Sizes)-1 {
+		return fmt.Errorf("mlp: layer count mismatch")
+	}
+	for l := 0; l+1 < len(n.Sizes); l++ {
+		if len(n.Weights[l]) != n.Sizes[l]*n.Sizes[l+1] || len(n.Biases[l]) != n.Sizes[l+1] {
+			return fmt.Errorf("mlp: layer %d shape mismatch", l)
+		}
+	}
+	if len(n.FeatMean) != n.Sizes[0] || len(n.FeatStd) != n.Sizes[0] {
+		return fmt.Errorf("mlp: standardization shape mismatch")
+	}
+	for i, s := range n.FeatStd {
+		if !(s > 0) {
+			return fmt.Errorf("mlp: feature %d has std %v, want > 0", i, s)
+		}
+	}
+	return nil
+}
+
 // setStandardization computes per-feature mean/std over xs.
 func (n *Net) setStandardization(xs [][]float64) {
-	d := n.sizes[0]
+	d := n.Sizes[0]
 	mean := make([]float64, d)
 	for _, x := range xs {
 		for i := 0; i < d; i++ {
@@ -92,7 +126,7 @@ func (n *Net) setStandardization(xs [][]float64) {
 			std[i] = 1
 		}
 	}
-	n.featMean, n.featStd = mean, std
+	n.FeatMean, n.FeatStd = mean, std
 }
 
 // forward runs the network, storing activations into acts (one slice per
@@ -100,16 +134,16 @@ func (n *Net) setStandardization(xs [][]float64) {
 func (n *Net) forward(x []float64, acts [][]float64) float64 {
 	in := acts[0]
 	for i := range in {
-		in[i] = (x[i] - n.featMean[i]) / n.featStd[i]
+		in[i] = (x[i] - n.FeatMean[i]) / n.FeatStd[i]
 	}
-	for l := range n.weights {
+	for l := range n.Weights {
 		out := acts[l+1]
-		w := n.weights[l]
-		b := n.biases[l]
-		nin := n.sizes[l]
-		nout := n.sizes[l+1]
+		w := n.Weights[l]
+		b := n.Biases[l]
+		nin := n.Sizes[l]
+		nout := n.Sizes[l+1]
 		src := acts[l]
-		relu := l < len(n.weights)-1
+		relu := l < len(n.Weights)-1
 		o := 0
 		// Four output neurons at a time: each input is loaded once for
 		// four rows of w. Every sum still starts at its bias and adds
@@ -165,13 +199,10 @@ func dotAcc(s float64, a, b []float64) float64 {
 	return s
 }
 
-// Dims returns the network's input width and output width.
-func (n *Net) Dims() (in, out int) { return n.sizes[0], n.sizes[len(n.sizes)-1] }
-
 // Predict returns the network output for one input vector.
 func (n *Net) Predict(x []float64) float64 {
-	if len(x) != n.sizes[0] {
-		panic(fmt.Sprintf("mlp: input dim %d, want %d", len(x), n.sizes[0]))
+	if len(x) != n.Sizes[0] {
+		panic(fmt.Sprintf("mlp: input dim %d, want %d", len(x), n.Sizes[0]))
 	}
 	acts, _ := n.scratch.Get().(*[][]float64)
 	if acts == nil {
@@ -184,8 +215,8 @@ func (n *Net) Predict(x []float64) float64 {
 }
 
 func (n *Net) newActs() [][]float64 {
-	acts := make([][]float64, len(n.sizes))
-	for i, s := range n.sizes {
+	acts := make([][]float64, len(n.Sizes))
+	for i, s := range n.Sizes {
 		acts[i] = make([]float64, s)
 	}
 	return acts
@@ -199,9 +230,9 @@ type grads struct {
 
 func (n *Net) newGrads() *grads {
 	g := &grads{}
-	for l := range n.weights {
-		g.w = append(g.w, make([]float64, len(n.weights[l])))
-		g.b = append(g.b, make([]float64, len(n.biases[l])))
+	for l := range n.Weights {
+		g.w = append(g.w, make([]float64, len(n.Weights[l])))
+		g.b = append(g.b, make([]float64, len(n.Biases[l])))
 	}
 	return g
 }
@@ -216,16 +247,16 @@ func (g *grads) zero() {
 // backward accumulates gradients of 0.5*(out-y)^2 into g, given acts
 // populated by forward. Returns the squared error.
 func (n *Net) backward(y float64, acts [][]float64, g *grads, deltas [][]float64, live []int) float64 {
-	L := len(n.weights)
+	L := len(n.Weights)
 	out := acts[L][0]
 	diff := out - y
 
 	// Output layer delta.
 	deltas[L][0] = diff
 	for l := L - 1; l >= 1; l-- {
-		nout := n.sizes[l+1]
-		nin := n.sizes[l]
-		w := n.weights[l]
+		nout := n.Sizes[l+1]
+		nin := n.Sizes[l]
+		w := n.Weights[l]
 		d := deltas[l]
 		dn := deltas[l+1]
 		a := acts[l][:nin]
@@ -265,8 +296,8 @@ func (n *Net) backward(y float64, acts [][]float64, g *grads, deltas [][]float64
 		}
 	}
 	for l := 0; l < L; l++ {
-		nin := n.sizes[l]
-		nout := n.sizes[l+1]
+		nin := n.Sizes[l]
+		nout := n.Sizes[l+1]
 		src := acts[l]
 		dn := deltas[l+1]
 		gw := g.w[l]

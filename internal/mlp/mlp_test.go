@@ -145,12 +145,19 @@ func TestNetJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNetUnmarshalRejectsBadShapes: a decoded net whose shapes do not
+// fit fails Check.
 func TestNetUnmarshalRejectsBadShapes(t *testing.T) {
-	var n Net
-	if err := json.Unmarshal([]byte(`{"sizes":[2,1],"weights":[[1,2,3]],"biases":[[0]],"feat_mean":[0,0],"feat_std":[1,1]}`), &n); err == nil {
-		t.Error("weight shape mismatch accepted")
-	}
-	if err := json.Unmarshal([]byte(`{"sizes":[2]}`), &n); err == nil {
-		t.Error("single-layer net accepted")
+	for _, tc := range []struct{ name, data string }{
+		{"weight shape mismatch", `{"sizes":[2,1],"weights":[[1,2,3]],"biases":[[0]],"feat_mean":[0,0],"feat_std":[1,1]}`},
+		{"single-layer net", `{"sizes":[2]}`},
+	} {
+		var n Net
+		if err := json.Unmarshal([]byte(tc.data), &n); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := n.Check(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }

@@ -93,11 +93,11 @@ func Train(X [][]float64, Y []float64, cfg Config, seed uint64) *Net {
 	// Adam state.
 	var mW, vW, mB, vB [][]float64
 	if cfg.Optimizer == Adam {
-		for l := range n.weights {
-			mW = append(mW, make([]float64, len(n.weights[l])))
-			vW = append(vW, make([]float64, len(n.weights[l])))
-			mB = append(mB, make([]float64, len(n.biases[l])))
-			vB = append(vB, make([]float64, len(n.biases[l])))
+		for l := range n.Weights {
+			mW = append(mW, make([]float64, len(n.Weights[l])))
+			vW = append(vW, make([]float64, len(n.Weights[l])))
+			mB = append(mB, make([]float64, len(n.Biases[l])))
+			vB = append(vB, make([]float64, len(n.Biases[l])))
 		}
 	}
 	const beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -122,9 +122,9 @@ func Train(X [][]float64, Y []float64, cfg Config, seed uint64) *Net {
 			// are computed once here instead of twice per layer.
 			bc1 := 1 - math.Pow(beta1, float64(step))
 			bc2 := 1 - math.Pow(beta2, float64(step))
-			for l := range n.weights {
-				applyUpdate(n.weights[l], g.w[l], scale, lr, cfg.Optimizer, mW, vW, l, bc1, bc2, beta1, beta2, eps)
-				applyUpdate(n.biases[l], g.b[l], scale, lr, cfg.Optimizer, mB, vB, l, bc1, bc2, beta1, beta2, eps)
+			for l := range n.Weights {
+				applyUpdate(n.Weights[l], g.w[l], scale, lr, cfg.Optimizer, mW, vW, l, bc1, bc2, beta1, beta2, eps)
+				applyUpdate(n.Biases[l], g.b[l], scale, lr, cfg.Optimizer, mB, vB, l, bc1, bc2, beta1, beta2, eps)
 			}
 		}
 	}

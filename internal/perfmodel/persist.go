@@ -34,12 +34,12 @@ func (r *Registry) Wire() (WireRegistry, error) {
 }
 
 // Registry restores the registry w describes. A model that would panic
-// on, or price at +Inf, a kernel of the kind it is filed under is
+// on, or price at +Inf or NaN, a kernel of the kind it is filed under is
 // rejected with the rest: an unknown form, a bandwidth that is not
 // positive, a negative latency or peak, an embedding heuristic under
-// another kind or without its SM count and L2 size, or a network whose
-// input is not the kind's feature width or whose output is not one
-// value.
+// another kind or without its SM count and L2 size, a network that
+// fails mlp.Net.Check, or a network whose input is not the kind's
+// feature width or whose output is not one value.
 func (w WireRegistry) Registry() (*Registry, error) {
 	reg := NewRegistry(w.Device)
 	for kindName, m := range w.Models {
@@ -74,7 +74,10 @@ func (m *Model) check(kind kernels.Kind) error {
 			if n == nil {
 				return fmt.Errorf("perfmodel: mlp model %s has a null network", m.Name)
 			}
-			if in, out := n.Dims(); in != kernels.FeatureWidth(kind) || out != 1 {
+			if err := n.Check(); err != nil {
+				return fmt.Errorf("perfmodel: mlp model %s for %s: %w", m.Name, kind, err)
+			}
+			if in, out := n.Sizes[0], n.Sizes[len(n.Sizes)-1]; in != kernels.FeatureWidth(kind) || out != 1 {
 				return fmt.Errorf("perfmodel: mlp model %s for %s has a %d-in, %d-out network, want %d-in, 1-out", m.Name, kind, in, out, kernels.FeatureWidth(kind))
 			}
 		}
