@@ -33,8 +33,9 @@ fmt:
 # and unlinked over the `make linked` listing — see internal/analysis
 # and the README "Static analysis" section), plus staticcheck when it
 # is installed. The analyzer suite builds from this module with no
-# network; CI additionally installs and enforces staticcheck at a
-# pinned version (see staticcheck.conf).
+# network. The CI lint job runs this target after installing
+# staticcheck at a pinned version (see staticcheck.conf), so this recipe
+# is the one definition of the lint gate.
 lint:
 	@set -e; linked=$$(mktemp); trap 'rm -f "$$linked"' EXIT; \
 	$(MAKE) -s --no-print-directory linked > "$$linked"; \

@@ -104,7 +104,7 @@ func fail(err error) {
 func main() {
 	in := flag.String("in", "-", "one-shot input path (- for stdin): a request array, or an explore grid object")
 	out := flag.String("o", "-", "report JSON path (- for stdout)")
-	seed := flag.Uint64("seed", 2022, "engine seed")
+	seed := flag.Uint64("seed", 2022, "engine seed (a -coordinator neither calibrates nor simulates, so it has none)")
 	workers := flag.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
 	assets := flag.String("assets", "", "comma-separated warm-start asset files from a previous -save-assets run")
 	saveAssets := flag.String("save-assets", "", "directory to write per-device asset files after serving")
@@ -153,7 +153,6 @@ func main() {
 			Liveness:      *liveness,
 			Heartbeat:     *heartbeat,
 			DrainGrace:    *drainGrace,
-			Seed:          *seed,
 			Pprof:         *pprofOn,
 		})
 		if err != nil {
@@ -587,7 +586,6 @@ type coordinatorConfig struct {
 	// Heartbeat is the peer-probe interval under Peers.
 	Heartbeat  time.Duration
 	DrainGrace time.Duration
-	Seed       uint64
 	Pprof      bool
 }
 
@@ -606,7 +604,7 @@ func runCoordinator(cfg coordinatorConfig) error {
 	for _, u := range cfg.StaticWorkers {
 		reg.AddStatic(u)
 	}
-	cacheEng, err := dlrmperf.NewEngineWith(dlrmperf.EngineConfig{Seed: cfg.Seed})
+	cacheEng, err := dlrmperf.NewEngineWith(dlrmperf.EngineConfig{})
 	if err != nil {
 		return err
 	}

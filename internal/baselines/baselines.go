@@ -44,8 +44,7 @@ func (h *Habitat) scale(k kernels.Kernel) float64 {
 	read, write := k.Bytes()
 	bytes := read + write
 	flops := k.FLOPs()
-	switch k.Kind {
-	case kernels.KindMemcpyH2D, kernels.KindMemcpyD2H:
+	if k.Kind == kernels.KindMemcpyH2D {
 		return h.Base.GPU.PCIeBandwidth / h.Target.GPU.PCIeBandwidth
 	}
 	bwRatio := h.Base.GPU.DRAMBandwidth / h.Target.GPU.DRAMBandwidth

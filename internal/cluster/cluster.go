@@ -561,9 +561,9 @@ func (c *Coordinator) Run(ctx context.Context, reqs []serve.Request) *Report {
 func (c *Coordinator) Stats(ctx context.Context) Stats {
 	agg := Stats{
 		Rejected: ClusterRejected{
-			WorkerFailed: c.workerFailed.Load(),
-			NoWorkers:    c.noWorkers.Load(),
-			Draining:     c.drainingRejects.Load(),
+			RejectedStats: serve.RejectedStats{Draining: c.drainingRejects.Load()},
+			WorkerFailed:  c.workerFailed.Load(),
+			NoWorkers:     c.noWorkers.Load(),
 		},
 		Coordinator: CoordinatorStats{
 			Received:             c.received.Load(),

@@ -32,15 +32,11 @@ import (
 // its contribution with it.
 
 // ClusterRejected breaks out every never-served attempt cluster-wide:
-// the per-worker buckets summed (validation, queue_full, draining,
-// canceled_admissions — see serve.RejectedStats) plus the
-// coordinator's own routing buckets.
+// the per-worker buckets summed (serve.RejectedStats, whose Draining
+// also counts the coordinator's own draining refusals) plus the
+// coordinator's routing buckets.
 type ClusterRejected struct {
-	Validation    uint64 `json:"validation"`
-	QueueFull     uint64 `json:"queue_full"`
-	TenantLimited uint64 `json:"tenant_limited"`
-	Draining      uint64 `json:"draining"`
-	Canceled      uint64 `json:"canceled_admissions"`
+	serve.RejectedStats
 	// WorkerFailed counts routing attempts that died on a worker (the
 	// socket broke, or the worker answered 5xx): the fault-injection
 	// signal. Retried requests still count their failed first attempt
@@ -52,7 +48,7 @@ type ClusterRejected struct {
 
 // Total sums every rejection bucket.
 func (r ClusterRejected) Total() uint64 {
-	return r.Validation + r.QueueFull + r.TenantLimited + r.Draining + r.Canceled + r.WorkerFailed + r.NoWorkers
+	return r.RejectedStats.Total() + r.WorkerFailed + r.NoWorkers
 }
 
 // CoordinatorStats are the coordinator's own counters, client-facing:

@@ -8,6 +8,7 @@ import (
 	"dlrmperf/internal/graph"
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/models"
+	"dlrmperf/internal/ops"
 	"dlrmperf/internal/predict"
 	"dlrmperf/internal/scenario"
 )
@@ -216,13 +217,18 @@ func TestTransformOnCloneLeavesStructureShared(t *testing.T) {
 	}
 
 	whatIf := view.Graph.Clone()
-	last := whatIf.Nodes[len(whatIf.Nodes)-1]
-	if err := whatIf.RemoveNode(last.ID); err != nil { // Optimizer.step has no consumers
+	// Fold the loss into its backward, one node computing the gradient,
+	// and move the clone's first node to a second stream.
+	var loss []graph.NodeID
+	for _, n := range whatIf.Nodes {
+		if name := n.Op.Name(); name == "aten::mse_loss" || name == "MseLossBackward0" {
+			loss = append(loss, n.ID)
+		}
+	}
+	if _, err := whatIf.ReplaceNodes(loss, ops.MSELossBackward()); err != nil {
 		t.Fatal(err)
 	}
-	if streams := whatIf.AssignStreams(); streams < 2 {
-		t.Fatalf("AssignStreams used %d streams on DLRM", streams)
-	}
+	whatIf.Nodes[0].Stream = 1
 	if v, err := whatIf.WithBatch(64); err != nil {
 		t.Fatal(err)
 	} else if v.BatchSize() != 64 {

@@ -6,9 +6,9 @@
 // performance model (Algorithm 1).
 //
 // Because ops derive their kernels from tensor metadata, the graph
-// supports exactly the what-ifs Section V-A needs for model-system
-// co-design: batch resizing (WithBatch), op fusion, node removal and
-// multi-stream parallelization, all without re-capturing the model.
+// supports the two what-ifs of Section V-A this reproduction runs for
+// model-system co-design: batch resizing (WithBatch) and op fusion
+// (ReplaceNodes), both without re-capturing the model.
 //
 // A Graph is two parts. The structure — the node list, the sources and
 // each tensor's producer — says which op consumes what and does not
@@ -20,10 +20,9 @@
 //
 // Sharing rule: a view and the graph it was bound from share their
 // nodes, so both are read-only from then on — any number of goroutines
-// may walk them or bind further views. The transforms (ReplaceNodes,
-// RemoveNode, AssignStreams and Apply) edit
-// structure in place: apply them to a Clone, which shares nothing but
-// the immutable ops.
+// may walk them or bind further views. The transforms (ReplaceNodes and
+// Apply) edit structure in place: apply them to a Clone, which shares
+// nothing but the immutable ops.
 package graph
 
 import (
@@ -49,8 +48,7 @@ type Node struct {
 	Inputs  []TensorID
 	Outputs []TensorID
 	// Stream is the GPU stream the node's kernels are issued to. The
-	// capture default is stream 0; the parallelize transform reassigns
-	// independent branches.
+	// capture default is stream 0, and no transform reassigns it.
 	Stream int
 }
 

@@ -221,38 +221,3 @@ func TestReplaceNodesReducesKernelAndOpCount(t *testing.T) {
 		t.Errorf("fusion did not shrink graph: %d -> %d", before, len(g.Nodes))
 	}
 }
-
-func TestRemoveNode(t *testing.T) {
-	g := tinyMLP(8)
-	last := g.Nodes[2]
-	if err := g.RemoveNode(last.ID); err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Nodes) != 2 {
-		t.Fatalf("nodes = %d", len(g.Nodes))
-	}
-	// Removing a node with consumers must fail.
-	if err := g.RemoveNode(g.Nodes[0].ID); err == nil {
-		t.Fatal("RemoveNode allowed removing a consumed node")
-	}
-}
-
-func TestAssignStreams(t *testing.T) {
-	g := New()
-	a := g.Input(tensor.New(4, 8))
-	r1 := g.Apply(ops.ReLU(), a)
-	r2 := g.Apply(ops.Sigmoid(), a)
-	g.Apply(ops.Add(), r1[0], r2[0])
-	n := g.AssignStreams()
-	if n < 2 {
-		t.Fatalf("expected at least 2 streams for parallel branches, got %d", n)
-	}
-	if g.Nodes[0].Stream == g.Nodes[1].Stream {
-		t.Error("independent branches share a stream")
-	}
-	// The join lands on one of its dependencies' streams.
-	join := g.Nodes[2]
-	if join.Stream != g.Nodes[0].Stream && join.Stream != g.Nodes[1].Stream {
-		t.Error("join node on unrelated stream")
-	}
-}

@@ -6,9 +6,9 @@ import (
 	"dlrmperf/internal/ops"
 )
 
-// This file implements the execution-graph transforms of Section V-A:
-// op fusion (Fig. 11), node removal/replacement for iterative model
-// tuning, and multi-stream parallelization.
+// This file implements the execution-graph transform of Section V-A's
+// op-fusion case study (Fig. 11): replacing a set of nodes by one fused
+// node.
 
 // ReplaceNodes removes the nodes with the given IDs and splices a single
 // fused node executing op in their place. The fused node consumes the
@@ -121,93 +121,4 @@ func (g *Graph) ReplaceNodes(ids []NodeID, op ops.Op) (*Node, error) {
 		return nil, err
 	}
 	return fused, nil
-}
-
-// RemoveNode deletes a node whose outputs are unused (e.g. dropping a
-// layer during iterative tuning). It fails if any output has a consumer.
-//
-//lint:allow unlinked contract-test helper: internal/engine/bind_test.go edits a clone with it
-func (g *Graph) RemoveNode(id NodeID) error {
-	n := g.Node(id)
-	if n == nil {
-		return fmt.Errorf("graph: RemoveNode: unknown node %d", id)
-	}
-	outs := map[TensorID]bool{}
-	for _, o := range n.Outputs {
-		outs[o] = true
-	}
-	for _, other := range g.Nodes {
-		if other.ID == id {
-			continue
-		}
-		for _, in := range other.Inputs {
-			if outs[in] {
-				return fmt.Errorf("graph: RemoveNode: node %d output %d still consumed by node %d",
-					id, in, other.ID)
-			}
-		}
-	}
-	var nodes []*Node
-	for _, other := range g.Nodes {
-		if other.ID == id {
-			continue
-		}
-		nodes = append(nodes, other)
-	}
-	g.Nodes = nodes
-	for o := range outs {
-		g.dropTensor(o)
-	}
-	return nil
-}
-
-// AssignStreams places independent branches on distinct GPU streams. Two
-// nodes are independent when neither transitively consumes the other's
-// outputs. The transform greedily colors each node: the first consumer
-// of a producer inherits its stream, later consumers (fan-out branches)
-// get fresh streams, and join points collapse onto the smallest incoming
-// stream — a simple but effective heuristic for DLRM's parallel
-// embedding/MLP branches. It returns the number of streams used.
-//
-//lint:allow unlinked contract-test helper: internal/engine/bind_test.go edits a clone with it
-func (g *Graph) AssignStreams() int {
-	streamOf := map[NodeID]int{}
-	branched := map[NodeID]bool{} // producer already has a same-stream consumer
-	next := 0
-	fresh := func() int {
-		s := next
-		next++
-		return s
-	}
-	for _, n := range g.Nodes {
-		deps := g.Deps(n)
-		switch len(deps) {
-		case 0:
-			n.Stream = fresh()
-		case 1:
-			d := deps[0]
-			if branched[d] {
-				// Fan-out: a sibling already continues the producer's
-				// stream, so this branch runs concurrently on a new one.
-				n.Stream = fresh()
-			} else {
-				n.Stream = streamOf[d]
-				branched[d] = true
-			}
-		default:
-			// Join points collapse onto the smallest incoming stream.
-			s := streamOf[deps[0]]
-			for _, d := range deps[1:] {
-				if streamOf[d] < s {
-					s = streamOf[d]
-				}
-			}
-			n.Stream = s
-		}
-		streamOf[n.ID] = n.Stream
-	}
-	if next == 0 {
-		next = 1
-	}
-	return next
 }

@@ -48,8 +48,8 @@ func refString(k Kernel) string {
 		return fmt.Sprintf("embedding_%s(B=%d,E=%d,T=%d,L=%d,D=%d)", dir, k.B, k.E, k.T, k.L, k.D)
 	case KindConcat:
 		return fmt.Sprintf("concat(bytes=%d,inputs=%d)", k.NBytes, k.NInputs)
-	case KindMemcpyH2D, KindMemcpyD2H, KindMemcpyD2D:
-		return fmt.Sprintf("memcpy_%s(bytes=%d)", [...]string{"h2d", "d2h", "d2d"}[k.Kind-KindMemcpyH2D], k.NBytes)
+	case KindMemcpyH2D:
+		return fmt.Sprintf("memcpy_h2d(bytes=%d)", k.NBytes)
 	case KindTranspose:
 		return fmt.Sprintf("transpose(b=%d,m=%d,n=%d)", k.B, k.M, k.N)
 	case KindTrilFwd, KindTrilBwd:

@@ -56,7 +56,7 @@ func (d *Device) BaseTime(k Kernel) float64 {
 		t = d.embeddingTime(k.WithDefaults())
 	case KindConcat:
 		t = d.concatTime(k)
-	case KindMemcpyH2D, KindMemcpyD2H, KindMemcpyD2D:
+	case KindMemcpyH2D:
 		t = d.memcpyTime(k)
 	case KindTranspose:
 		t = d.transposeTime(k)
@@ -113,7 +113,7 @@ func (d *Device) quirk(k Kernel) float64 {
 		amp = 0.05
 	case KindEmbeddingFwd, KindEmbeddingBwd:
 		amp = 0.035
-	case KindMemcpyH2D, KindMemcpyD2H, KindMemcpyD2D:
+	case KindMemcpyH2D:
 		// The paper measures memcpy extremely accurately on V100 (0.57%
 		// GMAE) but less so on the desktop TITAN Xp platform.
 		if d.GPU.Name == hw.V100 {
@@ -296,16 +296,7 @@ func (d *Device) concatTime(c Kernel) float64 {
 
 func (d *Device) memcpyTime(m Kernel) float64 {
 	bytes := float64(m.NBytes)
-	var bw float64
-	switch m.Kind {
-	case KindMemcpyD2D:
-		bw = d.GPU.DRAMBandwidth * 0.80
-	case KindMemcpyD2H:
-		bw = d.GPU.PCIeBandwidth * 0.92
-	default:
-		bw = d.GPU.PCIeBandwidth
-	}
-	t := bytes / (bw * ramp(bytes, 256<<10))
+	t := bytes / (d.GPU.PCIeBandwidth * ramp(bytes, 256<<10))
 	// Driver/DMA setup latency beyond the generic kernel floor.
 	return t + 4.5 + d.GPU.MinKernelTime
 }

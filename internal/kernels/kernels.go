@@ -7,14 +7,15 @@
 //
 // A kernel is a value: one comparable Kernel struct whose Kind selects
 // the performance model and names the fields that carry its shape. The
-// direction of a copy, an embedding lookup or a tril is part of its
-// Kind. Fields a kind does not list stay zero:
+// direction of an embedding lookup or a tril is part of its Kind; the
+// one copy is the host-to-device input copy. Fields a kind does not
+// list stay zero:
 //
 //	Kind                                fields
 //	KindGEMM                            B (batch), M, N, K
 //	KindEmbeddingFwd, KindEmbeddingBwd  B, E, T, L, D, RowsPerBlock, ZipfSkew
 //	KindConcat                          NBytes (output), NInputs
-//	KindMemcpyH2D, D2H, D2D             NBytes
+//	KindMemcpyH2D                       NBytes
 //	KindTranspose                       B, M, N
 //	KindTrilFwd, KindTrilBwd            B, F
 //	KindElementwise                     Name, NElems, ReadsPerElem, WritesPerElem, FLOPsPerElem
@@ -54,8 +55,6 @@ const (
 	KindEmbeddingBwd
 	KindConcat
 	KindMemcpyH2D
-	KindMemcpyD2H
-	KindMemcpyD2D
 	KindTranspose
 	KindTrilFwd
 	KindTrilBwd
@@ -178,7 +177,7 @@ func (k *Kernel) Bytes() (read, write float64) {
 			return outBytes + rows*rowBytes + idxBytes, rows * rowBytes
 		}
 		return rows*rowBytes + idxBytes, outBytes
-	case KindConcat, KindMemcpyH2D, KindMemcpyD2H, KindMemcpyD2D:
+	case KindConcat, KindMemcpyH2D:
 		return float64(k.NBytes), float64(k.NBytes)
 	case KindTranspose:
 		n := 4 * float64(k.B) * float64(k.M) * float64(k.N)
@@ -225,9 +224,8 @@ func (k *Kernel) AppendString(dst []byte) []byte {
 		return appendf(dst, "(B=%,E=%,T=%,L=%,D=%)", k.B, k.E, k.T, k.L, k.D)
 	case KindConcat:
 		return appendf(dst, "concat(bytes=%,inputs=%)", k.NBytes, int64(k.NInputs))
-	case KindMemcpyH2D, KindMemcpyD2H, KindMemcpyD2D:
-		dst = append(append(dst, "memcpy_"...), [...]string{"h2d", "d2h", "d2d"}[k.Kind-KindMemcpyH2D]...)
-		return appendf(dst, "(bytes=%)", k.NBytes)
+	case KindMemcpyH2D:
+		return appendf(dst, "memcpy_h2d(bytes=%)", k.NBytes)
 	case KindTranspose:
 		return appendf(dst, "transpose(b=%,m=%,n=%)", k.B, k.M, k.N)
 	case KindTrilFwd, KindTrilBwd:
@@ -312,8 +310,9 @@ func AppendFeatures(dst []float64, k *Kernel) []float64 {
 		return append(dst, lg(k.B), lg(k.E), lg(k.T), lg(k.L), lg(k.D))
 	case KindConcat:
 		return append(dst, lg(k.NBytes), lg(int64(k.NInputs)))
-	case KindMemcpyH2D, KindMemcpyD2H, KindMemcpyD2D:
-		return append(dst, lg(k.NBytes), float64(k.Kind-KindMemcpyH2D))
+	case KindMemcpyH2D:
+		// 0 was H2D's direction code; it keeps memcpy models' input width.
+		return append(dst, lg(k.NBytes), 0)
 	case KindTranspose:
 		return append(dst, lg(k.B), lg(k.M), lg(k.N))
 	case KindTrilFwd, KindTrilBwd:
@@ -340,8 +339,6 @@ var featureWidths = [numKinds]int{
 	KindEmbeddingBwd: 5,
 	KindConcat:       2,
 	KindMemcpyH2D:    2,
-	KindMemcpyD2H:    2,
-	KindMemcpyD2D:    2,
 	KindTranspose:    3,
 	KindTrilFwd:      2,
 	KindTrilBwd:      2,
@@ -356,8 +353,6 @@ var kindNames = [numKinds]string{
 	KindEmbeddingBwd: "EL-B",
 	KindConcat:       "concat",
 	KindMemcpyH2D:    "memcpy",
-	KindMemcpyD2H:    "memcpyD2H",
-	KindMemcpyD2D:    "memcpyD2D",
 	KindTranspose:    "transpose",
 	KindTrilFwd:      "tril-F",
 	KindTrilBwd:      "tril-B",

@@ -91,8 +91,6 @@ func TestFeatureWidthMatchesAppendFeatures(t *testing.T) {
 		{Kind: KindEmbeddingBwd, B: 128, E: 1000, T: 4, L: 8, D: 64},
 		{Kind: KindConcat, NBytes: 4096, NInputs: 3},
 		{Kind: KindMemcpyH2D, NBytes: 1 << 20},
-		{Kind: KindMemcpyD2H, NBytes: 1 << 20},
-		{Kind: KindMemcpyD2D, NBytes: 1 << 20},
 		{Kind: KindTranspose, B: 8, M: 64, N: 32},
 		{Kind: KindTrilFwd, B: 128, F: 27},
 		{Kind: KindTrilBwd, B: 128, F: 27},
@@ -126,7 +124,7 @@ func TestKindStringsUnique(t *testing.T) {
 // TestKindNames pins every kind's rendered name: the calibration asset
 // format keys its models by them.
 func TestKindNames(t *testing.T) {
-	want := []string{"GEMM", "EL-F", "EL-B", "concat", "memcpy", "memcpyD2H", "memcpyD2D",
+	want := []string{"GEMM", "EL-F", "EL-B", "concat", "memcpy",
 		"transpose", "tril-F", "tril-B", "elementwise", "conv", "batchnorm"}
 	if len(Kinds()) != len(want) {
 		t.Fatalf("%d kinds, %d names pinned", len(Kinds()), len(want))
@@ -293,8 +291,6 @@ func TestAllKernelTimesPositive(t *testing.T) {
 			{Kind: KindConcat, NBytes: 1, NInputs: 1},
 			{Kind: KindConcat, NBytes: 1 << 26, NInputs: 27},
 			{Kind: KindMemcpyH2D, NBytes: 1},
-			{Kind: KindMemcpyD2D, NBytes: 1 << 28},
-			{Kind: KindMemcpyD2H, NBytes: 1 << 20},
 			{Kind: KindTranspose, B: 1, M: 1, N: 1},
 			{Kind: KindTrilFwd, B: 1, F: 2},
 			{Kind: KindTrilBwd, B: 8192, F: 27},

@@ -20,8 +20,6 @@ var goldenDigests = map[string]uint64{
 	"V100/EL-B":            0x0f8be93a0b441238,
 	"V100/concat":          0xc26569faacb4212d,
 	"V100/memcpy":          0x0ac181159f47d450,
-	"V100/memcpyD2H":       0xd4a7ef3c76a94604,
-	"V100/memcpyD2D":       0x8ea96c927ad3f88c,
 	"V100/transpose":       0x0070ef6142d4ae84,
 	"V100/tril-F":          0x4683e7ae238adc5d,
 	"V100/tril-B":          0x9253817e8d200338,
@@ -33,8 +31,6 @@ var goldenDigests = map[string]uint64{
 	"TITAN Xp/EL-B":        0x25d2573228ffa42b,
 	"TITAN Xp/concat":      0x63e36132c54645af,
 	"TITAN Xp/memcpy":      0x5a4a409984664ca0,
-	"TITAN Xp/memcpyD2H":   0x2c1d2879a0302a1d,
-	"TITAN Xp/memcpyD2D":   0x81f1b745b61fad00,
 	"TITAN Xp/transpose":   0x43b82f60afaf16bd,
 	"TITAN Xp/tril-F":      0x21778ca4e2e61682,
 	"TITAN Xp/tril-B":      0x1811ea6ac7b17f8d,
@@ -46,8 +42,6 @@ var goldenDigests = map[string]uint64{
 	"P100/EL-B":            0x2b2e033fae29c72b,
 	"P100/concat":          0xb07d78770db9a021,
 	"P100/memcpy":          0x5ac6e7fadad5151c,
-	"P100/memcpyD2H":       0x8da963f4c5622c27,
-	"P100/memcpyD2D":       0x57afd2cbc05e54fa,
 	"P100/transpose":       0x8c7117797baba001,
 	"P100/tril-F":          0xbc8969abe11288f4,
 	"P100/tril-B":          0xf495004e427320b3,

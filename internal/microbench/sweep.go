@@ -69,7 +69,7 @@ func generateOne(kind kernels.Kind, rng *xrand.Rand) kernels.Kernel {
 			NBytes:  jitter(rng, expChoice(rng, 10, 27), 0.3), // 1KB..128MB
 			NInputs: 2 + rng.Intn(26),
 		}
-	case kernels.KindMemcpyH2D, kernels.KindMemcpyD2H, kernels.KindMemcpyD2D:
+	case kernels.KindMemcpyH2D:
 		return kernels.Kernel{Kind: kind, NBytes: jitter(rng, expChoice(rng, 10, 27), 0.3)}
 	case kernels.KindTranspose:
 		// Include non-multiples of 32 so alignment penalties are sampled,

@@ -36,7 +36,7 @@ func appendContract[T any](prefix []T, call func(dst []T) []T) error {
 
 // opContract checks both of op's derivations on the given inputs.
 func opContract(op ops.Op, in []tensor.Meta) error {
-	kernelPrefix := []kernels.Kernel{{Kind: kernels.KindMemcpyD2D, NBytes: 7}, {Kind: kernels.KindTrilFwd, B: 3, F: 5}}
+	kernelPrefix := []kernels.Kernel{{Kind: kernels.KindMemcpyH2D, NBytes: 7}, {Kind: kernels.KindTrilFwd, B: 3, F: 5}}
 	if err := appendContract(kernelPrefix, func(dst []kernels.Kernel) []kernels.Kernel {
 		return op.AppendKernels(dst, in)
 	}); err != nil {

@@ -9,6 +9,7 @@ import (
 	"dlrmperf/internal/kernels"
 	"dlrmperf/internal/microbench"
 	"dlrmperf/internal/mlp"
+	"dlrmperf/internal/models"
 )
 
 // fastOptions keeps test calibrations quick while staying representative.
@@ -229,6 +230,42 @@ func TestRegistryKinds(t *testing.T) {
 	}
 	if missing := hollow.Missing(); !reflect.DeepEqual(missing, kinds[:1]) {
 		t.Fatalf("registry without %s reports missing %v", kinds[0], missing)
+	}
+}
+
+// TestKindCoverage pins three lists to one set: the kernel kinds the six
+// model families launch, the kinds a calibration registers, and
+// kernels.Kinds. A launched kind no plan calibrates fails prediction
+// with ErrNoModel; a kind no family launches is dead weight in every
+// switch on Kind.
+func TestKindCoverage(t *testing.T) {
+	launched := map[kernels.Kind]bool{}
+	for _, name := range []string{
+		models.NameDLRMDefault, models.NameDLRMMLPerf, models.NameDLRMDDP,
+		models.NameResNet50, models.NameInceptionV3, models.NameTransformer,
+	} {
+		m, err := models.Build(name, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range m.Graph.Nodes {
+			for _, k := range m.Graph.NodeKernels(n) {
+				launched[k.Kind] = true
+			}
+		}
+	}
+	calibrated := map[kernels.Kind]bool{}
+	for _, k := range calibratedKinds() {
+		calibrated[k] = true
+	}
+	all := kernels.Kinds()
+	for _, k := range all {
+		if !launched[k] || !calibrated[k] {
+			t.Errorf("kind %s: launched by a family %v, calibrated %v", k, launched[k], calibrated[k])
+		}
+	}
+	if len(launched) != len(all) || len(calibrated) != len(all) {
+		t.Errorf("families launch %d kinds and a calibration registers %d, of %d kinds", len(launched), len(calibrated), len(all))
 	}
 }
 

@@ -37,8 +37,7 @@ func (p *Predictor) t4For(k kernels.Kind) float64 {
 		return overhead.T4Approx
 	}
 	fn := "cudaLaunchKernel"
-	switch k {
-	case kernels.KindMemcpyH2D, kernels.KindMemcpyD2H, kernels.KindMemcpyD2D:
+	if k == kernels.KindMemcpyH2D {
 		fn = "cudaMemcpyAsync"
 	}
 	if st, ok := p.Overheads.T4[fn]; ok && st.N > 0 {

@@ -115,7 +115,7 @@ func AppendReport(dst []byte, rep *Report) ([]byte, error) {
 	dst = strconv.AppendInt(append(dst, `,"failed":`...), int64(rep.Failed), 10)
 	dst = appendFloatValue(append(dst, `,"elapsed_ms":`...), rep.ElapsedMs)
 	if rep.Error != nil {
-		dst = appendHTTPError(append(dst, `,"error":`...), (*HTTPError)(rep.Error))
+		dst = appendHTTPError(append(dst, `,"error":`...), rep.Error)
 	}
 	return append(dst, '}'), nil
 }

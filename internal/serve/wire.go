@@ -89,11 +89,9 @@ func resultFrom(req Request, res dlrmperf.PredictResult) Result {
 
 // ReportError is the structured failure entry emitted when a whole
 // batch fails, or when post-serve work (asset re-save) fails; it pairs
-// with a non-zero process exit in the one-shot driver.
-type ReportError struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
+// with a non-zero process exit in the one-shot driver. It is the error
+// envelope of non-200 responses under a second name.
+type ReportError = HTTPError
 
 // CacheStats mirrors the engine's prediction result cache counters.
 // Hits + Misses equals the requests the engine served; requests refused

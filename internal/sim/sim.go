@@ -199,8 +199,7 @@ func planNodes(g *graph.Graph, dev *kernels.Device, ovh *Sampler) (plan []nodePl
 		}
 		for _, k := range ks {
 			fn := RTLaunchKernel
-			switch k.Kind {
-			case kernels.KindMemcpyH2D, kernels.KindMemcpyD2H, kernels.KindMemcpyD2D:
+			if k.Kind == kernels.KindMemcpyH2D {
 				fn = RTMemcpyAsync
 			}
 			n.kernels = append(n.kernels, kernelPlan{base: dev.BaseTime(k), k: k, fn: fn, t4: t4[fn]})

@@ -178,7 +178,7 @@ func TestMultiStreamOverlap(t *testing.T) {
 	}
 	serial := build()
 	parallel := build()
-	parallel.AssignStreams()
+	parallel.Nodes[2].Stream = 1 // the second Linear branch
 	rs := sim.Run(serial, sim.Config{Platform: v100(), Seed: 21, Warmup: 2, Iters: 10})
 	rp := sim.Run(parallel, sim.Config{Platform: v100(), Seed: 21, Warmup: 2, Iters: 10})
 	if rp.MeanIterTime >= rs.MeanIterTime {

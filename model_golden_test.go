@@ -193,8 +193,6 @@ var kernelGoldenDigests = map[string]uint64{
 	"V100/EL-B":             0xe40069cc8d358e5e,
 	"V100/concat":           0x81659370fd63d686,
 	"V100/memcpy":           0x8aeef414d577e663,
-	"V100/memcpyD2H":        0x2fe20e52f31f43c2,
-	"V100/memcpyD2D":        0x59d5ee93b229d51a,
 	"V100/transpose":        0x9c9acbc6ad24c57c,
 	"V100/tril-F":           0x6693b163c261b5e4,
 	"V100/tril-B":           0x632dd77955a4112d,
@@ -212,8 +210,6 @@ var kernelGoldenDigests = map[string]uint64{
 	"TITAN Xp/EL-B":         0x5ea30202f43cf130,
 	"TITAN Xp/concat":       0x5efaf977e178864f,
 	"TITAN Xp/memcpy":       0x13d1d30019c99ebc,
-	"TITAN Xp/memcpyD2H":    0x1f66be8ee0108b1a,
-	"TITAN Xp/memcpyD2D":    0xe1d1da0600134e8a,
 	"TITAN Xp/transpose":    0xd58be62eaa55e741,
 	"TITAN Xp/tril-F":       0x3a0e084d683aafcf,
 	"TITAN Xp/tril-B":       0xb1faf2b072204783,
@@ -231,8 +227,6 @@ var kernelGoldenDigests = map[string]uint64{
 	"P100/EL-B":             0xa8f0fbee101aa268,
 	"P100/concat":           0xaa9770646df8dd16,
 	"P100/memcpy":           0xdc7803df55a85bc6,
-	"P100/memcpyD2H":        0x433a4af29b9b0d54,
-	"P100/memcpyD2D":        0x7def4f13387c5cca,
 	"P100/transpose":        0x09586a4326ac844a,
 	"P100/tril-F":           0xd43ddbb9e0633ff2,
 	"P100/tril-B":           0x4f77b4d81d8e0232,
