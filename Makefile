@@ -168,11 +168,12 @@ cluster-e2e:
 	$(GO) test -race -count=1 -run 'TestE2ECluster' -v ./cmd/dlrmperf-serve
 
 # cover is the serving/cluster coverage gate CI enforces: the
-# coordinator (internal/cluster) and the admission pipeline
-# (internal/serve) must each keep >= 80% statement coverage.
+# coordinator (internal/cluster), the admission pipeline
+# (internal/serve) and the client that reads every refusal back
+# (internal/client) must each keep >= 80% statement coverage.
 COVER_FLOOR = 80
 cover:
-	@set -e; for pkg in internal/cluster internal/serve; do \
+	@set -e; for pkg in internal/cluster internal/serve internal/client; do \
 		out="cover_$$(basename $$pkg).out"; \
 		$(GO) test -coverprofile=$$out ./$$pkg; \
 		pct=$$($(GO) tool cover -func=$$out | awk '/^total:/ {gsub("%","",$$3); print $$3}'); \

@@ -353,7 +353,7 @@ func TestE2EClusterLoad(t *testing.T) {
 				res, err := cl.Predict(ctx, req)
 				mu.Lock()
 				defer mu.Unlock()
-				var api *client.APIError
+				var api *serve.StatusError
 				switch {
 				case err == nil && res.Error == "":
 					ok++

@@ -141,7 +141,7 @@ func TestE2EHTTPServe(t *testing.T) {
 
 	// Backpressure: P100 is cold, so its first request parks the single
 	// worker in calibration while the 1-deep queue fills; concurrent
-	// singles must shed as *ErrBackpressure with a Retry-After hint.
+	// singles must shed as 429s with a Retry-After hint.
 	const burst = 6
 	errs := make([]error, burst)
 	var wg sync.WaitGroup
@@ -155,11 +155,11 @@ func TestE2EHTTPServe(t *testing.T) {
 	wg.Wait()
 	got429 := 0
 	for _, err := range errs {
-		var bp *client.ErrBackpressure
-		if errors.As(err, &bp) {
+		var bp *serve.StatusError
+		if errors.As(err, &bp) && bp.Status == 429 {
 			got429++
-			if bp.RetryAfter <= 0 {
-				t.Errorf("backpressure without a Retry-After hint: %v", bp)
+			if bp.Code != "queue_full" && bp.Code != "tenant_limited" || bp.RetryAfter <= 0 {
+				t.Errorf("429 without a shed code or a Retry-After hint: %+v", bp)
 			}
 		}
 	}

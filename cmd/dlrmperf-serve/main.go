@@ -449,8 +449,6 @@ func listenAndServe(cfg serveConfig, addr string) error {
 	fmt.Fprintf(os.Stderr, "dlrmperf-serve: listening on %s\n", ln.Addr())
 
 	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-
 	handler := http.Handler(srv.Handler())
 	stopHeartbeat := func() {}
 	if len(cfg.Register) > 0 {
@@ -483,37 +481,12 @@ func listenAndServe(cfg serveConfig, addr string) error {
 		fmt.Fprintf(os.Stderr, "dlrmperf-serve: registering with %s as %s\n", strings.Join(cfg.Register, ","), advertise)
 	}
 
-	if cfg.Pprof {
-		handler = withPprof(handler)
-		fmt.Fprintf(os.Stderr, "dlrmperf-serve: pprof exposed at /debug/pprof/\n")
-	}
-
-	hs := &http.Server{Handler: handler}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		return err
-	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "dlrmperf-serve: %v: draining\n", s)
-	}
-
 	// Stop heartbeating BEFORE draining: each beat re-registers and
 	// lifts any failure quarantine at the coordinator, so a worker that
 	// kept beating through its (up to -drain-grace long) drain would
 	// keep re-attracting traffic it is about to 503.
-	stopHeartbeat()
-
-	// Drain order: the admission queue first (new submits reject, every
-	// admitted request finishes and is delivered), then the HTTP server
-	// (handlers are now unblocked, Shutdown just closes the listener and
-	// idle connections).
-	srv.Drain()
-	shutCtx, cancel := context.WithTimeout(context.Background(), cfg.DrainGrace)
-	defer cancel()
-	if err := hs.Shutdown(shutCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "dlrmperf-serve: http shutdown: %v\n", err)
+	if err := serveUntilSignal(ln, handler, sig, "", cfg.Pprof, cfg.DrainGrace, stopHeartbeat, srv.Drain); err != nil {
+		return err
 	}
 
 	if err := saveAssetsFor(eng, cfg.SaveAssets); err != nil {
@@ -555,6 +528,41 @@ func advertiseHostPort(ln net.Listener, register string) string {
 		}
 	}
 	return net.JoinHostPort(host, fmt.Sprintf("%d", addr.Port))
+}
+
+// serveUntilSignal is the one process lifecycle of both HTTP roles: it
+// serves handler on ln (behind the pprof surface when pprofOn) until
+// the server fails or sig receives SIGTERM/SIGINT, then stops the
+// role's background loop (stop: the heartbeat or the peer probes),
+// drains its admissions (drain: new ones are refused, every admitted
+// one finishes and is delivered), and only then shuts the HTTP server
+// down within grace — its handlers are unblocked by now, so Shutdown
+// just closes the listener and idle connections. role prefixes the
+// log lines ("" for a worker).
+func serveUntilSignal(ln net.Listener, handler http.Handler, sig chan os.Signal, role string, pprofOn bool, grace time.Duration, stop, drain func()) error {
+	if pprofOn {
+		handler = withPprof(handler)
+		fmt.Fprintf(os.Stderr, "dlrmperf-serve: pprof exposed at /debug/pprof/\n")
+	}
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	hs := &http.Server{Handler: handler}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- hs.Serve(ln) }()
+
+	select {
+	case err := <-serveErr:
+		return err
+	case s := <-sig:
+		fmt.Fprintf(os.Stderr, "dlrmperf-serve: %s%v: draining\n", role, s)
+	}
+	stop()
+	drain()
+	shutCtx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	if err := hs.Shutdown(shutCtx); err != nil {
+		fmt.Fprintf(os.Stderr, "dlrmperf-serve: %shttp shutdown: %v\n", role, err)
+	}
+	return nil
 }
 
 // withPprof mounts the net/http/pprof surface in front of a handler:
@@ -637,35 +645,14 @@ func runCoordinator(cfg coordinatorConfig) error {
 		defer stopProbes()
 		fmt.Fprintf(os.Stderr, "dlrmperf-serve: coordinator %s replicating with peers %s\n", self, strings.Join(cfg.Peers, ","))
 	}
-	handler := http.Handler(coord.Handler())
-	if cfg.Pprof {
-		handler = withPprof(handler)
-		fmt.Fprintf(os.Stderr, "dlrmperf-serve: pprof exposed at /debug/pprof/\n")
-	}
-	hs := &http.Server{Handler: handler}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-serveErr:
-		return err
-	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "dlrmperf-serve: coordinator %v: draining\n", s)
-	}
-
 	// Drain order mirrors the worker: peer probes stop (this
 	// coordinator stops refreshing its own view; peers age it out of
 	// theirs via /healthz turning "draining"), routes drain (new
 	// admissions get 503 while in-flight ones finish on their workers),
 	// the drain propagates to owned workers, then the HTTP server closes.
-	stopProbes()
-	coord.Drain(true)
-	shutCtx, cancel := context.WithTimeout(context.Background(), cfg.DrainGrace)
-	defer cancel()
-	if err := hs.Shutdown(shutCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "dlrmperf-serve: coordinator http shutdown: %v\n", err)
+	drain := func() { coord.Drain(true) }
+	if err := serveUntilSignal(ln, coord.Handler(), make(chan os.Signal, 1), "coordinator ", cfg.Pprof, cfg.DrainGrace, stopProbes, drain); err != nil {
+		return err
 	}
 	st := coord.Stats(context.Background())
 	fmt.Fprintf(os.Stderr,

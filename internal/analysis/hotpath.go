@@ -16,7 +16,9 @@ import (
 // keep off this path). Key building in
 // reached code must use the append-builder/pooled-buffer idiom
 // (Request.AppendKey, xrand.AppendHex16, keyBufPool) that holds
-// PredictSingleCached at 0 allocs.
+// PredictSingleCached at 0 allocs. A root or a stop that names no
+// function of its package is itself a finding: deleting or renaming a
+// rooted function must not drop its check silently.
 type hotpathConfig struct {
 	roots []string // funcDisplayName spellings: "Fn" or "Type.Method"
 	stops []string // reachable-but-cold functions the walk must not enter
@@ -88,12 +90,13 @@ var hotpathPackages = map[string]hotpathConfig{
 	"dlrmperf/internal/serve": {
 		roots: []string{
 			// Admission and the 429 backpressure path: every request,
-			// shed or served, runs through these.
+			// shed or served, runs through these, and every shed one
+			// through the one refusal writer.
 			"Server.admit",
 			"Server.serveOne",
 			"Server.handlePredict",
 			"Server.handleBatch",
-			"Server.retryAfterSeconds",
+			"WriteError",
 			"RetryAfterSeconds",
 			"resultFrom",
 			// The row codec and the wire functions built on it: every
@@ -135,7 +138,6 @@ var hotpathPackages = map[string]hotpathConfig{
 			"Coordinator.retryAfter",
 			"Coordinator.observeWorkerHint",
 			"assetVault.needInstall",
-			"backpressureHint",
 			"Coordinator.plan",
 			// Both handlers, and so the whole routed path under them:
 			// a resident hit leaves handlePredict without touching a
@@ -178,10 +180,11 @@ var hotpathPackages = map[string]hotpathConfig{
 		},
 		stops: []string{},
 	},
-	// Fixture package for the analyzer's own tests.
+	// Fixture package for the analyzer's own tests; retiredRoot and
+	// retiredStop name no function of it.
 	"hotpath": {
-		roots: []string{"PredictHot", "Server.admit"},
-		stops: []string{"coldCompile"},
+		roots: []string{"PredictHot", "Server.admit", "retiredRoot"},
+		stops: []string{"coldCompile", "retiredStop"},
 	},
 }
 
@@ -225,9 +228,18 @@ func runHotpath(pass *Pass) error {
 		}
 	}
 
+	// lookup resolves one configured name, reporting a name that
+	// resolves to nothing on the package clause.
+	lookup := func(kind, name string) (*types.Func, bool) {
+		fn, ok := names[name]
+		if !ok {
+			pass.Reportf(pass.Files[0].Package, "hotpath %s %s names no function of this package; update the config", kind, name)
+		}
+		return fn, ok
+	}
 	stop := map[*types.Func]bool{}
 	for _, s := range cfg.stops {
-		if fn, ok := names[s]; ok {
+		if fn, ok := lookup("stop", s); ok {
 			stop[fn] = true
 		}
 	}
@@ -236,9 +248,9 @@ func runHotpath(pass *Pass) error {
 	reached := map[*types.Func]bool{}
 	var queue []*types.Func
 	for _, r := range cfg.roots {
-		fn, ok := names[r]
+		fn, ok := lookup("root", r)
 		if !ok {
-			continue // config may name functions a fixture omits
+			continue
 		}
 		if !reached[fn] {
 			reached[fn] = true

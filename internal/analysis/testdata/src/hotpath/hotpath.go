@@ -1,7 +1,9 @@
 // Package hotpath is the seeded fixture for the hotpath analyzer:
 // PredictHot and Server.admit are configured roots, coldCompile is a
-// configured stop, and the bad patterns carry want expectations.
-package hotpath
+// configured stop, and the bad patterns carry want expectations. The
+// config also names a root and a stop the fixture does not declare,
+// each a finding on the package clause.
+package hotpath // want `hotpath root retiredRoot names no function` `hotpath stop retiredStop names no function`
 
 import (
 	"encoding/json"

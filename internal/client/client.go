@@ -2,21 +2,22 @@
 // surface — the single blessed way to talk to a worker
 // (internal/serve) or a coordinator (internal/cluster), which
 // re-exports the worker wire surface. It owns the request encoding,
-// response decoding, body-size limits, and the mapping from HTTP error
-// envelopes (serve.HTTPError) onto typed Go errors, so no consumer —
-// coordinator fan-out, load generator, e2e tests — hand-rolls its own
-// status switch.
+// response decoding, body-size limits, and the one reader of a
+// refusal, so no consumer — coordinator fan-out, load generator, e2e
+// tests — hand-rolls its own status switch.
 //
-// Error taxonomy (all also match errors.As against *APIError):
+// Every answer but 200 returns as the *serve.StatusError the server
+// wrote: its status, its code and message, and its Retry-After hint
+// parsed (0 when none was sent). Select on Status and Code:
 //
-//	429                    -> *ErrBackpressure (RetryAfter parsed)
-//	503 code "draining"    -> *ErrDraining
-//	503 code "no_workers"  -> *ErrNoWorkers
-//	502 code "worker_failed" -> *ErrWorkerFailed
-//	any other non-2xx      -> *APIError
+//	429 queue_full, tenant_limited  -> slow down for RetryAfter
+//	503 draining, no_workers        -> retry elsewhere or after RetryAfter
+//	502 worker_failed               -> the coordinator's routing gave up
+//	400 bad_request, bad_priority, batch_too_large, bad_grid, ...
 //
-// Transport failures (dial, broken stream) surface as the underlying
-// *url.Error — a different failure class than a server that answered.
+// A body that is not the envelope decodes as code "unknown". Transport
+// failures (dial, broken stream) surface as the underlying *url.Error —
+// a different failure class than a server that answered.
 package client
 
 import (
@@ -103,7 +104,7 @@ func New(base string, opts ...Option) *Client {
 }
 
 // Predict submits one request on the non-blocking admission path
-// (POST /v1/predict). A 429 surfaces as *ErrBackpressure with the
+// (POST /v1/predict). A 429 surfaces as a *serve.StatusError with the
 // server's Retry-After hint. Rows the server computed but failed
 // (validation, deadline) return with err == nil and Result.Error set —
 // an application-level verdict, not a transport failure.
@@ -221,11 +222,7 @@ func (c *Client) Drain(ctx context.Context) error {
 // Register self-registers a worker with a coordinator
 // (POST /v1/workers/register).
 func (c *Client) Register(ctx context.Context, id, url string) error {
-	body := struct {
-		ID  string `json:"id"`
-		URL string `json:"url"`
-	}{ID: id, URL: url}
-	return c.postJSON(ctx, "/v1/workers/register", body, nil)
+	return c.postJSON(ctx, "/v1/workers/register", serve.Registration{ID: id, URL: url}, nil)
 }
 
 // InstallAssets streams a SaveAssets payload to a worker
@@ -241,19 +238,13 @@ func (c *Client) InstallAssets(ctx context.Context, assets []byte) error {
 // (POST /v1/workers/assets). epoch is the device's asset-mutation
 // counter at export time, so the coordinator can drop stale replays.
 func (c *Client) PushAssets(ctx context.Context, workerID, device string, epoch uint64, assets []byte) error {
-	body := struct {
-		ID     string          `json:"id"`
-		Device string          `json:"device"`
-		Epoch  uint64          `json:"epoch"`
-		Assets json.RawMessage `json:"assets"`
-	}{ID: workerID, Device: device, Epoch: epoch, Assets: assets}
-	return c.postJSON(ctx, "/v1/workers/assets", body, nil)
+	return c.postJSON(ctx, "/v1/workers/assets", serve.AssetPush{ID: workerID, Device: device, Epoch: epoch, Assets: assets}, nil)
 }
 
 // PostJSON POSTs an arbitrary JSON body to path and decodes a 200 into
 // out (nil discards it) — the extension point coordinator peer
 // replication rides, so internal gossip reuses this client's
-// transport, body limits, and error taxonomy instead of hand-rolling
+// transport, body limits, and refusal reader instead of hand-rolling
 // HTTP. Prefer the typed methods for any public wire operation.
 func (c *Client) PostJSON(ctx context.Context, path string, in, out any) error {
 	return c.postJSON(ctx, path, in, out)
@@ -261,7 +252,7 @@ func (c *Client) PostJSON(ctx context.Context, path string, in, out any) error {
 
 // postJSON marshals in (nil means an empty body; a request list goes
 // through the row codec), POSTs it, and decodes a 200 into out (nil
-// discards the body). Non-200s decode into typed errors.
+// discards the body). A non-200 returns as its refusal.
 func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
 	var body []byte
 	switch in := in.(type) {
@@ -309,7 +300,7 @@ func bodyTooLarge(method, path string, status int, limit int64) error {
 
 // exchange performs one HTTP round trip and returns the body of a 200
 // in a pooled buffer the caller Releases; any other status comes back
-// as its typed error.
+// as its refusal.
 func (c *Client) exchange(ctx context.Context, method, path string, body []byte) (*serve.Buffer, error) {
 	buf, resp, err := c.do(ctx, method, path, body)
 	if err != nil {
@@ -368,6 +359,18 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) (*ser
 	}
 	buf.Release()
 	return nil, nil, err
+}
+
+// decodeError is the one reader of a refusal: the *serve.StatusError
+// of one non-200 response, with its Retry-After hint parsed. A body
+// that isn't the HTTPError envelope still produces a usable refusal,
+// code "unknown", with a bounded raw snippet as the message.
+func decodeError(resp *http.Response, body []byte) error {
+	e := &serve.StatusError{Status: resp.StatusCode, RetryAfter: parseRetryAfter(resp.Header)}
+	if err := json.Unmarshal(body, &e.HTTPError); err != nil || e.Code == "" {
+		e.HTTPError = serve.HTTPError{Code: "unknown", Message: string(body[:min(len(body), 256)])}
+	}
+	return e
 }
 
 // parseRetryAfter reads a whole-seconds Retry-After header (the only

@@ -49,81 +49,42 @@ func TestPredictBatchIntoReplacesReport(t *testing.T) {
 	}
 }
 
-// TestErrorTaxonomy pins the status+code -> typed error mapping, and
-// that every specialized error also unwraps to *APIError.
+// TestErrorTaxonomy pins the one reader of a refusal: every non-200
+// answer returns as a *serve.StatusError holding the status, code and
+// message the server wrote, with its Retry-After hint parsed (0 when
+// none was sent), and its Error is the message alone.
 func TestErrorTaxonomy(t *testing.T) {
 	ctx := context.Background()
-	t.Run("backpressure", func(t *testing.T) {
-		cl := stub(t, http.StatusTooManyRequests, "7", serve.HTTPError{Code: "queue_full", Message: "busy"})
-		_, err := cl.Predict(ctx, serve.Request{Workload: "w"})
-		var bp *ErrBackpressure
-		if !errors.As(err, &bp) || bp.RetryAfter != 7*time.Second || bp.Code != "queue_full" {
-			t.Fatalf("err = %v, want ErrBackpressure queue_full with 7s", err)
-		}
-	})
-	t.Run("tenant-limited is backpressure", func(t *testing.T) {
-		cl := stub(t, http.StatusTooManyRequests, "2", serve.HTTPError{Code: "tenant_limited", Message: "share exhausted"})
-		_, err := cl.Predict(ctx, serve.Request{Workload: "w"})
-		var bp *ErrBackpressure
-		if !errors.As(err, &bp) || bp.Code != "tenant_limited" || bp.RetryAfter != 2*time.Second {
-			t.Fatalf("err = %v, want tenant_limited backpressure", err)
-		}
-	})
-	t.Run("draining", func(t *testing.T) {
-		cl := stub(t, http.StatusServiceUnavailable, "1", serve.HTTPError{Code: "draining", Message: "bye"})
-		_, err := cl.Predict(ctx, serve.Request{Workload: "w"})
-		var dr *ErrDraining
-		if !errors.As(err, &dr) || dr.RetryAfter != time.Second {
-			t.Fatalf("err = %v, want ErrDraining with 1s", err)
-		}
-	})
-	t.Run("no-workers", func(t *testing.T) {
-		cl := stub(t, http.StatusServiceUnavailable, "", serve.HTTPError{Code: "no_workers", Message: "none"})
-		_, err := cl.Predict(ctx, serve.Request{Workload: "w"})
-		var nw *ErrNoWorkers
-		if !errors.As(err, &nw) {
-			t.Fatalf("err = %v, want ErrNoWorkers", err)
-		}
-	})
-	t.Run("worker-failed", func(t *testing.T) {
-		cl := stub(t, http.StatusBadGateway, "", serve.HTTPError{Code: "worker_failed", Message: "dead"})
-		_, err := cl.Predict(ctx, serve.Request{Workload: "w"})
-		var wf *ErrWorkerFailed
-		if !errors.As(err, &wf) || wf.Message != "dead" {
-			t.Fatalf("err = %v, want ErrWorkerFailed", err)
-		}
-	})
-	t.Run("generic 400", func(t *testing.T) {
-		cl := stub(t, http.StatusBadRequest, "", serve.HTTPError{Code: "bad_priority", Message: "nope"})
-		_, err := cl.Predict(ctx, serve.Request{Workload: "w"})
-		var api *APIError
-		if !errors.As(err, &api) || api.Code != "bad_priority" || api.Status != http.StatusBadRequest {
-			t.Fatalf("err = %v, want plain *APIError bad_priority", err)
-		}
-		// None of the specialized types match a plain 400.
-		var bp *ErrBackpressure
-		var dr *ErrDraining
-		if errors.As(err, &bp) || errors.As(err, &dr) {
-			t.Fatalf("400 matched a specialized error type: %v", err)
-		}
-	})
-	t.Run("every typed error unwraps to APIError", func(t *testing.T) {
-		for _, err := range []error{
-			&ErrBackpressure{APIError: APIError{Status: 429}},
-			&ErrDraining{APIError: APIError{Status: 503}},
-			&ErrNoWorkers{APIError: APIError{Status: 503}},
-			&ErrWorkerFailed{APIError: APIError{Status: 502}},
-		} {
-			var api *APIError
-			if !errors.As(err, &api) {
-				t.Errorf("%T does not unwrap to *APIError", err)
+	for _, tc := range []struct {
+		name       string
+		status     int
+		retryAfter string
+		code, msg  string
+		hint       time.Duration
+	}{
+		{"backpressure", http.StatusTooManyRequests, "7", "queue_full", "busy", 7 * time.Second},
+		{"tenant-limited is backpressure", http.StatusTooManyRequests, "2", "tenant_limited", "share exhausted", 2 * time.Second},
+		{"draining", http.StatusServiceUnavailable, "1", "draining", "bye", time.Second},
+		{"no-workers", http.StatusServiceUnavailable, "", "no_workers", "none", 0},
+		{"worker-failed", http.StatusBadGateway, "", "worker_failed", "dead", 0},
+		{"generic 400", http.StatusBadRequest, "", "bad_priority", "nope", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := stub(t, tc.status, tc.retryAfter, serve.HTTPError{Code: tc.code, Message: tc.msg})
+			_, err := cl.Predict(ctx, serve.Request{Workload: "w"})
+			var se *serve.StatusError
+			if !errors.As(err, &se) || se.Status != tc.status || se.Code != tc.code || se.Message != tc.msg || se.RetryAfter != tc.hint {
+				t.Fatalf("err = %#v, want %d %s %q with a %v hint", err, tc.status, tc.code, tc.msg, tc.hint)
 			}
-		}
-	})
+			if err.Error() != tc.msg {
+				t.Fatalf("Error() = %q, want the message %q", err.Error(), tc.msg)
+			}
+		})
+	}
 }
 
 // TestNonEnvelopeErrorBody: a non-JSON error body still produces a
-// usable *APIError with code "unknown" and a bounded raw snippet.
+// usable refusal with code "unknown" and a bounded raw snippet.
 func TestNonEnvelopeErrorBody(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusInternalServerError)
@@ -131,12 +92,12 @@ func TestNonEnvelopeErrorBody(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	_, err := New(ts.URL).Predict(context.Background(), serve.Request{Workload: "w"})
-	var api *APIError
-	if !errors.As(err, &api) || api.Code != "unknown" || api.Status != http.StatusInternalServerError {
-		t.Fatalf("err = %v, want unknown-code *APIError", err)
+	var se *serve.StatusError
+	if !errors.As(err, &se) || se.Code != "unknown" || se.Status != http.StatusInternalServerError {
+		t.Fatalf("err = %v, want unknown-code refusal", err)
 	}
-	if len(api.Message) > 256 {
-		t.Fatalf("raw snippet not bounded: %d bytes", len(api.Message))
+	if len(se.Message) > 256 || !strings.HasPrefix(se.Message, "<html>panic</html>") {
+		t.Fatalf("raw snippet not bounded or not the body's head: %d bytes", len(se.Message))
 	}
 }
 
@@ -193,8 +154,8 @@ func TestBodySizeLimit(t *testing.T) {
 			if !errors.Is(err, ErrBodyTooLarge) || !strings.Contains(err.Error(), "64-byte cap") {
 				t.Fatalf("err = %v, want ErrBodyTooLarge naming the 64-byte cap", err)
 			}
-			var api *APIError
-			if errors.As(err, &api) {
+			var se *serve.StatusError
+			if errors.As(err, &se) {
 				t.Fatalf("an unread body was decoded as a server verdict: %v", err)
 			}
 		})
@@ -224,7 +185,7 @@ func TestParseRetryAfter(t *testing.T) {
 }
 
 // TestTransportErrorIsNotAPIError: a dead socket surfaces as the
-// transport error, not as a server rejection.
+// transport error, not as a server's refusal.
 func TestTransportErrorIsNotAPIError(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
 	ts.Close() // dead before use
@@ -232,14 +193,14 @@ func TestTransportErrorIsNotAPIError(t *testing.T) {
 	if err == nil {
 		t.Fatal("predict against a closed server succeeded")
 	}
-	var api *APIError
-	if errors.As(err, &api) {
-		t.Fatalf("transport failure decoded as *APIError: %v", err)
+	var se *serve.StatusError
+	if errors.As(err, &se) {
+		t.Fatalf("transport failure decoded as a refusal: %v", err)
 	}
 }
 
 // TestRegisterAndDrainPaths: the control-plane helpers hit the right
-// endpoints with the right payloads.
+// endpoints with the right payloads, the wire bodies serve declares.
 func TestRegisterAndDrainPaths(t *testing.T) {
 	var gotPath, gotBody string
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -258,6 +219,12 @@ func TestRegisterAndDrainPaths(t *testing.T) {
 	}
 	if gotPath != "/v1/workers/register" || !strings.Contains(gotBody, `"id":"w1"`) || !strings.Contains(gotBody, `"url":"http://worker:8080"`) {
 		t.Fatalf("register hit %s with %s", gotPath, gotBody)
+	}
+	if err := cl.PushAssets(ctx, "w1", "V100", 3, []byte(`{"device":"V100"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"id":"w1","device":"V100","epoch":3,"assets":{"device":"V100"}}`; gotPath != "/v1/workers/assets" || gotBody != want {
+		t.Fatalf("push hit %s with %s, want %s", gotPath, gotBody, want)
 	}
 	if err := cl.Drain(ctx); err != nil {
 		t.Fatal(err)

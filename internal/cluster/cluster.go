@@ -5,7 +5,10 @@
 // processes by rendezvous hashing on the request's device — so each
 // device calibrates on exactly one worker and its pinned calibration
 // assets stay hot there — retrying a failed worker once on the
-// next-ranked candidate before surfacing 502.
+// next-ranked candidate before surfacing 502 worker_failed. A worker's
+// 4xx, a 429 included, is not a failure: it goes back to the client
+// exactly as the worker sent it (the same serve.StatusError, written by
+// the same serve.WriteError), with no retry and no quarantine.
 //
 // The coordinator re-exports the worker HTTP surface unchanged
 // (POST /v1/predict, POST /v1/predict/batch, POST /v1/explore,
@@ -110,32 +113,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ErrNoWorkers rejects a request that arrived with zero live workers.
-var ErrNoWorkers = errors.New("cluster: no live workers")
+// ErrNoWorkers rejects a request that arrived with zero live workers:
+// 503 no_workers.
+var ErrNoWorkers = serve.Refusal(http.StatusServiceUnavailable, "no_workers", "cluster: no live workers")
 
-// ErrDraining rejects admissions while the coordinator drains.
-var ErrDraining = errors.New("cluster: coordinator draining")
-
-// RouteError is a request that exhausted its routing attempts (the
-// ranked candidate and one retry) — the 502 surface.
-type RouteError struct {
-	Attempts int
-	Err      error
-}
-
-func (e *RouteError) Error() string {
-	return fmt.Sprintf("cluster: %d routing attempt(s) failed: %v", e.Attempts, e.Err)
-}
-
-func (e *RouteError) Unwrap() error { return e.Err }
-
-// BackpressureError passes a worker's 429 through to the client with
-// its Retry-After hint. Backpressure is not a failure: the worker is
-// healthy and asked the client to slow down, so the coordinator
-// honors it instead of re-routing the request off its affine worker.
-type BackpressureError struct{ RetryAfter string }
-
-func (e *BackpressureError) Error() string { return "cluster: worker backpressure (429)" }
+// ErrDraining rejects admissions while the coordinator drains: 503
+// draining.
+var ErrDraining = serve.Refusal(http.StatusServiceUnavailable, "draining", "cluster: coordinator draining")
 
 // rowError carries a worker-computed failure row (validation errors,
 // deadline expiries) through the cache layer without storing it: the
@@ -144,12 +128,6 @@ func (e *BackpressureError) Error() string { return "cluster: worker backpressur
 type rowError struct{ row serve.Result }
 
 func (e rowError) Error() string { return e.row.Error }
-
-// Registration is the POST /v1/workers/register wire body.
-type Registration struct {
-	ID  string `json:"id"`
-	URL string `json:"url"`
-}
 
 // Coordinator routes client requests across the registry's workers.
 type Coordinator struct {
@@ -180,7 +158,7 @@ type Coordinator struct {
 	drainingRejects atomic.Uint64
 
 	// hintUs is the EWMA of worker 429 Retry-After hints (microseconds),
-	// feeding the adaptive 503 hint. Zero until a hint is observed.
+	// feeding the adaptive tier hint. Zero until a hint is observed.
 	hintUs atomic.Int64
 
 	migrations           atomic.Uint64
@@ -338,18 +316,20 @@ func (c *Coordinator) forward(ctx context.Context, req serve.Request, blocking b
 		if err == nil {
 			return row, nil
 		}
-		var bp *BackpressureError
-		if errors.As(err, &bp) {
-			return serve.Result{}, err // healthy worker said slow down: no retry, no failure mark
-		}
-		var api *client.APIError
-		if errors.As(err, &api) && api.Status >= 400 && api.Status < 500 && api.Status != http.StatusTooManyRequests {
-			// The worker refused the REQUEST (a 4xx is a verdict on the
-			// input, and every other worker would return the same one):
-			// hand its status and code to the client. Quarantining healthy
-			// workers over a client's bad input would let one hostile
-			// request take the cluster's routing set down.
-			return serve.Result{}, routeErrorf("worker %s: %w", w.ID, err)
+		var refused *serve.StatusError
+		if errors.As(err, &refused) && refused.Status >= 400 && refused.Status < 500 {
+			// The worker refused the REQUEST — a 4xx is a verdict on the
+			// input, and every other worker would return the same one — or,
+			// with a 429, asked its caller to slow down, which a healthy
+			// worker does. Either goes back to the client exactly as the
+			// worker sent it, with no retry and no failure mark: quarantining
+			// healthy workers over a client's bad input would let one hostile
+			// request take the cluster's routing set down, and re-routing
+			// backpressure off the affine worker would break affinity.
+			if refused.Status == http.StatusTooManyRequests {
+				c.observeWorkerHint(refused.RetryAfter)
+			}
+			return serve.Result{}, refused
 		}
 		if ctx.Err() != nil {
 			// The CLIENT died (canceled or timed out mid-call), which
@@ -365,7 +345,10 @@ func (c *Coordinator) forward(ctx context.Context, req serve.Request, blocking b
 		lastErr = routeErrorf("worker %s: %w", w.ID, err)
 		sb = nil // the retry ranks again and asks alone
 	}
-	return serve.Result{}, &RouteError{Attempts: maxAttempts, Err: lastErr}
+	// The 502 names the last attempt's cause but does not wrap it: a
+	// worker's own 5xx is not the coordinator's answer.
+	return serve.Result{}, serve.Refusal(http.StatusBadGateway, "worker_failed",
+		routeErrorf("cluster: %d routing attempt(s) failed: %v", maxAttempts, lastErr).Error())
 }
 
 // routeErrorf formats the error of a routing attempt that failed. The
@@ -436,19 +419,7 @@ func (c *Coordinator) call(ctx context.Context, w Worker, req serve.Request, blo
 		}
 		return sb.row(slot)
 	}
-	row, err := c.workerClient(w.URL).Predict(ctx, req)
-	if err != nil {
-		var bp *client.ErrBackpressure
-		if errors.As(err, &bp) {
-			c.observeWorkerHint(bp.RetryAfter)
-			return serve.Result{}, &BackpressureError{RetryAfter: backpressureHint(bp.RetryAfter)}
-		}
-		// Every other typed client error — a worker 503 while draining
-		// included — is a routing failure the forward loop fails over
-		// from, same as a dead socket.
-		return serve.Result{}, err
-	}
-	return row, nil
+	return c.workerClient(w.URL).Predict(ctx, req)
 }
 
 // missed is one row the plan could not answer from the cache: its index
@@ -677,19 +648,8 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// backpressureHint renders a worker's Retry-After duration for the
-// pass-through 429 header. Sub-second hints round UP to 1 second —
-// truncation would emit "0", telling clients to hammer a worker that
-// just asked them to back off. Non-positive means no hint.
-func backpressureHint(d time.Duration) string {
-	if d <= 0 {
-		return ""
-	}
-	return serve.RetryAfterSeconds(d)
-}
-
 // observeWorkerHint folds one worker 429 Retry-After hint into the
-// EWMA (alpha 1/4) behind the coordinator's adaptive 503 hint.
+// EWMA (alpha 1/4) behind the coordinator's adaptive hint (retryAfter).
 func (c *Coordinator) observeWorkerHint(d time.Duration) {
 	if d <= 0 {
 		return
@@ -707,15 +667,15 @@ func (c *Coordinator) observeWorkerHint(d time.Duration) {
 	}
 }
 
-// retryAfter is the hint on coordinator-origin 503s (draining,
-// no_workers). It starts at the floor and adapts upward toward the
-// workers' own observed 429 hints — a coordinator fronting saturated
-// workers should not invite clients back sooner than the workers
-// themselves would — clamped to [serve.MinRetryAfter,
-// serve.MaxRetryAfter].
-func (c *Coordinator) retryAfter() string {
+// retryAfter is the coordinator's tier hint: the Retry-After of its
+// own 503s (draining, no_workers) and of a worker 429 that carried
+// none. It starts at the floor and adapts upward toward the workers'
+// own observed 429 hints — a coordinator fronting saturated workers
+// should not invite clients back sooner than the workers themselves
+// would — clamped to [serve.MinRetryAfter, serve.MaxRetryAfter].
+func (c *Coordinator) retryAfter() time.Duration {
 	hint := time.Duration(c.hintUs.Load()) * time.Microsecond
-	return serve.RetryAfterSeconds(min(max(hint, serve.MinRetryAfter), serve.MaxRetryAfter))
+	return min(max(hint, serve.MinRetryAfter), serve.MaxRetryAfter)
 }
 
 func (c *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -725,41 +685,10 @@ func (c *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := c.PredictOne(r.Context(), req, false)
 	if err != nil {
-		c.writeRouteError(w, err)
+		serve.WriteError(w, err, c.retryAfter())
 		return
 	}
 	serve.WriteResult(w, &res)
-}
-
-// writeRouteError answers a request PredictOne could not serve. It is
-// its own function so that the errors.As targets — which escape — are
-// allocated here and not on every answered request.
-func (c *Coordinator) writeRouteError(w http.ResponseWriter, err error) {
-	var bp *BackpressureError
-	var re *RouteError
-	var api *client.APIError
-	switch {
-	case errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", c.retryAfter())
-		serve.WriteJSON(w, http.StatusServiceUnavailable, serve.HTTPError{Code: "draining", Message: err.Error()})
-	case errors.Is(err, ErrNoWorkers):
-		w.Header().Set("Retry-After", c.retryAfter())
-		serve.WriteJSON(w, http.StatusServiceUnavailable, serve.HTTPError{Code: "no_workers", Message: err.Error()})
-	case errors.As(err, &bp):
-		ra := bp.RetryAfter
-		if ra == "" {
-			ra = c.retryAfter()
-		}
-		w.Header().Set("Retry-After", ra)
-		serve.WriteJSON(w, http.StatusTooManyRequests, serve.HTTPError{Code: "queue_full", Message: err.Error()})
-	case errors.As(err, &re):
-		serve.WriteJSON(w, http.StatusBadGateway, serve.HTTPError{Code: "worker_failed", Message: err.Error()})
-	case errors.As(err, &api) && api.Status < 500:
-		// The one APIError forward lets through: a worker's 4xx verdict.
-		serve.WriteJSON(w, api.Status, serve.HTTPError{Code: api.Code, Message: api.Message})
-	default:
-		serve.WriteJSON(w, http.StatusInternalServerError, serve.HTTPError{Code: "internal", Message: err.Error()})
-	}
 }
 
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -769,7 +698,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var reg Registration
+	var reg serve.Registration
 	if !serve.DecodeBody(w, r, &reg) || !c.share(w, entry{Registration: &reg}) {
 		return
 	}

@@ -378,9 +378,10 @@ func TestDrainPropagation(t *testing.T) {
 	if h, err := cl.Healthz(context.Background()); err != nil || h.Status != "draining" {
 		t.Fatalf("healthz while draining = %+v / %v, want status draining", h, err)
 	}
-	var dr *client.ErrDraining
-	if _, err := cl.Predict(context.Background(), req("V100", "w", 512)); !errors.As(err, &dr) || dr.RetryAfter <= 0 {
-		t.Fatalf("predict while draining: err = %v, want ErrDraining with a Retry-After hint", err)
+	var dr *serve.StatusError
+	if _, err := cl.Predict(context.Background(), req("V100", "w", 512)); !errors.As(err, &dr) ||
+		dr.Status != http.StatusServiceUnavailable || dr.Code != "draining" || dr.RetryAfter <= 0 {
+		t.Fatalf("predict while draining: err = %v, want 503 draining with a Retry-After hint", err)
 	}
 	st := coord.Stats(context.Background())
 	if st.Rejected.Draining != 2 {
@@ -403,9 +404,9 @@ func TestBackpressurePassThrough(t *testing.T) {
 	coord := New(Config{Registry: reg})
 
 	_, err := coord.PredictOne(context.Background(), req("V100", "w", 512), false)
-	var bp *BackpressureError
-	if !errors.As(err, &bp) || bp.RetryAfter != "7" {
-		t.Fatalf("err = %v, want BackpressureError with Retry-After 7", err)
+	var bp *serve.StatusError
+	if !errors.As(err, &bp) || bp.Status != http.StatusTooManyRequests || bp.Code != "queue_full" || bp.RetryAfter != 7*time.Second {
+		t.Fatalf("err = %v, want the worker's 429 queue_full with its 7s hint", err)
 	}
 	if len(reg.Live()) != 1 {
 		t.Fatal("backpressure must not mark the worker failed")
@@ -413,9 +414,10 @@ func TestBackpressurePassThrough(t *testing.T) {
 
 	ts := httptest.NewServer(coord.Handler())
 	defer ts.Close()
-	var tbp *client.ErrBackpressure
-	if _, err := client.New(ts.URL).Predict(context.Background(), req("V100", "w", 512)); !errors.As(err, &tbp) || tbp.RetryAfter != 7*time.Second {
-		t.Fatalf("predict over HTTP: err = %v, want typed 429 carrying the worker's 7s hint", err)
+	var tbp *serve.StatusError
+	if _, err := client.New(ts.URL).Predict(context.Background(), req("V100", "w", 512)); !errors.As(err, &tbp) ||
+		tbp.Status != http.StatusTooManyRequests || tbp.Code != "queue_full" || tbp.Message != "busy" || tbp.RetryAfter != 7*time.Second {
+		t.Fatalf("predict over HTTP: err = %v, want the worker's 429 queue_full \"busy\" carrying its 7s hint", err)
 	}
 	st := coord.Stats(context.Background())
 	if st.Rejected.WorkerFailed != 0 {
@@ -527,7 +529,7 @@ func TestBatchTooLarge(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = req("V100", "w", 512)
 	}
-	var apiErr *client.APIError
+	var apiErr *serve.StatusError
 	if err := client.New(ts.URL).PredictBatchInto(context.Background(), reqs, &Report{}); !errors.As(err, &apiErr) ||
 		apiErr.Status != http.StatusBadRequest || apiErr.Code != "batch_too_large" {
 		t.Fatalf("%d-row batch: err = %v, want 400 batch_too_large", len(reqs), err)

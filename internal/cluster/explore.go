@@ -40,5 +40,9 @@ func (c *Coordinator) handleExplore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rep, err := c.RunExplore(r.Context(), g)
-	serve.WriteExplore(w, rep, err, ErrDraining, c.retryAfter())
+	if err != nil {
+		serve.WriteError(w, err, c.retryAfter())
+		return
+	}
+	serve.WriteJSON(w, http.StatusOK, rep)
 }

@@ -118,7 +118,7 @@ func TestClusterExploreHTTP(t *testing.T) {
 		t.Error("report missing frontier")
 	}
 
-	var apiErr *client.APIError
+	var apiErr *serve.StatusError
 	if _, err := cl.Explore(ctx, explore.Grid{Devices: []string{"V100"}}); !errors.As(err, &apiErr) ||
 		apiErr.Status != http.StatusBadRequest || apiErr.Code != "bad_grid" {
 		t.Errorf("empty grid: err = %v, want 400 bad_grid", err)
@@ -149,9 +149,10 @@ func TestClusterExploreHTTP(t *testing.T) {
 	}
 
 	coord.Drain(false)
-	var dr *client.ErrDraining
-	if _, err := cl.Explore(ctx, clusterGrid()); !errors.As(err, &dr) || dr.RetryAfter <= 0 {
-		t.Errorf("explore during drain: err = %v, want ErrDraining with a Retry-After hint", err)
+	var dr *serve.StatusError
+	if _, err := cl.Explore(ctx, clusterGrid()); !errors.As(err, &dr) ||
+		dr.Status != http.StatusServiceUnavailable || dr.Code != "draining" || dr.RetryAfter <= 0 {
+		t.Errorf("explore during drain: err = %v, want 503 draining with a Retry-After hint", err)
 	}
 }
 

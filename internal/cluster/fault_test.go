@@ -106,7 +106,7 @@ func TestWorkerDeadSocketRetries(t *testing.T) {
 }
 
 // TestAllWorkersDead: with every candidate failing, the single retry
-// is spent and the request surfaces a RouteError (the 502), with both
+// is spent and the request surfaces 502 worker_failed, with both
 // broken attempts accounted.
 func TestAllWorkersDead(t *testing.T) {
 	coord, workers := newTestCluster(t, 2, nil)
@@ -114,9 +114,9 @@ func TestAllWorkersDead(t *testing.T) {
 		fw.killed.Store(true)
 	}
 	_, err := coord.PredictOne(context.Background(), req("gpu-0", "w", 512), false)
-	var re *RouteError
-	if !errors.As(err, &re) {
-		t.Fatalf("err = %v, want RouteError", err)
+	var re *serve.StatusError
+	if !errors.As(err, &re) || re.Status != http.StatusBadGateway || re.Code != "worker_failed" || re.RetryAfter != 0 {
+		t.Fatalf("err = %v, want 502 worker_failed", err)
 	}
 	st := coord.Stats(context.Background())
 	if st.Rejected.WorkerFailed != 2 {
@@ -404,7 +404,7 @@ func TestBadClientInputDoesNotQuarantine(t *testing.T) {
 
 	wantVerdict := func(what string, err error) {
 		t.Helper()
-		var api *client.APIError
+		var api *serve.StatusError
 		if !errors.As(err, &api) || api.Status != http.StatusBadRequest || api.Code != "bad_priority" {
 			t.Fatalf("%s: err = %v, want 400 bad_priority", what, err)
 		}

@@ -148,11 +148,11 @@ func (l *Lease) Snapshot() *LeaseStatus {
 // names the origin coordinator — a receipt doubles as its proof of
 // life — and is empty while the origin applies its own change.
 type entry struct {
-	From         string         `json:"from,omitempty"`
-	Registration *Registration  `json:"registration,omitempty"`
-	Request      *serve.Request `json:"request,omitempty"`
-	Row          *serve.Result  `json:"row,omitempty"`
-	Assets       *AssetPush     `json:"assets,omitempty"`
+	From         string              `json:"from,omitempty"`
+	Registration *serve.Registration `json:"registration,omitempty"`
+	Request      *serve.Request      `json:"request,omitempty"`
+	Row          *serve.Result       `json:"row,omitempty"`
+	Assets       *serve.AssetPush    `json:"assets,omitempty"`
 }
 
 // apply validates one entry and installs it into local state,
@@ -197,7 +197,7 @@ func (c *Coordinator) apply(e entry) (changed bool, err error) {
 func (c *Coordinator) share(w http.ResponseWriter, e entry) (ok bool) {
 	changed, err := c.apply(e)
 	if err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.HTTPError{Code: "bad_request", Message: err.Error()})
+		serve.WriteError(w, serve.Refusal(http.StatusBadRequest, "bad_request", err.Error()), 0)
 		return false
 	}
 	if changed {
@@ -249,7 +249,7 @@ func (c *Coordinator) handlePeerApply(w http.ResponseWriter, r *http.Request) {
 	}
 	c.lease.MarkSeen(e.From)
 	if _, err := c.apply(e); err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.HTTPError{Code: "bad_request", Message: err.Error()})
+		serve.WriteError(w, serve.Refusal(http.StatusBadRequest, "bad_request", err.Error()), 0)
 		return
 	}
 	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "applied"})

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"sort"
 	"sync"
@@ -33,16 +32,6 @@ import (
 // worker has not been handed them yet, install first. Installs are
 // idempotent (LoadAssets overwrites the same pinned slot), so
 // concurrent coordinators racing the same hand-off are safe.
-
-// AssetPush is the POST /v1/workers/assets wire body: one worker's
-// exported SaveAssets payload for one device, stamped with the
-// device's asset epoch so stale replays are dropped.
-type AssetPush struct {
-	ID     string          `json:"id"`
-	Device string          `json:"device"`
-	Epoch  uint64          `json:"epoch"`
-	Assets json.RawMessage `json:"assets"`
-}
 
 // vaultEntry is the replicated asset copy of one device.
 type vaultEntry struct {
@@ -188,7 +177,7 @@ func (c *Coordinator) ensureWarm(ctx context.Context, device string, w Worker) {
 // and replicates it to peer coordinators (apply-only on their side)
 // when it changed the vault.
 func (c *Coordinator) handleWorkerAssets(w http.ResponseWriter, r *http.Request) {
-	var p AssetPush
+	var p serve.AssetPush
 	if serve.DecodeBody(w, r, &p) && c.share(w, entry{Assets: &p}) {
 		serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "stored"})
 	}

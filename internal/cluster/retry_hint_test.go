@@ -12,31 +12,44 @@ import (
 	"dlrmperf/internal/serve"
 )
 
-// TestBackpressureHintRoundsUp pins the 429 pass-through hint
-// rendering: sub-second worker hints must round UP to 1 second —
-// truncation emitted "0", telling clients to hammer a worker that had
-// just asked them to back off — and whole seconds pass through
-// unchanged. Non-positive means no hint.
-func TestBackpressureHintRoundsUp(t *testing.T) {
-	cases := []struct {
-		d    time.Duration
-		want string
+// TestWorker429PassesThroughVerbatim: a worker's 429 reaches the
+// coordinator's client exactly as the worker sent it — status, code,
+// message and Retry-After hint — and a worker 429 that carried no hint
+// gets the coordinator's adaptive one. (That a 429 is no worker failure
+// is TestBackpressurePassThrough's; rounding a hint up to whole seconds
+// is TestRetryAfterSecondsRoundsUp's.)
+func TestWorker429PassesThroughVerbatim(t *testing.T) {
+	for _, tc := range []struct {
+		name, retryAfter string
+		want             time.Duration
 	}{
-		{0, ""},
-		{-time.Second, ""},
-		{time.Millisecond, "1"},
-		{250 * time.Millisecond, "1"},
-		{999 * time.Millisecond, "1"},
-		{time.Second, "1"},
-		{1100 * time.Millisecond, "2"},
-		{1500 * time.Millisecond, "2"},
-		{7 * time.Second, "7"},
-		{7*time.Second + time.Millisecond, "8"},
-	}
-	for _, tc := range cases {
-		if got := backpressureHint(tc.d); got != tc.want {
-			t.Errorf("backpressureHint(%v) = %q, want %q", tc.d, got, tc.want)
-		}
+		{"worker hint", "3", 3 * time.Second},
+		{"no worker hint", "", 8 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			limited := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				if tc.retryAfter != "" {
+					w.Header().Set("Retry-After", tc.retryAfter)
+				}
+				serve.WriteJSON(w, http.StatusTooManyRequests, serve.HTTPError{Code: "tenant_limited", Message: "share exhausted"})
+			}))
+			defer limited.Close()
+			reg := NewRegistry(0)
+			reg.AddStatic(limited.URL)
+			coord := New(Config{Registry: reg})
+			for i := 0; i < 32; i++ {
+				coord.observeWorkerHint(8 * time.Second) // the coordinator's adaptive hint converges on 8s
+			}
+			front := httptest.NewServer(coord.Handler())
+			defer front.Close()
+
+			_, err := client.New(front.URL).Predict(context.Background(), req("V100", "w", 512))
+			var se *serve.StatusError
+			if !errors.As(err, &se) || se.Status != http.StatusTooManyRequests || se.Code != "tenant_limited" ||
+				se.Message != "share exhausted" || se.RetryAfter != tc.want {
+				t.Fatalf("err = %#v, want 429 tenant_limited \"share exhausted\" with a %v hint", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -49,26 +62,26 @@ func TestAdaptiveRetryAfterTracksWorkerHints(t *testing.T) {
 	reg := NewRegistry(0)
 	coord := New(Config{Registry: reg})
 
-	if got := coord.retryAfter(); got != "1" {
+	if got := serve.RetryAfterSeconds(coord.retryAfter()); got != "1" {
 		t.Fatalf("hint before any observation = %q, want the 1s floor", got)
 	}
 	// The EWMA (alpha 1/4) converges onto a sustained worker hint.
 	for i := 0; i < 32; i++ {
 		coord.observeWorkerHint(8 * time.Second)
 	}
-	if got := coord.retryAfter(); got != "8" {
+	if got := serve.RetryAfterSeconds(coord.retryAfter()); got != "8" {
 		t.Fatalf("hint after sustained 8s worker hints = %q, want 8", got)
 	}
 	// Hints above the ceiling clamp.
 	for i := 0; i < 32; i++ {
 		coord.observeWorkerHint(time.Minute)
 	}
-	if got := coord.retryAfter(); got != "30" {
+	if got := serve.RetryAfterSeconds(coord.retryAfter()); got != "30" {
 		t.Fatalf("hint after 60s worker hints = %q, want the 30s ceiling", got)
 	}
 	// Non-positive observations are ignored, not folded in as zeros.
 	coord.observeWorkerHint(0)
-	if got := coord.retryAfter(); got != "30" {
+	if got := serve.RetryAfterSeconds(coord.retryAfter()); got != "30" {
 		t.Fatalf("hint after a zero observation = %q, want unchanged", got)
 	}
 }
@@ -88,19 +101,19 @@ func TestDraining503CarriesObservedHint(t *testing.T) {
 	coord := New(Config{Registry: reg})
 
 	for i := 0; i < 32; i++ {
-		var bp *BackpressureError
-		if _, err := coord.PredictOne(context.Background(), req("V100", "w", 512), false); !errors.As(err, &bp) {
-			t.Fatalf("err = %v, want backpressure", err)
+		var bp *serve.StatusError
+		if _, err := coord.PredictOne(context.Background(), req("V100", "w", 512), false); !errors.As(err, &bp) || bp.Status != http.StatusTooManyRequests {
+			t.Fatalf("err = %v, want the worker's 429", err)
 		}
 	}
 	coord.Drain(false)
 
 	ts := httptest.NewServer(coord.Handler())
 	defer ts.Close()
-	var dr *client.ErrDraining
+	var dr *serve.StatusError
 	_, err := client.New(ts.URL).Predict(context.Background(), req("V100", "w", 512))
-	if !errors.As(err, &dr) {
-		t.Fatalf("err = %v, want draining", err)
+	if !errors.As(err, &dr) || dr.Status != http.StatusServiceUnavailable || dr.Code != "draining" {
+		t.Fatalf("err = %v, want 503 draining", err)
 	}
 	if dr.RetryAfter < 7*time.Second {
 		t.Fatalf("draining Retry-After = %v, want >= the workers' own 7s hint", dr.RetryAfter)

@@ -133,11 +133,7 @@ func (s *Stats) mergeWorker(id string, ws serve.Stats) {
 	s.Requests += ws.Requests
 	s.Cache.Hits += ws.Cache.Hits
 	s.Cache.Misses += ws.Cache.Misses
-	s.Rejected.Validation += ws.Rejected.Validation
-	s.Rejected.QueueFull += ws.Rejected.QueueFull
-	s.Rejected.TenantLimited += ws.Rejected.TenantLimited
-	s.Rejected.Draining += ws.Rejected.Draining
-	s.Rejected.Canceled += ws.Rejected.Canceled
+	s.Rejected.Add(ws.Rejected)
 	s.Served += ws.Served
 	s.Canceled += ws.Canceled
 	s.InFlight += ws.Queue.InFlight

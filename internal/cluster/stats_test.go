@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"dlrmperf/internal/serve"
@@ -37,5 +38,27 @@ func TestStatsRejectedBytes(t *testing.T) {
 	}
 	if got := agg.Rejected.Total(); got != 28 {
 		t.Errorf("Total() = %d, want 28", got)
+	}
+}
+
+// TestMergeSumsEveryRejectedBucket fills every field of two workers'
+// serve.RejectedStats by reflection with distinct values, merges both,
+// and checks each field of the aggregate: a bucket added to
+// RejectedStats cannot stay zero cluster-wide.
+func TestMergeSumsEveryRejectedBucket(t *testing.T) {
+	var w1, w2 serve.Stats
+	v1, v2 := reflect.ValueOf(&w1.Rejected).Elem(), reflect.ValueOf(&w2.Rejected).Elem()
+	for i := 0; i < v1.NumField(); i++ {
+		v1.Field(i).SetUint(uint64(i + 1))
+		v2.Field(i).SetUint(uint64(100 * (i + 1)))
+	}
+	var agg Stats
+	agg.mergeWorker("w1", w1)
+	agg.mergeWorker("w2", w2)
+	got := reflect.ValueOf(agg.Rejected.RejectedStats)
+	for i := 0; i < got.NumField(); i++ {
+		if want := uint64(101 * (i + 1)); got.Field(i).Uint() != want {
+			t.Errorf("rejected %s = %d, want %d", got.Type().Field(i).Name, got.Field(i).Uint(), want)
+		}
 	}
 }

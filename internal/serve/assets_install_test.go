@@ -3,10 +3,10 @@ package serve_test
 import (
 	"context"
 	"errors"
+	"net/http"
 	"strings"
 	"testing"
 
-	"dlrmperf/internal/client"
 	"dlrmperf/internal/serve"
 )
 
@@ -47,7 +47,7 @@ func TestHTTPInstallAssets(t *testing.T) {
 	}
 
 	// A refused payload is the caller's problem, typed bad_assets.
-	var api *client.APIError
+	var api *serve.StatusError
 	err := cl.InstallAssets(ctx, []byte(`{"bad":true}`))
 	if !errors.As(err, &api) || api.Status != 400 || api.Code != "bad_assets" {
 		t.Fatalf("refused install err = %v, want 400 bad_assets", err)
@@ -73,7 +73,7 @@ func TestHTTPInstallAssetsUnsupported(t *testing.T) {
 	fb.Release()
 	_, cl := newHTTPServer(t, serve.Config{Backend: fb, QueueDepth: 4, Workers: 1})
 
-	var api *client.APIError
+	var api *serve.StatusError
 	err := cl.InstallAssets(context.Background(), []byte(`{}`))
 	if !errors.As(err, &api) || api.Status != 501 || api.Code != "unsupported" {
 		t.Fatalf("install on loader-less backend = %v, want 501 unsupported", err)
@@ -82,17 +82,17 @@ func TestHTTPInstallAssetsUnsupported(t *testing.T) {
 
 // TestHTTPInstallAssetsDraining: a draining worker is leaving the
 // routing set and must refuse new device ownership — 503 draining
-// with a Retry-After hint, same taxonomy as the predict path.
+// with a Retry-After hint, the same refusal as the predict path.
 func TestHTTPInstallAssetsDraining(t *testing.T) {
 	lb := &loaderBackend{TestBackend: serve.NewTestBackend()}
 	lb.Release()
 	s, cl := newHTTPServer(t, serve.Config{Backend: lb, QueueDepth: 4, Workers: 1})
 	s.Drain()
 
-	var dr *client.ErrDraining
+	var dr *serve.StatusError
 	err := cl.InstallAssets(context.Background(), []byte(`{"version":1}`))
-	if !errors.As(err, &dr) {
-		t.Fatalf("install on draining worker = %v, want ErrDraining", err)
+	if !errors.As(err, &dr) || dr.Status != http.StatusServiceUnavailable || dr.Code != "draining" {
+		t.Fatalf("install on draining worker = %v, want 503 draining", err)
 	}
 	if dr.RetryAfter < serve.MinRetryAfter {
 		t.Fatalf("draining install Retry-After = %v, want at least the %v floor", dr.RetryAfter, serve.MinRetryAfter)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -11,11 +10,15 @@ import (
 )
 
 // GridTooLargeError rejects a grid whose expanded cross-product
-// exceeds MaxGrid — the HTTP 400 grid_too_large surface.
+// exceeds MaxGrid. It unwraps to its 400 grid_too_large refusal.
 type GridTooLargeError struct{ Size, Max int }
 
 func (e *GridTooLargeError) Error() string {
 	return fmt.Sprintf("serve: grid expands to %d points, above the %d-point limit; split the axes", e.Size, e.Max)
+}
+
+func (e *GridTooLargeError) Unwrap() error {
+	return Refusal(http.StatusBadRequest, "grid_too_large", e.Error())
 }
 
 // Sweep is the explore spine the worker and the cluster coordinator
@@ -32,7 +35,7 @@ func Sweep(ctx context.Context, g explore.Grid, run func(context.Context, []Requ
 	}
 	ex, err := explore.Expand(g)
 	if err != nil {
-		return nil, err
+		return nil, Refusal(http.StatusBadRequest, "bad_grid", err.Error())
 	}
 	start := time.Now()
 	agg := explore.NewAggregator(ex)
@@ -83,25 +86,9 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rep, err := s.RunExplore(r.Context(), g)
-	WriteExplore(w, rep, err, ErrDraining, s.retryAfterSeconds())
-}
-
-// WriteExplore answers POST /v1/explore from a sweep's outcome, on a
-// worker and on a coordinator alike: 200 with the report; 503 draining
-// with the caller's Retry-After when err is the caller's draining
-// sentinel; 400 grid_too_large past MaxGrid; 400 bad_grid for a grid
-// Expand refuses (a structurally empty one).
-func WriteExplore(w http.ResponseWriter, rep *explore.Report, err, draining error, retryAfter string) {
-	var tooLarge *GridTooLargeError
-	switch {
-	case err == nil:
-		WriteJSON(w, http.StatusOK, rep)
-	case errors.Is(err, draining):
-		w.Header().Set("Retry-After", retryAfter)
-		WriteJSON(w, http.StatusServiceUnavailable, HTTPError{Code: "draining", Message: err.Error()})
-	case errors.As(err, &tooLarge):
-		WriteJSON(w, http.StatusBadRequest, HTTPError{Code: "grid_too_large", Message: err.Error()})
-	default:
-		WriteJSON(w, http.StatusBadRequest, HTTPError{Code: "bad_grid", Message: err.Error()})
+	if err != nil {
+		WriteError(w, err, s.retryAfterHint())
+		return
 	}
+	WriteJSON(w, http.StatusOK, rep)
 }

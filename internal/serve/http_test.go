@@ -1,6 +1,6 @@
 // Package serve_test drives the worker HTTP surface through
 // internal/client — the same typed client the coordinator and the load
-// generator use — so the wire contract and the error taxonomy are
+// generator use — so the wire contract and its refusals are
 // tested end to end instead of against hand-rolled requests. It lives
 // in the external test package because client imports serve.
 package serve_test
@@ -135,9 +135,9 @@ func TestHTTPBadPriority(t *testing.T) {
 	s, cl := newHTTPServer(t, serve.Config{Backend: fb, QueueDepth: 4, Workers: 1})
 	ctx := context.Background()
 
-	var apiErr *client.APIError
+	var apiErr *serve.StatusError
 	if _, err := cl.Predict(ctx, serve.Request{Workload: "w", Device: "FakeGPU", Priority: "urgent"}); !errors.As(err, &apiErr) ||
-		apiErr.Status != http.StatusBadRequest || apiErr.Code != "bad_priority" {
+		apiErr.Status != http.StatusBadRequest || apiErr.Code != "bad_priority" || apiErr.RetryAfter != 0 {
 		t.Fatalf("bad priority: err = %v, want 400 bad_priority", err)
 	}
 	if err := cl.PredictBatchInto(ctx, []serve.Request{
@@ -161,7 +161,7 @@ func TestHTTPBatchTooLarge(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = serve.Request{Workload: "w", Device: "FakeGPU"}
 	}
-	var apiErr *client.APIError
+	var apiErr *serve.StatusError
 	if err := cl.PredictBatchInto(context.Background(), reqs, &serve.Report{}); !errors.As(err, &apiErr) ||
 		apiErr.Status != http.StatusBadRequest || apiErr.Code != "batch_too_large" {
 		t.Fatalf("%d-row batch: err = %v, want 400 batch_too_large", len(reqs), err)
@@ -198,14 +198,12 @@ func TestHTTP429RetryAfter(t *testing.T) {
 	serve.WaitFor(t, func() bool { return s.Stats().Queue.Depth == 2 })
 
 	_, err := cl.Predict(ctx, serve.Request{Workload: "x", Device: "FakeGPU"})
-	var bp *client.ErrBackpressure
-	if !errors.As(err, &bp) || bp.Code != "queue_full" || bp.RetryAfter != serve.MinRetryAfter {
-		t.Fatalf("over capacity: err = %v, want queue_full backpressure with the %v floor hint", err, serve.MinRetryAfter)
+	var bp *serve.StatusError
+	if !errors.As(err, &bp) || bp.Status != http.StatusTooManyRequests || bp.Code != "queue_full" || bp.RetryAfter != serve.MinRetryAfter {
+		t.Fatalf("over capacity: err = %v, want 429 queue_full with the %v floor hint", err, serve.MinRetryAfter)
 	}
-	// The taxonomy is layered: the same error matches the generic class.
-	var apiErr *client.APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
-		t.Fatalf("backpressure does not unwrap to *APIError: %v", err)
+	if bp.Message != serve.ErrQueueFull.Message {
+		t.Fatalf("over capacity: message %q, want the worker's own %q", bp.Message, serve.ErrQueueFull.Message)
 	}
 
 	fb.Release()
@@ -237,9 +235,9 @@ func TestHTTPTenantLimited429(t *testing.T) {
 	serve.WaitFor(t, func() bool { return s.Stats().Queue.Depth == 1 })
 
 	_, err := cl.Predict(ctx, serve.Request{Workload: "x", Device: "FakeGPU", Tenant: "hog"})
-	var bp *client.ErrBackpressure
-	if !errors.As(err, &bp) || bp.Code != "tenant_limited" || bp.RetryAfter <= 0 {
-		t.Fatalf("hog over share: err = %v, want tenant_limited backpressure with a hint", err)
+	var bp *serve.StatusError
+	if !errors.As(err, &bp) || bp.Status != http.StatusTooManyRequests || bp.Code != "tenant_limited" || bp.RetryAfter <= 0 {
+		t.Fatalf("hog over share: err = %v, want 429 tenant_limited with a hint", err)
 	}
 	// A different tenant is not collateral damage.
 	submit("quiet", "x")
@@ -258,8 +256,8 @@ func TestHTTPTenantLimited429(t *testing.T) {
 }
 
 // TestHTTPDrainingViaClient: a draining worker answers 503 with code
-// "draining" — the client surfaces *ErrDraining with the Retry-After
-// hint — and healthz flips to draining without erroring.
+// "draining" — the client surfaces it with the Retry-After hint — and
+// healthz flips to draining without erroring.
 func TestHTTPDrainingViaClient(t *testing.T) {
 	fb := serve.NewTestBackend()
 	fb.Release()
@@ -270,9 +268,10 @@ func TestHTTPDrainingViaClient(t *testing.T) {
 	if h, err := cl.Healthz(ctx); err != nil || h.Status != "draining" {
 		t.Fatalf("healthz while draining = %+v / %v, want status draining", h, err)
 	}
-	var dr *client.ErrDraining
-	if _, err := cl.Predict(ctx, serve.Request{Workload: "w", Device: "FakeGPU"}); !errors.As(err, &dr) || dr.RetryAfter <= 0 {
-		t.Fatalf("predict while draining: err = %v, want ErrDraining with a hint", err)
+	var dr *serve.StatusError
+	if _, err := cl.Predict(ctx, serve.Request{Workload: "w", Device: "FakeGPU"}); !errors.As(err, &dr) ||
+		dr.Status != http.StatusServiceUnavailable || dr.Code != "draining" || dr.RetryAfter <= 0 {
+		t.Fatalf("predict while draining: err = %v, want 503 draining with a hint", err)
 	}
 	serve.AssertInvariant(t, s.Stats())
 }

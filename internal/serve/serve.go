@@ -66,7 +66,7 @@ type AssetLoader interface {
 type Config struct {
 	Backend Backend
 	// QueueDepth bounds the admission queue; a full queue rejects
-	// non-blocking admissions with ErrQueueFull (HTTP 429). Default 64.
+	// non-blocking admissions with ErrQueueFull (429). Default 64.
 	QueueDepth int
 	// Workers is the number of requests executed concurrently (the
 	// drain width of the queue). Default runtime.GOMAXPROCS.
@@ -102,18 +102,18 @@ func (c Config) withDefaults() Config {
 }
 
 // ErrQueueFull rejects a non-blocking admission when the queue is at
-// capacity — the backpressure signal behind HTTP 429.
-var ErrQueueFull = errors.New("serve: admission queue full")
+// capacity — the backpressure signal, 429 queue_full.
+var ErrQueueFull = Refusal(http.StatusTooManyRequests, "queue_full", "serve: admission queue full")
 
 // ErrTenantLimited rejects a non-blocking admission when the request's
 // tenant has exhausted its fair share of the queue while the queue
-// itself still has room — also HTTP 429, but attributable to the hot
+// itself still has room — 429 tenant_limited, attributable to the hot
 // tenant rather than global load.
-var ErrTenantLimited = errors.New("serve: tenant queue share exhausted")
+var ErrTenantLimited = Refusal(http.StatusTooManyRequests, "tenant_limited", "serve: tenant queue share exhausted")
 
-// ErrDraining rejects admissions while the server drains — the signal
-// behind HTTP 503 during shutdown.
-var ErrDraining = errors.New("serve: server draining")
+// ErrDraining rejects admissions while the server drains — 503
+// draining during shutdown.
+var ErrDraining = Refusal(http.StatusServiceUnavailable, "draining", "serve: server draining")
 
 // job is one admitted request traveling the queue. Jobs are pooled:
 // admit owns a job until it has either received the result (enqueued
@@ -430,35 +430,17 @@ func (s *Server) retryAfterHint() time.Duration {
 	return min(max(s.q.drainEstimate(s.cfg.Workers), MinRetryAfter), MaxRetryAfter)
 }
 
-// retryAfterSeconds renders the adaptive backpressure hint, at least 1s.
-func (s *Server) retryAfterSeconds() string {
-	return RetryAfterSeconds(s.retryAfterHint())
-}
-
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	req, ok := DecodeRequest(w, r)
 	if !ok {
 		return
 	}
 	res, err := s.TrySubmit(r.Context(), req)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		WriteJSON(w, http.StatusTooManyRequests, HTTPError{Code: "queue_full", Message: err.Error()})
-	case errors.Is(err, ErrTenantLimited):
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		WriteJSON(w, http.StatusTooManyRequests, HTTPError{Code: "tenant_limited", Message: err.Error()})
-	case errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		WriteJSON(w, http.StatusServiceUnavailable, HTTPError{Code: "draining", Message: err.Error()})
-	case err != nil:
-		// Unreachable today — non-blocking admission fails only with the
-		// two sentinels above — kept as a defensive catch-all so a future
-		// admit error cannot masquerade as a 200.
-		WriteJSON(w, http.StatusInternalServerError, HTTPError{Code: "internal", Message: err.Error()})
-	default:
-		WriteResult(w, &res)
+	if err != nil {
+		WriteError(w, err, s.retryAfterHint())
+		return
 	}
+	WriteResult(w, &res)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -475,21 +457,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleInstallAssets(w http.ResponseWriter, r *http.Request) {
 	al, ok := s.cfg.Backend.(AssetLoader)
 	if !ok {
-		WriteJSON(w, http.StatusNotImplemented, HTTPError{Code: "unsupported", Message: "backend cannot install assets"})
+		WriteError(w, Refusal(http.StatusNotImplemented, "unsupported", "backend cannot install assets"), 0)
 		return
 	}
 	if s.Draining() {
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		WriteJSON(w, http.StatusServiceUnavailable, HTTPError{Code: "draining", Message: ErrDraining.Error()})
+		WriteError(w, ErrDraining, s.retryAfterHint())
 		return
 	}
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
-		WriteJSON(w, http.StatusBadRequest, HTTPError{Code: "bad_request", Message: err.Error()})
+		badRequest(w, err)
 		return
 	}
 	if err := al.LoadAssets(data); err != nil {
-		WriteJSON(w, http.StatusBadRequest, HTTPError{Code: "bad_assets", Message: err.Error()})
+		WriteError(w, Refusal(http.StatusBadRequest, "bad_assets", err.Error()), 0)
 		return
 	}
 	s.assetInstalls.Add(1)

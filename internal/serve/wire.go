@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -123,6 +124,15 @@ func (r RejectedStats) Total() uint64 {
 	return r.Validation + r.QueueFull + r.TenantLimited + r.Draining + r.Canceled
 }
 
+// Add sums o into r, bucket by bucket.
+func (r *RejectedStats) Add(o RejectedStats) {
+	r.Validation += o.Validation
+	r.QueueFull += o.QueueFull
+	r.TenantLimited += o.TenantLimited
+	r.Draining += o.Draining
+	r.Canceled += o.Canceled
+}
+
 // QueueStats is the admission queue's observable state.
 type QueueStats struct {
 	// Depth is the current queued (admitted, not yet executing) count;
@@ -237,14 +247,74 @@ type HTTPError struct {
 	Message string `json:"message"`
 }
 
+// StatusError is a refusal of the serving wire — any answer but 200 —
+// as one Go value from the handler that writes it (WriteError) to the
+// client that reads it back (client.decodeError), on the worker and the
+// coordinator alike: the status, the body's envelope, and the
+// Retry-After hint (0: none sent). Its Error is the message alone, so a
+// refusal that lands in a batch row reads the same on every tier.
+type StatusError struct {
+	Status int
+	HTTPError
+	RetryAfter time.Duration
+}
+
+func (e *StatusError) Error() string { return e.Message }
+
+// Refusal is the StatusError of a status, a code and a message, with no
+// hint of its own.
+func Refusal(status int, code, message string) *StatusError {
+	return &StatusError{Status: status, HTTPError: HTTPError{Code: code, Message: message}}
+}
+
+// WriteError is the one writer of a refusal, on the worker and the
+// coordinator alike: the StatusError err holds (errors.As), under its
+// own status and envelope, or 500 internal for an error that holds
+// none. A 429 or a 503 carries Retry-After: its own hint, or tierHint,
+// the answering tier's adaptive one, when it has none.
+func WriteError(w http.ResponseWriter, err error, tierHint time.Duration) {
+	var se *StatusError
+	if !errors.As(err, &se) {
+		se = Refusal(http.StatusInternalServerError, "internal", err.Error())
+	}
+	if se.Status == http.StatusTooManyRequests || se.Status == http.StatusServiceUnavailable {
+		hint := se.RetryAfter
+		if hint <= 0 {
+			hint = tierHint
+		}
+		w.Header().Set("Retry-After", RetryAfterSeconds(hint))
+	}
+	buf := GetBuffer()
+	defer buf.Release()
+	buf.appendHTTPError(&se.HTTPError)
+	buf.respond(w, se.Status, nil)
+}
+
+// Registration is the POST /v1/workers/register wire body.
+type Registration struct {
+	ID  string `json:"id"`
+	URL string `json:"url"`
+}
+
+// AssetPush is the POST /v1/workers/assets wire body: one worker's
+// exported SaveAssets payload for one device, stamped with the
+// device's asset epoch so stale replays are dropped.
+type AssetPush struct {
+	ID     string          `json:"id"`
+	Device string          `json:"device"`
+	Epoch  uint64          `json:"epoch"`
+	Assets json.RawMessage `json:"assets"`
+}
+
 // WriteJSON renders v as a compact, single-line JSON response with the
-// given status. It is the single response writer of the serving wire
-// surface (worker and coordinator alike). The body is encoded before the
-// status is written, so a value that cannot be encoded answers the 500
-// internal envelope instead of the status it came with and no body. A
-// Result, a *Report and an HTTPError go through the row codec; every
-// other document (stats, health, scenario lists, explore reports,
-// acknowledgements) through encoding/json.
+// given status. It is the response writer of the serving wire surface
+// (worker and coordinator alike) for every answer but a refusal, which
+// is WriteError's. The body is encoded before the status is written, so
+// a value that cannot be encoded answers the 500 internal envelope
+// instead of the status it came with and no body. A Result and a
+// *Report go through the row codec; every other document (stats,
+// health, scenario lists, explore reports, acknowledgements) through
+// encoding/json.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	buf := GetBuffer()
 	defer buf.Release()
@@ -254,8 +324,6 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 		err = buf.appendResult(&v)
 	case *Report:
 		err = buf.appendReport(v)
-	case HTTPError:
-		buf.appendHTTPError(&v)
 	default:
 		err = json.NewEncoder(buf).Encode(v) //lint:allow hotpath only documents that carry no prediction row take this branch: stats, health, scenario lists, explore reports and the register, install and drain acknowledgements
 	}
@@ -338,7 +406,7 @@ func readBody(w http.ResponseWriter, r *http.Request) (buf *Buffer, ok bool) {
 }
 
 func badRequest(w http.ResponseWriter, err error) {
-	WriteJSON(w, http.StatusBadRequest, HTTPError{Code: "bad_request", Message: err.Error()})
+	WriteError(w, Refusal(http.StatusBadRequest, "bad_request", err.Error()), 0)
 }
 
 // DecodeBody is the one request-body reader of the serving wire surface
@@ -378,7 +446,7 @@ func DecodeRequest(w http.ResponseWriter, r *http.Request) (req Request, ok bool
 		return req, false
 	}
 	if _, known := priorityClass(req.Priority); !known {
-		WriteJSON(w, http.StatusBadRequest, HTTPError{Code: "bad_priority", Message: "priority must be one of high, normal, low"})
+		WriteError(w, Refusal(http.StatusBadRequest, "bad_priority", "priority must be one of high, normal, low"), 0)
 		return req, false
 	}
 	return req, true
@@ -413,7 +481,7 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request) (reqs []Request, ok boo
 // rejectBatch answers a refused batch body with its 400 envelope. It
 // formats the message of a check that failed, off the steady-state path.
 func rejectBatch(w http.ResponseWriter, code, format string, args ...any) (ok bool) {
-	WriteJSON(w, http.StatusBadRequest, HTTPError{Code: code, Message: fmt.Sprintf(format, args...)})
+	WriteError(w, Refusal(http.StatusBadRequest, code, fmt.Sprintf(format, args...)), 0)
 	return false
 }
 
