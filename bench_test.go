@@ -233,14 +233,23 @@ func BenchmarkPredictSingleCached(b *testing.B) {
 
 // BenchmarkPredictNovelBatch is the miss path a design-space sweep
 // lives on: the engine is warm — device calibrated, overhead database
-// collected, the family's graph structure resident — and every
+// collected, the family's graph structures resident — and every
 // iteration asks for a batch size no earlier one did. Each iteration
-// therefore binds the batch to the shared structure, compiles a plan
-// and walks Algorithm 1; none builds a node or an op. The 4-GPU case
-// shards DLRM_default's uniform tables into four identical shards. Its
-// allocs/op is the miss path's bound in CI.
+// therefore binds the batch to the shared structures, compiles a plan
+// and walks Algorithm 1; none builds a node or an op. The 4-GPU cases
+// shard DLRM_default's uniform tables into four identical shards (one
+// bound view) and DLRM_MLPerf's mixed ones into four distinct shards
+// (a view each). Its allocs/op is the miss path's bound in CI.
 func BenchmarkPredictNovelBatch(b *testing.B) {
-	for _, gpus := range []int{1, 4} {
+	for _, c := range []struct {
+		name     string
+		workload string
+		gpus     int
+	}{
+		{"gpus=1", DLRMDefault, 1},
+		{"gpus=4", DLRMDefault, 4},
+		{"mlperf/gpus=4", DLRMMLPerf, 4},
+	} {
 		eng, err := NewEngineWith(fastEngineConfig(V100))
 		if err != nil {
 			b.Fatal(err)
@@ -248,9 +257,9 @@ func BenchmarkPredictNovelBatch(b *testing.B) {
 		// The benchmark function reruns with a growing b.N on the same
 		// engine; the batch counter lives outside it so no run repeats
 		// a batch an earlier run left in the result cache.
-		req := PredictRequest{Workload: DLRMDefault, Batch: 4096, Device: V100, GPUs: gpus}
-		b.Run(fmt.Sprintf("gpus=%d", gpus), func(b *testing.B) {
-			if res := eng.Predict(req); res.Err != nil { // warm assets and the structure
+		req := PredictRequest{Workload: c.workload, Batch: 4096, Device: V100, GPUs: c.gpus}
+		b.Run(c.name, func(b *testing.B) {
+			if res := eng.Predict(req); res.Err != nil { // warm assets and the structures
 				b.Fatal(res.Err)
 			}
 			b.ResetTimer()

@@ -42,6 +42,16 @@ func main() {
 		os.Exit(1)
 	}
 
+	// The ablation pools profiled runs' samples, which the engine
+	// releases once every database pooling them is resident — as fig09
+	// makes V100's — so it is computed first and printed last.
+	var ablation []experiments.AblationRow
+	if want("ablation") {
+		var err error
+		if ablation, err = s.AblationOverheadPolicy(); err != nil {
+			fail(err)
+		}
+	}
 	if want("fig01") {
 		rows, err := s.Fig01()
 		if err != nil {
@@ -111,10 +121,6 @@ func main() {
 		fmt.Println(experiments.RenderSharding(schemes))
 	}
 	if want("ablation") {
-		rows, err := s.AblationOverheadPolicy()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(experiments.RenderAblation(rows))
+		fmt.Println(experiments.RenderAblation(ablation))
 	}
 }

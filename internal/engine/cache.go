@@ -35,7 +35,9 @@ const (
 	// arbitrary traffic.
 	classCalibration assetClass = iota
 	// classRun holds measured simulated runs and the overhead samples of
-	// profiled ones (a profiled run keeps no trace).
+	// profiled ones (a profiled run keeps no trace). A profiled run is
+	// released once every database that pools it is resident
+	// (Engine.releaseRuns).
 	classRun
 	// classOverheads holds per-workload and shared host-overhead DBs.
 	classOverheads
@@ -222,18 +224,33 @@ func (c *classStore) put(key string, v any, bytes int64) {
 		return
 	}
 	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		e := last.Value.(*storeEntry)
-		if last == c.probation {
-			c.probation = nil
-		}
-		if e.protected {
-			c.protected--
-		}
-		c.ll.Remove(last)
-		delete(c.items, e.key)
-		c.bytes -= e.bytes
+		c.unlink(c.ll.Back())
 		c.evictions.Add(1)
+	}
+}
+
+// unlink removes el's entry from the list, the index and the byte
+// total, keeping the segment boundary and the protected count.
+func (c *classStore) unlink(el *list.Element) {
+	e := el.Value.(*storeEntry)
+	if el == c.probation {
+		c.probation = el.Next()
+	}
+	if e.protected {
+		c.protected--
+	}
+	c.ll.Remove(el)
+	delete(c.items, e.key)
+	c.bytes -= e.bytes
+}
+
+// release drops key's entry if it is resident. It is not an eviction:
+// no counter moves.
+func (c *classStore) release(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.unlink(el)
 	}
 }
 

@@ -37,6 +37,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -300,25 +301,27 @@ func (e *Engine) lookup(ctx context.Context, class assetClass, prefix string, re
 // and its argument travel separately (a method expression or plain
 // func, and a value) for the reason buildFn gives: a resident asset
 // costs no closure, because the adapter binding the two is only made
-// once a resident-only probe has missed.
-func memo[T, A any](e *Engine, class assetClass, key string, arg A, build func(*Engine, A) (T, error)) (T, error) {
+// once a resident-only probe has missed. built reports whether this
+// caller's build is the value now stored: it executed the flight, and
+// the flight succeeded.
+func memo[T, A any](e *Engine, class assetClass, key string, arg A, build func(*Engine, A) (T, error)) (v T, built bool, err error) {
 	ctx := context.Background()
-	v, _, err := e.lookup(ctx, class, key, nil, nil)
+	a, hit, err := e.lookup(ctx, class, key, nil, nil)
 	if err == errNotResident {
-		v, _, err = e.lookup(ctx, class, key, nil, func(e *Engine, _ *Request) (any, error) { return build(e, arg) })
+		a, hit, err = e.lookup(ctx, class, key, nil, func(e *Engine, _ *Request) (any, error) { return build(e, arg) })
 	}
 	if err != nil {
-		var zero T
-		return zero, err
+		return v, false, err
 	}
-	return v.(T), nil
+	return a.(T), !hit, nil
 }
 
 // Calibration returns the device's calibrated kernel models, running
 // the parallel calibration on first use. Concurrent first uses
 // calibrate once.
 func (e *Engine) Calibration(device string) (*perfmodel.Calibration, error) {
-	return memo(e, classCalibration, "cal/"+device, device, (*Engine).calibrate)
+	cal, _, err := memo(e, classCalibration, "cal/"+device, device, (*Engine).calibrate)
+	return cal, err
 }
 
 func (e *Engine) calibrate(device string) (*perfmodel.Calibration, error) {
@@ -393,11 +396,15 @@ func (e *Engine) CalibrationRuns(device string) int {
 	return e.calibRuns[device]
 }
 
-// Model returns the built-in workload's execution graph at batch.
+// Model returns the built-in workload's execution graph at batch: a
+// view bound for the caller alone, which the engine never recycles.
 func (e *Engine) Model(name string, batch int64) (*models.Model, error) {
-	return e.graph("model/"+name, scenario.Single(name, batch), func(_ *Engine, s scenario.Spec) (*models.Model, error) {
-		return models.Build(s.Workload, s.Batch)
-	})
+	return e.graph("model/"+name, scenario.Single(name, batch), buildModel)
+}
+
+// buildModel builds a built-in workload's structure.
+func buildModel(_ *Engine, s scenario.Spec) (*models.Model, error) {
+	return models.Build(s.Workload, s.Batch)
 }
 
 // graph is the one step every family takes to an execution graph:
@@ -407,9 +414,12 @@ func (e *Engine) Model(name string, batch int64) (*models.Model, error) {
 // by one shape propagation (models.Model.WithBatch), so a batch size
 // never seen before constructs no nodes and no ops. The bound view is
 // equal to a from-scratch build at spec.Batch and belongs to the caller
-// (a plan, a run); structure and views are read-only.
+// (a plan, a run, Engine.Model's caller); structure and views are
+// read-only. A plan releases its views after its walk
+// (CompiledPlan.release), so the next bind reuses their shape tables;
+// no other caller releases one.
 func (e *Engine) graph(key string, spec scenario.Spec, build func(*Engine, scenario.Spec) (*models.Model, error)) (*models.Model, error) {
-	m, err := memo(e, classGraph, key, spec, build)
+	m, _, err := memo(e, classGraph, key, spec, build)
 	if err != nil {
 		return nil, err
 	}
@@ -424,11 +434,15 @@ type runSpec struct {
 	profiled      bool
 }
 
+// key names r's entry in the runs class.
+func (r runSpec) key() string {
+	return "run/" + r.device + "/" + r.model + "/" + strconv.FormatInt(r.batch, 10) + "/" + strconv.FormatBool(r.profiled)
+}
+
 // memoRun memoizes one run of r in the runs class: what simulate keeps
 // of the simulation of r's graph under r's config.
 func memoRun[T any](e *Engine, r runSpec, simulate func(*graph.Graph, sim.Config) T) (T, error) {
-	key := "run/" + r.device + "/" + r.model + "/" + strconv.FormatInt(r.batch, 10) + "/" + strconv.FormatBool(r.profiled)
-	return memo(e, classRun, key, r, func(e *Engine, r runSpec) (T, error) {
+	v, _, err := memo(e, classRun, r.key(), r, func(e *Engine, r runSpec) (T, error) {
 		p, err := hw.ByName(r.device)
 		if err != nil {
 			return *new(T), err
@@ -442,6 +456,7 @@ func memoRun[T any](e *Engine, r runSpec, simulate func(*graph.Graph, sim.Config
 			Warmup: 5, Iters: e.opts.Iters, Profile: r.profiled, Workload: r.model,
 		}), nil
 	})
+	return v, err
 }
 
 // Run returns the memoized measured simulated run of model at batch on
@@ -452,7 +467,8 @@ func (e *Engine) Run(device, model string, batch int64) (*sim.Result, error) {
 
 // Samples returns the memoized overhead samples of the profiled run of
 // model at batch on device. The run leaves no trace: the simulator
-// writes the samples as it goes, and they are all the engine keeps.
+// writes the samples as it goes, and they are all the engine keeps —
+// until every database that pools them is resident (releaseRuns).
 func (e *Engine) Samples(device, model string, batch int64) (*overhead.Samples, error) {
 	return memoRun(e, runSpec{device, model, batch, true}, overhead.NewCollector().Profile)
 }
@@ -472,33 +488,69 @@ func (e *Engine) BatchesFor(model string) []int64 {
 // model on one device, pooled over the family's evaluation batch sizes,
 // profiling lazily on first use.
 func (e *Engine) OverheadDB(device, model string) (*overhead.DB, error) {
-	return memo(e, classOverheads, "db/"+device+"/"+model, runSpec{device: device, model: model}, (*Engine).collectOverheads)
+	return e.overheads("db/"+device+"/"+model, runSpec{device: device, model: model})
 }
 
 // SharedOverheadDB pools overhead samples across all DLRM workloads on
 // a device — the paper's shared database for large-scale prediction.
 func (e *Engine) SharedOverheadDB(device string) (*overhead.DB, error) {
-	return memo(e, classOverheads, "shared/"+device, runSpec{device: device}, (*Engine).collectOverheads)
+	return e.overheads("shared/"+device, runSpec{device: device})
 }
 
-// collectOverheads profiles r.model (every DLRM workload when unset —
-// the shared database) on r.device at the family's evaluation batch
-// sizes and pools the runs' samples. The runs are independent — each
+// overheads memoizes the database r names under key; the caller whose
+// build was stored then releases the runs it pooled (releaseRuns).
+func (e *Engine) overheads(key string, r runSpec) (*overhead.DB, error) {
+	db, built, err := memo(e, classOverheads, key, r, (*Engine).collectOverheads)
+	if built {
+		e.releaseRuns(r)
+	}
+	return db, err
+}
+
+// pooledRuns lists, in pooling order, the profiled runs the database r
+// names pools: r.model's (every DLRM family's when unset — the shared
+// database) at the family's evaluation batch sizes.
+func (e *Engine) pooledRuns(r runSpec) []runSpec {
+	names := []string{r.model}
+	if r.model == "" {
+		names = models.DLRMNames()
+	}
+	var runs []runSpec
+	for _, model := range names {
+		for _, b := range e.BatchesFor(model) {
+			runs = append(runs, runSpec{r.device, model, b, true})
+		}
+	}
+	return runs
+}
+
+// releaseRuns is the runs class's release rule, applied once the
+// database r names is stored. A profiled run (d, m, b) is read by the
+// databases that pool it — db/d/m and, for a DLRM family m, shared/d —
+// and by nothing else, so once all of them are resident (collected or
+// installed) its samples are dropped. A database evicted later rebuilds
+// by simulating its runs anew, bit-identically, as runs misses. The
+// check follows the store: of two databases built concurrently over the
+// same runs, the one that finishes last sees the other resident and
+// releases them. Measured runs are never released.
+func (e *Engine) releaseRuns(r runSpec) {
+	resident := e.store.class(classOverheads).snapshot()
+	_, shared := resident["shared/"+r.device]
+	for _, run := range e.pooledRuns(r) {
+		if _, own := resident["db/"+r.device+"/"+run.model]; own && (shared || !slices.Contains(models.DLRMNames(), run.model)) {
+			e.store.class(classRun).release(run.key())
+		}
+	}
+}
+
+// collectOverheads profiles the runs the database r names pools
+// (pooledRuns) and pools their samples. The runs are independent — each
 // draws from its own runSeed — so they simulate concurrently; the pool
 // keeps the listed order, which is what fixes the order of the pooled
 // samples and with it every mean. The shared database pools the same
 // memoized samples as the per-workload ones.
 func (e *Engine) collectOverheads(r runSpec) (*overhead.DB, error) {
-	names := []string{r.model}
-	if r.model == "" {
-		names = models.DLRMNames()
-	}
-	var specs []runSpec
-	for _, model := range names {
-		for _, b := range e.BatchesFor(model) {
-			specs = append(specs, runSpec{r.device, model, b, true})
-		}
-	}
+	specs := e.pooledRuns(r)
 	db, err := overhead.NewCollector().Pool(len(specs), e.opts.Workers, func(i int) (*overhead.Samples, error) {
 		return e.Samples(specs[i].device, specs[i].model, specs[i].batch)
 	})
@@ -637,7 +689,9 @@ func (e *Engine) CachedResults() int { return e.store.class(classResult).stats("
 // resident entries against capacity, approximate resident bytes, and
 // hit/miss/eviction totals. The results class's hits and misses are the
 // request-level CacheStats counters (so joins on in-flight requests are
-// included).
+// included). A profiled run released once its databases are resident
+// (releaseRuns) leaves the runs class's resident count and bytes and
+// moves no counter: a release is not an eviction.
 func (e *Engine) AssetStats() AssetStats { return e.store.stats() }
 
 // request is the one pipeline every request takes to the result class:

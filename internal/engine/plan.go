@@ -26,8 +26,9 @@ import (
 // inputs.
 type CompiledPlan struct {
 	// graphs holds one execution graph per device (len 1 single-device):
-	// views bound at the per-device batch, whose shape tables this plan
-	// owns; devices with identical shards hold the same view.
+	// views bound at the per-device batch, which this plan owns and
+	// releases (release); devices with identical shards hold the same
+	// view.
 	graphs []*graph.Graph
 	// plan is the embedding shard assignment (nil for single-device and
 	// pure data-parallel scenarios).
@@ -47,7 +48,9 @@ type CompiledPlan struct {
 
 // execute prices the compiled scenario: the Algorithm-1 walk of its
 // graph, or the sharded walk plus collectives of a multi-device plan.
+// A plan executes once: its views are released on the way out.
 func (p *CompiledPlan) execute() (cached, error) {
+	defer p.release()
 	if !p.multi {
 		pred, err := p.pred.Predict(p.graphs[0])
 		if err != nil {
@@ -60,6 +63,19 @@ func (p *CompiledPlan) execute() (cached, error) {
 		return cached{}, err
 	}
 	return cached{pred: mp.Prediction, multi: &mp, plan: p.plan}, nil
+}
+
+// release gives the plan's views back for the next bind to reuse
+// (graph.Graph.Release) once its walk has read them: the result keeps
+// nothing of a graph. A view several identical shards share is
+// released once; a structure the plan walked as its own view is left
+// alone by Release.
+func (p *CompiledPlan) release() {
+	for d, g := range p.graphs {
+		if !slices.Contains(p.graphs[:d], g) {
+			g.Release()
+		}
+	}
 }
 
 // compile resolves a request. Graphs and the shard plan are built
@@ -103,7 +119,7 @@ func (e *Engine) compileMulti(req Request) (*CompiledPlan, error) {
 		if len(spec.Tables) > 0 {
 			return nil, fmt.Errorf("scenario: custom tables need a DLRM family: %w", cfgErr)
 		}
-		m, err := e.Model(spec.Workload, perDev)
+		m, err := e.scenarioModel(scenario.Single(spec.Workload, perDev))
 		if err != nil {
 			return nil, err
 		}

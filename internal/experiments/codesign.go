@@ -249,17 +249,19 @@ func (s *Suite) AblationOverheadPolicy() ([]AblationRow, error) {
 	var rows []AblationRow
 	dev := hw.V100
 	for _, model := range models.DLRMNames() {
-		// Raw (untrimmed) overhead DB.
+		// Raw (untrimmed) overhead DB. Its samples are read before the
+		// trimmed database that pools them too: once every database
+		// pooling a run is resident, the engine releases the run.
 		raw := overhead.NewCollector()
 		raw.TrimK = -1
-		trimmed, err := s.OverheadDB(dev, model)
-		if err != nil {
-			return nil, err
-		}
 		batches := s.opts.DLRMBatches
 		rawDB, err := raw.Pool(len(batches), s.Engine.Options().Workers, func(i int) (*overhead.Samples, error) {
 			return s.Samples(dev, model, batches[i])
 		})
+		if err != nil {
+			return nil, err
+		}
+		trimmed, err := s.OverheadDB(dev, model)
 		if err != nil {
 			return nil, err
 		}

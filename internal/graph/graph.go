@@ -16,7 +16,9 @@
 // TensorID — is the only part that does. WithBatch binds a batch to a
 // structure: it returns a view that shares the structure and owns a
 // fresh shape table filled by one propagation pass, so a sweep over
-// batch sizes builds nodes and ops once.
+// batch sizes builds nodes and ops once. A caller that drops its view
+// right after reading it hands it back with Release, and the next bind
+// reuses the view and its table: binding then allocates nothing.
 //
 // Sharing rule: a view and the graph it was bound from share their
 // nodes, so both are read-only from then on — any number of goroutines
@@ -28,6 +30,7 @@ package graph
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"dlrmperf/internal/kernels"
 	"dlrmperf/internal/ops"
@@ -68,7 +71,21 @@ type Graph struct {
 	// shapes is the shape table, indexed by TensorID; each view owns its
 	// own.
 	shapes []tensor.Meta
+	// view marks a graph WithBatch bound, which Release may recycle.
+	view bool
 }
+
+// views recycles released views together with their shape tables.
+var views = sync.Pool{New: func() any { return new(Graph) }}
+
+// scratch is the working memory of one validation or propagation pass,
+// recycled so that a bind allocates nothing it does not return.
+type scratch struct {
+	in, out  []tensor.Meta
+	produced []bool
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
@@ -175,7 +192,10 @@ func (g *Graph) Deps(n *Node) []NodeID {
 // graph source or produced by an earlier node, and every node's declared
 // outputs exist.
 func (g *Graph) Validate() error {
-	produced := make([]bool, len(g.shapes))
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
+	sc.produced = append(sc.produced[:0], make([]bool, len(g.shapes))...)
+	produced := sc.produced
 	for _, s := range g.sources {
 		produced[s] = true
 	}
@@ -208,25 +228,26 @@ func (g *Graph) Propagate() error {
 	if err := g.Validate(); err != nil {
 		return err
 	}
-	return g.propagate(g.shapes)
+	return g.propagate()
 }
 
-// propagate fills shapes, whose source entries are set, from the node
-// list in order — the one shape-inference pass behind Propagate and
-// WithBatch.
-func (g *Graph) propagate(shapes []tensor.Meta) error {
-	var in, outMetas []tensor.Meta
+// propagate fills g's shape table, whose source entries are set, from
+// the node list in order — the one shape-inference pass behind
+// Propagate and WithBatch.
+func (g *Graph) propagate() error {
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
 	for _, n := range g.Nodes {
-		in = in[:0]
+		sc.in = sc.in[:0]
 		for _, id := range n.Inputs {
-			in = append(in, shapes[id])
+			sc.in = append(sc.in, g.shapes[id])
 		}
-		outMetas = n.Op.AppendOutputs(outMetas[:0], in)
-		if len(outMetas) != len(n.Outputs) {
-			return nodeErrorf(n, "output arity changed from %d to %d", len(n.Outputs), len(outMetas))
+		sc.out = n.Op.AppendOutputs(sc.out[:0], sc.in)
+		if len(sc.out) != len(n.Outputs) {
+			return nodeErrorf(n, "output arity changed from %d to %d", len(n.Outputs), len(sc.out))
 		}
-		for i, m := range outMetas {
-			shapes[n.Outputs[i]] = m
+		for i, m := range sc.out {
+			g.shapes[n.Outputs[i]] = m
 		}
 	}
 	return nil
@@ -236,8 +257,9 @@ func (g *Graph) propagate(shapes []tensor.Meta) error {
 // graph inputs have leading dimension b and whose every other shape
 // follows by propagation, equal to building the model at b from
 // scratch. The view shares g's structure (see the package doc for the
-// read-only rule that follows) and allocates only its shape table; a
-// graph already at b is its own view.
+// read-only rule that follows) and owns its shape table, which a
+// released view lends it (see Release); a graph already at b is its own
+// view.
 func (g *Graph) WithBatch(b int64) (*Graph, error) {
 	if g.BatchSize() == b {
 		return g, nil
@@ -245,15 +267,29 @@ func (g *Graph) WithBatch(b int64) (*Graph, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	v := *g
-	v.shapes = make([]tensor.Meta, len(g.shapes))
+	// The recycled table is read (appended to) before *v is overwritten.
+	v := views.Get().(*Graph)
+	*v, v.shapes, v.view = *g, append(v.shapes[:0], g.shapes...), true
 	for _, s := range g.sources {
 		v.shapes[s] = g.shapes[s].WithBatch(b)
 	}
-	if err := v.propagate(v.shapes); err != nil {
+	if err := v.propagate(); err != nil {
 		return nil, err
 	}
-	return &v, nil
+	return v, nil
+}
+
+// Release gives a view back for a later WithBatch to reuse, shape table
+// included. Only the caller WithBatch returned the view to may release
+// it: once, after its last read, and only if the view was never handed
+// to anyone else. On a graph WithBatch did not bind — a built
+// structure, a clone, or a graph returned as its own view — Release
+// does nothing.
+func (g *Graph) Release() {
+	if g.view {
+		*g = Graph{shapes: g.shapes[:0]}
+		views.Put(g)
+	}
 }
 
 // BatchSize returns the leading dimension of the first non-scalar source.

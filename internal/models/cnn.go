@@ -78,22 +78,24 @@ func (b *cnnBuilder) classifierHead(feat graph.TensorID, classes int64) graph.Te
 	// Average-pool backward broadcasts the gradient over HxW: a zero-copy
 	// aten::expand (host-only) followed by the scaling kernel.
 	featMeta := b.g.Meta(feat)
-	expanded := b.g.Apply(expandOp{shape: featMeta.Shape}, gradFlat)[0]
+	expanded := b.g.Apply(expandOp{shape: featMeta}, gradFlat)[0]
 	gradFeat := b.g.Apply(ops.Elementwise{
 		OpName: "AvgPoolBackward0", ReadsPerElem: 4, WritesPerElem: 4, FLOPsPerElem: 1,
 	}, expanded)[0]
 	return gradFeat
 }
 
-// expandOp is aten::expand: metadata-only, no kernels. shape[0] is a
-// placeholder: the batch dimension follows the input, so the op holds
-// under batch resizing.
-type expandOp struct{ shape []int64 }
+// expandOp is aten::expand: metadata-only, no kernels. The batch
+// dimension of shape is a placeholder and its dtype is ignored: both
+// follow the input, so the op holds under batch resizing.
+type expandOp struct{ shape tensor.Meta }
 
 func (expandOp) Name() string { return "aten::expand" }
 
 func (e expandOp) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
-	return append(dst, tensor.NewTyped(inputs[0].DType, e.shape...).WithBatch(inputs[0].Dim(0)))
+	out := e.shape.WithBatch(inputs[0].Dim(0))
+	out.DType = inputs[0].DType
+	return append(dst, out)
 }
 
 func (expandOp) AppendKernels(dst []kernels.Kernel, _ []tensor.Meta) []kernels.Kernel { return dst }

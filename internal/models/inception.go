@@ -63,7 +63,7 @@ func (b *cnnBuilder) inceptionBlockBwd(grad graph.TensorID, rec inceptionBlockRe
 		// Channel-slice of the concatenated gradient.
 		slice := b.g.Apply(ops.Elementwise{
 			OpName: "SliceBackward0", ReadsPerElem: 4, WritesPerElem: 4,
-		}, b.g.Apply(expandOp{shape: []int64{gm.Dim(0), br.outC, gm.Dim(2), gm.Dim(3)}}, grad)[0])[0]
+		}, b.g.Apply(expandOp{shape: tensor.New(gm.Dim(0), br.outC, gm.Dim(2), gm.Dim(3))}, grad)[0])[0]
 		gi := b.seqBwd(slice, br.recs)
 		if br.pool {
 			gi = b.g.Apply(ops.Elementwise{

@@ -49,9 +49,10 @@ func (e EmbeddingLookup) rowsCV() float64 {
 	if len(e.Rows) < 2 {
 		return 0
 	}
-	xs := make([]float64, len(e.Rows))
-	for i, r := range e.Rows {
-		xs[i] = float64(r)
+	var stack [32]float64 // holds every built-in population without allocating
+	xs := stack[:0]
+	for _, r := range e.Rows {
+		xs = append(xs, float64(r))
 	}
 	m := stats.Mean(xs)
 	if m == 0 {

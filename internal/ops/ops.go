@@ -202,11 +202,10 @@ func (v View) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 		b := inputs[0].Dim(0)
 		return append(dst, tensor.NewTyped(inputs[0].DType, b, inputs[0].Numel()/b))
 	}
-	shape := append([]int64(nil), v.NewShape...)
-	n := inputs[0].Numel()
+	out := tensor.NewTyped(inputs[0].DType, v.NewShape...)
 	known := int64(1)
 	infer := -1
-	for i, d := range shape {
+	for i, d := range v.NewShape {
 		if d == -1 {
 			infer = i
 			continue
@@ -214,9 +213,9 @@ func (v View) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
 		known *= d
 	}
 	if infer >= 0 && known > 0 {
-		shape[infer] = n / known
+		out = out.WithDim(infer, inputs[0].Numel()/known)
 	}
-	return append(dst, tensor.NewTyped(inputs[0].DType, shape...))
+	return append(dst, out)
 }
 
 // AppendKernels implements Op.
@@ -249,40 +248,25 @@ func (Concat) Name() string { return "aten::cat" }
 
 // AppendOutputs implements Op.
 func (c Concat) AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta {
-	d, total := c.axis(inputs)
-	out := append([]int64(nil), inputs[0].Shape...)
-	out[d] = total
-	return append(dst, tensor.NewTyped(inputs[0].DType, out...))
+	return append(dst, c.output(inputs))
 }
 
-// AppendKernels implements Op. It sizes the output without building its
-// shape.
+// AppendKernels implements Op.
 func (c Concat) AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel {
-	d, total := c.axis(inputs)
-	bytes := inputs[0].DType.Size()
-	for i, n := range inputs[0].Shape {
-		if i == d {
-			n = total
-		}
-		bytes *= n
-	}
-	return append(dst, kernels.Kernel{Kind: kernels.KindConcat, NBytes: bytes, NInputs: len(inputs)})
+	return append(dst, kernels.Kernel{Kind: kernels.KindConcat, NBytes: c.output(inputs).Bytes(), NInputs: len(inputs)})
 }
 
-// axis returns the concatenation axis, made non-negative, and the
-// output's extent along it.
-func (c Concat) axis(inputs []tensor.Meta) (d int, total int64) {
+// output is the first input with its extent along Dim replaced by the
+// inputs' summed extents.
+func (c Concat) output(inputs []tensor.Meta) tensor.Meta {
 	if len(inputs) == 0 {
 		panic("ops: aten::cat with no inputs")
 	}
+	total := int64(0)
 	for _, in := range inputs {
 		total += in.Dim(c.Dim)
 	}
-	d = c.Dim
-	if d < 0 {
-		d += inputs[0].Rank()
-	}
-	return d, total
+	return inputs[0].WithDim(c.Dim, total)
 }
 
 // TransposeOp permutes the last two axes of a 3D tensor (aten::transpose

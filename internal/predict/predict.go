@@ -63,29 +63,35 @@ type Prediction struct {
 // a queued kernel sooner than 1 µs after the previous one finishes.
 const scheduleGranularity = 1.0
 
-// kernelBufs recycles the walk's kernel buffer. It grows to the busiest
+// walkBuf is a walk's working memory: the input-metadata buffer and
+// the kernel buffer the append contract fills node by node. walkBufs
+// recycles it across walks. The kernel buffer grows to the busiest
 // node's launch count (an optimizer op launches one kernel per
-// parameter) and a Kernel is 224 bytes, so a fresh buffer per walk
-// would cost more bytes than the rest of the walk.
-var kernelBufs = sync.Pool{New: func() any { return new([]kernels.Kernel) }}
+// parameter) and a Kernel is 224 bytes, so fresh buffers per walk would
+// cost more than the rest of the walk.
+type walkBuf struct {
+	in []tensor.Meta
+	ks []kernels.Kernel
+}
 
-// Predict runs Algorithm 1 over the execution graph. The walk holds one
-// input-metadata buffer and one pooled kernel buffer, so it allocates
-// per walk, never per op or per launched kernel.
+var walkBufs = sync.Pool{New: func() any { return new(walkBuf) }}
+
+// Predict runs Algorithm 1 over the execution graph. The walk's buffers
+// are pooled, so a walk allocates nothing per op or per launched
+// kernel, and nothing at all once the pool holds grown buffers.
 func (p *Predictor) Predict(g *graph.Graph) (Prediction, error) {
 	var pr Prediction
 	cpu, gpu := 0.0, 0.0
 	t1 := p.Overheads.T1Mean()
-	var in []tensor.Meta
-	kb := kernelBufs.Get().(*[]kernels.Kernel)
-	defer kernelBufs.Put(kb)
+	buf := walkBufs.Get().(*walkBuf)
+	defer walkBufs.Put(buf)
 	for _, node := range g.Nodes {
 		op := node.Op.Name()
 		t2, t3, t5 := p.Overheads.OpMeans(op)
 		cpu += t1
-		in = g.InputMetas(in[:0], node.Inputs)
-		*kb = node.Op.AppendKernels((*kb)[:0], in)
-		ks := *kb
+		buf.in = g.InputMetas(buf.in[:0], node.Inputs)
+		buf.ks = node.Op.AppendKernels(buf.ks[:0], buf.in)
+		ks := buf.ks
 		if len(ks) == 0 {
 			cpu += t5
 			continue

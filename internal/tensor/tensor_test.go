@@ -60,17 +60,28 @@ func TestWithBatch(t *testing.T) {
 	}
 }
 
+// TestWithBatchNoAliasing: a Meta is a value, so the copy WithBatch
+// returns shares no storage with its receiver — changing any dimension
+// of the copy leaves the original as it was, and the original still
+// equals a fresh meta of its shape.
 func TestWithBatchNoAliasing(t *testing.T) {
 	f := func(a, b uint16) bool {
-		dims := []int64{int64(a)%100 + 1, 7}
-		m := Meta{Shape: dims, DType: Float32}
-		n := m.WithBatch(int64(b)%100 + 1)
-		n.Shape[1] = 999
-		return m.Shape[1] == 7
+		m := New(int64(a)%100+1, 7)
+		n := m.WithBatch(int64(b)%100+1).WithDim(1, 999).WithDim(-1, 998)
+		return m.Dim(1) == 7 && n.Dim(1) == 998 && m == New(int64(a)%100+1, 7)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestRankAboveMaxPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a rank-5 shape did not panic")
+		}
+	}()
+	New(1, 2, 3, 4, 5)
 }
 
 // TestEqual: two metas render the same String exactly when they have
