@@ -69,21 +69,29 @@ func TestCompiledPlanBitIdentical(t *testing.T) {
 // before the walk: resolving a 2-GPU hybrid-parallel request into its
 // per-shard graphs, LPT assignment, comm model, and bound predictor.
 // Graphs and calibration are warm (remembered by their own classes), so
-// this is the plan assembly alone.
+// this is the plan assembly alone. The warm-up is at another batch, so
+// each compile binds a view of the resident structure, and each plan
+// releases it the way execute does.
 func BenchmarkCompilePlan(b *testing.B) {
 	e := New(tinyOptions(7))
-	spec, err := scenario.Build("dlrm-uniform-2gpu", 512, 0)
+	warm, err := scenario.Build("dlrm-uniform-2gpu", 512, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res := e.Predict(Request{Device: hw.V100, Scenario: warm}); res.Err != nil { // warm calibration, graphs, overhead DBs
+		b.Fatal(res.Err)
+	}
+	spec, err := scenario.Build("dlrm-uniform-2gpu", 1024, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	req := Request{Device: hw.V100, Scenario: spec}
-	if res := e.Predict(req); res.Err != nil { // warm calibration, graphs, overhead DBs
-		b.Fatal(res.Err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.compile(req); err != nil {
+		pl, err := e.compile(req)
+		if err != nil {
 			b.Fatal(err)
 		}
+		pl.release()
 	}
 }

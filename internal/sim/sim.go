@@ -2,8 +2,9 @@
 // paper's GPU testbed: it executes an execution graph the way the
 // PyTorch + CUDA stack does — a host thread issuing operators with
 // stochastic per-type overheads (T1..T5), kernels launched asynchronously
-// onto device streams, the device draining them in stream order — and
-// shows every recorded op to an Observer, the way a profiler sees it.
+// onto one device stream, the device draining them in launch order —
+// and shows every recorded op to an Observer, the way a profiler sees
+// it. One stream is what Algorithm 1 models: a single device clock.
 //
 // Everything the paper *measures* (per-batch training time, GPU active
 // time, utilization, breakdowns, overhead samples) is produced here;
@@ -53,13 +54,13 @@ type Observer interface {
 	Op(o *Op)
 }
 
-// Op is one recorded op: its iteration, graph node ID and device stream,
-// its host span, and its runtime calls in launch order.
+// Op is one recorded op: its iteration and graph node ID, its host
+// span, and its runtime calls in launch order.
 type Op struct {
-	Iter, Node, Stream int
-	Name               string
-	Start, End         float64
-	Calls              []Call
+	Iter, Node int
+	Name       string
+	Start, End float64
+	Calls      []Call
 }
 
 // Call is one CUDA runtime call, the function and its host span, with
@@ -81,7 +82,8 @@ type Result struct {
 	// MeanIterTime is the measured per-batch training time in µs.
 	MeanIterTime float64
 	// MeanActiveTime is the measured device active time per batch in µs:
-	// the union of the iteration's kernel spans across streams.
+	// the sum of the iteration's kernel spans, which the one stream keeps
+	// disjoint.
 	MeanActiveTime float64
 	// DeviceTime is each op's kernel time in µs over all recorded
 	// iterations, summed in launch order.
@@ -133,20 +135,18 @@ func (r *Result) Breakdown(minShare float64) []BreakdownEntry {
 }
 
 // interKernelGap is the device-side scheduling gap between back-to-back
-// kernels on one stream (the "+1 µs" granularity Algorithm 1 models).
+// kernels (the "+1 µs" granularity Algorithm 1 models).
 const interKernelGap = 0.8
 
 // nodePlan is everything about one graph node that does not change
-// between iterations, resolved once before the loop: names, producer
-// positions, each kernel's noise-free time, and the overhead
-// distributions with their log-normal parameters already derived. What
-// is left inside the loop is the draws and the timeline arithmetic.
+// between iterations, resolved once before the loop: names, each
+// kernel's noise-free time, and the overhead distributions with their
+// log-normal parameters already derived. What is left inside the loop
+// is the draws and the timeline arithmetic.
 type nodePlan struct {
-	id, stream     int
-	streamSlot     int // index into the per-stream free-time table
+	id             int
 	opSlot         int // index into the per-op device-time table
 	op             string
-	deps           []int // positions of the producing nodes in the plan
 	kernels        []kernelPlan
 	t1, t2, t3, t5 dist
 }
@@ -159,50 +159,35 @@ type kernelPlan struct {
 }
 
 // planNodes resolves g's nodes against the device and the host, and
-// returns the plan with the number of streams it uses, the number of
-// kernels one iteration launches, and the names of the ops that launch
-// them, in first-seen order.
-func planNodes(g *graph.Graph, dev *kernels.Device, ovh *Sampler) (plan []nodePlan, streams, launches int, ops []string) {
+// returns the plan with the names of the ops that launch kernels, in
+// first-seen order.
+func planNodes(g *graph.Graph, dev *kernels.Device, ovh *Sampler) (plan []nodePlan, ops []string) {
 	plan = make([]nodePlan, len(g.Nodes))
-	pos := make(map[graph.NodeID]int, len(g.Nodes))
-	slots, opSlots := map[int]int{}, map[string]int{}
+	opSlots := map[string]int{}
 	// dists holds each op name's T1, T2, T3 and T5 distributions.
 	dists := map[string][4]dist{}
-	t4 := map[string]dist{RTLaunchKernel: ovh.t4Dist(RTLaunchKernel), RTMemcpyAsync: ovh.t4Dist(RTMemcpyAsync)}
+	launchT4, memcpyT4 := ovh.t4Dist(RTLaunchKernel), ovh.t4Dist(RTMemcpyAsync)
 	var in []tensor.Meta
 	var ks []kernels.Kernel
 	for i, node := range g.Nodes {
 		op := node.Op.Name()
-		if _, ok := slots[node.Stream]; !ok {
-			slots[node.Stream] = len(slots)
-		}
 		d, ok := dists[op]
 		if !ok {
 			d = [4]dist{ovh.opDist(T1, op), ovh.opDist(T2, op), ovh.opDist(T3, op), ovh.opDist(T5, op)}
 			dists[op] = d
 		}
-		n := nodePlan{
-			id: int(node.ID), stream: node.Stream, streamSlot: slots[node.Stream], op: op,
-			t1: d[0], t2: d[1], t3: d[2], t5: d[3],
-		}
-		for _, d := range g.Deps(node) {
-			// A producer the graph no longer holds never becomes ready
-			// later than time zero, which constrains nothing.
-			if p, ok := pos[d]; ok {
-				n.deps = append(n.deps, p)
-			}
-		}
+		n := nodePlan{id: int(node.ID), op: op, t1: d[0], t2: d[1], t3: d[2], t5: d[3]}
 		in = g.InputMetas(in[:0], node.Inputs)
 		ks = node.Op.AppendKernels(ks[:0], in)
 		if len(ks) > 0 {
 			n.kernels = make([]kernelPlan, 0, len(ks))
 		}
 		for _, k := range ks {
-			fn := RTLaunchKernel
+			fn, t4 := RTLaunchKernel, launchT4
 			if k.Kind == kernels.KindMemcpyH2D {
-				fn = RTMemcpyAsync
+				fn, t4 = RTMemcpyAsync, memcpyT4
 			}
-			n.kernels = append(n.kernels, kernelPlan{base: dev.BaseTime(k), k: k, fn: fn, t4: t4[fn]})
+			n.kernels = append(n.kernels, kernelPlan{base: dev.BaseTime(k), k: k, fn: fn, t4: t4})
 		}
 		if len(n.kernels) > 0 {
 			if _, ok := opSlots[op]; !ok {
@@ -211,11 +196,9 @@ func planNodes(g *graph.Graph, dev *kernels.Device, ovh *Sampler) (plan []nodePl
 			}
 			n.opSlot = opSlots[op]
 		}
-		pos[node.ID] = i
 		plan[i] = n
-		launches += len(n.kernels)
 	}
-	return plan, len(slots), launches, ops
+	return plan, ops
 }
 
 // Run simulates cfg.Warmup+cfg.Iters training iterations of g, shows
@@ -227,25 +210,25 @@ func Run(g *graph.Graph, cfg Config) *Result {
 	root := xrand.New(cfg.Seed)
 	dev := kernels.NewDevice(cfg.Platform.GPU, root.Split().Uint64())
 	ovh := NewSampler(cfg.Platform.Host, root.Split().Uint64(), cfg.Workload)
-	plan, streams, launches, ops := planNodes(g, dev, ovh)
+	plan, ops := planNodes(g, dev, ovh)
 	profCPU, profGPU := ovh.profilerDists()
 
 	res := &Result{IterSpans: make([][2]float64, 0, cfg.Iters)}
 	o := &Op{}
 	deviceTime := make([]float64, len(ops))
-	// spans holds the recorded iteration's kernel spans, whose union over
-	// streams is its active time; the sums run over the iterations.
-	spans := make([][2]float64, 0, launches)
 	iterTime, active := 0.0, 0.0
-	host := 0.0
-	streamFree := make([]float64, streams)
-	// deviceReady[i] is when plan[i]'s outputs exist on device.
-	deviceReady := make([]float64, len(plan))
+	// host is the host clock, deviceFree the device's: when its last
+	// kernel ends. A kernel launched on the one stream starts after the
+	// kernel before it, and so after every producer's.
+	host, deviceFree := 0.0, 0.0
 
 	total := cfg.Warmup + cfg.Iters
 	for it := 0; it < total; it++ {
 		rec := it >= cfg.Warmup
 		iterStart := host
+		// The iteration's kernel spans are disjoint and come in launch
+		// order, so their sum is its active time.
+		iterActive := 0.0
 
 		for ni := range plan {
 			n := &plan[ni]
@@ -257,18 +240,8 @@ func Run(g *graph.Graph, cfg Config) *Result {
 				host += ovh.rng.Draw(profCPU)
 			}
 
-			// Cross-dependency device readiness (matters across streams;
-			// same-stream ordering is enforced by streamFree).
-			depReady := 0.0
-			for _, d := range n.deps {
-				if r := deviceReady[d]; r > depReady {
-					depReady = r
-				}
-			}
-
 			if len(n.kernels) > 0 {
 				host += ovh.draw(n.t2)
-				lastEnd := depReady
 				for i := range n.kernels {
 					k := &n.kernels[i]
 					rtStart := host
@@ -278,18 +251,9 @@ func Run(g *graph.Graph, cfg Config) *Result {
 						host += ovh.rng.Draw(profGPU)
 					}
 
-					start := rtEnd + cfg.Platform.GPU.KernelLaunchLatency
-					if sf := streamFree[n.streamSlot] + interKernelGap; sf > start {
-						start = sf
-					}
-					if depReady > start {
-						start = depReady
-					}
+					start := max(rtEnd+cfg.Platform.GPU.KernelLaunchLatency, deviceFree+interKernelGap)
 					end := start + dev.Noisy(k.base)
-					streamFree[n.streamSlot] = end
-					if end > lastEnd {
-						lastEnd = end
-					}
+					deviceFree = end
 
 					if rec {
 						o.Calls = append(o.Calls, Call{k.fn, rtStart, rtEnd, &k.k, start, end})
@@ -299,44 +263,32 @@ func Run(g *graph.Graph, cfg Config) *Result {
 					}
 				}
 				host += ovh.draw(n.t3)
-				deviceReady[ni] = lastEnd
 			} else {
 				// Host-only op: the T5-style body of Algorithm 1's else
 				// branch.
 				host += ovh.draw(n.t5)
-				deviceReady[ni] = depReady
 			}
 
 			if !rec {
 				continue
 			}
 			for _, c := range o.Calls {
-				spans = append(spans, [2]float64{c.KernelStart, c.KernelEnd})
+				iterActive += c.KernelEnd - c.KernelStart
 				deviceTime[n.opSlot] += c.KernelEnd - c.KernelStart
 			}
 			if cfg.Observer != nil {
-				o.Iter, o.Node, o.Stream, o.Name, o.Start, o.End = it-cfg.Warmup, n.id, n.stream, n.op, opStart, host
+				o.Iter, o.Node, o.Name, o.Start, o.End = it-cfg.Warmup, n.id, n.op, opStart, host
 				cfg.Observer.Op(o)
 			}
 		}
 
 		// Iteration boundary: the training loop synchronizes (loss read /
 		// next-batch handoff), so the batch time includes the drain.
-		devEnd := 0.0
-		for _, f := range streamFree {
-			if f > devEnd {
-				devEnd = f
-			}
-		}
-		iterEnd := host
-		if devEnd > iterEnd {
-			iterEnd = devEnd
-		}
+		iterEnd := max(host, deviceFree)
 		if rec {
 			res.IterSpans = append(res.IterSpans, [2]float64{iterStart, iterEnd})
 			iterTime += iterEnd - iterStart
-			active += UnionLength(spans)
-			spans = spans[:0]
+			active += iterActive
 		}
 		host = iterEnd
 	}
@@ -348,26 +300,4 @@ func Run(g *graph.Graph, cfg Config) *Result {
 		res.DeviceTime[op] = deviceTime[i]
 	}
 	return res
-}
-
-// UnionLength returns the length of the union of spans, which it sorts.
-func UnionLength(spans [][2]float64) float64 {
-	if len(spans) == 0 {
-		return 0
-	}
-	// The union does not depend on how equal starts are ordered.
-	slices.SortFunc(spans, func(a, b [2]float64) int { return cmp.Compare(a[0], b[0]) })
-	total := 0.0
-	curStart, curEnd := spans[0][0], spans[0][1]
-	for _, s := range spans[1:] {
-		if s[0] > curEnd {
-			total += curEnd - curStart
-			curStart, curEnd = s[0], s[1]
-			continue
-		}
-		if s[1] > curEnd {
-			curEnd = s[1]
-		}
-	}
-	return total + (curEnd - curStart)
 }

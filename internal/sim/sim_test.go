@@ -1,6 +1,8 @@
 package sim_test
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"dlrmperf/internal/graph"
@@ -84,21 +86,41 @@ func TestEventOrderingInvariants(t *testing.T) {
 	}
 }
 
+// TestKernelsSerializeOnStream: the one device stream starts each
+// kernel strictly after the one before it ends, so an iteration's
+// kernel spans are disjoint and in launch order, which is what lets a
+// run sum them for its active time. Checked on every golden workload,
+// device and profiling mode, in every recorded iteration.
 func TestKernelsSerializeOnStream(t *testing.T) {
-	m, err := models.Build(models.NameDLRMDefault, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, _ := trace.Record(m.Graph, sim.Config{Platform: v100(), Seed: 5, Warmup: 1, Iters: 2})
-	var spans [][2]float64
-	for _, e := range tr.Events {
-		if e.Kind == trace.KernelSpan && e.Iter == 0 && e.Stream == 0 {
-			spans = append(spans, [2]float64{e.Start, e.End})
-		}
-	}
-	for i := 1; i < len(spans); i++ {
-		if spans[i][0] < spans[i-1][1] {
-			t.Fatalf("kernels %d and %d overlap on stream 0", i-1, i)
+	for _, p := range hw.All() {
+		for _, w := range goldenWorkloads {
+			m, err := models.Build(w, goldenBatch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, profiled := range []bool{false, true} {
+				key := fmt.Sprintf("%s/%s/profiled=%t", p.GPU.Name, w, profiled)
+				tr, _ := trace.Record(m.Graph, goldenConfig(p, w, profiled))
+				iter, prevEnd := -1, 0.0
+				for _, e := range tr.Events {
+					if e.Kind != trace.KernelSpan {
+						continue
+					}
+					if e.Iter != iter {
+						if e.Iter != iter+1 {
+							t.Fatalf("%s: iteration %d's kernels follow iteration %d's", key, e.Iter, iter)
+						}
+						iter, prevEnd = e.Iter, math.Inf(-1)
+					}
+					if e.Start <= prevEnd {
+						t.Fatalf("%s: iteration %d: kernel %s (node %d) starts at %v, before the kernel ahead of it ends at %v", key, iter, e.Name, e.Node, e.Start, prevEnd)
+					}
+					prevEnd = e.End
+				}
+				if iter != tr.Iters-1 {
+					t.Errorf("%s: kernels in %d of %d iterations", key, iter+1, tr.Iters)
+				}
+			}
 		}
 	}
 }
@@ -161,27 +183,5 @@ func TestCNNUtilizationHigh(t *testing.T) {
 	r := sim.Run(m.Graph, sim.Config{Platform: v100(), Seed: 7, Warmup: 1, Iters: 3, Workload: m.Name})
 	if u := r.Utilization(); u < 0.9 {
 		t.Errorf("resnet50 utilization = %v, want > 0.9 (Fig 1)", u)
-	}
-}
-
-func TestMultiStreamOverlap(t *testing.T) {
-	// Two independent heavy branches on separate streams should overlap
-	// on the device and shorten the iteration.
-	build := func() *graph.Graph {
-		g := graph.New()
-		x := g.Input(tensor.New(2048, 1024))
-		d := g.Apply(ops.ToDevice{}, x)
-		a := g.Apply(ops.Linear{Out: 2048}, d[0])
-		b := g.Apply(ops.Linear{Out: 2048}, d[0])
-		g.Apply(ops.Add(), a[0], b[0])
-		return g
-	}
-	serial := build()
-	parallel := build()
-	parallel.Nodes[2].Stream = 1 // the second Linear branch
-	rs := sim.Run(serial, sim.Config{Platform: v100(), Seed: 21, Warmup: 2, Iters: 10})
-	rp := sim.Run(parallel, sim.Config{Platform: v100(), Seed: 21, Warmup: 2, Iters: 10})
-	if rp.MeanIterTime >= rs.MeanIterTime {
-		t.Errorf("multi-stream not faster: %v >= %v", rp.MeanIterTime, rs.MeanIterTime)
 	}
 }

@@ -102,10 +102,10 @@ func derefTree(tree []OpEvents) []refOpEvents {
 	return out
 }
 
-// randomEvents hand-builds a multi-stream log: per iteration a few ops
-// with distinct start times (some sharing a Node, so the last span
-// owns the children), kernels spread over three streams with
-// overlapping spans, and children of a Node no span carries.
+// randomEvents hand-builds a log the simulator never writes: per
+// iteration a few ops with distinct start times (some sharing a Node,
+// so the last span owns the children), kernels with overlapping spans,
+// and children of a Node no span carries.
 func randomEvents(rng *xrand.Rand) (events []Event, iters int) {
 	iters = 1 + rng.Intn(4)
 	for iter := 0; iter < iters; iter++ {
@@ -121,7 +121,7 @@ func randomEvents(rng *xrand.Rand) (events []Event, iters int) {
 				at := start + 10*float64(seq)
 				events = append(events,
 					Event{Kind: RuntimeCall, Name: "launch", Op: "op", Start: at, End: at + 5, Iter: iter, Node: node, Seq: 10*op + seq},
-					Event{Kind: KernelSpan, Name: "k", Op: "op", Start: at + 6, End: at + 6 + 80*rng.Float64(), Iter: iter, Node: node, Stream: rng.Intn(3), Seq: 10*op + seq})
+					Event{Kind: KernelSpan, Name: "k", Op: "op", Start: at + 6, End: at + 6 + 80*rng.Float64(), Iter: iter, Node: node, Seq: 10*op + seq})
 			}
 		}
 	}

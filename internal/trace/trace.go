@@ -60,8 +60,6 @@ type Event struct {
 	End   float64 // µs
 	Iter  int
 	Node  int // graph node ID
-	// Stream is the device stream (kernel events).
-	Stream int
 	// Seq orders runtime calls / kernels within their op.
 	Seq int
 }
@@ -97,7 +95,7 @@ func (t *Trace) Op(o *sim.Op) {
 	for i, c := range o.Calls {
 		t.Events = append(t.Events,
 			Event{Kind: RuntimeCall, Name: c.Fn, Op: o.Name, Start: c.Start, End: c.End, Iter: o.Iter, Node: o.Node, Seq: i},
-			Event{Kind: KernelSpan, Name: c.Kernel.String(), Op: o.Name, Start: c.KernelStart, End: c.KernelEnd, Iter: o.Iter, Node: o.Node, Stream: o.Stream, Seq: i})
+			Event{Kind: KernelSpan, Name: c.Kernel.String(), Op: o.Name, Start: c.KernelStart, End: c.KernelEnd, Iter: o.Iter, Node: o.Node, Seq: i})
 	}
 	t.Events = append(t.Events, Event{Kind: OpSpan, Name: o.Name, Op: o.Name, Start: o.Start, End: o.End, Iter: o.Iter, Node: o.Node})
 }
@@ -124,8 +122,10 @@ func (t *Trace) MeanIterationTime() float64 {
 	return s / float64(len(ts))
 }
 
-// ActiveTime returns the total device-active time (union of kernel spans
-// across streams) for one iteration.
+// ActiveTime returns the total device-active time of one iteration: the
+// length of the union of its kernel spans. The simulator sums its spans
+// instead, which is the same number only while they are disjoint and in
+// launch order; this union is the reference that holds it to that.
 func (t *Trace) ActiveTime(iter int) float64 {
 	var spans [][2]float64
 	for _, e := range t.Events {
@@ -133,7 +133,29 @@ func (t *Trace) ActiveTime(iter int) float64 {
 			spans = append(spans, [2]float64{e.Start, e.End})
 		}
 	}
-	return sim.UnionLength(spans)
+	return unionLength(spans)
+}
+
+// unionLength returns the length of the union of spans, which it sorts.
+func unionLength(spans [][2]float64) float64 {
+	if len(spans) == 0 {
+		return 0
+	}
+	// The union does not depend on how equal starts are ordered.
+	slices.SortFunc(spans, func(a, b [2]float64) int { return cmp.Compare(a[0], b[0]) })
+	total := 0.0
+	curStart, curEnd := spans[0][0], spans[0][1]
+	for _, s := range spans[1:] {
+		if s[0] > curEnd {
+			total += curEnd - curStart
+			curStart, curEnd = s[0], s[1]
+			continue
+		}
+		if s[1] > curEnd {
+			curEnd = s[1]
+		}
+	}
+	return total + (curEnd - curStart)
 }
 
 // MeanActiveTime averages ActiveTime over all iterations.

@@ -58,11 +58,11 @@ func TestUtilization(t *testing.T) {
 func TestActiveTimeMergesOverlaps(t *testing.T) {
 	tr := &Trace{Iters: 1, IterSpans: [][2]float64{{0, 100}}}
 	tr.Events = []Event{
-		{Kind: KernelSpan, Start: 0, End: 50, Iter: 0, Stream: 0},
-		{Kind: KernelSpan, Start: 25, End: 75, Iter: 0, Stream: 1}, // overlaps
+		{Kind: KernelSpan, Start: 0, End: 50, Iter: 0},
+		{Kind: KernelSpan, Start: 25, End: 75, Iter: 0}, // overlaps
 	}
 	if got := tr.ActiveTime(0); got != 75 {
-		t.Errorf("overlapping streams ActiveTime = %v, want 75", got)
+		t.Errorf("overlapping spans ActiveTime = %v, want 75", got)
 	}
 }
 
