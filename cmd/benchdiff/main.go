@@ -22,6 +22,8 @@
 // numbers, and when baseline and current run both say where they ran
 // and disagree, an ns/op excess is annotated in the report instead of
 // failing the gate (and -ratchet leaves the baseline's times alone).
+// The table also shows both runs' B/op beside the allocation counts,
+// for information: no bound applies to it.
 //
 // The ratchet mode (`make bench-ratchet`) makes performance wins
 // permanent:
@@ -342,8 +344,8 @@ func compare(base, cur Suite, maxTime, maxAllocs float64) (report string, regres
 		fmt.Fprintf(&b, "baseline measured on %s, this run on %s: ns/op is shown, not gated; allocs/op gates as always\n",
 			base.Host, cur.Host)
 	}
-	fmt.Fprintf(&b, "%-28s %14s %14s %8s   %14s %14s %8s\n",
-		"benchmark", "base ns/op", "cur ns/op", "Δtime", "base allocs", "cur allocs", "Δallocs")
+	fmt.Fprintf(&b, "%-28s %14s %14s %8s   %14s %14s %8s   %12s %12s\n",
+		"benchmark", "base ns/op", "cur ns/op", "Δtime", "base allocs", "cur allocs", "Δallocs", "base B/op", "cur B/op")
 	for _, name := range names {
 		bs := base.Benchmarks[name]
 		cs, ok := cur.Benchmarks[name]
@@ -372,8 +374,8 @@ func compare(base, cur Suite, maxTime, maxAllocs float64) (report string, regres
 				fmt.Sprintf("%s: allocs/op %+.1f%% (limit %+.0f%%)", name, da*100, maxAllocs*100))
 			mark += "  << ALLOC REGRESSION"
 		}
-		fmt.Fprintf(&b, "%-28s %14.0f %14.0f %+7.1f%%   %14d %14d %+7.1f%%%s\n",
-			name, bs.NsPerOp, cs.NsPerOp, dt*100, bs.AllocsPerOp, cs.AllocsPerOp, da*100, mark)
+		fmt.Fprintf(&b, "%-28s %14.0f %14.0f %+7.1f%%   %14d %14d %+7.1f%%   %12d %12d%s\n",
+			name, bs.NsPerOp, cs.NsPerOp, dt*100, bs.AllocsPerOp, cs.AllocsPerOp, da*100, bs.BytesPerOp, cs.BytesPerOp, mark)
 	}
 	for _, r := range regressions {
 		fmt.Fprintf(&b, "FAIL: %s\n", r)

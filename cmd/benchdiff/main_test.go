@@ -111,6 +111,35 @@ func TestCompareTimeRegression(t *testing.T) {
 	}
 }
 
+// TestCompareShowsBytes: the table prints both runs' B/op beside the
+// allocation counts, and B/op gates nothing: a run that moves 3x the
+// bytes with the same allocs/op and time passes.
+func TestCompareShowsBytes(t *testing.T) {
+	base := parsed(t)
+	heavy := Suite{Benchmarks: map[string]Sample{}}
+	for name, s := range base.Benchmarks {
+		s.BytesPerOp *= 3
+		heavy.Benchmarks[name] = s
+	}
+	report, regressions := compare(base, heavy, 0.25, 0.10)
+	if len(regressions) != 0 {
+		t.Fatalf("3x B/op flagged as regression: %v\n%s", regressions, report)
+	}
+	if !strings.Contains(report, "base B/op") || !strings.Contains(report, "cur B/op") {
+		t.Fatalf("report has no B/op columns:\n%s", report)
+	}
+	for _, line := range strings.Split(report, "\n") {
+		if !strings.HasPrefix(line, "CalibrateParallel ") {
+			continue
+		}
+		if f := strings.Fields(line); len(f) != 9 || f[7] != "6590592" || f[8] != "19771776" {
+			t.Errorf("CalibrateParallel row %q: want base and current B/op 6590592 and 19771776 in the last two columns", line)
+		}
+		return
+	}
+	t.Fatalf("no CalibrateParallel row:\n%s", report)
+}
+
 // TestRatchetTightens: a faster current run pulls the baseline down to
 // the new minima, per metric independently.
 func TestRatchetTightens(t *testing.T) {

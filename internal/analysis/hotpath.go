@@ -62,12 +62,30 @@ var hotpathPackages = map[string]hotpathConfig{
 	"dlrmperf/internal/graph": {
 		roots: []string{
 			// Binding a batch to a shared structure runs once per
-			// device graph of every result-cache miss.
+			// device graph of every result-cache miss, and the walk
+			// over the bound view lists its launches.
 			"Graph.WithBatch",
+			"Graph.Launches",
 		},
 		stops: []string{
-			// Formats the structural error of a check that failed.
+			// Format the structural error of a check that failed and
+			// the panic of a read past the shape table.
 			"nodeErrorf",
+			"unknownTensor",
+		},
+	},
+	"dlrmperf/internal/predict": {
+		roots: []string{
+			// Algorithm 1's walk: every device graph of every
+			// result-cache miss, one device or sharded.
+			"Predictor.Predict",
+			"Predictor.PredictSharded",
+		},
+		stops: []string{
+			// Wrap the error of a kernel or a device the walk could
+			// not price.
+			"opError",
+			"deviceError",
 		},
 	},
 	"dlrmperf/internal/perfmodel": {

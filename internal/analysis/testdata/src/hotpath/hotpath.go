@@ -8,6 +8,7 @@ package hotpath // want `hotpath root retiredRoot names no function` `hotpath st
 import (
 	"encoding/json"
 	"fmt"
+	"iter"
 )
 
 // Server mirrors the serve-layer shape so a method root exercises the
@@ -22,7 +23,23 @@ func PredictHot(id int, name string) string {
 	const prefix = "k" + "/" // constant-folded concat is free: not flagged
 	_ = prefix
 	_ = describe[int](id)
+	for v := range labels(id) {
+		_ = v
+	}
 	return buildKey(id, name)
+}
+
+// labels is reached from PredictHot, which ranges over the iterator it
+// returns: the func literal runs inside the root's loop, so fmt there
+// is flagged.
+func labels(n int) iter.Seq[string] {
+	return func(yield func(string) bool) {
+		for i := range n {
+			if !yield(fmt.Sprint(i)) { // want `fmt\.Sprint in labels`
+				return
+			}
+		}
+	}
 }
 
 // describe is reached through an explicit instantiation, f[T](x).

@@ -23,7 +23,6 @@ import (
 	"dlrmperf/internal/kernels"
 	"dlrmperf/internal/mlp"
 	"dlrmperf/internal/sim"
-	"dlrmperf/internal/tensor"
 	"dlrmperf/internal/xrand"
 )
 
@@ -225,11 +224,7 @@ func logf(t float64) float64 {
 // as their square counterparts.
 func (m *MLPredict) Predict(g *graph.Graph) float64 {
 	total := 0.0
-	var in []tensor.Meta
-	var ks []kernels.Kernel
-	for _, n := range g.Nodes {
-		in = g.InputMetas(in[:0], n.Inputs)
-		ks = n.Op.AppendKernels(ks[:0], in)
+	for _, ks := range g.Launches() {
 		for _, k := range ks {
 			total += m.PredictKernel(k)
 		}

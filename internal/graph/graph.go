@@ -20,6 +20,11 @@
 // right after reading it hands it back with Release, and the next bind
 // reuses the view and its table: binding then allocates nothing.
 //
+// A walk reads a bound graph through Launches: every node in issue
+// order with the kernels it launches under the graph's shapes, one node
+// at a time in a pooled buffer. Algorithm 1's walk, the simulator's
+// plan and the baselines all read it.
+//
 // Sharing rule: a view and the graph it was bound from share their
 // nodes, so both are read-only from then on — any number of goroutines
 // may walk them or bind further views. The transforms (ReplaceNodes and
@@ -29,6 +34,7 @@ package graph
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 	"sync"
 
@@ -76,10 +82,15 @@ type Graph struct {
 // views recycles released views together with their shape tables.
 var views = sync.Pool{New: func() any { return new(Graph) }}
 
-// scratch is the working memory of one validation or propagation pass,
-// recycled so that a bind allocates nothing it does not return.
+// scratch is the working memory of one validation, propagation or
+// Launches pass, recycled so that a bind or a walk allocates nothing it
+// does not return. The kernel buffer grows to the busiest node's launch
+// count (an optimizer op launches one kernel per parameter) and a
+// Kernel is 224 bytes, so fresh buffers per walk would cost more than
+// the rest of the walk.
 type scratch struct {
 	in, out  []tensor.Meta
+	ks       []kernels.Kernel
 	produced []bool
 }
 
@@ -111,7 +122,7 @@ func (g *Graph) Input(m tensor.Meta) TensorID {
 // Meta returns the metadata of tensor id.
 func (g *Graph) Meta(id TensorID) tensor.Meta {
 	if id < 0 || int(id) >= len(g.shapes) {
-		panic(fmt.Sprintf("graph: unknown tensor %d", id))
+		panic(unknownTensor(id))
 	}
 	return g.shapes[id]
 }
@@ -146,10 +157,28 @@ func (g *Graph) InputMetas(dst []tensor.Meta, inputs []TensorID) []tensor.Meta {
 	return dst
 }
 
+// Launches yields every node of g in issue order together with the
+// kernels it launches under g's shapes. The kernel slice is a pooled
+// buffer the next node reuses: a caller reads it before asking for the
+// next node and copies what it keeps. Breaking out of the loop early is
+// allowed.
+func (g *Graph) Launches() iter.Seq2[*Node, []kernels.Kernel] {
+	return func(yield func(*Node, []kernels.Kernel) bool) {
+		sc := scratches.Get().(*scratch)
+		for _, n := range g.Nodes {
+			sc.in = g.InputMetas(sc.in[:0], n.Inputs)
+			sc.ks = n.Op.AppendKernels(sc.ks[:0], sc.in)
+			if !yield(n, sc.ks) {
+				break
+			}
+		}
+		scratches.Put(sc)
+	}
+}
+
 // NodeKernels returns the kernels node n launches under the current
 // tensor shapes, in a slice of their own. It allocates two slices per
-// call: a walk over many nodes calls InputMetas and the op's
-// AppendKernels itself, with one buffer of each for the whole walk.
+// call: a walk uses Launches.
 //
 //lint:allow unlinked contract-test helper: the graph, models and bind suites compare a node's kernels through it
 func (g *Graph) NodeKernels(n *Node) []kernels.Kernel {
@@ -218,6 +247,12 @@ func (g *Graph) Validate() error {
 // of the hotpath analyzer) and runs only when one fails.
 func nodeErrorf(n *Node, format string, args ...any) error {
 	return fmt.Errorf("graph: node %d (%s) "+format, append([]any{n.ID, n.Op.Name()}, args...)...)
+}
+
+// unknownTensor formats the panic of a read past the shape table, a
+// stop of the hotpath analyzer like nodeErrorf.
+func unknownTensor(id TensorID) string {
+	return fmt.Sprintf("graph: unknown tensor %d", id)
 }
 
 // Propagate recomputes every tensor's metadata from the sources through

@@ -73,6 +73,23 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
+// The CUDA runtime functions that launch kernels, as traces and the
+// overhead database's T4 table name them.
+const (
+	RTLaunchKernel = "cudaLaunchKernel"
+	RTMemcpyAsync  = "cudaMemcpyAsync"
+)
+
+// RuntimeCall returns the CUDA runtime function that launches a kernel
+// of kind k: the host-to-device input copy goes through
+// cudaMemcpyAsync, every other kind through cudaLaunchKernel.
+func (k Kind) RuntimeCall() string {
+	if k == KindMemcpyH2D {
+		return RTMemcpyAsync
+	}
+	return RTLaunchKernel
+}
+
 // Kinds returns every kernel kind.
 func Kinds() []Kind {
 	out := make([]Kind, numKinds)

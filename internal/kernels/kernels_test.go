@@ -141,6 +141,21 @@ func TestKindNames(t *testing.T) {
 	}
 }
 
+// TestRuntimeCallNames pins which runtime function launches each kind:
+// the overhead database keys its T4 table by these names, and the
+// simulator and the predictor both read this mapping.
+func TestRuntimeCallNames(t *testing.T) {
+	for _, k := range Kinds() {
+		want := "cudaLaunchKernel"
+		if k == KindMemcpyH2D {
+			want = "cudaMemcpyAsync"
+		}
+		if got := k.RuntimeCall(); got != want {
+			t.Errorf("%v.RuntimeCall() = %q, want %q", k, got, want)
+		}
+	}
+}
+
 func newV100() *Device { return NewDevice(hw.V100Platform().GPU, 1) }
 
 func TestGEMMTimeScalesWithWork(t *testing.T) {

@@ -1,0 +1,96 @@
+package models
+
+import (
+	"slices"
+	"sync"
+	"testing"
+
+	"dlrmperf/internal/graph"
+	"dlrmperf/internal/kernels"
+)
+
+// launches is one Launches pass kept: the nodes in the order yielded
+// and a copy of each node's kernels.
+type launches struct {
+	nodes   []*graph.Node
+	kernels [][]kernels.Kernel
+}
+
+func collectLaunches(g *graph.Graph) launches {
+	var l launches
+	for n, ks := range g.Launches() {
+		l.nodes = append(l.nodes, n)
+		l.kernels = append(l.kernels, slices.Clone(ks))
+	}
+	return l
+}
+
+// sameLaunches fails unless l yields every node of g exactly once, in
+// g.Nodes order, each with the kernels NodeKernels gives it.
+func sameLaunches(t *testing.T, label string, g *graph.Graph, l launches) {
+	t.Helper()
+	if !slices.Equal(l.nodes, g.Nodes) {
+		t.Errorf("%s: Launches yielded %d nodes, not the graph's %d in order", label, len(l.nodes), len(g.Nodes))
+		return
+	}
+	for i, n := range l.nodes {
+		if want := g.NodeKernels(n); !slices.Equal(l.kernels[i], want) {
+			t.Errorf("%s: node %d (%s) launches %+v, want %+v", label, i, n.Op.Name(), l.kernels[i], want)
+			return
+		}
+	}
+}
+
+// TestLaunchesMatchNodeKernels holds Graph.Launches, the enumeration
+// every walk reads, to NodeKernels for every family, on the built
+// structure and on a WithBatch view: node by node, after a pass that
+// breaks at its first node, and with goroutines enumerating different
+// graphs at once.
+func TestLaunchesMatchNodeKernels(t *testing.T) {
+	var graphs []*graph.Graph
+	var labels []string
+	for _, name := range allFamilies {
+		m, err := Build(name, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := m.Graph.WithBatch(200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, m.Graph, v)
+		labels = append(labels, name+"@64", name+"@200")
+	}
+
+	want := make([]launches, len(graphs))
+	for i, g := range graphs {
+		var first *graph.Node
+		var firstKs []kernels.Kernel
+		for n, ks := range g.Launches() {
+			first, firstKs = n, slices.Clone(ks)
+			break
+		}
+		want[i] = collectLaunches(g)
+		sameLaunches(t, labels[i], g, want[i])
+		if first != g.Nodes[0] || !slices.Equal(firstKs, want[i].kernels[0]) {
+			t.Errorf("%s: a pass broken at its first node saw %v, want node %d", labels[i], first, g.Nodes[0].ID)
+		}
+	}
+
+	// Each goroutine enumerates its own graph while the others do.
+	var wg sync.WaitGroup
+	for i, g := range graphs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 3 {
+				got := collectLaunches(g)
+				if !slices.Equal(got.nodes, want[i].nodes) || !slices.EqualFunc(got.kernels, want[i].kernels, slices.Equal) {
+					t.Errorf("%s: a concurrent pass differs from the serial one", labels[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -32,7 +32,8 @@ type Op interface {
 	AppendOutputs(dst, inputs []tensor.Meta) []tensor.Meta
 	// AppendKernels appends the device kernel calls for the given inputs
 	// to dst and returns the extended slice. Host-only ops (aten::view
-	// ...) return dst unchanged.
+	// ...) return dst unchanged. Its one non-test reader is
+	// graph.Graph.Launches, which every walk ranges over.
 	AppendKernels(dst []kernels.Kernel, inputs []tensor.Meta) []kernels.Kernel
 }
 

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -119,7 +120,7 @@ func collectives(denseParams, embActBytes int64, n int, comm CommModel) (allRedu
 func (p *Predictor) PredictSharded(graphs []*graph.Graph, denseParams, embActBytes int64, comm CommModel) (MultiGPUPrediction, error) {
 	n := len(graphs)
 	if n < 1 {
-		return MultiGPUPrediction{}, fmt.Errorf("predict: sharded prediction needs at least one device graph")
+		return MultiGPUPrediction{}, errors.New("predict: sharded prediction needs at least one device graph")
 	}
 	out := MultiGPUPrediction{Devices: n, ScalingEfficiency: 1}
 	var pred Prediction
@@ -129,7 +130,7 @@ func (p *Predictor) PredictSharded(graphs []*graph.Graph, denseParams, embActByt
 		if d == 0 || g != graphs[d-1] {
 			var err error
 			if pred, err = p.Predict(g); err != nil {
-				return MultiGPUPrediction{}, fmt.Errorf("device %d: %w", d, err)
+				return MultiGPUPrediction{}, deviceError(d, err)
 			}
 		}
 		out.PerDeviceE2E = append(out.PerDeviceE2E, pred.E2E)
@@ -145,4 +146,10 @@ func (p *Predictor) PredictSharded(graphs []*graph.Graph, denseParams, embActByt
 	out.E2E = makespan + out.AllReduceUs + out.AllToAllUs
 	out.ScalingEfficiency = makespan / out.E2E
 	return out, nil
+}
+
+// deviceError wraps the error of device d's walk, a stop of the hotpath
+// analyzer like opError.
+func deviceError(d int, err error) error {
+	return fmt.Errorf("device %d: %w", d, err)
 }

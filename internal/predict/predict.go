@@ -7,13 +7,11 @@ package predict
 
 import (
 	"fmt"
-	"sync"
 
 	"dlrmperf/internal/graph"
 	"dlrmperf/internal/kernels"
 	"dlrmperf/internal/overhead"
 	"dlrmperf/internal/perfmodel"
-	"dlrmperf/internal/tensor"
 )
 
 // Predictor bundles the calibrated kernel models and an overhead
@@ -36,11 +34,7 @@ func (p *Predictor) t4For(k kernels.Kind) float64 {
 	if !p.UseMeasuredT4 {
 		return overhead.T4Approx
 	}
-	fn := "cudaLaunchKernel"
-	if k == kernels.KindMemcpyH2D {
-		fn = "cudaMemcpyAsync"
-	}
-	if st, ok := p.Overheads.T4[fn]; ok && st.N > 0 {
+	if st, ok := p.Overheads.T4[k.RuntimeCall()]; ok && st.N > 0 {
 		return st.Mean
 	}
 	return overhead.T4Approx
@@ -63,35 +57,18 @@ type Prediction struct {
 // a queued kernel sooner than 1 µs after the previous one finishes.
 const scheduleGranularity = 1.0
 
-// walkBuf is a walk's working memory: the input-metadata buffer and
-// the kernel buffer the append contract fills node by node. walkBufs
-// recycles it across walks. The kernel buffer grows to the busiest
-// node's launch count (an optimizer op launches one kernel per
-// parameter) and a Kernel is 224 bytes, so fresh buffers per walk would
-// cost more than the rest of the walk.
-type walkBuf struct {
-	in []tensor.Meta
-	ks []kernels.Kernel
-}
-
-var walkBufs = sync.Pool{New: func() any { return new(walkBuf) }}
-
-// Predict runs Algorithm 1 over the execution graph. The walk's buffers
-// are pooled, so a walk allocates nothing per op or per launched
-// kernel, and nothing at all once the pool holds grown buffers.
+// Predict runs Algorithm 1 over the execution graph. The launches come
+// from the graph's pooled buffer, so a walk allocates nothing per op or
+// per launched kernel, and nothing at all once the pool holds a grown
+// buffer.
 func (p *Predictor) Predict(g *graph.Graph) (Prediction, error) {
 	var pr Prediction
 	cpu, gpu := 0.0, 0.0
 	t1 := p.Overheads.T1Mean()
-	buf := walkBufs.Get().(*walkBuf)
-	defer walkBufs.Put(buf)
-	for _, node := range g.Nodes {
+	for node, ks := range g.Launches() {
 		op := node.Op.Name()
 		t2, t3, t5 := p.Overheads.OpMeans(op)
 		cpu += t1
-		buf.in = g.InputMetas(buf.in[:0], node.Inputs)
-		buf.ks = node.Op.AppendKernels(buf.ks[:0], buf.in)
-		ks := buf.ks
 		if len(ks) == 0 {
 			cpu += t5
 			continue
@@ -102,7 +79,7 @@ func (p *Predictor) Predict(g *graph.Graph) (Prediction, error) {
 			t4 := p.t4For(ks[i].Kind)
 			tk, err := p.Models.Predict(&ks[i])
 			if err != nil {
-				return Prediction{}, fmt.Errorf("predict: op %s: %w", op, err)
+				return Prediction{}, opError(op, err)
 			}
 			// gpu_time = max(gpu_time + 1, cpu_time + T4/2) + Tk
 			start := gpu + scheduleGranularity
@@ -125,4 +102,11 @@ func (p *Predictor) Predict(g *graph.Graph) (Prediction, error) {
 		pr.E2E = gpu
 	}
 	return pr, nil
+}
+
+// opError wraps the error of a kernel the walk could not price. The walk
+// runs on every result-cache miss; the formatting is kept out of it (a
+// stop of the hotpath analyzer) and runs only when pricing fails.
+func opError(op string, err error) error {
+	return fmt.Errorf("predict: op %s: %w", op, err)
 }

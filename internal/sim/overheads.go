@@ -2,6 +2,7 @@ package sim
 
 import (
 	"dlrmperf/internal/hw"
+	"dlrmperf/internal/kernels"
 	"dlrmperf/internal/xrand"
 )
 
@@ -29,12 +30,6 @@ const (
 	T3        // last kernel launch end to op end
 	T4        // CUDA runtime function execution
 	T5        // between two kernel launches
-)
-
-// Runtime function names used in traces.
-const (
-	RTLaunchKernel = "cudaLaunchKernel"
-	RTMemcpyAsync  = "cudaMemcpyAsync"
 )
 
 // Sampler draws ground-truth overhead samples for one host.
@@ -114,7 +109,7 @@ func (s *Sampler) MeanFor(typ int, op string) float64 {
 // cudaMemcpyAsync is slower and tailier than cudaLaunchKernel.
 func (s *Sampler) T4Mean(fn string) float64 {
 	m := 9.5
-	if fn == RTMemcpyAsync {
+	if fn == kernels.RTMemcpyAsync {
 		m = 15.0
 	}
 	return m * s.host.OverheadScale
@@ -147,7 +142,7 @@ func (s *Sampler) opDist(typ int, op string) dist {
 // function.
 func (s *Sampler) t4Dist(fn string) dist {
 	tail := 1.0
-	if fn == RTMemcpyAsync {
+	if fn == kernels.RTMemcpyAsync {
 		tail = 2.0
 	}
 	return s.newDist(s.T4Mean(fn), tail)

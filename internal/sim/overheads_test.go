@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dlrmperf/internal/hw"
+	"dlrmperf/internal/kernels"
 )
 
 func TestOverheadSamplerProperties(t *testing.T) {
@@ -56,7 +57,7 @@ func TestWorkloadBiasIsStableAndBounded(t *testing.T) {
 
 func TestT4MemcpySlower(t *testing.T) {
 	s := NewSampler(hw.V100Platform().Host, 1, "")
-	if s.T4Mean(RTMemcpyAsync) <= s.T4Mean(RTLaunchKernel) {
+	if s.T4Mean(kernels.RTMemcpyAsync) <= s.T4Mean(kernels.RTLaunchKernel) {
 		t.Error("cudaMemcpyAsync should be slower than cudaLaunchKernel")
 	}
 }

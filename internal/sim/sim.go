@@ -20,7 +20,6 @@ import (
 	"dlrmperf/internal/graph"
 	"dlrmperf/internal/hw"
 	"dlrmperf/internal/kernels"
-	"dlrmperf/internal/tensor"
 	"dlrmperf/internal/xrand"
 )
 
@@ -160,16 +159,20 @@ type kernelPlan struct {
 
 // planNodes resolves g's nodes against the device and the host, and
 // returns the plan with the names of the ops that launch kernels, in
-// first-seen order.
+// first-seen order. A counting pass over the launches sizes one slice
+// that holds every node's kernels.
 func planNodes(g *graph.Graph, dev *kernels.Device, ovh *Sampler) (plan []nodePlan, ops []string) {
-	plan = make([]nodePlan, len(g.Nodes))
+	launches := 0
+	for _, ks := range g.Launches() {
+		launches += len(ks)
+	}
+	all := make([]kernelPlan, 0, launches)
+	plan = make([]nodePlan, 0, len(g.Nodes))
 	opSlots := map[string]int{}
 	// dists holds each op name's T1, T2, T3 and T5 distributions.
 	dists := map[string][4]dist{}
-	launchT4, memcpyT4 := ovh.t4Dist(RTLaunchKernel), ovh.t4Dist(RTMemcpyAsync)
-	var in []tensor.Meta
-	var ks []kernels.Kernel
-	for i, node := range g.Nodes {
+	launchT4, memcpyT4 := ovh.t4Dist(kernels.RTLaunchKernel), ovh.t4Dist(kernels.RTMemcpyAsync)
+	for node, ks := range g.Launches() {
 		op := node.Op.Name()
 		d, ok := dists[op]
 		if !ok {
@@ -177,26 +180,22 @@ func planNodes(g *graph.Graph, dev *kernels.Device, ovh *Sampler) (plan []nodePl
 			dists[op] = d
 		}
 		n := nodePlan{id: int(node.ID), op: op, t1: d[0], t2: d[1], t3: d[2], t5: d[3]}
-		in = g.InputMetas(in[:0], node.Inputs)
-		ks = node.Op.AppendKernels(ks[:0], in)
-		if len(ks) > 0 {
-			n.kernels = make([]kernelPlan, 0, len(ks))
-		}
 		for _, k := range ks {
-			fn, t4 := RTLaunchKernel, launchT4
-			if k.Kind == kernels.KindMemcpyH2D {
-				fn, t4 = RTMemcpyAsync, memcpyT4
+			fn, t4 := k.Kind.RuntimeCall(), launchT4
+			if fn == kernels.RTMemcpyAsync {
+				t4 = memcpyT4
 			}
-			n.kernels = append(n.kernels, kernelPlan{base: dev.BaseTime(k), k: k, fn: fn, t4: t4})
+			all = append(all, kernelPlan{base: dev.BaseTime(k), k: k, fn: fn, t4: t4})
 		}
-		if len(n.kernels) > 0 {
+		if len(ks) > 0 {
+			n.kernels = all[len(all)-len(ks):]
 			if _, ok := opSlots[op]; !ok {
 				opSlots[op] = len(ops)
 				ops = append(ops, op)
 			}
 			n.opSlot = opSlots[op]
 		}
-		plan[i] = n
+		plan = append(plan, n)
 	}
 	return plan, ops
 }
