@@ -187,12 +187,13 @@ func (e *Engine) Predict(req PredictRequest) PredictResult {
 }
 
 // PredictContext is Predict with a caller deadline: when ctx expires
-// the caller gets ctx.Err() immediately while any computation it
-// started keeps running detached and lands in the result cache, so a
-// canceled request never poisons the in-flight entry or wastes the
-// work for the next identical request. This is the entry point of the
-// async serving layer (internal/serve), which threads per-request HTTP
-// deadlines through here.
+// the caller gets ctx.Err() immediately, counted as a cache miss, while
+// any computation it started keeps running detached and lands in the
+// result cache, so a canceled request never poisons the in-flight entry
+// or wastes the work for the next identical request. This is the entry
+// point of the async serving layer (internal/serve), which threads
+// per-request HTTP deadlines through here and itself counts the
+// requests that came back canceled.
 func (e *Engine) PredictContext(ctx context.Context, req PredictRequest) (res PredictResult) {
 	ereq, err := e.resolve(&req)
 	if err != nil {

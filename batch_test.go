@@ -308,8 +308,8 @@ func TestEngineEagerCalibrate(t *testing.T) {
 
 // TestPredictContextFacade: the context-accepting facade variants
 // thread cancellation into the engine — an expired context fails fast
-// with ctx.Err() before any calibration — and the StreamStats surface
-// accounts for every request the engine served.
+// with ctx.Err() before any calibration — and the cache counters
+// account for every request the engine served.
 func TestPredictContextFacade(t *testing.T) {
 	eng, err := NewEngineWith(fastEngineConfig(V100))
 	if err != nil {
@@ -338,16 +338,8 @@ func TestPredictContextFacade(t *testing.T) {
 		t.Error("duplicate in batch missed the result cache")
 	}
 
-	ss := eng.StreamStats()
-	hits, misses := eng.CacheStats()
-	if hits+misses != ss.Served {
-		t.Errorf("hits+misses = %d+%d, served = %d; invariant broken", hits, misses, ss.Served)
-	}
-	if ss.Canceled != 1 {
-		t.Errorf("canceled = %d, want 1", ss.Canceled)
-	}
-	if ss.InFlight != 0 || ss.Served != 3 {
-		t.Errorf("stream stats = %+v, want in-flight 0, served 3", ss)
+	if hits, misses := eng.CacheStats(); hits+misses != 3 {
+		t.Errorf("hits+misses = %d+%d, want 3 served", hits, misses)
 	}
 }
 

@@ -3,22 +3,7 @@ package dlrmperf
 import (
 	"context"
 	"slices"
-
-	"dlrmperf/internal/engine"
 )
-
-// StreamStats is the engine's async-stream observability block:
-// in-flight request count and high-water mark, served/canceled totals,
-// and wall-clock latency aggregates. Served equals CacheStats'
-// hits+misses — every validated request is accounted exactly once,
-// with caller-abandoned requests (Canceled) a subset of the misses.
-type StreamStats = engine.StreamStats
-
-// StreamStats returns the engine's async-stream counters: requests
-// currently inside the predict path, the concurrency high-water mark,
-// completed and canceled totals, and latency aggregates. The serving
-// layer (internal/serve) exposes them on GET /stats.
-func (e *Engine) StreamStats() StreamStats { return e.eng.StreamStats() }
 
 // RemoteResult serves req through the engine's scenario-fingerprint
 // result cache with an externally supplied computation — the cluster

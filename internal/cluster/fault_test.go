@@ -373,7 +373,6 @@ func (b *instantBackend) PredictContext(_ context.Context, req dlrmperf.PredictR
 func (b *instantBackend) CacheStats() (hits, misses uint64) { return 0, b.misses.Load() }
 func (b *instantBackend) RejectedRequests() uint64          { return b.rejected.Load() }
 func (b *instantBackend) AssetStats() dlrmperf.AssetStats   { return dlrmperf.AssetStats{} }
-func (b *instantBackend) StreamStats() dlrmperf.StreamStats { return dlrmperf.StreamStats{} }
 func (b *instantBackend) Devices() []string                 { return nil }
 func (b *instantBackend) CalibrationRuns(string) int        { return 0 }
 

@@ -93,7 +93,7 @@ type Stats struct {
 	Requests uint64           `json:"requests"`
 	Cache    serve.CacheStats `json:"cache"`
 	Rejected ClusterRejected  `json:"rejected"`
-	// Served/Canceled/InFlight merge the workers' stream counters.
+	// Served/Canceled/InFlight merge the workers' service ledgers.
 	Served   uint64 `json:"served"`
 	Canceled uint64 `json:"canceled"`
 	InFlight int64  `json:"in_flight"`

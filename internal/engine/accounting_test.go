@@ -11,11 +11,10 @@ import (
 )
 
 // counters is the accounting surface every request entry point shares:
-// the result-class hit/miss pair, validation rejects, the stream's
-// served/canceled totals, and how many times the entry point's builder
-// actually ran.
+// the result-class hit/miss pair, validation rejects, and how many
+// times the entry point's builder actually ran.
 type counters struct {
-	hits, misses, rejected, served, canceled, builds uint64
+	hits, misses, rejected, builds uint64
 }
 
 // entryPoint drives one way into Engine.request, so the same outcome
@@ -83,8 +82,7 @@ type accountingRun struct {
 
 func (x *accountingRun) now() counters {
 	h, m := x.e.CacheStats()
-	ss := x.e.StreamStats()
-	return counters{h, m, x.e.RejectedRequests(), ss.Served, ss.Canceled, x.ep.builds(x)}
+	return counters{h, m, x.e.RejectedRequests(), x.ep.builds(x)}
 }
 
 // mark moves the baseline past a scenario's setup traffic.
@@ -146,10 +144,9 @@ func (x *accountingRun) whileWaiting(ctx context.Context, req Request, during fu
 // cache-then-flight copies each re-implemented, now stated once: every
 // way into the request path — Predict and RemoteResult —
 // moves the SAME counters for the same outcome. One validated request
-// is exactly one hit or one miss and exactly one served; a reject is a
-// reject and nothing else; cancellation is a miss plus Canceled; the
-// builder runs only when the outcome says it ran; nothing is left
-// in flight.
+// is exactly one hit or one miss; a reject is a reject and nothing
+// else; cancellation is a miss that returns the context's error; the
+// builder runs only when the outcome says it ran.
 func TestRequestAccountingContract(t *testing.T) {
 	ok := NewRequest(hw.V100, models.NameDLRMDefault, 256)
 	failing := NewRequest("H100", models.NameDLRMDefault, 256) // validates, cannot build
@@ -174,7 +171,7 @@ func TestRequestAccountingContract(t *testing.T) {
 					x.t.Errorf("repeat = (hit %v, %v), want a hit", hit, err)
 				}
 			},
-			want: counters{hits: 1, served: 1},
+			want: counters{hits: 1},
 		},
 		{
 			name: "executed miss",
@@ -183,7 +180,7 @@ func TestRequestAccountingContract(t *testing.T) {
 					x.t.Errorf("first = (hit %v, %v), want a computed miss", hit, err)
 				}
 			},
-			want: counters{misses: 1, served: 1, builds: 1},
+			want: counters{misses: 1, builds: 1},
 		},
 		{
 			name: "successful join",
@@ -194,7 +191,7 @@ func TestRequestAccountingContract(t *testing.T) {
 					x.t.Errorf("joiner = (hit %v, %v), want a hit", hit, err)
 				}
 			},
-			want: counters{hits: 1, served: 1},
+			want: counters{hits: 1},
 		},
 		{
 			name: "failed build",
@@ -207,7 +204,7 @@ func TestRequestAccountingContract(t *testing.T) {
 					x.t.Errorf("repeat of a failure = (hit %v, %v), want a fresh failing miss", hit, err)
 				}
 			},
-			want: counters{misses: 2, served: 2, builds: 2},
+			want: counters{misses: 2, builds: 2},
 		},
 		{
 			name: "joined a failed build",
@@ -218,7 +215,7 @@ func TestRequestAccountingContract(t *testing.T) {
 					x.t.Errorf("joiner err = %v, want the flight's error", err)
 				}
 			},
-			want: counters{misses: 1, served: 1},
+			want: counters{misses: 1},
 		},
 		{
 			name: "canceled at entry",
@@ -229,7 +226,7 @@ func TestRequestAccountingContract(t *testing.T) {
 					x.t.Errorf("err = %v, want context.Canceled", err)
 				}
 			},
-			want: counters{misses: 1, served: 1, canceled: 1},
+			want: counters{misses: 1},
 		},
 		{
 			name: "canceled while waiting",
@@ -242,7 +239,7 @@ func TestRequestAccountingContract(t *testing.T) {
 				}
 				finish(errWorkerDown)
 			},
-			want: counters{misses: 1, served: 1, canceled: 1},
+			want: counters{misses: 1},
 		},
 		{
 			name: "validation reject",
@@ -272,7 +269,7 @@ func TestRequestAccountingContract(t *testing.T) {
 					x.t.Errorf("disabled cache holds %d results", n)
 				}
 			},
-			want: counters{misses: 2, served: 2, builds: 2},
+			want: counters{misses: 2, builds: 2},
 		},
 	}
 
@@ -287,16 +284,9 @@ func TestRequestAccountingContract(t *testing.T) {
 				tc.run(x)
 				got, b := x.now(), x.base
 				delta := counters{got.hits - b.hits, got.misses - b.misses, got.rejected - b.rejected,
-					got.served - b.served, got.canceled - b.canceled, got.builds - b.builds}
+					got.builds - b.builds}
 				if delta != tc.want {
 					t.Errorf("counter deltas = %+v, want %+v", delta, tc.want)
-				}
-				ss := x.e.StreamStats()
-				if ss.InFlight != 0 {
-					t.Errorf("in-flight = %d after the request returned, want 0", ss.InFlight)
-				}
-				if h, m := x.e.CacheStats(); h+m != ss.Served {
-					t.Errorf("hits %d + misses %d != served %d", h, m, ss.Served)
 				}
 			})
 		}

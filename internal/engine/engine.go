@@ -43,7 +43,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dlrmperf/internal/graph"
 	"dlrmperf/internal/hw"
@@ -54,7 +53,6 @@ import (
 	"dlrmperf/internal/scenario"
 	"dlrmperf/internal/sim"
 	"dlrmperf/internal/xrand"
-	"dlrmperf/internal/xsync"
 )
 
 // DeviceSalt is the per-device stream salt mixed into derived seeds so
@@ -135,53 +133,6 @@ type Engine struct {
 	// rejected counts requests that failed validation before reaching
 	// the compute path.
 	rejected atomic.Uint64
-
-	// Stream counters behind StreamStats: requests concurrently inside
-	// Predict (and the high-water mark), requests completed, requests
-	// abandoned by context cancellation, and wall-clock latency totals.
-	// They are observability only — no prediction depends on them — so
-	// the wall-clock reads do not break bit-determinism.
-	inFlight     atomic.Int64
-	peakInFlight atomic.Int64
-	served       atomic.Uint64
-	canceled     atomic.Uint64
-	latencyUs    atomic.Int64
-	maxLatencyUs atomic.Int64
-}
-
-// StreamStats is the engine's async-stream observability block: the
-// number of requests currently inside the predict path, its high-water
-// mark, completed/canceled totals, and wall-clock latency aggregates.
-// Served equals CacheStats' hits+misses — every validated request is
-// accounted exactly once, including ones whose caller abandoned the
-// wait (Canceled, a subset of misses).
-type StreamStats struct {
-	InFlight     int64  `json:"in_flight"`
-	PeakInFlight int64  `json:"peak_in_flight"`
-	Served       uint64 `json:"served"`
-	Canceled     uint64 `json:"canceled"`
-	TotalUs      int64  `json:"total_latency_us"`
-	MaxUs        int64  `json:"max_latency_us"`
-}
-
-// AvgUs is the mean per-request wall-clock latency in microseconds.
-func (s StreamStats) AvgUs() float64 {
-	if s.Served == 0 {
-		return 0
-	}
-	return float64(s.TotalUs) / float64(s.Served)
-}
-
-// StreamStats returns the engine's async-stream counters.
-func (e *Engine) StreamStats() StreamStats {
-	return StreamStats{
-		InFlight:     e.inFlight.Load(),
-		PeakInFlight: e.peakInFlight.Load(),
-		Served:       e.served.Load(),
-		Canceled:     e.canceled.Load(),
-		TotalUs:      e.latencyUs.Load(),
-		MaxUs:        e.maxLatencyUs.Load(),
-	}
 }
 
 // New returns an empty engine; no calibration runs until an asset is
@@ -695,46 +646,30 @@ func (e *Engine) CachedResults() int { return e.store.class(classResult).stats("
 func (e *Engine) AssetStats() AssetStats { return e.store.stats() }
 
 // request is the one pipeline every request takes to the result class:
-// validate, then key, then lookup, with the stream and cache accounting
-// around it. Validation runs before the key exists because an invalid
-// spec can alias a valid one's identity (see AppendKey); a reject is
-// tallied and touches nothing else. Everything past validation is
-// accounted exactly once — in-flight while inside, served with its
-// latency on the way out, and a hit or a miss — so hits + misses ==
-// served on every path. A context already expired at entry, or one
-// that expires while waiting on a flight, is a miss plus Canceled; the
-// computation it started (or joined) keeps running detached and lands
-// in the cache, so a canceled request never poisons the singleflight
-// entry or wastes the work for the next identical request. The one
-// exception is a resident-only probe (nil build) that finds nothing:
-// it served nobody, moves no counter, and leaves the request to be
-// re-entered with a builder.
+// validate, then key, then lookup, with the cache accounting around it.
+// Validation runs before the key exists because an invalid spec can
+// alias a valid one's identity (see AppendKey); a reject is tallied
+// and touches nothing else. Everything past validation is exactly one
+// hit or one miss. A context already expired at entry, or one that
+// expires while waiting on a flight, is a miss that returns ctx.Err();
+// the computation it started (or joined) keeps running detached and
+// lands in the cache, so a canceled request never poisons the
+// singleflight entry or wastes the work for the next identical
+// request. The one exception is a resident-only probe (nil build) that
+// finds nothing: it served nobody, moves no counter, and leaves the
+// request to be re-entered with a builder. Service time, concurrency
+// and cancellation are the serving layer's to count: its queue times
+// every job it runs.
 func (e *Engine) request(ctx context.Context, prefix string, req *Request, build buildFn) (v any, hit bool, err error) {
 	if err = req.Scenario.Validate(); err != nil {
 		e.rejected.Add(1)
 		return nil, false, err
 	}
-	start := time.Now() //lint:allow deterministic latency observability only; never feeds keys or fingerprints
-	xsync.AtomicMax(&e.peakInFlight, e.inFlight.Add(1))
-	defer func() {
-		e.inFlight.Add(-1)
-		if err == errNotResident {
-			return
-		}
-		us := time.Since(start).Microseconds()
-		e.latencyUs.Add(us)
-		xsync.AtomicMax(&e.maxLatencyUs, us)
-		e.served.Add(1)
-	}()
 	if err = ctx.Err(); err != nil {
 		e.store.class(classResult).misses.Add(1)
-	} else {
-		v, hit, err = e.lookup(ctx, classResult, prefix, req, build)
+		return nil, false, err
 	}
-	if err != nil && err == ctx.Err() {
-		e.canceled.Add(1)
-	}
-	return v, hit, err
+	return e.lookup(ctx, classResult, prefix, req, build)
 }
 
 // Predict serves one request, building any missing assets on the way.
@@ -747,7 +682,7 @@ func (e *Engine) Predict(req Request) Result {
 }
 
 // PredictCtx is Predict with a caller deadline: when ctx expires the
-// caller gets ctx.Err() immediately (see request for the accounting and
+// caller gets ctx.Err() immediately, counted as a miss (see request for
 // the detached computation). With the result cache disabled (negative
 // ResultCacheSize) there is no flight to detach from: ctx is only
 // observed at entry and the computation runs inline on the caller —
@@ -777,9 +712,9 @@ func (e *Engine) predictInto(ctx context.Context, req *Request, out *Result) {
 // fingerprint result cache without another network round trip. It is
 // Predict with fetch as the builder and a "remote/" key prefix (so
 // locally computed entries and opaque remote payloads never collide):
-// the same validation, singleflight collapse and counters, so
-// CacheStats/StreamStats invariants hold unchanged for a cache-only
-// engine that never calibrates. An invalid request is rejected without
+// the same validation, singleflight collapse and counters, so the
+// CacheStats invariant holds unchanged for a cache-only engine that
+// never calibrates. An invalid request is rejected without
 // running fetch — its key would alias a valid request's row. A fetch
 // error is returned to every joiner and nothing is stored, so a
 // transient worker failure never poisons the cache.

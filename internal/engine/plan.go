@@ -140,18 +140,19 @@ func (e *Engine) compileMulti(req Request) (*CompiledPlan, error) {
 		cp.plan = &pl
 		cp.graphs = make([]*graph.Graph, n)
 		keys := make([]string, n)
-		var kb []byte
+		kb := keyBufPool.Get().(*[]byte)
+		defer keyBufPool.Put(kb)
 		for d := 0; d < n; d++ {
 			shard := pl.TablesFor(d, tables)
 			// Key per-device graphs by shard *content*, so identical
 			// shards (every uniform-table scenario) build one structure
 			// and bind one view.
-			kb = shardGraphKey(kb[:0], spec.Workload, shard)
-			if j := slices.IndexFunc(keys[:d], func(k string) bool { return k == string(kb) }); j >= 0 {
+			*kb = shardGraphKey((*kb)[:0], spec.Workload, shard)
+			if j := slices.IndexFunc(keys[:d], func(k string) bool { return k == string(*kb) }); j >= 0 {
 				keys[d], cp.graphs[d] = keys[j], cp.graphs[j]
 				continue
 			}
-			keys[d] = string(kb)
+			keys[d] = string(*kb)
 			m, err := e.graph(keys[d], scenario.Spec{Workload: spec.Workload, Batch: perDev, Tables: shard}, buildDLRM)
 			if err != nil {
 				return nil, err

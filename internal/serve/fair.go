@@ -161,9 +161,14 @@ type fairQueue struct {
 
 	tenants map[string]*tenantCounters
 
-	// ewmaServiceNs tracks smoothed per-request service time; zero
-	// means no request has completed yet.
-	ewmaServiceNs float64
+	// The service ledger: jobs on a worker now and at the high-water
+	// mark, jobs run to completion and the subset whose context expired
+	// (canceled), their total and longest service time, and its
+	// smoothed value (zero until a job has completed).
+	running, peakRunning     int64
+	ran, canceled            uint64
+	serviceTotal, serviceMax time.Duration
+	ewmaServiceNs            float64
 }
 
 func newFairQueue(capacity, tenantCap int) *fairQueue {
@@ -246,7 +251,8 @@ func (q *fairQueue) push(ctx context.Context, j *job, wait bool) error {
 
 // pop blocks until a job is available (fair-dequeued) or the queue is
 // closed and empty. It stamps the job's queue wait and rolls it into
-// the tenant ledger before handing the job to the worker.
+// the tenant ledger, and counts the job running, before handing it to
+// the worker.
 func (q *fairQueue) pop() (*job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -272,6 +278,8 @@ func (q *fairQueue) pop() (*job, bool) {
 		}
 	}
 	q.total--
+	q.running++
+	q.peakRunning = max(q.peakRunning, q.running)
 	wait := time.Since(j.enqueuedAt)
 	j.waitNs = wait.Nanoseconds()
 	tc := q.tenants[j.tenant]
@@ -299,10 +307,18 @@ func (q *fairQueue) close() {
 	q.mu.Unlock()
 }
 
-// observeService folds one completed request's service time into the
-// drain-rate estimate.
-func (q *fairQueue) observeService(d time.Duration) {
+// observeService closes one popped job in the service ledger: its
+// service time, and whether its context expired on the worker, fold
+// into the totals and the drain-rate estimate.
+func (q *fairQueue) observeService(d time.Duration, canceled bool) {
 	q.mu.Lock()
+	q.running--
+	q.ran++
+	if canceled {
+		q.canceled++
+	}
+	q.serviceTotal += d
+	q.serviceMax = max(q.serviceMax, d)
 	if q.ewmaServiceNs == 0 {
 		q.ewmaServiceNs = float64(d.Nanoseconds())
 	} else {
@@ -327,23 +343,24 @@ func (q *fairQueue) drainEstimate(workers int) time.Duration {
 	return time.Duration(float64(q.total) * q.ewmaServiceNs / float64(workers))
 }
 
-func (q *fairQueue) avgServiceUs() float64 {
+// snapshot fills the queue's part of a /stats document: the depth and
+// its high-water mark, the service ledger, and the per-tenant ledger
+// (nil before the first admission reaches the queue).
+func (q *fairQueue) snapshot(st *Stats) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.ewmaServiceNs / 1e3
-}
-
-// snapshot reports the queue depth, its high-water mark, and the
-// per-tenant ledger (nil before the first admission reaches the
-// queue).
-func (q *fairQueue) snapshot() (depth int, peak int64, tenants map[string]TenantStats) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	depth, peak = q.total, q.peak
-	if len(q.tenants) == 0 {
-		return depth, peak, nil
+	st.Canceled = q.canceled
+	st.Queue.Depth, st.Queue.PeakDepth = q.total, q.peak
+	st.Queue.InFlight, st.Queue.PeakInFlight = q.running, q.peakRunning
+	st.Queue.AvgServiceUs = q.ewmaServiceNs / 1e3
+	st.Latency = LatencyStats{MaxUs: q.serviceMax.Microseconds(), TotalUs: q.serviceTotal.Microseconds()}
+	if q.ran > 0 {
+		st.Latency.AvgUs = float64(q.serviceTotal.Nanoseconds()) / 1e3 / float64(q.ran)
 	}
-	tenants = make(map[string]TenantStats, len(q.tenants))
+	if len(q.tenants) == 0 {
+		return
+	}
+	st.Tenants = make(map[string]TenantStats, len(q.tenants))
 	for name, tc := range q.tenants {
 		ts := TenantStats{
 			Requests:    tc.requests,
@@ -357,7 +374,6 @@ func (q *fairQueue) snapshot() (depth int, peak int64, tenants map[string]Tenant
 		if tc.served > 0 {
 			ts.AvgWaitUs = float64(ts.TotalWaitUs) / float64(tc.served)
 		}
-		tenants[name] = ts
+		st.Tenants[name] = ts
 	}
-	return depth, peak, tenants
 }

@@ -105,10 +105,9 @@ func TestFairQueueTenantCap(t *testing.T) {
 	if err := q.push(context.Background(), j, false); err != ErrQueueFull {
 		t.Fatalf("globally full: err = %v, want ErrQueueFull", err)
 	}
-	_, tenants := func() (int, map[string]TenantStats) {
-		d, _, ts := q.snapshot()
-		return d, ts
-	}()
+	var st Stats
+	q.snapshot(&st)
+	tenants := st.Tenants
 	if tenants["hog"].Shed != 1 || tenants["third"].Shed != 1 || tenants["quiet"].Shed != 0 {
 		t.Fatalf("shed ledger = hog %d / third %d / quiet %d, want 1/1/0",
 			tenants["hog"].Shed, tenants["third"].Shed, tenants["quiet"].Shed)
@@ -144,7 +143,7 @@ func TestAdaptiveRetryAfterHint(t *testing.T) {
 	if got := q.drainEstimate(1); got != 0 {
 		t.Fatalf("estimate with no observation = %v, want 0", got)
 	}
-	q.observeService(100 * time.Millisecond)
+	q.observeService(100*time.Millisecond, false)
 	if got := q.drainEstimate(1); got != 0 {
 		t.Fatalf("estimate with no backlog = %v, want 0", got)
 	}
@@ -164,7 +163,7 @@ func TestAdaptiveRetryAfterHint(t *testing.T) {
 		t.Fatalf("hint under floor = %v, want the %v floor", got, MinRetryAfter)
 	}
 	// A slow service observation pushes the estimate past the ceiling.
-	q.observeService(time.Hour)
+	q.observeService(time.Hour, false)
 	if got := s.retryAfterHint(); got != MaxRetryAfter {
 		t.Fatalf("hint over ceiling = %v, want the %v cap", got, MaxRetryAfter)
 	}

@@ -22,7 +22,7 @@
 //	POST /v1/explore        grid spec    -> design-space sweep report (frontier, coverage, throughput)
 //	GET  /v1/scenarios      registered scenario names
 //	GET  /healthz           liveness (503 while draining)
-//	GET  /stats             admission/stream/cache/asset counters
+//	GET  /stats             admission/service/cache/asset counters
 package serve
 
 import (
@@ -47,7 +47,6 @@ type Backend interface {
 	CacheStats() (hits, misses uint64)
 	RejectedRequests() uint64
 	AssetStats() dlrmperf.AssetStats
-	StreamStats() dlrmperf.StreamStats
 	Devices() []string
 	CalibrationRuns(device string) int
 }
@@ -191,19 +190,21 @@ func (s *Server) worker() {
 		if !ok {
 			return
 		}
-		start := time.Now()
-		res := s.serveOne(j)
-		s.q.observeService(time.Since(start))
-		j.done <- res
+		j.done <- s.serveOne(j)
 	}
 }
 
-// serveOne executes one admitted request against the backend. The
+// serveOne executes one admitted request against the backend and
+// closes it in the queue's service ledger: its service time, and
+// whether it came back with its own context's error (canceled). The
 // job's context already carries the effective deadline (applied at
 // admission), so a request that spent its whole budget queued fails
 // fast inside the engine instead of computing past its deadline.
 func (s *Server) serveOne(j *job) Result {
-	res := resultFrom(j.req, s.cfg.Backend.PredictContext(j.ctx, j.req.ToPredict()))
+	start := time.Now()
+	pr := s.cfg.Backend.PredictContext(j.ctx, j.req.ToPredict())
+	s.q.observeService(time.Since(start), pr.Err != nil && pr.Err == j.ctx.Err())
+	res := resultFrom(j.req, pr)
 	res.QueueWaitUs = j.waitNs / 1e3
 	return res
 }
@@ -334,8 +335,8 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// Stats assembles the live counters of the admission queue, the
-// engine's stream/cache counters, and the asset store.
+// Stats assembles the live counters of the admission queue and its
+// service ledger, the engine's cache counters, and the asset store.
 //
 // The snapshot is built from independent atomic loads, so its
 // invariant (Accounted() <= Requests on every snapshot, equality at
@@ -350,16 +351,18 @@ func (s *Server) Draining() bool {
 func (s *Server) Stats() Stats {
 	b := s.cfg.Backend
 	// Terminal buckets first (monotonic counters, sinks)...
-	validation := b.RejectedRequests()
-	hits, misses := b.CacheStats()
-	queueFull := s.queueFullRejects.Load()
-	tenantLimited := s.tenantLimitedRejects.Load()
-	draining := s.drainingRejects.Load()
-	canceledAdmits := s.canceledAdmits.Load()
-	ss := b.StreamStats()
-	depth, peakDepth, tenants := s.q.snapshot()
+	st := Stats{Rejected: RejectedStats{
+		Validation:    b.RejectedRequests(),
+		QueueFull:     s.queueFullRejects.Load(),
+		TenantLimited: s.tenantLimitedRejects.Load(),
+		Draining:      s.drainingRejects.Load(),
+		Canceled:      s.canceledAdmits.Load(),
+	}}
+	st.Cache.Hits, st.Cache.Misses = b.CacheStats()
+	st.Served = st.Cache.Hits + st.Cache.Misses
+	s.q.snapshot(&st)
 	// ...the request total last (source).
-	requests := s.received.Load()
+	st.Requests = s.received.Load()
 
 	// Allocated only when a device actually calibrated: the snapshot is
 	// polled, and a nil map marshals identically to an empty one under
@@ -373,39 +376,13 @@ func (s *Server) Stats() Stats {
 			cals[d] = n
 		}
 	}
-	return Stats{
-		Requests: requests,
-		Served:   ss.Served,
-		Canceled: ss.Canceled,
-		Rejected: RejectedStats{
-			Validation:    validation,
-			QueueFull:     queueFull,
-			TenantLimited: tenantLimited,
-			Draining:      draining,
-			Canceled:      canceledAdmits,
-		},
-		Queue: QueueStats{
-			Depth:              depth,
-			PeakDepth:          peakDepth,
-			Capacity:           s.cfg.QueueDepth,
-			Workers:            s.cfg.Workers,
-			InFlight:           ss.InFlight,
-			PeakInFlight:       ss.PeakInFlight,
-			AvgServiceUs:       s.q.avgServiceUs(),
-			RetryAfterHintSecs: int(s.retryAfterHint() / time.Second),
-		},
-		Latency: LatencyStats{
-			AvgUs:   ss.AvgUs(),
-			MaxUs:   ss.MaxUs,
-			TotalUs: ss.TotalUs,
-		},
-		Cache:         CacheStats{Hits: hits, Misses: misses},
-		Assets:        b.AssetStats(),
-		Calibrations:  cals,
-		Tenants:       tenants,
-		AssetInstalls: s.assetInstalls.Load(),
-		Draining:      s.Draining(),
-	}
+	st.Queue.Capacity, st.Queue.Workers = s.cfg.QueueDepth, s.cfg.Workers
+	st.Queue.RetryAfterHintSecs = int(s.retryAfterHint() / time.Second)
+	st.Assets = b.AssetStats()
+	st.Calibrations = cals
+	st.AssetInstalls = s.assetInstalls.Load()
+	st.Draining = s.Draining()
+	return st
 }
 
 // Handler returns the HTTP surface of the server.

@@ -15,19 +15,17 @@ import (
 
 // fakeBackend is a controllable Backend: requests whose workload is
 // "block" park on release until the test frees them (or their context
-// expires); "reject" fails validation. Counters follow the engine's
-// conventions (hits+misses == served, rejects separate) so Stats
-// invariants can be asserted against it.
+// expires, a miss that returns ctx.Err()); "reject" fails validation.
+// Counters follow the engine's conventions (a validated request is one
+// hit or one miss, rejects separate) so Stats invariants can be
+// asserted against it.
 type fakeBackend struct {
 	release chan struct{}
 	started chan struct{} // one tick per request entering the blocked section
 
-	served   atomic.Uint64
 	hits     atomic.Uint64
 	misses   atomic.Uint64
 	rejected atomic.Uint64
-	canceled atomic.Uint64
-	inFlight atomic.Int64
 
 	mu   sync.Mutex
 	seen map[string]bool
@@ -46,16 +44,12 @@ func (f *fakeBackend) PredictContext(ctx context.Context, req dlrmperf.PredictRe
 		f.rejected.Add(1)
 		return dlrmperf.PredictResult{Request: req, Err: errors.New("fake: rejected")}
 	}
-	f.inFlight.Add(1)
-	defer f.inFlight.Add(-1)
-	defer f.served.Add(1)
 	if req.Workload == "block" {
 		f.started <- struct{}{}
 		select {
 		case <-f.release:
 		case <-ctx.Done():
 			f.misses.Add(1)
-			f.canceled.Add(1)
 			return dlrmperf.PredictResult{Request: req, Err: ctx.Err()}
 		}
 	}
@@ -85,15 +79,8 @@ func (f *fakeBackend) PredictContext(ctx context.Context, req dlrmperf.PredictRe
 func (f *fakeBackend) CacheStats() (uint64, uint64)    { return f.hits.Load(), f.misses.Load() }
 func (f *fakeBackend) RejectedRequests() uint64        { return f.rejected.Load() }
 func (f *fakeBackend) AssetStats() dlrmperf.AssetStats { return dlrmperf.AssetStats{} }
-func (f *fakeBackend) StreamStats() dlrmperf.StreamStats {
-	return dlrmperf.StreamStats{
-		InFlight: f.inFlight.Load(),
-		Served:   f.served.Load(),
-		Canceled: f.canceled.Load(),
-	}
-}
-func (f *fakeBackend) Devices() []string          { return []string{"FakeGPU"} }
-func (f *fakeBackend) CalibrationRuns(string) int { return 0 }
+func (f *fakeBackend) Devices() []string               { return []string{"FakeGPU"} }
+func (f *fakeBackend) CalibrationRuns(string) int      { return 0 }
 
 // assertInvariant checks the /stats accounting identity: every admitted
 // request is a hit, a miss, or a rejection.
@@ -340,6 +327,61 @@ func TestStatsSnapshotInvariantUnderLoad(t *testing.T) {
 		t.Fatalf("quiescent invariant broken: accounted %d != requests %d\n%+v", got, st.Requests, st)
 	}
 	t.Logf("%d snapshots verified against %d requests", snapshots.Load(), st.Requests)
+}
+
+// TestStatsServiceLedger drives the fake backend, which keeps no
+// service counters of its own, through a miss, a hit, a validation
+// reject and a request canceled while blocked, and checks the ledger
+// the queue keeps at quiescence: served is hits + misses, the one
+// canceled job is counted, nothing is left running, and latency and
+// the smoothed service time come from the jobs the workers ran.
+func TestStatsServiceLedger(t *testing.T) {
+	fb := newFakeBackend()
+	const workers = 2
+	s := New(Config{Backend: fb, QueueDepth: 4, Workers: workers})
+	defer s.Drain()
+
+	reqs := []Request{
+		{Workload: "ok", Device: "FakeGPU"},                   // miss
+		{Workload: "ok", Device: "FakeGPU"},                   // hit
+		{Workload: "reject", Device: "FakeGPU"},               // validation reject
+		{Workload: "block", Device: "FakeGPU", TimeoutMs: 20}, // canceled while blocked
+	}
+	for i, req := range reqs {
+		res, err := s.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if req.Workload == "block" && !strings.Contains(res.Error, context.DeadlineExceeded.Error()) {
+			t.Fatalf("blocked request error = %q, want deadline exceeded", res.Error)
+		}
+	}
+
+	st := s.Stats()
+	assertInvariant(t, st)
+	if st.Cache.Hits != 1 || st.Cache.Misses != 2 || st.Rejected.Validation != 1 {
+		t.Errorf("cache %+v, validation rejects %d, want 1 hit, 2 misses, 1 reject", st.Cache, st.Rejected.Validation)
+	}
+	if st.Served != st.Cache.Hits+st.Cache.Misses {
+		t.Errorf("served = %d, want hits + misses = %d", st.Served, st.Cache.Hits+st.Cache.Misses)
+	}
+	if st.Canceled != 1 {
+		t.Errorf("canceled = %d, want 1", st.Canceled)
+	}
+	if q := st.Queue; q.InFlight != 0 || q.PeakInFlight < 1 || q.PeakInFlight > workers {
+		t.Errorf("in flight %d, peak %d, want 0 and within [1, %d]", q.InFlight, q.PeakInFlight, workers)
+	}
+	lat := st.Latency
+	if lat.MaxUs <= 0 || lat.TotalUs < lat.MaxUs {
+		t.Errorf("latency %+v, want total >= max > 0", lat)
+	}
+	// TotalUs is the truncated sum of the service times AvgUs averages.
+	if sum := lat.AvgUs * float64(len(reqs)); sum < float64(lat.TotalUs) || sum >= float64(lat.TotalUs+1) {
+		t.Errorf("avg %.3fus over %d jobs sums to %.3fus, want the %dus total", lat.AvgUs, len(reqs), sum, lat.TotalUs)
+	}
+	if st.Queue.AvgServiceUs <= 0 {
+		t.Errorf("avg_service_us = %v, want > 0", st.Queue.AvgServiceUs)
+	}
 }
 
 // tinyConfig is the shared low-fidelity calibration preset, so the

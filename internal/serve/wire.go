@@ -142,8 +142,8 @@ type QueueStats struct {
 	PeakDepth int64 `json:"peak_depth"`
 	Capacity  int   `json:"capacity"`
 	// Workers is the concurrent execution width; InFlight/PeakInFlight
-	// count requests inside the engine's predict path right now and at
-	// the high-water mark.
+	// count jobs a worker is running right now and at the high-water
+	// mark.
 	Workers      int   `json:"workers"`
 	InFlight     int64 `json:"in_flight"`
 	PeakInFlight int64 `json:"peak_in_flight"`
@@ -172,15 +172,15 @@ type TenantStats struct {
 	MaxWaitUs   int64   `json:"max_wait_us"`
 }
 
-// LatencyStats aggregates per-request wall-clock latency inside the
-// engine (queue wait excluded).
+// LatencyStats aggregates the wall-clock service time of the jobs the
+// workers ran (queue wait excluded); AvgUs averages over those jobs.
 type LatencyStats struct {
 	AvgUs   float64 `json:"avg_us"`
 	MaxUs   int64   `json:"max_us"`
 	TotalUs int64   `json:"total_us"`
 }
 
-// Stats is the GET /stats document: admission, stream, cache, and
+// Stats is the GET /stats document: admission, service, cache, and
 // asset-store counters. The accounting invariant — every admitted
 // request lands in exactly one bucket — is
 //

@@ -9,16 +9,6 @@ import (
 	"time"
 )
 
-// AtomicMax raises v to at least x.
-func AtomicMax(v *atomic.Int64, x int64) {
-	for {
-		cur := v.Load()
-		if x <= cur || v.CompareAndSwap(cur, x) {
-			return
-		}
-	}
-}
-
 // atomicMin lowers v to at most x.
 func atomicMin(v *atomic.Int64, x int64) {
 	for {
