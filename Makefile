@@ -29,7 +29,7 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # lint is the invariant gate: the in-repo analyzer suite
-# (cmd/dlrmperf-lint: hotpath, atomicfield, deterministic, ctxflow,
+# (cmd/dlrmperf-lint: hotpath, deterministic, ctxflow,
 # and unlinked over the `make linked` listing — see internal/analysis
 # and the README "Static analysis" section), plus staticcheck when it
 # is installed. The analyzer suite builds from this module with no

@@ -1,5 +1,5 @@
 // Command dlrmperf-lint runs the repository's invariant lint suite
-// (internal/analysis: hotpath, atomicfield, deterministic, ctxflow,
+// (internal/analysis: hotpath, deterministic, ctxflow,
 // and unlinked when -linked names a `make linked` listing) over the
 // given package patterns and exits non-zero on any finding.
 //

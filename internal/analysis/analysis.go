@@ -1,21 +1,20 @@
 // Package analysis is the repository's invariant lint suite: a small
 // go/ast + go/types analyzer framework (stdlib-only — the build
 // environment has no network, so golang.org/x/tools/go/analysis is
-// deliberately not a dependency) plus the five analyzers that
+// deliberately not a dependency) plus the four analyzers that
 // mechanically enforce the load-bearing conventions the ROADMAP
 // "Architecture anchors" section used to state only in prose:
 //
 //   - hotpath:       no fmt / string-concat key building inside
 //     functions reachable from the steady-state predict path (the
 //     append-builder/pooled-buffer idiom is the only sanctioned one).
-//   - atomicfield:   a struct field touched through sync/atomic
-//     anywhere must be accessed atomically everywhere.
 //   - deterministic: no time.Now, no global math/rand, and no
 //     map-iteration-ordered output in the fingerprint/identity
 //     packages.
 //   - ctxflow:       context.Background/TODO banned outside main and
-//     tests in the serving layers, and a received ctx must actually be
-//     propagated downstream.
+//     tests in the serving layers, a received ctx must actually be
+//     propagated downstream, and no package calls a sync/atomic
+//     function (a shared word is a typed atomic).
 //   - unlinked:      every function a non-main package declares is
 //     linked by some program; runs when given the `make linked` set.
 //
@@ -82,7 +81,7 @@ func (p *Pass) Inspect(fn func(ast.Node) bool) {
 // analyzer joins it when linked, the symbol set ParseLinked reads, is
 // non-nil.
 func All(linked map[string]bool) []*Analyzer {
-	as := []*Analyzer{Hotpath, Atomicfield, Deterministic, Ctxflow}
+	as := []*Analyzer{Hotpath, Deterministic, Ctxflow}
 	if linked != nil {
 		as = append(as, Unlinked(linked))
 	}

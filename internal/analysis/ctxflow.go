@@ -22,14 +22,27 @@ var ctxflowPackages = []string{
 
 // Ctxflow bans context.Background/TODO outside main and tests in the
 // serving layers, and requires a received ctx to actually flow into
-// downstream context-accepting calls.
+// downstream context-accepting calls. In every package it also bans
+// the sync/atomic functions: a word shared between goroutines is a
+// typed atomic (atomic.Int64, atomic.Uint64, ...), which no code can
+// read or write plainly, so no plain access can race an atomic one.
 var Ctxflow = &Analyzer{
 	Name: "ctxflow",
-	Doc:  "context must be propagated in serve/cluster/explore; Background/TODO banned outside main and tests",
+	Doc:  "context must be propagated in serve/cluster/explore; Background/TODO banned outside main and tests; sync/atomic functions banned everywhere",
 	Run:  runCtxflow,
 }
 
 func runCtxflow(pass *Pass) error {
+	pass.Inspect(func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if name, ok := pkgCall(pass.TypesInfo, call, "sync/atomic"); ok {
+				pass.Reportf(call.Pos(),
+					"atomic.%s on a plain word, which other code can still access without sync/atomic; declare the word as a typed atomic (atomic.Int64, atomic.Uint64, ...)",
+					name)
+			}
+		}
+		return true
+	})
 	if pass.Pkg.Name() == "main" {
 		return nil // binaries mint the root context
 	}

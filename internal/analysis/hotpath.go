@@ -34,7 +34,8 @@ var hotpathPackages = map[string]hotpathConfig{
 			// remote pass-through and its resident-only read, which is
 			// on the hit path of every coordinator batch row), the
 			// result-class builder (handed to the wrapper as a method
-			// expression, so no call edge reaches it), compiled plan
+			// expression, so no call edge reaches it; it reaches the
+			// compile and bind step of every miss), compiled plan
 			// execution, and the key builders themselves.
 			"Engine.lookup",
 			"Engine.request",
@@ -43,19 +44,16 @@ var hotpathPackages = map[string]hotpathConfig{
 			"Engine.ResidentResult",
 			"Engine.predictScenario",
 			"CompiledPlan.execute",
-			// The bind step: every miss takes it to its graphs (from
-			// inside the cold stops below, so it is rooted by name).
-			"Engine.graph",
 			"Request.AppendKey",
 			"classStore.getBytes",
 		},
 		stops: []string{
-			// Cold, once-per-scenario work reachable from the lookup's
-			// miss path: plan compilation and a panicking flight's
-			// error may use fmt.Errorf freely.
-			"Engine.compile",
-			"Engine.compileMulti",
-			"Engine.scenarioModel",
+			// Cold work reachable from the lookup's miss path: the
+			// once-per-scenario shape build, the device's asset
+			// assembly and a panicking flight's error may use
+			// fmt.Errorf and concatenated keys freely.
+			"buildShape",
+			"Engine.scenarioPredictor",
 			"group.DoCtx",
 		},
 	},

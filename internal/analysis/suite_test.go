@@ -9,6 +9,13 @@ func TestCtxflowFixture(t *testing.T) {
 	RunFixture(t, "ctxflow", Ctxflow)
 }
 
+// TestAtomicfieldFixture checks ctxflow's sync/atomic rule on a
+// package outside the context-propagation layers, where only that
+// rule applies.
+func TestAtomicfieldFixture(t *testing.T) {
+	RunFixture(t, "atomicfield", Ctxflow)
+}
+
 // TestTreeIsClean runs the full suite over the real module, pinning
 // "make lint passes" as a unit test: any new violation (or stale
 // allow directive) fails here before CI.
@@ -42,7 +49,7 @@ func TestTreeIsClean(t *testing.T) {
 // without wiring it into All() (and thus the CLI) fails here. unlinked
 // joins only when given a linked set.
 func TestAllAnalyzersRegistered(t *testing.T) {
-	want := map[string]bool{"hotpath": true, "atomicfield": true, "deterministic": true, "ctxflow": true, "unlinked": true}
+	want := map[string]bool{"hotpath": true, "deterministic": true, "ctxflow": true, "unlinked": true}
 	if n := len(All(nil)); n != len(want)-1 {
 		t.Fatalf("All(nil) has %d analyzers, want %d", n, len(want)-1)
 	}

@@ -1,38 +1,38 @@
-// Package atomicfield is the seeded fixture for the atomicfield
-// analyzer: a field touched via sync/atomic anywhere must be accessed
-// atomically everywhere.
+// Package atomicfield is the seeded fixture for the ctxflow analyzer's
+// sync/atomic rule, which holds in every package: a sync/atomic
+// function call carries a want expectation; a typed atomic must stay
+// quiet. The package is outside the context-propagation layers, so a
+// minted context here stays quiet too.
 package atomicfield
 
-import "sync/atomic"
+import (
+	"context"
+	"sync/atomic"
+)
 
 type counters struct {
 	hits  int64
-	total int64
+	typed atomic.Int64
 }
 
-// IncHits makes hits an atomic field for the whole package.
+// IncHits operates on a plain word through a sync/atomic function:
+// flagged, since a plain read of hits elsewhere would race it.
 func (c *counters) IncHits() {
-	atomic.AddInt64(&c.hits, 1)
+	atomic.AddInt64(&c.hits, 1) // want `atomic\.AddInt64 on a plain word`
 }
 
-// ReadHits reads hits without sync/atomic: a mixed-mode race, flagged.
-func (c *counters) ReadHits() int64 {
-	return c.hits // want `field hits is accessed via sync/atomic elsewhere`
+// LoadHits reads the plain word through a sync/atomic function:
+// flagged like the write.
+func (c *counters) LoadHits() int64 {
+	return atomic.LoadInt64(&c.hits) // want `atomic\.LoadInt64 on a plain word`
 }
 
-// ReadHitsAtomic is the sanctioned access: quiet.
-func (c *counters) ReadHitsAtomic() int64 {
-	return atomic.LoadInt64(&c.hits)
+// IncTyped uses a typed atomic, whose every access is atomic: quiet.
+func (c *counters) IncTyped() int64 {
+	return c.typed.Add(1)
 }
 
-// IncTotal touches a field that is never atomic anywhere: quiet.
-func (c *counters) IncTotal() {
-	c.total++
-}
-
-// SnapshotHits shows the escape hatch: the allow directive suppresses
-// the finding on the next line.
-func (c *counters) SnapshotHits() int64 {
-	//lint:allow atomicfield fixture demo: pretend a mutex guards this read
-	return c.hits
+// Root mints a context outside the serving layers: quiet.
+func Root() context.Context {
+	return context.Background()
 }

@@ -1,6 +1,7 @@
-// Package ctxflow is the seeded fixture for the ctxflow analyzer:
-// minted contexts and dropped ctx parameters carry want expectations;
-// threaded and explicitly-discarded contexts must stay quiet.
+// Package ctxflow is the seeded fixture for the ctxflow analyzer's
+// context rules: minted contexts and dropped ctx parameters carry want
+// expectations; threaded and explicitly-discarded contexts must stay
+// quiet.
 package ctxflow
 
 import "context"

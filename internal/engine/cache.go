@@ -43,7 +43,8 @@ const (
 	classOverheads
 	// classGraph holds execution-graph structures — one per built-in
 	// workload or table population, whatever the batch size (see
-	// Engine.graph).
+	// Engine.graph) — and scenario shapes, one per workload, table
+	// population and device count (see scenarioShape).
 	classGraph
 	// classResult holds finished predictions keyed by request identity.
 	classResult
@@ -292,11 +293,11 @@ type assetStore struct {
 // newAssetStore sizes the classes. Calibrations are pinned: warm-start
 // installs and the "calibrate once per device" contract must survive
 // arbitrary traffic. The other caps are fixed: 512 runs, 128 overhead
-// DBs (per-workload and shared), 512 graph structures (one per built-in
-// workload or table population, whatever the batch size), and
-// ResultCacheSize results. Every bounded class evicts by the same
-// segmented LRU (classStore): no class has a policy of its own, and
-// the protected share is a constant 4/5 of each cap.
+// DBs (per-workload and shared), 512 graph structures and scenario
+// shapes (whatever the batch size), and ResultCacheSize results. Every
+// bounded class evicts by the same segmented LRU (classStore): no class
+// has a policy of its own, and the protected share is a constant 4/5 of
+// each cap.
 func newAssetStore(opts Options) *assetStore {
 	s := &assetStore{}
 	s.classes[classCalibration] = newClassStore(0, true)
@@ -329,13 +330,19 @@ const iterSpanBytes = 16
 // graph's own strings.
 const sampleBytes = 8
 
+// shardBytes is the size of one scenario shape's shard, and
+// tableSpecBytes that of one table the shard lists. A cached multi-GPU
+// result is not charged for its plan: it shares its shape's.
+const shardBytes, tableSpecBytes = 48, 24
+
 // approxBytes estimates the resident footprint of one asset. The
 // numbers are deliberately rough — they meter relative pressure, not
 // allocator truth — but scale with the dominant payload of each type:
 // iteration spans and per-op device times for measured runs, samples
 // for profiled ones, per-op stats for overhead DBs, nodes for graphs,
-// fitted network parameters for calibrations. Each is read off the
-// asset's lengths, so metering a store costs no pass over its payload.
+// plan and shards for scenario shapes, fitted network parameters for
+// calibrations. Each is read off the asset's lengths, so metering a
+// store costs no pass over its payload.
 func approxBytes(v any) int64 {
 	const (
 		ptrOverhead     = 48  // map/list bookkeeping per entry
@@ -384,11 +391,13 @@ func approxBytes(v any) int64 {
 		if t.multi != nil {
 			n += 64 + int64(len(t.multi.PerDeviceE2E))*8
 		}
-		if t.plan != nil {
-			n += 64 + 8*int64(len(t.plan.Loads))
-			for _, a := range t.plan.Assignments {
-				n += 8 * int64(len(a))
-			}
+		return n
+	case *scenarioShape:
+		// A shard's tables are charged twice: its list and the plan's
+		// indices into the population.
+		n := int64(ptrOverhead + 48)
+		for _, s := range t.shards {
+			n += int64(shardBytes + len(s.key) + (tableSpecBytes+8)*len(s.tables))
 		}
 		return n
 	}

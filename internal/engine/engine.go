@@ -16,8 +16,10 @@
 // its structure only — nodes and ops, keyed by everything but the batch
 // size — and every request binds its batch to the shared structure by
 // one shape propagation (Engine.graph), so requests that differ in
-// batch alone build nothing. The plan a request compiles into (plan.go)
-// is not remembered at all: it shares its result's identity, so it
+// batch alone build nothing. A scenario's shape (its shard plan and
+// each device's structure) is remembered the same way, so they plan
+// nothing either. The plan a request compiles into (plan.go) is not
+// remembered at all: it shares its result's identity, so it
 // could only be re-read after that result was evicted. Requests reach
 // the lookup through ONE wrapper (Engine.request: validate, then key,
 // then lookup, with the stream and hit/miss/canceled accounting around
@@ -348,9 +350,14 @@ func (e *Engine) CalibrationRuns(device string) int {
 }
 
 // Model returns the built-in workload's execution graph at batch: a
-// view bound for the caller alone, which the engine never recycles.
+// view of the "model/<name>" structure bound for the caller alone,
+// which the engine never recycles.
 func (e *Engine) Model(name string, batch int64) (*models.Model, error) {
-	return e.graph("model/"+name, scenario.Single(name, batch), buildModel)
+	m, err := e.graph("model/"+name, scenario.Single(name, batch), buildModel)
+	if err != nil {
+		return nil, err
+	}
+	return m.WithBatch(batch)
 }
 
 // buildModel builds a built-in workload's structure.
@@ -358,23 +365,21 @@ func buildModel(_ *Engine, s scenario.Spec) (*models.Model, error) {
 	return models.Build(s.Workload, s.Batch)
 }
 
-// graph is the one step every family takes to an execution graph:
-// build once, then bind. The graphs class holds one structure per key —
-// the key names everything but the batch size, and whichever batch asks
-// first builds it — and the request's batch is bound to that structure
-// by one shape propagation (models.Model.WithBatch), so a batch size
-// never seen before constructs no nodes and no ops. The bound view is
-// equal to a from-scratch build at spec.Batch and belongs to the caller
-// (a plan, a run, Engine.Model's caller); structure and views are
+// graph is the first of the two steps every family takes to an
+// execution graph: build once, then bind. The graphs class holds one
+// structure per key — the key names everything but the batch size, and
+// whichever batch asks first builds it from spec — and the caller binds
+// its batch to that structure by one shape propagation
+// (graph.Graph.WithBatch), so a batch size never seen before constructs
+// no nodes and no ops. A bound view is equal to a from-scratch build at
+// its batch and belongs to the caller that bound it (a plan, or through
+// Engine.Model a run or Model's caller); structure and views are
 // read-only. A plan releases its views after its walk
 // (CompiledPlan.release), so the next bind reuses their shape tables;
 // no other caller releases one.
 func (e *Engine) graph(key string, spec scenario.Spec, build func(*Engine, scenario.Spec) (*models.Model, error)) (*models.Model, error) {
 	m, _, err := memo(e, classGraph, key, spec, build)
-	if err != nil {
-		return nil, err
-	}
-	return m.WithBatch(spec.Batch)
+	return m, err
 }
 
 // runSpec names one simulated run — or, with batch and profiled unset,

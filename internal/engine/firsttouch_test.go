@@ -10,6 +10,7 @@ import (
 	"dlrmperf/internal/overhead"
 	"dlrmperf/internal/scenario"
 	"dlrmperf/internal/sim"
+	"dlrmperf/internal/workload"
 )
 
 // BenchmarkFirstTouch measures what a calibrated engine pays the first
@@ -59,6 +60,44 @@ func TestIterSpanBytesIsStructSize(t *testing.T) {
 	}
 	if got := f.Type.Elem().Size(); got != iterSpanBytes {
 		t.Errorf("iterSpanBytes = %d, but an iteration span is %d bytes", iterSpanBytes, got)
+	}
+}
+
+// TestScenarioShapeChargedOnce: a scenario shape is metered by its own
+// case, per shard at the size of a shard and of the tables it lists,
+// and a cached multi-GPU result is charged the same whether or not it
+// points at its shape's plan — the plan is charged once, with the shape.
+func TestScenarioShapeChargedOnce(t *testing.T) {
+	if got := reflect.TypeOf(shardShape{}).Size(); got != shardBytes {
+		t.Errorf("shardBytes = %d, but a shard is %d bytes", shardBytes, got)
+	}
+	if got := reflect.TypeOf(workload.TableSpec{}).Size(); got != tableSpecBytes {
+		t.Errorf("tableSpecBytes = %d, but a table is %d bytes", tableSpecBytes, got)
+	}
+	e := New(tinyOptions(7))
+	spec, err := scenario.Build("dlrm-criteo-4gpu", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := e.compile(Request{Device: hw.V100, Scenario: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.release()
+	var keys, tables int64
+	for _, s := range pl.shape.shards {
+		keys, tables = keys+int64(len(s.key)), tables+int64(len(s.tables))
+	}
+	// The store entry's overhead and the shape's own fields are 48 bytes each.
+	if got, want := approxBytes(pl.shape), int64(48+48+4*shardBytes)+keys+tables*(tableSpecBytes+8); got != want {
+		t.Errorf("shape of 4 shards over %d tables charged %d bytes, want %d", tables, got, want)
+	}
+	res := e.Predict(Request{Device: hw.V100, Scenario: spec})
+	if res.Err != nil || res.Plan != pl.shape.plan {
+		t.Fatalf("result: err %v, plan %p not the shape's %p", res.Err, res.Plan, pl.shape.plan)
+	}
+	if with, without := approxBytes(cached{res.Prediction, res.Multi, res.Plan}), approxBytes(cached{res.Prediction, res.Multi, nil}); with != without {
+		t.Errorf("a result is charged %d bytes with its shape's plan, %d without", with, without)
 	}
 }
 

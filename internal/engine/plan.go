@@ -12,12 +12,102 @@ import (
 	"dlrmperf/internal/xrand"
 )
 
+// scenarioShape is everything a compile derives from a scenario but its
+// batch: the shard plan, each device's graph structure, and the
+// batch-independent factors of the collective payloads. A sharded
+// scenario is a structure the way a graph is (Engine.graph): the graphs
+// class holds one shape per (workload, table population, device count),
+// whichever batch asks first builds it, and a miss binds its shards at
+// the per-device batch without planning anything. A shape is read-only
+// once built, so every result of the scenario shares its plan.
+type scenarioShape struct {
+	// plan is the embedding shard assignment; nil when every device runs
+	// the family's own structure (one device, or pure data parallelism).
+	plan   *scenario.Plan
+	shards []shardShape
+	// denseParams sizes the data-parallel all-reduce; a2aRowBytes is one
+	// batch row's share of a device's all-to-all payload per direction.
+	denseParams, a2aRowBytes int64
+}
+
+// shardShape is one device's graph structure.
+type shardShape struct {
+	// key names the structure in the graphs class.
+	key string
+	// tables is the device's shard; nil for the family's own structure
+	// ("model/<workload>", the one simulated runs bind too).
+	tables []workload.TableSpec
+	// first is the first device holding an identical shard (its own
+	// index when no device before it does): those devices share a view.
+	first int
+}
+
+// buildShape is the graphs class's builder for a scenario shape. A DLRM
+// family with custom tables, or across several devices, is sharded by
+// the greedy LPT planner, and each shard is keyed by its content, so
+// identical shards (every uniform-table scenario) share one structure.
+// Any other scenario runs the family's own structure on every device.
+func buildShape(e *Engine, spec scenario.Spec) (*scenarioShape, error) {
+	n := spec.NumDevices()
+	sh := &scenarioShape{shards: make([]shardShape, n)}
+	cfg, cfgErr := models.DLRMConfigFor(spec.Workload, spec.Batch)
+	if cfgErr != nil || (n == 1 && len(spec.Tables) == 0) {
+		if len(spec.Tables) > 0 {
+			return nil, fmt.Errorf("scenario: custom tables need a DLRM family: %w", cfgErr)
+		}
+		key := "model/" + spec.Workload
+		m, err := e.graph(key, spec, buildModel)
+		if err != nil {
+			return nil, err
+		}
+		for d := range sh.shards {
+			sh.shards[d].key = key
+		}
+		sh.denseParams = m.Params
+		return sh, nil
+	}
+	tables := spec.Tables
+	if len(tables) == 0 {
+		tables = scenario.TablesOf(cfg)
+	}
+	pl, err := scenario.PlanShards(tables, cfg.EmbDim, n)
+	if err != nil {
+		return nil, err
+	}
+	sh.plan = &pl
+	for d := range sh.shards {
+		s := &sh.shards[d]
+		s.tables = pl.TablesFor(d, tables)
+		s.key = string(structureKey(nil, "graph/", &scenario.Spec{Workload: spec.Workload, Tables: s.tables}))
+		// Devices after d have no key yet: the match is at d or before.
+		s.first = slices.IndexFunc(sh.shards, func(o shardShape) bool { return o.key == s.key })
+	}
+	sh.denseParams = cfg.DenseParams()
+	// A device's share of the (B/n, T, D) embedding activation tensor.
+	sh.a2aRowBytes = int64(len(tables)) * cfg.EmbDim * 4
+	return sh, nil
+}
+
+// structureKey renders prefix followed by the hash of the canonical
+// encoding of spec with its batch and interconnect cleared: the identity
+// of everything built from spec, whatever the batch, hashed through b's
+// spare capacity so keying a miss costs no fmt machinery and no
+// intermediate strings. A scenario's shape is "scen/<hash16>", a shard
+// structure "graph/<hash16>" over a one-device spec of its tables.
+func structureKey(b []byte, prefix string, spec *scenario.Spec) []byte {
+	id := scenario.Spec{Workload: spec.Workload, Tables: spec.Tables, Devices: spec.Devices}
+	b = append(b, prefix...)
+	mark := len(b)
+	b = id.AppendCanonical(b)
+	return xrand.AppendHex16(b[:mark], xrand.HashBytes(b[mark:]))
+}
+
 // CompiledPlan is one request resolved into directly executable form:
-// the per-shard execution graphs, the greedy-LPT shard assignment, the
-// resolved alpha-beta comm model, the collective payload sizes, and
-// the device's bound predictor (calibrated kernel models + overhead
-// database). Executing a plan is pure arithmetic — no graph
-// construction, no shard planning, no comm-model resolution.
+// the scenario's shape, one execution graph per device bound at the
+// per-device batch, the resolved alpha-beta comm model, and the device's
+// bound predictor (calibrated kernel models + overhead database).
+// Executing a plan is pure arithmetic — no graph construction, no shard
+// planning, no comm-model resolution.
 //
 // A plan is transient: predictScenario compiles one per result-cache
 // miss and drops it after execute. Everything costly it refers to is
@@ -25,44 +115,74 @@ import (
 // deterministic and ends in the same predictor calls on the same
 // inputs.
 type CompiledPlan struct {
-	// graphs holds one execution graph per device (len 1 single-device):
-	// views bound at the per-device batch, which this plan owns and
-	// releases (release); devices with identical shards hold the same
-	// view.
+	// graphs holds one execution graph per device: views bound at
+	// perDev, which this plan owns and releases (release); devices with
+	// identical shards hold the same view.
 	graphs []*graph.Graph
-	// plan is the embedding shard assignment (nil for single-device and
-	// pure data-parallel scenarios).
-	plan *scenario.Plan
-	// comm is the resolved interconnect model (multi-device only).
-	comm predict.CommModel
-	// denseParams sizes the data-parallel all-reduce payload;
-	// embActBytes the per-device all-to-all payload per direction.
-	denseParams int64
-	embActBytes int64
-	// pred is the device's predictor: calibrated registry + the
-	// requested overhead database.
-	pred *predict.Predictor
-	// multi selects the hybrid-parallel execution path.
-	multi bool
+	shape  *scenarioShape
+	perDev int64
+	comm   predict.CommModel
+	pred   *predict.Predictor
 }
 
-// execute prices the compiled scenario: the Algorithm-1 walk of its
-// graph, or the sharded walk plus collectives of a multi-device plan.
-// A plan executes once: its views are released on the way out.
+// compile resolves a request, one device or several alike: look up the
+// scenario's shape, bind each distinct shard at the per-device batch,
+// then assemble the device's predictor. The shape and the graphs come
+// BEFORE the device's assets are touched, so malformed scenarios
+// (unknown workloads, unplannable shardings, custom tables on non-DLRM
+// families) fail fast without ever triggering a calibration.
+func (e *Engine) compile(req Request) (*CompiledPlan, error) {
+	spec := &req.Scenario
+	kb := keyBufPool.Get().(*[]byte)
+	*kb = structureKey((*kb)[:0], "scen/", spec)
+	sh, _, err := memo(e, classGraph, string(*kb), *spec, buildShape)
+	keyBufPool.Put(kb)
+	if err != nil {
+		return nil, err
+	}
+	n := int64(len(sh.shards))
+	cp := &CompiledPlan{graphs: make([]*graph.Graph, n), shape: sh, perDev: (spec.Batch + n - 1) / n}
+	for d, s := range sh.shards {
+		if s.first < d {
+			cp.graphs[d] = cp.graphs[s.first]
+			continue
+		}
+		build := buildDLRM
+		if s.tables == nil {
+			build = buildModel
+		}
+		m, err := e.graph(s.key, scenario.Spec{Workload: spec.Workload, Batch: cp.perDev, Tables: s.tables}, build)
+		if err != nil {
+			return nil, err
+		}
+		if cp.graphs[d], err = m.Graph.WithBatch(cp.perDev); err != nil {
+			return nil, err
+		}
+	}
+	if cp.comm, err = predict.CommByName(spec.Comm); err != nil {
+		return nil, err
+	}
+	if cp.pred, err = e.scenarioPredictor(req); err != nil {
+		return nil, err
+	}
+	return cp, nil
+}
+
+// execute prices the compiled scenario: the sharded walk plus
+// collectives, which over one device is the Algorithm-1 walk of its
+// graph. A single-device result carries no multi-GPU breakdown. A plan
+// executes once: its views are released on the way out.
 func (p *CompiledPlan) execute() (cached, error) {
 	defer p.release()
-	if !p.multi {
-		pred, err := p.pred.Predict(p.graphs[0])
-		if err != nil {
-			return cached{}, err
-		}
-		return cached{pred: pred}, nil
-	}
-	mp, err := p.pred.PredictSharded(p.graphs, p.denseParams, p.embActBytes, p.comm)
+	mp, err := p.pred.PredictSharded(p.graphs, p.shape.denseParams, p.perDev*p.shape.a2aRowBytes, p.comm)
 	if err != nil {
 		return cached{}, err
 	}
-	return cached{pred: mp.Prediction, multi: &mp, plan: p.plan}, nil
+	if len(p.graphs) == 1 {
+		return cached{pred: mp.Prediction}, nil
+	}
+	multi := mp
+	return cached{pred: mp.Prediction, multi: &multi, plan: p.shape.plan}, nil
 }
 
 // release gives the plan's views back for the next bind to reuse
@@ -72,118 +192,8 @@ func (p *CompiledPlan) execute() (cached, error) {
 // alone by Release.
 func (p *CompiledPlan) release() {
 	for d, g := range p.graphs {
-		if !slices.Contains(p.graphs[:d], g) {
+		if p.shape.shards[d].first == d {
 			g.Release()
 		}
 	}
-}
-
-// compile resolves a request. Graphs and the shard plan are built
-// BEFORE the device's assets are touched, so malformed scenarios
-// (unknown workloads, unplannable shardings, custom tables on non-DLRM
-// families) fail fast without ever triggering a calibration.
-func (e *Engine) compile(req Request) (*CompiledPlan, error) {
-	spec := req.Scenario
-	if spec.NumDevices() == 1 {
-		m, err := e.scenarioModel(spec)
-		if err != nil {
-			return nil, err
-		}
-		p, err := e.scenarioPredictor(req)
-		if err != nil {
-			return nil, err
-		}
-		return &CompiledPlan{graphs: []*graph.Graph{m.Graph}, pred: p}, nil
-	}
-	return e.compileMulti(req)
-}
-
-// compileMulti resolves a hybrid-parallel scenario: dense layers run
-// data-parallel at the per-device batch, the embedding tables are
-// sharded by the greedy planner, and collectives come from the spec's
-// alpha-beta comm model. CNN families degenerate to pure data
-// parallelism (identical per-device graphs, all-reduce only).
-func (e *Engine) compileMulti(req Request) (*CompiledPlan, error) {
-	spec := req.Scenario
-	n := spec.NumDevices()
-	comm, err := predict.CommByName(spec.Comm)
-	if err != nil {
-		return nil, err
-	}
-	perDev := (spec.Batch + int64(n) - 1) / int64(n)
-
-	cp := &CompiledPlan{comm: comm, multi: true}
-	cfg, cfgErr := models.DLRMConfigFor(spec.Workload, spec.Batch)
-	if cfgErr != nil {
-		// Not a DLRM family: pure data parallelism over one shared graph.
-		if len(spec.Tables) > 0 {
-			return nil, fmt.Errorf("scenario: custom tables need a DLRM family: %w", cfgErr)
-		}
-		m, err := e.scenarioModel(scenario.Single(spec.Workload, perDev))
-		if err != nil {
-			return nil, err
-		}
-		cp.graphs = make([]*graph.Graph, n)
-		for d := range cp.graphs {
-			cp.graphs[d] = m.Graph
-		}
-		cp.denseParams = m.Params
-	} else {
-		tables := spec.Tables
-		if len(tables) == 0 {
-			tables = scenario.TablesOf(cfg)
-		}
-		pl, err := scenario.PlanShards(tables, cfg.EmbDim, n)
-		if err != nil {
-			return nil, err
-		}
-		cp.plan = &pl
-		cp.graphs = make([]*graph.Graph, n)
-		keys := make([]string, n)
-		kb := keyBufPool.Get().(*[]byte)
-		defer keyBufPool.Put(kb)
-		for d := 0; d < n; d++ {
-			shard := pl.TablesFor(d, tables)
-			// Key per-device graphs by shard *content*, so identical
-			// shards (every uniform-table scenario) build one structure
-			// and bind one view.
-			*kb = shardGraphKey((*kb)[:0], spec.Workload, shard)
-			if j := slices.IndexFunc(keys[:d], func(k string) bool { return k == string(*kb) }); j >= 0 {
-				keys[d], cp.graphs[d] = keys[j], cp.graphs[j]
-				continue
-			}
-			keys[d] = string(*kb)
-			m, err := e.graph(keys[d], scenario.Spec{Workload: spec.Workload, Batch: perDev, Tables: shard}, buildDLRM)
-			if err != nil {
-				return nil, err
-			}
-			cp.graphs[d] = m.Graph
-		}
-		cp.denseParams = cfg.DenseParams()
-		// All-to-all payload per device per direction: each device's
-		// share of the full (B/n, T, D) embedding activation tensor.
-		cp.embActBytes = perDev * int64(len(tables)) * cfg.EmbDim * 4
-	}
-
-	p, err := e.scenarioPredictor(req)
-	if err != nil {
-		return nil, err
-	}
-	cp.pred = p
-	return cp, nil
-}
-
-// shardGraphKey renders "graph/<workload>/<hash16>" — a structure's
-// identity: the batch size is not part of it — where the hash folds the
-// shard's canonical tables key — built with append writers, hashing
-// through b's spare capacity, so re-keying a shard costs no fmt
-// machinery and no intermediate strings.
-func shardGraphKey(b []byte, workloadName string, shard []workload.TableSpec) []byte {
-	b = append(b, "graph/"...)
-	b = append(b, workloadName...)
-	b = append(b, '/')
-	mark := len(b)
-	b = scenario.AppendTablesKey(b, shard)
-	h := xrand.HashBytes(b[mark:])
-	return xrand.AppendHex16(b[:mark], h)
 }

@@ -15,9 +15,9 @@ import (
 // release its views, forget it. A plan shares the request's identity
 // with its result, so it could only ever be re-read after that result
 // was evicted; the pieces worth remembering (the calibration, the
-// overhead database, the graph structures) sit in their own classes,
-// and what is left of a compile is one shape propagation per distinct
-// shard, into a recycled shape table, and an LPT pass.
+// overhead database, the graph structures and the scenario's shape)
+// sit in their own classes, and what is left of a compile is one shape
+// propagation per distinct shard, into a recycled shape table.
 func (e *Engine) predictScenario(req *Request) (any, error) {
 	pl, err := e.compile(*req)
 	if err != nil {
@@ -43,16 +43,6 @@ func (e *Engine) scenarioPredictor(req Request) (*predict.Predictor, error) {
 		return nil, err
 	}
 	return predict.New(cal.Registry, db), nil
-}
-
-// scenarioModel binds the single-device execution graph of a spec; a
-// custom table population shares its structure with every shard of the
-// same content.
-func (e *Engine) scenarioModel(spec scenario.Spec) (*models.Model, error) {
-	if len(spec.Tables) == 0 {
-		return e.graph("model/"+spec.Workload, spec, buildModel)
-	}
-	return e.graph(string(shardGraphKey(nil, spec.Workload, spec.Tables)), spec, buildDLRM)
 }
 
 // buildDLRM builds the DLRM family spec.Workload at spec.Batch with the

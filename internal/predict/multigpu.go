@@ -115,14 +115,16 @@ func collectives(denseParams, embActBytes int64, n int, comm CommModel) (allRedu
 // all-reduce and the two embedding all-to-alls; the embedded Prediction
 // carries the bottleneck device's breakdown with E2E lifted to the
 // full-step time. ScalingEfficiency is makespan/step: the fraction of
-// the step not lost to collectives (1 for a single device). Plain data
-// parallelism is n copies of one graph.
+// the step not lost to collectives. One graph is one device: no
+// collective runs (AllReduce and AllToAll are 0 at n = 1), so the
+// Prediction is Predict's and the efficiency 1. Plain data parallelism
+// is n copies of one graph.
 func (p *Predictor) PredictSharded(graphs []*graph.Graph, denseParams, embActBytes int64, comm CommModel) (MultiGPUPrediction, error) {
 	n := len(graphs)
 	if n < 1 {
 		return MultiGPUPrediction{}, errors.New("predict: sharded prediction needs at least one device graph")
 	}
-	out := MultiGPUPrediction{Devices: n, ScalingEfficiency: 1}
+	out := MultiGPUPrediction{Devices: n, PerDeviceE2E: make([]float64, n)}
 	var pred Prediction
 	for d, g := range graphs {
 		// Devices holding identical shards share one graph; the walk is
@@ -133,13 +135,10 @@ func (p *Predictor) PredictSharded(graphs []*graph.Graph, denseParams, embActByt
 				return MultiGPUPrediction{}, deviceError(d, err)
 			}
 		}
-		out.PerDeviceE2E = append(out.PerDeviceE2E, pred.E2E)
+		out.PerDeviceE2E[d] = pred.E2E
 		if d == 0 || pred.E2E > out.Prediction.E2E {
 			out.Prediction = pred
 		}
-	}
-	if n == 1 {
-		return out, nil
 	}
 	makespan := out.Prediction.E2E
 	out.AllReduceUs, out.AllToAllUs = collectives(denseParams, embActBytes, n, comm)
