@@ -28,7 +28,8 @@ type Engine struct {
 	devices []string
 }
 
-// EngineConfig customizes NewEngineWith.
+// EngineConfig customizes NewEngineWith. The asset store is not
+// configured here: each class's cap is a constant (see AssetStats).
 type EngineConfig struct {
 	// Devices restricts the engine (default: all supported devices).
 	Devices []string
@@ -45,9 +46,6 @@ type EngineConfig struct {
 	// ensemble size, hyperparameter search); each device calibrates it
 	// from its own salted Seed.
 	Calib perfmodel.CalibOptions
-	// ResultCacheSize caps the prediction result cache (default 512
-	// entries; negative disables caching).
-	ResultCacheSize int
 }
 
 // AssetStats is the engine's per-class asset store report: resident
@@ -99,7 +97,6 @@ func NewEngineWith(cfg EngineConfig) (*Engine, error) {
 		eng: engine.New(engine.Options{
 			Seed:  cfg.Seed,
 			Calib: cfg.Calib, Workers: cfg.Workers,
-			ResultCacheSize: cfg.ResultCacheSize,
 		}),
 		devices: append([]string(nil), cfg.Devices...),
 	}, nil

@@ -170,66 +170,6 @@ func TestScenarioRequestFacade(t *testing.T) {
 	}
 }
 
-// TestBoundedAssetStoreFacade is the bounded store at the facade: with
-// a result cache smaller than the 12-request acceptance matrix's
-// working set, the batch completes with bounded resident entries
-// (evictions observed, residency at or under cap) and predictions
-// bit-identical to a default engine, whose caps this working set never
-// reaches.
-func TestBoundedAssetStoreFacade(t *testing.T) {
-	reqs := batchRequests()
-
-	unbounded, err := NewEngineWith(fastEngineConfig(V100, P100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := predictAll(unbounded, reqs)
-
-	cfg := fastEngineConfig(V100, P100)
-	cfg.ResultCacheSize = 4
-	bounded, err := NewEngineWith(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := predictAll(bounded, reqs)
-
-	for i := range reqs {
-		if want[i].Err != nil || got[i].Err != nil {
-			t.Fatalf("request %d errored: unbounded=%v bounded=%v", i, want[i].Err, got[i].Err)
-		}
-		if want[i].Prediction != got[i].Prediction {
-			t.Errorf("request %+v: bounded %+v != unbounded %+v",
-				reqs[i], got[i].Prediction, want[i].Prediction)
-		}
-	}
-
-	s := bounded.AssetStats()
-	var evictions uint64
-	for _, name := range []string{"runs", "overheads", "graphs", "results"} {
-		c := s.Class(name)
-		if c.Capacity > 0 && c.Resident > c.Capacity {
-			t.Errorf("%s resident %d above cap %d", name, c.Resident, c.Capacity)
-		}
-		evictions += c.Evictions
-	}
-	if evictions == 0 {
-		t.Error("bounded engine saw no evictions under a 12-request working set")
-	}
-	if n := s.Class("results").Resident; n > 4 {
-		t.Errorf("%d results resident above result cap 4", n)
-	}
-	if hits, misses := bounded.CacheStats(); hits+misses != uint64(len(reqs)) {
-		t.Errorf("cache invariant broken: %d+%d != %d requests", hits, misses, len(reqs))
-	}
-	// Both devices still calibrated exactly once: the pinned class
-	// shields calibrations from the thrash.
-	for _, d := range []string{V100, P100} {
-		if runs := bounded.CalibrationRuns(d); runs != 1 {
-			t.Errorf("%s calibrated %d times under bounded store, want 1", d, runs)
-		}
-	}
-}
-
 // TestEngineDeviceSetEnforced: requests for devices outside the
 // engine's set fail in their slot; the engine never calibrates them.
 func TestEngineDeviceSetEnforced(t *testing.T) {

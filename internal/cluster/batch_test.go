@@ -101,7 +101,7 @@ func newBatchCluster(t *testing.T, cached, gated bool) *batchCluster {
 	for i, w := range bc.workers {
 		bc.devs[i] = affineDevice(t, reg.Live(), w.id)
 	}
-	cfg := Config{Registry: reg}
+	cfg := Config{Registry: reg, Cache: passThrough{}}
 	if cached {
 		cache, err := dlrmperf.NewEngineWith(dlrmperf.EngineConfig{Seed: 7})
 		if err != nil {
@@ -317,7 +317,7 @@ func TestRunBatchGroupsByOwner(t *testing.T) {
 // TestRunBatchNoWorkers: with nothing to plan for, each row reports the
 // empty cluster itself and is counted once.
 func TestRunBatchNoWorkers(t *testing.T) {
-	coord := New(Config{Registry: NewRegistry(0)})
+	coord := New(Config{Registry: NewRegistry(0), Cache: passThrough{}})
 	rows := coord.RunBatch(context.Background(), []serve.Request{req("V100", "w", 512), req("P100", "w", 512)})
 	for i, row := range rows {
 		if row.Error != ErrNoWorkers.Error() {

@@ -76,9 +76,7 @@ type ResultCache interface {
 type Config struct {
 	// Registry is the worker set (required).
 	Registry *Registry
-	// Cache is the pass-through result cache; nil forwards every
-	// request (the ablation, and the fault-injection tests' default so
-	// repeats actually route).
+	// Cache is the pass-through result cache (required).
 	Cache ResultCache
 	// Client performs worker HTTP calls. The default is
 	// client.NewHTTPClient keeping fanout idle connections per worker,
@@ -174,6 +172,9 @@ func New(cfg Config) *Coordinator {
 	if cfg.Registry == nil {
 		panic("cluster: Config.Registry is required")
 	}
+	if cfg.Cache == nil {
+		panic("cluster: Config.Cache is required")
+	}
 	c := &Coordinator{cfg: cfg.withDefaults(), reg: cfg.Registry, routed: map[string]uint64{}, vault: newAssetVault()}
 	if len(c.cfg.Peers) > 0 {
 		if c.cfg.Self == "" {
@@ -239,14 +240,7 @@ func (c *Coordinator) predict(ctx context.Context, req serve.Request, blocking b
 		}
 		return row, nil
 	}
-	var v any
-	var hit bool
-	var err error
-	if c.cfg.Cache != nil {
-		v, hit, err = c.cfg.Cache.RemoteResult(ctx, req.ToPredict(), fetch)
-	} else {
-		v, err = fetch()
-	}
+	v, hit, err := c.cfg.Cache.RemoteResult(ctx, req.ToPredict(), fetch)
 	if err != nil {
 		var re rowError
 		if errors.As(err, &re) {
@@ -257,7 +251,7 @@ func (c *Coordinator) predict(ctx context.Context, req serve.Request, blocking b
 		return serve.Result{}, err
 	}
 	row := v.(serve.Result)
-	if !hit && c.cfg.Cache != nil {
+	if !hit {
 		// This caller executed the fetch (hit covers both cache reads and
 		// flight joins), so it is the one copy of the result that peers
 		// don't have yet. The fetch WAS the origin's apply — RemoteResult
@@ -444,7 +438,7 @@ func (c *Coordinator) plan(ctx context.Context, reqs []serve.Request, out []serv
 	byDevice, sends := map[string]*subBatch{}, map[string]*subBatch{} // sends by worker ID
 	for i := range reqs {
 		req := &reqs[i]
-		if c.cfg.Cache != nil && !draining {
+		if !draining {
 			if v, ok := c.cfg.Cache.ResidentResult(req.ToPredict()); ok {
 				out[i] = c.localHit(v.(serve.Result), req)
 				continue

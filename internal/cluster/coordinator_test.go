@@ -188,10 +188,28 @@ func (fw *fakeWorker) calibratedDevices() map[string]int {
 	return out
 }
 
+// passThrough is a ResultCache that caches nothing: every RemoteResult
+// fetches and reports a miss, ResidentResult finds nothing, and
+// InstallRemoteResult accepts a row and keeps none of it. Tests that
+// need every repeat to route put it in front of their coordinator.
+type passThrough struct{}
+
+func (passThrough) RemoteResult(_ context.Context, _ dlrmperf.PredictRequest, fetch func() (any, error)) (any, bool, error) {
+	v, err := fetch()
+	return v, false, err
+}
+
+func (passThrough) ResidentResult(dlrmperf.PredictRequest) (any, bool) { return nil, false }
+
+func (passThrough) InstallRemoteResult(dlrmperf.PredictRequest, any) bool { return true }
+
 // newTestCluster wires n fake workers behind a coordinator as static
-// registry entries (no cache unless provided).
+// registry entries (a passThrough cache unless one is provided).
 func newTestCluster(t *testing.T, n int, cache ResultCache) (*Coordinator, []*fakeWorker) {
 	t.Helper()
+	if cache == nil {
+		cache = passThrough{}
+	}
 	reg := NewRegistry(0)
 	workers := make([]*fakeWorker, n)
 	for i := range workers {
@@ -359,7 +377,7 @@ func TestDrainPropagation(t *testing.T) {
 	regW := newFakeWorker(t)
 	reg.AddStatic(staticW.srv.URL)
 	reg.Register(regW.id, regW.srv.URL)
-	coord := New(Config{Registry: reg})
+	coord := New(Config{Registry: reg, Cache: passThrough{}})
 
 	coord.Drain(true)
 	if !regW.drained.Load() {
@@ -401,7 +419,7 @@ func TestBackpressurePassThrough(t *testing.T) {
 	}))
 	defer busy.Close()
 	reg.AddStatic(busy.URL)
-	coord := New(Config{Registry: reg})
+	coord := New(Config{Registry: reg, Cache: passThrough{}})
 
 	_, err := coord.PredictOne(context.Background(), req("V100", "w", 512), false)
 	var bp *serve.StatusError
@@ -566,5 +584,23 @@ func assertBatchKeys(t *testing.T, cl *client.Client, reqs []serve.Request, allF
 	sort.Strings(want)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("batch body keys %v, want %v", got, want)
+	}
+}
+
+// TestNewRequiresRegistryAndCache: a coordinator has no cacheless mode;
+// New refuses a config missing either the worker set or the cache.
+func TestNewRequiresRegistryAndCache(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"no registry": {Cache: passThrough{}},
+		"no cache":    {Registry: NewRegistry(0)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("New(%s) did not panic", name)
+				}
+			}()
+			New(cfg)
+		})
 	}
 }

@@ -187,7 +187,7 @@ func TestHeartbeatExpiryStopsRouting(t *testing.T) {
 	a, b := newFakeWorker(t), newFakeWorker(t)
 	reg.Register(a.id, a.srv.URL)
 	reg.AddStatic(b.srv.URL)
-	coord := New(Config{Registry: reg})
+	coord := New(Config{Registry: reg, Cache: passThrough{}})
 	dev := affineDevice(t, reg.Live(), a.id)
 
 	if row, err := coord.PredictOne(context.Background(), req(dev, "w", 512), false); err != nil || row.Error != "" {
@@ -394,7 +394,7 @@ func TestBadClientInputDoesNotQuarantine(t *testing.T) {
 		t.Cleanup(func() { ts.Close(); srv.Drain() })
 		reg.Register(ts.URL, ts.URL)
 	}
-	coord := New(Config{Registry: reg})
+	coord := New(Config{Registry: reg, Cache: passThrough{}})
 	front := httptest.NewServer(coord.Handler())
 	defer front.Close()
 	cl := client.New(front.URL)
@@ -502,7 +502,7 @@ func TestOneClockExpiresWorkersAndPeers(t *testing.T) {
 	reg := NewRegistry(5 * time.Second)
 	now := time.Unix(6000, 0)
 	reg.live.now = func() time.Time { return now }
-	coord := New(Config{Registry: reg, Self: "http://b", Peers: []string{"http://a"}})
+	coord := New(Config{Registry: reg, Cache: passThrough{}, Self: "http://b", Peers: []string{"http://a"}})
 
 	reg.Register("w1", "http://w1")
 	coord.lease.MarkSeen("http://a")

@@ -179,8 +179,8 @@ func (c *Coordinator) apply(e entry) (changed bool, err error) {
 		}
 		return c.vault.put(p.Device, p.ID, p.Epoch, p.Assets), nil
 	case e.Request != nil && e.Row != nil:
-		if c.cfg.Cache == nil || e.Row.Error != "" {
-			return false, nil // nowhere to keep it, or a failed row: never cached
+		if e.Row.Error != "" {
+			return false, nil // a failed row: never cached
 		}
 		if !c.cfg.Cache.InstallRemoteResult(e.Request.ToPredict(), *e.Row) {
 			return false, errors.New("result row for a request no worker would serve")

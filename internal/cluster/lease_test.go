@@ -97,6 +97,12 @@ func TestLeaseSnapshot(t *testing.T) {
 // expiry inject their own).
 func peerPair(t *testing.T, cacheA, cacheB ResultCache) (cA, cB *Coordinator, urlA, urlB string) {
 	t.Helper()
+	if cacheA == nil {
+		cacheA = passThrough{}
+	}
+	if cacheB == nil {
+		cacheB = passThrough{}
+	}
 	// The handler indirection breaks the chicken-and-egg between
 	// httptest URL allocation and Config.Self.
 	var a, b *Coordinator

@@ -237,7 +237,7 @@ func TestHeartbeatAssetsPushes(t *testing.T) {
 				cA, cB, urlA, urlB := peerPair(t, nil, nil)
 				coords, urls = []*Coordinator{cA, cB}, []string{urlA, urlB}
 			} else {
-				c := New(Config{Registry: NewRegistry(0)})
+				c := New(Config{Registry: NewRegistry(0), Cache: passThrough{}})
 				ts := httptest.NewServer(c.Handler())
 				defer ts.Close()
 				coords, urls = []*Coordinator{c}, []string{ts.URL}

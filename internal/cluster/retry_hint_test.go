@@ -36,7 +36,7 @@ func TestWorker429PassesThroughVerbatim(t *testing.T) {
 			defer limited.Close()
 			reg := NewRegistry(0)
 			reg.AddStatic(limited.URL)
-			coord := New(Config{Registry: reg})
+			coord := New(Config{Registry: reg, Cache: passThrough{}})
 			for i := 0; i < 32; i++ {
 				coord.observeWorkerHint(8 * time.Second) // the coordinator's adaptive hint converges on 8s
 			}
@@ -60,7 +60,7 @@ func TestWorker429PassesThroughVerbatim(t *testing.T) {
 // would), and clamps at serve.MaxRetryAfter.
 func TestAdaptiveRetryAfterTracksWorkerHints(t *testing.T) {
 	reg := NewRegistry(0)
-	coord := New(Config{Registry: reg})
+	coord := New(Config{Registry: reg, Cache: passThrough{}})
 
 	if got := serve.RetryAfterSeconds(coord.retryAfter()); got != "1" {
 		t.Fatalf("hint before any observation = %q, want the 1s floor", got)
@@ -98,7 +98,7 @@ func TestDraining503CarriesObservedHint(t *testing.T) {
 	}))
 	defer busy.Close()
 	reg.AddStatic(busy.URL)
-	coord := New(Config{Registry: reg})
+	coord := New(Config{Registry: reg, Cache: passThrough{}})
 
 	for i := 0; i < 32; i++ {
 		var bp *serve.StatusError

@@ -155,10 +155,9 @@ func TestRequestAccountingContract(t *testing.T) {
 	bg := context.Background()
 
 	cases := []struct {
-		name     string
-		disabled bool // run with the result cache off
-		run      func(x *accountingRun)
-		want     counters
+		name string
+		run  func(x *accountingRun)
+		want counters
 	}{
 		{
 			name: "resident hit",
@@ -256,31 +255,12 @@ func TestRequestAccountingContract(t *testing.T) {
 			},
 			want: counters{rejected: 1},
 		},
-		{
-			name:     "result cache disabled",
-			disabled: true,
-			run: func(x *accountingRun) {
-				for i := 0; i < 2; i++ {
-					if hit, err := x.call(bg, ok); err != nil || hit {
-						x.t.Errorf("call %d = (hit %v, %v), want an uncached miss", i, hit, err)
-					}
-				}
-				if n := x.e.CachedResults(); n != 0 {
-					x.t.Errorf("disabled cache holds %d results", n)
-				}
-			},
-			want: counters{misses: 2, builds: 2},
-		},
 	}
 
 	for _, ep := range entryPoints() {
 		for _, tc := range cases {
 			t.Run(ep.name+"/"+tc.name, func(t *testing.T) {
-				opts := tinyOptions(7)
-				if tc.disabled {
-					opts.ResultCacheSize = -1
-				}
-				x := &accountingRun{t: t, e: New(opts), ep: ep}
+				x := &accountingRun{t: t, e: New(tinyOptions(7)), ep: ep}
 				tc.run(x)
 				got, b := x.now(), x.base
 				delta := counters{got.hits - b.hits, got.misses - b.misses, got.rejected - b.rejected,

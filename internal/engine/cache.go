@@ -63,7 +63,7 @@ type ClassStats struct {
 	Class    string `json:"class"`
 	Resident int    `json:"resident"`
 	// Capacity is the configured entry cap; 0 means unbounded (the
-	// pinned calibration class, or a cap explicitly disabled).
+	// pinned calibration class).
 	Capacity int `json:"capacity"`
 	// Bytes is the approximate resident footprint of the class.
 	Bytes     int64  `json:"bytes"`
@@ -111,13 +111,9 @@ type classStore struct {
 	cap int
 	// pinned disables eviction entirely (calibrations).
 	pinned bool
-	// off disables the class (the result cache under a negative
-	// ResultCacheSize): nothing is ever stored, so every lookup builds.
-	// Its counters still report.
-	off   bool
-	ll    *list.List
-	items map[string]*list.Element
-	bytes int64
+	ll     *list.List
+	items  map[string]*list.Element
+	bytes  int64
 	// probation is the first probationary element of ll (nil when the
 	// segment is empty); protected counts the elements before it.
 	probation *list.Element
@@ -202,9 +198,6 @@ func (c *classStore) touch(el *list.Element) any {
 // size in place: the entry keeps its segment and position, because an
 // install is not a use.
 func (c *classStore) put(key string, v any, bytes int64) {
-	if c.off {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -294,18 +287,17 @@ type assetStore struct {
 // installs and the "calibrate once per device" contract must survive
 // arbitrary traffic. The other caps are fixed: 512 runs, 128 overhead
 // DBs (per-workload and shared), 512 graph structures and scenario
-// shapes (whatever the batch size), and ResultCacheSize results. Every
-// bounded class evicts by the same segmented LRU (classStore): no class
-// has a policy of its own, and the protected share is a constant 4/5 of
-// each cap.
-func newAssetStore(opts Options) *assetStore {
+// shapes (whatever the batch size), and 512 results. Every bounded
+// class evicts by the same segmented LRU (classStore): no class has a
+// policy of its own, and the protected share is a constant 4/5 of each
+// cap.
+func newAssetStore() *assetStore {
 	s := &assetStore{}
 	s.classes[classCalibration] = newClassStore(0, true)
 	s.classes[classRun] = newClassStore(512, false)
 	s.classes[classOverheads] = newClassStore(128, false)
 	s.classes[classGraph] = newClassStore(512, false)
-	s.classes[classResult] = newClassStore(opts.ResultCacheSize, false)
-	s.classes[classResult].off = opts.ResultCacheSize < 0
+	s.classes[classResult] = newClassStore(512, false)
 	return s
 }
 

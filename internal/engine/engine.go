@@ -82,18 +82,11 @@ type Options struct {
 	// Workers bounds concurrent calibration jobs and the profiled runs
 	// pooled into one overhead database (default runtime.GOMAXPROCS).
 	Workers int
-	// ResultCacheSize caps the scenario-fingerprint-keyed prediction
-	// result cache (default 512 entries; negative disables the cache —
-	// the cold-path ablation).
-	ResultCacheSize int
 }
 
 func (o Options) withDefaults() Options {
 	if len(o.DLRMBatches) == 0 {
 		o.DLRMBatches = []int64{512, 1024, 2048, 4096}
-	}
-	if o.ResultCacheSize == 0 {
-		o.ResultCacheSize = 512
 	}
 	if len(o.CNNBatches) == 0 {
 		o.CNNBatches = []int64{16, 32, 64}
@@ -145,7 +138,7 @@ func New(opts Options) *Engine {
 		opts:        opts,
 		calibRuns:   map[string]int{},
 		assetEpochs: map[string]uint64{},
-		store:       newAssetStore(opts),
+		store:       newAssetStore(),
 	}
 }
 
@@ -196,18 +189,11 @@ var errNotResident = errors.New("engine: not resident")
 //
 // The class counters move exactly once per call: a miss is a caller
 // that built or joined a failed build; everything served from memory
-// is a hit. Two callers opt out of the flight. A nil build asks for a
-// resident value only — a non-resident key returns errNotResident with
-// no counter moved and nothing started. A class that is off (the
-// disabled result cache) stores nothing, so there is nothing to share:
-// build runs inline on the caller and counts a miss.
+// is a hit. A nil build skips the flight: it asks for a resident value
+// only, and a non-resident key returns errNotResident with no counter
+// moved and nothing started.
 func (e *Engine) lookup(ctx context.Context, class assetClass, prefix string, req *Request, build buildFn) (v any, hit bool, err error) {
 	cs := e.store.class(class)
-	if cs.off && build != nil {
-		v, err = build(e, req.detach())
-		cs.misses.Add(1)
-		return v, false, err
-	}
 	kb := keyBufPool.Get().(*[]byte)
 	buf := append((*kb)[:0], prefix...)
 	if req != nil {
@@ -636,11 +622,6 @@ func (e *Engine) RejectedRequests() uint64 { return e.rejected.Load() }
 // dispatched — on every path.
 func (e *Engine) RejectRequest() { e.rejected.Add(1) }
 
-// CachedResults reports the resident result-cache entry count.
-//
-//lint:allow unlinked contract-test helper: accounting_test.go counts residency with it
-func (e *Engine) CachedResults() int { return e.store.class(classResult).stats("").Resident }
-
 // AssetStats reports the unified asset store's per-class counters:
 // resident entries against capacity, approximate resident bytes, and
 // hit/miss/eviction totals. The results class's hits and misses are the
@@ -688,10 +669,7 @@ func (e *Engine) Predict(req Request) Result {
 
 // PredictCtx is Predict with a caller deadline: when ctx expires the
 // caller gets ctx.Err() immediately, counted as a miss (see request for
-// the detached computation). With the result cache disabled (negative
-// ResultCacheSize) there is no flight to detach from: ctx is only
-// observed at entry and the computation runs inline on the caller —
-// the historical cold-ablation behavior.
+// the detached computation).
 func (e *Engine) PredictCtx(ctx context.Context, req Request) (res Result) {
 	e.predictInto(ctx, &req, &res)
 	return res

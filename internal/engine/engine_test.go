@@ -240,7 +240,7 @@ func TestResultCacheMissThenHit(t *testing.T) {
 	if hits, misses := e.CacheStats(); hits != 4 || misses != 2 {
 		t.Fatalf("after batch: hits=%d misses=%d, want 4/2", hits, misses)
 	}
-	if n := e.CachedResults(); n != 2 {
+	if n := e.AssetStats().Class("results").Resident; n != 2 {
 		t.Fatalf("resident cache entries = %d, want 2", n)
 	}
 }

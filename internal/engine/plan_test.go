@@ -17,19 +17,27 @@ func planOptions(seed uint64) Options {
 
 // TestCompiledPlanBitIdentical sweeps the whole scenario registry —
 // single-device, 2- and 4-GPU hybrid-parallel, custom table
-// populations, CNN data-parallel — with the result cache off, so every
-// Predict compiles a fresh plan and executes it. Predicting each
-// scenario twice on one engine and once on a second must give
-// DeepEqual predictions, multi-GPU breakdowns and shard plans all three
-// ways: recompiling is bit-identical and engine-independent.
+// populations, CNN data-parallel — through predictScenario, the result
+// class's builder, so every prediction compiles a fresh plan and
+// executes it. Predicting each scenario twice on one engine and once on
+// a second must give DeepEqual predictions, multi-GPU breakdowns and
+// shard plans all three ways: recompiling is bit-identical and
+// engine-independent.
 func TestCompiledPlanBitIdentical(t *testing.T) {
 	names := scenario.Names()
 	if len(names) < 12 {
 		t.Fatalf("registry too small for the sweep: %v", names)
 	}
 	opts := planOptions(7)
-	opts.ResultCacheSize = -1
 	a, b := New(opts), New(opts)
+	compile := func(e *Engine, req Request) cached {
+		t.Helper()
+		v, err := e.predictScenario(&req)
+		if err != nil {
+			t.Fatalf("%s: %v", req.Scenario.Name, err)
+		}
+		return v.(cached)
+	}
 
 	for _, name := range names {
 		spec, err := scenario.Build(name, 0, 0)
@@ -37,29 +45,20 @@ func TestCompiledPlanBitIdentical(t *testing.T) {
 			t.Fatalf("build %s: %v", name, err)
 		}
 		req := Request{Device: hw.V100, Scenario: spec}
-		want := a.Predict(req)
-		if want.Err != nil {
-			t.Fatalf("%s: %v", name, want.Err)
-		}
+		want := compile(a, req)
 		for _, again := range []struct {
 			which string
-			got   Result
-		}{{"recompiled", a.Predict(req)}, {"second engine", b.Predict(req)}} {
+			got   cached
+		}{{"recompiled", compile(a, req)}, {"second engine", compile(b, req)}} {
 			which, got := again.which, again.got
-			if got.Err != nil {
-				t.Fatalf("%s %s: %v", name, which, got.Err)
+			if !reflect.DeepEqual(got.pred, want.pred) {
+				t.Errorf("%s: %s prediction %+v != first %+v", name, which, got.pred, want.pred)
 			}
-			if got.CacheHit {
-				t.Fatalf("%s %s: served from a disabled result cache", name, which)
+			if !reflect.DeepEqual(got.multi, want.multi) {
+				t.Errorf("%s: %s multi-GPU breakdown differs: %+v vs %+v", name, which, got.multi, want.multi)
 			}
-			if !reflect.DeepEqual(got.Prediction, want.Prediction) {
-				t.Errorf("%s: %s prediction %+v != first %+v", name, which, got.Prediction, want.Prediction)
-			}
-			if !reflect.DeepEqual(got.Multi, want.Multi) {
-				t.Errorf("%s: %s multi-GPU breakdown differs: %+v vs %+v", name, which, got.Multi, want.Multi)
-			}
-			if !reflect.DeepEqual(got.Plan, want.Plan) {
-				t.Errorf("%s: %s shard plan differs: %+v vs %+v", name, which, got.Plan, want.Plan)
+			if !reflect.DeepEqual(got.plan, want.plan) {
+				t.Errorf("%s: %s shard plan differs: %+v vs %+v", name, which, got.plan, want.plan)
 			}
 		}
 	}

@@ -88,26 +88,3 @@ func TestRemoteResultPassThrough(t *testing.T) {
 		t.Fatalf("calibrations = %d, want 0", got)
 	}
 }
-
-// TestRemoteResultDisabledCache pins the ablation path: with the
-// result cache disabled every call fetches and is counted a miss.
-func TestRemoteResultDisabledCache(t *testing.T) {
-	e := New(Options{Seed: 1, ResultCacheSize: -1})
-	req := NewRequest("V100", "DLRM_default", 512)
-	var fetches atomic.Uint64
-	for i := 0; i < 3; i++ {
-		v, hit, err := e.RemoteResult(context.Background(), req, func() (any, error) {
-			fetches.Add(1)
-			return i, nil
-		})
-		if err != nil || hit || v.(int) != i {
-			t.Fatalf("call %d = (%v, hit=%v, %v), want uncached fetch", i, v, hit, err)
-		}
-	}
-	if fetches.Load() != 3 {
-		t.Fatalf("fetches = %d, want 3", fetches.Load())
-	}
-	if h, m := e.CacheStats(); h != 0 || m != 3 {
-		t.Fatalf("cache stats = %d/%d, want 0/3", h, m)
-	}
-}

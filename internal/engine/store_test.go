@@ -409,9 +409,8 @@ func TestGraphClassCapacityOneThrash(t *testing.T) {
 // capacity 1, arbitrary traffic thrashes runs/DBs/graphs, but the
 // device's calibration is pinned and never rebuilds.
 func TestPinnedCalibrationSurvivesEviction(t *testing.T) {
-	opts := tinyOptions(7)
-	opts.ResultCacheSize = -1 // every request recomputes
-	e := withCaps(New(opts), 1, 1, 1)
+	e := withCaps(New(tinyOptions(7)), 1, 1, 1)
+	e.store.class(classResult).cap = 1 // every request recomputes
 
 	reqs := testRequests()
 	for round := 0; round < 2; round++ {
@@ -453,9 +452,8 @@ func TestBoundedStoreBitIdentical(t *testing.T) {
 
 	want := predictAll(withCaps(New(tinyOptions(7)), -1, -1, -1), reqs)
 
-	boundedOpts := tinyOptions(7)
-	boundedOpts.ResultCacheSize = 2
-	bounded := withCaps(New(boundedOpts), 2, 1, 2)
+	bounded := withCaps(New(tinyOptions(7)), 2, 1, 2)
+	bounded.store.class(classResult).cap = 2
 	got := predictAll(bounded, reqs)
 
 	for i := range reqs {
@@ -483,9 +481,6 @@ func TestBoundedStoreBitIdentical(t *testing.T) {
 	}
 	if evictions == 0 {
 		t.Error("tiny store saw no evictions across the batch")
-	}
-	if n := bounded.CachedResults(); n > 2 {
-		t.Errorf("CachedResults = %d above result cap 2", n)
 	}
 
 	// The unbounded baseline never evicts.
@@ -612,33 +607,14 @@ func TestCacheStatsInvariant(t *testing.T) {
 	if hits+misses != served {
 		t.Errorf("after repeats: hits+misses = %d+%d, want %d served", hits, misses, served)
 	}
-
-	// The cold-path engine (result cache disabled) holds it too.
-	coldOpts := tinyOptions(7)
-	coldOpts.ResultCacheSize = -1
-	cold := New(coldOpts)
-	for i := 0; i < 3; i++ {
-		if res := cold.Predict(ok); res.Err != nil {
-			t.Fatal(res.Err)
-		}
-	}
-	if res := cold.Predict(invalid); res.Err == nil {
-		t.Fatal("invalid batch served cold")
-	}
-	h, m := cold.CacheStats()
-	if h+m != 3 || cold.RejectedRequests() != 1 {
-		t.Errorf("cold path: hits+misses = %d+%d rejected=%d, want 3 served / 1 rejected",
-			h, m, cold.RejectedRequests())
-	}
 }
 
 // TestResultCacheEvictionBounded: a result cache smaller than the
 // distinct request set stays at its cap and evicts, while every
 // prediction remains correct.
 func TestResultCacheEvictionBounded(t *testing.T) {
-	opts := tinyOptions(7)
-	opts.ResultCacheSize = 2
-	e := New(opts)
+	e := New(tinyOptions(7))
+	e.store.class(classResult).cap = 2
 	var reqs []Request
 	for _, b := range []int64{256, 512} {
 		for _, w := range []string{models.NameDLRMDefault, models.NameDLRMDDP} {
@@ -650,10 +626,10 @@ func TestResultCacheEvictionBounded(t *testing.T) {
 			t.Fatal(res.Err)
 		}
 	}
-	if n := e.CachedResults(); n != 2 {
-		t.Errorf("CachedResults = %d, want cap 2", n)
-	}
 	rc := e.AssetStats().Class("results")
+	if rc.Resident != 2 {
+		t.Errorf("resident results = %d, want cap 2", rc.Resident)
+	}
 	if rc.Evictions != uint64(len(reqs)-2) {
 		t.Errorf("result evictions = %d, want %d", rc.Evictions, len(reqs)-2)
 	}

@@ -14,10 +14,10 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"dlrmperf/internal/models"
 	"dlrmperf/internal/predict"
@@ -32,6 +32,12 @@ const (
 	CommNVLink = "nvlink"
 	CommPCIe   = "pcie"
 )
+
+// MaxDevices bounds a spec's execution width. A compile allocates per
+// device (shards, views, the per-device step times a result keeps), so
+// an unbounded width lets one request ask a worker for any amount of
+// memory; every width in use is far below this.
+const MaxDevices = 1024
 
 // Spec is one fully-specified prediction scenario.
 type Spec struct {
@@ -80,6 +86,9 @@ func (s Spec) Validate() error {
 	}
 	if s.Devices < 0 {
 		return fmt.Errorf("scenario %s: negative device count %d", s.Workload, s.Devices)
+	}
+	if s.Devices > MaxDevices {
+		return fmt.Errorf("scenario %s: device count %d above the %d-device limit", s.Workload, s.Devices, MaxDevices)
 	}
 	if n := int64(s.NumDevices()); s.Batch < n {
 		return fmt.Errorf("scenario %s: batch %d smaller than device count %d", s.Workload, s.Batch, n)
@@ -197,7 +206,8 @@ func (s *Spec) AppendFingerprint(b []byte) []byte {
 	return xrand.AppendHex16(b[:mark], h)
 }
 
-// Generator builds Specs for one registered scenario name.
+// Generator is one named scenario: a workload family with its default
+// batch size and execution width.
 type Generator struct {
 	// Name is the registry key.
 	Name string
@@ -207,45 +217,54 @@ type Generator struct {
 	DefaultBatch int64
 	// DefaultDevices is substituted when Build is called with devices 0.
 	DefaultDevices int
-	// Make produces the spec at a resolved batch size and device count.
-	Make func(batch int64, devices int) (Spec, error)
+	// workload is the model-family builder name; tables, when set,
+	// returns a fresh table population for each built spec.
+	workload string
+	tables   func() []workload.TableSpec
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Generator{}
-)
-
-// Register installs a generator; re-registering a name is a programming
-// error and panics.
-func Register(g Generator) {
-	if g.Name == "" || g.Make == nil {
-		panic("scenario: generator needs a name and a Make func")
+// registry is the fixed scenario table: six workload families, each as
+// a single-device generator and multi-GPU presets (name-2gpu,
+// name-4gpu).
+var registry = func() map[string]Generator {
+	out := map[string]Generator{}
+	for _, f := range []struct {
+		name, desc, workload string
+		batch                int64
+		tables               func() []workload.TableSpec
+	}{
+		{"dlrm-default", "DLRM_default (Table III): 8x1M tables, D=64, L=64",
+			models.NameDLRMDefault, 2048, nil},
+		{"dlrm-ddp", "DLRM_DDP (Table III): 8x80k tables, D=128, L=80",
+			models.NameDLRMDDP, 2048, nil},
+		{"dlrm-criteo", "DLRM_MLPerf over the 26-table Criteo Kaggle cardinality profile",
+			models.NameDLRMMLPerf, 2048, workload.CriteoLikeTables},
+		{"dlrm-uniform", "DLRM_default over 8 uniform 1M-row tables (benchmark synthetic input)",
+			models.NameDLRMDefault, 2048,
+			func() []workload.TableSpec { return workload.UniformTables(8, 1_000_000, 64) }},
+		{"cnn-resnet50", "ResNet-50 training iteration (data-parallel when multi-GPU)",
+			models.NameResNet50, 32, nil},
+		{"cnn-inception", "Inception-V3 training iteration (data-parallel when multi-GPU)",
+			models.NameInceptionV3, 32, nil},
+	} {
+		for _, n := range []int{1, 2, 4} {
+			g := Generator{Name: f.name, Description: f.desc, DefaultBatch: f.batch,
+				DefaultDevices: n, workload: f.workload, tables: f.tables}
+			if n > 1 {
+				g.Name = fmt.Sprintf("%s-%dgpu", f.name, n)
+				g.Description = fmt.Sprintf("%s, hybrid-parallel across %d devices", f.desc, n)
+			}
+			out[g.Name] = g
+		}
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[g.Name]; dup {
-		panic(fmt.Sprintf("scenario: duplicate generator %q", g.Name))
-	}
-	registry[g.Name] = g
-}
+	return out
+}()
 
 // Names lists the registered scenario names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return slices.Sorted(maps.Keys(registry)) }
 
 // Lookup returns the generator registered under name.
 func Lookup(name string) (Generator, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	g, ok := registry[name]
 	return g, ok
 }
@@ -266,52 +285,12 @@ func Build(name string, batch int64, devices int) (Spec, error) {
 	if devices == 0 {
 		devices = g.DefaultDevices
 	}
-	s, err := g.Make(batch, devices)
-	if err != nil {
-		return Spec{}, err
+	s := Spec{Name: name, Workload: g.workload, Batch: batch, Devices: devices}
+	if g.tables != nil {
+		s.Tables = g.tables()
 	}
-	s.Name = name
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
 	}
 	return s, nil
-}
-
-// family registers a plain workload-family generator plus its
-// multi-GPU presets (name-2gpu, name-4gpu).
-func family(name, desc, workloadName string, defaultBatch int64, tables func() []workload.TableSpec) {
-	mk := func(batch int64, devices int) (Spec, error) {
-		s := Spec{Workload: workloadName, Batch: batch, Devices: devices}
-		if tables != nil {
-			s.Tables = tables()
-		}
-		return s, nil
-	}
-	Register(Generator{Name: name, Description: desc,
-		DefaultBatch: defaultBatch, DefaultDevices: 1, Make: mk})
-	for _, n := range []int{2, 4} {
-		Register(Generator{
-			Name:           fmt.Sprintf("%s-%dgpu", name, n),
-			Description:    fmt.Sprintf("%s, hybrid-parallel across %d devices", desc, n),
-			DefaultBatch:   defaultBatch,
-			DefaultDevices: n,
-			Make:           mk,
-		})
-	}
-}
-
-func init() {
-	family("dlrm-default", "DLRM_default (Table III): 8x1M tables, D=64, L=64",
-		models.NameDLRMDefault, 2048, nil)
-	family("dlrm-ddp", "DLRM_DDP (Table III): 8x80k tables, D=128, L=80",
-		models.NameDLRMDDP, 2048, nil)
-	family("dlrm-criteo", "DLRM_MLPerf over the 26-table Criteo Kaggle cardinality profile",
-		models.NameDLRMMLPerf, 2048, workload.CriteoLikeTables)
-	family("dlrm-uniform", "DLRM_default over 8 uniform 1M-row tables (benchmark synthetic input)",
-		models.NameDLRMDefault, 2048,
-		func() []workload.TableSpec { return workload.UniformTables(8, 1_000_000, 64) })
-	family("cnn-resnet50", "ResNet-50 training iteration (data-parallel when multi-GPU)",
-		models.NameResNet50, 32, nil)
-	family("cnn-inception", "Inception-V3 training iteration (data-parallel when multi-GPU)",
-		models.NameInceptionV3, 32, nil)
 }

@@ -62,6 +62,8 @@ func TestSpecValidate(t *testing.T) {
 		{"zero batch", Spec{Workload: models.NameDLRMDefault}, false},
 		{"negative devices", Spec{Workload: models.NameDLRMDefault, Batch: 512, Devices: -1}, false},
 		{"batch below devices", Spec{Workload: models.NameDLRMDefault, Batch: 2, Devices: 4}, false},
+		{"widest", Spec{Workload: models.NameDLRMDefault, Batch: 4096, Devices: MaxDevices}, true},
+		{"above widest", Spec{Workload: models.NameDLRMDefault, Batch: 4096, Devices: MaxDevices + 1}, false},
 		{"bad comm", Spec{Workload: models.NameDLRMDefault, Batch: 512, Devices: 2, Comm: "smoke-signal"}, false},
 		{"case-insensitive comm", Spec{Workload: models.NameDLRMDefault, Batch: 512, Devices: 2, Comm: "NVLink"}, true},
 		{"bad table", Spec{Workload: models.NameDLRMDefault, Batch: 512,
