@@ -253,7 +253,7 @@ func TestRunBatchGroupsByOwner(t *testing.T) {
 			if survivor.rows() != 32+16 {
 				t.Fatalf("survivor saw %d rows, want 48 (its own 32 + 16 retried alone)", survivor.rows())
 			}
-			if live := bc.coord.Registry().Live(); len(live) != 1 || live[0].ID != survivor.id {
+			if live := bc.coord.reg.Live(); len(live) != 1 || live[0].ID != survivor.id {
 				t.Fatalf("live = %+v, want only the survivor", live)
 			}
 			assertAggInvariant(t, st)
@@ -285,7 +285,7 @@ func TestRunBatchGroupsByOwner(t *testing.T) {
 					t.Fatalf("row %d = %+v, want the caller's context error", i, row)
 				}
 			}
-			if live := bc.coord.Registry().Live(); len(live) != 2 {
+			if live := bc.coord.reg.Live(); len(live) != 2 {
 				t.Fatalf("live after a canceled call = %d workers, want 2", len(live))
 			}
 			if st := bc.coord.Stats(ctx); st.Rejected.WorkerFailed != 0 {

@@ -185,11 +185,6 @@ func New(cfg Config) *Coordinator {
 	return c
 }
 
-// Registry returns the coordinator's worker registry.
-//
-//lint:allow unlinked contract-test helper: batch_test.go and the fault suites read live membership through it
-func (c *Coordinator) Registry() *Registry { return c.reg }
-
 // Draining reports whether the coordinator has started draining.
 func (c *Coordinator) Draining() bool {
 	c.admitMu.Lock()

@@ -243,7 +243,7 @@ func TestDeviceAffineRouting(t *testing.T) {
 	for _, fw := range workers {
 		byID[fw.id] = fw
 	}
-	live := coord.Registry().Live()
+	live := coord.reg.Live()
 
 	const devices = 24
 	for d := 0; d < devices; d++ {

@@ -38,7 +38,7 @@ func affineDevice(t *testing.T, live []Worker, want string) string {
 // traffic goes straight to the survivor without another failure.
 func TestWorkerKilledMidStreamRetries(t *testing.T) {
 	coord, workers := newTestCluster(t, 2, nil)
-	live := coord.Registry().Live()
+	live := coord.reg.Live()
 	victim, survivor := workers[0], workers[1]
 	dev := affineDevice(t, live, victim.id)
 
@@ -70,7 +70,7 @@ func TestWorkerKilledMidStreamRetries(t *testing.T) {
 
 	// The victim is quarantined: it is out of the live set and the next
 	// request for its device routes straight to the survivor.
-	if lv := coord.Registry().Live(); len(lv) != 1 || lv[0].ID != survivor.id {
+	if lv := coord.reg.Live(); len(lv) != 1 || lv[0].ID != survivor.id {
 		t.Fatalf("live after failure = %+v, want only the survivor", lv)
 	}
 	if row, err := coord.PredictOne(context.Background(), req(dev, "w", 2048), false); err != nil || row.Error != "" {
@@ -86,7 +86,7 @@ func TestWorkerKilledMidStreamRetries(t *testing.T) {
 // same retry path.
 func TestWorkerDeadSocketRetries(t *testing.T) {
 	coord, workers := newTestCluster(t, 2, nil)
-	live := coord.Registry().Live()
+	live := coord.reg.Live()
 	victim, survivor := workers[0], workers[1]
 	dev := affineDevice(t, live, victim.id)
 
@@ -134,7 +134,7 @@ func TestAllWorkersDead(t *testing.T) {
 func TestDrainingWorkerFailsOver(t *testing.T) {
 	coord, workers := newTestCluster(t, 2, nil)
 	victim, survivor := workers[0], workers[1]
-	dev := affineDevice(t, coord.Registry().Live(), victim.id)
+	dev := affineDevice(t, coord.reg.Live(), victim.id)
 
 	victim.draining.Store(true)
 	row, err := coord.PredictOne(context.Background(), req(dev, "w", 512), true)
@@ -156,7 +156,7 @@ func TestDrainingWorkerFailsOver(t *testing.T) {
 // worker failure — the client died, not the worker.
 func TestClientCancelDoesNotQuarantine(t *testing.T) {
 	coord, workers := newTestCluster(t, 2, nil)
-	dev := affineDevice(t, coord.Registry().Live(), workers[0].id)
+	dev := affineDevice(t, coord.reg.Live(), workers[0].id)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
@@ -167,7 +167,7 @@ func TestClientCancelDoesNotQuarantine(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want the client's deadline", err)
 	}
-	if live := coord.Registry().Live(); len(live) != 2 {
+	if live := coord.reg.Live(); len(live) != 2 {
 		t.Fatalf("live after client cancel = %d workers, want 2 (no quarantine)", len(live))
 	}
 	if st := coord.Stats(context.Background()); st.Rejected.WorkerFailed != 0 {
@@ -271,8 +271,8 @@ func TestInvariantAcrossHandoffAndMigration(t *testing.T) {
 	}
 	w1, w2 := newFakeWorker(t), newFakeWorker(t)
 	for _, c := range []*Coordinator{cA, cB} {
-		c.Registry().AddStatic(w1.srv.URL)
-		c.Registry().AddStatic(w2.srv.URL)
+		c.reg.AddStatic(w1.srv.URL)
+		c.reg.AddStatic(w2.srv.URL)
 	}
 	// Both leases live: the lower URL holds the lease.
 	cA.lease.MarkSeen(urlB)
@@ -286,7 +286,7 @@ func TestInvariantAcrossHandoffAndMigration(t *testing.T) {
 	// a peer installs no row for a device or workload no worker would
 	// serve. w1 names the device's rendezvous home.
 	dev := "V100"
-	if Rank(leader.Registry().Live(), dev)[0].ID != w1.id {
+	if Rank(leader.reg.Live(), dev)[0].ID != w1.id {
 		w1, w2 = w2, w1
 	}
 
@@ -357,7 +357,8 @@ func TestInvariantAcrossHandoffAndMigration(t *testing.T) {
 
 // instantBackend is the smallest serve.Backend: every prediction that
 // resolves (the facade's own PredictRequest.Resolve verdict) is an
-// immediate miss, every one that does not a validation reject. It puts
+// immediate miss, every one that does not a validation reject, and it
+// holds no calibration, so it refuses every asset install. It puts
 // REAL serve.New workers — real admission, real request validation —
 // behind a coordinator without calibrating.
 type instantBackend struct{ misses, rejected atomic.Uint64 }
@@ -375,6 +376,7 @@ func (b *instantBackend) RejectedRequests() uint64          { return b.rejected.
 func (b *instantBackend) AssetStats() dlrmperf.AssetStats   { return dlrmperf.AssetStats{} }
 func (b *instantBackend) Devices() []string                 { return nil }
 func (b *instantBackend) CalibrationRuns(string) int        { return 0 }
+func (b *instantBackend) LoadAssets([]byte) error           { return errors.New("instant: no assets") }
 
 // TestBadClientInputDoesNotQuarantine: a client's malformed request is
 // a verdict on the request, never on the workers. Over HTTP the

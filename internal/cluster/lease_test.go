@@ -140,7 +140,7 @@ func TestRegistrationReplicates(t *testing.T) {
 	if err := client.New(urlA).Register(context.Background(), fw.id, fw.srv.URL); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "registration to reach peer", func() bool { return len(cB.Registry().Live()) == 1 })
+	waitUntil(t, "registration to reach peer", func() bool { return len(cB.reg.Live()) == 1 })
 
 	// And symmetrically: registering via B reaches A. (One direction
 	// exercised leader-gossip, the other follower-forwarding, whichever
@@ -149,7 +149,7 @@ func TestRegistrationReplicates(t *testing.T) {
 	if err := client.New(urlB).Register(context.Background(), fw2.id, fw2.srv.URL); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "second registration to reach peer", func() bool { return len(cA.Registry().Live()) == 2 })
+	waitUntil(t, "second registration to reach peer", func() bool { return len(cA.reg.Live()) == 2 })
 
 	// Gossip receipts are proof of life: each lease has seen its peer.
 	if cA.lease.Leader() != cB.lease.Leader() {
@@ -172,8 +172,8 @@ func TestResultReplicationSurvivesLeaderDeath(t *testing.T) {
 	}
 	cA, cB, _, _ := peerPair(t, engA, engB)
 	fw := newFakeWorker(t)
-	cA.Registry().AddStatic(fw.srv.URL)
-	cB.Registry().AddStatic(fw.srv.URL)
+	cA.reg.AddStatic(fw.srv.URL)
+	cB.reg.AddStatic(fw.srv.URL)
 
 	r := req("V100", "DLRM_default", 512)
 	row, err := cA.PredictOne(context.Background(), r, false)

@@ -199,9 +199,9 @@ type AssetExporter interface {
 // coordinatorURLs immediately and then every interval (default 2s),
 // keeping it inside each registry's liveness window, until the
 // returned stop function is called (idempotent, waits for the loop to
-// exit) or ctx is canceled — and, with a non-nil exporter, pushes each
-// calibrated device's exported assets to each coordinator whenever the
-// device's asset epoch has moved since the last successful push there.
+// exit) or ctx is canceled — and pushes each of exp's calibrated
+// devices' exported assets to each coordinator whenever the device's
+// asset epoch has moved since the last successful push there.
 // The push is the replication source of the coordinators' asset
 // vaults: it is what makes a warm hand-off possible after this worker
 // dies. Registration and push failures are retried on the next tick; a
@@ -219,9 +219,6 @@ func HeartbeatAssets(ctx context.Context, coordinatorURLs []string, id, selfURL 
 		for i, cl := range clients {
 			if err := cl.Register(ctx, id, selfURL); err != nil {
 				continue // coordinator unreachable; retried next tick
-			}
-			if exp == nil {
-				continue
 			}
 			devices := exp.CalibratedDevices()
 			sort.Strings(devices)

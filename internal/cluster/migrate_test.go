@@ -123,7 +123,7 @@ func TestVaultNeedInstall(t *testing.T) {
 func TestWarmHandoffOnFailover(t *testing.T) {
 	coord, workers := newTestCluster(t, 2, nil)
 	victim, survivor := workers[0], workers[1]
-	dev := affineDevice(t, coord.Registry().Live(), victim.id)
+	dev := affineDevice(t, coord.reg.Live(), victim.id)
 	ctx := context.Background()
 
 	// Prime: the home serves (and "calibrates") the device, then its
@@ -173,7 +173,7 @@ func TestWarmHandoffOnFailover(t *testing.T) {
 func TestMigrationFailureFallsBackCold(t *testing.T) {
 	coord, workers := newTestCluster(t, 2, nil)
 	victim, survivor := workers[0], workers[1]
-	dev := affineDevice(t, coord.Registry().Live(), victim.id)
+	dev := affineDevice(t, coord.reg.Live(), victim.id)
 
 	coord.vault.put(dev, victim.id, 1, json.RawMessage(`{"version":1}`)) // no device: install 400s
 	victim.killed.Store(true)
@@ -214,21 +214,19 @@ func TestWorkerAssetPushReplicates(t *testing.T) {
 
 // TestHeartbeatAssetsPushes drives the worker-side loop against real
 // coordinator handlers, once per shape it is deployed in: a replicated
-// pair with an asset exporter, and a single coordinator with none (the
-// plain self-registration heartbeat). In both, registration reaches
-// every listed coordinator within a beat, the registered worker serves
-// traffic like a static one, and once the loop is stopped the worker
-// expires one liveness window later. With an exporter, each calibrated
-// device's export lands in every vault, and an epoch bump re-pushes
-// while an unchanged device does not.
+// pair and a single coordinator. In both, registration reaches every
+// listed coordinator within a beat, the registered worker serves
+// traffic like a static one, each calibrated device's export lands in
+// every vault, an epoch bump re-pushes while an unchanged device does
+// not, and once the loop is stopped the worker expires one liveness
+// window later.
 func TestHeartbeatAssetsPushes(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		coordinators int
-		exp          *fakeExporter
 	}{
-		{"replicated pair with exporter", 2, &fakeExporter{epochs: map[string]uint64{"gpu-1": 1}}},
-		{"single coordinator nil exporter", 1, nil},
+		{"replicated pair with exporter", 2},
+		{"single coordinator with exporter", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var coords []*Coordinator
@@ -242,10 +240,7 @@ func TestHeartbeatAssetsPushes(t *testing.T) {
 				defer ts.Close()
 				coords, urls = []*Coordinator{c}, []string{ts.URL}
 			}
-			var exp AssetExporter // a nil *fakeExporter must reach the loop as a nil interface
-			if tc.exp != nil {
-				exp = tc.exp
-			}
+			exp := &fakeExporter{epochs: map[string]uint64{"gpu-1": 1}}
 			vaultEpoch := func(c *Coordinator) uint64 { return c.vault.snapshot()["gpu-1"].Epoch }
 			everywhere := func(cond func(*Coordinator) bool) bool {
 				for _, c := range coords {
@@ -261,10 +256,10 @@ func TestHeartbeatAssetsPushes(t *testing.T) {
 			defer stop()
 
 			waitUntil(t, "registration to land", func() bool {
-				return everywhere(func(c *Coordinator) bool { return len(c.Registry().Live()) == 1 })
+				return everywhere(func(c *Coordinator) bool { return len(c.reg.Live()) == 1 })
 			})
 			for _, c := range coords {
-				if live := c.Registry().Live(); live[0].ID != fw.id || live[0].Static {
+				if live := c.reg.Live(); live[0].ID != fw.id || live[0].Static {
 					t.Fatalf("live after heartbeat = %+v, want the registered worker", live)
 				}
 			}
@@ -273,30 +268,24 @@ func TestHeartbeatAssetsPushes(t *testing.T) {
 				t.Fatalf("predict via registered worker: %v / %q", err, row.Error)
 			}
 
-			if tc.exp == nil {
-				if st := coords[0].vault.snapshot(); len(st) != 0 {
-					t.Fatalf("vault = %+v, want empty without an exporter", st)
-				}
-			} else {
-				waitUntil(t, "pushes to land", func() bool {
-					return everywhere(func(c *Coordinator) bool { return vaultEpoch(c) == 1 })
-				})
-				// The first coordinator's push is gossiped to its peer, so the
-				// vaults can agree before the heartbeat has exported for the
-				// second coordinator: wait for that export too — the settled
-				// count the next check starts from.
-				waitUntil(t, "one export per coordinator", func() bool { return tc.exp.saves.Load() >= 2 })
-				// Unchanged epochs stop pushing; a bump re-pushes everywhere.
-				base := tc.exp.saves.Load()
-				time.Sleep(100 * time.Millisecond)
-				if n := tc.exp.saves.Load(); n != base {
-					t.Fatalf("exports kept flowing with unchanged epochs: %d -> %d", base, n)
-				}
-				tc.exp.bump("gpu-1")
-				waitUntil(t, "epoch bump to re-push", func() bool {
-					return everywhere(func(c *Coordinator) bool { return vaultEpoch(c) == 2 })
-				})
+			waitUntil(t, "pushes to land", func() bool {
+				return everywhere(func(c *Coordinator) bool { return vaultEpoch(c) == 1 })
+			})
+			// A pair's first push is gossiped to the peer, so the vaults
+			// can agree before the heartbeat has exported for the second
+			// coordinator: wait for one export per coordinator — the
+			// settled count the next check starts from.
+			waitUntil(t, "one export per coordinator", func() bool { return exp.saves.Load() >= uint64(len(coords)) })
+			// Unchanged epochs stop pushing; a bump re-pushes everywhere.
+			base := exp.saves.Load()
+			time.Sleep(100 * time.Millisecond)
+			if n := exp.saves.Load(); n != base {
+				t.Fatalf("exports kept flowing with unchanged epochs: %d -> %d", base, n)
 			}
+			exp.bump("gpu-1")
+			waitUntil(t, "epoch bump to re-push", func() bool {
+				return everywhere(func(c *Coordinator) bool { return vaultEpoch(c) == 2 })
+			})
 
 			// Stop beating (twice: stop is idempotent). Once stop returns
 			// the loop has exited, so one liveness window later — on the
@@ -313,7 +302,7 @@ func TestHeartbeatAssetsPushes(t *testing.T) {
 			}
 			for _, c := range coords {
 				c.reg.live.now = func() time.Time { return time.Now().Add(DefaultLiveness + time.Second) }
-				if live := c.Registry().Live(); len(live) != 0 {
+				if live := c.reg.Live(); len(live) != 0 {
 					t.Fatalf("worker still live after heartbeats stopped: %+v", live)
 				}
 			}

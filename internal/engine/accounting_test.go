@@ -103,7 +103,7 @@ func (x *accountingRun) occupy(req Request) (finish func(err error)) {
 	var ferr error
 	go func() {
 		defer close(done)
-		_, _ = x.e.flight.Do(key, func() (any, error) {
+		_, _ = x.e.flight.DoCtx(context.Background(), key, func() (any, error) {
 			close(started)
 			<-block
 			if ferr != nil {

@@ -62,8 +62,8 @@ var classNames = [numAssetClasses]string{
 type ClassStats struct {
 	Class    string `json:"class"`
 	Resident int    `json:"resident"`
-	// Capacity is the configured entry cap; 0 means unbounded (the
-	// pinned calibration class).
+	// Capacity is the configured entry cap; 0 for the pinned
+	// calibration class, which never evicts.
 	Capacity int `json:"capacity"`
 	// Bytes is the approximate resident footprint of the class.
 	Bytes     int64  `json:"bytes"`
@@ -107,7 +107,7 @@ func (s AssetStats) Class(name string) ClassStats {
 // residency.
 type classStore struct {
 	mu sync.Mutex
-	// cap bounds resident entries; <= 0 means unbounded.
+	// cap bounds resident entries of a class that is not pinned.
 	cap int
 	// pinned disables eviction entirely (calibrations).
 	pinned bool
@@ -214,7 +214,7 @@ func (c *classStore) put(key string, v any, bytes int64) {
 	}
 	c.items[key] = c.probation
 	c.bytes += bytes
-	if c.pinned || c.cap <= 0 {
+	if c.pinned {
 		return
 	}
 	for c.ll.Len() > c.cap {
@@ -264,12 +264,8 @@ func (c *classStore) stats(name string) ClassStats {
 	c.mu.Lock()
 	resident, bytes := c.ll.Len(), c.bytes
 	c.mu.Unlock()
-	capacity := c.cap
-	if capacity < 0 {
-		capacity = 0
-	}
 	return ClassStats{
-		Class: name, Resident: resident, Capacity: capacity, Bytes: bytes,
+		Class: name, Resident: resident, Capacity: c.cap, Bytes: bytes,
 		Hits: c.hits.Load(), Misses: c.misses.Load(),
 		Evictions: c.evictions.Load(), Pinned: c.pinned,
 	}

@@ -18,7 +18,7 @@ type call struct {
 	joiners int
 }
 
-// group is a minimal singleflight: concurrent Do calls with the same key
+// group is a minimal singleflight: concurrent DoCtx calls with the same key
 // share a single execution of fn, so N goroutines asking for the same
 // device's calibration pay for exactly one calibration. Unlike
 // golang.org/x/sync/singleflight (not vendored here), completed keys are
@@ -26,13 +26,6 @@ type call struct {
 type group struct {
 	mu    sync.Mutex
 	calls map[string]*call
-}
-
-// Do is DoCtx for callers with no deadline.
-//
-//lint:allow unlinked contract-test helper: accounting_test.go holds a flight open through it
-func (g *group) Do(key string, fn func() (any, error)) (any, error) {
-	return g.DoCtx(context.Background(), key, fn)
 }
 
 // DoCtx runs fn once per key among concurrent callers and hands every

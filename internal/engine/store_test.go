@@ -106,16 +106,6 @@ func TestClassStoreTable(t *testing.T) {
 			wantLen: 3, wantBytes: 24, wantEvictions: 0,
 		},
 		{
-			name: "nonpositive capacity is unbounded",
-			cap:  -1,
-			ops: []op{
-				{kind: "put", key: "a", bytes: 1},
-				{kind: "put", key: "b", bytes: 1},
-				{kind: "put", key: "c", bytes: 1},
-			},
-			wantLen: 3, wantBytes: 3, wantEvictions: 0,
-		},
-		{
 			name: "a hit promotes past newer one-off entries",
 			cap:  3,
 			ops: []op{
@@ -355,8 +345,7 @@ func TestSegmentedBeatsLRU(t *testing.T) {
 }
 
 // withCaps resizes a fresh engine's evictable classes before first use
-// — the test seam in place of a capacity option. A negative cap leaves
-// a class unbounded.
+// — the test seam in place of a capacity option.
 func withCaps(e *Engine, runs, overheads, graphs int) *Engine {
 	e.store.class(classRun).cap = runs
 	e.store.class(classOverheads).cap = overheads
@@ -442,15 +431,17 @@ func TestPinnedCalibrationSurvivesEviction(t *testing.T) {
 	}
 }
 
-// TestBoundedStoreBitIdentical is the tentpole's correctness contract:
+// TestBoundedStoreBitIdentical is the store's correctness contract:
 // concurrent predictions against a store far smaller than the
 // working set stays race-clean (the suite runs under -race in CI),
 // keeps every class at or under its cap, evicts, and returns
-// bit-identical predictions to an unbounded engine.
+// bit-identical predictions to an engine at the default caps, which
+// hold the whole working set.
 func TestBoundedStoreBitIdentical(t *testing.T) {
 	reqs := testRequests()
 
-	want := predictAll(withCaps(New(tinyOptions(7)), -1, -1, -1), reqs)
+	ref := New(tinyOptions(7))
+	want := predictAll(ref, reqs)
 
 	bounded := withCaps(New(tinyOptions(7)), 2, 1, 2)
 	bounded.store.class(classResult).cap = 2
@@ -458,10 +449,10 @@ func TestBoundedStoreBitIdentical(t *testing.T) {
 
 	for i := range reqs {
 		if want[i].Err != nil || got[i].Err != nil {
-			t.Fatalf("request %d errored: unbounded=%v bounded=%v", i, want[i].Err, got[i].Err)
+			t.Fatalf("request %d errored: reference=%v bounded=%v", i, want[i].Err, got[i].Err)
 		}
 		if !reflect.DeepEqual(want[i].Prediction, got[i].Prediction) {
-			t.Errorf("request %d: bounded prediction %+v != unbounded %+v",
+			t.Errorf("request %d: bounded prediction %+v != reference %+v",
 				i, got[i].Prediction, want[i].Prediction)
 		}
 	}
@@ -483,14 +474,11 @@ func TestBoundedStoreBitIdentical(t *testing.T) {
 		t.Error("tiny store saw no evictions across the batch")
 	}
 
-	// The unbounded baseline never evicts.
-	u := withCaps(New(tinyOptions(7)), -1, -1, -1)
-	if res := predictAll(u, reqs); res[0].Err != nil {
-		t.Fatal(res[0].Err)
-	}
-	for _, c := range u.AssetStats().Classes {
+	// The default caps are far above the working set: the reference
+	// never evicts.
+	for _, c := range ref.AssetStats().Classes {
 		if c.Evictions != 0 {
-			t.Errorf("unbounded %s class evicted %d entries", c.Class, c.Evictions)
+			t.Errorf("reference %s class evicted %d entries", c.Class, c.Evictions)
 		}
 	}
 }

@@ -97,7 +97,7 @@ func TestPredictCtxCancelDoesNotPoison(t *testing.T) {
 	flightDone := make(chan struct{})
 	go func() {
 		defer close(flightDone)
-		_, _ = e.flight.Do(key, func() (any, error) {
+		_, _ = e.flight.DoCtx(context.Background(), key, func() (any, error) {
 			close(started)
 			<-block
 			return nil, errors.New("test flight failed")

@@ -86,7 +86,7 @@ var views = sync.Pool{New: func() any { return new(Graph) }}
 // Launches pass, recycled so that a bind or a walk allocates nothing it
 // does not return. The kernel buffer grows to the busiest node's launch
 // count (an optimizer op launches one kernel per parameter) and a
-// Kernel is 224 bytes, so fresh buffers per walk would cost more than
+// Kernel is 216 bytes, so fresh buffers per walk would cost more than
 // the rest of the walk.
 type scratch struct {
 	in, out  []tensor.Meta

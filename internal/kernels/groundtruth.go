@@ -53,7 +53,7 @@ func (d *Device) BaseTime(k Kernel) float64 {
 	case KindGEMM:
 		t = d.gemmTime(k)
 	case KindEmbeddingFwd, KindEmbeddingBwd:
-		t = d.embeddingTime(k.WithDefaults())
+		t = d.embeddingTime(k)
 	case KindConcat:
 		t = d.concatTime(k)
 	case KindMemcpyH2D:
@@ -240,7 +240,7 @@ func (d *Device) elHitRate(e Kernel) float64 {
 		return 0
 	}
 	lineBytes := float64(ceilDiv(4*e.D, 128) * 128)
-	resTables := float64(e.RowsPerBlock) * float64(d.GPU.NumSMs) / float64(e.B)
+	resTables := float64(RowsPerBlock) * float64(d.GPU.NumSMs) / float64(e.B)
 	if resTables < 1 {
 		resTables = 1
 	}
@@ -270,7 +270,7 @@ func (d *Device) embeddingTime(e Kernel) float64 {
 	warps := float64(e.B) * float64(e.T)
 
 	// Achieved bandwidth depends on how well the grid fills the machine.
-	ctas := ceilDiv(e.B*e.T, e.RowsPerBlock)
+	ctas := ceilDiv(e.B*e.T, RowsPerBlock)
 	fill := float64(ctas) / float64(d.GPU.NumSMs)
 	if fill > 1 {
 		fill = 1

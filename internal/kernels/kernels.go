@@ -13,7 +13,7 @@
 //
 //	Kind                                fields
 //	KindGEMM                            B (batch), M, N, K
-//	KindEmbeddingFwd, KindEmbeddingBwd  B, E, T, L, D, RowsPerBlock, ZipfSkew
+//	KindEmbeddingFwd, KindEmbeddingBwd  B, E, T, L, D, ZipfSkew
 //	KindConcat                          NBytes (output), NInputs
 //	KindMemcpyH2D                       NBytes
 //	KindTranspose                       B, M, N
@@ -102,7 +102,7 @@ func Kinds() []Kind {
 // Kernel is one device kernel invocation with fully resolved parameters:
 // what the execution graph attaches to ops and what performance models
 // consume. The package doc lists the fields each Kind uses. A Kernel is
-// 28 words, so the prediction hot path (FLOPs, Bytes, AppendFeatures and
+// 27 words, so the prediction hot path (FLOPs, Bytes, AppendFeatures and
 // the performance models) takes it by pointer rather than copy it per
 // call.
 type Kernel struct {
@@ -122,9 +122,6 @@ type Kernel struct {
 	// BatchNorm: a two-pass normalization over (N, C, H, W).
 	C, H, W, R, S      int64
 	Stride, PadH, PadW int64
-	// RowsPerBlock is the embedding kernel's tuning argument (output
-	// vectors per CTA); WithDefaults fills it.
-	RowsPerBlock int64
 	// NBytes is a memcpy's transfer size or a concat's output size;
 	// NInputs is a concat's source tensor count.
 	NBytes  int64
@@ -278,18 +275,9 @@ func appendf(dst []byte, format string, vals ...int64) []byte {
 
 func unknown(k Kind) string { return fmt.Sprintf("kernels: unknown kernel kind %v", k) }
 
-// DefaultRowsPerBlock is the kernel launch configuration used by the
-// batched embedding implementation when none is specified.
-const DefaultRowsPerBlock = 32
-
-// WithDefaults returns a copy with an embedding's RowsPerBlock
-// defaulted.
-func (k Kernel) WithDefaults() Kernel {
-	if k.RowsPerBlock <= 0 {
-		k.RowsPerBlock = DefaultRowsPerBlock
-	}
-	return k
-}
+// RowsPerBlock is the batched embedding kernel's launch configuration:
+// output vectors per CTA, the same for every lookup.
+const RowsPerBlock = 32
 
 // OutElems returns the number of elements a tril extraction yields per
 // batch row, F*(F-1)/2.

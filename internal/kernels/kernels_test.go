@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dlrmperf/internal/hw"
 )
@@ -38,14 +39,14 @@ func TestEmbeddingKindAndFLOPs(t *testing.T) {
 	}
 }
 
-func TestEmbeddingWithDefaults(t *testing.T) {
-	e := Kernel{Kind: KindEmbeddingFwd, B: 1, E: 1, T: 1, L: 1, D: 1}
-	if e.WithDefaults().RowsPerBlock != DefaultRowsPerBlock {
-		t.Error("WithDefaults did not fill RowsPerBlock")
+// TestKernelSize pins the Kernel doc's word count, which the hot path's
+// take-a-pointer rule and the walk's pooled kernel buffer are sized by.
+func TestKernelSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the word count is for 64-bit platforms")
 	}
-	e.RowsPerBlock = 8
-	if e.WithDefaults().RowsPerBlock != 8 {
-		t.Error("WithDefaults overwrote explicit RowsPerBlock")
+	if got := unsafe.Sizeof(Kernel{}); got != 27*8 {
+		t.Errorf("Kernel is %d bytes, want 27 words (216)", got)
 	}
 }
 

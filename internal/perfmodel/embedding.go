@@ -23,7 +23,7 @@ import (
 // model could not approach the paper's ~11% GMAE.
 
 // elTerms returns the per-WARP traffic terms of the paper's formulas.
-func elTerms(e kernels.Kernel) (fixed, idx, weights, out float64) {
+func elTerms(e *kernels.Kernel) (fixed, idx, weights, out float64) {
 	rowBytes := float64((4*e.D + 31) / 32 * 32)
 	fixed = 32 + 64
 	idx = float64((4*e.L + 31) / 32 * 32)
@@ -39,11 +39,11 @@ func elTerms(e kernels.Kernel) (fixed, idx, weights, out float64) {
 // HitRate returns the enhanced model's estimate of p: the probability
 // that all L row accesses of one pooled lookup are L2-resident,
 // p = C(cached, L) / C(E, L).
-func (m *Model) HitRate(e kernels.Kernel) float64 {
+func (m *Model) HitRate(e *kernels.Kernel) float64 {
 	if e.E <= 0 {
 		return 0
 	}
-	numTables := float64(e.RowsPerBlock) * float64(m.NumSMs) / float64(e.B)
+	numTables := float64(kernels.RowsPerBlock) * float64(m.NumSMs) / float64(e.B)
 	if numTables < 1 {
 		numTables = 1
 	}
@@ -71,13 +71,12 @@ func (m *Model) predictEL(k *kernels.Kernel) float64 {
 	if !isEmbedding(k.Kind) {
 		panic("perfmodel: embedding model got non-embedding kernel")
 	}
-	e := k.WithDefaults()
-	fixed, idx, weights, out := elTerms(e)
-	warps := float64(e.B) * float64(e.T)
+	fixed, idx, weights, out := elTerms(k)
+	warps := float64(k.B) * float64(k.T)
 	if !m.Enhanced {
 		return warps * (fixed + idx + weights + out) / m.DRAMBW
 	}
-	p := m.HitRate(e)
+	p := m.HitRate(k)
 	trL2 := fixed + p*weights
 	trDRAM := idx + out + (1-p)*weights
 	return warps * (trDRAM/m.DRAMBW + trL2/m.L2BW)
@@ -109,7 +108,7 @@ func CalibrateEL(name string, gpu hw.GPU, ds *microbench.Dataset, enhanced bool)
 
 	var dramBWs []float64
 	for _, s := range ds.Filter(IsLargeTable).Samples {
-		e := s.Kernel.WithDefaults()
+		e := s.Kernel
 		fixed, idx, weights, out := elTerms(e)
 		warps := float64(e.B) * float64(e.T)
 		if s.Time > 0 {
@@ -134,7 +133,7 @@ func CalibrateEL(name string, gpu hw.GPU, ds *microbench.Dataset, enhanced bool)
 		if !isEmbedding(s.Kernel.Kind) {
 			continue
 		}
-		e := s.Kernel.WithDefaults()
+		e := s.Kernel
 		p := m.HitRate(e)
 		if p < 0.9 { // only confidently cached samples identify the L2 term
 			continue

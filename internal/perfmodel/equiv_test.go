@@ -39,7 +39,7 @@ func (m *refEL) HitRate(e kernels.Kernel) float64 {
 	if e.E <= 0 {
 		return 0
 	}
-	numTables := float64(e.RowsPerBlock) * float64(m.GPU.NumSMs) / float64(e.B)
+	numTables := float64(kernels.RowsPerBlock) * float64(m.GPU.NumSMs) / float64(e.B)
 	if numTables < 1 {
 		numTables = 1
 	}
@@ -75,7 +75,7 @@ func refELTerms(e kernels.Kernel) (fixed, idx, weights, out float64) {
 }
 
 func (m *refEL) Predict(k *kernels.Kernel) float64 {
-	e := k.WithDefaults()
+	e := *k
 	fixed, idx, weights, out := refELTerms(e)
 	warps := float64(e.B) * float64(e.T)
 	if !m.Enhanced {

@@ -102,10 +102,10 @@ func TestPlainELOverpredictsSmallTables(t *testing.T) {
 func TestELHitRateProperties(t *testing.T) {
 	gpu := hw.V100Platform().GPU
 	m := &Model{Form: FormEL, NumSMs: gpu.NumSMs, L2Size: gpu.L2Size, DRAMBW: gpu.DRAMBandwidth, L2BW: gpu.L2Bandwidth, Enhanced: true}
-	tiny := kernels.Kernel{Kind: kernels.KindEmbeddingFwd, B: 256, E: 1000, T: 1, L: 4, D: 64}.WithDefaults()
-	huge := kernels.Kernel{Kind: kernels.KindEmbeddingFwd, B: 256, E: 50_000_000, T: 1, L: 4, D: 64}.WithDefaults()
-	pTiny := m.HitRate(tiny)
-	pHuge := m.HitRate(huge)
+	tiny := kernels.Kernel{Kind: kernels.KindEmbeddingFwd, B: 256, E: 1000, T: 1, L: 4, D: 64}
+	huge := kernels.Kernel{Kind: kernels.KindEmbeddingFwd, B: 256, E: 50_000_000, T: 1, L: 4, D: 64}
+	pTiny := m.HitRate(&tiny)
+	pHuge := m.HitRate(&huge)
 	if pTiny < 0.99 {
 		t.Errorf("fully cached table hit rate = %v, want ~1", pTiny)
 	}
@@ -115,7 +115,7 @@ func TestELHitRateProperties(t *testing.T) {
 	// Hit probability decreases with table size.
 	last := 1.1
 	for _, e := range []int64{1000, 10_000, 100_000, 1_000_000, 10_000_000} {
-		p := m.HitRate(kernels.Kernel{Kind: kernels.KindEmbeddingFwd, B: 256, E: e, T: 1, L: 4, D: 64}.WithDefaults())
+		p := m.HitRate(&kernels.Kernel{Kind: kernels.KindEmbeddingFwd, B: 256, E: e, T: 1, L: 4, D: 64})
 		if p > last {
 			t.Errorf("hit rate not monotone at E=%d: %v > %v", e, p, last)
 		}

@@ -20,6 +20,9 @@ func (f *fakeBackend) Release() { close(f.release) }
 // StartedCh ticks once per request entering the blocked section.
 func (f *fakeBackend) StartedCh() <-chan struct{} { return f.started }
 
+// Installs counts the asset payloads the backend accepted.
+func (f *fakeBackend) Installs() uint64 { return f.installs.Load() }
+
 // AssertInvariant re-exports the accounting-identity assertion.
 func AssertInvariant(t *testing.T, st Stats) {
 	t.Helper()

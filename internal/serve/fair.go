@@ -262,19 +262,14 @@ func (q *fairQueue) pop() (*job, bool) {
 		}
 		q.notEmpty.Wait()
 	}
+	// The pattern names every class, so with total > 0 one pass from
+	// any cursor finds a job.
 	var j *job
 	for i := 0; i < len(wrrPattern) && j == nil; i++ {
 		j = q.classes[wrrPattern[q.cursor]].dequeue()
 		q.cursor++
 		if q.cursor == len(wrrPattern) {
 			q.cursor = 0
-		}
-	}
-	if j == nil {
-		// The pattern names every class, so total > 0 guarantees a hit
-		// above; kept as a defensive direct scan.
-		for c := 0; c < priClasses && j == nil; c++ {
-			j = q.classes[c].dequeue()
 		}
 	}
 	q.total--

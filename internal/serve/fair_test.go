@@ -63,6 +63,42 @@ func TestFairQueueEmptyClassesSkipped(t *testing.T) {
 	}
 }
 
+// TestFairQueuePopFromEveryCursor: from every cursor position and with
+// every non-empty set of classes occupied, pop serves the first
+// occupied class wrrPattern names from the cursor on and leaves the
+// cursor just past that position. Every class is in the pattern, so a
+// non-empty queue always yields a job within one pass.
+func TestFairQueuePopFromEveryCursor(t *testing.T) {
+	names := [priClasses]string{priHigh: "high", priNormal: "normal", priLow: "low"}
+	for cursor := range wrrPattern {
+		for occupied := 1; occupied < 1<<priClasses; occupied++ {
+			q := newFairQueue(8, 8)
+			q.cursor = cursor
+			for c := 0; c < priClasses; c++ {
+				if occupied&(1<<c) != 0 {
+					pushJob(t, q, "t", names[c])
+				}
+			}
+			want, next := -1, 0
+			for i := range wrrPattern {
+				pos := (cursor + i) % len(wrrPattern)
+				if occupied&(1<<wrrPattern[pos]) != 0 {
+					want, next = int(wrrPattern[pos]), (pos+1)%len(wrrPattern)
+					break
+				}
+			}
+			j, ok := q.pop()
+			if !ok {
+				t.Fatalf("cursor %d, classes %03b: queue closed", cursor, occupied)
+			}
+			if int(j.pri) != want || q.cursor != next {
+				t.Errorf("cursor %d, classes %03b: pop = class %d, cursor %d; want class %d, cursor %d",
+					cursor, occupied, j.pri, q.cursor, want, next)
+			}
+		}
+	}
+}
+
 // TestFairQueueTenantStarvation is the queue-level starvation bound: a
 // hot tenant with a 10x backlog cannot push a background tenant's jobs
 // to the back — tenant round-robin serves the background jobs within

@@ -20,6 +20,7 @@
 //	POST /v1/predict        one request  -> one result row (429 when the queue is full)
 //	POST /v1/predict/batch  request list -> batch report (admission blocks instead of 429ing)
 //	POST /v1/explore        grid spec    -> design-space sweep report (frontier, coverage, throughput)
+//	POST /v1/assets/install asset export -> warm start of the device it covers (control plane, not queued)
 //	GET  /v1/scenarios      registered scenario names
 //	GET  /healthz           liveness (503 while draining)
 //	GET  /stats             admission/service/cache/asset counters
@@ -28,7 +29,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -41,7 +41,12 @@ import (
 
 // Backend is the engine surface the server drives — implemented by
 // *dlrmperf.Engine, narrowed to an interface so stream tests can
-// substitute a controllable fake.
+// substitute a controllable fake. LoadAssets is the surface behind
+// POST /v1/assets/install: installing a serialized calibration asset
+// payload (Engine.SaveAssets bytes) so the device it covers serves
+// warm without recalibrating — the cluster's hand-off path when a
+// device's rendezvous home dies. It must not keep data past its
+// return.
 type Backend interface {
 	PredictContext(ctx context.Context, req dlrmperf.PredictRequest) dlrmperf.PredictResult
 	CacheStats() (hits, misses uint64)
@@ -49,15 +54,6 @@ type Backend interface {
 	AssetStats() dlrmperf.AssetStats
 	Devices() []string
 	CalibrationRuns(device string) int
-}
-
-// AssetLoader is the optional backend surface behind
-// POST /v1/assets/install: installing a serialized calibration asset
-// payload (Engine.SaveAssets bytes) so the device it covers serves
-// warm without recalibrating — the cluster's hand-off path when a
-// device's rendezvous home dies. *dlrmperf.Engine implements it; a
-// backend that does not gets a 501 from the endpoint.
-type AssetLoader interface {
 	LoadAssets(data []byte) error
 }
 
@@ -244,9 +240,6 @@ func (s *Server) admit(ctx context.Context, req Request, wait bool) (Result, err
 	s.jobs.Add(1)
 	s.admitMu.Unlock()
 
-	if ctx == nil {
-		ctx = context.Background() //lint:allow ctxflow nil-ctx API fallback; requestContext layers the queue timeout on top either way
-	}
 	ctx, cancel := s.requestContext(ctx, req)
 	defer cancel()
 	j := jobPool.Get().(*job)
@@ -432,21 +425,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // gate: a draining worker is leaving the routing set and must not
 // accept new device ownership.
 func (s *Server) handleInstallAssets(w http.ResponseWriter, r *http.Request) {
-	al, ok := s.cfg.Backend.(AssetLoader)
-	if !ok {
-		WriteError(w, Refusal(http.StatusNotImplemented, "unsupported", "backend cannot install assets"), 0)
-		return
-	}
 	if s.Draining() {
 		WriteError(w, ErrDraining, s.retryAfterHint())
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-	if err != nil {
-		badRequest(w, err)
+	buf, ok := readBody(w, r)
+	if !ok {
 		return
 	}
-	if err := al.LoadAssets(data); err != nil {
+	err := s.cfg.Backend.LoadAssets(buf.Bytes())
+	buf.Release()
+	if err != nil {
 		WriteError(w, Refusal(http.StatusBadRequest, "bad_assets", err.Error()), 0)
 		return
 	}

@@ -18,7 +18,8 @@ import (
 // expires, a miss that returns ctx.Err()); "reject" fails validation.
 // Counters follow the engine's conventions (a validated request is one
 // hit or one miss, rejects separate) so Stats invariants can be
-// asserted against it.
+// asserted against it. An asset payload containing "bad" is refused,
+// any other installs.
 type fakeBackend struct {
 	release chan struct{}
 	started chan struct{} // one tick per request entering the blocked section
@@ -26,6 +27,7 @@ type fakeBackend struct {
 	hits     atomic.Uint64
 	misses   atomic.Uint64
 	rejected atomic.Uint64
+	installs atomic.Uint64
 
 	mu   sync.Mutex
 	seen map[string]bool
@@ -81,6 +83,14 @@ func (f *fakeBackend) RejectedRequests() uint64        { return f.rejected.Load(
 func (f *fakeBackend) AssetStats() dlrmperf.AssetStats { return dlrmperf.AssetStats{} }
 func (f *fakeBackend) Devices() []string               { return []string{"FakeGPU"} }
 func (f *fakeBackend) CalibrationRuns(string) int      { return 0 }
+
+func (f *fakeBackend) LoadAssets(data []byte) error {
+	if strings.Contains(string(data), "bad") {
+		return errors.New("fake: malformed asset payload")
+	}
+	f.installs.Add(1)
+	return nil
+}
 
 // assertInvariant checks the /stats accounting identity: every admitted
 // request is a hit, a miss, or a rejection.

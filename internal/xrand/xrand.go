@@ -32,11 +32,18 @@ func (r *Rand) Split() *Rand {
 	return New(r.Uint64() ^ 0x9e3779b97f4a7c15)
 }
 
-// HashString folds a label into a 64-bit stream salt (FNV-1a). It is
-// how named components — one calibration per device, one sweep per
-// kernel family — derive decorrelated seeds from a shared base seed
-// without any ordering dependence: stream(seed, label) = seed +
-// HashString(label).
+// HashString folds a label into a 64-bit stream salt. It is how named
+// components — one calibration per device, one sweep per kernel family
+// — derive decorrelated seeds from a shared base seed without any
+// ordering dependence: stream(seed, label) = seed + HashString(label).
+//
+// The fold is FNV-1a's (xor, then multiply by the 64-bit FNV prime),
+// but its offset basis, 1469598103934665603, is FNV-1a's
+// 14695981039346656037 with the last digit dropped, so the values are
+// not FNV-1a hashes (Device.quirk and sim.opHash use the true basis).
+// The basis stays: every DeviceSalt, derived seed and scenario
+// fingerprint depends on it, and TestHashStringStableAndDistinct pins
+// it.
 func HashString(s string) uint64 {
 	var h uint64 = 1469598103934665603
 	for i := 0; i < len(s); i++ {
@@ -45,8 +52,8 @@ func HashString(s string) uint64 {
 	return h
 }
 
-// HashBytes is HashString over a byte slice: the same FNV-1a fold, so
-// HashBytes(b) == HashString(string(b)) without the conversion
+// HashBytes is HashString over a byte slice: the same fold and basis,
+// so HashBytes(b) == HashString(string(b)) without the conversion
 // allocation. Hot cache-key builders hash scratch buffers through it.
 func HashBytes(b []byte) uint64 {
 	var h uint64 = 1469598103934665603

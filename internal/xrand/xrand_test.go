@@ -253,7 +253,7 @@ func TestHashStringStableAndDistinct(t *testing.T) {
 		t.Fatalf("HashString(V100) = %d, want 15833220653259277578", got)
 	}
 	if HashString("") != 1469598103934665603 {
-		t.Fatal("empty-label hash must be the FNV-1a offset basis")
+		t.Fatal("empty-label hash must be the offset basis (FNV-1a's, one digit short)")
 	}
 	seen := map[uint64]string{}
 	for _, s := range []string{"V100", "TITAN Xp", "P100", "DLRM_default", "DLRM_MLPerf"} {
