@@ -121,7 +121,7 @@ bench:
 # regressions on the box shape the baseline records (on another, the
 # time excess is printed, not failed). The compare table is kept in
 # BENCH_report.txt.
-BENCH_PATTERN = PredictSingleCached$$|PredictNovelBatch$$|CalibrateParallel$$|CompilePlan$$|SweepWarm$$|SweepNovel$$|FirstTouch$$|AssetHandoff$$|PoolShared$$|TrimmedSeries$$|SimRun$$|SimProfile$$|RowCodec$$|CoordinatorHit$$|CoordinatorBatchHit$$
+BENCH_PATTERN = PredictSingleCached$$|PredictNovelBatch$$|CalibrateParallel$$|CompilePlan$$|SweepWarm$$|SweepNovel$$|FirstTouch$$|AssetHandoff$$|AssetHandoffShared$$|PoolShared$$|TrimmedSeries$$|SimRun$$|SimProfile$$|RowCodec$$|CoordinatorHit$$|CoordinatorBatchHit$$
 BENCH_PKGS = . ./internal/engine ./internal/overhead ./internal/stats ./internal/sim ./internal/serve ./internal/cluster
 bench-check:
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchmem -count 5 $(BENCH_PKGS) | tee BENCH_pr.txt

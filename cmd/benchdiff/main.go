@@ -16,12 +16,14 @@
 // missing from the current run, slower than the time threshold
 // (-max-time, default +25% ns/op), or allocating over the allocation
 // threshold (-max-allocs, default +10% allocs/op). Allocation counts
-// are deterministic and portable, so the tight bound is the real
-// tripwire on every machine. A time is a property of the box that
-// measured it: -parse records GOMAXPROCS and the CPU model beside the
-// numbers, and when baseline and current run both say where they ran
-// and disagree, an ns/op excess is annotated in the report instead of
-// failing the gate (and -ratchet leaves the baseline's times alone).
+// are portable, so the tight bound is the real tripwire on every
+// machine; they are not exact (a benchmark whose pools refill may vary
+// by one), which the minimum over -count absorbs. A time is a property
+// of the box that measured it: -parse records GOMAXPROCS and the CPU
+// model beside the numbers, and when baseline and current run both say
+// where they ran and disagree, an ns/op excess is annotated in the
+// report instead of failing the gate (and -ratchet leaves the
+// baseline's times alone).
 // The table also shows both runs' B/op beside the allocation counts,
 // for information: no bound applies to it.
 //

@@ -165,7 +165,7 @@ func TrainMLPredict(p hw.Platform, seed uint64) *MLPredict {
 		if k.FLOPs() > 2e12 {
 			return // real layer corpora contain no half-second kernels
 		}
-		t := dev.RunAveraged(k, 5) + 12*p.Host.OverheadScale // op latency incl. overhead
+		t := dev.RunAveraged(&k, 5) + 12*p.Host.OverheadScale // op latency incl. overhead
 		X = append(X, mlpredictFeatures(k))
 		Y = append(Y, logf(t))
 	}

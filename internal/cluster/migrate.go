@@ -13,8 +13,9 @@ import (
 
 // Asset migration on failover. Calibrating a device costs seconds; the
 // serialized result (Engine.SaveAssets) is tens of KB at the fast tier
-// (a V100 export at seed 2022 is 16,923 B with the shared DLRM database
-// and 30,346 B with four databases) and about 5.9 MB at the serving
+// (a V100 export at seed 2022 that holds the shared DLRM database is
+// 30,346 B: it always carries the three family databases pooled with it,
+// so four in all) and about 5.9 MB at the serving
 // default. So the coordinator keeps a replicated copy of every worker's
 // exported calibration assets in an assetVault — refreshed by the workers'
 // heartbeat-time pushes (POST /v1/workers/assets, see

@@ -10,14 +10,22 @@ import (
 	"dlrmperf/internal/overhead"
 )
 
-// exportWithOverheads is a fast-tier V100 export holding the registry,
-// the DLRM_default overhead database and the shared one.
-func exportWithOverheads(tb testing.TB) []byte {
+// exportWithOverheads is a fast-tier V100 export of an engine that has
+// served DLRM_default at batch 512, charged from its own overhead
+// database and, with shared set, from the device's shared one too. It
+// holds the registry and the DLRM_default database; with shared, also
+// the shared database and the other DLRM families' own, which the
+// shared build pools beside it.
+func exportWithOverheads(tb testing.TB, shared bool) []byte {
 	tb.Helper()
 	src := New(tinyOptions(7))
-	shared := NewRequest(hw.V100, models.NameDLRMDefault, 512)
-	shared.Shared = true
-	for _, req := range []Request{NewRequest(hw.V100, models.NameDLRMDefault, 512), shared} {
+	req := NewRequest(hw.V100, models.NameDLRMDefault, 512)
+	reqs := []Request{req}
+	if shared {
+		req.Shared = true
+		reqs = append(reqs, req)
+	}
+	for _, req := range reqs {
 		if res := src.Predict(req); res.Err != nil {
 			tb.Fatal(res.Err)
 		}
@@ -36,7 +44,7 @@ func exportWithOverheads(tb testing.TB) []byte {
 // install: the host overheads of every prediction that used it
 // silently went to zero.
 func TestLoadAssetsRefusesUnusableOverheads(t *testing.T) {
-	data := exportWithOverheads(t)
+	data := exportWithOverheads(t, true)
 	null := json.RawMessage(`null`)
 	editDB := func(raw json.RawMessage, edit func(db *overhead.DB)) json.RawMessage {
 		var db overhead.DB
@@ -122,12 +130,19 @@ func TestLoadAssetsRefusesUnusableOverheads(t *testing.T) {
 }
 
 // BenchmarkAssetHandoff times one warm hand-off of a fast-tier V100:
-// SaveAssets of its registry with the DLRM_default and shared overhead
-// databases, then LoadAssets into a fresh engine. The micro gate tracks
-// it; the cold-start workload of bench/ pays it once per operation.
-func BenchmarkAssetHandoff(b *testing.B) {
+// SaveAssets of its registry with the DLRM_default overhead database,
+// then LoadAssets into a fresh engine. The micro gate tracks it; each
+// per-family operation of bench/'s cold-start workload pays one.
+func BenchmarkAssetHandoff(b *testing.B) { benchmarkHandoff(b, exportWithOverheads(b, false)) }
+
+// BenchmarkAssetHandoffShared is BenchmarkAssetHandoff for an engine
+// that has also served a shared request: the registry, the shared
+// database and every DLRM family's own. The micro gate tracks it; the
+// shared operation of bench/'s cold-start workload pays one.
+func BenchmarkAssetHandoffShared(b *testing.B) { benchmarkHandoff(b, exportWithOverheads(b, true)) }
+
+func benchmarkHandoff(b *testing.B, data []byte) {
 	opts := tinyOptions(7)
-	data := exportWithOverheads(b)
 	src := New(opts)
 	if _, err := src.LoadAssets(data); err != nil {
 		b.Fatal(err)

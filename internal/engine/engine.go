@@ -435,17 +435,30 @@ func (e *Engine) OverheadDB(device, model string) (*overhead.DB, error) {
 
 // SharedOverheadDB pools overhead samples across all DLRM workloads on
 // a device — the paper's shared database for large-scale prediction.
+// Its first build also pools every DLRM family's own database
+// (OverheadDB) from the same runs, which are then released.
 func (e *Engine) SharedOverheadDB(device string) (*overhead.DB, error) {
 	return e.overheads("shared/"+device, runSpec{device: device})
 }
 
 // overheads memoizes the database r names under key; the caller whose
-// build was stored then releases the runs it pooled (releaseRuns).
+// build was stored then releases the runs it pooled (releaseRuns). A
+// shared database just built first pools each DLRM family's own from
+// the same resident runs, through OverheadDB (a concurrent request for
+// one joins its flight; a resident one is a hit), so every run is read
+// by resident databases alone and released. Those builds only warm the
+// cache: one that fails is retried when its family is first requested.
 func (e *Engine) overheads(key string, r runSpec) (*overhead.DB, error) {
 	db, built, err := memo(e, classOverheads, key, r, (*Engine).collectOverheads)
-	if built {
-		e.releaseRuns(r)
+	if !built {
+		return db, err
 	}
+	if r.model == "" {
+		for _, m := range models.DLRMNames() {
+			e.OverheadDB(r.device, m)
+		}
+	}
+	e.releaseRuns(r)
 	return db, err
 }
 
@@ -470,7 +483,10 @@ func (e *Engine) pooledRuns(r runSpec) []runSpec {
 // database r names is stored. A profiled run (d, m, b) is read by the
 // databases that pool it — db/d/m and, for a DLRM family m, shared/d —
 // and by nothing else, so once all of them are resident (collected or
-// installed) its samples are dropped. A database evicted later rebuilds
+// installed) its samples are dropped. Since a shared build pools every
+// family's own database too (overheads), a DLRM run outlives its
+// database only when that family's own was built first: it is held for
+// a later shared build. A database evicted later rebuilds
 // by simulating its runs anew, bit-identically, as runs misses. The
 // check follows the store: of two databases built concurrently over the
 // same runs, the one that finishes last sees the other resident and

@@ -18,7 +18,9 @@ import (
 // runs at the family's evaluation batch sizes (the serving defaults: 30
 // iterations, four DLRM / three CNN / three Transformer batch sizes),
 // each writing its overhead samples as it goes, the pooled database, and
-// one prediction. The
+// one prediction. The dlrm-shared row pools the device's shared database
+// over every DLRM family's runs, and each family's own from the same
+// runs. The
 // calibration arrives through LoadAssets outside the timer; the runs
 // and overheads classes are cold on every iteration.
 func BenchmarkFirstTouch(b *testing.B) {
@@ -28,13 +30,17 @@ func BenchmarkFirstTouch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, c := range []struct{ name, model string }{
-		{"dlrm", models.NameDLRMDefault},
-		{"cnn", models.NameInceptionV3},
-		{"transformer", models.NameTransformer},
+	for _, c := range []struct {
+		name, model string
+		shared      bool
+	}{
+		{"dlrm", models.NameDLRMDefault, false},
+		{"dlrm-shared", models.NameDLRMDefault, true},
+		{"cnn", models.NameInceptionV3, false},
+		{"transformer", models.NameTransformer, false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			req := Request{Device: hw.V100, Scenario: scenario.Single(c.model, 512)}
+			req := Request{Device: hw.V100, Scenario: scenario.Single(c.model, 512), Shared: c.shared}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/json"
 	"hash/fnv"
 	"reflect"
 	"strings"
@@ -29,7 +30,10 @@ func profiledRuns(e *Engine, device string) []string {
 // profiled runs are pooled by its own database and by the device's
 // shared one, so they stay while either is missing — built later, or
 // still being built — and are gone once both are resident, whichever
-// order (or none) the builds ran in. A measured run is never released.
+// order (or none) the builds ran in. Building the shared database
+// builds every family's own with it, so after it alone no run is
+// resident and a later per-family request is a hit. A measured run is
+// never released.
 func TestDLRMRunsReleasedOnceEveryDatabaseIsResident(t *testing.T) {
 	families := models.DLRMNames()
 	perFamily := len(tinyOptions(7).DLRMBatches)
@@ -60,11 +64,21 @@ func TestDLRMRunsReleasedOnceEveryDatabaseIsResident(t *testing.T) {
 				shared()
 			case "shared then per-family":
 				shared()
-				for i := range families {
-					if got, want := len(profiledRuns(e, hw.V100)), (len(families)-i)*perFamily; got != want {
-						t.Fatalf("%d runs resident with %d families' databases built, want %d", got, i, want)
+				if left := profiledRuns(e, hw.V100); len(left) != 0 {
+					t.Fatalf("profiled runs resident after the shared database alone: %v", left)
+				}
+				resident := e.store.class(classOverheads).snapshot()
+				for _, m := range families {
+					if _, ok := resident["db/"+hw.V100+"/"+m]; !ok {
+						t.Errorf("%s's own database not resident after the shared build", m)
 					}
+				}
+				hits := e.AssetStats().Class("overheads").Hits
+				for i := range families {
 					family(i)
+				}
+				if got := e.AssetStats().Class("overheads").Hits - hits; got != uint64(len(families)) {
+					t.Errorf("%d of %d per-family requests were overheads hits", got, len(families))
 				}
 			default:
 				var wg sync.WaitGroup
@@ -87,6 +101,45 @@ func TestDLRMRunsReleasedOnceEveryDatabaseIsResident(t *testing.T) {
 				t.Errorf("runs class: %d misses, want each run simulated once (%d)", runs.Misses, 1+len(families)*perFamily)
 			}
 		})
+	}
+}
+
+// TestSharedFirstTouchExportsEveryDLRMDatabase: an engine that has
+// served one shared request exports the shared database and every DLRM
+// family's own, so a warm-started engine answers a per-family request
+// for each family without simulating a run, as a cold engine does.
+func TestSharedFirstTouchExportsEveryDLRMDatabase(t *testing.T) {
+	src := New(tinyOptions(7))
+	req := NewRequest(hw.V100, models.NameDLRMDefault, 512)
+	req.Shared = true
+	if res := src.Predict(req); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	data, err := src.SaveAssets(hw.V100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire wireAssets
+	if err := json.Unmarshal(data, &wire); err != nil {
+		t.Fatal(err)
+	}
+	if wire.Shared == nil || len(wire.Overheads) != len(models.DLRMNames()) {
+		t.Fatalf("export holds shared %v and %d per-family databases, want it and %d", wire.Shared != nil, len(wire.Overheads), len(models.DLRMNames()))
+	}
+	warm := New(tinyOptions(7))
+	if _, err := warm.LoadAssets(data); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range models.DLRMNames() {
+		req := NewRequest(hw.V100, m, 512)
+		want := New(tinyOptions(7)).Predict(req)
+		if want.Err != nil {
+			t.Fatal(want.Err)
+		}
+		sameResult(t, m, warm.Predict(req), cached{want.Prediction, want.Multi, want.Plan})
+	}
+	if runs := warm.AssetStats().Class("runs"); runs.Misses != 0 {
+		t.Errorf("warm-started engine simulated %d runs", runs.Misses)
 	}
 }
 

@@ -47,7 +47,7 @@ func NewDevice(gpu hw.GPU, seed uint64) *Device {
 
 // BaseTime returns the noise-free execution time of k in microseconds
 // (still including the deterministic per-shape silicon quirk).
-func (d *Device) BaseTime(k Kernel) float64 {
+func (d *Device) BaseTime(k *Kernel) float64 {
 	var t float64
 	switch k.Kind {
 	case KindGEMM:
@@ -86,7 +86,7 @@ func (d *Device) Noisy(base float64) float64 {
 
 // RunAveraged runs k iters times and returns the mean, mirroring the
 // paper's 30-iteration kernel benchmarking protocol.
-func (d *Device) RunAveraged(k Kernel, iters int) float64 {
+func (d *Device) RunAveraged(k *Kernel, iters int) float64 {
 	if iters <= 0 {
 		iters = 1
 	}
@@ -102,7 +102,7 @@ func (d *Device) RunAveraged(k Kernel, iters int) float64 {
 // Its amplitude differs per kernel kind: proprietary, heavily tuned
 // kernels (GEMM, transpose) have larger shape-specific variation than
 // simple copies.
-func (d *Device) quirk(k Kernel) float64 {
+func (d *Device) quirk(k *Kernel) float64 {
 	var amp float64
 	switch k.Kind {
 	case KindGEMM, KindConv:
@@ -166,7 +166,7 @@ var gemmTiles = []tileConfig{
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
-func (d *Device) gemmTime(g Kernel) float64 {
+func (d *Device) gemmTime(g *Kernel) float64 {
 	if g.B <= 0 || g.M <= 0 || g.N <= 0 || g.K <= 0 {
 		return d.GPU.MinKernelTime
 	}
@@ -211,7 +211,7 @@ func (d *Device) gemmTime(g Kernel) float64 {
 
 // elTraffic returns the per-WARP L2 and DRAM byte traffic of a batched
 // embedding lookup under the ground-truth cache model.
-func (d *Device) elTraffic(e Kernel) (l2P, dramP float64) {
+func (d *Device) elTraffic(e *Kernel) (l2P, dramP float64) {
 	rowBytes := float64(ceilDiv(4*e.D, 32) * 32)
 	trIdx := float64(ceilDiv(4*e.L, 32) * 32)
 	const trFixed = 32 + 64 // table_offsets + offsets
@@ -235,7 +235,7 @@ func (d *Device) elTraffic(e Kernel) (l2P, dramP float64) {
 // paper's enhanced model but with different structure: 128-byte line
 // granularity, steady-state per-access (not per-pooled-group) hits, a
 // conflict-miss ceiling, and Zipf-locality amplification.
-func (d *Device) elHitRate(e Kernel) float64 {
+func (d *Device) elHitRate(e *Kernel) float64 {
 	if e.E <= 0 {
 		return 0
 	}
@@ -262,7 +262,7 @@ func (d *Device) elHitRate(e Kernel) float64 {
 	return p
 }
 
-func (d *Device) embeddingTime(e Kernel) float64 {
+func (d *Device) embeddingTime(e *Kernel) float64 {
 	if e.B <= 0 || e.T <= 0 || e.L <= 0 || e.D <= 0 {
 		return d.GPU.MinKernelTime
 	}
@@ -285,7 +285,7 @@ func (d *Device) embeddingTime(e Kernel) float64 {
 
 // --- Memory kernels -----------------------------------------------------
 
-func (d *Device) concatTime(c Kernel) float64 {
+func (d *Device) concatTime(c *Kernel) float64 {
 	read, write := c.Bytes()
 	bytes := read + write
 	t := bytes / (d.GPU.DRAMBandwidth * 0.85 * ramp(bytes, 768<<10))
@@ -294,14 +294,14 @@ func (d *Device) concatTime(c Kernel) float64 {
 	return t + d.GPU.MinKernelTime
 }
 
-func (d *Device) memcpyTime(m Kernel) float64 {
+func (d *Device) memcpyTime(m *Kernel) float64 {
 	bytes := float64(m.NBytes)
 	t := bytes / (d.GPU.PCIeBandwidth * ramp(bytes, 256<<10))
 	// Driver/DMA setup latency beyond the generic kernel floor.
 	return t + 4.5 + d.GPU.MinKernelTime
 }
 
-func (d *Device) transposeTime(t Kernel) float64 {
+func (d *Device) transposeTime(t *Kernel) float64 {
 	read, write := t.Bytes()
 	bytes := read + write
 	penalty := 1.0
@@ -318,7 +318,7 @@ func (d *Device) transposeTime(t Kernel) float64 {
 	return tt + d.GPU.MinKernelTime
 }
 
-func (d *Device) trilTime(t Kernel) float64 {
+func (d *Device) trilTime(t *Kernel) float64 {
 	read, write := t.Bytes()
 	bytes := read + write
 	penalty := 1.6 // gather indexing through an int64 index tensor
@@ -336,7 +336,7 @@ func (d *Device) trilTime(t Kernel) float64 {
 	return tt + d.GPU.MinKernelTime
 }
 
-func (d *Device) elementwiseTime(e Kernel) float64 {
+func (d *Device) elementwiseTime(e *Kernel) float64 {
 	read, write := e.Bytes()
 	bytes := read + write
 	tMem := bytes / (d.GPU.DRAMBandwidth * 0.88 * ramp(bytes, 1<<20))
@@ -350,7 +350,7 @@ func (d *Device) elementwiseTime(e Kernel) float64 {
 
 // --- CNN kernels ----------------------------------------------------------
 
-func (d *Device) convTime(c Kernel) float64 {
+func (d *Device) convTime(c *Kernel) float64 {
 	g := c.AsGEMM()
 	// Implicit GEMM pays an efficiency tax over plain GEMM, worse for
 	// asymmetric (1x7 / 7x1) and pointwise filters.
@@ -360,14 +360,14 @@ func (d *Device) convTime(c Kernel) float64 {
 	} else if c.R == 1 {
 		eff = 0.85 // 1x1 convs are clean GEMMs
 	}
-	t := d.gemmTime(g) / eff
+	t := d.gemmTime(&g) / eff
 	// Extra input re-reads from the implicit im2col expansion.
 	read, _ := c.Bytes()
 	t += 0.4 * read / (d.GPU.DRAMBandwidth * 0.78)
 	return t
 }
 
-func (d *Device) batchNormTime(b Kernel) float64 {
+func (d *Device) batchNormTime(b *Kernel) float64 {
 	read, write := b.Bytes()
 	bytes := read + write
 	t := bytes / (d.GPU.DRAMBandwidth * 0.82 * ramp(bytes, 1<<20))

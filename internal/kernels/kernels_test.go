@@ -161,8 +161,8 @@ func newV100() *Device { return NewDevice(hw.V100Platform().GPU, 1) }
 
 func TestGEMMTimeScalesWithWork(t *testing.T) {
 	d := newV100()
-	small := d.BaseTime(Kernel{Kind: KindGEMM, B: 1, M: 256, N: 256, K: 256})
-	big := d.BaseTime(Kernel{Kind: KindGEMM, B: 1, M: 2048, N: 2048, K: 2048})
+	small := d.BaseTime(&Kernel{Kind: KindGEMM, B: 1, M: 256, N: 256, K: 256})
+	big := d.BaseTime(&Kernel{Kind: KindGEMM, B: 1, M: 2048, N: 2048, K: 2048})
 	if big <= small {
 		t.Fatalf("bigger GEMM not slower: %v <= %v", big, small)
 	}
@@ -175,7 +175,7 @@ func TestGEMMTimeScalesWithWork(t *testing.T) {
 
 func TestGEMM1024RealisticRange(t *testing.T) {
 	d := newV100()
-	got := d.BaseTime(Kernel{Kind: KindGEMM, B: 1, M: 1024, N: 1024, K: 1024})
+	got := d.BaseTime(&Kernel{Kind: KindGEMM, B: 1, M: 1024, N: 1024, K: 1024})
 	// cuBLAS fp32 1024^3 on V100 lands in the 150-350 µs range.
 	if got < 100 || got > 500 {
 		t.Errorf("1024^3 GEMM time = %v µs, outside plausible range", got)
@@ -191,8 +191,8 @@ func TestGEMMWaveQuantization(t *testing.T) {
 	// visible jump is smaller than the raw 2x round count.)
 	a := Kernel{Kind: KindGEMM, B: 1, M: 640, N: 512, K: 2048}
 	b := Kernel{Kind: KindGEMM, B: 1, M: 704, N: 512, K: 2048}
-	ta := d.BaseTime(a) / a.FLOPs()
-	tb := d.BaseTime(b) / b.FLOPs()
+	ta := d.BaseTime(&a) / a.FLOPs()
+	tb := d.BaseTime(&b) / b.FLOPs()
 	if tb < ta*1.25 {
 		t.Errorf("no wave quantization visible: %v vs %v µs/FLOP", tb, ta)
 	}
@@ -202,8 +202,8 @@ func TestEmbeddingSmallTableFasterPerRow(t *testing.T) {
 	d := newV100()
 	small := Kernel{Kind: KindEmbeddingFwd, B: 1024, E: 1000, T: 8, L: 16, D: 64}
 	large := Kernel{Kind: KindEmbeddingFwd, B: 1024, E: 10_000_000, T: 8, L: 16, D: 64}
-	ts := d.BaseTime(small)
-	tl := d.BaseTime(large)
+	ts := d.BaseTime(&small)
+	tl := d.BaseTime(&large)
 	// The small table lives in L2, so it must be faster despite moving
 	// the same logical traffic.
 	if ts >= tl {
@@ -216,18 +216,18 @@ func TestEmbeddingBackwardSlower(t *testing.T) {
 	f := Kernel{Kind: KindEmbeddingFwd, B: 2048, E: 1_000_000, T: 8, L: 10, D: 64}
 	b := f
 	b.Kind = KindEmbeddingBwd
-	if d.BaseTime(b) <= d.BaseTime(f) {
+	if d.BaseTime(&b) <= d.BaseTime(&f) {
 		t.Error("backward lookup should be slower than forward")
 	}
 }
 
 func TestMemcpyLatencyFloor(t *testing.T) {
 	d := newV100()
-	tiny := d.BaseTime(Kernel{Kind: KindMemcpyH2D, NBytes: 64})
+	tiny := d.BaseTime(&Kernel{Kind: KindMemcpyH2D, NBytes: 64})
 	if tiny < 5 {
 		t.Errorf("tiny memcpy %v µs is below the driver latency floor", tiny)
 	}
-	big := d.BaseTime(Kernel{Kind: KindMemcpyH2D, NBytes: 64 << 20})
+	big := d.BaseTime(&Kernel{Kind: KindMemcpyH2D, NBytes: 64 << 20})
 	// 64 MB over ~12 GB/s PCIe is ~5.4 ms.
 	if big < 4000 || big > 9000 {
 		t.Errorf("64MB H2D = %v µs, implausible", big)
@@ -236,8 +236,8 @@ func TestMemcpyLatencyFloor(t *testing.T) {
 
 func TestTransposeAlignmentPenalty(t *testing.T) {
 	d := newV100()
-	aligned := d.BaseTime(Kernel{Kind: KindTranspose, B: 64, M: 512, N: 512})
-	misaligned := d.BaseTime(Kernel{Kind: KindTranspose, B: 64, M: 512, N: 513})
+	aligned := d.BaseTime(&Kernel{Kind: KindTranspose, B: 64, M: 512, N: 512})
+	misaligned := d.BaseTime(&Kernel{Kind: KindTranspose, B: 64, M: 512, N: 513})
 	perByteA := aligned / (4 * 64 * 512 * 512)
 	perByteM := misaligned / (4 * 64 * 512 * 513)
 	if perByteM <= perByteA {
@@ -247,8 +247,8 @@ func TestTransposeAlignmentPenalty(t *testing.T) {
 
 func TestTrilBackwardSlower(t *testing.T) {
 	d := newV100()
-	f := d.BaseTime(Kernel{Kind: KindTrilFwd, B: 4096, F: 27})
-	b := d.BaseTime(Kernel{Kind: KindTrilBwd, B: 4096, F: 27})
+	f := d.BaseTime(&Kernel{Kind: KindTrilFwd, B: 4096, F: 27})
+	b := d.BaseTime(&Kernel{Kind: KindTrilBwd, B: 4096, F: 27})
 	if b <= f {
 		t.Errorf("tril backward (%v) should exceed forward (%v)", b, f)
 	}
@@ -260,7 +260,7 @@ func TestQuirkStability(t *testing.T) {
 	k := Kernel{Kind: KindGEMM, B: 1, M: 777, N: 333, K: 555}
 	// BaseTime must not depend on the RNG seed — quirks are properties of
 	// the (shape, device) pair, not of the run.
-	if d1.BaseTime(k) != d2.BaseTime(k) {
+	if d1.BaseTime(&k) != d2.BaseTime(&k) {
 		t.Error("BaseTime depends on seed; quirk must be deterministic")
 	}
 }
@@ -269,7 +269,7 @@ func TestQuirkVariesAcrossDevices(t *testing.T) {
 	v := NewDevice(hw.V100Platform().GPU, 1)
 	p := NewDevice(hw.P100Platform().GPU, 1)
 	k := Kernel{Kind: KindTranspose, B: 8, M: 100, N: 100}
-	rv := v.BaseTime(k) / p.BaseTime(k)
+	rv := v.BaseTime(&k) / p.BaseTime(&k)
 	// Devices differ in both specs and quirks; just assert they differ.
 	if rv == 1 {
 		t.Error("different devices produced identical kernel time")
@@ -279,8 +279,8 @@ func TestQuirkVariesAcrossDevices(t *testing.T) {
 func TestRunNoiseAveragesOut(t *testing.T) {
 	d := newV100()
 	k := Kernel{Kind: KindGEMM, B: 1, M: 512, N: 512, K: 512}
-	base := d.BaseTime(k)
-	avg := d.RunAveraged(k, 200)
+	base := d.BaseTime(&k)
+	avg := d.RunAveraged(&k, 200)
 	if math.Abs(avg-base)/base > 0.02 {
 		t.Errorf("200-run average %v deviates from base %v", avg, base)
 	}
@@ -289,7 +289,7 @@ func TestRunNoiseAveragesOut(t *testing.T) {
 func TestRunIsNoisy(t *testing.T) {
 	d := newV100()
 	k := Kernel{Kind: KindGEMM, B: 1, M: 512, N: 512, K: 512}
-	a, b := d.Noisy(d.BaseTime(k)), d.Noisy(d.BaseTime(k))
+	a, b := d.Noisy(d.BaseTime(&k)), d.Noisy(d.BaseTime(&k))
 	if a == b {
 		t.Error("two runs returned identical noisy times")
 	}
@@ -315,7 +315,7 @@ func TestAllKernelTimesPositive(t *testing.T) {
 			{Kind: KindBatchNorm, N: 16, C: 64, H: 112, W: 112},
 		}
 		for _, k := range ks {
-			got := d.BaseTime(k)
+			got := d.BaseTime(&k)
 			if got <= 0 || math.IsNaN(got) || math.IsInf(got, 0) {
 				t.Errorf("%s: BaseTime(%s) = %v", p.GPU.Name, k, got)
 			}
@@ -334,7 +334,7 @@ func TestMostlyMonotoneInBatch(t *testing.T) {
 		b1 := int64(b1Raw%12) + 1
 		b2 := b1 + int64(b2Raw%12) + 1
 		mk := func(b int64) float64 {
-			return d.BaseTime(Kernel{Kind: KindGEMM, B: b, M: 256, N: 256, K: 256})
+			return d.BaseTime(&Kernel{Kind: KindGEMM, B: b, M: 256, N: 256, K: 256})
 		}
 		return mk(b2) >= 0.6*mk(b1)
 	}
@@ -347,7 +347,7 @@ func TestFasterGPUFasterOnBigGEMM(t *testing.T) {
 	v := NewDevice(hw.V100Platform().GPU, 1)
 	p := NewDevice(hw.P100Platform().GPU, 1)
 	k := Kernel{Kind: KindGEMM, B: 1, M: 4096, N: 4096, K: 4096}
-	if v.BaseTime(k) >= p.BaseTime(k) {
+	if v.BaseTime(&k) >= p.BaseTime(&k) {
 		t.Error("V100 should beat P100 on a large GEMM")
 	}
 }
@@ -356,8 +356,8 @@ func TestConvAsymmetricFilterPenalty(t *testing.T) {
 	d := newV100()
 	sym := Kernel{Kind: KindConv, N: 32, C: 128, H: 17, W: 17, K: 128, R: 7, S: 7, Stride: 1, PadH: 3, PadW: 3}
 	asym := Kernel{Kind: KindConv, N: 32, C: 128, H: 17, W: 17, K: 128, R: 1, S: 7, Stride: 1, PadW: 3}
-	perFlopSym := d.BaseTime(sym) / sym.FLOPs()
-	perFlopAsym := d.BaseTime(asym) / asym.FLOPs()
+	perFlopSym := d.BaseTime(&sym) / sym.FLOPs()
+	perFlopAsym := d.BaseTime(&asym) / asym.FLOPs()
 	if perFlopAsym <= perFlopSym {
 		t.Error("asymmetric (1x7) conv should be less efficient per FLOP")
 	}

@@ -70,7 +70,7 @@ func (d *Dataset) Filter(keep func(*kernels.Kernel) bool) *Dataset {
 func Collect(dev *kernels.Device, kind kernels.Kind, ks []kernels.Kernel) *Dataset {
 	d := &Dataset{Kind: kind, Samples: make([]Sample, len(ks))}
 	for i := range ks {
-		d.Samples[i] = Sample{Kernel: &ks[i], Time: dev.RunAveraged(ks[i], BenchIters)}
+		d.Samples[i] = Sample{Kernel: &ks[i], Time: dev.RunAveraged(&ks[i], BenchIters)}
 	}
 	return d
 }

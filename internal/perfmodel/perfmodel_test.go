@@ -93,7 +93,7 @@ func TestPlainELOverpredictsSmallTables(t *testing.T) {
 	dev := kernels.NewDevice(gpu, 5)
 	small := kernels.Kernel{Kind: kernels.KindEmbeddingFwd, B: 1024, E: 2000, T: 4, L: 16, D: 64}
 	pred := plain.Predict(&small)
-	actual := dev.BaseTime(small)
+	actual := dev.BaseTime(&small)
 	if pred < actual*1.3 {
 		t.Errorf("plain model should grossly overpredict L2-resident lookups: pred=%v actual=%v", pred, actual)
 	}

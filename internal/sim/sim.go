@@ -180,12 +180,13 @@ func planNodes(g *graph.Graph, dev *kernels.Device, ovh *Sampler) (plan []nodePl
 			dists[op] = d
 		}
 		n := nodePlan{id: int(node.ID), op: op, t1: d[0], t2: d[1], t3: d[2], t5: d[3]}
-		for _, k := range ks {
+		for i := range ks {
+			k := &ks[i]
 			fn, t4 := k.Kind.RuntimeCall(), launchT4
 			if fn == kernels.RTMemcpyAsync {
 				t4 = memcpyT4
 			}
-			all = append(all, kernelPlan{base: dev.BaseTime(k), k: k, fn: fn, t4: t4})
+			all = append(all, kernelPlan{base: dev.BaseTime(k), k: *k, fn: fn, t4: t4})
 		}
 		if len(ks) > 0 {
 			n.kernels = all[len(all)-len(ks):]

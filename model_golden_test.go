@@ -255,7 +255,7 @@ func kernelDigest(dev *kernels.Device, ks []kernels.Kernel) uint64 {
 		read, write := k.Bytes()
 		feats = kernels.AppendFeatures(feats[:0], k)
 		buf = append(buf[:0], k.String()...)
-		for _, v := range append(feats, k.FLOPs(), read, write, dev.BaseTime(*k)) {
+		for _, v := range append(feats, k.FLOPs(), read, write, dev.BaseTime(k)) {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
 		h.Write(buf)
