@@ -200,7 +200,7 @@ func TestTransformOnCloneLeavesStructureShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if view.Graph == structure.Graph || view.Graph.Nodes[0] != structure.Graph.Nodes[0] {
+	if view.Graph == structure.Graph || &view.Graph.Nodes[0] != &structure.Graph.Nodes[0] {
 		t.Fatal("a second batch should be a new view over the same nodes")
 	}
 	db, err := e.OverheadDB(hw.V100, models.NameDLRMDefault)

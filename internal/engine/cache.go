@@ -327,15 +327,14 @@ const shardBytes, tableSpecBytes = 48, 24
 // numbers are deliberately rough — they meter relative pressure, not
 // allocator truth — but scale with the dominant payload of each type:
 // iteration spans and per-op device times for measured runs, samples
-// for profiled ones, per-op stats for overhead DBs, nodes for graphs,
-// plan and shards for scenario shapes, fitted network parameters for
-// calibrations. Each is read off the asset's lengths, so metering a
-// store costs no pass over its payload.
+// for profiled ones, per-op stats for overhead DBs, a structure's
+// slices and op values for graphs (graph.Graph.Bytes), plan and shards
+// for scenario shapes, fitted network parameters for calibrations. An
+// asset is metered once, when it is stored.
 func approxBytes(v any) int64 {
 	const (
 		ptrOverhead     = 48  // map/list bookkeeping per entry
 		statsBytes      = 32  // overhead.Stats + map key share
-		nodeBytes       = 200 // graph.Node + op + tensor metadata share
 		deviceTimeBytes = 24  // a sim.Result.DeviceTime entry: name header + µs
 		modelBytes      = 128 // a kernel model's own fields
 		fallbackSize    = 1 << 10
@@ -357,7 +356,7 @@ func approxBytes(v any) int64 {
 	case *models.Model:
 		n := int64(ptrOverhead + len(t.Name))
 		if t.Graph != nil {
-			n += int64(len(t.Graph.Nodes)) * nodeBytes
+			n += t.Graph.Bytes()
 		}
 		return n
 	case *perfmodel.Calibration:

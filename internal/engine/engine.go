@@ -336,8 +336,9 @@ func (e *Engine) CalibrationRuns(device string) int {
 }
 
 // Model returns the built-in workload's execution graph at batch: a
-// view of the "model/<name>" structure bound for the caller alone,
-// which the engine never recycles.
+// view of the "model/<name>" structure bound for the caller alone. The
+// caller may Release it once it is done with it; the engine never
+// does.
 func (e *Engine) Model(name string, batch int64) (*models.Model, error) {
 	m, err := e.graph("model/"+name, scenario.Single(name, batch), buildModel)
 	if err != nil {
@@ -348,21 +349,34 @@ func (e *Engine) Model(name string, batch int64) (*models.Model, error) {
 
 // buildModel builds a built-in workload's structure.
 func buildModel(_ *Engine, s scenario.Spec) (*models.Model, error) {
-	return models.Build(s.Workload, s.Batch)
+	return structure(models.Build(s.Workload, s.Batch))
+}
+
+// structure turns a model a builder returned into the form the graphs
+// class stores (graph.Graph.Unbind): no shape table and no slack, so a
+// resident structure holds nothing that depends on the batch it was
+// built at.
+func structure(m *models.Model, err error) (*models.Model, error) {
+	if err != nil {
+		return nil, err
+	}
+	m.Graph.Unbind()
+	return m, nil
 }
 
 // graph is the first of the two steps every family takes to an
 // execution graph: build once, then bind. The graphs class holds one
-// structure per key — the key names everything but the batch size, and
-// whichever batch asks first builds it from spec — and the caller binds
-// its batch to that structure by one shape propagation
-// (graph.Graph.WithBatch), so a batch size never seen before constructs
-// no nodes and no ops. A bound view is equal to a from-scratch build at
-// its batch and belongs to the caller that bound it (a plan, or through
-// Engine.Model a run or Model's caller); structure and views are
-// read-only. A plan releases its views after its walk
-// (CompiledPlan.release), so the next bind reuses their shape tables;
-// no other caller releases one.
+// unbound structure per key (structure) — the key names everything but
+// the batch size, and whichever batch asks first builds it from spec —
+// and the caller binds its batch to that structure by one shape
+// propagation (graph.Graph.WithBatch), so a batch size never seen
+// before constructs no nodes and no ops. A bound view is equal to a
+// from-scratch build at its batch and belongs to the caller that bound
+// it (a plan, or through Engine.Model a run or Model's caller);
+// structure and views are read-only. A plan releases its views after
+// its walk (CompiledPlan.release) and a run its view after the
+// simulation (memoRun), so the next bind reuses their shape tables; a
+// view Model's caller holds is never released.
 func (e *Engine) graph(key string, spec scenario.Spec, build func(*Engine, scenario.Spec) (*models.Model, error)) (*models.Model, error) {
 	m, _, err := memo(e, classGraph, key, spec, build)
 	return m, err
@@ -393,6 +407,9 @@ func memoRun[T any](e *Engine, r runSpec, simulate func(*graph.Graph, sim.Config
 		if err != nil {
 			return *new(T), err
 		}
+		// What a run keeps holds nothing of its graph: the view goes back
+		// for the next bind.
+		defer m.Graph.Release()
 		return simulate(m.Graph, sim.Config{
 			Platform: p, Seed: e.runSeed(r.device, r.batch, r.profiled),
 			Warmup: 5, Iters: e.opts.Iters, Profile: r.profiled, Workload: r.model,

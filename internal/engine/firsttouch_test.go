@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -57,6 +59,31 @@ func BenchmarkFirstTouch(b *testing.B) {
 	}
 }
 
+// BenchmarkStructure times one graphs-class build on a cold engine, the
+// miss path of Engine.graph: build the family at batch 512, unbind the
+// graph into its stored structure, meter it and store it. The engine is
+// made outside the timer.
+func BenchmarkStructure(b *testing.B) {
+	for _, c := range []struct{ name, model string }{
+		{"dlrm", models.NameDLRMDefault},
+		{"cnn", models.NameInceptionV3},
+		{"transformer", models.NameTransformer},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			spec := scenario.Single(c.model, 512)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e := New(tinyOptions(7))
+				b.StartTimer()
+				if _, err := e.graph("model/"+c.model, spec, buildModel); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestIterSpanBytesIsStructSize pins the runs class's per-iteration
 // charge to the element a measured run keeps its iteration spans in.
 func TestIterSpanBytesIsStructSize(t *testing.T) {
@@ -67,6 +94,64 @@ func TestIterSpanBytesIsStructSize(t *testing.T) {
 	if got := f.Type.Elem().Size(); got != iterSpanBytes {
 		t.Errorf("iterSpanBytes = %d, but an iteration span is %d bytes", iterSpanBytes, got)
 	}
+}
+
+// structureBudget is, per family, half the bytes per node a graphs
+// class entry held while it kept the graph as built — one heap object
+// and two edge slices per node, the build batch's shape table and the
+// append slack — op values included: the most a stored structure may
+// hold.
+var structureBudget = map[string]float64{
+	models.NameDLRMDefault: 246 / 2.,
+	models.NameDLRMMLPerf:  215 / 2.,
+	models.NameDLRMDDP:     239 / 2.,
+	models.NameResNet50:    220 / 2.,
+	models.NameInceptionV3: 219 / 2.,
+	models.NameTransformer: 239 / 2.,
+}
+
+// TestStructureBytes measures the heap 16 stored structures of each
+// family retain — what the graphs class keeps (buildModel) — and holds
+// it per node to structureBudget, and the class's charge for one
+// structure (approxBytes) to within 15% of one copy's share.
+func TestStructureBytes(t *testing.T) {
+	for _, name := range []string{
+		models.NameDLRMDefault, models.NameDLRMMLPerf, models.NameDLRMDDP,
+		models.NameResNet50, models.NameInceptionV3, models.NameTransformer,
+	} {
+		var copies [16]*models.Model
+		var before, after runtime.MemStats
+		settle()
+		runtime.ReadMemStats(&before)
+		for i := range copies {
+			m, err := buildModel(nil, scenario.Single(name, 512))
+			if err != nil {
+				t.Fatal(err)
+			}
+			copies[i] = m
+		}
+		settle()
+		runtime.ReadMemStats(&after)
+		perCopy := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(copies))
+		perNode := perCopy / float64(len(copies[0].Graph.Nodes))
+		charge := float64(approxBytes(copies[0]))
+		t.Logf("%s: %d nodes, %.1f B/node stored (budget %.1f), charged %.0f B of %.0f", name,
+			len(copies[0].Graph.Nodes), perNode, structureBudget[name], charge, perCopy)
+		if perNode > structureBudget[name] {
+			t.Errorf("%s: a stored structure holds %.1f B/node, budget %.1f", name, perNode, structureBudget[name])
+		}
+		if math.Abs(charge/perCopy-1) > 0.15 {
+			t.Errorf("%s: the graphs class charges %.0f B for a structure that holds %.0f B", name, charge, perCopy)
+		}
+		runtime.KeepAlive(&copies)
+	}
+}
+
+// settle collects twice, so that what sync.Pools dropped at the first
+// collection is freed by the second and the heap holds only live data.
+func settle() {
+	runtime.GC()
+	runtime.GC()
 }
 
 // TestScenarioShapeChargedOnce: a scenario shape is metered by its own

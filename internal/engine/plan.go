@@ -147,7 +147,7 @@ func (e *Engine) compile(req Request) (*CompiledPlan, error) {
 			cp.graphs[d] = cp.graphs[s.first]
 			continue
 		}
-		build := buildDLRM
+		build := buildShard
 		if s.tables == nil {
 			build = buildModel
 		}
@@ -188,8 +188,7 @@ func (p *CompiledPlan) execute() (cached, error) {
 // release gives the plan's views back for the next bind to reuse
 // (graph.Graph.Release) once its walk has read them: the result keeps
 // nothing of a graph. A view several identical shards share is
-// released once; a structure the plan walked as its own view is left
-// alone by Release.
+// released once.
 func (p *CompiledPlan) release() {
 	for d, g := range p.graphs {
 		if p.shape.shards[d].first == d {

@@ -193,7 +193,7 @@ func TestEvictedDatabaseRebuildsBitIdentically(t *testing.T) {
 func viewShapes(g *graph.Graph) []tensor.Meta {
 	var out []tensor.Meta
 	for _, n := range g.Nodes {
-		for _, id := range n.Outputs {
+		for _, id := range g.Outputs(&n) {
 			out = append(out, g.Meta(id))
 		}
 	}

@@ -60,3 +60,9 @@ func buildDLRM(_ *Engine, spec scenario.Spec) (*models.Model, error) {
 	cfg.ZipfSkew = workload.MeanSkew(spec.Tables)
 	return models.BuildDLRM(cfg)
 }
+
+// buildShard is the graphs class's builder of a DLRM shard: buildDLRM's
+// model, stored as a structure like buildModel's.
+func buildShard(e *Engine, spec scenario.Spec) (*models.Model, error) {
+	return structure(buildDLRM(e, spec))
+}

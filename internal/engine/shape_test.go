@@ -59,7 +59,7 @@ func TestScenarioShapeSharedAcrossBatches(t *testing.T) {
 			}
 			views := map[*graph.Graph]bool{}
 			for d := range a.graphs {
-				if a.graphs[d].Nodes[0] != b.graphs[d].Nodes[0] {
+				if &a.graphs[d].Nodes[0] != &b.graphs[d].Nodes[0] {
 					t.Errorf("device %d: the two batches bind different structures", d)
 				}
 				views[a.graphs[d]] = true
@@ -87,7 +87,7 @@ func TestOneDeviceShapeIsTheModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pl.graphs) != 1 || pl.graphs[0].Nodes[0] != m.Graph.Nodes[0] || pl.shape.plan != nil {
+	if len(pl.graphs) != 1 || &pl.graphs[0].Nodes[0] != &m.Graph.Nodes[0] || pl.shape.plan != nil {
 		t.Errorf("one-device shape %+v does not bind the model structure", pl.shape)
 	}
 	if res := e.Predict(req); res.Err != nil || res.Multi != nil || res.Plan != nil {

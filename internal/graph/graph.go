@@ -10,12 +10,22 @@
 // model-system co-design: batch resizing (WithBatch) and op fusion
 // (ReplaceNodes), both without re-capturing the model.
 //
-// A Graph is two parts. The structure — the node list, the sources and
-// each tensor's producer — says which op consumes what and does not
-// depend on the batch size. The shape table — one tensor.Meta per
-// TensorID — is the only part that does. WithBatch binds a batch to a
-// structure: it returns a view that shares the structure and owns a
-// fresh shape table filled by one propagation pass, so a sweep over
+// A Graph is two parts. The structure — the node list, the edge arena
+// its nodes index into, the sources with the metadata they were
+// registered with, and each tensor's producer — says which op consumes
+// what and does not depend on the batch size. The shape table — one
+// tensor.Meta per TensorID — is the only part that does. Nodes are
+// values in one slice, each an op, an ID and three offsets into one
+// arena of tensor IDs (its inputs, then its outputs; read them with
+// Inputs and Outputs), so a structure is a handful of allocations
+// besides its ops.
+//
+// A graph a builder returns is bound: it carries the shape table of its
+// build batch. Unbind drops the table and trims every slice to its
+// length, leaving a structure that carries no shape beyond its sources'
+// — the form a long-lived cache keeps. WithBatch binds a batch to a
+// structure, bound or not: it returns a view that shares the structure
+// and owns a shape table filled by one propagation pass, so a sweep over
 // batch sizes builds nodes and ops once. A caller that drops its view
 // right after reading it hands it back with Release, and the next bind
 // reuses the view and its table: binding then allocates nothing.
@@ -23,20 +33,23 @@
 // A walk reads a bound graph through Launches: every node in issue
 // order with the kernels it launches under the graph's shapes, one node
 // at a time in a pooled buffer. Algorithm 1's walk, the simulator's
-// plan and the baselines all read it.
+// plan and the baselines all read it. Reading a shape of an unbound
+// structure (Meta, Launches) panics.
 //
 // Sharing rule: a view and the graph it was bound from share their
 // nodes, so both are read-only from then on — any number of goroutines
 // may walk them or bind further views. The transforms (ReplaceNodes and
-// Apply) edit structure in place: apply them to a Clone, which shares
-// nothing but the immutable ops.
+// Apply) edit a bound graph's structure in place: apply them to a Clone,
+// which shares nothing but the immutable ops.
 package graph
 
 import (
 	"fmt"
 	"iter"
+	"reflect"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"dlrmperf/internal/kernels"
 	"dlrmperf/internal/ops"
@@ -45,35 +58,41 @@ import (
 
 // TensorID identifies a tensor value in the graph. IDs are dense: the
 // n-th tensor registered is n.
-type TensorID int
+type TensorID int32
 
 // NodeID identifies an operator node in the graph.
-type NodeID int
+type NodeID int32
 
 // Node is one executed operator. Its kernels are issued to the one
-// device stream, after those of every node before it.
+// device stream, after those of every node before it. Its edges live in
+// its graph's arena: read them with Graph.Inputs and Graph.Outputs.
 type Node struct {
-	ID      NodeID
-	Op      ops.Op
-	Inputs  []TensorID
-	Outputs []TensorID
+	Op ops.Op
+	ID NodeID
+	// in, out and end delimit the node's edges in the arena: its inputs
+	// are edges[in:out], its outputs edges[out:end].
+	in, out, end int32
 }
 
 // Graph is an execution graph. Nodes appear in captured execution order,
 // which is also the host issue order during simulation and prediction.
 type Graph struct {
 	// Structure, shared between a graph and the views bound from it.
-	Nodes []*Node
+	Nodes []Node
+	// edges is the arena every node's inputs and outputs index into.
+	edges []TensorID
 	// sources are graph inputs (model inputs, labels): tensors not
-	// produced by any node.
-	sources []TensorID
+	// produced by any node; sourceMetas[i] is the metadata sources[i]
+	// was registered with.
+	sources     []TensorID
+	sourceMetas []tensor.Meta
 	// producers[id] is the node producing tensor id, -1 for sources and
 	// for tensors a transform removed.
 	producers []NodeID
 	nextNode  NodeID
 
 	// shapes is the shape table, indexed by TensorID; each view owns its
-	// own.
+	// own, and an unbound structure has none.
 	shapes []tensor.Meta
 	// view marks a graph WithBatch bound, which Release may recycle.
 	view bool
@@ -103,7 +122,7 @@ func New() *Graph { return &Graph{} }
 func (g *Graph) newTensor(m tensor.Meta, producer NodeID) TensorID {
 	g.shapes = append(g.shapes, m)
 	g.producers = append(g.producers, producer)
-	return TensorID(len(g.shapes) - 1)
+	return TensorID(len(g.producers) - 1)
 }
 
 // dropTensor forgets a tensor a transform left without a producer.
@@ -116,10 +135,12 @@ func (g *Graph) dropTensor(id TensorID) {
 func (g *Graph) Input(m tensor.Meta) TensorID {
 	id := g.newTensor(m, -1)
 	g.sources = append(g.sources, id)
+	g.sourceMetas = append(g.sourceMetas, m)
 	return id
 }
 
-// Meta returns the metadata of tensor id.
+// Meta returns the metadata of tensor id. It panics on an unbound
+// structure, which has no shapes to read.
 func (g *Graph) Meta(id TensorID) tensor.Meta {
 	if id < 0 || int(id) >= len(g.shapes) {
 		panic(unknownTensor(id))
@@ -127,21 +148,31 @@ func (g *Graph) Meta(id TensorID) tensor.Meta {
 	return g.shapes[id]
 }
 
+// Inputs returns the tensors node n of g consumes, in order. The slice
+// is the graph's own: read it, never write it.
+func (g *Graph) Inputs(n *Node) []TensorID { return g.edges[n.in:n.out:n.out] }
+
+// Outputs returns the tensors node n of g produces, in order. The slice
+// is the graph's own: read it, never write it.
+func (g *Graph) Outputs(n *Node) []TensorID { return g.edges[n.out:n.end:n.end] }
+
 // Apply appends a node executing op on the given inputs and returns the
-// IDs of its output tensors.
+// IDs of its output tensors (Outputs of the new node). g must be bound.
 func (g *Graph) Apply(op ops.Op, inputs ...TensorID) []TensorID {
-	outMetas := op.AppendOutputs(nil, g.InputMetas(nil, inputs))
-	node := &Node{
-		ID:     g.nextNode,
-		Op:     op,
-		Inputs: append([]TensorID(nil), inputs...),
-	}
+	sc := scratches.Get().(*scratch)
+	sc.in = g.InputMetas(sc.in[:0], inputs)
+	sc.out = op.AppendOutputs(sc.out[:0], sc.in)
+	n := Node{ID: g.nextNode, Op: op, in: int32(len(g.edges))}
 	g.nextNode++
-	for _, m := range outMetas {
-		node.Outputs = append(node.Outputs, g.newTensor(m, node.ID))
+	g.edges = append(g.edges, inputs...)
+	n.out = int32(len(g.edges))
+	for _, m := range sc.out {
+		g.edges = append(g.edges, g.newTensor(m, n.ID))
 	}
-	g.Nodes = append(g.Nodes, node)
-	return node.Outputs
+	scratches.Put(sc)
+	n.end = int32(len(g.edges))
+	g.Nodes = append(g.Nodes, n)
+	return g.Outputs(&n)
 }
 
 // InputMetas appends the metadata of the given tensors to dst and
@@ -158,15 +189,20 @@ func (g *Graph) InputMetas(dst []tensor.Meta, inputs []TensorID) []tensor.Meta {
 }
 
 // Launches yields every node of g in issue order together with the
-// kernels it launches under g's shapes. The kernel slice is a pooled
-// buffer the next node reuses: a caller reads it before asking for the
-// next node and copies what it keeps. Breaking out of the loop early is
-// allowed.
+// kernels it launches under g's shapes. The node points into g's node
+// list; the kernel slice is a pooled buffer the next node reuses: a
+// caller reads it before asking for the next node and copies what it
+// keeps. Breaking out of the loop early is allowed. It panics on an
+// unbound structure.
 func (g *Graph) Launches() iter.Seq2[*Node, []kernels.Kernel] {
+	if !g.bound() {
+		panic("graph: Launches on an unbound structure: bind a batch with WithBatch")
+	}
 	return func(yield func(*Node, []kernels.Kernel) bool) {
 		sc := scratches.Get().(*scratch)
-		for _, n := range g.Nodes {
-			sc.in = g.InputMetas(sc.in[:0], n.Inputs)
+		for i := range g.Nodes {
+			n := &g.Nodes[i]
+			sc.in = g.InputMetas(sc.in[:0], g.Inputs(n))
 			sc.ks = n.Op.AppendKernels(sc.ks[:0], sc.in)
 			if !yield(n, sc.ks) {
 				break
@@ -182,7 +218,7 @@ func (g *Graph) Launches() iter.Seq2[*Node, []kernels.Kernel] {
 //
 //lint:allow unlinked contract-test helper: the graph, models and bind suites compare a node's kernels through it
 func (g *Graph) NodeKernels(n *Node) []kernels.Kernel {
-	return n.Op.AppendKernels(nil, g.InputMetas(nil, n.Inputs))
+	return n.Op.AppendKernels(nil, g.InputMetas(nil, g.Inputs(n)))
 }
 
 // Producer returns the node producing tensor id, or -1 for graph inputs.
@@ -195,9 +231,9 @@ func (g *Graph) Producer(id TensorID) NodeID {
 
 // Node returns the node with the given ID, or nil.
 func (g *Graph) Node(id NodeID) *Node {
-	for _, n := range g.Nodes {
-		if n.ID == id {
-			return n
+	for i := range g.Nodes {
+		if g.Nodes[i].ID == id {
+			return &g.Nodes[i]
 		}
 	}
 	return nil
@@ -207,7 +243,7 @@ func (g *Graph) Node(id NodeID) *Node {
 // first-use order.
 func (g *Graph) Deps(n *Node) []NodeID {
 	var deps []NodeID
-	for _, in := range n.Inputs {
+	for _, in := range g.Inputs(n) {
 		if p := g.Producer(in); p >= 0 && !slices.Contains(deps, p) {
 			deps = append(deps, p)
 		}
@@ -221,18 +257,19 @@ func (g *Graph) Deps(n *Node) []NodeID {
 func (g *Graph) Validate() error {
 	sc := scratches.Get().(*scratch)
 	defer scratches.Put(sc)
-	sc.produced = append(sc.produced[:0], make([]bool, len(g.shapes))...)
+	sc.produced = append(sc.produced[:0], make([]bool, len(g.producers))...)
 	produced := sc.produced
 	for _, s := range g.sources {
 		produced[s] = true
 	}
-	for i, n := range g.Nodes {
-		for _, in := range n.Inputs {
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		for _, in := range g.Inputs(n) {
 			if in < 0 || int(in) >= len(produced) || !produced[in] {
 				return nodeErrorf(n, "at position %d consumes tensor %d before it is produced", i, in)
 			}
 		}
-		for _, out := range n.Outputs {
+		for _, out := range g.Outputs(n) {
 			if g.Producer(out) != n.ID {
 				return nodeErrorf(n, "declares unknown output tensor %d", out)
 			}
@@ -255,6 +292,9 @@ func unknownTensor(id TensorID) string {
 	return fmt.Sprintf("graph: unknown tensor %d", id)
 }
 
+// bound reports whether g carries a shape for every tensor.
+func (g *Graph) bound() bool { return len(g.shapes) == len(g.producers) }
+
 // Propagate recomputes every tensor's metadata from the sources through
 // the node list, in order. It must be called after editing nodes.
 func (g *Graph) Propagate() error {
@@ -270,17 +310,19 @@ func (g *Graph) Propagate() error {
 func (g *Graph) propagate() error {
 	sc := scratches.Get().(*scratch)
 	defer scratches.Put(sc)
-	for _, n := range g.Nodes {
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
 		sc.in = sc.in[:0]
-		for _, id := range n.Inputs {
+		for _, id := range g.Inputs(n) {
 			sc.in = append(sc.in, g.shapes[id])
 		}
 		sc.out = n.Op.AppendOutputs(sc.out[:0], sc.in)
-		if len(sc.out) != len(n.Outputs) {
-			return nodeErrorf(n, "output arity changed from %d to %d", len(n.Outputs), len(sc.out))
+		outs := g.Outputs(n)
+		if len(sc.out) != len(outs) {
+			return nodeErrorf(n, "output arity changed from %d to %d", len(outs), len(sc.out))
 		}
-		for i, m := range sc.out {
-			g.shapes[n.Outputs[i]] = m
+		for j, m := range sc.out {
+			g.shapes[outs[j]] = m
 		}
 	}
 	return nil
@@ -291,20 +333,21 @@ func (g *Graph) propagate() error {
 // follows by propagation, equal to building the model at b from
 // scratch. The view shares g's structure (see the package doc for the
 // read-only rule that follows) and owns its shape table, which a
-// released view lends it (see Release); a graph already at b is its own
-// view.
+// released view lends it (see Release). It is always a new view, at
+// g's own batch too.
 func (g *Graph) WithBatch(b int64) (*Graph, error) {
-	if g.BatchSize() == b {
-		return g, nil
-	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	// The recycled table is read (appended to) before *v is overwritten.
+	// The recycled table is taken before *v is overwritten. Rows no
+	// source and no node fills (tensors a transform removed) stay zero.
 	v := views.Get().(*Graph)
-	*v, v.shapes, v.view = *g, append(v.shapes[:0], g.shapes...), true
-	for _, s := range g.sources {
-		v.shapes[s] = g.shapes[s].WithBatch(b)
+	shapes := slices.Grow(v.shapes[:0], len(g.producers))[:len(g.producers)]
+	clear(shapes)
+	*v = *g
+	v.shapes, v.view = shapes, true
+	for i, s := range g.sources {
+		v.shapes[s] = g.sourceMetas[i].WithBatch(b)
 	}
 	if err := v.propagate(); err != nil {
 		return nil, err
@@ -316,8 +359,7 @@ func (g *Graph) WithBatch(b int64) (*Graph, error) {
 // included. Only the caller WithBatch returned the view to may release
 // it: once, after its last read, and only if the view was never handed
 // to anyone else. On a graph WithBatch did not bind — a built
-// structure, a clone, or a graph returned as its own view — Release
-// does nothing.
+// structure or a clone — Release does nothing.
 func (g *Graph) Release() {
 	if g.view {
 		*g = Graph{shapes: g.shapes[:0]}
@@ -325,10 +367,86 @@ func (g *Graph) Release() {
 	}
 }
 
+// Unbind turns g into a stored structure: it drops g's shape table and
+// trims every slice of the structure to its length, so g holds no
+// batch-dependent state and no append slack. g must not be a view or
+// shared yet. Bind a batch to it with WithBatch.
+func (g *Graph) Unbind() {
+	g.Nodes = slices.Clone(g.Nodes)
+	g.edges = slices.Clone(g.edges)
+	g.sources = slices.Clone(g.sources)
+	g.sourceMetas = slices.Clone(g.sourceMetas)
+	g.producers = slices.Clone(g.producers)
+	g.shapes = nil
+}
+
+// Bytes returns the heap g's structure and shape table occupy: the
+// graph itself, each slice's capacity and the op values its nodes hold.
+// A view shares the structure, so only a stored structure is charged
+// this way.
+func (g *Graph) Bytes() int64 {
+	n := int64(graphBytes) +
+		int64(cap(g.Nodes))*nodeBytes +
+		int64(cap(g.edges)+cap(g.sources)+cap(g.producers))*idBytes +
+		int64(cap(g.sourceMetas)+cap(g.shapes))*metaBytes
+	for i := range g.Nodes {
+		n += opBytes(g.Nodes[i].Op)
+	}
+	return n
+}
+
+// The sizes Bytes charges: a Graph, a Node, a TensorID or NodeID, and a
+// tensor.Meta.
+const (
+	graphBytes = int64(unsafe.Sizeof(Graph{}))
+	nodeBytes  = int64(unsafe.Sizeof(Node{}))
+	idBytes    = int64(unsafe.Sizeof(TensorID(0)))
+	metaBytes  = int64(unsafe.Sizeof(tensor.Meta{}))
+)
+
+// opBytes is the heap an op value boxed in a node holds: the value at
+// its allocation size, plus the backing array of each slice field (the
+// table rows of a fused lookup, an optimizer's parameter sizes).
+func opBytes(op ops.Op) int64 {
+	v := reflect.ValueOf(op)
+	n := allocBytes(v.Type().Size())
+	if v.Kind() != reflect.Struct {
+		return n
+	}
+	for i := range v.NumField() {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			n += allocBytes(uintptr(f.Cap()) * f.Type().Elem().Size())
+		}
+	}
+	return n
+}
+
+// allocBytes rounds a small allocation up to the size class the Go
+// allocator serves it from; an empty value allocates nothing.
+func allocBytes(size uintptr) int64 {
+	switch {
+	case size == 0:
+		return 0
+	case size <= 8:
+		return 8
+	case size <= 32:
+		return int64(size+7) &^ 7
+	case size <= 48:
+		return 48
+	}
+	return int64(size+15) &^ 15
+}
+
 // BatchSize returns the leading dimension of the first non-scalar source.
+//
+//lint:allow unlinked contract-test helper: the graph, models and engine bind suites check a view's batch through it
 func (g *Graph) BatchSize() int64 {
-	for _, s := range g.sources {
-		if m := g.shapes[s]; m.Rank() > 0 {
+	for i, s := range g.sources {
+		m := g.sourceMetas[i]
+		if g.bound() {
+			m = g.shapes[s]
+		}
+		if m.Rank() > 0 {
 			return m.Dim(0)
 		}
 	}
@@ -338,20 +456,13 @@ func (g *Graph) BatchSize() int64 {
 // Clone returns a deep copy of the graph (ops are immutable values and
 // are shared).
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		Nodes:     make([]*Node, len(g.Nodes)),
-		sources:   append([]TensorID(nil), g.sources...),
-		producers: append([]NodeID(nil), g.producers...),
-		nextNode:  g.nextNode,
-		shapes:    append([]tensor.Meta(nil), g.shapes...),
+	return &Graph{
+		Nodes:       slices.Clone(g.Nodes),
+		edges:       slices.Clone(g.edges),
+		sources:     slices.Clone(g.sources),
+		sourceMetas: slices.Clone(g.sourceMetas),
+		producers:   slices.Clone(g.producers),
+		nextNode:    g.nextNode,
+		shapes:      slices.Clone(g.shapes),
 	}
-	for i, n := range g.Nodes {
-		c.Nodes[i] = &Node{
-			ID:      n.ID,
-			Op:      n.Op,
-			Inputs:  append([]TensorID(nil), n.Inputs...),
-			Outputs: append([]TensorID(nil), n.Outputs...),
-		}
-	}
-	return c
 }

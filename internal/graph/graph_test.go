@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 
 	"dlrmperf/internal/kernels"
@@ -22,7 +23,7 @@ func tinyMLP(b int64) *Graph {
 func kernelCount(g *Graph) int {
 	n := 0
 	for _, node := range g.Nodes {
-		n += len(g.NodeKernels(node))
+		n += len(g.NodeKernels(&node))
 	}
 	return n
 }
@@ -35,8 +36,7 @@ func TestApplyAndMeta(t *testing.T) {
 	if len(g.Nodes) != 3 {
 		t.Fatalf("nodes = %d, want 3", len(g.Nodes))
 	}
-	last := g.Nodes[2]
-	out := g.Meta(last.Outputs[0])
+	out := g.Meta(g.Outputs(&g.Nodes[2])[0])
 	if out.Dim(0) != 16 || out.Dim(1) != 8 {
 		t.Errorf("final output = %v", out)
 	}
@@ -44,7 +44,7 @@ func TestApplyAndMeta(t *testing.T) {
 
 func TestNodeKernels(t *testing.T) {
 	g := tinyMLP(16)
-	ks := g.NodeKernels(g.Nodes[0])
+	ks := g.NodeKernels(&g.Nodes[0])
 	if len(ks) != 1 {
 		t.Fatalf("linear emitted %d kernels", len(ks))
 	}
@@ -62,11 +62,11 @@ func TestResizeBatchPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gm := v.NodeKernels(v.Nodes[0])[0]
+	gm := v.NodeKernels(&v.Nodes[0])[0]
 	if gm.Kind != kernels.KindGEMM || gm.M != 1024 {
 		t.Errorf("after resize GEMM M = %d, want 1024", gm.M)
 	}
-	out := v.Meta(v.Nodes[2].Outputs[0])
+	out := v.Meta(v.Outputs(&v.Nodes[2])[0])
 	if out.Dim(0) != 1024 {
 		t.Errorf("final output batch = %d", out.Dim(0))
 	}
@@ -77,31 +77,31 @@ func TestResizeBatchPropagates(t *testing.T) {
 
 // TestWithBatchSharesStructureOwnsShapes: a bound view has the same
 // nodes as its origin and its own shape table; the origin's shapes do
-// not move, and a graph already at the batch is its own view.
+// not move, and a view bound at its own batch is a new view.
 func TestWithBatchSharesStructureOwnsShapes(t *testing.T) {
 	g := tinyMLP(16)
 	v, err := g.WithBatch(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v == g || len(v.Nodes) != len(g.Nodes) || v.Nodes[0] != g.Nodes[0] {
+	if v == g || len(v.Nodes) != len(g.Nodes) || &v.Nodes[0] != &g.Nodes[0] {
 		t.Fatal("view does not share the origin's nodes")
 	}
-	if gm := v.NodeKernels(v.Nodes[0])[0]; gm.Kind != kernels.KindGEMM || gm.M != 1024 {
+	if gm := v.NodeKernels(&v.Nodes[0])[0]; gm.Kind != kernels.KindGEMM || gm.M != 1024 {
 		t.Errorf("view GEMM M = %d, want 1024", gm.M)
 	}
-	if gm := g.NodeKernels(g.Nodes[0])[0]; gm.Kind != kernels.KindGEMM || gm.M != 16 || g.BatchSize() != 16 {
+	if gm := g.NodeKernels(&g.Nodes[0])[0]; gm.Kind != kernels.KindGEMM || gm.M != 16 || g.BatchSize() != 16 {
 		t.Errorf("binding a view moved the origin: GEMM M = %d, batch %d", gm.M, g.BatchSize())
 	}
 	if len(v.shapes) != len(g.shapes) {
 		t.Errorf("view has %d tensors, origin %d", len(v.shapes), len(g.shapes))
 	}
-	if same, err := v.WithBatch(1024); err != nil || same != v {
-		t.Errorf("WithBatch at the current batch = %p, %v; want the receiver", same, err)
+	if same, err := v.WithBatch(1024); err != nil || same == v || same.BatchSize() != 1024 {
+		t.Errorf("WithBatch at the current batch = %p, %v; want a new view of %p", same, err, v)
 	}
 	// A view binds further views; a clone of one is free to change.
 	c := v.Clone()
-	c.Apply(ops.ReLU(), c.Nodes[2].Outputs[0])
+	c.Apply(ops.ReLU(), c.Outputs(&c.Nodes[2])[0])
 	if len(v.Nodes) != 3 || len(g.Nodes) != 3 || len(v.shapes) != len(g.shapes) {
 		t.Error("editing a clone reached the graphs it was cloned from")
 	}
@@ -113,12 +113,11 @@ func TestDeps(t *testing.T) {
 	b := g.Input(tensor.New(4, 8))
 	s := g.Apply(ops.Add(), a, b)
 	g.Apply(ops.ReLU(), s[0])
-	relu := g.Nodes[1]
-	deps := g.Deps(relu)
+	deps := g.Deps(&g.Nodes[1])
 	if len(deps) != 1 || deps[0] != g.Nodes[0].ID {
 		t.Errorf("deps = %v", deps)
 	}
-	if len(g.Deps(g.Nodes[0])) != 0 {
+	if len(g.Deps(&g.Nodes[0])) != 0 {
 		t.Error("input-consuming node should have no node deps")
 	}
 	if g.Producer(a) != -1 {
@@ -138,7 +137,7 @@ func TestValidateCatchesUseBeforeDef(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	g := tinyMLP(8)
 	c := g.Clone()
-	out := c.Apply(ops.Linear{Out: 4}, c.Nodes[2].Outputs[0])
+	out := c.Apply(ops.Linear{Out: 4}, c.Outputs(&c.Nodes[2])[0])
 	if len(g.Nodes) != 3 || len(g.shapes) != len(c.shapes)-1 {
 		t.Errorf("transforming clone mutated original (%d nodes, %d tensors)", len(g.Nodes), len(g.shapes))
 	}
@@ -184,13 +183,12 @@ func TestReplaceNodesFusesEmbeddingBags(t *testing.T) {
 	if fused.Op.Name() != "LookupFunction" {
 		t.Errorf("fused op = %s", fused.Op.Name())
 	}
-	out := g.Meta(fused.Outputs[0])
+	out := g.Meta(g.Outputs(fused)[0])
 	if out.Dim(0) != 128 || out.Dim(1) != 4 || out.Dim(2) != 16 {
 		t.Errorf("fused output meta = %v", out)
 	}
 	// The downstream relu must now depend on the fused node.
-	relu := g.Nodes[1]
-	deps := g.Deps(relu)
+	deps := g.Deps(&g.Nodes[1])
 	if len(deps) != 1 || deps[0] != fused.ID {
 		t.Errorf("relu deps after fusion = %v", deps)
 	}
@@ -219,5 +217,161 @@ func TestReplaceNodesReducesKernelAndOpCount(t *testing.T) {
 	}
 	if len(g.Nodes) >= before {
 		t.Errorf("fusion did not shrink graph: %d -> %d", before, len(g.Nodes))
+	}
+}
+
+// mustPanic fails unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s on an unbound structure did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestUnboundStructureHasNoShapes: an unbound structure keeps its nodes
+// and its sources' metadata only, so reading a shape from it or walking
+// it panics, while it still binds and knows its build batch.
+func TestUnboundStructureHasNoShapes(t *testing.T) {
+	g := tinyMLP(16)
+	g.Unbind()
+	if g.shapes != nil || g.BatchSize() != 16 || len(g.Nodes) != 3 {
+		t.Fatalf("unbound structure: %d shapes, batch %d, %d nodes", len(g.shapes), g.BatchSize(), len(g.Nodes))
+	}
+	// Each slice sits in the smallest allocation that holds its length.
+	tight := func(n, c int, size int64) bool {
+		return allocBytes(uintptr(int64(c)*size)) == allocBytes(uintptr(int64(n)*size))
+	}
+	if !tight(len(g.edges), cap(g.edges), idBytes) || !tight(len(g.producers), cap(g.producers), idBytes) ||
+		!tight(len(g.Nodes), cap(g.Nodes), nodeBytes) || !tight(len(g.sourceMetas), cap(g.sourceMetas), metaBytes) {
+		t.Errorf("unbound structure keeps append slack: %d/%d edges, %d/%d producers, %d/%d nodes",
+			len(g.edges), cap(g.edges), len(g.producers), cap(g.producers), len(g.Nodes), cap(g.Nodes))
+	}
+	mustPanic(t, "Meta", func() { g.Meta(g.Outputs(&g.Nodes[0])[0]) })
+	mustPanic(t, "Meta of a source", func() { g.Meta(g.sources[0]) })
+	mustPanic(t, "Launches", func() {
+		for range g.Launches() {
+		}
+	})
+	v, err := g.WithBatch(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gm := v.NodeKernels(&v.Nodes[0])[0]; gm.Kind != kernels.KindGEMM || gm.M != 64 {
+		t.Errorf("view of an unbound structure: GEMM M = %d, want 64", gm.M)
+	}
+}
+
+// TestBindAtBuildBatchIsAView: binding a structure at the batch it was
+// built at returns a new view, never the structure, equal node by node
+// to the built graph.
+func TestBindAtBuildBatchIsAView(t *testing.T) {
+	built, g := tinyMLP(16), tinyMLP(16)
+	g.Unbind()
+	v, err := g.WithBatch(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v == g || !v.view || &v.Nodes[0] != &g.Nodes[0] {
+		t.Fatalf("WithBatch at the build batch = %p (view %v), structure %p", v, v.view, g)
+	}
+	if len(v.Nodes) != len(built.Nodes) || len(v.shapes) != len(built.shapes) {
+		t.Fatalf("view has %d nodes and %d tensors, the build %d and %d",
+			len(v.Nodes), len(v.shapes), len(built.Nodes), len(built.shapes))
+	}
+	for i := range v.Nodes {
+		n, w := &v.Nodes[i], &built.Nodes[i]
+		if n.ID != w.ID || n.Op != w.Op || !slices.Equal(v.Inputs(n), built.Inputs(w)) || !slices.Equal(v.Outputs(n), built.Outputs(w)) {
+			t.Errorf("node %d differs from the build", i)
+		}
+		if !slices.Equal(v.NodeKernels(n), built.NodeKernels(w)) {
+			t.Errorf("node %d launches other kernels than the build", i)
+		}
+	}
+	if !slices.Equal(v.shapes, built.shapes) {
+		t.Errorf("view shapes %v, built %v", v.shapes, built.shapes)
+	}
+}
+
+// TestReleasedViewIsReused: a released view and its shape table serve
+// the next bind. The pool may drop a put value (it does so at random
+// under the race detector), so the test asks several times.
+func TestReleasedViewIsReused(t *testing.T) {
+	g := tinyMLP(16)
+	g.Unbind()
+	reused := false
+	for range 16 {
+		v, err := g.WithBatch(32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table := &v.shapes[0]
+		v.Release()
+		w, err := g.WithBatch(48)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.BatchSize() != 48 || w.Meta(w.Outputs(&w.Nodes[2])[0]).Dim(0) != 48 {
+			t.Fatalf("a bind into a recycled view is at batch %d", w.BatchSize())
+		}
+		reused = reused || (w == v && &w.shapes[0] == table)
+		w.Release()
+	}
+	if !reused {
+		t.Error("no bind reused a released view")
+	}
+	// Release leaves what WithBatch did not bind alone.
+	c := g.Clone()
+	g.Release()
+	c.Release()
+	if len(g.Nodes) != 3 || len(c.Nodes) != 3 {
+		t.Error("Release emptied a structure or a clone")
+	}
+}
+
+// TestCloneReplacePropagates is the Fig. 11 path (FuseEmbeddingBags): a
+// clone of a view of a stored structure is bound, so ReplaceNodes
+// fuses in it and propagates the fused node's shapes, and the structure
+// and the view do not move.
+func TestCloneReplacePropagates(t *testing.T) {
+	g := New()
+	idx := g.Input(tensor.NewTyped(tensor.Int64, 128, 3, 10))
+	var outs []TensorID
+	var ids []NodeID
+	for range 3 {
+		o := g.Apply(ops.EmbeddingBag{Rows: 1000, L: 10, D: 16}, idx)
+		ids = append(ids, g.Producer(o[0]))
+		outs = append(outs, o[0])
+	}
+	cat := g.Apply(ops.Concat{Dim: 1}, outs...)
+	relu := g.Apply(ops.ReLU(), cat[0])
+	ids = append(ids, g.Producer(cat[0]))
+	g.Unbind()
+	v, err := g.WithBatch(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := v.Clone()
+	fused, err := c.ReplaceNodes(ids, ops.EmbeddingLookup{Rows: []int64{1000, 1000, 1000}, L: 10, D: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Nodes) != 2 || c.Deps(&c.Nodes[1])[0] != fused.ID {
+		t.Fatalf("fused clone has %d nodes", len(c.Nodes))
+	}
+	if m := c.Meta(relu[0]); m.Dim(0) != 256 || m.Dim(1) != 3 || m.Dim(2) != 16 {
+		t.Errorf("fused clone's relu output = %v", m)
+	}
+	w, err := c.WithBatch(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := w.Meta(relu[0]); m.Dim(0) != 64 {
+		t.Errorf("a view of the fused clone has relu output %v", m)
+	}
+	if len(g.Nodes) != 5 || len(v.Nodes) != 5 || v.Meta(relu[0]).Dim(0) != 256 || g.Validate() != nil {
+		t.Error("fusing a clone reached the structure or its view")
 	}
 }

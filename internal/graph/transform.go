@@ -28,25 +28,25 @@ func (g *Graph) ReplaceNodes(ids []NodeID, op ops.Op) (*Node, error) {
 
 	// Collect internal outputs and external inputs of the removed set.
 	internalOut := map[TensorID]bool{}
-	for _, n := range g.Nodes {
-		if !removed[n.ID] {
-			continue
-		}
-		for _, out := range n.Outputs {
-			internalOut[out] = true
+	for i := range g.Nodes {
+		if n := &g.Nodes[i]; removed[n.ID] {
+			for _, out := range g.Outputs(n) {
+				internalOut[out] = true
+			}
 		}
 	}
 	var extInputs []TensorID
 	seenIn := map[TensorID]bool{}
 	insertPos := -1
-	for i, n := range g.Nodes {
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
 		if !removed[n.ID] {
 			continue
 		}
 		if insertPos < 0 {
 			insertPos = i
 		}
-		for _, in := range n.Inputs {
+		for _, in := range g.Inputs(n) {
 			if !internalOut[in] && !seenIn[in] {
 				seenIn[in] = true
 				extInputs = append(extInputs, in)
@@ -59,24 +59,22 @@ func (g *Graph) ReplaceNodes(ids []NodeID, op ops.Op) (*Node, error) {
 
 	// Externally consumed outputs, in production order.
 	consumed := map[TensorID]bool{}
-	for _, n := range g.Nodes {
-		if removed[n.ID] {
-			continue
-		}
-		for _, in := range n.Inputs {
-			if internalOut[in] {
-				consumed[in] = true
+	for i := range g.Nodes {
+		if n := &g.Nodes[i]; !removed[n.ID] {
+			for _, in := range g.Inputs(n) {
+				if internalOut[in] {
+					consumed[in] = true
+				}
 			}
 		}
 	}
 	var extOutputs []TensorID
-	for _, n := range g.Nodes {
-		if !removed[n.ID] {
-			continue
-		}
-		for _, out := range n.Outputs {
-			if consumed[out] {
-				extOutputs = append(extOutputs, out)
+	for i := range g.Nodes {
+		if n := &g.Nodes[i]; removed[n.ID] {
+			for _, out := range g.Outputs(n) {
+				if consumed[out] {
+					extOutputs = append(extOutputs, out)
+				}
 			}
 		}
 	}
@@ -87,38 +85,52 @@ func (g *Graph) ReplaceNodes(ids []NodeID, op ops.Op) (*Node, error) {
 			op.Name(), len(outMetas), len(extOutputs))
 	}
 
-	fused := &Node{ID: g.nextNode, Op: op, Inputs: extInputs}
+	fusedID := g.nextNode
 	g.nextNode++
+	fusedOut := make([]TensorID, len(outMetas))
 	for i, m := range outMetas {
 		if i < len(extOutputs) {
 			id := extOutputs[i] // reuse the consumed tensor IDs
-			g.shapes[id], g.producers[id] = m, fused.ID
-			fused.Outputs = append(fused.Outputs, id)
+			g.shapes[id], g.producers[id] = m, fusedID
+			fusedOut[i] = id
 		} else {
-			fused.Outputs = append(fused.Outputs, g.newTensor(m, fused.ID))
+			fusedOut[i] = g.newTensor(m, fusedID)
 		}
 	}
 
 	// Drop removed nodes, garbage-collect their unconsumed outputs, and
-	// splice the fused node at the first removed position.
-	var nodes []*Node
-	for i, n := range g.Nodes {
+	// splice the fused node at the first removed position, laying the
+	// kept nodes' edges out in a fresh arena.
+	nodes := make([]Node, 0, len(g.Nodes)-len(removed)+1)
+	edges := make([]TensorID, 0, len(g.edges))
+	add := func(n Node, in, out []TensorID) {
+		n.in = int32(len(edges))
+		edges = append(edges, in...)
+		n.out = int32(len(edges))
+		edges = append(edges, out...)
+		n.end = int32(len(edges))
+		nodes = append(nodes, n)
+	}
+	fusedAt := 0
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
 		if i == insertPos {
-			nodes = append(nodes, fused)
+			fusedAt = len(nodes)
+			add(Node{ID: fusedID, Op: op}, extInputs, fusedOut)
 		}
 		if removed[n.ID] {
-			for _, out := range n.Outputs {
+			for _, out := range g.Outputs(n) {
 				if !consumed[out] {
 					g.dropTensor(out)
 				}
 			}
 			continue
 		}
-		nodes = append(nodes, n)
+		add(*n, g.Inputs(n), g.Outputs(n))
 	}
-	g.Nodes = nodes
+	g.Nodes, g.edges = nodes, edges
 	if err := g.Propagate(); err != nil {
 		return nil, err
 	}
-	return fused, nil
+	return &g.Nodes[fusedAt], nil
 }

@@ -74,7 +74,7 @@ func TestResizePropagationProperty(t *testing.T) {
 			return false
 		}
 		for _, n := range v.Nodes {
-			for _, out := range n.Outputs {
+			for _, out := range v.Outputs(&n) {
 				m := v.Meta(out)
 				if m.Rank() > 0 && m.Dim(0) != b2 {
 					return false

@@ -65,7 +65,7 @@ func TestOpsKeepAppendContract(t *testing.T) {
 		}
 		for _, g := range []*graph.Graph{m.Graph, v} {
 			for _, n := range g.Nodes {
-				if err := opContract(n.Op, g.InputMetas(nil, n.Inputs)); err != nil {
+				if err := opContract(n.Op, g.InputMetas(nil, g.Inputs(&n))); err != nil {
 					t.Errorf("%s at batch %d: node %d (%s): %v", name, g.BatchSize(), n.ID, n.Op.Name(), err)
 				}
 			}

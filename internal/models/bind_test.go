@@ -41,8 +41,8 @@ func sameGraph(t *testing.T, label string, got, want *graph.Graph) bool {
 		t.Errorf("%s: batch %d, want %d", label, got.BatchSize(), want.BatchSize())
 		return false
 	}
-	for i, n := range got.Nodes {
-		w := want.Nodes[i]
+	for i := range got.Nodes {
+		n, w := &got.Nodes[i], &want.Nodes[i]
 		if n.Op.Name() != w.Op.Name() {
 			t.Errorf("%s: node %d is %s, want %s", label, i, n.Op.Name(), w.Op.Name())
 			return false
@@ -51,12 +51,13 @@ func sameGraph(t *testing.T, label string, got, want *graph.Graph) bool {
 			t.Errorf("%s: node %d (%s) launches %+v, want %+v", label, i, n.Op.Name(), gk, wk)
 			return false
 		}
-		if len(n.Outputs) != len(w.Outputs) {
-			t.Errorf("%s: node %d (%s) has %d outputs, want %d", label, i, n.Op.Name(), len(n.Outputs), len(w.Outputs))
+		gOut, wOut := got.Outputs(n), want.Outputs(w)
+		if len(gOut) != len(wOut) {
+			t.Errorf("%s: node %d (%s) has %d outputs, want %d", label, i, n.Op.Name(), len(gOut), len(wOut))
 			return false
 		}
-		for j := range n.Outputs {
-			if gm, wm := got.Meta(n.Outputs[j]), want.Meta(w.Outputs[j]); !reflect.DeepEqual(gm, wm) {
+		for j := range gOut {
+			if gm, wm := got.Meta(gOut[j]), want.Meta(wOut[j]); !reflect.DeepEqual(gm, wm) {
 				t.Errorf("%s: node %d (%s) output %d is %v, want %v", label, i, n.Op.Name(), j, gm, wm)
 				return false
 			}

@@ -290,7 +290,7 @@ func EmbeddingBagNodes(m *Model) []graph.NodeID {
 		if n.Op.Name() != "aten::cat" {
 			continue
 		}
-		deps := m.Graph.Deps(n)
+		deps := m.Graph.Deps(&n)
 		if len(deps) == len(ids) {
 			match := true
 			set := map[graph.NodeID]bool{}

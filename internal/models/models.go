@@ -25,7 +25,7 @@ func errBatch(b int64) error { return fmt.Errorf("models: batch size %d must be 
 
 // WithBatch returns the model bound to batch size b: equal to building
 // it at b, but sharing m's graph structure (graph.Graph.WithBatch), so
-// both are read-only from then on.
+// both are read-only from then on. The graph is always a new view.
 func (m *Model) WithBatch(b int64) (*Model, error) {
 	if b <= 0 {
 		return nil, errBatch(b)
@@ -33,9 +33,6 @@ func (m *Model) WithBatch(b int64) (*Model, error) {
 	g, err := m.Graph.WithBatch(b)
 	if err != nil {
 		return nil, err
-	}
-	if g == m.Graph {
-		return m, nil
 	}
 	return &Model{Name: m.Name, Graph: g, Params: m.Params}, nil
 }

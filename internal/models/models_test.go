@@ -74,7 +74,7 @@ func TestDLRMKernelCensus(t *testing.T) {
 	}
 	counts := map[kernels.Kind]int{}
 	for _, n := range m.Graph.Nodes {
-		for _, k := range m.Graph.NodeKernels(n) {
+		for _, k := range m.Graph.NodeKernels(&n) {
 			counts[k.Kind]++
 		}
 	}
@@ -108,7 +108,7 @@ func TestDLRMResize(t *testing.T) {
 		if n.Op.Name() != "LookupFunction" {
 			continue
 		}
-		k := m.Graph.NodeKernels(n)[0]
+		k := m.Graph.NodeKernels(&n)[0]
 		if k.Kind != kernels.KindEmbeddingFwd || k.B != 4096 {
 			t.Errorf("embedding batch after resize = %d", k.B)
 		}
@@ -218,7 +218,7 @@ func TestResNetDominatedByConvFLOPs(t *testing.T) {
 	m := BuildResNet50(32)
 	var convFLOPs, totalFLOPs float64
 	for _, n := range m.Graph.Nodes {
-		for _, k := range m.Graph.NodeKernels(n) {
+		for _, k := range m.Graph.NodeKernels(&n) {
 			totalFLOPs += k.FLOPs()
 			if k.Kind == kernels.KindConv {
 				convFLOPs += k.FLOPs()
@@ -242,7 +242,7 @@ func TestInceptionHasAsymmetricConvs(t *testing.T) {
 	}
 	asym := 0
 	for _, n := range m.Graph.Nodes {
-		for _, k := range m.Graph.NodeKernels(n) {
+		for _, k := range m.Graph.NodeKernels(&n) {
 			if k.Kind == kernels.KindConv && k.R != k.S {
 				asym++
 			}
@@ -260,7 +260,7 @@ func TestTransformerDominatedByGEMM(t *testing.T) {
 	}
 	var gemm, total float64
 	for _, n := range m.Graph.Nodes {
-		for _, k := range m.Graph.NodeKernels(n) {
+		for _, k := range m.Graph.NodeKernels(&n) {
 			total += k.FLOPs()
 			if k.Kind == kernels.KindGEMM {
 				gemm += k.FLOPs()

@@ -249,7 +249,7 @@ func TestKindCoverage(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range m.Graph.Nodes {
-			for _, k := range m.Graph.NodeKernels(n) {
+			for _, k := range m.Graph.NodeKernels(&n) {
 				launched[k.Kind] = true
 			}
 		}

@@ -147,7 +147,7 @@ func kernelOnly(t *testing.T, reg *perfmodel.Registry, g *graph.Graph) (us float
 	t.Helper()
 	for _, node := range g.Nodes {
 		sum := 0.0
-		for _, k := range g.NodeKernels(node) {
+		for _, k := range g.NodeKernels(&node) {
 			tk, err := reg.Predict(&k)
 			if err != nil {
 				t.Fatal(err)
@@ -224,28 +224,45 @@ const walkAllocSlack = 0
 // raceEnabled is set by race_test.go in a -race build.
 var raceEnabled bool
 
-// TestWalkAllocatesPerWalk bounds one Algorithm-1 walk over a bound
-// view by a constant: no op costs a fresh slice, no kernel a boxed value
-// or a fresh feature vector.
+// TestWalkAllocatesPerWalk bounds one Algorithm-1 walk over a view
+// bound to a stored (unbound) structure by a constant: no op costs a
+// fresh slice, no kernel a boxed value or a fresh feature vector. The
+// cases span the largest structure (inception_v3, 804 nodes) and one
+// shard of a four-device DLRM_MLPerf: every fourth of its tables.
 func TestWalkAllocatesPerWalk(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
 	cal := calibration(t)
+	shard := models.DLRMMLPerfConfig(256)
+	for i := 0; i < len(shard.EmbRows); i += 4 {
+		shard.EmbRows[i/4] = shard.EmbRows[i]
+	}
+	shard.EmbRows = shard.EmbRows[:(len(shard.EmbRows)+3)/4]
 	for _, tc := range []struct {
 		name        string
 		batch, view int64
+		shard       *models.DLRMConfig
 	}{
-		{models.NameDLRMDefault, 1024, 1500},
-		{models.NameResNet50, 32, 48},
-		{models.NameTransformer, 32, 48},
+		{models.NameDLRMDefault, 1024, 1500, nil},
+		{models.NameResNet50, 32, 48, nil},
+		{models.NameInceptionV3, 16, 24, nil},
+		{models.NameTransformer, 32, 48, nil},
+		{models.NameDLRMMLPerf + " shard", 256, 384, &shard},
 	} {
-		m, err := models.Build(tc.name, tc.batch)
+		var m *models.Model
+		var err error
+		if tc.shard != nil {
+			m, err = models.BuildDLRM(*tc.shard)
+		} else {
+			m, err = models.Build(tc.name, tc.batch)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		db := profiledDB(t, m.Graph, sim.Config{Platform: hw.V100Platform(), Seed: 11, Warmup: 1, Iters: 2, Profile: true, Workload: tc.name})
+		db := profiledDB(t, m.Graph, sim.Config{Platform: hw.V100Platform(), Seed: 11, Warmup: 1, Iters: 2, Profile: true, Workload: m.Name})
 		pred := New(cal.Registry, db)
+		m.Graph.Unbind()
 		v, err := m.Graph.WithBatch(tc.view)
 		if err != nil {
 			t.Fatal(err)

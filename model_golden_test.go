@@ -277,7 +277,7 @@ func TestKernelArithmeticGoldenDigests(t *testing.T) {
 		}
 		var ks []kernels.Kernel
 		for _, n := range m.Graph.Nodes {
-			ks = append(ks, m.Graph.NodeKernels(n)...)
+			ks = append(ks, m.Graph.NodeKernels(&n)...)
 		}
 		sources[name] = ks
 	}
