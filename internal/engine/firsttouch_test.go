@@ -96,35 +96,31 @@ func TestIterSpanBytesIsStructSize(t *testing.T) {
 	}
 }
 
-// structureBudget is, per family, half the bytes per node a graphs
-// class entry held while it kept the graph as built — one heap object
-// and two edge slices per node, the build batch's shape table and the
-// append slack — op values included: the most a stored structure may
-// hold.
-var structureBudget = map[string]float64{
-	models.NameDLRMDefault: 246 / 2.,
-	models.NameDLRMMLPerf:  215 / 2.,
-	models.NameDLRMDDP:     239 / 2.,
-	models.NameResNet50:    220 / 2.,
-	models.NameInceptionV3: 219 / 2.,
-	models.NameTransformer: 239 / 2.,
-}
-
 // TestStructureBytes measures the heap 16 stored structures of each
 // family retain — what the graphs class keeps (buildModel) — and holds
-// it per node to structureBudget, and the class's charge for one
-// structure (approxBytes) to within 15% of one copy's share.
+// it per node to the family's budget, and the class's charge for one
+// structure (approxBytes) to within 15% of one copy's share. The budget
+// is half the bytes per node an entry held while the class kept the
+// graph as built (one heap object and two edge slices per node, the
+// build batch's shape table and the append slack), op values included.
 func TestStructureBytes(t *testing.T) {
-	for _, name := range []string{
-		models.NameDLRMDefault, models.NameDLRMMLPerf, models.NameDLRMDDP,
-		models.NameResNet50, models.NameInceptionV3, models.NameTransformer,
+	for _, c := range []struct {
+		name   string
+		budget float64
+	}{
+		{models.NameDLRMDefault, 246 / 2.},
+		{models.NameDLRMMLPerf, 215 / 2.},
+		{models.NameDLRMDDP, 239 / 2.},
+		{models.NameResNet50, 220 / 2.},
+		{models.NameInceptionV3, 219 / 2.},
+		{models.NameTransformer, 239 / 2.},
 	} {
 		var copies [16]*models.Model
 		var before, after runtime.MemStats
 		settle()
 		runtime.ReadMemStats(&before)
 		for i := range copies {
-			m, err := buildModel(nil, scenario.Single(name, 512))
+			m, err := buildModel(nil, scenario.Single(c.name, 512))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,13 +131,13 @@ func TestStructureBytes(t *testing.T) {
 		perCopy := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(copies))
 		perNode := perCopy / float64(len(copies[0].Graph.Nodes))
 		charge := float64(approxBytes(copies[0]))
-		t.Logf("%s: %d nodes, %.1f B/node stored (budget %.1f), charged %.0f B of %.0f", name,
-			len(copies[0].Graph.Nodes), perNode, structureBudget[name], charge, perCopy)
-		if perNode > structureBudget[name] {
-			t.Errorf("%s: a stored structure holds %.1f B/node, budget %.1f", name, perNode, structureBudget[name])
+		t.Logf("%s: %d nodes, %.1f B/node stored (budget %.1f), charged %.0f B of %.0f", c.name,
+			len(copies[0].Graph.Nodes), perNode, c.budget, charge, perCopy)
+		if perNode > c.budget {
+			t.Errorf("%s: a stored structure holds %.1f B/node, budget %.1f", c.name, perNode, c.budget)
 		}
 		if math.Abs(charge/perCopy-1) > 0.15 {
-			t.Errorf("%s: the graphs class charges %.0f B for a structure that holds %.0f B", name, charge, perCopy)
+			t.Errorf("%s: the graphs class charges %.0f B for a structure that holds %.0f B", c.name, charge, perCopy)
 		}
 		runtime.KeepAlive(&copies)
 	}

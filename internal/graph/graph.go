@@ -21,9 +21,9 @@
 // besides its ops.
 //
 // A graph a builder returns is bound: it carries the shape table of its
-// build batch. Unbind drops the table and trims every slice to its
-// length, leaving a structure that carries no shape beyond its sources'
-// — the form a long-lived cache keeps. WithBatch binds a batch to a
+// build batch. Unbind drops the table and the append slack, leaving a
+// structure that carries no shape beyond its sources' — the form a
+// long-lived cache keeps. WithBatch binds a batch to a
 // structure, bound or not: it returns a view that shares the structure
 // and owns a shape table filled by one propagation pass, so a sweep over
 // batch sizes builds nodes and ops once. A caller that drops its view
@@ -192,21 +192,27 @@ func (g *Graph) InputMetas(dst []tensor.Meta, inputs []TensorID) []tensor.Meta {
 // kernels it launches under g's shapes. The node points into g's node
 // list; the kernel slice is a pooled buffer the next node reuses: a
 // caller reads it before asking for the next node and copies what it
-// keeps. Breaking out of the loop early is allowed. It panics on an
-// unbound structure.
+// keeps; the pool keeps it unless it is oversized for this walk's
+// busiest node. Breaking out of the loop early is allowed. It panics on
+// an unbound structure.
 func (g *Graph) Launches() iter.Seq2[*Node, []kernels.Kernel] {
 	if !g.bound() {
 		panic("graph: Launches on an unbound structure: bind a batch with WithBatch")
 	}
 	return func(yield func(*Node, []kernels.Kernel) bool) {
 		sc := scratches.Get().(*scratch)
+		most := 0
 		for i := range g.Nodes {
 			n := &g.Nodes[i]
 			sc.in = g.InputMetas(sc.in[:0], g.Inputs(n))
 			sc.ks = n.Op.AppendKernels(sc.ks[:0], sc.in)
+			most = max(most, len(sc.ks))
 			if !yield(n, sc.ks) {
 				break
 			}
+		}
+		if oversized(cap(sc.ks), most) {
+			sc.ks = nil
 		}
 		scratches.Put(sc)
 	}
@@ -292,6 +298,13 @@ func unknownTensor(id TensorID) string {
 	return fmt.Sprintf("graph: unknown tensor %d", id)
 }
 
+// oversized reports whether a recycled buffer of capacity c is far
+// larger than the n elements its user needs. A bind or a walk drops
+// such a buffer rather than return it to its pool, where it would hold
+// the largest graph's shapes or kernels for as long as smaller graphs
+// keep the pool in use.
+func oversized(c, n int) bool { return c > 4*n }
+
 // bound reports whether g carries a shape for every tensor.
 func (g *Graph) bound() bool { return len(g.shapes) == len(g.producers) }
 
@@ -339,10 +352,16 @@ func (g *Graph) WithBatch(b int64) (*Graph, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	// The recycled table is taken before *v is overwritten. Rows no
-	// source and no node fills (tensors a transform removed) stay zero.
+	// The recycled table is taken before *v is overwritten, unless it is
+	// oversized for g. Rows no source and no node fills (tensors a
+	// transform removed) stay zero.
 	v := views.Get().(*Graph)
-	shapes := slices.Grow(v.shapes[:0], len(g.producers))[:len(g.producers)]
+	n := len(g.producers)
+	shapes := v.shapes[:0]
+	if oversized(cap(shapes), n) {
+		shapes = nil
+	}
+	shapes = slices.Grow(shapes, n)[:n]
 	clear(shapes)
 	*v = *g
 	v.shapes, v.view = shapes, true
@@ -368,9 +387,9 @@ func (g *Graph) Release() {
 }
 
 // Unbind turns g into a stored structure: it drops g's shape table and
-// trims every slice of the structure to its length, so g holds no
-// batch-dependent state and no append slack. g must not be a view or
-// shared yet. Bind a batch to it with WithBatch.
+// copies every slice of the structure into an allocation sized to its
+// length, so g holds no batch-dependent state and no append slack. g
+// must not be a view or shared yet. Bind a batch to it with WithBatch.
 func (g *Graph) Unbind() {
 	g.Nodes = slices.Clone(g.Nodes)
 	g.edges = slices.Clone(g.edges)
@@ -421,8 +440,9 @@ func opBytes(op ops.Op) int64 {
 	return n
 }
 
-// allocBytes rounds a small allocation up to the size class the Go
-// allocator serves it from; an empty value allocates nothing.
+// allocBytes rounds an allocation up to the Go allocator's size
+// classes, exactly up to 256 bytes (an op value, most slices of one) and
+// to 16 bytes past that; an empty value allocates nothing.
 func allocBytes(size uintptr) int64 {
 	switch {
 	case size == 0:

@@ -331,6 +331,32 @@ func TestReleasedViewIsReused(t *testing.T) {
 	}
 }
 
+// TestBindKeepsNoOversizedTable: a view recycled from a far larger
+// graph does not keep that graph's shape table alive in the pool.
+func TestBindKeepsNoOversizedTable(t *testing.T) {
+	big := New()
+	x := big.Input(tensor.New(8, 64))
+	for range 400 {
+		x = big.Apply(ops.ReLU(), x)[0]
+	}
+	small := tinyMLP(8)
+	for range 4 {
+		v, err := big.WithBatch(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Release()
+		w, err := small.WithBatch(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if oversized(cap(w.shapes), len(w.shapes)) {
+			t.Fatalf("a view of %d tensors holds a table of %d", len(w.shapes), cap(w.shapes))
+		}
+		w.Release()
+	}
+}
+
 // TestCloneReplacePropagates is the Fig. 11 path (FuseEmbeddingBags): a
 // clone of a view of a stored structure is bound, so ReplaceNodes
 // fuses in it and propagates the fused node's shapes, and the structure
