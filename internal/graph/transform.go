@@ -29,10 +29,12 @@ func (g *Graph) ReplaceNodes(ids []NodeID, op ops.Op) (*Node, error) {
 	// Collect internal outputs and external inputs of the removed set.
 	internalOut := map[TensorID]bool{}
 	for i := range g.Nodes {
-		if n := &g.Nodes[i]; removed[n.ID] {
-			for _, out := range g.Outputs(n) {
-				internalOut[out] = true
-			}
+		n := &g.Nodes[i]
+		if !removed[n.ID] {
+			continue
+		}
+		for _, out := range g.Outputs(n) {
+			internalOut[out] = true
 		}
 	}
 	var extInputs []TensorID
@@ -60,21 +62,25 @@ func (g *Graph) ReplaceNodes(ids []NodeID, op ops.Op) (*Node, error) {
 	// Externally consumed outputs, in production order.
 	consumed := map[TensorID]bool{}
 	for i := range g.Nodes {
-		if n := &g.Nodes[i]; !removed[n.ID] {
-			for _, in := range g.Inputs(n) {
-				if internalOut[in] {
-					consumed[in] = true
-				}
+		n := &g.Nodes[i]
+		if removed[n.ID] {
+			continue
+		}
+		for _, in := range g.Inputs(n) {
+			if internalOut[in] {
+				consumed[in] = true
 			}
 		}
 	}
 	var extOutputs []TensorID
 	for i := range g.Nodes {
-		if n := &g.Nodes[i]; removed[n.ID] {
-			for _, out := range g.Outputs(n) {
-				if consumed[out] {
-					extOutputs = append(extOutputs, out)
-				}
+		n := &g.Nodes[i]
+		if !removed[n.ID] {
+			continue
+		}
+		for _, out := range g.Outputs(n) {
+			if consumed[out] {
+				extOutputs = append(extOutputs, out)
 			}
 		}
 	}
