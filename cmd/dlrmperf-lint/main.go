@@ -7,10 +7,22 @@
 //
 //	dlrmperf-lint [-linked FILE] [packages]   # defaults to ./...
 //
+// The analyzers' scopes are directives at the code they govern, not
+// flags: a hot-path root or stop is the last line of a function's doc
+// comment, and a deterministic or ctxflow package says so in its
+// package doc comment.
+//
+//	//lint:hotpath root
+//	//lint:hotpath stop <reason>
+//	//lint:deterministic
+//	//lint:ctxflow
+//
 // Suppress a finding with a justified escape-hatch comment on the
 // offending line or the line above:
 //
 //	//lint:allow <analyzer> <reason>
+//
+// A //lint: directive of any other kind is itself a finding.
 package main
 
 import (

@@ -5,8 +5,8 @@
 // mechanically enforce the load-bearing conventions the ROADMAP
 // "Architecture anchors" section used to state only in prose:
 //
-//   - hotpath:       no fmt / string-concat key building inside
-//     functions reachable from the steady-state predict path (the
+//   - hotpath:       no fmt, encoding/json or string-concat key
+//     building inside functions reachable from a hot-path root (the
 //     append-builder/pooled-buffer idiom is the only sanctioned one).
 //   - deterministic: no time.Now, no global math/rand, and no
 //     map-iteration-ordered output in the fingerprint/identity
@@ -19,13 +19,25 @@
 //     linked by some program; runs when given the `make linked` set.
 //
 // The suite runs as `dlrmperf-lint ./...` (cmd/dlrmperf-lint, wired
-// into `make lint` and CI). The escape hatch is a line comment
+// into `make lint` and CI). It names no package and no function of the
+// code it checks: each scope is a directive at the code it governs.
+//
+//	//lint:hotpath root             last line of a function's doc: the
+//	                                function and its callees are hot
+//	//lint:hotpath stop <reason>    last line of a function's doc: the
+//	                                walk from the roots does not enter it
+//	//lint:deterministic            in a package doc comment
+//	//lint:ctxflow                  in a package doc comment
+//
+// The escape hatch is a line comment
 //
 //	//lint:allow <analyzer> <reason>
 //
 // on the offending line or the line above it. A directive without a
 // reason suppresses nothing, and one that suppresses nothing is itself
-// reported, so no exemption outlives its finding.
+// reported, so no exemption outlives its finding; the same holds for a
+// stop the walk never meets. A //lint: directive of any other kind, or
+// one away from the place it belongs, is a finding too.
 package analysis
 
 import (
@@ -77,6 +89,28 @@ func (p *Pass) Inspect(fn func(ast.Node) bool) {
 	}
 }
 
+// packageDirective reports whether a package doc comment carries
+// //lint:<kind>, and reports every //lint:<kind> comment elsewhere,
+// which would scope nothing.
+func (p *Pass) packageDirective(kind string) bool {
+	scoped := false
+	for _, f := range p.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if k, _, ok := parseDirective(c); !ok || k != kind {
+					continue
+				}
+				if cg == f.Doc {
+					scoped = true
+					continue
+				}
+				p.Reportf(c.Pos(), "lint:%s outside a package doc comment scopes nothing; move it to the package doc", kind)
+			}
+		}
+	}
+	return scoped
+}
+
 // All returns the analyzer suite in reporting order. The unlinked
 // analyzer joins it when linked, the symbol set ParseLinked reads, is
 // non-nil.
@@ -100,11 +134,23 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s [%s]", f.Pos, f.Message, f.Analyzer)
 }
 
-// allowDirective is the escape-hatch comment prefix. The full form is
-// "//lint:allow <analyzer> <reason>"; it suppresses the named
-// analyzer's findings on its own line and the line directly below it
-// (so it can sit on the offending line or immediately above).
-const allowDirective = "lint:allow"
+// directiveKinds are the //lint: directives the suite reads. "allow"
+// is the escape hatch, "//lint:allow <analyzer> <reason>": it
+// suppresses the named analyzer's findings on its own line and the
+// line directly below it (so it can sit on the offending line or
+// immediately above). The others set an analyzer's scope.
+var directiveKinds = map[string]bool{"allow": true, "hotpath": true, "deterministic": true, "ctxflow": true}
+
+// parseDirective splits a "//lint:<kind> <args>" comment into its kind
+// and arguments; ok is false for any other comment.
+func parseDirective(c *ast.Comment) (kind string, args []string, ok bool) {
+	text, ok := strings.CutPrefix(c.Text, "//lint:")
+	if !ok {
+		return "", nil, false
+	}
+	kind, rest, _ := strings.Cut(text, " ")
+	return kind, strings.Fields(rest), true
+}
 
 // allow is one escape-hatch directive and whether it suppressed a
 // finding.
@@ -116,23 +162,28 @@ type allow struct {
 // allowSet maps file -> line -> analyzer name -> the directive there.
 type allowSet map[string]map[int]map[string]*allow
 
-// collectAllows scans every comment of the files for allow directives
-// that name an analyzer and give a reason.
-func collectAllows(fset *token.FileSet, files []*ast.File) allowSet {
+// collectDirectives scans every comment of the files for allow
+// directives that name an analyzer and give a reason, and returns a
+// finding for every directive of a kind the suite does not read.
+func collectDirectives(fset *token.FileSet, files []*ast.File) (allowSet, []Finding) {
 	out := allowSet{}
+	var unknown []Finding
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, allowDirective) {
-					continue
-				}
-				fields := strings.Fields(strings.TrimPrefix(text, allowDirective))
-				if len(fields) < 2 {
+				kind, fields, ok := parseDirective(c)
+				if !ok {
 					continue
 				}
 				pos := fset.Position(c.Pos())
+				if !directiveKinds[kind] {
+					unknown = append(unknown, Finding{Analyzer: "lint", Pos: pos,
+						Message: "unknown directive lint:" + kind + "; the suite reads lint:allow, lint:hotpath, lint:deterministic and lint:ctxflow"})
+					continue
+				}
+				if kind != "allow" || len(fields) < 2 {
+					continue
+				}
 				byLine := out[pos.Filename]
 				if byLine == nil {
 					byLine = map[int]map[string]*allow{}
@@ -145,7 +196,7 @@ func collectAllows(fset *token.FileSet, files []*ast.File) allowSet {
 			}
 		}
 	}
-	return out
+	return out, unknown
 }
 
 // allowed reports whether a finding by analyzer at pos is suppressed
@@ -179,10 +230,10 @@ func (a allowSet) stale(analyzer string) []Finding {
 
 // RunPackage runs the analyzers over one loaded package, applies
 // allow-comment suppression, reports the directives of those analyzers
-// that suppressed nothing, and returns position-sorted findings.
+// that suppressed nothing and every directive of an unknown kind, and
+// returns position-sorted findings.
 func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
-	allows := collectAllows(pkg.Fset, pkg.Files)
-	var out []Finding
+	allows, out := collectDirectives(pkg.Fset, pkg.Files)
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:  a,

@@ -5,30 +5,18 @@ import (
 	"go/types"
 )
 
-// ctxflowPackages are the layers where every request carries a
-// deadline from admission to backend: serve's bounded queue, the
-// cluster coordinator's forwarding/failover, explore sweeps, and the
-// typed client (every call takes the caller's ctx). Minting a fresh
-// context here silently detaches work from the caller's deadline and
-// from SIGTERM drain.
-// The final entry is the analyzer's own test fixture.
-var ctxflowPackages = []string{
-	"dlrmperf/internal/serve",
-	"dlrmperf/internal/cluster",
-	"dlrmperf/internal/explore",
-	"dlrmperf/internal/client",
-	"ctxflow",
-}
-
 // Ctxflow bans context.Background/TODO outside main and tests in the
-// serving layers, and requires a received ctx to actually flow into
-// downstream context-accepting calls. In every package it also bans
+// serving layers, those whose package doc carries //lint:ctxflow, and
+// requires a received ctx to actually flow into downstream
+// context-accepting calls there: minting a fresh context detaches work
+// from the caller's deadline and from SIGTERM drain. In every package
+// it also bans
 // the sync/atomic functions: a word shared between goroutines is a
 // typed atomic (atomic.Int64, atomic.Uint64, ...), which no code can
 // read or write plainly, so no plain access can race an atomic one.
 var Ctxflow = &Analyzer{
 	Name: "ctxflow",
-	Doc:  "context must be propagated in serve/cluster/explore; Background/TODO banned outside main and tests; sync/atomic functions banned everywhere",
+	Doc:  "context must be propagated in lint:ctxflow packages; Background/TODO banned there outside main and tests; sync/atomic functions banned everywhere",
 	Run:  runCtxflow,
 }
 
@@ -43,11 +31,8 @@ func runCtxflow(pass *Pass) error {
 		}
 		return true
 	})
-	if pass.Pkg.Name() == "main" {
+	if !pass.packageDirective("ctxflow") || pass.Pkg.Name() == "main" {
 		return nil // binaries mint the root context
-	}
-	if !pathInList(pass.Pkg.Path(), ctxflowPackages) {
-		return nil
 	}
 	pass.Inspect(func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)

@@ -7,37 +7,21 @@ import (
 	"strings"
 )
 
-// deterministicPackages are the fingerprint/identity packages: the
-// bytes they produce (scenario fingerprints, engine cache keys,
-// explore grid expansions and frontier reports) are cache identities
-// and cross-process routing keys, so they must be pure functions of
-// their inputs. Wall-clock time, global math/rand, and map iteration
-// order are the three ambient nondeterminism sources this analyzer
-// bans; injected clocks and internal/xrand streams are the sanctioned
-// substitutes. internal/overhead is here for its database: an exported,
-// gossiped asset whose Defaults pool every op's samples, so the pooled
-// order — and with it the floating-point mean — must not be a map's.
-// internal/baselines is here for Fig. 10: its predictions are compared
-// run against run, so their float sums must not take a map's order.
-// The final entry is the analyzer's own test fixture.
-var deterministicPackages = []string{
-	"dlrmperf/internal/scenario",
-	"dlrmperf/internal/engine",
-	"dlrmperf/internal/explore",
-	"dlrmperf/internal/overhead",
-	"dlrmperf/internal/baselines",
-	"deterministic",
-}
-
-// Deterministic forbids ambient nondeterminism in identity packages.
+// Deterministic forbids ambient nondeterminism in the identity
+// packages, those whose package doc carries //lint:deterministic: the
+// bytes they produce are cache identities and routing keys, so they
+// must be pure functions of their inputs. Wall-clock time, global
+// math/rand, and map iteration order are the three ambient
+// nondeterminism sources it bans; injected clocks and seeded random
+// streams are the sanctioned substitutes.
 var Deterministic = &Analyzer{
 	Name: "deterministic",
-	Doc:  "no time.Now, global math/rand, or map-iteration-ordered output in fingerprint/identity packages",
+	Doc:  "no time.Now, global math/rand, or map-iteration-ordered output in lint:deterministic (fingerprint/identity) packages",
 	Run:  runDeterministic,
 }
 
 func runDeterministic(pass *Pass) error {
-	if !pathInList(pass.Pkg.Path(), deterministicPackages) {
+	if !pass.packageDirective("deterministic") {
 		return nil
 	}
 	for _, f := range pass.Files {
@@ -68,7 +52,7 @@ func checkDeterministicFunc(pass *Pass, fd *ast.FuncDecl) {
 					p := pn.Imported().Path()
 					if p == "math/rand" || p == "math/rand/v2" {
 						pass.Reportf(n.Pos(),
-							"math/rand in identity package %s; use a seeded internal/xrand stream instead",
+							"math/rand in identity package %s; use an injected, seeded random stream instead",
 							pass.Pkg.Name())
 					}
 				}

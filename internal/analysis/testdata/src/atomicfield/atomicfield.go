@@ -1,8 +1,8 @@
 // Package atomicfield is the seeded fixture for the ctxflow analyzer's
 // sync/atomic rule, which holds in every package: a sync/atomic
 // function call carries a want expectation; a typed atomic must stay
-// quiet. The package is outside the context-propagation layers, so a
-// minted context here stays quiet too.
+// quiet. The package carries no //lint:ctxflow directive, so a minted
+// context here stays quiet too.
 package atomicfield
 
 import (

@@ -2,6 +2,8 @@
 // context rules: minted contexts and dropped ctx parameters carry want
 // expectations; threaded and explicitly-discarded contexts must stay
 // quiet.
+//
+//lint:ctxflow
 package ctxflow
 
 import "context"
@@ -37,4 +39,8 @@ func DiscardedByName(_ context.Context, a, b int) int {
 // by the allow directive.
 func ShutdownPush(url string) error {
 	return fetch(context.Background(), url) //lint:allow ctxflow deliberately detached shutdown push
+}
+
+func misplaced() {
+	//lint:ctxflow // want `lint:ctxflow outside a package doc comment`
 }

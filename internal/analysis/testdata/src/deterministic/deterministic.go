@@ -1,6 +1,8 @@
 // Package deterministic is the seeded fixture for the deterministic
 // analyzer: ambient nondeterminism sources carry want expectations;
 // the collect-then-sort and map-write idioms must stay quiet.
+//
+//lint:deterministic
 package deterministic
 
 import (
@@ -78,3 +80,8 @@ func BootBanner() int64 {
 	//lint:allow deterministic boot-time banner only; never feeds a fingerprint
 	return time.Now().Unix()
 }
+
+// A package directive anywhere but the package doc scopes nothing.
+//
+//lint:deterministic // want `lint:deterministic outside a package doc comment`
+var seed = 1

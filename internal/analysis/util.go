@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // unparen strips redundant parentheses.
@@ -61,9 +60,9 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// funcDisplayName renders a *types.Func the way analyzer configs spell
-// it: "Name" for package functions, "Recv.Name" for methods with any
-// pointer receiver stripped (e.g. "Engine.PredictCtx").
+// funcDisplayName renders a *types.Func the way findings spell it:
+// "Name" for package functions, "Recv.Name" for methods with any
+// pointer receiver stripped (e.g. "Server.admit").
 func funcDisplayName(fn *types.Func) string {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
@@ -97,23 +96,4 @@ func isStringType(t types.Type) bool {
 	}
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsString != 0
-}
-
-// hasPathSuffix matches an import path against a config entry: exact
-// match, or the entry as a path-separated suffix. Fixture packages
-// load under their bare directory name ("hotpath"), real packages
-// under the module path ("dlrmperf/internal/engine"), and suffix
-// matching lets one config entry cover both spellings.
-func hasPathSuffix(path, entry string) bool {
-	return path == entry || strings.HasSuffix(path, "/"+entry)
-}
-
-// pathInList reports whether path matches any config entry.
-func pathInList(path string, entries []string) bool {
-	for _, e := range entries {
-		if hasPathSuffix(path, e) {
-			return true
-		}
-	}
-	return false
 }

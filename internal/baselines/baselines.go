@@ -13,6 +13,12 @@
 //     and sums. Its documented failure modes, which Fig. 10 exhibits, are
 //     extrapolation to uncovered batch sizes and asymmetric (1x7/7x1)
 //     convolutions.
+//
+// Fig. 10 compares the baselines' predictions run against run, so
+// their float sums must not take a map's order: the package is held to
+// the deterministic analyzer.
+//
+//lint:deterministic
 package baselines
 
 import (

@@ -18,6 +18,12 @@
 // A body that is not the envelope decodes as code "unknown". Transport
 // failures (dial, broken stream) surface as the underlying *url.Error —
 // a different failure class than a server that answered.
+//
+// Every call takes the caller's ctx, so the package is held to the
+// ctxflow analyzer: minting a fresh context would detach a call from
+// the caller's deadline.
+//
+//lint:ctxflow
 package client
 
 import (
@@ -108,6 +114,11 @@ func New(base string, opts ...Option) *Client {
 // server's Retry-After hint. Rows the server computed but failed
 // (validation, deadline) return with err == nil and Result.Error set —
 // an application-level verdict, not a transport failure.
+//
+// Every row a bench client or a coordinator hop sends goes through it
+// or PredictBatchInto.
+//
+//lint:hotpath root
 func (c *Client) Predict(ctx context.Context, req serve.Request) (serve.Result, error) {
 	const path = "/v1/predict"
 	buf, err := c.exchange(ctx, http.MethodPost, path, serve.AppendRequest(make([]byte, 0, 128), &req))
@@ -128,6 +139,8 @@ func (c *Client) Predict(ctx context.Context, req serve.Request) (serve.Result, 
 // coordinator alike, parsed by the row codec. A *serve.Report is
 // replaced, not merged into: nothing it held before the call survives.
 // Any other v is decoded by encoding/json.
+//
+//lint:hotpath root
 func (c *Client) PredictBatchInto(ctx context.Context, reqs []serve.Request, v any) error {
 	const path = "/v1/predict/batch"
 	rep, ok := v.(*serve.Report)
@@ -253,6 +266,8 @@ func (c *Client) PostJSON(ctx context.Context, path string, in, out any) error {
 // postJSON marshals in (nil means an empty body; a request list goes
 // through the row codec), POSTs it, and decodes a 200 into out (nil
 // discards the body). A non-200 returns as its refusal.
+//
+//lint:hotpath stop the encoding/json fallback for a batch decoded into anything but a *serve.Report
 func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
 	var body []byte
 	switch in := in.(type) {
@@ -290,10 +305,15 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 
 // parseError and bodyTooLarge build the error of an exchange that
 // failed, off the steady-state path.
+//
+//lint:hotpath stop builds the error of an unparsable body
 func parseError(path string, err error) error {
 	return fmt.Errorf("client: parsing %s response: %w", path, err)
 }
 
+// bodyTooLarge is the error of a body past its size limit.
+//
+//lint:hotpath stop builds the error of an oversized body
 func bodyTooLarge(method, path string, status int, limit int64) error {
 	return fmt.Errorf("%w: %s %s answered %d with more than the %d-byte cap", ErrBodyTooLarge, method, path, status, limit)
 }
@@ -365,6 +385,8 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) (*ser
 // of one non-200 response, with its Retry-After hint parsed. A body
 // that isn't the HTTPError envelope still produces a usable refusal,
 // code "unknown", with a bounded raw snippet as the message.
+//
+//lint:hotpath stop builds the refusal of a non-200 response
 func decodeError(resp *http.Response, body []byte) error {
 	e := &serve.StatusError{Status: resp.StatusCode, RetryAfter: parseRetryAfter(resp.Header)}
 	if err := json.Unmarshal(body, &e.HTTPError); err != nil || e.Code == "" {

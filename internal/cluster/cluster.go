@@ -37,6 +37,12 @@
 // replicated apply-only entry with one peer endpoint (lease.go), and
 // one detached-background helper (detach) under every replication
 // send and drain push.
+//
+// Forwarding and failover run under the caller's deadline, so the
+// package is held to the ctxflow analyzer: minting a fresh context
+// would detach work from the caller's deadline and from SIGTERM drain.
+//
+//lint:ctxflow
 package cluster
 
 import (
@@ -343,6 +349,8 @@ func (c *Coordinator) forward(ctx context.Context, req serve.Request, blocking b
 // routeErrorf formats the error of a routing attempt that failed. The
 // routed path is held to the steady-state rules (no fmt, see the hotpath
 // analyzer); a failed attempt has left it.
+//
+//lint:hotpath stop formats the error of a routing attempt that failed
 func routeErrorf(format string, args ...any) error {
 	return fmt.Errorf(format, args...)
 }
@@ -428,6 +436,10 @@ type missed struct {
 // another: a row that then joins another call's flight, or is resident
 // after all, leaves its slot unread. A draining coordinator plans
 // nothing, so each row is refused by its own admission.
+//
+// Every row of every batch call is read, and its hit answered, here.
+//
+//lint:hotpath root
 func (c *Coordinator) plan(ctx context.Context, reqs []serve.Request, out []serve.Result) (miss []missed, sends map[string]*subBatch) {
 	draining := c.Draining()
 	byDevice, sends := map[string]*subBatch{}, map[string]*subBatch{} // sends by worker ID
@@ -639,6 +651,10 @@ func (c *Coordinator) Handler() http.Handler {
 
 // observeWorkerHint folds one worker 429 Retry-After hint into the
 // EWMA (alpha 1/4) behind the coordinator's adaptive hint (retryAfter).
+//
+// It runs on every worker 429.
+//
+//lint:hotpath root
 func (c *Coordinator) observeWorkerHint(d time.Duration) {
 	if d <= 0 {
 		return
@@ -662,11 +678,19 @@ func (c *Coordinator) observeWorkerHint(d time.Duration) {
 // own observed 429 hints — a coordinator fronting saturated workers
 // should not invite clients back sooner than the workers themselves
 // would — clamped to [serve.MinRetryAfter, serve.MaxRetryAfter].
+//
+// It is rendered on every shed request.
+//
+//lint:hotpath root
 func (c *Coordinator) retryAfter() time.Duration {
 	hint := time.Duration(c.hintUs.Load()) * time.Microsecond
 	return min(max(hint, serve.MinRetryAfter), serve.MaxRetryAfter)
 }
 
+// handlePredict routes POST /v1/predict: a resident hit leaves it
+// without touching a worker, and the whole routed path runs under it.
+//
+//lint:hotpath root
 func (c *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
 	req, ok := serve.DecodeRequest(w, r)
 	if !ok {
@@ -680,6 +704,10 @@ func (c *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
 	serve.WriteResult(w, &res)
 }
 
+// handleBatch routes POST /v1/predict/batch: every batch call leaves
+// through plan and the sub-batch sends under it.
+//
+//lint:hotpath root
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if reqs, ok := serve.DecodeBatch(w, r); ok {
 		serve.WriteJSON(w, http.StatusOK, c.Run(r.Context(), reqs))

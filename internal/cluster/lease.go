@@ -96,6 +96,10 @@ func (l *Lease) MarkSeen(peer string) {
 // coordinator and every peer seen within the window. With no live
 // peers (or no peers at all) that is self — a group of one leads
 // itself.
+//
+// Every coordinator write checks the lease here.
+//
+//lint:hotpath root
 func (l *Lease) Leader() string {
 	now := l.live.now()
 	for _, p := range l.peers { // ascending: the first live peer below self is the minimum

@@ -54,6 +54,11 @@ func (t *liveTable) touch(id string) {
 
 // lastSeen reports id's newest proof of life (zero: none) and whether
 // it falls inside the window at now.
+//
+// The lease check and every routing decision's Registry.Live read
+// liveness here.
+//
+//lint:hotpath root
 func (t *liveTable) lastSeen(id string, now time.Time) (seen time.Time, live bool) {
 	t.mu.Lock()
 	seen = t.seen[id]

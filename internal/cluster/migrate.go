@@ -87,6 +87,10 @@ func (v *assetVault) put(device, worker string, epoch uint64, data []byte) bool 
 // install is needed when the vault has no copy, when target exported
 // the copy itself (it IS the home), or when target was already handed
 // this exact epoch.
+//
+// Every routed request probes it.
+//
+//lint:hotpath root
 func (v *assetVault) needInstall(device, target string) (data []byte, epoch uint64, ok bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()

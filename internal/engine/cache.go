@@ -155,6 +155,8 @@ func (c *classStore) get(key string) (any, bool) {
 // the string(key) conversion form the compiler recognizes, so a hit
 // costs zero allocations — the hot-path lookup under pooled key
 // builders.
+//
+//lint:hotpath root
 func (c *classStore) getBytes(key []byte) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -33,6 +33,12 @@
 // stays bit-deterministic in the engine seed: per-device streams are
 // derived as Seed + xrand.HashString(device), so no result depends on
 // arrival order or scheduling.
+//
+// Cache keys are identities shared across processes, so the package is
+// held to the deterministic analyzer: no wall clock, no global
+// math/rand, no output in map order.
+//
+//lint:deterministic
 package engine
 
 import (
@@ -192,6 +198,11 @@ var errNotResident = errors.New("engine: not resident")
 // is a hit. A nil build skips the flight: it asks for a resident value
 // only, and a non-resident key returns errNotResident with no counter
 // moved and nothing started.
+//
+// Every prediction takes it, hit or miss: it is a root of the
+// steady-state predict path.
+//
+//lint:hotpath root
 func (e *Engine) lookup(ctx context.Context, class assetClass, prefix string, req *Request, build buildFn) (v any, hit bool, err error) {
 	cs := e.store.class(class)
 	kb := keyBufPool.Get().(*[]byte)
@@ -578,6 +589,8 @@ func (r Request) Key() string {
 // both specs Validate: single-device identity drops the comm field, so
 // an invalid spec can alias a valid one and validation must come
 // first.
+//
+//lint:hotpath root
 func (r *Request) AppendKey(b []byte) []byte {
 	b = append(b, r.Device...)
 	b = append(b, '/')
@@ -679,6 +692,8 @@ func (e *Engine) AssetStats() AssetStats { return e.store.stats() }
 // request to be re-entered with a builder. Service time, concurrency
 // and cancellation are the serving layer's to count: its queue times
 // every job it runs.
+//
+//lint:hotpath root
 func (e *Engine) request(ctx context.Context, prefix string, req *Request, build buildFn) (v any, hit bool, err error) {
 	if err = req.Scenario.Validate(); err != nil {
 		e.rejected.Add(1)
@@ -703,6 +718,10 @@ func (e *Engine) Predict(req Request) Result {
 // PredictCtx is Predict with a caller deadline: when ctx expires the
 // caller gets ctx.Err() immediately, counted as a miss (see request for
 // the detached computation).
+//
+// It is local prediction's entry to the steady-state path.
+//
+//lint:hotpath root
 func (e *Engine) PredictCtx(ctx context.Context, req Request) (res Result) {
 	e.predictInto(ctx, &req, &res)
 	return res
@@ -734,6 +753,10 @@ func (e *Engine) predictInto(ctx context.Context, req *Request, out *Result) {
 // running fetch — its key would alias a valid request's row. A fetch
 // error is returned to every joiner and nothing is stored, so a
 // transient worker failure never poisons the cache.
+//
+// It is the pass-through's entry to the steady-state path.
+//
+//lint:hotpath root
 func (e *Engine) RemoteResult(ctx context.Context, req Request, fetch func() (any, error)) (v any, hit bool, err error) {
 	// Resident-only first, as memo does: the adapter binding fetch is
 	// only made once that has missed, so a warm coordinator answers a
@@ -749,6 +772,10 @@ func (e *Engine) RemoteResult(ctx context.Context, req Request, fetch func() (an
 // A resident entry is a served hit and counted as one; a request with
 // nothing resident moves no counter and is left to RemoteResult. A
 // memory read waits on nothing, so it takes no context.
+//
+// It is on the hit path of every coordinator batch row.
+//
+//lint:hotpath root
 func (e *Engine) ResidentResult(req Request) (v any, ok bool) {
 	v, _, err := e.request(context.Background(), "remote/", &req, nil)
 	return v, err == nil

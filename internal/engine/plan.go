@@ -172,6 +172,10 @@ func (e *Engine) compile(req Request) (*CompiledPlan, error) {
 // collectives, which over one device is the Algorithm-1 walk of its
 // graph. A single-device result carries no multi-GPU breakdown. A plan
 // executes once: its views are released on the way out.
+//
+// It runs on every result-cache miss.
+//
+//lint:hotpath root
 func (p *CompiledPlan) execute() (cached, error) {
 	defer p.release()
 	mp, err := p.pred.PredictSharded(p.graphs, p.shape.denseParams, p.perDev*p.shape.a2aRowBytes, p.comm)

@@ -18,6 +18,12 @@ import (
 // overhead database, the graph structures and the scenario's shape)
 // sit in their own classes, and what is left of a compile is one shape
 // propagation per distinct shard, into a recycled shape table.
+//
+// It reaches the compile and bind step of every miss, but request is
+// handed it as a method expression, so no call edge leads to it: it is
+// a root by its own directive.
+//
+//lint:hotpath root
 func (e *Engine) predictScenario(req *Request) (any, error) {
 	pl, err := e.compile(*req)
 	if err != nil {
@@ -28,6 +34,8 @@ func (e *Engine) predictScenario(req *Request) (any, error) {
 
 // scenarioPredictor assembles the device's predictor for a request:
 // calibrated kernel models plus the requested overhead database.
+//
+//lint:hotpath stop the device's asset assembly on a miss may format errors and concatenate keys
 func (e *Engine) scenarioPredictor(req Request) (*predict.Predictor, error) {
 	cal, err := e.Calibration(req.Device)
 	if err != nil {

@@ -51,6 +51,8 @@ type group struct {
 //
 // Callers that need executed-vs-joined accounting observe it through a
 // flag set inside fn: only the owner's closure runs.
+//
+//lint:hotpath stop a panicking flight's error is formatted, once per panic
 func (g *group) DoCtx(ctx context.Context, key string, fn func() (any, error)) (any, error) {
 	g.mu.Lock()
 	if g.calls == nil {

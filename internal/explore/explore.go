@@ -18,6 +18,16 @@
 // POST /v1/explore alike) and streams every Outcome into an Aggregator
 // — an incremental Pareto frontier, no O(n²) post-pass, memory
 // proportional to the frontier and the top-N table, not the grid.
+//
+// Grid expansions and frontier reports are identities and answers
+// compared across runs, so the package is held to the deterministic
+// analyzer (no wall clock, no global math/rand, no output in map
+// order); and a sweep runs under its caller's deadline, so it is held
+// to ctxflow too: minting a fresh context would detach it from the
+// deadline and from drain.
+//
+//lint:deterministic
+//lint:ctxflow
 package explore
 
 import (

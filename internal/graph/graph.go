@@ -195,6 +195,10 @@ func (g *Graph) InputMetas(dst []tensor.Meta, inputs []TensorID) []tensor.Meta {
 // keeps; the pool keeps it unless it is oversized for this walk's
 // busiest node. Breaking out of the loop early is allowed. It panics on
 // an unbound structure.
+//
+// Algorithm 1's walk over a bound view lists its launches here.
+//
+//lint:hotpath root
 func (g *Graph) Launches() iter.Seq2[*Node, []kernels.Kernel] {
 	if !g.bound() {
 		panic("graph: Launches on an unbound structure: bind a batch with WithBatch")
@@ -288,12 +292,16 @@ func (g *Graph) Validate() error {
 // nodeErrorf reports a structural fault at node n. The checks that call
 // it run on every bind; the formatting is kept out of them (it is a stop
 // of the hotpath analyzer) and runs only when one fails.
+//
+//lint:hotpath stop formats the fault of a bind check that failed
 func nodeErrorf(n *Node, format string, args ...any) error {
 	return fmt.Errorf("graph: node %d (%s) "+format, append([]any{n.ID, n.Op.Name()}, args...)...)
 }
 
 // unknownTensor formats the panic of a read past the shape table, a
 // stop of the hotpath analyzer like nodeErrorf.
+//
+//lint:hotpath stop formats the panic of a read past the shape table
 func unknownTensor(id TensorID) string {
 	return fmt.Sprintf("graph: unknown tensor %d", id)
 }
@@ -348,6 +356,10 @@ func (g *Graph) propagate() error {
 // read-only rule that follows) and owns its shape table, which a
 // released view lends it (see Release). It is always a new view, at
 // g's own batch too.
+//
+// It runs once per device graph of every result-cache miss.
+//
+//lint:hotpath root
 func (g *Graph) WithBatch(b int64) (*Graph, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err

@@ -21,11 +21,16 @@ type Model struct {
 	Params int64
 }
 
+// errBatch is the error of a batch size WithBatch refuses.
+//
+//lint:hotpath stop formats the error of a non-positive batch size
 func errBatch(b int64) error { return fmt.Errorf("models: batch size %d must be positive", b) }
 
 // WithBatch returns the model bound to batch size b: equal to building
 // it at b, but sharing m's graph structure (graph.Graph.WithBatch), so
 // both are read-only from then on. The graph is always a new view.
+//
+//lint:hotpath root
 func (m *Model) WithBatch(b int64) (*Model, error) {
 	if b <= 0 {
 		return nil, errBatch(b)

@@ -16,6 +16,13 @@
 // concurrently. The merge fixes every population's sample order to the
 // one a serial pass over the runs would give, so the database, means
 // included, does not depend on the number of goroutines.
+//
+// The database is an exported, gossiped asset whose Defaults pool
+// every op's samples, so the pooled order, and with it the
+// floating-point mean, must not be a map's: the package is held to the
+// deterministic analyzer.
+//
+//lint:deterministic
 package overhead
 
 import (

@@ -80,6 +80,11 @@ type Model struct {
 }
 
 // Predict returns the predicted time of k in µs.
+//
+// The walk reaches it through the KernelModel interface, which has no
+// static call edge, so it is a root by its own directive.
+//
+//lint:hotpath root
 func (m *Model) Predict(k *kernels.Kernel) float64 {
 	switch m.Form {
 	case FormEL:
@@ -269,6 +274,10 @@ func (r *Registry) Model(kind kernels.Kind) KernelModel { return r.models[kind] 
 
 // Predict returns the predicted time of k. It returns ErrNoModel if the
 // kind is not covered.
+//
+// It prices every kernel of every result-cache miss.
+//
+//lint:hotpath root
 func (r *Registry) Predict(k *kernels.Kernel) (float64, error) {
 	m, ok := r.models[k.Kind]
 	if !ok {
@@ -279,6 +288,8 @@ func (r *Registry) Predict(k *kernels.Kernel) (float64, error) {
 
 // noModel wraps ErrNoModel with the uncovered kind; it is off the
 // pricing path, which only reaches it for a kernel it cannot price.
+//
+//lint:hotpath stop wraps ErrNoModel for a kind the registry cannot price
 func noModel(kind kernels.Kind) error { return fmt.Errorf("%w %s", ErrNoModel, kind) }
 
 // Missing lists the kinds a calibration registers that r holds no model

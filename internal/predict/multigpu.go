@@ -119,6 +119,10 @@ func collectives(denseParams, embActBytes int64, n int, comm CommModel) (allRedu
 // collective runs (AllReduce and AllToAll are 0 at n = 1), so the
 // Prediction is Predict's and the efficiency 1. Plain data parallelism
 // is n copies of one graph.
+//
+// It prices every result-cache miss, one device or sharded.
+//
+//lint:hotpath root
 func (p *Predictor) PredictSharded(graphs []*graph.Graph, denseParams, embActBytes int64, comm CommModel) (MultiGPUPrediction, error) {
 	n := len(graphs)
 	if n < 1 {
@@ -149,6 +153,8 @@ func (p *Predictor) PredictSharded(graphs []*graph.Graph, denseParams, embActByt
 
 // deviceError wraps the error of device d's walk, a stop of the hotpath
 // analyzer like opError.
+//
+//lint:hotpath stop wraps the error of a device walk that failed
 func deviceError(d int, err error) error {
 	return fmt.Errorf("device %d: %w", d, err)
 }

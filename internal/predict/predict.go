@@ -61,6 +61,10 @@ const scheduleGranularity = 1.0
 // from the graph's pooled buffer, so a walk allocates nothing per op or
 // per launched kernel, and nothing at all once the pool holds a grown
 // buffer.
+//
+// It walks every device graph of every result-cache miss.
+//
+//lint:hotpath root
 func (p *Predictor) Predict(g *graph.Graph) (Prediction, error) {
 	var pr Prediction
 	cpu, gpu := 0.0, 0.0
@@ -107,6 +111,8 @@ func (p *Predictor) Predict(g *graph.Graph) (Prediction, error) {
 // opError wraps the error of a kernel the walk could not price. The walk
 // runs on every result-cache miss; the formatting is kept out of it (a
 // stop of the hotpath analyzer) and runs only when pricing fails.
+//
+//lint:hotpath stop wraps the error of a kernel the walk could not price
 func opError(op string, err error) error {
 	return fmt.Errorf("predict: op %s: %w", op, err)
 }

@@ -10,6 +10,13 @@
 // services can accept scenario names over the wire; the greedy
 // embedding-table sharding planner (sharding.go) turns a multi-device
 // Spec into balanced per-device table shards.
+//
+// Fingerprints and canonical encodings are cache identities and
+// cross-process routing keys, so the package is held to the
+// deterministic analyzer: no wall clock, no global math/rand, no
+// output in map order.
+//
+//lint:deterministic
 package scenario
 
 import (
@@ -115,6 +122,8 @@ func (s Spec) Validate() error {
 // encodings predict identically; Name is deliberately excluded. The
 // encoding is pinned: it keys every memoized graph and result, so
 // changing a byte invalidates warm-started caches.
+//
+//lint:hotpath root
 func (s *Spec) AppendCanonical(b []byte) []byte {
 	b = append(b, "w="...)
 	b = append(b, s.Workload...)
@@ -142,6 +151,8 @@ func (s *Spec) AppendCanonical(b []byte) []byte {
 // appendLowerASCII lower-cases s byte-wise while appending. Comm names
 // are ASCII by construction (predict.CommByName's switch), so this
 // matches strings.ToLower on every accepted input.
+//
+//lint:hotpath root
 func appendLowerASCII(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
@@ -158,6 +169,8 @@ func appendLowerASCII(b []byte, s string) []byte {
 // share fingerprints and memoized graphs. The skew renders with
 // strconv's shortest 'g' formatting, byte-identical to the fmt %g verb
 // the key historically used.
+//
+//lint:hotpath root
 func AppendTablesKey(b []byte, tables []workload.TableSpec) []byte {
 	for i, t := range tables {
 		if i > 0 {
@@ -193,6 +206,10 @@ func (s Spec) Fingerprint() string {
 // extended slice. The canonical encoding is hashed in place through
 // b's spare capacity, so a caller reusing a scratch buffer fingerprints
 // with zero allocations.
+//
+// It runs per request, under the engine's cache key.
+//
+//lint:hotpath root
 func (s *Spec) AppendFingerprint(b []byte) []byte {
 	b = append(b, s.Workload...)
 	b = append(b, "-b"...)

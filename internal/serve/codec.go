@@ -17,6 +17,10 @@ import (
 // in, so all three are rendered and parsed here by hand, with no
 // reflection, wherever that happens: WriteJSON/WriteResult,
 // DecodeRequest/DecodeBatch, and internal/client.
+// Every prediction row that crosses a socket, in either direction, on
+// a worker, a coordinator or a client, goes through the exported
+// encoders and parsers below, so each is a root of the hotpath
+// analyzer (//lint:hotpath root).
 //
 // The contract is differential, against encoding/json, which stays the
 // reference (codec_test.go and the three fuzz targets pin it):
@@ -50,6 +54,8 @@ type Rows []Result
 var ErrUnsupportedValue = errors.New("serve: a NaN or infinite float cannot be encoded as JSON")
 
 // AppendRequest appends r as json.Marshal renders it.
+//
+//lint:hotpath root
 func AppendRequest(dst []byte, r *Request) []byte {
 	dst = append(dst, '{')
 	dst = appendRequestFields(dst, r)
@@ -57,6 +63,8 @@ func AppendRequest(dst []byte, r *Request) []byte {
 }
 
 // AppendRequests appends the request list of a batch call.
+//
+//lint:hotpath root
 func AppendRequests(dst []byte, reqs []Request) []byte {
 	if reqs == nil {
 		return append(dst, "null"...)
@@ -73,6 +81,8 @@ func AppendRequests(dst []byte, reqs []Request) []byte {
 
 // AppendResult appends r as json.Marshal renders it: the embedded
 // request's fields first, then the result's own.
+//
+//lint:hotpath root
 func AppendResult(dst []byte, r *Result) ([]byte, error) {
 	for _, f := range [...]float64{r.E2EUs, r.ActiveUs, r.CPUUs, r.ScalingEfficiency, r.AllReduceUs, r.AllToAllUs, r.ShardImbalance} {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
@@ -96,12 +106,16 @@ func AppendResult(dst []byte, r *Result) ([]byte, error) {
 }
 
 // MarshalJSON renders the rows through AppendResult.
+//
+//lint:hotpath root
 func (rs Rows) MarshalJSON() ([]byte, error) {
 	return appendRows(make([]byte, 0, rowsSizeHint(len(rs))), rs)
 }
 
 // AppendReport appends rep as json.Marshal renders it: every field but
 // error is written, zero or not.
+//
+//lint:hotpath root
 func AppendReport(dst []byte, rep *Report) ([]byte, error) {
 	if math.IsNaN(rep.ElapsedMs) || math.IsInf(rep.ElapsedMs, 0) {
 		return dst, ErrUnsupportedValue
@@ -273,6 +287,8 @@ func appendString(dst []byte, s string) []byte {
 
 // UnmarshalRequest parses one request: the fast path if it accepts,
 // else json.Unmarshal.
+//
+//lint:hotpath root
 func UnmarshalRequest(data []byte) (Request, error) {
 	if r, ok := parseRequest(data); ok {
 		return r, nil
@@ -281,6 +297,8 @@ func UnmarshalRequest(data []byte) (Request, error) {
 }
 
 // UnmarshalResult parses one result row.
+//
+//lint:hotpath root
 func UnmarshalResult(data []byte) (Result, error) {
 	if r, ok := parseResult(data); ok {
 		return r, nil
@@ -289,6 +307,8 @@ func UnmarshalResult(data []byte) (Result, error) {
 }
 
 // UnmarshalRequests parses the request list of a batch call.
+//
+//lint:hotpath root
 func UnmarshalRequests(data []byte) ([]Request, error) {
 	if reqs, ok := parseRequests(data); ok {
 		return reqs, nil
@@ -297,6 +317,8 @@ func UnmarshalRequests(data []byte) ([]Request, error) {
 }
 
 // UnmarshalJSON replaces the rows with the parsed list.
+//
+//lint:hotpath root
 func (rs *Rows) UnmarshalJSON(data []byte) error {
 	rows, ok := parseRows(data)
 	if ok {
@@ -311,6 +333,8 @@ func (rs *Rows) UnmarshalJSON(data []byte) error {
 // UnmarshalReport parses a batch report. The report is built afresh:
 // nothing of a value the caller held before survives, whichever path
 // parsed it.
+//
+//lint:hotpath root
 func UnmarshalReport(data []byte) (Report, error) {
 	if rep, ok := parseReport(data); ok {
 		return rep, nil

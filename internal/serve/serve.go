@@ -24,6 +24,13 @@
 //	GET  /v1/scenarios      registered scenario names
 //	GET  /healthz           liveness (503 while draining)
 //	GET  /stats             admission/service/cache/asset counters
+//
+// Every request carries a deadline from admission to the backend
+// through the bounded queue, so the package is held to the ctxflow
+// analyzer: minting a fresh context would detach work from the
+// caller's deadline and from SIGTERM drain.
+//
+//lint:ctxflow
 package serve
 
 import (
@@ -196,6 +203,10 @@ func (s *Server) worker() {
 // job's context already carries the effective deadline (applied at
 // admission), so a request that spent its whole budget queued fails
 // fast inside the engine instead of computing past its deadline.
+//
+// Every admitted request is served here.
+//
+//lint:hotpath root
 func (s *Server) serveOne(j *job) Result {
 	start := time.Now()
 	pr := s.cfg.Backend.PredictContext(j.ctx, j.req.ToPredict())
@@ -229,6 +240,10 @@ func (s *Server) requestContext(ctx context.Context, req Request) (context.Conte
 // context error if the caller expires first (counted as a canceled
 // admission, distinct from queue-full: the client gave up, which can
 // happen even with queue space free).
+//
+// Every request, shed or served, is admitted here.
+//
+//lint:hotpath root
 func (s *Server) admit(ctx context.Context, req Request, wait bool) (Result, error) {
 	s.received.Add(1)
 	s.admitMu.Lock()
@@ -400,6 +415,10 @@ func (s *Server) retryAfterHint() time.Duration {
 	return min(max(s.q.drainEstimate(s.cfg.Workers), MinRetryAfter), MaxRetryAfter)
 }
 
+// handlePredict serves POST /v1/predict on the non-blocking admission
+// path: every single-row request, shed or served.
+//
+//lint:hotpath root
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	req, ok := DecodeRequest(w, r)
 	if !ok {
@@ -413,6 +432,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	WriteResult(w, &res)
 }
 
+// handleBatch serves POST /v1/predict/batch on the blocking admission
+// path: every row of every batch call.
+//
+//lint:hotpath root
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if reqs, ok := DecodeBatch(w, r); ok {
 		WriteJSON(w, http.StatusOK, s.Run(r.Context(), reqs))

@@ -70,6 +70,10 @@ type Result struct {
 }
 
 // resultFrom flattens a facade result into the wire row.
+//
+// Every served row is flattened here.
+//
+//lint:hotpath root
 func resultFrom(req Request, res dlrmperf.PredictResult) Result {
 	row := Result{Request: req}
 	if res.Err != nil {
@@ -272,6 +276,10 @@ func Refusal(status int, code, message string) *StatusError {
 // own status and envelope, or 500 internal for an error that holds
 // none. A 429 or a 503 carries Retry-After: its own hint, or tierHint,
 // the answering tier's adaptive one, when it has none.
+//
+// Every shed request is answered through it.
+//
+//lint:hotpath root
 func WriteError(w http.ResponseWriter, err error, tierHint time.Duration) {
 	var se *StatusError
 	if !errors.As(err, &se) {
@@ -315,6 +323,8 @@ type AssetPush struct {
 // *Report go through the row codec; every other document (stats,
 // health, scenario lists, explore reports, acknowledgements) through
 // encoding/json.
+//
+//lint:hotpath root
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	buf := GetBuffer()
 	defer buf.Release()
@@ -332,6 +342,8 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 
 // WriteResult answers 200 with one row. It is WriteJSON for the hot
 // case, typed so that the row is not boxed on its way out.
+//
+//lint:hotpath root
 func WriteResult(w http.ResponseWriter, row *Result) {
 	buf := GetBuffer()
 	defer buf.Release()
@@ -434,6 +446,8 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
 // priority class with 400 bad_priority — before any request counter
 // moves, on the worker and the coordinator alike, so a request one
 // layer would refuse never travels to the next.
+//
+//lint:hotpath root
 func DecodeRequest(w http.ResponseWriter, r *http.Request) (req Request, ok bool) {
 	buf, ok := readBody(w, r)
 	if !ok {
@@ -454,6 +468,8 @@ func DecodeRequest(w http.ResponseWriter, r *http.Request) (req Request, ok bool
 
 // DecodeBatch reads a POST /v1/predict/batch body: a non-empty list of
 // at most MaxBatch rows, every row in a known priority class.
+//
+//lint:hotpath root
 func DecodeBatch(w http.ResponseWriter, r *http.Request) (reqs []Request, ok bool) {
 	buf, ok := readBody(w, r)
 	if !ok {
@@ -480,6 +496,8 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request) (reqs []Request, ok boo
 
 // rejectBatch answers a refused batch body with its 400 envelope. It
 // formats the message of a check that failed, off the steady-state path.
+//
+//lint:hotpath stop formats the message of a refused batch body
 func rejectBatch(w http.ResponseWriter, code, format string, args ...any) (ok bool) {
 	WriteError(w, Refusal(http.StatusBadRequest, code, fmt.Sprintf(format, args...)), 0)
 	return false
@@ -500,6 +518,10 @@ const (
 // sub-second adaptive hint as "0" (retry immediately) and shave up to
 // a second off every fractional one, undercutting the backoff the
 // hint exists to request.
+//
+// It renders the hint of every shed request.
+//
+//lint:hotpath root
 func RetryAfterSeconds(d time.Duration) string {
 	secs := int((d + time.Second - 1) / time.Second)
 	if secs < 1 {
@@ -527,6 +549,8 @@ func NewReport(results []Result, elapsed time.Duration) *Report {
 
 // allRequestsFailed formats the report error of a batch with no
 // surviving row, off the steady-state path.
+//
+//lint:hotpath stop formats the error of a batch with no surviving row
 func allRequestsFailed(failed int, first string) *ReportError {
 	return &ReportError{
 		Code:    "all_requests_failed",

@@ -190,53 +190,6 @@ func AbsRelErr(pred, actual float64) float64 {
 	return math.Abs(RelErr(pred, actual))
 }
 
-// GMAE returns the geometric mean of the absolute relative errors of the
-// prediction/actual pairs, the headline kernel-model metric in Table IV.
-// Pairs with non-positive actual values are skipped.
-func GMAE(pred, actual []float64) float64 {
-	if len(pred) != len(actual) {
-		panic("stats: GMAE length mismatch")
-	}
-	errs := make([]float64, 0, len(pred))
-	for i := range pred {
-		if actual[i] <= 0 {
-			continue
-		}
-		errs = append(errs, AbsRelErr(pred[i], actual[i]))
-	}
-	return Geomean(errs)
-}
-
-// MeanAbsRelErr returns the arithmetic mean of absolute relative errors.
-func MeanAbsRelErr(pred, actual []float64) float64 {
-	if len(pred) != len(actual) {
-		panic("stats: MeanAbsRelErr length mismatch")
-	}
-	errs := make([]float64, 0, len(pred))
-	for i := range pred {
-		if actual[i] <= 0 {
-			continue
-		}
-		errs = append(errs, AbsRelErr(pred[i], actual[i]))
-	}
-	return Mean(errs)
-}
-
-// StdAbsRelErr returns the standard deviation of absolute relative errors.
-func StdAbsRelErr(pred, actual []float64) float64 {
-	if len(pred) != len(actual) {
-		panic("stats: StdAbsRelErr length mismatch")
-	}
-	errs := make([]float64, 0, len(pred))
-	for i := range pred {
-		if actual[i] <= 0 {
-			continue
-		}
-		errs = append(errs, AbsRelErr(pred[i], actual[i]))
-	}
-	return Std(errs)
-}
-
 // ErrorSummary bundles the three error statistics reported per kernel and
 // per platform in Table IV.
 type ErrorSummary struct {
@@ -246,14 +199,23 @@ type ErrorSummary struct {
 	N    int
 }
 
-// Summarize computes an ErrorSummary over prediction/actual pairs.
+// Summarize computes an ErrorSummary over prediction/actual pairs:
+// the geometric mean (GMAE, the headline kernel-model metric in Table
+// IV), the mean and the standard deviation of their absolute relative
+// errors. Pairs with non-positive actual values are skipped; N counts
+// every pair. It panics if the slices differ in length.
 func Summarize(pred, actual []float64) ErrorSummary {
-	return ErrorSummary{
-		GMAE: GMAE(pred, actual),
-		Mean: MeanAbsRelErr(pred, actual),
-		Std:  StdAbsRelErr(pred, actual),
-		N:    len(pred),
+	if len(pred) != len(actual) {
+		panic("stats: Summarize length mismatch")
 	}
+	errs := make([]float64, 0, len(pred))
+	for i := range pred {
+		if actual[i] <= 0 {
+			continue
+		}
+		errs = append(errs, AbsRelErr(pred[i], actual[i]))
+	}
+	return ErrorSummary{GMAE: Geomean(errs), Mean: Mean(errs), Std: Std(errs), N: len(pred)}
 }
 
 // Series summarizes a plain sample set with the fields plotted in the

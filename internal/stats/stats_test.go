@@ -172,7 +172,7 @@ func TestRelErr(t *testing.T) {
 
 func TestGMAEPerfectPrediction(t *testing.T) {
 	pred := []float64{1, 2, 3}
-	if got := GMAE(pred, pred); got > 1e-10 {
+	if got := Summarize(pred, pred).GMAE; got > 1e-10 {
 		t.Errorf("GMAE of perfect prediction = %v, want ~0", got)
 	}
 }
@@ -180,28 +180,31 @@ func TestGMAEPerfectPrediction(t *testing.T) {
 func TestGMAEKnownValue(t *testing.T) {
 	pred := []float64{110, 121}
 	actual := []float64{100, 110}
-	got := GMAE(pred, actual)
+	got := Summarize(pred, actual).GMAE
 	if !almost(got, 0.1, 1e-3) {
 		t.Errorf("GMAE = %v, want ~0.1", got)
 	}
 }
 
 func TestGMAESkipsNonPositiveActuals(t *testing.T) {
-	pred := []float64{5, 110}
-	actual := []float64{0, 100}
-	got := GMAE(pred, actual)
-	if !almost(got, 0.1, 1e-9) {
-		t.Errorf("GMAE = %v, want 0.1 (zero-actual pair skipped)", got)
+	pred := []float64{5, 110, 130}
+	actual := []float64{0, 100, -1}
+	s := Summarize(pred, actual)
+	if !almost(s.GMAE, 0.1, 1e-9) || !almost(s.Mean, 0.1, 1e-9) || s.Std != 0 {
+		t.Errorf("Summarize = %+v, want GMAE = mean = 0.1 and std 0 (non-positive-actual pairs skipped)", s)
+	}
+	if s.N != 3 {
+		t.Errorf("N = %d, want 3: every pair counts", s.N)
 	}
 }
 
 func TestGMAELengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("mismatched GMAE did not panic")
+			t.Fatal("mismatched Summarize did not panic")
 		}
 	}()
-	GMAE([]float64{1}, []float64{1, 2})
+	Summarize([]float64{1}, []float64{1, 2})
 }
 
 func TestSummarize(t *testing.T) {
