@@ -239,16 +239,23 @@ func BenchmarkPredictSingleCached(b *testing.B) {
 // and walks Algorithm 1; none builds a node or an op. The 4-GPU cases
 // shard DLRM_default's uniform tables into four identical shards (one
 // bound view) and DLRM_MLPerf's mixed ones into four distinct shards
-// (a view each). Its allocs/op is the miss path's bound in CI.
+// (a view each). The mixed case is a stream of families: every tenth
+// walk is resnet50, inception_v3 or Transformer in turn, the rest
+// DLRM_default, so the walk's pooled kernel buffer and shape table meet
+// a larger family and then a smaller one again. Its allocs/op is the
+// miss path's bound in CI.
 func BenchmarkPredictNovelBatch(b *testing.B) {
 	for _, c := range []struct {
 		name     string
 		workload string
 		gpus     int
+		// others, when set, takes every tenth walk in turn.
+		others []string
 	}{
-		{"gpus=1", DLRMDefault, 1},
-		{"gpus=4", DLRMDefault, 4},
-		{"mlperf/gpus=4", DLRMMLPerf, 4},
+		{"gpus=1", DLRMDefault, 1, nil},
+		{"gpus=4", DLRMDefault, 4, nil},
+		{"mlperf/gpus=4", DLRMMLPerf, 4, nil},
+		{"mixed", DLRMDefault, 1, []string{ResNet50, InceptionV3, Transformer}},
 	} {
 		eng, err := NewEngineWith(fastEngineConfig(V100))
 		if err != nil {
@@ -259,14 +266,22 @@ func BenchmarkPredictNovelBatch(b *testing.B) {
 		// a batch an earlier run left in the result cache.
 		req := PredictRequest{Workload: c.workload, Batch: 4096, Device: V100, GPUs: c.gpus}
 		b.Run(c.name, func(b *testing.B) {
-			if res := eng.Predict(req); res.Err != nil { // warm assets and the structures
-				b.Fatal(res.Err)
+			for _, w := range append([]string{c.workload}, c.others...) { // warm assets and the structures
+				warm := req
+				warm.Workload = w
+				if res := eng.Predict(warm); res.Err != nil {
+					b.Fatal(res.Err)
+				}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				req.Batch += 4
-				if res := eng.Predict(req); res.Err != nil || res.CacheHit {
-					b.Fatalf("batch %d: err %v, cache hit %v", req.Batch, res.Err, res.CacheHit)
+				r := req
+				if len(c.others) > 0 && i%10 == 9 {
+					r.Workload = c.others[i/10%len(c.others)]
+				}
+				if res := eng.Predict(r); res.Err != nil || res.CacheHit {
+					b.Fatalf("%s batch %d: err %v, cache hit %v", r.Workload, r.Batch, res.Err, res.CacheHit)
 				}
 			}
 		})

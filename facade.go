@@ -10,8 +10,9 @@ import (
 // coordinator's pass-through. A resident entry returns hit=true
 // without invoking fetch; otherwise fetch runs exactly once among
 // identical concurrent requests (the engine's singleflight) and its
-// value — opaque to the engine, e.g. a worker's wire result row — is
-// stored under the request's identity. A request with no identity
+// value — opaque to the engine, e.g. the coordinator's answer taken
+// from a worker's wire result row — is stored under the request's
+// identity. A request with no identity
 // (Resolve fails: unknown scenario name, malformed width, a spec that
 // does not validate) is never cached or served from cache: fetch runs
 // uncached, so the remote worker owns the verdict and its rejection

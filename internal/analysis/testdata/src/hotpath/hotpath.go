@@ -25,6 +25,7 @@ func PredictHot(id int, name string) string {
 	const prefix = "k" + "/" // constant-folded concat is free: not flagged
 	_ = prefix
 	_ = describe[int](id)
+	_ = (&box[int]{v: id}).describe()
 	for v := range labels(id) {
 		_ = v
 	}
@@ -47,6 +48,15 @@ func labels(n int) iter.Seq[string] {
 // describe is reached through an explicit instantiation, f[T](x).
 func describe[T any](v T) string {
 	return fmt.Sprint(v) // want `fmt\.Sprint in describe`
+}
+
+// box is a generic type: a call to its method resolves to an
+// instantiated method, which the walk must map back to the declaration.
+type box[T any] struct{ v T }
+
+// describe is reached through the instantiated method (*box[int]).describe.
+func (b *box[T]) describe() string {
+	return fmt.Sprint(b.v) // want `fmt\.Sprint in box\.describe`
 }
 
 // buildKey is reachable from PredictHot, so all four allocating

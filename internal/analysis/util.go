@@ -38,7 +38,8 @@ func pkgCall(info *types.Info, call *ast.CallExpr, pkgPath string) (string, bool
 // calleeFunc resolves the *types.Func a call statically dispatches to,
 // or nil for builtins, conversions, and indirect calls through
 // function values. An explicitly instantiated generic function
-// (f[T](x)) resolves to its declaration.
+// (f[T](x)) and a method of an instantiated generic type (b.m() on a
+// *box[int]) resolve to their declarations.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	callee := unparen(call.Fun)
 	switch inst := callee.(type) {
@@ -57,7 +58,10 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return nil
 	}
 	fn, _ := obj.(*types.Func)
-	return fn
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
 }
 
 // funcDisplayName renders a *types.Func the way findings spell it:

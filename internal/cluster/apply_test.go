@@ -166,8 +166,8 @@ func FuzzPeerApply(f *testing.F) {
 		if !ok {
 			t.Fatalf("accepted row for %+v is not resident", *e.Request)
 		}
-		if got := v.(serve.Result); !reflect.DeepEqual(got, *e.Row) {
-			t.Fatalf("resident row %+v, installed %+v", got, *e.Row)
+		if got, want := v.(answer), answerOf(e.Row); got != want {
+			t.Fatalf("resident answer %+v, installed %+v", got, want)
 		}
 	})
 }

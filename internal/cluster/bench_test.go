@@ -34,9 +34,9 @@ func BenchmarkCoordinatorHit(b *testing.B) {
 	}
 	coord := New(Config{Registry: NewRegistry(0), Cache: cache})
 	req := serve.Request{Workload: "DLRM_default", Batch: 512, Device: "V100"}
-	cache.InstallRemoteResult(req.ToPredict(), serve.Result{
+	cache.InstallRemoteResult(req.ToPredict(), answerOf(&serve.Result{
 		Request: req, E2EUs: 10234.567891234567, ActiveUs: 9876.54321987654, CPUUs: 8765.432198765432, GPUsUsed: 1, ScalingEfficiency: 1,
-	})
+	}))
 	data := serve.AppendRequest(nil, &req)
 	body := &replayBody{}
 	r, err := http.NewRequest(http.MethodPost, "/v1/predict", body)
@@ -81,9 +81,9 @@ func BenchmarkCoordinatorBatchHit(b *testing.B) {
 	reqs := make([]serve.Request, 64)
 	for i := range reqs {
 		reqs[i] = serve.Request{Workload: "DLRM_default", Batch: int64(512 + i), Device: "V100"}
-		cache.InstallRemoteResult(reqs[i].ToPredict(), serve.Result{
+		cache.InstallRemoteResult(reqs[i].ToPredict(), answerOf(&serve.Result{
 			Request: reqs[i], E2EUs: 10234.567891234567 + float64(i), ActiveUs: 9876.54321987654, CPUUs: 8765.432198765432, GPUsUsed: 1, ScalingEfficiency: 1,
-		})
+		}))
 	}
 	data := serve.AppendRequests(nil, reqs)
 	body := &replayBody{}

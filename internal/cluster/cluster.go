@@ -53,6 +53,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"dlrmperf"
 	"dlrmperf/internal/client"
@@ -62,16 +63,19 @@ import (
 
 // ResultCache is the coordinator's pass-through cache surface —
 // implemented by *dlrmperf.Engine — narrowed to an interface so tests
-// can substitute or disable it. It has three methods. RemoteResult is
-// the read-through: a resident row, or one fetch shared by identical
-// concurrent requests and stored under the request's identity.
-// ResidentResult is its resident-only half — the batch path asks it for
-// every row of a call before any row is sent, and a row it does not
-// have moves no counter. InstallRemoteResult seeds an entry without
-// executing a fetch — the replication ingest path, so a result fetched
-// through ANY peer coordinator is a local hit here on the next repeat
-// of the same scenario fingerprint — and reports whether it installed:
-// a row for a request no worker would serve is refused.
+// can substitute or disable it. The coordinator caches answers, not
+// rows: every value it stores is an answer, what a hit returns of a
+// worker's row besides the request envelope, which each hit re-stamps.
+// It has three methods. RemoteResult is the read-through: a resident
+// answer, or one fetch shared by identical concurrent requests and
+// stored under the request's identity. ResidentResult is its
+// resident-only half — the batch path asks it for every row of a call
+// before any row is sent, and a row it does not have moves no counter.
+// InstallRemoteResult seeds an entry without executing a fetch — the
+// replication ingest path, so a result fetched through ANY peer
+// coordinator is a local hit here on the next repeat of the same
+// scenario fingerprint — and reports whether it installed: a row for a
+// request no worker would serve is refused.
 type ResultCache interface {
 	RemoteResult(ctx context.Context, req dlrmperf.PredictRequest, fetch func() (any, error)) (v any, hit bool, err error)
 	ResidentResult(req dlrmperf.PredictRequest) (v any, ok bool)
@@ -132,6 +136,60 @@ var ErrDraining = serve.Refusal(http.StatusServiceUnavailable, "draining", "clus
 type rowError struct{ row serve.Result }
 
 func (e rowError) Error() string { return e.row.Error }
+
+// answer is what the pass-through cache keeps of a worker's row: every
+// field a hit returns besides the Request envelope it re-stamps, the
+// worker's CacheHit and QueueWaitUs included. A failed row is never
+// cached, so there is no Error either. It is a third of a row's size.
+type answer struct {
+	e2eUs             float64
+	activeUs          float64
+	cpuUs             float64
+	gpusUsed          int
+	scalingEfficiency float64
+	allReduceUs       float64
+	allToAllUs        float64
+	shardImbalance    float64
+	cacheHit          bool
+	queueWaitUs       int64
+}
+
+// answerOf takes the answer out of a successful worker row.
+func answerOf(row *serve.Result) answer {
+	return answer{
+		e2eUs:             row.E2EUs,
+		activeUs:          row.ActiveUs,
+		cpuUs:             row.CPUUs,
+		gpusUsed:          row.GPUsUsed,
+		scalingEfficiency: row.ScalingEfficiency,
+		allReduceUs:       row.AllReduceUs,
+		allToAllUs:        row.AllToAllUs,
+		shardImbalance:    row.ShardImbalance,
+		cacheHit:          row.CacheHit,
+		queueWaitUs:       row.QueueWaitUs,
+	}
+}
+
+// row rebuilds the wire row under req's envelope.
+func (a answer) row(req serve.Request) serve.Result {
+	return serve.Result{
+		Request:           req,
+		E2EUs:             a.e2eUs,
+		ActiveUs:          a.activeUs,
+		CPUUs:             a.cpuUs,
+		GPUsUsed:          a.gpusUsed,
+		ScalingEfficiency: a.scalingEfficiency,
+		AllReduceUs:       a.allReduceUs,
+		AllToAllUs:        a.allToAllUs,
+		ShardImbalance:    a.shardImbalance,
+		CacheHit:          a.cacheHit,
+		QueueWaitUs:       a.queueWaitUs,
+	}
+}
+
+// ApproxBytes is the answer's resident size, by which the engine's
+// result store meters it.
+func (a answer) ApproxBytes() int64 { return int64(unsafe.Sizeof(a)) }
 
 // Coordinator routes client requests across the registry's workers.
 type Coordinator struct {
@@ -239,7 +297,7 @@ func (c *Coordinator) predict(ctx context.Context, req serve.Request, blocking b
 		if row.Error != "" {
 			return nil, rowError{row}
 		}
-		return row, nil
+		return answerOf(&row), nil
 	}
 	v, hit, err := c.cfg.Cache.RemoteResult(ctx, req.ToPredict(), fetch)
 	if err != nil {
@@ -251,26 +309,23 @@ func (c *Coordinator) predict(ctx context.Context, req serve.Request, blocking b
 		}
 		return serve.Result{}, err
 	}
-	row := v.(serve.Result)
-	if !hit {
-		// This caller executed the fetch (hit covers both cache reads and
-		// flight joins), so it is the one copy of the result that peers
-		// don't have yet. The fetch WAS the origin's apply — RemoteResult
-		// cached the row here — so only the replication is left: the RAW
-		// row, pre-re-stamp, so every coordinator caches the same value a
-		// repeat would fetch. Copies, because the entry's pointers escape:
-		// pointing at req itself would heap-allocate it on every call, hits
-		// included.
-		origin, raw := req, row
-		c.replicate(entry{Request: &origin, Row: &raw})
-	}
-	// The cached value carries the envelope of whichever request first
-	// fetched it; re-stamp this caller's own.
-	row.Request = req
+	// The cached answer carries no envelope; this caller's own goes on.
+	row := v.(answer).row(req)
 	if hit {
 		c.localHits.Add(1)
 		row.CacheHit = true
+		return row, nil
 	}
+	// This caller executed the fetch (hit covers both cache reads and
+	// flight joins), so it is the one copy of the result that peers don't
+	// have yet. The fetch WAS the origin's apply — RemoteResult cached the
+	// answer here — so only the replication is left: the worker's row as
+	// fetched, the answer under the request the worker echoed, so every
+	// coordinator caches the same answer a repeat would fetch. Copies,
+	// because the entry's pointers escape: pointing at req itself would
+	// heap-allocate it on every call, hits included.
+	origin, raw := req, row
+	c.replicate(entry{Request: &origin, Row: &raw})
 	return row, nil
 }
 
@@ -447,7 +502,7 @@ func (c *Coordinator) plan(ctx context.Context, reqs []serve.Request, out []serv
 		req := &reqs[i]
 		if !draining {
 			if v, ok := c.cfg.Cache.ResidentResult(req.ToPredict()); ok {
-				out[i] = c.localHit(v.(serve.Result), req)
+				out[i] = c.localHit(v.(answer), req)
 				continue
 			}
 		}
@@ -475,15 +530,16 @@ func (c *Coordinator) plan(ctx context.Context, reqs []serve.Request, out []serv
 	return miss, sends
 }
 
-// localHit answers one planned row from the cached value v: the row's
+// localHit answers one planned row from the cached answer a: the row's
 // own admission, its own envelope, one local hit.
-func (c *Coordinator) localHit(row serve.Result, req *serve.Request) serve.Result {
+func (c *Coordinator) localHit(a answer, req *serve.Request) serve.Result {
 	if err := c.admit(); err != nil {
 		return serve.Result{Request: *req, Error: err.Error()}
 	}
 	c.inflight.Done() // nothing of a hit stays in flight
 	c.localHits.Add(1)
-	row.Request, row.CacheHit = *req, true
+	row := a.row(*req)
+	row.CacheHit = true
 	return row
 }
 

@@ -186,7 +186,7 @@ func (c *Coordinator) apply(e entry) (changed bool, err error) {
 		if e.Row.Error != "" {
 			return false, nil // a failed row: never cached
 		}
-		if !c.cfg.Cache.InstallRemoteResult(e.Request.ToPredict(), *e.Row) {
+		if !c.cfg.Cache.InstallRemoteResult(e.Request.ToPredict(), answerOf(e.Row)) {
 			return false, errors.New("result row for a request no worker would serve")
 		}
 		c.peerResultsInstalled.Add(1)

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"container/list"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -101,22 +101,31 @@ func (s AssetStats) Class(name string) ClassStats {
 // cycles through probation without flushing the entries that earned a
 // second use. Probation may fill whatever protected leaves unused. Both
 // segments share one recency list, protected in front: the boundary is
-// the first probationary element, so promotion and demotion move no
-// element and allocate nothing. Values are immutable once stored, so a
-// reader holding an evicted value stays correct; eviction only bounds
-// residency.
+// the first probationary entry, so promotion and demotion move no
+// entry and allocate nothing. Each entry carries its own list links,
+// so a stored entry is one allocation. The index is rebuilt at its
+// live size once the deletions since the last rebuild exceed twice
+// that size: Go's swiss map keeps the tombstones of deleted keys, so a
+// class that evicts on every put would otherwise see its index double
+// and double again under churn (512 live keys take 27 KB fresh, 55 KB
+// after 5k evicting puts and 109 KB from 400k on). Values are
+// immutable once stored, so a reader holding an evicted value stays
+// correct; eviction only bounds residency.
 type classStore struct {
 	mu sync.Mutex
 	// cap bounds resident entries of a class that is not pinned.
 	cap int
 	// pinned disables eviction entirely (calibrations).
 	pinned bool
-	ll     *list.List
-	items  map[string]*list.Element
-	bytes  int64
-	// probation is the first probationary element of ll (nil when the
-	// segment is empty); protected counts the elements before it.
-	probation *list.Element
+	// head and tail are the ends of the recency list.
+	head, tail *storeEntry
+	items      map[string]*storeEntry
+	// deleted counts index deletions since items was last rebuilt.
+	deleted int
+	bytes   int64
+	// probation is the first probationary entry (nil when the segment
+	// is empty); protected counts the entries before it.
+	probation *storeEntry
 	protected int
 
 	hits      atomic.Uint64
@@ -124,18 +133,48 @@ type classStore struct {
 	evictions atomic.Uint64
 }
 
+// storeEntry is one resident entry and its links in the recency list.
 type storeEntry struct {
-	key       string
-	val       any
-	bytes     int64
-	protected bool
+	prev, next *storeEntry
+	key        string
+	val        any
+	bytes      int64
+	protected  bool
 }
 
 func newClassStore(capacity int, pinned bool) *classStore {
-	return &classStore{
-		cap: capacity, pinned: pinned,
-		ll: list.New(), items: map[string]*list.Element{},
+	return &classStore{cap: capacity, pinned: pinned, items: map[string]*storeEntry{}}
+}
+
+// link puts e in the recency list just before at, or at the tail when
+// at is nil.
+func (c *classStore) link(e, at *storeEntry) {
+	e.next = at
+	if at == nil {
+		e.prev, c.tail = c.tail, e
+	} else {
+		e.prev, at.prev = at.prev, e
 	}
+	if e.prev == nil {
+		c.head = e
+	} else {
+		e.prev.next = e
+	}
+}
+
+// cut takes e out of the recency list.
+func (c *classStore) cut(e *storeEntry) {
+	if e.prev == nil {
+		c.head = e.next
+	} else {
+		e.prev.next = e.next
+	}
+	if e.next == nil {
+		c.tail = e.prev
+	} else {
+		e.next.prev = e.prev
+	}
+	e.prev, e.next = nil, nil
 }
 
 // get returns the stored value and records the use (touch). It does not
@@ -144,11 +183,11 @@ func newClassStore(capacity int, pinned bool) *classStore {
 func (c *classStore) get(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	e, ok := c.items[key]
 	if !ok {
 		return nil, false
 	}
-	return c.touch(el), true
+	return c.touch(e), true
 }
 
 // getBytes is get keyed by a scratch byte buffer. The map index uses
@@ -160,33 +199,35 @@ func (c *classStore) get(key string) (any, bool) {
 func (c *classStore) getBytes(key []byte) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[string(key)]
+	e, ok := c.items[string(key)]
 	if !ok {
 		return nil, false
 	}
-	return c.touch(el), true
+	return c.touch(e), true
 }
 
-// touch records a hit on el and returns its value: a probationary entry
+// touch records a hit on e and returns its value: a probationary entry
 // is promoted, a protected one refreshed, and when a promotion puts
 // protected over its cap*4/5 share its least recent entry (the one just
 // before the boundary) becomes the head of probation where it stands.
-func (c *classStore) touch(el *list.Element) any {
-	e := el.Value.(*storeEntry)
+func (c *classStore) touch(e *storeEntry) any {
 	if !e.protected {
-		if el == c.probation {
-			c.probation = el.Next()
+		if e == c.probation {
+			c.probation = e.next
 		}
 		e.protected = true
 		c.protected++
 	}
-	c.ll.MoveToFront(el)
+	if e != c.head {
+		c.cut(e)
+		c.link(e, c.head)
+	}
 	if c.protected > c.cap*4/5 {
-		last := c.ll.Back()
+		last := c.tail
 		if c.probation != nil {
-			last = c.probation.Prev()
+			last = c.probation.prev
 		}
-		last.Value.(*storeEntry).protected = false
+		last.protected = false
 		c.protected--
 		c.probation = last
 	}
@@ -202,41 +243,41 @@ func (c *classStore) touch(el *list.Element) any {
 func (c *classStore) put(key string, v any, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*storeEntry)
+	if e, ok := c.items[key]; ok {
 		c.bytes += bytes - e.bytes
 		e.val, e.bytes = v, bytes
 		return
 	}
 	e := &storeEntry{key: key, val: v, bytes: bytes}
-	if c.probation != nil {
-		c.probation = c.ll.InsertBefore(e, c.probation)
-	} else {
-		c.probation = c.ll.PushBack(e)
-	}
-	c.items[key] = c.probation
+	c.link(e, c.probation)
+	c.probation = e
+	c.items[key] = e
 	c.bytes += bytes
 	if c.pinned {
 		return
 	}
-	for c.ll.Len() > c.cap {
-		c.unlink(c.ll.Back())
+	for len(c.items) > c.cap {
+		c.unlink(c.tail)
 		c.evictions.Add(1)
+	}
+	if c.deleted > 2*len(c.items) {
+		c.items = maps.Clone(c.items)
+		c.deleted = 0
 	}
 }
 
-// unlink removes el's entry from the list, the index and the byte
-// total, keeping the segment boundary and the protected count.
-func (c *classStore) unlink(el *list.Element) {
-	e := el.Value.(*storeEntry)
-	if el == c.probation {
-		c.probation = el.Next()
+// unlink removes e from the list, the index and the byte total,
+// keeping the segment boundary and the protected count.
+func (c *classStore) unlink(e *storeEntry) {
+	if e == c.probation {
+		c.probation = e.next
 	}
 	if e.protected {
 		c.protected--
 	}
-	c.ll.Remove(el)
+	c.cut(e)
 	delete(c.items, e.key)
+	c.deleted++
 	c.bytes -= e.bytes
 }
 
@@ -245,8 +286,8 @@ func (c *classStore) unlink(el *list.Element) {
 func (c *classStore) release(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.unlink(el)
+	if e, ok := c.items[key]; ok {
+		c.unlink(e)
 	}
 }
 
@@ -255,8 +296,8 @@ func (c *classStore) snapshot() map[string]any {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make(map[string]any, len(c.items))
-	for k, el := range c.items {
-		out[k] = el.Value.(*storeEntry).val
+	for k, e := range c.items {
+		out[k] = e.val
 	}
 	return out
 }
@@ -264,7 +305,7 @@ func (c *classStore) snapshot() map[string]any {
 // stats returns the class's observable state under one lock acquisition.
 func (c *classStore) stats(name string) ClassStats {
 	c.mu.Lock()
-	resident, bytes := c.ll.Len(), c.bytes
+	resident, bytes := len(c.items), c.bytes
 	c.mu.Unlock()
 	return ClassStats{
 		Class: name, Resident: resident, Capacity: c.cap, Bytes: bytes,
@@ -325,17 +366,26 @@ const sampleBytes = 8
 // result is not charged for its plan: it shares its shape's.
 const shardBytes, tableSpecBytes = 48, 24
 
+// sizer is a stored value that meters itself. A value the engine cannot
+// name — a coordinator's cached answer, stored through RemoteResult or
+// InstallRemoteResult — reports its own size here instead of being
+// charged approxBytes' fallback.
+type sizer interface {
+	ApproxBytes() int64
+}
+
 // approxBytes estimates the resident footprint of one asset. The
 // numbers are deliberately rough — they meter relative pressure, not
 // allocator truth — but scale with the dominant payload of each type:
 // iteration spans and per-op device times for measured runs, samples
 // for profiled ones, per-op stats for overhead DBs, a structure's
 // slices and op values for graphs (graph.Graph.Bytes), plan and shards
-// for scenario shapes, fitted network parameters for calibrations. An
-// asset is metered once, when it is stored.
+// for scenario shapes, fitted network parameters for calibrations, and
+// its own report for a sizer. An asset is metered once, when it is
+// stored.
 func approxBytes(v any) int64 {
 	const (
-		ptrOverhead     = 48  // map/list bookkeeping per entry
+		ptrOverhead     = 48  // the entry, its links and its index slot
 		statsBytes      = 32  // overhead.Stats + map key share
 		deviceTimeBytes = 24  // a sim.Result.DeviceTime entry: name header + µs
 		modelBytes      = 128 // a kernel model's own fields
@@ -389,6 +439,8 @@ func approxBytes(v any) int64 {
 			n += int64(shardBytes + len(s.key) + (tableSpecBytes+8)*len(s.tables))
 		}
 		return n
+	case sizer:
+		return ptrOverhead + t.ApproxBytes()
 	}
 	return fallbackSize
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"container/list"
 	"reflect"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -240,7 +241,7 @@ func TestClassStoreHitAllocatesNothing(t *testing.T) {
 				c.put("k", 1, 1)
 			},
 			want: func(c *classStore) bool {
-				return c.protected == 4 && c.probation != nil && c.probation.Value.(*storeEntry).key == "p1"
+				return c.protected == 4 && c.probation != nil && c.probation.key == "p1"
 			},
 		},
 	}
@@ -269,6 +270,46 @@ func TestClassStoreHitAllocatesNothing(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestClassStoreIndexBoundedUnderChurn: a full class that evicts on
+// every put keeps its index near the size a fresh class's takes for the
+// same number of live keys. Go's swiss map (Go 1.24) keeps the
+// tombstones of deleted keys, so an index never rebuilt grows to about
+// 4x its fresh size over this many evicting puts. The test reads the
+// heap, so it must not run in parallel with others.
+func TestClassStoreIndexBoundedUnderChurn(t *testing.T) {
+	const capacity, puts = 512, 200_000
+	fill := func(n int) *classStore {
+		c := newClassStore(capacity, false)
+		for i := range n {
+			c.put(strconv.Itoa(i), nil, 1)
+		}
+		return c
+	}
+	fresh, churned := indexBytes(fill(capacity)), indexBytes(fill(puts))
+	t.Logf("index of %d live keys: %d B fresh, %d B after %d puts", capacity, fresh, churned, puts)
+	if fresh <= 0 || float64(churned) > 1.5*float64(fresh) {
+		t.Errorf("churned index holds %d B, more than 1.5x the fresh index's %d B", churned, fresh)
+	}
+}
+
+// indexBytes is the heap c's index holds: the live heap with it less the
+// live heap without it, each read after two collections. The entries
+// stay reachable through the recency list, so only the map is counted.
+func indexBytes(c *classStore) int64 {
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	with := liveHeap()
+	c.items = nil
+	without := liveHeap()
+	runtime.KeepAlive(c)
+	return with - without
 }
 
 // lruStore is plain LRU as classStore implemented it before it was
