@@ -220,7 +220,7 @@ func TestTransformOnCloneLeavesStructureShared(t *testing.T) {
 	// Fold the loss into its backward, one node computing the gradient.
 	var loss []graph.NodeID
 	for _, n := range whatIf.Nodes {
-		if name := n.Op.Name(); name == "aten::mse_loss" || name == "MseLossBackward0" {
+		if name := whatIf.Op(&n).Name(); name == "aten::mse_loss" || name == "MseLossBackward0" {
 			loss = append(loss, n.ID)
 		}
 	}

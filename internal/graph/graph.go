@@ -10,20 +10,21 @@
 // model-system co-design: batch resizing (WithBatch) and op fusion
 // (ReplaceNodes), both without re-capturing the model.
 //
-// A Graph is two parts. The structure — the node list, the edge arena
-// its nodes index into, the sources with the metadata they were
-// registered with, and each tensor's producer — says which op consumes
-// what and does not depend on the batch size. The shape table — one
-// tensor.Meta per TensorID — is the only part that does. Nodes are
-// values in one slice, each an op, an ID and three offsets into one
-// arena of tensor IDs (its inputs, then its outputs; read them with
-// Inputs and Outputs), so a structure is a handful of allocations
-// besides its ops.
+// A Graph is two parts. The structure — the node list, the op table and
+// the edge arena its nodes index into, the sources with the metadata
+// they were registered with, and each tensor's producer — says which op
+// consumes what and does not depend on the batch size. The shape table
+// — one tensor.Meta per TensorID — is the only part that does. Nodes are
+// values in one slice, each an ID, an index into the op table (read the
+// op with Op) and three offsets into one arena of tensor IDs (its
+// inputs, then its outputs; read them with Inputs and Outputs), so a
+// structure is a handful of allocations besides its distinct ops.
 //
 // A graph a builder returns is bound: it carries the shape table of its
-// build batch. Unbind drops the table and the append slack, leaving a
-// structure that carries no shape beyond its sources' — the form a
-// long-lived cache keeps. WithBatch binds a batch to a
+// build batch, and one op table entry per node. Unbind drops the shape
+// table and the append slack and stores each comparable op value once,
+// leaving a structure that carries no shape beyond its sources' — the
+// form a long-lived cache keeps. WithBatch binds a batch to a
 // structure, bound or not: it returns a view that shares the structure
 // and owns a shape table filled by one propagation pass, so a sweep over
 // batch sizes builds nodes and ops once. A caller that drops its view
@@ -37,10 +38,11 @@
 // structure (Meta, Launches) panics.
 //
 // Sharing rule: a view and the graph it was bound from share their
-// nodes, so both are read-only from then on — any number of goroutines
-// may walk them or bind further views. The transforms (ReplaceNodes and
-// Apply) edit a bound graph's structure in place: apply them to a Clone,
-// which shares nothing but the immutable ops.
+// nodes and their op table, so both are read-only from then on — any
+// number of goroutines may walk them or bind further views. The
+// transforms (ReplaceNodes and Apply) edit a bound graph's structure in
+// place: apply them to a Clone, which copies the op table and shares
+// nothing but the immutable op values.
 package graph
 
 import (
@@ -64,11 +66,13 @@ type TensorID int32
 type NodeID int32
 
 // Node is one executed operator. Its kernels are issued to the one
-// device stream, after those of every node before it. Its edges live in
-// its graph's arena: read them with Graph.Inputs and Graph.Outputs.
+// device stream, after those of every node before it. Its op and its
+// edges live in its graph's op table and arena: read them with
+// Graph.Op, Graph.Inputs and Graph.Outputs.
 type Node struct {
-	Op ops.Op
 	ID NodeID
+	// op indexes the node's op in the op table.
+	op int32
 	// in, out and end delimit the node's edges in the arena: its inputs
 	// are edges[in:out], its outputs edges[out:end].
 	in, out, end int32
@@ -79,6 +83,8 @@ type Node struct {
 type Graph struct {
 	// Structure, shared between a graph and the views bound from it.
 	Nodes []Node
+	// ops is the op table every node's op indexes into.
+	ops []ops.Op
 	// edges is the arena every node's inputs and outputs index into.
 	edges []TensorID
 	// sources are graph inputs (model inputs, labels): tensors not
@@ -148,6 +154,9 @@ func (g *Graph) Meta(id TensorID) tensor.Meta {
 	return g.shapes[id]
 }
 
+// Op returns the op node n of g executes.
+func (g *Graph) Op(n *Node) ops.Op { return g.ops[n.op] }
+
 // Inputs returns the tensors node n of g consumes, in order. The slice
 // is the graph's own: read it, never write it.
 func (g *Graph) Inputs(n *Node) []TensorID { return g.edges[n.in:n.out:n.out] }
@@ -162,8 +171,9 @@ func (g *Graph) Apply(op ops.Op, inputs ...TensorID) []TensorID {
 	sc := scratches.Get().(*scratch)
 	sc.in = g.InputMetas(sc.in[:0], inputs)
 	sc.out = op.AppendOutputs(sc.out[:0], sc.in)
-	n := Node{ID: g.nextNode, Op: op, in: int32(len(g.edges))}
+	n := Node{ID: g.nextNode, op: int32(len(g.ops)), in: int32(len(g.edges))}
 	g.nextNode++
+	g.ops = append(g.ops, op)
 	g.edges = append(g.edges, inputs...)
 	n.out = int32(len(g.edges))
 	for _, m := range sc.out {
@@ -209,7 +219,7 @@ func (g *Graph) Launches() iter.Seq2[*Node, []kernels.Kernel] {
 		for i := range g.Nodes {
 			n := &g.Nodes[i]
 			sc.in = g.InputMetas(sc.in[:0], g.Inputs(n))
-			sc.ks = n.Op.AppendKernels(sc.ks[:0], sc.in)
+			sc.ks = g.Op(n).AppendKernels(sc.ks[:0], sc.in)
 			most = max(most, len(sc.ks))
 			if !yield(n, sc.ks) {
 				break
@@ -228,7 +238,7 @@ func (g *Graph) Launches() iter.Seq2[*Node, []kernels.Kernel] {
 //
 //lint:allow unlinked contract-test helper: the graph, models and bind suites compare a node's kernels through it
 func (g *Graph) NodeKernels(n *Node) []kernels.Kernel {
-	return n.Op.AppendKernels(nil, g.InputMetas(nil, g.Inputs(n)))
+	return g.Op(n).AppendKernels(nil, g.InputMetas(nil, g.Inputs(n)))
 }
 
 // Producer returns the node producing tensor id, or -1 for graph inputs.
@@ -276,12 +286,12 @@ func (g *Graph) Validate() error {
 		n := &g.Nodes[i]
 		for _, in := range g.Inputs(n) {
 			if in < 0 || int(in) >= len(produced) || !produced[in] {
-				return nodeErrorf(n, "at position %d consumes tensor %d before it is produced", i, in)
+				return g.nodeErrorf(n, "at position %d consumes tensor %d before it is produced", i, in)
 			}
 		}
 		for _, out := range g.Outputs(n) {
 			if g.Producer(out) != n.ID {
-				return nodeErrorf(n, "declares unknown output tensor %d", out)
+				return g.nodeErrorf(n, "declares unknown output tensor %d", out)
 			}
 			produced[out] = true
 		}
@@ -294,8 +304,8 @@ func (g *Graph) Validate() error {
 // of the hotpath analyzer) and runs only when one fails.
 //
 //lint:hotpath stop formats the fault of a bind check that failed
-func nodeErrorf(n *Node, format string, args ...any) error {
-	return fmt.Errorf("graph: node %d (%s) "+format, append([]any{n.ID, n.Op.Name()}, args...)...)
+func (g *Graph) nodeErrorf(n *Node, format string, args ...any) error {
+	return fmt.Errorf("graph: node %d (%s) "+format, append([]any{n.ID, g.Op(n).Name()}, args...)...)
 }
 
 // unknownTensor formats the panic of a read past the shape table, a
@@ -337,10 +347,10 @@ func (g *Graph) propagate() error {
 		for _, id := range g.Inputs(n) {
 			sc.in = append(sc.in, g.shapes[id])
 		}
-		sc.out = n.Op.AppendOutputs(sc.out[:0], sc.in)
+		sc.out = g.Op(n).AppendOutputs(sc.out[:0], sc.in)
 		outs := g.Outputs(n)
 		if len(sc.out) != len(outs) {
-			return nodeErrorf(n, "output arity changed from %d to %d", len(outs), len(sc.out))
+			return g.nodeErrorf(n, "output arity changed from %d to %d", len(outs), len(sc.out))
 		}
 		for j, m := range sc.out {
 			g.shapes[outs[j]] = m
@@ -400,10 +410,15 @@ func (g *Graph) Release() {
 
 // Unbind turns g into a stored structure: it drops g's shape table and
 // copies every slice of the structure into an allocation sized to its
-// length, so g holds no batch-dependent state and no append slack. g
+// length, so g holds no batch-dependent state and no append slack. Its
+// op table keeps the ops its nodes execute, each comparable op value
+// once: equal values behave alike, so the nodes that built equal ones
+// share the first. An op holding a slice (a view's shape, a lookup's
+// tables, an optimizer's parameter sizes) keeps an entry per node. g
 // must not be a view or shared yet. Bind a batch to it with WithBatch.
 func (g *Graph) Unbind() {
 	g.Nodes = slices.Clone(g.Nodes)
+	g.internOps()
 	g.edges = slices.Clone(g.edges)
 	g.sources = slices.Clone(g.sources)
 	g.sourceMetas = slices.Clone(g.sourceMetas)
@@ -411,33 +426,78 @@ func (g *Graph) Unbind() {
 	g.shapes = nil
 }
 
+// internOps rebuilds g's op table from its nodes, as Unbind describes:
+// one entry per distinct comparable op value, one per node for the
+// rest, in an allocation of the table's length. An op type holds no
+// interface, so the values of a comparable type hash.
+func (g *Graph) internOps() {
+	index := map[ops.Op]int32{}
+	// loose holds the ops that are not comparable, each with its entry.
+	type entry struct {
+		op ops.Op
+		at int32
+	}
+	loose := make([]entry, 0, 8)
+	size := int32(0)
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		op := g.ops[n.op]
+		if !reflect.TypeOf(op).Comparable() {
+			loose = append(loose, entry{op, size})
+			n.op = size
+			size++
+			continue
+		}
+		k, ok := index[op]
+		if !ok {
+			k = size
+			index[op] = k
+			size++
+		}
+		n.op = k
+	}
+	g.ops = make([]ops.Op, size)
+	for op, k := range index {
+		g.ops[k] = op
+	}
+	for _, e := range loose {
+		g.ops[e.at] = e.op
+	}
+}
+
 // Bytes returns the heap g's structure and shape table occupy: the
-// graph itself, each slice's capacity and the op values its nodes hold.
-// A view shares the structure, so only a stored structure is charged
-// this way.
+// graph itself, each slice's capacity and the op values its table
+// holds, each entry once. The ops package's shared values are static
+// data and are not charged. A view shares the structure, so only a
+// stored structure is charged this way.
 func (g *Graph) Bytes() int64 {
 	n := int64(graphBytes) +
 		int64(cap(g.Nodes))*nodeBytes +
+		int64(cap(g.ops))*opRefBytes +
 		int64(cap(g.edges)+cap(g.sources)+cap(g.producers))*idBytes +
 		int64(cap(g.sourceMetas)+cap(g.shapes))*metaBytes
-	for i := range g.Nodes {
-		n += opBytes(g.Nodes[i].Op)
+	for _, op := range g.ops {
+		if !ops.Shared(op) {
+			n += opBytes(op)
+		}
 	}
 	return n
 }
 
-// The sizes Bytes charges: a Graph, a Node, a TensorID or NodeID, and a
-// tensor.Meta.
+// The sizes Bytes charges: a Graph, a Node, an op table entry, a
+// TensorID or NodeID, and a tensor.Meta.
 const (
 	graphBytes = int64(unsafe.Sizeof(Graph{}))
 	nodeBytes  = int64(unsafe.Sizeof(Node{}))
+	opRefBytes = int64(unsafe.Sizeof(ops.Op(nil)))
 	idBytes    = int64(unsafe.Sizeof(TensorID(0)))
 	metaBytes  = int64(unsafe.Sizeof(tensor.Meta{}))
 )
 
-// opBytes is the heap an op value boxed in a node holds: the value at
-// its allocation size, plus the backing array of each slice field (the
-// table rows of a fused lookup, an optimizer's parameter sizes).
+// opBytes is the heap an op value boxed in the op table holds: the
+// value at its allocation size, plus the backing array of each slice
+// field (the table rows of a fused lookup, an optimizer's parameter
+// sizes).
 func opBytes(op ops.Op) int64 {
 	v := reflect.ValueOf(op)
 	n := allocBytes(v.Type().Size())
@@ -485,11 +545,13 @@ func (g *Graph) BatchSize() int64 {
 	return 0
 }
 
-// Clone returns a deep copy of the graph (ops are immutable values and
-// are shared).
+// Clone returns a deep copy of the graph. Its op table is a copy too,
+// which the transforms append to; the op values in it are immutable and
+// shared.
 func (g *Graph) Clone() *Graph {
 	return &Graph{
 		Nodes:       slices.Clone(g.Nodes),
+		ops:         slices.Clone(g.ops),
 		edges:       slices.Clone(g.edges),
 		sources:     slices.Clone(g.sources),
 		sourceMetas: slices.Clone(g.sourceMetas),

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -180,8 +181,8 @@ func TestReplaceNodesFusesEmbeddingBags(t *testing.T) {
 	if len(g.Nodes) != 2 {
 		t.Fatalf("nodes after fusion = %d, want 2", len(g.Nodes))
 	}
-	if fused.Op.Name() != "LookupFunction" {
-		t.Errorf("fused op = %s", fused.Op.Name())
+	if g.Op(fused).Name() != "LookupFunction" {
+		t.Errorf("fused op = %s", g.Op(fused).Name())
 	}
 	out := g.Meta(g.Outputs(fused)[0])
 	if out.Dim(0) != 128 || out.Dim(1) != 4 || out.Dim(2) != 16 {
@@ -283,7 +284,7 @@ func TestBindAtBuildBatchIsAView(t *testing.T) {
 	}
 	for i := range v.Nodes {
 		n, w := &v.Nodes[i], &built.Nodes[i]
-		if n.ID != w.ID || n.Op != w.Op || !slices.Equal(v.Inputs(n), built.Inputs(w)) || !slices.Equal(v.Outputs(n), built.Outputs(w)) {
+		if n.ID != w.ID || v.Op(n) != built.Op(w) || !slices.Equal(v.Inputs(n), built.Inputs(w)) || !slices.Equal(v.Outputs(n), built.Outputs(w)) {
 			t.Errorf("node %d differs from the build", i)
 		}
 		if !slices.Equal(v.NodeKernels(n), built.NodeKernels(w)) {
@@ -399,5 +400,130 @@ func TestCloneReplacePropagates(t *testing.T) {
 	}
 	if len(g.Nodes) != 5 || len(v.Nodes) != 5 || v.Meta(relu[0]).Dim(0) != 256 || g.Validate() != nil {
 		t.Error("fusing a clone reached the structure or its view")
+	}
+}
+
+// opsBuild builds a graph whose nodes repeat comparable ops (a shared
+// ReLU, equal Linear and Concat values) and ops that hold a slice
+// (equal Views, equal lookups).
+func opsBuild() *Graph {
+	g := New()
+	x := g.Input(tensor.New(16, 64))
+	idx := g.Input(tensor.NewTyped(tensor.Int64, 16, 2, 4))
+	for range 3 {
+		x = g.Apply(ops.Linear{Out: 64}, x)[0]
+		x = g.Apply(ops.ReLU(), x)[0]
+	}
+	v := g.Apply(ops.View{NewShape: []int64{-1, 1, 64}}, x)[0]
+	w := g.Apply(ops.View{NewShape: []int64{-1, 1, 64}}, x)[0]
+	for range 2 {
+		e := g.Apply(ops.EmbeddingLookup{Rows: []int64{100, 200}, L: 4, D: 64}, idx)[0]
+		g.Apply(ops.Concat{Dim: 1}, v, w, e)
+	}
+	return g
+}
+
+// TestUnbindStoresEachOpOnce: after Unbind the op table holds no two
+// equal comparable values and no slack, each op holding a slice keeps
+// an entry of its own, every node executes the op it was built with,
+// and a view reads the structure's table.
+func TestUnbindStoresEachOpOnce(t *testing.T) {
+	built, g := opsBuild(), opsBuild()
+	g.Unbind()
+	for i, a := range g.ops {
+		for _, b := range g.ops[i+1:] {
+			if reflect.ValueOf(a).Comparable() && a == b {
+				t.Errorf("the table stores %v twice", a)
+			}
+		}
+	}
+	if allocBytes(uintptr(cap(g.ops))*uintptr(opRefBytes)) != allocBytes(uintptr(len(g.ops))*uintptr(opRefBytes)) {
+		t.Errorf("the table keeps append slack: %d/%d", len(g.ops), cap(g.ops))
+	}
+	// Linear, ReLU, two Views, two lookups and Concat.
+	if len(g.ops) != 7 {
+		t.Errorf("%d table entries for %d nodes, want 7", len(g.ops), len(g.Nodes))
+	}
+	views := 0
+	for i := range g.Nodes {
+		op := g.Op(&g.Nodes[i])
+		if !reflect.DeepEqual(op, built.Op(&built.Nodes[i])) {
+			t.Errorf("node %d executes %v, built with %v", i, op, built.Op(&built.Nodes[i]))
+		}
+		if _, ok := op.(ops.View); ok {
+			views++
+			if g.Nodes[i].op == g.Nodes[i-1].op {
+				t.Errorf("node %d shares its View's entry with node %d", i, i-1)
+			}
+		}
+	}
+	if views != 2 {
+		t.Errorf("%d View nodes, want 2", views)
+	}
+	v, err := g.WithBatch(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := built.WithBatch(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v.ops) != len(g.ops) || &v.ops[0] != &g.ops[0] {
+		t.Error("a view does not read its structure's op table")
+	}
+	for i := range v.Nodes {
+		if !slices.Equal(v.NodeKernels(&v.Nodes[i]), w.NodeKernels(&w.Nodes[i])) {
+			t.Errorf("node %d of the view launches other kernels than the build bound at 32", i)
+		}
+	}
+}
+
+// TestCloneReplaceKeepsOriginalOps: fusing in two clones of a bound
+// build graph, whose op table has spare capacity, leaves the original's
+// table and nodes as they were, and each clone executes its own fused
+// op: a clone appends to a table of its own.
+func TestCloneReplaceKeepsOriginalOps(t *testing.T) {
+	g := New()
+	idx := g.Input(tensor.NewTyped(tensor.Int64, 64, 3, 10))
+	var outs []TensorID
+	var ids []NodeID
+	for range 3 {
+		o := g.Apply(ops.EmbeddingBag{Rows: 1000, L: 10, D: 16}, idx)
+		ids = append(ids, g.Producer(o[0]))
+		outs = append(outs, o[0])
+	}
+	cat := g.Apply(ops.Concat{Dim: 1}, outs...)
+	g.Apply(ops.ReLU(), cat[0])
+	ids = append(ids, g.Producer(cat[0]))
+	if cap(g.ops) == len(g.ops) {
+		t.Fatalf("the build's table has no spare capacity (%d entries): the test would not see a shared one", len(g.ops))
+	}
+	table := slices.Clone(g.ops)
+	nodes := slices.Clone(g.Nodes)
+
+	fuse := func(d int64) (*Graph, ops.Op, *Node) {
+		c := g.Clone()
+		op := ops.EmbeddingLookup{Rows: []int64{1000, 1000, 1000}, L: 10, D: d}
+		fused, err := c.ReplaceNodes(ids, op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, op, fused
+	}
+	c1, op1, fused1 := fuse(16)
+	c2, op2, fused2 := fuse(32)
+	if !reflect.DeepEqual(c1.Op(fused1), op1) || !reflect.DeepEqual(c2.Op(fused2), op2) {
+		t.Errorf("the clones execute %v and %v, fused with %v and %v", c1.Op(fused1), c2.Op(fused2), op1, op2)
+	}
+	if len(g.ops) != len(table) || !slices.EqualFunc(g.ops, table, func(a, b ops.Op) bool { return reflect.DeepEqual(a, b) }) {
+		t.Errorf("fusing in clones changed the original's table: %v, was %v", g.ops, table)
+	}
+	if !slices.Equal(g.Nodes, nodes) {
+		t.Error("fusing in clones changed the original's nodes")
+	}
+	for i := range g.Nodes {
+		if !reflect.DeepEqual(g.Op(&g.Nodes[i]), table[nodes[i].op]) {
+			t.Errorf("original node %d executes %v, was %v", i, g.Op(&g.Nodes[i]), table[nodes[i].op])
+		}
 	}
 }

@@ -122,7 +122,7 @@ func (g *Graph) ReplaceNodes(ids []NodeID, op ops.Op) (*Node, error) {
 		n := &g.Nodes[i]
 		if i == insertPos {
 			fusedAt = len(nodes)
-			add(Node{ID: fusedID, Op: op}, extInputs, fusedOut)
+			add(Node{ID: fusedID, op: int32(len(g.ops))}, extInputs, fusedOut)
 		}
 		if removed[n.ID] {
 			for _, out := range g.Outputs(n) {
@@ -134,7 +134,7 @@ func (g *Graph) ReplaceNodes(ids []NodeID, op ops.Op) (*Node, error) {
 		}
 		add(*n, g.Inputs(n), g.Outputs(n))
 	}
-	g.Nodes, g.edges = nodes, edges
+	g.Nodes, g.edges, g.ops = nodes, edges, append(g.ops, op)
 	if err := g.Propagate(); err != nil {
 		return nil, err
 	}

@@ -65,8 +65,8 @@ func TestOpsKeepAppendContract(t *testing.T) {
 		}
 		for _, g := range []*graph.Graph{m.Graph, v} {
 			for _, n := range g.Nodes {
-				if err := opContract(n.Op, g.InputMetas(nil, g.Inputs(&n))); err != nil {
-					t.Errorf("%s at batch %d: node %d (%s): %v", name, g.BatchSize(), n.ID, n.Op.Name(), err)
+				if err := opContract(g.Op(&n), g.InputMetas(nil, g.Inputs(&n))); err != nil {
+					t.Errorf("%s at batch %d: node %d (%s): %v", name, g.BatchSize(), n.ID, g.Op(&n).Name(), err)
 				}
 			}
 		}

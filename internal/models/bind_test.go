@@ -43,22 +43,22 @@ func sameGraph(t *testing.T, label string, got, want *graph.Graph) bool {
 	}
 	for i := range got.Nodes {
 		n, w := &got.Nodes[i], &want.Nodes[i]
-		if n.Op.Name() != w.Op.Name() {
-			t.Errorf("%s: node %d is %s, want %s", label, i, n.Op.Name(), w.Op.Name())
+		if got.Op(n).Name() != want.Op(w).Name() {
+			t.Errorf("%s: node %d is %s, want %s", label, i, got.Op(n).Name(), want.Op(w).Name())
 			return false
 		}
 		if gk, wk := got.NodeKernels(n), want.NodeKernels(w); !reflect.DeepEqual(gk, wk) {
-			t.Errorf("%s: node %d (%s) launches %+v, want %+v", label, i, n.Op.Name(), gk, wk)
+			t.Errorf("%s: node %d (%s) launches %+v, want %+v", label, i, got.Op(n).Name(), gk, wk)
 			return false
 		}
 		gOut, wOut := got.Outputs(n), want.Outputs(w)
 		if len(gOut) != len(wOut) {
-			t.Errorf("%s: node %d (%s) has %d outputs, want %d", label, i, n.Op.Name(), len(gOut), len(wOut))
+			t.Errorf("%s: node %d (%s) has %d outputs, want %d", label, i, got.Op(n).Name(), len(gOut), len(wOut))
 			return false
 		}
 		for j := range gOut {
 			if gm, wm := got.Meta(gOut[j]), want.Meta(wOut[j]); !reflect.DeepEqual(gm, wm) {
-				t.Errorf("%s: node %d (%s) output %d is %v, want %v", label, i, n.Op.Name(), j, gm, wm)
+				t.Errorf("%s: node %d (%s) output %d is %v, want %v", label, i, got.Op(n).Name(), j, gm, wm)
 				return false
 			}
 		}

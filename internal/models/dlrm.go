@@ -278,7 +278,7 @@ func dlrmParamSizes(cfg DLRMConfig) []int64 {
 func EmbeddingBagNodes(m *Model) []graph.NodeID {
 	var ids []graph.NodeID
 	for _, n := range m.Graph.Nodes {
-		if n.Op.Name() == "aten::embedding_bag" {
+		if m.Graph.Op(&n).Name() == "aten::embedding_bag" {
 			ids = append(ids, n.ID)
 		}
 	}
@@ -287,7 +287,7 @@ func EmbeddingBagNodes(m *Model) []graph.NodeID {
 	}
 	// The concat that merges the bag outputs immediately follows them.
 	for _, n := range m.Graph.Nodes {
-		if n.Op.Name() != "aten::cat" {
+		if m.Graph.Op(&n).Name() != "aten::cat" {
 			continue
 		}
 		deps := m.Graph.Deps(&n)
@@ -325,7 +325,7 @@ func FuseEmbeddingBags(m *Model) error {
 	}
 	var fused ops.EmbeddingLookup
 	for _, n := range m.Graph.Nodes {
-		if bag, ok := n.Op.(ops.EmbeddingBag); ok && !bag.Backward {
+		if bag, ok := m.Graph.Op(&n).(ops.EmbeddingBag); ok && !bag.Backward {
 			fused.Rows = append(fused.Rows, bag.Rows)
 			fused.L, fused.D, fused.ZipfSkew = bag.L, bag.D, bag.ZipfSkew
 		}
@@ -335,7 +335,7 @@ func FuseEmbeddingBags(m *Model) error {
 	}
 	var bwdIDs []graph.NodeID
 	for _, n := range m.Graph.Nodes {
-		if n.Op.Name() == "EmbeddingBagBackward0" {
+		if m.Graph.Op(&n).Name() == "EmbeddingBagBackward0" {
 			bwdIDs = append(bwdIDs, n.ID)
 		}
 	}

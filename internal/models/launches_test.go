@@ -1,6 +1,7 @@
 package models
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -39,7 +40,7 @@ func sameLaunches(t *testing.T, label string, g *graph.Graph, l launches) {
 	}
 	for i, n := range l.nodes {
 		if want := g.NodeKernels(n); !slices.Equal(l.kernels[i], want) {
-			t.Errorf("%s: node %d (%s) launches %+v, want %+v", label, i, n.Op.Name(), l.kernels[i], want)
+			t.Errorf("%s: node %d (%s) launches %+v, want %+v", label, i, g.Op(n).Name(), l.kernels[i], want)
 			return
 		}
 	}
@@ -97,4 +98,40 @@ func TestLaunchesMatchNodeKernels(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestUnboundStructureLaunches: a stored structure, whose op table
+// keeps each comparable op once, bound at two batches lists the same
+// launches as a from-scratch build at each, for the families whose
+// nodes repeat the most equal ops.
+func TestUnboundStructureLaunches(t *testing.T) {
+	for _, name := range []string{NameResNet50, NameInceptionV3, NameTransformer} {
+		m, err := Build(name, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Graph.Unbind()
+		for _, b := range []int64{64, 200} {
+			v, err := m.Graph.WithBatch(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Build(name, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s unbound@%d", name, b)
+			got := collectLaunches(v)
+			sameLaunches(t, label, v, got)
+			if !slices.EqualFunc(got.kernels, collectLaunches(want.Graph).kernels, slices.Equal) {
+				t.Errorf("%s: launches differ from a build at %d", label, b)
+			}
+			for i := range v.Nodes {
+				if v.Op(&v.Nodes[i]).Name() != want.Graph.Op(&want.Graph.Nodes[i]).Name() {
+					t.Errorf("%s: node %d is %s, the build's %s", label, i, v.Op(&v.Nodes[i]).Name(), want.Graph.Op(&want.Graph.Nodes[i]).Name())
+					break
+				}
+			}
+		}
+	}
 }

@@ -105,7 +105,7 @@ func TestDLRMResize(t *testing.T) {
 	}
 	found := false
 	for _, n := range m.Graph.Nodes {
-		if n.Op.Name() != "LookupFunction" {
+		if m.Graph.Op(&n).Name() != "LookupFunction" {
 			continue
 		}
 		k := m.Graph.NodeKernels(&n)[0]
@@ -131,7 +131,7 @@ func TestDLRMUnfusedVariant(t *testing.T) {
 	}
 	bags := 0
 	for _, n := range m.Graph.Nodes {
-		if n.Op.Name() == "aten::embedding_bag" {
+		if m.Graph.Op(&n).Name() == "aten::embedding_bag" {
 			bags++
 		}
 	}
@@ -178,7 +178,7 @@ func TestMLPerfUsesBCEAndVaryingTables(t *testing.T) {
 	}
 	hasBCE := false
 	for _, n := range m.Graph.Nodes {
-		if n.Op.Name() == "aten::binary_cross_entropy" {
+		if m.Graph.Op(&n).Name() == "aten::binary_cross_entropy" {
 			hasBCE = true
 		}
 	}
@@ -194,7 +194,7 @@ func TestResNet50Census(t *testing.T) {
 	}
 	convs, bns := 0, 0
 	for _, n := range m.Graph.Nodes {
-		switch n.Op.Name() {
+		switch m.Graph.Op(&n).Name() {
 		case "aten::conv2d":
 			convs++
 		case "aten::batch_norm":

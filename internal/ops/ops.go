@@ -14,6 +14,11 @@
 // elements as they were, and keeps neither dst nor the inputs after it
 // returns. A walk over many nodes passes the previous result re-sliced
 // to [:0], so the whole walk holds one buffer of each kind.
+//
+// Op values are immutable: a derivation reads its op and changes
+// nothing, so any number of graphs and goroutines may hold one value,
+// and a constructor may return the same value to every caller (the
+// parameterless ones do; see Shared).
 package ops
 
 import (
@@ -91,80 +96,83 @@ func shortName(opName string) string {
 	return opName
 }
 
-// ReLU returns aten::relu.
-func ReLU() Op {
-	return Elementwise{OpName: "aten::relu", ReadsPerElem: 4, WritesPerElem: 4, FLOPsPerElem: 1}
+// The values the parameterless constructors return. Each is built once
+// and shared by every caller: an Apply that stores one boxes nothing.
+var (
+	relu            Op = Elementwise{OpName: "aten::relu", ReadsPerElem: 4, WritesPerElem: 4, FLOPsPerElem: 1}
+	reluBackward    Op = Elementwise{OpName: "ReluBackward0", ReadsPerElem: 8, WritesPerElem: 4, FLOPsPerElem: 1}
+	sigmoid         Op = Elementwise{OpName: "aten::sigmoid", ReadsPerElem: 4, WritesPerElem: 4, FLOPsPerElem: 4}
+	sigmoidBackward Op = Elementwise{OpName: "SigmoidBackward0", ReadsPerElem: 8, WritesPerElem: 4, FLOPsPerElem: 3}
+	add             Op = Elementwise{OpName: "aten::add_", ReadsPerElem: 8, WritesPerElem: 4, FLOPsPerElem: 1, NInputs: 2}
+	mseLoss         Op = Elementwise{OpName: "aten::mse_loss", ReadsPerElem: 8, WritesPerElem: 0.1,
+		FLOPsPerElem: 3, ScalarOutput: true, NInputs: 2}
+	mseLossBackward Op = Elementwise{OpName: "MseLossBackward0", ReadsPerElem: 8, WritesPerElem: 4,
+		FLOPsPerElem: 2, NInputs: 2}
+	bceLoss Op = Elementwise{OpName: "aten::binary_cross_entropy", ReadsPerElem: 8, WritesPerElem: 0.1,
+		FLOPsPerElem: 8, ScalarOutput: true, NInputs: 2}
+	bceLossBackward Op = Elementwise{OpName: "BinaryCrossEntropyBackward0", ReadsPerElem: 8, WritesPerElem: 4,
+		FLOPsPerElem: 6, NInputs: 2}
+	accumulateGrad    Op = Elementwise{OpName: "AccumulateGrad", ReadsPerElem: 8, WritesPerElem: 4, FLOPsPerElem: 1}
+	softmax           Op = Elementwise{OpName: "aten::softmax", ReadsPerElem: 8, WritesPerElem: 4, FLOPsPerElem: 6}
+	softmaxBackward   Op = Elementwise{OpName: "SoftmaxBackward0", ReadsPerElem: 12, WritesPerElem: 4, FLOPsPerElem: 4}
+	layerNorm         Op = Elementwise{OpName: "aten::layer_norm", ReadsPerElem: 8, WritesPerElem: 4, FLOPsPerElem: 6}
+	layerNormBackward Op = Elementwise{OpName: "NativeLayerNormBackward0", ReadsPerElem: 16, WritesPerElem: 8, FLOPsPerElem: 8}
+)
+
+// Shared reports whether op is one of the values the parameterless
+// constructors share. Those are package data: a graph that holds one
+// owns none of its memory.
+func Shared(op Op) bool {
+	switch op {
+	case relu, reluBackward, sigmoid, sigmoidBackward, add, mseLoss, mseLossBackward,
+		bceLoss, bceLossBackward, accumulateGrad, softmax, softmaxBackward, layerNorm, layerNormBackward:
+		return true
+	}
+	return false
 }
+
+// ReLU returns aten::relu.
+func ReLU() Op { return relu }
 
 // ReLUBackward returns ReluBackward0 (reads grad and saved mask).
-func ReLUBackward() Op {
-	return Elementwise{OpName: "ReluBackward0", ReadsPerElem: 8, WritesPerElem: 4, FLOPsPerElem: 1}
-}
+func ReLUBackward() Op { return reluBackward }
 
 // Sigmoid returns aten::sigmoid.
-func Sigmoid() Op {
-	return Elementwise{OpName: "aten::sigmoid", ReadsPerElem: 4, WritesPerElem: 4, FLOPsPerElem: 4}
-}
+func Sigmoid() Op { return sigmoid }
 
 // SigmoidBackward returns SigmoidBackward0.
-func SigmoidBackward() Op {
-	return Elementwise{OpName: "SigmoidBackward0", ReadsPerElem: 8, WritesPerElem: 4, FLOPsPerElem: 3}
-}
+func SigmoidBackward() Op { return sigmoidBackward }
 
 // Add returns aten::add_ over two same-shaped tensors.
-func Add() Op {
-	return Elementwise{OpName: "aten::add_", ReadsPerElem: 8, WritesPerElem: 4, FLOPsPerElem: 1, NInputs: 2}
-}
+func Add() Op { return add }
 
 // MSELoss returns aten::mse_loss (pointwise diff + reduction fused).
-func MSELoss() Op {
-	return Elementwise{OpName: "aten::mse_loss", ReadsPerElem: 8, WritesPerElem: 0.1,
-		FLOPsPerElem: 3, ScalarOutput: true, NInputs: 2}
-}
+func MSELoss() Op { return mseLoss }
 
 // MSELossBackward returns MseLossBackward0.
-func MSELossBackward() Op {
-	return Elementwise{OpName: "MseLossBackward0", ReadsPerElem: 8, WritesPerElem: 4,
-		FLOPsPerElem: 2, NInputs: 2}
-}
+func MSELossBackward() Op { return mseLossBackward }
 
 // BCELoss returns aten::binary_cross_entropy.
-func BCELoss() Op {
-	return Elementwise{OpName: "aten::binary_cross_entropy", ReadsPerElem: 8, WritesPerElem: 0.1,
-		FLOPsPerElem: 8, ScalarOutput: true, NInputs: 2}
-}
+func BCELoss() Op { return bceLoss }
 
 // BCELossBackward returns BinaryCrossEntropyBackward0.
-func BCELossBackward() Op {
-	return Elementwise{OpName: "BinaryCrossEntropyBackward0", ReadsPerElem: 8, WritesPerElem: 4,
-		FLOPsPerElem: 6, NInputs: 2}
-}
+func BCELossBackward() Op { return bceLossBackward }
 
 // AccumulateGrad returns the autograd grad-accumulation node for one
 // parameter tensor.
-func AccumulateGrad() Op {
-	return Elementwise{OpName: "AccumulateGrad", ReadsPerElem: 8, WritesPerElem: 4, FLOPsPerElem: 1}
-}
+func AccumulateGrad() Op { return accumulateGrad }
 
 // Softmax returns aten::softmax (read twice: max+exp pass, normalize pass).
-func Softmax() Op {
-	return Elementwise{OpName: "aten::softmax", ReadsPerElem: 8, WritesPerElem: 4, FLOPsPerElem: 6}
-}
+func Softmax() Op { return softmax }
 
 // SoftmaxBackward returns SoftmaxBackward0.
-func SoftmaxBackward() Op {
-	return Elementwise{OpName: "SoftmaxBackward0", ReadsPerElem: 12, WritesPerElem: 4, FLOPsPerElem: 4}
-}
+func SoftmaxBackward() Op { return softmaxBackward }
 
 // LayerNorm returns aten::layer_norm.
-func LayerNorm() Op {
-	return Elementwise{OpName: "aten::layer_norm", ReadsPerElem: 8, WritesPerElem: 4, FLOPsPerElem: 6}
-}
+func LayerNorm() Op { return layerNorm }
 
 // LayerNormBackward returns NativeLayerNormBackward0.
-func LayerNormBackward() Op {
-	return Elementwise{OpName: "NativeLayerNormBackward0", ReadsPerElem: 16, WritesPerElem: 8, FLOPsPerElem: 8}
-}
+func LayerNormBackward() Op { return layerNormBackward }
 
 // SliceBackward is the autograd node of one aten::cat input
 // (SliceBackward0): it copies the corresponding slice of the upstream

@@ -220,3 +220,31 @@ func TestAssertInputsPanics(t *testing.T) {
 	}()
 	Linear{Out: 4}.AppendOutputs(nil, []tensor.Meta{tensor.New(2, 2), tensor.New(2, 2)})
 }
+
+// TestParameterlessOpsAreShared: each parameterless constructor returns
+// one shared value, so a call allocates nothing and equals the previous
+// one, and Shared knows exactly those values.
+func TestParameterlessOpsAreShared(t *testing.T) {
+	ctors := map[string]func() Op{
+		"ReLU": ReLU, "ReLUBackward": ReLUBackward, "Sigmoid": Sigmoid, "SigmoidBackward": SigmoidBackward,
+		"Add": Add, "MSELoss": MSELoss, "MSELossBackward": MSELossBackward, "BCELoss": BCELoss,
+		"BCELossBackward": BCELossBackward, "AccumulateGrad": AccumulateGrad, "Softmax": Softmax,
+		"SoftmaxBackward": SoftmaxBackward, "LayerNorm": LayerNorm, "LayerNormBackward": LayerNormBackward,
+	}
+	for name, ctor := range ctors {
+		prev := ctor()
+		var op Op
+		if allocs := testing.AllocsPerRun(100, func() { op = ctor() }); allocs != 0 {
+			t.Errorf("%s allocates %.0f times per call", name, allocs)
+		}
+		if op != prev || !Shared(op) {
+			t.Errorf("%s: %v after %v, shared %v", name, op, prev, Shared(op))
+		}
+	}
+	for _, op := range []Op{Linear{Out: 1}, View{}, EmbeddingLookup{}, ToDevice{},
+		Elementwise{OpName: "aten::relu"}, OptimizerStep{ParamSizes: []int64{1}}} {
+		if Shared(op) {
+			t.Errorf("%T %v is reported shared", op, op)
+		}
+	}
+}

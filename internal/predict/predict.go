@@ -70,7 +70,7 @@ func (p *Predictor) Predict(g *graph.Graph) (Prediction, error) {
 	cpu, gpu := 0.0, 0.0
 	t1 := p.Overheads.T1Mean()
 	for node, ks := range g.Launches() {
-		op := node.Op.Name()
+		op := g.Op(node).Name()
 		t2, t3, t5 := p.Overheads.OpMeans(op)
 		cpu += t1
 		if len(ks) == 0 {

@@ -173,7 +173,7 @@ func planNodes(g *graph.Graph, dev *kernels.Device, ovh *Sampler) (plan []nodePl
 	dists := map[string][4]dist{}
 	launchT4, memcpyT4 := ovh.t4Dist(kernels.RTLaunchKernel), ovh.t4Dist(kernels.RTMemcpyAsync)
 	for node, ks := range g.Launches() {
-		op := node.Op.Name()
+		op := g.Op(node).Name()
 		d, ok := dists[op]
 		if !ok {
 			d = [4]dist{ovh.opDist(T1, op), ovh.opDist(T2, op), ovh.opDist(T3, op), ovh.opDist(T5, op)}
